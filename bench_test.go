@@ -4,8 +4,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the full evaluation. DESIGN.md §4 maps benchmarks to paper
-// artifacts; EXPERIMENTS.md records paper-vs-measured shapes. Benchmarks
+// reproduces the full evaluation. docs/ARCHITECTURE.md ("Substitutions for
+// the paper's environment") maps benchmarks to paper artifacts. Benchmarks
 // run at half stand-in scale (Scale 0.5) to keep the whole suite's
 // wall-clock reasonable on one machine; cmd/experiments runs full stand-in
 // scale.

@@ -21,12 +21,19 @@
 //     Fragments that are not meant to compile belong in ```text blocks.
 //     README snippets are link-checked only: they use elision ("...") for
 //     brevity.
+//   - Go sources: a comment or string in any .go file of the module that
+//     names a markdown document in capitals (DESIGN.md, docs/API.md) must
+//     name one that exists, at the repo root or beside the file — the
+//     fourteen references to a DESIGN.md that was never written are the
+//     class this catches. Lower-case names (test fixtures) and this
+//     command's own sources are exempt.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"go/format"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -38,6 +45,10 @@ import (
 // linkRe matches inline markdown links [text](target). Images and reference
 // links are out of scope — the repo does not use them.
 var linkRe = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
+
+// docRefRe matches a mention of a markdown document named in capitals, with
+// an optional directory prefix: "DESIGN.md", "docs/ARCHITECTURE.md".
+var docRefRe = regexp.MustCompile(`(?:[A-Za-z0-9_.-]+/)*[A-Z][A-Z0-9_]*\.md\b`)
 
 // goBlock is one ```go fenced snippet with its source location.
 type goBlock struct {
@@ -94,6 +105,51 @@ func checkLinks(root, file string, content string) []string {
 		}
 	}
 	return problems
+}
+
+// checkDocRefs reports every markdown document a Go source file (a path
+// relative to root) mentions that exists neither relative to the repo root
+// nor beside the file.
+func checkDocRefs(root, file, content string) []string {
+	var problems []string
+	for i, line := range strings.Split(content, "\n") {
+		for _, ref := range docRefRe.FindAllString(line, -1) {
+			_, errRoot := os.Stat(filepath.Join(root, ref))
+			_, errLocal := os.Stat(filepath.Join(root, filepath.Dir(file), ref))
+			if errRoot != nil && errLocal != nil {
+				problems = append(problems, fmt.Sprintf("%s:%d: reference to %s, which does not exist", file, i+1, ref))
+			}
+		}
+	}
+	return problems
+}
+
+// goFiles lists the module's Go sources relative to root, skipping hidden
+// and underscore directories (build outputs, snippet scratch) and this
+// command, whose tests name missing documents on purpose.
+func goFiles(root string) ([]string, error) {
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			hidden := rel != "." && (d.Name()[0] == '.' || d.Name()[0] == '_')
+			if hidden || filepath.ToSlash(rel) == "ci/docscheck" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(rel, ".go") {
+			files = append(files, rel)
+		}
+		return nil
+	})
+	return files, err
 }
 
 // extractGoBlocks returns every ```go fenced block of content.
@@ -205,6 +261,18 @@ func run(root string) []string {
 		}
 	}
 	problems = append(problems, compileGoBlocks(root, blocks)...)
+	sources, err := goFiles(root)
+	if err != nil {
+		return append(problems, err.Error())
+	}
+	for _, file := range sources {
+		raw, err := os.ReadFile(filepath.Join(root, file))
+		if err != nil {
+			problems = append(problems, err.Error())
+			continue
+		}
+		problems = append(problems, checkDocRefs(root, file, string(raw))...)
+	}
 	return problems
 }
 
@@ -219,5 +287,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: docs links resolve and snippets compile")
+	fmt.Println("docscheck: docs links resolve, snippets compile, Go sources name only documents that exist")
 }

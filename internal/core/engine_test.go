@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dsteiner/internal/graph"
+	rt "dsteiner/internal/runtime"
 )
 
 // engineTestGraph builds a reproducible random connected graph.
@@ -114,6 +115,43 @@ func TestEngineRepeatedIdenticalQuery(t *testing.T) {
 			t.Fatalf("repeat %d drifted: %v (total %d) vs %v (total %d)",
 				q, again.Tree, again.TotalDistance, first.Tree, first.TotalDistance)
 		}
+	}
+}
+
+// TestPhaseStatsAddUpToCommStats pins the per-phase message counts to the
+// communicator's: the runtime feeds Comm.Stats once per traversal, and the
+// phase recorder reads it between traversals, so over a solve the phases'
+// Sent and Processed must sum to exactly what the communicator counted —
+// on a reused engine too, where nothing may leak between queries.
+func TestPhaseStatsAddUpToCommStats(t *testing.T) {
+	g := engineTestGraph(9, 400)
+	for _, opts := range []Options{Default(1), Default(3), {Ranks: 4, DelegateThreshold: 6, Queue: rt.QueueBucket, BSP: true}} {
+		e, err := NewEngine(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(10))
+		for q := 0; q < 5; q++ {
+			before := e.comm.Stats()
+			res, err := e.Solve(pickEngineSeeds(rng, 400, 6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := e.comm.Stats()
+			var sent, processed int64
+			for _, ph := range res.Phases {
+				sent += ph.Sent
+				processed += ph.Processed
+			}
+			if sent != after.Sent-before.Sent || processed != after.Processed-before.Processed || sent == 0 {
+				t.Fatalf("ranks=%d query %d: phases sum to %d sent / %d processed, communicator counted %d / %d",
+					opts.Ranks, q, sent, processed, after.Sent-before.Sent, after.Processed-before.Processed)
+			}
+			if sent != res.TotalMessages() || processed > sent {
+				t.Fatalf("ranks=%d query %d: TotalMessages %d, sent %d, processed %d", opts.Ranks, q, res.TotalMessages(), sent, processed)
+			}
+		}
+		e.Close()
 	}
 }
 

@@ -40,7 +40,7 @@ const (
 	MSTKruskal MSTAlgo = iota
 	// MSTPrim is the paper's choice (Boost Prim in the original).
 	MSTPrim
-	// MSTBoruvka is the parallel-style algorithm used by the DESIGN.md
+	// MSTBoruvka is the parallel-style algorithm used by the AblationMST
 	// ablation of the "sequential MST is sufficient" claim.
 	MSTBoruvka
 )
@@ -444,7 +444,7 @@ func (o Options) withDefaults() Options {
 // Kruskal as the replicated-path MST (the order the fragment merge
 // reproduces byte-identically), and arc-balanced contiguous partitioning
 // (our equivalent of HavoqGT's edge-count load balancing for scale-free
-// graphs — see the DESIGN.md substitution table and
+// graphs — see the docs/ARCHITECTURE.md substitution table and
 // BenchmarkAblation_Delegates).
 func Default(ranks int) Options {
 	return Options{

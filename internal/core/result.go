@@ -31,7 +31,7 @@ type PhaseStat struct {
 	Processed int64
 	// MaxRankWork is the largest per-rank processed count — the
 	// critical-path work metric used to report machine-independent
-	// scaling shape (see DESIGN.md substitutions).
+	// scaling shape (see docs/ARCHITECTURE.md, substitutions).
 	MaxRankWork int64
 }
 

@@ -8,7 +8,7 @@
 // Complexity is O(3^k·|V| + 2^k·(|E| + |V| log |V|)) time and
 // O(2^k·|V|) memory for k = |S| terminals, so it is feasible only for small
 // seed sets (the paper's |S|=10 rows; larger rows use the refined reference
-// of internal/improve, as documented in DESIGN.md).
+// of internal/improve, as documented in docs/ARCHITECTURE.md).
 package exact
 
 import (

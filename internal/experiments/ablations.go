@@ -102,7 +102,7 @@ func AblationDelegates(cfg Config) ([]tables.Table, error) {
 		}
 	}
 	t.AddNote("CP-eff = balance relative to the first configuration's total work; threshold 0 disables delegation")
-	t.AddNote("arc-balanced ranges reproduce HavoqGT's edge load-balancing role (DESIGN.md §1)")
+	t.AddNote("arc-balanced ranges reproduce HavoqGT's edge load-balancing role (docs/ARCHITECTURE.md)")
 	return []tables.Table{t}, nil
 }
 

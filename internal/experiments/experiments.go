@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§V) on the scaled-down stand-in datasets. Each runner returns
-// renderable tables with the same rows/series the paper reports; DESIGN.md
-// §4 maps experiment IDs to paper artifacts and EXPERIMENTS.md records
-// paper-vs-measured outcomes.
+// renderable tables with the same rows/series the paper reports;
+// docs/ARCHITECTURE.md ("Substitutions for the paper's environment") maps
+// experiment IDs to paper artifacts.
 package experiments
 
 import (

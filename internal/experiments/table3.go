@@ -34,6 +34,6 @@ func Table3(cfg Config) ([]tables.Table, error) {
 			info.Paper.Arcs,
 		)
 	}
-	t.AddNote("stand-ins are deterministic synthetic graphs (internal/gen); see DESIGN.md §1")
+	t.AddNote("stand-ins are deterministic synthetic graphs (internal/gen); see docs/ARCHITECTURE.md")
 	return []tables.Table{t}, nil
 }

@@ -1,5 +1,5 @@
 // Package improve refines Steiner trees by local search. Its role in the
-// reproduction (DESIGN.md §1): for seed sets too large for the exact
+// reproduction (docs/ARCHITECTURE.md, substitutions): for seed sets too large for the exact
 // Dreyfus–Wagner solver, the refined best-of-heuristics solution acts as the
 // D_min reference when computing Table VII approximation ratios, standing in
 // for SCIP-Jack optima. The refinement can only lower a tree's weight, so
@@ -37,8 +37,8 @@ func Refine(g *graph.Graph, seeds []graph.VID, tree baseline.Tree) baseline.Tree
 // RefineBudget is Refine with a wall-clock budget: once the budget elapses,
 // the current best is returned even if further moves might help. budget <= 0
 // means unlimited. Large seed sets (|S| >= 1000) make key-path exchange
-// expensive; the experiment harness budgets the reference computation and
-// records the budget in EXPERIMENTS.md.
+// expensive; the experiment harness budgets the reference computation
+// (experiments.Config.RefineBudget).
 func RefineBudget(g *graph.Graph, seeds []graph.VID, tree baseline.Tree, budget time.Duration) baseline.Tree {
 	deadline := time.Time{}
 	if budget > 0 {

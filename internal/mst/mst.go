@@ -111,7 +111,7 @@ func Kruskal(n int, edges []WEdge) Result {
 
 // Boruvka computes a minimum spanning forest with Borůvka rounds: each
 // component selects its minimum outgoing edge (ties by (W, U, V)), then all
-// selected edges are merged. Included for the DESIGN.md ablation of the
+// selected edges are merged. Included for the ablation (AblationMST) of the
 // paper's "sequential MST is sufficient" argument — Borůvka is the classic
 // parallelizable MST whose available parallelism collapses as components
 // merge (Bader & Cong [18]).

@@ -1,5 +1,5 @@
 // Package pq provides the queue substrate behind the runtime's message
-// scheduling: a binary-heap priority queue, a ring-buffer FIFO, and a
+// scheduling: a 4-ary-heap priority queue, a ring-buffer FIFO, and a
 // monotone bucket queue (Δ-stepping style). The paper's key optimization
 // (§IV, §V-C) is draining each partition's visitor queue in
 // distance-priority order instead of FIFO order; both disciplines are
@@ -24,113 +24,99 @@ type Queue[T any] interface {
 	Reset()
 }
 
-// Heap is a binary min-heap priority queue. Ties are broken by insertion
-// order (FIFO among equal keys) so that behaviour is deterministic.
+// Heap is a 4-ary min-heap priority queue over one array of (key, seq, item)
+// entries. Ties are broken by insertion order (FIFO among equal keys) so
+// that behaviour is deterministic. Sifting moves a hole instead of swapping:
+// one entry write per level, and a fan-out of 4 halves the levels a Pop
+// descends — the runtime's traversal loop spends most of its time here.
 type Heap[T any] struct {
-	keys  []uint64
-	seqs  []uint64
-	items []T
-	seq   uint64
+	a   []heapEntry[T]
+	seq uint64
+}
+
+type heapEntry[T any] struct {
+	key, seq uint64
+	item     T
+}
+
+// before reports whether e pops before o: key order, then insertion order.
+func (e *heapEntry[T]) before(o *heapEntry[T]) bool {
+	return e.key < o.key || (e.key == o.key && e.seq < o.seq)
 }
 
 // NewHeap returns an empty priority queue with optional capacity hint.
 func NewHeap[T any](capacity int) *Heap[T] {
-	return &Heap[T]{
-		keys:  make([]uint64, 0, capacity),
-		seqs:  make([]uint64, 0, capacity),
-		items: make([]T, 0, capacity),
-	}
+	return &Heap[T]{a: make([]heapEntry[T], 0, capacity)}
 }
 
 // Push inserts item with priority key.
 func (h *Heap[T]) Push(item T, key uint64) {
-	h.keys = append(h.keys, key)
-	h.seqs = append(h.seqs, h.seq)
-	h.items = append(h.items, item)
+	e := heapEntry[T]{key: key, seq: h.seq, item: item}
 	h.seq++
-	h.up(len(h.keys) - 1)
+	i := len(h.a)
+	h.a = append(h.a, e)
+	a := h.a
+	// e is the newest entry, so it rises only past strictly larger keys.
+	for i > 0 {
+		p := (i - 1) / 4
+		if a[p].key <= key {
+			break
+		}
+		a[i] = a[p]
+		i = p
+	}
+	a[i] = e
 }
 
 // Pop removes the minimum-key item.
 func (h *Heap[T]) Pop() (T, bool) {
 	var zero T
-	n := len(h.keys)
-	if n == 0 {
+	n := len(h.a) - 1
+	if n < 0 {
 		return zero, false
 	}
-	top := h.items[0]
-	last := n - 1
-	h.keys[0], h.seqs[0], h.items[0] = h.keys[last], h.seqs[last], h.items[last]
-	h.items[last] = zero // release reference
-	h.keys, h.seqs, h.items = h.keys[:last], h.seqs[:last], h.items[:last]
-	if last > 0 {
-		h.down(0)
+	top := h.a[0].item
+	e := h.a[n]
+	h.a[n] = heapEntry[T]{} // release reference
+	a := h.a[:n]
+	h.a = a
+	if n == 0 {
+		return top, true
 	}
+	// Sink the hole left at the root to a leaf along the smallest children,
+	// then let e rise from there: e came from the bottom row, so it rarely
+	// rises far, and the descent saves the comparison against e per level.
+	i := 0
+	for c := 1; c < n; c = 4*i + 1 {
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if a[j].before(&a[m]) {
+				m = j
+			}
+		}
+		a[i] = a[m]
+		i = m
+	}
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(&a[p]) {
+			break
+		}
+		a[i] = a[p]
+		i = p
+	}
+	a[i] = e
 	return top, true
 }
 
-// PeekKey returns the minimum key without removing it.
-func (h *Heap[T]) PeekKey() (uint64, bool) {
-	if len(h.keys) == 0 {
-		return 0, false
-	}
-	return h.keys[0], true
-}
-
 // Len returns the number of queued items.
-func (h *Heap[T]) Len() int { return len(h.keys) }
+func (h *Heap[T]) Len() int { return len(h.a) }
 
-// Reset empties the heap, keeping the allocated arrays.
+// Reset empties the heap, keeping the allocated array.
 func (h *Heap[T]) Reset() {
-	var zero T
-	for i := range h.items {
-		h.items[i] = zero // release references
-	}
-	h.keys, h.seqs, h.items = h.keys[:0], h.seqs[:0], h.items[:0]
+	clear(h.a) // release references
+	h.a = h.a[:0]
 	h.seq = 0
-}
-
-func (h *Heap[T]) less(i, j int) bool {
-	if h.keys[i] != h.keys[j] {
-		return h.keys[i] < h.keys[j]
-	}
-	return h.seqs[i] < h.seqs[j]
-}
-
-func (h *Heap[T]) swap(i, j int) {
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-	h.seqs[i], h.seqs[j] = h.seqs[j], h.seqs[i]
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-}
-
-func (h *Heap[T]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *Heap[T]) down(i int) {
-	n := len(h.keys)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h.swap(i, smallest)
-		i = smallest
-	}
 }
 
 // FIFO is a growable ring buffer implementing Queue with first-in-first-out

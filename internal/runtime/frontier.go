@@ -146,9 +146,9 @@ func (c *Comm) frontierWorkers() int {
 
 // parallelDrain relaxes the rank's drained bucket (r.drainBuf) on the worker
 // pool, then replays the per-worker staging outboxes in worker-index order
-// through flush. Staged sends are replayed — and counted against the
-// termination counter — before the caller releases the drained messages'
-// own pending units, so quiescence can never be declared mid-drain.
+// through flush. Staged sends are replayed — and counted as sent — before
+// drainFrontier counts the drained messages as processed, so quiescence can
+// never be declared mid-drain.
 func (r *Rank) parallelDrain(flush VisitFunc) {
 	p := r.pool
 	c := r.comm
@@ -211,8 +211,7 @@ func (r *Rank) drainFrontier(bq *pq.Bucket[Msg]) int64 {
 	} else {
 		r.parallelDrain(r.pflush)
 	}
-	r.comm.processed.Add(n)
-	r.processedHere += n
+	r.processedHere += n // after the relaxations: see publish
 	return n
 }
 

@@ -27,8 +27,11 @@ type Rank struct {
 	// their concrete slab (internal/voronoi.SlabOf).
 	state StateSlab
 
-	// Traversal-scoped state.
+	// Traversal-scoped state. queue is the traversal's queue: ordered (the
+	// configured discipline) when it has a Key, fifo otherwise.
 	queue   pq.Queue[Msg]
+	ordered pq.Queue[Msg]
+	fifo    *pq.FIFO[Msg]
 	keyOf   KeyFunc
 	visit   VisitFunc
 	admit   func(r *Rank, m Msg) bool // optional inbound dominance filter
@@ -57,11 +60,18 @@ type Rank struct {
 	doutIdx map[graph.VID]int32
 	dout    []Msg
 
-	// Per-traversal counters (reset by Traverse).
+	// Per-traversal counters (reset by Traverse), rank-private: the shared
+	// counters see them once per batch (publish) or per traversal (finish).
 	sentHere         int64
 	processedHere    int64
+	droppedHere      int64 // inbound messages rejected by Admit
 	drainsHere       int64
 	frontierMsgsHere int64
+	// counted is set for loopback asynchronous traversals, whose quiescence
+	// is detected with Comm.pending; published is the part of this rank's
+	// outstanding balance already added to it.
+	counted   bool
+	published int64
 }
 
 // ID returns this rank's index in [0, NumRanks).
@@ -129,16 +139,34 @@ func (r *Rank) EdgeWeight(u, v graph.VID) (uint32, bool) { return r.mustShard().
 // visit callback or init function). Messages to the local rank skip the
 // mailbox and go straight to the local queue.
 func (r *Rank) Send(m Msg) {
-	c := r.comm
-	c.pending.Add(1)
-	c.sent.Add(1)
 	r.sentHere++
-	dest := c.part.Owner(m.Target)
+	dest := r.comm.part.Owner(m.Target)
 	if dest == r.id && !r.bsp {
 		r.enqueueLocal(m)
 		return
 	}
 	r.buffer(dest, m)
+}
+
+// publish adds the change in this rank's outstanding balance — messages
+// sent or staged minus messages visited or dropped — to the shared
+// termination counter, and signals quiescence when that reaches zero. It
+// runs before a batch leaves the rank (flushTo), after Init, and before the
+// rank parks; never per message. That is enough because every unpublished
+// send happened while visiting a popped message (or draining a bucket) whose
+// own unit is only released afterwards: while any rank has unpublished work
+// the counter is at least one, and it reaches zero only at true quiescence.
+func (r *Rank) publish() {
+	if !r.counted {
+		return
+	}
+	balance := r.sentHere + int64(len(r.dout)) - r.processedHere - r.droppedHere
+	if d := balance - r.published; d != 0 {
+		r.published = balance
+		if r.comm.pending.Add(d) == 0 {
+			r.comm.closeDone()
+		}
+	}
 }
 
 // Suppress records one delegate-bound relaxation dropped by the
@@ -157,9 +185,6 @@ func (r *Rank) Distributed() bool { return r.comm.trans != nil }
 // hub updates). Each copy counts as one sent message.
 func (r *Rank) Broadcast(m Msg) {
 	for dest := 0; dest < r.NumRanks(); dest++ {
-		c := r.comm
-		c.pending.Add(1)
-		c.sent.Add(1)
 		r.sentHere++
 		if dest == r.id && !r.bsp {
 			r.enqueueLocal(m)
@@ -177,9 +202,9 @@ func (r *Rank) Broadcast(m Msg) {
 // one; the tie-send rule the changed-since filter depends on concerns
 // distinct senders, and the flush always releases the staged best.
 //
-// A staged entry holds one unit of the pending counter so an asynchronous
-// traversal cannot be declared terminated while offers sit in an outbox;
-// flushOutbox transfers that unit into the real broadcast before release.
+// A staged entry counts toward the rank's outstanding balance (publish), so
+// an asynchronous traversal cannot be declared terminated while offers sit
+// in an outbox.
 func (r *Rank) BroadcastBatched(m Msg) {
 	if i, ok := r.doutIdx[m.Target]; ok {
 		s := &r.dout[i]
@@ -192,15 +217,13 @@ func (r *Rank) BroadcastBatched(m Msg) {
 	if r.doutIdx == nil {
 		r.doutIdx = make(map[graph.VID]int32)
 	}
-	r.comm.pending.Add(1)
 	r.doutIdx[m.Target] = int32(len(r.dout))
 	r.dout = append(r.dout, m)
 }
 
 // flushOutbox broadcasts every staged delegate offer and clears the stage,
-// reporting whether anything was flushed. Broadcasts are counted before the
-// staging sentinels are released, so the pending counter can never dip to
-// zero mid-flush.
+// reporting whether anything was flushed. The stage is cleared only after
+// its broadcasts are counted as sent, so a publish mid-flush over-counts.
 func (r *Rank) flushOutbox() bool {
 	n := len(r.dout)
 	if n == 0 {
@@ -212,7 +235,6 @@ func (r *Rank) flushOutbox() bool {
 	r.comm.batchedBroadcasts.Add(int64(n))
 	r.dout = r.dout[:0]
 	clear(r.doutIdx)
-	r.comm.pending.Add(int64(-n))
 	return true
 }
 
@@ -264,19 +286,24 @@ func (r *Rank) recycleBuf(buf []Msg) {
 
 // enqueueLocal pushes m onto the local discipline queue.
 func (r *Rank) enqueueLocal(m Msg) {
-	r.queue.Push(m, r.keyOf(m))
+	var key uint64
+	if r.keyOf != nil {
+		key = r.keyOf(m)
+	}
+	r.queue.Push(m, key)
 }
 
 // flushTo delivers the outgoing buffer for dest: straight into the mailbox
 // when this process hosts dest (the loopback hot path), through the
-// transport otherwise — counted first so termination detection observes
-// the send before the bytes can arrive anywhere.
+// transport otherwise — counted first (publish, addSent) so termination
+// detection observes the send before the bytes can arrive anywhere.
 func (r *Rank) flushTo(dest int) {
 	buf := r.out[dest]
 	if len(buf) == 0 {
 		return
 	}
 	r.out[dest] = nil
+	r.publish()
 	r.comm.batches.Add(1)
 	if l := r.comm.localRank(dest); l != nil {
 		l.box.put(buf)
@@ -293,9 +320,13 @@ func (r *Rank) flushAll() {
 	}
 }
 
-// drainInbox moves all mailbox batches into the local queue, optionally in
-// randomized order (failure injection), then recycles the drained buffers.
-// It reports whether any message was moved.
+// drainInbox empties the mailbox, optionally in randomized order (failure
+// injection), and recycles the drained buffers. Messages of a keyed
+// traversal move into the local queue; an unordered asynchronous traversal
+// visits them straight out of their batch — order does not matter, so
+// copying them into a queue first would only cost the memory — and queues
+// nothing but its self-sends. It reports whether any message was moved or
+// visited.
 func (r *Rank) drainInbox() bool {
 	batches := r.box.takeAll()
 	if len(batches) == 0 {
@@ -306,8 +337,8 @@ func (r *Rank) drainInbox() bool {
 			batches[i], batches[j] = batches[j], batches[i]
 		})
 	}
+	direct := r.keyOf == nil && !r.bsp
 	moved := false
-	c := r.comm
 	for _, batch := range batches {
 		if r.shuffle != nil {
 			r.shuffle.Shuffle(len(batch), func(i, j int) {
@@ -315,34 +346,45 @@ func (r *Rank) drainInbox() bool {
 			})
 		}
 		for _, m := range batch {
-			if r.admit != nil && !r.admit(r, m) {
-				// Dropped as if visited and rejected. The message's unit of
-				// the loopback pending counter is released here; transport
-				// termination counts at the process boundary (Deliver/
-				// Inbound), which this message has already cleared.
-				if c.trans == nil && c.pending.Add(-1) == 0 {
-					c.closeDone()
-				}
-				continue
+			switch {
+			case r.admit != nil && !r.admit(r, m):
+				// Dropped as if visited and rejected; the next publish
+				// releases its unit of the termination counter.
+				r.droppedHere++
+			case direct:
+				r.visit(r, m)
+				r.processedHere++ // after the visit: see publish
+				moved = true
+			default:
+				r.enqueueLocal(m)
+				moved = true
 			}
-			r.enqueueLocal(m)
-			moved = true
 		}
-		// Messages are copied into the queue; the buffer is free again.
+		// Messages are visited or copied into the queue; the buffer is free.
 		r.recycleBuf(batch)
 	}
 	r.box.recycle(batches)
 	return moved
 }
 
-// newQueue builds this rank's local queue per the configured discipline.
-func (r *Rank) newQueue() pq.Queue[Msg] {
-	switch r.comm.cfg.Queue {
-	case QueuePriority:
-		return pq.NewHeap[Msg](1024)
-	case QueueBucket:
-		return pq.NewBucket[Msg](r.comm.cfg.BucketDelta)
-	default:
-		return pq.NewFIFO[Msg](1024)
+// queueFor returns this rank's emptied queue for a traversal: the configured
+// discipline when messages carry a priority key, the FIFO ring when order
+// does not matter. Both keep their capacity across phases and queries.
+func (r *Rank) queueFor(keyed bool) pq.Queue[Msg] {
+	if keyed && r.comm.cfg.Queue != QueueFIFO {
+		if r.ordered == nil {
+			if r.comm.cfg.Queue == QueueBucket {
+				r.ordered = pq.NewBucket[Msg](r.comm.cfg.BucketDelta)
+			} else {
+				r.ordered = pq.NewHeap[Msg](1024)
+			}
+		}
+		r.ordered.Reset()
+		return r.ordered
 	}
+	if r.fifo == nil {
+		r.fifo = pq.NewFIFO[Msg](1024)
+	}
+	r.fifo.Reset()
+	return r.fifo
 }

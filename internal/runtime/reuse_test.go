@@ -13,6 +13,7 @@ func chainRun(c *Comm) int64 {
 	var total atomic.Int64
 	c.Run(func(r *Rank) {
 		st := r.Traverse(&Traversal{
+			Key: DistKey,
 			Visit: func(r *Rank, m Msg) {
 				if m.Dist > 0 {
 					r.Send(Msg{Target: (m.Target + 7) % n, Dist: m.Dist - 1})

@@ -168,7 +168,9 @@ type Comm struct {
 	// termination-token sessions.
 	travSeq uint64
 
-	// Distributed-termination state for the current traversal.
+	// Distributed-termination state for the current loopback traversal:
+	// pending sums the outstanding-message balances the ranks have
+	// published (Rank.publish), per batch rather than per message.
 	pending  atomic.Int64
 	done     chan struct{}
 	doneOnce *sync.Once
@@ -189,6 +191,8 @@ type Comm struct {
 
 	// Global message counters (monotonic across phases; read via Stats).
 	// In a multi-process session they count this process's ranks only.
+	// sent and processed are fed by each rank once per completed traversal
+	// (Rank.finish), so they equal the sum of the ranks' TraversalStats.
 	sent       atomic.Int64
 	processed  atomic.Int64
 	batches    atomic.Int64

@@ -26,8 +26,12 @@ const idleSpins = 2
 type Traversal struct {
 	// Visit is the per-message callback (HavoqGT's visit()).
 	Visit VisitFunc
-	// Key extracts message priorities; nil means DistKey. Ignored by
-	// FIFO queues.
+	// Key extracts message priorities for the configured queue discipline
+	// (ignored by FIFO). nil means processing order does not matter — a
+	// request/reply exchange, a tree walk — and the traversal bypasses the
+	// discipline: inbound messages are visited straight out of their
+	// mailbox batch and self-sends drain from the rank's FIFO ring.
+	// Sorting equal keys is the heap's worst case.
 	Key KeyFunc
 	// Init runs once per rank before processing starts; it seeds the
 	// traversal by calling r.Send (HavoqGT's init_all visitors). May be
@@ -40,8 +44,8 @@ type Traversal struct {
 	// side-effect-free no-op for m, now and at any later time (e.g. the
 	// local state already lexicographically beats the offer and can only
 	// keep improving). Stale offers then cost one comparison instead of a
-	// queue insertion, a pop and a visit — the bulk of a remote rank's
-	// redundant work, since transport batching widens the staleness window.
+	// queue insertion, a pop and a visit. Dropped messages count as sent
+	// but not as processed.
 	Admit func(r *Rank, m Msg) bool
 	// BSP switches from asynchronous processing to bulk-synchronous
 	// supersteps separated by barriers (the ablation of §IV's async
@@ -75,18 +79,8 @@ type TraversalStats struct {
 // collective. Visit callbacks may send messages freely; termination is
 // detected when every sent message has been processed.
 func (r *Rank) Traverse(t *Traversal) TraversalStats {
-	key := t.Key
-	if key == nil {
-		key = DistKey
-	}
-	// The queue is empty at the end of every traversal; reuse its
-	// allocated capacity across phases and queries.
-	if r.queue == nil {
-		r.queue = r.newQueue()
-	} else {
-		r.queue.Reset()
-	}
-	r.keyOf = key
+	r.queue = r.queueFor(t.Key != nil)
+	r.keyOf = t.Key
 	r.visit = t.Visit
 	r.admit = t.Admit
 	r.pvisit, r.pflush = nil, nil
@@ -96,14 +90,15 @@ func (r *Rank) Traverse(t *Traversal) TraversalStats {
 			r.pvisit, r.pflush = t.ParallelVisit, t.ParallelFlush
 		}
 	}
-	r.sentHere, r.processedHere = 0, 0
+	// Discard what an aborted traversal may have left behind: counters it
+	// never folded into Comm.Stats, and a stale outbox stage.
+	r.sentHere, r.processedHere, r.droppedHere, r.published = 0, 0, 0, 0
 	r.drainsHere, r.frontierMsgsHere = 0, 0
-	// Discard any stale outbox stage (an aborted traversal may have left
-	// entries behind); the counters it guarded are reset below.
 	r.dout = r.dout[:0]
 	clear(r.doutIdx)
 
 	c := r.comm
+	r.counted = c.trans == nil && !t.BSP
 	// Reset termination state with all ranks quiescent. Loopback detects
 	// quiescence with the shared pending counter; a transport-backed
 	// communicator arms a termination-token session instead (the
@@ -134,6 +129,17 @@ func (r *Rank) Traverse(t *Traversal) TraversalStats {
 	return r.runAsync()
 }
 
+// finish folds this rank's traversal counters into the communicator's
+// totals — once per traversal, not per message — and returns them.
+func (r *Rank) finish(supersteps int64) TraversalStats {
+	r.comm.sent.Add(r.sentHere)
+	r.comm.processed.Add(r.processedHere)
+	return TraversalStats{
+		Processed: r.processedHere, Sent: r.sentHere, Supersteps: supersteps,
+		BucketsDrained: r.drainsHere, FrontierMsgs: r.frontierMsgsHere,
+	}
+}
+
 // closeDone signals global quiescence exactly once.
 func (c *Comm) closeDone() {
 	c.doneOnce.Do(func() { close(c.done) })
@@ -160,11 +166,12 @@ func (r *Rank) maybeYield() {
 func (r *Rank) runAsync() TraversalStats {
 	c := r.comm
 	dist := c.trans != nil
-	// Initial messages are already counted in pending (Send). Flush them
-	// and synchronize so the zero-message case is decided globally; with
-	// a transport the token ring decides it instead.
+	// Flush and publish the initial messages, then synchronize so the
+	// zero-message case is decided globally; with a transport the token
+	// ring decides it instead.
 	r.flushOutbox()
 	r.flushAll()
+	r.publish()
 	r.Barrier()
 	if !dist && r.id == c.lo && c.pending.Load() == 0 {
 		c.closeDone()
@@ -197,19 +204,12 @@ func (r *Rank) runAsync() TraversalStats {
 				r.flushAll()
 				r.maybeYield()
 			}
-			// drainFrontier replayed (and counted) all staged sends before
-			// returning, so releasing the drained messages' own pending
-			// units here cannot falsely reach zero mid-drain.
-			if !dist && c.pending.Add(-n) == 0 {
-				c.closeDone()
-			}
 			continue
 		}
 		if bucketQ == nil {
 			if m, ok := r.queue.Pop(); ok {
 				r.visit(r, m)
-				c.processed.Add(1)
-				r.processedHere++
+				r.processedHere++ // after the visit: see publish
 				sinceFlush++
 				if sinceFlush >= flushEvery {
 					sinceFlush = 0
@@ -225,9 +225,6 @@ func (r *Rank) runAsync() TraversalStats {
 					// the yield one rank can burn a whole scheduler slice
 					// on stale distances.
 					r.maybeYield()
-				}
-				if !dist && c.pending.Add(-1) == 0 {
-					c.closeDone()
 				}
 				continue
 			}
@@ -257,6 +254,10 @@ func (r *Rank) runAsync() TraversalStats {
 		if spun {
 			continue
 		}
+		// Nothing left here: release the units of everything visited or
+		// dropped since the last batch went out. The rank that brings the
+		// counter to zero wakes every parked peer through done.
+		r.publish()
 		if dist {
 			// Tell the termination tracker this rank is about to block:
 			// once every hosted rank is idle with drained mailboxes, the
@@ -274,10 +275,7 @@ func (r *Rank) runAsync() TraversalStats {
 			r.drainInbox()
 		case <-done:
 			c.idleRanks.Add(-1)
-			return TraversalStats{
-				Processed: r.processedHere, Sent: r.sentHere,
-				BucketsDrained: r.drainsHere, FrontierMsgs: r.frontierMsgsHere,
-			}
+			return r.finish(0)
 		case <-c.abort:
 			c.idleRanks.Add(-1)
 			panic(errAborted)
@@ -289,7 +287,6 @@ func (r *Rank) runAsync() TraversalStats {
 // queue, exchange messages, barrier, repeat until no rank received
 // anything.
 func (r *Rank) runBSP() TraversalStats {
-	c := r.comm
 	r.bsp = true
 	defer func() { r.bsp = false }()
 	// Move init messages (buffered, including self-sends) into round 1.
@@ -305,10 +302,7 @@ func (r *Rank) runBSP() TraversalStats {
 	for {
 		pending := int64(r.queue.Len())
 		if r.AllreduceSumInt64(pending) == 0 {
-			return TraversalStats{
-				Processed: r.processedHere, Sent: r.sentHere, Supersteps: steps,
-				BucketsDrained: r.drainsHere, FrontierMsgs: r.frontierMsgsHere,
-			}
+			return r.finish(steps)
 		}
 		steps++
 		for {
@@ -318,7 +312,6 @@ func (r *Rank) runBSP() TraversalStats {
 			if bucketQ == nil {
 				if m, ok := r.queue.Pop(); ok {
 					r.visit(r, m)
-					c.processed.Add(1)
 					r.processedHere++
 					continue
 				}

@@ -163,13 +163,9 @@ func RunRankBSP(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
 // materialized delegate stripes, and keeps control state in its own
 // StateSlab; neither the global CSR nor a shared state array is consulted.
 //
-// Offers aimed at delegate vertices pass a changed-since filter first
-// (sendOffer): the rank compares the offer against its local view of the
-// delegate's (src, dist) — the owned row when it owns the hub, the mirror
-// stripe fed by past broadcasts otherwise — and drops offers that view
-// proves the owner must reject. On hub-heavy graphs most relaxations
-// target the few delegates, so the filter cuts exactly the messages that
-// would otherwise cross the transport (suppressed count in Stats).
+// Every offer passes the send-side dominance filter first (offerSender):
+// offers the rank's own slab proves dead — against the owned row of a local
+// target, or the mirror row of a remote delegate — are never sent.
 func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 	sl := SlabOf(r)
 	sendOffer := sl.offerSender(r)
@@ -257,28 +253,31 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 	return runWith(r, seeds, sl, bsp, relaxNeighbors, relaxStripe, parallelVisit, parallelFlush)
 }
 
-// offerSender returns the relaxation-offer send function, with the
-// delegate changed-since filter enabled only when the partition has
-// delegates — delegate-free solves keep the unconditional send with zero
-// per-edge overhead.
+// offerSender returns the relaxation-offer send function. It drops offers
+// the sending rank can already prove dead — the send-side dominance filter:
 //
-// The filter is safe because it only drops provably-rejected offers: a
-// delegate owner's (dist, src) improves lexicographically monotonically,
-// and the local view (owned row or broadcast-fed mirror) is always one of
-// the owner's past states. If that view is already strictly better than
-// the offer's (dist, src), the owner's current state is too, and the
-// offer would fail the visit's tie-break no matter its predecessor. Ties
-// on (dist, src) are NOT filtered — a smaller predecessor can still win —
-// which is what keeps the converged fixed point byte-identical with the
-// filter on (pinned by the slab-vs-global equivalence property tests).
+//   - the target is owned here and its row already beats the offer under
+//     offerBetter, so Visit would reject it on arrival (about half of all
+//     offers on a loopback solve);
+//   - the target is a delegate owned elsewhere and the local mirror of its
+//     (src, dist), fed by past broadcasts, is strictly better — the
+//     changed-since filter, counted in Stats.Suppressed.
+//
+// Both are safe for one reason, shared with Traversal.Admit: a vertex's
+// entry only ever improves lexicographically, and the local view is the
+// owner's current or a past state, so an offer that view beats is beaten
+// for good and Visit's rejection of it is a no-op. Comparisons are strict —
+// an offer tying on (dist, src) with a smaller predecessor still goes out —
+// which keeps the converged fixed point byte-identical to RunRankGlobal's
+// unconditional sends (pinned by the equivalence property tests).
 func (sl *StateSlab) offerSender(r *rt.Rank) func(r *rt.Rank, u graph.VID, from, seed graph.VID, dist graph.Dist) {
-	if !r.HasDelegates() {
-		return func(r *rt.Rank, u graph.VID, from, seed graph.VID, dist graph.Dist) {
-			r.Send(rt.Msg{Target: u, From: from, Seed: seed, Dist: dist})
-		}
-	}
+	delegates := r.HasDelegates()
 	return func(r *rt.Rank, u graph.VID, from, seed graph.VID, dist graph.Dist) {
-		if r.IsDelegate(u) {
+		if i := sl.rows.Row(u); i >= 0 {
+			if sl.epoch[i] == sl.cur && !offerBetter(dist, seed, from, sl.dist[i], sl.src[i], sl.pred[i]) {
+				return
+			}
+		} else if delegates && r.IsDelegate(u) {
 			if ms, md, ok := sl.DelegateState(u); ok && (md < dist || (md == dist && ms < seed)) {
 				r.Suppress()
 				return
@@ -369,24 +368,20 @@ func runWith(r *rt.Rank, seeds []graph.VID, st Control, bsp bool,
 			}
 		},
 	}
-	if r.Distributed() {
-		// Dominance pre-filter for inbound offers: an offer the owned entry
-		// already lexicographically beats would be rejected by Visit
-		// unchanged — state only ever improves — so it is dropped before
-		// paying for a queue insertion. Exact ties are NOT dropped here or
-		// in Visit (offerBetter is strict), and delegate broadcasts always
-		// pass: their stripe relax must run regardless of the mirror's
-		// view. Distributed sessions only: transport batching widens the
-		// staleness window that makes the check pay; loopback ranks drain
-		// fresh offers, and for them the extra state lookup per message is
-		// pure overhead.
-		tr.Admit = func(r *rt.Rank, m rt.Msg) bool {
-			if m.Kind == delegateRelax {
-				return true
-			}
-			os, op, od := st.Get(m.Target)
-			return offerBetter(m.Dist, m.Seed, m.From, od, os, op)
+	// Dominance pre-filter for inbound offers: an offer the owned entry
+	// already lexicographically beats would be rejected by Visit unchanged —
+	// state only ever improves — so it is dropped before paying for a queue
+	// insertion. Exact ties are NOT dropped here or in Visit (offerBetter is
+	// strict), and delegate broadcasts always pass: their stripe relax must
+	// run regardless of the mirror's view. It pays on loopback as on a
+	// transport: batches sit in the mailbox while the owner keeps settling
+	// vertices, and about half of the inbound offers arrive already beaten.
+	tr.Admit = func(r *rt.Rank, m rt.Msg) bool {
+		if m.Kind == delegateRelax {
+			return true
 		}
+		os, op, od := st.Get(m.Target)
+		return offerBetter(m.Dist, m.Seed, m.From, od, os, op)
 	}
 	return r.Traverse(tr)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dsteiner/internal/gen"
 	"dsteiner/internal/graph"
 	"dsteiner/internal/partition"
 	rt "dsteiner/internal/runtime"
@@ -182,74 +183,96 @@ func TestDelegatesProduceSameFixedPoint(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesGlobalReference pins the shard refactor's core claim:
-// the sharded traversal (rank-local slabs + materialized delegate stripes)
-// reaches the identical Voronoi fixed point as the retained global-CSR
-// reference, for every partition kind, with and without delegates, async
-// and BSP.
+// TestShardedMatchesGlobalReference pins the core claim of the shard
+// refactor and of the dominance filters layered on it: the sharded traversal
+// (rank-local slabs, materialized delegate stripes, offers dropped at the
+// sender against the owned row or the delegate mirror, and again at the
+// receiver by Admit) reaches the fixed point of the retained global-CSR
+// reference, which sends every offer, and of the sequential sweep — byte for
+// byte, for every partition kind, with and without delegates, under every
+// queue discipline, async and BSP. The grid's small weights make (dist,
+// seed) ties with differing predecessors the norm: the case a filter that
+// compared non-strictly would get wrong.
 func TestShardedMatchesGlobalReference(t *testing.T) {
-	g := randomConnected(77, 300, 25)
-	n := g.NumVertices()
-	rng := rand.New(rand.NewSource(78))
-	seeds := pickSeeds(rng, n, 5)
-
-	makePart := func(kind string, ranks, threshold int) partition.Partition {
-		var base partition.Partition
-		var err error
-		switch kind {
-		case "hash":
-			base, err = partition.NewHash(n, ranks)
-		case "arcblock":
-			base, err = partition.NewArcBlock(g, ranks)
-		default:
-			base, err = partition.NewBlock(n, ranks)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if threshold > 0 {
-			return partition.WithDelegates(base, g, threshold)
-		}
-		return base
+	graphs := map[string]*graph.Graph{
+		"random": randomConnected(77, 300, 25),
+		"grid":   gen.Config{Name: "grid", Kind: gen.KindGrid2D, N: 16 * 20, Rows: 16, Cols: 20, MaxWeight: 3, Seed: 79}.MustBuild(),
+		"rmat":   gen.Config{Name: "rmat", Kind: gen.KindRMAT, N: 256, AvgDegree: 8, MaxWeight: 50, Backbone: true, Seed: 80}.MustBuild(),
 	}
+	var sentGlobal, sentSharded int64
+	for name, g := range graphs {
+		n := g.NumVertices()
+		rng := rand.New(rand.NewSource(78))
+		seeds := pickSeeds(rng, n, 5)
+		sequential := Sequential(g, seeds)
 
-	for _, kind := range []string{"block", "hash", "arcblock"} {
-		for _, threshold := range []int{0, 6} {
-			for _, bsp := range []bool{false, true} {
-				for _, ranks := range []int{1, 4} {
-					// Global reference run.
-					cg := rt.MustNew(rt.Config{Ranks: ranks, Queue: rt.QueuePriority}, makePart(kind, ranks, threshold))
-					want := NewState(n)
-					cg.Run(func(r *rt.Rank) {
-						if bsp {
-							RunRankGlobalBSP(r, g, seeds, want)
-						} else {
-							RunRankGlobal(r, g, seeds, want)
-						}
-					})
-					// Sharded run: rank-local slabs, collected afterwards.
-					cs := rt.MustNew(rt.Config{Ranks: ranks, Queue: rt.QueuePriority}, makePart(kind, ranks, threshold))
-					cs.EnsureShards(g)
-					slabs := EnsureSlabs(cs, g)
-					cs.Run(func(r *rt.Rank) {
-						if bsp {
-							RunRankBSP(r, seeds)
-						} else {
-							RunRank(r, seeds)
-						}
-					})
-					got := Collect(slabs, n)
-					for v := 0; v < n; v++ {
-						gs, gp, gd := got.Get(graph.VID(v))
-						ws, wp, wd := want.Get(graph.VID(v))
-						if gs != ws || gp != wp || gd != wd {
-							t.Fatalf("%s thr=%d bsp=%v ranks=%d vertex %d: sharded (%d,%d,%d), global (%d,%d,%d)",
-								kind, threshold, bsp, ranks, v, gs, gp, gd, ws, wp, wd)
+		makePart := func(kind string, ranks, threshold int) partition.Partition {
+			var base partition.Partition
+			var err error
+			switch kind {
+			case "hash":
+				base, err = partition.NewHash(n, ranks)
+			case "arcblock":
+				base, err = partition.NewArcBlock(g, ranks)
+			default:
+				base, err = partition.NewBlock(n, ranks)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if threshold > 0 {
+				return partition.WithDelegates(base, g, threshold)
+			}
+			return base
+		}
+
+		for _, kind := range []string{"block", "hash", "arcblock"} {
+			for _, threshold := range []int{0, 6} {
+				for _, bsp := range []bool{false, true} {
+					for _, ranks := range []int{1, 4} {
+						for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority, rt.QueueBucket} {
+							// Global reference run.
+							cg := rt.MustNew(rt.Config{Ranks: ranks, Queue: q}, makePart(kind, ranks, threshold))
+							want := NewState(n)
+							cg.Run(func(r *rt.Rank) {
+								if bsp {
+									RunRankGlobalBSP(r, g, seeds, want)
+								} else {
+									RunRankGlobal(r, g, seeds, want)
+								}
+							})
+							// Sharded run: rank-local slabs, collected afterwards.
+							cs := rt.MustNew(rt.Config{Ranks: ranks, Queue: q}, makePart(kind, ranks, threshold))
+							cs.EnsureShards(g)
+							slabs := EnsureSlabs(cs, g)
+							cs.Run(func(r *rt.Rank) {
+								if bsp {
+									RunRankBSP(r, seeds)
+								} else {
+									RunRank(r, seeds)
+								}
+							})
+							got := Collect(slabs, n)
+							for v := 0; v < n; v++ {
+								gs, gp, gd := got.Get(graph.VID(v))
+								ws, wp, wd := want.Get(graph.VID(v))
+								ss, sp, sd := sequential.Get(graph.VID(v))
+								if gs != ws || gp != wp || gd != wd || gs != ss || gp != sp || gd != sd {
+									t.Fatalf("%s %s thr=%d bsp=%v ranks=%d q=%v vertex %d: sharded (%d,%d,%d), global (%d,%d,%d), sequential (%d,%d,%d)",
+										name, kind, threshold, bsp, ranks, q, v, gs, gp, gd, ws, wp, wd, ss, sp, sd)
+								}
+							}
+							sentGlobal += cg.Stats().Sent
+							sentSharded += cs.Stats().Sent
 						}
 					}
 				}
 			}
 		}
+	}
+	// Not vacuous: the filters must have taken a real share of the offers.
+	if sentSharded*4 > sentGlobal*3 {
+		t.Fatalf("sharded runs sent %d offers, the unfiltered reference %d: the send-side filter dropped under a quarter", sentSharded, sentGlobal)
 	}
 }
 
