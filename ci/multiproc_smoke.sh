@@ -92,9 +92,9 @@ for seeds in "${QUERIES[@]}"; do
 done
 
 echo "== solving one forest and one prize query on both backends"
-# Mode queries go over POST /v1/solve; the TCP session negotiated wire v3,
-# so forest/prize specs cross the wire as SolveSpec frames. Compare the
-# full mode output: group subtrees, skipped set, penalties, objective.
+# Mode queries go over POST /v1/solve and cross the wire as SolveSpec
+# frames, like tree queries. Compare the full mode output: group subtrees,
+# skipped set, penalties, objective.
 MODE_QUERIES=(
   '{"mode":"forest","groups":[[1,2,3],[5,9],[20,21]]}'
   '{"mode":"prize","seeds":[0,7,32],"penalties":[4,100000,100000]}'
@@ -199,11 +199,11 @@ if [ "$frag_delta" -ge "$repl_delta" ]; then
 fi
 echo "   k=$K cross-table bytes: fragment=$frag_delta replicated=$repl_delta"
 
-echo "== starting -frontier parallel fleet (bucket queue, wire v6 counters)"
+echo "== starting -frontier parallel fleet (bucket queue, frontier counters)"
 # Parallel Δ-bucket draining end to end: each rankd resolves the shipped
 # frontier request against its own host, drains whole buckets across its
-# per-rank worker pool, and the counters ride home in the WorkerDone v6
-# tail. Answers must stay byte-identical to the (priority-queue, serial)
+# per-rank worker pool, and the counters ride home in the WorkerDone
+# frames. Answers must stay byte-identical to the (priority-queue, serial)
 # inproc reference — the drain mode must never leak into results.
 FRONT_COORD=127.0.0.1:7614
 FRONT_HTTP=127.0.0.1:8715

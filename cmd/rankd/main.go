@@ -18,9 +18,9 @@
 // cluster). -retry keeps re-dialing a coordinator that has not started
 // listening yet, so workers and coordinator can start in any order.
 // -rejoin, when positive, survives session faults: instead of exiting, the
-// worker re-handshakes with the coordinator's healing session (wire v5
-// Rejoin), waiting up to the given duration for re-admission — pair it
-// with a coordinator running steinersvc -recover.
+// worker re-handshakes with the coordinator's healing session (a Rejoin
+// frame), waiting up to the given duration for re-admission — pair it with
+// a coordinator running steinersvc -recover.
 //
 // The FAULTPOINTS environment variable arms deterministic crash injection
 // for chaos testing (e.g. FAULTPOINTS=solve.phase3:exit kills this process

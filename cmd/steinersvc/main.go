@@ -31,8 +31,8 @@
 // -recover arms fault tolerance for the TCP session: when a worker dies or
 // a connection drops, the coordinator retains the shard handshake, waits up
 // to -rejoin-wait for the fleet to re-handshake (survivors rejoin via the
-// wire v5 Rejoin frame when started with rankd -rejoin; replacements send a
-// fresh Hello), and requeues the interrupted query on the healed fleet —
+// Rejoin frame when started with rankd -rejoin; replacements send a fresh
+// Hello), and requeues the interrupted query on the healed fleet —
 // the answer is byte-identical to an undisturbed run. -respawn-cmd names a
 // shell command the coordinator fires on each fault to start replacement
 // workers. /stats reports the fault accounting under "faults".

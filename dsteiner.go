@@ -156,7 +156,7 @@ func ParseBackend(s string) (core.Backend, error) { return core.ParseBackend(s) 
 // distance-graph MST (see internal/core Options.MSTMode).
 const (
 	// MSTModeAuto picks the fragment merge wherever it is available and
-	// falls back to replicated elsewhere (GlobalCSR, pre-v4 TCP fleets).
+	// falls back to replicated elsewhere (GlobalCSR).
 	MSTModeAuto = core.MSTModeAuto
 	// MSTReplicated gathers the full cross-edge table on every rank and
 	// runs a sequential MST — the paper's original path, kept as oracle.

@@ -46,6 +46,13 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 		opts.WorkerWait = 60 * time.Second
 	}
 	n := g.NumVertices()
+	// The setup ships the MST mode resolved; the sharded path (GlobalCSR was
+	// refused above) always has the fragment merge, so that is what auto
+	// means here.
+	mstMode := opts.MSTMode
+	if mstMode == MSTModeAuto {
+		mstMode = MSTFragment
+	}
 
 	// The base partition is built before any delegate wrapping so its
 	// compact wire form (kind + bounds) is at hand.
@@ -113,7 +120,6 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	hub.LimitWireVersion(opts.MaxWireVersion)
 	if opts.Recover {
 		hub.EnableRecovery(opts.RejoinWait, opts.OnWorkerLost)
 	}
@@ -122,11 +128,6 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	}
 	_, err = hub.Handshake(opts.WorkerWait, func(w int) wire.Setup {
 		lo, hi := hub.RankRange(w)
-		// The session's wire version is negotiated before setups are cut,
-		// so the MST mode resolves here: auto takes the fragment merge on
-		// v4+ fleets and falls back to the replicated path on older ones
-		// (whose Setup cannot carry the mode byte anyway).
-		mode := resolveMSTModeTCP(opts.MSTMode, hub.WireVersion())
 		setup := wire.Setup{
 			Ranks:             opts.Ranks,
 			NumVertices:       n,
@@ -134,8 +135,8 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 			BucketDelta:       opts.BucketDelta,
 			BatchSize:         opts.BatchSize,
 			BSP:               opts.BSP,
-			MST:               mstAlgoToWire(opts.MST),
-			MSTMode:           uint8(mode),
+			MST:               uint8(opts.MST),
+			MSTMode:           uint8(mstMode),
 			CollectiveChunk:   opts.CollectiveChunk,
 			DelegateThreshold: opts.DelegateThreshold,
 			PartitionKind:     kind,
@@ -144,7 +145,7 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 			// The frontier mode ships UNRESOLVED (unlike MSTMode): auto
 			// depends on each worker's own GOMAXPROCS, so every worker
 			// resolves it locally against its hosted rank count.
-			Frontier:        frontierToWire(opts.Frontier),
+			Frontier:        uint8(opts.Frontier),
 			FrontierWorkers: uint64(max(0, opts.FrontierWorkers)),
 		}
 		for rank := lo; rank < hi; rank++ {
@@ -166,48 +167,20 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.MSTMode == MSTFragment && hub.WireVersion() < 4 {
-		hub.Close()
-		return nil, fmt.Errorf("core: tcp backend: MSTFragment needs a wire v4 session; this fleet negotiated v%d (use auto or replicated)",
-			hub.WireVersion())
-	}
-	if opts.Frontier == FrontierParallel && hub.WireVersion() < 6 {
-		hub.Close()
-		return nil, fmt.Errorf("core: tcp backend: FrontierParallel needs a wire v6 session; this fleet negotiated v%d (use auto or serial)",
-			hub.WireVersion())
-	}
 	cl.hub = hub
 
 	// The coordinator cannot resolve FrontierAuto — that happens on each
 	// worker against its own GOMAXPROCS — so a cluster Engine reports the
-	// requested mode, clamped to serial on pre-v6 fleets whose Setup cannot
-	// carry the frontier tail.
-	frontier := opts.Frontier
-	if hub.WireVersion() < 6 {
-		frontier = FrontierSerial
-	}
+	// requested mode.
 	return &Engine{
 		g:        g,
 		opts:     opts,
 		cluster:  cl,
 		plan:     plan,
-		mstMode:  resolveMSTModeTCP(opts.MSTMode, hub.WireVersion()),
-		frontier: frontier,
+		mstMode:  mstMode,
+		frontier: opts.Frontier,
 		seen:     make(map[graph.VID]bool),
 	}, nil
-}
-
-// resolveMSTModeTCP resolves MSTModeAuto against a TCP session's negotiated
-// wire version: the fragment merge needs the v4 frames, older fleets keep
-// the replicated path (their Setup cannot carry the mode byte anyway).
-func resolveMSTModeTCP(mode MSTMode, wireVer uint32) MSTMode {
-	if mode != MSTModeAuto {
-		return mode
-	}
-	if wireVer >= 4 {
-		return MSTFragment
-	}
-	return MSTReplicated
 }
 
 // solve dispatches one canonical query to the worker fleet and assembles
@@ -217,19 +190,7 @@ func resolveMSTModeTCP(mode MSTMode, wireVer uint32) MSTMode {
 func (cl *cluster) solve(e *Engine, cq canonQuery) (*Result, error) {
 	dedup := cq.dedup
 	cl.qid++
-	var out transport.QueryOutcome
-	var err error
-	if cq.spec.Mode == ModeTree {
-		// Tree queries keep the legacy FrameSolve at every negotiated
-		// version, so v1/v2-pinned fleets serve them byte-identically.
-		out, err = cl.hub.Solve(cl.qid, dedup)
-	} else {
-		if v := cl.hub.WireVersion(); v < 3 {
-			return nil, fmt.Errorf("core: tcp backend: %s queries need a wire v3 session; this session negotiated v%d (tree queries still work)",
-				cq.spec.Mode, v)
-		}
-		out, err = cl.hub.SolveSpec(toWireSpec(cl.qid, cq.spec))
-	}
+	out, err := cl.hub.SolveSpec(toWireSpec(cl.qid, cq.spec))
 	if err != nil {
 		// Dispatch only fails when the session faulted (and, with
 		// Options.Recover, could not be healed in time); mark it so
@@ -257,7 +218,7 @@ func (cl *cluster) solve(e *Engine, cq canonQuery) (*Result, error) {
 	res.FrontierConflicts = out.FrontierConflicts
 	res.FrontierBusyNs = out.FrontierBusyNs
 	res.FrontierWallNs = out.FrontierWallNs
-	res.Net = transport.FromNetStats(out.Net)
+	res.Net = out.Net
 	res.SteinerVertices = countSteinerVertices(res.Tree, dedup)
 	res.Memory = memoryStatsFromLens(e.g, cl.shard.ShardBytes, cl.stateBytes, out.TableLens, res, e.opts)
 	if err := finalizeResult(e.g, cq, res, e.opts.SkipValidation); err != nil {

@@ -67,7 +67,8 @@ type Engine struct {
 
 	// frontier is the resolved bucket-drain strategy (never auto): parallel
 	// when the bucket discipline, the sharded path and a multi-worker
-	// budget line up — or when pinned by Options.Frontier.
+	// budget line up — or when pinned by Options.Frontier. A cluster engine
+	// holds the requested mode instead; its workers resolve auto.
 	frontier FrontierMode
 }
 
@@ -256,13 +257,12 @@ type ShardStats struct {
 }
 
 // MSTMode reports the resolved phase 3–5 merge strategy this engine runs
-// (never MSTModeAuto: auto is resolved at construction, on the TCP backend
-// against the fleet's negotiated wire version).
+// (never MSTModeAuto: auto is resolved at construction).
 func (e *Engine) MSTMode() MSTMode { return e.mstMode }
 
-// Frontier reports the resolved bucket-drain strategy (never FrontierAuto:
-// auto is resolved at construction, on the TCP backend against the fleet's
-// negotiated wire version).
+// Frontier reports the bucket-drain strategy: resolved (never FrontierAuto)
+// on an in-process engine; on the TCP backend the requested mode, because
+// each worker resolves auto against its own GOMAXPROCS.
 func (e *Engine) Frontier() FrontierMode { return e.frontier }
 
 // ShardStats reports the engine's shard substrate. In GlobalCSR reference
@@ -346,10 +346,7 @@ func (e *Engine) Solve(seeds []graph.VID) (*Result, error) {
 
 // SolveSpec answers one QuerySpec — tree, forest or prize — on the
 // resident graph. The spec is validated and canonicalized first (see
-// CanonicalSpec); tree-mode specs behave exactly like Solve. On the TCP
-// backend, forest and prize queries need a wire v3 session — against a
-// v1/v2-pinned fleet they fail with an error while tree queries keep
-// working.
+// CanonicalSpec); tree-mode specs behave exactly like Solve.
 func (e *Engine) SolveSpec(spec QuerySpec) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

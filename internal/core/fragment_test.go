@@ -249,58 +249,3 @@ func TestFragmentTCPWireBytes(t *testing.T) {
 		got.CrossTableBytes, want.CrossTableBytes,
 		float64(want.CrossTableBytes)/float64(got.CrossTableBytes))
 }
-
-// TestFragmentTCPPinnedV3 pins the rollback seam: a session pinned below
-// wire v4 silently keeps the replicated path under auto, and refuses an
-// explicit MSTFragment request instead of running it wrong.
-func TestFragmentTCPPinnedV3(t *testing.T) {
-	g := engineTestGraph(43, 90)
-	rng := rand.New(rand.NewSource(61))
-	seeds := pickEngineSeeds(rng, g.NumVertices(), 7)
-	opts := Options{Ranks: 2, Queue: rt.QueuePriority, MaxWireVersion: 3}
-
-	tcp, wait := startTCPEngine(t, g, opts, 2)
-	if tcp.MSTMode() != MSTReplicated {
-		t.Fatalf("v3 auto resolved to %v, want replicated", tcp.MSTMode())
-	}
-	res, err := tcp.Solve(seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MSTFragment {
-		t.Fatal("v3 session claims the fragment merge ran")
-	}
-	loop, err := NewEngine(g, Options{Ranks: 2, Queue: rt.QueuePriority})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := loop.Solve(seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEquivalent(t, "v3-vs-fragment-loopback", res, want)
-	loop.Close()
-	tcp.Close()
-	wait()
-
-	opts.MSTMode = MSTFragment
-	opts.Backend = BackendTCP
-	opts.Workers = 2
-	opts.ListenAddr = "127.0.0.1:0"
-	done := make(chan struct{}, 2)
-	opts.OnListen = func(addr string) {
-		for i := 0; i < 2; i++ {
-			go func() {
-				// Workers exit when the refused coordinator closes the hub;
-				// that teardown error is expected, not asserted.
-				_ = RunWorker(addr, WorkerConfig{})
-				done <- struct{}{}
-			}()
-		}
-	}
-	if _, err := NewEngine(g, opts); err == nil || !strings.Contains(err.Error(), "wire v4") {
-		t.Fatalf("MSTFragment on a v3 fleet: err=%v, want wire v4 refusal", err)
-	}
-	<-done
-	<-done
-}

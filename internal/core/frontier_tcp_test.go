@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -13,11 +12,11 @@ import (
 
 // TestTCPBackendParallelFrontierMatchesLoopback extends the tentpole's
 // equivalence property across the wire: a rankd fleet draining buckets in
-// parallel (wire v6 ships the unresolved frontier request; each worker
+// parallel (the Setup ships the unresolved frontier request; each worker
 // resolves it against its own hosted-rank count) returns Results
 // byte-identical to a serial-frontier loopback oracle, for async and BSP on
 // both delegate settings, across tree, forest and prize queries. The
-// frontier counters must come back over the WorkerDone v6 tail — nonzero
+// frontier counters must come back in the WorkerDone frames — nonzero
 // drains prove the fleet really ran the parallel path, not a silent serial
 // fallback.
 func TestTCPBackendParallelFrontierMatchesLoopback(t *testing.T) {
@@ -84,69 +83,6 @@ func TestTCPBackendParallelFrontierMatchesLoopback(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestTCPBackendFrontierPinnedV5 pins the rollback seam, mirroring the MST
-// fragment v4 gate: a session pinned below wire v6 (the "old coordinator")
-// silently keeps the serial drain under auto — the v5 Setup frame cannot
-// carry the frontier request — and refuses an explicit FrontierParallel
-// instead of running it without the stats tail.
-func TestTCPBackendFrontierPinnedV5(t *testing.T) {
-	g := engineTestGraph(31, 100)
-	rng := rand.New(rand.NewSource(135))
-	seeds := pickEngineSeeds(rng, g.NumVertices(), 7)
-	opts := Options{
-		Ranks:           2,
-		Queue:           rt.QueueBucket,
-		BucketDelta:     32,
-		FrontierWorkers: 8, // auto would resolve parallel on a v6 session
-		MaxWireVersion:  5,
-	}
-	tcp, wait := startTCPEngine(t, g, opts, 2)
-	if got := tcp.Frontier(); got != FrontierSerial {
-		t.Fatalf("v5 auto resolved to %v, want serial", got)
-	}
-	res, err := tcp.Solve(seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FrontierBucketsDrained != 0 || res.FrontierWorkers != 0 {
-		t.Fatalf("v5 session claims parallel frontier work: %d drains, %d workers",
-			res.FrontierBucketsDrained, res.FrontierWorkers)
-	}
-	loop, err := NewEngine(g, Options{Ranks: 2, Queue: rt.QueueBucket, BucketDelta: 32, Frontier: FrontierSerial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := loop.Solve(seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEquivalent(t, "v5-vs-serial-loopback", res, want)
-	loop.Close()
-	tcp.Close()
-	wait()
-
-	opts.Frontier = FrontierParallel
-	opts.Backend = BackendTCP
-	opts.Workers = 2
-	opts.ListenAddr = "127.0.0.1:0"
-	done := make(chan struct{}, 2)
-	opts.OnListen = func(addr string) {
-		for i := 0; i < 2; i++ {
-			go func() {
-				// Workers exit when the refused coordinator closes the hub;
-				// that teardown error is expected, not asserted.
-				_ = RunWorker(addr, WorkerConfig{})
-				done <- struct{}{}
-			}()
-		}
-	}
-	if _, err := NewEngine(g, opts); err == nil || !strings.Contains(err.Error(), "wire v6") {
-		t.Fatalf("FrontierParallel on a v5 fleet: err=%v, want wire v6 refusal", err)
-	}
-	<-done
-	<-done
 }
 
 // TestChaosFrontierParallel runs the fault-tolerance contract on top of the

@@ -45,32 +45,6 @@ const (
 	MSTBoruvka
 )
 
-// mstAlgoToWire freezes the MSTAlgo wire byte at the original encoding
-// (0=prim, 1=kruskal, 2=boruvka) so reordering the Go constants cannot
-// change what crosses a version-skewed handshake.
-func mstAlgoToWire(a MSTAlgo) uint8 {
-	switch a {
-	case MSTKruskal:
-		return 1
-	case MSTBoruvka:
-		return 2
-	default:
-		return 0 // Prim
-	}
-}
-
-// mstAlgoFromWire is the inverse of mstAlgoToWire.
-func mstAlgoFromWire(b uint8) MSTAlgo {
-	switch b {
-	case 1:
-		return MSTKruskal
-	case 2:
-		return MSTBoruvka
-	default:
-		return MSTPrim
-	}
-}
-
 // String returns the flag/API name of the MST algorithm.
 func (a MSTAlgo) String() string {
 	switch a {
@@ -91,8 +65,8 @@ type MSTMode int
 
 const (
 	// MSTModeAuto picks the fragment merge wherever it is available: every
-	// sharded solve (loopback or a wire v4+ TCP session). GlobalCSR solves
-	// and TCP sessions pinned below wire v4 fall back to replicated.
+	// sharded solve (loopback or TCP). GlobalCSR solves fall back to
+	// replicated.
 	MSTModeAuto MSTMode = iota
 	// MSTReplicated is the paper's original path: every rank gathers the
 	// entire merged cross-edge table (O(k²) entries to all P ranks) and
@@ -152,8 +126,7 @@ const (
 	// FrontierSerial always drains one message at a time.
 	FrontierSerial
 	// FrontierParallel drains whole buckets on the per-rank worker pool.
-	// Requires QueueBucket and the sharded path; on BackendTCP it also
-	// requires a session negotiated at wire v6+.
+	// Requires QueueBucket and the sharded path.
 	FrontierParallel
 )
 
@@ -205,32 +178,6 @@ func resolveFrontierLocal(opts Options) FrontierMode {
 		return FrontierParallel
 	}
 	return FrontierSerial
-}
-
-// frontierToWire freezes the FrontierMode wire byte (0=auto, 1=serial,
-// 2=parallel) so reordering the Go constants cannot change what crosses a
-// version-skewed handshake.
-func frontierToWire(m FrontierMode) uint8 {
-	switch m {
-	case FrontierSerial:
-		return 1
-	case FrontierParallel:
-		return 2
-	default:
-		return 0
-	}
-}
-
-// frontierFromWire is the inverse of frontierToWire.
-func frontierFromWire(b uint8) FrontierMode {
-	switch b {
-	case 1:
-		return FrontierSerial
-	case 2:
-		return FrontierParallel
-	default:
-		return FrontierAuto
-	}
 }
 
 // PartitionKind selects the vertex-to-rank mapping.
@@ -359,15 +306,13 @@ type Options struct {
 	MST MSTAlgo
 	// MSTMode selects replicated-table sequential MST vs the distributed
 	// fragment merge for phases 3–5 (default auto: fragment wherever
-	// available). MSTFragment is incompatible with GlobalCSR and with TCP
-	// sessions negotiated below wire v4.
+	// available). MSTFragment is incompatible with GlobalCSR.
 	MSTMode MSTMode
 	// Frontier selects serial vs intra-rank parallel draining of the
 	// bucket queue in the vertex-centric phases (default auto: parallel
 	// only when QueueBucket is active, the sharded path is in use and more
 	// than one worker per rank is available). FrontierParallel requires
-	// QueueBucket, is incompatible with GlobalCSR, and on BackendTCP with
-	// sessions negotiated below wire v6.
+	// QueueBucket and is incompatible with GlobalCSR.
 	Frontier FrontierMode
 	// FrontierWorkers is the per-process frontier worker budget, split
 	// evenly across the ranks a process hosts (each rank gets
@@ -411,17 +356,12 @@ type Options struct {
 	OnListen func(addr string)
 	// WorkerWait bounds the BackendTCP session handshake (default 60s).
 	WorkerWait time.Duration
-	// MaxWireVersion caps the wire protocol version the BackendTCP
-	// coordinator negotiates with its workers (0 = latest). The rollback
-	// knob: pinning 1 forces the v1 frame encodings everywhere even when
-	// both sides speak v2.
-	MaxWireVersion uint32
 	// Recover arms BackendTCP session healing: the coordinator retains the
 	// handshake payload so a poisoned session (lost worker, dropped
 	// connection, rank crash) is rebuilt on the next solve — workers
 	// re-handshake (survivors via Rejoin, respawned replacements via a
 	// fresh Hello) and the in-flight query is requeued instead of failing.
-	// Off by default: the pre-v5 behavior is fail-stop.
+	// Off by default: a fault fails the session (fail-stop).
 	Recover bool
 	// RejoinWait bounds how long one session heal waits for all workers to
 	// re-handshake (default 30s). Only meaningful with Recover.

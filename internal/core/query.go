@@ -208,43 +208,6 @@ func canonSpec(n int, spec QuerySpec, seen map[graph.VID]bool) (canonQuery, erro
 	return canonQuery{}, fmt.Errorf("core: unknown query mode %d", spec.Mode)
 }
 
-// flattenCanonical rebuilds the solver form of an already-canonical spec
-// without re-validating it. Workers apply it to the spec the coordinator
-// ships over the wire, so both sides agree on dense terminal indices.
-func flattenCanonical(spec QuerySpec) canonQuery {
-	cq := canonQuery{spec: spec}
-	switch spec.Mode {
-	case ModeForest:
-		total := 0
-		for _, grp := range spec.Groups {
-			total += len(grp)
-		}
-		type tagged struct {
-			v graph.VID
-			g int32
-		}
-		all := make([]tagged, 0, total)
-		for gi, grp := range spec.Groups {
-			for _, s := range grp {
-				all = append(all, tagged{s, int32(gi)})
-			}
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-		cq.dedup = make([]graph.VID, len(all))
-		cq.groupOf = make([]int32, len(all))
-		for i, t := range all {
-			cq.dedup[i] = t.v
-			cq.groupOf[i] = t.g
-		}
-	case ModePrize:
-		cq.dedup = spec.Seeds
-		cq.penalty = spec.Penalties
-	default:
-		cq.dedup = spec.Seeds
-	}
-	return cq
-}
-
 // CanonicalSpec validates spec against an n-vertex graph and returns its
 // canonical form: seeds (and penalties) sorted, groups sorted internally and
 // ordered by smallest terminal. Two specs describing the same query always

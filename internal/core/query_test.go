@@ -305,7 +305,7 @@ func TestForestPrizeTCPMatchesLoopback(t *testing.T) {
 	specs := []QuerySpec{
 		{Mode: ModeForest, Groups: groups},
 		{Mode: ModePrize, Seeds: prizeSeeds, Penalties: penalties},
-		TreeSpec(groups[0]), // a tree query on the same warm v3 session
+		TreeSpec(groups[0]), // a tree query on the same warm session
 	}
 	opts := Options{Ranks: 4, Queue: rt.QueuePriority, Partition: PartitionArcBlock, DelegateThreshold: 8}
 	loop, err := NewEngine(g, opts)
@@ -340,24 +340,6 @@ func TestForestPrizeTCPMatchesLoopback(t *testing.T) {
 		if spec.Mode == ModeForest {
 			checkForestProperties(t, g, got)
 		}
-	}
-}
-
-// TestNonTreeQueriesNeedWireV3 pins version negotiation: a session pinned
-// below wire v3 refuses forest and prize queries with a descriptive error
-// while tree queries on the same session keep working.
-func TestNonTreeQueriesNeedWireV3(t *testing.T) {
-	g := engineTestGraph(90, 80)
-	opts := Options{Ranks: 2, Queue: rt.QueuePriority, MaxWireVersion: 2}
-	e, wait := startTCPEngine(t, g, opts, 2)
-	defer wait()
-	defer e.Close()
-	_, err := e.SolveSpec(QuerySpec{Mode: ModeForest, Groups: [][]graph.VID{{0, 1}, {70, 71}}})
-	if err == nil || !strings.Contains(err.Error(), "wire v3") {
-		t.Fatalf("forest on v2 session: err = %v, want wire v3 complaint", err)
-	}
-	if _, err := e.Solve([]graph.VID{0, 40}); err != nil {
-		t.Fatalf("tree query after refused forest query: %v", err)
 	}
 }
 

@@ -115,63 +115,6 @@ func TestTCPBackendMatchesLoopback(t *testing.T) {
 	}
 }
 
-// TestTCPBackendV1SessionMatchesLoopback pins the rollback path: a session
-// forced to wire version 1 via Options.MaxWireVersion (the "old
-// coordinator" a freshly-deployed worker might dial into) still returns
-// results byte-identical to loopback, and never uses the v2 compacted
-// batch frames (no compaction savings can be reported).
-func TestTCPBackendV1SessionMatchesLoopback(t *testing.T) {
-	g := engineTestGraph(17, 120)
-	rng := rand.New(rand.NewSource(31))
-	seedSets := [][]graph.VID{
-		pickEngineSeeds(rng, g.NumVertices(), 5),
-		pickEngineSeeds(rng, g.NumVertices(), 11),
-	}
-	for _, bsp := range []bool{false, true} {
-		opts := Options{
-			Ranks:             4,
-			Queue:             rt.QueuePriority,
-			Partition:         PartitionArcBlock,
-			DelegateThreshold: 6,
-			BSP:               bsp,
-		}
-		loop, err := NewEngine(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.MaxWireVersion = 1
-		tcp, wait := startTCPEngine(t, g, opts, 4)
-		for _, seeds := range seedSets {
-			want, err := loop.Solve(seeds)
-			if err != nil {
-				t.Fatalf("loopback: %v", err)
-			}
-			got, err := tcp.Solve(seeds)
-			if err != nil {
-				t.Fatalf("tcp v1: %v", err)
-			}
-			label := fmt.Sprintf("v1/bsp=%v", bsp)
-			assertResultsEquivalent(t, label, got, want)
-			if got.Net.CompactionSavedBytes != 0 {
-				t.Fatalf("%s: v1 session reports compaction savings %d", label, got.Net.CompactionSavedBytes)
-			}
-			// Outbox batching runs regardless of wire version (the loopback
-			// reference proves it), but the v1 WorkerDone frame has no stats
-			// tail to carry the counters back to the coordinator.
-			if want.BatchedBroadcasts == 0 {
-				t.Fatalf("%s: loopback delegate solve batched nothing", label)
-			}
-			if got.BatchedBroadcasts != 0 || got.CoalescedBroadcasts != 0 {
-				t.Fatalf("%s: v1 session reported outbox counters (batched=%d coalesced=%d) the v1 frame cannot carry",
-					label, got.BatchedBroadcasts, got.CoalescedBroadcasts)
-			}
-		}
-		tcp.Close()
-		wait()
-		loop.Close()
-	}
-}
-
 // TestTCPBackendSingleWorker covers the degenerate fleet: one worker
 // hosting every rank still crosses the coordinator for collectives and
 // termination.

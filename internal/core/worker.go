@@ -27,8 +27,8 @@ type WorkerConfig struct {
 	// RejoinWait, when positive, makes ServeWorker treat a session fault
 	// as survivable: the worker re-dials the coordinator and re-handshakes
 	// with a Rejoin frame carrying the session identity, waiting up to
-	// this long for the coordinator's heal to re-admit it. 0 keeps the
-	// legacy fail-stop behavior (any fault ends the worker).
+	// this long for the coordinator's heal to re-admit it. 0 means
+	// fail-stop: any fault ends the worker.
 	RejoinWait time.Duration
 	// Chaos, when set, wraps the session's transport in a fault-injecting
 	// shim (chaos testing). It applies to the FIRST session only: a healed
@@ -57,8 +57,8 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 // and state slabs locally (the full CSR is never materialized here), mesh
 // with the peer workers, and serve solve requests until the coordinator
 // says goodbye. Blocks for the whole session; returns nil on a clean
-// goodbye. Any session fault is terminal (legacy fail-stop behavior) —
-// ServeWorker is the rejoining form.
+// goodbye. Any session fault is terminal (fail-stop) — ServeWorker is the
+// rejoining form.
 func RunWorker(coordAddr string, cfg WorkerConfig) error {
 	_, err := runWorkerSession(coordAddr, cfg.withDefaults(), nil)
 	return err
@@ -80,7 +80,7 @@ func ServeWorker(coordAddr string, cfg WorkerConfig) error {
 		if err == nil {
 			return nil
 		}
-		if cfg.RejoinWait <= 0 || ticket == nil || ticket.sessionID == 0 {
+		if cfg.RejoinWait <= 0 || ticket == nil {
 			return err
 		}
 		cfg.Logf("rankd: session fault: %v; rejoining session %#x within %v",
@@ -174,7 +174,7 @@ func runWorkerSession(coordAddr string, cfg WorkerConfig, rejoin *rejoinTicket) 
 	}
 	if err := w.serve(cfg); err != nil {
 		// A fault on an established session: hand the caller the rejoin
-		// ticket (SessionID is 0 on pre-v5 sessions, which cannot heal).
+		// ticket.
 		return &rejoinTicket{sessionID: setup.SessionID, prevWorker: setup.WorkerIndex}, err
 	}
 	return nil, nil
@@ -186,6 +186,7 @@ func runWorkerSession(coordAddr string, cfg WorkerConfig, rejoin *rejoinTicket) 
 type worker struct {
 	lo    int
 	hi    int
+	n     int // |V| of the session's graph, for validating inbound specs
 	opts  Options
 	comm  *rt.Comm
 	trans *transport.TCP
@@ -194,7 +195,7 @@ type worker struct {
 	stateBytes int64
 
 	// mstMode is the coordinator-resolved phase 3–5 merge strategy from
-	// the setup frame (absent on pre-v4 sessions ⇒ replicated).
+	// the setup frame.
 	mstMode MSTMode
 
 	// Pooled per-query scratch (hosted entries only).
@@ -202,6 +203,7 @@ type worker struct {
 	pruneds  []map[int64]crossEdge
 	trees    [][]graph.Edge
 	seedIdx  map[graph.VID]int32
+	seen     map[graph.VID]bool // spec-validation scratch
 	owneds   []map[int64]crossEdge
 	frags    [][]int32
 	merges   []*mergeScratch
@@ -223,46 +225,50 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 	if err != nil {
 		return nil, err
 	}
+	// The enum bytes come off the wire: an unknown value is an error, never
+	// a default the operator did not ask for. The MST mode must arrive
+	// resolved (the coordinator never ships auto).
+	mstMode := MSTMode(setup.MSTMode)
+	if setup.Queue > uint8(rt.QueueBucket) || setup.MST > uint8(MSTBoruvka) ||
+		setup.Frontier > uint8(FrontierParallel) || (mstMode != MSTReplicated && mstMode != MSTFragment) {
+		return nil, fmt.Errorf("core: setup enum out of range (queue %d, mst %d, mst mode %d, frontier %d)",
+			setup.Queue, setup.MST, setup.MSTMode, setup.Frontier)
+	}
 
 	// The setup ships the frontier mode unresolved: auto depends on this
 	// process's own GOMAXPROCS and hosted rank count, so it resolves here.
-	// Pre-v6 setups have no frontier tail and drain serially.
-	frontier := FrontierSerial
-	if setup.WireVersion >= 6 {
-		frontier = resolveFrontierLocal(Options{
-			Frontier:        frontierFromWire(setup.Frontier),
-			FrontierWorkers: int(setup.FrontierWorkers),
-			Queue:           rt.QueueKind(setup.Queue),
-			Ranks:           hi - lo, // budget splits across hosted ranks
-		})
-	}
+	frontier := resolveFrontierLocal(Options{
+		Frontier:        FrontierMode(setup.Frontier),
+		FrontierWorkers: int(setup.FrontierWorkers),
+		Queue:           rt.QueueKind(setup.Queue),
+		Ranks:           hi - lo, // budget splits across hosted ranks
+	})
 
 	w := &worker{
 		lo: lo,
 		hi: hi,
+		n:  setup.NumVertices,
 		opts: Options{
 			Ranks:             setup.Ranks,
 			Queue:             rt.QueueKind(setup.Queue),
 			BucketDelta:       setup.BucketDelta,
 			BatchSize:         setup.BatchSize,
 			BSP:               setup.BSP,
-			MST:               mstAlgoFromWire(setup.MST),
+			MST:               MSTAlgo(setup.MST),
 			CollectiveChunk:   setup.CollectiveChunk,
 			DelegateThreshold: setup.DelegateThreshold,
 			Frontier:          frontier,
 			FrontierWorkers:   int(setup.FrontierWorkers),
 		},
-		mstMode:  MSTMode(setup.MSTMode),
+		mstMode:  mstMode,
 		localENs: make([]map[int64]crossEdge, setup.Ranks),
 		pruneds:  make([]map[int64]crossEdge, setup.Ranks),
 		trees:    make([][]graph.Edge, setup.Ranks),
 		seedIdx:  make(map[graph.VID]int32),
+		seen:     make(map[graph.VID]bool),
 		owneds:   make([]map[int64]crossEdge, setup.Ranks),
 		frags:    make([][]int32, setup.Ranks),
 		merges:   make([]*mergeScratch, setup.Ranks),
-	}
-	if w.mstMode != MSTFragment {
-		w.mstMode = MSTReplicated // absent/unknown ⇒ the legacy path
 	}
 
 	shards := make([]*graph.Shard, 0, hi-lo)
@@ -292,9 +298,6 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 		return nil, err
 	}
 	w.trans = transport.NewTCP(setup.WorkerIndex, setup.RankLo, coord, mesh)
-	// Pin the negotiated wire version before any traffic: it selects the
-	// visitor-batch frame encoding and the WorkerDone stats tail.
-	w.trans.SetWireVersion(setup.WireVersion)
 	// The communicator talks to the transport seam; chaos testing slides
 	// its fault-injecting shim in here, so injected faults hit the same
 	// sockets and decode paths production traffic uses. The worker keeps
@@ -386,11 +389,14 @@ func (w *worker) serve(cfg WorkerConfig) error {
 
 // solveQuery runs the SPMD body for one query on the hosted ranks and
 // reports the worker's outcome (including rank 0's Result when hosted).
-// The coordinator ships every query as a canonical SolveSpec — a legacy
-// FrameSolve arrives as a tree-mode spec — and the worker's deterministic
-// flattening reproduces the coordinator's dense terminal indices.
+// The spec comes off the wire, so it goes through the same validation as any
+// other query; canonicalization is idempotent, so on the canonical spec the
+// coordinator ships it reproduces the coordinator's dense terminal indices.
 func (w *worker) solveQuery(q wire.SolveSpec, cfg WorkerConfig) (err error) {
-	cq := flattenCanonical(specFromWire(q))
+	cq, err := canonSpec(w.n, specFromWire(q), w.seen)
+	if err != nil {
+		return fmt.Errorf("core: query %d: invalid spec from coordinator: %w", q.QueryID, err)
+	}
 	w.comm.ResetStateSlabs()
 	for rank := w.lo; rank < w.hi; rank++ {
 		clear(w.localENs[rank])
@@ -421,7 +427,7 @@ func (w *worker) solveQuery(q wire.SolveSpec, cfg WorkerConfig) (err error) {
 		merges:      w.merges,
 	}
 	s0 := w.comm.Stats()
-	net0 := w.trans.NetStats()
+	net0 := w.trans.Stats()
 
 	// A rank panic (or transport poison) unwinds through Run; convert it
 	// into a session abort instead of crashing the process silently.
@@ -449,7 +455,7 @@ func (w *worker) solveQuery(q wire.SolveSpec, cfg WorkerConfig) (err error) {
 		Suppressed: s1.Suppressed - s0.Suppressed,
 		Batched:    s1.BatchedBroadcasts - s0.BatchedBroadcasts,
 		Coalesced:  s1.CoalescedBroadcasts - s0.CoalescedBroadcasts,
-		Net:        w.trans.NetStats().Sub(net0),
+		Net:        w.trans.Stats().Sub(net0),
 
 		FrontierWorkers:   int64(s1.Frontier.Workers),
 		FrontierDrains:    s1.Frontier.BucketsDrained - s0.Frontier.BucketsDrained,

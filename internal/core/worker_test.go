@@ -1,0 +1,111 @@
+package core
+
+import (
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"dsteiner/internal/graph"
+	rt "dsteiner/internal/runtime"
+	"dsteiner/internal/wire"
+)
+
+// TestWorkerRejectsOutOfRangeSetup pins the Setup boundary: a worker handed
+// an enum byte it does not know answers with an Abort naming the offending
+// values and exits with the same error — it never substitutes a default.
+func TestWorkerRejectsOutOfRangeSetup(t *testing.T) {
+	valid := wire.Setup{
+		Ranks: 1, NumVertices: 2, RankLo: []int64{0, 1}, PeerAddrs: []string{"127.0.0.1:1"},
+		Queue: uint8(rt.QueuePriority), MST: uint8(MSTKruskal), MSTMode: uint8(MSTFragment),
+		PartitionKind: wire.PartBlock,
+		Shards:        []wire.ShardSlice{{Rank: 0, Owned: []graph.VID{0, 1}, Offsets: []int64{0, 0, 0}}},
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*wire.Setup)
+	}{
+		{"queue", func(s *wire.Setup) { s.Queue = uint8(rt.QueueBucket) + 1 }},
+		{"mst", func(s *wire.Setup) { s.MST = uint8(MSTBoruvka) + 1 }},
+		{"mst-mode-unknown", func(s *wire.Setup) { s.MSTMode = uint8(MSTFragment) + 1 }},
+		{"mst-mode-auto", func(s *wire.Setup) { s.MSTMode = uint8(MSTModeAuto) }},
+		{"frontier", func(s *wire.Setup) { s.Frontier = uint8(FrontierParallel) + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			workerErr := make(chan error, 1)
+			go func() { workerErr <- RunWorker(ln.Addr().String(), WorkerConfig{DialTimeout: 5 * time.Second}) }()
+			conn, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if frame, err := wire.ReadFrame(conn, nil); err != nil || frame[0] != wire.FrameHello {
+				t.Fatalf("worker opening: %v %v", frame, err)
+			}
+			setup := valid
+			tc.mutate(&setup)
+			if err := wire.WriteFrame(conn, wire.EncodeSetup(nil, setup)); err != nil {
+				t.Fatal(err)
+			}
+			frame, err := wire.ReadFrame(conn, nil)
+			if err != nil || frame[0] != wire.FrameAbort {
+				t.Fatalf("worker reply: frame %v err %v, want abort", frame, err)
+			}
+			ab, err := wire.DecodeAbort(frame[1:])
+			if err != nil || !strings.Contains(ab.Reason, "setup enum out of range") {
+				t.Fatalf("abort reason %q (%v)", ab.Reason, err)
+			}
+			if err := <-workerErr; err == nil || err.Error() != ab.Reason {
+				t.Fatalf("worker exit %v, want the aborted reason %q", err, ab.Reason)
+			}
+		})
+	}
+}
+
+// TestWorkerRejectsInvalidSpec pins the SolveSpec boundary: a spec that
+// would not pass CanonicalSpec reaches the coordinator as the worker's
+// Abort carrying the validation error, not as a rank panic.
+func TestWorkerRejectsInvalidSpec(t *testing.T) {
+	g := engineTestGraph(7, 30)
+	for _, tc := range []struct {
+		name string
+		spec wire.SolveSpec
+		want string
+	}{
+		{"prize-penalty-count", wire.SolveSpec{Mode: uint8(ModePrize), Seeds: []graph.VID{1, 2, 3}, Penalties: []int64{5}}, "one penalty per seed"},
+		{"unknown-mode", wire.SolveSpec{Mode: 9, Seeds: []graph.VID{1, 2}}, "unknown query mode"},
+		{"seed-out-of-range", wire.SolveSpec{Seeds: []graph.VID{1, graph.VID(g.NumVertices())}}, "out of range"},
+		{"duplicate-seed", wire.SolveSpec{Seeds: []graph.VID{4, 4}}, "more than once"},
+		{"forest-with-seeds", wire.SolveSpec{Mode: uint8(ModeForest), Seeds: []graph.VID{1, 2}}, "groups, not seeds"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Ranks: 2, Queue: rt.QueuePriority, Backend: BackendTCP, Workers: 1}
+			workerErr := make(chan error, 1)
+			opts.OnListen = func(addr string) {
+				go func() { workerErr <- RunWorker(addr, WorkerConfig{}) }()
+			}
+			e, err := NewEngine(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			tc.spec.QueryID = 1
+			_, err = e.cluster.hub.SolveSpec(tc.spec)
+			if err == nil || !strings.Contains(err.Error(), "invalid spec") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("coordinator saw %v, want the worker's validation error (%q)", err, tc.want)
+			}
+			if strings.Contains(err.Error(), "panic") {
+				t.Fatalf("invalid spec surfaced as a rank panic: %v", err)
+			}
+			if werr := <-workerErr; werr == nil || !strings.Contains(werr.Error(), tc.want) {
+				t.Fatalf("worker exit %v, want %q", werr, tc.want)
+			}
+		})
+	}
+}

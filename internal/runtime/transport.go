@@ -135,11 +135,6 @@ type TransportStats struct {
 	// EncodeNs/DecodeNs are cumulative nanoseconds spent in the wire
 	// codec.
 	EncodeNs, DecodeNs int64
-	// CompactionSavedBytes is the number of wire bytes the compacted v2
-	// message-batch frame saved versus encoding the same batches with the
-	// v1 codec (column deltas plus dominated-offer elision). Zero on v1
-	// sessions.
-	CompactionSavedBytes int64
 	// FlushesSmall/Mid/Large histogram the per-peer socket flush sizes:
 	// < 4 KiB, [4 KiB, 256 KiB), ≥ 256 KiB. A tail of small flushes means
 	// latency-bound control traffic; large ones mean coalescing works.
@@ -155,10 +150,24 @@ func (s TransportStats) Add(o TransportStats) TransportStats {
 	s.BytesIn += o.BytesIn
 	s.EncodeNs += o.EncodeNs
 	s.DecodeNs += o.DecodeNs
-	s.CompactionSavedBytes += o.CompactionSavedBytes
 	s.FlushesSmall += o.FlushesSmall
 	s.FlushesMid += o.FlushesMid
 	s.FlushesLarge += o.FlushesLarge
+	return s
+}
+
+// Sub returns s − o field by field: the traffic between two snapshots of
+// cumulative counters.
+func (s TransportStats) Sub(o TransportStats) TransportStats {
+	s.FramesOut -= o.FramesOut
+	s.FramesIn -= o.FramesIn
+	s.BytesOut -= o.BytesOut
+	s.BytesIn -= o.BytesIn
+	s.EncodeNs -= o.EncodeNs
+	s.DecodeNs -= o.DecodeNs
+	s.FlushesSmall -= o.FlushesSmall
+	s.FlushesMid -= o.FlushesMid
+	s.FlushesLarge -= o.FlushesLarge
 	return s
 }
 

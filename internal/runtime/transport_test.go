@@ -136,3 +136,23 @@ func (nopTransport) FragmentSummary(FragSummary)              {}
 func (nopTransport) StartTraversal(uint64) chan struct{}      { return make(chan struct{}) }
 func (nopTransport) Stats() TransportStats                    { return TransportStats{} }
 func (nopTransport) Close() error                             { return nil }
+
+// TestTransportStatsAddSubCoverEveryField fills every counter with a
+// distinct value by reflection, so a counter added to the struct but not to
+// Add or Sub fails here instead of silently reporting zero.
+func TestTransportStatsAddSubCoverEveryField(t *testing.T) {
+	var s TransportStats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	sum := reflect.ValueOf(s.Add(s))
+	for i := 0; i < sum.NumField(); i++ {
+		if got := sum.Field(i).Int(); got != int64(2*(i+1)) {
+			t.Errorf("Add: %s = %d, want %d", v.Type().Field(i).Name, got, 2*(i+1))
+		}
+	}
+	if diff := s.Sub(s); diff != (TransportStats{}) {
+		t.Errorf("Sub: s − s = %+v, want zero", diff)
+	}
+}

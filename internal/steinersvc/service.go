@@ -495,9 +495,6 @@ type TransportStats struct {
 	BytesIn       int64   `json:"bytesIn"`
 	EncodeSeconds float64 `json:"encodeSeconds"`
 	DecodeSeconds float64 `json:"decodeSeconds"`
-	// CompactionSavedBytes is what the v2 compacted batch frames saved
-	// versus the v1 encoding of the same batches (0 on v1 sessions).
-	CompactionSavedBytes int64 `json:"compactionSavedBytes"`
 	// Flush size histogram: coalesced writer flushes under 4 KiB, between
 	// 4 KiB and 256 KiB, and 256 KiB or larger.
 	FlushesSmall int64 `json:"flushesSmall"`
@@ -677,16 +674,15 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 			Conflicts:      st.frontierConflicts,
 		},
 		Transport: TransportStats{
-			FramesOut:            st.net.FramesOut,
-			FramesIn:             st.net.FramesIn,
-			BytesOut:             st.net.BytesOut,
-			BytesIn:              st.net.BytesIn,
-			EncodeSeconds:        float64(st.net.EncodeNs) / 1e9,
-			DecodeSeconds:        float64(st.net.DecodeNs) / 1e9,
-			CompactionSavedBytes: st.net.CompactionSavedBytes,
-			FlushesSmall:         st.net.FlushesSmall,
-			FlushesMid:           st.net.FlushesMid,
-			FlushesLarge:         st.net.FlushesLarge,
+			FramesOut:     st.net.FramesOut,
+			FramesIn:      st.net.FramesIn,
+			BytesOut:      st.net.BytesOut,
+			BytesIn:       st.net.BytesIn,
+			EncodeSeconds: float64(st.net.EncodeNs) / 1e9,
+			DecodeSeconds: float64(st.net.DecodeNs) / 1e9,
+			FlushesSmall:  st.net.FlushesSmall,
+			FlushesMid:    st.net.FlushesMid,
+			FlushesLarge:  st.net.FlushesLarge,
 		},
 	}
 	if st.frontierWallNs > 0 && st.frontierWorkers > 0 {

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -31,7 +30,7 @@ func waitHubErr(t *testing.T, h *Hub, d time.Duration) error {
 // naming the worker and the decode failure — instead of silently dropping
 // both (the old `ab, _ := DecodeAbort` bug reported an empty reason).
 func TestHubKeepsReasonOfTruncatedAbortFrame(t *testing.T) {
-	hub, workers := runNegotiation(t, 0, wire.Version)
+	hub, workers := runNegotiation(t, wire.Version)
 	full := wire.EncodeAbort(nil, wire.Abort{Reason: "worker disk on fire"})
 	if err := wire.WriteFrame(workers[0].conn, full[:len(full)-4]); err != nil {
 		t.Fatalf("send truncated abort: %v", err)
@@ -51,7 +50,7 @@ func TestHubKeepsReasonOfTruncatedAbortFrame(t *testing.T) {
 // reason to every OTHER worker — the mechanism that unsticks a fleet whose
 // surviving workers are blocked mid-collective.
 func TestHubAbortDelivery(t *testing.T) {
-	hub, workers := runNegotiation(t, 0, wire.Version, wire.Version)
+	hub, workers := runNegotiation(t, wire.Version, wire.Version)
 	if err := wire.WriteFrame(workers[0].conn,
 		wire.EncodeAbort(nil, wire.Abort{Reason: "rank panic: deliberate"})); err != nil {
 		t.Fatalf("send abort: %v", err)
@@ -106,25 +105,6 @@ func TestHandshakeWorkerResetMidHandshake(t *testing.T) {
 	}
 }
 
-// rejoinFakeWorker re-handshakes a fake worker into a healing session via
-// a Rejoin frame.
-func rejoinFakeWorker(t *testing.T, addr string, sessionID uint64, prev int) *fakeWorker {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial hub: %v", err)
-	}
-	if err := wire.WriteFrame(conn, wire.EncodeRejoin(nil, wire.Rejoin{
-		Version:    wire.Version,
-		PeerAddr:   "127.0.0.1:1",
-		SessionID:  sessionID,
-		PrevWorker: int64(prev),
-	})); err != nil {
-		t.Fatalf("rejoin: %v", err)
-	}
-	return &fakeWorker{conn: conn}
-}
-
 // TestHealReadmitsViaRejoin drives one full heal at the frame level: the
 // session is poisoned by a dying worker, a Rejoin with the wrong session
 // identity is rejected with an Abort (and does not fail the heal), and a
@@ -132,28 +112,9 @@ func rejoinFakeWorker(t *testing.T, addr string, sessionID uint64, prev int) *fa
 // Setup again — after which the hub's fault accounting shows one detected
 // fault, one rejoin and one heal.
 func TestHealReadmitsViaRejoin(t *testing.T) {
-	hub, err := ListenHub("127.0.0.1:0", 1, 1)
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	hub.EnableRecovery(5*time.Second, nil)
-	done := make(chan error, 1)
-	go func() {
-		_, err := hub.Handshake(5*time.Second, func(w int) wire.Setup {
-			return wire.Setup{Ranks: 1, NumVertices: 7}
-		})
-		done <- err
-	}()
-	w0 := dialFakeWorker(t, hub.Addr(), wire.Version)
-	w0.finishHandshake(t)
-	if err := <-done; err != nil {
-		t.Fatalf("handshake: %v", err)
-	}
-	defer hub.Close()
+	hub, workers := runNegotiation(t, wire.Version)
+	w0 := workers[0]
 	sid := hub.SessionID()
-	if sid == 0 {
-		t.Fatal("v5 session has no session identity")
-	}
 	if w0.setup.SessionID != sid {
 		t.Fatalf("setup carried session %#x, hub has %#x", w0.setup.SessionID, sid)
 	}
@@ -169,22 +130,14 @@ func TestHealReadmitsViaRejoin(t *testing.T) {
 	}()
 
 	// An impostor with the wrong session identity is aborted...
-	impostor := rejoinFakeWorker(t, hub.Addr(), sid+1, 0)
+	impostor := rejoinFakeWorker(t, hub.Addr(), wire.Version, sid+1)
 	defer impostor.conn.Close()
-	_ = impostor.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	frame, rerr := wire.ReadFrame(impostor.conn, nil)
-	if rerr != nil {
-		t.Fatalf("impostor got no reply: %v", rerr)
-	}
-	if frame[0] != wire.FrameAbort {
-		t.Fatalf("impostor got frame %d, want abort", frame[0])
-	}
-	if ab, _ := wire.DecodeAbort(frame[1:]); !strings.Contains(ab.Reason, "unknown session") {
-		t.Fatalf("impostor abort reason: %q", ab.Reason)
+	if reason := impostor.abortReason(t); !strings.Contains(reason, "unknown session") {
+		t.Fatalf("impostor abort reason: %q", reason)
 	}
 
 	// ...and the real survivor is re-admitted with the retained Setup.
-	w0b := rejoinFakeWorker(t, hub.Addr(), sid, 0)
+	w0b := rejoinFakeWorker(t, hub.Addr(), wire.Version, sid)
 	defer w0b.conn.Close()
 	w0b.finishHandshake(t)
 	if err := <-healed; err != nil {

@@ -24,9 +24,9 @@ import (
 // The hub outlives its sessions. A hubSession is one generation of the
 // worker fleet — its connections, event loop and poison state. Without
 // recovery the hub runs exactly one session and a fault is fatal
-// (fail-stop, the pre-v5 behavior). With EnableRecovery the hub retains the
-// handshake payload (every worker's Setup, shard slices included) and a
-// session identity; when a session is poisoned, the next dispatch heals it:
+// (fail-stop). With EnableRecovery the hub retains the handshake payload
+// (every worker's Setup, shard slices included) and a session identity;
+// when a session is poisoned, the next dispatch heals it:
 // workers re-handshake — survivors with a Rejoin frame proving membership,
 // respawned replacements with a fresh Hello — the retained Setups ship
 // again, and the in-flight query is requeued on the new generation instead
@@ -36,14 +36,6 @@ type Hub struct {
 	ranks   int
 	workers int
 	rankLo  []int64
-
-	// maxWireVer caps the wire version the hub negotiates (operator
-	// rollback knob, core.Options.MaxWireVersion); wireVer is the session
-	// version settled by Handshake: min over worker Hellos and the cap. It
-	// is fixed across heals — a rejoining worker must speak at least the
-	// session version, because the retained Setups are encoded at it.
-	maxWireVer uint32
-	wireVer    uint32
 
 	solveMu sync.Mutex // one query outstanding at a time
 
@@ -131,19 +123,19 @@ type QueryOutcome struct {
 	Suppressed int64
 	Batched    int64 // delegate broadcasts released by outbox flushes
 	Coalesced  int64 // delegate offers absorbed into staged outbox entries
-	Net        wire.NetStats
+	Net        rt.TransportStats
 	// Skipped is the rank-0 worker's skipped-terminal list for prize-mode
-	// queries (wire v3 sessions only; always nil for tree and forest).
+	// queries (always nil for tree and forest).
 	Skipped []graph.VID
-	// Fragment-merge MST counters from the rank-0 worker's v4 tail:
-	// whether phase 4 ran the fragment merge, and the query's phase-3/4
-	// cross-table wire bytes and fragment-exchange record count.
+	// Fragment-merge MST counters from the rank-0 worker: whether phase 4
+	// ran the fragment merge, and the query's phase-3/4 cross-table wire
+	// bytes and fragment-exchange record count.
 	MSTFragment     bool
 	CrossTableBytes int64
 	FragmentMsgs    int64
-	// Parallel-frontier counters from the v6 WorkerDone tails: workers and
+	// Parallel-frontier counters from the WorkerDone frames: workers and
 	// max-chunk are fleet maxima, the rest are sums over the workers. All
-	// zero on pre-v6 sessions and when every rank drained serially.
+	// zero when every rank drained serially.
 	FrontierWorkers   int64
 	FrontierDrains    int64
 	FrontierMsgs      int64
@@ -202,26 +194,12 @@ func ListenHub(addr string, workers, ranks int) (*Hub, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	h := &Hub{
-		ln:         ln,
-		ranks:      ranks,
-		workers:    workers,
-		rankLo:     SplitRanks(ranks, workers),
-		maxWireVer: wire.Version,
+		ln:      ln,
+		ranks:   ranks,
+		workers: workers,
+		rankLo:  SplitRanks(ranks, workers),
 	}
 	return h, nil
-}
-
-// LimitWireVersion caps the wire version the hub will negotiate (rollback
-// to the v1 batch frames without redeploying workers). Call before
-// Handshake; 0 or anything above wire.Version means no extra cap.
-func (h *Hub) LimitWireVersion(v uint32) {
-	if v == 0 || v > wire.Version {
-		v = wire.Version
-	}
-	if v < wire.MinVersion {
-		v = wire.MinVersion
-	}
-	h.maxWireVer = v
 }
 
 // EnableRecovery arms session healing: the hub retains every worker's
@@ -239,18 +217,9 @@ func (h *Hub) EnableRecovery(rejoinWait time.Duration, onLost func(error)) {
 	h.onLost = onLost
 }
 
-// WireVersion returns the session's negotiated wire version (valid after
-// Handshake).
-func (h *Hub) WireVersion() uint32 { return h.wireVer }
-
 // SessionID returns the session identity workers prove on Rejoin (valid
-// after Handshake; 0 on sessions below wire v5).
-func (h *Hub) SessionID() uint64 {
-	if h.wireVer < 5 {
-		return 0
-	}
-	return h.sessionID
-}
+// after Handshake).
+func (h *Hub) SessionID() uint64 { return h.sessionID }
 
 // FaultStats snapshots the hub's fault accounting.
 func (h *Hub) FaultStats() FaultStats {
@@ -303,77 +272,75 @@ func (h *Hub) setCurrent(s *hubSession) {
 	h.sessMu.Unlock()
 }
 
-// newSessionID draws a non-zero random session identity (0 is the wire's
-// "no rejoin" sentinel).
+// newSessionID draws a random session identity.
 func newSessionID() uint64 {
 	var b [8]byte
-	if _, err := crand.Read(b[:]); err == nil {
-		if id := binary.LittleEndian.Uint64(b[:]); id != 0 {
-			return id
-		}
+	if _, err := crand.Read(b[:]); err != nil {
+		return uint64(time.Now().UnixNano())
 	}
-	return uint64(time.Now().UnixNano()) | 1
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Handshake accepts every worker, exchanges the session setup and waits
 // for all workers to report ready (shard + slab built, mesh connected).
-// setupFor builds worker w's Setup given the session's peer address list;
-// the hub fills in the geometry fields (WorkerIndex, RankLo, PeerAddrs) and
-// the negotiated WireVersion/SessionID. On return the hub's event loop is
-// running and Solve may be called.
+// setupFor builds worker w's Setup; the hub fills in the geometry fields
+// (WorkerIndex, RankLo, PeerAddrs) and the SessionID. A connection that
+// fails admission — wrong wire version, malformed opening frame — fails the
+// handshake: a misdeployed worker should stop the launch, not stall it until
+// the deadline. On return the hub's event loop is running and SolveSpec may
+// be called.
 func (h *Hub) Handshake(timeout time.Duration, setupFor func(w int) wire.Setup) ([]wire.Ready, error) {
-	deadline := time.Now().Add(timeout)
-	conns := make([]acceptedConn, 0, h.workers)
-	sessionVer := h.maxWireVer
-	fail := func(err error) ([]wire.Ready, error) {
-		for _, a := range conns {
-			_ = a.conn.Close()
-		}
-		_ = h.ln.Close()
-		return nil, err
-	}
-	if tl, ok := h.ln.(*net.TCPListener); ok {
-		_ = tl.SetDeadline(deadline)
-	}
-	for len(conns) < h.workers {
-		conn, err := h.ln.Accept()
-		if err != nil {
-			return fail(fmt.Errorf("transport: waiting for worker %d/%d: %w", len(conns), h.workers, err))
-		}
-		_ = conn.SetReadDeadline(deadline)
-		frame, err := wire.ReadFrame(conn, nil)
-		if err != nil {
-			return fail(fmt.Errorf("transport: hello from worker %d: %w", len(conns), err))
-		}
-		if frame[0] != wire.FrameHello {
-			return fail(fmt.Errorf("transport: worker %d sent frame %d before hello", len(conns), frame[0]))
-		}
-		hello, err := wire.DecodeHello(frame[1:])
-		if err != nil {
-			return fail(fmt.Errorf("transport: hello from worker %d: %w", len(conns), err))
-		}
-		if hello.Version < wire.MinVersion || hello.Version > wire.Version {
-			return fail(fmt.Errorf("transport: worker %d speaks wire version %d, coordinator supports [%d, %d]",
-				len(conns), hello.Version, wire.MinVersion, wire.Version))
-		}
-		// The session runs at the minimum version any worker speaks
-		// (capped by the operator limit): all peers must agree on the
-		// batch frame encoding because batches flow worker ↔ worker.
-		if hello.Version < sessionVer {
-			sessionVer = hello.Version
-		}
-		conns = append(conns, acceptedConn{conn: conn, addr: hello.PeerAddr})
-	}
-	h.wireVer = sessionVer
 	h.sessionID = newSessionID()
+	conns, _, err := h.admitFleet(time.Now().Add(timeout), true)
+	if err != nil {
+		_ = h.ln.Close()
+		return nil, fmt.Errorf("transport: handshake: %w", err)
+	}
 	if h.recov {
 		h.setups = make([]wire.Setup, h.workers)
 	}
-	if _, err := h.startSession(conns, func(w int) wire.Setup { return setupFor(w) }); err != nil {
+	if _, err := h.startSession(conns, setupFor); err != nil {
 		_ = h.ln.Close()
 		return nil, err
 	}
 	return h.readys, nil
+}
+
+// admitFleet accepts connections until every worker slot is filled by one
+// that passes admit, and reports how many of them came back via Rejoin. A
+// refused connection fails the call when strict and is skipped otherwise (a
+// heal must survive strays and impostors). On error every admitted
+// connection is closed.
+func (h *Hub) admitFleet(deadline time.Time, strict bool) ([]acceptedConn, int, error) {
+	if tl, ok := h.ln.(*net.TCPListener); ok {
+		_ = tl.SetDeadline(deadline)
+	}
+	conns := make([]acceptedConn, 0, h.workers)
+	rejoined := 0
+	fail := func(err error) ([]acceptedConn, int, error) {
+		for _, a := range conns {
+			_ = a.conn.Close()
+		}
+		return nil, 0, err
+	}
+	for len(conns) < h.workers {
+		conn, err := h.ln.Accept()
+		if err != nil {
+			return fail(fmt.Errorf("waiting for worker %d/%d: %w", len(conns), h.workers, err))
+		}
+		a, viaRejoin, err := h.admit(conn, deadline)
+		if err != nil {
+			if strict {
+				return fail(fmt.Errorf("worker %d: %w", len(conns), err))
+			}
+			continue
+		}
+		if viaRejoin {
+			rejoined++
+		}
+		conns = append(conns, a)
+	}
+	return conns, rejoined, nil
 }
 
 // startSession is the shared tail of Handshake and heal: ship every
@@ -396,7 +363,6 @@ func (h *Hub) startSession(conns []acceptedConn, setupFor func(w int) wire.Setup
 		setup.WorkerIndex = w
 		setup.RankLo = h.rankLo
 		setup.PeerAddrs = peerAddrs
-		setup.WireVersion = h.wireVer
 		setup.SessionID = h.sessionID
 		if h.recov {
 			// Retain the filled Setup; a heal re-ships it with only the
@@ -458,29 +424,9 @@ func (h *Hub) heal() (*hubSession, error) {
 	if len(h.setups) != h.workers {
 		return nil, errors.New("transport: no retained setups to heal from")
 	}
-	deadline := time.Now().Add(h.rejoinWait)
-	if tl, ok := h.ln.(*net.TCPListener); ok {
-		_ = tl.SetDeadline(deadline)
-	}
-	conns := make([]acceptedConn, 0, h.workers)
-	rejoined := 0
-	for len(conns) < h.workers {
-		conn, err := h.ln.Accept()
-		if err != nil {
-			for _, a := range conns {
-				_ = a.conn.Close()
-			}
-			return nil, fmt.Errorf("transport: healing session: %d/%d workers re-handshook within %v: %w",
-				len(conns), h.workers, h.rejoinWait, err)
-		}
-		a, viaRejoin, ok := h.admit(conn, deadline)
-		if !ok {
-			continue // rejected or dead connection; keep accepting
-		}
-		if viaRejoin {
-			rejoined++
-		}
-		conns = append(conns, a)
+	conns, rejoined, err := h.admitFleet(time.Now().Add(h.rejoinWait), false)
+	if err != nil {
+		return nil, fmt.Errorf("transport: healing session within %v: %w", h.rejoinWait, err)
 	}
 	s, err := h.startSession(conns, func(w int) wire.Setup { return h.setups[w] })
 	if err != nil {
@@ -491,50 +437,51 @@ func (h *Hub) heal() (*hubSession, error) {
 	return s, nil
 }
 
-// admit reads one connection's opening frame during a heal and validates
-// it: a Rejoin must carry this hub's session identity, and any joiner must
-// speak at least the session's pinned wire version (the retained Setups are
-// encoded at it). Invalid connections get an Abort with the reason and are
-// dropped without failing the heal.
-func (h *Hub) admit(conn net.Conn, deadline time.Time) (acceptedConn, bool, bool) {
-	reject := func(reason string) (acceptedConn, bool, bool) {
-		_ = wire.WriteFrame(conn, wire.EncodeAbort(nil, wire.Abort{Reason: reason}))
+// admit reads one connection's opening frame and validates it: the worker
+// must announce exactly wire.Version — coordinator and workers are built
+// from one tree, so anything else is a stale binary whose frames would be
+// mis-decoded — and a Rejoin must carry this hub's session identity. A
+// refused connection gets an Abort with the reason and is closed; the error
+// carries the same reason.
+func (h *Hub) admit(conn net.Conn, deadline time.Time) (a acceptedConn, viaRejoin bool, err error) {
+	reject := func(format string, args ...any) (acceptedConn, bool, error) {
+		err := fmt.Errorf(format, args...)
+		_ = wire.WriteFrame(conn, wire.EncodeAbort(nil, wire.Abort{Reason: "transport: " + err.Error()}))
 		_ = conn.Close()
-		return acceptedConn{}, false, false
+		return acceptedConn{}, false, err
 	}
 	_ = conn.SetReadDeadline(deadline)
 	frame, err := wire.ReadFrame(conn, nil)
 	if err != nil {
 		_ = conn.Close()
-		return acceptedConn{}, false, false
+		return acceptedConn{}, false, fmt.Errorf("opening frame: %w", err)
 	}
+	var version uint32
+	var session uint64
 	switch frame[0] {
 	case wire.FrameRejoin:
 		rj, err := wire.DecodeRejoin(frame[1:])
 		if err != nil {
-			return reject(fmt.Sprintf("transport: unreadable rejoin: %v", err))
+			return reject("unreadable rejoin: %v", err)
 		}
-		if rj.SessionID != h.sessionID {
-			return reject(fmt.Sprintf("transport: rejoin for unknown session %#x", rj.SessionID))
-		}
-		if rj.Version < h.wireVer || rj.Version > wire.Version {
-			return reject(fmt.Sprintf("transport: rejoin wire version %d outside session range [%d, %d]",
-				rj.Version, h.wireVer, wire.Version))
-		}
-		return acceptedConn{conn: conn, addr: rj.PeerAddr}, true, true
+		version, session, viaRejoin, a.addr = rj.Version, rj.SessionID, true, rj.PeerAddr
 	case wire.FrameHello:
 		hello, err := wire.DecodeHello(frame[1:])
 		if err != nil {
-			return reject(fmt.Sprintf("transport: unreadable hello: %v", err))
+			return reject("unreadable hello: %v", err)
 		}
-		if hello.Version < h.wireVer || hello.Version > wire.Version {
-			return reject(fmt.Sprintf("transport: hello wire version %d below healing session's %d",
-				hello.Version, h.wireVer))
-		}
-		return acceptedConn{conn: conn, addr: hello.PeerAddr}, false, true
+		version, a.addr = hello.Version, hello.PeerAddr
 	default:
-		return reject(fmt.Sprintf("transport: frame %d before hello/rejoin", frame[0]))
+		return reject("frame %d before hello/rejoin", frame[0])
 	}
+	if version != wire.Version {
+		return reject("worker speaks wire version %d, coordinator speaks %d", version, wire.Version)
+	}
+	if viaRejoin && session != h.sessionID {
+		return reject("rejoin for unknown session %#x", session)
+	}
+	a.conn = conn
+	return a, viaRejoin, nil
 }
 
 // readWorker forwards worker w's frames to the event loop. Each frame gets
@@ -620,22 +567,9 @@ func (h *Hub) Err() error {
 	return errors.New(h.lastErr)
 }
 
-// Solve broadcasts one tree query and blocks until every worker reports
-// done (or the session fails). Calls are serialized; qid must be unique.
-// Tree queries use this legacy frame at every negotiated wire version, so
-// v1/v2 fleets keep answering them byte-identically.
-func (h *Hub) Solve(qid uint64, seeds []graph.VID) (QueryOutcome, error) {
-	return h.dispatch(qid, wire.EncodeSolve(nil, wire.Solve{QueryID: qid, Seeds: seeds}))
-}
-
-// SolveSpec broadcasts one mode-carrying query (forest or prize). The
-// session must have negotiated wire version >= 3; the caller checks
-// WireVersion first.
+// SolveSpec broadcasts one query and blocks until every worker reports done
+// (or the session fails). Calls are serialized; spec.QueryID must be unique.
 func (h *Hub) SolveSpec(spec wire.SolveSpec) (QueryOutcome, error) {
-	if h.WireVersion() < 3 {
-		return QueryOutcome{}, fmt.Errorf("transport: session wire version %d cannot carry a SolveSpec (need >= 3)",
-			h.WireVersion())
-	}
 	return h.dispatch(spec.QueryID, wire.EncodeSolveSpec(nil, spec))
 }
 
@@ -888,7 +822,7 @@ func (s *hubSession) handleFrame(ev hubEvent, colls map[uint64]*collAcc, frags m
 		if done.FrontierMaxChunk > pq.out.FrontierMaxChunk {
 			pq.out.FrontierMaxChunk = done.FrontierMaxChunk
 		}
-		pq.out.Net.Add(done.Net)
+		pq.out.Net = pq.out.Net.Add(done.Net)
 		if done.Err != "" {
 			pq.out.Err = done.Err
 		}

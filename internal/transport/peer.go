@@ -77,11 +77,11 @@ func newPeer(conn net.Conn, onWrite func(frames, bytes int64)) *peer {
 }
 
 // appendFrame appends one length-prefixed frame built in place by build
-// (which must only append to its argument and return the result) and
-// reports the frame's payload size. Blocks while the coalescing buffer is
-// over maxPend; small control frames get smallSlack extra headroom so they
-// never queue behind full visitor-batch backpressure.
-func (p *peer) appendFrame(small bool, build func(dst []byte) []byte) (int, error) {
+// (which must only append to its argument and return the result). Blocks
+// while the coalescing buffer is over maxPend; small control frames get
+// smallSlack extra headroom so they never queue behind full visitor-batch
+// backpressure.
+func (p *peer) appendFrame(small bool, build func(dst []byte) []byte) error {
 	limit := maxPend
 	if small {
 		limit += smallSlack
@@ -96,7 +96,7 @@ func (p *peer) appendFrame(small bool, build func(dst []byte) []byte) (int, erro
 		if err == nil {
 			err = net.ErrClosed
 		}
-		return 0, err
+		return err
 	}
 	off := len(p.pend)
 	p.pend = append(p.pend, 0, 0, 0, 0)
@@ -105,19 +105,18 @@ func (p *peer) appendFrame(small bool, build func(dst []byte) []byte) (int, erro
 	if n <= 0 || n > wire.MaxFrame {
 		p.pend = p.pend[:off] // drop the malformed frame, keep the stream sane
 		p.mu.Unlock()
-		return 0, fmt.Errorf("transport: bad frame size %d", n)
+		return fmt.Errorf("transport: bad frame size %d", n)
 	}
 	binary.LittleEndian.PutUint32(p.pend[off:], uint32(n))
 	p.frames++
 	p.mu.Unlock()
 	p.wake.Signal()
-	return n, nil
+	return nil
 }
 
 // send appends an already-encoded frame payload (type byte first).
 func (p *peer) send(payload []byte) error {
-	_, err := p.appendFrame(len(payload) <= smallFrame, func(dst []byte) []byte { return append(dst, payload...) })
-	return err
+	return p.appendFrame(len(payload) <= smallFrame, func(dst []byte) []byte { return append(dst, payload...) })
 }
 
 // writeLoop flushes coalesced frames until the peer closes.

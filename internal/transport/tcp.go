@@ -25,9 +25,8 @@ const (
 	ControlAbort
 )
 
-// Control is one application-level frame delivered to the worker loop.
-// Query broadcasts always populate Spec — a legacy FrameSolve arrives as a
-// tree-mode SolveSpec — so the worker runs one uniform query path.
+// Control is one application-level frame delivered to the worker loop;
+// ControlSolve populates Spec.
 type Control struct {
 	Kind ControlKind
 	Spec wire.SolveSpec
@@ -54,8 +53,8 @@ type TCP struct {
 	collSeq   uint64
 	collReply chan wire.CollReply
 
-	// Fragment-exchange state (wire v4): same single-outstanding leader
-	// discipline as collectives, with its own sequence space.
+	// Fragment-exchange state: same single-outstanding leader discipline
+	// as collectives, with its own sequence space.
 	fragSeq   uint64
 	fragReply chan wire.FragmentRelabel
 
@@ -80,16 +79,10 @@ type TCP struct {
 	failCh   chan struct{}
 	closing  atomic.Bool
 
-	// wireVer is the session's negotiated wire version (Setup.WireVersion);
-	// it selects the visitor-batch frame encoding. Set once via
-	// SetWireVersion before Attach, then read-only.
-	wireVer uint32
-
 	// Traffic counters (runtime.TransportStats).
 	framesOut, framesIn atomic.Int64
 	bytesOut, bytesIn   atomic.Int64
 	encodeNs, decodeNs  atomic.Int64
-	compactionSaved     atomic.Int64
 	flushSmall          atomic.Int64
 	flushMid            atomic.Int64
 	flushLarge          atomic.Int64
@@ -116,7 +109,6 @@ func NewTCP(self int, rankLo []int64, coord net.Conn, peerConns []net.Conn) *TCP
 		failCh:    make(chan struct{}),
 	}
 	t.fenceCond = sync.NewCond(&t.fenceMu)
-	t.wireVer = 1
 	onWrite := func(frames, bytes int64) {
 		t.framesOut.Add(frames)
 		t.bytesOut.Add(bytes)
@@ -139,17 +131,6 @@ func NewTCP(self int, rankLo []int64, coord net.Conn, peerConns []net.Conn) *TCP
 	}
 	return t
 }
-
-// SetWireVersion pins the session's negotiated wire version (from
-// Setup.WireVersion). Call before Attach; the default is 1.
-func (t *TCP) SetWireVersion(v uint32) {
-	if v >= 2 {
-		t.wireVer = v
-	}
-}
-
-// WireVersion returns the session's negotiated wire version.
-func (t *TCP) WireVersion() uint32 { return t.wireVer }
 
 // Attach implements runtime.Transport; it also starts the read loops, so
 // the communicator must be fully constructed first.
@@ -182,12 +163,11 @@ func (t *TCP) workerOf(rank int) int {
 	return lo
 }
 
-// Deliver implements runtime.Transport: encode the batch into the owning
-// peer's coalescing buffer and recycle the batch buffer into the
-// communicator's free lists. On v2 sessions the batch is compacted first
-// (sorted, delta-encoded, dominated offers elided); elided messages are
-// folded back out of the termination counter via the host, and the byte
-// savings versus the v1 encoding are tracked.
+// Deliver implements runtime.Transport: compact the batch (sorted,
+// delta-encoded, dominated offers elided) into the owning peer's coalescing
+// buffer and recycle the batch buffer into the communicator's free lists.
+// Elided messages are folded back out of the termination counter via the
+// host.
 func (t *TCP) Deliver(dest int, batch []rt.Msg) {
 	w := t.workerOf(dest)
 	p := t.peers[w]
@@ -196,24 +176,11 @@ func (t *TCP) Deliver(dest int, batch []rt.Msg) {
 		panic(errPoisoned)
 	}
 	start := time.Now()
-	var err error
 	elided := 0
-	if t.wireVer >= 2 {
-		size1 := wire.MsgBatchSize1(dest, batch)
-		var n int
-		n, err = p.appendFrame(false, func(dst []byte) []byte {
-			var out []byte
-			out, elided = wire.AppendMsgBatch2(dst, dest, batch)
-			return out
-		})
-		if err == nil {
-			t.compactionSaved.Add(int64(size1 - n))
-		}
-	} else {
-		_, err = p.appendFrame(false, func(dst []byte) []byte {
-			return wire.AppendMsgBatch(dst, dest, batch)
-		})
-	}
+	err := p.appendFrame(false, func(dst []byte) []byte {
+		dst, elided = wire.AppendMsgBatch2(dst, dest, batch)
+		return dst
+	})
 	t.encodeNs.Add(time.Since(start).Nanoseconds())
 	t.host.RecycleBatch(batch)
 	if elided > 0 {
@@ -273,7 +240,7 @@ func (t *TCP) fence() {
 		}
 		// Encode in place into the coalescing buffer: a fence is a handful
 		// of bytes and must never queue behind full batch backpressure.
-		if _, err := p.appendFrame(true, func(dst []byte) []byte {
+		if err := p.appendFrame(true, func(dst []byte) []byte {
 			return wire.EncodeFence(dst, wire.Fence{Seq: seq})
 		}); err != nil {
 			t.fail(fmt.Errorf("transport: fence to worker %d: %w", w, err))
@@ -307,7 +274,7 @@ func (t *TCP) fenceReachedLocked(seq uint64) bool {
 func (t *TCP) collective(op uint8, payload []byte) []byte {
 	t.fence()
 	t.collSeq++
-	if _, err := t.coord.appendFrame(true, func(dst []byte) []byte {
+	if err := t.coord.appendFrame(true, func(dst []byte) []byte {
 		return wire.EncodeColl(dst, wire.Coll{Seq: t.collSeq, Op: op, Payload: payload})
 	}); err != nil {
 		t.fail(fmt.Errorf("transport: collective %d: %w", t.collSeq, err))
@@ -370,7 +337,7 @@ func (t *TCP) Gather(ranks []int, blobs [][]byte) [][]byte {
 func (t *TCP) FragmentExchange(blobs []rt.FragBlob) []rt.FragBlob {
 	t.fence()
 	t.fragSeq++
-	if _, err := t.coord.appendFrame(true, func(dst []byte) []byte {
+	if err := t.coord.appendFrame(true, func(dst []byte) []byte {
 		return wire.EncodeFragmentConnect(dst, wire.FragmentConnect{Seq: t.fragSeq, Blobs: blobs})
 	}); err != nil {
 		t.fail(fmt.Errorf("transport: fragment exchange %d: %w", t.fragSeq, err))
@@ -391,7 +358,7 @@ func (t *TCP) FragmentExchange(blobs []rt.FragBlob) []rt.FragBlob {
 // FragmentSummary implements runtime.Transport: one-way per-query fragment
 // totals to the coordinator, folded into the pending query's outcome.
 func (t *TCP) FragmentSummary(s rt.FragSummary) {
-	if _, err := t.coord.appendFrame(true, func(dst []byte) []byte {
+	if err := t.coord.appendFrame(true, func(dst []byte) []byte {
 		return wire.EncodeFragmentRoundSummary(dst, wire.FragmentRoundSummary{
 			Rounds: s.Rounds, Msgs: s.Msgs, Bytes: s.Bytes,
 		})
@@ -409,7 +376,7 @@ func (t *TCP) StartTraversal(seq uint64) chan struct{} {
 	t.travMu.Lock()
 	t.travDone[seq] = ch
 	t.travMu.Unlock()
-	if _, err := t.coord.appendFrame(true, func(dst []byte) []byte {
+	if err := t.coord.appendFrame(true, func(dst []byte) []byte {
 		return wire.EncodeTraverseBegin(dst, wire.TraverseBegin{Seq: seq})
 	}); err != nil {
 		t.fail(fmt.Errorf("transport: traverse begin: %w", err))
@@ -421,53 +388,15 @@ func (t *TCP) StartTraversal(seq uint64) chan struct{} {
 // Stats implements runtime.Transport.
 func (t *TCP) Stats() rt.TransportStats {
 	return rt.TransportStats{
-		FramesOut:            t.framesOut.Load(),
-		FramesIn:             t.framesIn.Load(),
-		BytesOut:             t.bytesOut.Load(),
-		BytesIn:              t.bytesIn.Load(),
-		EncodeNs:             t.encodeNs.Load(),
-		DecodeNs:             t.decodeNs.Load(),
-		CompactionSavedBytes: t.compactionSaved.Load(),
-		FlushesSmall:         t.flushSmall.Load(),
-		FlushesMid:           t.flushMid.Load(),
-		FlushesLarge:         t.flushLarge.Load(),
-	}
-}
-
-// NetStats returns the counters in their wire form (WorkerDone deltas).
-func (t *TCP) NetStats() wire.NetStats { return ToNetStats(t.Stats()) }
-
-// ToNetStats converts the runtime's counter snapshot into the frozen wire
-// form — the one conversion site between the two shapes on the encode
-// path (the hub decodes back with core's reverse conversion).
-func ToNetStats(s rt.TransportStats) wire.NetStats {
-	return wire.NetStats{
-		FramesOut:            s.FramesOut,
-		FramesIn:             s.FramesIn,
-		BytesOut:             s.BytesOut,
-		BytesIn:              s.BytesIn,
-		EncodeNs:             s.EncodeNs,
-		DecodeNs:             s.DecodeNs,
-		CompactionSavedBytes: s.CompactionSavedBytes,
-		FlushesSmall:         s.FlushesSmall,
-		FlushesMid:           s.FlushesMid,
-		FlushesLarge:         s.FlushesLarge,
-	}
-}
-
-// FromNetStats is ToNetStats' inverse (the hub's decode side).
-func FromNetStats(s wire.NetStats) rt.TransportStats {
-	return rt.TransportStats{
-		FramesOut:            s.FramesOut,
-		FramesIn:             s.FramesIn,
-		BytesOut:             s.BytesOut,
-		BytesIn:              s.BytesIn,
-		EncodeNs:             s.EncodeNs,
-		DecodeNs:             s.DecodeNs,
-		CompactionSavedBytes: s.CompactionSavedBytes,
-		FlushesSmall:         s.FlushesSmall,
-		FlushesMid:           s.FlushesMid,
-		FlushesLarge:         s.FlushesLarge,
+		FramesOut:    t.framesOut.Load(),
+		FramesIn:     t.framesIn.Load(),
+		BytesOut:     t.bytesOut.Load(),
+		BytesIn:      t.bytesIn.Load(),
+		EncodeNs:     t.encodeNs.Load(),
+		DecodeNs:     t.decodeNs.Load(),
+		FlushesSmall: t.flushSmall.Load(),
+		FlushesMid:   t.flushMid.Load(),
+		FlushesLarge: t.flushLarge.Load(),
 	}
 }
 
@@ -477,13 +406,11 @@ func (t *TCP) SendReady(r wire.Ready) error {
 	return t.coord.send(wire.EncodeReady(nil, r))
 }
 
-// SendWorkerDone ships a query's closing frame to the coordinator,
-// including the v2 stats tail when the session speaks v2.
+// SendWorkerDone ships a query's closing frame to the coordinator.
 func (t *TCP) SendWorkerDone(done wire.WorkerDone) error {
-	_, err := t.coord.appendFrame(true, func(dst []byte) []byte {
-		return wire.EncodeWorkerDone(dst, done, t.wireVer)
+	return t.coord.appendFrame(true, func(dst []byte) []byte {
+		return wire.EncodeWorkerDone(dst, done)
 	})
-	return err
 }
 
 // SendAbort reports a local failure (rank panic) to the coordinator.
@@ -533,7 +460,7 @@ func (t *TCP) InjectPeerTruncate(w int) bool {
 	// Raw write, racing the coalescing writer on purpose: whatever frame
 	// boundary the receiver ends up mid-way through, the codec's defensive
 	// decoders must turn it into a structured error.
-	hdr := []byte{64, 0, 0, 0, wire.FrameMsgBatch} // "64-byte frame" with 1 byte present
+	hdr := []byte{64, 0, 0, 0, wire.FrameMsgBatch2} // "64-byte frame" with 1 byte present
 	_, _ = p.conn.Write(hdr)
 	_ = p.conn.Close()
 	return true
@@ -620,15 +547,6 @@ func (t *TCP) readCoord() {
 				delete(t.travDone, td.Seq)
 			}
 			t.travMu.Unlock()
-		case wire.FrameSolve:
-			solve, err := wire.DecodeSolve(body)
-			if err != nil {
-				t.fail(fmt.Errorf("transport: solve: %w", err))
-				return
-			}
-			t.controls <- Control{Kind: ControlSolve, Spec: wire.SolveSpec{
-				QueryID: solve.QueryID, Seeds: solve.Seeds,
-			}}
 		case wire.FrameSolveSpec:
 			spec, err := wire.DecodeSolveSpec(body)
 			if err != nil {
@@ -666,7 +584,7 @@ func (t *TCP) holdToken(tok wire.Token) {
 	if t.Err() != nil {
 		return
 	}
-	if _, err := t.coord.appendFrame(true, func(dst []byte) []byte {
+	if err := t.coord.appendFrame(true, func(dst []byte) []byte {
 		return wire.EncodeToken(dst, wire.Token{Seq: tok.Seq, Q: q, Black: black})
 	}); err != nil {
 		t.fail(fmt.Errorf("transport: token return: %w", err))
@@ -693,21 +611,12 @@ func (t *TCP) readPeer(w int, p *peer) {
 		switch typ {
 		case wire.FrameGoodbye:
 			return // peer is shutting down cleanly
-		case wire.FrameMsgBatch:
-			start := time.Now()
-			dest, batch, err := wire.DecodeMsgBatch(body, t.host.BatchBuf())
-			t.decodeNs.Add(time.Since(start).Nanoseconds())
-			if err != nil {
-				t.fail(fmt.Errorf("transport: batch from worker %d: %w", w, err))
-				return
-			}
-			t.host.Inbound(dest, batch)
 		case wire.FrameMsgBatch2:
 			start := time.Now()
 			dest, batch, err := wire.DecodeMsgBatch2(body, t.host.BatchBuf())
 			t.decodeNs.Add(time.Since(start).Nanoseconds())
 			if err != nil {
-				t.fail(fmt.Errorf("transport: batch2 from worker %d: %w", w, err))
+				t.fail(fmt.Errorf("transport: batch from worker %d: %w", w, err))
 				return
 			}
 			t.host.Inbound(dest, batch)

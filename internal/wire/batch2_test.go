@@ -132,7 +132,7 @@ func TestMsgBatch2KeepsTies(t *testing.T) {
 	}
 }
 
-// TestMsgBatch2Truncation drops every suffix of valid v2 bodies: the
+// TestMsgBatch2Truncation drops every suffix of valid batch bodies: the
 // decoder must error, never panic, never over-allocate.
 func TestMsgBatch2Truncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -148,38 +148,14 @@ func TestMsgBatch2Truncation(t *testing.T) {
 	}
 }
 
-// TestMsgBatch2Smaller sanity-checks the point of the frame: on clustered
-// delegate traffic the v2 encoding is no larger than v1 of the same
-// surviving messages, and strictly smaller than v1 of the raw batch.
-func TestMsgBatch2Smaller(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	msgs := randBatch(rng, 500)
-	v1 := AppendMsgBatch(nil, 3, slices.Clone(msgs))
-	v2, elided := AppendMsgBatch2(nil, 3, slices.Clone(msgs))
-	if elided == 0 {
-		t.Fatal("clustered batch should have dominated offers")
-	}
-	if len(v2) >= len(v1) {
-		t.Fatalf("v2 (%dB) should beat v1 (%dB) on clustered traffic", len(v2), len(v1))
-	}
-	if got := MsgBatchSize1(3, msgs); got != len(v1) {
-		t.Fatalf("MsgBatchSize1=%d, want v1 frame size %d", got, len(v1))
-	}
-}
-
-// BenchmarkWireEncodeBatch measures the hot Deliver-path encode for both
-// frame versions at the runtime's default flush size (gated by benchgate).
+// BenchmarkWireEncodeBatch measures the hot Deliver-path encode at the
+// runtime's default flush size. benchgate and ci/bench_baseline.txt key on
+// the sub-benchmark name "v2".
 func BenchmarkWireEncodeBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	msgs := randBatch(rng, 64)
 	scratch := make([]rt.Msg, len(msgs))
 	var dst []byte
-	b.Run("v1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst = AppendMsgBatch(dst[:0], 3, msgs)
-		}
-	})
 	b.Run("v2", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -6,7 +6,7 @@ import (
 	rt "dsteiner/internal/runtime"
 )
 
-// Fragment-merge MST frames (wire v4). One fragment exchange mirrors the
+// Fragment-merge MST frames. One fragment exchange mirrors the
 // collective flow — every worker contributes a FragmentConnect for sequence
 // #Seq, the coordinator routes and answers each worker with a personalized
 // FragmentRelabel — but unlike OpGather the reply carries only the blobs a

@@ -1,13 +1,12 @@
 package wire
 
 import (
-	"reflect"
 	"testing"
 
 	rt "dsteiner/internal/runtime"
 )
 
-// TestFragmentRoundTrip covers the wire v4 fragment-merge frames: routed
+// TestFragmentRoundTrip covers the fragment-merge frames: routed
 // blob lists (including the -1 broadcast destination and empty blobs)
 // survive encode/decode, and the round summary round-trips exactly.
 func TestFragmentRoundTrip(t *testing.T) {
@@ -54,7 +53,7 @@ func blobsEqual(a, b []rt.FragBlob) bool {
 	return true
 }
 
-// TestFragmentDecodersRejectTruncation drops every suffix of valid v4
+// TestFragmentDecodersRejectTruncation drops every suffix of valid
 // fragment bodies through their decoders: always an error, never a panic
 // and never silent success.
 func TestFragmentDecodersRejectTruncation(t *testing.T) {
@@ -93,54 +92,5 @@ func TestFragmentBlobDestRejected(t *testing.T) {
 	bad = AppendBytes(bad, nil) // blob
 	if _, err := DecodeFragmentConnect(bad); err == nil {
 		t.Fatal("dest -2 decoded silently")
-	}
-}
-
-// TestSetupMSTModeRoundTrip pins the v4 Setup tail: the resolved MST mode
-// byte rides v4+ Setups, is dropped from v2/v3 encodes byte-for-byte, and
-// decodes as 0 (replicated) when absent.
-func TestSetupMSTModeRoundTrip(t *testing.T) {
-	s := Setup{
-		Ranks: 4, NumVertices: 100, RankLo: []int64{0, 2, 4},
-		PeerAddrs:   []string{"a:1", "b:2"},
-		WireVersion: 4, MSTMode: 2,
-	}
-	got, err := DecodeSetup(EncodeSetup(nil, s)[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.WireVersion != 4 || got.MSTMode != 2 {
-		t.Fatalf("v4 setup: ver=%d mode=%d, want 4/2", got.WireVersion, got.MSTMode)
-	}
-
-	s.WireVersion = 3
-	v3 := EncodeSetup(nil, s)
-	gotV3, err := DecodeSetup(v3[1:])
-	if err != nil || gotV3.MSTMode != 0 {
-		t.Fatalf("v3 setup must drop the mode byte: mode=%d err=%v", gotV3.MSTMode, err)
-	}
-	s.WireVersion = 4
-	if len(EncodeSetup(nil, s))-len(v3) != 1 {
-		t.Fatal("v4 setup should add exactly one trailing mode byte over v3")
-	}
-}
-
-// TestWorkerDoneV4Tail pins the WorkerDone v4 tail: the fragment counters
-// ride v4 sessions and are dropped (decode ⇒ zero) on older ones.
-func TestWorkerDoneV4Tail(t *testing.T) {
-	done := WorkerDone{
-		QueryID: 9, TableLens: []int64{2}, HasResult: true,
-		Result:          SolveResult{TotalDistance: 5, MSTRounds: 3},
-		MSTFragment:     true,
-		CrossTableBytes: 9999,
-		FragmentMsgs:    123,
-	}
-	gotV4, err := DecodeWorkerDone(EncodeWorkerDone(nil, done, 4)[1:])
-	if err != nil || !reflect.DeepEqual(gotV4, done) {
-		t.Fatalf("worker done v4:\n got %+v\nwant %+v (%v)", gotV4, done, err)
-	}
-	gotV3, err := DecodeWorkerDone(EncodeWorkerDone(nil, done, 3)[1:])
-	if err != nil || gotV3.MSTFragment || gotV3.CrossTableBytes != 0 || gotV3.FragmentMsgs != 0 {
-		t.Fatalf("worker done v3 must drop the v4 tail: %+v (%v)", gotV3, err)
 	}
 }

@@ -21,16 +21,15 @@ func FuzzDecodeFrame(f *testing.F) {
 			Shards:    []ShardSlice{{Rank: 0, Owned: []graph.VID{0, 1}, Offsets: []int64{0, 1, 2}, Targets: []graph.VID{1, 0}, Weights: []uint32{5, 5}}},
 		})),
 		AppendFrame(nil, EncodeReady(nil, Ready{ShardBytes: 100, StateBytes: 50})),
-		AppendFrame(nil, EncodeSolve(nil, Solve{QueryID: 1, Seeds: []graph.VID{1, 2, 3}})),
+		AppendFrame(nil, EncodeSolveSpec(nil, SolveSpec{QueryID: 1, Seeds: []graph.VID{1, 2, 3}})),
 		AppendFrame(nil, EncodeSolveSpec(nil, SolveSpec{QueryID: 2, Mode: 1,
 			Groups: [][]graph.VID{{1, 2}, {3, 4}}})),
 		AppendFrame(nil, EncodeSolveSpec(nil, SolveSpec{QueryID: 3, Mode: 2,
 			Seeds: []graph.VID{1, 2, 3}, Penalties: []int64{4, 0, 9}})),
 		AppendFrame(nil, EncodeWorkerDone(nil, WorkerDone{QueryID: 1, TableLens: []int64{2}, HasResult: true,
-			Result: SolveResult{Tree: []EdgeRec{{U: 1, V: 2, W: 3}}, Phases: []PhaseRec{{Name: "MST", Seconds: 0.1}}}}, 1)),
+			Result: SolveResult{Tree: []EdgeRec{{U: 1, V: 2, W: 3}}, Phases: []PhaseRec{{Name: "MST", Seconds: 0.1}}}})),
 		AppendFrame(nil, EncodeWorkerDone(nil, WorkerDone{QueryID: 2, Batched: 7, Coalesced: 9,
-			Net: NetStats{CompactionSavedBytes: 11, FlushesSmall: 1}}, Version)),
-		AppendFrame(nil, AppendMsgBatch(nil, 2, []rt.Msg{{Target: 1, From: 2, Seed: 3, Dist: 4, Kind: 1}})),
+			Net: rt.TransportStats{BytesOut: 11, FlushesSmall: 1}})),
 		AppendFrame(nil, msgBatch2Seed()),
 		AppendFrame(nil, EncodeColl(nil, Coll{Seq: 1, Op: OpGather, Payload: EncodeRankBlobs(nil, []RankBlob{{Rank: 1, Blob: []byte("b")}})})),
 		AppendFrame(nil, EncodeCollReply(nil, CollReply{Seq: 1, Payload: EncodeBlobList(nil, [][]byte{{1}, {2}})})),
@@ -71,7 +70,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// msgBatch2Seed builds one compacted v2 batch covering the mixed-kind path.
+// msgBatch2Seed builds one compacted batch covering the mixed-kind path.
 func msgBatch2Seed() []byte {
 	b, _ := AppendMsgBatch2(nil, 3, []rt.Msg{
 		{Target: 9, From: 2, Seed: 3, Dist: 4, Kind: 1},
@@ -91,14 +90,10 @@ func decodeBody(typ uint8, body []byte) {
 		_, _ = DecodeSetup(body)
 	case FrameReady:
 		_, _ = DecodeReady(body)
-	case FrameSolve:
-		_, _ = DecodeSolve(body)
 	case FrameSolveSpec:
 		_, _ = DecodeSolveSpec(body)
 	case FrameWorkerDone:
 		_, _ = DecodeWorkerDone(body)
-	case FrameMsgBatch:
-		_, _, _ = DecodeMsgBatch(body, nil)
 	case FrameMsgBatch2:
 		_, _, _ = DecodeMsgBatch2(body, nil)
 	case FrameColl:

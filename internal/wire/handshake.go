@@ -17,7 +17,8 @@ const (
 // Hello is the first frame a worker sends after dialing the coordinator.
 type Hello struct {
 	// Version is the worker's wire-protocol version; the coordinator
-	// rejects a mismatch before any session state is built.
+	// rejects anything but its own Version before any session state is
+	// built.
 	Version uint32
 	// PeerAddr is the address of the worker's mesh listener, which other
 	// workers dial for direct rank-to-rank message traffic.
@@ -120,33 +121,22 @@ type Setup struct {
 	// This worker's shard slices, one per hosted rank.
 	Shards []ShardSlice
 
-	// WireVersion pins the session's negotiated wire version: the minimum
-	// Hello.Version across all workers (capped by the coordinator's own
-	// Version and any operator limit). It is encoded as a trailing field
-	// only when ≥ 2, so a v1 coordinator's Setup — which never has the
-	// field — still decodes (absent ⇒ 1) and a v2 coordinator pinned to a
-	// v1 session emits a byte-identical v1 Setup.
-	WireVersion uint32
-
 	// MSTMode is the coordinator's RESOLVED phase 3–5 merge strategy
 	// (core.MSTMode: 1 = replicated, 2 = fragment — never 0/auto, the
-	// coordinator resolves before encoding). A v4 trailing field; absent
-	// (v1–v3 sessions) ⇒ 0, which workers treat as replicated.
+	// coordinator resolves before encoding).
 	MSTMode uint8
 
 	// SessionID identifies this handshake's session for fault recovery: a
 	// worker that loses the session re-dials and presents it in a Rejoin
-	// frame. A v5 trailing field; absent (v1–v4 sessions) ⇒ 0, meaning the
-	// session predates rejoin and a disconnected worker cannot return.
+	// frame.
 	SessionID uint64
 
-	// Frontier is the operator's REQUESTED bucket-drain mode (frozen bytes:
-	// 0 = auto, 1 = serial, 2 = parallel — core.frontierToWire). Unlike
+	// Frontier is the operator's REQUESTED bucket-drain mode
+	// (core.FrontierMode: 0 = auto, 1 = serial, 2 = parallel). Unlike
 	// MSTMode it is shipped unresolved: auto depends on each worker's own
 	// GOMAXPROCS, so every worker resolves it locally. FrontierWorkers is
 	// the per-process frontier worker budget (0 = the worker's GOMAXPROCS),
-	// split across that worker's hosted ranks. v6 trailing fields; absent
-	// (v1–v5 sessions) ⇒ workers drain serially.
+	// split across that worker's hosted ranks.
 	Frontier        uint8
 	FrontierWorkers uint64
 }
@@ -176,19 +166,10 @@ func EncodeSetup(dst []byte, s Setup) []byte {
 	for _, sh := range s.Shards {
 		dst = appendShardSlice(dst, sh)
 	}
-	if s.WireVersion >= 2 {
-		dst = AppendUvarint(dst, uint64(s.WireVersion))
-	}
-	if s.WireVersion >= 4 {
-		dst = append(dst, s.MSTMode)
-	}
-	if s.WireVersion >= 5 {
-		dst = AppendUvarint(dst, s.SessionID)
-	}
-	if s.WireVersion >= 6 {
-		dst = append(dst, s.Frontier)
-		dst = AppendUvarint(dst, s.FrontierWorkers)
-	}
+	dst = append(dst, s.MSTMode)
+	dst = AppendUvarint(dst, s.SessionID)
+	dst = append(dst, s.Frontier)
+	dst = AppendUvarint(dst, s.FrontierWorkers)
 	return dst
 }
 
@@ -224,25 +205,10 @@ func DecodeSetup(body []byte) (Setup, error) {
 	for i := 0; i < nShards && d.err == nil; i++ {
 		s.Shards = append(s.Shards, decodeShardSlice(d))
 	}
-	// Trailing negotiated version, absent in v1 Setups.
-	if d.err == nil && d.Len() > 0 {
-		s.WireVersion = uint32(d.Uvarint())
-	} else {
-		s.WireVersion = 1
-	}
-	// Trailing resolved MST mode, absent below v4 (⇒ 0 = replicated).
-	if d.err == nil && d.Len() > 0 {
-		s.MSTMode = d.Byte()
-	}
-	// Trailing session identity, absent below v5 (⇒ 0 = no rejoin).
-	if d.err == nil && d.Len() > 0 {
-		s.SessionID = d.Uvarint()
-	}
-	// Trailing frontier mode + worker budget, absent below v6 (⇒ serial).
-	if d.err == nil && d.Len() > 0 {
-		s.Frontier = d.Byte()
-		s.FrontierWorkers = d.Uvarint()
-	}
+	s.MSTMode = d.Byte()
+	s.SessionID = d.Uvarint()
+	s.Frontier = d.Byte()
+	s.FrontierWorkers = d.Uvarint()
 	return s, d.finish()
 }
 
@@ -289,7 +255,7 @@ func DecodePeerHello(body []byte) (PeerHello, error) {
 }
 
 // Rejoin is the first frame a worker sends when re-dialing a coordinator
-// after losing an established session (v5+): like Hello it advertises the
+// after losing an established session: like Hello it advertises the
 // worker's wire version and mesh listener address, and additionally proves
 // session membership with the SessionID from its Setup. PrevWorker is the
 // index the worker held before the fault — advisory only; the coordinator

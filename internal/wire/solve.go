@@ -6,30 +6,10 @@ import (
 	"math"
 
 	"dsteiner/internal/graph"
+	rt "dsteiner/internal/runtime"
 )
 
-// Solve is the coordinator's per-query broadcast: run the six solver phases
-// for the canonical (validated, sorted, duplicate-free) seed set.
-type Solve struct {
-	QueryID uint64
-	Seeds   []graph.VID
-}
-
-// EncodeSolve appends a FrameSolve payload.
-func EncodeSolve(dst []byte, s Solve) []byte {
-	dst = append(dst, FrameSolve)
-	dst = AppendUvarint(dst, s.QueryID)
-	return AppendVIDs(dst, s.Seeds)
-}
-
-// DecodeSolve decodes a FrameSolve body.
-func DecodeSolve(body []byte) (Solve, error) {
-	d := NewDec(body)
-	s := Solve{QueryID: d.Uvarint(), Seeds: d.VIDs()}
-	return s, d.finish()
-}
-
-// SolveSpec is the v3 mode-carrying query broadcast (core.QuerySpec on the
+// SolveSpec is the coordinator's per-query broadcast (core.QuerySpec on the
 // wire): Mode 0 is a tree query over Seeds, mode 1 a Steiner Forest query
 // over Groups, mode 2 a prize-collecting query over Seeds with index-
 // parallel Penalties. The coordinator ships the canonical form; workers
@@ -42,7 +22,7 @@ type SolveSpec struct {
 	Groups    [][]graph.VID
 }
 
-// EncodeSolveSpec appends a FrameSolveSpec payload (wire v3+ sessions only).
+// EncodeSolveSpec appends a FrameSolveSpec payload.
 func EncodeSolveSpec(dst []byte, s SolveSpec) []byte {
 	dst = append(dst, FrameSolveSpec)
 	dst = AppendUvarint(dst, s.QueryID)
@@ -151,74 +131,30 @@ func decodeSolveResult(d *Dec) SolveResult {
 	return r
 }
 
-// NetStats are a transport's cumulative traffic counters; WorkerDone
-// carries per-query deltas so the coordinator can attribute wire cost to
-// individual queries.
-type NetStats struct {
-	FramesOut int64
-	FramesIn  int64
-	BytesOut  int64
-	BytesIn   int64
-	EncodeNs  int64
-	DecodeNs  int64
-
-	// v2 additions: compacted-batch savings and the peer flush-size
-	// histogram. These ride in a version-gated tail of WorkerDone, never
-	// in the frozen v1 NetStats block.
-	CompactionSavedBytes int64
-	FlushesSmall         int64 // flushes < 4 KiB
-	FlushesMid           int64 // flushes in [4 KiB, 256 KiB)
-	FlushesLarge         int64 // flushes ≥ 256 KiB
-}
-
-// Add accumulates o into s.
-func (s *NetStats) Add(o NetStats) {
-	s.FramesOut += o.FramesOut
-	s.FramesIn += o.FramesIn
-	s.BytesOut += o.BytesOut
-	s.BytesIn += o.BytesIn
-	s.EncodeNs += o.EncodeNs
-	s.DecodeNs += o.DecodeNs
-	s.CompactionSavedBytes += o.CompactionSavedBytes
-	s.FlushesSmall += o.FlushesSmall
-	s.FlushesMid += o.FlushesMid
-	s.FlushesLarge += o.FlushesLarge
-}
-
-// Sub returns s − o (for per-query deltas from cumulative counters).
-func (s NetStats) Sub(o NetStats) NetStats {
-	return NetStats{
-		FramesOut:            s.FramesOut - o.FramesOut,
-		FramesIn:             s.FramesIn - o.FramesIn,
-		BytesOut:             s.BytesOut - o.BytesOut,
-		BytesIn:              s.BytesIn - o.BytesIn,
-		EncodeNs:             s.EncodeNs - o.EncodeNs,
-		DecodeNs:             s.DecodeNs - o.DecodeNs,
-		CompactionSavedBytes: s.CompactionSavedBytes - o.CompactionSavedBytes,
-		FlushesSmall:         s.FlushesSmall - o.FlushesSmall,
-		FlushesMid:           s.FlushesMid - o.FlushesMid,
-		FlushesLarge:         s.FlushesLarge - o.FlushesLarge,
-	}
-}
-
-func appendNetStats(dst []byte, s NetStats) []byte {
+func appendTransportStats(dst []byte, s rt.TransportStats) []byte {
 	dst = AppendVarint(dst, s.FramesOut)
 	dst = AppendVarint(dst, s.FramesIn)
 	dst = AppendVarint(dst, s.BytesOut)
 	dst = AppendVarint(dst, s.BytesIn)
 	dst = AppendVarint(dst, s.EncodeNs)
 	dst = AppendVarint(dst, s.DecodeNs)
+	dst = AppendVarint(dst, s.FlushesSmall)
+	dst = AppendVarint(dst, s.FlushesMid)
+	dst = AppendVarint(dst, s.FlushesLarge)
 	return dst
 }
 
-func decodeNetStats(d *Dec) NetStats {
-	return NetStats{
-		FramesOut: d.Varint(),
-		FramesIn:  d.Varint(),
-		BytesOut:  d.Varint(),
-		BytesIn:   d.Varint(),
-		EncodeNs:  d.Varint(),
-		DecodeNs:  d.Varint(),
+func decodeTransportStats(d *Dec) rt.TransportStats {
+	return rt.TransportStats{
+		FramesOut:    d.Varint(),
+		FramesIn:     d.Varint(),
+		BytesOut:     d.Varint(),
+		BytesIn:      d.Varint(),
+		EncodeNs:     d.Varint(),
+		DecodeNs:     d.Varint(),
+		FlushesSmall: d.Varint(),
+		FlushesMid:   d.Varint(),
+		FlushesLarge: d.Varint(),
 	}
 }
 
@@ -236,26 +172,24 @@ type WorkerDone struct {
 	Suppressed int64   // delegate broadcasts suppressed by the changed-since filter
 	Batched    int64   // delegate broadcasts released by superstep outbox flushes
 	Coalesced  int64   // delegate offers absorbed into a staged outbox entry
-	Net        NetStats
+	Net        rt.TransportStats
 	HasResult  bool
 	Result     SolveResult
 	// Skipped lists the terminals a prize-mode query paid to leave out
-	// (set by the worker hosting rank 0). It rides in the v3 tail; on
-	// v1/v2 sessions — which only ever run tree queries — it is always
-	// empty and never encoded.
+	// (set by the worker hosting rank 0; empty for tree and forest).
 	Skipped []graph.VID
-	// v4 tail (set by the worker hosting rank 0): whether phase 4 ran the
-	// fragment merge, and the query's phase-3/4 cross-table wire bytes and
+	// Set by the worker hosting rank 0: whether phase 4 ran the fragment
+	// merge, and the query's phase-3/4 cross-table wire bytes and
 	// fragment-exchange record count.
 	MSTFragment     bool
 	CrossTableBytes int64
 	FragmentMsgs    int64
-	// v6 tail: this worker's parallel-frontier deltas for the query —
-	// resolved per-rank worker count (0 when the worker drained serially;
-	// the coordinator takes the fleet maximum), buckets drained on the
-	// pool, messages relaxed there, the largest per-worker chunk
-	// (session high-water mark), lex-min merge conflicts, and the pool's
-	// busy/wall nanoseconds.
+	// This worker's parallel-frontier deltas for the query — resolved
+	// per-rank worker count (0 when the worker drained serially; the
+	// coordinator takes the fleet maximum), buckets drained on the pool,
+	// messages relaxed there, the largest per-worker chunk (session
+	// high-water mark), lex-min merge conflicts, and the pool's busy/wall
+	// nanoseconds.
 	FrontierWorkers   int64
 	FrontierDrains    int64
 	FrontierMsgs      int64
@@ -265,12 +199,8 @@ type WorkerDone struct {
 	FrontierWallNs    int64
 }
 
-// EncodeWorkerDone appends a FrameWorkerDone payload. wireVer is the
-// session's negotiated version: on v1 sessions the frame stops after the
-// Result exactly as v1 coordinators expect; on v2 sessions a tail carries
-// the outbox counters and the NetStats v2 additions. The tail is
-// decode-tolerant (absent ⇒ zero), mirroring Setup.WireVersion.
-func EncodeWorkerDone(dst []byte, w WorkerDone, wireVer uint32) []byte {
+// EncodeWorkerDone appends a FrameWorkerDone payload.
+func EncodeWorkerDone(dst []byte, w WorkerDone) []byte {
 	dst = append(dst, FrameWorkerDone)
 	dst = AppendUvarint(dst, w.QueryID)
 	dst = AppendString(dst, w.Err)
@@ -278,36 +208,24 @@ func EncodeWorkerDone(dst []byte, w WorkerDone, wireVer uint32) []byte {
 	dst = AppendVarint(dst, w.Sent)
 	dst = AppendVarint(dst, w.Processed)
 	dst = AppendVarint(dst, w.Suppressed)
-	dst = appendNetStats(dst, w.Net)
+	dst = AppendVarint(dst, w.Batched)
+	dst = AppendVarint(dst, w.Coalesced)
+	dst = appendTransportStats(dst, w.Net)
 	dst = appendBool(dst, w.HasResult)
 	if w.HasResult {
 		dst = appendSolveResult(dst, w.Result)
 	}
-	if wireVer >= 2 {
-		dst = AppendVarint(dst, w.Batched)
-		dst = AppendVarint(dst, w.Coalesced)
-		dst = AppendVarint(dst, w.Net.CompactionSavedBytes)
-		dst = AppendVarint(dst, w.Net.FlushesSmall)
-		dst = AppendVarint(dst, w.Net.FlushesMid)
-		dst = AppendVarint(dst, w.Net.FlushesLarge)
-	}
-	if wireVer >= 3 {
-		dst = AppendVIDs(dst, w.Skipped)
-	}
-	if wireVer >= 4 {
-		dst = appendBool(dst, w.MSTFragment)
-		dst = AppendVarint(dst, w.CrossTableBytes)
-		dst = AppendVarint(dst, w.FragmentMsgs)
-	}
-	if wireVer >= 6 {
-		dst = AppendVarint(dst, w.FrontierWorkers)
-		dst = AppendVarint(dst, w.FrontierDrains)
-		dst = AppendVarint(dst, w.FrontierMsgs)
-		dst = AppendVarint(dst, w.FrontierMaxChunk)
-		dst = AppendVarint(dst, w.FrontierConflicts)
-		dst = AppendVarint(dst, w.FrontierBusyNs)
-		dst = AppendVarint(dst, w.FrontierWallNs)
-	}
+	dst = AppendVIDs(dst, w.Skipped)
+	dst = appendBool(dst, w.MSTFragment)
+	dst = AppendVarint(dst, w.CrossTableBytes)
+	dst = AppendVarint(dst, w.FragmentMsgs)
+	dst = AppendVarint(dst, w.FrontierWorkers)
+	dst = AppendVarint(dst, w.FrontierDrains)
+	dst = AppendVarint(dst, w.FrontierMsgs)
+	dst = AppendVarint(dst, w.FrontierMaxChunk)
+	dst = AppendVarint(dst, w.FrontierConflicts)
+	dst = AppendVarint(dst, w.FrontierBusyNs)
+	dst = AppendVarint(dst, w.FrontierWallNs)
 	return dst
 }
 
@@ -321,40 +239,24 @@ func DecodeWorkerDone(body []byte) (WorkerDone, error) {
 	w.Sent = d.Varint()
 	w.Processed = d.Varint()
 	w.Suppressed = d.Varint()
-	w.Net = decodeNetStats(d)
+	w.Batched = d.Varint()
+	w.Coalesced = d.Varint()
+	w.Net = decodeTransportStats(d)
 	w.HasResult = d.Bool()
 	if w.HasResult {
 		w.Result = decodeSolveResult(d)
 	}
-	// v2 tail, absent on v1 sessions.
-	if d.err == nil && d.Len() > 0 {
-		w.Batched = d.Varint()
-		w.Coalesced = d.Varint()
-		w.Net.CompactionSavedBytes = d.Varint()
-		w.Net.FlushesSmall = d.Varint()
-		w.Net.FlushesMid = d.Varint()
-		w.Net.FlushesLarge = d.Varint()
-	}
-	// v3 tail, absent on v1/v2 sessions.
-	if d.err == nil && d.Len() > 0 {
-		w.Skipped = d.VIDs()
-	}
-	// v4 tail, absent on v1–v3 sessions.
-	if d.err == nil && d.Len() > 0 {
-		w.MSTFragment = d.Bool()
-		w.CrossTableBytes = d.Varint()
-		w.FragmentMsgs = d.Varint()
-	}
-	// v6 tail, absent on v1–v5 sessions.
-	if d.err == nil && d.Len() > 0 {
-		w.FrontierWorkers = d.Varint()
-		w.FrontierDrains = d.Varint()
-		w.FrontierMsgs = d.Varint()
-		w.FrontierMaxChunk = d.Varint()
-		w.FrontierConflicts = d.Varint()
-		w.FrontierBusyNs = d.Varint()
-		w.FrontierWallNs = d.Varint()
-	}
+	w.Skipped = d.VIDs()
+	w.MSTFragment = d.Bool()
+	w.CrossTableBytes = d.Varint()
+	w.FragmentMsgs = d.Varint()
+	w.FrontierWorkers = d.Varint()
+	w.FrontierDrains = d.Varint()
+	w.FrontierMsgs = d.Varint()
+	w.FrontierMaxChunk = d.Varint()
+	w.FrontierConflicts = d.Varint()
+	w.FrontierBusyNs = d.Varint()
+	w.FrontierWallNs = d.Varint()
 	return w, d.finish()
 }
 

@@ -28,42 +28,30 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"dsteiner/internal/graph"
 	rt "dsteiner/internal/runtime"
 )
 
-// Version is the highest wire-protocol version this build speaks. A
-// worker's Hello advertises its own Version; the coordinator accepts any
-// worker in [MinVersion, Version] and pins the session to the minimum
-// advertised version, shipped back in Setup.WireVersion (absent = 1).
-// Versioned behavior: v1 sessions use FrameMsgBatch, v2 sessions the
-// compacted FrameMsgBatch2 (both decoders stay live for rollback); v3
-// sessions additionally accept FrameSolveSpec — the mode-carrying query
-// frame for forest and prize-collecting solves — and return the skipped
-// terminal set in the WorkerDone tail; v4 sessions add the fragment-merge
-// MST frames (FrameFragmentConnect / FrameFragmentRelabel /
-// FrameFragmentRoundSummary), the Setup MSTMode byte, and the fragment
-// counters in the WorkerDone tail; v5 sessions add fault recovery — the
-// Setup tail carries the coordinator's SessionID and a worker that lost its
-// connection re-handshakes with FrameRejoin (proving session membership)
-// instead of a fresh Hello; v6 sessions add the parallel frontier — the
-// Setup tail carries the requested frontier mode and worker budget (each
-// worker resolves auto against its own GOMAXPROCS) and the WorkerDone tail
-// the per-query frontier counters. Tree-mode queries use FrameSolve at
-// every version, so v1/v2-pinned sessions keep serving them byte-identically.
-const Version uint32 = 6
+// Version is the one wire format this build speaks. Coordinator and rankd
+// are always built from the same tree, so there is nothing to negotiate: a
+// worker's Hello or Rejoin must announce exactly this version or it is
+// refused with an Abort before any session state is built.
+const Version uint32 = 7
 
-// MinVersion is the oldest wire-protocol version this build interoperates
-// with.
-const MinVersion uint32 = 1
+// readChunk is the most ReadFrame allocates ahead of the bytes it has read.
+const readChunk = 1 << 20
 
 // MaxFrame bounds a frame's payload so a corrupt length prefix cannot make
 // a reader allocate unbounded memory. Handshake frames carry whole shard
 // slices, so the bound is generous.
 const MaxFrame = 1 << 30
 
-// Frame types. The first payload byte of every frame identifies it.
+// Frame types. The first payload byte of every frame identifies it. The
+// numbers are those of the last negotiated format (two retired kinds keep
+// their slots), so a Hello or Rejoin from a binary of that era still reads
+// as one and is refused by version rather than as an unknown frame.
 const (
 	// FrameHello is worker → coordinator: protocol version + the address
 	// the worker's peer-mesh listener accepts on.
@@ -73,15 +61,12 @@ const (
 	// FrameReady is worker → coordinator: shard + slab built, peer mesh
 	// established, resident byte counts reported.
 	FrameReady
-	// FrameSolve is coordinator → worker: run one query (canonical seeds).
-	FrameSolve
+	_ // 4: the retired tree-only query frame
 	// FrameWorkerDone is worker → coordinator: query finished on this
 	// worker's ranks (per-rank table sizes, counter deltas, and — from the
 	// worker hosting rank 0 — the encoded Result).
 	FrameWorkerDone
-	// FrameMsgBatch is worker → worker: one coalesced visitor-message
-	// batch for a remote rank's mailbox.
-	FrameMsgBatch
+	_ // 6: the retired uncompacted message batch
 	// FrameColl is worker → coordinator: one process's contribution to
 	// collective #Seq.
 	FrameColl
@@ -108,21 +93,16 @@ const (
 	FrameAbort
 	// FrameGoodbye is coordinator → worker: session over, exit cleanly.
 	FrameGoodbye
-	// FrameMsgBatch2 is the version-2 compacted form of FrameMsgBatch
-	// (worker → worker), used only in sessions negotiated at WireVersion
-	// >= 2: messages are sorted by target and field columns are
-	// delta-varint encoded, with superseded offers elided (see
-	// AppendMsgBatch2).
+	// FrameMsgBatch2 is worker → worker: one coalesced visitor-message
+	// batch for a remote rank's mailbox, sorted by target with delta-varint
+	// field columns and superseded offers elided (see AppendMsgBatch2).
 	FrameMsgBatch2
-	// FrameSolveSpec is coordinator → worker: run one full QuerySpec query
-	// (mode + canonical seeds/groups/penalties). Sent only in sessions
-	// negotiated at WireVersion >= 3; tree-mode queries keep using
-	// FrameSolve at every version.
+	// FrameSolveSpec is coordinator → worker: run one query (mode +
+	// canonical seeds/groups/penalties).
 	FrameSolveSpec
 	// FrameFragmentConnect is worker → coordinator: one process's
 	// contribution to fragment exchange #Seq — the rank-tagged,
-	// destination-routed blobs of a fragment-merge MST round. Sent only in
-	// sessions negotiated at WireVersion >= 4.
+	// destination-routed blobs of a fragment-merge MST round.
 	FrameFragmentConnect
 	// FrameFragmentRelabel is coordinator → worker: fragment exchange
 	// #Seq's result, personalized per worker — only the blobs addressed to
@@ -138,8 +118,8 @@ const (
 	// worker's first frame when re-handshaking into an existing session
 	// after a fault. It carries the SessionID the worker learned from its
 	// Setup, proving it belongs to this coordinator's session rather than
-	// some other fleet. Sent only by v5+ workers; the coordinator answers
-	// with a fresh Setup exactly as it would a Hello.
+	// some other fleet. The coordinator answers with a fresh Setup exactly
+	// as it would a Hello.
 	FrameRejoin
 )
 
@@ -201,12 +181,16 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("%w: frame length %d", ErrCorrupt, n)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("%w: frame body: %v", ErrTruncated, err)
+	// Grow toward a large declared length only as the bytes arrive, so a
+	// hostile prefix on a short stream cannot force a MaxFrame allocation.
+	buf = buf[:0]
+	for remaining := int(n); remaining > 0; {
+		step := min(remaining, readChunk)
+		buf = slices.Grow(buf, step)[:len(buf)+step]
+		if _, err := io.ReadFull(r, buf[len(buf)-step:]); err != nil {
+			return nil, fmt.Errorf("%w: frame body: %v", ErrTruncated, err)
+		}
+		remaining -= step
 	}
 	return buf, nil
 }
@@ -471,86 +455,12 @@ func (d *Dec) finish() error {
 // ---------------------------------------------------------------------------
 // Visitor-message batches.
 
-// AppendMsgBatch appends a FrameMsgBatch payload: the batch of visitor
-// messages bound for remote rank dest. Fields are varint-packed — Target,
-// From and Seed are small non-negative vertex IDs and Dist is a bounded
-// distance, so typical messages shrink well below their 21-byte in-memory
-// size.
-func AppendMsgBatch(dst []byte, dest int, msgs []rt.Msg) []byte {
-	dst = append(dst, FrameMsgBatch)
-	dst = binary.AppendUvarint(dst, uint64(dest))
-	dst = binary.AppendUvarint(dst, uint64(len(msgs)))
-	for _, m := range msgs {
-		dst = binary.AppendUvarint(dst, uint64(uint32(m.Target)))
-		dst = binary.AppendUvarint(dst, uint64(uint32(m.From)))
-		dst = binary.AppendUvarint(dst, uint64(uint32(m.Seed)))
-		dst = binary.AppendUvarint(dst, uint64(m.Dist))
-		dst = append(dst, m.Kind)
-	}
-	return dst
-}
-
-// DecodeMsgBatch decodes a FrameMsgBatch body into buf (reused when it has
-// capacity), returning the destination rank and the batch.
-func DecodeMsgBatch(body []byte, buf []rt.Msg) (dest int, msgs []rt.Msg, err error) {
-	d := NewDec(body)
-	dest = d.Int()
-	n := d.count(5, "msg batch") // ≥ 5 bytes per message (4 varints + kind)
-	if d.err != nil {
-		return 0, nil, d.err
-	}
-	if cap(buf) < n {
-		buf = make([]rt.Msg, 0, n)
-	}
-	msgs = buf[:0]
-	for i := 0; i < n; i++ {
-		var m rt.Msg
-		m.Target = graph.VID(int32(d.Uvarint()))
-		m.From = graph.VID(int32(d.Uvarint()))
-		m.Seed = graph.VID(int32(d.Uvarint()))
-		m.Dist = graph.Dist(d.Uvarint())
-		m.Kind = d.Byte()
-		if d.err != nil {
-			return 0, nil, d.err
-		}
-		msgs = append(msgs, m)
-	}
-	if err := d.finish(); err != nil {
-		return 0, nil, err
-	}
-	return dest, msgs, nil
-}
-
-// MsgBatchSize1 returns the exact FrameMsgBatch payload size for the batch —
-// the byte cost the v1 layout would pay. The transport uses it to account
-// compaction savings when it encodes the same batch as a FrameMsgBatch2.
-func MsgBatchSize1(dest int, msgs []rt.Msg) int {
-	n := 1 + uvarintLen(uint64(dest)) + uvarintLen(uint64(len(msgs)))
-	for _, m := range msgs {
-		n += uvarintLen(uint64(uint32(m.Target))) +
-			uvarintLen(uint64(uint32(m.From))) +
-			uvarintLen(uint64(uint32(m.Seed))) +
-			uvarintLen(uint64(m.Dist)) + 1
-	}
-	return n
-}
-
-// uvarintLen returns the LEB128-encoded size of x.
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
 // zigzag maps a signed delta onto the unsigned varint space (as
 // binary.AppendVarint does, without the append).
 func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
 
 // appendUv is binary.AppendUvarint with the one-, two- and three-byte
-// cases inlined: the v2 delta columns are overwhelmingly small values, so
+// cases inlined: the delta columns are overwhelmingly small values, so
 // the common cases skip the library call (and its length loop) entirely.
 // The emitted bytes are identical — this is the same LEB128 encoding.
 func appendUv(dst []byte, x uint64) []byte {
@@ -566,8 +476,8 @@ func appendUv(dst []byte, x uint64) []byte {
 	return binary.AppendUvarint(dst, x)
 }
 
-// AppendMsgBatch2 appends a FrameMsgBatch2 payload: the compacted v2 form
-// of a visitor-message batch. The batch is sorted by (Target, From, Kind,
+// AppendMsgBatch2 appends a FrameMsgBatch2 payload: the batch of visitor
+// messages bound for remote rank dest. The batch is sorted by (Target, From, Kind,
 // Dist, Seed) — delivery order within a batch carries no meaning (pinned by
 // the shuffle-delivery property tests) — then encoded columnar: an
 // ascending-delta target column, zigzag-delta seed and dist columns, a
@@ -663,7 +573,7 @@ func AppendMsgBatch2(dst []byte, dest int, msgs []rt.Msg) (out []byte, elided in
 	return dst, elided
 }
 
-// sortMsgs orders a batch by (Target, From, Kind, Dist, Seed) — the v2
+// sortMsgs orders a batch by (Target, From, Kind, Dist, Seed) — the
 // column layout's order, chosen so dominated offers become adjacent. It is
 // a hand-rolled unstable quicksort: the key covers every Msg field, so all
 // orderings of equal elements are byte-identical and stability buys

@@ -3,9 +3,11 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -82,6 +84,37 @@ func TestFrameErrors(t *testing.T) {
 	if err := WriteFrame(io.Discard, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("empty payload: %v", err)
 	}
+	// A legal-but-huge length on a short stream must fail after allocating
+	// for the bytes present, not for the length declared.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0x20, FrameHello, 7}), nil); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("512 MiB frame with 2 bytes present: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*readChunk {
+		t.Fatalf("short stream with a 512 MiB length prefix allocated %d bytes", grew)
+	}
+}
+
+// TestReadFrameLargeAndReused covers ReadFrame's chunked growth: a frame
+// several chunks long arrives intact, and a buffer with capacity is reused.
+func TestReadFrameLargeAndReused(t *testing.T) {
+	payload := make([]byte, 3*readChunk+17)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	payload[0] = FrameSetup
+	stream := AppendFrame(AppendFrame(nil, payload), []byte{FrameGoodbye})
+	r := bytes.NewReader(stream)
+	got, err := ReadFrame(r, nil)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("large frame: %d bytes, err %v", len(got), err)
+	}
+	next, err := ReadFrame(r, got)
+	if err != nil || len(next) != 1 || &next[0] != &got[0] {
+		t.Fatalf("follow-up frame did not reuse the buffer: %v %v", next, err)
+	}
 }
 
 // TestHugeCountsRejected pins the overflow guard on bulk-array lengths: a
@@ -111,60 +144,17 @@ func TestHugeCountsRejected(t *testing.T) {
 		// And through the message-batch path (dest + hostile count).
 		body := AppendUvarint([]byte{}, 0)
 		body = append(body, prefix...)
-		if _, _, err := DecodeMsgBatch(body, nil); err == nil {
+		if _, _, err := DecodeMsgBatch2(body, nil); err == nil {
 			t.Fatalf("count %d: msg batch decoded without error", n)
 		}
 	}
 }
 
-// TestMsgBatchRoundTrip is the property test for the hot-path codec: any
-// batch of visitor messages survives encode/decode byte-identically.
-func TestMsgBatchRoundTrip(t *testing.T) {
-	f := func(seed int64, destRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		dest := int(destRaw % 64)
-		msgs := make([]rt.Msg, rng.Intn(200))
-		for i := range msgs {
-			msgs[i] = rt.Msg{
-				Target: graph.VID(rng.Intn(1 << 20)),
-				From:   graph.VID(rng.Intn(1 << 20)),
-				Seed:   graph.VID(rng.Intn(1 << 20)),
-				Dist:   graph.Dist(rng.Int63n(int64(graph.InfDist))),
-				Kind:   uint8(rng.Intn(4)),
-			}
-		}
-		payload := AppendMsgBatch(nil, dest, msgs)
-		typ, body, rest, err := DecodeFrame(AppendFrame(nil, payload))
-		if err != nil || typ != FrameMsgBatch || len(rest) != 0 {
-			t.Logf("frame: typ=%d err=%v", typ, err)
-			return false
-		}
-		gotDest, got, err := DecodeMsgBatch(body, nil)
-		if err != nil || gotDest != dest {
-			t.Logf("batch: dest=%d err=%v", gotDest, err)
-			return false
-		}
-		if len(got) != len(msgs) {
-			return false
-		}
-		for i := range msgs {
-			if got[i] != msgs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMsgBatchDecodeReusesBuffer checks the decode-into-buffer contract.
 func TestMsgBatchDecodeReusesBuffer(t *testing.T) {
-	msgs := []rt.Msg{{Target: 1, Dist: 9}, {Target: 2, Dist: 8}}
-	payload := AppendMsgBatch(nil, 3, msgs)
+	payload, _ := AppendMsgBatch2(nil, 3, []rt.Msg{{Target: 1, Dist: 9}, {Target: 2, Dist: 8}})
 	buf := make([]rt.Msg, 0, 16)
-	_, got, err := DecodeMsgBatch(payload[1:], buf)
+	_, got, err := DecodeMsgBatch2(payload[1:], buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,72 +163,68 @@ func TestMsgBatchDecodeReusesBuffer(t *testing.T) {
 	}
 }
 
+// fillNonZero sets every field reachable from v to a distinct non-zero
+// value (slices get two elements), so a round trip through a codec that
+// forgot a field cannot compare equal.
+func fillNonZero(v reflect.Value, next *int64) {
+	*next++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillNonZero(v.Field(i), next)
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillNonZero(v.Index(i), next)
+		}
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *next))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(*next) + 0.5)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(*next%100 + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(*next%100 + 1))
+	default:
+		panic("fillNonZero: unhandled kind " + v.Kind().String())
+	}
+}
+
+// TestEveryFieldRoundTrips pins that the one wire format is complete: each
+// session-level struct, with every field set non-zero, survives encode →
+// decode unchanged. A field added without codec support fails here.
+func TestEveryFieldRoundTrips(t *testing.T) {
+	var next int64
+	var setup Setup
+	fillNonZero(reflect.ValueOf(&setup).Elem(), &next)
+	gotSetup, err := DecodeSetup(EncodeSetup(nil, setup)[1:])
+	if err != nil || !reflect.DeepEqual(gotSetup, setup) {
+		t.Fatalf("setup:\n got %+v\nwant %+v (%v)", gotSetup, setup, err)
+	}
+
+	var done WorkerDone
+	fillNonZero(reflect.ValueOf(&done).Elem(), &next)
+	gotDone, err := DecodeWorkerDone(EncodeWorkerDone(nil, done)[1:])
+	if err != nil || !reflect.DeepEqual(gotDone, done) {
+		t.Fatalf("worker done:\n got %+v\nwant %+v (%v)", gotDone, done, err)
+	}
+
+	var spec SolveSpec
+	fillNonZero(reflect.ValueOf(&spec).Elem(), &next)
+	gotSpec, err := DecodeSolveSpec(EncodeSolveSpec(nil, spec)[1:])
+	if err != nil || !reflect.DeepEqual(gotSpec, spec) {
+		t.Fatalf("solve spec:\n got %+v\nwant %+v (%v)", gotSpec, spec, err)
+	}
+}
+
 func TestHandshakeRoundTrip(t *testing.T) {
 	h := Hello{Version: Version, PeerAddr: "127.0.0.1:45991"}
 	got, err := DecodeHello(EncodeHello(nil, h)[1:])
 	if err != nil || got != h {
 		t.Fatalf("hello: %+v %v", got, err)
-	}
-
-	setup := Setup{
-		Ranks: 8, NumVertices: 1000, WorkerIndex: 2,
-		RankLo:    []int64{0, 2, 4, 6, 8},
-		PeerAddrs: []string{"a:1", "b:2", "c:3", "d:4"},
-		Queue:     2, BucketDelta: 64, BatchSize: 128,
-		BSP: true, MST: 1, CollectiveChunk: 500, DelegateThreshold: 16,
-		PartitionKind: PartArcBlock,
-		ArcBounds:     []graph.VID{0, 100, 400, 1000},
-		Delegates:     []graph.VID{7, 99},
-		Shards: []ShardSlice{{
-			Rank:          4,
-			Owned:         []graph.VID{4, 5, 6},
-			Offsets:       []int64{0, 2, 2, 5},
-			Targets:       []graph.VID{1, 2, 3, 4, 5},
-			Weights:       []uint32{10, 20, 30, 40, 50},
-			StripeOff:     []int64{0, 1, 3},
-			StripeTargets: []graph.VID{9, 8, 7},
-			StripeWeights: []uint32{1, 2, 3},
-			Mirrored:      []graph.VID{99},
-		}},
-		WireVersion: 2,
-	}
-	gotSetup, err := DecodeSetup(EncodeSetup(nil, setup)[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotSetup, setup) {
-		t.Fatalf("setup round trip:\n got %+v\nwant %+v", gotSetup, setup)
-	}
-
-	// A v1 Setup has no trailing version field; decode must default to 1,
-	// and the v1 encoding must be byte-identical to what a v1 coordinator
-	// would emit (no trailing bytes).
-	setup.WireVersion = 1
-	v1Body := EncodeSetup(nil, setup)[1:]
-	gotV1Setup, err := DecodeSetup(v1Body)
-	if err != nil || gotV1Setup.WireVersion != 1 {
-		t.Fatalf("v1 setup decode: ver=%d err=%v", gotV1Setup.WireVersion, err)
-	}
-	setup.WireVersion = 2
-	if len(EncodeSetup(nil, setup))-len(v1Body) != 2 {
-		t.Fatalf("v2 setup should add exactly the frame byte + 1 version byte")
-	}
-
-	// A v5 Setup appends the session identity after the MST mode; decode
-	// recovers all three trailing fields, and a v4 Setup — which never has
-	// the SessionID — decodes with SessionID 0 (rejoin unavailable).
-	setup.WireVersion = 5
-	setup.MSTMode = 2
-	setup.SessionID = 0xdeadbeefcafe
-	gotV5, err := DecodeSetup(EncodeSetup(nil, setup)[1:])
-	if err != nil || !reflect.DeepEqual(gotV5, setup) {
-		t.Fatalf("v5 setup round trip:\n got %+v\nwant %+v (%v)", gotV5, setup, err)
-	}
-	setup.WireVersion = 4
-	gotV4, err := DecodeSetup(EncodeSetup(nil, setup)[1:])
-	if err != nil || gotV4.SessionID != 0 || gotV4.MSTMode != 2 {
-		t.Fatalf("v4 setup must drop the session id: id=%d mst=%d err=%v",
-			gotV4.SessionID, gotV4.MSTMode, err)
 	}
 
 	r := Ready{ShardBytes: 12345, StateBytes: 678}
@@ -263,6 +249,16 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	gotRejoin, err := DecodeRejoin(EncodeRejoin(nil, rj)[1:])
 	if err != nil || gotRejoin != rj {
 		t.Fatalf("rejoin: %+v %v", gotRejoin, err)
+	}
+}
+
+// TestOpeningFrameNumbers pins the type bytes a worker can open a
+// connection with to the numbers the last negotiated format used. Move
+// either and a stale rankd is turned away as "frame N before hello/rejoin"
+// instead of by the refusal that names both wire versions.
+func TestOpeningFrameNumbers(t *testing.T) {
+	if FrameHello != 1 || FrameRejoin != 21 {
+		t.Fatalf("FrameHello = %d, FrameRejoin = %d; want 1 and 21", FrameHello, FrameRejoin)
 	}
 }
 
@@ -321,60 +317,11 @@ func TestTerminationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSolveRoundTrip(t *testing.T) {
-	s := Solve{QueryID: 55, Seeds: []graph.VID{3, 1, 9}}
-	gotS, err := DecodeSolve(EncodeSolve(nil, s)[1:])
-	if err != nil || gotS.QueryID != 55 || !reflect.DeepEqual(gotS.Seeds, s.Seeds) {
-		t.Fatalf("solve: %+v %v", gotS, err)
-	}
-
-	done := WorkerDone{
-		QueryID:    55,
-		TableLens:  []int64{3, 0},
-		Sent:       120,
-		Processed:  119,
-		Suppressed: 4,
-		Net:        NetStats{FramesOut: 9, BytesIn: 1000, EncodeNs: 12345},
-		HasResult:  true,
-		Result: SolveResult{
-			Tree:          []EdgeRec{{U: 1, V: 2, W: 7}, {U: 2, V: 5, W: 1}},
-			TotalDistance: 8,
-			Phases: []PhaseRec{
-				{Name: "Voronoi Cell", Seconds: 0.25, Sent: 100, Processed: 99, MaxRankWork: 60},
-			},
-			DistGraphEdges:   2,
-			MSTRounds:        1,
-			CollectiveChunks: 1,
-		},
-	}
-	gotDone, err := DecodeWorkerDone(EncodeWorkerDone(nil, done, 1)[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotDone, done) {
-		t.Fatalf("worker done:\n got %+v\nwant %+v", gotDone, done)
-	}
-
-	// v2 sessions carry the outbox counters and extended net stats in a
-	// trailing block; a v1 encode of the same struct must drop them.
-	done.Batched = 17
-	done.Coalesced = 40
-	done.Net.CompactionSavedBytes = 512
-	done.Net.FlushesSmall = 3
-	done.Net.FlushesMid = 2
-	done.Net.FlushesLarge = 1
-	gotV2, err := DecodeWorkerDone(EncodeWorkerDone(nil, done, 2)[1:])
-	if err != nil || !reflect.DeepEqual(gotV2, done) {
-		t.Fatalf("worker done v2:\n got %+v\nwant %+v (%v)", gotV2, done, err)
-	}
-	gotV1, err := DecodeWorkerDone(EncodeWorkerDone(nil, done, 1)[1:])
-	if err != nil || gotV1.Batched != 0 || gotV1.Coalesced != 0 || gotV1.Net.CompactionSavedBytes != 0 {
-		t.Fatalf("worker done v1 must drop v2 tail: %+v (%v)", gotV1, err)
-	}
-
-	// Error form without a result.
+// TestWorkerDoneWithoutResult covers the frame every worker but rank 0's
+// sends, and rank 0's on a failed query: no Result block.
+func TestWorkerDoneWithoutResult(t *testing.T) {
 	fail := WorkerDone{QueryID: 56, Err: "core: seeds span 2 connected components", TableLens: []int64{0}}
-	gotFail, err := DecodeWorkerDone(EncodeWorkerDone(nil, fail, 1)[1:])
+	gotFail, err := DecodeWorkerDone(EncodeWorkerDone(nil, fail)[1:])
 	if err != nil || !reflect.DeepEqual(gotFail, fail) {
 		t.Fatalf("worker done (err): %+v %v", gotFail, err)
 	}
@@ -419,19 +366,17 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		body []byte
 		dec  func([]byte) error
 	}{
-		"hello": {EncodeHello(nil, Hello{Version: 1, PeerAddr: "x:1"})[1:],
+		"hello": {EncodeHello(nil, Hello{Version: Version, PeerAddr: "x:1"})[1:],
 			func(b []byte) error { _, err := DecodeHello(b); return err }},
 		"setup": {EncodeSetup(nil, Setup{Ranks: 4, RankLo: []int64{0, 4}, PeerAddrs: []string{"a"},
 			Shards: []ShardSlice{{Rank: 1, Owned: []graph.VID{1}, Offsets: []int64{0, 0}}}})[1:],
 			func(b []byte) error { _, err := DecodeSetup(b); return err }},
-		"solve": {EncodeSolve(nil, Solve{QueryID: 1, Seeds: []graph.VID{1, 2}})[1:],
-			func(b []byte) error { _, err := DecodeSolve(b); return err }},
+		"solve": {EncodeSolveSpec(nil, SolveSpec{QueryID: 1, Mode: 2, Seeds: []graph.VID{1, 2}, Penalties: []int64{3, 4}})[1:],
+			func(b []byte) error { _, err := DecodeSolveSpec(b); return err }},
 		"done": {EncodeWorkerDone(nil, WorkerDone{QueryID: 1, TableLens: []int64{1}, HasResult: true,
-			Result: SolveResult{Tree: []EdgeRec{{U: 1, V: 2, W: 3}}, Phases: []PhaseRec{{Name: "p"}}}}, 1)[1:],
+			Result: SolveResult{Tree: []EdgeRec{{U: 1, V: 2, W: 3}}, Phases: []PhaseRec{{Name: "p"}}}})[1:],
 			func(b []byte) error { _, err := DecodeWorkerDone(b); return err }},
-		"batch": {AppendMsgBatch(nil, 1, []rt.Msg{{Target: 5, Dist: 7}})[1:],
-			func(b []byte) error { _, _, err := DecodeMsgBatch(b, nil); return err }},
-		"rejoin": {EncodeRejoin(nil, Rejoin{Version: 5, PeerAddr: "x:1", SessionID: 99, PrevWorker: 1})[1:],
+		"rejoin": {EncodeRejoin(nil, Rejoin{Version: Version, PeerAddr: "x:1", SessionID: 99, PrevWorker: 1})[1:],
 			func(b []byte) error { _, err := DecodeRejoin(b); return err }},
 	}
 	for name, tc := range bodies {
