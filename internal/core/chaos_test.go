@@ -127,9 +127,9 @@ func probeChaosOps(t *testing.T, g *graph.Graph, seeds []graph.VID) int64 {
 // (healed and requeued under the covers), then again on the healed fleet —
 // with every worker exiting cleanly at goodbye.
 func TestChaosMatrix(t *testing.T) {
-	g := engineTestGraph(17, 120)
+	g := engineTestGraph(17, 200)
 	rng := rand.New(rand.NewSource(91))
-	seeds := pickEngineSeeds(rng, g.NumVertices(), 7)
+	seeds := pickEngineSeeds(rng, g.NumVertices(), 8)
 
 	loop, err := NewEngine(g, chaosOpts())
 	if err != nil {
@@ -141,13 +141,21 @@ func TestChaosMatrix(t *testing.T) {
 		t.Fatalf("loopback reference: %v", err)
 	}
 
-	opsPerSolve := probeChaosOps(t, g, seeds)
-	fracs := []float64{0.15, 0.5, 0.85}
+	// Injection positions in transport ops: early, middle and late in a
+	// solve. They are constants, not fractions of the probed count, because
+	// that count moves with batch timing (92–103 over eight probes of this
+	// workload) and a cell whose name moves with it cannot be re-run by name.
+	// The probe only checks that the latest position still lands inside a
+	// solve: a runtime change that sends fewer frames must shrink them.
+	afters := []int64{13, 46, 78}
 	chaosSeeds := []int64{1, 2, 3}
 	kinds := []string{transport.ChaosPeerDrop, transport.ChaosCoordDrop, transport.ChaosTruncate}
 	if testing.Short() {
-		fracs = []float64{0.5}
+		afters = []int64{46}
 		chaosSeeds = []int64{1}
+	}
+	if ops := probeChaosOps(t, g, seeds); ops <= 78 {
+		t.Fatalf("a solve takes only %d transport ops: a fault armed after 78 would never fire", ops)
 	}
 
 	runCell := func(t *testing.T, label string, chaos *transport.ChaosConfig, wantFault bool) {
@@ -192,11 +200,7 @@ func TestChaosMatrix(t *testing.T) {
 	}
 
 	for _, kind := range kinds {
-		for _, frac := range fracs {
-			after := int64(float64(opsPerSolve) * frac)
-			if after < 1 {
-				after = 1
-			}
+		for _, after := range afters {
 			for _, seed := range chaosSeeds {
 				label := fmt.Sprintf("%s/after=%d/seed=%d", kind, after, seed)
 				t.Run(label, func(t *testing.T) {

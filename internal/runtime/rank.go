@@ -34,7 +34,7 @@ type Rank struct {
 	fifo    *pq.FIFO[Msg]
 	keyOf   KeyFunc
 	visit   VisitFunc
-	admit   func(r *Rank, m Msg) bool // optional inbound dominance filter
+	admit   func(r *Rank, m Msg) bool // optional inbound fold (Traversal.Admit)
 	shuffle *rand.Rand
 	// Parallel-frontier state (frontier.go): the worker pool (created
 	// lazily, released by Comm.Close), the traversal's parallel callbacks
@@ -64,7 +64,9 @@ type Rank struct {
 	// counters see them once per batch (publish) or per traversal (finish).
 	sentHere         int64
 	processedHere    int64
-	droppedHere      int64 // inbound messages rejected by Admit
+	droppedHere      int64 // inbound messages finished by Admit
+	suppressedHere   int64
+	coalescedHere    int64
 	drainsHere       int64
 	frontierMsgsHere int64
 	// counted is set for loopback asynchronous traversals, whose quiescence
@@ -136,16 +138,28 @@ func (r *Rank) StripeAdj(v graph.VID) ([]graph.VID, []uint32) { return r.mustSha
 func (r *Rank) EdgeWeight(u, v graph.VID) (uint32, bool) { return r.mustShard().EdgeWeight(u, v) }
 
 // Send routes m to the owner of m.Target. Valid inside a traversal (the
-// visit callback or init function). Messages to the local rank skip the
-// mailbox and go straight to the local queue.
+// visit callback or init function).
 func (r *Rank) Send(m Msg) {
-	r.sentHere++
 	dest := r.comm.part.Owner(m.Target)
-	if dest == r.id && !r.bsp {
-		r.enqueueLocal(m)
+	if dest == r.id {
+		r.SendLocal(m)
 		return
 	}
+	r.sentHere++
 	r.buffer(dest, m)
+}
+
+// SendLocal is Send for a message whose Target the caller knows this rank
+// owns, without the owner lookup: it skips the mailbox and goes straight to
+// the local queue — except under BSP, where it travels through the rank's
+// own mailbox to the next superstep like every other send.
+func (r *Rank) SendLocal(m Msg) {
+	r.sentHere++
+	if r.bsp {
+		r.buffer(r.id, m)
+		return
+	}
+	r.enqueueLocal(m)
 }
 
 // publish adds the change in this rank's outstanding balance — messages
@@ -172,8 +186,8 @@ func (r *Rank) publish() {
 // Suppress records one delegate-bound relaxation dropped by the
 // changed-since filter (internal/voronoi): the offer was provably
 // rejectable against the local delegate mirror, so it was never sent.
-// Surfaced as Stats.Suppressed.
-func (r *Rank) Suppress() { r.comm.suppressed.Add(1) }
+// Surfaced as Stats.Suppressed once the traversal completes (Rank.finish).
+func (r *Rank) Suppress() { r.suppressedHere++ }
 
 // Distributed reports whether some ranks of this communicator live in
 // other processes. Algorithms use it to route collective payloads through
@@ -211,7 +225,7 @@ func (r *Rank) BroadcastBatched(m Msg) {
 		if m.Dist < s.Dist || (m.Dist == s.Dist && m.Seed < s.Seed) {
 			*s = m
 		}
-		r.comm.coalesced.Add(1)
+		r.coalescedHere++
 		return
 	}
 	if r.doutIdx == nil {
@@ -348,8 +362,8 @@ func (r *Rank) drainInbox() bool {
 		for _, m := range batch {
 			switch {
 			case r.admit != nil && !r.admit(r, m):
-				// Dropped as if visited and rejected; the next publish
-				// releases its unit of the termination counter.
+				// Finished on arrival; the next publish releases its unit
+				// of the termination counter.
 				r.droppedHere++
 			case direct:
 				r.visit(r, m)

@@ -206,7 +206,14 @@ func TestStatsMatchTraversalStats(t *testing.T) {
 			r.Traverse(&Traversal{
 				Init: func(r *Rank) { r.Send(Msg{Target: graph.VID(8 * r.ID()), Dist: 3}) },
 				Visit: func(r *Rank, m Msg) {
-					// Send locally and across ranks, then blow up mid-visit.
+					// Send locally and across ranks, suppress and coalesce,
+					// then blow up mid-visit.
+					if m.Kind != 0 {
+						return
+					}
+					r.Suppress()
+					r.BroadcastBatched(Msg{Target: 31, Kind: 1})
+					r.BroadcastBatched(Msg{Target: 31, Kind: 1})
 					if m.Dist > 0 {
 						r.Send(Msg{Target: m.Target, Dist: m.Dist - 1})
 						r.Send(Msg{Target: (m.Target + 8) % 32, Dist: m.Dist - 1})
@@ -218,7 +225,8 @@ func TestStatsMatchTraversalStats(t *testing.T) {
 			})
 		})
 	}()
-	if got := c.Stats(); got.Sent != clean.Sent || got.Processed != clean.Processed {
+	if got := c.Stats(); got.Sent != clean.Sent || got.Processed != clean.Processed ||
+		got.Suppressed != 0 || got.CoalescedBroadcasts != 0 {
 		t.Fatalf("aborted traversal leaked into stats: %+v, want %+v", got, clean)
 	}
 	for run := 0; run < 3; run++ {

@@ -59,8 +59,9 @@ func TestGatherBlobsLoopback(t *testing.T) {
 	}
 }
 
-// TestSuppressCounter checks Rank.Suppress feeds Stats.Suppressed and
-// ResetStats clears it.
+// TestSuppressCounter checks Rank.Suppress feeds Stats.Suppressed — once
+// per completed traversal, from the rank-private count — and ResetStats
+// clears it.
 func TestSuppressCounter(t *testing.T) {
 	part, err := partition.NewBlock(4, 2)
 	if err != nil {
@@ -68,9 +69,14 @@ func TestSuppressCounter(t *testing.T) {
 	}
 	c := MustNew(Config{Ranks: 2}, part)
 	c.Run(func(r *Rank) {
-		for i := 0; i <= r.ID(); i++ {
-			r.Suppress()
-		}
+		r.Traverse(&Traversal{
+			Visit: func(*Rank, Msg) {},
+			Init: func(r *Rank) {
+				for i := 0; i <= r.ID(); i++ {
+					r.Suppress()
+				}
+			},
+		})
 	})
 	if got := c.Stats().Suppressed; got != 3 {
 		t.Fatalf("suppressed = %d, want 3", got)

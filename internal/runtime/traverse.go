@@ -37,15 +37,16 @@ type Traversal struct {
 	// traversal by calling r.Send (HavoqGT's init_all visitors). May be
 	// nil.
 	Init func(r *Rank)
-	// Admit, when set, pre-filters inbound mailbox messages before they
-	// enter the local queue: a message for which Admit returns false is
-	// dropped as if Visit had received and rejected it. It must be a pure
-	// dominance check — only return false when Visit is guaranteed to be a
-	// side-effect-free no-op for m, now and at any later time (e.g. the
-	// local state already lexicographically beats the offer and can only
-	// keep improving). Stale offers then cost one comparison instead of a
-	// queue insertion, a pop and a visit. Dropped messages count as sent
-	// but not as processed.
+	// Admit, when set, receives every inbound mailbox message when its batch
+	// is drained, before it would enter the local queue: it folds m into the
+	// rank's local state and reports whether anything is left for Visit to
+	// do. A message it returns false for is finished — an offer the local
+	// state already beats, or one whose whole effect was the fold — and costs
+	// one comparison instead of a queue insertion, a pop and a visit; it
+	// counts as sent but not as processed. Admit only ever runs on the rank
+	// goroutine, never on a frontier worker, so it may write the rank's state
+	// without synchronization. Self-sends do not pass through it, except
+	// under BSP, where they arrive through the rank's own mailbox.
 	Admit func(r *Rank, m Msg) bool
 	// BSP switches from asynchronous processing to bulk-synchronous
 	// supersteps separated by barriers (the ablation of §IV's async
@@ -93,6 +94,7 @@ func (r *Rank) Traverse(t *Traversal) TraversalStats {
 	// Discard what an aborted traversal may have left behind: counters it
 	// never folded into Comm.Stats, and a stale outbox stage.
 	r.sentHere, r.processedHere, r.droppedHere, r.published = 0, 0, 0, 0
+	r.suppressedHere, r.coalescedHere = 0, 0
 	r.drainsHere, r.frontierMsgsHere = 0, 0
 	r.dout = r.dout[:0]
 	clear(r.doutIdx)
@@ -134,6 +136,8 @@ func (r *Rank) Traverse(t *Traversal) TraversalStats {
 func (r *Rank) finish(supersteps int64) TraversalStats {
 	r.comm.sent.Add(r.sentHere)
 	r.comm.processed.Add(r.processedHere)
+	r.comm.suppressed.Add(r.suppressedHere)
+	r.comm.coalesced.Add(r.coalescedHere)
 	return TraversalStats{
 		Processed: r.processedHere, Sent: r.sentHere, Supersteps: supersteps,
 		BucketsDrained: r.drainsHere, FrontierMsgs: r.frontierMsgsHere,

@@ -262,6 +262,25 @@ func (sl *StateSlab) Set(v graph.VID, src, pred graph.VID, dist graph.Dist) {
 	sl.dist[i] = dist
 }
 
+// relax folds one offer into owned row i, keeping the lexicographic minimum
+// under offerBetter, and reports whether the row's (dist, src) label strictly
+// improved — the only case in which the vertex must be expanded (again). A
+// predecessor-only win is installed and reports false.
+func (sl *StateSlab) relax(i int32, src, pred graph.VID, dist graph.Dist) bool {
+	improved := true
+	if sl.epoch[i] == sl.cur {
+		if !offerBetter(dist, src, pred, sl.dist[i], sl.src[i], sl.pred[i]) {
+			return false
+		}
+		improved = dist != sl.dist[i] || src != sl.src[i]
+	}
+	sl.epoch[i] = sl.cur
+	sl.src[i] = src
+	sl.pred[i] = pred
+	sl.dist[i] = dist
+	return improved
+}
+
 // MarkWalked records that v's predecessor chain has been walked this epoch
 // (Alg. 6) and reports whether the mark is new — false means v was already
 // walked and the caller should stop. Replaces the shared O(|V|) walked

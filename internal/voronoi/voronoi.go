@@ -135,9 +135,20 @@ func offerBetter(nd graph.Dist, ns, np graph.VID, od graph.Dist, os, op graph.VI
 	return np < op
 }
 
-// delegateRelax marks broadcast messages that ask every rank to relax its
-// stripe of a high-degree delegate's adjacency.
-const delegateRelax uint8 = 1
+// Message kinds of the Voronoi traversal. The zero kind is a relaxation offer
+// that no row has seen yet: it is folded into its target's row on arrival
+// (Traversal.Admit).
+const (
+	// delegateRelax marks broadcast messages that ask every rank to relax its
+	// stripe of a high-degree delegate's adjacency.
+	delegateRelax uint8 = 1
+	// labelInstalled marks a queue entry whose (dist, seed) label the sender
+	// itself wrote into the target's row: only the expansion is left to do.
+	// It never crosses a rank or the wire. Under BSP such an entry reaches
+	// the next superstep through the rank's own mailbox, and folding it a
+	// second time on arrival would tie with the row it wrote and drop it.
+	labelInstalled uint8 = 2
+)
 
 // RunRank executes the Voronoi-cell traversal on one rank (call inside
 // Comm.Run alongside the other ranks). It returns the rank's traversal work
@@ -163,121 +174,134 @@ func RunRankBSP(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
 // materialized delegate stripes, and keeps control state in its own
 // StateSlab; neither the global CSR nor a shared state array is consulted.
 //
-// Every offer passes the send-side dominance filter first (offerSender):
-// offers the rank's own slab proves dead — against the owned row of a local
-// target, or the mirror row of a remote delegate — are never sent.
+// Rows hold tentative labels (HavoqGT's pre_visit/visit split): a row is
+// written when an offer for it is made — by offerSender for a target the
+// sender owns, by Admit for an offer from another rank — and a queue entry
+// exists only for a strict (dist, seed) improvement, so each label of a
+// vertex is queued at most once and the queue holds O(improvements), not
+// O(arcs). Visit writes nothing: it expands the entry if its label is still
+// the row's, and returns if a better one has replaced it (that one has its
+// own entry). The fixed point is RunRankGlobal's: every comparison is the
+// same strict offerBetter, and the label a row converges to is expanded
+// exactly once, so every neighbour receives the same final offers.
 func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 	sl := SlabOf(r)
-	sendOffer := sl.offerSender(r)
-	relaxNeighbors := func(r *rt.Rank, v graph.VID, src graph.VID, dist graph.Dist) {
-		if r.IsDelegate(v) {
-			// Hub: fan the relaxation out to all ranks; each scans its
-			// materialized stripe of v's (large) adjacency. Broadcasts
-			// carry freshly-installed, strictly-improving state: nothing
-			// to filter here — but they are staged, not sent: the outbox
-			// keeps only the best (dist, src) offer per hub and releases
-			// it at the superstep boundary, so k rapid improvements of one
-			// hub cross the wire as one broadcast (Stats.BatchedBroadcasts
-			// / CoalescedBroadcasts).
-			r.BroadcastBatched(rt.Msg{Target: v, From: v, Seed: src, Dist: dist, Kind: delegateRelax})
-			return
-		}
-		ts, ws := r.Adj(v)
-		for i, u := range ts {
-			sendOffer(r, u, v, src, dist+graph.Dist(ws[i]))
-		}
-	}
-	relaxStripe := func(r *rt.Rank, m rt.Msg) {
-		v := m.Target
-		// Fold the broadcast into the local delegate mirror (no-op on the
-		// owner), then relax this rank's stripe of v's adjacency.
-		sl.ObserveDelegate(v, m.Seed, m.Dist)
-		ts, ws := r.StripeAdj(v)
-		for i, u := range ts {
-			sendOffer(r, u, v, m.Seed, m.Dist+graph.Dist(ws[i]))
-		}
-	}
-	// Bucket-drain form of the visit for the intra-rank parallel frontier:
-	// same tie-break and state writes, but outbound offers are emitted into
-	// the worker's staging outbox instead of sent. Safe without locks
-	// because the pool partitions a drained bucket by Target and every
-	// state row a visit touches — the owned row (Get/Set) and the delegate
-	// mirror row (ObserveDelegate) alike — is keyed by Target. The
-	// changed-since filter is deliberately NOT applied here: it reads other
-	// vertices' mirror rows, which concurrent chunks may be folding.
-	parallelVisit := func(r *rt.Rank, m rt.Msg, w int, emit func(rt.Msg)) {
-		if m.Kind == delegateRelax {
+	offer := sl.offerSender(r)
+	return r.Traverse(&rt.Traversal{
+		Key: rt.DistKey,
+		BSP: bsp,
+		Init: func(r *rt.Rank) {
+			for _, s := range seeds {
+				if r.Owns(s) {
+					offer(r, s, s, s, 0)
+				}
+			}
+		},
+		Admit: func(r *rt.Rank, m rt.Msg) bool {
+			// Delegate broadcasts always pass (their stripe relax must run
+			// whatever the mirror says), and so do labels already installed.
+			return m.Kind != 0 || sl.relax(sl.row(m.Target), m.Seed, m.From, m.Dist)
+		},
+		Visit: func(r *rt.Rank, m rt.Msg) {
 			v := m.Target
-			sl.ObserveDelegate(v, m.Seed, m.Dist)
-			ts, ws := r.StripeAdj(v)
+			var ts []graph.VID
+			var ws []uint32
+			if m.Kind == delegateRelax {
+				// Fold the broadcast into the local delegate mirror (no-op on
+				// the owner), then relax this rank's stripe of v's adjacency.
+				sl.ObserveDelegate(v, m.Seed, m.Dist)
+				ts, ws = r.StripeAdj(v)
+			} else if s, _, d := sl.Get(v); s != m.Seed || d != m.Dist {
+				return // superseded while queued; the better label has its own entry
+			} else if r.IsDelegate(v) {
+				// Hub: fan the relaxation out to all ranks; each scans its
+				// materialized stripe of v's (large) adjacency. The broadcast
+				// is staged, not sent: the outbox keeps only the best (dist,
+				// src) offer per hub and releases it at the superstep
+				// boundary, so k rapid improvements of one hub cross the wire
+				// as one broadcast (Stats.BatchedBroadcasts /
+				// CoalescedBroadcasts).
+				r.BroadcastBatched(rt.Msg{Target: v, From: v, Seed: m.Seed, Dist: m.Dist, Kind: delegateRelax})
+				return
+			} else {
+				ts, ws = r.Adj(v)
+			}
+			for i, u := range ts {
+				offer(r, u, v, m.Seed, m.Dist+graph.Dist(ws[i]))
+			}
+		},
+		// Bucket-drain form of Visit for the intra-rank parallel frontier:
+		// the same stale check and scans, but workers only read owned rows
+		// and emit raw offers into their staging outbox. Their one write is
+		// ObserveDelegate, keyed by Target like the pool's partition of the
+		// bucket, so no two workers touch the same mirror row.
+		ParallelVisit: func(r *rt.Rank, m rt.Msg, w int, emit func(rt.Msg)) {
+			v := m.Target
+			var ts []graph.VID
+			var ws []uint32
+			if m.Kind == delegateRelax {
+				sl.ObserveDelegate(v, m.Seed, m.Dist)
+				ts, ws = r.StripeAdj(v)
+			} else if s, _, d := sl.Get(v); s != m.Seed || d != m.Dist {
+				r.FrontierConflict(w)
+				return
+			} else if r.IsDelegate(v) {
+				emit(rt.Msg{Target: v, From: v, Seed: m.Seed, Dist: m.Dist, Kind: delegateRelax})
+				return
+			} else {
+				ts, ws = r.Adj(v)
+			}
 			for i, u := range ts {
 				emit(rt.Msg{Target: u, From: v, Seed: m.Seed, Dist: m.Dist + graph.Dist(ws[i])})
 			}
-			return
-		}
-		vj := m.Target
-		os, op, od := sl.Get(vj)
-		if !offerBetter(m.Dist, m.Seed, m.From, od, os, op) {
-			// A concurrently relaxed chunk (or earlier traffic) already
-			// installed a lex-better entry: the commutative merge resolved
-			// a conflict the serial order never sees as one.
-			r.FrontierConflict(w)
-			return
-		}
-		distImproved := m.Dist != od || m.Seed != os
-		sl.Set(vj, m.Seed, m.From, m.Dist)
-		if !distImproved {
-			return
-		}
-		if r.IsDelegate(vj) {
-			emit(rt.Msg{Target: vj, From: vj, Seed: m.Seed, Dist: m.Dist, Kind: delegateRelax})
-			return
-		}
-		ts, ws := r.Adj(vj)
-		for i, u := range ts {
-			emit(rt.Msg{Target: u, From: vj, Seed: m.Seed, Dist: m.Dist + graph.Dist(ws[i])})
-		}
-	}
-	// Replay of one staged message on the rank goroutine, after all workers
-	// joined: hub broadcasts go through the superstep outbox and plain
-	// offers through the changed-since filter — which now reads the fully
-	// merged mirror state — so wire traffic, tie-send rules and batching
-	// are exactly those of the serial path.
-	parallelFlush := func(r *rt.Rank, m rt.Msg) {
-		if m.Kind == delegateRelax {
-			r.BroadcastBatched(m)
-			return
-		}
-		sendOffer(r, m.Target, m.From, m.Seed, m.Dist)
-	}
-	return runWith(r, seeds, sl, bsp, relaxNeighbors, relaxStripe, parallelVisit, parallelFlush)
+		},
+		// Replay of one staged message on the rank goroutine, after all
+		// workers joined: hub broadcasts go through the superstep outbox and
+		// plain offers through offerSender — the installs happen here, in
+		// worker-index order, and the changed-since filter reads the fully
+		// merged mirror state — so rows, wire traffic, tie-send rules and
+		// batching are exactly those of the serial path.
+		ParallelFlush: func(r *rt.Rank, m rt.Msg) {
+			if m.Kind == delegateRelax {
+				r.BroadcastBatched(m)
+				return
+			}
+			offer(r, m.Target, m.From, m.Seed, m.Dist)
+		},
+	})
 }
 
-// offerSender returns the relaxation-offer send function. It drops offers
-// the sending rank can already prove dead — the send-side dominance filter:
+// offerSender returns the one function every relaxation offer of the slab
+// path goes through — seeds, neighbour and stripe scans, and the replay of a
+// parallel drain. It runs on the rank goroutine only.
 //
-//   - the target is owned here and its row already beats the offer under
-//     offerBetter, so Visit would reject it on arrival (about half of all
-//     offers on a loopback solve);
-//   - the target is a delegate owned elsewhere and the local mirror of its
-//     (src, dist), fed by past broadcasts, is strictly better — the
-//     changed-since filter, counted in Stats.Suppressed.
+//   - The target is owned here: the offer is folded into its row on the spot
+//     (relax) and never becomes a message. Only a strict (dist, seed)
+//     improvement queues an expansion entry, marked labelInstalled and pushed
+//     without an owner lookup (Rank.SendLocal); a predecessor-only win is
+//     installed and queues nothing, because the entry for that (dist, seed)
+//     is already queued or expanded and no neighbour's offer depends on pred.
+//   - The target is a delegate owned elsewhere and the local mirror of its
+//     (src, dist), fed by past broadcasts, is strictly better: the offer is
+//     dropped — the changed-since filter, counted in Stats.Suppressed. The
+//     mirror is the owner's current or a past state and rows only improve, so
+//     an offer it beats is beaten for good.
+//   - Anything else is sent to its owner blind, and folded there by Admit.
 //
-// Both are safe for one reason, shared with Traversal.Admit: a vertex's
-// entry only ever improves lexicographically, and the local view is the
-// owner's current or a past state, so an offer that view beats is beaten
-// for good and Visit's rejection of it is a no-op. Comparisons are strict —
-// an offer tying on (dist, src) with a smaller predecessor still goes out —
-// which keeps the converged fixed point byte-identical to RunRankGlobal's
-// unconditional sends (pinned by the equivalence property tests).
+// Every comparison is strict — an offer tying on (dist, src) with a smaller
+// predecessor is installed, or still goes out — which keeps the converged
+// rows byte-identical to RunRankGlobal's unconditional sends (pinned by the
+// equivalence property tests).
 func (sl *StateSlab) offerSender(r *rt.Rank) func(r *rt.Rank, u graph.VID, from, seed graph.VID, dist graph.Dist) {
 	delegates := r.HasDelegates()
 	return func(r *rt.Rank, u graph.VID, from, seed graph.VID, dist graph.Dist) {
 		if i := sl.rows.Row(u); i >= 0 {
-			if sl.epoch[i] == sl.cur && !offerBetter(dist, seed, from, sl.dist[i], sl.src[i], sl.pred[i]) {
-				return
+			if sl.relax(i, seed, from, dist) {
+				r.SendLocal(rt.Msg{Target: u, From: from, Seed: seed, Dist: dist, Kind: labelInstalled})
 			}
-		} else if delegates && r.IsDelegate(u) {
+			return
+		}
+		if delegates && r.IsDelegate(u) {
 			if ms, md, ok := sl.DelegateState(u); ok && (md < dist || (md == dist && ms < seed)) {
 				r.Suppress()
 				return
@@ -323,31 +347,28 @@ func runGlobal(r *rt.Rank, g *graph.Graph, seeds []graph.VID, st *State, bsp boo
 			r.Send(rt.Msg{Target: u, From: v, Seed: m.Seed, Dist: m.Dist + graph.Dist(ws[i])})
 		}
 	}
-	// The global-CSR reference path shares one State array across ranks and
-	// stays strictly serial per rank: no parallel frontier.
-	return runWith(r, seeds, st, bsp, relaxNeighbors, relaxStripe, nil, nil)
-}
-
-// runWith is the shared traversal skeleton: tie-breaking and state updates
-// are identical for the slab-state and shared-state paths (st is the
-// Control view of either), so the two can only differ if an adjacency or
-// state source yields different values — exactly what the equivalence
-// property tests pin down.
-func runWith(r *rt.Rank, seeds []graph.VID, st Control, bsp bool,
-	relaxNeighbors func(r *rt.Rank, v graph.VID, src graph.VID, dist graph.Dist),
-	relaxStripe func(r *rt.Rank, m rt.Msg),
-	parallelVisit rt.ParallelVisitFunc, parallelFlush rt.VisitFunc) rt.TraversalStats {
-	tr := &rt.Traversal{
-		Key:           rt.DistKey,
-		BSP:           bsp,
-		ParallelVisit: parallelVisit,
-		ParallelFlush: parallelFlush,
+	// Install-at-visit, on purpose: the reference writes a row only when an
+	// offer is popped, and sends every offer, so it shares no relaxation code
+	// with run. It stays strictly serial per rank — no parallel frontier.
+	return r.Traverse(&rt.Traversal{
+		Key: rt.DistKey,
+		BSP: bsp,
 		Init: func(r *rt.Rank) {
 			for _, s := range seeds {
 				if r.Owns(s) {
 					r.Send(rt.Msg{Target: s, From: s, Seed: s, Dist: 0})
 				}
 			}
+		},
+		// An offer the row already beats would be rejected by Visit unchanged
+		// — rows only improve — so it is dropped before the queue. Nothing is
+		// folded here; ties and delegate broadcasts always pass.
+		Admit: func(r *rt.Rank, m rt.Msg) bool {
+			if m.Kind == delegateRelax {
+				return true
+			}
+			os, op, od := st.Get(m.Target)
+			return offerBetter(m.Dist, m.Seed, m.From, od, os, op)
 		},
 		Visit: func(r *rt.Rank, m rt.Msg) {
 			if m.Kind == delegateRelax {
@@ -367,23 +388,7 @@ func runWith(r *rt.Rank, seeds []graph.VID, st Control, bsp bool,
 				relaxNeighbors(r, vj, m.Seed, m.Dist)
 			}
 		},
-	}
-	// Dominance pre-filter for inbound offers: an offer the owned entry
-	// already lexicographically beats would be rejected by Visit unchanged —
-	// state only ever improves — so it is dropped before paying for a queue
-	// insertion. Exact ties are NOT dropped here or in Visit (offerBetter is
-	// strict), and delegate broadcasts always pass: their stripe relax must
-	// run regardless of the mirror's view. It pays on loopback as on a
-	// transport: batches sit in the mailbox while the owner keeps settling
-	// vertices, and about half of the inbound offers arrive already beaten.
-	tr.Admit = func(r *rt.Rank, m rt.Msg) bool {
-		if m.Kind == delegateRelax {
-			return true
-		}
-		os, op, od := st.Get(m.Target)
-		return offerBetter(m.Dist, m.Seed, m.From, od, os, op)
-	}
-	return r.Traverse(tr)
+	})
 }
 
 // Compute runs the Voronoi-cell phase standalone on a fresh traversal over
