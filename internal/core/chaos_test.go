@@ -127,7 +127,7 @@ func probeChaosOps(t *testing.T, g *graph.Graph, seeds []graph.VID) int64 {
 // (healed and requeued under the covers), then again on the healed fleet —
 // with every worker exiting cleanly at goodbye.
 func TestChaosMatrix(t *testing.T) {
-	g := engineTestGraph(17, 200)
+	g := engineTestGraph(17, 320)
 	rng := rand.New(rand.NewSource(91))
 	seeds := pickEngineSeeds(rng, g.NumVertices(), 8)
 
@@ -143,7 +143,7 @@ func TestChaosMatrix(t *testing.T) {
 
 	// Injection positions in transport ops: early, middle and late in a
 	// solve. They are constants, not fractions of the probed count, because
-	// that count moves with batch timing (92–103 over eight probes of this
+	// that count moves with batch timing (92–110 over eight probes of this
 	// workload) and a cell whose name moves with it cannot be re-run by name.
 	// The probe only checks that the latest position still lands inside a
 	// solve: a runtime change that sends fewer frames must shrink them.

@@ -5,7 +5,9 @@
 //
 //  1. Voronoi Cell          — asynchronous multi-seed Bellman–Ford (Alg. 4)
 //  2. Local Min Dist. Edge  — per-rank min cross-cell edge per cell pair,
-//     with a request/reply exchange for remote endpoint distances (Alg. 5)
+//     after one halo push of boundary vertices' labels to the ranks that
+//     hold them as ghosts (Alg. 5; the paper's request/reply exchange per
+//     boundary arc is kept as the GlobalCSR oracle)
 //  3. Global Min Dist. Edge — rank-local cross-edge ownership with a
 //     distributed fragment merge (default), or the paper's replicated
 //     Allreduce(MIN) merge of the per-rank tables (MSTReplicated)

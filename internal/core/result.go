@@ -93,17 +93,17 @@ type Result struct {
 	// CollectiveChunks is the number of chunked reductions used by the
 	// Global Min Dist. Edge phase (1 = single collective).
 	CollectiveChunks int
-	// SuppressedBroadcasts counts delegate-bound relaxation offers dropped
-	// by the changed-since filter during this query (cluster-wide total on
-	// the TCP backend).
+	// SuppressedBroadcasts counts cross-rank relaxation offers the sender
+	// dropped during this query because a local bound already beat them: the
+	// delegate mirror (the changed-since filter) or the best offer the rank
+	// had already sent that vertex (its ghost row). Nonzero without
+	// delegates too. Cluster-wide total on the TCP backend.
 	SuppressedBroadcasts int64
 	// BatchedBroadcasts counts delegate offers that left a rank's superstep
 	// outbox as real broadcasts; CoalescedBroadcasts counts offers absorbed
 	// into an already-staged outbox entry for the same delegate (each
-	// absorption is a broadcast that never happened). Together with
-	// SuppressedBroadcasts these partition every delegate offer the solver
-	// generated: suppressed by the changed-since filter, coalesced in the
-	// outbox, or sent.
+	// absorption is a broadcast that never happened): a delegate's label
+	// change is either coalesced in the outbox or sent.
 	BatchedBroadcasts   int64
 	CoalescedBroadcasts int64
 	// Net is the transport traffic attributable to this query, summed over

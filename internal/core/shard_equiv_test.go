@@ -211,3 +211,52 @@ func TestEngineShardStats(t *testing.T) {
 		t.Fatalf("global reference engine reports shards: %+v", gs)
 	}
 }
+
+// TestEngineMemoryCountsResolvedColumnsAndGhostRows compares the engine's
+// shard and slab accounting against sizes computed by hand on K8, hash
+// partitioned over two ranks. Every vertex neighbours every other, so each
+// rank's ghosts are exactly the |V| − owned = 4 vertices it does not own —
+// the usual picture under hash partitioning, where ghost rows outnumber
+// owned rows as soon as P > 2.
+func TestEngineMemoryCountsResolvedColumnsAndGhostRows(t *testing.T) {
+	b := graph.NewBuilder(8)
+	for u := graph.VID(0); u < 8; u++ {
+		for v := u + 1; v < 8; v++ {
+			b.AddEdge(u, v, uint32(u+v)+1)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(g, Options{Ranks: 2, Queue: rt.QueuePriority, Partition: PartitionHash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const (
+		owned, ghosts = 4, 4
+		arcs          = owned * 7
+		// offsets, then targets + weights + resolved column, the empty
+		// stripe's one offset, the ghost list; the affine row index is free.
+		shardBytes = (owned+1)*8 + arcs*(4+4+4) + 8 + ghosts*4
+		// src + pred + dist + epoch + walked per owned row; dist + src + pred
+		// + epoch per ghost row.
+		slabBytes = owned*(4+4+8+8+8) + ghosts*(8+4+4+8)
+	)
+	s := e.ShardStats()
+	if s.ShardBytes != 2*shardBytes || s.MaxShardBytes != shardBytes {
+		t.Fatalf("shard bytes %d (max %d), by hand %d (max %d)", s.ShardBytes, s.MaxShardBytes, 2*shardBytes, shardBytes)
+	}
+	if s.StateSlabBytes != 2*slabBytes || s.MaxStateSlabBytes != slabBytes {
+		t.Fatalf("slab bytes %d (max %d), by hand %d (max %d)", s.StateSlabBytes, s.MaxStateSlabBytes, 2*slabBytes, slabBytes)
+	}
+	res, err := e.Solve([]graph.VID{0, 5, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Memory.ShardBytes != 2*shardBytes || res.Memory.StateBytes != 2*slabBytes {
+		t.Fatalf("result memory reports shard %d / state %d bytes, by hand %d / %d",
+			res.Memory.ShardBytes, res.Memory.StateBytes, 2*shardBytes, 2*slabBytes)
+	}
+}

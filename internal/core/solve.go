@@ -11,8 +11,9 @@ import (
 	rt "dsteiner/internal/runtime"
 )
 
-// Message kinds of the Local Min Dist. Edge phase (Alg. 5): a rank that
-// needs a remote endpoint's Voronoi state requests it and receives a reply.
+// Message kinds of the GlobalCSR oracle's Local Min Dist. Edge phase (Alg. 5
+// as written): a rank that needs a remote endpoint's Voronoi state requests
+// it and receives a reply. The production path pushes instead (haloPhase2).
 const (
 	kindReqDist uint8 = 1
 	kindRepDist uint8 = 2

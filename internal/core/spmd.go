@@ -83,14 +83,12 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// owned vertex first (edge weights are symmetric, so looking up
 	// {u, v} from u's slab row equals the global edge weight); state
 	// access through st touches only owned vertices — remote state is
-	// reached via the mailbox (the Alg. 5 request/reply exchange),
-	// never direct reads.
-	adjOf := r.Adj
+	// reached via the mailbox, never direct reads.
 	edgeWeight := r.EdgeWeight
 	var st voronoi.Control
+	var sl *voronoi.StateSlab
 	var markWalked func(graph.VID) bool
 	if opts.GlobalCSR {
-		adjOf = g.Adj
 		edgeWeight = g.HasEdge
 		st = env.st
 		markWalked = func(v graph.VID) bool {
@@ -101,7 +99,7 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 			return true
 		}
 	} else {
-		sl := voronoi.SlabOf(r)
+		sl = voronoi.SlabOf(r)
 		st = sl
 		markWalked = sl.MarkWalked
 	}
@@ -124,26 +122,23 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	})
 
 	// Phase 2: local min-distance cross-cell edges (Alg. 5,
-	// LOCAL_MIN_DIST_EDGE_ASYNC). Remote endpoint state is fetched
-	// with a request/reply visitor exchange.
+	// LOCAL_MIN_DIST_EDGE_ASYNC). The owner of each edge's lower endpoint u
+	// records the candidate, so it needs the label of v = the higher one.
 	localEN := env.localENs[r.ID()]
-	recordCandidate := func(u, v graph.VID, dv graph.Dist, srcV graph.VID) {
-		su := st.Src(u)
-		if su == graph.NilVID || srcV == graph.NilVID || su == srcV {
+	// record folds arc {u, v} — u in su's cell at distance du, v in sv's at
+	// dv, weight w — into the table if it bridges two cells.
+	record := func(u, v graph.VID, su, sv graph.VID, du, dv graph.Dist, w uint32) {
+		if su == graph.NilVID || sv == graph.NilVID || su == sv {
 			return
 		}
 		// Forest mode: a candidate joining cells of two different groups
 		// can never appear in any group's tree, so it is excluded here —
 		// the merged distance graph then holds intra-group edges only.
-		if env.groupOf != nil && env.groupOf[seedIdx[su]] != env.groupOf[seedIdx[srcV]] {
+		if env.groupOf != nil && env.groupOf[seedIdx[su]] != env.groupOf[seedIdx[sv]] {
 			return
 		}
-		w, ok := edgeWeight(u, v) // u is always owned by this rank
-		if !ok {
-			return
-		}
-		cand := crossEdge{D: st.Dist(u) + graph.Dist(w) + dv, U: u, V: v}
-		key := seedKey(su, srcV)
+		cand := crossEdge{D: du + graph.Dist(w) + dv, U: u, V: v}
+		key := seedKey(su, sv)
 		if cur, ok := localEN[key]; ok {
 			localEN[key] = pickCross(cur, cand)
 		} else {
@@ -152,41 +147,10 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	}
 	faultpoint.Hit("solve.phase2")
 	rec.phase(r, PhaseLocalMinEdge, func() int64 {
-		ts := r.Traverse(&rt.Traversal{
-			BSP: opts.BSP,
-			Init: func(r *rt.Rank) {
-				r.OwnedVertices(func(u graph.VID) {
-					if st.Src(u) == graph.NilVID {
-						return
-					}
-					adj, _ := adjOf(u)
-					for _, v := range adj {
-						if u >= v {
-							continue // lower endpoint initiates
-						}
-						if r.Owns(v) {
-							recordCandidate(u, v, st.Dist(v), st.Src(v))
-						} else {
-							r.Send(rt.Msg{Target: v, From: u, Kind: kindReqDist})
-						}
-					}
-				})
-			},
-			Visit: func(r *rt.Rank, m rt.Msg) {
-				switch m.Kind {
-				case kindReqDist:
-					v := m.Target
-					r.Send(rt.Msg{
-						Target: m.From, From: v,
-						Seed: st.Src(v), Dist: st.Dist(v),
-						Kind: kindRepDist,
-					})
-				case kindRepDist:
-					recordCandidate(m.Target, m.From, m.Dist, m.Seed)
-				}
-			},
-		})
-		return ts.Processed
+		if opts.GlobalCSR {
+			return env.requestReplyPhase2(r, record)
+		}
+		return haloPhase2(r, sl, opts.BSP, record)
 	})
 
 	// Phase 3: global min-distance edges. The fragment merge routes each
@@ -453,6 +417,114 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 		res.Tree = sorted
 		res.TotalDistance = graph.TotalWeight(sorted)
 	}
+}
+
+// haloPhase2 is phase 2 on rank-local state: one halo push, then a local
+// scan. Each rank sends the final (src, dist) of every reached vertex v it
+// owns once to each peer that owns a neighbour u < v — the peers that hold v
+// as a ghost and initiate one of its arcs — and the receiver stores it in
+// v's ghost row. After quiescence every label a rank's u < v arcs need is in
+// an owned row or a ghost row, and the weight is on the arc itself, so the
+// candidates are found without another message or an edge lookup: O(boundary
+// vertices) messages instead of two per boundary arc.
+func haloPhase2(r *rt.Rank, sl *voronoi.StateSlab, bsp bool,
+	record func(u, v, su, sv graph.VID, du, dv graph.Dist, w uint32)) int64 {
+	sh := r.Shard()
+	rows := sh.Rows()
+	sl.BeginHalo()
+	ts := r.Traverse(&rt.Traversal{
+		BSP: bsp,
+		Init: func(r *rt.Rank) {
+			// pushed[q] == v+1 once v went to peer q. Rows are sorted by
+			// target, so the neighbours below v are a prefix.
+			pushed := make([]graph.VID, r.NumRanks())
+			for i := int32(0); int(i) < rows.Len(); i++ {
+				sv, dv := sl.Label(i)
+				if sv == graph.NilVID {
+					continue
+				}
+				v := rows.VertexAt(int(i))
+				us, _, refs := sh.RowArcs(i)
+				for j, u := range us {
+					if u >= v {
+						break
+					}
+					if refs[j] >= 0 {
+						continue
+					}
+					if q := r.Owner(u); pushed[q] != v+1 {
+						pushed[q] = v + 1
+						r.SendTo(q, rt.Msg{Target: v, From: v, Seed: sv, Dist: dv})
+					}
+				}
+			}
+		},
+		Visit: func(r *rt.Rank, m rt.Msg) {
+			sl.SetGhost(sh.Ref(m.Target), m.Seed, m.Dist)
+		},
+	})
+	for i := int32(0); int(i) < rows.Len(); i++ {
+		su, du := sl.Label(i)
+		if su == graph.NilVID {
+			continue
+		}
+		u := rows.VertexAt(int(i))
+		vs, ws, refs := sh.RowArcs(i)
+		for j := len(vs) - 1; j >= 0 && vs[j] > u; j-- {
+			sv, dv := sl.Label(refs[j])
+			record(u, vs[j], su, sv, du, dv, ws[j])
+		}
+	}
+	return ts.Processed
+}
+
+// requestReplyPhase2 is the GlobalCSR oracle's phase 2, the paper's Alg. 5
+// as written: the lower endpoint of every arc whose other end lives on
+// another rank requests that vertex's state and its owner replies, two
+// messages per boundary arc.
+func (env *solveEnv) requestReplyPhase2(r *rt.Rank,
+	record func(u, v, su, sv graph.VID, du, dv graph.Dist, w uint32)) int64 {
+	g, st := env.g, env.st
+	found := func(u, v graph.VID, sv graph.VID, dv graph.Dist) {
+		if w, ok := g.HasEdge(u, v); ok { // u is always owned by this rank
+			record(u, v, st.Src(u), sv, st.Dist(u), dv, w)
+		}
+	}
+	ts := r.Traverse(&rt.Traversal{
+		BSP: env.opts.BSP,
+		Init: func(r *rt.Rank) {
+			r.OwnedVertices(func(u graph.VID) {
+				if st.Src(u) == graph.NilVID {
+					return
+				}
+				adj, _ := g.Adj(u)
+				for _, v := range adj {
+					if u >= v {
+						continue // lower endpoint initiates
+					}
+					if r.Owns(v) {
+						found(u, v, st.Src(v), st.Dist(v))
+					} else {
+						r.Send(rt.Msg{Target: v, From: u, Kind: kindReqDist})
+					}
+				}
+			})
+		},
+		Visit: func(r *rt.Rank, m rt.Msg) {
+			switch m.Kind {
+			case kindReqDist:
+				v := m.Target
+				r.Send(rt.Msg{
+					Target: m.From, From: v,
+					Seed: st.Src(v), Dist: st.Dist(v),
+					Kind: kindRepDist,
+				})
+			case kindRepDist:
+				found(m.Target, m.From, m.Seed, m.Dist)
+			}
+		},
+	})
+	return ts.Processed
 }
 
 // forestDisconnectedErr names the first forest group whose terminals the

@@ -183,3 +183,44 @@ func TestTCPBackendErrors(t *testing.T) {
 		t.Fatal("tcp engine allowed a sibling")
 	}
 }
+
+// TestTCPTinyQueriesTerminateCleanly repeats a two-message-round query on a
+// nine-vertex graph over fresh two-worker fleets. A solve this small spends
+// its time in termination rounds, which is where a receive that was counted
+// before it was delivered once let a traversal end with a batch in flight
+// (runtime.Comm.Inbound): the late offers then surfaced in phase 2, where
+// the halo push now refuses them loudly. Timing-dependent by nature — the
+// race detector's scheduling finds it within a few dozen rounds.
+func TestTCPTinyQueriesTerminateCleanly(t *testing.T) {
+	b := graph.NewBuilder(9)
+	for _, e := range [][3]int32{
+		{0, 1, 16}, {0, 4, 2}, {4, 5, 4}, {1, 5, 2}, {1, 2, 20}, {5, 6, 1},
+		{2, 6, 1}, {2, 3, 24}, {6, 7, 2}, {3, 7, 2}, {7, 8, 2}, {3, 8, 18},
+	} {
+		b.AddEdge(graph.VID(e[0]), graph.VID(e[1]), uint32(e[2]))
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Solve(g, []graph.VID{0, 8}, Default(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := 100
+	if testing.Short() {
+		rounds = 30
+	}
+	for round := 0; round < rounds; round++ {
+		e, wait := startTCPEngine(t, g, Default(2), 2)
+		for i := 0; i < 3; i++ {
+			got, err := e.Solve([]graph.VID{0, 8})
+			if err != nil {
+				t.Fatalf("round %d solve %d: %v", round, i, err)
+			}
+			assertResultsEquivalent(t, "tiny tcp", got, want)
+		}
+		e.Close()
+		wait()
+	}
+}

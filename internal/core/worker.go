@@ -280,7 +280,7 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 		sh := graph.NewShardFromSlices(sl.Rank, setup.Ranks, sl.Owned, sl.Offsets,
 			sl.Targets, sl.Weights, setup.Delegates, sl.StripeOff, sl.StripeTargets, sl.StripeWeights)
 		shards = append(shards, sh)
-		slab := voronoi.NewStateSlab(sl.Rank, sl.Owned, sl.Mirrored, sh.Rows())
+		slab := voronoi.NewStateSlab(sl.Rank, sl.Owned, sl.Mirrored, sh)
 		slabs = append(slabs, slab)
 		w.shardBytes += sh.MemoryBytes()
 		w.stateBytes += slab.MemoryBytes()

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Shard is one rank's local view of the graph: a compact CSR slab holding
 // the adjacency of the vertices the rank owns, plus a materialized stripe of
 // every high-degree delegate's adjacency (arc index ≡ rank mod P — the
@@ -36,6 +38,16 @@ type Shard struct {
 	stripeOff     []int64
 	stripeTargets []VID
 	stripeWeights []uint32
+
+	// Resolved arc targets, parallel to targets and stripeTargets: ≥ 0 is the
+	// target's owned row, < 0 the complement of its ghost slot. ghosts lists
+	// the distinct remote targets in increasing order, so a slot is a
+	// target's position in it — one slot per remote vertex this rank has an
+	// arc to, which is where a rank-local slab (voronoi.StateSlab's ghost
+	// rows) keeps what it knows about that neighbour. Filled by resolve.
+	refs       []int32
+	stripeRefs []int32
+	ghosts     []VID
 }
 
 // NewShard cuts rank's slab out of g. owned must list the rank's vertices in
@@ -73,6 +85,7 @@ func NewShard(g *Graph, rank, numRanks int, owned []VID, delegates []VID) *Shard
 		}
 		s.stripeOff[i+1] = int64(len(s.stripeTargets))
 	}
+	s.resolve()
 	return s
 }
 
@@ -99,7 +112,52 @@ func NewShardFromSlices(rank, numRanks int, owned []VID, offsets []int64,
 	for i, d := range delegates {
 		s.delegateIdx[d] = int32(i)
 	}
+	s.resolve()
 	return s
+}
+
+// resolve fills refs, stripeRefs and ghosts from the target arrays: every
+// arc target is looked up once here instead of once per relaxation. It
+// derives everything from slices a worker also holds, so a shard rebuilt by
+// NewShardFromSlices resolves identically and nothing is shipped.
+//
+// The scratch is transient and indexed by VID. The arcs mark their targets
+// in it, the marked vertices are resolved in VID order — one row lookup and
+// at most one ghost slot per vertex, not per arc — and the arcs read the
+// result back. Both arc passes are a load and a store with no branch to
+// mispredict, which is what keeps this near the cost of copying the arcs.
+func (s *Shard) resolve() {
+	s.refs = make([]int32, len(s.targets))
+	s.stripeRefs = make([]int32, len(s.stripeTargets))
+	top := VID(-1)
+	for _, ts := range [2][]VID{s.targets, s.stripeTargets} {
+		for _, u := range ts {
+			if u > top {
+				top = u
+			}
+		}
+	}
+	ref := make([]int32, int(top)+1)
+	for _, ts := range [2][]VID{s.targets, s.stripeTargets} {
+		for _, u := range ts {
+			ref[u] = 1
+		}
+	}
+	for u, marked := range ref {
+		if marked == 0 {
+			continue
+		}
+		if ref[u] = s.rows.Row(VID(u)); ref[u] < 0 {
+			ref[u] = ^int32(len(s.ghosts))
+			s.ghosts = append(s.ghosts, VID(u))
+		}
+	}
+	for i, u := range s.targets {
+		s.refs[i] = ref[u]
+	}
+	for i, u := range s.stripeTargets {
+		s.stripeRefs[i] = ref[u]
+	}
 }
 
 // Slices exposes the shard's raw slabs for wire encoding: the owned vertex
@@ -152,15 +210,52 @@ func (s *Shard) Adj(v VID) ([]VID, []uint32) {
 	return s.targets[lo:hi], s.weights[lo:hi]
 }
 
+// RowArcs returns owned row i's adjacency like Adj, plus the resolved form of
+// each target: refs[j] ≥ 0 is targets[j]'s owned row, refs[j] < 0 the
+// complement of its ghost slot.
+func (s *Shard) RowArcs(i int32) (targets []VID, weights []uint32, refs []int32) {
+	lo, hi := s.offsets[i], s.offsets[i+1]
+	return s.targets[lo:hi], s.weights[lo:hi], s.refs[lo:hi]
+}
+
 // StripeAdj returns this rank's stripe of delegate v's adjacency (arc index
 // ≡ rank mod P, in global arc order). Panics if v is not a delegate.
 func (s *Shard) StripeAdj(v VID) ([]VID, []uint32) {
+	ts, ws, _ := s.StripeArcs(v)
+	return ts, ws
+}
+
+// StripeArcs is StripeAdj plus the resolved targets, as RowArcs.
+func (s *Shard) StripeArcs(v VID) (targets []VID, weights []uint32, refs []int32) {
 	i, ok := s.delegateIdx[v]
 	if !ok {
 		panic("graph: Shard.StripeAdj on non-delegate vertex")
 	}
 	lo, hi := s.stripeOff[i], s.stripeOff[i+1]
-	return s.stripeTargets[lo:hi], s.stripeWeights[lo:hi]
+	return s.stripeTargets[lo:hi], s.stripeWeights[lo:hi], s.stripeRefs[lo:hi]
+}
+
+// NumGhosts returns the number of ghost slots: distinct vertices owned
+// elsewhere that some slab or stripe arc of this rank points at.
+func (s *Shard) NumGhosts() int { return len(s.ghosts) }
+
+// GhostAt returns the vertex of ghost slot i — the inverse of Ref's
+// complement.
+func (s *Shard) GhostAt(i int) VID { return s.ghosts[i] }
+
+// Ref resolves v the way the arc columns do, by binary search over the
+// ghost list: v's owned row, or the complement of its ghost slot. For the
+// path that holds a vertex but no arc leading to it (a halo message). Panics
+// if v is neither owned nor a ghost — no arc of this rank leads to it.
+func (s *Shard) Ref(v VID) int32 {
+	if i := s.rows.Row(v); i >= 0 {
+		return i
+	}
+	slot, ok := slices.BinarySearch(s.ghosts, v)
+	if !ok {
+		panic("graph: Shard.Ref on a vertex no local arc points at")
+	}
+	return ^int32(slot)
 }
 
 // EdgeWeight reports the weight of edge {u, v} by binary search over owned
@@ -184,11 +279,15 @@ func (s *Shard) EdgeWeight(u, v VID) (uint32, bool) {
 	return 0, false
 }
 
-// MemoryBytes reports the shard's resident size: slab CSR, delegate stripes
-// and the owned-vertex index (zero extra for affine owned sets).
+// MemoryBytes reports the shard's resident size: slab CSR, delegate stripes,
+// the resolved column of each (4 bytes per arc), the ghost list (4 bytes per
+// distinct remote target — on a hash partition nearly every vertex the rank
+// does not own) and the owned-vertex index (zero extra for affine owned
+// sets).
 func (s *Shard) MemoryBytes() int64 {
 	b := int64(len(s.offsets))*8 + int64(len(s.targets))*4 + int64(len(s.weights))*4
 	b += int64(len(s.stripeOff))*8 + int64(len(s.stripeTargets))*4 + int64(len(s.stripeWeights))*4
+	b += int64(len(s.refs))*4 + int64(len(s.stripeRefs))*4 + int64(len(s.ghosts))*4
 	b += int64(len(s.delegateIdx)) * 12
 	b += s.rows.MemoryBytes()
 	return b

@@ -150,9 +150,13 @@ func TestShardMemoryBytesAccountsArrays(t *testing.T) {
 	if s.NumStripeArcs() != int64(g.Degree(0)) {
 		t.Fatalf("stripe arcs %d, degree %d", s.NumStripeArcs(), g.Degree(0))
 	}
-	want := int64(101)*8 + s.NumArcs()*8 + // offsets + targets+weights
-		int64(2)*8 + s.NumStripeArcs()*8 + // stripeOff + stripe arrays
+	// A single rank has no remote targets, so no ghost list.
+	want := int64(101)*8 + s.NumArcs()*(8+4) + // offsets + targets+weights + resolved column
+		int64(2)*8 + s.NumStripeArcs()*(8+4) + // stripeOff + stripe arrays + resolved column
 		12 // delegateIdx entry
+	if s.NumGhosts() != 0 {
+		t.Fatalf("single-rank shard has %d ghosts", s.NumGhosts())
+	}
 	if got := s.MemoryBytes(); got != want {
 		t.Fatalf("MemoryBytes = %d, want %d", got, want)
 	}

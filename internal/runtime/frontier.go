@@ -50,6 +50,7 @@ type frontierPool struct {
 	emit      []func(Msg) // prebuilt appenders, one per worker
 	chunk     []int64     // messages this worker relaxed in the last drain
 	conflicts []int64     // lex-min tie-break rejections (cumulative, folded per drain)
+	suppress  []int64     // offers a worker dropped sender-side (folded per drain)
 	busyNs    []int64     // busy time in the last drain
 }
 
@@ -71,6 +72,7 @@ func newFrontierPool(r *Rank, workers int) *frontierPool {
 		emit:      make([]func(Msg), workers),
 		chunk:     make([]int64, workers),
 		conflicts: make([]int64, workers),
+		suppress:  make([]int64, workers),
 		busyNs:    make([]int64, workers),
 	}
 	for w := 0; w < workers; w++ {
@@ -120,6 +122,10 @@ func (p *frontierPool) close() {
 // ParallelVisit callback on worker w (the counter is worker-local).
 func (r *Rank) FrontierConflict(w int) { r.pool.conflicts[w]++ }
 
+// FrontierSuppress is Suppress for a ParallelVisit callback on worker w: the
+// worker dropped an offer against a local bound instead of emitting it.
+func (r *Rank) FrontierSuppress(w int) { r.pool.suppress[w]++ }
+
 // ensureFrontierPool lazily creates this rank's worker pool (Comm.Close
 // releases it; a later run recreates it on demand).
 func (r *Rank) ensureFrontierPool() {
@@ -165,6 +171,8 @@ func (r *Rank) parallelDrain(flush VisitFunc) {
 		busy += p.busyNs[w]
 		conflicts += p.conflicts[w]
 		p.conflicts[w] = 0
+		r.suppressedHere += p.suppress[w]
+		p.suppress[w] = 0
 		if p.chunk[w] > maxChunk {
 			maxChunk = p.chunk[w]
 		}

@@ -149,6 +149,13 @@ func (r *Rank) Send(m Msg) {
 	r.buffer(dest, m)
 }
 
+// SendTo sends m to rank dest whatever m.Target's owner is: a halo push
+// tells a peer about a vertex the sender owns.
+func (r *Rank) SendTo(dest int, m Msg) {
+	r.sentHere++
+	r.buffer(dest, m)
+}
+
 // SendLocal is Send for a message whose Target the caller knows this rank
 // owns, without the owner lookup: it skips the mailbox and goes straight to
 // the local queue — except under BSP, where it travels through the rank's
@@ -183,10 +190,11 @@ func (r *Rank) publish() {
 	}
 }
 
-// Suppress records one delegate-bound relaxation dropped by the
-// changed-since filter (internal/voronoi): the offer was provably
-// rejectable against the local delegate mirror, so it was never sent.
-// Surfaced as Stats.Suppressed once the traversal completes (Rank.finish).
+// Suppress records one cross-rank relaxation dropped by the sender
+// (internal/voronoi): the offer was provably rejectable against a local
+// bound — the delegate mirror, or the best offer this rank already sent that
+// vertex — so it was never sent. Surfaced as Stats.Suppressed once the
+// traversal completes (Rank.finish).
 func (r *Rank) Suppress() { r.suppressedHere++ }
 
 // Distributed reports whether some ranks of this communicator live in

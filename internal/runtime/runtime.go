@@ -608,9 +608,9 @@ type Stats struct {
 	Processed int64
 	// Batches counts cross-rank batch deliveries.
 	Batches int64
-	// Suppressed counts delegate-bound relaxations dropped by the
-	// changed-since filter: offers provably rejectable against the local
-	// delegate mirror, never sent (internal/voronoi).
+	// Suppressed counts cross-rank relaxations dropped by the sender: offers
+	// provably rejectable against a local bound — the delegate mirror or the
+	// rank's own best earlier offer — never sent (internal/voronoi).
 	Suppressed int64
 	// BatchedBroadcasts counts delegate broadcasts released by superstep
 	// outbox flushes (each one became NumRanks sent messages).

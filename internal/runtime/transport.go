@@ -206,17 +206,6 @@ func (t *termState) addSent(n int) {
 	t.mu.Unlock()
 }
 
-// addRecv counts n messages received from the transport and turns the
-// process black. Must be called before the batch becomes visible in a
-// mailbox, so a token folded concurrently cannot miss both the count and
-// the color.
-func (t *termState) addRecv(n int) {
-	t.mu.Lock()
-	t.recv += int64(n)
-	t.black = true
-	t.mu.Unlock()
-}
-
 // rankIdle marks one hosted rank as blocked idle and nudges any waiting
 // token holder.
 func (t *termState) rankIdle() {
@@ -273,14 +262,24 @@ func (c *Comm) mailboxesEmpty() bool {
 }
 
 // Inbound implements TransportHost: deliver a remote batch to local rank
-// dest, counting it first so termination detection cannot race delivery.
+// dest. Counting it, turning the process black and making it visible in the
+// mailbox are one step under term.mu (mailbox locks nest inside it, as in
+// HoldToken). Counted first and delivered later, a receive could be folded
+// into two tokens while the process still looked passive — idle ranks, empty
+// mailboxes — the first fold taking the color, the second one white: a
+// traversal was declared terminated with the batch undelivered, and whatever
+// it went on to cause arrived in the next phase.
 func (c *Comm) Inbound(dest int, batch []Msg) {
-	c.term.addRecv(len(batch))
 	r := c.localRank(dest)
 	if r == nil {
 		panic("runtime: transport delivered a batch for a rank this process does not host")
 	}
+	t := &c.term
+	t.mu.Lock()
+	t.recv += int64(len(batch))
+	t.black = true
 	r.box.put(batch)
+	t.mu.Unlock()
 }
 
 // ElideSent implements TransportHost: fold n encode-time-elided messages

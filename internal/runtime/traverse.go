@@ -28,7 +28,7 @@ type Traversal struct {
 	Visit VisitFunc
 	// Key extracts message priorities for the configured queue discipline
 	// (ignored by FIFO). nil means processing order does not matter — a
-	// request/reply exchange, a tree walk — and the traversal bypasses the
+	// halo push, a tree walk — and the traversal bypasses the
 	// discipline: inbound messages are visited straight out of their
 	// mailbox batch and self-sends drain from the rank's FIFO ring.
 	// Sorting equal keys is the heap's worst case.

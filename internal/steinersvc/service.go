@@ -502,13 +502,15 @@ type TransportStats struct {
 	FlushesLarge int64 `json:"flushesLarge"`
 }
 
-// BroadcastStats is the /stats accounting of delegate relaxation offers:
-// every offer the solver generated is either Suppressed (dropped by the
-// changed-since filter), Coalesced (absorbed into an already-staged
-// superstep-outbox entry for the same delegate), or Sent as a real
-// broadcast. Batched counts the offers that went through the outbox before
-// being sent; with batching on (always, currently) Sent == Batched — the
-// fields are kept separate so an eager send path remains representable.
+// BroadcastStats is the /stats accounting of relaxation offers that never
+// became messages. Suppressed counts cross-rank offers the sender dropped
+// against a local bound (the delegate mirror, or the best offer it had
+// already sent that vertex — so it is nonzero without delegates too). A
+// delegate's own label change is either Coalesced (absorbed into an
+// already-staged superstep-outbox entry for the same delegate) or Sent as a
+// real broadcast. Batched counts the offers that went through the outbox
+// before being sent; with batching on (always, currently) Sent == Batched —
+// the fields are kept separate so an eager send path remains representable.
 type BroadcastStats struct {
 	Suppressed int64 `json:"suppressed"`
 	Coalesced  int64 `json:"coalesced"`

@@ -15,8 +15,8 @@ import (
 // StateSlab (owned vertices only — the production path). Ownership
 // discipline is identical for both: only v's owner rank may touch v's entry
 // while a traversal is running, with remote entries reached through mailbox
-// messages (the Voronoi relaxations of Alg. 4, the request/reply exchange
-// of Alg. 5), never direct access.
+// messages (the Voronoi relaxations of Alg. 4, the halo push or the
+// oracle's request/reply exchange of Alg. 5), never direct access.
 type Control interface {
 	// Reached reports whether v has a valid (current-epoch) entry.
 	Reached(v graph.VID) bool
@@ -50,8 +50,14 @@ var (
 // (adjacency), its slab (control state) and its mailbox: the state a
 // multi-process backend ships to each process.
 //
-// Alongside the owned rows the slab keeps two smaller regions:
+// Alongside the owned rows the slab keeps three smaller regions:
 //
+//   - ghost rows: one per ghost slot of the rank's graph.Shard, that is per
+//     distinct vertex owned elsewhere that a local arc points at. During the
+//     flood a ghost row is a sender-side bound — the best (dist, src, pred)
+//     this rank has already offered that vertex (offerGhost) — and for phase
+//     2 it is overwritten with the final (src, dist) its owner pushes
+//     (BeginHalo, SetGhost, Label). Never authoritative, never collected;
 //   - a delegate mirror stripe: the converging (src, dist) of every
 //     high-degree delegate the rank does not own, fed by the same broadcast
 //     relaxations that fan a delegate's adjacency across ranks
@@ -80,6 +86,11 @@ type StateSlab struct {
 	walked []uint64
 	cur    uint64
 
+	// Ghost rows, indexed by the shard's ghost slot. gcur is their epoch: it
+	// advances at Reset and once more between the flood and the halo push.
+	ghost []ghostRow
+	gcur  uint64
+
 	// Delegate mirror stripe (delegates this rank does not own).
 	mirrorIdx   map[graph.VID]int32
 	mirrorSrc   []graph.VID
@@ -87,13 +98,27 @@ type StateSlab struct {
 	mirrorEpoch []uint64
 }
 
+// ghostRow is what a rank knows about one remote neighbour; the fields sit
+// together because the flood reads all of them on every boundary arc.
+type ghostRow struct {
+	dist      graph.Dist
+	src, pred graph.VID
+	epoch     uint64
+}
+
 // NewStateSlab builds rank's slab. owned must list the rank's vertices in
 // strictly increasing order (exactly what partition.ShardPlan.Owned yields);
 // mirrored lists the delegates the rank does not own (ShardPlan.Mirrored).
-// rows, when non-nil, is a prebuilt index over owned (share the rank's
-// graph.Shard.Rows() so both slabs address rows through one index).
-func NewStateSlab(rank int, owned, mirrored []graph.VID, rows *graph.RowIndex) *StateSlab {
-	if rows == nil {
+// sh, when non-nil, is the rank's shard cut from the same owned list: the
+// slab shares its row index, so both address rows through one mapping, and
+// gets one ghost row per ghost slot. A slab built without a shard has no
+// ghost rows: it can hold state, but run refuses it on a multi-rank shard.
+func NewStateSlab(rank int, owned, mirrored []graph.VID, sh *graph.Shard) *StateSlab {
+	var rows *graph.RowIndex
+	var ghost []ghostRow
+	if sh != nil {
+		rows, ghost = sh.Rows(), make([]ghostRow, sh.NumGhosts())
+	} else {
 		rows = graph.NewRowIndex(owned)
 	}
 	n := rows.Len()
@@ -106,6 +131,8 @@ func NewStateSlab(rank int, owned, mirrored []graph.VID, rows *graph.RowIndex) *
 		epoch:  make([]uint64, n),
 		walked: make([]uint64, n),
 		cur:    1,
+		ghost:  ghost,
+		gcur:   1,
 	}
 	if len(mirrored) > 0 {
 		sl.mirrorIdx = make(map[graph.VID]int32, len(mirrored))
@@ -120,17 +147,16 @@ func NewStateSlab(rank int, owned, mirrored []graph.VID, rows *graph.RowIndex) *
 }
 
 // BuildSlabs cuts one StateSlab per rank from the plan — the control-state
-// counterpart of ShardPlan.BuildShards. shards, when non-nil, supplies the
-// prebuilt per-rank row indices so state rows and adjacency rows share one
-// mapping; pass nil to build standalone indices.
+// counterpart of ShardPlan.BuildShards. shards, when non-nil, supplies each
+// rank's shard (see NewStateSlab); pass nil to build standalone slabs.
 func BuildSlabs(plan *partition.ShardPlan, shards []*graph.Shard) []*StateSlab {
 	slabs := make([]*StateSlab, plan.NumRanks())
 	for rank := range slabs {
-		var rows *graph.RowIndex
+		var sh *graph.Shard
 		if shards != nil {
-			rows = shards[rank].Rows()
+			sh = shards[rank]
 		}
-		slabs[rank] = NewStateSlab(rank, plan.Owned(rank), plan.Mirrored(rank), rows)
+		slabs[rank] = NewStateSlab(rank, plan.Owned(rank), plan.Mirrored(rank), sh)
 	}
 	return slabs
 }
@@ -199,10 +225,10 @@ func (sl *StateSlab) NumMirrored() int { return len(sl.mirrorIdx) }
 // Owns reports whether v's authoritative state lives in this slab.
 func (sl *StateSlab) Owns(v graph.VID) bool { return sl.rows.Row(v) >= 0 }
 
-// Reset invalidates every owned row, mirror row and walk mark in O(1) by
-// advancing the epoch. Call between queries; must not be called while a
-// traversal is running.
-func (sl *StateSlab) Reset() { sl.cur++ }
+// Reset invalidates every owned row, ghost row, mirror row and walk mark in
+// O(1) by advancing the epochs. Call between queries; must not be called
+// while a traversal is running.
+func (sl *StateSlab) Reset() { sl.cur++; sl.gcur++ }
 
 // row returns v's owned row or panics: state access to a non-owned vertex
 // means the traversal routed a message to the wrong rank.
@@ -262,23 +288,85 @@ func (sl *StateSlab) Set(v graph.VID, src, pred graph.VID, dist graph.Dist) {
 	sl.dist[i] = dist
 }
 
+// holds reports whether owned row i still carries the label (src, dist).
+func (sl *StateSlab) holds(i int32, src graph.VID, dist graph.Dist) bool {
+	return sl.epoch[i] == sl.cur && sl.src[i] == src && sl.dist[i] == dist
+}
+
+// beaten reports whether owned row i already beats (or equals) an offer, so
+// that relax would reject it. It and ghostBeaten only read: no row is written
+// while a parallel drain's workers run, and rows only improve afterwards, so
+// an offer a worker sees beaten stays beaten.
+func (sl *StateSlab) beaten(i int32, src, pred graph.VID, dist graph.Dist) bool {
+	return sl.epoch[i] == sl.cur && !offerBetter(dist, src, pred, sl.dist[i], sl.src[i], sl.pred[i])
+}
+
 // relax folds one offer into owned row i, keeping the lexicographic minimum
 // under offerBetter, and reports whether the row's (dist, src) label strictly
 // improved — the only case in which the vertex must be expanded (again). A
 // predecessor-only win is installed and reports false.
 func (sl *StateSlab) relax(i int32, src, pred graph.VID, dist graph.Dist) bool {
-	improved := true
-	if sl.epoch[i] == sl.cur {
-		if !offerBetter(dist, src, pred, sl.dist[i], sl.src[i], sl.pred[i]) {
-			return false
-		}
-		improved = dist != sl.dist[i] || src != sl.src[i]
+	if sl.beaten(i, src, pred, dist) {
+		return false
 	}
+	improved := sl.epoch[i] != sl.cur || dist != sl.dist[i] || src != sl.src[i]
 	sl.epoch[i] = sl.cur
 	sl.src[i] = src
 	sl.pred[i] = pred
 	sl.dist[i] = dist
 	return improved
+}
+
+// offerGhost is relax's counterpart for a vertex owned elsewhere: it reports
+// whether an offer to ghost slot g has to be sent, and records it if so. The
+// owner's row is the lexicographic minimum of everything it received, so an
+// offer that is not strictly offerBetter than one this rank already sent
+// cannot change that row. Strictness matters as in relax: an offer tying on
+// (dist, src) with a smaller pred still goes out.
+func (sl *StateSlab) offerGhost(g int32, src, pred graph.VID, dist graph.Dist) bool {
+	if sl.ghostBeaten(g, src, pred, dist) {
+		return false
+	}
+	sl.ghost[g] = ghostRow{dist: dist, src: src, pred: pred, epoch: sl.gcur}
+	return true
+}
+
+// ghostBeaten reports whether an offer already sent to ghost slot g beats (or
+// equals) this one, so that offerGhost would drop it.
+func (sl *StateSlab) ghostBeaten(g int32, src, pred graph.VID, dist graph.Dist) bool {
+	row := &sl.ghost[g]
+	return row.epoch == sl.gcur && !offerBetter(dist, src, pred, row.dist, row.src, row.pred)
+}
+
+// BeginHalo invalidates the ghost rows' flood-time bounds so that a valid
+// ghost row from here on is a final label pushed by its owner (SetGhost).
+// Every rank calls it after the flood and before the first push can arrive —
+// that is, before the barrier that opens the phase-2 traversal.
+func (sl *StateSlab) BeginHalo() { sl.gcur++ }
+
+// SetGhost stores the final (src, dist) of the remote vertex behind ref, a
+// negative resolved target (graph.Shard.Ref). It panics on an owned row: no
+// peer pushes a rank its own vertex, so the message belongs to another
+// traversal, one that was declared terminated with messages in flight.
+func (sl *StateSlab) SetGhost(ref int32, src graph.VID, dist graph.Dist) {
+	if ref >= 0 {
+		panic(fmt.Sprintf("voronoi: StateSlab(rank %d) was pushed a label for its own row %d", sl.rank, ref))
+	}
+	sl.ghost[^ref] = ghostRow{dist: dist, src: src, epoch: sl.gcur}
+}
+
+// Label returns the (src, dist) behind a resolved arc target: the owned row
+// for ref ≥ 0, the ghost row otherwise — after BeginHalo, what the owner
+// pushed. Unreached or never pushed reads (NilVID, InfDist).
+func (sl *StateSlab) Label(ref int32) (src graph.VID, dist graph.Dist) {
+	if ref >= 0 {
+		if sl.epoch[ref] == sl.cur {
+			return sl.src[ref], sl.dist[ref]
+		}
+	} else if g := &sl.ghost[^ref]; g.epoch == sl.gcur {
+		return g.src, g.dist
+	}
+	return graph.NilVID, graph.InfDist
 }
 
 // MarkWalked records that v's predecessor chain has been walked this epoch
@@ -350,11 +438,14 @@ func (sl *StateSlab) EachReached(fn func(v graph.VID, src, pred graph.VID, dist 
 }
 
 // MemoryBytes reports the slab's resident size: owned rows (src 4 + pred 4
-// + dist 8 + epoch 8 + walked 8 bytes), mirror rows (src 4 + dist 8 +
-// epoch 8 + index ~12) and any non-affine row index.
+// + dist 8 + epoch 8 + walked 8 bytes), ghost rows (dist 8 + src 4 + pred 4
+// + epoch 8 — one per distinct remote neighbour, so on a hash partition
+// about |V| − owned of them, more than the owned rows), mirror rows (src 4 +
+// dist 8 + epoch 8 + index ~12) and any non-affine row index.
 func (sl *StateSlab) MemoryBytes() int64 {
 	n := int64(sl.rows.Len())
 	b := n * (4 + 4 + 8 + 8 + 8)
+	b += int64(len(sl.ghost)) * (8 + 4 + 4 + 8)
 	m := int64(len(sl.mirrorIdx))
 	b += m * (4 + 8 + 8 + 12)
 	b += sl.rows.MemoryBytes()

@@ -211,6 +211,69 @@ func TestStateSlabMemoryBytes(t *testing.T) {
 	}
 }
 
+// TestGhostRowsFilterThenHoldHaloLabels walks one ghost row through a query:
+// during the flood it admits only offers strictly better than the last one
+// sent (a smaller pred on a (dist, src) tie still goes out), BeginHalo
+// forgets that bound so only a pushed label reads back, and Reset forgets
+// both.
+func TestGhostRowsFilterThenHoldHaloLabels(t *testing.T) {
+	bld := graph.NewBuilder(4)
+	bld.AddEdge(0, 2, 1)
+	bld.AddEdge(1, 3, 1)
+	g, err := bld.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := graph.NewShard(g, 0, 2, []graph.VID{0, 1}, nil)
+	sl := NewStateSlab(0, []graph.VID{0, 1}, nil, sh)
+	if sh.NumGhosts() != 2 || len(sl.ghost) != 2 {
+		t.Fatalf("%d ghost slots, %d ghost rows, want 2 and 2", sh.NumGhosts(), len(sl.ghost))
+	}
+	// 2 owned rows * 32 + 2 ghost rows * (8+4+4+8).
+	if got, want := sl.MemoryBytes(), int64(2*32+2*24); got != want {
+		t.Fatalf("MemoryBytes = %d, want %d", got, want)
+	}
+	slot := ^sh.Ref(3)
+	for i, step := range []struct {
+		src, pred graph.VID
+		dist      graph.Dist
+		send      bool
+	}{
+		{src: 7, pred: 1, dist: 10, send: true},  // first offer
+		{src: 7, pred: 1, dist: 10, send: false}, // exact repeat
+		{src: 8, pred: 0, dist: 10, send: false}, // larger seed
+		{src: 7, pred: 0, dist: 10, send: true},  // tie on (dist, src), smaller pred
+		{src: 9, pred: 1, dist: 9, send: true},   // shorter
+		{src: 7, pred: 0, dist: 10, send: false}, // now beaten
+	} {
+		if got := sl.offerGhost(slot, step.src, step.pred, step.dist); got != step.send {
+			t.Fatalf("step %d: offerGhost = %v, want %v", i, got, step.send)
+		}
+	}
+	if src, _ := sl.Label(sh.Ref(2)); src != graph.NilVID {
+		t.Fatalf("a ghost nothing was sent to reads src %d", src)
+	}
+	sl.BeginHalo()
+	if src, dist := sl.Label(sh.Ref(3)); src != graph.NilVID || dist != graph.InfDist {
+		t.Fatalf("flood-time bound (%d, %d) survived BeginHalo", src, dist)
+	}
+	sl.SetGhost(sh.Ref(3), 5, 42)
+	if src, dist := sl.Label(sh.Ref(3)); src != 5 || dist != 42 {
+		t.Fatalf("pushed label reads (%d, %d), want (5, 42)", src, dist)
+	}
+	sl.Set(1, 4, 1, 6)
+	if src, dist := sl.Label(sh.Ref(1)); src != 4 || dist != 6 {
+		t.Fatalf("owned label reads (%d, %d), want (4, 6)", src, dist)
+	}
+	sl.Reset()
+	if src, _ := sl.Label(sh.Ref(3)); src != graph.NilVID {
+		t.Fatal("ghost label survived Reset")
+	}
+	if !sl.offerGhost(slot, 7, 1, 10) {
+		t.Fatal("ghost bound survived Reset: the first offer of a new query was dropped")
+	}
+}
+
 // TestCollectMergesSlabs checks Collect rebuilds the global view from
 // per-rank slabs, skipping stale epochs.
 func TestCollectMergesSlabs(t *testing.T) {

@@ -181,11 +181,18 @@ func RunRankBSP(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
 // vertex is queued at most once and the queue holds O(improvements), not
 // O(arcs). Visit writes nothing: it expands the entry if its label is still
 // the row's, and returns if a better one has replaced it (that one has its
-// own entry). The fixed point is RunRankGlobal's: every comparison is the
-// same strict offerBetter, and the label a row converges to is expanded
-// exactly once, so every neighbour receives the same final offers.
+// own entry). The scans read each arc's target already resolved
+// (graph.Shard.RowArcs): an owned row, or the ghost row holding the best
+// offer this rank has sent that remote vertex so far. The fixed point is
+// RunRankGlobal's: every comparison is the same strict offerBetter, and the
+// label a row converges to is expanded exactly once, so every neighbour
+// receives the same final offers.
 func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 	sl := SlabOf(r)
+	sh := r.Shard()
+	if sh == nil || sh.NumGhosts() != len(sl.ghost) {
+		panic("voronoi: the rank's StateSlab was not built from its shard (NewStateSlab, BuildSlabs)")
+	}
 	offer := sl.offerSender(r)
 	return r.Traverse(&rt.Traversal{
 		Key: rt.DistKey,
@@ -193,7 +200,7 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 		Init: func(r *rt.Rank) {
 			for _, s := range seeds {
 				if r.Owns(s) {
-					offer(r, s, s, s, 0)
+					offer(r, s, sl.row(s), s, s, 0)
 				}
 			}
 		},
@@ -206,12 +213,13 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 			v := m.Target
 			var ts []graph.VID
 			var ws []uint32
+			var refs []int32
 			if m.Kind == delegateRelax {
 				// Fold the broadcast into the local delegate mirror (no-op on
 				// the owner), then relax this rank's stripe of v's adjacency.
 				sl.ObserveDelegate(v, m.Seed, m.Dist)
-				ts, ws = r.StripeAdj(v)
-			} else if s, _, d := sl.Get(v); s != m.Seed || d != m.Dist {
+				ts, ws, refs = sh.StripeArcs(v)
+			} else if i := sl.row(v); !sl.holds(i, m.Seed, m.Dist) {
 				return // superseded while queued; the better label has its own entry
 			} else if r.IsDelegate(v) {
 				// Hub: fan the relaxation out to all ranks; each scans its
@@ -224,79 +232,105 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 				r.BroadcastBatched(rt.Msg{Target: v, From: v, Seed: m.Seed, Dist: m.Dist, Kind: delegateRelax})
 				return
 			} else {
-				ts, ws = r.Adj(v)
+				ts, ws, refs = sh.RowArcs(i)
 			}
-			for i, u := range ts {
-				offer(r, u, v, m.Seed, m.Dist+graph.Dist(ws[i]))
+			for j, u := range ts {
+				offer(r, u, refs[j], v, m.Seed, m.Dist+graph.Dist(ws[j]))
 			}
 		},
 		// Bucket-drain form of Visit for the intra-rank parallel frontier:
-		// the same stale check and scans, but workers only read owned rows
-		// and emit raw offers into their staging outbox. Their one write is
+		// the same stale check and scans, but workers only read rows and emit
+		// raw offers into their staging outbox — except an offer the target's
+		// owned row or ghost row already beats, which the replay would drop
+		// the same way (beaten, ghostBeaten). Their one write is
 		// ObserveDelegate, keyed by Target like the pool's partition of the
-		// bucket, so no two workers touch the same mirror row.
+		// bucket, so no two workers touch the same mirror row. A staged
+		// offer's Target field holds the arc's resolved target, not the
+		// vertex: the stage is private to these two callbacks, and the replay
+		// gets the vertex back in O(1) where the opposite lookup is a search.
 		ParallelVisit: func(r *rt.Rank, m rt.Msg, w int, emit func(rt.Msg)) {
 			v := m.Target
-			var ts []graph.VID
 			var ws []uint32
+			var refs []int32
 			if m.Kind == delegateRelax {
 				sl.ObserveDelegate(v, m.Seed, m.Dist)
-				ts, ws = r.StripeAdj(v)
-			} else if s, _, d := sl.Get(v); s != m.Seed || d != m.Dist {
+				_, ws, refs = sh.StripeArcs(v)
+			} else if i := sl.row(v); !sl.holds(i, m.Seed, m.Dist) {
 				r.FrontierConflict(w)
 				return
 			} else if r.IsDelegate(v) {
 				emit(rt.Msg{Target: v, From: v, Seed: m.Seed, Dist: m.Dist, Kind: delegateRelax})
 				return
 			} else {
-				ts, ws = r.Adj(v)
+				_, ws, refs = sh.RowArcs(i)
 			}
-			for i, u := range ts {
-				emit(rt.Msg{Target: u, From: v, Seed: m.Seed, Dist: m.Dist + graph.Dist(ws[i])})
+			for j, ref := range refs {
+				d := m.Dist + graph.Dist(ws[j])
+				if ref >= 0 {
+					if sl.beaten(ref, m.Seed, v, d) {
+						continue
+					}
+				} else if sl.ghostBeaten(^ref, m.Seed, v, d) {
+					r.FrontierSuppress(w)
+					continue
+				}
+				emit(rt.Msg{Target: graph.VID(ref), From: v, Seed: m.Seed, Dist: d})
 			}
 		},
 		// Replay of one staged message on the rank goroutine, after all
 		// workers joined: hub broadcasts go through the superstep outbox and
-		// plain offers through offerSender — the installs happen here, in
-		// worker-index order, and the changed-since filter reads the fully
-		// merged mirror state — so rows, wire traffic, tie-send rules and
-		// batching are exactly those of the serial path.
+		// plain offers through offerSender — the installs and the ghost-row
+		// filter happen here, in worker-index order, and the changed-since
+		// filter reads the fully merged mirror state — so rows, wire traffic,
+		// tie-send rules and batching are exactly those of the serial path.
 		ParallelFlush: func(r *rt.Rank, m rt.Msg) {
 			if m.Kind == delegateRelax {
 				r.BroadcastBatched(m)
 				return
 			}
-			offer(r, m.Target, m.From, m.Seed, m.Dist)
+			var u graph.VID
+			ref := int32(m.Target)
+			if ref >= 0 {
+				u = sh.Rows().VertexAt(int(ref))
+			} else {
+				u = sh.GhostAt(int(^ref))
+			}
+			offer(r, u, ref, m.From, m.Seed, m.Dist)
 		},
 	})
 }
 
 // offerSender returns the one function every relaxation offer of the slab
 // path goes through — seeds, neighbour and stripe scans, and the replay of a
-// parallel drain. It runs on the rank goroutine only.
+// parallel drain. ref is the target u resolved against the rank's shard. It
+// runs on the rank goroutine only.
 //
-//   - The target is owned here: the offer is folded into its row on the spot
-//     (relax) and never becomes a message. Only a strict (dist, seed)
-//     improvement queues an expansion entry, marked labelInstalled and pushed
-//     without an owner lookup (Rank.SendLocal); a predecessor-only win is
-//     installed and queues nothing, because the entry for that (dist, seed)
-//     is already queued or expanded and no neighbour's offer depends on pred.
-//   - The target is a delegate owned elsewhere and the local mirror of its
-//     (src, dist), fed by past broadcasts, is strictly better: the offer is
-//     dropped — the changed-since filter, counted in Stats.Suppressed. The
-//     mirror is the owner's current or a past state and rows only improve, so
-//     an offer it beats is beaten for good.
-//   - Anything else is sent to its owner blind, and folded there by Admit.
+//   - The target is owned here (ref is its row): the offer is folded into
+//     the row on the spot (relax) and never becomes a message. Only a strict
+//     (dist, seed) improvement queues an expansion entry, marked
+//     labelInstalled and pushed without an owner lookup (Rank.SendLocal); a
+//     predecessor-only win is installed and queues nothing, because the entry
+//     for that (dist, seed) is already queued or expanded and no neighbour's
+//     offer depends on pred.
+//   - The target is owned elsewhere (ref is its ghost slot) and something
+//     local already beats the offer: it is dropped, counted in
+//     Stats.Suppressed. Two bounds are consulted. The ghost row holds the best
+//     offer this rank has itself sent to u (offerGhost); the owner's row is
+//     the minimum of what it received, so it is at least that good. For a
+//     delegate there is also the mirror of its (src, dist), fed by the
+//     owner's broadcasts — the owner's current or a past state, and rows only
+//     improve. An offer either bound beats is beaten for good.
+//   - Anything else is sent to its owner, and folded there by Admit.
 //
 // Every comparison is strict — an offer tying on (dist, src) with a smaller
 // predecessor is installed, or still goes out — which keeps the converged
 // rows byte-identical to RunRankGlobal's unconditional sends (pinned by the
 // equivalence property tests).
-func (sl *StateSlab) offerSender(r *rt.Rank) func(r *rt.Rank, u graph.VID, from, seed graph.VID, dist graph.Dist) {
+func (sl *StateSlab) offerSender(r *rt.Rank) func(r *rt.Rank, u graph.VID, ref int32, from, seed graph.VID, dist graph.Dist) {
 	delegates := r.HasDelegates()
-	return func(r *rt.Rank, u graph.VID, from, seed graph.VID, dist graph.Dist) {
-		if i := sl.rows.Row(u); i >= 0 {
-			if sl.relax(i, seed, from, dist) {
+	return func(r *rt.Rank, u graph.VID, ref int32, from, seed graph.VID, dist graph.Dist) {
+		if ref >= 0 {
+			if sl.relax(ref, seed, from, dist) {
 				r.SendLocal(rt.Msg{Target: u, From: from, Seed: seed, Dist: dist, Kind: labelInstalled})
 			}
 			return
@@ -306,6 +340,10 @@ func (sl *StateSlab) offerSender(r *rt.Rank) func(r *rt.Rank, u graph.VID, from,
 				r.Suppress()
 				return
 			}
+		}
+		if !sl.offerGhost(^ref, seed, from, dist) {
+			r.Suppress()
+			return
 		}
 		r.Send(rt.Msg{Target: u, From: from, Seed: seed, Dist: dist})
 	}

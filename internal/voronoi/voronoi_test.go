@@ -431,6 +431,38 @@ func TestVisitsBoundedByLabelImprovements(t *testing.T) {
 	}
 }
 
+// TestCrossRankSendsBoundedByGhostRows pins the work bound of the sender-side
+// filter: a rank sends a remote vertex only offers that beat what it already
+// sent it, so two ranks under the priority queue send well under a third of
+// the arcs (blind sends put an offer on every boundary arc of every
+// expansion, about 0.72 of the arcs on this graph) — and the rows still
+// converge to Sequential's.
+func TestCrossRankSendsBoundedByGhostRows(t *testing.T) {
+	g := gen.Config{Name: "rmat12", Kind: gen.KindRMAT, N: 1 << 12, AvgDegree: 16, MaxWeight: 1000, Backbone: true, Seed: 5}.MustBuild()
+	n := g.NumVertices()
+	seeds := pickSeeds(rand.New(rand.NewSource(6)), n, 16)
+	c := newComm(t, n, 2, rt.QueuePriority)
+	c.EnsureShards(g)
+	slabs := EnsureSlabs(c, g)
+	sent := make([]int64, 2)
+	c.Run(func(r *rt.Rank) { sent[r.ID()] = RunRank(r, seeds).Sent })
+	total, arcs := sent[0]+sent[1], g.NumArcs()
+	if total == 0 || total >= arcs/3 {
+		t.Fatalf("two ranks sent %d messages on %d arcs: want under arcs/3 (and some)", total, arcs)
+	}
+	if c.Stats().Suppressed == 0 {
+		t.Fatal("nothing suppressed: the ghost-row filter is dead")
+	}
+	got, want := Collect(slabs, n), Sequential(g, seeds)
+	for v := graph.VID(0); int(v) < n; v++ {
+		gs, gp, gd := got.Get(v)
+		ws, wp, wd := want.Get(v)
+		if gs != ws || gp != wp || gd != wd {
+			t.Fatalf("vertex %d converged to (src %d, pred %d, dist %d), Sequential says (%d, %d, %d)", v, gs, gp, gd, ws, wp, wd)
+		}
+	}
+}
+
 // TestPredOnlyImprovementIsNotRequeued is the tie case of tentative labels on
 // a diamond: t is reached at distance 4 through b (id 3) first and through a
 // (id 1) later, under every discipline — b is one hop and one unit from the

@@ -169,7 +169,7 @@ type WorkerDone struct {
 	TableLens  []int64 // len(E_N table) per hosted rank, rank order
 	Sent       int64   // visitor messages sent by this process
 	Processed  int64   // visit() calls on this process
-	Suppressed int64   // delegate broadcasts suppressed by the changed-since filter
+	Suppressed int64   // cross-rank offers the sender dropped against a local bound
 	Batched    int64   // delegate broadcasts released by superstep outbox flushes
 	Coalesced  int64   // delegate offers absorbed into a staged outbox entry
 	Net        rt.TransportStats
