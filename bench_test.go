@@ -104,7 +104,7 @@ func BenchmarkAblation_AsyncVsBSP(b *testing.B) { runExperiment(b, "ablation-bsp
 // delegation on the most skewed stand-in.
 func BenchmarkAblation_Delegates(b *testing.B) { runExperiment(b, "ablation-delegates") }
 
-// BenchmarkAblation_MSTAlgos quantifies the sequential-MST design choice
+// BenchmarkAblation_MST quantifies the sequential-MST design choice
 // (§III): Prim vs Kruskal vs Borůvka on distance graphs G'₁ of measured
 // sizes.
-func BenchmarkAblation_MSTAlgos(b *testing.B) { runExperiment(b, "ablation-mst") }
+func BenchmarkAblation_MST(b *testing.B) { runExperiment(b, "ablation-mst") }

@@ -135,69 +135,58 @@ echo "   ${#QUERIES[@]} queries moved $frames_out frames / $bytes_out bytes over
 echo "   delegate outbox batched $batched broadcasts across the fleet"
 
 echo "== checking fragment-merge MST counters"
-# The v4 TCP session resolves -mst auto to the fragment merge; every tree
-# and forest query above ran it, so rounds and payload must be nonzero.
-mst_mode=$(echo "$stats" | jq -r .mst.mode)
+# Every tree and forest query above ran the fragment merge, so rounds and
+# payload must be nonzero.
 frag_rounds=$(echo "$stats" | jq -r .mst.fragmentRounds)
 frag_bytes=$(echo "$stats" | jq -r .mst.crossTableBytes)
-if [ "$mst_mode" != "fragment" ]; then
-  echo "FAIL: tcp auto resolved mst mode to $mst_mode, want fragment" >&2
-  exit 1
-fi
 if [ "$frag_rounds" -le 0 ] || [ "$frag_bytes" -le 0 ]; then
   echo "FAIL: fragment merge reports rounds=$frag_rounds crossTableBytes=$frag_bytes" >&2
   exit 1
 fi
 echo "   fragment merge: $frag_rounds rounds, $frag_bytes cross-table bytes"
 
-echo "== starting -mst replicated fleet for the wire-byte comparison"
-REPL_COORD=127.0.0.1:7612
-REPL_HTTP=127.0.0.1:8713
-"$workdir/steinersvc" -dataset "$DATASET" -scale "$SCALE" -ranks $RANKS \
-  -backend tcp -workers $WORKERS -rank-listen "$REPL_COORD" \
-  -delegates "$DELEGATES" -mst replicated \
-  -addr "$REPL_HTTP" -cache 0 -jobs 0 >"$workdir/repl.log" 2>&1 &
-pids+=($!)
-for i in $(seq 1 $WORKERS); do
-  "$workdir/rankd" -coordinator "$REPL_COORD" -retry 30s >"$workdir/repl_rankd$i.log" 2>&1 &
-  pids+=($!)
-done
-wait_http "$REPL_HTTP" "replicated tcp steinersvc"
-repl_mode=$(curl -fsS "http://$REPL_HTTP/stats" | jq -r .mst.mode)
-if [ "$repl_mode" != "replicated" ]; then
-  echo "FAIL: -mst replicated fleet reports mode=$repl_mode" >&2
-  exit 1
-fi
-
-# One high-terminal-count query (3/4 of the graph, deterministic seed
-# selection) on each fleet: identical trees required, and the fragment
-# merge must move strictly fewer phase 3-4 wire bytes than the replicated
-# gather-everywhere path.
+echo "== comparing the fragment merge with the prize gather on the same fleet"
+# One high-terminal-count tree query (3/4 of the graph, deterministic seed
+# selection), then a prize query over the same terminals whose penalties are
+# too large to skip any: same cross-edge table, same tree, but a prize query
+# gathers the table on every rank. The gather must show in crossTableBytes
+# and not in fragmentQueries, and the fragment merge must have moved
+# strictly fewer phase 3-4 wire bytes.
+mst_stat() { curl -fsS "http://$TCP_HTTP/stats" | jq -r ".mst.$1"; }
 verts=$(curl -fsS "http://$TCP_HTTP/info" | jq -r .vertices)
 K=$((verts * 3 / 4))
-BODY="{\"k\":$K,\"rngSeed\":7}"
-frag_before=$(curl -fsS "http://$TCP_HTTP/stats" | jq -r .mst.crossTableBytes)
-frag_out=$(curl -fsS -d "$BODY" "http://$TCP_HTTP/solve" |
-  jq -S '{seeds, edges, total, steinerVertices}')
-frag_delta=$(($(curl -fsS "http://$TCP_HTTP/stats" | jq -r .mst.crossTableBytes) - frag_before))
-repl_before=$(curl -fsS "http://$REPL_HTTP/stats" | jq -r .mst.crossTableBytes)
-repl_out=$(curl -fsS -d "$BODY" "http://$REPL_HTTP/solve" |
-  jq -S '{seeds, edges, total, steinerVertices}')
-repl_delta=$(($(curl -fsS "http://$REPL_HTTP/stats" | jq -r .mst.crossTableBytes) - repl_before))
-if [ "$frag_out" != "$repl_out" ]; then
-  echo "FAIL: k=$K query differs between fragment and replicated fleets" >&2
-  diff <(echo "$repl_out") <(echo "$frag_out") >&2 || true
+frag_before=$(mst_stat crossTableBytes)
+frag_resp=$(curl -fsS -d "{\"k\":$K,\"rngSeed\":7}" "http://$TCP_HTTP/solve")
+frag_out=$(echo "$frag_resp" | jq -S '{seeds, edges, total, steinerVertices}')
+gather_before=$(mst_stat crossTableBytes)
+frag_queries=$(mst_stat fragmentQueries)
+PRIZE_BODY=$(echo "$frag_resp" | jq -c '{mode: "prize", seeds: .seeds, penalties: [.seeds[] | 1000000000]}')
+gather_resp=$(curl -fsS -d "$PRIZE_BODY" "http://$TCP_HTTP/v1/solve")
+gather_out=$(echo "$gather_resp" | jq -S '{seeds, edges, total, steinerVertices}')
+frag_delta=$((gather_before - frag_before))
+gather_delta=$(($(mst_stat crossTableBytes) - gather_before))
+if [ "$(echo "$gather_resp" | jq -r '.skipped | length')" != "0" ]; then
+  echo "FAIL: k=$K prize query skipped terminals despite the penalties" >&2
   exit 1
 fi
-if [ "$frag_delta" -le 0 ] || [ "$repl_delta" -le 0 ]; then
-  echo "FAIL: k=$K cross-table deltas: fragment=$frag_delta replicated=$repl_delta" >&2
+if [ "$frag_out" != "$gather_out" ]; then
+  echo "FAIL: k=$K tree differs between the tree query and the prize query" >&2
+  diff <(echo "$gather_out") <(echo "$frag_out") >&2 || true
   exit 1
 fi
-if [ "$frag_delta" -ge "$repl_delta" ]; then
-  echo "FAIL: fragment moved $frag_delta cross-table bytes at k=$K, replicated $repl_delta - no reduction" >&2
+if [ "$(mst_stat fragmentQueries)" != "$frag_queries" ]; then
+  echo "FAIL: the prize query counted as a fragment-merge query" >&2
   exit 1
 fi
-echo "   k=$K cross-table bytes: fragment=$frag_delta replicated=$repl_delta"
+if [ "$frag_delta" -le 0 ] || [ "$gather_delta" -le 0 ]; then
+  echo "FAIL: k=$K cross-table deltas: fragment=$frag_delta gather=$gather_delta" >&2
+  exit 1
+fi
+if [ "$frag_delta" -ge "$gather_delta" ]; then
+  echo "FAIL: fragment moved $frag_delta cross-table bytes at k=$K, the gather $gather_delta - no reduction" >&2
+  exit 1
+fi
+echo "   k=$K cross-table bytes: fragment=$frag_delta gather=$gather_delta"
 
 echo "== starting -frontier parallel fleet (bucket queue, frontier counters)"
 # Parallel Δ-bucket draining end to end: each rankd resolves the shipped

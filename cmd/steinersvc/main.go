@@ -95,7 +95,6 @@ func main() {
 		rejoinWait = flag.Duration("rejoin-wait", 30*time.Second, "how long one session heal waits for all workers to re-handshake (with -recover)")
 		respawnCmd = flag.String("respawn-cmd", "", "shell command run (async, via sh -c) each time the tcp session loses a worker — e.g. a script starting one replacement rankd")
 		partKind   = flag.String("partition", "arcblock", "vertex partition: block | hash | arcblock")
-		mstMode    = flag.String("mst", "auto", "phase 3-5 merge: auto | fragment | replicated")
 		queueKind  = flag.String("queue", "priority", "message queue discipline: fifo | priority | bucket")
 		frontier   = flag.String("frontier", "auto", "bucket drain mode: auto | serial | parallel (parallel needs -queue bucket)")
 		frontWkrs  = flag.Int("frontier-workers", 0, "per-process frontier worker budget, split across hosted ranks (0 = GOMAXPROCS)")
@@ -132,11 +131,6 @@ func main() {
 		os.Exit(1)
 	}
 	opts.DelegateThreshold = *delegates
-	opts.MSTMode, err = dsteiner.ParseMSTMode(*mstMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "steinersvc: %v\n", err)
-		os.Exit(1)
-	}
 	opts.Queue, err = dsteiner.ParseQueue(*queueKind)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "steinersvc: %v\n", err)

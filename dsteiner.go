@@ -152,22 +152,6 @@ const (
 // ParseBackend maps "inproc" or "tcp" to its Backend.
 func ParseBackend(s string) (core.Backend, error) { return core.ParseBackend(s) }
 
-// MST merge modes: how phases 3–5 merge the cross-edge table and build the
-// distance-graph MST (see internal/core Options.MSTMode).
-const (
-	// MSTModeAuto picks the fragment merge wherever it is available and
-	// falls back to replicated elsewhere (GlobalCSR).
-	MSTModeAuto = core.MSTModeAuto
-	// MSTReplicated gathers the full cross-edge table on every rank and
-	// runs a sequential MST — the paper's original path, kept as oracle.
-	MSTReplicated = core.MSTReplicated
-	// MSTFragment is the rank-parallel Borůvka/GHS fragment merge.
-	MSTFragment = core.MSTFragment
-)
-
-// ParseMSTMode maps "auto", "replicated" or "fragment" to its MSTMode.
-func ParseMSTMode(s string) (core.MSTMode, error) { return core.ParseMSTMode(s) }
-
 // ParseQueue maps "fifo", "priority" or "bucket" to its queue discipline.
 func ParseQueue(s string) (rt.QueueKind, error) { return core.ParseQueue(s) }
 
@@ -213,8 +197,8 @@ var ErrDuplicateSeed = core.ErrDuplicateSeed
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
 // Defaults returns the paper's tuned configuration at the given simulated
-// rank count: asynchronous processing with priority message queues and a
-// sequential Prim MST for the distance graph.
+// rank count: asynchronous processing with priority message queues and an
+// arc-balanced partition.
 func Defaults(ranks int) Options { return core.Default(ranks) }
 
 // Solve computes a 2-approximate Steiner minimal tree of g spanning the

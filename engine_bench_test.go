@@ -124,30 +124,6 @@ func BenchmarkTCPTransportSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineReuseGlobalCSR is the sharded-vs-global comparison: the
-// same resident-engine workload as BenchmarkEngineReuse, but on the
-// pre-shard reference path that strides the shared global CSR instead of
-// walking rank-local shard slabs. The ratio between the two is the cache
-// locality the shard refactor buys.
-func BenchmarkEngineReuseGlobalCSR(b *testing.B) {
-	g := benchSolveGraph(b)
-	seedSets := benchSeedSets(g, 16, 16)
-	opts := dsteiner.Defaults(4)
-	opts.GlobalCSR = true
-	e, err := dsteiner.NewEngine(g, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Solve(seedSets[i%len(seedSets)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkParallelFrontier compares serial against parallel bucket
 // draining on an identical Δ-stepping configuration: same graph, same
 // queries, same bucket width — the only difference is whether each rank

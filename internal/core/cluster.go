@@ -30,9 +30,6 @@ type cluster struct {
 // dialing rankd worker its slice of the shard plan, and return an Engine
 // whose Solve dispatches to the worker fleet.
 func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
-	if opts.GlobalCSR {
-		return nil, fmt.Errorf("core: BackendTCP requires the sharded path (GlobalCSR must be false)")
-	}
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
@@ -46,13 +43,6 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 		opts.WorkerWait = 60 * time.Second
 	}
 	n := g.NumVertices()
-	// The setup ships the MST mode resolved; the sharded path (GlobalCSR was
-	// refused above) always has the fragment merge, so that is what auto
-	// means here.
-	mstMode := opts.MSTMode
-	if mstMode == MSTModeAuto {
-		mstMode = MSTFragment
-	}
 
 	// The base partition is built before any delegate wrapping so its
 	// compact wire form (kind + bounds) is at hand.
@@ -135,16 +125,13 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 			BucketDelta:       opts.BucketDelta,
 			BatchSize:         opts.BatchSize,
 			BSP:               opts.BSP,
-			MST:               uint8(opts.MST),
-			MSTMode:           uint8(mstMode),
-			CollectiveChunk:   opts.CollectiveChunk,
 			DelegateThreshold: opts.DelegateThreshold,
 			PartitionKind:     kind,
 			ArcBounds:         bounds,
 			Delegates:         plan.Delegates(),
-			// The frontier mode ships UNRESOLVED (unlike MSTMode): auto
-			// depends on each worker's own GOMAXPROCS, so every worker
-			// resolves it locally against its hosted rank count.
+			// The frontier mode ships UNRESOLVED: auto depends on each
+			// worker's own GOMAXPROCS, so every worker resolves it locally
+			// against its hosted rank count.
 			Frontier:        uint8(opts.Frontier),
 			FrontierWorkers: uint64(max(0, opts.FrontierWorkers)),
 		}
@@ -177,7 +164,6 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 		opts:     opts,
 		cluster:  cl,
 		plan:     plan,
-		mstMode:  mstMode,
 		frontier: opts.Frontier,
 		seen:     make(map[graph.VID]bool),
 	}, nil
@@ -268,10 +254,9 @@ func (cl *cluster) close() { cl.hub.Close() }
 // only; memory accounting and Steiner counting happen coordinator-side).
 func toWireResult(res *Result) wire.SolveResult {
 	wr := wire.SolveResult{
-		TotalDistance:    int64(res.TotalDistance),
-		DistGraphEdges:   res.DistGraphEdges,
-		MSTRounds:        res.MSTRounds,
-		CollectiveChunks: res.CollectiveChunks,
+		TotalDistance:  int64(res.TotalDistance),
+		DistGraphEdges: res.DistGraphEdges,
+		MSTRounds:      res.MSTRounds,
 	}
 	for _, e := range res.Tree {
 		wr.Tree = append(wr.Tree, wire.EdgeRec{U: e.U, V: e.V, W: e.W})
@@ -291,11 +276,10 @@ func toWireResult(res *Result) wire.SolveResult {
 // fromWireResult rebuilds a Result from its wire form.
 func fromWireResult(wr *wire.SolveResult, dedup []graph.VID) *Result {
 	res := &Result{
-		Seeds:            dedup,
-		TotalDistance:    graph.Dist(wr.TotalDistance),
-		DistGraphEdges:   wr.DistGraphEdges,
-		MSTRounds:        wr.MSTRounds,
-		CollectiveChunks: wr.CollectiveChunks,
+		Seeds:          dedup,
+		TotalDistance:  graph.Dist(wr.TotalDistance),
+		DistGraphEdges: wr.DistGraphEdges,
+		MSTRounds:      wr.MSTRounds,
 	}
 	if len(wr.Tree) > 0 {
 		res.Tree = make([]graph.Edge, len(wr.Tree))

@@ -171,31 +171,6 @@ func TestDeterministicAcrossRanksQueuesAndPartitions(t *testing.T) {
 	}
 }
 
-func TestMSTAlgorithmsAgree(t *testing.T) {
-	g := randomConnected(13, 250, 20)
-	rng := rand.New(rand.NewSource(14))
-	seeds := pickSeeds(rng, 250, 6)
-	var totals []graph.Dist
-	for _, algo := range []MSTAlgo{MSTPrim, MSTKruskal, MSTBoruvka} {
-		opts := Default(3)
-		opts.MST = algo
-		// The sequential MST switch only exists on the replicated path
-		// (the fragment merge has its own Borůvka and ignores MST).
-		opts.MSTMode = MSTReplicated
-		res, err := Solve(g, seeds, opts)
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		totals = append(totals, res.TotalDistance)
-		if algo == MSTBoruvka && res.MSTRounds < 1 {
-			t.Errorf("Boruvka rounds = %d", res.MSTRounds)
-		}
-	}
-	if totals[0] != totals[1] || totals[1] != totals[2] {
-		t.Fatalf("MST algorithms disagree: %v", totals)
-	}
-}
-
 func TestBSPMatchesAsync(t *testing.T) {
 	g := randomConnected(17, 250, 20)
 	rng := rand.New(rand.NewSource(18))
@@ -407,46 +382,7 @@ func TestSteinerVerticesCounted(t *testing.T) {
 	}
 }
 
-func TestChunkedCollectiveMatchesSingle(t *testing.T) {
-	// The paper's §V-F memory optimization: chunked Allreduce over the
-	// E_N buffer must not change the result.
-	g := randomConnected(51, 400, 25)
-	rng := rand.New(rand.NewSource(52))
-	seeds := pickSeeds(rng, 400, 20)
-	plain, err := Solve(g, seeds, Default(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.CollectiveChunks != 1 {
-		t.Fatalf("CollectiveChunks = %d, want 1", plain.CollectiveChunks)
-	}
-	opts := Default(4)
-	opts.CollectiveChunk = 7
-	// Chunking exists only on the replicated merge (the fragment merge
-	// never builds the global table it would chunk).
-	opts.MSTMode = MSTReplicated
-	chunked, err := Solve(g, seeds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chunked.CollectiveChunks < 2 {
-		t.Fatalf("CollectiveChunks = %d, want >= 2", chunked.CollectiveChunks)
-	}
-	if chunked.TotalDistance != plain.TotalDistance || len(chunked.Tree) != len(plain.Tree) {
-		t.Fatalf("chunked result differs: %d vs %d", chunked.TotalDistance, plain.TotalDistance)
-	}
-	for i := range plain.Tree {
-		if plain.Tree[i] != chunked.Tree[i] {
-			t.Fatalf("tree differs at %d", i)
-		}
-	}
-}
-
 func TestOptionStrings(t *testing.T) {
-	if MSTPrim.String() != "prim" || MSTKruskal.String() != "kruskal" ||
-		MSTBoruvka.String() != "boruvka" || MSTAlgo(9).String() != "MSTAlgo(9)" {
-		t.Error("MSTAlgo strings wrong")
-	}
 	if PartitionBlock.String() != "block" || PartitionHash.String() != "hash" ||
 		PartitionArcBlock.String() != "arcblock" {
 		t.Error("PartitionKind strings wrong")

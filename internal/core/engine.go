@@ -31,8 +31,7 @@ type Engine struct {
 
 	// Sharded substrate, built once at session setup and pooled across
 	// queries: the plan (per-rank owned sets + delegates) and one
-	// rank-local CSR slab per rank. Nil in Options.GlobalCSR reference
-	// mode.
+	// rank-local CSR slab per rank.
 	plan   *partition.ShardPlan
 	shards []*graph.Shard
 
@@ -44,31 +43,22 @@ type Engine struct {
 
 	mu sync.Mutex // serializes Solve on this engine
 
-	// Pooled per-query state, reset in O(1) or O(query) between solves.
-	// The production path keeps all per-vertex control state in rank-local
-	// slabs (owned vertices + delegate mirrors + walk marks); the shared
-	// arrays st/walked exist only in Options.GlobalCSR reference mode.
-	slabs     []*voronoi.StateSlab  // rank-local control state (nil in GlobalCSR mode)
-	st        *voronoi.State        // shared Voronoi arrays (GlobalCSR mode only)
-	walked    []uint64              // shared phase-6 "walked" marks (GlobalCSR mode only)
-	walkedGen uint64                // current walked epoch (GlobalCSR mode only)
-	localENs  []map[int64]crossEdge // per-rank E_N tables, cleared per query
-	seen      map[graph.VID]bool    // seed-validation scratch
-	seedIdx   map[graph.VID]int32   // seed -> dense index, rebuilt per query
-	pruneds   []map[int64]crossEdge // per-rank phase-5 survivors
-	trees     [][]graph.Edge        // per-rank phase-6 edge accumulators
-	owneds    []map[int64]crossEdge // per-rank fragment-merge table shards
-	frags     [][]int32             // per-rank fragment-label arrays
-
-	// mstMode is the resolved phase 3–5 merge strategy (never auto):
-	// fragment by default, replicated in GlobalCSR reference mode or when
-	// pinned by Options.MSTMode.
-	mstMode MSTMode
+	// Pooled per-query state, reset in O(1) or O(query) between solves. All
+	// per-vertex control state lives in rank-local slabs (owned vertices +
+	// delegate mirrors + walk marks).
+	slabs    []*voronoi.StateSlab  // rank-local control state
+	localENs []map[int64]crossEdge // per-rank E_N tables, cleared per query
+	seen     map[graph.VID]bool    // seed-validation scratch
+	seedIdx  map[graph.VID]int32   // seed -> dense index, rebuilt per query
+	pruneds  []map[int64]crossEdge // per-rank phase-5 survivors
+	trees    [][]graph.Edge        // per-rank phase-6 edge accumulators
+	owneds   []map[int64]crossEdge // per-rank fragment-merge table shards
+	frags    [][]int32             // per-rank fragment-label arrays
 
 	// frontier is the resolved bucket-drain strategy (never auto): parallel
-	// when the bucket discipline, the sharded path and a multi-worker
-	// budget line up — or when pinned by Options.Frontier. A cluster engine
-	// holds the requested mode instead; its workers resolve auto.
+	// when the bucket discipline and a multi-worker budget line up — or when
+	// pinned by Options.Frontier. A cluster engine holds the requested mode
+	// instead; its workers resolve auto.
 	frontier FrontierMode
 }
 
@@ -78,16 +68,8 @@ type Engine struct {
 // which shares the immutable shard substrate instead of rebuilding it.
 func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
-	if opts.MSTMode == MSTFragment && opts.GlobalCSR {
-		return nil, fmt.Errorf("core: MSTFragment needs the sharded path (GlobalCSR is the replicated reference mode)")
-	}
-	if opts.Frontier == FrontierParallel {
-		if opts.Queue != rt.QueueBucket {
-			return nil, fmt.Errorf("core: FrontierParallel requires the bucket queue discipline (Options.Queue = QueueBucket)")
-		}
-		if opts.GlobalCSR {
-			return nil, fmt.Errorf("core: FrontierParallel needs the sharded path (GlobalCSR is the serial reference mode)")
-		}
+	if opts.Frontier == FrontierParallel && opts.Queue != rt.QueueBucket {
+		return nil, fmt.Errorf("core: FrontierParallel requires the bucket queue discipline (Options.Queue = QueueBucket)")
 	}
 	if opts.Backend == BackendTCP {
 		return newClusterEngine(g, opts)
@@ -110,16 +92,11 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if opts.DelegateThreshold > 0 {
 		part = partition.WithDelegates(part, g, opts.DelegateThreshold)
 	}
-	var plan *partition.ShardPlan
-	var shards []*graph.Shard
-	if !opts.GlobalCSR {
-		plan, err = partition.NewShardPlan(part, g)
-		if err != nil {
-			return nil, err
-		}
-		shards = plan.BuildShards(g)
+	plan, err := partition.NewShardPlan(part, g)
+	if err != nil {
+		return nil, err
 	}
-	return newEngine(g, opts, part, plan, shards)
+	return newEngine(g, opts, part, plan, plan.BuildShards(g))
 }
 
 // NewSibling builds another engine over the same graph and options that
@@ -141,7 +118,6 @@ func (e *Engine) NewSibling() (*Engine, error) {
 // already-built substrate. opts must have defaults applied.
 func newEngine(g *graph.Graph, opts Options, part partition.Partition,
 	plan *partition.ShardPlan, shards []*graph.Shard) (*Engine, error) {
-	n := g.NumVertices()
 	frontier := resolveFrontierLocal(opts)
 	comm, err := rt.New(rt.Config{
 		Ranks:            opts.Ranks,
@@ -169,33 +145,18 @@ func newEngine(g *graph.Graph, opts Options, part partition.Partition,
 		trees:    make([][]graph.Edge, opts.Ranks),
 		owneds:   make([]map[int64]crossEdge, opts.Ranks),
 		frags:    make([][]int32, opts.Ranks),
-		mstMode:  opts.MSTMode,
 		frontier: frontier,
 	}
-	if e.mstMode == MSTModeAuto {
-		if opts.GlobalCSR {
-			e.mstMode = MSTReplicated
-		} else {
-			e.mstMode = MSTFragment
-		}
+	if err := comm.AttachShards(shards); err != nil {
+		return nil, err
 	}
-	if shards != nil {
-		if err := comm.AttachShards(shards); err != nil {
-			return nil, err
-		}
-		// Control state is rank-local like the adjacency: one slab per
-		// rank, sharing the shard's vertex→row index. Slabs are mutable
-		// per-query state, so every engine (including siblings sharing one
-		// shard set) builds its own.
-		e.slabs, err = voronoi.AttachSlabs(comm, plan, shards)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// GlobalCSR reference mode: shared state arrays indexed by global
-		// VID, exactly the pre-slab implementation.
-		e.st = voronoi.NewState(n)
-		e.walked = make([]uint64, n)
+	// Control state is rank-local like the adjacency: one slab per rank,
+	// sharing the shard's vertex→row index. Slabs are mutable per-query
+	// state, so every engine (including siblings sharing one shard set)
+	// builds its own.
+	e.slabs, err = voronoi.AttachSlabs(comm, plan, shards)
+	if err != nil {
+		return nil, err
 	}
 	comm.Start()
 	for i := range e.localENs {
@@ -215,15 +176,6 @@ func (e *Engine) Close() {
 		return
 	}
 	e.comm.Close()
-}
-
-// stateBytes is the resident control-state footprint: the rank-local slabs
-// on the production path, the shared arrays in GlobalCSR reference mode.
-func (e *Engine) stateBytes() int64 {
-	if e.slabs != nil {
-		return e.comm.StateMemoryBytes()
-	}
-	return e.st.MemoryBytes()
 }
 
 // Graph returns the resident graph the engine is bound to.
@@ -256,17 +208,12 @@ type ShardStats struct {
 	MaxStateSlabBytes int64
 }
 
-// MSTMode reports the resolved phase 3–5 merge strategy this engine runs
-// (never MSTModeAuto: auto is resolved at construction).
-func (e *Engine) MSTMode() MSTMode { return e.mstMode }
-
 // Frontier reports the bucket-drain strategy: resolved (never FrontierAuto)
 // on an in-process engine; on the TCP backend the requested mode, because
 // each worker resolves auto against its own GOMAXPROCS.
 func (e *Engine) Frontier() FrontierMode { return e.frontier }
 
-// ShardStats reports the engine's shard substrate. In GlobalCSR reference
-// mode only Partition/Ranks/DelegateThreshold are populated.
+// ShardStats reports the engine's shard substrate.
 func (e *Engine) ShardStats() ShardStats {
 	if e.cluster != nil {
 		// Captured at session setup from the shards/slabs the handshake
@@ -278,9 +225,7 @@ func (e *Engine) ShardStats() ShardStats {
 		Partition:         e.opts.Partition.String(),
 		Ranks:             e.opts.Ranks,
 		DelegateThreshold: e.opts.DelegateThreshold,
-	}
-	if e.plan != nil {
-		s.Delegates = e.plan.NumDelegates()
+		Delegates:         e.plan.NumDelegates(),
 	}
 	for _, sh := range e.shards {
 		b := sh.MemoryBytes()
@@ -427,12 +372,7 @@ func (e *Engine) solveCanonLocked(cq canonQuery) (*Result, error) {
 	}
 
 	g, opts := e.g, e.opts
-	if e.slabs != nil {
-		e.comm.ResetStateSlabs() // O(P) epoch bumps, one per rank slab
-	} else {
-		e.st.Reset()
-		e.walkedGen++
-	}
+	e.comm.ResetStateSlabs() // O(P) epoch bumps, one per rank slab
 	for i := range e.localENs {
 		clear(e.localENs[i])
 		clear(e.pruneds[i])
@@ -445,25 +385,20 @@ func (e *Engine) solveCanonLocked(cq canonQuery) (*Result, error) {
 	}
 
 	env := &solveEnv{
-		g:           g,
-		opts:        opts,
-		comm:        e.comm,
-		dedup:       dedup,
-		seedIdx:     e.seedIdx,
-		mode:        cq.spec.Mode,
-		groupOf:     cq.groupOf,
-		numGroups:   len(cq.spec.Groups),
-		penalty:     cq.penalty,
-		res:         res,
-		mstFragment: e.mstMode == MSTFragment && cq.spec.Mode != ModePrize,
-		localENs:    e.localENs,
-		pruneds:     e.pruneds,
-		trees:       e.trees,
-		owneds:      e.owneds,
-		frags:       e.frags,
-		st:          e.st,
-		walked:      e.walked,
-		walkedGen:   e.walkedGen,
+		opts:      opts,
+		comm:      e.comm,
+		dedup:     dedup,
+		seedIdx:   e.seedIdx,
+		mode:      cq.spec.Mode,
+		groupOf:   cq.groupOf,
+		numGroups: len(cq.spec.Groups),
+		penalty:   cq.penalty,
+		res:       res,
+		localENs:  e.localENs,
+		pruneds:   e.pruneds,
+		trees:     e.trees,
+		owneds:    e.owneds,
+		frags:     e.frags,
 	}
 	s0 := e.comm.Stats()
 	e.comm.Run(env.rankBody)
@@ -483,7 +418,7 @@ func (e *Engine) solveCanonLocked(cq canonQuery) (*Result, error) {
 	res.FrontierWallNs = s1.Frontier.WallNs - s0.Frontier.WallNs
 
 	res.SteinerVertices = countSteinerVertices(res.Tree, dedup)
-	res.Memory = memoryStats(g, e.ShardStats().ShardBytes, e.stateBytes(), e.localENs, res, opts)
+	res.Memory = memoryStats(g, e.ShardStats().ShardBytes, e.comm.StateMemoryBytes(), e.localENs, res, opts)
 	if err := finalizeResult(g, cq, res, opts.SkipValidation); err != nil {
 		return nil, err
 	}

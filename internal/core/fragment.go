@@ -19,14 +19,15 @@ import (
 // the identical winner sequence against its fragment-label array. Winners
 // double as phase-5 pruned entries, so phase 5 needs no extra collective.
 //
-// The replicated path (mergeCrossTables + sequential mst.Kruskal) is kept
-// behind Options.MSTMode == MSTReplicated as the equivalence oracle.
+// Tree and forest queries run it on every solve. Prize queries gather the
+// table instead (mergeCrossTables + prizePlan + sequential mst.Kruskal in
+// spmd.go): their plan reads the whole distance graph.
 
 // fragStats accumulates one rank's fragment-merge traffic for the query's
 // CrossTableBytes / FragmentMsgs counters (and the coordinator-bound
 // FragmentRoundSummary). Bytes stay zero on loopback, where routed records
-// travel as in-memory values instead of encoded blobs. The replicated path
-// reuses the bytes field for its gathered-table payload so the two modes
+// travel as in-memory values instead of encoded blobs. The prize gather
+// reuses the bytes field for its gathered-table payload so both merges
 // report comparable CrossTableBytes.
 type fragStats struct {
 	bytes int64
@@ -57,8 +58,8 @@ type fragProposal struct {
 // pickCross and mst.Kruskal's (W, U, V) sort: dense seed indices are
 // monotone in seed VID (dedup is sorted), so key order equals (U, V) order.
 // Under a strict total order the minimum spanning forest is unique, which
-// is what makes the fragment merge's chosen edge set byte-identical to the
-// replicated Kruskal's.
+// is what makes the fragment merge's chosen edge set byte-identical to
+// sequential Kruskal's.
 func lessProposal(a, b fragProposal) bool {
 	if a.d != b.d {
 		return a.d < b.d
@@ -69,7 +70,7 @@ func lessProposal(a, b fragProposal) bool {
 // fragmentRoute is the fragment merge's phase 3: every cross-cell record is
 // routed to the rank owning the pair's lower seed vertex, leaving each rank
 // with a disjoint shard of the global E_N table (same pickCross survivor
-// per pair as the replicated merge — the fold is order-insensitive).
+// per pair as a gather of the whole table — the fold is order-insensitive).
 // Returns ok=false after recording env.err on rank 0 when a routed blob
 // fails to decode; received blobs are personalized, so the failure is
 // agreed with an allreduce and all ranks bail uniformly.
@@ -81,9 +82,6 @@ func (env *solveEnv) fragmentRoute(r *rt.Rank, localEN map[int64]crossEdge, fs *
 		} else {
 			owned[k] = ce
 		}
-	}
-	if r.ID() == 0 {
-		env.res.CollectiveChunks = 1 // the fragment merge never chunks
 	}
 	if !r.Distributed() {
 		var out []routedEntry
@@ -263,24 +261,20 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, 
 	return true
 }
 
-// fragmentDisconnectedErr reproduces the replicated path's mode-specific
-// disconnection errors from the fragment merge's chosen edge set (the
-// unique MSF, so the component counts match the sequential solver's
-// exactly).
+// fragmentDisconnectedErr names what the fragment merge's chosen edge set
+// (the unique MSF, so the component counts are a sequential solver's) fails
+// to connect: the terminal set of a tree query, or one group of a forest
+// query.
 func fragmentDisconnectedErr(env *solveEnv, nT, chosen int, pruned map[int64]crossEdge) error {
-	switch env.mode {
-	case ModeForest:
-		edges := make([]mst.WEdge, 0, len(pruned))
-		for key := range pruned {
-			s, t := unpackSeedKey(key)
-			edges = append(edges, mst.WEdge{U: env.seedIdx[s], V: env.seedIdx[t]})
-		}
-		return forestDisconnectedErr(env.groupOf, env.numGroups, nT, edges)
-	case ModePrize:
-		return fmt.Errorf("core: internal error: prize kept set spans %d connected components", nT-chosen)
-	default:
+	if env.mode != ModeForest {
 		return fmt.Errorf("core: seeds span %d connected components; Steiner tree requires one", nT-chosen)
 	}
+	edges := make([]mst.WEdge, 0, len(pruned))
+	for key := range pruned {
+		s, t := unpackSeedKey(key)
+		edges = append(edges, mst.WEdge{U: env.seedIdx[s], V: env.seedIdx[t]})
+	}
+	return forestDisconnectedErr(env.groupOf, env.numGroups, nT, edges)
 }
 
 // exchangeProposals broadcasts every rank's round proposals to all ranks:

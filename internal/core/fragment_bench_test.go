@@ -5,34 +5,29 @@ import (
 	"testing"
 )
 
-// BenchmarkFragmentMST pits the two phase 3-5 merge strategies against each
-// other on a warm loopback engine at high terminal count — the regime where
-// the replicated cross-table is largest and the fragment merge earns its
-// keep. Both sub-benchmarks are tracked by benchgate so the loopback cost
-// of either path can't drift silently PR over PR.
+// BenchmarkFragmentMST times a warm loopback engine at high terminal count —
+// the regime where the cross-edge table is largest and phases 3–5 carry the
+// solve. Tracked by benchgate so the loopback cost of the fragment merge
+// can't drift silently PR over PR.
 func BenchmarkFragmentMST(b *testing.B) {
 	const n, k = 4000, 512
 	g := engineTestGraph(41, n)
 	rng := rand.New(rand.NewSource(9))
 	seeds := pickEngineSeeds(rng, n, k)
-	for _, mode := range []MSTMode{MSTFragment, MSTReplicated} {
-		b.Run(mode.String(), func(b *testing.B) {
-			opts := Default(4)
-			opts.MSTMode = mode
-			e, err := NewEngine(g, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
+	b.Run("fragment", func(b *testing.B) {
+		e, err := NewEngine(g, Default(4))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer e.Close()
+		if _, err := e.Solve(seeds); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if _, err := e.Solve(seeds); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Solve(seeds); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -106,8 +106,7 @@ func TestParallelFrontierMatchesSerial(t *testing.T) {
 
 // TestFrontierAutoResolution pins the auto policy: parallel only when the
 // bucket discipline is active and the per-rank budget exceeds one worker;
-// explicit parallel is rejected without the bucket queue or on the
-// GlobalCSR reference path.
+// explicit parallel is rejected without the bucket queue.
 func TestFrontierAutoResolution(t *testing.T) {
 	g := engineTestGraph(133, 120)
 	cases := []struct {
@@ -118,7 +117,6 @@ func TestFrontierAutoResolution(t *testing.T) {
 		{"auto+bucket+budget", Options{Ranks: 2, Queue: rt.QueueBucket, FrontierWorkers: 8}, FrontierParallel},
 		{"auto+bucket+no-budget", Options{Ranks: 2, Queue: rt.QueueBucket, FrontierWorkers: 2}, FrontierSerial},
 		{"auto+priority", Options{Ranks: 2, Queue: rt.QueuePriority, FrontierWorkers: 8}, FrontierSerial},
-		{"auto+globalcsr", Options{Ranks: 2, Queue: rt.QueueBucket, FrontierWorkers: 8, GlobalCSR: true}, FrontierSerial},
 		{"explicit serial", Options{Ranks: 2, Queue: rt.QueueBucket, FrontierWorkers: 8, Frontier: FrontierSerial}, FrontierSerial},
 		{"explicit parallel 1 worker", Options{Ranks: 2, Queue: rt.QueueBucket, FrontierWorkers: 1, Frontier: FrontierParallel}, FrontierParallel},
 	}
@@ -134,8 +132,5 @@ func TestFrontierAutoResolution(t *testing.T) {
 	}
 	if _, err := NewEngine(g, Options{Ranks: 2, Queue: rt.QueuePriority, Frontier: FrontierParallel}); err == nil {
 		t.Error("FrontierParallel without the bucket queue was accepted")
-	}
-	if _, err := NewEngine(g, Options{Ranks: 2, Queue: rt.QueueBucket, GlobalCSR: true, Frontier: FrontierParallel}); err == nil {
-		t.Error("FrontierParallel with GlobalCSR was accepted")
 	}
 }

@@ -1,23 +1,33 @@
 // Package core implements the paper's primary contribution: the distributed
 // 2-approximation Steiner minimal tree algorithm (Alg. 2, distributed as
-// Alg. 3/5/6). Solve orchestrates the six phases over the message-passing
-// runtime:
+// Alg. 3/5/6). There is one engine; Solve orchestrates its six phases over
+// the message-passing runtime:
 //
 //  1. Voronoi Cell          — asynchronous multi-seed Bellman–Ford (Alg. 4)
 //  2. Local Min Dist. Edge  — per-rank min cross-cell edge per cell pair,
 //     after one halo push of boundary vertices' labels to the ranks that
-//     hold them as ghosts (Alg. 5; the paper's request/reply exchange per
-//     boundary arc is kept as the GlobalCSR oracle)
-//  3. Global Min Dist. Edge — rank-local cross-edge ownership with a
-//     distributed fragment merge (default), or the paper's replicated
-//     Allreduce(MIN) merge of the per-rank tables (MSTReplicated)
-//  4. MST                   — distributed Borůvka/GHS fragment merge over
-//     the rank-owned cross edges, byte-identical to sequential Kruskal on
-//     the replicated distance graph G'₁; the replicated sequential path
-//     (Prim/Kruskal/Borůvka) is retained as the equivalence oracle
-//  5. Global Edge Pruning   — drop cross-cell edges absent from the MST G'₂
+//     hold them as ghosts (Alg. 5 without its request/reply per boundary
+//     arc)
+//  3. Global Min Dist. Edge — every cell pair's record is routed to the rank
+//     owning the pair's lower seed, so the distance graph G'₁ stays sharded
+//  4. MST                   — Borůvka/GHS fragment-merge rounds over the
+//     rank-owned cross edges, one candidate per fragment per round; under
+//     the (D, seed pair) total order the result is the unique minimum
+//     spanning forest, the one sequential Kruskal finds on G'₁
+//  5. Global Edge Pruning   — the rounds' winners are the surviving
+//     cross-cell edges, so nothing is left to drop
 //  6. Steiner Tree Edge     — predecessor walks from surviving cross-cell
 //     edge endpoints back to each cell's seed (Alg. 6)
+//
+// Prize queries take another road through phases 3–5, chosen from the query
+// and not from an option: the moat-growing plan needs the whole distance
+// graph, so every rank gathers the merged table (the paper's
+// Allreduce(MIN)), runs the plan and a sequential Kruskal over it, and drops
+// the cell pairs the MST does not use.
+//
+// The oracle is sequential test code (reference_test.go): Alg. 2 over
+// voronoi.Sequential and mst.Kruskal, sharing no runtime, shard, slab or
+// collective with the engine.
 //
 // The output tree satisfies D(G_S)/D_min(G) <= 2(1-1/l) by Mehlhorn's
 // theorem: every MST of G'₁ is an MST of the KMB distance graph G₁.
@@ -31,86 +41,6 @@ import (
 	rt "dsteiner/internal/runtime"
 )
 
-// MSTAlgo selects the sequential MST routine for phase 4.
-type MSTAlgo int
-
-const (
-	// MSTKruskal sorts + union-find. It is the zero value (and Default)
-	// because its (weight, U, V) total order is the one the fragment merge
-	// reproduces byte-identically, so replicated and fragment solves agree
-	// without configuration.
-	MSTKruskal MSTAlgo = iota
-	// MSTPrim is the paper's choice (Boost Prim in the original).
-	MSTPrim
-	// MSTBoruvka is the parallel-style algorithm used by the AblationMST
-	// ablation of the "sequential MST is sufficient" claim.
-	MSTBoruvka
-)
-
-// String returns the flag/API name of the MST algorithm.
-func (a MSTAlgo) String() string {
-	switch a {
-	case MSTPrim:
-		return "prim"
-	case MSTKruskal:
-		return "kruskal"
-	case MSTBoruvka:
-		return "boruvka"
-	default:
-		return fmt.Sprintf("MSTAlgo(%d)", int(a))
-	}
-}
-
-// MSTMode selects how phases 3–5 merge the cross-edge table and build the
-// MST of the distance graph G'₁.
-type MSTMode int
-
-const (
-	// MSTModeAuto picks the fragment merge wherever it is available: every
-	// sharded solve (loopback or TCP). GlobalCSR solves fall back to
-	// replicated.
-	MSTModeAuto MSTMode = iota
-	// MSTReplicated is the paper's original path: every rank gathers the
-	// entire merged cross-edge table (O(k²) entries to all P ranks) and
-	// runs the same sequential MST over it. Retained as the equivalence
-	// oracle, like Options.GlobalCSR.
-	MSTReplicated
-	// MSTFragment is the distributed Borůvka/GHS fragment merge: cross
-	// edges stay rank-local (owned by the rank of the lex-min endpoint
-	// cell), fragments merge in rounds over O(k) proposal exchanges, and
-	// phase 5 consumes an allgather of the O(k) chosen edges instead of
-	// the O(k²) table. Deterministic (weight, seedKey) tie-breaking makes
-	// the chosen edge set byte-identical to sequential Kruskal.
-	MSTFragment
-)
-
-// String returns the flag/API name of the MST mode.
-func (m MSTMode) String() string {
-	switch m {
-	case MSTReplicated:
-		return "replicated"
-	case MSTFragment:
-		return "fragment"
-	default:
-		return "auto"
-	}
-}
-
-// ParseMSTMode maps a flag/API string to its MSTMode ("auto",
-// "replicated", "fragment").
-func ParseMSTMode(s string) (MSTMode, error) {
-	switch s {
-	case "", "auto":
-		return MSTModeAuto, nil
-	case "replicated":
-		return MSTReplicated, nil
-	case "fragment":
-		return MSTFragment, nil
-	default:
-		return MSTModeAuto, fmt.Errorf("core: unknown mst mode %q (want auto, replicated or fragment)", s)
-	}
-}
-
 // FrontierMode selects how a rank drains its Δ-stepping bucket queue in the
 // vertex-centric phases: one message at a time (serial) or whole buckets at
 // a time on a per-rank worker pool (parallel). The converged fixed point is
@@ -121,14 +51,13 @@ type FrontierMode int
 
 const (
 	// FrontierAuto picks parallel when it can pay off: the bucket queue
-	// discipline is active, the sharded (non-GlobalCSR) path is in use, and
-	// the resolved per-rank worker count exceeds 1. Anything else runs
-	// serial.
+	// discipline is active and the resolved per-rank worker count exceeds 1.
+	// Anything else runs serial.
 	FrontierAuto FrontierMode = iota
 	// FrontierSerial always drains one message at a time.
 	FrontierSerial
 	// FrontierParallel drains whole buckets on the per-rank worker pool.
-	// Requires QueueBucket and the sharded path.
+	// Requires QueueBucket.
 	FrontierParallel
 )
 
@@ -159,17 +88,17 @@ func ParseFrontier(s string) (FrontierMode, error) {
 	}
 }
 
-// resolveFrontierLocal resolves FrontierAuto for an in-process engine:
-// parallel only when the bucket discipline is active, the sharded path is
-// in use, and the per-rank worker budget (FrontierWorkers or GOMAXPROCS,
-// split across the Ranks this process hosts) exceeds one worker — anything
-// else would pay the pool dispatch for no concurrency.
+// resolveFrontierLocal resolves FrontierAuto for the ranks one process
+// hosts: parallel only when the bucket discipline is active and the per-rank
+// worker budget (FrontierWorkers or GOMAXPROCS, split across the Ranks this
+// process hosts) exceeds one worker — anything else would pay the pool
+// dispatch for no concurrency.
 func resolveFrontierLocal(opts Options) FrontierMode {
 	switch opts.Frontier {
 	case FrontierSerial, FrontierParallel:
 		return opts.Frontier
 	}
-	if opts.Queue != rt.QueueBucket || opts.GlobalCSR {
+	if opts.Queue != rt.QueueBucket {
 		return FrontierSerial
 	}
 	budget := opts.FrontierWorkers
@@ -277,16 +206,17 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // Options configures a Solve run. The zero value is a valid single-rank
-// configuration with the paper's defaults (priority queue, Prim MST,
-// asynchronous processing, block partition, no delegates).
+// configuration — FIFO queue, asynchronous processing, block partition, no
+// delegates — which is the HavoqGT baseline, not the paper's optimized one:
+// Default is the constructor that sets the priority queue and the
+// arc-balanced partition.
 type Options struct {
 	// Ranks is the number of simulated MPI processes (default 1).
 	Ranks int
 	// Queue is the per-rank message discipline. The paper's optimized
-	// configuration is QueuePriority; QueueFIFO reproduces the HavoqGT
-	// baseline of Fig. 5/6. NOTE: the package default (zero value) is
-	// QueueFIFO because that is runtime's zero value; SolveDefaults sets
-	// priority.
+	// configuration is QueuePriority (what Default sets); the zero value is
+	// QueueFIFO, runtime's zero value, which reproduces the HavoqGT baseline
+	// of Fig. 5/6.
 	Queue rt.QueueKind
 	// BucketDelta is the Δ for QueueBucket.
 	BucketDelta uint64
@@ -301,32 +231,15 @@ type Options struct {
 	// BSP runs the vertex-centric phases bulk-synchronously instead of
 	// asynchronously (the §IV ablation).
 	BSP bool
-	// MST selects the sequential phase-4 algorithm of the replicated path
-	// (default Kruskal — the order the fragment merge reproduces; the
-	// paper used Prim). Ignored by the fragment merge, which is
-	// Kruskal-equivalent by construction.
-	MST MSTAlgo
-	// MSTMode selects replicated-table sequential MST vs the distributed
-	// fragment merge for phases 3–5 (default auto: fragment wherever
-	// available). MSTFragment is incompatible with GlobalCSR.
-	MSTMode MSTMode
 	// Frontier selects serial vs intra-rank parallel draining of the
 	// bucket queue in the vertex-centric phases (default auto: parallel
-	// only when QueueBucket is active, the sharded path is in use and more
-	// than one worker per rank is available). FrontierParallel requires
-	// QueueBucket and is incompatible with GlobalCSR.
+	// only when QueueBucket is active and more than one worker per rank is
+	// available). FrontierParallel requires QueueBucket.
 	Frontier FrontierMode
 	// FrontierWorkers is the per-process frontier worker budget, split
 	// evenly across the ranks a process hosts (each rank gets
 	// max(1, budget/hosted)). 0 means GOMAXPROCS of the hosting process.
 	FrontierWorkers int
-	// CollectiveChunk, when positive, splits the Global Min Dist. Edge
-	// reduction into chunks of at most this many table entries — the
-	// paper's §V-F memory optimization ("multiple collective operations
-	// ... on smaller chunks, e.g., 500K or 1M items per chunk, at the
-	// expense of runtime performance"). 0 reduces the whole table at
-	// once.
-	CollectiveChunk int
 	// ShuffleDelivery randomizes message delivery order (robustness
 	// testing); ShuffleSeed makes it reproducible.
 	ShuffleDelivery bool
@@ -334,16 +247,8 @@ type Options struct {
 	// SkipValidation skips the post-solve Steiner-tree validity check
 	// (benchmarks on large graphs).
 	SkipValidation bool
-	// GlobalCSR selects the pre-shard, pre-slab reference path: traversals
-	// scan the shared global CSR instead of rank-local shard slabs AND keep
-	// all control state in one shared voronoi.State array instead of
-	// per-rank StateSlabs; no shards or slabs are built. Retained as the
-	// equivalence oracle for the shard/slab property tests and the
-	// sharded-vs-global benchmarks; production solves leave it false.
-	GlobalCSR bool
 	// Backend selects where ranks run: in-process goroutines (default) or
-	// external rankd worker processes over TCP. BackendTCP requires the
-	// sharded path (GlobalCSR must be false).
+	// external rankd worker processes over TCP.
 	Backend Backend
 	// ListenAddr is the coordinator's listen address for BackendTCP
 	// (default 127.0.0.1:0 — an ephemeral localhost port).
@@ -382,17 +287,14 @@ func (o Options) withDefaults() Options {
 }
 
 // Default returns the paper's optimized configuration at the given rank
-// count: asynchronous processing with distance-priority message queues,
-// Kruskal as the replicated-path MST (the order the fragment merge
-// reproduces byte-identically), and arc-balanced contiguous partitioning
-// (our equivalent of HavoqGT's edge-count load balancing for scale-free
-// graphs — see the docs/ARCHITECTURE.md substitution table and
-// BenchmarkAblation_Delegates).
+// count: asynchronous processing with distance-priority message queues and
+// arc-balanced contiguous partitioning (our equivalent of HavoqGT's
+// edge-count load balancing for scale-free graphs — see the
+// docs/ARCHITECTURE.md substitution table and BenchmarkAblation_Delegates).
 func Default(ranks int) Options {
 	return Options{
 		Ranks:     ranks,
 		Queue:     rt.QueuePriority,
-		MST:       MSTKruskal,
 		Partition: PartitionArcBlock,
 	}
 }

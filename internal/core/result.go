@@ -75,12 +75,12 @@ type Result struct {
 	// DistGraphEdges is |E'₁|, the number of cross-cell candidate edges
 	// after the global merge.
 	DistGraphEdges int
-	// MSTRounds reports merge rounds: fragment-merge rounds when the query
-	// ran with MSTFragment, or sequential Borůvka rounds when
-	// Options.MST == MSTBoruvka on the replicated path.
+	// MSTRounds is the number of fragment-merge rounds; zero on a prize
+	// query, whose MST is sequential.
 	MSTRounds int
 	// MSTFragment reports whether phases 3–5 ran the rank-parallel
-	// fragment merge (false: the replicated cross table + sequential MST).
+	// fragment merge: true for tree and forest queries, false for prize
+	// queries (gathered cross table + sequential MST).
 	MSTFragment bool
 	// CrossTableBytes is the phase 3–4 merge payload moved through
 	// collectives, summed over ranks (contributed + received). Zero on the
@@ -88,11 +88,8 @@ type Result struct {
 	CrossTableBytes int64
 	// FragmentMsgs counts fragment-merge records exchanged (routed
 	// cross-table entries plus per-round proposals), summed over ranks.
-	// Zero on the replicated path.
+	// Zero on a prize query.
 	FragmentMsgs int64
-	// CollectiveChunks is the number of chunked reductions used by the
-	// Global Min Dist. Edge phase (1 = single collective).
-	CollectiveChunks int
 	// SuppressedBroadcasts counts cross-rank relaxation offers the sender
 	// dropped during this query because a local bound already beat them: the
 	// delegate mirror (the changed-since filter) or the best offer the rank

@@ -1,24 +1,22 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"dsteiner/internal/graph"
 	rt "dsteiner/internal/runtime"
 )
 
-// assertResultsEquivalent compares the solver-output parts of two Results
-// byte for byte: tree, total distance, canonical seeds, Steiner vertex
-// count and distance-graph size. Phase timings and memory accounting are
-// measurement, not output, and legitimately differ between the sharded and
-// global-CSR substrates.
+// assertResultsEquivalent compares the solver-output parts of two engines'
+// Results byte for byte: tree, total distance, canonical seeds, Steiner
+// vertex count and distance-graph size. Phase timings and memory accounting
+// are measurement, not output, and legitimately differ between backends and
+// configurations.
 func assertResultsEquivalent(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Tree, want.Tree) {
-		t.Fatalf("%s: trees differ\nsharded %v\nglobal  %v", label, got.Tree, want.Tree)
+		t.Fatalf("%s: trees differ\ngot  %v\nwant %v", label, got.Tree, want.Tree)
 	}
 	if got.TotalDistance != want.TotalDistance {
 		t.Fatalf("%s: total %d != %d", label, got.TotalDistance, want.TotalDistance)
@@ -31,105 +29,6 @@ func assertResultsEquivalent(t *testing.T, label string, got, want *Result) {
 	}
 	if got.DistGraphEdges != want.DistGraphEdges {
 		t.Fatalf("%s: |E'1| %d != %d", label, got.DistGraphEdges, want.DistGraphEdges)
-	}
-}
-
-// TestShardedEngineMatchesGlobalCSR is the shard-equivalence acceptance
-// test: for every partition kind × delegate threshold × {async, BSP}, the
-// sharded engine (rank-local CSR slabs + materialized delegate stripes)
-// returns results byte-identical to the retained pre-refactor global-CSR
-// reference path.
-func TestShardedEngineMatchesGlobalCSR(t *testing.T) {
-	g := engineTestGraph(91, 350)
-	rng := rand.New(rand.NewSource(92))
-	seedSets := [][]graph.VID{
-		pickEngineSeeds(rng, g.NumVertices(), 3),
-		pickEngineSeeds(rng, g.NumVertices(), 8),
-		pickEngineSeeds(rng, g.NumVertices(), 16),
-	}
-	for _, kind := range []PartitionKind{PartitionBlock, PartitionHash, PartitionArcBlock} {
-		for _, threshold := range []int{0, 6} {
-			for _, bsp := range []bool{false, true} {
-				opts := Options{
-					Ranks:             4,
-					Queue:             rt.QueuePriority,
-					Partition:         kind,
-					DelegateThreshold: threshold,
-					BSP:               bsp,
-				}
-				sharded, err := NewEngine(g, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				globalOpts := opts
-				globalOpts.GlobalCSR = true
-				global, err := NewEngine(g, globalOpts)
-				if err != nil {
-					sharded.Close()
-					t.Fatal(err)
-				}
-				for _, seeds := range seedSets {
-					got, err := sharded.Solve(seeds)
-					if err != nil {
-						t.Fatalf("%v thr=%d bsp=%v: sharded: %v", kind, threshold, bsp, err)
-					}
-					want, err := global.Solve(seeds)
-					if err != nil {
-						t.Fatalf("%v thr=%d bsp=%v: global: %v", kind, threshold, bsp, err)
-					}
-					label := kind.String()
-					if bsp {
-						label += "+bsp"
-					}
-					assertResultsEquivalent(t, label, got, want)
-					// The global reference holds no shards; the sharded
-					// engine must account them.
-					if want.Memory.ShardBytes != 0 {
-						t.Fatalf("%s: global path reports %d shard bytes", label, want.Memory.ShardBytes)
-					}
-					if got.Memory.ShardBytes <= 0 {
-						t.Fatalf("%s: sharded path reports no shard memory", label)
-					}
-				}
-				sharded.Close()
-				global.Close()
-			}
-		}
-	}
-}
-
-// TestPropertyShardedEquivalence fuzzes the same equivalence across random
-// graphs, rank counts and queue disciplines.
-func TestPropertyShardedEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := engineTestGraph(seed, 60+rng.Intn(200))
-		seeds := pickEngineSeeds(rng, g.NumVertices(), 2+rng.Intn(6))
-		opts := Options{
-			Ranks:             1 + rng.Intn(6),
-			Queue:             []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority, rt.QueueBucket}[rng.Intn(3)],
-			Partition:         []PartitionKind{PartitionBlock, PartitionHash, PartitionArcBlock}[rng.Intn(3)],
-			DelegateThreshold: []int{0, 4, 12}[rng.Intn(3)],
-			BSP:               rng.Intn(2) == 0,
-		}
-		got, err := Solve(g, seeds, opts)
-		if err != nil {
-			t.Logf("seed %d: sharded: %v", seed, err)
-			return false
-		}
-		globalOpts := opts
-		globalOpts.GlobalCSR = true
-		want, err := Solve(g, seeds, globalOpts)
-		if err != nil {
-			t.Logf("seed %d: global: %v", seed, err)
-			return false
-		}
-		return reflect.DeepEqual(got.Tree, want.Tree) &&
-			got.TotalDistance == want.TotalDistance &&
-			reflect.DeepEqual(got.Seeds, want.Seeds)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -197,18 +96,6 @@ func TestEngineShardStats(t *testing.T) {
 	}
 	if s.ShardBytes <= 0 || s.MaxShardBytes <= 0 || s.MaxShardBytes > s.ShardBytes {
 		t.Fatalf("shard byte accounting inconsistent: %+v", s)
-	}
-
-	globalOpts := opts
-	globalOpts.GlobalCSR = true
-	ge, err := NewEngine(g, globalOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ge.Close()
-	gs := ge.ShardStats()
-	if gs.ShardBytes != 0 || gs.Delegates != 0 {
-		t.Fatalf("global reference engine reports shards: %+v", gs)
 	}
 }
 

@@ -11,14 +11,6 @@ import (
 	rt "dsteiner/internal/runtime"
 )
 
-// Message kinds of the GlobalCSR oracle's Local Min Dist. Edge phase (Alg. 5
-// as written): a rank that needs a remote endpoint's Voronoi state requests
-// it and receives a reply. The production path pushes instead (haloPhase2).
-const (
-	kindReqDist uint8 = 1
-	kindRepDist uint8 = 2
-)
-
 // crossEdge is the value of the E_N table: the best background-graph edge
 // (U, V) bridging a cell pair, with D = d1(s,u) + d(u,v) + d1(v,t).
 type crossEdge struct {
@@ -26,8 +18,8 @@ type crossEdge struct {
 	U, V graph.VID
 }
 
-// pickCross is the deterministic MIN used by both the local scan and the
-// global Allreduce merge: order by (D, U, V). The paper needs a
+// pickCross is the deterministic MIN used by the local scan and by both
+// global merges (fragment routing, prize gather): order by (D, U, V). The paper needs a
 // tie-breaking scheme to guarantee a unique cross-cell edge per cell pair
 // (§III Step 2, Alg. 5's second collective); a total order gives uniqueness
 // in a single reduction.
@@ -129,9 +121,9 @@ func countSteinerVertices(tree []graph.Edge, seeds []graph.VID) int {
 }
 
 // memoryStats models the Fig. 8 accounting: measured sizes for the graph,
-// per-rank shards, control state (rank-local slabs, or the shared arrays in
-// GlobalCSR mode) and edge tables, plus a buffer-residency model (P
-// outgoing buffers per rank at the configured batch size).
+// per-rank shards, control state (rank-local slabs) and edge tables, plus a
+// buffer-residency model (P outgoing buffers per rank at the configured
+// batch size).
 func memoryStats(g *graph.Graph, shardBytes, stateBytes int64, localENs []map[int64]crossEdge, res *Result, opts Options) MemoryStats {
 	lens := make([]int64, len(localENs))
 	for i, m := range localENs {

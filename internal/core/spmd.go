@@ -20,9 +20,6 @@ import (
 // through collectives. Fields indexed by rank use GLOBAL rank ids; a
 // worker populates only the hosted entries.
 type solveEnv struct {
-	// g is the resident global CSR; nil on remote workers, whose body
-	// never touches it (the GlobalCSR reference mode is loopback-only).
-	g    *graph.Graph
 	opts Options
 	comm *rt.Comm
 
@@ -43,82 +40,45 @@ type solveEnv struct {
 	res *Result
 	err error
 
-	// mstFragment selects the rank-parallel fragment merge for phases 3–5
-	// (resolved from Options.MSTMode by the engine or worker, identically
-	// on every process; always false for prize queries, whose moat-growing
-	// plan needs the full replicated table).
-	mstFragment bool
-
 	// Pooled per-rank scratch (the owning Engine's or worker's pools).
 	localENs []map[int64]crossEdge
 	pruneds  []map[int64]crossEdge
 	trees    [][]graph.Edge
 	// owneds and frags are the fragment merge's pooled per-rank state: the
 	// rank-sharded cross table and the fragment-label array. merges is the
-	// replicated path's pooled wire scratch (encode buffer + merge target);
-	// nil on loopback, which merges shared maps in-memory.
+	// prize gather's pooled wire scratch (encode buffer + merge target); nil
+	// on loopback, which merges shared maps in-memory.
 	owneds []map[int64]crossEdge
 	frags  [][]int32
 	merges []*mergeScratch
-
-	// GlobalCSR reference-mode shared state (loopback only).
-	st        *voronoi.State
-	walked    []uint64
-	walkedGen uint64
 }
 
 // rankBody runs the six solver phases on one rank. It must be invoked
 // SPMD on every rank of the communicator — local or remote — with an
 // identically-initialized env.
 func (env *solveEnv) rankBody(r *rt.Rank) {
-	g, opts, dedup, seedIdx := env.g, env.opts, env.dedup, env.seedIdx
+	opts, dedup, seedIdx := env.opts, env.dedup, env.seedIdx
 	res := env.res
+	// Tree and forest queries run the rank-parallel fragment merge in phases
+	// 3–5. A prize query gathers the whole table instead, because its
+	// moat-growing plan needs all of it.
+	fragment := env.mode != ModePrize
 	rec := &recorder{comm: env.comm, res: res, dist: r.Distributed()}
 	rec.lo, _ = env.comm.HostRange()
 
-	// Rank-local accessors: the production path reads this rank's CSR
-	// slab for adjacency and its StateSlab for control state; the
-	// GlobalCSR reference path scans the shared global arrays exactly
-	// as before the shard/slab refactors. Adjacency lookups take an
-	// owned vertex first (edge weights are symmetric, so looking up
-	// {u, v} from u's slab row equals the global edge weight); state
-	// access through st touches only owned vertices — remote state is
-	// reached via the mailbox, never direct reads.
-	edgeWeight := r.EdgeWeight
-	var st voronoi.Control
-	var sl *voronoi.StateSlab
-	var markWalked func(graph.VID) bool
-	if opts.GlobalCSR {
-		edgeWeight = g.HasEdge
-		st = env.st
-		markWalked = func(v graph.VID) bool {
-			if env.walked[v] == env.walkedGen {
-				return false
-			}
-			env.walked[v] = env.walkedGen
-			return true
-		}
-	} else {
-		sl = voronoi.SlabOf(r)
-		st = sl
-		markWalked = sl.MarkWalked
-	}
+	// This rank's CSR slab holds its adjacency (Rank.EdgeWeight: weights are
+	// symmetric, so {u, v} looked up from owned u's row is the edge's
+	// weight) and its StateSlab the control state of the vertices it owns —
+	// remote state is reached via the mailbox, never direct reads.
+	sl := voronoi.SlabOf(r)
 
 	// Phase 1: Voronoi cells (Alg. 4).
 	faultpoint.Hit("solve.phase1")
 	rec.phase(r, PhaseVoronoi, func() int64 {
-		var ts rt.TraversalStats
-		switch {
-		case opts.GlobalCSR && opts.BSP:
-			ts = voronoi.RunRankGlobalBSP(r, g, dedup, env.st)
-		case opts.GlobalCSR:
-			ts = voronoi.RunRankGlobal(r, g, dedup, env.st)
-		case opts.BSP:
-			ts = voronoi.RunRankBSP(r, dedup)
-		default:
-			ts = voronoi.RunRank(r, dedup)
+		if opts.BSP {
+			return voronoi.RunRankBSP(r, dedup).Processed
 		}
-		return ts.Processed
+		return voronoi.RunRank(r, dedup).Processed
 	})
 
 	// Phase 2: local min-distance cross-cell edges (Alg. 5,
@@ -147,60 +107,23 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	}
 	faultpoint.Hit("solve.phase2")
 	rec.phase(r, PhaseLocalMinEdge, func() int64 {
-		if opts.GlobalCSR {
-			return env.requestReplyPhase2(r, record)
-		}
 		return haloPhase2(r, sl, opts.BSP, record)
 	})
 
 	// Phase 3: global min-distance edges. The fragment merge routes each
 	// record to the rank owning the pair's lower seed, leaving a disjoint
-	// table shard per rank; the replicated path is the paper's
-	// MPI_Allreduce(MPI_MIN) over the per-rank E_N tables. With
-	// CollectiveChunk set (replicated only), the table is reduced in
-	// key-partitioned chunks, trading collective-buffer memory for extra
-	// rounds (the paper's §V-F mitigation for the |S|=10K blowup).
+	// table shard per rank; a prize query gathers the whole table on every
+	// rank, the paper's MPI_Allreduce(MPI_MIN) over the per-rank E_N tables.
 	var merged map[int64]crossEdge
 	var owned map[int64]crossEdge
 	fs := &fragStats{}
 	ok := true
 	faultpoint.Hit("solve.phase3")
 	rec.phase(r, PhaseGlobalMinEdge, func() int64 {
-		if env.mstFragment {
+		if fragment {
 			owned, ok = env.fragmentRoute(r, localEN, fs)
-			return 0
-		}
-		if opts.CollectiveChunk <= 0 {
+		} else {
 			merged, ok = env.mergeCrossTables(r, localEN, fs)
-			if r.ID() == 0 {
-				res.CollectiveChunks = 1
-			}
-			return 0
-		}
-		maxSize := r.AllreduceMaxInt64(int64(len(localEN)))
-		numChunks := int((maxSize + int64(opts.CollectiveChunk) - 1) / int64(opts.CollectiveChunk))
-		if numChunks < 1 {
-			numChunks = 1
-		}
-		merged = make(map[int64]crossEdge, len(localEN))
-		for c := 0; c < numChunks; c++ {
-			sub := map[int64]crossEdge{}
-			for k, v := range localEN {
-				if int(uint64(k)%uint64(numChunks)) == c {
-					sub[k] = v
-				}
-			}
-			part, partOK := env.mergeCrossTables(r, sub, fs)
-			if !partOK {
-				ok = false
-				return 0
-			}
-			for k, v := range part {
-				merged[k] = v
-			}
-		}
-		if r.ID() == 0 {
-			res.CollectiveChunks = numChunks
 		}
 		return 0
 	})
@@ -210,21 +133,20 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 
 	// Phase 4: MST of the distance graph G'₁ (Alg. 3 line 17). The
 	// fragment merge runs distributed Borůvka rounds over the sharded
-	// table; the replicated path computes a sequential MST locally on
-	// every rank — G'₁ is small, so replication avoids remote copies, as
-	// in the paper. seedIdx is shared read-only (built before the SPMD
-	// body).
+	// table; a prize query plans and computes a sequential MST locally on
+	// every rank, over the table each of them gathered. seedIdx is shared
+	// read-only (built before the SPMD body).
 	pruned := env.pruneds[r.ID()]
 	var mstPairs map[int64]bool
 	faultpoint.Hit("solve.phase4")
 	rec.phase(r, PhaseMST, func() int64 {
-		if env.mstFragment {
+		if fragment {
 			ok = env.fragmentMST(r, owned, pruned, fs)
 			return 0
 		}
 		if r.Distributed() {
-			// The replicated gather's payload total, for comparison with
-			// the fragment merge's CrossTableBytes.
+			// The gather's payload total, for comparison with the fragment
+			// merge's CrossTableBytes.
 			if bytes := r.AllreduceSumInt64(fs.bytes); r.ID() == 0 {
 				res.CrossTableBytes = bytes
 			}
@@ -243,69 +165,37 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 			res.DistGraphEdges = len(wedges)
 		}
 
-		// Prize mode: the moat-growing plan (deterministic over the
-		// replicated table, hence identical on every rank) picks the kept
-		// subset; skipped terminals and their edges leave the MST input.
-		keptCount := len(dedup)
-		if env.mode == ModePrize {
-			keep := prizePlan(len(dedup), wedges, env.penalty)
-			kept := wedges[:0]
-			for _, we := range wedges {
-				if keep[we.U] && keep[we.V] {
-					kept = append(kept, we)
-				}
+		// The moat-growing plan (deterministic over the gathered table,
+		// hence identical on every rank) picks the kept subset; skipped
+		// terminals and their edges leave the MST input.
+		keep := prizePlan(len(dedup), wedges, env.penalty)
+		kept := wedges[:0]
+		for _, we := range wedges {
+			if keep[we.U] && keep[we.V] {
+				kept = append(kept, we)
 			}
-			wedges = kept
-			keptCount = 0
-			var skipped []graph.VID
-			for i, k := range keep {
-				if k {
-					keptCount++
-				} else {
-					skipped = append(skipped, dedup[i])
-				}
+		}
+		keptCount := 0
+		var skipped []graph.VID
+		for i, k := range keep {
+			if k {
+				keptCount++
+			} else {
+				skipped = append(skipped, dedup[i])
 			}
-			if r.ID() == 0 {
-				res.Skipped = skipped
-			}
+		}
+		if r.ID() == 0 {
+			res.Skipped = skipped
 		}
 
-		var forest mst.Result
-		switch opts.MST {
-		case MSTKruskal:
-			forest = mst.Kruskal(len(dedup), wedges)
-		case MSTBoruvka:
-			var rounds int
-			forest, rounds = mst.Boruvka(len(dedup), wedges)
+		// The kept subset must end up in one component.
+		forest := mst.Kruskal(len(dedup), kept)
+		if len(forest.Edges) < keptCount-1 {
 			if r.ID() == 0 {
-				res.MSTRounds = rounds
+				env.err = fmt.Errorf("core: internal error: prize kept set spans %d connected components",
+					keptCount-len(forest.Edges))
 			}
-		default:
-			forest = mst.Prim(len(dedup), wedges)
-		}
-
-		// Connectivity requirement by mode: one component spanning all
-		// terminals for tree, one per group for forest (the MST of the
-		// group-filtered table is a spanning forest with exactly one tree
-		// per group), one over the kept subset for prize.
-		want := keptCount - 1
-		if env.mode == ModeForest {
-			want = len(dedup) - env.numGroups
-		}
-		if len(forest.Edges) < want {
-			if r.ID() == 0 {
-				switch env.mode {
-				case ModeForest:
-					env.err = forestDisconnectedErr(env.groupOf, env.numGroups, len(dedup), forest.Edges)
-				case ModePrize:
-					env.err = fmt.Errorf("core: internal error: prize kept set spans %d connected components",
-						keptCount-len(forest.Edges))
-				default:
-					env.err = fmt.Errorf("core: seeds span %d connected components; Steiner tree requires one",
-						len(dedup)-len(forest.Edges))
-				}
-			}
-			mstPairs = nil
+			ok = false
 			return 0
 		}
 		mstPairs = make(map[int64]bool, len(forest.Edges))
@@ -314,12 +204,8 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 		}
 		return 0
 	})
-	if env.mstFragment {
-		if !ok {
-			return // disconnected seeds or corrupt round: uniform bail
-		}
-	} else if mstPairs == nil {
-		return // disconnected seeds: all ranks bail out identically
+	if !ok {
+		return // disconnected terminals or corrupt round: all ranks bail together
 	}
 
 	// Phase 5: global edge pruning (Alg. 5, EDGE_PRUNING_COLL) —
@@ -327,12 +213,10 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// dropped. The total order in pickCross already guarantees a
 	// unique survivor per pair, so no second collective is needed.
 	// The fragment merge accumulated its winners into pruned during
-	// the Borůvka rounds, so its phase 5 is already done.
+	// the Borůvka rounds, so its phase 5 is already done (merged is
+	// empty).
 	faultpoint.Hit("solve.phase5")
 	rec.phase(r, PhasePruning, func() int64 {
-		if env.mstFragment {
-			return 0
-		}
 		for k, ce := range merged {
 			if mstPairs[k] {
 				pruned[k] = ce
@@ -357,7 +241,7 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 					if !r.Owns(ce.U) {
 						continue // u's home partition records the edge
 					}
-					w, _ := edgeWeight(ce.U, ce.V)
+					w, _ := r.EdgeWeight(ce.U, ce.V)
 					localTree = append(localTree, graph.Edge{U: ce.U, V: ce.V, W: w}.Canon())
 					r.Send(rt.Msg{Target: ce.U})
 					r.Send(rt.Msg{Target: ce.V})
@@ -365,17 +249,17 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 			},
 			Visit: func(r *rt.Rank, m rt.Msg) {
 				vj := m.Target
-				if !markWalked(vj) {
+				if !sl.MarkWalked(vj) {
 					return
 				}
-				if vj == st.Src(vj) {
+				if vj == sl.Src(vj) {
 					return
 				}
-				p := st.Pred(vj)
+				p := sl.Pred(vj)
 				// vj is owned here; its predecessor may not be, so the
 				// lookup goes through vj's slab row (weights are
 				// symmetric).
-				w, _ := edgeWeight(vj, p)
+				w, _ := r.EdgeWeight(vj, p)
 				localTree = append(localTree, graph.Edge{U: p, V: vj, W: w}.Canon())
 				r.Send(rt.Msg{Target: p})
 			},
@@ -478,55 +362,6 @@ func haloPhase2(r *rt.Rank, sl *voronoi.StateSlab, bsp bool,
 	return ts.Processed
 }
 
-// requestReplyPhase2 is the GlobalCSR oracle's phase 2, the paper's Alg. 5
-// as written: the lower endpoint of every arc whose other end lives on
-// another rank requests that vertex's state and its owner replies, two
-// messages per boundary arc.
-func (env *solveEnv) requestReplyPhase2(r *rt.Rank,
-	record func(u, v, su, sv graph.VID, du, dv graph.Dist, w uint32)) int64 {
-	g, st := env.g, env.st
-	found := func(u, v graph.VID, sv graph.VID, dv graph.Dist) {
-		if w, ok := g.HasEdge(u, v); ok { // u is always owned by this rank
-			record(u, v, st.Src(u), sv, st.Dist(u), dv, w)
-		}
-	}
-	ts := r.Traverse(&rt.Traversal{
-		BSP: env.opts.BSP,
-		Init: func(r *rt.Rank) {
-			r.OwnedVertices(func(u graph.VID) {
-				if st.Src(u) == graph.NilVID {
-					return
-				}
-				adj, _ := g.Adj(u)
-				for _, v := range adj {
-					if u >= v {
-						continue // lower endpoint initiates
-					}
-					if r.Owns(v) {
-						found(u, v, st.Src(v), st.Dist(v))
-					} else {
-						r.Send(rt.Msg{Target: v, From: u, Kind: kindReqDist})
-					}
-				}
-			})
-		},
-		Visit: func(r *rt.Rank, m rt.Msg) {
-			switch m.Kind {
-			case kindReqDist:
-				v := m.Target
-				r.Send(rt.Msg{
-					Target: m.From, From: v,
-					Seed: st.Src(v), Dist: st.Dist(v),
-					Kind: kindRepDist,
-				})
-			case kindRepDist:
-				found(m.Target, m.From, m.Seed, m.Dist)
-			}
-		},
-	})
-	return ts.Processed
-}
-
 // forestDisconnectedErr names the first forest group whose terminals the
 // group-filtered distance graph cannot connect.
 func forestDisconnectedErr(groupOf []int32, numGroups, nT int, edges []mst.WEdge) error {
@@ -564,7 +399,7 @@ func forestDisconnectedErr(groupOf []int32, numGroups, nT int, edges []mst.WEdge
 	return fmt.Errorf("core: forest groups are not all connected")
 }
 
-// mergeScratch is a rank's pooled replicated-merge wire scratch: the
+// mergeScratch is a rank's pooled prize-gather wire scratch: the
 // cross-table encode buffer and the distributed merge target map, reused
 // across queries like the transport's encode scratch.
 type mergeScratch struct {

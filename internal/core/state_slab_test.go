@@ -1,85 +1,18 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"dsteiner/internal/graph"
 	rt "dsteiner/internal/runtime"
 )
 
-// TestSlabStateMatchesSharedState is the slab-state acceptance property:
-// for every partition kind × delegate threshold × {async, BSP}, the
-// production engine (rank-local StateSlabs next to rank-local graph shards)
-// returns results byte-identical to the retained shared-state reference
-// path (Options.GlobalCSR: one shared State array plus the global CSR) —
-// the pre-refactor implementation kept as the equivalence oracle. This
-// subsumes the PR 3 shard-equivalence claim: the oracle differs in both
-// adjacency source and control-state layout.
-func TestSlabStateMatchesSharedState(t *testing.T) {
-	g := engineTestGraph(137, 320)
-	rng := rand.New(rand.NewSource(138))
-	seedSets := [][]graph.VID{
-		pickEngineSeeds(rng, g.NumVertices(), 2),
-		pickEngineSeeds(rng, g.NumVertices(), 7),
-		pickEngineSeeds(rng, g.NumVertices(), 14),
-	}
-	for _, kind := range []PartitionKind{PartitionBlock, PartitionHash, PartitionArcBlock} {
-		for _, threshold := range []int{0, 5} {
-			for _, bsp := range []bool{false, true} {
-				opts := Options{
-					Ranks:             5,
-					Queue:             rt.QueuePriority,
-					Partition:         kind,
-					DelegateThreshold: threshold,
-					BSP:               bsp,
-				}
-				slab, err := NewEngine(g, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sharedOpts := opts
-				sharedOpts.GlobalCSR = true
-				shared, err := NewEngine(g, sharedOpts)
-				if err != nil {
-					slab.Close()
-					t.Fatal(err)
-				}
-				label := kind.String()
-				if bsp {
-					label += "+bsp"
-				}
-				for _, seeds := range seedSets {
-					got, err := slab.Solve(seeds)
-					if err != nil {
-						t.Fatalf("%s thr=%d: slab-state: %v", label, threshold, err)
-					}
-					want, err := shared.Solve(seeds)
-					if err != nil {
-						t.Fatalf("%s thr=%d: shared-state: %v", label, threshold, err)
-					}
-					assertResultsEquivalent(t, label, got, want)
-					// The slab path accounts per-rank state; the shared path
-					// accounts the global arrays. Both are nonzero but need
-					// not match (slabs carry mirrors and walk marks, the
-					// shared path a full-|V| array set).
-					if got.Memory.StateBytes <= 0 || want.Memory.StateBytes <= 0 {
-						t.Fatalf("%s: state accounting missing: slab %d, shared %d",
-							label, got.Memory.StateBytes, want.Memory.StateBytes)
-					}
-				}
-				slab.Close()
-				shared.Close()
-			}
-		}
-	}
-}
-
 // TestEngineRanksOwningZeroVertices covers the degenerate partitions where
 // some ranks own no vertices at all — more ranks than vertices (block), and
 // a delegated hash cut of a tiny graph — so their slabs have zero owned
 // rows (delegate-only slabs when thresholds mark hubs). Solves must still
-// match the shared-state oracle exactly.
+// match a one-rank engine's exactly (which the reference test holds against
+// the sequential oracle).
 func TestEngineRanksOwningZeroVertices(t *testing.T) {
 	// 7 vertices, 12 ranks: at least 5 ranks own nothing.
 	b := graph.NewBuilder(7)
@@ -115,14 +48,12 @@ func TestEngineRanksOwningZeroVertices(t *testing.T) {
 			if empty == 0 {
 				t.Fatalf("%v: 12 ranks over 7 vertices left no rank empty", kind)
 			}
-			sharedOpts := opts
-			sharedOpts.GlobalCSR = true
 			for _, seeds := range [][]graph.VID{{0, 6}, {1, 3, 5}, {0, 2, 4, 6}} {
 				got, err := e.Solve(seeds)
 				if err != nil {
 					t.Fatalf("%v thr=%d seeds %v: %v", kind, threshold, seeds, err)
 				}
-				want, err := Solve(g, seeds, sharedOpts)
+				want, err := Solve(g, seeds, Options{Ranks: 1, Queue: rt.QueuePriority})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -194,10 +194,6 @@ type worker struct {
 	shardBytes int64
 	stateBytes int64
 
-	// mstMode is the coordinator-resolved phase 3–5 merge strategy from
-	// the setup frame.
-	mstMode MSTMode
-
 	// Pooled per-query scratch (hosted entries only).
 	localENs []map[int64]crossEdge
 	pruneds  []map[int64]crossEdge
@@ -218,6 +214,13 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 			setup.WorkerIndex, len(setup.RankLo), len(setup.PeerAddrs))
 	}
 	lo, hi := int(setup.RankLo[setup.WorkerIndex]), int(setup.RankLo[setup.WorkerIndex+1])
+	// A worker hosts at least one rank, all of them inside the session: the
+	// frontier budget is split over hi-lo, and every per-rank table below is
+	// indexed by global rank.
+	if lo < 0 || lo >= hi || hi > setup.Ranks {
+		return nil, fmt.Errorf("core: inconsistent setup geometry (worker %d hosts ranks [%d,%d) of %d)",
+			setup.WorkerIndex, lo, hi, setup.Ranks)
+	}
 	if len(setup.Shards) != hi-lo {
 		return nil, fmt.Errorf("core: setup carries %d shard slices for ranks [%d,%d)", len(setup.Shards), lo, hi)
 	}
@@ -226,13 +229,9 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 		return nil, err
 	}
 	// The enum bytes come off the wire: an unknown value is an error, never
-	// a default the operator did not ask for. The MST mode must arrive
-	// resolved (the coordinator never ships auto).
-	mstMode := MSTMode(setup.MSTMode)
-	if setup.Queue > uint8(rt.QueueBucket) || setup.MST > uint8(MSTBoruvka) ||
-		setup.Frontier > uint8(FrontierParallel) || (mstMode != MSTReplicated && mstMode != MSTFragment) {
-		return nil, fmt.Errorf("core: setup enum out of range (queue %d, mst %d, mst mode %d, frontier %d)",
-			setup.Queue, setup.MST, setup.MSTMode, setup.Frontier)
+	// a default the operator did not ask for.
+	if setup.Queue > uint8(rt.QueueBucket) || setup.Frontier > uint8(FrontierParallel) {
+		return nil, fmt.Errorf("core: setup enum out of range (queue %d, frontier %d)", setup.Queue, setup.Frontier)
 	}
 
 	// The setup ships the frontier mode unresolved: auto depends on this
@@ -254,13 +253,10 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 			BucketDelta:       setup.BucketDelta,
 			BatchSize:         setup.BatchSize,
 			BSP:               setup.BSP,
-			MST:               MSTAlgo(setup.MST),
-			CollectiveChunk:   setup.CollectiveChunk,
 			DelegateThreshold: setup.DelegateThreshold,
 			Frontier:          frontier,
 			FrontierWorkers:   int(setup.FrontierWorkers),
 		},
-		mstMode:  mstMode,
 		localENs: make([]map[int64]crossEdge, setup.Ranks),
 		pruneds:  make([]map[int64]crossEdge, setup.Ranks),
 		trees:    make([][]graph.Edge, setup.Ranks),
@@ -409,22 +405,21 @@ func (w *worker) solveQuery(q wire.SolveSpec, cfg WorkerConfig) (err error) {
 		w.seedIdx[s] = int32(i)
 	}
 	env := &solveEnv{
-		opts:        w.opts,
-		comm:        w.comm,
-		dedup:       cq.dedup,
-		seedIdx:     w.seedIdx,
-		mode:        cq.spec.Mode,
-		groupOf:     cq.groupOf,
-		numGroups:   len(cq.spec.Groups),
-		penalty:     cq.penalty,
-		res:         &Result{Seeds: cq.dedup, Mode: cq.spec.Mode},
-		mstFragment: w.mstMode == MSTFragment && cq.spec.Mode != ModePrize,
-		localENs:    w.localENs,
-		pruneds:     w.pruneds,
-		trees:       w.trees,
-		owneds:      w.owneds,
-		frags:       w.frags,
-		merges:      w.merges,
+		opts:      w.opts,
+		comm:      w.comm,
+		dedup:     cq.dedup,
+		seedIdx:   w.seedIdx,
+		mode:      cq.spec.Mode,
+		groupOf:   cq.groupOf,
+		numGroups: len(cq.spec.Groups),
+		penalty:   cq.penalty,
+		res:       &Result{Seeds: cq.dedup, Mode: cq.spec.Mode},
+		localENs:  w.localENs,
+		pruneds:   w.pruneds,
+		trees:     w.trees,
+		owneds:    w.owneds,
+		frags:     w.frags,
+		merges:    w.merges,
 	}
 	s0 := w.comm.Stats()
 	net0 := w.trans.Stats()

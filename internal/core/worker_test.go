@@ -12,24 +12,33 @@ import (
 )
 
 // TestWorkerRejectsOutOfRangeSetup pins the Setup boundary: a worker handed
-// an enum byte it does not know answers with an Abort naming the offending
-// values and exits with the same error — it never substitutes a default.
+// an enum byte it does not know, or a rank range that is empty, descending
+// or outside the session, answers with an Abort naming the offending values
+// and exits with the same error — it never substitutes a default, divides
+// the frontier budget by zero hosted ranks or indexes a table past its end.
 func TestWorkerRejectsOutOfRangeSetup(t *testing.T) {
 	valid := wire.Setup{
 		Ranks: 1, NumVertices: 2, RankLo: []int64{0, 1}, PeerAddrs: []string{"127.0.0.1:1"},
-		Queue: uint8(rt.QueuePriority), MST: uint8(MSTKruskal), MSTMode: uint8(MSTFragment),
+		Queue:         uint8(rt.QueuePriority),
 		PartitionKind: wire.PartBlock,
 		Shards:        []wire.ShardSlice{{Rank: 0, Owned: []graph.VID{0, 1}, Offsets: []int64{0, 0, 0}}},
 	}
+	const enum, geometry = "setup enum out of range", "inconsistent setup geometry"
 	for _, tc := range []struct {
 		name   string
 		mutate func(*wire.Setup)
+		want   string
 	}{
-		{"queue", func(s *wire.Setup) { s.Queue = uint8(rt.QueueBucket) + 1 }},
-		{"mst", func(s *wire.Setup) { s.MST = uint8(MSTBoruvka) + 1 }},
-		{"mst-mode-unknown", func(s *wire.Setup) { s.MSTMode = uint8(MSTFragment) + 1 }},
-		{"mst-mode-auto", func(s *wire.Setup) { s.MSTMode = uint8(MSTModeAuto) }},
-		{"frontier", func(s *wire.Setup) { s.Frontier = uint8(FrontierParallel) + 1 }},
+		{"queue", func(s *wire.Setup) { s.Queue = uint8(rt.QueueBucket) + 1 }, enum},
+		{"frontier", func(s *wire.Setup) { s.Frontier = uint8(FrontierParallel) + 1 }, enum},
+		{"ranks-empty", func(s *wire.Setup) {
+			s.RankLo, s.Shards, s.Queue = []int64{0, 0}, nil, uint8(rt.QueueBucket)
+		}, geometry},
+		{"ranks-beyond-session", func(s *wire.Setup) {
+			s.RankLo = []int64{5, 6}
+			s.Shards = []wire.ShardSlice{{Rank: 5, Owned: []graph.VID{0, 1}, Offsets: []int64{0, 0, 0}}}
+		}, geometry},
+		{"ranks-descending", func(s *wire.Setup) { s.RankLo = []int64{1, 0} }, geometry},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -58,7 +67,7 @@ func TestWorkerRejectsOutOfRangeSetup(t *testing.T) {
 				t.Fatalf("worker reply: frame %v err %v, want abort", frame, err)
 			}
 			ab, err := wire.DecodeAbort(frame[1:])
-			if err != nil || !strings.Contains(ab.Reason, "setup enum out of range") {
+			if err != nil || !strings.Contains(ab.Reason, tc.want) {
 				t.Fatalf("abort reason %q (%v)", ab.Reason, err)
 			}
 			if err := <-workerErr; err == nil || err.Error() != ab.Reason {

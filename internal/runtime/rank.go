@@ -88,11 +88,6 @@ func (r *Rank) Owner(v graph.VID) int { return r.comm.part.Owner(v) }
 // Owns reports whether this rank owns v.
 func (r *Rank) Owns(v graph.VID) bool { return r.comm.part.Owner(v) == r.id }
 
-// OwnedVertices iterates this rank's vertices.
-func (r *Rank) OwnedVertices(fn func(v graph.VID)) {
-	r.comm.part.OwnedVertices(r.id, fn)
-}
-
 // IsDelegate reports whether v is a high-degree delegate vertex.
 func (r *Rank) IsDelegate(v graph.VID) bool { return r.comm.part.IsDelegate(v) }
 

@@ -66,7 +66,7 @@ func TestRankAdjacencyMatchesGlobal(t *testing.T) {
 	c.EnsureShards(g)
 	c.EnsureShards(g) // idempotent
 	c.Run(func(r *Rank) {
-		r.OwnedVertices(func(v graph.VID) {
+		c.Partition().OwnedVertices(r.ID(), func(v graph.VID) {
 			gt, gw := g.Adj(v)
 			st, sw := r.Adj(v)
 			if len(gt) != len(st) {

@@ -68,13 +68,10 @@ type Service struct {
 	// pool; captured from the first engine at construction).
 	shard core.ShardStats
 
-	// mstMode is the pool's resolved phase 3–5 merge strategy ("fragment"
-	// or "replicated"; identical across siblings, captured like shard).
-	mstMode string
-
 	// frontierMode is the pool's bucket-drain mode ("serial" or "parallel"
 	// on loopback engines; a TCP pool can report "auto", which each worker
-	// resolves against its own GOMAXPROCS). Captured like mstMode.
+	// resolves against its own GOMAXPROCS). Identical across siblings,
+	// captured like shard.
 	frontierMode string
 
 	// first is the pool's first engine — on the TCP backend, the
@@ -191,7 +188,6 @@ func New(g *graph.Graph, opts core.Options, cfg Config) (*Service, error) {
 			first = e
 			s.first = e
 			s.shard = e.ShardStats()
-			s.mstMode = e.MSTMode().String()
 			s.frontierMode = e.Frontier().String()
 		}
 		s.engines <- e
@@ -519,17 +515,17 @@ type BroadcastStats struct {
 }
 
 // MSTStats is the /stats accounting of the phase 3–5 merge: how many
-// queries ran the rank-parallel fragment merge, their total Borůvka
-// rounds and exchanged records, and the merge payload bytes moved through
-// collectives (replicated queries contribute to crossTableBytes too, so a
-// fragment fleet and a replicated fleet are directly comparable; loopback
-// engines always report zero bytes — records travel as shared values).
+// queries ran the rank-parallel fragment merge (every tree and forest
+// query), their total Borůvka rounds and exchanged records, and the merge
+// payload bytes moved through collectives (a prize query's gathered table
+// counts in crossTableBytes too, so the two merges are directly comparable;
+// loopback engines always report zero bytes — records travel as shared
+// values).
 type MSTStats struct {
-	Mode             string `json:"mode"`
-	FragmentQueries  int64  `json:"fragmentQueries"`
-	FragmentRounds   int64  `json:"fragmentRounds"`
-	FragmentMessages int64  `json:"fragmentMessages"`
-	CrossTableBytes  int64  `json:"crossTableBytes"`
+	FragmentQueries  int64 `json:"fragmentQueries"`
+	FragmentRounds   int64 `json:"fragmentRounds"`
+	FragmentMessages int64 `json:"fragmentMessages"`
+	CrossTableBytes  int64 `json:"crossTableBytes"`
 }
 
 // FrontierStats is the /stats accounting of the parallel bucket frontier:
@@ -597,7 +593,7 @@ type StatsResponse struct {
 	// Broadcasts partitions every delegate offer generated across all
 	// served queries: suppressed, coalesced, batched, sent.
 	Broadcasts BroadcastStats `json:"broadcasts"`
-	// MST reports the phase 3–5 merge strategy and its traffic.
+	// MST reports the phase 3–5 merge's traffic.
 	MST MSTStats `json:"mst"`
 	// Frontier reports the bucket drain mode and the parallel-frontier
 	// work counters.
@@ -661,7 +657,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 			Sent:       st.batched,
 		},
 		MST: MSTStats{
-			Mode:             s.mstMode,
 			FragmentQueries:  st.mstFragmentQueries,
 			FragmentRounds:   st.mstFragmentRounds,
 			FragmentMessages: st.mstFragmentMsgs,

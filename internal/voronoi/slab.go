@@ -8,36 +8,7 @@ import (
 	rt "dsteiner/internal/runtime"
 )
 
-// Control is the per-vertex control-state API the phase-1..6 visitors read
-// and write through. Two implementations exist: the shared State (one array
-// indexed by global VID — the pre-slab reference, retained as the
-// equivalence oracle behind core's Options.GlobalCSR) and the rank-local
-// StateSlab (owned vertices only — the production path). Ownership
-// discipline is identical for both: only v's owner rank may touch v's entry
-// while a traversal is running, with remote entries reached through mailbox
-// messages (the Voronoi relaxations of Alg. 4, the halo push or the
-// oracle's request/reply exchange of Alg. 5), never direct access.
-type Control interface {
-	// Reached reports whether v has a valid (current-epoch) entry.
-	Reached(v graph.VID) bool
-	// Src returns v's cell seed, or NilVID when unreached.
-	Src(v graph.VID) graph.VID
-	// Pred returns v's shortest-path predecessor, or NilVID when unreached.
-	Pred(v graph.VID) graph.VID
-	// Dist returns v's distance to its cell seed, or InfDist when unreached.
-	Dist(v graph.VID) graph.Dist
-	// Get returns the full entry with one staleness check.
-	Get(v graph.VID) (src, pred graph.VID, dist graph.Dist)
-	// Set installs v's entry, stamped with the current epoch.
-	Set(v graph.VID, src, pred graph.VID, dist graph.Dist)
-}
-
-var (
-	_ Control = (*State)(nil)
-	_ Control = (*StateSlab)(nil)
-
-	_ rt.StateSlab = (*StateSlab)(nil)
-)
+var _ rt.StateSlab = (*StateSlab)(nil)
 
 // StateSlab is one rank's local share of the Voronoi control state: the
 // (src, pred, dist) entry of every vertex the rank owns, stored in compact

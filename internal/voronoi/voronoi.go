@@ -35,10 +35,9 @@ import (
 // seed s has Src(s) = s, Pred(s) = s, Dist(s) = 0. Vertices unreached
 // (disconnected from all seeds) report Src = NilVID, Dist = InfDist.
 //
-// The solver's production path keeps this state in rank-local StateSlabs
-// instead (owned vertices only); State remains as the pre-slab reference
-// implementation behind core's Options.GlobalCSR — the equivalence oracle —
-// and as the collected global view Compute and Collect return.
+// The solver keeps this state in rank-local StateSlabs instead (owned
+// vertices only); State is what the Sequential oracle fills, and the
+// collected global view Compute and Collect return.
 //
 // Entries are epoch-versioned: an entry is valid only while
 // epoch[v] == cur, so Reset invalidates the whole state in O(1) instead of
@@ -184,7 +183,7 @@ func RunRankBSP(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
 // own entry). The scans read each arc's target already resolved
 // (graph.Shard.RowArcs): an owned row, or the ghost row holding the best
 // offer this rank has sent that remote vertex so far. The fixed point is
-// RunRankGlobal's: every comparison is the same strict offerBetter, and the
+// Sequential's: every comparison is the same strict offerBetter, and the
 // label a row converges to is expanded exactly once, so every neighbour
 // receives the same final offers.
 func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
@@ -324,8 +323,8 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 //
 // Every comparison is strict — an offer tying on (dist, src) with a smaller
 // predecessor is installed, or still goes out — which keeps the converged
-// rows byte-identical to RunRankGlobal's unconditional sends (pinned by the
-// equivalence property tests).
+// rows byte-identical to what unconditional sends would reach (pinned
+// against Sequential by the equivalence property tests).
 func (sl *StateSlab) offerSender(r *rt.Rank) func(r *rt.Rank, u graph.VID, ref int32, from, seed graph.VID, dist graph.Dist) {
 	delegates := r.HasDelegates()
 	return func(r *rt.Rank, u graph.VID, ref int32, from, seed graph.VID, dist graph.Dist) {
@@ -347,86 +346,6 @@ func (sl *StateSlab) offerSender(r *rt.Rank) func(r *rt.Rank, u graph.VID, ref i
 		}
 		r.Send(rt.Msg{Target: u, From: from, Seed: seed, Dist: dist})
 	}
-}
-
-// RunRankGlobal is the pre-shard, pre-slab reference implementation:
-// identical visitor logic, but adjacency read by scanning the shared global
-// CSR (delegate stripes as strided scans over the global arrays) and
-// control state kept in one shared State array indexed by global VID.
-// Retained as the oracle for the shard/slab-equivalence property tests and
-// the sharded-vs-global benchmarks; the solver's production path is
-// RunRank.
-func RunRankGlobal(r *rt.Rank, g *graph.Graph, seeds []graph.VID, st *State) rt.TraversalStats {
-	return runGlobal(r, g, seeds, st, false)
-}
-
-// RunRankGlobalBSP is RunRankGlobal under bulk-synchronous supersteps.
-func RunRankGlobalBSP(r *rt.Rank, g *graph.Graph, seeds []graph.VID, st *State) rt.TraversalStats {
-	return runGlobal(r, g, seeds, st, true)
-}
-
-func runGlobal(r *rt.Rank, g *graph.Graph, seeds []graph.VID, st *State, bsp bool) rt.TraversalStats {
-	relaxNeighbors := func(r *rt.Rank, v graph.VID, src graph.VID, dist graph.Dist) {
-		if r.IsDelegate(v) {
-			r.Broadcast(rt.Msg{Target: v, From: v, Seed: src, Dist: dist, Kind: delegateRelax})
-			return
-		}
-		ts, ws := g.Adj(v)
-		for i, u := range ts {
-			r.Send(rt.Msg{Target: u, From: v, Seed: src, Dist: dist + graph.Dist(ws[i])})
-		}
-	}
-	relaxStripe := func(r *rt.Rank, m rt.Msg) {
-		v := m.Target
-		ts, ws := g.Adj(v)
-		p := r.NumRanks()
-		for i := r.ID(); i < len(ts); i += p {
-			u := ts[i]
-			r.Send(rt.Msg{Target: u, From: v, Seed: m.Seed, Dist: m.Dist + graph.Dist(ws[i])})
-		}
-	}
-	// Install-at-visit, on purpose: the reference writes a row only when an
-	// offer is popped, and sends every offer, so it shares no relaxation code
-	// with run. It stays strictly serial per rank — no parallel frontier.
-	return r.Traverse(&rt.Traversal{
-		Key: rt.DistKey,
-		BSP: bsp,
-		Init: func(r *rt.Rank) {
-			for _, s := range seeds {
-				if r.Owns(s) {
-					r.Send(rt.Msg{Target: s, From: s, Seed: s, Dist: 0})
-				}
-			}
-		},
-		// An offer the row already beats would be rejected by Visit unchanged
-		// — rows only improve — so it is dropped before the queue. Nothing is
-		// folded here; ties and delegate broadcasts always pass.
-		Admit: func(r *rt.Rank, m rt.Msg) bool {
-			if m.Kind == delegateRelax {
-				return true
-			}
-			os, op, od := st.Get(m.Target)
-			return offerBetter(m.Dist, m.Seed, m.From, od, os, op)
-		},
-		Visit: func(r *rt.Rank, m rt.Msg) {
-			if m.Kind == delegateRelax {
-				// Relax this rank's stripe of the delegate's adjacency.
-				// State was already updated by the delegate's owner.
-				relaxStripe(r, m)
-				return
-			}
-			vj := m.Target
-			os, op, od := st.Get(vj)
-			if !offerBetter(m.Dist, m.Seed, m.From, od, os, op) {
-				return
-			}
-			distImproved := m.Dist != od || m.Seed != os
-			st.Set(vj, m.Seed, m.From, m.Dist)
-			if distImproved {
-				relaxNeighbors(r, vj, m.Seed, m.Dist)
-			}
-		},
-	})
 }
 
 // Compute runs the Voronoi-cell phase standalone on a fresh traversal over

@@ -109,8 +109,6 @@ type Setup struct {
 
 	// Solver configuration the per-rank body needs (core.Options subset).
 	BSP               bool
-	MST               uint8
-	CollectiveChunk   int
 	DelegateThreshold int
 
 	// Partition reconstruction.
@@ -121,20 +119,15 @@ type Setup struct {
 	// This worker's shard slices, one per hosted rank.
 	Shards []ShardSlice
 
-	// MSTMode is the coordinator's RESOLVED phase 3–5 merge strategy
-	// (core.MSTMode: 1 = replicated, 2 = fragment — never 0/auto, the
-	// coordinator resolves before encoding).
-	MSTMode uint8
-
 	// SessionID identifies this handshake's session for fault recovery: a
 	// worker that loses the session re-dials and presents it in a Rejoin
 	// frame.
 	SessionID uint64
 
 	// Frontier is the operator's REQUESTED bucket-drain mode
-	// (core.FrontierMode: 0 = auto, 1 = serial, 2 = parallel). Unlike
-	// MSTMode it is shipped unresolved: auto depends on each worker's own
-	// GOMAXPROCS, so every worker resolves it locally. FrontierWorkers is
+	// (core.FrontierMode: 0 = auto, 1 = serial, 2 = parallel). It is
+	// shipped unresolved: auto depends on each worker's own GOMAXPROCS, so
+	// every worker resolves it locally. FrontierWorkers is
 	// the per-process frontier worker budget (0 = the worker's GOMAXPROCS),
 	// split across that worker's hosted ranks.
 	Frontier        uint8
@@ -156,8 +149,6 @@ func EncodeSetup(dst []byte, s Setup) []byte {
 	dst = AppendUvarint(dst, s.BucketDelta)
 	dst = AppendUvarint(dst, uint64(s.BatchSize))
 	dst = appendBool(dst, s.BSP)
-	dst = append(dst, s.MST)
-	dst = AppendUvarint(dst, uint64(s.CollectiveChunk))
 	dst = AppendUvarint(dst, uint64(s.DelegateThreshold))
 	dst = append(dst, s.PartitionKind)
 	dst = AppendVIDs(dst, s.ArcBounds)
@@ -166,7 +157,6 @@ func EncodeSetup(dst []byte, s Setup) []byte {
 	for _, sh := range s.Shards {
 		dst = appendShardSlice(dst, sh)
 	}
-	dst = append(dst, s.MSTMode)
 	dst = AppendUvarint(dst, s.SessionID)
 	dst = append(dst, s.Frontier)
 	dst = AppendUvarint(dst, s.FrontierWorkers)
@@ -192,8 +182,6 @@ func DecodeSetup(body []byte) (Setup, error) {
 	s.BucketDelta = d.Uvarint()
 	s.BatchSize = d.Int()
 	s.BSP = d.Bool()
-	s.MST = d.Byte()
-	s.CollectiveChunk = d.Int()
 	s.DelegateThreshold = d.Int()
 	s.PartitionKind = d.Byte()
 	s.ArcBounds = d.VIDs()
@@ -205,7 +193,6 @@ func DecodeSetup(body []byte) (Setup, error) {
 	for i := 0; i < nShards && d.err == nil; i++ {
 		s.Shards = append(s.Shards, decodeShardSlice(d))
 	}
-	s.MSTMode = d.Byte()
 	s.SessionID = d.Uvarint()
 	s.Frontier = d.Byte()
 	s.FrontierWorkers = d.Uvarint()

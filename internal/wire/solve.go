@@ -71,12 +71,11 @@ type PhaseRec struct {
 // produced on the worker hosting rank 0 and shipped back inside
 // WorkerDone. Memory accounting and validation happen coordinator-side.
 type SolveResult struct {
-	Tree             []EdgeRec
-	TotalDistance    int64
-	Phases           []PhaseRec
-	DistGraphEdges   int
-	MSTRounds        int
-	CollectiveChunks int
+	Tree           []EdgeRec
+	TotalDistance  int64
+	Phases         []PhaseRec
+	DistGraphEdges int
+	MSTRounds      int
 }
 
 func appendSolveResult(dst []byte, r SolveResult) []byte {
@@ -97,7 +96,6 @@ func appendSolveResult(dst []byte, r SolveResult) []byte {
 	}
 	dst = AppendUvarint(dst, uint64(r.DistGraphEdges))
 	dst = AppendUvarint(dst, uint64(r.MSTRounds))
-	dst = AppendUvarint(dst, uint64(r.CollectiveChunks))
 	return dst
 }
 
@@ -127,7 +125,6 @@ func decodeSolveResult(d *Dec) SolveResult {
 	}
 	r.DistGraphEdges = d.Int()
 	r.MSTRounds = d.Int()
-	r.CollectiveChunks = d.Int()
 	return r
 }
 
