@@ -4,7 +4,8 @@
 # localhost, solve a set of queries over the wire, and require the answers
 # to be byte-identical (solver-output fields) to an in-process steinersvc
 # serving the same graph — plus nonzero transport counters in /stats,
-# proving the queries actually crossed TCP.
+# proving the queries actually crossed TCP, and phase 3-5 merge counters
+# equal to the in-process service's.
 #
 # Run from the repo root: ./ci/multiproc_smoke.sh
 set -euo pipefail
@@ -136,14 +137,22 @@ echo "   delegate outbox batched $batched broadcasts across the fleet"
 
 echo "== checking fragment-merge MST counters"
 # Every tree and forest query above ran the fragment merge, so rounds and
-# payload must be nonzero.
+# payload must be nonzero. Both services have answered the same query list
+# on the same rank layout, and phases 3-5 run the same collectives wherever
+# the ranks live: the merge payload and record counts must be equal.
 frag_rounds=$(echo "$stats" | jq -r .mst.fragmentRounds)
 frag_bytes=$(echo "$stats" | jq -r .mst.crossTableBytes)
 if [ "$frag_rounds" -le 0 ] || [ "$frag_bytes" -le 0 ]; then
   echo "FAIL: fragment merge reports rounds=$frag_rounds crossTableBytes=$frag_bytes" >&2
   exit 1
 fi
-echo "   fragment merge: $frag_rounds rounds, $frag_bytes cross-table bytes"
+tcp_mst=$(echo "$stats" | jq -c '.mst | {crossTableBytes, fragmentMessages}')
+inproc_mst=$(curl -fsS "http://$INPROC_HTTP/stats" | jq -c '.mst | {crossTableBytes, fragmentMessages}')
+if [ "$tcp_mst" != "$inproc_mst" ]; then
+  echo "FAIL: merge traffic differs between backends: tcp=$tcp_mst inproc=$inproc_mst" >&2
+  exit 1
+fi
+echo "   fragment merge: $frag_rounds rounds, $tcp_mst on both backends"
 
 echo "== comparing the fragment merge with the prize gather on the same fleet"
 # One high-terminal-count tree query (3/4 of the graph, deterministic seed

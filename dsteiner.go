@@ -67,9 +67,14 @@ type (
 	// Options configures Solve; the zero value is a valid single-rank
 	// configuration. Use Defaults for the paper's tuned settings.
 	Options = core.Options
-	// Result is Solve's output: the tree, per-phase statistics and
-	// memory accounting. Result.Clone deep-copies it for cache storage.
+	// Result is Solve's output: the tree, per-phase statistics, memory
+	// accounting and — embedded — the query's RuntimeStats. Result.Clone
+	// deep-copies it for cache storage.
 	Result = core.Result
+	// RuntimeStats is the runtime counters record a Result embeds whole:
+	// message, suppressed/batched/coalesced broadcast and parallel-frontier
+	// counters plus the transport traffic (Result.Net).
+	RuntimeStats = rt.Stats
 	// BatchItem is one query's outcome within Engine.SolveBatch.
 	BatchItem = core.BatchItem
 	// PhaseStat is one phase's timing and message statistics.

@@ -6,24 +6,19 @@ import (
 	"time"
 
 	"dsteiner/internal/graph"
-	"dsteiner/internal/partition"
 	"dsteiner/internal/transport"
 	"dsteiner/internal/voronoi"
 	"dsteiner/internal/wire"
 )
 
 // cluster is the BackendTCP session state of an Engine acting as
-// coordinator: the hub that owns the worker connections, plus the
-// session-constant memory accounting captured at setup. The coordinator
+// coordinator: the hub that owns the worker connections. The coordinator
 // holds the full graph (it loaded it) but after the handshake no rank
 // state lives here — the shards and slabs built to cut the handshake's
 // slices are released, and every solve runs entirely in the workers.
 type cluster struct {
 	hub *transport.Hub
 	qid uint64
-
-	shard      ShardStats
-	stateBytes int64
 }
 
 // newClusterEngine is NewEngine's BackendTCP path: listen, hand every
@@ -42,69 +37,15 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if opts.WorkerWait <= 0 {
 		opts.WorkerWait = 60 * time.Second
 	}
-	n := g.NumVertices()
-
-	// The base partition is built before any delegate wrapping so its
-	// compact wire form (kind + bounds) is at hand.
-	var base partition.Partition
-	var err error
-	var kind uint8
-	var bounds []graph.VID
-	switch opts.Partition {
-	case PartitionHash:
-		base, err = partition.NewHash(n, opts.Ranks)
-		kind = wire.PartHash
-	case PartitionArcBlock:
-		var ab *partition.ArcBlock
-		ab, err = partition.NewArcBlock(g, opts.Ranks)
-		if err == nil {
-			bounds = ab.Bounds()
-			base = ab
-		}
-		kind = wire.PartArcBlock
-	default:
-		base, err = partition.NewBlock(n, opts.Ranks)
-		kind = wire.PartBlock
-	}
+	kind, bounds, plan, err := buildSubstrate(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	part := base
-	if opts.DelegateThreshold > 0 {
-		part = partition.WithDelegates(base, g, opts.DelegateThreshold)
-	}
-	plan, err := partition.NewShardPlan(part, g)
-	if err != nil {
-		return nil, err
-	}
-
 	// Shards and slabs are cut once, only to (a) encode the handshake's
 	// slices and (b) capture the session's memory accounting; the workers
 	// rebuild them from the slices and this copy is garbage afterwards.
 	shards := plan.BuildShards(g)
-	slabs := voronoi.BuildSlabs(plan, shards)
-	cl := &cluster{}
-	cl.shard = ShardStats{
-		Partition:         opts.Partition.String(),
-		Ranks:             opts.Ranks,
-		DelegateThreshold: opts.DelegateThreshold,
-		Delegates:         plan.NumDelegates(),
-	}
-	for _, sh := range shards {
-		b := sh.MemoryBytes()
-		cl.shard.ShardBytes += b
-		if b > cl.shard.MaxShardBytes {
-			cl.shard.MaxShardBytes = b
-		}
-	}
-	for _, sl := range slabs {
-		b := sl.MemoryBytes()
-		cl.shard.StateSlabBytes += b
-		if b > cl.shard.MaxStateSlabBytes {
-			cl.shard.MaxStateSlabBytes = b
-		}
-	}
-	cl.stateBytes = cl.shard.StateSlabBytes
+	shard := shardStats(opts, plan, shards, voronoi.BuildSlabs(plan, shards))
 
 	hub, err := transport.ListenHub(opts.ListenAddr, opts.Workers, opts.Ranks)
 	if err != nil {
@@ -120,7 +61,7 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 		lo, hi := hub.RankRange(w)
 		setup := wire.Setup{
 			Ranks:             opts.Ranks,
-			NumVertices:       n,
+			NumVertices:       g.NumVertices(),
 			Queue:             uint8(opts.Queue),
 			BucketDelta:       opts.BucketDelta,
 			BatchSize:         opts.BatchSize,
@@ -154,7 +95,6 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl.hub = hub
 
 	// The coordinator cannot resolve FrontierAuto — that happens on each
 	// worker against its own GOMAXPROCS — so a cluster Engine reports the
@@ -162,55 +102,39 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	return &Engine{
 		g:        g,
 		opts:     opts,
-		cluster:  cl,
+		cluster:  &cluster{hub: hub},
 		plan:     plan,
+		shard:    shard,
 		frontier: opts.Frontier,
 		seen:     make(map[graph.VID]bool),
 	}, nil
 }
 
-// solve dispatches one canonical query to the worker fleet and assembles
-// the Result the loopback path would have produced: the rank-0 worker's
-// solver output plus coordinator-side Steiner-vertex counting, memory
-// accounting and validation (the coordinator holds the full graph).
-func (cl *cluster) solve(e *Engine, cq canonQuery) (*Result, error) {
-	dedup := cq.dedup
+// solve dispatches one canonical query to the worker fleet and returns the
+// rank-0 worker's solver output, with the fleet's folded counters record,
+// plus the per-rank E_N table sizes the workers reported.
+func (cl *cluster) solve(cq canonQuery) (*Result, []int64, error) {
 	cl.qid++
 	out, err := cl.hub.SolveSpec(toWireSpec(cl.qid, cq.spec))
 	if err != nil {
 		// Dispatch only fails when the session faulted (and, with
 		// Options.Recover, could not be healed in time); mark it so
 		// serving layers can retry against a later-healed fleet.
-		return nil, &sessionFaultErr{fmt.Errorf("core: tcp backend: %w", err)}
+		return nil, nil, &sessionFaultErr{fmt.Errorf("core: tcp backend: %w", err)}
 	}
 	if out.Err != "" {
-		return nil, errors.New(out.Err)
+		return nil, nil, errors.New(out.Err)
 	}
 	if out.Result == nil {
-		return nil, fmt.Errorf("core: tcp backend: no worker reported the rank-0 result")
+		return nil, nil, fmt.Errorf("core: tcp backend: no worker reported the rank-0 result")
 	}
-	res := fromWireResult(out.Result, dedup)
+	res := fromWireResult(out.Result, cq.dedup)
 	res.Skipped = out.Skipped
 	res.MSTFragment = out.MSTFragment
 	res.CrossTableBytes = out.CrossTableBytes
 	res.FragmentMsgs = out.FragmentMsgs
-	res.SuppressedBroadcasts = out.Suppressed
-	res.BatchedBroadcasts = out.Batched
-	res.CoalescedBroadcasts = out.Coalesced
-	res.FrontierWorkers = int(out.FrontierWorkers)
-	res.FrontierBucketsDrained = out.FrontierDrains
-	res.FrontierMsgs = out.FrontierMsgs
-	res.FrontierMaxChunk = out.FrontierMaxChunk
-	res.FrontierConflicts = out.FrontierConflicts
-	res.FrontierBusyNs = out.FrontierBusyNs
-	res.FrontierWallNs = out.FrontierWallNs
-	res.Net = out.Net
-	res.SteinerVertices = countSteinerVertices(res.Tree, dedup)
-	res.Memory = memoryStatsFromLens(e.g, cl.shard.ShardBytes, cl.stateBytes, out.TableLens, res, e.opts)
-	if err := finalizeResult(e.g, cq, res, e.opts.SkipValidation); err != nil {
-		return nil, err
-	}
-	return res, nil
+	res.Stats = out.Stats
+	return res, out.TableLens, nil
 }
 
 // toWireSpec converts a canonical QuerySpec to its wire form.

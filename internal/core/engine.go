@@ -11,6 +11,7 @@ import (
 	"dsteiner/internal/partition"
 	rt "dsteiner/internal/runtime"
 	"dsteiner/internal/voronoi"
+	"dsteiner/internal/wire"
 )
 
 // Engine is a long-lived solver session bound to one graph: the partition,
@@ -27,33 +28,24 @@ import (
 type Engine struct {
 	g    *graph.Graph
 	opts Options
-	comm *rt.Comm
 
 	// Sharded substrate, built once at session setup and pooled across
 	// queries: the plan (per-rank owned sets + delegates) and one
-	// rank-local CSR slab per rank.
+	// rank-local CSR slab per rank, with their memory accounting.
 	plan   *partition.ShardPlan
 	shards []*graph.Shard
+	shard  ShardStats
 
-	// cluster is the BackendTCP coordinator session; non-nil when the
-	// ranks live in external rankd workers instead of this process. comm
-	// and the pooled per-query state below are nil in that mode — the
-	// workers hold the per-rank state.
+	// host runs the ranks in this process: the communicator (with its
+	// pinned rank goroutines) and the pooled per-query scratch. slabs is
+	// the rank-local control state attached to it. Both nil on a BackendTCP
+	// engine, whose ranks live in external rankd workers behind cluster.
+	host    *rankHost
+	slabs   []*voronoi.StateSlab
 	cluster *cluster
 
-	mu sync.Mutex // serializes Solve on this engine
-
-	// Pooled per-query state, reset in O(1) or O(query) between solves. All
-	// per-vertex control state lives in rank-local slabs (owned vertices +
-	// delegate mirrors + walk marks).
-	slabs    []*voronoi.StateSlab  // rank-local control state
-	localENs []map[int64]crossEdge // per-rank E_N tables, cleared per query
-	seen     map[graph.VID]bool    // seed-validation scratch
-	seedIdx  map[graph.VID]int32   // seed -> dense index, rebuilt per query
-	pruneds  []map[int64]crossEdge // per-rank phase-5 survivors
-	trees    [][]graph.Edge        // per-rank phase-6 edge accumulators
-	owneds   []map[int64]crossEdge // per-rank fragment-merge table shards
-	frags    [][]int32             // per-rank fragment-label arrays
+	mu   sync.Mutex         // serializes Solve on this engine
+	seen map[graph.VID]bool // seed-validation scratch
 
 	// frontier is the resolved bucket-drain strategy (never auto): parallel
 	// when the bucket discipline and a multi-worker budget line up — or when
@@ -74,29 +66,64 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if opts.Backend == BackendTCP {
 		return newClusterEngine(g, opts)
 	}
-	n := g.NumVertices()
+	_, _, plan, err := buildSubstrate(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return newEngine(g, opts, plan, plan.BuildShards(g))
+}
 
+// buildSubstrate cuts g for opts, the step both backends start from: the
+// base partition in its compact wire form (kind, plus the bounds an
+// arc-block partition cannot be rebuilt without) and the shard plan over the
+// partition the ranks route by — the base, delegate-wrapped when a threshold
+// is set (plan.Partition()).
+func buildSubstrate(g *graph.Graph, opts Options) (kind uint8, bounds []graph.VID, plan *partition.ShardPlan, err error) {
 	var part partition.Partition
-	var err error
+	n := g.NumVertices()
 	switch opts.Partition {
 	case PartitionHash:
+		kind = wire.PartHash
 		part, err = partition.NewHash(n, opts.Ranks)
 	case PartitionArcBlock:
-		part, err = partition.NewArcBlock(g, opts.Ranks)
+		kind = wire.PartArcBlock
+		var ab *partition.ArcBlock
+		if ab, err = partition.NewArcBlock(g, opts.Ranks); err == nil {
+			bounds, part = ab.Bounds(), ab
+		}
 	default:
+		kind = wire.PartBlock
 		part, err = partition.NewBlock(n, opts.Ranks)
 	}
 	if err != nil {
-		return nil, err
+		return 0, nil, nil, err
 	}
 	if opts.DelegateThreshold > 0 {
 		part = partition.WithDelegates(part, g, opts.DelegateThreshold)
 	}
-	plan, err := partition.NewShardPlan(part, g)
-	if err != nil {
-		return nil, err
+	plan, err = partition.NewShardPlan(part, g)
+	return kind, bounds, plan, err
+}
+
+// shardStats sums a built substrate's resident memory.
+func shardStats(opts Options, plan *partition.ShardPlan, shards []*graph.Shard, slabs []*voronoi.StateSlab) ShardStats {
+	s := ShardStats{
+		Partition:         opts.Partition.String(),
+		Ranks:             opts.Ranks,
+		DelegateThreshold: opts.DelegateThreshold,
+		Delegates:         plan.NumDelegates(),
 	}
-	return newEngine(g, opts, part, plan, plan.BuildShards(g))
+	for _, sh := range shards {
+		b := sh.MemoryBytes()
+		s.ShardBytes += b
+		s.MaxShardBytes = max(s.MaxShardBytes, b)
+	}
+	for _, sl := range slabs {
+		b := sl.MemoryBytes()
+		s.StateSlabBytes += b
+		s.MaxStateSlabBytes = max(s.MaxStateSlabBytes, b)
+	}
+	return s
 }
 
 // NewSibling builds another engine over the same graph and options that
@@ -111,13 +138,12 @@ func (e *Engine) NewSibling() (*Engine, error) {
 	if e.cluster != nil {
 		return nil, fmt.Errorf("core: a BackendTCP engine owns its worker fleet and cannot have siblings")
 	}
-	return newEngine(e.g, e.opts, e.comm.Partition(), e.plan, e.shards)
+	return newEngine(e.g, e.opts, e.plan, e.shards)
 }
 
 // newEngine wires a communicator and pooled per-query state around an
 // already-built substrate. opts must have defaults applied.
-func newEngine(g *graph.Graph, opts Options, part partition.Partition,
-	plan *partition.ShardPlan, shards []*graph.Shard) (*Engine, error) {
+func newEngine(g *graph.Graph, opts Options, plan *partition.ShardPlan, shards []*graph.Shard) (*Engine, error) {
 	frontier := resolveFrontierLocal(opts)
 	comm, err := rt.New(rt.Config{
 		Ranks:            opts.Ranks,
@@ -128,24 +154,9 @@ func newEngine(g *graph.Graph, opts Options, part partition.Partition,
 		ShuffleSeed:      opts.ShuffleSeed,
 		FrontierParallel: frontier == FrontierParallel,
 		FrontierWorkers:  opts.FrontierWorkers,
-	}, part)
+	}, plan.Partition())
 	if err != nil {
 		return nil, err
-	}
-	e := &Engine{
-		g:        g,
-		opts:     opts,
-		comm:     comm,
-		plan:     plan,
-		shards:   shards,
-		localENs: make([]map[int64]crossEdge, opts.Ranks),
-		seen:     make(map[graph.VID]bool),
-		seedIdx:  make(map[graph.VID]int32),
-		pruneds:  make([]map[int64]crossEdge, opts.Ranks),
-		trees:    make([][]graph.Edge, opts.Ranks),
-		owneds:   make([]map[int64]crossEdge, opts.Ranks),
-		frags:    make([][]int32, opts.Ranks),
-		frontier: frontier,
 	}
 	if err := comm.AttachShards(shards); err != nil {
 		return nil, err
@@ -154,17 +165,22 @@ func newEngine(g *graph.Graph, opts Options, part partition.Partition,
 	// sharing the shard's vertex→row index. Slabs are mutable per-query
 	// state, so every engine (including siblings sharing one shard set)
 	// builds its own.
-	e.slabs, err = voronoi.AttachSlabs(comm, plan, shards)
+	slabs, err := voronoi.AttachSlabs(comm, plan, shards)
 	if err != nil {
 		return nil, err
 	}
 	comm.Start()
-	for i := range e.localENs {
-		e.localENs[i] = map[int64]crossEdge{}
-		e.pruneds[i] = map[int64]crossEdge{}
-		e.owneds[i] = map[int64]crossEdge{}
-	}
-	return e, nil
+	return &Engine{
+		g:        g,
+		opts:     opts,
+		plan:     plan,
+		shards:   shards,
+		shard:    shardStats(opts, plan, shards, slabs),
+		host:     newRankHost(comm, opts.BSP),
+		slabs:    slabs,
+		seen:     make(map[graph.VID]bool),
+		frontier: frontier,
+	}, nil
 }
 
 // Close releases the engine's pinned rank goroutines — or, for a
@@ -175,7 +191,7 @@ func (e *Engine) Close() {
 		e.cluster.close()
 		return
 	}
-	e.comm.Close()
+	e.host.comm.Close()
 }
 
 // Graph returns the resident graph the engine is bound to.
@@ -213,36 +229,10 @@ type ShardStats struct {
 // each worker resolves auto against its own GOMAXPROCS.
 func (e *Engine) Frontier() FrontierMode { return e.frontier }
 
-// ShardStats reports the engine's shard substrate.
-func (e *Engine) ShardStats() ShardStats {
-	if e.cluster != nil {
-		// Captured at session setup from the shards/slabs the handshake
-		// slices were cut from — the same bytes now resident in the
-		// workers.
-		return e.cluster.shard
-	}
-	s := ShardStats{
-		Partition:         e.opts.Partition.String(),
-		Ranks:             e.opts.Ranks,
-		DelegateThreshold: e.opts.DelegateThreshold,
-		Delegates:         e.plan.NumDelegates(),
-	}
-	for _, sh := range e.shards {
-		b := sh.MemoryBytes()
-		s.ShardBytes += b
-		if b > s.MaxShardBytes {
-			s.MaxShardBytes = b
-		}
-	}
-	for _, sl := range e.slabs {
-		b := sl.MemoryBytes()
-		s.StateSlabBytes += b
-		if b > s.MaxStateSlabBytes {
-			s.MaxStateSlabBytes = b
-		}
-	}
-	return s
-}
+// ShardStats reports the engine's shard substrate. On the TCP backend it
+// was captured at session setup from the shards and slabs the handshake
+// slices were cut from — the same bytes now resident in the workers.
+func (e *Engine) ShardStats() ShardStats { return e.shard }
 
 // Options returns the engine's configuration with defaults applied.
 func (e *Engine) Options() Options { return e.opts }
@@ -357,69 +347,32 @@ func ValidateSeedSet(n int, seeds []graph.VID) error {
 }
 
 // solveCanonLocked runs the six solver phases for a validated canonical
-// query. The caller holds e.mu.
+// query — on this process's ranks or on the worker fleet — and finishes the
+// Result with what only the holder of the full graph can add: Steiner-vertex
+// counting, memory accounting and validation. The caller holds e.mu.
 func (e *Engine) solveCanonLocked(cq canonQuery) (*Result, error) {
-	dedup := cq.dedup
-	res := &Result{Seeds: dedup, Mode: cq.spec.Mode}
-	if len(dedup) == 1 {
+	if len(cq.dedup) == 1 {
+		res := &Result{Seeds: cq.dedup, Mode: cq.spec.Mode}
 		if err := finalizeResult(e.g, cq, res, e.opts.SkipValidation); err != nil {
 			return nil, err
 		}
 		return res, nil
 	}
+	var res *Result
+	var tableLens []int64
+	var err error
 	if e.cluster != nil {
-		return e.cluster.solve(e, cq)
+		res, tableLens, err = e.cluster.solve(cq)
+	} else {
+		res, err = e.host.run(cq)
+		tableLens = e.host.tableLens()
 	}
-
-	g, opts := e.g, e.opts
-	e.comm.ResetStateSlabs() // O(P) epoch bumps, one per rank slab
-	for i := range e.localENs {
-		clear(e.localENs[i])
-		clear(e.pruneds[i])
-		clear(e.owneds[i])
-		e.trees[i] = e.trees[i][:0]
+	if err != nil {
+		return nil, err
 	}
-	clear(e.seedIdx)
-	for i, s := range dedup {
-		e.seedIdx[s] = int32(i)
-	}
-
-	env := &solveEnv{
-		opts:      opts,
-		comm:      e.comm,
-		dedup:     dedup,
-		seedIdx:   e.seedIdx,
-		mode:      cq.spec.Mode,
-		groupOf:   cq.groupOf,
-		numGroups: len(cq.spec.Groups),
-		penalty:   cq.penalty,
-		res:       res,
-		localENs:  e.localENs,
-		pruneds:   e.pruneds,
-		trees:     e.trees,
-		owneds:    e.owneds,
-		frags:     e.frags,
-	}
-	s0 := e.comm.Stats()
-	e.comm.Run(env.rankBody)
-	if env.err != nil {
-		return nil, env.err
-	}
-	s1 := e.comm.Stats()
-	res.SuppressedBroadcasts = s1.Suppressed - s0.Suppressed
-	res.BatchedBroadcasts = s1.BatchedBroadcasts - s0.BatchedBroadcasts
-	res.CoalescedBroadcasts = s1.CoalescedBroadcasts - s0.CoalescedBroadcasts
-	res.FrontierWorkers = s1.Frontier.Workers
-	res.FrontierBucketsDrained = s1.Frontier.BucketsDrained - s0.Frontier.BucketsDrained
-	res.FrontierMsgs = s1.Frontier.Messages - s0.Frontier.Messages
-	res.FrontierMaxChunk = s1.Frontier.MaxChunk // high-water mark, not a delta
-	res.FrontierConflicts = s1.Frontier.Conflicts - s0.Frontier.Conflicts
-	res.FrontierBusyNs = s1.Frontier.BusyNs - s0.Frontier.BusyNs
-	res.FrontierWallNs = s1.Frontier.WallNs - s0.Frontier.WallNs
-
-	res.SteinerVertices = countSteinerVertices(res.Tree, dedup)
-	res.Memory = memoryStats(g, e.ShardStats().ShardBytes, e.comm.StateMemoryBytes(), e.localENs, res, opts)
-	if err := finalizeResult(g, cq, res, opts.SkipValidation); err != nil {
+	res.SteinerVertices = countSteinerVertices(res.Tree, cq.dedup)
+	res.Memory = memoryStats(e.g, e.shard, tableLens, res, e.opts)
+	if err := finalizeResult(e.g, cq, res, e.opts.SkipValidation); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -25,33 +25,23 @@ import (
 
 // fragStats accumulates one rank's fragment-merge traffic for the query's
 // CrossTableBytes / FragmentMsgs counters (and the coordinator-bound
-// FragmentRoundSummary). Bytes stay zero on loopback, where routed records
-// travel as in-memory values instead of encoded blobs. The prize gather
-// reuses the bytes field for its gathered-table payload so both merges
-// report comparable CrossTableBytes.
+// FragmentRoundSummary). bytes is encoded payload moved through collectives
+// (contributed + received), equal on every backend. The prize gather reuses
+// it for its gathered-table payload so both merges report comparable
+// CrossTableBytes.
 type fragStats struct {
 	bytes int64
 	msgs  int64
 }
 
-// routedEntry is a cross-table record in flight to its owner rank on the
-// loopback path (the wire path encodes the same record with
-// appendCrossEntry).
-type routedEntry struct {
-	dest int
-	key  int64
-	ce   crossEdge
-}
-
 // fragProposal is one fragment's candidate minimum outgoing edge for a
-// Borůvka round: the proposing fragment label plus the full cross edge, so
-// winners can be kept as pruned entries without re-fetching them from the
-// owning rank.
+// Borůvka round: the proposing fragment label plus the full cross-table
+// record, so winners can be kept as pruned entries without re-fetching them
+// from the owning rank.
 type fragProposal struct {
 	frag int32
 	key  int64
-	d    graph.Dist
-	u, v graph.VID
+	crossEdge
 }
 
 // lessProposal orders proposals by (D, key) — the same total order as
@@ -61,8 +51,8 @@ type fragProposal struct {
 // is what makes the fragment merge's chosen edge set byte-identical to
 // sequential Kruskal's.
 func lessProposal(a, b fragProposal) bool {
-	if a.d != b.d {
-		return a.d < b.d
+	if a.D != b.D {
+		return a.D < b.D
 	}
 	return a.key < b.key
 }
@@ -76,31 +66,6 @@ func lessProposal(a, b fragProposal) bool {
 // agreed with an allreduce and all ranks bail uniformly.
 func (env *solveEnv) fragmentRoute(r *rt.Rank, localEN map[int64]crossEdge, fs *fragStats) (map[int64]crossEdge, bool) {
 	owned := env.owneds[r.ID()]
-	fold := func(k int64, ce crossEdge) {
-		if cur, ok := owned[k]; ok {
-			owned[k] = pickCross(cur, ce)
-		} else {
-			owned[k] = ce
-		}
-	}
-	if !r.Distributed() {
-		var out []routedEntry
-		for k, ce := range localEN {
-			s, _ := unpackSeedKey(k)
-			if d := r.Owner(s); d != r.ID() {
-				fs.msgs++
-				out = append(out, routedEntry{dest: d, key: k, ce: ce})
-			} else {
-				fold(k, ce)
-			}
-		}
-		for _, e := range rt.AllGather(r, out) {
-			if e.dest == r.ID() {
-				fold(e.key, e.ce)
-			}
-		}
-		return owned, true
-	}
 	blobs := map[int][]byte{}
 	for k, ce := range localEN {
 		s, _ := unpackSeedKey(k)
@@ -108,7 +73,7 @@ func (env *solveEnv) fragmentRoute(r *rt.Rank, localEN map[int64]crossEdge, fs *
 			fs.msgs++
 			blobs[d] = appendCrossEntry(blobs[d], k, ce)
 		} else {
-			fold(k, ce)
+			foldCross(owned, k, ce)
 		}
 	}
 	out := make([]rt.FragBlob, 0, len(blobs))
@@ -119,7 +84,7 @@ func (env *solveEnv) fragmentRoute(r *rt.Rank, localEN map[int64]crossEdge, fs *
 	var failed int64
 	for _, fb := range rt.FragmentExchange(r, out) {
 		fs.bytes += int64(len(fb.Blob))
-		if err := decodeCrossEntries(fb.Blob, fold); err != nil && failed == 0 {
+		if err := env.decodeCrossEntries(fb.Blob, owned); err != nil && failed == 0 {
 			failed = int64(r.ID()) + 1
 		}
 	}
@@ -175,7 +140,7 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, 
 				delete(owned, key) // intra-fragment: dead for all later rounds
 				continue
 			}
-			p := fragProposal{key: key, d: ce.D, u: ce.U, v: ce.V}
+			p := fragProposal{key: key, crossEdge: ce}
 			for _, f := range [2]int32{fu, fv} {
 				p.frag = f
 				if cur, ok := best[f]; !ok || lessProposal(p, cur) {
@@ -188,7 +153,7 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, 
 			props = append(props, p)
 		}
 		fs.msgs += int64(len(props))
-		all, err := exchangeProposals(r, props, fs)
+		all, err := env.exchangeProposals(r, props, fs)
 		if err != nil {
 			// Proposal blobs are broadcast, so every rank sees the same
 			// corrupt payload and fails here together.
@@ -224,7 +189,7 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, 
 				ru, rv = rv, ru
 			}
 			frag[rv] = ru // min-root representative keeps labels canonical
-			pruned[p.key] = crossEdge{D: p.d, U: p.u, V: p.v}
+			pruned[p.key] = p.crossEdge
 			chosen++
 		}
 		for i := range frag {
@@ -232,21 +197,15 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, 
 		}
 	}
 
-	if r.Distributed() {
-		bytes := r.AllreduceSumInt64(fs.bytes)
-		msgs := r.AllreduceSumInt64(fs.msgs)
-		if r.ID() == 0 {
-			res.CrossTableBytes = bytes
-			res.FragmentMsgs = msgs
-		}
-		rt.FragmentSummary(r, rt.FragSummary{Rounds: int64(rounds), Msgs: fs.msgs, Bytes: fs.bytes})
-	} else if msgs := r.AllreduceSumInt64(fs.msgs); r.ID() == 0 {
-		res.FragmentMsgs = msgs
-	}
+	bytes := r.AllreduceSumInt64(fs.bytes)
+	msgs := r.AllreduceSumInt64(fs.msgs)
 	if r.ID() == 0 {
+		res.CrossTableBytes = bytes
+		res.FragmentMsgs = msgs
 		res.MSTFragment = true
 		res.MSTRounds = rounds
 	}
+	rt.FragmentSummary(r, rt.FragSummary{Rounds: int64(rounds), Msgs: fs.msgs, Bytes: fs.bytes})
 
 	want := k - 1
 	if env.mode == ModeForest {
@@ -277,13 +236,9 @@ func fragmentDisconnectedErr(env *solveEnv, nT, chosen int, pruned map[int64]cro
 	return forestDisconnectedErr(env.groupOf, env.numGroups, nT, edges)
 }
 
-// exchangeProposals broadcasts every rank's round proposals to all ranks:
-// typed values through the generic allgather on loopback, one encoded blob
-// per rank (Dest -1) across a transport.
-func exchangeProposals(r *rt.Rank, props []fragProposal, fs *fragStats) ([]fragProposal, error) {
-	if !r.Distributed() {
-		return rt.AllGather(r, props), nil
-	}
+// exchangeProposals broadcasts every rank's round proposals to all ranks,
+// one encoded blob per rank (Dest -1).
+func (env *solveEnv) exchangeProposals(r *rt.Rank, props []fragProposal, fs *fragStats) ([]fragProposal, error) {
 	var blob []byte
 	for _, p := range props {
 		blob = appendProposal(blob, p)
@@ -297,16 +252,24 @@ func exchangeProposals(r *rt.Rank, props []fragProposal, fs *fragStats) ([]fragP
 	for _, fb := range rt.FragmentExchange(r, out) {
 		fs.bytes += int64(len(fb.Blob))
 		var err error
-		if all, err = decodeProposals(fb.Blob, all); err != nil {
+		if all, err = env.decodeProposals(fb.Blob, all); err != nil {
 			return nil, err
 		}
 	}
 	return all, nil
 }
 
-// appendCrossEntry appends one routed cross-table record. Records carry no
-// count prefix — the router appends per-destination incrementally and the
-// enclosing blob delimits them.
+// foldCross keeps the pickCross survivor for cell pair k in table.
+func foldCross(table map[int64]crossEdge, k int64, ce crossEdge) {
+	if cur, ok := table[k]; ok {
+		ce = pickCross(cur, ce)
+	}
+	table[k] = ce
+}
+
+// appendCrossEntry appends one cross-table record, the unit of both the
+// fragment routing and the prize gather. Records carry no count prefix —
+// the enclosing blob delimits them.
 func appendCrossEntry(dst []byte, k int64, ce crossEdge) []byte {
 	dst = wire.AppendVarint(dst, k)
 	dst = wire.AppendUvarint(dst, uint64(ce.D))
@@ -315,47 +278,66 @@ func appendCrossEntry(dst []byte, k int64, ce crossEdge) []byte {
 	return dst
 }
 
-// decodeCrossEntries folds every record of a routed blob through fold.
-func decodeCrossEntries(blob []byte, fold func(k int64, ce crossEdge)) error {
+// readCrossEntry decodes one cross-table record and rejects one that is
+// well-formed but cannot belong to this query: the key's halves must be two
+// distinct terminals in (s < t) order — anything else would read seedIdx's
+// zero value and union terminal 0's fragment — and the bridge endpoints must
+// be vertices, because phase 6 hands them to Owns and Send.
+func (env *solveEnv) readCrossEntry(d *wire.Dec) (int64, crossEdge, error) {
+	k := d.Varint()
+	ce := crossEdge{
+		D: graph.Dist(d.Uvarint()),
+		U: graph.VID(int32(d.Uvarint())),
+		V: graph.VID(int32(d.Uvarint())),
+	}
+	if err := d.Err(); err != nil {
+		return 0, ce, err
+	}
+	s, t := unpackSeedKey(k)
+	_, sok := env.seedIdx[s]
+	_, tok := env.seedIdx[t]
+	n := graph.VID(env.comm.Partition().NumVertices())
+	if !sok || !tok || s >= t || ce.U < 0 || ce.U >= n || ce.V < 0 || ce.V >= n {
+		return 0, ce, fmt.Errorf("%w: cross edge {%d, %d} for cell pair (%d, %d)", wire.ErrCorrupt, ce.U, ce.V, s, t)
+	}
+	return k, ce, nil
+}
+
+// decodeCrossEntries folds every record of a cross-table blob into table
+// under the pickCross total order.
+func (env *solveEnv) decodeCrossEntries(blob []byte, table map[int64]crossEdge) error {
 	d := wire.NewDec(blob)
 	for d.Len() > 0 {
-		k := d.Varint()
-		ce := crossEdge{
-			D: graph.Dist(d.Uvarint()),
-			U: graph.VID(int32(d.Uvarint())),
-			V: graph.VID(int32(d.Uvarint())),
-		}
-		if err := d.Err(); err != nil {
+		k, ce, err := env.readCrossEntry(d)
+		if err != nil {
 			return err
 		}
-		fold(k, ce)
+		foldCross(table, k, ce)
 	}
-	return d.Err()
+	return nil
 }
 
+// appendProposal appends one round proposal: the proposing fragment, then
+// the cross-table record it proposes.
 func appendProposal(dst []byte, p fragProposal) []byte {
-	dst = wire.AppendUvarint(dst, uint64(uint32(p.frag)))
-	dst = wire.AppendVarint(dst, p.key)
-	dst = wire.AppendUvarint(dst, uint64(p.d))
-	dst = wire.AppendUvarint(dst, uint64(uint32(p.u)))
-	dst = wire.AppendUvarint(dst, uint64(uint32(p.v)))
-	return dst
+	return appendCrossEntry(wire.AppendUvarint(dst, uint64(uint32(p.frag))), p.key, p.crossEdge)
 }
 
-func decodeProposals(blob []byte, into []fragProposal) ([]fragProposal, error) {
+// decodeProposals appends a round blob's proposals to into. Besides the
+// record's own checks, the proposing fragment must be a terminal index: the
+// winner table is keyed by it.
+func (env *solveEnv) decodeProposals(blob []byte, into []fragProposal) ([]fragProposal, error) {
 	d := wire.NewDec(blob)
 	for d.Len() > 0 {
-		p := fragProposal{
-			frag: int32(d.Uvarint()),
-			key:  d.Varint(),
-			d:    graph.Dist(d.Uvarint()),
-			u:    graph.VID(int32(d.Uvarint())),
-			v:    graph.VID(int32(d.Uvarint())),
-		}
-		if err := d.Err(); err != nil {
+		frag := int32(d.Uvarint())
+		k, ce, err := env.readCrossEntry(d)
+		if err != nil {
 			return into, err
 		}
-		into = append(into, p)
+		if frag < 0 || int(frag) >= len(env.dedup) {
+			return into, fmt.Errorf("%w: proposal from fragment %d of %d", wire.ErrCorrupt, frag, len(env.dedup))
+		}
+		into = append(into, fragProposal{frag: frag, key: k, crossEdge: ce})
 	}
-	return into, d.Err()
+	return into, nil
 }

@@ -85,13 +85,13 @@ func TestParallelFrontierMatchesSerial(t *testing.T) {
 						}
 						label := kind.String()
 						assertResultsEquivalent(t, label, got, want)
-						if want.FrontierBucketsDrained != 0 {
-							t.Fatalf("%s: serial solve reported %d parallel drains", label, want.FrontierBucketsDrained)
+						if want.Frontier.BucketsDrained != 0 {
+							t.Fatalf("%s: serial solve reported %d parallel drains", label, want.Frontier.BucketsDrained)
 						}
-						if got.FrontierWorkers != workers {
-							t.Fatalf("%s: resolved workers = %d, want %d", label, got.FrontierWorkers, workers)
+						if got.Frontier.Workers != workers {
+							t.Fatalf("%s: resolved workers = %d, want %d", label, got.Frontier.Workers, workers)
 						}
-						drained += got.FrontierBucketsDrained
+						drained += got.Frontier.BucketsDrained
 					}
 					parallel.Close()
 				}

@@ -64,17 +64,17 @@ func TestTCPBackendParallelFrontierMatchesLoopback(t *testing.T) {
 					}
 					sl := fmt.Sprintf("%s/spec=%d", label, si)
 					assertResultsEquivalent(t, sl, got, want)
-					if got.FrontierBucketsDrained == 0 {
+					if got.Frontier.BucketsDrained == 0 {
 						t.Fatalf("%s: tcp fleet reported zero parallel drains", sl)
 					}
-					if got.FrontierWorkers != 4 {
-						t.Fatalf("%s: fleet resolved %d frontier workers per rank, want 4", sl, got.FrontierWorkers)
+					if got.Frontier.Workers != 4 {
+						t.Fatalf("%s: fleet resolved %d frontier workers per rank, want 4", sl, got.Frontier.Workers)
 					}
-					if got.FrontierMsgs == 0 || got.FrontierWallNs == 0 {
+					if got.Frontier.Messages == 0 || got.Frontier.WallNs == 0 {
 						t.Fatalf("%s: frontier counters missing from the WorkerDone tail: %+v", sl, got)
 					}
-					if want.FrontierBucketsDrained != 0 {
-						t.Fatalf("%s: serial loopback oracle reported %d parallel drains", sl, want.FrontierBucketsDrained)
+					if want.Frontier.BucketsDrained != 0 {
+						t.Fatalf("%s: serial loopback oracle reported %d parallel drains", sl, want.Frontier.BucketsDrained)
 					}
 					if got.Net.FramesOut == 0 {
 						t.Fatalf("%s: tcp solve reports no transport traffic", sl)
@@ -136,7 +136,7 @@ func TestChaosFrontierParallel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("probe solve: %v", err)
 		}
-		if res.FrontierBucketsDrained == 0 {
+		if res.Frontier.BucketsDrained == 0 {
 			t.Fatal("probe fleet never drained a bucket in parallel")
 		}
 		shutdown(true)
@@ -167,7 +167,7 @@ func TestChaosFrontierParallel(t *testing.T) {
 				t.Fatalf("faulted solve not recovered: %v", err)
 			}
 			assertResultsEquivalent(t, kind+"/faulted", got, want)
-			if got.FrontierBucketsDrained == 0 {
+			if got.Frontier.BucketsDrained == 0 {
 				t.Fatalf("%s: requeued solve fell back to serial draining", kind)
 			}
 			again, err := solveWithDeadline(t, kind+"/healed", e, seeds)
@@ -175,7 +175,7 @@ func TestChaosFrontierParallel(t *testing.T) {
 				t.Fatalf("solve on healed fleet: %v", err)
 			}
 			assertResultsEquivalent(t, kind+"/healed", again, want)
-			if again.FrontierBucketsDrained == 0 {
+			if again.Frontier.BucketsDrained == 0 {
 				t.Fatalf("%s: healed fleet fell back to serial draining", kind)
 			}
 			fs := e.FaultStats()

@@ -60,7 +60,7 @@ func TestPhase2SendsOnePushPerBoundaryVertex(t *testing.T) {
 				t.Fatal(err)
 			}
 			seeds := pickSeeds(rand.New(rand.NewSource(64)), tc.pool, 6)
-			want := haloPushes(tc.g, e.comm.Partition().Owner, voronoi.Sequential(tc.g, seeds))
+			want := haloPushes(tc.g, e.host.comm.Partition().Owner, voronoi.Sequential(tc.g, seeds))
 			if want == 0 {
 				t.Fatalf("%s: vacuous, no boundary vertex to push", label)
 			}

@@ -289,10 +289,10 @@ func resPenalty(seeds []graph.VID, penalties []graph.Dist, s graph.VID) graph.Di
 	return 0
 }
 
-// TestForestPrizeTCPMatchesLoopback is the cross-backend acceptance test
-// for the new modes: forest and prize queries answered by a 4-worker rankd
-// fleet over real TCP must be byte-identical — tree, group subtrees,
-// skipped set, penalties, objective — to the in-process loopback backend.
+// TestForestPrizeTCPMatchesLoopback: forest, prize and tree queries answered
+// by 1-, 2- and 4-worker rankd fleets over real TCP must match the in-process
+// loopback backend byte for byte — tree, group subtrees, skipped set,
+// penalties, objective — and in every counter the flood's races cannot move.
 func TestForestPrizeTCPMatchesLoopback(t *testing.T) {
 	g := clusteredTestGraph(81, 3, 40)
 	rng := rand.New(rand.NewSource(82))
@@ -313,33 +313,44 @@ func TestForestPrizeTCPMatchesLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loop.Close()
-	tcp, wait := startTCPEngine(t, g, opts, 4)
-	defer wait()
-	defer tcp.Close()
-	for qi, spec := range specs {
-		want, err := loop.SolveSpec(spec)
-		if err != nil {
-			t.Fatalf("loopback query %d: %v", qi, err)
+	// The merge's payload, records and rounds, and all traffic after phase 1
+	// (the halo push and the tree walk are functions of the final labels).
+	timingFree := func(r *Result) [5]int64 {
+		p1 := r.Phase(PhaseVoronoi)
+		return [...]int64{r.CrossTableBytes, r.FragmentMsgs, int64(r.MSTRounds), r.Sent - p1.Sent, r.Processed - p1.Processed}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		tcp, wait := startTCPEngine(t, g, opts, workers)
+		for qi, spec := range specs {
+			want, err := loop.SolveSpec(spec)
+			if err != nil {
+				t.Fatalf("loopback query %d: %v", qi, err)
+			}
+			got, err := tcp.SolveSpec(spec)
+			if err != nil {
+				t.Fatalf("tcp query %d: %v", qi, err)
+			}
+			label := fmt.Sprintf("%d workers, query %d (%s)", workers, qi, spec.Mode)
+			assertResultsEquivalent(t, label, got, want)
+			if !reflect.DeepEqual(got.Groups, want.Groups) ||
+				!reflect.DeepEqual(got.GroupTrees, want.GroupTrees) {
+				t.Fatalf("%s: group trees differ\ntcp      %v\nloopback %v", label, got.GroupTrees, want.GroupTrees)
+			}
+			if !reflect.DeepEqual(got.Skipped, want.Skipped) ||
+				got.PaidPenalty != want.PaidPenalty || got.Objective != want.Objective {
+				t.Fatalf("%s: prize outputs differ: skipped %v/%v paid %d/%d objective %d/%d",
+					label, got.Skipped, want.Skipped, got.PaidPenalty, want.PaidPenalty,
+					got.Objective, want.Objective)
+			}
+			if spec.Mode == ModeForest {
+				checkForestProperties(t, g, got)
+			}
+			if tf, lf := timingFree(got), timingFree(want); tf != lf || tf[0] <= 0 || got.MSTFragment != want.MSTFragment {
+				t.Fatalf("%s: timing-free counters differ: tcp %v, loopback %v", label, tf, lf)
+			}
 		}
-		got, err := tcp.SolveSpec(spec)
-		if err != nil {
-			t.Fatalf("tcp query %d: %v", qi, err)
-		}
-		label := fmt.Sprintf("query %d (%s)", qi, spec.Mode)
-		assertResultsEquivalent(t, label, got, want)
-		if !reflect.DeepEqual(got.Groups, want.Groups) ||
-			!reflect.DeepEqual(got.GroupTrees, want.GroupTrees) {
-			t.Fatalf("%s: group trees differ\ntcp      %v\nloopback %v", label, got.GroupTrees, want.GroupTrees)
-		}
-		if !reflect.DeepEqual(got.Skipped, want.Skipped) ||
-			got.PaidPenalty != want.PaidPenalty || got.Objective != want.Objective {
-			t.Fatalf("%s: prize outputs differ: skipped %v/%v paid %d/%d objective %d/%d",
-				label, got.Skipped, want.Skipped, got.PaidPenalty, want.PaidPenalty,
-				got.Objective, want.Objective)
-		}
-		if spec.Mode == ModeForest {
-			checkForestProperties(t, g, got)
-		}
+		tcp.Close()
+		wait()
 	}
 }
 

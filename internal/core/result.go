@@ -82,44 +82,34 @@ type Result struct {
 	// fragment merge: true for tree and forest queries, false for prize
 	// queries (gathered cross table + sequential MST).
 	MSTFragment bool
-	// CrossTableBytes is the phase 3–4 merge payload moved through
-	// collectives, summed over ranks (contributed + received). Zero on the
-	// in-process loopback backend, where records travel as shared values.
+	// CrossTableBytes is the phase 3–4 merge's encoded payload moved through
+	// collectives, summed over ranks (contributed + received); equal on every
+	// backend.
 	CrossTableBytes int64
 	// FragmentMsgs counts fragment-merge records exchanged (routed
 	// cross-table entries plus per-round proposals), summed over ranks.
 	// Zero on a prize query.
 	FragmentMsgs int64
-	// SuppressedBroadcasts counts cross-rank relaxation offers the sender
-	// dropped during this query because a local bound already beat them: the
-	// delegate mirror (the changed-since filter) or the best offer the rank
-	// had already sent that vertex (its ghost row). Nonzero without
-	// delegates too. Cluster-wide total on the TCP backend.
-	SuppressedBroadcasts int64
-	// BatchedBroadcasts counts delegate offers that left a rank's superstep
-	// outbox as real broadcasts; CoalescedBroadcasts counts offers absorbed
-	// into an already-staged outbox entry for the same delegate (each
-	// absorption is a broadcast that never happened): a delegate's label
-	// change is either coalesced in the outbox or sent.
-	BatchedBroadcasts   int64
-	CoalescedBroadcasts int64
-	// Net is the transport traffic attributable to this query, summed over
-	// the worker processes. All zero on the in-process loopback backend.
-	Net rt.TransportStats
-
-	// Frontier block: intra-rank parallel-frontier work of this query (all
-	// zero when every rank drained its queue serially). FrontierWorkers is
-	// the resolved worker count per rank; on the TCP backend the maximum
-	// across the worker processes. FrontierMaxChunk is a session high-water
-	// mark (largest per-worker chunk seen), not a per-query delta. The
-	// pool's busy fraction is FrontierBusyNs/(FrontierWallNs*Workers).
-	FrontierWorkers        int
-	FrontierBucketsDrained int64
-	FrontierMsgs           int64
-	FrontierMaxChunk       int64
-	FrontierConflicts      int64
-	FrontierBusyNs         int64
-	FrontierWallNs         int64
+	// Stats is the query's runtime counters record, cluster-wide on the TCP
+	// backend (the workers' shares folded with rt.Stats.Add), embedded so
+	// its fields read as the Result's own:
+	//   - Sent, Processed, Batches: visitor messages and batch deliveries.
+	//   - Suppressed: cross-rank relaxation offers the sender dropped because
+	//     a local bound already beat them — the delegate mirror, or the best
+	//     offer the rank had already sent that vertex (its ghost row), so it
+	//     is nonzero without delegates too.
+	//   - BatchedBroadcasts, CoalescedBroadcasts: delegate offers that left a
+	//     rank's superstep outbox as real broadcasts, and offers absorbed
+	//     into an already-staged entry for the same delegate (each a
+	//     broadcast that never happened).
+	//   - Frontier: intra-rank parallel-frontier work, all zero when every
+	//     rank drained serially. Workers is the resolved count per rank (the
+	//     fleet maximum on TCP) and MaxChunk a session high-water mark, not a
+	//     per-query delta; the pool's busy fraction is
+	//     BusyNs/(WallNs*Workers).
+	//   - Net: transport traffic attributable to this query, summed over the
+	//     worker processes. All zero on the in-process loopback backend.
+	rt.Stats
 
 	// Mode is the query mode this result answers (ModeTree for plain
 	// Solve calls).

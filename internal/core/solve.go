@@ -123,19 +123,9 @@ func countSteinerVertices(tree []graph.Edge, seeds []graph.VID) int {
 // memoryStats models the Fig. 8 accounting: measured sizes for the graph,
 // per-rank shards, control state (rank-local slabs) and edge tables, plus a
 // buffer-residency model (P outgoing buffers per rank at the configured
-// batch size).
-func memoryStats(g *graph.Graph, shardBytes, stateBytes int64, localENs []map[int64]crossEdge, res *Result, opts Options) MemoryStats {
-	lens := make([]int64, len(localENs))
-	for i, m := range localENs {
-		lens[i] = int64(len(m))
-	}
-	return memoryStatsFromLens(g, shardBytes, stateBytes, lens, res, opts)
-}
-
-// memoryStatsFromLens is memoryStats over per-rank E_N table sizes — the
-// form the TCP backend reports them in (the tables live in the workers,
-// only their sizes travel back in the per-query WorkerDone frames).
-func memoryStatsFromLens(g *graph.Graph, shardBytes, stateBytes int64, tableLens []int64, res *Result, opts Options) MemoryStats {
+// batch size). tableLens holds the per-rank E_N table sizes — on the TCP
+// backend the tables live in the workers and only their sizes travel back.
+func memoryStats(g *graph.Graph, shard ShardStats, tableLens []int64, res *Result, opts Options) MemoryStats {
 	const crossEntryBytes = 8 + 16 + 8 // key + crossEdge + map overhead approx
 	const msgBytes = 24
 	var tableBytes int64
@@ -149,8 +139,8 @@ func memoryStatsFromLens(g *graph.Graph, shardBytes, stateBytes int64, tableLens
 	}
 	return MemoryStats{
 		GraphBytes:     g.MemoryBytes(),
-		ShardBytes:     shardBytes,
-		StateBytes:     stateBytes,
+		ShardBytes:     shard.ShardBytes,
+		StateBytes:     shard.StateSlabBytes,
 		EdgeTableBytes: tableBytes,
 		DistGraphBytes: int64(res.DistGraphEdges) * 20 * int64(opts.Ranks),
 		BufferBytes:    int64(opts.Ranks) * int64(opts.Ranks) * int64(batch) * msgBytes,
@@ -158,15 +148,12 @@ func memoryStatsFromLens(g *graph.Graph, shardBytes, stateBytes int64, tableLens
 }
 
 // recorder tracks per-phase wall time and message deltas. Rank 0 writes the
-// shared Result between barriers. In a distributed session the message
-// counters live per process, so each process leader (its lowest hosted
-// rank, rec.lo) snapshots local deltas and the totals are summed with an
-// allreduce; loopback keeps the original rank-0-only snapshot with no
-// extra collectives on the hot path.
+// shared Result between barriers. The message counters live per process, so
+// each process leader (its lowest hosted rank, rec.lo) snapshots local
+// deltas and the totals are summed with an allreduce.
 type recorder struct {
 	comm *rt.Comm
 	res  *Result
-	dist bool
 	lo   int
 
 	t0 time.Time
@@ -190,26 +177,12 @@ func (rec *recorder) phase(r *rt.Rank, name string, fn func() int64) {
 		func(context.Context) { work = fn() })
 	r.Barrier()
 	maxWork := r.AllreduceMaxInt64(work)
-	if !rec.dist {
-		if r.ID() == 0 {
-			s1 := rec.comm.Stats()
-			rec.res.Phases = append(rec.res.Phases, PhaseStat{
-				Name:        name,
-				Seconds:     time.Since(rec.t0).Seconds(),
-				Sent:        s1.Sent - rec.s0.Sent,
-				Processed:   s1.Processed - rec.s0.Processed,
-				MaxRankWork: maxWork,
-			})
-		}
-		return
-	}
-	var dSent, dProcessed int64
+	var d rt.Stats
 	if r.ID() == rec.lo {
-		s1 := rec.comm.Stats()
-		dSent, dProcessed = s1.Sent-rec.s0.Sent, s1.Processed-rec.s0.Processed
+		d = rec.comm.Stats().Sub(rec.s0)
 	}
-	sent := r.AllreduceSumInt64(dSent)
-	processed := r.AllreduceSumInt64(dProcessed)
+	sent := r.AllreduceSumInt64(d.Sent)
+	processed := r.AllreduceSumInt64(d.Processed)
 	if r.ID() == 0 {
 		rec.res.Phases = append(rec.res.Phases, PhaseStat{
 			Name:        name,

@@ -13,23 +13,19 @@ import (
 )
 
 // solveEnv is one query's per-process environment for the six-phase SPMD
-// solve body. It was extracted from Engine.Solve so the body can run in
-// two homes with identical code: every rank of a loopback Engine, and the
-// hosted rank subset of a remote rankd worker — where the process holds
-// only its shards, slabs and scratch tables, and everything global flows
-// through collectives. Fields indexed by rank use GLOBAL rank ids; a
-// worker populates only the hosted entries.
+// solve body: the rankHost it runs on (communicator and the pooled per-rank
+// scratch, indexed by GLOBAL rank id) plus the query. The body is one
+// function wherever the ranks live — every rank of an in-process Engine, or
+// the hosted subset of a rankd worker, which holds only its shards, slabs and
+// scratch — because everything global flows through collectives.
 type solveEnv struct {
-	opts Options
-	comm *rt.Comm
+	*rankHost
 
-	// Per-query inputs, identical on every process.
-	dedup   []graph.VID
-	seedIdx map[graph.VID]int32
-
-	// Mode-specific inputs, also identical on every process: the query
-	// mode, the dense-terminal→group map and group count (forest; nil/0
-	// otherwise) and the dense-terminal penalties (prize; nil otherwise).
+	// Per-query inputs, identical on every process: the sorted terminals
+	// (seedIdx maps them back to dense indices), the query mode, the
+	// dense-terminal→group map and group count (forest; nil/0 otherwise) and
+	// the dense-terminal penalties (prize; nil otherwise).
+	dedup     []graph.VID
 	mode      Mode
 	groupOf   []int32
 	numGroups int
@@ -39,31 +35,19 @@ type solveEnv struct {
 	// hosting rank 0 publishes it. err is rank 0's solve error.
 	res *Result
 	err error
-
-	// Pooled per-rank scratch (the owning Engine's or worker's pools).
-	localENs []map[int64]crossEdge
-	pruneds  []map[int64]crossEdge
-	trees    [][]graph.Edge
-	// owneds and frags are the fragment merge's pooled per-rank state: the
-	// rank-sharded cross table and the fragment-label array. merges is the
-	// prize gather's pooled wire scratch (encode buffer + merge target); nil
-	// on loopback, which merges shared maps in-memory.
-	owneds []map[int64]crossEdge
-	frags  [][]int32
-	merges []*mergeScratch
 }
 
 // rankBody runs the six solver phases on one rank. It must be invoked
 // SPMD on every rank of the communicator — local or remote — with an
 // identically-initialized env.
 func (env *solveEnv) rankBody(r *rt.Rank) {
-	opts, dedup, seedIdx := env.opts, env.dedup, env.seedIdx
+	dedup, seedIdx := env.dedup, env.seedIdx
 	res := env.res
 	// Tree and forest queries run the rank-parallel fragment merge in phases
 	// 3–5. A prize query gathers the whole table instead, because its
 	// moat-growing plan needs all of it.
 	fragment := env.mode != ModePrize
-	rec := &recorder{comm: env.comm, res: res, dist: r.Distributed()}
+	rec := &recorder{comm: env.comm, res: res}
 	rec.lo, _ = env.comm.HostRange()
 
 	// This rank's CSR slab holds its adjacency (Rank.EdgeWeight: weights are
@@ -75,7 +59,7 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// Phase 1: Voronoi cells (Alg. 4).
 	faultpoint.Hit("solve.phase1")
 	rec.phase(r, PhaseVoronoi, func() int64 {
-		if opts.BSP {
+		if env.bsp {
 			return voronoi.RunRankBSP(r, dedup).Processed
 		}
 		return voronoi.RunRank(r, dedup).Processed
@@ -97,17 +81,11 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 		if env.groupOf != nil && env.groupOf[seedIdx[su]] != env.groupOf[seedIdx[sv]] {
 			return
 		}
-		cand := crossEdge{D: du + graph.Dist(w) + dv, U: u, V: v}
-		key := seedKey(su, sv)
-		if cur, ok := localEN[key]; ok {
-			localEN[key] = pickCross(cur, cand)
-		} else {
-			localEN[key] = cand
-		}
+		foldCross(localEN, seedKey(su, sv), crossEdge{D: du + graph.Dist(w) + dv, U: u, V: v})
 	}
 	faultpoint.Hit("solve.phase2")
 	rec.phase(r, PhaseLocalMinEdge, func() int64 {
-		return haloPhase2(r, sl, opts.BSP, record)
+		return haloPhase2(r, sl, env.bsp, record)
 	})
 
 	// Phase 3: global min-distance edges. The fragment merge routes each
@@ -144,12 +122,10 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 			ok = env.fragmentMST(r, owned, pruned, fs)
 			return 0
 		}
-		if r.Distributed() {
-			// The gather's payload total, for comparison with the fragment
-			// merge's CrossTableBytes.
-			if bytes := r.AllreduceSumInt64(fs.bytes); r.ID() == 0 {
-				res.CrossTableBytes = bytes
-			}
+		// The gather's payload total, for comparison with the fragment
+		// merge's CrossTableBytes.
+		if bytes := r.AllreduceSumInt64(fs.bytes); r.ID() == 0 {
+			res.CrossTableBytes = bytes
 		}
 		keys := make([]int64, 0, len(merged))
 		for k := range merged {
@@ -235,7 +211,7 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	faultpoint.Hit("solve.phase6")
 	rec.phase(r, PhaseTreeEdge, func() int64 {
 		ts := r.Traverse(&rt.Traversal{
-			BSP: opts.BSP,
+			BSP: env.bsp,
 			Init: func(r *rt.Rank) {
 				for _, ce := range pruned {
 					if !r.Owns(ce.U) {
@@ -268,27 +244,21 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	})
 	env.trees[r.ID()] = localTree // keep the grown capacity pooled
 
-	// Gather the final tree on every process hosting rank 0; rank 0
-	// publishes it. Loopback shares slices through the generic
-	// AllGather; across a transport the fragments travel as encoded
-	// blobs through the rank-ordered gather collective.
+	// Gather the final tree: the per-rank fragments travel as encoded blobs
+	// through the rank-ordered gather collective and rank 0 publishes them.
 	var tree []graph.Edge
-	if r.Distributed() {
-		parts := rt.GatherBlobs(r, wire.EncodeEdges(nil, localTree))
-		if r.ID() == 0 {
-			for rank, blob := range parts {
-				if len(blob) == 0 {
-					continue
-				}
-				var err error
-				if tree, err = wire.DecodeEdges(blob, tree); err != nil {
-					env.err = fmt.Errorf("core: tree gather from rank %d: %w", rank, err)
-					return
-				}
+	parts := rt.GatherBlobs(r, wire.EncodeEdges(nil, localTree))
+	if r.ID() == 0 {
+		for rank, blob := range parts {
+			if len(blob) == 0 {
+				continue
+			}
+			var err error
+			if tree, err = wire.DecodeEdges(blob, tree); err != nil {
+				env.err = fmt.Errorf("core: tree gather from rank %d: %w", rank, err)
+				return
 			}
 		}
-	} else {
-		tree = rt.AllGather(r, localTree)
 	}
 	if r.ID() == 0 {
 		sorted := append([]graph.Edge(nil), tree...)
@@ -399,30 +369,29 @@ func forestDisconnectedErr(groupOf []int32, numGroups, nT int, edges []mst.WEdge
 	return fmt.Errorf("core: forest groups are not all connected")
 }
 
-// mergeScratch is a rank's pooled prize-gather wire scratch: the
-// cross-table encode buffer and the distributed merge target map, reused
-// across queries like the transport's encode scratch.
+// mergeScratch is a rank's pooled prize-gather scratch: the cross-table
+// encode buffer and the merge target map, reused across queries like the
+// transport's encode scratch.
 type mergeScratch struct {
 	enc    []byte
 	merged map[int64]crossEdge
 }
 
 // mergeCrossTables merges the per-rank E_N tables into the globally-minimal
-// cross-cell edge per cell pair. Loopback uses the generic shared-memory
-// map reduction; across a transport each rank's table travels as an
-// encoded blob through the rank-ordered gather, and every process merges
-// locally — pickCross is associative and commutative with a total order,
-// so the merged table is identical everywhere regardless of merge order.
-// A decode failure is uniform (every process decodes the same gathered
-// blobs), so all ranks return ok=false together and rank 0 records the
-// error — a fail-stop session abort instead of a process-killing panic.
-// The returned map is the pooled scratch: valid until the next query.
+// cross-cell edge per cell pair: each rank's table travels as an encoded
+// blob through the rank-ordered gather, and every rank merges locally —
+// pickCross is associative and commutative with a total order, so the
+// merged table is identical everywhere regardless of merge order. A decode
+// failure is uniform (every rank decodes the same gathered blobs), so all
+// ranks return ok=false together and rank 0 records the error — a failed
+// query instead of a process-killing panic. The returned map is the pooled
+// scratch: valid until the next query.
 func (env *solveEnv) mergeCrossTables(r *rt.Rank, local map[int64]crossEdge, fs *fragStats) (map[int64]crossEdge, bool) {
-	if !r.Distributed() {
-		return rt.ReduceMap(r, local, pickCross), true
-	}
 	sc := env.merges[r.ID()]
-	sc.enc = encodeCrossTable(sc.enc[:0], local)
+	sc.enc = sc.enc[:0]
+	for k, ce := range local {
+		sc.enc = appendCrossEntry(sc.enc, k, ce)
+	}
 	fs.bytes += int64(len(sc.enc))
 	parts := rt.GatherBlobs(r, sc.enc)
 	clear(sc.merged)
@@ -430,7 +399,7 @@ func (env *solveEnv) mergeCrossTables(r *rt.Rank, local map[int64]crossEdge, fs 
 		if rank != r.ID() {
 			fs.bytes += int64(len(blob))
 		}
-		if err := decodeCrossTableInto(sc.merged, blob); err != nil {
+		if err := env.decodeCrossEntries(blob, sc.merged); err != nil {
 			if r.ID() == 0 {
 				env.err = fmt.Errorf("core: cross-table gather from rank %d: %w", rank, err)
 			}
@@ -438,43 +407,4 @@ func (env *solveEnv) mergeCrossTables(r *rt.Rank, local map[int64]crossEdge, fs 
 		}
 	}
 	return sc.merged, true
-}
-
-// encodeCrossTable encodes an E_N table for the gather collective.
-func encodeCrossTable(dst []byte, table map[int64]crossEdge) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(table)))
-	for k, ce := range table {
-		dst = wire.AppendVarint(dst, k)
-		dst = wire.AppendUvarint(dst, uint64(ce.D))
-		dst = wire.AppendUvarint(dst, uint64(uint32(ce.U)))
-		dst = wire.AppendUvarint(dst, uint64(uint32(ce.V)))
-	}
-	return dst
-}
-
-// decodeCrossTableInto folds an encoded E_N table into dst under the
-// pickCross total order.
-func decodeCrossTableInto(dst map[int64]crossEdge, blob []byte) error {
-	if len(blob) == 0 {
-		return nil
-	}
-	d := wire.NewDec(blob)
-	n := d.Uvarint()
-	for i := uint64(0); i < n; i++ {
-		k := d.Varint()
-		ce := crossEdge{
-			D: graph.Dist(d.Uvarint()),
-			U: graph.VID(int32(d.Uvarint())),
-			V: graph.VID(int32(d.Uvarint())),
-		}
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if cur, ok := dst[k]; ok {
-			dst[k] = pickCross(cur, ce)
-		} else {
-			dst[k] = ce
-		}
-	}
-	return d.Err()
 }

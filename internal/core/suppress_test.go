@@ -34,7 +34,7 @@ func TestChangedSinceFilterSuppresses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		suppressed += res.SuppressedBroadcasts
+		suppressed += res.Suppressed
 		batched += res.BatchedBroadcasts
 		if res.CoalescedBroadcasts < 0 {
 			t.Fatalf("negative coalesced count %d", res.CoalescedBroadcasts)

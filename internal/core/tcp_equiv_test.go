@@ -51,9 +51,6 @@ func startTCPEngine(t *testing.T, g *graph.Graph, opts Options, workers int) (*E
 // (solver-output fields) to the in-process loopback backend — and both
 // match across repeated queries on the same warm session.
 func TestTCPBackendMatchesLoopback(t *testing.T) {
-	if testing.Short() {
-		// The full matrix spins up 24 worker fleets; -short keeps two.
-	}
 	g := engineTestGraph(17, 120)
 	rng := rand.New(rand.NewSource(18))
 	seedSets := [][]graph.VID{
@@ -64,7 +61,7 @@ func TestTCPBackendMatchesLoopback(t *testing.T) {
 	kinds := []PartitionKind{PartitionBlock, PartitionHash, PartitionArcBlock}
 	thresholds := []int{0, 6}
 	bsps := []bool{false, true}
-	if testing.Short() {
+	if testing.Short() { // the full matrix spins up 12 worker fleets; -short keeps two
 		kinds = []PartitionKind{PartitionArcBlock}
 		thresholds = []int{6}
 	}

@@ -180,29 +180,17 @@ func runWorkerSession(coordAddr string, cfg WorkerConfig, rejoin *rejoinTicket) 
 	return nil, nil
 }
 
-// worker is one rankd process's session state: the hosted rank range, the
-// communicator over the TCP transport, and the pooled per-query scratch
-// the SPMD body indexes by global rank.
+// worker is one rankd process's session state: the rank host over its
+// hosted range, and beside it the TCP transport the host's communicator
+// talks through.
 type worker struct {
-	lo    int
-	hi    int
 	n     int // |V| of the session's graph, for validating inbound specs
-	opts  Options
-	comm  *rt.Comm
+	host  *rankHost
 	trans *transport.TCP
+	seen  map[graph.VID]bool // spec-validation scratch
 
 	shardBytes int64
 	stateBytes int64
-
-	// Pooled per-query scratch (hosted entries only).
-	localENs []map[int64]crossEdge
-	pruneds  []map[int64]crossEdge
-	trees    [][]graph.Edge
-	seedIdx  map[graph.VID]int32
-	seen     map[graph.VID]bool // spec-validation scratch
-	owneds   []map[int64]crossEdge
-	frags    [][]int32
-	merges   []*mergeScratch
 }
 
 // buildWorker reconstructs the rank substrate from the setup frame and
@@ -243,30 +231,7 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 		Ranks:           hi - lo, // budget splits across hosted ranks
 	})
 
-	w := &worker{
-		lo: lo,
-		hi: hi,
-		n:  setup.NumVertices,
-		opts: Options{
-			Ranks:             setup.Ranks,
-			Queue:             rt.QueueKind(setup.Queue),
-			BucketDelta:       setup.BucketDelta,
-			BatchSize:         setup.BatchSize,
-			BSP:               setup.BSP,
-			DelegateThreshold: setup.DelegateThreshold,
-			Frontier:          frontier,
-			FrontierWorkers:   int(setup.FrontierWorkers),
-		},
-		localENs: make([]map[int64]crossEdge, setup.Ranks),
-		pruneds:  make([]map[int64]crossEdge, setup.Ranks),
-		trees:    make([][]graph.Edge, setup.Ranks),
-		seedIdx:  make(map[graph.VID]int32),
-		seen:     make(map[graph.VID]bool),
-		owneds:   make([]map[int64]crossEdge, setup.Ranks),
-		frags:    make([][]int32, setup.Ranks),
-		merges:   make([]*mergeScratch, setup.Ranks),
-	}
-
+	w := &worker{n: setup.NumVertices, seen: make(map[graph.VID]bool)}
 	shards := make([]*graph.Shard, 0, hi-lo)
 	slabs := make([]rt.StateSlab, 0, hi-lo)
 	for i, sl := range setup.Shards {
@@ -280,10 +245,6 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 		slabs = append(slabs, slab)
 		w.shardBytes += sh.MemoryBytes()
 		w.stateBytes += slab.MemoryBytes()
-		w.localENs[sl.Rank] = map[int64]crossEdge{}
-		w.pruneds[sl.Rank] = map[int64]crossEdge{}
-		w.owneds[sl.Rank] = map[int64]crossEdge{}
-		w.merges[sl.Rank] = &mergeScratch{merged: map[int64]crossEdge{}}
 	}
 
 	cfg.Logf("rankd: worker %d/%d hosting ranks [%d,%d), |V|=%d, shard %d B, slab %d B",
@@ -322,7 +283,7 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 	if err := comm.AttachStateSlabs(slabs); err != nil {
 		return nil, err
 	}
-	w.comm = comm
+	w.host = newRankHost(comm, setup.BSP)
 	return w, nil
 }
 
@@ -360,8 +321,8 @@ func workerPartition(setup wire.Setup) (partition.Partition, error) {
 
 // serve answers coordinator control frames until goodbye or failure.
 func (w *worker) serve(cfg WorkerConfig) error {
-	w.comm.Start()
-	defer w.comm.Close()
+	w.host.comm.Start()
+	defer w.host.comm.Close()
 	defer w.trans.Close()
 	if err := w.trans.SendReady(wire.Ready{ShardBytes: w.shardBytes, StateBytes: w.stateBytes}); err != nil {
 		return fmt.Errorf("core: ready: %w", err)
@@ -393,39 +354,10 @@ func (w *worker) solveQuery(q wire.SolveSpec, cfg WorkerConfig) (err error) {
 	if err != nil {
 		return fmt.Errorf("core: query %d: invalid spec from coordinator: %w", q.QueryID, err)
 	}
-	w.comm.ResetStateSlabs()
-	for rank := w.lo; rank < w.hi; rank++ {
-		clear(w.localENs[rank])
-		clear(w.pruneds[rank])
-		clear(w.owneds[rank])
-		w.trees[rank] = w.trees[rank][:0]
-	}
-	clear(w.seedIdx)
-	for i, s := range cq.dedup {
-		w.seedIdx[s] = int32(i)
-	}
-	env := &solveEnv{
-		opts:      w.opts,
-		comm:      w.comm,
-		dedup:     cq.dedup,
-		seedIdx:   w.seedIdx,
-		mode:      cq.spec.Mode,
-		groupOf:   cq.groupOf,
-		numGroups: len(cq.spec.Groups),
-		penalty:   cq.penalty,
-		res:       &Result{Seeds: cq.dedup, Mode: cq.spec.Mode},
-		localENs:  w.localENs,
-		pruneds:   w.pruneds,
-		trees:     w.trees,
-		owneds:    w.owneds,
-		frags:     w.frags,
-		merges:    w.merges,
-	}
-	s0 := w.comm.Stats()
-	net0 := w.trans.Stats()
-
-	// A rank panic (or transport poison) unwinds through Run; convert it
+	// A rank panic (or transport poison) unwinds through the run; convert it
 	// into a session abort instead of crashing the process silently.
+	var res *Result
+	var solveErr error
 	func() {
 		defer func() {
 			if p := recover(); p != nil {
@@ -436,43 +368,23 @@ func (w *worker) solveQuery(q wire.SolveSpec, cfg WorkerConfig) (err error) {
 				}
 			}
 		}()
-		w.comm.Run(env.rankBody)
+		res, solveErr = w.host.run(cq)
 	}()
 	if err != nil {
 		return err
 	}
 
-	s1 := w.comm.Stats()
-	done := wire.WorkerDone{
-		QueryID:    q.QueryID,
-		Sent:       s1.Sent - s0.Sent,
-		Processed:  s1.Processed - s0.Processed,
-		Suppressed: s1.Suppressed - s0.Suppressed,
-		Batched:    s1.BatchedBroadcasts - s0.BatchedBroadcasts,
-		Coalesced:  s1.CoalescedBroadcasts - s0.CoalescedBroadcasts,
-		Net:        w.trans.Stats().Sub(net0),
-
-		FrontierWorkers:   int64(s1.Frontier.Workers),
-		FrontierDrains:    s1.Frontier.BucketsDrained - s0.Frontier.BucketsDrained,
-		FrontierMsgs:      s1.Frontier.Messages - s0.Frontier.Messages,
-		FrontierMaxChunk:  s1.Frontier.MaxChunk, // session high-water mark
-		FrontierConflicts: s1.Frontier.Conflicts - s0.Frontier.Conflicts,
-		FrontierBusyNs:    s1.Frontier.BusyNs - s0.Frontier.BusyNs,
-		FrontierWallNs:    s1.Frontier.WallNs - s0.Frontier.WallNs,
-	}
-	for rank := w.lo; rank < w.hi; rank++ {
-		done.TableLens = append(done.TableLens, int64(len(w.localENs[rank])))
-	}
-	if w.lo == 0 {
-		if env.err != nil {
-			done.Err = env.err.Error()
+	done := wire.WorkerDone{QueryID: q.QueryID, TableLens: w.host.tableLens(), Stats: res.Stats}
+	if lo, _ := w.host.comm.HostRange(); lo == 0 {
+		if solveErr != nil {
+			done.Err = solveErr.Error()
 		} else {
 			done.HasResult = true
-			done.Result = toWireResult(env.res)
-			done.Skipped = env.res.Skipped
-			done.MSTFragment = env.res.MSTFragment
-			done.CrossTableBytes = env.res.CrossTableBytes
-			done.FragmentMsgs = env.res.FragmentMsgs
+			done.Result = toWireResult(res)
+			done.Skipped = res.Skipped
+			done.MSTFragment = res.MSTFragment
+			done.CrossTableBytes = res.CrossTableBytes
+			done.FragmentMsgs = res.FragmentMsgs
 		}
 	}
 	faultpoint.Hit("worker.done")

@@ -158,9 +158,8 @@ func (r *Rank) AllreduceMaxInt64(x int64) int64 {
 
 // GatherBlobs concatenates every rank's blob in global rank order and
 // returns the full list (one entry per rank, nil where a rank contributed
-// nothing) to all ranks. It is the wire-able MPI_Allgatherv: algorithms
-// that must gather across a transport encode their payloads to bytes and
-// use this instead of the generic AllGather.
+// nothing) to all ranks. It is MPI_Allgatherv: payloads are encoded bytes,
+// so the same call gathers in-process and across a transport.
 func GatherBlobs(r *Rank, blob []byte) [][]byte {
 	c := r.comm
 	type rb struct {
@@ -229,6 +228,9 @@ func FragmentExchange(r *Rank, blobs []FragBlob) []FragBlob {
 // the partial. A no-op without a transport. Every rank must call it.
 func FragmentSummary(r *Rank, s FragSummary) {
 	c := r.comm
+	if c.trans == nil {
+		return
+	}
 	total := c.coll.reduce(s, func(a, b any) any {
 		as, bs := a.(FragSummary), b.(FragSummary)
 		return FragSummary{
@@ -237,108 +239,7 @@ func FragmentSummary(r *Rank, s FragSummary) {
 			Bytes:  as.Bytes + bs.Bytes,
 		}
 	}).(FragSummary)
-	if c.trans != nil && r.id == c.lo {
+	if r.id == c.lo {
 		c.trans.FragmentSummary(total)
 	}
-}
-
-// wireOnly panics: the generic shared-memory collectives cannot cross a
-// process boundary (their payloads are arbitrary Go values and their
-// combiners are closures). Transport-aware algorithms use the int64
-// allreduces and GatherBlobs.
-func wireOnly(c *Comm, name string) {
-	if c.trans != nil {
-		panic("runtime: " + name + " is in-process only; use GatherBlobs/AllreduceXxxInt64 over a transport")
-	}
-}
-
-// Allreduce combines each rank's value with an associative, commutative
-// combiner and returns the global result on every rank. The returned value
-// may be shared between ranks; treat it as read-only.
-func Allreduce[T any](r *Rank, local T, combine func(a, b T) T) T {
-	wireOnly(r.comm, "Allreduce")
-	res := r.comm.coll.reduce(local, func(a, b any) any { return combine(a.(T), b.(T)) })
-	return res.(T)
-}
-
-// ReduceMap merges per-rank maps: for keys present on several ranks, pick
-// chooses the surviving value (it must be associative and commutative, e.g.
-// a min with deterministic tie-breaking). This is the repository's
-// MPI_Allreduce(MPI_MIN)-over-edge-buffers equivalent used by Alg. 5. The
-// returned map is shared by all ranks and must be treated as read-only; the
-// local map's entries are copied, so callers keep ownership of their input.
-func ReduceMap[K comparable, V any](r *Rank, local map[K]V, pick func(a, b V) V) map[K]V {
-	wireOnly(r.comm, "ReduceMap")
-	cp := make(map[K]V, len(local))
-	for k, v := range local {
-		cp[k] = v
-	}
-	res := r.comm.coll.reduce(cp, func(a, b any) any {
-		am, bm := a.(map[K]V), b.(map[K]V)
-		// Merge the smaller map into the larger to bound work.
-		if len(am) < len(bm) {
-			am, bm = bm, am
-		}
-		for k, v := range bm {
-			if cur, ok := am[k]; ok {
-				am[k] = pick(cur, v)
-			} else {
-				am[k] = v
-			}
-		}
-		return am
-	})
-	merged := res.(map[K]V)
-	if merged == nil {
-		merged = map[K]V{}
-	}
-	return merged
-}
-
-// AllGather concatenates every rank's slice in rank order and returns the
-// result to all ranks (MPI_Allgatherv). The result is shared; treat as
-// read-only.
-func AllGather[T any](r *Rank, local []T) []T {
-	wireOnly(r.comm, "AllGather")
-	type contrib struct {
-		rank int
-		vals []T
-	}
-	res := r.comm.coll.reduce([]contrib{{rank: r.id, vals: local}}, func(a, b any) any {
-		return append(a.([]contrib), b.([]contrib)...)
-	})
-	parts := res.([]contrib)
-	// Deterministic rank order regardless of arrival order.
-	ordered := make([][]T, r.NumRanks())
-	total := 0
-	for _, p := range parts {
-		ordered[p.rank] = p.vals
-		total += len(p.vals)
-	}
-	out := make([]T, 0, total)
-	for _, vals := range ordered {
-		out = append(out, vals...)
-	}
-	return out
-}
-
-// Broadcast1 distributes root's value to every rank (MPI_Bcast).
-func Broadcast1[T any](r *Rank, root int, val T) T {
-	wireOnly(r.comm, "Broadcast1")
-	type tagged struct {
-		has bool
-		val T
-	}
-	in := tagged{}
-	if r.id == root {
-		in = tagged{has: true, val: val}
-	}
-	res := r.comm.coll.reduce(in, func(a, b any) any {
-		at, bt := a.(tagged), b.(tagged)
-		if at.has {
-			return at
-		}
-		return bt
-	})
-	return res.(tagged).val
 }

@@ -192,12 +192,6 @@ func (r *Rank) publish() {
 // traversal completes (Rank.finish).
 func (r *Rank) Suppress() { r.suppressedHere++ }
 
-// Distributed reports whether some ranks of this communicator live in
-// other processes. Algorithms use it to route collective payloads through
-// the wire-able collectives (GatherBlobs) instead of the generic
-// shared-memory ones.
-func (r *Rank) Distributed() bool { return r.comm.trans != nil }
-
 // Broadcast routes m to every rank including this one (used for delegate
 // hub updates). Each copy counts as one sent message.
 func (r *Rank) Broadcast(m Msg) {

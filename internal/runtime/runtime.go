@@ -11,8 +11,10 @@
 //     distance-priority (the paper's key optimization, §IV/§V-C), while
 //     batched messages flow between ranks. Global quiescence is detected
 //     with a distributed-termination counter.
-//   - Collectives (Barrier, Allreduce, map reduction) mirror
-//     MPI_Allreduce(MPI_MIN) etc., used by Alg. 5's edge phases.
+//   - Collectives (Barrier, the int64 allreduces, GatherBlobs,
+//     FragmentExchange) mirror MPI_Allreduce/MPI_Allgatherv, used by
+//     Alg. 5's edge phases; their payloads are integers or encoded bytes,
+//     so each runs unchanged in-process and across a transport.
 //   - Each rank carries a rank-local graph shard (Comm.AttachShards /
 //     Comm.EnsureShards), exposed as the local-adjacency API Rank.Adj,
 //     Rank.StripeAdj and Rank.EdgeWeight. Traversal code reads adjacency
@@ -276,10 +278,6 @@ func (c *Comm) localRank(id int) *Rank {
 
 // HostRange returns the global rank range [lo, hi) this process hosts.
 func (c *Comm) HostRange() (lo, hi int) { return c.lo, c.lo + len(c.ranks) }
-
-// Distributed reports whether a cross-process transport backs this
-// communicator (some ranks live in other processes).
-func (c *Comm) Distributed() bool { return c.trans != nil }
 
 // MustNew is New that panics on error (for tests and examples with known
 // good configs).
@@ -600,6 +598,9 @@ func (c *Comm) resetForRun() {
 // Stats is a snapshot of the communicator's message counters. In a
 // multi-process session the counters cover this process's hosted ranks;
 // the coordinator aggregates per-process deltas for cluster-wide views.
+// The record travels whole: Sub turns two snapshots into one query's share,
+// and Add folds shares together (across worker processes, then across
+// queries), so no layer above spells the fields out again.
 type Stats struct {
 	// Sent counts point-to-point visitor messages (broadcasts count once
 	// per destination rank, matching the paper's message-count metric).
@@ -626,6 +627,44 @@ type Stats struct {
 	// Net reports the transport's cumulative traffic; all zero for
 	// loopback communicators.
 	Net TransportStats
+}
+
+// Sub returns the traffic between the earlier snapshot o and s. Frontier's
+// Workers and MaxChunk are levels, not counters: s's values stand.
+func (s Stats) Sub(o Stats) Stats {
+	s.Sent -= o.Sent
+	s.Processed -= o.Processed
+	s.Batches -= o.Batches
+	s.Suppressed -= o.Suppressed
+	s.BatchedBroadcasts -= o.BatchedBroadcasts
+	s.CoalescedBroadcasts -= o.CoalescedBroadcasts
+	s.Frontier.BucketsDrained -= o.Frontier.BucketsDrained
+	s.Frontier.Messages -= o.Frontier.Messages
+	s.Frontier.Conflicts -= o.Frontier.Conflicts
+	s.Frontier.BusyNs -= o.Frontier.BusyNs
+	s.Frontier.WallNs -= o.Frontier.WallNs
+	s.Net = s.Net.Sub(o.Net)
+	return s
+}
+
+// Add folds two shares into one: counters sum, Frontier's Workers and
+// MaxChunk take the maximum.
+func (s Stats) Add(o Stats) Stats {
+	s.Sent += o.Sent
+	s.Processed += o.Processed
+	s.Batches += o.Batches
+	s.Suppressed += o.Suppressed
+	s.BatchedBroadcasts += o.BatchedBroadcasts
+	s.CoalescedBroadcasts += o.CoalescedBroadcasts
+	s.Frontier.Workers = max(s.Frontier.Workers, o.Frontier.Workers)
+	s.Frontier.BucketsDrained += o.Frontier.BucketsDrained
+	s.Frontier.Messages += o.Frontier.Messages
+	s.Frontier.MaxChunk = max(s.Frontier.MaxChunk, o.Frontier.MaxChunk)
+	s.Frontier.Conflicts += o.Frontier.Conflicts
+	s.Frontier.BusyNs += o.Frontier.BusyNs
+	s.Frontier.WallNs += o.Frontier.WallNs
+	s.Net = s.Net.Add(o.Net)
+	return s
 }
 
 // Stats returns current global counters.

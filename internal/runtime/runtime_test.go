@@ -91,77 +91,6 @@ func TestAllreduceVariants(t *testing.T) {
 	})
 }
 
-func TestGenericAllreduce(t *testing.T) {
-	c := newComm(t, 8, 3, QueueFIFO)
-	c.Run(func(r *Rank) {
-		type pair struct{ d, id int64 }
-		local := pair{d: int64(10 - r.ID()), id: int64(r.ID())}
-		got := Allreduce(r, local, func(a, b pair) pair {
-			if b.d < a.d || (b.d == a.d && b.id < a.id) {
-				return b
-			}
-			return a
-		})
-		if got.d != 8 || got.id != 2 {
-			t.Errorf("argmin = %+v, want {8 2}", got)
-		}
-	})
-}
-
-func TestReduceMap(t *testing.T) {
-	c := newComm(t, 8, 4, QueueFIFO)
-	c.Run(func(r *Rank) {
-		local := map[int]int64{
-			r.ID():         int64(r.ID() * 100), // unique key per rank
-			100:            int64(50 - r.ID()),  // shared key: min wins
-			200 + r.ID()%2: 7,                   // shared by rank parity
-		}
-		merged := ReduceMap(r, local, func(a, b int64) int64 {
-			if b < a {
-				return b
-			}
-			return a
-		})
-		for rank := 0; rank < 4; rank++ {
-			if merged[rank] != int64(rank*100) {
-				t.Errorf("merged[%d] = %d", rank, merged[rank])
-			}
-		}
-		if merged[100] != 47 {
-			t.Errorf("merged[100] = %d, want 47", merged[100])
-		}
-		if merged[200] != 7 || merged[201] != 7 {
-			t.Errorf("parity keys wrong: %d %d", merged[200], merged[201])
-		}
-		// Caller's map must be untouched (ownership preserved).
-		if len(local) != 3 {
-			t.Errorf("local map mutated: %v", local)
-		}
-	})
-}
-
-func TestAllGatherAndBroadcast(t *testing.T) {
-	c := newComm(t, 8, 4, QueueFIFO)
-	c.Run(func(r *Rank) {
-		got := AllGather(r, []int{r.ID() * 2, r.ID()*2 + 1})
-		want := []int{0, 1, 2, 3, 4, 5, 6, 7}
-		if len(got) != len(want) {
-			t.Errorf("AllGather = %v", got)
-			return
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("AllGather = %v, want %v", got, want)
-				break
-			}
-		}
-		val := Broadcast1(r, 2, map[bool]int{true: r.ID()}[r.ID() == 2])
-		if val != 2 {
-			t.Errorf("Broadcast1 = %d, want 2", val)
-		}
-	})
-}
-
 func TestEmptyTraversalTerminates(t *testing.T) {
 	c := newComm(t, 8, 4, QueueFIFO)
 	c.Run(func(r *Rank) {

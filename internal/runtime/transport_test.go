@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -30,21 +32,13 @@ func TestHostedRangeValidation(t *testing.T) {
 	if lo, hi := c.HostRange(); lo != 0 || hi != 4 {
 		t.Fatalf("default host range [%d,%d), want [0,4)", lo, hi)
 	}
-	if c.Distributed() {
-		t.Fatal("loopback comm claims to be distributed")
-	}
 }
 
 // TestGatherBlobsLoopback checks the wire-able gather collective against
 // the in-process path: every rank receives the full rank-ordered list.
 func TestGatherBlobsLoopback(t *testing.T) {
-	part, err := partition.NewBlock(8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := MustNew(Config{Ranks: 4}, part)
 	got := make([][][]byte, 4)
-	c.Run(func(r *Rank) {
+	newComm(t, 8, 4, QueueFIFO).Run(func(r *Rank) {
 		var blob []byte
 		if r.ID() != 2 { // rank 2 contributes nothing
 			blob = []byte{byte(r.ID()), byte(r.ID() + 10)}
@@ -56,6 +50,35 @@ func TestGatherBlobsLoopback(t *testing.T) {
 		if !reflect.DeepEqual(g, want) {
 			t.Fatalf("rank %d gathered %v, want %v", rank, g, want)
 		}
+	}
+}
+
+// TestFragmentExchangeLoopback checks the routed-blob collective in-process:
+// a routed blob reaches only its Dest, a Dest -1 blob every rank including
+// its sender, and a rank with nothing to contribute still takes part.
+func TestFragmentExchangeLoopback(t *testing.T) {
+	for _, ranks := range []int{1, 3, 4} {
+		newComm(t, 8, ranks, QueueFIFO).Run(func(r *Rank) {
+			var out []FragBlob
+			if r.ID() < ranks-1 { // the last rank contributes nothing
+				out = []FragBlob{{Src: r.ID(), Dest: (r.ID() + 1) % ranks, Blob: []byte("to-next")},
+					{Src: r.ID(), Dest: -1, Blob: []byte("to-all")}}
+			}
+			var got, want []string
+			for _, fb := range FragmentExchange(r, out) {
+				got = append(got, fmt.Sprintf("%d:%s", fb.Src, fb.Blob))
+			}
+			sort.Strings(got)
+			for src := 0; src < ranks-1; src++ {
+				want = append(want, fmt.Sprintf("%d:to-all", src))
+				if (src+1)%ranks == r.ID() {
+					want = append(want, fmt.Sprintf("%d:to-next", src))
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d ranks: rank %d received %v, want %v", ranks, r.ID(), got, want)
+			}
+		})
 	}
 }
 
@@ -109,24 +132,6 @@ func TestHasDelegates(t *testing.T) {
 	probe(base, false)
 	probe(partition.WithDelegateList(base, 6, nil), false)
 	probe(partition.WithDelegateList(base, 6, []graph.VID{3}), true)
-}
-
-// TestGenericCollectivesRefuseTransport checks the shared-memory
-// collectives fail loudly instead of silently reducing over a rank
-// subset. A fake transport is enough — the panic must fire before any
-// traffic.
-func TestGenericCollectivesRefuseTransport(t *testing.T) {
-	part, err := partition.NewBlock(8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := MustNew(Config{Ranks: 4, HostLo: 0, HostHi: 2, Transport: nopTransport{}}, part)
-	defer func() {
-		if p := recover(); p == nil || !strings.Contains(p.(string), "in-process only") {
-			t.Fatalf("ReduceMap over a transport: recovered %v", p)
-		}
-	}()
-	wireOnly(c, "ReduceMap")
 }
 
 // nopTransport satisfies Transport for construction-only tests.

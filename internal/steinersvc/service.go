@@ -109,31 +109,18 @@ type serviceStats struct {
 	solveSeconds  float64
 	phaseSeconds  map[string]float64
 	phaseCalls    map[string]int64
-	suppressed    int64
-	coalesced     int64
-	batched       int64
-	net           rt.TransportStats
+	// rt is the runtime counters record folded over every served query
+	// (rt.Stats.Add): the broadcasts, frontier and transport blocks of
+	// /stats render from it.
+	rt rt.Stats
 
 	// Fragment-merge MST accounting: queries served by the fragment path,
-	// their merge rounds, and the phase 3–4 merge payload (both merge
-	// modes report crossTableBytes on the TCP backend, so the two are
-	// comparable from /stats alone).
+	// their merge rounds, and the phase 3–4 merge payload (both merges
+	// report crossTableBytes, so the two are comparable from /stats alone).
 	mstFragmentQueries int64
 	mstFragmentRounds  int64
 	mstCrossTableBytes int64
 	mstFragmentMsgs    int64
-
-	// Parallel-frontier accounting: the largest resolved per-rank worker
-	// count seen, buckets drained on the pools, messages relaxed there, the
-	// largest per-worker chunk, lex-min merge conflicts, and the pools'
-	// busy/wall nanoseconds (for the busy-fraction gauge).
-	frontierWorkers   int
-	frontierDrains    int64
-	frontierMsgs      int64
-	frontierMaxChunk  int64
-	frontierConflicts int64
-	frontierBusyNs    int64
-	frontierWallNs    int64
 
 	// retriedSolves counts queries this service re-ran after a session
 	// fault (the coordinator's internal requeues are counted separately,
@@ -517,10 +504,9 @@ type BroadcastStats struct {
 // MSTStats is the /stats accounting of the phase 3–5 merge: how many
 // queries ran the rank-parallel fragment merge (every tree and forest
 // query), their total Borůvka rounds and exchanged records, and the merge
-// payload bytes moved through collectives (a prize query's gathered table
-// counts in crossTableBytes too, so the two merges are directly comparable;
-// loopback engines always report zero bytes — records travel as shared
-// values).
+// encoded payload bytes moved through collectives, equal on every backend
+// (a prize query's gathered table counts in crossTableBytes too, so the two
+// merges are directly comparable).
 type MSTStats struct {
 	FragmentQueries  int64 `json:"fragmentQueries"`
 	FragmentRounds   int64 `json:"fragmentRounds"`
@@ -640,6 +626,7 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st := &s.stats
 	st.mu.Lock()
+	front, net := st.rt.Frontier, st.rt.Net
 	resp := StatsResponse{
 		Engines:       s.NumEngines(),
 		EnginesIdle:   len(s.engines),
@@ -651,10 +638,10 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		BatchQueries:  st.batchQueries,
 		Backend:       s.opts.Backend.String(),
 		Broadcasts: BroadcastStats{
-			Suppressed: st.suppressed,
-			Coalesced:  st.coalesced,
-			Batched:    st.batched,
-			Sent:       st.batched,
+			Suppressed: st.rt.Suppressed,
+			Coalesced:  st.rt.CoalescedBroadcasts,
+			Batched:    st.rt.BatchedBroadcasts,
+			Sent:       st.rt.BatchedBroadcasts,
 		},
 		MST: MSTStats{
 			FragmentQueries:  st.mstFragmentQueries,
@@ -664,27 +651,27 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		Frontier: FrontierStats{
 			Mode:           s.frontierMode,
-			Workers:        st.frontierWorkers,
-			BucketsDrained: st.frontierDrains,
-			Messages:       st.frontierMsgs,
-			MaxChunk:       st.frontierMaxChunk,
-			Conflicts:      st.frontierConflicts,
+			Workers:        front.Workers,
+			BucketsDrained: front.BucketsDrained,
+			Messages:       front.Messages,
+			MaxChunk:       front.MaxChunk,
+			Conflicts:      front.Conflicts,
 		},
 		Transport: TransportStats{
-			FramesOut:     st.net.FramesOut,
-			FramesIn:      st.net.FramesIn,
-			BytesOut:      st.net.BytesOut,
-			BytesIn:       st.net.BytesIn,
-			EncodeSeconds: float64(st.net.EncodeNs) / 1e9,
-			DecodeSeconds: float64(st.net.DecodeNs) / 1e9,
-			FlushesSmall:  st.net.FlushesSmall,
-			FlushesMid:    st.net.FlushesMid,
-			FlushesLarge:  st.net.FlushesLarge,
+			FramesOut:     net.FramesOut,
+			FramesIn:      net.FramesIn,
+			BytesOut:      net.BytesOut,
+			BytesIn:       net.BytesIn,
+			EncodeSeconds: float64(net.EncodeNs) / 1e9,
+			DecodeSeconds: float64(net.DecodeNs) / 1e9,
+			FlushesSmall:  net.FlushesSmall,
+			FlushesMid:    net.FlushesMid,
+			FlushesLarge:  net.FlushesLarge,
 		},
 	}
-	if st.frontierWallNs > 0 && st.frontierWorkers > 0 {
-		resp.Frontier.BusyFraction = float64(st.frontierBusyNs) /
-			(float64(st.frontierWallNs) * float64(st.frontierWorkers))
+	if front.WallNs > 0 && front.Workers > 0 {
+		resp.Frontier.BusyFraction = float64(front.BusyNs) /
+			(float64(front.WallNs) * float64(front.Workers))
 	}
 	retried := st.retriedSolves
 	if st.queries > 0 {
@@ -795,27 +782,13 @@ func (s *Service) recordQuery(res *core.Result, elapsed time.Duration, err error
 			st.phaseSeconds[ph.Name] += ph.Seconds
 			st.phaseCalls[ph.Name]++
 		}
-		st.suppressed += res.SuppressedBroadcasts
-		st.coalesced += res.CoalescedBroadcasts
-		st.batched += res.BatchedBroadcasts
-		st.net = st.net.Add(res.Net)
+		st.rt = st.rt.Add(res.Stats)
 		if res.MSTFragment {
 			st.mstFragmentQueries++
 			st.mstFragmentRounds += int64(res.MSTRounds)
 			st.mstFragmentMsgs += res.FragmentMsgs
 		}
 		st.mstCrossTableBytes += res.CrossTableBytes
-		if res.FrontierWorkers > st.frontierWorkers {
-			st.frontierWorkers = res.FrontierWorkers
-		}
-		st.frontierDrains += res.FrontierBucketsDrained
-		st.frontierMsgs += res.FrontierMsgs
-		if res.FrontierMaxChunk > st.frontierMaxChunk {
-			st.frontierMaxChunk = res.FrontierMaxChunk
-		}
-		st.frontierConflicts += res.FrontierConflicts
-		st.frontierBusyNs += res.FrontierBusyNs
-		st.frontierWallNs += res.FrontierWallNs
 	}
 	st.mu.Unlock()
 }

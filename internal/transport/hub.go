@@ -114,16 +114,13 @@ type pendingQuery struct {
 // its workers: the rank-0 worker's encoded Result (or error), per-rank
 // cross-cell table sizes, and cluster-wide counter and traffic deltas.
 type QueryOutcome struct {
-	QueryID    uint64
-	Err        string
-	Result     *wire.SolveResult
-	TableLens  []int64 // indexed by global rank
-	Sent       int64
-	Processed  int64
-	Suppressed int64
-	Batched    int64 // delegate broadcasts released by outbox flushes
-	Coalesced  int64 // delegate offers absorbed into staged outbox entries
-	Net        rt.TransportStats
+	QueryID   uint64
+	Err       string
+	Result    *wire.SolveResult
+	TableLens []int64 // indexed by global rank
+	// Stats is the query's runtime counters record, folded over the
+	// workers' WorkerDone frames with rt.Stats.Add.
+	Stats rt.Stats
 	// Skipped is the rank-0 worker's skipped-terminal list for prize-mode
 	// queries (always nil for tree and forest).
 	Skipped []graph.VID
@@ -133,16 +130,6 @@ type QueryOutcome struct {
 	MSTFragment     bool
 	CrossTableBytes int64
 	FragmentMsgs    int64
-	// Parallel-frontier counters from the WorkerDone frames: workers and
-	// max-chunk are fleet maxima, the rest are sums over the workers. All
-	// zero when every rank drained serially.
-	FrontierWorkers   int64
-	FrontierDrains    int64
-	FrontierMsgs      int64
-	FrontierMaxChunk  int64
-	FrontierConflicts int64
-	FrontierBusyNs    int64
-	FrontierWallNs    int64
 }
 
 // FaultStats is the hub's fault-tolerance accounting: sessions poisoned,
@@ -806,23 +793,7 @@ func (s *hubSession) handleFrame(ev hubEvent, colls map[uint64]*collAcc, frags m
 				w, len(done.TableLens), hi-lo)
 		}
 		copy(pq.out.TableLens[lo:hi], done.TableLens)
-		pq.out.Sent += done.Sent
-		pq.out.Processed += done.Processed
-		pq.out.Suppressed += done.Suppressed
-		pq.out.Batched += done.Batched
-		pq.out.Coalesced += done.Coalesced
-		pq.out.FrontierDrains += done.FrontierDrains
-		pq.out.FrontierMsgs += done.FrontierMsgs
-		pq.out.FrontierConflicts += done.FrontierConflicts
-		pq.out.FrontierBusyNs += done.FrontierBusyNs
-		pq.out.FrontierWallNs += done.FrontierWallNs
-		if done.FrontierWorkers > pq.out.FrontierWorkers {
-			pq.out.FrontierWorkers = done.FrontierWorkers
-		}
-		if done.FrontierMaxChunk > pq.out.FrontierMaxChunk {
-			pq.out.FrontierMaxChunk = done.FrontierMaxChunk
-		}
-		pq.out.Net = pq.out.Net.Add(done.Net)
+		pq.out.Stats = pq.out.Stats.Add(done.Stats)
 		if done.Err != "" {
 			pq.out.Err = done.Err
 		}

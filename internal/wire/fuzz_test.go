@@ -28,8 +28,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			Seeds: []graph.VID{1, 2, 3}, Penalties: []int64{4, 0, 9}})),
 		AppendFrame(nil, EncodeWorkerDone(nil, WorkerDone{QueryID: 1, TableLens: []int64{2}, HasResult: true,
 			Result: SolveResult{Tree: []EdgeRec{{U: 1, V: 2, W: 3}}, Phases: []PhaseRec{{Name: "MST", Seconds: 0.1}}}})),
-		AppendFrame(nil, EncodeWorkerDone(nil, WorkerDone{QueryID: 2, Batched: 7, Coalesced: 9,
-			Net: rt.TransportStats{BytesOut: 11, FlushesSmall: 1}})),
+		AppendFrame(nil, EncodeWorkerDone(nil, WorkerDone{QueryID: 2, Stats: rt.Stats{BatchedBroadcasts: 7,
+			CoalescedBroadcasts: 9, Net: rt.TransportStats{BytesOut: 11, FlushesSmall: 1}}})),
 		AppendFrame(nil, msgBatch2Seed()),
 		AppendFrame(nil, EncodeColl(nil, Coll{Seq: 1, Op: OpGather, Payload: EncodeRankBlobs(nil, []RankBlob{{Rank: 1, Blob: []byte("b")}})})),
 		AppendFrame(nil, EncodeCollReply(nil, CollReply{Seq: 1, Payload: EncodeBlobList(nil, [][]byte{{1}, {2}})})),

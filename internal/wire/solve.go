@@ -128,72 +128,76 @@ func decodeSolveResult(d *Dec) SolveResult {
 	return r
 }
 
-func appendTransportStats(dst []byte, s rt.TransportStats) []byte {
-	dst = AppendVarint(dst, s.FramesOut)
-	dst = AppendVarint(dst, s.FramesIn)
-	dst = AppendVarint(dst, s.BytesOut)
-	dst = AppendVarint(dst, s.BytesIn)
-	dst = AppendVarint(dst, s.EncodeNs)
-	dst = AppendVarint(dst, s.DecodeNs)
-	dst = AppendVarint(dst, s.FlushesSmall)
-	dst = AppendVarint(dst, s.FlushesMid)
-	dst = AppendVarint(dst, s.FlushesLarge)
+// appendStats encodes the per-query runtime counters record, field for
+// field in declaration order.
+func appendStats(dst []byte, s rt.Stats) []byte {
+	f, n := s.Frontier, s.Net
+	for _, v := range [...]int64{
+		s.Sent, s.Processed, s.Batches, s.Suppressed, s.BatchedBroadcasts, s.CoalescedBroadcasts,
+		int64(f.Workers), f.BucketsDrained, f.Messages, f.MaxChunk, f.Conflicts, f.BusyNs, f.WallNs,
+		n.FramesOut, n.FramesIn, n.BytesOut, n.BytesIn, n.EncodeNs, n.DecodeNs,
+		n.FlushesSmall, n.FlushesMid, n.FlushesLarge,
+	} {
+		dst = AppendVarint(dst, v)
+	}
 	return dst
 }
 
-func decodeTransportStats(d *Dec) rt.TransportStats {
-	return rt.TransportStats{
-		FramesOut:    d.Varint(),
-		FramesIn:     d.Varint(),
-		BytesOut:     d.Varint(),
-		BytesIn:      d.Varint(),
-		EncodeNs:     d.Varint(),
-		DecodeNs:     d.Varint(),
-		FlushesSmall: d.Varint(),
-		FlushesMid:   d.Varint(),
-		FlushesLarge: d.Varint(),
+func decodeStats(d *Dec) rt.Stats {
+	return rt.Stats{
+		Sent:                d.Varint(),
+		Processed:           d.Varint(),
+		Batches:             d.Varint(),
+		Suppressed:          d.Varint(),
+		BatchedBroadcasts:   d.Varint(),
+		CoalescedBroadcasts: d.Varint(),
+		Frontier: rt.FrontierStats{
+			Workers:        int(d.Varint()),
+			BucketsDrained: d.Varint(),
+			Messages:       d.Varint(),
+			MaxChunk:       d.Varint(),
+			Conflicts:      d.Varint(),
+			BusyNs:         d.Varint(),
+			WallNs:         d.Varint(),
+		},
+		Net: rt.TransportStats{
+			FramesOut:    d.Varint(),
+			FramesIn:     d.Varint(),
+			BytesOut:     d.Varint(),
+			BytesIn:      d.Varint(),
+			EncodeNs:     d.Varint(),
+			DecodeNs:     d.Varint(),
+			FlushesSmall: d.Varint(),
+			FlushesMid:   d.Varint(),
+			FlushesLarge: d.Varint(),
+		},
 	}
 }
 
 // WorkerDone closes one query on one worker: the per-hosted-rank cross-cell
-// table sizes (coordinator-side memory accounting), message/suppression
-// counter deltas, the transport traffic delta, and — from the worker
-// hosting rank 0 — the encoded Result. Err carries rank 0's solve error
-// (disconnected seeds), empty on success.
+// table sizes (coordinator-side memory accounting), this process's share of
+// the query's runtime counters, and — from the worker hosting rank 0 — the
+// encoded Result. Err carries rank 0's solve error (disconnected seeds),
+// empty on success.
 type WorkerDone struct {
-	QueryID    uint64
-	Err        string
-	TableLens  []int64 // len(E_N table) per hosted rank, rank order
-	Sent       int64   // visitor messages sent by this process
-	Processed  int64   // visit() calls on this process
-	Suppressed int64   // cross-rank offers the sender dropped against a local bound
-	Batched    int64   // delegate broadcasts released by superstep outbox flushes
-	Coalesced  int64   // delegate offers absorbed into a staged outbox entry
-	Net        rt.TransportStats
-	HasResult  bool
-	Result     SolveResult
+	QueryID   uint64
+	Err       string
+	TableLens []int64 // len(E_N table) per hosted rank, rank order
+	// Stats is the runtime counters record for this query on this process:
+	// message, broadcast and parallel-frontier counters plus the transport
+	// traffic. The coordinator folds the workers' records with rt.Stats.Add.
+	Stats     rt.Stats
+	HasResult bool
+	Result    SolveResult
 	// Skipped lists the terminals a prize-mode query paid to leave out
 	// (set by the worker hosting rank 0; empty for tree and forest).
 	Skipped []graph.VID
 	// Set by the worker hosting rank 0: whether phase 4 ran the fragment
-	// merge, and the query's phase-3/4 cross-table wire bytes and
+	// merge, and the query's phase-3/4 cross-table payload bytes and
 	// fragment-exchange record count.
 	MSTFragment     bool
 	CrossTableBytes int64
 	FragmentMsgs    int64
-	// This worker's parallel-frontier deltas for the query — resolved
-	// per-rank worker count (0 when the worker drained serially; the
-	// coordinator takes the fleet maximum), buckets drained on the pool,
-	// messages relaxed there, the largest per-worker chunk (session
-	// high-water mark), lex-min merge conflicts, and the pool's busy/wall
-	// nanoseconds.
-	FrontierWorkers   int64
-	FrontierDrains    int64
-	FrontierMsgs      int64
-	FrontierMaxChunk  int64
-	FrontierConflicts int64
-	FrontierBusyNs    int64
-	FrontierWallNs    int64
 }
 
 // EncodeWorkerDone appends a FrameWorkerDone payload.
@@ -202,12 +206,7 @@ func EncodeWorkerDone(dst []byte, w WorkerDone) []byte {
 	dst = AppendUvarint(dst, w.QueryID)
 	dst = AppendString(dst, w.Err)
 	dst = AppendInt64s(dst, w.TableLens)
-	dst = AppendVarint(dst, w.Sent)
-	dst = AppendVarint(dst, w.Processed)
-	dst = AppendVarint(dst, w.Suppressed)
-	dst = AppendVarint(dst, w.Batched)
-	dst = AppendVarint(dst, w.Coalesced)
-	dst = appendTransportStats(dst, w.Net)
+	dst = appendStats(dst, w.Stats)
 	dst = appendBool(dst, w.HasResult)
 	if w.HasResult {
 		dst = appendSolveResult(dst, w.Result)
@@ -216,13 +215,6 @@ func EncodeWorkerDone(dst []byte, w WorkerDone) []byte {
 	dst = appendBool(dst, w.MSTFragment)
 	dst = AppendVarint(dst, w.CrossTableBytes)
 	dst = AppendVarint(dst, w.FragmentMsgs)
-	dst = AppendVarint(dst, w.FrontierWorkers)
-	dst = AppendVarint(dst, w.FrontierDrains)
-	dst = AppendVarint(dst, w.FrontierMsgs)
-	dst = AppendVarint(dst, w.FrontierMaxChunk)
-	dst = AppendVarint(dst, w.FrontierConflicts)
-	dst = AppendVarint(dst, w.FrontierBusyNs)
-	dst = AppendVarint(dst, w.FrontierWallNs)
 	return dst
 }
 
@@ -233,12 +225,7 @@ func DecodeWorkerDone(body []byte) (WorkerDone, error) {
 	w.QueryID = d.Uvarint()
 	w.Err = d.String()
 	w.TableLens = d.Int64s()
-	w.Sent = d.Varint()
-	w.Processed = d.Varint()
-	w.Suppressed = d.Varint()
-	w.Batched = d.Varint()
-	w.Coalesced = d.Varint()
-	w.Net = decodeTransportStats(d)
+	w.Stats = decodeStats(d)
 	w.HasResult = d.Bool()
 	if w.HasResult {
 		w.Result = decodeSolveResult(d)
@@ -247,13 +234,6 @@ func DecodeWorkerDone(body []byte) (WorkerDone, error) {
 	w.MSTFragment = d.Bool()
 	w.CrossTableBytes = d.Varint()
 	w.FragmentMsgs = d.Varint()
-	w.FrontierWorkers = d.Varint()
-	w.FrontierDrains = d.Varint()
-	w.FrontierMsgs = d.Varint()
-	w.FrontierMaxChunk = d.Varint()
-	w.FrontierConflicts = d.Varint()
-	w.FrontierBusyNs = d.Varint()
-	w.FrontierWallNs = d.Varint()
 	return w, d.finish()
 }
 

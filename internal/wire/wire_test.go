@@ -211,6 +211,10 @@ func TestEveryFieldRoundTrips(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(gotDone, done) {
 		t.Fatalf("worker done:\n got %+v\nwant %+v (%v)", gotDone, done, err)
 	}
+	// The hub folds these records: Add must drop no field, Sub must undo it.
+	if x := done.Stats; (rt.Stats{}).Add(x) != x || x.Add(x).Sub(x) != x || x.Add(x).Sent != 2*x.Sent {
+		t.Fatalf("rt.Stats algebra: 0+x = %+v, (x+x)-x = %+v, x = %+v", (rt.Stats{}).Add(x), x.Add(x).Sub(x), x)
+	}
 
 	var spec SolveSpec
 	fillNonZero(reflect.ValueOf(&spec).Elem(), &next)
