@@ -129,10 +129,6 @@ func (cl *cluster) solve(cq canonQuery) (*Result, []int64, error) {
 		return nil, nil, fmt.Errorf("core: tcp backend: no worker reported the rank-0 result")
 	}
 	res := fromWireResult(out.Result, cq.dedup)
-	res.Skipped = out.Skipped
-	res.MSTFragment = out.MSTFragment
-	res.CrossTableBytes = out.CrossTableBytes
-	res.FragmentMsgs = out.FragmentMsgs
 	res.Stats = out.Stats
 	return res, out.TableLens, nil
 }
@@ -178,12 +174,14 @@ func (cl *cluster) close() { cl.hub.Close() }
 // only; memory accounting and Steiner counting happen coordinator-side).
 func toWireResult(res *Result) wire.SolveResult {
 	wr := wire.SolveResult{
-		TotalDistance:  int64(res.TotalDistance),
-		DistGraphEdges: res.DistGraphEdges,
-		MSTRounds:      res.MSTRounds,
-	}
-	for _, e := range res.Tree {
-		wr.Tree = append(wr.Tree, wire.EdgeRec{U: e.U, V: e.V, W: e.W})
+		Tree:            res.Tree,
+		TotalDistance:   int64(res.TotalDistance),
+		DistGraphEdges:  res.DistGraphEdges,
+		MSTRounds:       res.MSTRounds,
+		Skipped:         res.Skipped,
+		MSTFragment:     res.MSTFragment,
+		CrossTableBytes: res.CrossTableBytes,
+		FragmentMsgs:    res.FragmentMsgs,
 	}
 	for _, p := range res.Phases {
 		wr.Phases = append(wr.Phases, wire.PhaseRec{
@@ -200,16 +198,15 @@ func toWireResult(res *Result) wire.SolveResult {
 // fromWireResult rebuilds a Result from its wire form.
 func fromWireResult(wr *wire.SolveResult, dedup []graph.VID) *Result {
 	res := &Result{
-		Seeds:          dedup,
-		TotalDistance:  graph.Dist(wr.TotalDistance),
-		DistGraphEdges: wr.DistGraphEdges,
-		MSTRounds:      wr.MSTRounds,
-	}
-	if len(wr.Tree) > 0 {
-		res.Tree = make([]graph.Edge, len(wr.Tree))
-		for i, e := range wr.Tree {
-			res.Tree[i] = graph.Edge{U: e.U, V: e.V, W: e.W}
-		}
+		Seeds:           dedup,
+		Tree:            wr.Tree,
+		TotalDistance:   graph.Dist(wr.TotalDistance),
+		DistGraphEdges:  wr.DistGraphEdges,
+		MSTRounds:       wr.MSTRounds,
+		Skipped:         wr.Skipped,
+		MSTFragment:     wr.MSTFragment,
+		CrossTableBytes: wr.CrossTableBytes,
+		FragmentMsgs:    wr.FragmentMsgs,
 	}
 	for _, p := range wr.Phases {
 		res.Phases = append(res.Phases, PhaseStat{

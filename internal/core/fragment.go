@@ -24,11 +24,10 @@ import (
 // spmd.go): their plan reads the whole distance graph.
 
 // fragStats accumulates one rank's fragment-merge traffic for the query's
-// CrossTableBytes / FragmentMsgs counters (and the coordinator-bound
-// FragmentRoundSummary). bytes is encoded payload moved through collectives
-// (contributed + received), equal on every backend. The prize gather reuses
-// it for its gathered-table payload so both merges report comparable
-// CrossTableBytes.
+// CrossTableBytes / FragmentMsgs counters. bytes is encoded payload moved
+// through collectives (contributed + received), equal on every backend. The
+// prize gather reuses it for its gathered-table payload so both merges
+// report comparable CrossTableBytes.
 type fragStats struct {
 	bytes int64
 	msgs  int64
@@ -76,13 +75,13 @@ func (env *solveEnv) fragmentRoute(r *rt.Rank, localEN map[int64]crossEdge, fs *
 			foldCross(owned, k, ce)
 		}
 	}
-	out := make([]rt.FragBlob, 0, len(blobs))
+	out := make([]rt.Blob, 0, len(blobs))
 	for d, b := range blobs {
 		fs.bytes += int64(len(b))
-		out = append(out, rt.FragBlob{Src: r.ID(), Dest: d, Blob: b})
+		out = append(out, rt.Blob{Src: r.ID(), Dest: d, Blob: b})
 	}
 	var failed int64
-	for _, fb := range rt.FragmentExchange(r, out) {
+	for _, fb := range rt.Exchange(r, out) {
 		fs.bytes += int64(len(fb.Blob))
 		if err := env.decodeCrossEntries(fb.Blob, owned); err != nil && failed == 0 {
 			failed = int64(r.ID()) + 1
@@ -205,7 +204,6 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, 
 		res.MSTFragment = true
 		res.MSTRounds = rounds
 	}
-	rt.FragmentSummary(r, rt.FragSummary{Rounds: int64(rounds), Msgs: fs.msgs, Bytes: fs.bytes})
 
 	want := k - 1
 	if env.mode == ModeForest {
@@ -243,13 +241,13 @@ func (env *solveEnv) exchangeProposals(r *rt.Rank, props []fragProposal, fs *fra
 	for _, p := range props {
 		blob = appendProposal(blob, p)
 	}
-	var out []rt.FragBlob
+	var out []rt.Blob
 	if len(blob) > 0 {
 		fs.bytes += int64(len(blob))
-		out = append(out, rt.FragBlob{Src: r.ID(), Dest: -1, Blob: blob})
+		out = append(out, rt.Blob{Src: r.ID(), Dest: -1, Blob: blob})
 	}
 	var all []fragProposal
-	for _, fb := range rt.FragmentExchange(r, out) {
+	for _, fb := range rt.Exchange(r, out) {
 		fs.bytes += int64(len(fb.Blob))
 		var err error
 		if all, err = env.decodeProposals(fb.Blob, all); err != nil {

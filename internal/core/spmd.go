@@ -244,33 +244,32 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	})
 	env.trees[r.ID()] = localTree // keep the grown capacity pooled
 
-	// Gather the final tree: the per-rank fragments travel as encoded blobs
-	// through the rank-ordered gather collective and rank 0 publishes them.
-	var tree []graph.Edge
-	parts := rt.GatherBlobs(r, wire.EncodeEdges(nil, localTree))
-	if r.ID() == 0 {
-		for rank, blob := range parts {
-			if len(blob) == 0 {
-				continue
-			}
-			var err error
-			if tree, err = wire.DecodeEdges(blob, tree); err != nil {
-				env.err = fmt.Errorf("core: tree gather from rank %d: %w", rank, err)
-				return
-			}
+	// Gather the final tree: every other rank's piece travels as one encoded
+	// blob addressed to rank 0, the only reader, which sorts and publishes.
+	var out []rt.Blob
+	if r.ID() != 0 && len(localTree) > 0 {
+		out = append(out, rt.Blob{Src: r.ID(), Dest: 0, Blob: wire.EncodeEdges(nil, localTree)})
+	}
+	parts := rt.Exchange(r, out)
+	if r.ID() != 0 {
+		return
+	}
+	tree := append([]graph.Edge(nil), localTree...)
+	for _, fb := range parts {
+		var err error
+		if tree, err = wire.DecodeEdges(fb.Blob, tree); err != nil {
+			env.err = fmt.Errorf("core: tree gather from rank %d: %w", fb.Src, err)
+			return
 		}
 	}
-	if r.ID() == 0 {
-		sorted := append([]graph.Edge(nil), tree...)
-		sort.Slice(sorted, func(i, j int) bool {
-			if sorted[i].U != sorted[j].U {
-				return sorted[i].U < sorted[j].U
-			}
-			return sorted[i].V < sorted[j].V
-		})
-		res.Tree = sorted
-		res.TotalDistance = graph.TotalWeight(sorted)
-	}
+	sort.Slice(tree, func(i, j int) bool {
+		if tree[i].U != tree[j].U {
+			return tree[i].U < tree[j].U
+		}
+		return tree[i].V < tree[j].V
+	})
+	res.Tree = tree
+	res.TotalDistance = graph.TotalWeight(tree)
 }
 
 // haloPhase2 is phase 2 on rank-local state: one halo push, then a local
@@ -378,11 +377,11 @@ type mergeScratch struct {
 }
 
 // mergeCrossTables merges the per-rank E_N tables into the globally-minimal
-// cross-cell edge per cell pair: each rank's table travels as an encoded
-// blob through the rank-ordered gather, and every rank merges locally —
-// pickCross is associative and commutative with a total order, so the
-// merged table is identical everywhere regardless of merge order. A decode
-// failure is uniform (every rank decodes the same gathered blobs), so all
+// cross-cell edge per cell pair: each rank broadcasts its table as one
+// encoded blob, and every rank merges locally — pickCross is associative
+// and commutative with a total order, so the merged table is identical
+// everywhere regardless of arrival order. A decode failure is uniform
+// (every rank decodes the same broadcast blobs), so all
 // ranks return ok=false together and rank 0 records the error — a failed
 // query instead of a process-killing panic. The returned map is the pooled
 // scratch: valid until the next query.
@@ -393,15 +392,18 @@ func (env *solveEnv) mergeCrossTables(r *rt.Rank, local map[int64]crossEdge, fs 
 		sc.enc = appendCrossEntry(sc.enc, k, ce)
 	}
 	fs.bytes += int64(len(sc.enc))
-	parts := rt.GatherBlobs(r, sc.enc)
+	var out []rt.Blob
+	if len(sc.enc) > 0 {
+		out = append(out, rt.Blob{Src: r.ID(), Dest: -1, Blob: sc.enc})
+	}
 	clear(sc.merged)
-	for rank, blob := range parts {
-		if rank != r.ID() {
-			fs.bytes += int64(len(blob))
+	for _, fb := range rt.Exchange(r, out) {
+		if fb.Src != r.ID() {
+			fs.bytes += int64(len(fb.Blob))
 		}
-		if err := env.decodeCrossEntries(blob, sc.merged); err != nil {
+		if err := env.decodeCrossEntries(fb.Blob, sc.merged); err != nil {
 			if r.ID() == 0 {
-				env.err = fmt.Errorf("core: cross-table gather from rank %d: %w", rank, err)
+				env.err = fmt.Errorf("core: cross-table gather from rank %d: %w", fb.Src, err)
 			}
 			return nil, false
 		}

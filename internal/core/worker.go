@@ -381,10 +381,6 @@ func (w *worker) solveQuery(q wire.SolveSpec, cfg WorkerConfig) (err error) {
 		} else {
 			done.HasResult = true
 			done.Result = toWireResult(res)
-			done.Skipped = res.Skipped
-			done.MSTFragment = res.MSTFragment
-			done.CrossTableBytes = res.CrossTableBytes
-			done.FragmentMsgs = res.FragmentMsgs
 		}
 	}
 	faultpoint.Hit("worker.done")

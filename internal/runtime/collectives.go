@@ -156,90 +156,34 @@ func (r *Rank) AllreduceMaxInt64(x int64) int64 {
 	return c.wireInt64(r, OpMax, x)
 }
 
-// GatherBlobs concatenates every rank's blob in global rank order and
-// returns the full list (one entry per rank, nil where a rank contributed
-// nothing) to all ranks. It is MPI_Allgatherv: payloads are encoded bytes,
-// so the same call gathers in-process and across a transport.
-func GatherBlobs(r *Rank, blob []byte) [][]byte {
+// Exchange is the one byte collective: every rank contributes routed blobs
+// (Dest = a global rank, or -1 for broadcast to all) and receives back
+// exactly the blobs addressed to it plus every broadcast blob, its own
+// included, in no particular order (callers fold order-insensitively or sort
+// by content). A gather is every rank addressing rank 0; an allgather is
+// every rank broadcasting. Every rank must call it in the same program
+// order, like any collective. Across a transport the coordinator
+// personalizes each process's reply, so a routed blob crosses the wire twice
+// (up, down) instead of down P times.
+func Exchange(r *Rank, blobs []Blob) []Blob {
 	c := r.comm
-	type rb struct {
-		rank int
-		blob []byte
-	}
-	parts := c.coll.reduce([]rb{{rank: r.id, blob: blob}}, func(a, b any) any {
-		return append(a.([]rb), b.([]rb)...)
-	}).([]rb)
-	if c.trans == nil {
-		out := make([][]byte, c.cfg.Ranks)
-		for _, p := range parts {
-			out[p.rank] = p.blob
-		}
-		return out
-	}
-	var tag leaderTag
-	if r.id == c.lo {
-		ranks := make([]int, len(parts))
-		blobs := make([][]byte, len(parts))
-		for i, p := range parts {
-			ranks[i] = p.rank
-			blobs[i] = p.blob
-		}
-		tag = leaderTag{has: true, val: c.trans.Gather(ranks, blobs)}
-	}
-	return c.coll.reduce(tag, pickLeader).(leaderTag).val.([][]byte)
-}
-
-// FragmentExchange routes the fragment-merge MST's per-round blobs: every
-// rank contributes its routed blobs (Dest = a global rank, or -1 for
-// broadcast to all) and receives back exactly the blobs addressed to it
-// plus every broadcast blob, in no particular order (callers that need
-// determinism sort by blob content). Every rank must call it in the same
-// program order, like any collective. Across a transport the coordinator
-// personalizes each process's reply, so a routed blob crosses the wire
-// twice (up, down) instead of down P times — the fragment merge's wire-byte
-// win over GatherBlobs.
-func FragmentExchange(r *Rank, blobs []FragBlob) []FragBlob {
-	c := r.comm
-	type contrib struct{ blobs []FragBlob }
-	all := c.coll.reduce(contrib{blobs: blobs}, func(a, b any) any {
-		return contrib{blobs: append(a.(contrib).blobs, b.(contrib).blobs...)}
-	}).(contrib).blobs
+	all := c.coll.reduce(blobs, func(a, b any) any {
+		return append(a.([]Blob), b.([]Blob)...)
+	}).([]Blob)
 	if c.trans != nil {
 		var tag leaderTag
 		if r.id == c.lo {
-			tag = leaderTag{has: true, val: c.trans.FragmentExchange(all)}
+			tag = leaderTag{has: true, val: c.trans.Exchange(all)}
 		}
-		all = c.coll.reduce(tag, pickLeader).(leaderTag).val.([]FragBlob)
+		all = c.coll.reduce(tag, pickLeader).(leaderTag).val.([]Blob)
 	}
 	// The merged list is shared between hosted ranks: filter into a fresh
 	// per-rank slice.
-	var out []FragBlob
-	for _, fb := range all {
-		if fb.Dest == r.id || fb.Dest == -1 {
-			out = append(out, fb)
+	var out []Blob
+	for _, b := range all {
+		if b.Dest == r.id || b.Dest == -1 {
+			out = append(out, b)
 		}
 	}
 	return out
-}
-
-// FragmentSummary reports one query's fragment-merge totals to the
-// coordinator: the hosted ranks' summaries are combined in-process (max of
-// rounds — they must agree — sum of the rest) and the process leader ships
-// the partial. A no-op without a transport. Every rank must call it.
-func FragmentSummary(r *Rank, s FragSummary) {
-	c := r.comm
-	if c.trans == nil {
-		return
-	}
-	total := c.coll.reduce(s, func(a, b any) any {
-		as, bs := a.(FragSummary), b.(FragSummary)
-		return FragSummary{
-			Rounds: max(as.Rounds, bs.Rounds),
-			Msgs:   as.Msgs + bs.Msgs,
-			Bytes:  as.Bytes + bs.Bytes,
-		}
-	}).(FragSummary)
-	if r.id == c.lo {
-		c.trans.FragmentSummary(total)
-	}
 }

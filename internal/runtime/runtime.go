@@ -11,10 +11,11 @@
 //     distance-priority (the paper's key optimization, §IV/§V-C), while
 //     batched messages flow between ranks. Global quiescence is detected
 //     with a distributed-termination counter.
-//   - Collectives (Barrier, the int64 allreduces, GatherBlobs,
-//     FragmentExchange) mirror MPI_Allreduce/MPI_Allgatherv, used by
-//     Alg. 5's edge phases; their payloads are integers or encoded bytes,
-//     so each runs unchanged in-process and across a transport.
+//   - Collectives (Barrier, the int64 allreduces, and Exchange — the one
+//     byte collective, routed blobs with a broadcast address) mirror
+//     MPI_Allreduce/MPI_Allgatherv, used by Alg. 5's edge phases; their
+//     payloads are integers or encoded bytes, so each runs unchanged
+//     in-process and across a transport.
 //   - Each rank carries a rank-local graph shard (Comm.AttachShards /
 //     Comm.EnsureShards), exposed as the local-adjacency API Rank.Adj,
 //     Rank.StripeAdj and Rank.EdgeWeight. Traversal code reads adjacency

@@ -35,22 +35,14 @@ type Transport interface {
 	// AllreduceInt64 runs the cross-process phase of an int64 allreduce
 	// over the per-process partial x (op is OpSum, OpMin or OpMax).
 	AllreduceInt64(op CollOp, x int64) int64
-	// Gather runs the cross-process phase of a rank-ordered blob gather:
-	// ranks/blobs are this process's hosted ranks' contributions; the
-	// result has one entry per global rank, in rank order, identical on
-	// every process.
-	Gather(ranks []int, blobs [][]byte) [][]byte
-	// FragmentExchange runs the cross-process phase of one fragment-merge
-	// MST exchange: blobs are this process's hosted ranks' routed
-	// contributions (Dest = a global rank, or -1 for broadcast-to-all);
-	// the result is every blob addressed to one of this process's hosted
-	// ranks plus every broadcast blob. Unlike Gather, the coordinator
-	// personalizes each process's reply, so a routed blob crosses the wire
-	// up (once) and down (once) instead of down P times.
-	FragmentExchange(blobs []FragBlob) []FragBlob
-	// FragmentSummary reports one query's fragment-merge totals to the
-	// coordinator (one-way; folded into the pending query's outcome).
-	FragmentSummary(s FragSummary)
+	// Exchange runs the cross-process phase of the one byte collective:
+	// blobs are this process's hosted ranks' routed contributions (Dest = a
+	// global rank, or -1 for broadcast-to-all); the result is every blob
+	// addressed to one of this process's hosted ranks plus every broadcast
+	// blob. The coordinator personalizes each process's reply, so a routed
+	// blob crosses the wire up (once) and down (once) instead of down P
+	// times.
+	Exchange(blobs []Blob) []Blob
 	// StartTraversal arms distributed termination detection for
 	// asynchronous traversal #seq and returns a channel the transport
 	// closes at global quiescence (the communicator only receives from
@@ -91,21 +83,13 @@ type TransportHost interface {
 	Poison()
 }
 
-// FragBlob is one routed blob of a fragment-merge MST exchange: Src is the
-// contributing global rank, Dest the receiving global rank (-1 = broadcast
-// to every rank).
-type FragBlob struct {
+// Blob is one routed contribution to an Exchange: Src is the contributing
+// global rank, Dest the receiving global rank (-1 = broadcast to every
+// rank).
+type Blob struct {
 	Src  int
 	Dest int
 	Blob []byte
-}
-
-// FragSummary is one query's fragment-merge MST totals: Borůvka rounds run,
-// proposal/routing records exchanged, and encoded cross-table bytes moved.
-type FragSummary struct {
-	Rounds int64
-	Msgs   int64
-	Bytes  int64
 }
 
 // CollOp selects the combining operation of a cross-process collective.
@@ -120,8 +104,9 @@ const (
 	OpMin
 	// OpMax takes the maximum int64 contribution.
 	OpMax
-	// OpGather concatenates per-rank blobs in rank order.
-	OpGather
+	// OpExchange routes blobs by destination rank; its reply is
+	// personalized per process.
+	OpExchange
 )
 
 // TransportStats are a transport's cumulative traffic counters, surfaced

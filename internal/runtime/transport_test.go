@@ -34,50 +34,48 @@ func TestHostedRangeValidation(t *testing.T) {
 	}
 }
 
-// TestGatherBlobsLoopback checks the wire-able gather collective against
-// the in-process path: every rank receives the full rank-ordered list.
-func TestGatherBlobsLoopback(t *testing.T) {
-	got := make([][][]byte, 4)
-	newComm(t, 8, 4, QueueFIFO).Run(func(r *Rank) {
-		var blob []byte
-		if r.ID() != 2 { // rank 2 contributes nothing
-			blob = []byte{byte(r.ID()), byte(r.ID() + 10)}
-		}
-		got[r.ID()] = GatherBlobs(r, blob)
-	})
-	want := [][]byte{{0, 10}, {1, 11}, nil, {3, 13}}
-	for rank, g := range got {
-		if !reflect.DeepEqual(g, want) {
-			t.Fatalf("rank %d gathered %v, want %v", rank, g, want)
-		}
-	}
-}
-
-// TestFragmentExchangeLoopback checks the routed-blob collective in-process:
-// a routed blob reaches only its Dest, a Dest -1 blob every rank including
-// its sender, and a rank with nothing to contribute still takes part.
-func TestFragmentExchangeLoopback(t *testing.T) {
+// TestExchangeLoopback checks the one byte collective in-process, in the
+// three shapes the solver uses. Routed: a blob reaches only its Dest, a
+// Dest -1 blob every rank including its sender, and a rank with nothing to
+// contribute still takes part. Gather: every rank addresses rank 0, the only
+// one to receive anything. Allgather: every rank broadcasts, and every rank
+// sees each Src exactly once.
+func TestExchangeLoopback(t *testing.T) {
 	for _, ranks := range []int{1, 3, 4} {
 		newComm(t, 8, ranks, QueueFIFO).Run(func(r *Rank) {
-			var out []FragBlob
-			if r.ID() < ranks-1 { // the last rank contributes nothing
-				out = []FragBlob{{Src: r.ID(), Dest: (r.ID() + 1) % ranks, Blob: []byte("to-next")},
-					{Src: r.ID(), Dest: -1, Blob: []byte("to-all")}}
-			}
-			var got, want []string
-			for _, fb := range FragmentExchange(r, out) {
-				got = append(got, fmt.Sprintf("%d:%s", fb.Src, fb.Blob))
-			}
-			sort.Strings(got)
-			for src := 0; src < ranks-1; src++ {
-				want = append(want, fmt.Sprintf("%d:to-all", src))
-				if (src+1)%ranks == r.ID() {
-					want = append(want, fmt.Sprintf("%d:to-next", src))
+			// check runs one exchange; want is r's sorted "src:blob" receipts.
+			check := func(shape string, want []string, out ...Blob) {
+				got := []string{}
+				for _, b := range Exchange(r, out) {
+					got = append(got, fmt.Sprintf("%d:%s", b.Src, b.Blob))
+				}
+				sort.Strings(got)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%d ranks %s: rank %d received %v, want %v", ranks, shape, r.ID(), got, want)
 				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%d ranks: rank %d received %v, want %v", ranks, r.ID(), got, want)
+			routed, every := []string{}, []string{}
+			for src := 0; src < ranks; src++ {
+				every = append(every, fmt.Sprintf("%d:mine", src))
+				if src == ranks-1 {
+					break // the last rank contributes nothing to the routed shape
+				}
+				routed = append(routed, fmt.Sprintf("%d:to-all", src))
+				if (src+1)%ranks == r.ID() {
+					routed = append(routed, fmt.Sprintf("%d:to-next", src))
+				}
 			}
+			if r.ID() < ranks-1 {
+				check("routed", routed, Blob{Src: r.ID(), Dest: (r.ID() + 1) % ranks, Blob: []byte("to-next")},
+					Blob{Src: r.ID(), Dest: -1, Blob: []byte("to-all")})
+			} else {
+				check("routed", routed)
+			}
+			check("allgather", every, Blob{Src: r.ID(), Dest: -1, Blob: []byte("mine")})
+			if r.ID() != 0 {
+				every = []string{}
+			}
+			check("gather", every, Blob{Src: r.ID(), Dest: 0, Blob: []byte("mine")})
 		})
 	}
 }
@@ -137,16 +135,14 @@ func TestHasDelegates(t *testing.T) {
 // nopTransport satisfies Transport for construction-only tests.
 type nopTransport struct{}
 
-func (nopTransport) Attach(TransportHost)                     {}
-func (nopTransport) Deliver(int, []Msg)                       {}
-func (nopTransport) Barrier()                                 {}
-func (nopTransport) AllreduceInt64(_ CollOp, x int64) int64   { return x }
-func (nopTransport) Gather(_ []int, b [][]byte) [][]byte      { return b }
-func (nopTransport) FragmentExchange(b []FragBlob) []FragBlob { return b }
-func (nopTransport) FragmentSummary(FragSummary)              {}
-func (nopTransport) StartTraversal(uint64) chan struct{}      { return make(chan struct{}) }
-func (nopTransport) Stats() TransportStats                    { return TransportStats{} }
-func (nopTransport) Close() error                             { return nil }
+func (nopTransport) Attach(TransportHost)                   {}
+func (nopTransport) Deliver(int, []Msg)                     {}
+func (nopTransport) Barrier()                               {}
+func (nopTransport) AllreduceInt64(_ CollOp, x int64) int64 { return x }
+func (nopTransport) Exchange(b []Blob) []Blob               { return b }
+func (nopTransport) StartTraversal(uint64) chan struct{}    { return make(chan struct{}) }
+func (nopTransport) Stats() TransportStats                  { return TransportStats{} }
+func (nopTransport) Close() error                           { return nil }
 
 // TestTransportStatsAddSubCoverEveryField fills every counter with a
 // distinct value by reflection, so a counter added to the struct but not to

@@ -37,8 +37,8 @@ type ChaosConfig struct {
 	// After is 0, the operation count to fire at.
 	Seed int64
 	// After is the transport-operation count (Deliver/Barrier/Allreduce/
-	// Gather/FragmentExchange/StartTraversal, summed) at which the fault
-	// fires. 0 derives a count from Seed.
+	// Exchange/StartTraversal, summed) at which the fault fires. 0 derives a
+	// count from Seed.
 	After int64
 	// MaxDelay bounds each injected sleep of a ChaosDelay run (default
 	// 2ms).
@@ -179,20 +179,11 @@ func (c *Chaos) AllreduceInt64(op rt.CollOp, x int64) int64 {
 	return c.inner.AllreduceInt64(op, x)
 }
 
-// Gather implements runtime.Transport.
-func (c *Chaos) Gather(ranks []int, blobs [][]byte) [][]byte {
+// Exchange implements runtime.Transport.
+func (c *Chaos) Exchange(blobs []rt.Blob) []rt.Blob {
 	c.step()
-	return c.inner.Gather(ranks, blobs)
+	return c.inner.Exchange(blobs)
 }
-
-// FragmentExchange implements runtime.Transport.
-func (c *Chaos) FragmentExchange(blobs []rt.FragBlob) []rt.FragBlob {
-	c.step()
-	return c.inner.FragmentExchange(blobs)
-}
-
-// FragmentSummary implements runtime.Transport.
-func (c *Chaos) FragmentSummary(s rt.FragSummary) { c.inner.FragmentSummary(s) }
 
 // StartTraversal implements runtime.Transport.
 func (c *Chaos) StartTraversal(seq uint64) chan struct{} {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dsteiner/internal/graph"
 	rt "dsteiner/internal/runtime"
 	"dsteiner/internal/wire"
 )
@@ -101,13 +100,9 @@ type hubEvent struct {
 // pendingQuery accumulates one query's WorkerDone frames.
 type pendingQuery struct {
 	qid  uint64
-	done int
+	done tally
 	out  QueryOutcome
 	ch   chan QueryOutcome
-	// fragRounds is the fragment-merge round count reported by
-	// FragmentRoundSummary frames (-1 until the first arrives); every
-	// worker must report the same count or the session is poisoned.
-	fragRounds int64
 }
 
 // QueryOutcome is everything the coordinator learns about one query from
@@ -121,15 +116,6 @@ type QueryOutcome struct {
 	// Stats is the query's runtime counters record, folded over the
 	// workers' WorkerDone frames with rt.Stats.Add.
 	Stats rt.Stats
-	// Skipped is the rank-0 worker's skipped-terminal list for prize-mode
-	// queries (always nil for tree and forest).
-	Skipped []graph.VID
-	// Fragment-merge MST counters from the rank-0 worker: whether phase 4
-	// ran the fragment merge, and the query's phase-3/4 cross-table wire
-	// bytes and fragment-exchange record count.
-	MSTFragment     bool
-	CrossTableBytes int64
-	FragmentMsgs    int64
 }
 
 // FaultStats is the hub's fault-tolerance accounting: sessions poisoned,
@@ -143,24 +129,40 @@ type FaultStats struct {
 	LastError string
 }
 
-// fragAcc accumulates one fragment exchange's per-worker contributions.
-type fragAcc struct {
-	count int
-	blobs []rt.FragBlob
+// tally records which workers have contributed to one collective, traversal
+// start or query, so a repeat is a session error instead of a second vote.
+type tally struct {
+	seen []bool
+	n    int
 }
+
+func newTally(workers int) tally { return tally{seen: make([]bool, workers)} }
+
+// add marks worker w and reports whether this is its first contribution.
+func (t *tally) add(w int) bool {
+	if t.seen[w] {
+		return false
+	}
+	t.seen[w] = true
+	t.n++
+	return true
+}
+
+// full reports whether every worker has contributed.
+func (t *tally) full() bool { return t.n == len(t.seen) }
 
 // collAcc accumulates one collective's per-worker contributions.
 type collAcc struct {
-	op    uint8
-	count int
-	acc   int64
-	blobs [][]byte // rank-indexed for OpGather
+	op    rt.CollOp
+	from  tally
+	acc   int64     // the allreduces' running value
+	blobs []rt.Blob // OpExchange's routed blobs
 }
 
 // tokenSession tracks the termination-token ring of one traversal.
 type tokenSession struct {
-	began int // TraverseBegin frames seen
-	at    int // worker currently holding the token (-1: not circulating)
+	began tally // workers whose TraverseBegin arrived
+	at    int   // worker currently holding the token (-1: not circulating)
 }
 
 // acceptedConn is one admitted worker connection during a handshake or
@@ -611,10 +613,10 @@ func (s *hubSession) runQuery(qid uint64, payload []byte) (QueryOutcome, error) 
 		return QueryOutcome{}, err
 	}
 	pq := &pendingQuery{
-		qid:        qid,
-		out:        QueryOutcome{QueryID: qid, TableLens: make([]int64, s.h.ranks)},
-		ch:         make(chan QueryOutcome, 1),
-		fragRounds: -1,
+		qid:  qid,
+		done: newTally(s.h.workers),
+		out:  QueryOutcome{QueryID: qid, TableLens: make([]int64, s.h.ranks)},
+		ch:   make(chan QueryOutcome, 1),
 	}
 	// Register before broadcasting so no done frame can beat the query.
 	select {
@@ -669,7 +671,6 @@ func (s *hubSession) shutdown() {
 func (s *hubSession) run() {
 	defer close(s.loopEnd)
 	colls := make(map[uint64]*collAcc)
-	frags := make(map[uint64]*fragAcc)
 	sessions := make(map[uint64]*tokenSession)
 	var pending *pendingQuery
 	closedReaders := 0
@@ -688,7 +689,7 @@ func (s *hubSession) run() {
 				return
 			}
 		default:
-			if err := s.handleFrame(ev, colls, frags, sessions, &pending); err != nil {
+			if err := s.handleFrame(ev, colls, sessions, &pending); err != nil {
 				s.fail(err)
 			}
 		}
@@ -696,7 +697,7 @@ func (s *hubSession) run() {
 }
 
 // handleFrame processes one worker frame inside the event loop.
-func (s *hubSession) handleFrame(ev hubEvent, colls map[uint64]*collAcc, frags map[uint64]*fragAcc,
+func (s *hubSession) handleFrame(ev hubEvent, colls map[uint64]*collAcc,
 	sessions map[uint64]*tokenSession, pending **pendingQuery) error {
 	h := s.h
 	w := ev.worker
@@ -708,29 +709,6 @@ func (s *hubSession) handleFrame(ev hubEvent, colls map[uint64]*collAcc, frags m
 		}
 		return s.handleColl(w, coll, colls)
 
-	case wire.FrameFragmentConnect:
-		fc, err := wire.DecodeFragmentConnect(ev.body)
-		if err != nil {
-			return fmt.Errorf("transport: fragment connect from worker %d: %w", w, err)
-		}
-		return s.handleFragment(w, fc, frags)
-
-	case wire.FrameFragmentRoundSummary:
-		fs, err := wire.DecodeFragmentRoundSummary(ev.body)
-		if err != nil {
-			return fmt.Errorf("transport: fragment summary from worker %d: %w", w, err)
-		}
-		pq := *pending
-		if pq == nil {
-			return fmt.Errorf("transport: fragment summary with no pending query from worker %d", w)
-		}
-		if pq.fragRounds >= 0 && pq.fragRounds != fs.Rounds {
-			return fmt.Errorf("transport: fragment merge diverged: worker %d ran %d rounds, earlier workers ran %d",
-				w, fs.Rounds, pq.fragRounds)
-		}
-		pq.fragRounds = fs.Rounds
-		return nil
-
 	case wire.FrameTraverseBegin:
 		tb, err := wire.DecodeTraverseBegin(ev.body)
 		if err != nil {
@@ -738,11 +716,13 @@ func (s *hubSession) handleFrame(ev hubEvent, colls map[uint64]*collAcc, frags m
 		}
 		ts := sessions[tb.Seq]
 		if ts == nil {
-			ts = &tokenSession{at: -1}
+			ts = &tokenSession{began: newTally(h.workers), at: -1}
 			sessions[tb.Seq] = ts
 		}
-		ts.began++
-		if ts.began == h.workers {
+		if !ts.began.add(w) {
+			return fmt.Errorf("transport: traversal %d: worker %d began twice", tb.Seq, w)
+		}
+		if ts.began.full() {
 			// All processes entered the traversal: start the first token
 			// round. Workers reset their color to black at traversal
 			// start, so at least two rounds always run.
@@ -787,6 +767,9 @@ func (s *hubSession) handleFrame(ev hubEvent, colls map[uint64]*collAcc, frags m
 		if pq == nil || pq.qid != done.QueryID {
 			return fmt.Errorf("transport: done for unknown query %d from worker %d", done.QueryID, w)
 		}
+		if !pq.done.add(w) {
+			return fmt.Errorf("transport: query %d: worker %d reported done twice", done.QueryID, w)
+		}
 		lo, hi := h.RankRange(w)
 		if len(done.TableLens) != hi-lo {
 			return fmt.Errorf("transport: worker %d reported %d table sizes for %d ranks",
@@ -798,15 +781,9 @@ func (s *hubSession) handleFrame(ev hubEvent, colls map[uint64]*collAcc, frags m
 			pq.out.Err = done.Err
 		}
 		if done.HasResult {
-			res := done.Result
-			pq.out.Result = &res
-			pq.out.Skipped = done.Skipped
-			pq.out.MSTFragment = done.MSTFragment
-			pq.out.CrossTableBytes = done.CrossTableBytes
-			pq.out.FragmentMsgs = done.FragmentMsgs
+			pq.out.Result = &done.Result
 		}
-		pq.done++
-		if pq.done == h.workers {
+		if pq.done.full() {
 			*pending = nil
 			pq.ch <- pq.out
 		}
@@ -829,110 +806,82 @@ func (s *hubSession) sendToken(ts *tokenSession, tok wire.Token) error {
 	return nil
 }
 
-// handleFragment folds one fragment-exchange contribution and, once every
-// worker has contributed, answers each worker with a personalized reply:
-// only the blobs addressed to its rank range, plus broadcasts. This is the
-// routing step that replaces OpGather's everything-to-everyone blob list.
-func (s *hubSession) handleFragment(w int, fc wire.FragmentConnect, frags map[uint64]*fragAcc) error {
-	h := s.h
-	acc := frags[fc.Seq]
-	if acc == nil {
-		acc = &fragAcc{}
-		frags[fc.Seq] = acc
-	}
-	for _, fb := range fc.Blobs {
-		if fb.Dest != -1 && (fb.Dest < 0 || fb.Dest >= h.ranks) {
-			return fmt.Errorf("transport: fragment exchange %d: dest rank %d out of range from worker %d",
-				fc.Seq, fb.Dest, w)
-		}
-	}
-	acc.blobs = append(acc.blobs, fc.Blobs...)
-	acc.count++
-	if acc.count < h.workers {
-		return nil
-	}
-	delete(frags, fc.Seq)
-	for dw, p := range s.peers {
-		lo, hi := h.RankRange(dw)
-		var out []rt.FragBlob
-		for _, fb := range acc.blobs {
-			if fb.Dest == -1 || (fb.Dest >= lo && fb.Dest < hi) {
-				out = append(out, fb)
-			}
-		}
-		reply := wire.EncodeFragmentRelabel(nil, wire.FragmentRelabel{Seq: fc.Seq, Blobs: out})
-		if err := p.send(reply); err != nil {
-			return fmt.Errorf("transport: fragment reply to worker %d: %w", dw, err)
-		}
-	}
-	return nil
-}
-
-// handleColl folds one collective contribution and replies when complete.
+// handleColl folds one collective contribution and, once every worker has
+// contributed, replies: the same payload to all, except for an exchange,
+// where each worker gets only the blobs addressed to its rank range plus the
+// broadcasts. Consecutive collectives of any op share the sequence, so
+// workers whose programs diverge meet here as an op mismatch at the step
+// where they part.
 func (s *hubSession) handleColl(w int, coll wire.Coll, colls map[uint64]*collAcc) error {
 	h := s.h
+	if coll.Op < rt.OpBarrier || coll.Op > rt.OpExchange {
+		return fmt.Errorf("transport: collective %d: unknown op %d from worker %d", coll.Seq, coll.Op, w)
+	}
 	acc := colls[coll.Seq]
 	if acc == nil {
-		acc = &collAcc{op: coll.Op}
-		if coll.Op == wire.OpGather {
-			acc.blobs = make([][]byte, h.ranks)
-		}
+		acc = &collAcc{op: coll.Op, from: newTally(h.workers)}
 		colls[coll.Seq] = acc
 	}
 	if acc.op != coll.Op {
 		return fmt.Errorf("transport: collective %d op mismatch (%d vs %d) from worker %d",
 			coll.Seq, acc.op, coll.Op, w)
 	}
+	if !acc.from.add(w) {
+		return fmt.Errorf("transport: collective %d: worker %d contributed twice", coll.Seq, w)
+	}
 	switch coll.Op {
-	case wire.OpBarrier:
-	case wire.OpGather:
-		contrib, err := wire.DecodeRankBlobs(coll.Payload)
+	case rt.OpBarrier:
+	case rt.OpExchange:
+		blobs, err := wire.DecodeBlobs(coll.Payload)
 		if err != nil {
-			return fmt.Errorf("transport: gather %d from worker %d: %w", coll.Seq, w, err)
+			return fmt.Errorf("transport: exchange %d from worker %d: %w", coll.Seq, w, err)
 		}
-		for _, rb := range contrib {
-			if rb.Rank < 0 || rb.Rank >= h.ranks {
-				return fmt.Errorf("transport: gather %d: rank %d out of range", coll.Seq, rb.Rank)
+		lo, hi := h.RankRange(w)
+		for _, b := range blobs {
+			if b.Src < lo || b.Src >= hi || b.Dest < -1 || b.Dest >= h.ranks {
+				return fmt.Errorf("transport: exchange %d: blob %d -> %d from worker %d hosting ranks [%d,%d) of %d",
+					coll.Seq, b.Src, b.Dest, w, lo, hi, h.ranks)
 			}
-			acc.blobs[rb.Rank] = rb.Blob
 		}
+		acc.blobs = append(acc.blobs, blobs...)
 	default:
 		x, err := wire.DecodeInt64(coll.Payload)
 		if err != nil {
 			return fmt.Errorf("transport: allreduce %d from worker %d: %w", coll.Seq, w, err)
 		}
-		if acc.count == 0 {
+		switch {
+		case acc.from.n == 1:
 			acc.acc = x
-		} else {
-			switch coll.Op {
-			case wire.OpMinInt64:
-				if x < acc.acc {
-					acc.acc = x
-				}
-			case wire.OpMaxInt64:
-				if x > acc.acc {
-					acc.acc = x
-				}
-			default:
-				acc.acc += x
-			}
+		case coll.Op == rt.OpMin:
+			acc.acc = min(acc.acc, x)
+		case coll.Op == rt.OpMax:
+			acc.acc = max(acc.acc, x)
+		default:
+			acc.acc += x
 		}
 	}
-	acc.count++
-	if acc.count < h.workers {
+	if !acc.from.full() {
 		return nil
 	}
 	delete(colls, coll.Seq)
-	var payload []byte
-	switch coll.Op {
-	case wire.OpBarrier:
-	case wire.OpGather:
-		payload = wire.EncodeBlobList(nil, acc.blobs)
-	default:
+	var payload, reply []byte
+	if coll.Op != rt.OpBarrier && coll.Op != rt.OpExchange {
 		payload = wire.EncodeInt64(acc.acc)
 	}
-	reply := wire.EncodeCollReply(nil, wire.CollReply{Seq: coll.Seq, Payload: payload})
 	for dw, p := range s.peers {
+		if coll.Op == rt.OpExchange {
+			lo, hi := h.RankRange(dw)
+			var mine []rt.Blob
+			for _, b := range acc.blobs {
+				if b.Dest == -1 || (b.Dest >= lo && b.Dest < hi) {
+					mine = append(mine, b)
+				}
+			}
+			payload = wire.AppendBlobs(payload[:0], mine)
+		}
+		if dw == 0 || coll.Op == rt.OpExchange { // send copies, so the buffers are reused
+			reply = wire.EncodeCollReply(reply[:0], wire.CollReply{Seq: coll.Seq, Payload: payload})
+		}
 		if err := p.send(reply); err != nil {
 			return fmt.Errorf("transport: collective reply to worker %d: %w", dw, err)
 		}

@@ -53,11 +53,6 @@ type TCP struct {
 	collSeq   uint64
 	collReply chan wire.CollReply
 
-	// Fragment-exchange state: same single-outstanding leader discipline
-	// as collectives, with its own sequence space.
-	fragSeq   uint64
-	fragReply chan wire.FragmentRelabel
-
 	// Fence state: highest fence sequence received from each peer.
 	fenceMu   sync.Mutex
 	fenceCond *sync.Cond
@@ -102,7 +97,6 @@ func NewTCP(self int, rankLo []int64, coord net.Conn, peerConns []net.Conn) *TCP
 		self:      self,
 		rankLo:    rankLo,
 		collReply: make(chan wire.CollReply, 1),
-		fragReply: make(chan wire.FragmentRelabel, 1),
 		fenceGot:  make([]uint64, len(peerConns)),
 		travDone:  make(map[uint64]chan struct{}),
 		controls:  make(chan Control, 4),
@@ -271,7 +265,7 @@ func (t *TCP) fenceReachedLocked(seq uint64) bool {
 }
 
 // collective runs one coordinator-rooted collective exchange.
-func (t *TCP) collective(op uint8, payload []byte) []byte {
+func (t *TCP) collective(op rt.CollOp, payload []byte) []byte {
 	t.fence()
 	t.collSeq++
 	if err := t.coord.appendFrame(true, func(dst []byte) []byte {
@@ -293,20 +287,11 @@ func (t *TCP) collective(op uint8, payload []byte) []byte {
 }
 
 // Barrier implements runtime.Transport.
-func (t *TCP) Barrier() { t.collective(wire.OpBarrier, nil) }
+func (t *TCP) Barrier() { t.collective(rt.OpBarrier, nil) }
 
 // AllreduceInt64 implements runtime.Transport.
 func (t *TCP) AllreduceInt64(op rt.CollOp, x int64) int64 {
-	var wop uint8
-	switch op {
-	case rt.OpMin:
-		wop = wire.OpMinInt64
-	case rt.OpMax:
-		wop = wire.OpMaxInt64
-	default:
-		wop = wire.OpSumInt64
-	}
-	res, err := wire.DecodeInt64(t.collective(wop, wire.EncodeInt64(x)))
+	res, err := wire.DecodeInt64(t.collective(op, wire.EncodeInt64(x)))
 	if err != nil {
 		t.fail(fmt.Errorf("transport: allreduce reply: %w", err))
 		panic(errPoisoned)
@@ -314,58 +299,16 @@ func (t *TCP) AllreduceInt64(op rt.CollOp, x int64) int64 {
 	return res
 }
 
-// Gather implements runtime.Transport: ship the hosted ranks' blobs,
-// receive the full rank-ordered list.
-func (t *TCP) Gather(ranks []int, blobs [][]byte) [][]byte {
-	contrib := make([]wire.RankBlob, len(ranks))
-	for i, r := range ranks {
-		contrib[i] = wire.RankBlob{Rank: r, Blob: blobs[i]}
-	}
-	reply := t.collective(wire.OpGather, wire.EncodeRankBlobs(nil, contrib))
-	list, err := wire.DecodeBlobList(reply)
+// Exchange implements runtime.Transport: ship the hosted ranks' routed
+// blobs, receive the coordinator's personalized reply — the blobs addressed
+// to this worker's rank range plus the broadcasts.
+func (t *TCP) Exchange(blobs []rt.Blob) []rt.Blob {
+	got, err := wire.DecodeBlobs(t.collective(rt.OpExchange, wire.AppendBlobs(nil, blobs)))
 	if err != nil {
-		t.fail(fmt.Errorf("transport: gather reply: %w", err))
+		t.fail(fmt.Errorf("transport: exchange reply: %w", err))
 		panic(errPoisoned)
 	}
-	return list
-}
-
-// FragmentExchange implements runtime.Transport: ship the hosted ranks'
-// routed fragment blobs to the coordinator, receive back the personalized
-// set — blobs addressed to this worker's rank range plus broadcasts. Like a
-// collective it is fenced, single-outstanding, and leader-only.
-func (t *TCP) FragmentExchange(blobs []rt.FragBlob) []rt.FragBlob {
-	t.fence()
-	t.fragSeq++
-	if err := t.coord.appendFrame(true, func(dst []byte) []byte {
-		return wire.EncodeFragmentConnect(dst, wire.FragmentConnect{Seq: t.fragSeq, Blobs: blobs})
-	}); err != nil {
-		t.fail(fmt.Errorf("transport: fragment exchange %d: %w", t.fragSeq, err))
-		panic(errPoisoned)
-	}
-	select {
-	case reply := <-t.fragReply:
-		if reply.Seq != t.fragSeq {
-			t.fail(fmt.Errorf("transport: fragment reply %d for request %d", reply.Seq, t.fragSeq))
-			panic(errPoisoned)
-		}
-		return reply.Blobs
-	case <-t.failCh:
-		panic(errPoisoned)
-	}
-}
-
-// FragmentSummary implements runtime.Transport: one-way per-query fragment
-// totals to the coordinator, folded into the pending query's outcome.
-func (t *TCP) FragmentSummary(s rt.FragSummary) {
-	if err := t.coord.appendFrame(true, func(dst []byte) []byte {
-		return wire.EncodeFragmentRoundSummary(dst, wire.FragmentRoundSummary{
-			Rounds: s.Rounds, Msgs: s.Msgs, Bytes: s.Bytes,
-		})
-	}); err != nil {
-		t.fail(fmt.Errorf("transport: fragment summary: %w", err))
-		panic(errPoisoned)
-	}
+	return got
 }
 
 // StartTraversal implements runtime.Transport: announce the asynchronous
@@ -507,23 +450,6 @@ func (t *TCP) readCoord() {
 			case t.collReply <- reply:
 			default:
 				t.fail(errors.New("transport: unexpected collective reply"))
-				return
-			}
-		case wire.FrameFragmentRelabel:
-			reply, err := wire.DecodeFragmentRelabel(body)
-			if err != nil {
-				t.fail(fmt.Errorf("transport: fragment reply: %w", err))
-				return
-			}
-			// The blobs alias the read buffer: copy before handing them to
-			// the waiting leader rank.
-			for i := range reply.Blobs {
-				reply.Blobs[i].Blob = append([]byte(nil), reply.Blobs[i].Blob...)
-			}
-			select {
-			case t.fragReply <- reply:
-			default:
-				t.fail(errors.New("transport: unexpected fragment reply"))
 				return
 			}
 		case wire.FrameToken:

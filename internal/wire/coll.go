@@ -1,13 +1,18 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
 
-// Coll is one process's contribution to collective #Seq. Payload is
-// op-specific: empty for OpBarrier, an 8-byte-varint int64 for the
-// allreduces, a rank-tagged blob list for OpGather.
+	rt "dsteiner/internal/runtime"
+)
+
+// Coll is one process's contribution to collective #Seq. Op is the
+// runtime's closed enum, carried as its byte; Payload is op-specific: empty
+// for OpBarrier, a varint int64 for the allreduces, a routed-blob list for
+// OpExchange.
 type Coll struct {
 	Seq     uint64
-	Op      uint8
+	Op      rt.CollOp
 	Payload []byte
 }
 
@@ -15,7 +20,7 @@ type Coll struct {
 func EncodeColl(dst []byte, c Coll) []byte {
 	dst = append(dst, FrameColl)
 	dst = AppendUvarint(dst, c.Seq)
-	dst = append(dst, c.Op)
+	dst = append(dst, byte(c.Op))
 	dst = AppendBytes(dst, c.Payload)
 	return dst
 }
@@ -23,11 +28,13 @@ func EncodeColl(dst []byte, c Coll) []byte {
 // DecodeColl decodes a FrameColl body. Payload aliases body.
 func DecodeColl(body []byte) (Coll, error) {
 	d := NewDec(body)
-	c := Coll{Seq: d.Uvarint(), Op: d.Byte(), Payload: d.Bytes()}
+	c := Coll{Seq: d.Uvarint(), Op: rt.CollOp(d.Byte()), Payload: d.Bytes()}
 	return c, d.finish()
 }
 
-// CollReply is the coordinator's result for collective #Seq.
+// CollReply is the coordinator's result for collective #Seq: the same
+// payload to every worker, except OpExchange's, which carries only the blobs
+// addressed to the receiving worker's ranks plus the broadcasts.
 type CollReply struct {
 	Seq     uint64
 	Payload []byte
@@ -58,60 +65,33 @@ func DecodeInt64(payload []byte) (int64, error) {
 	return x, d.finish()
 }
 
-// RankBlob tags a per-rank gather contribution with its global rank.
-type RankBlob struct {
-	Rank int
-	Blob []byte
-}
-
-// EncodeRankBlobs encodes an OpGather contribution: this process's hosted
-// ranks' blobs, rank-tagged.
-func EncodeRankBlobs(dst []byte, blobs []RankBlob) []byte {
-	dst = AppendUvarint(dst, uint64(len(blobs)))
-	for _, rb := range blobs {
-		dst = AppendUvarint(dst, uint64(rb.Rank))
-		dst = AppendBytes(dst, rb.Blob)
-	}
-	return dst
-}
-
-// DecodeRankBlobs decodes an OpGather contribution. Blobs alias payload.
-func DecodeRankBlobs(payload []byte) ([]RankBlob, error) {
-	d := NewDec(payload)
-	n := d.Int()
-	if d.err == nil && n > d.Len() {
-		return nil, fmt.Errorf("%w: rank blob count", ErrCorrupt)
-	}
-	out := make([]RankBlob, 0, min(n, 1024))
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, RankBlob{Rank: d.Int(), Blob: d.Bytes()})
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EncodeBlobList encodes an OpGather result: one blob per global rank, in
-// rank order (absent ranks encode empty).
-func EncodeBlobList(dst []byte, blobs [][]byte) []byte {
+// AppendBlobs appends an OpExchange payload, contribution or personalized
+// reply: a length-prefixed routed-blob list. Dest is zigzag-encoded because
+// -1 means broadcast.
+func AppendBlobs(dst []byte, blobs []rt.Blob) []byte {
 	dst = AppendUvarint(dst, uint64(len(blobs)))
 	for _, b := range blobs {
-		dst = AppendBytes(dst, b)
+		dst = AppendUvarint(dst, uint64(b.Src))
+		dst = AppendVarint(dst, int64(b.Dest))
+		dst = AppendBytes(dst, b.Blob)
 	}
 	return dst
 }
 
-// DecodeBlobList decodes an OpGather result. Blobs alias payload.
-func DecodeBlobList(payload []byte) ([][]byte, error) {
+// DecodeBlobs decodes an OpExchange payload. Blobs alias payload.
+func DecodeBlobs(payload []byte) ([]rt.Blob, error) {
 	d := NewDec(payload)
-	n := d.Int()
-	if d.err == nil && n > d.Len()+1 {
-		return nil, fmt.Errorf("%w: blob list count", ErrCorrupt)
-	}
-	out := make([][]byte, 0, min(n, 4096))
+	n := d.count(3, "blob list") // ≥ 3 bytes per blob
+	out := make([]rt.Blob, 0, min(n, 1024))
 	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, d.Bytes())
+		b := rt.Blob{Src: d.Int()}
+		dest := d.Varint()
+		if d.err == nil && (dest < -1 || dest > 1<<24) {
+			return nil, fmt.Errorf("%w: blob dest %d", ErrCorrupt, dest)
+		}
+		b.Dest = int(dest)
+		b.Blob = d.Bytes()
+		out = append(out, b)
 	}
 	if err := d.finish(); err != nil {
 		return nil, err

@@ -52,12 +52,6 @@ func DecodeSolveSpec(body []byte) (SolveSpec, error) {
 	return s, d.finish()
 }
 
-// EdgeRec is one Steiner-tree edge on the wire.
-type EdgeRec struct {
-	U, V graph.VID
-	W    uint32
-}
-
 // PhaseRec is one phase's statistics on the wire (core.PhaseStat).
 type PhaseRec struct {
 	Name        string
@@ -67,24 +61,28 @@ type PhaseRec struct {
 	MaxRankWork int64
 }
 
-// SolveResult is the wire form of the solver-output parts of core.Result,
-// produced on the worker hosting rank 0 and shipped back inside
-// WorkerDone. Memory accounting and validation happen coordinator-side.
+// SolveResult is the wire form of core.Result's solver output — everything
+// rank 0 produces for a query, shipped back inside WorkerDone by the worker
+// hosting it. Memory accounting and validation happen coordinator-side.
 type SolveResult struct {
-	Tree           []EdgeRec
+	Tree           []graph.Edge
 	TotalDistance  int64
 	Phases         []PhaseRec
 	DistGraphEdges int
 	MSTRounds      int
+	// Skipped lists the terminals a prize-mode query paid to leave out
+	// (empty for tree and forest).
+	Skipped []graph.VID
+	// MSTFragment reports whether phase 4 ran the fragment merge;
+	// CrossTableBytes and FragmentMsgs are the query's phase-3/4 cross-table
+	// payload bytes and fragment-exchange record count.
+	MSTFragment     bool
+	CrossTableBytes int64
+	FragmentMsgs    int64
 }
 
 func appendSolveResult(dst []byte, r SolveResult) []byte {
-	dst = AppendUvarint(dst, uint64(len(r.Tree)))
-	for _, e := range r.Tree {
-		dst = AppendUvarint(dst, uint64(uint32(e.U)))
-		dst = AppendUvarint(dst, uint64(uint32(e.V)))
-		dst = AppendUvarint(dst, uint64(e.W))
-	}
+	dst = EncodeEdges(dst, r.Tree)
 	dst = AppendVarint(dst, r.TotalDistance)
 	dst = AppendUvarint(dst, uint64(len(r.Phases)))
 	for _, p := range r.Phases {
@@ -96,20 +94,14 @@ func appendSolveResult(dst []byte, r SolveResult) []byte {
 	}
 	dst = AppendUvarint(dst, uint64(r.DistGraphEdges))
 	dst = AppendUvarint(dst, uint64(r.MSTRounds))
-	return dst
+	dst = AppendVIDs(dst, r.Skipped)
+	dst = appendBool(dst, r.MSTFragment)
+	dst = AppendVarint(dst, r.CrossTableBytes)
+	return AppendVarint(dst, r.FragmentMsgs)
 }
 
 func decodeSolveResult(d *Dec) SolveResult {
-	var r SolveResult
-	nTree := d.count(3, "tree edges") // ≥ 3 bytes per edge
-	for i := 0; i < nTree && d.err == nil; i++ {
-		r.Tree = append(r.Tree, EdgeRec{
-			U: graph.VID(int32(d.Uvarint())),
-			V: graph.VID(int32(d.Uvarint())),
-			W: uint32(d.Uvarint()),
-		})
-	}
-	r.TotalDistance = d.Varint()
+	r := SolveResult{Tree: d.edges(nil), TotalDistance: d.Varint()}
 	nPhases := d.Int()
 	if d.err == nil && nPhases > d.Len() {
 		d.err = fmt.Errorf("%w: phase count", ErrCorrupt)
@@ -125,6 +117,10 @@ func decodeSolveResult(d *Dec) SolveResult {
 	}
 	r.DistGraphEdges = d.Int()
 	r.MSTRounds = d.Int()
+	r.Skipped = d.VIDs()
+	r.MSTFragment = d.Bool()
+	r.CrossTableBytes = d.Varint()
+	r.FragmentMsgs = d.Varint()
 	return r
 }
 
@@ -189,15 +185,6 @@ type WorkerDone struct {
 	Stats     rt.Stats
 	HasResult bool
 	Result    SolveResult
-	// Skipped lists the terminals a prize-mode query paid to leave out
-	// (set by the worker hosting rank 0; empty for tree and forest).
-	Skipped []graph.VID
-	// Set by the worker hosting rank 0: whether phase 4 ran the fragment
-	// merge, and the query's phase-3/4 cross-table payload bytes and
-	// fragment-exchange record count.
-	MSTFragment     bool
-	CrossTableBytes int64
-	FragmentMsgs    int64
 }
 
 // EncodeWorkerDone appends a FrameWorkerDone payload.
@@ -211,10 +198,6 @@ func EncodeWorkerDone(dst []byte, w WorkerDone) []byte {
 	if w.HasResult {
 		dst = appendSolveResult(dst, w.Result)
 	}
-	dst = AppendVIDs(dst, w.Skipped)
-	dst = appendBool(dst, w.MSTFragment)
-	dst = AppendVarint(dst, w.CrossTableBytes)
-	dst = AppendVarint(dst, w.FragmentMsgs)
 	return dst
 }
 
@@ -230,15 +213,12 @@ func DecodeWorkerDone(body []byte) (WorkerDone, error) {
 	if w.HasResult {
 		w.Result = decodeSolveResult(d)
 	}
-	w.Skipped = d.VIDs()
-	w.MSTFragment = d.Bool()
-	w.CrossTableBytes = d.Varint()
-	w.FragmentMsgs = d.Varint()
 	return w, d.finish()
 }
 
-// EncodeEdges encodes a []graph.Edge blob for the final tree gather
-// (rank-local tree fragments collected via the OpGather collective).
+// EncodeEdges appends a counted []graph.Edge: the blob of the final tree
+// gather (rank-local tree pieces addressed to rank 0) and the Tree field of
+// SolveResult.
 func EncodeEdges(dst []byte, edges []graph.Edge) []byte {
 	dst = AppendUvarint(dst, uint64(len(edges)))
 	for _, e := range edges {
@@ -249,10 +229,9 @@ func EncodeEdges(dst []byte, edges []graph.Edge) []byte {
 	return dst
 }
 
-// DecodeEdges decodes an EncodeEdges blob, appending to out.
-func DecodeEdges(blob []byte, out []graph.Edge) ([]graph.Edge, error) {
-	d := NewDec(blob)
-	n := d.count(3, "edge blob")
+// edges decodes an EncodeEdges list, appending to out.
+func (d *Dec) edges(out []graph.Edge) []graph.Edge {
+	n := d.count(3, "edge list") // ≥ 3 bytes per edge
 	for i := 0; i < n && d.err == nil; i++ {
 		out = append(out, graph.Edge{
 			U: graph.VID(int32(d.Uvarint())),
@@ -260,6 +239,13 @@ func DecodeEdges(blob []byte, out []graph.Edge) ([]graph.Edge, error) {
 			W: uint32(d.Uvarint()),
 		})
 	}
+	return out
+}
+
+// DecodeEdges decodes an EncodeEdges blob, appending to out.
+func DecodeEdges(blob []byte, out []graph.Edge) ([]graph.Edge, error) {
+	d := NewDec(blob)
+	out = d.edges(out)
 	if err := d.finish(); err != nil {
 		return nil, err
 	}

@@ -5,8 +5,9 @@
 // has a wire form here:
 //
 //   - visitor-message batches (runtime.Msg, the paper's §IV message plane),
-//   - collective contributions and results (barrier / allreduce / gather —
-//     the MPI_Allreduce/MPI_Allgatherv equivalents of Alg. 5),
+//   - collective contributions and results, one frame pair for every op of
+//     runtime.CollOp (barrier / allreduce / exchange — the
+//     MPI_Allreduce/MPI_Allgatherv equivalents of Alg. 5),
 //   - termination-detection tokens (a Safra-style counter+color token that
 //     replaces the shared-memory pending counter for asynchronous
 //     traversals),
@@ -38,7 +39,7 @@ import (
 // are always built from the same tree, so there is nothing to negotiate: a
 // worker's Hello or Rejoin must announce exactly this version or it is
 // refused with an Abort before any session state is built.
-const Version uint32 = 9
+const Version uint32 = 10
 
 // readChunk is the most ReadFrame allocates ahead of the bytes it has read.
 const readChunk = 1 << 20
@@ -49,9 +50,9 @@ const readChunk = 1 << 20
 const MaxFrame = 1 << 30
 
 // Frame types. The first payload byte of every frame identifies it. The
-// numbers are those of the last negotiated format (two retired kinds keep
-// their slots), so a Hello or Rejoin from a binary of that era still reads
-// as one and is refused by version rather than as an unknown frame.
+// numbers are those of the last negotiated format (retired kinds keep their
+// slots), so a Hello or Rejoin from a binary of that era still reads as one
+// and is refused by version rather than as an unknown frame.
 const (
 	// FrameHello is worker → coordinator: protocol version + the address
 	// the worker's peer-mesh listener accepts on.
@@ -100,20 +101,9 @@ const (
 	// FrameSolveSpec is coordinator → worker: run one query (mode +
 	// canonical seeds/groups/penalties).
 	FrameSolveSpec
-	// FrameFragmentConnect is worker → coordinator: one process's
-	// contribution to fragment exchange #Seq — the rank-tagged,
-	// destination-routed blobs of a fragment-merge MST round.
-	FrameFragmentConnect
-	// FrameFragmentRelabel is coordinator → worker: fragment exchange
-	// #Seq's result, personalized per worker — only the blobs addressed to
-	// the worker's rank range (plus broadcasts), unlike OpGather's
-	// replicated full list.
-	FrameFragmentRelabel
-	// FrameFragmentRoundSummary is worker → coordinator (one-way): the
-	// fragment merge's per-query round/message/byte totals, folded into the
-	// pending query's outcome and cross-checked for agreement across
-	// workers.
-	FrameFragmentRoundSummary
+	_ // 18: the retired fragment exchange (now FrameColl's OpExchange)
+	_ // 19: its personalized reply (now FrameCollReply)
+	_ // 20: the retired per-query fragment summary
 	// FrameRejoin is worker → coordinator: a replacement (or reconnecting)
 	// worker's first frame when re-handshaking into an existing session
 	// after a fault. It carries the SessionID the worker learned from its
@@ -121,17 +111,8 @@ const (
 	// some other fleet. The coordinator answers with a fresh Setup exactly
 	// as it would a Hello.
 	FrameRejoin
-)
-
-// Collective operations carried by FrameColl. They mirror
-// runtime.CollOp one-to-one; the duplication keeps the wire format frozen
-// even if the runtime enum grows.
-const (
-	OpBarrier uint8 = 1 + iota
-	OpSumInt64
-	OpMinInt64
-	OpMaxInt64
-	OpGather
+	// frameEnd is one past the last frame kind.
+	frameEnd
 )
 
 var (

@@ -267,7 +267,7 @@ func TestOpeningFrameNumbers(t *testing.T) {
 }
 
 func TestCollectiveRoundTrip(t *testing.T) {
-	c := Coll{Seq: 9, Op: OpSumInt64, Payload: EncodeInt64(-77)}
+	c := Coll{Seq: 9, Op: rt.OpSum, Payload: EncodeInt64(-77)}
 	gotC, err := DecodeColl(EncodeColl(nil, c)[1:])
 	if err != nil || gotC.Seq != c.Seq || gotC.Op != c.Op || !bytes.Equal(gotC.Payload, c.Payload) {
 		t.Fatalf("coll: %+v %v", gotC, err)
@@ -277,17 +277,11 @@ func TestCollectiveRoundTrip(t *testing.T) {
 		t.Fatalf("int64 payload: %d %v", v, err)
 	}
 
-	blobs := []RankBlob{{Rank: 3, Blob: []byte("abc")}, {Rank: 0, Blob: nil}}
-	gotBlobs, err := DecodeRankBlobs(EncodeRankBlobs(nil, blobs))
-	if err != nil || len(gotBlobs) != 2 || gotBlobs[0].Rank != 3 ||
-		!bytes.Equal(gotBlobs[0].Blob, []byte("abc")) || gotBlobs[1].Rank != 0 {
-		t.Fatalf("rank blobs: %+v %v", gotBlobs, err)
-	}
-
-	list := [][]byte{nil, []byte("x"), []byte("yz")}
-	gotList, err := DecodeBlobList(EncodeBlobList(nil, list))
-	if err != nil || len(gotList) != 3 || !bytes.Equal(gotList[2], []byte("yz")) {
-		t.Fatalf("blob list: %+v %v", gotList, err)
+	// The gather shape: rank-tagged blobs addressed to rank 0, one empty.
+	blobs := []rt.Blob{{Src: 3, Blob: []byte("abc")}, {Src: 0, Blob: nil}}
+	gotBlobs, err := DecodeBlobs(AppendBlobs(nil, blobs))
+	if err != nil || !blobsEqual(gotBlobs, blobs) {
+		t.Fatalf("blobs: %+v %v", gotBlobs, err)
 	}
 
 	reply := CollReply{Seq: 10, Payload: []byte{1, 2}}
@@ -366,10 +360,7 @@ func TestEdgesRoundTrip(t *testing.T) {
 // each struct decoder: the result must be an error, never a panic and
 // never silent success.
 func TestDecodersRejectTruncation(t *testing.T) {
-	bodies := map[string]struct {
-		body []byte
-		dec  func([]byte) error
-	}{
+	rejectTruncations(t, map[string]truncCase{
 		"hello": {EncodeHello(nil, Hello{Version: Version, PeerAddr: "x:1"})[1:],
 			func(b []byte) error { _, err := DecodeHello(b); return err }},
 		"setup": {EncodeSetup(nil, Setup{Ranks: 4, RankLo: []int64{0, 4}, PeerAddrs: []string{"a"},
@@ -378,11 +369,23 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		"solve": {EncodeSolveSpec(nil, SolveSpec{QueryID: 1, Mode: 2, Seeds: []graph.VID{1, 2}, Penalties: []int64{3, 4}})[1:],
 			func(b []byte) error { _, err := DecodeSolveSpec(b); return err }},
 		"done": {EncodeWorkerDone(nil, WorkerDone{QueryID: 1, TableLens: []int64{1}, HasResult: true,
-			Result: SolveResult{Tree: []EdgeRec{{U: 1, V: 2, W: 3}}, Phases: []PhaseRec{{Name: "p"}}}})[1:],
+			Result: SolveResult{Tree: []graph.Edge{{U: 1, V: 2, W: 3}}, Phases: []PhaseRec{{Name: "p"}}}})[1:],
 			func(b []byte) error { _, err := DecodeWorkerDone(b); return err }},
 		"rejoin": {EncodeRejoin(nil, Rejoin{Version: Version, PeerAddr: "x:1", SessionID: 99, PrevWorker: 1})[1:],
 			func(b []byte) error { _, err := DecodeRejoin(b); return err }},
-	}
+	})
+}
+
+// truncCase is one valid encoded body and the decoder it belongs to.
+type truncCase struct {
+	body []byte
+	dec  func([]byte) error
+}
+
+// rejectTruncations requires each body to decode, and every proper prefix of
+// it to fail.
+func rejectTruncations(t *testing.T, bodies map[string]truncCase) {
+	t.Helper()
 	for name, tc := range bodies {
 		if err := tc.dec(tc.body); err != nil {
 			t.Fatalf("%s: valid body rejected: %v", name, err)
