@@ -16,6 +16,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -73,9 +74,24 @@ type QuerySpec struct {
 	// end up internally connected; no tree edge may join two groups.
 	Groups [][]graph.VID
 	// Penalties holds one non-negative penalty per Seeds entry on prize
-	// queries: the cost of leaving that terminal out of the tree.
+	// queries: the cost of leaving that terminal out of the tree. They may
+	// sum to at most MaxPenaltySum.
 	Penalties []graph.Dist
 }
+
+// MaxPenaltySum, 2^60, bounds a prize query's penalty total P so that the
+// moat growth (growMoats) stays inside int64, given distance-graph weights W
+// below graph.InfDist < 2^61: doubled budgets and their sums are ≤ 2P; each
+// event spends the same amount from two or more active moats out of 2P, so
+// the clock and every doubled dual stay ≤ P; slack2 = 2W − y2(U) − y2(V)
+// lies in [−2^61, 2^62), so the scaled key 2·slack2 < 2^63; keys saturate
+// at 2P + 1 (no larger key can win), so a due value 2·clock + key is at
+// most 4P + 1 < 2^63. TotalDistance + PaidPenalty then fits whenever the
+// tree weighs under 2^63 − 2^60.
+const MaxPenaltySum graph.Dist = 1 << 60
+
+// ErrPenaltySum marks a prize query whose penalties sum past MaxPenaltySum.
+var ErrPenaltySum = errors.New("prize penalties sum past MaxPenaltySum")
 
 // TreeSpec wraps a plain terminal set in a tree-mode QuerySpec.
 func TreeSpec(seeds []graph.VID) QuerySpec {
@@ -180,10 +196,15 @@ func canonSpec(n int, spec QuerySpec, seen map[graph.VID]bool) (canonQuery, erro
 			return canonQuery{}, fmt.Errorf("core: prize query needs one penalty per seed (%d penalties for %d seeds)",
 				len(spec.Penalties), len(spec.Seeds))
 		}
+		sum := graph.Dist(0)
 		for i, p := range spec.Penalties {
 			if p < 0 {
 				return canonQuery{}, fmt.Errorf("core: negative penalty %d for seed %d", p, spec.Seeds[i])
 			}
+			if p > MaxPenaltySum-sum {
+				return canonQuery{}, fmt.Errorf("core: %w (%d)", ErrPenaltySum, MaxPenaltySum)
+			}
+			sum += p
 		}
 		dedup, err := canonSeedSet(n, spec.Seeds, seen)
 		if err != nil {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -402,6 +404,48 @@ func TestQuerySpecValidation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(p1.Seeds, []graph.VID{2, 5}) || !reflect.DeepEqual(p1.Penalties, []graph.Dist{20, 50}) {
 		t.Fatalf("penalties not co-sorted with seeds: %+v", p1)
+	}
+}
+
+// TestPrizePenaltyBound pins MaxPenaltySum: penalties summing to exactly the
+// bound solve with every intermediate in range — here they are too large to
+// skip anything, so the answer is the tree query's — and one more is
+// ErrPenaltySum, as are penalties that would wrap int64 (each 2^62, or one
+// MaxInt64), which used to skip terminals and report a negative objective.
+func TestPrizePenaltyBound(t *testing.T) {
+	g := engineTestGraph(95, 40)
+	e, err := NewEngine(g, Default(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	seeds := []graph.VID{3, 17, 30}
+	third := MaxPenaltySum / 3
+	atBound := []graph.Dist{third, third, MaxPenaltySum - 2*third}
+
+	tree, err := e.Solve(seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.SolveSpec(QuerySpec{Mode: ModePrize, Seeds: seeds, Penalties: atBound})
+	if err != nil {
+		t.Fatalf("penalties summing to MaxPenaltySum: %v", err)
+	}
+	if len(res.Skipped) != 0 || res.PaidPenalty != 0 || res.Objective != tree.TotalDistance ||
+		!reflect.DeepEqual(res.Tree, tree.Tree) {
+		t.Fatalf("at the bound: skipped %v paid %d objective %d, want the tree query's %d",
+			res.Skipped, res.PaidPenalty, res.Objective, tree.TotalDistance)
+	}
+
+	for name, pen := range map[string][]graph.Dist{
+		"bound + 1":    {third, third, MaxPenaltySum - 2*third + 1},
+		"each 2^62":    {1 << 62, 1 << 62, 1 << 62},
+		"one MaxInt64": {0, math.MaxInt64, 0},
+	} {
+		_, err := e.SolveSpec(QuerySpec{Mode: ModePrize, Seeds: seeds, Penalties: pen})
+		if !errors.Is(err, ErrPenaltySum) {
+			t.Errorf("%s: err = %v, want ErrPenaltySum", name, err)
+		}
 	}
 }
 

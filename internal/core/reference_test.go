@@ -35,9 +35,10 @@ type refAnswer struct {
 // bridge per cell pair (spelled out here, not through pickCross, so that a
 // change to the engine's order shows; checkFloodFixedPoint does the same for
 // the flood's order, which Sequential shares with the slabs); forest queries
-// drop pairs that join
-// two groups; prize queries run prizePlan over the whole table; mst.Kruskal
-// runs on dense seed indices; every chosen bridge is walked back to its two
+// drop pairs that join two groups; prize queries run prizePlanScan over the
+// whole table, so every prize answer checks the engine's event-queue
+// prizePlan against the scan; mst.Kruskal runs on dense seed indices; every
+// chosen bridge is walked back to its two
 // seeds along the predecessors. It uses no runtime, shard, slab or
 // collective. ok is false when the terminals a mode has to connect are not
 // connected in the distance graph.
@@ -59,55 +60,15 @@ func referenceSolve(t *testing.T, g *graph.Graph, spec QuerySpec) (ans refAnswer
 	st := voronoi.Sequential(g, dedup)
 	checkFloodFixedPoint(t, g, st)
 	ans.cells = st
-
-	type pair struct{ s, t graph.VID }
-	type bridge struct {
-		d    graph.Dist
-		u, v graph.VID
-	}
-	table := map[pair]bridge{}
-	for u := graph.VID(0); int(u) < g.NumVertices(); u++ {
-		su := st.Src(u)
-		if su == graph.NilVID {
-			continue
-		}
-		vs, ws := g.Adj(u)
-		for j, v := range vs {
-			sv := st.Src(v)
-			if v <= u || sv == graph.NilVID || sv == su {
-				continue
-			}
-			if cq.groupOf != nil && cq.groupOf[idx[su]] != cq.groupOf[idx[sv]] {
-				continue
-			}
-			b := bridge{d: st.Dist(u) + graph.Dist(ws[j]) + st.Dist(v), u: u, v: v}
-			p := pair{min(su, sv), max(su, sv)}
-			if cur, seen := table[p]; !seen || b.d < cur.d ||
-				(b.d == cur.d && (b.u < cur.u || (b.u == cur.u && b.v < cur.v))) {
-				table[p] = b
-			}
-		}
-	}
+	table, wedges := referenceDistanceGraph(g, cq, st)
 	ans.distGraphEdges = len(table)
-
-	pairs := make([]pair, 0, len(table))
-	for p := range table {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		return pairs[i].s < pairs[j].s || (pairs[i].s == pairs[j].s && pairs[i].t < pairs[j].t)
-	})
-	wedges := make([]mst.WEdge, len(pairs))
-	for i, p := range pairs {
-		wedges[i] = mst.WEdge{U: idx[p.s], V: idx[p.t], W: table[p].d}
-	}
 
 	want := len(dedup) - 1
 	switch spec.Mode {
 	case ModeForest:
 		want = len(dedup) - len(cq.spec.Groups)
 	case ModePrize:
-		keep := prizePlan(len(dedup), wedges, cq.penalty)
+		keep := prizePlanScan(len(dedup), wedges, cq.penalty)
 		kept := wedges[:0:0]
 		for _, we := range wedges {
 			if keep[we.U] && keep[we.V] {
@@ -129,7 +90,7 @@ func referenceSolve(t *testing.T, g *graph.Graph, spec QuerySpec) (ans refAnswer
 
 	walked := map[graph.VID]bool{}
 	for _, fe := range forest.Edges {
-		b := table[pair{dedup[fe.U], dedup[fe.V]}]
+		b := table[seedPair{dedup[fe.U], dedup[fe.V]}]
 		w, _ := g.HasEdge(b.u, b.v)
 		ans.tree = append(ans.tree, graph.Edge{U: b.u, V: b.v, W: w}.Canon())
 		for _, v := range [2]graph.VID{b.u, b.v} {
@@ -153,6 +114,61 @@ func referenceSolve(t *testing.T, g *graph.Graph, spec QuerySpec) (ans refAnswer
 		}
 	}
 	return ans, true
+}
+
+// seedPair is a distance-graph edge's cell pair, s < t; bridge is the
+// (D, U, V)-least background edge between the two cells.
+type seedPair struct{ s, t graph.VID }
+
+type bridge struct {
+	d    graph.Dist
+	u, v graph.VID
+}
+
+// referenceDistanceGraph folds the arcs u < v of g, labelled by the flood st,
+// into the distance graph G'_1: the least bridge per cell pair (dropping
+// pairs that join two forest groups), and the same table as WEdges over
+// dense seed indices in (s, t) order, the order the engine hands phase 4.
+func referenceDistanceGraph(g *graph.Graph, cq canonQuery, st *voronoi.State) (map[seedPair]bridge, []mst.WEdge) {
+	idx := make(map[graph.VID]int32, len(cq.dedup))
+	for i, s := range cq.dedup {
+		idx[s] = int32(i)
+	}
+	table := map[seedPair]bridge{}
+	for u := graph.VID(0); int(u) < g.NumVertices(); u++ {
+		su := st.Src(u)
+		if su == graph.NilVID {
+			continue
+		}
+		vs, ws := g.Adj(u)
+		for j, v := range vs {
+			sv := st.Src(v)
+			if v <= u || sv == graph.NilVID || sv == su {
+				continue
+			}
+			if cq.groupOf != nil && cq.groupOf[idx[su]] != cq.groupOf[idx[sv]] {
+				continue
+			}
+			b := bridge{d: st.Dist(u) + graph.Dist(ws[j]) + st.Dist(v), u: u, v: v}
+			p := seedPair{min(su, sv), max(su, sv)}
+			if cur, seen := table[p]; !seen || b.d < cur.d ||
+				(b.d == cur.d && (b.u < cur.u || (b.u == cur.u && b.v < cur.v))) {
+				table[p] = b
+			}
+		}
+	}
+	pairs := make([]seedPair, 0, len(table))
+	for p := range table {
+		pairs = append(pairs, p)
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		return pairs[i].s < pairs[j].s || (pairs[i].s == pairs[j].s && pairs[i].t < pairs[j].t)
+	})
+	wedges := make([]mst.WEdge, len(pairs))
+	for i, p := range pairs {
+		wedges[i] = mst.WEdge{U: idx[p.s], V: idx[p.t], W: table[p].d}
+	}
+	return table, wedges
 }
 
 // checkFloodFixedPoint states the flood's (dist, seed, pred) tie-break

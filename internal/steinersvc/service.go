@@ -854,12 +854,12 @@ func (s *Service) solveCached(ctx context.Context, spec core.QuerySpec) (*core.R
 }
 
 // solveErrStatus maps a solve-path error to its HTTP status: client mistakes
-// (duplicate terminals) are 400, cancellations and shutdown are 503, and
-// everything else — unsolvable but well-formed queries like disconnected or
-// out-of-range seeds — is 422.
+// (duplicate terminals, penalties past core.MaxPenaltySum) are 400,
+// cancellations and shutdown are 503, and everything else — unsolvable but
+// well-formed queries like disconnected or out-of-range seeds — is 422.
 func solveErrStatus(err error) int {
 	switch {
-	case errors.Is(err, core.ErrDuplicateSeed):
+	case errors.Is(err, core.ErrDuplicateSeed), errors.Is(err, core.ErrPenaltySum):
 		return http.StatusBadRequest
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, errJobsClosed):

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dsteiner/internal/core"
 )
 
 // TestV1SolveTreeDefault checks POST /v1/solve with no mode behaves as a
@@ -108,6 +110,38 @@ func TestV1SolvePrize(t *testing.T) {
 	}
 	if out.Total != 11 || out.Objective == nil || *out.Objective != 11 {
 		t.Fatalf("keep case total %d objective %v, want 11", out.Total, out.Objective)
+	}
+}
+
+// TestV1SolvePenaltyBound checks core.MaxPenaltySum over HTTP: penalties
+// summing to the bound solve (too large to skip anything, so the tree
+// query's answer), one more is a 400 invalid_argument.
+func TestV1SolvePenaltyBound(t *testing.T) {
+	srv := httptest.NewServer(testService(t))
+	defer srv.Close()
+	seeds := []int32{0, 4, 8}
+	third := int64(core.MaxPenaltySum) / 3
+	tree := decodeBody[SolveResponse](t, postJSON(t, srv.URL+"/v1/solve", SolveRequest{Seeds: seeds}))
+
+	resp := postJSON(t, srv.URL+"/v1/solve", SolveRequest{
+		Mode: "prize", Seeds: seeds, Penalties: []int64{third, third, int64(core.MaxPenaltySum) - 2*third},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("at the bound: status = %d", resp.StatusCode)
+	}
+	out := decodeBody[SolveResponse](t, resp)
+	if len(out.Skipped) != 0 || out.Objective == nil || *out.Objective != tree.Total || !reflect.DeepEqual(out.Edges, tree.Edges) {
+		t.Fatalf("at the bound: skipped %v objective %v, want the tree query's %d", out.Skipped, out.Objective, tree.Total)
+	}
+
+	resp = postJSON(t, srv.URL+"/v1/solve", SolveRequest{
+		Mode: "prize", Seeds: seeds, Penalties: []int64{third, third, int64(core.MaxPenaltySum) - 2*third + 1},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bound + 1: status = %d, want 400", resp.StatusCode)
+	}
+	if e := decodeBody[ErrorResponse](t, resp); e.Code != CodeInvalidArgument || !strings.Contains(e.Message, "MaxPenaltySum") {
+		t.Fatalf("bound + 1: error %+v", e)
 	}
 }
 
