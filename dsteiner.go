@@ -36,7 +36,6 @@ import (
 	"dsteiner/internal/baseline"
 	"dsteiner/internal/core"
 	"dsteiner/internal/exact"
-	"dsteiner/internal/experiments"
 	"dsteiner/internal/gen"
 	"dsteiner/internal/graph"
 	rt "dsteiner/internal/runtime"
@@ -306,5 +305,5 @@ func LoadGraphFile(path string) (*Graph, error) {
 // WriteDOT emits a Graphviz rendering of a Steiner tree with seeds red and
 // Steiner vertices blue (the paper's Fig. 9 styling).
 func WriteDOT(w io.Writer, tree []Edge, seedSet []VID) {
-	experiments.WriteDOT(w, tree, seedSet)
+	graph.WriteDOT(w, tree, seedSet)
 }

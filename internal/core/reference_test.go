@@ -13,6 +13,7 @@ import (
 	"dsteiner/internal/graph"
 	"dsteiner/internal/mst"
 	rt "dsteiner/internal/runtime"
+	"dsteiner/internal/transport"
 	"dsteiner/internal/voronoi"
 )
 
@@ -466,4 +467,72 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestDelegateFloodUnderReorderingMatchesSequential is the cell the table
+// above does not have: delegates with delivery order scrambled, in process
+// and over TCP. Under the priority queue a row keeps one queue entry and a
+// better label replaces it; a delegate broadcast is the one entry Admit
+// always passes, so a worse one can arrive after a better one, and it must
+// not take a row's slot (voronoi.run). Loopback engines shuffle every inbound
+// batch, under every queue, async and BSP, and every row must be
+// voronoi.Sequential's. TCP workers cannot shuffle — the option has no wire
+// field — so the fleet's arrival order is perturbed by the chaos shim's
+// seeded delays instead, and its answers must be the reference's.
+func TestDelegateFloodUnderReorderingMatchesSequential(t *testing.T) {
+	g := tieTestGraph(41, 150)
+	rng := rand.New(rand.NewSource(42))
+	specs := []QuerySpec{TreeSpec(pickEngineSeeds(rng, 150, 5)), TreeSpec(pickEngineSeeds(rng, 150, 16))}
+	wants := make([]refAnswer, len(specs))
+	for i, spec := range specs {
+		wants[i], _ = referenceSolve(t, g, spec)
+	}
+	base := Options{Ranks: 4, Queue: rt.QueuePriority, Partition: PartitionHash, DelegateThreshold: 6}
+	for _, bsp := range []bool{false, true} {
+		for _, queue := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority, rt.QueueBucket} {
+			for shuffle := int64(1); shuffle <= 3; shuffle++ {
+				opts := base
+				opts.Queue, opts.BSP, opts.ShuffleDelivery, opts.ShuffleSeed = queue, bsp, true, shuffle
+				e, err := NewEngine(g, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, spec := range specs {
+					res, err := e.SolveSpec(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("bsp=%v/%v/shuffle=%d/k=%d", bsp, queue, shuffle, len(spec.Seeds))
+					if res.BatchedBroadcasts == 0 {
+						t.Fatalf("%s: no delegate broadcast", label)
+					}
+					assertMatchesReference(t, res, wants[i])
+					got := voronoi.Collect(e.slabs, g.NumVertices())
+					for v := graph.VID(0); int(v) < g.NumVertices(); v++ {
+						gs, gp, gd := got.Get(v)
+						if ws, wp, wd := wants[i].cells.Get(v); gs != ws || gp != wp || gd != wd {
+							t.Fatalf("%s: vertex %d: row (%d, %d, %d), reference (%d, %d, %d)", label, v, gd, gs, gp, wd, ws, wp)
+						}
+					}
+				}
+				e.Close()
+			}
+		}
+	}
+
+	e, shutdown := startChaosFleet(t, g, base, 2, func(w int) WorkerConfig {
+		return WorkerConfig{Chaos: &transport.ChaosConfig{Kind: transport.ChaosDelay, Seed: int64(w + 1)}}
+	})
+	for i, spec := range specs {
+		res, err := e.SolveSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BatchedBroadcasts == 0 || res.Net.FramesOut == 0 {
+			t.Fatalf("tcp k=%d: batched %d broadcasts over %d frames", len(spec.Seeds), res.BatchedBroadcasts, res.Net.FramesOut)
+		}
+		res.Net = rt.TransportStats{} // the one field a TCP answer may differ in
+		assertMatchesReference(t, res, wants[i])
+	}
+	shutdown(true)
 }

@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"dsteiner/internal/graph"
 )
 
 // shortCfg returns a fast config for tests.
@@ -142,21 +140,6 @@ func TestFig9WritesDOT(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no DOT files recorded")
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	var buf bytes.Buffer
-	tree := []graph.Edge{{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: 3}}
-	WriteDOT(&buf, tree, []graph.VID{0, 2})
-	out := buf.String()
-	for _, want := range []string{
-		"graph steiner {", "0 [fillcolor=red]", "1 [fillcolor=blue]",
-		"2 [fillcolor=red]", "0 -- 1 [label=5]", "1 -- 2 [label=3]", "}",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -41,7 +41,7 @@ func Fig9(cfg Config) ([]tables.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			WriteDOT(f, res.Tree, seedSet)
+			graph.WriteDOT(f, res.Tree, seedSet)
 			if err := f.Close(); err != nil {
 				return nil, err
 			}
@@ -55,31 +55,4 @@ func Fig9(cfg Config) ([]tables.Table, error) {
 	}
 	t.AddNote("DOT renders seeds red and Steiner vertices blue, matching the paper's figure")
 	return []tables.Table{t}, nil
-}
-
-// WriteDOT emits a Graphviz rendering of a Steiner tree: seed vertices
-// filled red, Steiner vertices filled blue, edges labelled with weights.
-func WriteDOT(w interface{ Write([]byte) (int, error) }, tree []graph.Edge, seedSet []graph.VID) {
-	isSeed := map[graph.VID]bool{}
-	for _, s := range seedSet {
-		isSeed[s] = true
-	}
-	verts := map[graph.VID]bool{}
-	for _, e := range tree {
-		verts[e.U] = true
-		verts[e.V] = true
-	}
-	fmt.Fprintln(w, "graph steiner {")
-	fmt.Fprintln(w, "  node [style=filled, fontcolor=white];")
-	for v := range verts {
-		color := "blue"
-		if isSeed[v] {
-			color = "red"
-		}
-		fmt.Fprintf(w, "  %d [fillcolor=%s];\n", v, color)
-	}
-	for _, e := range tree {
-		fmt.Fprintf(w, "  %d -- %d [label=%d];\n", e.U, e.V, e.W)
-	}
-	fmt.Fprintln(w, "}")
 }

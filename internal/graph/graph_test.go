@@ -281,6 +281,35 @@ func TestValidateSteinerTree(t *testing.T) {
 	}
 }
 
+// TestWriteDOT checks the rendering and that it is deterministic: vertices
+// in increasing order, edges as given, two renders of one tree byte-equal.
+func TestWriteDOT(t *testing.T) {
+	tree := []Edge{{5, 1, 4}, {1, 2, 3}, {0, 1, 5}, {2, 9, 7}}
+	render := func() string {
+		var buf bytes.Buffer
+		WriteDOT(&buf, tree, []VID{0, 9, 5})
+		return buf.String()
+	}
+	want := `graph steiner {
+  node [style=filled, fontcolor=white];
+  0 [fillcolor=red];
+  1 [fillcolor=blue];
+  2 [fillcolor=blue];
+  5 [fillcolor=red];
+  9 [fillcolor=red];
+  5 -- 1 [label=4];
+  1 -- 2 [label=3];
+  0 -- 1 [label=5];
+  2 -- 9 [label=7];
+}
+`
+	for i := 0; i < 2; i++ {
+		if got := render(); got != want {
+			t.Fatalf("render %d:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+}
+
 func TestPruneNonSeedLeaves(t *testing.T) {
 	// Star + dangling path: seeds {0, 2}; path 0-1-2 plus dangle 1-3-4.
 	edges := []Edge{{0, 1, 1}, {1, 2, 1}, {1, 3, 1}, {3, 4, 1}}

@@ -1,6 +1,39 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+	"slices"
+)
+
+// WriteDOT emits a Graphviz rendering of a Steiner tree: seed vertices
+// filled red, Steiner vertices filled blue (the paper's Fig. 9 styling),
+// edges labelled with their weights. Vertices come out in increasing order
+// and edges in the order given, so one tree always renders to the same bytes.
+func WriteDOT(w io.Writer, tree []Edge, seeds []VID) {
+	isSeed := make(map[VID]bool, len(seeds))
+	for _, s := range seeds {
+		isSeed[s] = true
+	}
+	verts := make([]VID, 0, 2*len(tree))
+	for _, e := range tree {
+		verts = append(verts, e.U, e.V)
+	}
+	slices.Sort(verts)
+	fmt.Fprintln(w, "graph steiner {")
+	fmt.Fprintln(w, "  node [style=filled, fontcolor=white];")
+	for _, v := range slices.Compact(verts) {
+		color := "blue"
+		if isSeed[v] {
+			color = "red"
+		}
+		fmt.Fprintf(w, "  %d [fillcolor=%s];\n", v, color)
+	}
+	for _, e := range tree {
+		fmt.Fprintf(w, "  %d -- %d [label=%d];\n", e.U, e.V, e.W)
+	}
+	fmt.Fprintln(w, "}")
+}
 
 // TreeCheck reports structural facts about an edge set interpreted as a
 // subgraph of some background graph.

@@ -1,10 +1,11 @@
 // Package pq provides the queue substrate behind the runtime's message
-// scheduling: a 4-ary-heap priority queue, a ring-buffer FIFO, and a
-// monotone bucket queue (Δ-stepping style). The paper's key optimization
-// (§IV, §V-C) is draining each partition's visitor queue in
-// distance-priority order instead of FIFO order; both disciplines are
-// implemented here behind the same interface so the ablation in Fig. 5/6 is
-// a one-flag switch.
+// scheduling: an indexed 4-ary heap that keeps one live entry per slot
+// (Indexed), a ring-buffer FIFO, and a monotone bucket queue (Δ-stepping
+// style). The paper's key optimization (§IV, §V-C) is draining each
+// partition's visitor queue in distance-priority order instead of FIFO
+// order; the runtime switches between the three disciplines with one flag,
+// which is the ablation of Fig. 5/6. Heap, the push-only 4-ary heap, serves
+// the sequential algorithms (SSSP, MST, the baselines).
 package pq
 
 // Queue is the common discipline-independent interface used by the runtime
@@ -28,7 +29,7 @@ type Queue[T any] interface {
 // entries. Ties are broken by insertion order (FIFO among equal keys) so
 // that behaviour is deterministic. Sifting moves a hole instead of swapping:
 // one entry write per level, and a fan-out of 4 halves the levels a Pop
-// descends — the runtime's traversal loop spends most of its time here.
+// descends.
 type Heap[T any] struct {
 	a   []heapEntry[T]
 	seq uint64

@@ -27,12 +27,16 @@ type Rank struct {
 	// their concrete slab (internal/voronoi.SlabOf).
 	state StateSlab
 
-	// Traversal-scoped state. queue is the traversal's queue: ordered (the
-	// configured discipline) when it has a Key, fifo otherwise.
+	// Traversal-scoped state. queue is the traversal's queue: the bucket
+	// queue when it has a Key under QueueBucket, fifo when it has none — and
+	// nil when it has a Key under QueuePriority, whose queue is prio. prio,
+	// bucket and fifo keep their capacity across traversals.
 	queue   pq.Queue[Msg]
-	ordered pq.Queue[Msg]
+	prio    *pq.Indexed[Msg]
+	bucket  *pq.Bucket[Msg]
 	fifo    *pq.FIFO[Msg]
 	keyOf   KeyFunc
+	slotOf  func(Msg) int32 // Traversal.Slot, nil when no slots
 	visit   VisitFunc
 	admit   func(r *Rank, m Msg) bool // optional inbound fold (Traversal.Admit)
 	shuffle *rand.Rand
@@ -65,6 +69,7 @@ type Rank struct {
 	sentHere         int64
 	processedHere    int64
 	droppedHere      int64 // inbound messages finished by Admit
+	replacedHere     int64 // queue entries replaced by a push for their slot
 	suppressedHere   int64
 	coalescedHere    int64
 	drainsHere       int64
@@ -165,18 +170,21 @@ func (r *Rank) SendLocal(m Msg) {
 }
 
 // publish adds the change in this rank's outstanding balance — messages
-// sent or staged minus messages visited or dropped — to the shared
+// sent or staged minus messages visited, dropped or replaced — to the shared
 // termination counter, and signals quiescence when that reaches zero. It
 // runs before a batch leaves the rank (flushTo), after Init, and before the
 // rank parks; never per message. That is enough because every unpublished
 // send happened while visiting a popped message (or draining a bucket) whose
 // own unit is only released afterwards: while any rank has unpublished work
 // the counter is at least one, and it reaches zero only at true quiescence.
+// A queue entry replaced by a push for its slot gives its unit back in the
+// step that queues its replacement, whose own unit is held until that entry
+// is visited, so replacements keep the balance exact.
 func (r *Rank) publish() {
 	if !r.counted {
 		return
 	}
-	balance := r.sentHere + int64(len(r.dout)) - r.processedHere - r.droppedHere
+	balance := r.sentHere + int64(len(r.dout)) - r.processedHere - r.droppedHere - r.replacedHere
 	if d := balance - r.published; d != 0 {
 		r.published = balance
 		if r.comm.pending.Add(d) == 0 {
@@ -295,13 +303,40 @@ func (r *Rank) recycleBuf(buf []Msg) {
 	r.comm.shareBuf(buf[:0])
 }
 
-// enqueueLocal pushes m onto the local discipline queue.
+// enqueueLocal pushes m onto the local discipline queue. On the priority
+// queue, a push for a slot that is already queued replaces that entry.
 func (r *Rank) enqueueLocal(m Msg) {
+	if r.queue == nil {
+		slot := int32(-1)
+		if r.slotOf != nil {
+			slot = r.slotOf(m)
+		}
+		if r.prio.Push(m, r.keyOf(m), slot) {
+			r.replacedHere++
+		}
+		return
+	}
 	var key uint64
 	if r.keyOf != nil {
 		key = r.keyOf(m)
 	}
 	r.queue.Push(m, key)
+}
+
+// pop removes the traversal's next queued message.
+func (r *Rank) pop() (Msg, bool) {
+	if r.queue == nil {
+		return r.prio.Pop()
+	}
+	return r.queue.Pop()
+}
+
+// queued returns the number of messages in the traversal's queue.
+func (r *Rank) queued() int {
+	if r.queue == nil {
+		return r.prio.Len()
+	}
+	return r.queue.Len()
 }
 
 // flushTo delivers the outgoing buffer for dest: straight into the mailbox
@@ -378,24 +413,30 @@ func (r *Rank) drainInbox() bool {
 	return moved
 }
 
-// queueFor returns this rank's emptied queue for a traversal: the configured
-// discipline when messages carry a priority key, the FIFO ring when order
-// does not matter. Both keep their capacity across phases and queries.
-func (r *Rank) queueFor(keyed bool) pq.Queue[Msg] {
-	if keyed && r.comm.cfg.Queue != QueueFIFO {
-		if r.ordered == nil {
-			if r.comm.cfg.Queue == QueueBucket {
-				r.ordered = pq.NewBucket[Msg](r.comm.cfg.BucketDelta)
-			} else {
-				r.ordered = pq.NewHeap[Msg](1024)
-			}
+// setQueue empties and installs this rank's queue for a traversal: the
+// configured discipline when messages carry a priority key — the bucket
+// queue, or the indexed heap prio with queue left nil — the FIFO ring when
+// order does not matter. Every queue keeps its capacity across phases and
+// queries.
+func (r *Rank) setQueue(keyed bool) {
+	r.queue = nil
+	switch {
+	case keyed && r.comm.cfg.Queue == QueueBucket:
+		if r.bucket == nil {
+			r.bucket = pq.NewBucket[Msg](r.comm.cfg.BucketDelta)
 		}
-		r.ordered.Reset()
-		return r.ordered
+		r.bucket.Reset()
+		r.queue = r.bucket
+	case keyed && r.comm.cfg.Queue != QueueFIFO:
+		if r.prio == nil {
+			r.prio = pq.NewIndexed[Msg](1024)
+		}
+		r.prio.Reset()
+	default:
+		if r.fifo == nil {
+			r.fifo = pq.NewFIFO[Msg](1024)
+		}
+		r.fifo.Reset()
+		r.queue = r.fifo
 	}
-	if r.fifo == nil {
-		r.fifo = pq.NewFIFO[Msg](1024)
-	}
-	r.fifo.Reset()
-	return r.fifo
 }

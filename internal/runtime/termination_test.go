@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,9 +25,10 @@ func ownedBy(c *Comm, n int) [][]graph.VID {
 // TestTerminationStress hammers loopback quiescence detection, which counts
 // messages per batch rather than per message: a traversal must neither hang
 // nor return while a message is unprocessed, whatever mix of local sends,
-// cross-rank batches, Admit drops and staged broadcasts it is made of.
-// Processed summed over ranks equalling Sent minus the Admit drops is the
-// no-early-return check; the watchdog is the no-hang check.
+// cross-rank batches, Admit drops, queue entries replaced through their slot
+// and staged broadcasts it is made of. Processed summed over ranks equalling
+// Sent minus the Admit drops and the replacements is the no-early-return
+// check; the watchdog is the no-hang check.
 func TestTerminationStress(t *testing.T) {
 	const perRank = 8
 	var drops atomic.Int64
@@ -38,6 +40,34 @@ func TestTerminationStress(t *testing.T) {
 	next := func(owned [][]graph.VID, r *Rank, i int) graph.VID {
 		vs := owned[(r.ID()+1)%len(owned)]
 		return vs[i%len(vs)]
+	}
+	// slotted keys every message by its target vertex: two messages for one
+	// vertex queued at once — a repeated local send, or a batch carrying both
+	// — leave one entry. Every visit sends its successor twice, so
+	// replacements happen whether the successor lives here or elsewhere.
+	// Its scenarios ("slotted…") run on the priority queue, the one that
+	// honours Traversal.Slot, and must replace something.
+	slotted := func(bsp bool) func(owned [][]graph.VID) *Traversal {
+		return func(owned [][]graph.VID) *Traversal {
+			return &Traversal{
+				Key:  DistKey,
+				Slot: func(m Msg) int32 { return int32(m.Target) },
+				BSP:  bsp,
+				Init: func(r *Rank) {
+					for i := 0; i < 3*perRank; i++ {
+						r.Send(Msg{Target: owned[r.ID()][i%perRank], Dist: graph.Dist(i % 4)})
+						r.Send(Msg{Target: next(owned, r, i), Dist: graph.Dist(i % 5)})
+					}
+				},
+				Visit: func(r *Rank, m Msg) {
+					if m.Dist > 0 {
+						u := next(owned, r, int(m.Dist))
+						r.Send(Msg{Target: u, Dist: m.Dist - 1})
+						r.Send(Msg{Target: u, Dist: m.Dist - 1})
+					}
+				},
+			}
+		}
 	}
 	scenarios := []scenario{
 		{"zero-message", func([][]graph.VID) *Traversal {
@@ -124,6 +154,8 @@ func TestTerminationStress(t *testing.T) {
 				},
 			}
 		}},
+		{"slotted-async", slotted(false)},
+		{"slotted-bsp", slotted(true)},
 	}
 	seeds := []int64{1, 2, 3}
 	rounds := 200
@@ -132,21 +164,27 @@ func TestTerminationStress(t *testing.T) {
 	}
 	for _, ranks := range []int{1, 2, 3, 8} {
 		for _, sc := range scenarios {
+			isSlotted := strings.HasPrefix(sc.name, "slotted")
 			for si, seed := range seeds {
 				n := perRank * ranks
 				part, err := partition.NewBlock(n, ranks)
 				if err != nil {
 					t.Fatal(err)
 				}
+				queue := QueueKind(si % 3)
+				if isSlotted {
+					queue = QueuePriority
+				}
 				c := MustNew(Config{
-					Ranks: ranks, Queue: QueueKind(si % 3), BatchSize: 4,
+					Ranks: ranks, Queue: queue, BatchSize: 4,
 					ShuffleDelivery: true, ShuffleSeed: seed,
 				}, part)
 				c.Start()
 				tr := sc.make(ownedBy(c, n))
 				label := fmt.Sprintf("ranks=%d %s seed=%d", ranks, sc.name, seed)
+				var replacedAll int64
 				for round := 0; round < rounds; round++ {
-					var sent, processed atomic.Int64
+					var sent, processed, replaced atomic.Int64
 					drops.Store(0)
 					before := c.Stats()
 					// A hang must fail the test, and the goroutine dump a
@@ -158,12 +196,14 @@ func TestTerminationStress(t *testing.T) {
 						st := r.Traverse(tr)
 						sent.Add(st.Sent)
 						processed.Add(st.Processed)
+						replaced.Add(st.Replaced)
 					})
 					watchdog.Stop()
-					if got, want := processed.Load(), sent.Load()-drops.Load(); got != want {
-						t.Fatalf("%s: traversal %d returned early: processed %d, want sent %d - dropped %d",
-							label, round, got, sent.Load(), drops.Load())
+					if got, want := processed.Load(), sent.Load()-drops.Load()-replaced.Load(); got != want {
+						t.Fatalf("%s: traversal %d returned early: processed %d, want sent %d - dropped %d - replaced %d",
+							label, round, got, sent.Load(), drops.Load(), replaced.Load())
 					}
+					replacedAll += replaced.Load()
 					if sc.name != "zero-message" && sent.Load() == 0 {
 						t.Fatalf("%s: traversal %d sent nothing", label, round)
 					}
@@ -173,6 +213,9 @@ func TestTerminationStress(t *testing.T) {
 							label, round, after.Sent-before.Sent, after.Processed-before.Processed,
 							sent.Load(), processed.Load())
 					}
+				}
+				if isSlotted && replacedAll == 0 {
+					t.Fatalf("%s: no queue entry was ever replaced", label)
 				}
 				c.Close()
 			}

@@ -33,6 +33,14 @@ type Traversal struct {
 	// mailbox batch and self-sends drain from the rank's FIFO ring.
 	// Sorting equal keys is the heap's worst case.
 	Key KeyFunc
+	// Slot, when set, names the queue slot of a keyed message — the row of
+	// the vertex it would expand, say — or returns -1 for none. Under
+	// QueuePriority the queue keeps at most one live entry per slot: a push
+	// for a slot that is already queued replaces that entry's message and
+	// moves its key, and the replaced message counts as dropped, like one
+	// Admit finishes. The traversal must only do that when the new message
+	// leaves the old one nothing to do. FIFO and bucket queues ignore Slot.
+	Slot func(m Msg) int32
 	// Init runs once per rank before processing starts; it seeds the
 	// traversal by calling r.Send (HavoqGT's init_all visitors). May be
 	// nil.
@@ -70,6 +78,7 @@ type Traversal struct {
 type TraversalStats struct {
 	Processed      int64 // visit() invocations on this rank
 	Sent           int64 // messages sent by this rank
+	Replaced       int64 // queue entries replaced by a push for their slot
 	Supersteps     int64 // BSP supersteps (0 for async mode)
 	BucketsDrained int64 // parallel whole-bucket drains on this rank
 	FrontierMsgs   int64 // messages relaxed inside parallel drains
@@ -80,8 +89,9 @@ type TraversalStats struct {
 // collective. Visit callbacks may send messages freely; termination is
 // detected when every sent message has been processed.
 func (r *Rank) Traverse(t *Traversal) TraversalStats {
-	r.queue = r.queueFor(t.Key != nil)
+	r.setQueue(t.Key != nil)
 	r.keyOf = t.Key
+	r.slotOf = t.Slot
 	r.visit = t.Visit
 	r.admit = t.Admit
 	r.pvisit, r.pflush = nil, nil
@@ -93,7 +103,7 @@ func (r *Rank) Traverse(t *Traversal) TraversalStats {
 	}
 	// Discard what an aborted traversal may have left behind: counters it
 	// never folded into Comm.Stats, and a stale outbox stage.
-	r.sentHere, r.processedHere, r.droppedHere, r.published = 0, 0, 0, 0
+	r.sentHere, r.processedHere, r.droppedHere, r.replacedHere, r.published = 0, 0, 0, 0, 0
 	r.suppressedHere, r.coalescedHere = 0, 0
 	r.drainsHere, r.frontierMsgsHere = 0, 0
 	r.dout = r.dout[:0]
@@ -139,7 +149,7 @@ func (r *Rank) finish(supersteps int64) TraversalStats {
 	r.comm.suppressed.Add(r.suppressedHere)
 	r.comm.coalesced.Add(r.coalescedHere)
 	return TraversalStats{
-		Processed: r.processedHere, Sent: r.sentHere, Supersteps: supersteps,
+		Processed: r.processedHere, Sent: r.sentHere, Replaced: r.replacedHere, Supersteps: supersteps,
 		BucketsDrained: r.drainsHere, FrontierMsgs: r.frontierMsgsHere,
 	}
 }
@@ -211,7 +221,7 @@ func (r *Rank) runAsync() TraversalStats {
 			continue
 		}
 		if bucketQ == nil {
-			if m, ok := r.queue.Pop(); ok {
+			if m, ok := r.pop(); ok {
 				r.visit(r, m)
 				r.processedHere++ // after the visit: see publish
 				sinceFlush++
@@ -304,7 +314,7 @@ func (r *Rank) runBSP() TraversalStats {
 	}
 	steps := int64(0)
 	for {
-		pending := int64(r.queue.Len())
+		pending := int64(r.queued())
 		if r.AllreduceSumInt64(pending) == 0 {
 			return r.finish(steps)
 		}
@@ -314,7 +324,7 @@ func (r *Rank) runBSP() TraversalStats {
 				continue
 			}
 			if bucketQ == nil {
-				if m, ok := r.queue.Pop(); ok {
+				if m, ok := r.pop(); ok {
 					r.visit(r, m)
 					r.processedHere++
 					continue

@@ -178,7 +178,9 @@ func RunRankBSP(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
 // sender owns, by Admit for an offer from another rank — and a queue entry
 // exists only for a strict (dist, seed) improvement, so each label of a
 // vertex is queued at most once and the queue holds O(improvements), not
-// O(arcs). Visit writes nothing: it expands the entry if its label is still
+// O(arcs); under the priority queue a better label takes over its row's
+// queued entry (Traversal.Slot), so the queue holds at most one entry per
+// row. Visit writes nothing: it expands the entry if its label is still
 // the row's, and returns if a better one has replaced it (that one has its
 // own entry). The scans read each arc's target already resolved
 // (graph.Shard.RowArcs): an owned row, or the ghost row holding the best
@@ -195,6 +197,32 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 	offer := sl.offerSender(r)
 	return r.Traverse(&rt.Traversal{
 		Key: rt.DistKey,
+		// Under the priority queue a row has at most one live entry, so
+		// nothing queues a superseded label and nothing pops one.
+		// Invariant: a push for a queued slot never carries a worse label.
+		// Every push of a row entry follows a strict (dist, seed)
+		// improvement of that row, made by relax (offerSender) or by Admit,
+		// and carries the label it installed; rows only improve, so the
+		// entry it replaces holds an earlier, worse label that Visit would
+		// have found stale. Two kinds of entry take no slot because they can
+		// break that: a labelInstalled entry that is no longer its row's label
+		// (under BSP it reaches the queue a superstep late, through the
+		// mailbox, where a better label of the same row may already have been
+		// queued — installed later in the superstep, or folded in by Admit
+		// from another batch of the same drain), and a delegate broadcast,
+		// which Admit always passes, so under shuffled delivery a worse one
+		// can arrive after a better one. Both stay ordinary entries, and the
+		// stale check in Visit, which the FIFO and bucket queues need anyway,
+		// still drops the former.
+		Slot: func(m rt.Msg) int32 {
+			if m.Kind == delegateRelax {
+				return -1
+			}
+			if i := sl.row(m.Target); sl.holds(i, m.Seed, m.Dist) {
+				return i
+			}
+			return -1
+		},
 		BSP: bsp,
 		Init: func(r *rt.Rank) {
 			for _, s := range seeds {
