@@ -179,7 +179,6 @@ func toWireResult(res *Result) wire.SolveResult {
 		DistGraphEdges:  res.DistGraphEdges,
 		MSTRounds:       res.MSTRounds,
 		Skipped:         res.Skipped,
-		MSTFragment:     res.MSTFragment,
 		CrossTableBytes: res.CrossTableBytes,
 		FragmentMsgs:    res.FragmentMsgs,
 	}
@@ -204,7 +203,6 @@ func fromWireResult(wr *wire.SolveResult, dedup []graph.VID) *Result {
 		DistGraphEdges:  wr.DistGraphEdges,
 		MSTRounds:       wr.MSTRounds,
 		Skipped:         wr.Skipped,
-		MSTFragment:     wr.MSTFragment,
 		CrossTableBytes: wr.CrossTableBytes,
 		FragmentMsgs:    wr.FragmentMsgs,
 	}

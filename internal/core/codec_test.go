@@ -42,11 +42,13 @@ var codecCases = []struct {
 }
 
 // TestCrossCodecsRejectForeignRecords round-trips both phase 3–4 codecs, then
-// sends each crafted record through the three exchanges that decode them,
-// injected on one rank of a live communicator: every rank must refuse
-// together, with the corrupt-input solve error and no panic.
+// sends each crafted record through the exchanges that decode them — the
+// route of a tree query, the route of a prize query (everything to rank 0)
+// and the proposals — injected on one rank of a live communicator: every
+// rank must refuse together, with the corrupt-input solve error and no panic.
 func TestCrossCodecsRejectForeignRecords(t *testing.T) {
 	env := codecEnv(t)
+	prize := &solveEnv{rankHost: env.rankHost, dedup: env.dedup, mode: ModePrize, res: &Result{}}
 	good := fragProposal{frag: 2, key: seedKey(2, 9), crossEdge: crossEdge{41, 3, 8}}
 	got := map[int64]crossEdge{}
 	if err := env.decodeCrossEntries(appendCrossEntry(nil, good.key, good.crossEdge), got); err != nil || got[good.key] != good.crossEdge {
@@ -59,9 +61,12 @@ func TestCrossCodecsRejectForeignRecords(t *testing.T) {
 		s, _ := unpackSeedKey(tc.p.key)
 		env.comm.Run(func(r *rt.Rank) {
 			var ps []fragProposal
-			table := map[int64]crossEdge{}
+			table, toZero := map[int64]crossEdge{}, map[int64]crossEdge{}
 			if r.ID() == (r.Owner(s)+1)%3 { // beside the owner, so routing has to move it
 				ps, table[tc.p.key] = append(ps, tc.p), tc.p.crossEdge
+			}
+			if r.ID() == 1 { // off rank 0, so the prize route has to move it
+				toZero[tc.p.key] = tc.p.crossEdge
 			}
 			// Every rank must agree; rank 0 alone holds (and clears) the solve error.
 			check := func(exchange string, ok, want bool, err *error) {
@@ -72,13 +77,13 @@ func TestCrossCodecsRejectForeignRecords(t *testing.T) {
 					if !want && (*err == nil || !strings.Contains((*err).Error(), "corrupt")) {
 						t.Errorf("%s over %s: solve error %v", tc.name, exchange, *err)
 					}
-					env.err = nil
+					*err = nil
 				}
 			}
 			_, ok := env.fragmentRoute(r, table, &fragStats{})
 			check("route", ok, tc.p.frag == 3, &env.err)
-			_, ok = env.mergeCrossTables(r, table, &fragStats{})
-			check("gather", ok, tc.p.frag == 3, &env.err)
+			_, ok = prize.fragmentRoute(r, toZero, &fragStats{})
+			check("prize route", ok, tc.p.frag == 3, &prize.err)
 			_, err := env.exchangeProposals(r, ps, &fragStats{})
 			check("proposals", err == nil, false, &err)
 		})

@@ -11,23 +11,22 @@ import (
 )
 
 // This file is the rank-parallel fragment-merge MST: phases 3–5 without the
-// replicated cross table. Phase 3 routes every E_N record to the rank that
-// owns the pair's lower seed vertex, so the distance graph lives sharded —
-// no rank ever holds the O(k²) table. Phase 4 runs distributed Borůvka/GHS
-// rounds: each rank proposes the minimum outgoing edge of every fragment it
-// can see in its shard, the proposals are broadcast, and every rank replays
-// the identical winner sequence against its fragment-label array. Winners
-// double as phase-5 pruned entries, so phase 5 needs no extra collective.
+// replicated cross table, for every query mode. Phase 3 routes every E_N
+// record to the rank that owns the pair's lower seed vertex, so the distance
+// graph lives sharded — no rank ever holds the O(k²) table. Phase 4 runs
+// distributed Borůvka/GHS rounds: each rank proposes the minimum outgoing
+// edge of every fragment it can see in its shard, the proposals are
+// broadcast, and every rank replays the identical winner sequence against
+// its fragment-label array. Winners double as phase-5 pruned entries, so
+// phase 5 needs no extra collective.
 //
-// Tree and forest queries run it on every solve. Prize queries gather the
-// table instead (mergeCrossTables + prizePlan + sequential mst.Kruskal in
-// spmd.go): their plan reads the whole distance graph.
+// A prize query's moat-growing plan reads the whole distance graph, so its
+// records are all routed to rank 0, which plans the kept set before the
+// rounds; an entry with a skipped end then dies like an intra-fragment one.
 
 // fragStats accumulates one rank's fragment-merge traffic for the query's
 // CrossTableBytes / FragmentMsgs counters. bytes is encoded payload moved
-// through collectives (contributed + received), equal on every backend. The
-// prize gather reuses it for its gathered-table payload so both merges
-// report comparable CrossTableBytes.
+// through collectives (contributed + received), equal on every backend.
 type fragStats struct {
 	bytes int64
 	msgs  int64
@@ -57,18 +56,23 @@ func lessProposal(a, b fragProposal) bool {
 }
 
 // fragmentRoute is the fragment merge's phase 3: every cross-cell record is
-// routed to the rank owning the pair's lower seed vertex, leaving each rank
-// with a disjoint shard of the global E_N table (same pickCross survivor
-// per pair as a gather of the whole table — the fold is order-insensitive).
-// Returns ok=false after recording env.err on rank 0 when a routed blob
-// fails to decode; received blobs are personalized, so the failure is
-// agreed with an allreduce and all ranks bail uniformly.
+// routed to the rank owning the pair's lower seed vertex — on a prize query,
+// to rank 0 — leaving each rank with a disjoint shard of the global E_N
+// table (same pickCross survivor per pair as a gather of the whole table —
+// the fold is order-insensitive). Returns ok=false after recording env.err
+// on rank 0 when a routed blob fails to decode; received blobs are
+// personalized, so the failure is agreed with an allreduce and all ranks
+// bail uniformly.
 func (env *solveEnv) fragmentRoute(r *rt.Rank, localEN map[int64]crossEdge, fs *fragStats) (map[int64]crossEdge, bool) {
 	owned := env.owneds[r.ID()]
 	blobs := map[int][]byte{}
 	for k, ce := range localEN {
-		s, _ := unpackSeedKey(k)
-		if d := r.Owner(s); d != r.ID() {
+		d := 0
+		if env.mode != ModePrize {
+			s, _ := unpackSeedKey(k)
+			d = r.Owner(s)
+		}
+		if d != r.ID() {
 			fs.msgs++
 			blobs[d] = appendCrossEntry(blobs[d], k, ce)
 		} else {
@@ -101,14 +105,26 @@ func (env *solveEnv) fragmentRoute(r *rt.Rank, localEN map[int64]crossEdge, fs *
 // best outgoing edge per fragment under the (D, key) total order, the
 // proposals are broadcast, and all ranks apply the per-fragment winners in
 // the same sorted order against identical union-find state — so the label
-// array never needs to travel. Intra-fragment entries are deleted as they
-// are discovered, shrinking later scans. Accepted winners accumulate into
-// pruned (the pooled phase-5 map, identical on every rank).
+// array never needs to travel. Intra-fragment entries, and on a prize query
+// entries with a skipped end, are deleted as they are discovered, shrinking
+// later scans. Accepted winners accumulate into pruned (the pooled phase-5
+// map, identical on every rank).
 func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, fs *fragStats) bool {
 	res, dedup, seedIdx := env.res, env.dedup, env.seedIdx
 	k := len(dedup)
 	if total := r.AllreduceSumInt64(int64(len(owned))); r.ID() == 0 {
 		res.DistGraphEdges = int(total)
+	}
+	// kept counts the terminals the chosen edges must join: all of them, or
+	// the prize plan's keep set, which only rank 0 (holding the whole table)
+	// knows — elsewhere keep stays nil, over an empty shard.
+	kept, keep := k, []bool(nil)
+	if env.mode == ModePrize {
+		var n int
+		if r.ID() == 0 {
+			keep, n = env.planPrize(owned)
+		}
+		kept = int(r.AllreduceMaxInt64(int64(n)))
 	}
 
 	frag := env.frags[r.ID()]
@@ -134,9 +150,10 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, 
 		clear(best)
 		for key, ce := range owned {
 			s, t := unpackSeedKey(key)
-			fu, fv := frag[seedIdx[s]], frag[seedIdx[t]]
-			if fu == fv {
-				delete(owned, key) // intra-fragment: dead for all later rounds
+			su, st := seedIdx[s], seedIdx[t]
+			fu, fv := frag[su], frag[st]
+			if fu == fv || (keep != nil && !(keep[su] && keep[st])) {
+				delete(owned, key) // dead for all later rounds
 				continue
 			}
 			p := fragProposal{key: key, crossEdge: ce}
@@ -201,37 +218,60 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, 
 	if r.ID() == 0 {
 		res.CrossTableBytes = bytes
 		res.FragmentMsgs = msgs
-		res.MSTFragment = true
 		res.MSTRounds = rounds
 	}
 
-	want := k - 1
+	want := kept - 1
 	if env.mode == ModeForest {
 		want = k - env.numGroups
 	}
 	if chosen < want {
 		if r.ID() == 0 {
-			env.err = fragmentDisconnectedErr(env, k, chosen, pruned)
+			env.err = fragmentDisconnectedErr(env, kept, chosen, pruned)
 		}
 		return false
 	}
 	return true
 }
 
+// planPrize runs the moat-growing plan on rank 0, which holds a prize
+// query's whole routed table, records the skipped terminals, and returns the
+// keep marks and how many terminals they keep.
+func (env *solveEnv) planPrize(owned map[int64]crossEdge) ([]bool, int) {
+	wedges := make([]mst.WEdge, 0, len(owned))
+	for key, ce := range owned {
+		s, t := unpackSeedKey(key)
+		wedges = append(wedges, mst.WEdge{U: env.seedIdx[s], V: env.seedIdx[t], W: ce.D})
+	}
+	keep := prizePlan(len(env.dedup), wedges, env.penalty)
+	kept := 0
+	for i, in := range keep {
+		if in {
+			kept++
+		} else {
+			env.res.Skipped = append(env.res.Skipped, env.dedup[i])
+		}
+	}
+	return keep, kept
+}
+
 // fragmentDisconnectedErr names what the fragment merge's chosen edge set
 // (the unique MSF, so the component counts are a sequential solver's) fails
-// to connect: the terminal set of a tree query, or one group of a forest
-// query.
-func fragmentDisconnectedErr(env *solveEnv, nT, chosen int, pruned map[int64]crossEdge) error {
-	if env.mode != ModeForest {
-		return fmt.Errorf("core: seeds span %d connected components; Steiner tree requires one", nT-chosen)
+// to connect: the kept terminals of a prize query, all terminals of a tree
+// query (kept counts them either way), or one group of a forest query.
+func fragmentDisconnectedErr(env *solveEnv, kept, chosen int, pruned map[int64]crossEdge) error {
+	switch env.mode {
+	case ModePrize:
+		return fmt.Errorf("core: internal error: prize kept set spans %d connected components", kept-chosen)
+	case ModeForest:
+		edges := make([]mst.WEdge, 0, len(pruned))
+		for key := range pruned {
+			s, t := unpackSeedKey(key)
+			edges = append(edges, mst.WEdge{U: env.seedIdx[s], V: env.seedIdx[t]})
+		}
+		return forestDisconnectedErr(env.groupOf, env.numGroups, len(env.dedup), edges)
 	}
-	edges := make([]mst.WEdge, 0, len(pruned))
-	for key := range pruned {
-		s, t := unpackSeedKey(key)
-		edges = append(edges, mst.WEdge{U: env.seedIdx[s], V: env.seedIdx[t]})
-	}
-	return forestDisconnectedErr(env.groupOf, env.numGroups, nT, edges)
+	return fmt.Errorf("core: seeds span %d connected components; Steiner tree requires one", kept-chosen)
 }
 
 // exchangeProposals broadcasts every rank's round proposals to all ranks,
@@ -266,7 +306,7 @@ func foldCross(table map[int64]crossEdge, k int64, ce crossEdge) {
 }
 
 // appendCrossEntry appends one cross-table record, the unit of both the
-// fragment routing and the prize gather. Records carry no count prefix —
+// fragment routing and the round proposals. Records carry no count prefix —
 // the enclosing blob delimits them.
 func appendCrossEntry(dst []byte, k int64, ce crossEdge) []byte {
 	dst = wire.AppendVarint(dst, k)

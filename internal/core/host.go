@@ -22,7 +22,6 @@ type rankHost struct {
 	trees    [][]graph.Edge        // per-rank phase-6 edge accumulators
 	owneds   []map[int64]crossEdge // per-rank fragment-merge table shards
 	frags    [][]int32             // per-rank fragment-label arrays
-	merges   []*mergeScratch       // per-rank prize-gather scratch
 	seedIdx  map[graph.VID]int32   // seed -> dense index, rebuilt per query
 }
 
@@ -37,7 +36,6 @@ func newRankHost(comm *rt.Comm, bsp bool) *rankHost {
 		trees:    make([][]graph.Edge, p),
 		owneds:   make([]map[int64]crossEdge, p),
 		frags:    make([][]int32, p),
-		merges:   make([]*mergeScratch, p),
 		seedIdx:  make(map[graph.VID]int32),
 	}
 	lo, hi := comm.HostRange()
@@ -45,7 +43,6 @@ func newRankHost(comm *rt.Comm, bsp bool) *rankHost {
 		h.localENs[rank] = map[int64]crossEdge{}
 		h.pruneds[rank] = map[int64]crossEdge{}
 		h.owneds[rank] = map[int64]crossEdge{}
-		h.merges[rank] = &mergeScratch{merged: map[int64]crossEdge{}}
 	}
 	return h
 }

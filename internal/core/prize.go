@@ -8,11 +8,11 @@ import (
 )
 
 // prizePlan decides which terminals a prize-mode query connects and which
-// it pays to skip. It runs over the replicated merged distance graph G'_1
-// (the same table phase 4 feeds to the MST), so like the sequential MST it
-// executes identically on every rank — loopback or rankd — with no extra
-// communication: all arithmetic is integral and every tie-break is by a
-// fixed enumeration order.
+// it pays to skip. It runs on rank 0 over the whole distance graph G'_1,
+// which phase 3 routes there on a prize query (the same table phase 4's
+// fragment merge then spans), so it answers identically on loopback and
+// rankd: all arithmetic is integral and every tie-break is by a fixed
+// enumeration order.
 //
 // The pass is an unrooted Goemans–Williamson-style primal-dual scheme (cf.
 // Saikia & Karmakar, arXiv:1710.07040): every terminal starts as its own

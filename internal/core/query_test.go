@@ -347,7 +347,7 @@ func TestForestPrizeTCPMatchesLoopback(t *testing.T) {
 			if spec.Mode == ModeForest {
 				checkForestProperties(t, g, got)
 			}
-			if tf, lf := timingFree(got), timingFree(want); tf != lf || tf[0] <= 0 || got.MSTFragment != want.MSTFragment {
+			if tf, lf := timingFree(got), timingFree(want); tf != lf || tf[0] <= 0 {
 				t.Fatalf("%s: timing-free counters differ: tcp %v, loopback %v", label, tf, lf)
 			}
 		}

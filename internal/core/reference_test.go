@@ -225,9 +225,6 @@ func assertMatchesReference(t *testing.T, res *Result, want refAnswer) {
 	if res.SteinerVertices != want.steinerVertices {
 		t.Fatalf("steiner vertices %d, reference %d", res.SteinerVertices, want.steinerVertices)
 	}
-	if res.MSTFragment != (res.Mode != ModePrize) {
-		t.Fatalf("%v query: MSTFragment=%v", res.Mode, res.MSTFragment)
-	}
 	if res.Memory.ShardBytes <= 0 {
 		t.Fatal("solve reports no shard memory")
 	}

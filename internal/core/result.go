@@ -75,20 +75,14 @@ type Result struct {
 	// DistGraphEdges is |E'₁|, the number of cross-cell candidate edges
 	// after the global merge.
 	DistGraphEdges int
-	// MSTRounds is the number of fragment-merge rounds; zero on a prize
-	// query, whose MST is sequential.
+	// MSTRounds is the number of fragment-merge rounds.
 	MSTRounds int
-	// MSTFragment reports whether phases 3–5 ran the rank-parallel
-	// fragment merge: true for tree and forest queries, false for prize
-	// queries (gathered cross table + sequential MST).
-	MSTFragment bool
 	// CrossTableBytes is the phase 3–4 merge's encoded payload moved through
 	// collectives, summed over ranks (contributed + received); equal on every
 	// backend.
 	CrossTableBytes int64
 	// FragmentMsgs counts fragment-merge records exchanged (routed
 	// cross-table entries plus per-round proposals), summed over ranks.
-	// Zero on a prize query.
 	FragmentMsgs int64
 	// Stats is the query's runtime counters record, cluster-wide on the TCP
 	// backend (the workers' shares folded with rt.Stats.Add), embedded so

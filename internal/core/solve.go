@@ -18,8 +18,8 @@ type crossEdge struct {
 	U, V graph.VID
 }
 
-// pickCross is the deterministic MIN used by the local scan and by both
-// global merges (fragment routing, prize gather): order by (D, U, V). The paper needs a
+// pickCross is the deterministic MIN used by the local scan and by the
+// fragment routing's fold: order by (D, U, V). The paper needs a
 // tie-breaking scheme to guarantee a unique cross-cell edge per cell pair
 // (§III Step 2, Alg. 5's second collective); a total order gives uniqueness
 // in a single reduction.

@@ -43,10 +43,6 @@ type solveEnv struct {
 func (env *solveEnv) rankBody(r *rt.Rank) {
 	dedup, seedIdx := env.dedup, env.seedIdx
 	res := env.res
-	// Tree and forest queries run the rank-parallel fragment merge in phases
-	// 3–5. A prize query gathers the whole table instead, because its
-	// moat-growing plan needs all of it.
-	fragment := env.mode != ModePrize
 	rec := &recorder{comm: env.comm, res: res}
 	rec.lo, _ = env.comm.HostRange()
 
@@ -89,117 +85,39 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	})
 
 	// Phase 3: global min-distance edges. The fragment merge routes each
-	// record to the rank owning the pair's lower seed, leaving a disjoint
-	// table shard per rank; a prize query gathers the whole table on every
-	// rank, the paper's MPI_Allreduce(MPI_MIN) over the per-rank E_N tables.
-	var merged map[int64]crossEdge
+	// record to the rank owning the pair's lower seed (a prize query's to
+	// rank 0, which plans it), leaving a disjoint table shard per rank.
 	var owned map[int64]crossEdge
 	fs := &fragStats{}
 	ok := true
 	faultpoint.Hit("solve.phase3")
 	rec.phase(r, PhaseGlobalMinEdge, func() int64 {
-		if fragment {
-			owned, ok = env.fragmentRoute(r, localEN, fs)
-		} else {
-			merged, ok = env.mergeCrossTables(r, localEN, fs)
-		}
+		owned, ok = env.fragmentRoute(r, localEN, fs)
 		return 0
 	})
 	if !ok {
 		return // cross-table decode failure: all ranks bail together
 	}
 
-	// Phase 4: MST of the distance graph G'₁ (Alg. 3 line 17). The
-	// fragment merge runs distributed Borůvka rounds over the sharded
-	// table; a prize query plans and computes a sequential MST locally on
-	// every rank, over the table each of them gathered. seedIdx is shared
-	// read-only (built before the SPMD body).
+	// Phase 4: MST of the distance graph G'₁ (Alg. 3 line 17): distributed
+	// Borůvka rounds over the sharded table. seedIdx is shared read-only
+	// (built before the SPMD body).
 	pruned := env.pruneds[r.ID()]
-	var mstPairs map[int64]bool
 	faultpoint.Hit("solve.phase4")
 	rec.phase(r, PhaseMST, func() int64 {
-		if fragment {
-			ok = env.fragmentMST(r, owned, pruned, fs)
-			return 0
-		}
-		// The gather's payload total, for comparison with the fragment
-		// merge's CrossTableBytes.
-		if bytes := r.AllreduceSumInt64(fs.bytes); r.ID() == 0 {
-			res.CrossTableBytes = bytes
-		}
-		keys := make([]int64, 0, len(merged))
-		for k := range merged {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		wedges := make([]mst.WEdge, len(keys))
-		for i, k := range keys {
-			s, t := unpackSeedKey(k)
-			wedges[i] = mst.WEdge{U: seedIdx[s], V: seedIdx[t], W: merged[k].D}
-		}
-		if r.ID() == 0 {
-			res.DistGraphEdges = len(wedges)
-		}
-
-		// The moat-growing plan (deterministic over the gathered table,
-		// hence identical on every rank) picks the kept subset; skipped
-		// terminals and their edges leave the MST input.
-		keep := prizePlan(len(dedup), wedges, env.penalty)
-		kept := wedges[:0]
-		for _, we := range wedges {
-			if keep[we.U] && keep[we.V] {
-				kept = append(kept, we)
-			}
-		}
-		keptCount := 0
-		var skipped []graph.VID
-		for i, k := range keep {
-			if k {
-				keptCount++
-			} else {
-				skipped = append(skipped, dedup[i])
-			}
-		}
-		if r.ID() == 0 {
-			res.Skipped = skipped
-		}
-
-		// The kept subset must end up in one component.
-		forest := mst.Kruskal(len(dedup), kept)
-		if len(forest.Edges) < keptCount-1 {
-			if r.ID() == 0 {
-				env.err = fmt.Errorf("core: internal error: prize kept set spans %d connected components",
-					keptCount-len(forest.Edges))
-			}
-			ok = false
-			return 0
-		}
-		mstPairs = make(map[int64]bool, len(forest.Edges))
-		for _, fe := range forest.Edges {
-			mstPairs[seedKey(dedup[fe.U], dedup[fe.V])] = true
-		}
+		ok = env.fragmentMST(r, owned, pruned, fs)
 		return 0
 	})
 	if !ok {
 		return // disconnected terminals or corrupt round: all ranks bail together
 	}
 
-	// Phase 5: global edge pruning (Alg. 5, EDGE_PRUNING_COLL) —
-	// cross-cell edges whose cell pair is not an MST edge are
-	// dropped. The total order in pickCross already guarantees a
-	// unique survivor per pair, so no second collective is needed.
-	// The fragment merge accumulated its winners into pruned during
-	// the Borůvka rounds, so its phase 5 is already done (merged is
-	// empty).
+	// Phase 5: global edge pruning (Alg. 5, EDGE_PRUNING_COLL). The
+	// fragment merge accumulated its winners into pruned during the Borůvka
+	// rounds, so nothing is left to drop; the phase stays recorded so every
+	// Result carries all six.
 	faultpoint.Hit("solve.phase5")
-	rec.phase(r, PhasePruning, func() int64 {
-		for k, ce := range merged {
-			if mstPairs[k] {
-				pruned[k] = ce
-			}
-		}
-		return 0
-	})
+	rec.phase(r, PhasePruning, func() int64 { return 0 })
 
 	// Phase 6: Steiner tree edges (Alg. 6) — walk predecessor
 	// chains from surviving cross-cell endpoints to cell seeds.
@@ -366,47 +284,4 @@ func forestDisconnectedErr(groupOf []int32, numGroups, nT int, edges []mst.WEdge
 		}
 	}
 	return fmt.Errorf("core: forest groups are not all connected")
-}
-
-// mergeScratch is a rank's pooled prize-gather scratch: the cross-table
-// encode buffer and the merge target map, reused across queries like the
-// transport's encode scratch.
-type mergeScratch struct {
-	enc    []byte
-	merged map[int64]crossEdge
-}
-
-// mergeCrossTables merges the per-rank E_N tables into the globally-minimal
-// cross-cell edge per cell pair: each rank broadcasts its table as one
-// encoded blob, and every rank merges locally — pickCross is associative
-// and commutative with a total order, so the merged table is identical
-// everywhere regardless of arrival order. A decode failure is uniform
-// (every rank decodes the same broadcast blobs), so all
-// ranks return ok=false together and rank 0 records the error — a failed
-// query instead of a process-killing panic. The returned map is the pooled
-// scratch: valid until the next query.
-func (env *solveEnv) mergeCrossTables(r *rt.Rank, local map[int64]crossEdge, fs *fragStats) (map[int64]crossEdge, bool) {
-	sc := env.merges[r.ID()]
-	sc.enc = sc.enc[:0]
-	for k, ce := range local {
-		sc.enc = appendCrossEntry(sc.enc, k, ce)
-	}
-	fs.bytes += int64(len(sc.enc))
-	var out []rt.Blob
-	if len(sc.enc) > 0 {
-		out = append(out, rt.Blob{Src: r.ID(), Dest: -1, Blob: sc.enc})
-	}
-	clear(sc.merged)
-	for _, fb := range rt.Exchange(r, out) {
-		if fb.Src != r.ID() {
-			fs.bytes += int64(len(fb.Blob))
-		}
-		if err := env.decodeCrossEntries(fb.Blob, sc.merged); err != nil {
-			if r.ID() == 0 {
-				env.err = fmt.Errorf("core: cross-table gather from rank %d: %w", fb.Src, err)
-			}
-			return nil, false
-		}
-	}
-	return sc.merged, true
 }

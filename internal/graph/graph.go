@@ -191,6 +191,11 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: offsets/targets/weights size mismatch")
 	}
 	for v := 0; v < n; v++ {
+		if g.offsets[v] > g.offsets[v+1] {
+			return fmt.Errorf("graph: offsets decrease at %d", v)
+		}
+	}
+	for v := 0; v < n; v++ {
 		ts, ws := g.Adj(VID(v))
 		for i, u := range ts {
 			if u < 0 || int(u) >= n {

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -114,10 +115,8 @@ type serviceStats struct {
 	// /stats render from it.
 	rt rt.Stats
 
-	// Fragment-merge MST accounting: queries served by the fragment path,
-	// their merge rounds, and the phase 3–4 merge payload (both merges
-	// report crossTableBytes, so the two are comparable from /stats alone).
-	mstFragmentQueries int64
+	// Fragment-merge MST accounting: merge rounds, exchanged records and
+	// the phase 3–4 merge payload.
 	mstFragmentRounds  int64
 	mstCrossTableBytes int64
 	mstFragmentMsgs    int64
@@ -501,14 +500,10 @@ type BroadcastStats struct {
 	Sent       int64 `json:"sent"`
 }
 
-// MSTStats is the /stats accounting of the phase 3–5 merge: how many
-// queries ran the rank-parallel fragment merge (every tree and forest
-// query), their total Borůvka rounds and exchanged records, and the merge
-// encoded payload bytes moved through collectives, equal on every backend
-// (a prize query's gathered table counts in crossTableBytes too, so the two
-// merges are directly comparable).
+// MSTStats is the /stats accounting of the phase 3–5 fragment merge, which
+// every query runs: total Borůvka rounds and exchanged records, and the
+// encoded payload bytes moved through collectives, equal on every backend.
 type MSTStats struct {
-	FragmentQueries  int64 `json:"fragmentQueries"`
 	FragmentRounds   int64 `json:"fragmentRounds"`
 	FragmentMessages int64 `json:"fragmentMessages"`
 	CrossTableBytes  int64 `json:"crossTableBytes"`
@@ -644,7 +639,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 			Sent:       st.rt.BatchedBroadcasts,
 		},
 		MST: MSTStats{
-			FragmentQueries:  st.mstFragmentQueries,
 			FragmentRounds:   st.mstFragmentRounds,
 			FragmentMessages: st.mstFragmentMsgs,
 			CrossTableBytes:  st.mstCrossTableBytes,
@@ -783,11 +777,8 @@ func (s *Service) recordQuery(res *core.Result, elapsed time.Duration, err error
 			st.phaseCalls[ph.Name]++
 		}
 		st.rt = st.rt.Add(res.Stats)
-		if res.MSTFragment {
-			st.mstFragmentQueries++
-			st.mstFragmentRounds += int64(res.MSTRounds)
-			st.mstFragmentMsgs += res.FragmentMsgs
-		}
+		st.mstFragmentRounds += int64(res.MSTRounds)
+		st.mstFragmentMsgs += res.FragmentMsgs
 		st.mstCrossTableBytes += res.CrossTableBytes
 	}
 	st.mu.Unlock()
@@ -890,8 +881,8 @@ func (s *Service) handleSolveV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Sprintf("bad JSON body: %v", err))
+	if err := decodeJSON(r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
 		return
 	}
 	if err := req.validate(); err != nil {
@@ -926,8 +917,8 @@ func (s *Service) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Sprintf("bad JSON body: %v", err))
+	if err := decodeJSON(r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -1245,8 +1236,8 @@ func parseSolveRequest(r *http.Request) (SolveRequest, error) {
 	var req SolveRequest
 	switch r.Method {
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return req, fmt.Errorf("bad JSON body: %w", err)
+		if err := decodeJSON(r, &req); err != nil {
+			return req, err
 		}
 	case http.MethodGet:
 		if q := r.URL.Query().Get("seeds"); q != "" {
@@ -1270,6 +1261,19 @@ func parseSolveRequest(r *http.Request) (SolveRequest, error) {
 		return req, fmt.Errorf("GET or POST only")
 	}
 	return req, req.validate()
+}
+
+// decodeJSON decodes r's body into v, which must be the body's only JSON
+// value: anything but whitespace after it is an error.
+func decodeJSON(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad JSON body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("bad JSON body: data after the JSON value")
+	}
+	return nil
 }
 
 func (s *Service) resolveSeeds(req SolveRequest) ([]graph.VID, error) {

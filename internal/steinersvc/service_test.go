@@ -17,7 +17,7 @@ import (
 )
 
 // testGraph builds the paper's Fig. 1 example graph.
-func testGraph(t *testing.T) *graph.Graph {
+func testGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	b := graph.NewBuilder(9)
 	for _, e := range [][3]int32{
@@ -33,7 +33,7 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-func testServiceCfg(t *testing.T, cfg Config) *Service {
+func testServiceCfg(t testing.TB, cfg Config) *Service {
 	t.Helper()
 	s, err := New(testGraph(t), core.Default(2), cfg)
 	if err != nil {
@@ -45,12 +45,12 @@ func testServiceCfg(t *testing.T, cfg Config) *Service {
 
 // testService and testServicePool build cache-less, job-less services so the
 // engine-pool tests observe every query as an engine solve.
-func testService(t *testing.T) *Service {
+func testService(t testing.TB) *Service {
 	t.Helper()
 	return testServicePool(t, 1)
 }
 
-func testServicePool(t *testing.T, engines int) *Service {
+func testServicePool(t testing.TB, engines int) *Service {
 	t.Helper()
 	return testServiceCfg(t, Config{Engines: engines})
 }

@@ -1,17 +1,21 @@
 package steinersvc
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"dsteiner/internal/core"
+	"dsteiner/internal/graph"
 )
 
 // TestV1SolveTreeDefault checks POST /v1/solve with no mode behaves as a
@@ -185,6 +189,151 @@ func TestV1SolveValidation(t *testing.T) {
 			t.Errorf("%s: error = %+v, want code %q message %q", tc.name, errResp, tc.code, tc.msg)
 		}
 	}
+}
+
+// TestTrailingJSONRejected checks every JSON-body endpoint takes exactly one
+// value: a well-formed query followed by anything but whitespace is a 400
+// invalid_argument, while trailing whitespace is not.
+func TestTrailingJSONRejected(t *testing.T) {
+	srv := httptest.NewServer(testServiceCfg(t, Config{Engines: 1, JobQueue: 4}))
+	defer srv.Close()
+	for _, tc := range []struct{ path, body string }{
+		{"/solve", `{"seeds":[1,2]} trailing`},
+		{"/v1/solve", `{"seeds":[1,2]} trailing`},
+		{"/v1/solve", `{"seeds":[1,2]}{"seeds":[3,4]}`},
+		{"/solve/batch", `{"queries":[{"seeds":[1,2]}]} trailing`},
+		{"/solve/async", `{"seeds":[1,2]} trailing`},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			resp.Body.Close()
+			t.Errorf("%s %q: status = %d, want 400", tc.path, tc.body, resp.StatusCode)
+			continue
+		}
+		if e := decodeBody[ErrorResponse](t, resp); e.Code != CodeInvalidArgument || !strings.Contains(e.Message, "bad JSON body") {
+			t.Errorf("%s %q: error %+v", tc.path, tc.body, e)
+		}
+	}
+	resp, err := http.Post(srv.URL+"/v1/solve", "application/json", strings.NewReader("{\"seeds\":[1,2]}\n \n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trailing whitespace: status = %d, want 200", resp.StatusCode)
+	}
+}
+
+// FuzzSolveV1 sends raw bodies to POST /v1/solve on the Fig. 1 service. A 200
+// must carry a valid tree for the spec it answers (per group for forest, over
+// the kept terminals with objective = total + paid penalties for prize);
+// anything else must be a 4xx with the {code, message} envelope. No body may
+// produce a 5xx or a panic.
+func FuzzSolveV1(f *testing.F) {
+	for _, body := range []string{
+		`{"seeds":[1,2,3]}`,
+		`{"k":5,"strategy":"eccentric","rngSeed":7}`,
+		`{"mode":"forest","groups":[[1,2],[7,8]]}`,
+		`{"mode":"prize","seeds":[1,2,8],"penalties":[3,5,1000]}`,
+		`{"mode":"forest","groups":[[0,4],[]]}`,
+		`{"mode":"forest","groups":[[0],[8]]}`,
+		`{"seeds":[0,2147483647]}`,
+		`{"mode":"prize","seeds":[0,8],"penalties":[9223372036854775807,0]}`,
+		`null`,
+		`[]`,
+	} {
+		f.Add([]byte(body))
+	}
+	g := testGraph(f)
+	svc := testService(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			var e ErrorResponse
+			if rec.Code < 400 || rec.Code > 499 || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Code == "" || e.Message == "" {
+				t.Fatalf("body %q: status %d, reply %q", body, rec.Code, rec.Body.String())
+			}
+			return
+		}
+		var req SolveRequest
+		var out SolveResponse
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("body %q answered 200 but does not decode: %v", body, err)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		if err := validV1Answer(g, req, out); err != nil {
+			t.Fatalf("body %q: %v\nreply %s", body, err, rec.Body.String())
+		}
+	})
+}
+
+// validV1Answer checks a 200 reply against the request it answers.
+func validV1Answer(g *graph.Graph, req SolveRequest, out SolveResponse) error {
+	vids := func(ids []int32) []graph.VID {
+		vs := make([]graph.VID, len(ids))
+		for i, id := range ids {
+			vs[i] = graph.VID(id)
+		}
+		return vs
+	}
+	edges := func(es []TreeEdge) ([]graph.Edge, int64) {
+		ge, total := make([]graph.Edge, len(es)), int64(0)
+		for i, e := range es {
+			ge[i], total = graph.Edge{U: graph.VID(e.U), V: graph.VID(e.V), W: e.W}, total+int64(e.W)
+		}
+		return ge, total
+	}
+	tree, total := edges(out.Edges)
+	if total != out.Total {
+		return fmt.Errorf("edges weigh %d, total says %d", total, out.Total)
+	}
+	switch req.Mode {
+	case "forest":
+		var want, got []int32
+		for _, grp := range req.Groups {
+			want = append(want, grp...)
+		}
+		for _, grp := range out.Groups {
+			got = append(got, grp...)
+		}
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(want, got) || len(out.GroupEdges) != len(out.Groups) {
+			return fmt.Errorf("groups %v / %d group trees answer groups %v", out.Groups, len(out.GroupEdges), req.Groups)
+		}
+		for gi, grp := range out.Groups {
+			sub, _ := edges(out.GroupEdges[gi])
+			if err := graph.ValidateSteinerTree(g, vids(grp), sub); err != nil {
+				return fmt.Errorf("group %d: %w", gi, err)
+			}
+		}
+		return nil
+	case "prize":
+		var kept []int32
+		paid := int64(0)
+		for i, s := range req.Seeds {
+			if slices.Contains(out.Skipped, s) {
+				paid += req.Penalties[i]
+			} else {
+				kept = append(kept, s)
+			}
+		}
+		if out.PaidPenalty != paid || out.Objective == nil || *out.Objective != total+paid {
+			return fmt.Errorf("paid %d objective %v, want paid %d objective %d", out.PaidPenalty, out.Objective, paid, total+paid)
+		}
+		return graph.ValidateSteinerTree(g, vids(kept), tree)
+	}
+	terms := req.Seeds
+	if len(terms) == 0 {
+		terms = out.Seeds // k server-selected terminals
+	}
+	return graph.ValidateSteinerTree(g, vids(terms), tree)
 }
 
 // TestLegacySolveResponseShapePinned pins the legacy /solve contract: a

@@ -73,10 +73,8 @@ type SolveResult struct {
 	// Skipped lists the terminals a prize-mode query paid to leave out
 	// (empty for tree and forest).
 	Skipped []graph.VID
-	// MSTFragment reports whether phase 4 ran the fragment merge;
 	// CrossTableBytes and FragmentMsgs are the query's phase-3/4 cross-table
 	// payload bytes and fragment-exchange record count.
-	MSTFragment     bool
 	CrossTableBytes int64
 	FragmentMsgs    int64
 }
@@ -95,7 +93,6 @@ func appendSolveResult(dst []byte, r SolveResult) []byte {
 	dst = AppendUvarint(dst, uint64(r.DistGraphEdges))
 	dst = AppendUvarint(dst, uint64(r.MSTRounds))
 	dst = AppendVIDs(dst, r.Skipped)
-	dst = appendBool(dst, r.MSTFragment)
 	dst = AppendVarint(dst, r.CrossTableBytes)
 	return AppendVarint(dst, r.FragmentMsgs)
 }
@@ -118,7 +115,6 @@ func decodeSolveResult(d *Dec) SolveResult {
 	r.DistGraphEdges = d.Int()
 	r.MSTRounds = d.Int()
 	r.Skipped = d.VIDs()
-	r.MSTFragment = d.Bool()
 	r.CrossTableBytes = d.Varint()
 	r.FragmentMsgs = d.Varint()
 	return r
