@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"dsteiner/internal/graph"
@@ -266,7 +266,7 @@ func canonSeedSet(n int, seeds []graph.VID, seen map[graph.VID]bool) ([]graph.VI
 		seen[s] = true
 		canon = append(canon, s)
 	}
-	sort.Slice(canon, func(i, j int) bool { return canon[i] < canon[j] })
+	slices.Sort(canon)
 	return canon, nil
 }
 
@@ -348,8 +348,8 @@ func ValidateSeedSet(n int, seeds []graph.VID) error {
 
 // solveCanonLocked runs the six solver phases for a validated canonical
 // query — on this process's ranks or on the worker fleet — and finishes the
-// Result with what only the holder of the full graph can add: Steiner-vertex
-// counting, memory accounting and validation. The caller holds e.mu.
+// Result with what only the holder of the full graph can add: memory
+// accounting, Steiner-vertex counting and validation. The caller holds e.mu.
 func (e *Engine) solveCanonLocked(cq canonQuery) (*Result, error) {
 	if len(cq.dedup) == 1 {
 		res := &Result{Seeds: cq.dedup, Mode: cq.spec.Mode}
@@ -370,7 +370,6 @@ func (e *Engine) solveCanonLocked(cq canonQuery) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.SteinerVertices = countSteinerVertices(res.Tree, cq.dedup)
 	res.Memory = memoryStats(e.g, e.shard, tableLens, res, e.opts)
 	if err := finalizeResult(e.g, cq, res, e.opts.SkipValidation); err != nil {
 		return nil, err

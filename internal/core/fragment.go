@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dsteiner/internal/graph"
 	"dsteiner/internal/mst"
@@ -38,22 +38,88 @@ type fragStats struct {
 // from the owning rank.
 type fragProposal struct {
 	frag int32
-	key  int64
-	crossEdge
+	crossRec
 }
 
-// lessProposal orders proposals by (D, key) — the same total order as
-// pickCross and mst.Kruskal's (W, U, V) sort: dense seed indices are
-// monotone in seed VID (dedup is sorted), so key order equals (U, V) order.
-// Under a strict total order the minimum spanning forest is unique, which
-// is what makes the fragment merge's chosen edge set byte-identical to
-// sequential Kruskal's.
-func lessProposal(a, b fragProposal) bool {
-	if a.D != b.D {
-		return a.D < b.D
-	}
-	return a.key < b.key
+// slotTable maps int64 keys to int32 values by open addressing over a
+// power-of-two slot array at most half full. Slots are stamped with the
+// table's epoch, so a reset is O(1) and the arrays keep their capacity
+// between queries (the yardstick's pairSlot table).
+type slotTable struct {
+	keys  []int64
+	vals  []int32
+	stamp []uint32 // a slot is live while its stamp equals epoch
+	epoch uint32
+	n     int
 }
+
+func (t *slotTable) reset() {
+	t.n = 0
+	if t.epoch++; t.epoch == 0 { // wrapped: old stamps could match again
+		clear(t.stamp)
+		t.epoch = 1
+	}
+}
+
+// slot returns key's live slot, or the free slot where it belongs.
+func (t *slotTable) slot(key int64) int {
+	mask := uint64(len(t.keys) - 1)
+	i := uint64(key) * 0x9E3779B97F4A7C15 >> 32 & mask // Fibonacci hashing
+	for t.stamp[i] == t.epoch && t.keys[i] != key {
+		i = (i + 1) & mask
+	}
+	return int(i)
+}
+
+// get returns key's value, or -1 if key is absent.
+func (t *slotTable) get(key int64) int32 {
+	if t.n > 0 {
+		if i := t.slot(key); t.stamp[i] == t.epoch {
+			return t.vals[i]
+		}
+	}
+	return -1
+}
+
+// put returns key's value, first setting it to v if key is absent.
+func (t *slotTable) put(key int64, v int32) int32 {
+	if 2*(t.n+1) > len(t.keys) {
+		old, n := *t, max(64, 2*len(t.keys))
+		t.keys, t.vals, t.stamp, t.epoch, t.n = make([]int64, n), make([]int32, n), make([]uint32, n), 1, 0
+		for i, k := range old.keys {
+			if old.stamp[i] == old.epoch {
+				t.put(k, old.vals[i])
+			}
+		}
+	}
+	i := t.slot(key)
+	if t.stamp[i] != t.epoch {
+		t.stamp[i], t.keys[i], t.vals[i] = t.epoch, key, v
+		t.n++
+	}
+	return t.vals[i]
+}
+
+// pairTable folds E_N records by cell pair into recs, one pickCross survivor
+// per pair. Phase 4 sorts the routed shard's recs in place; only a reset
+// makes folding safe again.
+type pairTable struct {
+	index slotTable // seedKey -> position in recs
+	recs  []crossRec
+}
+
+func (t *pairTable) reset() { t.index.reset(); t.recs = t.recs[:0] }
+
+func (t *pairTable) fold(rec crossRec) {
+	if i := t.index.put(rec.key, int32(len(t.recs))); int(i) < len(t.recs) {
+		t.recs[i].crossEdge = pickCross(t.recs[i].crossEdge, rec.crossEdge)
+	} else {
+		t.recs = append(t.recs, rec)
+	}
+}
+
+// seedIndex is s's dense terminal index, or -1 if s is not a terminal.
+func (env *solveEnv) seedIndex(s graph.VID) int32 { return env.seeds.get(int64(s)) }
 
 // fragmentRoute is the fragment merge's phase 3: every cross-cell record is
 // routed to the rank owning the pair's lower seed vertex — on a prize query,
@@ -63,26 +129,30 @@ func lessProposal(a, b fragProposal) bool {
 // on rank 0 when a routed blob fails to decode; received blobs are
 // personalized, so the failure is agreed with an allreduce and all ranks
 // bail uniformly.
-func (env *solveEnv) fragmentRoute(r *rt.Rank, localEN map[int64]crossEdge, fs *fragStats) (map[int64]crossEdge, bool) {
-	owned := env.owneds[r.ID()]
-	blobs := map[int][]byte{}
-	for k, ce := range localEN {
+func (env *solveEnv) fragmentRoute(r *rt.Rank, localEN []crossRec, fs *fragStats) ([]crossRec, bool) {
+	owned := &env.pools[r.ID()].owned
+	owned.reset()
+	blobs := make([][]byte, r.NumRanks())
+	for _, rec := range localEN {
+		s, t := unpackSeedKey(rec.key)
 		d := 0
 		if env.mode != ModePrize {
-			s, _ := unpackSeedKey(k)
 			d = r.Owner(s)
 		}
 		if d != r.ID() {
 			fs.msgs++
-			blobs[d] = appendCrossEntry(blobs[d], k, ce)
+			blobs[d] = appendCrossEntry(blobs[d], rec) // the owner resolves the pair
 		} else {
-			foldCross(owned, k, ce)
+			rec.a, rec.b = env.seedIndex(s), env.seedIndex(t)
+			owned.fold(rec)
 		}
 	}
-	out := make([]rt.Blob, 0, len(blobs))
+	var out []rt.Blob
 	for d, b := range blobs {
-		fs.bytes += int64(len(b))
-		out = append(out, rt.Blob{Src: r.ID(), Dest: d, Blob: b})
+		if len(b) > 0 {
+			fs.bytes += int64(len(b))
+			out = append(out, rt.Blob{Src: r.ID(), Dest: d, Blob: b})
+		}
 	}
 	var failed int64
 	for _, fb := range rt.Exchange(r, out) {
@@ -97,24 +167,24 @@ func (env *solveEnv) fragmentRoute(r *rt.Rank, localEN map[int64]crossEdge, fs *
 		}
 		return nil, false
 	}
-	return owned, true
+	return owned.recs, true
 }
 
 // fragmentMST is the fragment merge's phase 4: Borůvka/GHS rounds over the
-// rank-sharded table. Each round every rank scans its owned entries for the
-// best outgoing edge per fragment under the (D, key) total order, the
-// proposals are broadcast, and all ranks apply the per-fragment winners in
-// the same sorted order against identical union-find state — so the label
-// array never needs to travel. Intra-fragment entries, and on a prize query
-// entries with a skipped end, are deleted as they are discovered, shrinking
-// later scans. Accepted winners accumulate into pruned (the pooled phase-5
-// map, identical on every rank).
-func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, fs *fragStats) bool {
-	res, dedup, seedIdx := env.res, env.dedup, env.seedIdx
-	k := len(dedup)
+// rank-sharded table. Each rank sorts its shard once under the (D, key)
+// total order, so a fragment's best outgoing edge in a round is its first
+// live entry; an entry found dead — both ends in one fragment, or on a prize
+// query a skipped end — is compacted out and never tested again. The
+// proposals are broadcast, and all ranks apply the per-fragment winners
+// against identical union-find state, so the label array never needs to
+// travel. Accepted winners accumulate into the rank's pruned slice, the same
+// edge set on every rank.
+func (env *solveEnv) fragmentMST(r *rt.Rank, owned []crossRec, fs *fragStats) bool {
+	res, k, sc := env.res, len(env.dedup), env.pools[r.ID()]
 	if total := r.AllreduceSumInt64(int64(len(owned))); r.ID() == 0 {
 		res.DistGraphEdges = int(total)
 	}
+	slices.SortFunc(owned, compareCross)
 	// kept counts the terminals the chosen edges must join: all of them, or
 	// the prize plan's keep set, which only rank 0 (holding the whole table)
 	// knows — elsewhere keep stays nil, over an empty shard.
@@ -127,14 +197,15 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, 
 		kept = int(r.AllreduceMaxInt64(int64(n)))
 	}
 
-	frag := env.frags[r.ID()]
-	if cap(frag) < k {
-		frag = make([]int32, k)
+	// Label-indexed arrays: frag is each terminal's fragment label, best[f]
+	// equals the round's stamp once fragment f has its local best, and
+	// winner[f] indexes f's least proposal of the round, or is -1.
+	if cap(sc.labels) < 3*k {
+		sc.labels = make([]int32, 3*k)
 	}
-	frag = frag[:k]
-	env.frags[r.ID()] = frag
+	frag, best, winner := sc.labels[:k], sc.labels[k:2*k], sc.labels[2*k:3*k]
 	for i := range frag {
-		frag[i] = int32(i)
+		frag[i], best[i], winner[i] = int32(i), 0, -1
 	}
 	find := func(x int32) int32 {
 		for frag[x] != x {
@@ -144,32 +215,27 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, 
 		return x
 	}
 
-	best := make(map[int32]fragProposal, 16)
+	pruned := sc.pruned[:0]
 	rounds, chosen := 0, 0
 	for {
-		clear(best)
-		for key, ce := range owned {
-			s, t := unpackSeedKey(key)
-			su, st := seedIdx[s], seedIdx[t]
-			fu, fv := frag[su], frag[st]
-			if fu == fv || (keep != nil && !(keep[su] && keep[st])) {
-				delete(owned, key) // dead for all later rounds
-				continue
+		stamp := int32(rounds + 1)
+		props, live := sc.props[:0], owned[:0]
+		for _, e := range owned {
+			fu, fv := frag[e.a], frag[e.b]
+			if fu == fv || (keep != nil && !(keep[e.a] && keep[e.b])) {
+				continue // dead for all later rounds
 			}
-			p := fragProposal{key: key, crossEdge: ce}
+			live = append(live, e)
 			for _, f := range [2]int32{fu, fv} {
-				p.frag = f
-				if cur, ok := best[f]; !ok || lessProposal(p, cur) {
-					best[f] = p
+				if best[f] != stamp {
+					best[f] = stamp
+					props = append(props, fragProposal{frag: f, crossRec: e})
 				}
 			}
 		}
-		props := make([]fragProposal, 0, len(best))
-		for _, p := range best {
-			props = append(props, p)
-		}
+		owned, sc.props = live, props
 		fs.msgs += int64(len(props))
-		all, err := env.exchangeProposals(r, props, fs)
+		all, err := env.exchangeProposals(r, props, sc.all[:0], fs)
 		if err != nil {
 			// Proposal blobs are broadcast, so every rank sees the same
 			// corrupt payload and fails here together.
@@ -178,26 +244,26 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, 
 			}
 			return false
 		}
+		sc.all = all
 		if len(all) == 0 {
 			break
 		}
 		rounds++
-		// Global minimum per fragment, then a deterministic application
-		// order: every rank replays the identical union sequence.
-		winner := map[int32]fragProposal{}
-		for _, p := range all {
-			if cur, ok := winner[p.frag]; !ok || lessProposal(p, cur) {
-				winner[p.frag] = p
+		for i, p := range all {
+			if w := winner[p.frag]; w < 0 || compareCross(p.crossRec, all[w].crossRec) < 0 {
+				winner[p.frag] = int32(i)
 			}
 		}
-		ws := make([]fragProposal, 0, len(winner))
-		for _, p := range winner {
-			ws = append(ws, p)
-		}
-		sort.Slice(ws, func(i, j int) bool { return lessProposal(ws[i], ws[j]) })
-		for _, p := range ws {
-			s, t := unpackSeedKey(p.key)
-			ru, rv := find(seedIdx[s]), find(seedIdx[t])
+		// Under the strict total order the winners form a forest, apart from
+		// an edge both its fragments picked, so every rank accepts the same
+		// edges in whatever order the proposals arrived, and the min-root
+		// relabel leaves every rank the same labels.
+		for i, p := range all {
+			if winner[p.frag] != int32(i) {
+				continue
+			}
+			winner[p.frag] = -1
+			ru, rv := find(p.a), find(p.b)
 			if ru == rv {
 				continue // both endpoint fragments picked this same edge
 			}
@@ -205,13 +271,14 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, 
 				ru, rv = rv, ru
 			}
 			frag[rv] = ru // min-root representative keeps labels canonical
-			pruned[p.key] = p.crossEdge
+			pruned = append(pruned, p.crossRec)
 			chosen++
 		}
 		for i := range frag {
 			frag[i] = find(int32(i)) // pointer-jump full relabel
 		}
 	}
+	sc.pruned = pruned
 
 	bytes := r.AllreduceSumInt64(fs.bytes)
 	msgs := r.AllreduceSumInt64(fs.msgs)
@@ -227,7 +294,7 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, 
 	}
 	if chosen < want {
 		if r.ID() == 0 {
-			env.err = fragmentDisconnectedErr(env, kept, chosen, pruned)
+			env.err = fragmentDisconnectedErr(env, kept, chosen, frag)
 		}
 		return false
 	}
@@ -237,11 +304,10 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned, pruned map[int64]crossEdge, 
 // planPrize runs the moat-growing plan on rank 0, which holds a prize
 // query's whole routed table, records the skipped terminals, and returns the
 // keep marks and how many terminals they keep.
-func (env *solveEnv) planPrize(owned map[int64]crossEdge) ([]bool, int) {
+func (env *solveEnv) planPrize(owned []crossRec) ([]bool, int) {
 	wedges := make([]mst.WEdge, 0, len(owned))
-	for key, ce := range owned {
-		s, t := unpackSeedKey(key)
-		wedges = append(wedges, mst.WEdge{U: env.seedIdx[s], V: env.seedIdx[t], W: ce.D})
+	for _, e := range owned {
+		wedges = append(wedges, mst.WEdge{U: e.a, V: e.b, W: e.D})
 	}
 	keep := prizePlan(len(env.dedup), wedges, env.penalty)
 	kept := 0
@@ -258,26 +324,34 @@ func (env *solveEnv) planPrize(owned map[int64]crossEdge) ([]bool, int) {
 // fragmentDisconnectedErr names what the fragment merge's chosen edge set
 // (the unique MSF, so the component counts are a sequential solver's) fails
 // to connect: the kept terminals of a prize query, all terminals of a tree
-// query (kept counts them either way), or one group of a forest query.
-func fragmentDisconnectedErr(env *solveEnv, kept, chosen int, pruned map[int64]crossEdge) error {
+// query (kept counts them either way), or one group of a forest query, whose
+// components' roots (frag[i] == i) each lie in their terminals' one group.
+func fragmentDisconnectedErr(env *solveEnv, kept, chosen int, frag []int32) error {
 	switch env.mode {
 	case ModePrize:
 		return fmt.Errorf("core: internal error: prize kept set spans %d connected components", kept-chosen)
 	case ModeForest:
-		edges := make([]mst.WEdge, 0, len(pruned))
-		for key := range pruned {
-			s, t := unpackSeedKey(key)
-			edges = append(edges, mst.WEdge{U: env.seedIdx[s], V: env.seedIdx[t]})
+		comps := make([]int, env.numGroups)
+		for i, f := range frag {
+			if f == int32(i) {
+				comps[env.groupOf[i]]++
+			}
 		}
-		return forestDisconnectedErr(env.groupOf, env.numGroups, len(env.dedup), edges)
+		for gi, c := range comps {
+			if c > 1 {
+				return fmt.Errorf("core: forest group %d spans %d connected components; each group must be connected",
+					gi, c)
+			}
+		}
+		return fmt.Errorf("core: forest groups are not all connected")
 	}
 	return fmt.Errorf("core: seeds span %d connected components; Steiner tree requires one", kept-chosen)
 }
 
 // exchangeProposals broadcasts every rank's round proposals to all ranks,
-// one encoded blob per rank (Dest -1).
-func (env *solveEnv) exchangeProposals(r *rt.Rank, props []fragProposal, fs *fragStats) ([]fragProposal, error) {
-	var blob []byte
+// one encoded blob per rank (Dest -1), and appends everyone's to into.
+func (env *solveEnv) exchangeProposals(r *rt.Rank, props, into []fragProposal, fs *fragStats) ([]fragProposal, error) {
+	blob := make([]byte, 0, 16*len(props)) // ≈16 bytes a proposal: one allocation
 	for _, p := range props {
 		blob = appendProposal(blob, p)
 	}
@@ -286,71 +360,62 @@ func (env *solveEnv) exchangeProposals(r *rt.Rank, props []fragProposal, fs *fra
 		fs.bytes += int64(len(blob))
 		out = append(out, rt.Blob{Src: r.ID(), Dest: -1, Blob: blob})
 	}
-	var all []fragProposal
 	for _, fb := range rt.Exchange(r, out) {
 		fs.bytes += int64(len(fb.Blob))
 		var err error
-		if all, err = env.decodeProposals(fb.Blob, all); err != nil {
+		if into, err = env.decodeProposals(fb.Blob, into); err != nil {
 			return nil, err
 		}
 	}
-	return all, nil
-}
-
-// foldCross keeps the pickCross survivor for cell pair k in table.
-func foldCross(table map[int64]crossEdge, k int64, ce crossEdge) {
-	if cur, ok := table[k]; ok {
-		ce = pickCross(cur, ce)
-	}
-	table[k] = ce
+	return into, nil
 }
 
 // appendCrossEntry appends one cross-table record, the unit of both the
 // fragment routing and the round proposals. Records carry no count prefix —
-// the enclosing blob delimits them.
-func appendCrossEntry(dst []byte, k int64, ce crossEdge) []byte {
-	dst = wire.AppendVarint(dst, k)
-	dst = wire.AppendUvarint(dst, uint64(ce.D))
-	dst = wire.AppendUvarint(dst, uint64(uint32(ce.U)))
-	dst = wire.AppendUvarint(dst, uint64(uint32(ce.V)))
+// the enclosing blob delimits them — and no dense indices: the receiver
+// resolves those from the key.
+func appendCrossEntry(dst []byte, rec crossRec) []byte {
+	dst = wire.AppendVarint(dst, rec.key)
+	dst = wire.AppendUvarint(dst, uint64(rec.D))
+	dst = wire.AppendUvarint(dst, uint64(uint32(rec.U)))
+	dst = wire.AppendUvarint(dst, uint64(uint32(rec.V)))
 	return dst
 }
 
 // readCrossEntry decodes one cross-table record and rejects one that is
 // well-formed but cannot belong to this query: the key's halves must be two
-// distinct terminals in (s < t) order — anything else would read seedIdx's
-// zero value and union terminal 0's fragment — and the bridge endpoints must
-// be vertices, because phase 6 hands them to Owns and Send.
-func (env *solveEnv) readCrossEntry(d *wire.Dec) (int64, crossEdge, error) {
-	k := d.Varint()
-	ce := crossEdge{
-		D: graph.Dist(d.Uvarint()),
-		U: graph.VID(int32(d.Uvarint())),
-		V: graph.VID(int32(d.Uvarint())),
-	}
+// distinct terminals in (s < t) order — anything else would union the
+// wrong fragments — the distance must not be negative, which would win every
+// round, and the bridge endpoints must be vertices, because phase 6 hands
+// them to Owns and Send.
+func (env *solveEnv) readCrossEntry(d *wire.Dec) (crossRec, error) {
+	rec := crossRec{key: d.Varint()}
+	rec.D = graph.Dist(d.Uvarint())
+	rec.U = graph.VID(int32(d.Uvarint()))
+	rec.V = graph.VID(int32(d.Uvarint()))
 	if err := d.Err(); err != nil {
-		return 0, ce, err
+		return crossRec{}, err
 	}
-	s, t := unpackSeedKey(k)
-	_, sok := env.seedIdx[s]
-	_, tok := env.seedIdx[t]
+	s, t := unpackSeedKey(rec.key)
+	rec.a, rec.b = env.seedIndex(s), env.seedIndex(t)
 	n := graph.VID(env.comm.Partition().NumVertices())
-	if !sok || !tok || s >= t || ce.U < 0 || ce.U >= n || ce.V < 0 || ce.V >= n {
-		return 0, ce, fmt.Errorf("%w: cross edge {%d, %d} for cell pair (%d, %d)", wire.ErrCorrupt, ce.U, ce.V, s, t)
+	if rec.a < 0 || rec.b < 0 || s >= t || rec.D < 0 || rec.U < 0 || rec.U >= n || rec.V < 0 || rec.V >= n {
+		return crossRec{}, fmt.Errorf("%w: cross edge {%d, %d} at distance %d for cell pair (%d, %d)",
+			wire.ErrCorrupt, rec.U, rec.V, rec.D, s, t)
 	}
-	return k, ce, nil
+	return rec, nil
 }
 
 // decodeCrossEntries folds every record of a cross-table blob into table
 // under the pickCross total order.
-func (env *solveEnv) decodeCrossEntries(blob []byte, table map[int64]crossEdge) error {
+func (env *solveEnv) decodeCrossEntries(blob []byte, table *pairTable) error {
 	d := wire.NewDec(blob)
 	for d.Len() > 0 {
-		k, ce, err := env.readCrossEntry(d)
+		rec, err := env.readCrossEntry(d)
 		if err != nil {
 			return err
 		}
-		foldCross(table, k, ce)
+		table.fold(rec)
 	}
 	return nil
 }
@@ -358,24 +423,24 @@ func (env *solveEnv) decodeCrossEntries(blob []byte, table map[int64]crossEdge) 
 // appendProposal appends one round proposal: the proposing fragment, then
 // the cross-table record it proposes.
 func appendProposal(dst []byte, p fragProposal) []byte {
-	return appendCrossEntry(wire.AppendUvarint(dst, uint64(uint32(p.frag))), p.key, p.crossEdge)
+	return appendCrossEntry(wire.AppendUvarint(dst, uint64(uint32(p.frag))), p.crossRec)
 }
 
 // decodeProposals appends a round blob's proposals to into. Besides the
 // record's own checks, the proposing fragment must be a terminal index: the
-// winner table is keyed by it.
+// winner array is indexed by it.
 func (env *solveEnv) decodeProposals(blob []byte, into []fragProposal) ([]fragProposal, error) {
 	d := wire.NewDec(blob)
 	for d.Len() > 0 {
 		frag := int32(d.Uvarint())
-		k, ce, err := env.readCrossEntry(d)
+		rec, err := env.readCrossEntry(d)
 		if err != nil {
 			return into, err
 		}
 		if frag < 0 || int(frag) >= len(env.dedup) {
 			return into, fmt.Errorf("%w: proposal from fragment %d of %d", wire.ErrCorrupt, frag, len(env.dedup))
 		}
-		into = append(into, fragProposal{frag: frag, key: k, crossEdge: ce})
+		into = append(into, fragProposal{frag: frag, crossRec: rec})
 	}
 	return into, nil
 }

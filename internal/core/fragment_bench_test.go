@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// BenchmarkFragmentMST times a warm loopback engine at high terminal count —
-// the regime where the cross-edge table is largest and phases 3–5 carry the
-// solve. Tracked by benchgate so the loopback cost of the fragment merge
-// can't drift silently PR over PR.
+// BenchmarkFragmentMST times a warm loopback solve at k = 512 on 4 ranks —
+// the regime where the cross-edge table is largest and phases 2–5 plus rank
+// 0's tree merge and result check carry a large share of the solve. Those
+// run on pooled flat tables and sorted slices, so a map or a per-query
+// allocation creeping back shows here; benchgate gates it.
 func BenchmarkFragmentMST(b *testing.B) {
 	const n, k = 4000, 512
 	g := engineTestGraph(41, n)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"dsteiner/internal/gen"
 	"dsteiner/internal/graph"
 	rt "dsteiner/internal/runtime"
 )
@@ -71,4 +73,71 @@ func TestFragmentTCPWireBytes(t *testing.T) {
 		t.Fatalf("cross-table bytes unreported: tree=%d prize=%d", got.CrossTableBytes, want.CrossTableBytes)
 	}
 	t.Logf("k=512 cross-table wire bytes: tree=%d prize=%d", got.CrossTableBytes, want.CrossTableBytes)
+}
+
+// TestWarmManyTerminalAllocs bounds what one warm many-terminal query
+// allocates on the grid-manyterm-modes shape (128×256 grid, weights 1–100,
+// 2 ranks): a tree query over 2,048 terminals, a forest of 512 star groups
+// and a prize query over 1,024 terminals must each stay under 1 MB. The
+// phase 2–4 tables and rank 0's result check are pooled or flat, so what is
+// left is the answer itself, the exchanged blobs and the prize plan.
+func TestWarmManyTerminalAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("floods a 32K-vertex grid with thousands of terminals")
+	}
+	g := gen.Config{Name: "grid", Kind: gen.KindGrid2D, N: 128 * 256, Rows: 128, Cols: 256,
+		MaxWeight: 100, Seed: 1}.MustBuild()
+	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(7))
+	var groups [][]graph.VID
+	taken := map[graph.VID]bool{}
+	for len(groups) < 512 {
+		c := graph.VID(rng.Intn(n))
+		nbrs, _ := g.Adj(c)
+		grp := []graph.VID{c}
+		for _, u := range nbrs {
+			if len(grp) < 4 && !taken[u] {
+				grp = append(grp, u)
+			}
+		}
+		if taken[c] || len(grp) < 2 {
+			continue
+		}
+		for _, v := range grp {
+			taken[v] = true
+		}
+		groups = append(groups, grp)
+	}
+	prize := QuerySpec{Mode: ModePrize, Seeds: pickEngineSeeds(rng, n, 1024)}
+	for range prize.Seeds {
+		prize.Penalties = append(prize.Penalties, graph.Dist(rng.Int63n(400)))
+	}
+	e, err := NewEngine(g, Default(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, tc := range []struct {
+		name string
+		spec QuerySpec
+	}{
+		{"tree", TreeSpec(pickEngineSeeds(rng, n, 2048))},
+		{"forest", QuerySpec{Mode: ModeForest, Groups: groups}},
+		{"prize", prize},
+	} {
+		if _, err := e.SolveSpec(tc.spec); err != nil { // warm the pools
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := e.SolveSpec(tc.spec); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		runtime.ReadMemStats(&m1)
+		kb := float64(m1.TotalAlloc-m0.TotalAlloc) / 1024
+		t.Logf("%s: %.0f KB", tc.name, kb)
+		if kb >= 1024 {
+			t.Errorf("%s query allocated %.0f KB warm, want < 1 MB", tc.name, kb)
+		}
+	}
 }

@@ -13,36 +13,30 @@ import (
 // [lo, hi) beside its transport. Everything global flows through
 // collectives, so the body cannot tell the two apart.
 type rankHost struct {
-	comm *rt.Comm
-	bsp  bool // traversals run bulk-synchronous (Options.BSP)
+	comm  *rt.Comm
+	bsp   bool        // traversals run bulk-synchronous (Options.BSP)
+	pools []*rankPool // per-rank pooled state, by GLOBAL rank id
+	seeds slotTable   // the query's terminal -> dense index, shared read-only
+}
 
-	// Pooled per-query scratch, reset in O(query) by run.
-	localENs []map[int64]crossEdge // per-rank E_N tables
-	pruneds  []map[int64]crossEdge // per-rank phase-5 survivors
-	trees    [][]graph.Edge        // per-rank phase-6 edge accumulators
-	owneds   []map[int64]crossEdge // per-rank fragment-merge table shards
-	frags    [][]int32             // per-rank fragment-label arrays
-	seedIdx  map[graph.VID]int32   // seed -> dense index, rebuilt per query
+// rankPool is one rank's pooled per-query state. Each phase resets what it
+// uses in O(1) or O(k) and every field keeps its capacity between queries.
+type rankPool struct {
+	localEN pairTable      // phase 2's E_N table
+	owned   pairTable      // phase 3's routed table shard, sorted by phase 4
+	pruned  []crossRec     // phase 4's chosen edges, the same set on every rank
+	labels  []int32        // phase 4's label-indexed frag/best/winner arrays
+	props   []fragProposal // phase 4's own proposals of one round
+	all     []fragProposal // phase 4's proposals of every rank in one round
+	tree    []graph.Edge   // phase 6's edges; rank 0 appends the others' runs
 }
 
 // newRankHost pools the scratch for comm's hosted ranks.
 func newRankHost(comm *rt.Comm, bsp bool) *rankHost {
-	p := comm.NumRanks()
-	h := &rankHost{
-		comm:     comm,
-		bsp:      bsp,
-		localENs: make([]map[int64]crossEdge, p),
-		pruneds:  make([]map[int64]crossEdge, p),
-		trees:    make([][]graph.Edge, p),
-		owneds:   make([]map[int64]crossEdge, p),
-		frags:    make([][]int32, p),
-		seedIdx:  make(map[graph.VID]int32),
-	}
+	h := &rankHost{comm: comm, bsp: bsp, pools: make([]*rankPool, comm.NumRanks())}
 	lo, hi := comm.HostRange()
 	for rank := lo; rank < hi; rank++ {
-		h.localENs[rank] = map[int64]crossEdge{}
-		h.pruneds[rank] = map[int64]crossEdge{}
-		h.owneds[rank] = map[int64]crossEdge{}
+		h.pools[rank] = &rankPool{}
 	}
 	return h
 }
@@ -55,16 +49,9 @@ func newRankHost(comm *rt.Comm, bsp bool) *rankHost {
 // unwinds through here.
 func (h *rankHost) run(cq canonQuery) (*Result, error) {
 	h.comm.ResetStateSlabs() // O(P) epoch bumps, one per rank slab
-	lo, hi := h.comm.HostRange()
-	for rank := lo; rank < hi; rank++ {
-		clear(h.localENs[rank])
-		clear(h.pruneds[rank])
-		clear(h.owneds[rank])
-		h.trees[rank] = h.trees[rank][:0]
-	}
-	clear(h.seedIdx)
+	h.seeds.reset()
 	for i, s := range cq.dedup {
-		h.seedIdx[s] = int32(i)
+		h.seeds.put(int64(s), int32(i))
 	}
 	env := &solveEnv{
 		rankHost:  h,
@@ -87,7 +74,7 @@ func (h *rankHost) tableLens() []int64 {
 	lo, hi := h.comm.HostRange()
 	lens := make([]int64, 0, hi-lo)
 	for rank := lo; rank < hi; rank++ {
-		lens = append(lens, int64(len(h.localENs[rank])))
+		lens = append(lens, int64(len(h.pools[rank].localEN.recs)))
 	}
 	return lens
 }

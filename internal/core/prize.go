@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dsteiner/internal/graph"
 	"dsteiner/internal/mst"
@@ -68,21 +69,24 @@ func prizePlan(nT int, edges []mst.WEdge, penalty []graph.Dist) []bool {
 	return keep
 }
 
-// sortedWUV returns a copy of edges in (W, U, V) order, the enumeration
-// order every tie in the plan falls back on.
+// sortedWUV returns edges in (W, U, V) order, the enumeration order every
+// tie in the plan falls back on: edges itself when already so (as phase 4's
+// sorted shard is), else a sorted copy.
 func sortedWUV(edges []mst.WEdge) []mst.WEdge {
-	sorted := make([]mst.WEdge, len(edges))
-	copy(sorted, edges)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := sorted[i], sorted[j]
-		if a.W != b.W {
-			return a.W < b.W
+	cmpWUV := func(a, b mst.WEdge) int {
+		if c := cmp.Compare(a.W, b.W); c != 0 {
+			return c
 		}
-		if a.U != b.U {
-			return a.U < b.U
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
 		}
-		return a.V < b.V
-	})
+		return cmp.Compare(a.V, b.V)
+	}
+	if slices.IsSortedFunc(edges, cmpWUV) {
+		return edges
+	}
+	sorted := slices.Clone(edges)
+	slices.SortFunc(sorted, cmpWUV)
 	return sorted
 }
 
@@ -130,7 +134,7 @@ func growMoats(nT int, sorted []mst.WEdge, penalty []graph.Dist, totalPen int64)
 	moatVer := make([]int32, nT)
 	candidates := make([][]int32, nT, 2*nT+1)
 	var clock int64
-	var moats, edgeQ eventQueue
+	moats, edgeQ := make(eventQueue, 0, 2*nT), make(eventQueue, 0, 2*len(sorted))
 	activeCount := 0
 
 	growth := func(r int32) int64 {

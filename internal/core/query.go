@@ -16,9 +16,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dsteiner/internal/graph"
 )
@@ -158,11 +159,11 @@ func canonSpec(n int, spec QuerySpec, seen map[graph.VID]bool) (canonQuery, erro
 				seen[s] = true
 				cg = append(cg, s)
 			}
-			sort.Slice(cg, func(i, j int) bool { return cg[i] < cg[j] })
+			slices.Sort(cg)
 			groups[gi] = cg
 			total += len(cg)
 		}
-		sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
+		slices.SortFunc(groups, func(a, b []graph.VID) int { return cmp.Compare(a[0], b[0]) })
 		// Merge the sorted groups into the sorted terminal union; groups
 		// are disjoint, so a flat sort of (vid, group) pairs suffices.
 		type tagged struct {
@@ -175,7 +176,7 @@ func canonSpec(n int, spec QuerySpec, seen map[graph.VID]bool) (canonQuery, erro
 				all = append(all, tagged{s, int32(gi)})
 			}
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
+		slices.SortFunc(all, func(a, b tagged) int { return cmp.Compare(a.v, b.v) })
 		dedup := make([]graph.VID, len(all))
 		groupOf := make([]int32, len(all))
 		for i, t := range all {
@@ -244,11 +245,23 @@ func CanonicalSpec(n int, spec QuerySpec) (QuerySpec, error) {
 
 // finalizeResult derives the mode-specific outputs from the assembled tree
 // — per-group subtrees for forest, paid penalties and the achieved
-// objective for prize — and runs mode-aware validation. It is shared by the
-// loopback path and the TCP coordinator path, so both backends publish
-// identical Results from identical trees.
+// objective for prize — counts the Steiner vertices and runs mode-aware
+// validation. It is shared by the loopback path and the TCP coordinator
+// path, so both backends publish identical Results from identical trees.
 func finalizeResult(g *graph.Graph, cq canonQuery, res *Result, skipValidation bool) error {
 	res.Mode = cq.spec.Mode
+	// check validates one tree over the terminals it must span and counts
+	// its Steiner vertices: a tree has one vertex more than it has edges, and
+	// every terminal it spans is one of them.
+	check := func(terms []graph.VID, tree []graph.Edge) error {
+		if len(tree) > 0 {
+			res.SteinerVertices += len(tree) + 1 - len(terms)
+		}
+		if skipValidation {
+			return nil
+		}
+		return graph.ValidateSteinerTree(g, terms, tree)
+	}
 	switch cq.spec.Mode {
 	case ModeForest:
 		res.Groups = cq.spec.Groups
@@ -258,42 +271,35 @@ func finalizeResult(g *graph.Graph, cq canonQuery, res *Result, skipValidation b
 		}
 		res.GroupTrees = trees
 		res.Objective = res.TotalDistance
-		if !skipValidation {
-			for gi, grp := range cq.spec.Groups {
-				if err := graph.ValidateSteinerTree(g, grp, trees[gi]); err != nil {
-					return fmt.Errorf("core: internal error, invalid group %d subtree: %w", gi, err)
-				}
+		for gi, grp := range cq.spec.Groups {
+			if err := check(grp, trees[gi]); err != nil {
+				return fmt.Errorf("core: internal error, invalid group %d subtree: %w", gi, err)
 			}
 		}
 	case ModePrize:
-		skipped := make(map[graph.VID]bool, len(res.Skipped))
-		for _, s := range res.Skipped {
-			skipped[s] = true
-		}
+		// Skipped is a sorted subset of the sorted terminals.
 		kept := make([]graph.VID, 0, len(cq.dedup)-len(res.Skipped))
 		res.PaidPenalty = 0
+		skipped := res.Skipped
 		for i, s := range cq.dedup {
-			if skipped[s] {
+			if len(skipped) > 0 && skipped[0] == s {
 				res.PaidPenalty += cq.penalty[i]
+				skipped = skipped[1:]
 			} else {
 				kept = append(kept, s)
 			}
 		}
 		res.Objective = res.TotalDistance + res.PaidPenalty
-		if !skipValidation {
-			if len(kept) == 0 {
-				return fmt.Errorf("core: internal error, prize query kept no terminal")
-			}
-			if err := graph.ValidateSteinerTree(g, kept, res.Tree); err != nil {
-				return fmt.Errorf("core: internal error, invalid output: %w", err)
-			}
+		if !skipValidation && len(kept) == 0 {
+			return fmt.Errorf("core: internal error, prize query kept no terminal")
+		}
+		if err := check(kept, res.Tree); err != nil {
+			return fmt.Errorf("core: internal error, invalid output: %w", err)
 		}
 	default:
 		res.Objective = res.TotalDistance
-		if !skipValidation {
-			if err := graph.ValidateSteinerTree(g, cq.dedup, res.Tree); err != nil {
-				return fmt.Errorf("core: internal error, invalid output: %w", err)
-			}
+		if err := check(cq.dedup, res.Tree); err != nil {
+			return fmt.Errorf("core: internal error, invalid output: %w", err)
 		}
 	}
 	return nil
@@ -304,50 +310,25 @@ func finalizeResult(g *graph.Graph, cq canonQuery, res *Result, skipValidation b
 // are each claimed by the group whose terminals they contain; a component
 // touching two groups, or none, is a solver bug and returns an error.
 func splitGroupTrees(groups [][]graph.VID, tree []graph.Edge) ([][]graph.Edge, error) {
-	idx := make(map[graph.VID]int, 2*len(tree))
-	for _, e := range tree {
-		for _, v := range [2]graph.VID{e.U, e.V} {
-			if _, ok := idx[v]; !ok {
-				idx[v] = len(idx)
-			}
-		}
-	}
-	parent := make([]int, len(idx))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range tree {
-		ru, rv := find(idx[e.U]), find(idx[e.V])
-		if ru != rv {
-			parent[ru] = rv
-		}
-	}
-	compGroup := make(map[int]int, len(groups))
+	verts, comp := graph.EdgeComponents(tree)
+	claim := make([]int, len(verts)) // by component: 1 + the group claiming it
 	for gi, grp := range groups {
 		for _, t := range grp {
-			j, ok := idx[t]
+			j, ok := slices.BinarySearch(verts, t)
 			if !ok {
 				continue // singleton group: no tree vertices needed
 			}
-			r := find(j)
-			if prev, claimed := compGroup[r]; claimed && prev != gi {
-				return nil, fmt.Errorf("tree component joins groups %d and %d", prev, gi)
+			if c := claim[comp[j]]; c != 0 && c != gi+1 {
+				return nil, fmt.Errorf("tree component joins groups %d and %d", c-1, gi)
 			}
-			compGroup[r] = gi
+			claim[comp[j]] = gi + 1
 		}
 	}
 	out := make([][]graph.Edge, len(groups))
 	for _, e := range tree {
-		gi, ok := compGroup[find(idx[e.U])]
-		if !ok {
+		j, _ := slices.BinarySearch(verts, e.U)
+		gi := claim[comp[j]] - 1
+		if gi < 0 {
 			return nil, fmt.Errorf("tree component through %d-%d contains no terminal", e.U, e.V)
 		}
 		out[gi] = append(out[gi], e)

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"time"
 
@@ -42,7 +42,28 @@ func pickCross(a, b crossEdge) crossEdge {
 	return a
 }
 
-// seedKey packs an ordered seed pair (s < t) into a map key.
+// crossRec is one E_N record: a cell pair's seedKey, the dense terminal
+// indices of its two seeds (a < b, resolved once per pair) and its bridge.
+type crossRec struct {
+	key  int64
+	a, b int32
+	crossEdge
+}
+
+// compareCross orders records by (D, key) — the same total order as
+// pickCross and mst.Kruskal's (W, U, V) sort: dense seed indices are
+// monotone in seed VID (dedup is sorted), so key order equals (U, V) order.
+// Under a strict total order the minimum spanning forest is unique, which is
+// what makes the fragment merge's chosen edge set byte-identical to
+// sequential Kruskal's.
+func compareCross(x, y crossRec) int {
+	if c := cmp.Compare(x.D, y.D); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.key, y.key)
+}
+
+// seedKey packs an ordered seed pair (s < t) into a table key.
 func seedKey(s, t graph.VID) int64 {
 	if s > t {
 		s, t = t, s
@@ -93,40 +114,13 @@ func SolveQuery(g *graph.Graph, spec QuerySpec, opts Options) (*Result, error) {
 	return e.SolveSpec(spec)
 }
 
-// countSteinerVertices counts tree vertices that are not seeds. seeds must
-// be sorted (Solve's dedup guarantees it). Sorted-slice dedup plus a merge
-// against the seed list keeps this map-free — on large trees the map
-// version's overflow buckets dominated a warm Engine solve's allocations.
-func countSteinerVertices(tree []graph.Edge, seeds []graph.VID) int {
-	verts := make([]graph.VID, 0, 2*len(tree))
-	for _, e := range tree {
-		verts = append(verts, e.U, e.V)
-	}
-	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
-	count := 0
-	si := 0
-	for i, v := range verts {
-		if i > 0 && verts[i-1] == v {
-			continue
-		}
-		for si < len(seeds) && seeds[si] < v {
-			si++
-		}
-		if si < len(seeds) && seeds[si] == v {
-			continue
-		}
-		count++
-	}
-	return count
-}
-
 // memoryStats models the Fig. 8 accounting: measured sizes for the graph,
 // per-rank shards, control state (rank-local slabs) and edge tables, plus a
 // buffer-residency model (P outgoing buffers per rank at the configured
 // batch size). tableLens holds the per-rank E_N table sizes — on the TCP
 // backend the tables live in the workers and only their sizes travel back.
 func memoryStats(g *graph.Graph, shard ShardStats, tableLens []int64, res *Result, opts Options) MemoryStats {
-	const crossEntryBytes = 8 + 16 + 8 // key + crossEdge + map overhead approx
+	const crossEntryBytes = 8 + 8 + 16 // one flat crossRec: key + dense pair + crossEdge
 	const msgBytes = 24
 	var tableBytes int64
 	for _, n := range tableLens {

@@ -2,11 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dsteiner/internal/faultpoint"
 	"dsteiner/internal/graph"
-	"dsteiner/internal/mst"
 	rt "dsteiner/internal/runtime"
 	"dsteiner/internal/voronoi"
 	"dsteiner/internal/wire"
@@ -22,7 +21,7 @@ type solveEnv struct {
 	*rankHost
 
 	// Per-query inputs, identical on every process: the sorted terminals
-	// (seedIdx maps them back to dense indices), the query mode, the
+	// (seedIndex maps them back to dense indices), the query mode, the
 	// dense-terminal→group map and group count (forest; nil/0 otherwise) and
 	// the dense-terminal penalties (prize; nil otherwise).
 	dedup     []graph.VID
@@ -41,8 +40,7 @@ type solveEnv struct {
 // SPMD on every rank of the communicator — local or remote — with an
 // identically-initialized env.
 func (env *solveEnv) rankBody(r *rt.Rank) {
-	dedup, seedIdx := env.dedup, env.seedIdx
-	res := env.res
+	dedup, res := env.dedup, env.res
 	rec := &recorder{comm: env.comm, res: res}
 	rec.lo, _ = env.comm.HostRange()
 
@@ -64,7 +62,9 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// Phase 2: local min-distance cross-cell edges (Alg. 5,
 	// LOCAL_MIN_DIST_EDGE_ASYNC). The owner of each edge's lower endpoint u
 	// records the candidate, so it needs the label of v = the higher one.
-	localEN := env.localENs[r.ID()]
+	sc := env.pools[r.ID()]
+	localEN := &sc.localEN
+	localEN.reset()
 	// record folds arc {u, v} — u in su's cell at distance du, v in sv's at
 	// dv, weight w — into the table if it bridges two cells.
 	record := func(u, v graph.VID, su, sv graph.VID, du, dv graph.Dist, w uint32) {
@@ -74,10 +74,10 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 		// Forest mode: a candidate joining cells of two different groups
 		// can never appear in any group's tree, so it is excluded here —
 		// the merged distance graph then holds intra-group edges only.
-		if env.groupOf != nil && env.groupOf[seedIdx[su]] != env.groupOf[seedIdx[sv]] {
+		if env.groupOf != nil && env.groupOf[env.seedIndex(su)] != env.groupOf[env.seedIndex(sv)] {
 			return
 		}
-		foldCross(localEN, seedKey(su, sv), crossEdge{D: du + graph.Dist(w) + dv, U: u, V: v})
+		localEN.fold(crossRec{key: seedKey(su, sv), crossEdge: crossEdge{D: du + graph.Dist(w) + dv, U: u, V: v}})
 	}
 	faultpoint.Hit("solve.phase2")
 	rec.phase(r, PhaseLocalMinEdge, func() int64 {
@@ -87,12 +87,12 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// Phase 3: global min-distance edges. The fragment merge routes each
 	// record to the rank owning the pair's lower seed (a prize query's to
 	// rank 0, which plans it), leaving a disjoint table shard per rank.
-	var owned map[int64]crossEdge
+	var owned []crossRec
 	fs := &fragStats{}
 	ok := true
 	faultpoint.Hit("solve.phase3")
 	rec.phase(r, PhaseGlobalMinEdge, func() int64 {
-		owned, ok = env.fragmentRoute(r, localEN, fs)
+		owned, ok = env.fragmentRoute(r, localEN.recs, fs)
 		return 0
 	})
 	if !ok {
@@ -100,12 +100,10 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	}
 
 	// Phase 4: MST of the distance graph G'₁ (Alg. 3 line 17): distributed
-	// Borůvka rounds over the sharded table. seedIdx is shared read-only
-	// (built before the SPMD body).
-	pruned := env.pruneds[r.ID()]
+	// Borůvka rounds over the sharded table.
 	faultpoint.Hit("solve.phase4")
 	rec.phase(r, PhaseMST, func() int64 {
-		ok = env.fragmentMST(r, owned, pruned, fs)
+		ok = env.fragmentMST(r, owned, fs)
 		return 0
 	})
 	if !ok {
@@ -124,14 +122,14 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// The walked marks are epoch-versioned like the Voronoi state,
 	// so no O(|V|) bitmap is re-zeroed between queries, and the
 	// per-rank accumulator keeps its capacity (the published tree
-	// is a sorted copy, so reuse cannot leak across queries).
-	localTree := env.trees[r.ID()]
+	// is a merged copy, so reuse cannot leak across queries).
+	localTree := sc.tree[:0]
 	faultpoint.Hit("solve.phase6")
 	rec.phase(r, PhaseTreeEdge, func() int64 {
 		ts := r.Traverse(&rt.Traversal{
 			BSP: env.bsp,
 			Init: func(r *rt.Rank) {
-				for _, ce := range pruned {
+				for _, ce := range sc.pruned {
 					if !r.Owns(ce.U) {
 						continue // u's home partition records the edge
 					}
@@ -160,34 +158,54 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 		})
 		return ts.Processed
 	})
-	env.trees[r.ID()] = localTree // keep the grown capacity pooled
+	sc.tree = localTree // keep the grown capacity pooled
 
-	// Gather the final tree: every other rank's piece travels as one encoded
-	// blob addressed to rank 0, the only reader, which sorts and publishes.
+	// Gather the final tree: every rank sorts its own piece, the others send
+	// theirs as one encoded blob addressed to rank 0, the only reader, which
+	// merges the sorted runs and publishes.
+	slices.SortFunc(localTree, graph.CompareEdges)
 	var out []rt.Blob
 	if r.ID() != 0 && len(localTree) > 0 {
-		out = append(out, rt.Blob{Src: r.ID(), Dest: 0, Blob: wire.EncodeEdges(nil, localTree)})
+		out = append(out, rt.Blob{Src: r.ID(), Dest: 0, Blob: wire.EncodeEdges(make([]byte, 0, 8*len(localTree)), localTree)})
 	}
 	parts := rt.Exchange(r, out)
 	if r.ID() != 0 {
 		return
 	}
-	tree := append([]graph.Edge(nil), localTree...)
+	runs, buf := [][]graph.Edge{localTree}, localTree
 	for _, fb := range parts {
 		var err error
-		if tree, err = wire.DecodeEdges(fb.Blob, tree); err != nil {
+		start := len(buf)
+		if buf, err = wire.DecodeEdges(fb.Blob, buf); err != nil {
 			env.err = fmt.Errorf("core: tree gather from rank %d: %w", fb.Src, err)
 			return
 		}
+		runs = append(runs, buf[start:])
 	}
-	sort.Slice(tree, func(i, j int) bool {
-		if tree[i].U != tree[j].U {
-			return tree[i].U < tree[j].U
+	sc.tree = buf
+	res.Tree = mergeRuns(runs, len(buf))
+	res.TotalDistance = graph.TotalWeight(res.Tree)
+}
+
+// mergeRuns merges (U, V)-sorted edge runs, n edges in all, into one fresh
+// sorted slice, nil when empty. Runs are few (one per rank), so each step
+// scans their heads.
+func mergeRuns(runs [][]graph.Edge, n int) []graph.Edge {
+	var out []graph.Edge
+	if n > 0 {
+		out = make([]graph.Edge, 0, n)
+	}
+	for len(out) < n {
+		next := -1
+		for i, run := range runs {
+			if len(run) > 0 && (next < 0 || graph.CompareEdges(run[0], runs[next][0]) < 0) {
+				next = i
+			}
 		}
-		return tree[i].V < tree[j].V
-	})
-	res.Tree = tree
-	res.TotalDistance = graph.TotalWeight(tree)
+		out = append(out, runs[next][0])
+		runs[next] = runs[next][1:]
+	}
+	return out
 }
 
 // haloPhase2 is phase 2 on rank-local state: one halo push, then a local
@@ -247,41 +265,4 @@ func haloPhase2(r *rt.Rank, sl *voronoi.StateSlab, bsp bool,
 		}
 	}
 	return ts.Processed
-}
-
-// forestDisconnectedErr names the first forest group whose terminals the
-// group-filtered distance graph cannot connect.
-func forestDisconnectedErr(groupOf []int32, numGroups, nT int, edges []mst.WEdge) error {
-	uf := make([]int32, nT)
-	for i := range uf {
-		uf[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for uf[x] != x {
-			uf[x] = uf[uf[x]]
-			x = uf[x]
-		}
-		return x
-	}
-	for _, e := range edges {
-		if ru, rv := find(e.U), find(e.V); ru != rv {
-			uf[ru] = rv
-		}
-	}
-	comps := make([]int, numGroups)
-	seen := make(map[int32]bool, nT)
-	for i := 0; i < nT; i++ {
-		r := find(int32(i))
-		if !seen[r] {
-			seen[r] = true
-			comps[groupOf[i]]++
-		}
-	}
-	for gi, c := range comps {
-		if c > 1 {
-			return fmt.Errorf("core: forest group %d spans %d connected components; each group must be connected",
-				gi, c)
-		}
-	}
-	return fmt.Errorf("core: forest groups are not all connected")
 }

@@ -13,6 +13,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 )
@@ -45,6 +46,14 @@ func (e Edge) Canon() Edge {
 		e.U, e.V = e.V, e.U
 	}
 	return e
+}
+
+// CompareEdges orders edges by (U, V), the order of a published tree.
+func CompareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
 }
 
 // Graph is an immutable undirected weighted graph in CSR form.

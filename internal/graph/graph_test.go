@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -225,24 +227,29 @@ func TestConnectedComponents(t *testing.T) {
 }
 
 func TestCheckTree(t *testing.T) {
-	tree := []Edge{{0, 1, 1}, {1, 2, 1}, {1, 3, 1}}
-	chk := CheckTree(tree)
-	if !chk.Connected || !chk.Acyclic || chk.NumVertices != 4 {
-		t.Errorf("tree misclassified: %+v", chk)
+	check := func(edges []Edge) (n, comps int, acyclic bool) {
+		verts, _, _, comps, acyclic := scanTree(sortedCanon(edges))
+		return len(verts), comps, acyclic
 	}
-	cyc := []Edge{{0, 1, 1}, {1, 2, 1}, {2, 0, 1}}
-	chk = CheckTree(cyc)
-	if chk.Acyclic {
-		t.Errorf("cycle misclassified: %+v", chk)
+	if n, comps, acyclic := check([]Edge{{0, 1, 1}, {1, 2, 1}, {1, 3, 1}}); comps != 1 || !acyclic || n != 4 {
+		t.Errorf("tree misclassified: %d vertices, %d components, acyclic %v", n, comps, acyclic)
 	}
-	disc := []Edge{{0, 1, 1}, {2, 3, 1}}
-	chk = CheckTree(disc)
-	if chk.Connected {
-		t.Errorf("forest misclassified: %+v", chk)
+	if _, _, acyclic := check([]Edge{{0, 1, 1}, {1, 2, 1}, {2, 0, 1}}); acyclic {
+		t.Error("cycle misclassified")
 	}
-	empty := CheckTree(nil)
-	if !empty.Connected || !empty.Acyclic {
-		t.Errorf("empty set should be a trivial tree: %+v", empty)
+	if _, _, acyclic := check([]Edge{{0, 1, 1}, {1, 0, 1}}); acyclic {
+		t.Error("repeated edge not counted as a cycle")
+	}
+	if _, comps, _ := check([]Edge{{0, 1, 1}, {2, 3, 1}}); comps != 2 {
+		t.Errorf("forest misclassified: %d components", comps)
+	}
+	if _, comps, acyclic := check(nil); comps > 1 || !acyclic {
+		t.Errorf("empty set should be a trivial tree: %d components, acyclic %v", comps, acyclic)
+	}
+	verts, comp := EdgeComponents([]Edge{{5, 1, 1}, {7, 9, 1}, {1, 3, 1}})
+	if !slices.Equal(verts, []VID{1, 3, 5, 7, 9}) || comp[0] != comp[1] || comp[1] != comp[2] ||
+		comp[3] != comp[4] || comp[0] == comp[3] {
+		t.Errorf("components of {1,3,5} and {7,9}: verts %v, comp %v", verts, comp)
 	}
 }
 
@@ -274,6 +281,13 @@ func TestValidateSteinerTree(t *testing.T) {
 	bad[0] = Edge{0, 8, 1}
 	if err := ValidateSteinerTree(g, seeds, bad); err == nil {
 		t.Fatal("phantom edge accepted")
+	}
+	// Endpoints outside the graph, either side: an error, not a panic.
+	for _, e := range []Edge{{-1, 2, 1}, {2, -1, 1}, {0, 9, 1}, {9, 0, 1}} {
+		bad = append(append([]Edge(nil), tree...), e)
+		if err := ValidateSteinerTree(g, seeds, bad); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Fatalf("edge %v: %v, want an out-of-range error", e, err)
+		}
 	}
 	// Single seed, empty tree.
 	if err := ValidateSteinerTree(g, []VID{3}, nil); err != nil {

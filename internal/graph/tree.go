@@ -35,66 +35,95 @@ func WriteDOT(w io.Writer, tree []Edge, seeds []VID) {
 	fmt.Fprintln(w, "}")
 }
 
-// TreeCheck reports structural facts about an edge set interpreted as a
-// subgraph of some background graph.
-type TreeCheck struct {
-	NumVertices int  // distinct endpoints
-	NumEdges    int  // edges in the set
-	Connected   bool // single connected piece
-	Acyclic     bool // |E| == |V|-1 and connected implies tree
+// sortedCanon returns edges canonical and in (U, V) order: edges itself
+// when they already are, as a solve publishes its tree, else a sorted copy.
+func sortedCanon(edges []Edge) []Edge {
+	for i, e := range edges {
+		if e.U > e.V || (i > 0 && CompareEdges(edges[i-1], e) > 0) {
+			sorted := make([]Edge, len(edges))
+			for j, e := range edges {
+				sorted[j] = e.Canon()
+			}
+			slices.SortFunc(sorted, CompareEdges)
+			return sorted
+		}
+	}
+	return edges
 }
 
-// CheckTree analyses an edge multiset. Duplicate edges count as cycles.
-func CheckTree(edges []Edge) TreeCheck {
-	if len(edges) == 0 {
-		return TreeCheck{Connected: true, Acyclic: true}
+// scanTree joins the endpoints of canonical edges in (U, V) order by
+// union-find on dense int32 indices: verts are the distinct endpoints in
+// increasing order, deg their degrees, root[j] the index of verts[j]'s
+// component representative and comps the component count; acyclic is false
+// once an edge closes a cycle (a repeated edge does). The U ends already come
+// in vertex order; the V ends are sorted as (vertex, edge) words and merged
+// with them to number the vertices.
+func scanTree(edges []Edge) (verts []VID, deg, root []int32, comps int, acyclic bool) {
+	m := len(edges)
+	vs := make([]int64, m)
+	for i, e := range edges {
+		vs[i] = int64(e.V)<<32 | int64(i)
 	}
-	// Collect endpoints and map to dense indices.
-	idx := make(map[VID]int, len(edges)*2)
-	for _, e := range edges {
-		if _, ok := idx[e.U]; !ok {
-			idx[e.U] = len(idx)
+	slices.Sort(vs)
+	end := make([]int32, 2*m) // dense index of edge i's U at 2i, of its V at 2i+1
+	verts, deg = make([]VID, 0, m+1), make([]int32, 0, m+1)
+	for i, j := 0, 0; i < m || j < m; {
+		var v VID
+		var slot int
+		if j == m || (i < m && edges[i].U <= VID(vs[j]>>32)) {
+			v, slot = edges[i].U, 2*i
+			i++
+		} else {
+			v, slot = VID(vs[j]>>32), 2*int(uint32(vs[j]))+1
+			j++
 		}
-		if _, ok := idx[e.V]; !ok {
-			idx[e.V] = len(idx)
+		if len(verts) == 0 || verts[len(verts)-1] != v {
+			verts, deg = append(verts, v), append(deg, 0)
 		}
+		deg[len(deg)-1]++
+		end[slot] = int32(len(verts) - 1)
 	}
-	parent := make([]int, len(idx))
-	for i := range parent {
-		parent[i] = i
+	root = make([]int32, len(verts))
+	for i := range root {
+		root[i] = int32(i)
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+	find := func(x int32) int32 {
+		for root[x] != x {
+			root[x] = root[root[x]]
+			x = root[x]
 		}
 		return x
 	}
-	acyclic := true
-	comps := len(idx)
-	for _, e := range edges {
-		ru, rv := find(idx[e.U]), find(idx[e.V])
-		if ru == rv {
+	comps, acyclic = len(verts), true
+	for i := 0; i < m; i++ {
+		if ru, rv := find(end[2*i]), find(end[2*i+1]); ru != rv {
+			root[ru] = rv
+			comps--
+		} else {
 			acyclic = false
-			continue
 		}
-		parent[ru] = rv
-		comps--
 	}
-	return TreeCheck{
-		NumVertices: len(idx),
-		NumEdges:    len(edges),
-		Connected:   comps == 1,
-		Acyclic:     acyclic,
+	for i := range root {
+		root[i] = find(int32(i))
 	}
+	return verts, deg, root, comps, acyclic
+}
+
+// EdgeComponents labels the connected components of an edge set: verts
+// are its distinct endpoints in increasing order, and comp[j] is the index
+// in verts of the representative of verts[j]'s component.
+func EdgeComponents(edges []Edge) (verts []VID, comp []int32) {
+	verts, _, comp, _, _ = scanTree(sortedCanon(edges))
+	return verts, comp
 }
 
 // ValidateSteinerTree verifies that edges form a valid Steiner tree of g for
-// the given seed set: every edge exists in g with matching weight, the edge
-// set is a tree, all seeds appear in it (a single seed with no edges is
-// valid), and every leaf is a seed (KMB Step 5 postcondition). It returns a
-// descriptive error on the first violation.
+// the given seed set: every edge has both endpoints in g and exists there
+// with matching weight, no edge repeats, the edge set is a tree, all seeds
+// appear in it (a single seed with no edges is valid), and every leaf is a
+// seed (KMB Step 5 postcondition). It returns a descriptive error on the
+// first violation. It works on sorted slices, never a map, and copies edges
+// or seeds only when they are out of order.
 func ValidateSteinerTree(g *Graph, seeds []VID, edges []Edge) error {
 	if len(seeds) == 0 {
 		return fmt.Errorf("steiner: empty seed set")
@@ -102,9 +131,11 @@ func ValidateSteinerTree(g *Graph, seeds []VID, edges []Edge) error {
 	if len(seeds) == 1 && len(edges) == 0 {
 		return nil
 	}
-	inTree := make(map[VID]int, len(edges)*2) // vertex -> degree
-	seen := make(map[[2]VID]bool, len(edges))
+	n := VID(g.NumVertices())
 	for _, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return fmt.Errorf("steiner: edge (%d,%d) has an endpoint outside [0,%d)", e.U, e.V, n)
+		}
 		w, ok := g.HasEdge(e.U, e.V)
 		if !ok {
 			return fmt.Errorf("steiner: edge (%d,%d) not in background graph", e.U, e.V)
@@ -112,32 +143,36 @@ func ValidateSteinerTree(g *Graph, seeds []VID, edges []Edge) error {
 		if w != e.W {
 			return fmt.Errorf("steiner: edge (%d,%d) weight %d != graph weight %d", e.U, e.V, e.W, w)
 		}
-		c := e.Canon()
-		key := [2]VID{c.U, c.V}
-		if seen[key] {
-			return fmt.Errorf("steiner: duplicate edge (%d,%d)", c.U, c.V)
-		}
-		seen[key] = true
-		inTree[e.U]++
-		inTree[e.V]++
 	}
-	chk := CheckTree(edges)
-	if !chk.Connected {
+	edges = sortedCanon(edges)
+	for i := 1; i < len(edges); i++ {
+		if CompareEdges(edges[i-1], edges[i]) == 0 {
+			return fmt.Errorf("steiner: duplicate edge (%d,%d)", edges[i].U, edges[i].V)
+		}
+	}
+	verts, deg, _, comps, acyclic := scanTree(edges)
+	if comps > 1 {
 		return fmt.Errorf("steiner: edge set is disconnected")
 	}
-	if !chk.Acyclic {
+	if !acyclic {
 		return fmt.Errorf("steiner: edge set contains a cycle")
 	}
-	isSeed := make(map[VID]bool, len(seeds))
-	for _, s := range seeds {
-		isSeed[s] = true
-		if _, ok := inTree[s]; !ok {
+	if !slices.IsSorted(seeds) {
+		seeds = slices.Sorted(slices.Values(seeds))
+	}
+	i := 0
+	for _, s := range seeds { // a merge: both lists are sorted
+		for i < len(verts) && verts[i] < s {
+			i++
+		}
+		if i == len(verts) || verts[i] != s {
 			return fmt.Errorf("steiner: seed %d not spanned", s)
 		}
+		deg[i] = 0 // a seed may be a leaf
 	}
-	for v, deg := range inTree {
-		if deg == 1 && !isSeed[v] {
-			return fmt.Errorf("steiner: non-seed leaf %d", v)
+	for i, d := range deg {
+		if d == 1 {
+			return fmt.Errorf("steiner: non-seed leaf %d", verts[i])
 		}
 	}
 	return nil
