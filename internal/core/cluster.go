@@ -41,9 +41,9 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Shards and slabs are cut once, only to (a) encode the handshake's
-	// slices and (b) capture the session's memory accounting; the workers
-	// rebuild them from the slices and this copy is garbage afterwards.
+	// Shards and slabs are built only to capture the session's memory
+	// accounting; the workers rebuild them from the handshake's slices, and
+	// this copy is garbage afterwards.
 	shards := plan.BuildShards(g)
 	shard := shardStats(opts, plan, shards, voronoi.BuildSlabs(plan, shards))
 
@@ -77,7 +77,10 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 			FrontierWorkers: uint64(max(0, opts.FrontierWorkers)),
 		}
 		for rank := lo; rank < hi; rank++ {
-			owned, offsets, targets, weights, stripeOff, stripeTargets, stripeWeights := shards[rank].Slices()
+			// A shard keeps no target VIDs, so the slices are cut from g.
+			owned := plan.Owned(rank)
+			offsets, targets, weights, stripeOff, stripeTargets, stripeWeights :=
+				graph.CutShard(g, rank, opts.Ranks, owned, plan.Delegates())
 			setup.Shards = append(setup.Shards, wire.ShardSlice{
 				Rank:          rank,
 				Owned:         owned,

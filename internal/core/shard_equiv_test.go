@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dsteiner/internal/gen"
 	"dsteiner/internal/graph"
 	rt "dsteiner/internal/runtime"
 )
@@ -124,9 +125,10 @@ func TestEngineMemoryCountsResolvedColumnsAndGhostRows(t *testing.T) {
 	const (
 		owned, ghosts = 4, 4
 		arcs          = owned * 7
-		// offsets, then targets + weights + resolved column, the empty
-		// stripe's one offset, the ghost list; the affine row index is free.
-		shardBytes = (owned+1)*8 + arcs*(4+4+4) + 8 + ghosts*4
+		// offsets, then weights + resolved column (no target VIDs), the
+		// empty stripe's one offset, the ghost list; the affine row index is
+		// free.
+		shardBytes = (owned+1)*8 + arcs*(4+4) + 8 + ghosts*4
 		// src + pred + dist + epoch + walked per owned row; dist + src + pred
 		// + epoch per ghost row.
 		slabBytes = owned*(4+4+8+8+8) + ghosts*(8+4+4+8)
@@ -145,5 +147,24 @@ func TestEngineMemoryCountsResolvedColumnsAndGhostRows(t *testing.T) {
 	if res.Memory.ShardBytes != 2*shardBytes || res.Memory.StateBytes != 2*slabBytes {
 		t.Fatalf("result memory reports shard %d / state %d bytes, by hand %d / %d",
 			res.Memory.ShardBytes, res.Memory.StateBytes, 2*shardBytes, 2*slabBytes)
+	}
+}
+
+// TestShardBytesPerArc pins the shard's footprint on the benchmark's
+// traverse graph (R-MAT 2^15 × 16, seed 1) at its default engine options —
+// two ranks, arc-block partition: an arc costs 8 bytes (weight and resolved
+// target), and offsets plus ghosts add well under one more.
+func TestShardBytesPerArc(t *testing.T) {
+	g := gen.Config{Name: "rmat", Kind: gen.KindRMAT, N: 1 << 15, AvgDegree: 16, MaxWeight: 5000,
+		Backbone: true, Seed: 1}.MustBuild()
+	e, err := NewEngine(g, Default(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	perArc := float64(e.ShardStats().ShardBytes) / float64(g.NumArcs())
+	t.Logf("%d shard bytes over %d arcs: %.2f B/arc", e.ShardStats().ShardBytes, g.NumArcs(), perArc)
+	if perArc > 8.7 {
+		t.Fatalf("shards hold %.2f B/arc, want at most 8.7", perArc)
 	}
 }

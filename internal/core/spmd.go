@@ -233,12 +233,13 @@ func haloPhase2(r *rt.Rank, sl *voronoi.StateSlab, bsp bool,
 					continue
 				}
 				v := rows.VertexAt(int(i))
-				us, _, refs := sh.RowArcs(i)
-				for j, u := range us {
+				_, refs := sh.RowArcs(i)
+				for _, ref := range refs {
+					u := sh.Target(ref)
 					if u >= v {
 						break
 					}
-					if refs[j] >= 0 {
+					if ref >= 0 {
 						continue
 					}
 					if q := r.Owner(u); pushed[q] != v+1 {
@@ -258,10 +259,14 @@ func haloPhase2(r *rt.Rank, sl *voronoi.StateSlab, bsp bool,
 			continue
 		}
 		u := rows.VertexAt(int(i))
-		vs, ws, refs := sh.RowArcs(i)
-		for j := len(vs) - 1; j >= 0 && vs[j] > u; j-- {
+		ws, refs := sh.RowArcs(i)
+		for j := len(refs) - 1; j >= 0; j-- {
+			v := sh.Target(refs[j])
+			if v <= u {
+				break
+			}
 			sv, dv := sl.Label(refs[j])
-			record(u, vs[j], su, sv, du, dv, ws[j])
+			record(u, v, su, sv, du, dv, ws[j])
 		}
 	}
 	return ts.Processed

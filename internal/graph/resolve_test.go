@@ -11,11 +11,9 @@ import (
 )
 
 // TestPropertyResolvedColumn pins the per-arc resolved targets over every
-// partition kind with and without delegates: each slab and stripe arc
-// decodes back to its target VID, a target is resolved to a row iff the rank
-// owns it, ghost slots are dense with exactly one per distinct remote
-// target, and a shard rebuilt from its wire slices — the rankd worker path —
-// resolves identically.
+// partition kind with and without delegates (checkShards), and that the
+// cases are not vacuous: some ranks have ghosts, and stripes exist exactly
+// when delegates do.
 func TestPropertyResolvedColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	const n, p = 180, 4
@@ -32,107 +30,162 @@ func TestPropertyResolvedColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk, _ := partition.NewBlock(n, p)
-	hsh, _ := partition.NewHash(n, p)
-	arc, err := partition.NewArcBlock(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, base := range map[string]partition.Partition{"block": blk, "hash": hsh, "arcblock": arc} {
+	for _, kind := range []string{"block", "hash", "arcblock"} {
 		for _, threshold := range []int{0, 10} {
-			part := base
-			if threshold > 0 {
-				part = partition.WithDelegates(base, g, threshold)
-			}
-			plan, err := partition.NewShardPlan(part, g)
-			if err != nil {
-				t.Fatal(err)
-			}
+			label := fmt.Sprintf("%s threshold %d", kind, threshold)
+			plan := shardTestPlan(t, g, kind, p, threshold)
 			if (plan.NumDelegates() > 0) != (threshold > 0) {
-				t.Fatalf("%s threshold %d: %d delegates", name, threshold, plan.NumDelegates())
+				t.Fatalf("%s: %d delegates", label, plan.NumDelegates())
 			}
-			ghosts, stripeArcs := 0, int64(0)
-			for rank, sh := range plan.BuildShards(g) {
-				ghosts += sh.NumGhosts()
-				stripeArcs += sh.NumStripeArcs()
-				label := fmt.Sprintf("%s threshold %d rank %d", name, threshold, rank)
-				checkResolved(t, label, sh, plan)
-
-				owned, offsets, targets, weights, stripeOff, stripeTargets, stripeWeights := sh.Slices()
-				rebuilt := graph.NewShardFromSlices(rank, p, owned, offsets, targets, weights,
-					plan.Delegates(), stripeOff, stripeTargets, stripeWeights)
-				checkResolved(t, label+" (from slices)", rebuilt, plan)
-				if rebuilt.NumGhosts() != sh.NumGhosts() || rebuilt.MemoryBytes() != sh.MemoryBytes() {
-					t.Fatalf("%s: rebuilt shard has %d ghosts / %d bytes, original %d / %d", label,
-						rebuilt.NumGhosts(), rebuilt.MemoryBytes(), sh.NumGhosts(), sh.MemoryBytes())
-				}
-				for i := 0; i < sh.NumOwned(); i++ {
-					_, _, a := sh.RowArcs(int32(i))
-					_, _, b := rebuilt.RowArcs(int32(i))
-					if !reflect.DeepEqual(a, b) {
-						t.Fatalf("%s: row %d resolves differently after the wire round trip", label, i)
-					}
-				}
-				for _, d := range plan.Delegates() {
-					_, _, a := sh.StripeArcs(d)
-					_, _, b := rebuilt.StripeArcs(d)
-					if !reflect.DeepEqual(a, b) {
-						t.Fatalf("%s: stripe of %d resolves differently after the wire round trip", label, d)
-					}
-				}
-			}
+			ghosts, stripeArcs := checkShards(t, label, g, plan)
 			if ghosts == 0 || (stripeArcs > 0) != (threshold > 0) {
-				t.Fatalf("%s threshold %d: vacuous, %d ghosts and %d stripe arcs", name, threshold, ghosts, stripeArcs)
+				t.Fatalf("%s: vacuous, %d ghosts and %d stripe arcs", label, ghosts, stripeArcs)
 			}
 		}
 	}
 }
 
-// checkResolved checks one shard's resolved columns against its targets.
-func checkResolved(t *testing.T, label string, sh *graph.Shard, plan *partition.ShardPlan) {
+// FuzzShardResolve runs checkShards on arbitrary small graphs: the first
+// three bytes pick |V| (2–41), the rank count (1–4) and the delegate
+// threshold (0 = none), and every following triple is an edge. Each graph is
+// cut under all three partition kinds.
+func FuzzShardResolve(f *testing.F) {
+	f.Add([]byte{10, 2, 0, 0, 1, 5, 1, 2, 3, 2, 3, 1, 0, 9, 4})
+	f.Add([]byte{12, 3, 3, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 5, 6, 2, 7, 11, 3})
+	f.Add([]byte{40, 4, 2, 0, 39, 1, 39, 20, 2, 20, 1, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n, p, threshold := 2+int(data[0])%40, 1+int(data[1])%4, int(data[2])%6
+		b := graph.NewBuilder(n)
+		for data = data[3:]; len(data) >= 3; data = data[3:] {
+			b.AddEdge(graph.VID(int(data[0])%n), graph.VID(int(data[1])%n), uint32(data[2])%30+1)
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []string{"block", "hash", "arcblock"} {
+			checkShards(t, fmt.Sprintf("%s p=%d threshold %d", kind, p, threshold), g, shardTestPlan(t, g, kind, p, threshold))
+		}
+	})
+}
+
+// shardTestPlan cuts g over p ranks with the named partition kind, wrapped
+// with delegates when threshold > 0.
+func shardTestPlan(t *testing.T, g *graph.Graph, kind string, p, threshold int) *partition.ShardPlan {
 	t.Helper()
-	rows := sh.Rows()
-	remote := map[graph.VID]bool{}
-	check := func(ts []graph.VID, refs []int32) {
-		t.Helper()
-		if len(refs) != len(ts) {
-			t.Fatalf("%s: %d refs for %d arcs", label, len(refs), len(ts))
+	var part partition.Partition
+	var err error
+	switch kind {
+	case "block":
+		part, err = partition.NewBlock(g.NumVertices(), p)
+	case "hash":
+		part, err = partition.NewHash(g.NumVertices(), p)
+	default:
+		part, err = partition.NewArcBlock(g, p)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if threshold > 0 {
+		part = partition.WithDelegates(part, g, threshold)
+	}
+	plan, err := partition.NewShardPlan(part, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// checkShards builds every rank's shard of plan twice — from g (NewShard, via
+// plan.BuildShards) and from its raw slices (CutShard, NewShardFromSlices:
+// the rankd worker path) — and checks both against g: Target(refs[j])
+// reproduces g.Adj's arcs in order, stripes included; the weights, refs and
+// MemoryBytes of the two builds agree; a target resolves to a row iff the
+// rank owns it, and Ref inverts Target; ghost slots are dense and strictly
+// increasing, one per distinct remote target; and EdgeWeight agrees with
+// g.HasEdge for every owned vertex against every vertex, present or absent.
+// It returns the total ghost count and stripe arcs.
+func checkShards(t *testing.T, label string, g *graph.Graph, plan *partition.ShardPlan) (ghosts int, stripeArcs int64) {
+	t.Helper()
+	p, delegates := plan.NumRanks(), plan.Delegates()
+	for rank, sh := range plan.BuildShards(g) {
+		owned := plan.Owned(rank)
+		offsets, targets, weights, stripeOff, stripeTargets, stripeWeights := graph.CutShard(g, rank, p, owned, delegates)
+		rebuilt := graph.NewShardFromSlices(rank, p, owned, offsets, targets, weights,
+			delegates, stripeOff, stripeTargets, stripeWeights)
+		label := fmt.Sprintf("%s rank %d", label, rank)
+		if rebuilt.NumGhosts() != sh.NumGhosts() || rebuilt.MemoryBytes() != sh.MemoryBytes() {
+			t.Fatalf("%s: rebuilt shard has %d ghosts / %d bytes, original %d / %d", label,
+				rebuilt.NumGhosts(), rebuilt.MemoryBytes(), sh.NumGhosts(), sh.MemoryBytes())
 		}
-		for j, u := range ts {
-			ref := refs[j]
-			if (ref >= 0) != (rows.Row(u) >= 0) {
-				t.Fatalf("%s: target %d resolved to %d, row %d", label, u, ref, rows.Row(u))
+		ghosts += sh.NumGhosts()
+		stripeArcs += sh.NumStripeArcs()
+
+		remote := map[graph.VID]bool{}
+		check := func(what string, ws, rws []uint32, refs, rrefs []int32, gts []graph.VID, gws []uint32) {
+			t.Helper()
+			if !reflect.DeepEqual(ws, rws) || !reflect.DeepEqual(refs, rrefs) {
+				t.Fatalf("%s: %s resolves differently from the raw slices", label, what)
 			}
-			if ref >= 0 && rows.VertexAt(int(ref)) != u {
-				t.Fatalf("%s: target %d resolved to row %d = vertex %d", label, u, ref, rows.VertexAt(int(ref)))
+			if len(refs) != len(gts) || len(ws) != len(gts) {
+				t.Fatalf("%s: %s has %d refs and %d weights for %d arcs", label, what, len(refs), len(ws), len(gts))
 			}
-			if ref < 0 {
-				if slot := int(^ref); slot >= sh.NumGhosts() || sh.GhostAt(slot) != u {
-					t.Fatalf("%s: target %d resolved to ghost slot %d of %d", label, u, slot, sh.NumGhosts())
+			for j, ref := range refs {
+				u := sh.Target(ref)
+				if u != gts[j] || ws[j] != gws[j] {
+					t.Fatalf("%s: %s arc %d is (%d,%d), graph (%d,%d)", label, what, j, u, ws[j], gts[j], gws[j])
 				}
-				remote[u] = true
+				if (ref >= 0) != sh.Owns(u) {
+					t.Fatalf("%s: target %d resolved to %d, owned %v", label, u, ref, sh.Owns(u))
+				}
+				if sh.Ref(u) != ref {
+					t.Fatalf("%s: Ref(%d) = %d, arc column says %d", label, u, sh.Ref(u), ref)
+				}
+				if ref < 0 {
+					if int(^ref) >= sh.NumGhosts() {
+						t.Fatalf("%s: target %d resolved to ghost slot %d of %d", label, u, ^ref, sh.NumGhosts())
+					}
+					remote[u] = true
+				}
 			}
-			if sh.Ref(u) != ref {
-				t.Fatalf("%s: Ref(%d) = %d, arc column says %d", label, u, sh.Ref(u), ref)
+		}
+		for i, v := range owned {
+			ws, refs := sh.RowArcs(int32(i))
+			rws, rrefs := rebuilt.RowArcs(int32(i))
+			gts, gws := g.Adj(v)
+			check(fmt.Sprintf("row of %d", v), ws, rws, refs, rrefs, gts, gws)
+			for u := graph.VID(0); int(u) < g.NumVertices(); u++ {
+				w, ok := sh.EdgeWeight(v, u)
+				gw, gok := g.HasEdge(v, u)
+				if w != gw || ok != gok {
+					t.Fatalf("%s: EdgeWeight(%d,%d) = (%d,%v), graph (%d,%v)", label, v, u, w, ok, gw, gok)
+				}
+			}
+		}
+		for _, d := range delegates {
+			ws, refs := sh.StripeArcs(d)
+			rws, rrefs := rebuilt.StripeArcs(d)
+			ats, aws := g.Adj(d)
+			var gts []graph.VID
+			var gws []uint32
+			for j := rank; j < len(ats); j += p {
+				gts, gws = append(gts, ats[j]), append(gws, aws[j])
+			}
+			check(fmt.Sprintf("stripe of %d", d), ws, rws, refs, rrefs, gts, gws)
+		}
+		// Dense and one slot each: as many slots as distinct remote targets,
+		// and strictly increasing, so no vertex holds two.
+		if sh.NumGhosts() != len(remote) {
+			t.Fatalf("%s: %d ghost slots for %d distinct remote targets", label, sh.NumGhosts(), len(remote))
+		}
+		for i := int32(1); int(i) < sh.NumGhosts(); i++ {
+			if sh.Target(^(i - 1)) >= sh.Target(^i) {
+				t.Fatalf("%s: ghost list not strictly increasing at slot %d", label, i)
 			}
 		}
 	}
-	for i := 0; i < sh.NumOwned(); i++ {
-		ts, _, refs := sh.RowArcs(int32(i))
-		check(ts, refs)
-	}
-	for _, d := range plan.Delegates() {
-		ts, _, refs := sh.StripeArcs(d)
-		check(ts, refs)
-	}
-	// Dense and one slot each: as many slots as distinct remote targets, and
-	// strictly increasing, so no vertex holds two.
-	if sh.NumGhosts() != len(remote) {
-		t.Fatalf("%s: %d ghost slots for %d distinct remote targets", label, sh.NumGhosts(), len(remote))
-	}
-	for i := 1; i < sh.NumGhosts(); i++ {
-		if sh.GhostAt(i-1) >= sh.GhostAt(i) {
-			t.Fatalf("%s: ghost list not strictly increasing at slot %d", label, i)
-		}
-	}
+	return ghosts, stripeArcs
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
 // Shard is one rank's local view of the graph: a compact CSR slab holding
 // the adjacency of the vertices the rank owns, plus a materialized stripe of
@@ -8,8 +11,12 @@ import "slices"
 // HavoqGT vertex-cut). It replaces the shared-global-CSR hot path: a rank
 // walking its slab touches a contiguous, rank-sized region instead of
 // striding the whole graph's arrays, and — because a Shard references
-// nothing outside itself except vertex IDs — it is the unit of state a
-// multi-process backend would ship to each process.
+// nothing outside itself — it is the unit of state a multi-process backend
+// ships to each process.
+//
+// An arc is held in 8 bytes: its weight and its resolved target (refs), the
+// target's owned row or ghost slot. The target's VID is not stored; Target
+// recovers it from the resolved form.
 //
 // Shards are built once per solver session (partition.ShardPlan.BuildShards)
 // from the immutable global CSR and are themselves immutable: safe to share
@@ -24,22 +31,20 @@ type Shard struct {
 	// Owned-vertex index: affine O(1) vertex→slab-row lookup with a map
 	// fallback for irregular owned sets. The same RowIndex layout is used
 	// by the rank's control-state slab (internal/voronoi.StateSlab), so a
-	// vertex's adjacency row and state row coincide.
+	// vertex's adjacency and state row coincide.
 	rows *RowIndex
 
 	// Local CSR slab over owned vertices, in increasing vertex order.
 	offsets []int64
-	targets []VID
 	weights []uint32
 
 	// Delegate stripes: delegate d's stripe occupies
-	// stripeTargets[stripeOff[i]:stripeOff[i+1]] where i = delegateIdx[d].
+	// stripeWeights[stripeOff[i]:stripeOff[i+1]] where i = delegateIdx[d].
 	delegateIdx   map[VID]int32
 	stripeOff     []int64
-	stripeTargets []VID
 	stripeWeights []uint32
 
-	// Resolved arc targets, parallel to targets and stripeTargets: ≥ 0 is the
+	// Resolved arc targets, parallel to weights and stripeWeights: ≥ 0 is the
 	// target's owned row, < 0 the complement of its ghost slot. ghosts lists
 	// the distinct remote targets in increasing order, so a slot is a
 	// target's position in it — one slot per remote vertex this rank has an
@@ -53,96 +58,146 @@ type Shard struct {
 // NewShard cuts rank's slab out of g. owned must list the rank's vertices in
 // strictly increasing order; delegates lists every delegate vertex of the
 // partition (identical on all ranks — each rank materializes its own stripe
-// of every delegate, including delegates it owns).
+// of every delegate, including delegates it owns). The slab's targets are
+// resolved straight from g's arrays, never copied.
 func NewShard(g *Graph, rank, numRanks int, owned []VID, delegates []VID) *Shard {
-	s := &Shard{rank: rank, numRanks: numRanks, rows: NewRowIndex(owned)}
-
-	// Slab: copy each owned vertex's adjacency, preserving arc order.
-	var arcs int64
-	for _, v := range owned {
-		arcs += int64(g.Degree(v))
-	}
-	s.offsets = make([]int64, len(owned)+1)
-	s.targets = make([]VID, 0, arcs)
-	s.weights = make([]uint32, 0, arcs)
-	for i, v := range owned {
-		ts, ws := g.Adj(v)
-		s.targets = append(s.targets, ts...)
-		s.weights = append(s.weights, ws...)
-		s.offsets[i+1] = int64(len(s.targets))
-	}
-
-	// Delegate stripes: arcs at positions rank, rank+P, ... of each
-	// delegate's adjacency, in global arc order.
-	s.delegateIdx = make(map[VID]int32, len(delegates))
-	s.stripeOff = make([]int64, len(delegates)+1)
-	for i, d := range delegates {
-		s.delegateIdx[d] = int32(i)
-		ts, ws := g.Adj(d)
-		for j := rank; j < len(ts); j += numRanks {
-			s.stripeTargets = append(s.stripeTargets, ts[j])
-			s.stripeWeights = append(s.stripeWeights, ws[j])
-		}
-		s.stripeOff[i+1] = int64(len(s.stripeTargets))
-	}
-	s.resolve()
+	offsets := slabOffsets(g, owned)
+	weights := make([]uint32, 0, offsets[len(owned)])
+	slabRuns(g, owned, func(_ []VID, ws []uint32) { weights = append(weights, ws...) })
+	stripeOff, stripeTargets, stripeWeights := cutStripes(g, rank, numRanks, delegates)
+	s := newShard(rank, numRanks, owned, offsets, weights, delegates, stripeOff, stripeWeights)
+	s.resolve(func(visit func(ts []VID)) {
+		slabRuns(g, owned, func(ts []VID, _ []uint32) { visit(ts) })
+		visit(stripeTargets)
+	})
 	return s
 }
 
-// NewShardFromSlices rebuilds a shard from its raw slabs — the inverse of
-// Slices, used by multi-process workers that receive their plan slice over
-// the wire (internal/wire.ShardSlice) instead of cutting it from a resident
-// global CSR. All slices are retained; delegates must be the partition's
-// full delegate list in the same order the stripes were cut in.
+// CutShard returns rank's shard of g in raw form, the arguments
+// NewShardFromSlices takes: the owned CSR (offsets, target VIDs, weights)
+// and the delegate stripes (stripeOff in delegates' order). It is what a
+// coordinator ships a worker (internal/wire.ShardSlice); the shard rebuilt
+// from it keeps no target VIDs.
+func CutShard(g *Graph, rank, numRanks int, owned, delegates []VID) (offsets []int64, targets []VID,
+	weights []uint32, stripeOff []int64, stripeTargets []VID, stripeWeights []uint32) {
+	offsets = slabOffsets(g, owned)
+	targets = make([]VID, 0, offsets[len(owned)])
+	weights = make([]uint32, 0, offsets[len(owned)])
+	slabRuns(g, owned, func(ts []VID, ws []uint32) {
+		targets = append(targets, ts...)
+		weights = append(weights, ws...)
+	})
+	stripeOff, stripeTargets, stripeWeights = cutStripes(g, rank, numRanks, delegates)
+	return offsets, targets, weights, stripeOff, stripeTargets, stripeWeights
+}
+
+// slabOffsets returns the CSR offsets of owned's adjacency rows in g.
+func slabOffsets(g *Graph, owned []VID) []int64 {
+	offsets := make([]int64, len(owned)+1)
+	for i, v := range owned {
+		offsets[i+1] = offsets[i] + int64(g.Degree(v))
+	}
+	return offsets
+}
+
+// slabRuns calls visit with owned's adjacency in g, in order, as runs of
+// g's arrays: consecutive owned vertices share a run, so a block-partitioned
+// slab is a single run.
+func slabRuns(g *Graph, owned []VID, visit func(ts []VID, ws []uint32)) {
+	for i := 0; i < len(owned); {
+		j := i + 1
+		for j < len(owned) && owned[j] == owned[j-1]+1 {
+			j++
+		}
+		lo, hi := g.offsets[owned[i]], g.offsets[owned[j-1]+1]
+		visit(g.targets[lo:hi], g.weights[lo:hi])
+		i = j
+	}
+}
+
+// cutStripes copies rank's stripe of every delegate's adjacency in g — the
+// arcs at positions rank, rank+P, ... in global arc order — into CSR form,
+// delegate i's stripe at [stripeOff[i], stripeOff[i+1]).
+func cutStripes(g *Graph, rank, numRanks int, delegates []VID) (stripeOff []int64, stripeTargets []VID, stripeWeights []uint32) {
+	stripeOff = make([]int64, len(delegates)+1)
+	for i, d := range delegates {
+		stripeOff[i+1] = stripeOff[i] + int64((g.Degree(d)-rank+numRanks-1)/numRanks)
+	}
+	stripeTargets = make([]VID, 0, stripeOff[len(delegates)])
+	stripeWeights = make([]uint32, 0, stripeOff[len(delegates)])
+	for _, d := range delegates {
+		ts, ws := g.Adj(d)
+		for j := rank; j < len(ts); j += numRanks {
+			stripeTargets = append(stripeTargets, ts[j])
+			stripeWeights = append(stripeWeights, ws[j])
+		}
+	}
+	return stripeOff, stripeTargets, stripeWeights
+}
+
+// NewShardFromSlices rebuilds a shard from its raw form (CutShard), as
+// multi-process workers do with the plan slice they receive over the wire
+// (internal/wire.ShardSlice) instead of cutting it from a resident global
+// CSR. offsets, weights, stripeOff and stripeWeights are retained; targets
+// and stripeTargets are only read to resolve the arcs, so the caller's copy
+// is the only one. delegates must be the partition's full delegate list in
+// the same order the stripes were cut in.
 func NewShardFromSlices(rank, numRanks int, owned []VID, offsets []int64,
 	targets []VID, weights []uint32, delegates []VID,
 	stripeOff []int64, stripeTargets []VID, stripeWeights []uint32) *Shard {
+	s := newShard(rank, numRanks, owned, offsets, weights, delegates, stripeOff, stripeWeights)
+	s.resolve(func(visit func(ts []VID)) {
+		visit(targets)
+		visit(stripeTargets)
+	})
+	return s
+}
+
+// newShard is a shard over its weights, not yet resolved.
+func newShard(rank, numRanks int, owned []VID, offsets []int64, weights []uint32,
+	delegates []VID, stripeOff []int64, stripeWeights []uint32) *Shard {
 	s := &Shard{
 		rank:          rank,
 		numRanks:      numRanks,
 		rows:          NewRowIndex(owned),
 		offsets:       offsets,
-		targets:       targets,
 		weights:       weights,
 		stripeOff:     stripeOff,
-		stripeTargets: stripeTargets,
 		stripeWeights: stripeWeights,
 		delegateIdx:   make(map[VID]int32, len(delegates)),
 	}
 	for i, d := range delegates {
 		s.delegateIdx[d] = int32(i)
 	}
-	s.resolve()
 	return s
 }
 
-// resolve fills refs, stripeRefs and ghosts from the target arrays: every
-// arc target is looked up once here instead of once per relaxation. It
-// derives everything from slices a worker also holds, so a shard rebuilt by
-// NewShardFromSlices resolves identically and nothing is shipped.
+// resolve fills refs, stripeRefs and ghosts from a walk that visits every
+// slab arc's target and then every stripe arc's, in arc order and in runs of
+// any length: each arc target is looked up once here instead of once per
+// relaxation. NewShard walks g's arrays and NewShardFromSlices the slices a
+// worker received, so both resolve identically and nothing extra is shipped.
 //
 // The scratch is transient and indexed by VID. The arcs mark their targets
 // in it, the marked vertices are resolved in VID order — one row lookup and
 // at most one ghost slot per vertex, not per arc — and the arcs read the
 // result back. Both arc passes are a load and a store with no branch to
 // mispredict, which is what keeps this near the cost of copying the arcs.
-func (s *Shard) resolve() {
-	s.refs = make([]int32, len(s.targets))
-	s.stripeRefs = make([]int32, len(s.stripeTargets))
+func (s *Shard) resolve(walk func(visit func(ts []VID))) {
 	top := VID(-1)
-	for _, ts := range [2][]VID{s.targets, s.stripeTargets} {
+	walk(func(ts []VID) {
+		t := top
 		for _, u := range ts {
-			if u > top {
-				top = u
-			}
+			t = max(t, u)
 		}
-	}
+		top = t
+	})
 	ref := make([]int32, int(top)+1)
-	for _, ts := range [2][]VID{s.targets, s.stripeTargets} {
+	walk(func(ts []VID) {
 		for _, u := range ts {
 			ref[u] = 1
 		}
-	}
+	})
 	for u, marked := range ref {
 		if marked == 0 {
 			continue
@@ -152,25 +207,17 @@ func (s *Shard) resolve() {
 			s.ghosts = append(s.ghosts, VID(u))
 		}
 	}
-	for i, u := range s.targets {
-		s.refs[i] = ref[u]
-	}
-	for i, u := range s.stripeTargets {
-		s.stripeRefs[i] = ref[u]
-	}
-}
-
-// Slices exposes the shard's raw slabs for wire encoding: the owned vertex
-// list, the owned CSR (offsets/targets/weights) and the delegate stripes
-// (stripeOff in the partition's delegate-list order). All returned slices
-// alias shard storage: read-only.
-func (s *Shard) Slices() (owned []VID, offsets []int64, targets []VID, weights []uint32,
-	stripeOff []int64, stripeTargets []VID, stripeWeights []uint32) {
-	owned = make([]VID, s.rows.Len())
-	for i := range owned {
-		owned[i] = s.rows.VertexAt(i)
-	}
-	return owned, s.offsets, s.targets, s.weights, s.stripeOff, s.stripeTargets, s.stripeWeights
+	n := len(s.weights)
+	col := make([]int32, n+len(s.stripeWeights))
+	k := 0
+	walk(func(ts []VID) {
+		dst := col[k : k+len(ts)]
+		for j, u := range ts {
+			dst[j] = ref[u]
+		}
+		k += len(ts)
+	})
+	s.refs, s.stripeRefs = col[:n:n], col[n:]
 }
 
 // Rank returns the rank this shard belongs to.
@@ -187,10 +234,10 @@ func (s *Shard) NumOwned() int { return s.rows.Len() }
 func (s *Shard) Rows() *RowIndex { return s.rows }
 
 // NumArcs returns the number of arcs in the slab (owned adjacency only).
-func (s *Shard) NumArcs() int64 { return int64(len(s.targets)) }
+func (s *Shard) NumArcs() int64 { return int64(len(s.weights)) }
 
 // NumStripeArcs returns the number of delegate-stripe arcs this rank holds.
-func (s *Shard) NumStripeArcs() int64 { return int64(len(s.stripeTargets)) }
+func (s *Shard) NumStripeArcs() int64 { return int64(len(s.stripeWeights)) }
 
 // NumDelegates returns the number of delegate vertices striped across ranks.
 func (s *Shard) NumDelegates() int { return len(s.delegateIdx) }
@@ -198,50 +245,40 @@ func (s *Shard) NumDelegates() int { return len(s.delegateIdx) }
 // Owns reports whether v's adjacency lives in this slab.
 func (s *Shard) Owns(v VID) bool { return s.rows.Row(v) >= 0 }
 
-// Adj returns the adjacency of owned vertex v as parallel target/weight
-// slices, aliasing the slab (read-only). Arc order matches the global CSR.
-// Panics if the shard does not own v — the traversal routing is broken.
-func (s *Shard) Adj(v VID) ([]VID, []uint32) {
-	i := s.rows.Row(v)
-	if i < 0 {
-		panic("graph: Shard.Adj on non-owned vertex")
-	}
+// RowArcs returns owned row i's arcs, aliasing the slab (read-only): each
+// arc's weight and its resolved target — refs[j] ≥ 0 is the target's owned
+// row, refs[j] < 0 the complement of its ghost slot. Arc order matches the
+// global CSR, so Target(refs[j]) ascends along the row.
+func (s *Shard) RowArcs(i int32) (weights []uint32, refs []int32) {
 	lo, hi := s.offsets[i], s.offsets[i+1]
-	return s.targets[lo:hi], s.weights[lo:hi]
+	return s.weights[lo:hi], s.refs[lo:hi]
 }
 
-// RowArcs returns owned row i's adjacency like Adj, plus the resolved form of
-// each target: refs[j] ≥ 0 is targets[j]'s owned row, refs[j] < 0 the
-// complement of its ghost slot.
-func (s *Shard) RowArcs(i int32) (targets []VID, weights []uint32, refs []int32) {
-	lo, hi := s.offsets[i], s.offsets[i+1]
-	return s.targets[lo:hi], s.weights[lo:hi], s.refs[lo:hi]
-}
-
-// StripeAdj returns this rank's stripe of delegate v's adjacency (arc index
-// ≡ rank mod P, in global arc order). Panics if v is not a delegate.
-func (s *Shard) StripeAdj(v VID) ([]VID, []uint32) {
-	ts, ws, _ := s.StripeArcs(v)
-	return ts, ws
-}
-
-// StripeArcs is StripeAdj plus the resolved targets, as RowArcs.
-func (s *Shard) StripeArcs(v VID) (targets []VID, weights []uint32, refs []int32) {
+// StripeArcs returns this rank's stripe of delegate v's adjacency (arc index
+// ≡ rank mod P, in global arc order) in RowArcs' form. Panics if v is not a
+// delegate.
+func (s *Shard) StripeArcs(v VID) (weights []uint32, refs []int32) {
 	i, ok := s.delegateIdx[v]
 	if !ok {
-		panic("graph: Shard.StripeAdj on non-delegate vertex")
+		panic("graph: Shard.StripeArcs on non-delegate vertex")
 	}
 	lo, hi := s.stripeOff[i], s.stripeOff[i+1]
-	return s.stripeTargets[lo:hi], s.stripeWeights[lo:hi], s.stripeRefs[lo:hi]
+	return s.stripeWeights[lo:hi], s.stripeRefs[lo:hi]
+}
+
+// Target returns the vertex behind a resolved arc target: the vertex of
+// owned row ref when ref ≥ 0, the vertex of ghost slot ^ref otherwise. It is
+// the inverse of Ref.
+func (s *Shard) Target(ref int32) VID {
+	if ref >= 0 {
+		return s.rows.VertexAt(int(ref))
+	}
+	return s.ghosts[^ref]
 }
 
 // NumGhosts returns the number of ghost slots: distinct vertices owned
 // elsewhere that some slab or stripe arc of this rank points at.
 func (s *Shard) NumGhosts() int { return len(s.ghosts) }
-
-// GhostAt returns the vertex of ghost slot i — the inverse of Ref's
-// complement.
-func (s *Shard) GhostAt(i int) VID { return s.ghosts[i] }
 
 // Ref resolves v the way the arc columns do, by binary search over the
 // ghost list: v's owned row, or the complement of its ghost slot. For the
@@ -259,35 +296,33 @@ func (s *Shard) Ref(v VID) int32 {
 }
 
 // EdgeWeight reports the weight of edge {u, v} by binary search over owned
-// vertex u's slab row (sorted, like the global CSR). The graph is
-// undirected, so EdgeWeight(u, v) on u's owner equals the global
-// HasEdge(v, u) from any rank.
+// vertex u's slab row, whose targets ascend like the global CSR's. The graph
+// is undirected, so EdgeWeight(u, v) on u's owner equals the global
+// HasEdge(v, u) from any rank. Panics if the shard does not own u.
 func (s *Shard) EdgeWeight(u, v VID) (uint32, bool) {
-	ts, ws := s.Adj(u)
-	lo, hi := 0, len(ts)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ts[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i := s.rows.Row(u)
+	if i < 0 {
+		panic("graph: Shard.EdgeWeight on non-owned vertex")
 	}
-	if lo < len(ts) && ts[lo] == v {
-		return ws[lo], true
+	ws, refs := s.RowArcs(i)
+	j, ok := slices.BinarySearchFunc(refs, v, func(ref int32, v VID) int {
+		return cmp.Compare(s.Target(ref), v)
+	})
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return ws[j], true
 }
 
-// MemoryBytes reports the shard's resident size: slab CSR, delegate stripes,
-// the resolved column of each (4 bytes per arc), the ghost list (4 bytes per
-// distinct remote target — on a hash partition nearly every vertex the rank
-// does not own) and the owned-vertex index (zero extra for affine owned
-// sets).
+// MemoryBytes reports the shard's resident size: slab CSR and delegate
+// stripes at 8 bytes per arc (weight + resolved target), their offsets, the
+// ghost list (4 bytes per distinct remote target — on a hash partition
+// nearly every vertex the rank does not own) and the owned-vertex index (zero
+// extra for affine owned sets).
 func (s *Shard) MemoryBytes() int64 {
-	b := int64(len(s.offsets))*8 + int64(len(s.targets))*4 + int64(len(s.weights))*4
-	b += int64(len(s.stripeOff))*8 + int64(len(s.stripeTargets))*4 + int64(len(s.stripeWeights))*4
-	b += int64(len(s.refs))*4 + int64(len(s.stripeRefs))*4 + int64(len(s.ghosts))*4
+	b := int64(len(s.offsets))*8 + int64(len(s.weights))*4 + int64(len(s.refs))*4
+	b += int64(len(s.stripeOff))*8 + int64(len(s.stripeWeights))*4 + int64(len(s.stripeRefs))*4
+	b += int64(len(s.ghosts)) * 4
 	b += int64(len(s.delegateIdx)) * 12
 	b += s.rows.MemoryBytes()
 	return b

@@ -22,6 +22,22 @@ func shardTestGraph(seed int64, n int) *Graph {
 	return g
 }
 
+// shardAdj returns owned vertex v's slab row in the global CSR's form:
+// targets recovered through Target, and weights.
+func shardAdj(s *Shard, v VID) ([]VID, []uint32) {
+	ws, refs := s.RowArcs(s.Rows().Row(v))
+	return shardTargets(s, refs), ws
+}
+
+// shardTargets maps resolved targets back to vertices.
+func shardTargets(s *Shard, refs []int32) []VID {
+	ts := make([]VID, len(refs))
+	for j, ref := range refs {
+		ts[j] = s.Target(ref)
+	}
+	return ts
+}
+
 // affineOwned returns lo, lo+stride, ... capped at n.
 func affineOwned(lo, stride, count, n int) []VID {
 	var out []VID
@@ -59,7 +75,7 @@ func TestShardSlabMatchesGlobalAdjacency(t *testing.T) {
 		}
 		for _, v := range owned {
 			gt, gw := g.Adj(v)
-			st, sw := s.Adj(v)
+			st, sw := shardAdj(s, v)
 			if len(gt) != len(st) {
 				t.Fatalf("Adj(%d): slab %d arcs, global %d", v, len(st), len(gt))
 			}
@@ -106,7 +122,8 @@ func TestShardStripesCoverDelegateAdjacencyExactlyOnce(t *testing.T) {
 			// stripe, preserving order.
 			var total int
 			for rank := 0; rank < p; rank++ {
-				st, sw := shards[rank].StripeAdj(d)
+				sw, refs := shards[rank].StripeArcs(d)
+				st := shardTargets(shards[rank], refs)
 				for j := range st {
 					i := rank + j*p // global arc position of stripe entry j
 					if i >= len(gt) || gt[i] != st[j] || gw[i] != sw[j] {
@@ -134,8 +151,8 @@ func TestShardPanicsOnForeignVertex(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("Adj(non-owned)", func() { s.Adj(15) })
-	mustPanic("StripeAdj(non-delegate)", func() { s.StripeAdj(0) })
+	mustPanic("EdgeWeight(non-owned, _)", func() { s.EdgeWeight(15, 0) })
+	mustPanic("StripeArcs(non-delegate)", func() { s.StripeArcs(0) })
 }
 
 func TestShardMemoryBytesAccountsArrays(t *testing.T) {
@@ -151,8 +168,8 @@ func TestShardMemoryBytesAccountsArrays(t *testing.T) {
 		t.Fatalf("stripe arcs %d, degree %d", s.NumStripeArcs(), g.Degree(0))
 	}
 	// A single rank has no remote targets, so no ghost list.
-	want := int64(101)*8 + s.NumArcs()*(8+4) + // offsets + targets+weights + resolved column
-		int64(2)*8 + s.NumStripeArcs()*(8+4) + // stripeOff + stripe arrays + resolved column
+	want := int64(101)*8 + s.NumArcs()*(4+4) + // offsets + weights + resolved column
+		int64(2)*8 + s.NumStripeArcs()*(4+4) + // stripeOff + stripe weights + resolved column
 		12 // delegateIdx entry
 	if s.NumGhosts() != 0 {
 		t.Fatalf("single-rank shard has %d ghosts", s.NumGhosts())

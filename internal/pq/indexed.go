@@ -14,14 +14,26 @@ package pq
 // operations, but not insertion order. The slot→handle table grows to the
 // largest slot pushed; it and every other array keep their capacity across
 // Reset, so one queue serves many traversals without reallocation.
+//
+// The slice headers change on every push and pop, and each rank of a
+// traversal drives its own queue, so the headers are padded off the cache
+// lines of whatever the allocator puts next to them: unpadded, two ranks'
+// queues land side by side in one size class and write-share a line.
 type Indexed[T any] struct {
+	_     [cacheLine]byte
 	a     []ixEntry
 	items []T     // by handle
 	pos   []int32 // by handle: the entry's index in a
 	slot  []int32 // by handle: the slot the entry holds, negative for none
 	free  []int32 // handles of popped entries, reused before new ones
 	live  []int32 // by slot: 1 + the handle of its queued entry, 0 for none
+	_     [cacheLine]byte
 }
+
+// cacheLine is the padding on each side of Indexed's headers. Two queues'
+// headers end up at least twice this far apart, which also keeps them out of
+// one 128-byte adjacent-line prefetch pair.
+const cacheLine = 64
 
 type ixEntry struct {
 	key uint64

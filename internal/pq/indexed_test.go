@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // indexedModel is the specification Indexed must match, kept as simple as
@@ -155,6 +156,26 @@ func TestIndexedResetForgetsQueuedSlots(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		if got, ok := q.Pop(); !ok || got != "new" {
 			t.Fatalf("pop %d = (%q, %v): an item from before the Reset survived", i, got, ok)
+		}
+	}
+}
+
+// TestIndexedHeadersStayApart pins the padding around Indexed's slice
+// headers: two queues allocated back to back, as two ranks' queues are, keep
+// their headers at least 128 bytes apart, so neither shares a cache line (or
+// an adjacent-line pair) with the other. Unpadded, the allocator puts them
+// side by side.
+func TestIndexedHeadersStayApart(t *testing.T) {
+	headers := func(q *Indexed[int]) (lo, hi uintptr) {
+		return uintptr(unsafe.Pointer(&q.a)), uintptr(unsafe.Pointer(&q.live)) + unsafe.Sizeof(q.live)
+	}
+	for i := 0; i < 16; i++ {
+		p, q := NewIndexed[int](0), NewIndexed[int](0)
+		plo, phi := headers(p)
+		qlo, qhi := headers(q)
+		gap := max(int64(qlo)-int64(phi), int64(plo)-int64(qhi))
+		if gap < 128 {
+			t.Fatalf("two queues' headers are %d bytes apart (at %#x and %#x), want at least 128", gap, plo, qlo)
 		}
 	}
 }

@@ -61,7 +61,9 @@ func (mb *mailbox) recycle(bs [][]Msg) {
 	mb.mu.Unlock()
 }
 
-// len returns the number of queued batches (racy; used for diagnostics).
+// len returns the number of queued batches, read under the mailbox lock.
+// Comm.HoldToken's termination check depends on it: a process is passive
+// only when every hosted mailbox reads empty.
 func (mb *mailbox) len() int {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()

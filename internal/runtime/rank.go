@@ -17,8 +17,8 @@ type Rank struct {
 
 	// shard is this rank's local graph substrate (owned-adjacency slab +
 	// delegate stripes), installed by Comm.AttachShards. Traversal code
-	// reads adjacency through Adj/StripeAdj/EdgeWeight so it never touches
-	// the global CSR.
+	// reads adjacency through Shard and EdgeWeight so it never touches the
+	// global CSR.
 	shard *graph.Shard
 
 	// state is this rank's local control-state slab (owned vertices'
@@ -123,14 +123,6 @@ func (r *Rank) mustShard() *graph.Shard {
 	}
 	return r.shard
 }
-
-// Adj returns owned vertex v's adjacency from this rank's local slab, in
-// global-CSR arc order. The slices alias shard storage: read-only.
-func (r *Rank) Adj(v graph.VID) ([]graph.VID, []uint32) { return r.mustShard().Adj(v) }
-
-// StripeAdj returns this rank's materialized stripe (arc index ≡ rank
-// mod P) of delegate v's adjacency.
-func (r *Rank) StripeAdj(v graph.VID) ([]graph.VID, []uint32) { return r.mustShard().StripeAdj(v) }
 
 // EdgeWeight reports the weight of edge {u, v} looked up in owned vertex u's
 // slab row. The graph is undirected, so this equals a global HasEdge in

@@ -17,11 +17,10 @@
 //     payloads are integers or encoded bytes, so each runs unchanged
 //     in-process and across a transport.
 //   - Each rank carries a rank-local graph shard (Comm.AttachShards /
-//     Comm.EnsureShards), exposed as the local-adjacency API Rank.Adj,
-//     Rank.StripeAdj and Rank.EdgeWeight. Traversal code reads adjacency
-//     only through that API — like an MPI process that holds just its
-//     partition — so each rank walks a compact slab instead of striding
-//     the shared global CSR.
+//     Comm.EnsureShards), exposed as Rank.Shard and Rank.EdgeWeight.
+//     Traversal code reads adjacency only through the shard — like an MPI
+//     process that holds just its partition — so each rank walks a compact
+//     slab instead of striding the shared global CSR.
 //   - Each rank likewise carries a rank-local control-state slab
 //     (Comm.AttachStateSlabs, reset between queries by ResetStateSlabs and
 //     accounted by StateMemoryBytes), so per-vertex algorithm state is
@@ -291,7 +290,7 @@ func MustNew(cfg Config, part partition.Partition) *Comm {
 }
 
 // AttachShards installs one rank-local graph shard per rank, the substrate
-// for the Rank.Adj/StripeAdj/EdgeWeight local-adjacency API. Call before
+// behind Rank.Shard and Rank.EdgeWeight. Call before
 // Run (shards must not change while a run is in flight); shards are
 // immutable and stay attached across runs, so a long-lived Comm pays the
 // build once per session. shards[i] must be the shard of hosted rank

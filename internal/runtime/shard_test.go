@@ -57,23 +57,24 @@ func TestAttachShardsValidation(t *testing.T) {
 	}
 }
 
-// TestRankAdjacencyMatchesGlobal checks the Rank-side local-adjacency API
-// against the global CSR inside a real SPMD run: each rank sees exactly its
-// own vertices' adjacency and edge weights.
+// TestRankAdjacencyMatchesGlobal checks the Rank-side local adjacency against
+// the global CSR inside a real SPMD run: each rank's shard holds exactly its
+// own vertices' arcs, in global order, and EdgeWeight agrees with HasEdge.
 func TestRankAdjacencyMatchesGlobal(t *testing.T) {
 	g := shardTestGraph(t, 60)
 	c := newComm(t, 60, 3, QueuePriority)
 	c.EnsureShards(g)
 	c.EnsureShards(g) // idempotent
 	c.Run(func(r *Rank) {
+		sh := r.Shard()
 		c.Partition().OwnedVertices(r.ID(), func(v graph.VID) {
 			gt, gw := g.Adj(v)
-			st, sw := r.Adj(v)
-			if len(gt) != len(st) {
+			sw, refs := sh.RowArcs(sh.Rows().Row(v))
+			if len(gt) != len(refs) {
 				panic("slab arc count differs from global")
 			}
 			for i := range gt {
-				if gt[i] != st[i] || gw[i] != sw[i] {
+				if gt[i] != sh.Target(refs[i]) || gw[i] != sw[i] {
 					panic("slab arc differs from global")
 				}
 				if w, ok := r.EdgeWeight(v, gt[i]); !ok || w != gw[i] {
@@ -88,8 +89,8 @@ func TestRankAdjWithoutShardsPanics(t *testing.T) {
 	c := newComm(t, 10, 1, QueueFIFO)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Adj without shards did not panic")
+			t.Fatal("EdgeWeight without shards did not panic")
 		}
 	}()
-	c.Run(func(r *Rank) { r.Adj(0) })
+	c.Run(func(r *Rank) { r.EdgeWeight(0, 1) })
 }

@@ -169,13 +169,17 @@ func (t *TCP) Deliver(dest int, batch []rt.Msg) {
 		t.fail(fmt.Errorf("transport: rank %d maps to self (worker %d)", dest, w))
 		panic(errPoisoned)
 	}
-	start := time.Now()
-	elided := 0
+	// Only the encode is timed: appendFrame also waits for the peer's lock
+	// and on maxPend backpressure, which is not codec time.
+	var elided int
+	var encode time.Duration
 	err := p.appendFrame(false, func(dst []byte) []byte {
+		start := time.Now()
 		dst, elided = wire.AppendMsgBatch2(dst, dest, batch)
+		encode = time.Since(start)
 		return dst
 	})
-	t.encodeNs.Add(time.Since(start).Nanoseconds())
+	t.encodeNs.Add(encode.Nanoseconds())
 	t.host.RecycleBatch(batch)
 	if elided > 0 {
 		t.host.ElideSent(elided)

@@ -44,7 +44,7 @@ var _ rt.StateSlab = (*StateSlab)(nil)
 // in O(1), making slabs pool-able across the queries of a long-lived
 // engine. Entries of non-owned vertices do not exist here — an access
 // panics, because it means traversal routing is broken (like
-// graph.Shard.Adj on a non-owned vertex).
+// graph.Shard.EdgeWeight on a non-owned vertex).
 type StateSlab struct {
 	rank int
 	rows *graph.RowIndex
@@ -411,8 +411,9 @@ func (sl *StateSlab) EachReached(fn func(v graph.VID, src, pred graph.VID, dist 
 // MemoryBytes reports the slab's resident size: owned rows (src 4 + pred 4
 // + dist 8 + epoch 8 + walked 8 bytes), ghost rows (dist 8 + src 4 + pred 4
 // + epoch 8 — one per distinct remote neighbour, so on a hash partition
-// about |V| − owned of them, more than the owned rows), mirror rows (src 4 +
-// dist 8 + epoch 8 + index ~12) and any non-affine row index.
+// about |V| − owned of them, more than the owned rows; the neighbour's VID
+// is the shard's, graph.Shard.Target, so a row stays 24 bytes), mirror rows
+// (src 4 + dist 8 + epoch 8 + index ~12) and any non-affine row index.
 func (sl *StateSlab) MemoryBytes() int64 {
 	n := int64(sl.rows.Len())
 	b := n * (4 + 4 + 8 + 8 + 8)

@@ -156,9 +156,9 @@ const (
 // vertices it owns, and remote entries are reached exclusively through
 // mailbox relaxation messages.
 //
-// Adjacency comes from the rank's local shard (Rank.Adj / Rank.StripeAdj),
-// never the global CSR: the communicator must have shards attached
-// (Comm.AttachShards or Comm.EnsureShards) before Run.
+// Adjacency comes from the rank's local shard (graph.Shard.RowArcs /
+// StripeArcs), never the global CSR: the communicator must have shards
+// attached (Comm.AttachShards or Comm.EnsureShards) before Run.
 func RunRank(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
 	return run(r, seeds, false)
 }
@@ -184,7 +184,8 @@ func RunRankBSP(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
 // the row's, and returns if a better one has replaced it (that one has its
 // own entry). The scans read each arc's target already resolved
 // (graph.Shard.RowArcs): an owned row, or the ghost row holding the best
-// offer this rank has sent that remote vertex so far. The fixed point is
+// offer this rank has sent that remote vertex so far; an arc's target VID is
+// derived only for the offers that are sent. The fixed point is
 // Sequential's: every comparison is the same strict offerBetter, and the
 // label a row converges to is expanded exactly once, so every neighbour
 // receives the same final offers.
@@ -227,7 +228,7 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 		Init: func(r *rt.Rank) {
 			for _, s := range seeds {
 				if r.Owns(s) {
-					offer(r, s, sl.row(s), s, s, 0)
+					offer(r, sl.row(s), s, s, 0)
 				}
 			}
 		},
@@ -238,14 +239,13 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 		},
 		Visit: func(r *rt.Rank, m rt.Msg) {
 			v := m.Target
-			var ts []graph.VID
 			var ws []uint32
 			var refs []int32
 			if m.Kind == delegateRelax {
 				// Fold the broadcast into the local delegate mirror (no-op on
 				// the owner), then relax this rank's stripe of v's adjacency.
 				sl.ObserveDelegate(v, m.Seed, m.Dist)
-				ts, ws, refs = sh.StripeArcs(v)
+				ws, refs = sh.StripeArcs(v)
 			} else if i := sl.row(v); !sl.holds(i, m.Seed, m.Dist) {
 				return // superseded while queued; the better label has its own entry
 			} else if r.IsDelegate(v) {
@@ -259,10 +259,10 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 				r.BroadcastBatched(rt.Msg{Target: v, From: v, Seed: m.Seed, Dist: m.Dist, Kind: delegateRelax})
 				return
 			} else {
-				ts, ws, refs = sh.RowArcs(i)
+				ws, refs = sh.RowArcs(i)
 			}
-			for j, u := range ts {
-				offer(r, u, refs[j], v, m.Seed, m.Dist+graph.Dist(ws[j]))
+			for j, ref := range refs {
+				offer(r, ref, v, m.Seed, m.Dist+graph.Dist(ws[j]))
 			}
 		},
 		// Bucket-drain form of Visit for the intra-rank parallel frontier:
@@ -274,14 +274,14 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 		// bucket, so no two workers touch the same mirror row. A staged
 		// offer's Target field holds the arc's resolved target, not the
 		// vertex: the stage is private to these two callbacks, and the replay
-		// gets the vertex back in O(1) where the opposite lookup is a search.
+		// hands it to offerSender as it is.
 		ParallelVisit: func(r *rt.Rank, m rt.Msg, w int, emit func(rt.Msg)) {
 			v := m.Target
 			var ws []uint32
 			var refs []int32
 			if m.Kind == delegateRelax {
 				sl.ObserveDelegate(v, m.Seed, m.Dist)
-				_, ws, refs = sh.StripeArcs(v)
+				ws, refs = sh.StripeArcs(v)
 			} else if i := sl.row(v); !sl.holds(i, m.Seed, m.Dist) {
 				r.FrontierConflict(w)
 				return
@@ -289,7 +289,7 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 				emit(rt.Msg{Target: v, From: v, Seed: m.Seed, Dist: m.Dist, Kind: delegateRelax})
 				return
 			} else {
-				_, ws, refs = sh.RowArcs(i)
+				ws, refs = sh.RowArcs(i)
 			}
 			for j, ref := range refs {
 				d := m.Dist + graph.Dist(ws[j])
@@ -315,22 +315,16 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 				r.BroadcastBatched(m)
 				return
 			}
-			var u graph.VID
-			ref := int32(m.Target)
-			if ref >= 0 {
-				u = sh.Rows().VertexAt(int(ref))
-			} else {
-				u = sh.GhostAt(int(^ref))
-			}
-			offer(r, u, ref, m.From, m.Seed, m.Dist)
+			offer(r, int32(m.Target), m.From, m.Seed, m.Dist)
 		},
 	})
 }
 
 // offerSender returns the one function every relaxation offer of the slab
 // path goes through — seeds, neighbour and stripe scans, and the replay of a
-// parallel drain. ref is the target u resolved against the rank's shard. It
-// runs on the rank goroutine only.
+// parallel drain. ref is the target resolved against the rank's shard; the
+// target's VID (graph.Shard.Target) is only built for an offer that becomes a
+// message. It runs on the rank goroutine only.
 //
 //   - The target is owned here (ref is its row): the offer is folded into
 //     the row on the spot (relax) and never becomes a message. Only a strict
@@ -353,26 +347,29 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 // predecessor is installed, or still goes out — which keeps the converged
 // rows byte-identical to what unconditional sends would reach (pinned
 // against Sequential by the equivalence property tests).
-func (sl *StateSlab) offerSender(r *rt.Rank) func(r *rt.Rank, u graph.VID, ref int32, from, seed graph.VID, dist graph.Dist) {
+func (sl *StateSlab) offerSender(r *rt.Rank) func(r *rt.Rank, ref int32, from, seed graph.VID, dist graph.Dist) {
+	sh := r.Shard()
 	delegates := r.HasDelegates()
-	return func(r *rt.Rank, u graph.VID, ref int32, from, seed graph.VID, dist graph.Dist) {
+	return func(r *rt.Rank, ref int32, from, seed graph.VID, dist graph.Dist) {
 		if ref >= 0 {
 			if sl.relax(ref, seed, from, dist) {
-				r.SendLocal(rt.Msg{Target: u, From: from, Seed: seed, Dist: dist, Kind: labelInstalled})
+				r.SendLocal(rt.Msg{Target: sl.rows.VertexAt(int(ref)), From: from, Seed: seed, Dist: dist, Kind: labelInstalled})
 			}
 			return
 		}
-		if delegates && r.IsDelegate(u) {
-			if ms, md, ok := sl.DelegateState(u); ok && (md < dist || (md == dist && ms < seed)) {
-				r.Suppress()
-				return
+		if delegates {
+			if u := sh.Target(ref); r.IsDelegate(u) {
+				if ms, md, ok := sl.DelegateState(u); ok && (md < dist || (md == dist && ms < seed)) {
+					r.Suppress()
+					return
+				}
 			}
 		}
 		if !sl.offerGhost(^ref, seed, from, dist) {
 			r.Suppress()
 			return
 		}
-		r.Send(rt.Msg{Target: u, From: from, Seed: seed, Dist: dist})
+		r.Send(rt.Msg{Target: sh.Target(ref), From: from, Seed: seed, Dist: dist})
 	}
 }
 

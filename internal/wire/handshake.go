@@ -44,8 +44,8 @@ func DecodeHello(body []byte) (Hello, error) {
 // session setup: everything the worker needs to rebuild the rank's
 // graph.Shard (owned CSR slab + delegate stripes) and voronoi.StateSlab
 // (owned rows + delegate mirror stripe) without ever holding the full CSR.
-// The slices map one-to-one onto graph.Shard's internal slabs
-// (graph.NewShardFromSlices).
+// The slices are graph.CutShard's raw form: the worker resolves the targets
+// into its shard (graph.NewShardFromSlices) and keeps no copy of them.
 type ShardSlice struct {
 	Rank          int
 	Owned         []graph.VID // owned vertices, strictly increasing
