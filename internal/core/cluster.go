@@ -60,16 +60,15 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	_, err = hub.Handshake(opts.WorkerWait, func(w int) wire.Setup {
 		lo, hi := hub.RankRange(w)
 		setup := wire.Setup{
-			Ranks:             opts.Ranks,
-			NumVertices:       g.NumVertices(),
-			Queue:             uint8(opts.Queue),
-			BucketDelta:       opts.BucketDelta,
-			BatchSize:         opts.BatchSize,
-			BSP:               opts.BSP,
-			DelegateThreshold: opts.DelegateThreshold,
-			PartitionKind:     kind,
-			ArcBounds:         bounds,
-			Delegates:         plan.Delegates(),
+			Ranks:         opts.Ranks,
+			NumVertices:   g.NumVertices(),
+			Queue:         uint8(opts.Queue),
+			BucketDelta:   opts.BucketDelta,
+			BatchSize:     opts.BatchSize,
+			BSP:           opts.BSP,
+			PartitionKind: kind,
+			ArcBounds:     bounds,
+			Delegates:     plan.Delegates(),
 			// The frontier mode ships UNRESOLVED: auto depends on each
 			// worker's own GOMAXPROCS, so every worker resolves it locally
 			// against its hosted rank count.

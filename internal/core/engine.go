@@ -337,15 +337,6 @@ func (e *Engine) SolveSpecBatch(ctx context.Context, specs []QuerySpec) []BatchI
 	return out
 }
 
-// ValidateSeedSet checks seeds against an n-vertex graph without solving:
-// empty, out-of-range and duplicate seed sets are rejected with the same
-// errors Solve would return. Serving layers use it to fail submissions fast
-// (before a job is queued) with exactly the solver's rules.
-func ValidateSeedSet(n int, seeds []graph.VID) error {
-	_, err := canonSeedSet(n, seeds, make(map[graph.VID]bool, len(seeds)))
-	return err
-}
-
 // solveCanonLocked runs the six solver phases for a validated canonical
 // query — on this process's ranks or on the worker fleet — and finishes the
 // Result with what only the holder of the full graph can add: memory
@@ -353,7 +344,7 @@ func ValidateSeedSet(n int, seeds []graph.VID) error {
 func (e *Engine) solveCanonLocked(cq canonQuery) (*Result, error) {
 	if len(cq.dedup) == 1 {
 		res := &Result{Seeds: cq.dedup, Mode: cq.spec.Mode}
-		if err := finalizeResult(e.g, cq, res, e.opts.SkipValidation); err != nil {
+		if err := finalizeResult(e.g, cq, res); err != nil {
 			return nil, err
 		}
 		return res, nil
@@ -371,7 +362,7 @@ func (e *Engine) solveCanonLocked(cq canonQuery) (*Result, error) {
 		return nil, err
 	}
 	res.Memory = memoryStats(e.g, e.shard, tableLens, res, e.opts)
-	if err := finalizeResult(e.g, cq, res, e.opts.SkipValidation); err != nil {
+	if err := finalizeResult(e.g, cq, res); err != nil {
 		return nil, err
 	}
 	return res, nil

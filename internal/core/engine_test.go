@@ -281,18 +281,22 @@ func TestSolveBatchCancelledContext(t *testing.T) {
 	}
 }
 
-// TestValidateSeedSet checks the exported validation matches Solve's rules.
+// TestValidateSeedSet checks canonSeedSet, Solve's seed-set rules.
 func TestValidateSeedSet(t *testing.T) {
-	if err := ValidateSeedSet(10, []graph.VID{3, 1, 2}); err != nil {
+	validate := func(seeds []graph.VID) error {
+		_, err := canonSeedSet(10, seeds, map[graph.VID]bool{})
+		return err
+	}
+	if err := validate([]graph.VID{3, 1, 2}); err != nil {
 		t.Fatalf("valid set rejected: %v", err)
 	}
-	if err := ValidateSeedSet(10, nil); err == nil {
+	if err := validate(nil); err == nil {
 		t.Error("empty set accepted")
 	}
-	if err := ValidateSeedSet(10, []graph.VID{3, 10}); err == nil {
+	if err := validate([]graph.VID{3, 10}); err == nil {
 		t.Error("out-of-range seed accepted")
 	}
-	if err := ValidateSeedSet(10, []graph.VID{3, 3}); !errors.Is(err, ErrDuplicateSeed) {
+	if err := validate([]graph.VID{3, 3}); !errors.Is(err, ErrDuplicateSeed) {
 		t.Errorf("duplicate: err = %v, want ErrDuplicateSeed", err)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // the regime where the cross-edge table is largest and phases 2–5 plus rank
 // 0's tree merge and result check carry a large share of the solve. Those
 // run on pooled flat tables and sorted slices, so a map or a per-query
-// allocation creeping back shows here; benchgate gates it.
+// allocation creeping back shows here.
 func BenchmarkFragmentMST(b *testing.B) {
 	const n, k = 4000, 512
 	g := engineTestGraph(41, n)

@@ -19,11 +19,10 @@
 //  6. Steiner Tree Edge     — predecessor walks from surviving cross-cell
 //     edge endpoints back to each cell's seed (Alg. 6)
 //
-// Prize queries take another road through phases 3–5, chosen from the query
-// and not from an option: the moat-growing plan needs the whole distance
-// graph, so every rank gathers the merged table (the paper's
-// Allreduce(MIN)), runs the plan and a sequential Kruskal over it, and drops
-// the cell pairs the MST does not use.
+// Prize queries run the same phases 3–5. The moat-growing plan needs the
+// whole distance graph, so phase 3 routes a prize query's every record to
+// rank 0, which plans the keep set; the fragment merge then treats an edge
+// with a skipped end as dead.
 //
 // The oracle is sequential test code (reference_test.go): Alg. 2 over
 // voronoi.Sequential and mst.Kruskal, sharing no runtime, shard, slab or
@@ -244,9 +243,6 @@ type Options struct {
 	// testing); ShuffleSeed makes it reproducible.
 	ShuffleDelivery bool
 	ShuffleSeed     int64
-	// SkipValidation skips the post-solve Steiner-tree validity check
-	// (benchmarks on large graphs).
-	SkipValidation bool
 	// Backend selects where ranks run: in-process goroutines (default) or
 	// external rankd worker processes over TCP.
 	Backend Backend

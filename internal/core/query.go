@@ -248,7 +248,7 @@ func CanonicalSpec(n int, spec QuerySpec) (QuerySpec, error) {
 // objective for prize — counts the Steiner vertices and runs mode-aware
 // validation. It is shared by the loopback path and the TCP coordinator
 // path, so both backends publish identical Results from identical trees.
-func finalizeResult(g *graph.Graph, cq canonQuery, res *Result, skipValidation bool) error {
+func finalizeResult(g *graph.Graph, cq canonQuery, res *Result) error {
 	res.Mode = cq.spec.Mode
 	// check validates one tree over the terminals it must span and counts
 	// its Steiner vertices: a tree has one vertex more than it has edges, and
@@ -256,9 +256,6 @@ func finalizeResult(g *graph.Graph, cq canonQuery, res *Result, skipValidation b
 	check := func(terms []graph.VID, tree []graph.Edge) error {
 		if len(tree) > 0 {
 			res.SteinerVertices += len(tree) + 1 - len(terms)
-		}
-		if skipValidation {
-			return nil
 		}
 		return graph.ValidateSteinerTree(g, terms, tree)
 	}
@@ -290,7 +287,7 @@ func finalizeResult(g *graph.Graph, cq canonQuery, res *Result, skipValidation b
 			}
 		}
 		res.Objective = res.TotalDistance + res.PaidPenalty
-		if !skipValidation && len(kept) == 0 {
+		if len(kept) == 0 {
 			return fmt.Errorf("core: internal error, prize query kept no terminal")
 		}
 		if err := check(kept, res.Tree); err != nil {

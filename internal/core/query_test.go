@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -449,8 +450,69 @@ func TestPrizePenaltyBound(t *testing.T) {
 	}
 }
 
-// BenchmarkForestSolve measures a warm engine answering forest queries —
-// the benchgate guard proving mode dispatch doesn't tax the solve path.
+// TestFinalizeResultRejectsCorruptTree pins that the engine's own result
+// check always runs and bites: a tree, a forest and a prize answer each fail
+// finalizeResult once one edge's weight is off by one, one edge is dropped
+// or one edge is duplicated.
+func TestFinalizeResultRejectsCorruptTree(t *testing.T) {
+	g := clusteredTestGraph(81, 3, 40)
+	e, err := NewEngine(g, Default(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	rng := rand.New(rand.NewSource(82))
+	groups := pickClusterGroups(rng, 40, []int{3, 4, 2})
+	// Keep one cluster's terminals; skip a free one behind a 1e6 bridge.
+	prizeSeeds := append(slices.Clone(groups[1]), groups[2][0])
+	penalties := []graph.Dist{1e9, 1e9, 1e9, 1e9, 0}
+	corruptions := map[string]func([]graph.Edge) []graph.Edge{
+		"weight+1": func(tree []graph.Edge) []graph.Edge {
+			tree[len(tree)/2].W++
+			return tree
+		},
+		"dropped": func(tree []graph.Edge) []graph.Edge {
+			return slices.Delete(tree, len(tree)/2, len(tree)/2+1)
+		},
+		"duplicated": func(tree []graph.Edge) []graph.Edge {
+			return append(tree, tree[len(tree)/2])
+		},
+	}
+	for _, spec := range []QuerySpec{
+		TreeSpec(groups[0]),
+		{Mode: ModeForest, Groups: groups},
+		{Mode: ModePrize, Seeds: prizeSeeds, Penalties: penalties},
+	} {
+		t.Run(spec.Mode.String(), func(t *testing.T) {
+			res, err := e.SolveSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Tree) < 2 || (spec.Mode == ModePrize && len(res.Skipped) == 0) {
+				t.Fatalf("%d edges, %d skipped: not worth corrupting", len(res.Tree), len(res.Skipped))
+			}
+			cq, err := canonSpec(g.NumVertices(), spec, map[graph.VID]bool{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := finalizeResult(g, cq, res.Clone()); err != nil {
+				t.Fatalf("intact answer rejected: %v", err)
+			}
+			for name, corrupt := range corruptions {
+				t.Run(name, func(t *testing.T) {
+					bad := res.Clone()
+					bad.Tree = corrupt(bad.Tree)
+					if err := finalizeResult(g, cq, bad); err == nil {
+						t.Errorf("%s tree accepted", name)
+					}
+				})
+			}
+		})
+	}
+}
+
+// BenchmarkForestSolve measures a warm engine answering forest queries, so
+// that mode dispatch visibly taxing the solve path shows up here.
 func BenchmarkForestSolve(b *testing.B) {
 	g := clusteredTestGraph(3, 3, 500)
 	rng := rand.New(rand.NewSource(4))

@@ -38,10 +38,6 @@ func (b *Builder) AddEdges(edges []Edge) {
 	}
 }
 
-// NumPending returns the number of edge records added so far (before
-// deduplication).
-func (b *Builder) NumPending() int { return len(b.edges) }
-
 // Build produces the CSR graph. The Builder can be reused afterwards.
 func (b *Builder) Build() (*Graph, error) {
 	for _, e := range b.edges {

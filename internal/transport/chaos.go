@@ -112,12 +112,6 @@ func NewChaos(t *TCP, cfg ChaosConfig) *Chaos {
 	return c
 }
 
-// Ops returns the transport operations counted so far (test introspection).
-func (c *Chaos) Ops() int64 { return c.ops.Load() }
-
-// Fired reports whether the configured fault has been injected.
-func (c *Chaos) Fired() bool { return c.fired.Load() }
-
 // step counts one transport operation and fires the configured fault when
 // the count crosses the trigger.
 func (c *Chaos) step() {

@@ -149,8 +149,7 @@ func TestMsgBatch2Truncation(t *testing.T) {
 }
 
 // BenchmarkWireEncodeBatch measures the hot Deliver-path encode at the
-// runtime's default flush size. benchgate and ci/bench_baseline.txt key on
-// the sub-benchmark name "v2".
+// runtime's default flush size.
 func BenchmarkWireEncodeBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	msgs := randBatch(rng, 64)

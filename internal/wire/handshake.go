@@ -108,8 +108,7 @@ type Setup struct {
 	BatchSize   int
 
 	// Solver configuration the per-rank body needs (core.Options subset).
-	BSP               bool
-	DelegateThreshold int
+	BSP bool
 
 	// Partition reconstruction.
 	PartitionKind uint8
@@ -149,7 +148,6 @@ func EncodeSetup(dst []byte, s Setup) []byte {
 	dst = AppendUvarint(dst, s.BucketDelta)
 	dst = AppendUvarint(dst, uint64(s.BatchSize))
 	dst = appendBool(dst, s.BSP)
-	dst = AppendUvarint(dst, uint64(s.DelegateThreshold))
 	dst = append(dst, s.PartitionKind)
 	dst = AppendVIDs(dst, s.ArcBounds)
 	dst = AppendVIDs(dst, s.Delegates)
@@ -182,7 +180,6 @@ func DecodeSetup(body []byte) (Setup, error) {
 	s.BucketDelta = d.Uvarint()
 	s.BatchSize = d.Int()
 	s.BSP = d.Bool()
-	s.DelegateThreshold = d.Int()
 	s.PartitionKind = d.Byte()
 	s.ArcBounds = d.VIDs()
 	s.Delegates = d.VIDs()
