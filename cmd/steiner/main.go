@@ -25,6 +25,7 @@ import (
 )
 
 func main() {
+	defaults := dsteiner.Defaults(1)
 	var (
 		graphFile = flag.String("graph", "", "binary CSR graph file (from gengraph)")
 		stpFile   = flag.String("stp", "", "SteinLib/DIMACS .stp instance (graph + terminals)")
@@ -35,8 +36,8 @@ func main() {
 		strategy  = flag.String("strategy", "bfs-level", "seed selection: bfs-level | uniform | eccentric | proximate")
 		rngSeed   = flag.Int64("rng", 42, "seed-selection RNG seed")
 		ranks     = flag.Int("ranks", 4, "simulated rank count")
-		partKind  = flag.String("partition", "arcblock", "vertex partition: block | hash | arcblock")
-		queue     = flag.String("queue", "priority", "message queue: priority | fifo | bucket")
+		partKind  = flag.String("partition", defaults.Partition.String(), "vertex partition: block | hash | arcblock")
+		queue     = flag.String("queue", defaults.Queue.String(), "message queue: priority | fifo | bucket")
 		bsp       = flag.Bool("bsp", false, "bulk-synchronous instead of asynchronous processing")
 		delegates = flag.Int("delegates", 0, "delegate high-degree vertices above this degree (0 = off)")
 		dotFile   = flag.String("dot", "", "write the tree as Graphviz DOT")
@@ -101,15 +102,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	switch *queue {
-	case "priority":
-		opts.Queue = dsteiner.QueuePriority
-	case "fifo":
-		opts.Queue = dsteiner.QueueFIFO
-	case "bucket":
-		opts.Queue = dsteiner.QueueBucket
-	default:
-		fatal(fmt.Errorf("unknown -queue %q", *queue))
+	opts.Queue, err = dsteiner.ParseQueue(*queue)
+	if err != nil {
+		fatal(err)
 	}
 	opts.BSP = *bsp
 	opts.DelegateThreshold = *delegates

@@ -81,6 +81,7 @@ import (
 )
 
 func main() {
+	defaults := dsteiner.Defaults(1)
 	var (
 		graphFile  = flag.String("graph", "", "binary CSR graph file")
 		dataset    = flag.String("dataset", "", "Table III stand-in name")
@@ -94,8 +95,8 @@ func main() {
 		recoverOn  = flag.Bool("recover", false, "heal a poisoned tcp session: re-admit rejoining/respawned workers and requeue the in-flight query")
 		rejoinWait = flag.Duration("rejoin-wait", 30*time.Second, "how long one session heal waits for all workers to re-handshake (with -recover)")
 		respawnCmd = flag.String("respawn-cmd", "", "shell command run (async, via sh -c) each time the tcp session loses a worker — e.g. a script starting one replacement rankd")
-		partKind   = flag.String("partition", "arcblock", "vertex partition: block | hash | arcblock")
-		queueKind  = flag.String("queue", "priority", "message queue discipline: fifo | priority | bucket")
+		partKind   = flag.String("partition", defaults.Partition.String(), "vertex partition: block | hash | arcblock")
+		queueKind  = flag.String("queue", defaults.Queue.String(), "message queue discipline: fifo | priority | bucket")
 		frontier   = flag.String("frontier", "auto", "bucket drain mode: auto | serial | parallel (parallel needs -queue bucket)")
 		frontWkrs  = flag.Int("frontier-workers", 0, "per-process frontier worker budget, split across hosted ranks (0 = GOMAXPROCS)")
 		delegates  = flag.Int("delegates", 0, "delegate high-degree vertices above this degree (0 = off)")

@@ -201,8 +201,10 @@ var ErrDuplicateSeed = core.ErrDuplicateSeed
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
 // Defaults returns the paper's tuned configuration at the given simulated
-// rank count: asynchronous processing with priority message queues and an
-// arc-balanced partition.
+// rank count: asynchronous processing with priority message queues and
+// equal-vertex contiguous ranges, as the paper partitions (§IV). Phase-1
+// work follows popped vertices, so equal-vertex ranges balance it better
+// than arc-balanced ones (PartitionArcBlock) on skewed graphs.
 func Defaults(ranks int) Options { return core.Default(ranks) }
 
 // Solve computes a 2-approximate Steiner minimal tree of g spanning the

@@ -9,6 +9,7 @@ import (
 
 	"dsteiner/internal/baseline"
 	"dsteiner/internal/exact"
+	"dsteiner/internal/gen"
 	"dsteiner/internal/graph"
 	rt "dsteiner/internal/runtime"
 )
@@ -343,6 +344,36 @@ func TestPhaseStatsPopulated(t *testing.T) {
 	mem := res.Memory
 	if mem.GraphBytes <= 0 || mem.StateBytes <= 0 || mem.AlgorithmBytes() <= 0 || mem.TotalBytes() <= mem.GraphBytes {
 		t.Errorf("memory stats implausible: %+v", mem)
+	}
+}
+
+// TestDefaultBalancesVoronoiVisits pins why Default splits ranks by
+// vertices: phase 1 pays per popped vertex, so on a skewed R-MAT graph
+// (the LVJ stand-in shape) equal-vertex ranges keep the busiest rank near
+// half the visits. Arc-balanced ranges read ≈1.57 here, block ≈1.05.
+func TestDefaultBalancesVoronoiVisits(t *testing.T) {
+	g := gen.Config{Name: "rmat", Kind: gen.KindRMAT, N: 1 << 13, AvgDegree: 16, MaxWeight: 5000,
+		Backbone: true, Seed: 1}.MustBuild()
+	e, err := NewEngine(g, Default(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	rng := rand.New(rand.NewSource(2))
+	var maxWork, processed int64
+	for q := 0; q < 8; q++ {
+		res, err := e.Solve(pickSeeds(rng, g.NumVertices(), 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vor := res.Phase(PhaseVoronoi)
+		maxWork += vor.MaxRankWork
+		processed += vor.Processed
+	}
+	imbalance := 2 * float64(maxWork) / float64(processed)
+	t.Logf("phase-1 imbalance %.3f (busiest rank %d of %d visits)", imbalance, maxWork, processed)
+	if imbalance > 1.25 {
+		t.Fatalf("phase-1 imbalance %.3f, want <= 1.25", imbalance)
 	}
 }
 

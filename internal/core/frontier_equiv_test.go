@@ -42,7 +42,7 @@ func TestParallelFrontierMatchesSerial(t *testing.T) {
 	partitions := []PartitionKind{PartitionBlock, PartitionHash, PartitionArcBlock}
 	if testing.Short() {
 		workerCounts = []int{2}
-		partitions = []PartitionKind{PartitionArcBlock}
+		partitions = []PartitionKind{Default(4).Partition}
 	}
 	var drained int64
 	for _, kind := range partitions {

@@ -120,8 +120,8 @@ const (
 	// PartitionHash assigns vertex v to rank v mod P.
 	PartitionHash
 	// PartitionArcBlock gives each rank a contiguous vertex range with
-	// an approximately equal share of ARCS — better load balance on
-	// skewed graphs.
+	// an approximately equal share of ARCS. Phase-1 work follows popped
+	// vertices, so on skewed graphs this unbalances it (see Default).
 	PartitionArcBlock
 )
 
@@ -207,8 +207,7 @@ func ParseBackend(s string) (Backend, error) {
 // Options configures a Solve run. The zero value is a valid single-rank
 // configuration — FIFO queue, asynchronous processing, block partition, no
 // delegates — which is the HavoqGT baseline, not the paper's optimized one:
-// Default is the constructor that sets the priority queue and the
-// arc-balanced partition.
+// Default is the constructor that sets the priority queue.
 type Options struct {
 	// Ranks is the number of simulated MPI processes (default 1).
 	Ranks int
@@ -284,13 +283,17 @@ func (o Options) withDefaults() Options {
 
 // Default returns the paper's optimized configuration at the given rank
 // count: asynchronous processing with distance-priority message queues and
-// arc-balanced contiguous partitioning (our equivalent of HavoqGT's
-// edge-count load balancing for scale-free graphs — see the
-// docs/ARCHITECTURE.md substitution table and BenchmarkAblation_Delegates).
+// equal-vertex contiguous ranges, the paper's "approximately equal share of
+// vertices" (§IV). A rank's phase-1 work follows the vertices it pops, not
+// the arcs it owns: the ghost-row filter drops most cross-rank offers and
+// the indexed queue holds one entry per row. On R-MAT 2^15 × 16 at two
+// ranks the arc-balanced split gave one rank ≈80 % of the visits
+// (core.phase1_imbalance 1.56–1.61); equal-vertex ranges read 1.06–1.08.
+// PartitionArcBlock gives the more even shard bytes instead.
 func Default(ranks int) Options {
 	return Options{
 		Ranks:     ranks,
 		Queue:     rt.QueuePriority,
-		Partition: PartitionArcBlock,
+		Partition: PartitionBlock,
 	}
 }

@@ -89,7 +89,7 @@ func TestEngineShardStats(t *testing.T) {
 	}
 	defer e.Close()
 	s := e.ShardStats()
-	if s.Partition != "arcblock" || s.Ranks != 4 || s.DelegateThreshold != 5 {
+	if s.Partition != opts.Partition.String() || s.Ranks != 4 || s.DelegateThreshold != 5 {
 		t.Fatalf("metadata wrong: %+v", s)
 	}
 	if s.Delegates == 0 {

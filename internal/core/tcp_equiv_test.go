@@ -62,7 +62,7 @@ func TestTCPBackendMatchesLoopback(t *testing.T) {
 	thresholds := []int{0, 6}
 	bsps := []bool{false, true}
 	if testing.Short() { // the full matrix spins up 12 worker fleets; -short keeps two
-		kinds = []PartitionKind{PartitionArcBlock}
+		kinds = []PartitionKind{Default(4).Partition}
 		thresholds = []int{6}
 	}
 	for _, kind := range kinds {

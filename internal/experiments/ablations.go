@@ -52,10 +52,11 @@ func AblationBSP(cfg Config) ([]tables.Table, error) {
 // AblationDelegates quantifies the load-balance levers for skewed graphs:
 // partitioning (equal vertices vs equal arcs vs hashed) crossed with
 // HavoqGT-style high-degree vertex delegation. The metric is the Voronoi
-// phase's critical-path work (max per-rank messages processed) — on
-// scale-free graphs, equal-vertex contiguous ranges leave the hub-heavy
-// range with most of the arcs, which is exactly what HavoqGT's vertex
-// delegates exist to fix.
+// phase's critical-path work (max per-rank messages processed). That work
+// follows the vertices a rank pops, not the arcs it owns: ghost rows drop
+// most cross-rank offers, so equal-vertex ranges (the paper's partitioning
+// and core.Default) balance it, while equal-arc ranges hand the hub-light
+// range most of the vertices.
 func AblationDelegates(cfg Config) ([]tables.Table, error) {
 	t := tables.Table{
 		Title:  fmt.Sprintf("Ablation: partitioning x vertex delegates (P=%d)", cfg.Ranks),
@@ -102,7 +103,7 @@ func AblationDelegates(cfg Config) ([]tables.Table, error) {
 		}
 	}
 	t.AddNote("CP-eff = balance relative to the first configuration's total work; threshold 0 disables delegation")
-	t.AddNote("arc-balanced ranges reproduce HavoqGT's edge load-balancing role (docs/ARCHITECTURE.md)")
+	t.AddNote("phase-1 work follows popped vertices: equal-vertex ranges (the default) balance it, equal-arc ranges do not (docs/ARCHITECTURE.md)")
 	return []tables.Table{t}, nil
 }
 

@@ -126,9 +126,11 @@ func (h *Hash) OwnedVertices(rank int, fn func(v graph.VID)) {
 func (h *Hash) IsDelegate(graph.VID) bool { return false }
 
 // ArcBlock divides vertices into P contiguous ranges with approximately
-// equal ARC counts rather than vertex counts. On skewed (scale-free)
-// graphs, equal-vertex ranges leave the hub-heavy range doing most of the
-// relaxation work; balancing by arcs equalizes the per-rank message load.
+// equal ARC counts rather than vertex counts. It equalizes shard bytes,
+// not traversal work: with ghost rows filtering cross-rank offers, a rank
+// pays per vertex it pops, and on scale-free graphs arc-balanced ranges
+// give the hub-light range most of the vertices. core.Default therefore
+// uses Block; ArcBlock remains an option and an ablation axis.
 type ArcBlock struct {
 	bounds []graph.VID // len p+1; rank r owns [bounds[r], bounds[r+1])
 	n, p   int
