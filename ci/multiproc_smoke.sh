@@ -192,49 +192,6 @@ if [ "$tree_rounds" -le 0 ] || [ "$tree_rounds" != "$prize_rounds" ]; then
 fi
 echo "   k=$K: $tree_rounds rounds each; cross-table bytes: tree=$tree_bytes prize=$prize_bytes"
 
-echo "== starting -frontier parallel fleet (bucket queue, frontier counters)"
-# Parallel Δ-bucket draining end to end: each rankd resolves the shipped
-# frontier request against its own host, drains whole buckets across its
-# per-rank worker pool, and the counters ride home in the WorkerDone
-# frames. Answers must stay byte-identical to the (priority-queue, serial)
-# inproc reference — the drain mode must never leak into results.
-FRONT_COORD=127.0.0.1:7614
-FRONT_HTTP=127.0.0.1:8715
-"$workdir/steinersvc" -dataset "$DATASET" -scale "$SCALE" -ranks $RANKS \
-  -backend tcp -workers $WORKERS -rank-listen "$FRONT_COORD" \
-  -delegates "$DELEGATES" -queue bucket -frontier parallel -frontier-workers 8 \
-  -addr "$FRONT_HTTP" -cache 0 -jobs 0 >"$workdir/frontier.log" 2>&1 &
-pids+=($!)
-for i in $(seq 1 $WORKERS); do
-  "$workdir/rankd" -coordinator "$FRONT_COORD" -retry 30s >"$workdir/front_rankd$i.log" 2>&1 &
-  pids+=($!)
-done
-wait_http "$FRONT_HTTP" "parallel-frontier tcp steinersvc"
-for seeds in "${QUERIES[@]}"; do
-  front_out=$(curl -fsS "http://$FRONT_HTTP/solve?seeds=$seeds" |
-    jq -S '{seeds, edges, total, steinerVertices}')
-  inproc_out=$(curl -fsS "http://$INPROC_HTTP/solve?seeds=$seeds" |
-    jq -S '{seeds, edges, total, steinerVertices}')
-  if [ "$front_out" != "$inproc_out" ]; then
-    echo "FAIL: seeds=$seeds differ between parallel-frontier fleet and inproc" >&2
-    diff <(echo "$inproc_out") <(echo "$front_out") >&2 || true
-    exit 1
-  fi
-done
-frontier=$(curl -fsS "http://$FRONT_HTTP/stats" | jq -S .frontier)
-front_mode=$(echo "$frontier" | jq -r .mode)
-front_drains=$(echo "$frontier" | jq -r .bucketsDrained)
-front_workers=$(echo "$frontier" | jq -r .workers)
-if [ "$front_mode" != "parallel" ]; then
-  echo "FAIL: frontier fleet reports mode=$front_mode, want parallel" >&2
-  exit 1
-fi
-if [ "$front_drains" -le 0 ] || [ "$front_workers" -le 0 ]; then
-  echo "FAIL: frontier fleet never drained a bucket in parallel: $frontier" >&2
-  exit 1
-fi
-echo "   ${#QUERIES[@]} queries byte-identical; $front_drains buckets drained on $front_workers workers/rank"
-
 echo "== starting recovering fleet for the kill/respawn check"
 # Fault-tolerance end to end: a 4-worker fleet where one rankd is doomed
 # (FAULTPOINTS=solve.phase3:exit kills its process at solver phase 3), the
@@ -320,5 +277,4 @@ fi
 echo "   faults: detected=$detected rejoins=$rejoins heals=$heals retriedSolves=$retried"
 
 echo "PASS: tcp backend byte-identical to inproc across ${#QUERIES[@]} queries"
-echo "PASS: parallel-frontier fleet byte-identical with nonzero bucket drains"
 echo "PASS: one worker killed mid-solve, fleet healed, answer byte-identical"

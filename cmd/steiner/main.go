@@ -37,7 +37,7 @@ func main() {
 		rngSeed   = flag.Int64("rng", 42, "seed-selection RNG seed")
 		ranks     = flag.Int("ranks", 4, "simulated rank count")
 		partKind  = flag.String("partition", defaults.Partition.String(), "vertex partition: block | hash | arcblock")
-		queue     = flag.String("queue", defaults.Queue.String(), "message queue: priority | fifo | bucket")
+		queue     = flag.String("queue", defaults.Queue.String(), "message queue: priority | fifo")
 		bsp       = flag.Bool("bsp", false, "bulk-synchronous instead of asynchronous processing")
 		delegates = flag.Int("delegates", 0, "delegate high-degree vertices above this degree (0 = off)")
 		dotFile   = flag.String("dot", "", "write the tree as Graphviz DOT")

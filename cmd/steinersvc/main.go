@@ -96,9 +96,7 @@ func main() {
 		rejoinWait = flag.Duration("rejoin-wait", 30*time.Second, "how long one session heal waits for all workers to re-handshake (with -recover)")
 		respawnCmd = flag.String("respawn-cmd", "", "shell command run (async, via sh -c) each time the tcp session loses a worker — e.g. a script starting one replacement rankd")
 		partKind   = flag.String("partition", defaults.Partition.String(), "vertex partition: block | hash | arcblock")
-		queueKind  = flag.String("queue", defaults.Queue.String(), "message queue discipline: fifo | priority | bucket")
-		frontier   = flag.String("frontier", "auto", "bucket drain mode: auto | serial | parallel (parallel needs -queue bucket)")
-		frontWkrs  = flag.Int("frontier-workers", 0, "per-process frontier worker budget, split across hosted ranks (0 = GOMAXPROCS)")
+		queueKind  = flag.String("queue", defaults.Queue.String(), "message queue discipline: fifo | priority")
 		delegates  = flag.Int("delegates", 0, "delegate high-degree vertices above this degree (0 = off)")
 		engines    = flag.Int("engines", 1, "resident solver engines (max concurrent queries; must be 1 with -backend tcp)")
 		cache      = flag.Int("cache", 256, "LRU solution cache entries (0 disables)")
@@ -137,12 +135,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "steinersvc: %v\n", err)
 		os.Exit(1)
 	}
-	opts.Frontier, err = dsteiner.ParseFrontier(*frontier)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "steinersvc: %v\n", err)
-		os.Exit(1)
-	}
-	opts.FrontierWorkers = *frontWkrs
 	opts.Backend, err = dsteiner.ParseBackend(*backend)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "steinersvc: %v\n", err)

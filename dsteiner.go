@@ -71,8 +71,8 @@ type (
 	// deep-copies it for cache storage.
 	Result = core.Result
 	// RuntimeStats is the runtime counters record a Result embeds whole:
-	// message, suppressed/batched/coalesced broadcast and parallel-frontier
-	// counters plus the transport traffic (Result.Net).
+	// message and suppressed/batched/coalesced broadcast counters plus the
+	// transport traffic (Result.Net).
 	RuntimeStats = rt.Stats
 	// BatchItem is one query's outcome within Engine.SolveBatch.
 	BatchItem = core.BatchItem
@@ -97,9 +97,6 @@ type (
 	QuerySpec = core.QuerySpec
 	// Mode selects a query kind: ModeTree, ModeForest or ModePrize.
 	Mode = core.Mode
-	// FrontierMode selects how a rank drains its Δ-stepping bucket queue:
-	// FrontierAuto, FrontierSerial or FrontierParallel.
-	FrontierMode = core.FrontierMode
 )
 
 // Query modes (see docs/API.md for the per-mode semantics).
@@ -125,8 +122,6 @@ const (
 	// QueuePriority processes messages in ascending distance order —
 	// the paper's key optimization.
 	QueuePriority = rt.QueuePriority
-	// QueueBucket is a Δ-stepping style bucket discipline.
-	QueueBucket = rt.QueueBucket
 )
 
 // Partition kinds (see internal/partition and the §IV scale-out design).
@@ -156,24 +151,8 @@ const (
 // ParseBackend maps "inproc" or "tcp" to its Backend.
 func ParseBackend(s string) (core.Backend, error) { return core.ParseBackend(s) }
 
-// ParseQueue maps "fifo", "priority" or "bucket" to its queue discipline.
+// ParseQueue maps "fifo" or "priority" to its queue discipline.
 func ParseQueue(s string) (rt.QueueKind, error) { return core.ParseQueue(s) }
-
-// Frontier drain modes: how a rank drains its Δ-stepping bucket queue
-// (see internal/core Options.Frontier).
-const (
-	// FrontierAuto drains in parallel when the bucket discipline is active
-	// and more than one worker per rank is available, serially otherwise.
-	FrontierAuto = core.FrontierAuto
-	// FrontierSerial always drains one message at a time (the oracle path).
-	FrontierSerial = core.FrontierSerial
-	// FrontierParallel drains whole buckets on a per-rank worker pool;
-	// requires Options.Queue == QueueBucket.
-	FrontierParallel = core.FrontierParallel
-)
-
-// ParseFrontier maps "auto", "serial" or "parallel" to its FrontierMode.
-func ParseFrontier(s string) (core.FrontierMode, error) { return core.ParseFrontier(s) }
 
 // WorkerConfig parameterizes RunWorker (peer listen address, timeouts).
 type WorkerConfig = core.WorkerConfig

@@ -124,40 +124,6 @@ func BenchmarkTCPTransportSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelFrontier compares serial against parallel bucket
-// draining on an identical Δ-stepping configuration: same graph, same
-// queries, same bucket width — the only difference is whether each rank
-// relaxes a drained bucket one message at a time or chunked across its
-// frontier worker pool (4 workers per rank here). The two produce
-// byte-identical Results (pinned by TestParallelFrontierMatchesSerial), so
-// the ratio is pure drain-loop speedup; on a single-core box the parallel
-// side only measures the pool's dispatch overhead.
-func BenchmarkParallelFrontier(b *testing.B) {
-	g := benchSolveGraph(b)
-	seedSets := benchSeedSets(g, 16, 16)
-	for _, mode := range []dsteiner.FrontierMode{dsteiner.FrontierSerial, dsteiner.FrontierParallel} {
-		b.Run(mode.String(), func(b *testing.B) {
-			opts := dsteiner.Defaults(2)
-			opts.Queue = dsteiner.QueueBucket
-			opts.BucketDelta = 32
-			opts.Frontier = mode
-			opts.FrontierWorkers = 8 // 4 workers on each of the 2 ranks
-			e, err := dsteiner.NewEngine(g, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Solve(seedSets[i%len(seedSets)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkShardBuild measures the session-setup cost the shard substrate
 // adds: cutting P rank-local CSR slabs (plus delegate stripes) out of the
 // 20K-vertex benchmark graph. Paid once per Engine, amortized across every

@@ -63,17 +63,11 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 			Ranks:         opts.Ranks,
 			NumVertices:   g.NumVertices(),
 			Queue:         uint8(opts.Queue),
-			BucketDelta:   opts.BucketDelta,
 			BatchSize:     opts.BatchSize,
 			BSP:           opts.BSP,
 			PartitionKind: kind,
 			ArcBounds:     bounds,
 			Delegates:     plan.Delegates(),
-			// The frontier mode ships UNRESOLVED: auto depends on each
-			// worker's own GOMAXPROCS, so every worker resolves it locally
-			// against its hosted rank count.
-			Frontier:        uint8(opts.Frontier),
-			FrontierWorkers: uint64(max(0, opts.FrontierWorkers)),
 		}
 		for rank := lo; rank < hi; rank++ {
 			// A shard keeps no target VIDs, so the slices are cut from g.
@@ -98,17 +92,13 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 		return nil, err
 	}
 
-	// The coordinator cannot resolve FrontierAuto — that happens on each
-	// worker against its own GOMAXPROCS — so a cluster Engine reports the
-	// requested mode.
 	return &Engine{
-		g:        g,
-		opts:     opts,
-		cluster:  &cluster{hub: hub},
-		plan:     plan,
-		shard:    shard,
-		frontier: opts.Frontier,
-		seen:     make(map[graph.VID]bool),
+		g:       g,
+		opts:    opts,
+		cluster: &cluster{hub: hub},
+		plan:    plan,
+		shard:   shard,
+		seen:    make(map[graph.VID]bool),
 	}, nil
 }
 

@@ -146,7 +146,7 @@ func TestDeterministicAcrossRanksQueuesAndPartitions(t *testing.T) {
 	seeds := pickSeeds(rng, 300, 7)
 	var ref *Result
 	for _, ranks := range []int{1, 2, 5, 8} {
-		for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority, rt.QueueBucket} {
+		for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
 			for _, pk := range []PartitionKind{PartitionBlock, PartitionHash, PartitionArcBlock} {
 				opts := Options{Ranks: ranks, Queue: q, Partition: pk}
 				res, err := Solve(g, seeds, opts)
@@ -169,6 +169,19 @@ func TestDeterministicAcrossRanksQueuesAndPartitions(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestParseQueue pins the flag surface: the two disciplines parse, and any
+// other name is refused with the valid ones.
+func TestParseQueue(t *testing.T) {
+	for s, want := range map[string]rt.QueueKind{"fifo": rt.QueueFIFO, "priority": rt.QueuePriority} {
+		if got, err := ParseQueue(s); err != nil || got != want {
+			t.Fatalf("ParseQueue(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	if _, err := ParseQueue("bucket"); err == nil || !strings.Contains(err.Error(), "fifo or priority") {
+		t.Fatalf("ParseQueue(\"bucket\") error = %v, want one naming fifo or priority", err)
 	}
 }
 

@@ -46,12 +46,6 @@ type Engine struct {
 
 	mu   sync.Mutex         // serializes Solve on this engine
 	seen map[graph.VID]bool // seed-validation scratch
-
-	// frontier is the resolved bucket-drain strategy (never auto): parallel
-	// when the bucket discipline and a multi-worker budget line up — or when
-	// pinned by Options.Frontier. A cluster engine holds the requested mode
-	// instead; its workers resolve auto.
-	frontier FrontierMode
 }
 
 // NewEngine builds a reusable solver session for g. The returned Engine
@@ -60,9 +54,6 @@ type Engine struct {
 // which shares the immutable shard substrate instead of rebuilding it.
 func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
-	if opts.Frontier == FrontierParallel && opts.Queue != rt.QueueBucket {
-		return nil, fmt.Errorf("core: FrontierParallel requires the bucket queue discipline (Options.Queue = QueueBucket)")
-	}
 	if opts.Backend == BackendTCP {
 		return newClusterEngine(g, opts)
 	}
@@ -144,16 +135,12 @@ func (e *Engine) NewSibling() (*Engine, error) {
 // newEngine wires a communicator and pooled per-query state around an
 // already-built substrate. opts must have defaults applied.
 func newEngine(g *graph.Graph, opts Options, plan *partition.ShardPlan, shards []*graph.Shard) (*Engine, error) {
-	frontier := resolveFrontierLocal(opts)
 	comm, err := rt.New(rt.Config{
-		Ranks:            opts.Ranks,
-		Queue:            opts.Queue,
-		BucketDelta:      opts.BucketDelta,
-		BatchSize:        opts.BatchSize,
-		ShuffleDelivery:  opts.ShuffleDelivery,
-		ShuffleSeed:      opts.ShuffleSeed,
-		FrontierParallel: frontier == FrontierParallel,
-		FrontierWorkers:  opts.FrontierWorkers,
+		Ranks:           opts.Ranks,
+		Queue:           opts.Queue,
+		BatchSize:       opts.BatchSize,
+		ShuffleDelivery: opts.ShuffleDelivery,
+		ShuffleSeed:     opts.ShuffleSeed,
 	}, plan.Partition())
 	if err != nil {
 		return nil, err
@@ -171,15 +158,14 @@ func newEngine(g *graph.Graph, opts Options, plan *partition.ShardPlan, shards [
 	}
 	comm.Start()
 	return &Engine{
-		g:        g,
-		opts:     opts,
-		plan:     plan,
-		shards:   shards,
-		shard:    shardStats(opts, plan, shards, slabs),
-		host:     newRankHost(comm, opts.BSP),
-		slabs:    slabs,
-		seen:     make(map[graph.VID]bool),
-		frontier: frontier,
+		g:      g,
+		opts:   opts,
+		plan:   plan,
+		shards: shards,
+		shard:  shardStats(opts, plan, shards, slabs),
+		host:   newRankHost(comm, opts.BSP),
+		slabs:  slabs,
+		seen:   make(map[graph.VID]bool),
 	}, nil
 }
 
@@ -223,11 +209,6 @@ type ShardStats struct {
 	// MaxShardBytes, the per-process footprint of a multi-process rank.
 	MaxStateSlabBytes int64
 }
-
-// Frontier reports the bucket-drain strategy: resolved (never FrontierAuto)
-// on an in-process engine; on the TCP backend the requested mode, because
-// each worker resolves auto against its own GOMAXPROCS.
-func (e *Engine) Frontier() FrontierMode { return e.frontier }
 
 // ShardStats reports the engine's shard substrate. On the TCP backend it
 // was captured at session setup from the shards and slabs the handshake

@@ -125,7 +125,7 @@ func TestEngineRepeatedIdenticalQuery(t *testing.T) {
 // on a reused engine too, where nothing may leak between queries.
 func TestPhaseStatsAddUpToCommStats(t *testing.T) {
 	g := engineTestGraph(9, 400)
-	for _, opts := range []Options{Default(1), Default(3), {Ranks: 4, DelegateThreshold: 6, Queue: rt.QueueBucket, BSP: true}} {
+	for _, opts := range []Options{Default(1), Default(3), {Ranks: 4, DelegateThreshold: 6, Queue: rt.QueueFIFO, BSP: true}} {
 		e, err := NewEngine(g, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -34,81 +34,10 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	rt "dsteiner/internal/runtime"
 )
-
-// FrontierMode selects how a rank drains its Δ-stepping bucket queue in the
-// vertex-centric phases: one message at a time (serial) or whole buckets at
-// a time on a per-rank worker pool (parallel). The converged fixed point is
-// order-independent (strict lex (dist, seed, pred) tie-breaking), so the
-// two paths produce byte-identical Results; serial is retained as the
-// equivalence oracle.
-type FrontierMode int
-
-const (
-	// FrontierAuto picks parallel when it can pay off: the bucket queue
-	// discipline is active and the resolved per-rank worker count exceeds 1.
-	// Anything else runs serial.
-	FrontierAuto FrontierMode = iota
-	// FrontierSerial always drains one message at a time.
-	FrontierSerial
-	// FrontierParallel drains whole buckets on the per-rank worker pool.
-	// Requires QueueBucket.
-	FrontierParallel
-)
-
-// String returns the flag/API name of the frontier mode.
-func (m FrontierMode) String() string {
-	switch m {
-	case FrontierSerial:
-		return "serial"
-	case FrontierParallel:
-		return "parallel"
-	default:
-		return "auto"
-	}
-}
-
-// ParseFrontier maps a flag/API string to its FrontierMode ("auto",
-// "serial", "parallel").
-func ParseFrontier(s string) (FrontierMode, error) {
-	switch s {
-	case "", "auto":
-		return FrontierAuto, nil
-	case "serial":
-		return FrontierSerial, nil
-	case "parallel":
-		return FrontierParallel, nil
-	default:
-		return FrontierAuto, fmt.Errorf("core: unknown frontier mode %q (want auto, serial or parallel)", s)
-	}
-}
-
-// resolveFrontierLocal resolves FrontierAuto for the ranks one process
-// hosts: parallel only when the bucket discipline is active and the per-rank
-// worker budget (FrontierWorkers or GOMAXPROCS, split across the Ranks this
-// process hosts) exceeds one worker — anything else would pay the pool
-// dispatch for no concurrency.
-func resolveFrontierLocal(opts Options) FrontierMode {
-	switch opts.Frontier {
-	case FrontierSerial, FrontierParallel:
-		return opts.Frontier
-	}
-	if opts.Queue != rt.QueueBucket {
-		return FrontierSerial
-	}
-	budget := opts.FrontierWorkers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	if budget/opts.Ranks > 1 {
-		return FrontierParallel
-	}
-	return FrontierSerial
-}
 
 // PartitionKind selects the vertex-to-rank mapping.
 type PartitionKind int
@@ -153,17 +82,15 @@ func ParsePartition(s string) (PartitionKind, error) {
 }
 
 // ParseQueue maps a flag/API string to its runtime queue discipline
-// ("fifo", "priority", "bucket").
+// ("fifo", "priority").
 func ParseQueue(s string) (rt.QueueKind, error) {
 	switch s {
 	case "fifo":
 		return rt.QueueFIFO, nil
 	case "priority":
 		return rt.QueuePriority, nil
-	case "bucket":
-		return rt.QueueBucket, nil
 	default:
-		return rt.QueueFIFO, fmt.Errorf("core: unknown queue discipline %q (want fifo, priority or bucket)", s)
+		return rt.QueueFIFO, fmt.Errorf("core: unknown queue discipline %q (want fifo or priority)", s)
 	}
 }
 
@@ -216,8 +143,6 @@ type Options struct {
 	// QueueFIFO, runtime's zero value, which reproduces the HavoqGT baseline
 	// of Fig. 5/6.
 	Queue rt.QueueKind
-	// BucketDelta is the Δ for QueueBucket.
-	BucketDelta uint64
 	// BatchSize overrides the runtime's message batch size.
 	BatchSize int
 	// Partition picks the vertex partition (default block).
@@ -229,15 +154,6 @@ type Options struct {
 	// BSP runs the vertex-centric phases bulk-synchronously instead of
 	// asynchronously (the §IV ablation).
 	BSP bool
-	// Frontier selects serial vs intra-rank parallel draining of the
-	// bucket queue in the vertex-centric phases (default auto: parallel
-	// only when QueueBucket is active and more than one worker per rank is
-	// available). FrontierParallel requires QueueBucket.
-	Frontier FrontierMode
-	// FrontierWorkers is the per-process frontier worker budget, split
-	// evenly across the ranks a process hosts (each rank gets
-	// max(1, budget/hosted)). 0 means GOMAXPROCS of the hosting process.
-	FrontierWorkers int
 	// ShuffleDelivery randomizes message delivery order (robustness
 	// testing); ShuffleSeed makes it reproducible.
 	ShuffleDelivery bool

@@ -337,8 +337,8 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 	for _, kind := range []PartitionKind{PartitionBlock, PartitionHash, PartitionArcBlock} {
 		for _, threshold := range []int{0, 6} {
 			for _, bsp := range []bool{false, true} {
-				for _, queue := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority, rt.QueueBucket} {
-					for _, ranks := range []int{1, 3, 4, 5} {
+				for _, queue := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
+					for _, ranks := range []int{1, 2, 3, 4, 5, 8} {
 						opts := Options{Ranks: ranks, Queue: queue, Partition: kind, DelegateThreshold: threshold, BSP: bsp}
 						timing := map[bool]string{false: "async", true: "bsp"}[bsp]
 						t.Run(fmt.Sprintf("%v/thr=%d/%s/%v/ranks=%d", kind, threshold, timing, queue, ranks), func(t *testing.T) {
@@ -443,7 +443,7 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 			}
 			opts := Options{
 				Ranks:             1 + rng.Intn(6),
-				Queue:             []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority, rt.QueueBucket}[rng.Intn(3)],
+				Queue:             []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority}[rng.Intn(2)],
 				Partition:         []PartitionKind{PartitionBlock, PartitionHash, PartitionArcBlock}[rng.Intn(3)],
 				DelegateThreshold: []int{0, 4, 12}[rng.Intn(3)],
 				BSP:               rng.Intn(2) == 0,
@@ -486,50 +486,54 @@ func TestDelegateFloodUnderReorderingMatchesSequential(t *testing.T) {
 	}
 	base := Options{Ranks: 4, Queue: rt.QueuePriority, Partition: PartitionHash, DelegateThreshold: 6}
 	for _, bsp := range []bool{false, true} {
-		for _, queue := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority, rt.QueueBucket} {
+		for _, queue := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
 			for shuffle := int64(1); shuffle <= 3; shuffle++ {
 				opts := base
 				opts.Queue, opts.BSP, opts.ShuffleDelivery, opts.ShuffleSeed = queue, bsp, true, shuffle
-				e, err := NewEngine(g, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, spec := range specs {
-					res, err := e.SolveSpec(spec)
+				t.Run(fmt.Sprintf("bsp=%v/%v/shuffle=%d", bsp, queue, shuffle), func(t *testing.T) {
+					e, err := NewEngine(g, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("bsp=%v/%v/shuffle=%d/k=%d", bsp, queue, shuffle, len(spec.Seeds))
-					if res.BatchedBroadcasts == 0 {
-						t.Fatalf("%s: no delegate broadcast", label)
-					}
-					assertMatchesReference(t, res, wants[i])
-					got := voronoi.Collect(e.slabs, g.NumVertices())
-					for v := graph.VID(0); int(v) < g.NumVertices(); v++ {
-						gs, gp, gd := got.Get(v)
-						if ws, wp, wd := wants[i].cells.Get(v); gs != ws || gp != wp || gd != wd {
-							t.Fatalf("%s: vertex %d: row (%d, %d, %d), reference (%d, %d, %d)", label, v, gd, gs, gp, wd, ws, wp)
+					defer e.Close()
+					for i, spec := range specs {
+						res, err := e.SolveSpec(spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("k=%d", len(spec.Seeds))
+						if res.BatchedBroadcasts == 0 {
+							t.Fatalf("%s: no delegate broadcast", label)
+						}
+						assertMatchesReference(t, res, wants[i])
+						got := voronoi.Collect(e.slabs, g.NumVertices())
+						for v := graph.VID(0); int(v) < g.NumVertices(); v++ {
+							gs, gp, gd := got.Get(v)
+							if ws, wp, wd := wants[i].cells.Get(v); gs != ws || gp != wp || gd != wd {
+								t.Fatalf("%s: vertex %d: row (%d, %d, %d), reference (%d, %d, %d)", label, v, gd, gs, gp, wd, ws, wp)
+							}
 						}
 					}
-				}
-				e.Close()
+				})
 			}
 		}
 	}
 
-	e, shutdown := startChaosFleet(t, g, base, 2, func(w int) WorkerConfig {
-		return WorkerConfig{Chaos: &transport.ChaosConfig{Kind: transport.ChaosDelay, Seed: int64(w + 1)}}
+	t.Run("tcp", func(t *testing.T) {
+		e, shutdown := startChaosFleet(t, g, base, 2, func(w int) WorkerConfig {
+			return WorkerConfig{Chaos: &transport.ChaosConfig{Kind: transport.ChaosDelay, Seed: int64(w + 1)}}
+		})
+		for i, spec := range specs {
+			res, err := e.SolveSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.BatchedBroadcasts == 0 || res.Net.FramesOut == 0 {
+				t.Fatalf("k=%d: batched %d broadcasts over %d frames", len(spec.Seeds), res.BatchedBroadcasts, res.Net.FramesOut)
+			}
+			res.Net = rt.TransportStats{} // the one field a TCP answer may differ in
+			assertMatchesReference(t, res, wants[i])
+		}
+		shutdown(true)
 	})
-	for i, spec := range specs {
-		res, err := e.SolveSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.BatchedBroadcasts == 0 || res.Net.FramesOut == 0 {
-			t.Fatalf("tcp k=%d: batched %d broadcasts over %d frames", len(spec.Seeds), res.BatchedBroadcasts, res.Net.FramesOut)
-		}
-		res.Net = rt.TransportStats{} // the one field a TCP answer may differ in
-		assertMatchesReference(t, res, wants[i])
-	}
-	shutdown(true)
 }

@@ -96,11 +96,6 @@ type Result struct {
 	//     rank's superstep outbox as real broadcasts, and offers absorbed
 	//     into an already-staged entry for the same delegate (each a
 	//     broadcast that never happened).
-	//   - Frontier: intra-rank parallel-frontier work, all zero when every
-	//     rank drained serially. Workers is the resolved count per rank (the
-	//     fleet maximum on TCP) and MaxChunk a session high-water mark, not a
-	//     per-query delta; the pool's busy fraction is
-	//     BusyNs/(WallNs*Workers).
 	//   - Net: transport traffic attributable to this query, summed over the
 	//     worker processes. All zero on the in-process loopback backend.
 	rt.Stats

@@ -45,6 +45,54 @@ func startTCPEngine(t *testing.T, g *graph.Graph, opts Options, workers int) (*E
 	}
 }
 
+// tcpEquivSeedSets are the three tree queries every TCP-equivalence cell
+// asks of one warm session.
+func tcpEquivSeedSets(g *graph.Graph) [][]graph.VID {
+	rng := rand.New(rand.NewSource(18))
+	return [][]graph.VID{
+		pickEngineSeeds(rng, g.NumVertices(), 3),
+		pickEngineSeeds(rng, g.NumVertices(), 7),
+		pickEngineSeeds(rng, g.NumVertices(), 13),
+	}
+}
+
+// checkTCPMatchesLoopback runs seedSets on a loopback engine and on a
+// 4-worker rankd fleet built with the same opts, and requires
+// solver-output fields byte-identical, traffic on the wire only for TCP,
+// and batched delegate broadcasts on both sides when delegates are on.
+func checkTCPMatchesLoopback(t *testing.T, g *graph.Graph, seedSets [][]graph.VID, opts Options, label string) {
+	t.Helper()
+	loop, err := NewEngine(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loop.Close()
+	tcp, wait := startTCPEngine(t, g, opts, 4)
+	defer wait()
+	defer tcp.Close()
+	for _, seeds := range seedSets {
+		want, err := loop.Solve(seeds)
+		if err != nil {
+			t.Fatalf("loopback: %v", err)
+		}
+		got, err := tcp.Solve(seeds)
+		if err != nil {
+			t.Fatalf("tcp: %v", err)
+		}
+		assertResultsEquivalent(t, label, got, want)
+		if got.Net.FramesOut == 0 || got.Net.BytesOut == 0 {
+			t.Fatalf("%s: tcp solve reports no transport traffic: %+v", label, got.Net)
+		}
+		if want.Net.FramesOut != 0 {
+			t.Fatalf("%s: loopback solve reports transport traffic: %+v", label, want.Net)
+		}
+		if opts.DelegateThreshold > 0 && (got.BatchedBroadcasts == 0 || want.BatchedBroadcasts == 0) {
+			t.Fatalf("%s: delegate solve batched nothing (tcp=%d loopback=%d)",
+				label, got.BatchedBroadcasts, want.BatchedBroadcasts)
+		}
+	}
+}
+
 // TestTCPBackendMatchesLoopback is the transport-equivalence acceptance
 // test: for partition kinds × delegate thresholds × {async, BSP}, a
 // 4-worker rankd cluster driven over TCP returns Results byte-identical
@@ -52,12 +100,7 @@ func startTCPEngine(t *testing.T, g *graph.Graph, opts Options, workers int) (*E
 // match across repeated queries on the same warm session.
 func TestTCPBackendMatchesLoopback(t *testing.T) {
 	g := engineTestGraph(17, 120)
-	rng := rand.New(rand.NewSource(18))
-	seedSets := [][]graph.VID{
-		pickEngineSeeds(rng, g.NumVertices(), 3),
-		pickEngineSeeds(rng, g.NumVertices(), 7),
-		pickEngineSeeds(rng, g.NumVertices(), 13),
-	}
+	seedSets := tcpEquivSeedSets(g)
 	kinds := []PartitionKind{PartitionBlock, PartitionHash, PartitionArcBlock}
 	thresholds := []int{0, 6}
 	bsps := []bool{false, true}
@@ -70,44 +113,42 @@ func TestTCPBackendMatchesLoopback(t *testing.T) {
 			for _, bsp := range bsps {
 				label := fmt.Sprintf("%v/thr=%d/bsp=%v", kind, threshold, bsp)
 				t.Run(label, func(t *testing.T) {
-					opts := Options{
+					checkTCPMatchesLoopback(t, g, seedSets, Options{
 						Ranks:             4,
 						Queue:             rt.QueuePriority,
 						Partition:         kind,
 						DelegateThreshold: threshold,
 						BSP:               bsp,
-					}
-					loop, err := NewEngine(g, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer loop.Close()
-					tcp, wait := startTCPEngine(t, g, opts, 4)
-					defer wait()
-					defer tcp.Close()
-					for _, seeds := range seedSets {
-						want, err := loop.Solve(seeds)
-						if err != nil {
-							t.Fatalf("loopback: %v", err)
-						}
-						got, err := tcp.Solve(seeds)
-						if err != nil {
-							t.Fatalf("tcp: %v", err)
-						}
-						assertResultsEquivalent(t, label, got, want)
-						if got.Net.FramesOut == 0 || got.Net.BytesOut == 0 {
-							t.Fatalf("%s: tcp solve reports no transport traffic: %+v", label, got.Net)
-						}
-						if want.Net.FramesOut != 0 {
-							t.Fatalf("%s: loopback solve reports transport traffic: %+v", label, want.Net)
-						}
-						if threshold > 0 && (got.BatchedBroadcasts == 0 || want.BatchedBroadcasts == 0) {
-							t.Fatalf("%s: delegate solve batched nothing (tcp=%d loopback=%d)",
-								label, got.BatchedBroadcasts, want.BatchedBroadcasts)
-						}
-					}
+					}, label)
 				})
 			}
+		}
+	}
+}
+
+// TestTCPBackendFIFOMatchesLoopback is the same property under the other
+// queue discipline: Setup ships Queue = FIFO, every worker floods
+// first-in-first-out, and the fleet still answers byte for byte as the
+// loopback engine does, async and BSP, with and without delegates.
+func TestTCPBackendFIFOMatchesLoopback(t *testing.T) {
+	g := engineTestGraph(17, 120)
+	seedSets := tcpEquivSeedSets(g)
+	thresholds := []int{0, 6}
+	if testing.Short() {
+		thresholds = []int{6}
+	}
+	for _, threshold := range thresholds {
+		for _, bsp := range []bool{false, true} {
+			label := fmt.Sprintf("thr=%d/bsp=%v", threshold, bsp)
+			t.Run(label, func(t *testing.T) {
+				checkTCPMatchesLoopback(t, g, seedSets, Options{
+					Ranks:             4,
+					Queue:             rt.QueueFIFO,
+					Partition:         Default(4).Partition,
+					DelegateThreshold: threshold,
+					BSP:               bsp,
+				}, "fifo/"+label)
+			})
 		}
 	}
 }

@@ -202,9 +202,8 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 			setup.WorkerIndex, len(setup.RankLo), len(setup.PeerAddrs))
 	}
 	lo, hi := int(setup.RankLo[setup.WorkerIndex]), int(setup.RankLo[setup.WorkerIndex+1])
-	// A worker hosts at least one rank, all of them inside the session: the
-	// frontier budget is split over hi-lo, and every per-rank table below is
-	// indexed by global rank.
+	// A worker hosts at least one rank, all of them inside the session: every
+	// per-rank table below is indexed by global rank.
 	if lo < 0 || lo >= hi || hi > setup.Ranks {
 		return nil, fmt.Errorf("core: inconsistent setup geometry (worker %d hosts ranks [%d,%d) of %d)",
 			setup.WorkerIndex, lo, hi, setup.Ranks)
@@ -216,20 +215,11 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 	if err != nil {
 		return nil, err
 	}
-	// The enum bytes come off the wire: an unknown value is an error, never
+	// The enum byte comes off the wire: an unknown value is an error, never
 	// a default the operator did not ask for.
-	if setup.Queue > uint8(rt.QueueBucket) || setup.Frontier > uint8(FrontierParallel) {
-		return nil, fmt.Errorf("core: setup enum out of range (queue %d, frontier %d)", setup.Queue, setup.Frontier)
+	if setup.Queue > uint8(rt.QueuePriority) {
+		return nil, fmt.Errorf("core: setup enum out of range (queue %d)", setup.Queue)
 	}
-
-	// The setup ships the frontier mode unresolved: auto depends on this
-	// process's own GOMAXPROCS and hosted rank count, so it resolves here.
-	frontier := resolveFrontierLocal(Options{
-		Frontier:        FrontierMode(setup.Frontier),
-		FrontierWorkers: int(setup.FrontierWorkers),
-		Queue:           rt.QueueKind(setup.Queue),
-		Ranks:           hi - lo, // budget splits across hosted ranks
-	})
 
 	w := &worker{n: setup.NumVertices, seen: make(map[graph.VID]bool)}
 	shards := make([]*graph.Shard, 0, hi-lo)
@@ -264,15 +254,12 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 		seam = transport.NewChaos(w.trans, *cfg.Chaos)
 	}
 	comm, err := rt.New(rt.Config{
-		Ranks:            setup.Ranks,
-		Queue:            rt.QueueKind(setup.Queue),
-		BucketDelta:      setup.BucketDelta,
-		BatchSize:        setup.BatchSize,
-		HostLo:           lo,
-		HostHi:           hi,
-		Transport:        seam,
-		FrontierParallel: frontier == FrontierParallel,
-		FrontierWorkers:  int(setup.FrontierWorkers),
+		Ranks:     setup.Ranks,
+		Queue:     rt.QueueKind(setup.Queue),
+		BatchSize: setup.BatchSize,
+		HostLo:    lo,
+		HostHi:    hi,
+		Transport: seam,
 	}, part)
 	if err != nil {
 		return nil, err

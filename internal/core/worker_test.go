@@ -14,8 +14,8 @@ import (
 // TestWorkerRejectsOutOfRangeSetup pins the Setup boundary: a worker handed
 // an enum byte it does not know, or a rank range that is empty, descending
 // or outside the session, answers with an Abort naming the offending values
-// and exits with the same error — it never substitutes a default, divides
-// the frontier budget by zero hosted ranks or indexes a table past its end.
+// and exits with the same error — it never substitutes a default or indexes
+// a table past its end.
 func TestWorkerRejectsOutOfRangeSetup(t *testing.T) {
 	valid := wire.Setup{
 		Ranks: 1, NumVertices: 2, RankLo: []int64{0, 1}, PeerAddrs: []string{"127.0.0.1:1"},
@@ -29,10 +29,9 @@ func TestWorkerRejectsOutOfRangeSetup(t *testing.T) {
 		mutate func(*wire.Setup)
 		want   string
 	}{
-		{"queue", func(s *wire.Setup) { s.Queue = uint8(rt.QueueBucket) + 1 }, enum},
-		{"frontier", func(s *wire.Setup) { s.Frontier = uint8(FrontierParallel) + 1 }, enum},
+		{"queue", func(s *wire.Setup) { s.Queue = uint8(rt.QueuePriority) + 1 }, enum},
 		{"ranks-empty", func(s *wire.Setup) {
-			s.RankLo, s.Shards, s.Queue = []int64{0, 0}, nil, uint8(rt.QueueBucket)
+			s.RankLo, s.Shards, s.Queue = []int64{0, 0}, nil, uint8(rt.QueuePriority)
 		}, geometry},
 		{"ranks-beyond-session", func(s *wire.Setup) {
 			s.RankLo = []int64{5, 6}

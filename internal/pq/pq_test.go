@@ -84,7 +84,7 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 func TestFIFOOrdering(t *testing.T) {
 	q := NewFIFO[int](2)
 	for i := 0; i < 10; i++ {
-		q.Push(i, uint64(100-i)) // keys must be ignored
+		q.Push(i)
 	}
 	if q.Len() != 10 {
 		t.Fatalf("Len = %d", q.Len())
@@ -104,7 +104,7 @@ func TestFIFOWraparound(t *testing.T) {
 	q := NewFIFO[int](4)
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 3; i++ {
-			q.Push(round*3+i, 0)
+			q.Push(round*3 + i)
 		}
 		for i := 0; i < 3; i++ {
 			got, ok := q.Pop()
@@ -121,74 +121,18 @@ func TestFIFOWraparound(t *testing.T) {
 func TestFIFOGrowPreservesOrder(t *testing.T) {
 	q := NewFIFO[int](4)
 	// Offset head, then force growth.
-	q.Push(-1, 0)
-	q.Push(-2, 0)
+	q.Push(-1)
+	q.Push(-2)
 	q.Pop()
 	q.Pop()
 	for i := 0; i < 100; i++ {
-		q.Push(i, 0)
+		q.Push(i)
 	}
 	for i := 0; i < 100; i++ {
 		got, _ := q.Pop()
 		if got != i {
 			t.Fatalf("after grow: pop = %d, want %d", got, i)
 		}
-	}
-}
-
-func TestBucketOrdering(t *testing.T) {
-	b := NewBucket[uint64](10)
-	for _, k := range []uint64{95, 5, 42, 17, 3, 88} {
-		b.Push(k, k)
-	}
-	var got []uint64
-	for {
-		v, ok := b.Pop()
-		if !ok {
-			break
-		}
-		got = append(got, v)
-	}
-	if len(got) != 6 {
-		t.Fatalf("drained %d items", len(got))
-	}
-	// Bucket queue guarantees bucket-level ordering: item keys can be out
-	// of order within a Δ=10 bucket but bucket indices must not decrease.
-	for i := 1; i < len(got); i++ {
-		if got[i]/10 < got[i-1]/10 {
-			t.Fatalf("bucket order violated: %v", got)
-		}
-	}
-}
-
-func TestBucketLateArrivalsClampToCurrentBucket(t *testing.T) {
-	b := NewBucket[uint64](10)
-	b.Push(55, 55)
-	if v, _ := b.Pop(); v != 55 {
-		t.Fatal("wrong pop")
-	}
-	// Key 5 arrives after cursor passed bucket 0; it must still be popped.
-	b.Push(5, 5)
-	v, ok := b.Pop()
-	if !ok || v != 5 {
-		t.Fatalf("late arrival lost: (%d,%v)", v, ok)
-	}
-}
-
-func TestBucketZeroDelta(t *testing.T) {
-	b := NewBucket[int](0) // defaults to 1 => exact priority order
-	for _, k := range []uint64{9, 1, 5} {
-		b.Push(int(k), k)
-	}
-	want := []int{1, 5, 9}
-	for _, w := range want {
-		got, _ := b.Pop()
-		if got != w {
-			t.Fatalf("pop = %d, want %d", got, w)
-		}
-	}
-	if _, ok := b.Pop(); ok {
-		t.Fatal("empty bucket popped")
 	}
 }
 
@@ -243,7 +187,7 @@ func TestPropertyFIFOPreservesSequence(t *testing.T) {
 	f := func(items []int) bool {
 		q := NewFIFO[int](1)
 		for _, it := range items {
-			q.Push(it, 0)
+			q.Push(it)
 		}
 		for _, want := range items {
 			got, ok := q.Pop()
@@ -259,28 +203,24 @@ func TestPropertyFIFOPreservesSequence(t *testing.T) {
 }
 
 func TestPropertyQueuesConserveItems(t *testing.T) {
-	// All three disciplines must return exactly the multiset pushed.
-	f := func(keys []uint64, pick uint8) bool {
-		var q Queue[uint64]
-		switch pick % 3 {
-		case 0:
-			q = NewHeap[uint64](0)
-		case 1:
-			q = NewFIFO[uint64](0)
-		default:
-			q = NewBucket[uint64](16)
+	// Both disciplines must return exactly the multiset pushed.
+	f := func(keys []uint64, fifo bool) bool {
+		h, ring := NewHeap[uint64](0), NewFIFO[uint64](0)
+		push, pop, size := func(k uint64) { h.Push(k, k) }, h.Pop, h.Len
+		if fifo {
+			push, pop, size = ring.Push, ring.Pop, ring.Len
 		}
 		want := map[uint64]int{}
 		for _, k := range keys {
-			q.Push(k, k)
+			push(k)
 			want[k]++
 		}
-		if q.Len() != len(keys) {
+		if size() != len(keys) {
 			return false
 		}
 		got := map[uint64]int{}
 		for i := 0; i < len(keys); i++ {
-			v, ok := q.Pop()
+			v, ok := pop()
 			if !ok {
 				return false
 			}
@@ -339,63 +279,9 @@ func BenchmarkHeapPushPop(b *testing.B) {
 func BenchmarkFIFOPushPop(b *testing.B) {
 	q := NewFIFO[uint64](4096)
 	for i := 0; i < b.N; i++ {
-		q.Push(uint64(i), 0)
+		q.Push(uint64(i))
 		if q.Len() > 2048 {
 			q.Pop()
 		}
-	}
-}
-
-// TestDrainBucketMatchesPop checks that DrainBucket removes exactly the
-// items a sequence of Pops would yield before the cursor next advances,
-// in the same order, against a mirrored Bucket driven by Pop.
-func TestDrainBucketMatchesPop(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := NewBucket[uint64](16)
-	b := NewBucket[uint64](16)
-	push := func(v, k uint64) { a.Push(v, k); b.Push(v, k) }
-	for i := 0; i < 500; i++ {
-		k := uint64(rng.Intn(1 << 10))
-		push(uint64(i), k)
-	}
-	var drained []uint64
-	for a.Len() > 0 {
-		drained = a.DrainBucket(drained[:0])
-		if len(drained) == 0 {
-			t.Fatal("DrainBucket returned nothing from a non-empty queue")
-		}
-		for i, want := range drained {
-			got, ok := b.Pop()
-			if !ok || got != want {
-				t.Fatalf("drain item %d = %d, Pop = (%d,%v)", i, want, got, ok)
-			}
-		}
-		if a.Len() != b.Len() {
-			t.Fatalf("Len after drain = %d, Pop mirror = %d", a.Len(), b.Len())
-		}
-		// Interleave pushes that clamp into the current bucket, as local
-		// sends during a drained-frontier visit do.
-		if a.Len() > 0 && rng.Intn(2) == 0 {
-			push(9999, 0) // below cursor: clamps to current bucket
-		}
-	}
-	if _, ok := b.Pop(); ok {
-		t.Fatal("mirror queue not empty after drains")
-	}
-}
-
-func TestDrainBucketEmpty(t *testing.T) {
-	b := NewBucket[int](4)
-	if got := b.DrainBucket(nil); len(got) != 0 {
-		t.Fatalf("DrainBucket on empty queue = %v", got)
-	}
-	b.Push(1, 3)
-	b.Push(2, 2)
-	got := b.DrainBucket(nil)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("DrainBucket = %v, want [1 2] (same Δ-window, FIFO)", got)
-	}
-	if b.Len() != 0 {
-		t.Fatalf("Len = %d after full drain", b.Len())
 	}
 }

@@ -27,27 +27,17 @@ type Rank struct {
 	// their concrete slab (internal/voronoi.SlabOf).
 	state StateSlab
 
-	// Traversal-scoped state. queue is the traversal's queue: the bucket
-	// queue when it has a Key under QueueBucket, fifo when it has none — and
-	// nil when it has a Key under QueuePriority, whose queue is prio. prio,
-	// bucket and fifo keep their capacity across traversals.
-	queue   pq.Queue[Msg]
+	// Traversal-scoped state. byKey is set when the traversal has a Key
+	// under QueuePriority and queues in prio; every other traversal queues
+	// in fifo. Both keep their capacity across traversals.
+	byKey   bool
 	prio    *pq.Indexed[Msg]
-	bucket  *pq.Bucket[Msg]
 	fifo    *pq.FIFO[Msg]
 	keyOf   KeyFunc
 	slotOf  func(Msg) int32 // Traversal.Slot, nil when no slots
 	visit   VisitFunc
 	admit   func(r *Rank, m Msg) bool // optional inbound fold (Traversal.Admit)
 	shuffle *rand.Rand
-	// Parallel-frontier state (frontier.go): the worker pool (created
-	// lazily, released by Comm.Close), the traversal's parallel callbacks
-	// (nil when this traversal drains serially), and the reusable
-	// drained-bucket buffer.
-	pool     *frontierPool
-	pvisit   ParallelVisitFunc
-	pflush   VisitFunc
-	drainBuf []Msg
 	// bsp defers local sends to the next superstep via the mailbox.
 	bsp bool
 	// free recycles cross-rank batch buffers: drainInbox parks drained
@@ -66,14 +56,12 @@ type Rank struct {
 
 	// Per-traversal counters (reset by Traverse), rank-private: the shared
 	// counters see them once per batch (publish) or per traversal (finish).
-	sentHere         int64
-	processedHere    int64
-	droppedHere      int64 // inbound messages finished by Admit
-	replacedHere     int64 // queue entries replaced by a push for their slot
-	suppressedHere   int64
-	coalescedHere    int64
-	drainsHere       int64
-	frontierMsgsHere int64
+	sentHere       int64
+	processedHere  int64
+	droppedHere    int64 // inbound messages finished by Admit
+	replacedHere   int64 // queue entries replaced by a push for their slot
+	suppressedHere int64
+	coalescedHere  int64
 	// counted is set for loopback asynchronous traversals, whose quiescence
 	// is detected with Comm.pending; published is the part of this rank's
 	// outstanding balance already added to it.
@@ -166,9 +154,9 @@ func (r *Rank) SendLocal(m Msg) {
 // termination counter, and signals quiescence when that reaches zero. It
 // runs before a batch leaves the rank (flushTo), after Init, and before the
 // rank parks; never per message. That is enough because every unpublished
-// send happened while visiting a popped message (or draining a bucket) whose
-// own unit is only released afterwards: while any rank has unpublished work
-// the counter is at least one, and it reaches zero only at true quiescence.
+// send happened while visiting a popped message whose own unit is only
+// released afterwards: while any rank has unpublished work the counter is
+// at least one, and it reaches zero only at true quiescence.
 // A queue entry replaced by a push for its slot gives its unit back in the
 // step that queues its replacement, whose own unit is held until that entry
 // is visited, so replacements keep the balance exact.
@@ -298,37 +286,33 @@ func (r *Rank) recycleBuf(buf []Msg) {
 // enqueueLocal pushes m onto the local discipline queue. On the priority
 // queue, a push for a slot that is already queued replaces that entry.
 func (r *Rank) enqueueLocal(m Msg) {
-	if r.queue == nil {
-		slot := int32(-1)
-		if r.slotOf != nil {
-			slot = r.slotOf(m)
-		}
-		if r.prio.Push(m, r.keyOf(m), slot) {
-			r.replacedHere++
-		}
+	if !r.byKey {
+		r.fifo.Push(m)
 		return
 	}
-	var key uint64
-	if r.keyOf != nil {
-		key = r.keyOf(m)
+	slot := int32(-1)
+	if r.slotOf != nil {
+		slot = r.slotOf(m)
 	}
-	r.queue.Push(m, key)
+	if r.prio.Push(m, r.keyOf(m), slot) {
+		r.replacedHere++
+	}
 }
 
 // pop removes the traversal's next queued message.
 func (r *Rank) pop() (Msg, bool) {
-	if r.queue == nil {
+	if r.byKey {
 		return r.prio.Pop()
 	}
-	return r.queue.Pop()
+	return r.fifo.Pop()
 }
 
 // queued returns the number of messages in the traversal's queue.
 func (r *Rank) queued() int {
-	if r.queue == nil {
+	if r.byKey {
 		return r.prio.Len()
 	}
-	return r.queue.Len()
+	return r.fifo.Len()
 }
 
 // flushTo delivers the outgoing buffer for dest: straight into the mailbox
@@ -405,30 +389,21 @@ func (r *Rank) drainInbox() bool {
 	return moved
 }
 
-// setQueue empties and installs this rank's queue for a traversal: the
-// configured discipline when messages carry a priority key — the bucket
-// queue, or the indexed heap prio with queue left nil — the FIFO ring when
-// order does not matter. Every queue keeps its capacity across phases and
-// queries.
+// setQueue empties and selects this rank's queue for a traversal: the
+// indexed heap prio when messages carry a priority key under QueuePriority,
+// the FIFO ring otherwise — under QueueFIFO or when order does not matter.
+// Both queues keep their capacity across phases and queries.
 func (r *Rank) setQueue(keyed bool) {
-	r.queue = nil
-	switch {
-	case keyed && r.comm.cfg.Queue == QueueBucket:
-		if r.bucket == nil {
-			r.bucket = pq.NewBucket[Msg](r.comm.cfg.BucketDelta)
-		}
-		r.bucket.Reset()
-		r.queue = r.bucket
-	case keyed && r.comm.cfg.Queue != QueueFIFO:
+	r.byKey = keyed && r.comm.cfg.Queue == QueuePriority
+	if r.byKey {
 		if r.prio == nil {
 			r.prio = pq.NewIndexed[Msg](1024)
 		}
 		r.prio.Reset()
-	default:
-		if r.fifo == nil {
-			r.fifo = pq.NewFIFO[Msg](1024)
-		}
-		r.fifo.Reset()
-		r.queue = r.fifo
+		return
 	}
+	if r.fifo == nil {
+		r.fifo = pq.NewFIFO[Msg](1024)
+	}
+	r.fifo.Reset()
 }

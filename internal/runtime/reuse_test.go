@@ -32,7 +32,7 @@ func chainRun(c *Comm) int64 {
 }
 
 func TestCommReusedAcrossRuns(t *testing.T) {
-	for _, q := range []QueueKind{QueueFIFO, QueuePriority, QueueBucket} {
+	for _, q := range []QueueKind{QueueFIFO, QueuePriority} {
 		c := newComm(t, 32, 4, q)
 		for run := 0; run < 10; run++ {
 			if got := chainRun(c); got != 15 {

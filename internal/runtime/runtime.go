@@ -52,8 +52,6 @@ const (
 	// paper's message-prioritization optimization, approximating
 	// Dijkstra's settling order.
 	QueuePriority
-	// QueueBucket processes messages in Δ-stepping bucket order.
-	QueueBucket
 )
 
 // String returns the flag/API name of the queue discipline.
@@ -63,8 +61,6 @@ func (k QueueKind) String() string {
 		return "fifo"
 	case QueuePriority:
 		return "priority"
-	case QueueBucket:
-		return "bucket"
 	default:
 		return fmt.Sprintf("QueueKind(%d)", int(k))
 	}
@@ -88,7 +84,7 @@ type Msg struct {
 type VisitFunc func(r *Rank, m Msg)
 
 // KeyFunc extracts the priority key of a message (lower = sooner). Only
-// consulted by QueuePriority/QueueBucket.
+// consulted by QueuePriority.
 type KeyFunc func(m Msg) uint64
 
 // DistKey is the standard KeyFunc: priority by tentative distance.
@@ -100,8 +96,6 @@ type Config struct {
 	Ranks int
 	// Queue is the per-rank message-queue discipline.
 	Queue QueueKind
-	// BucketDelta is the bucket width for QueueBucket (default 64).
-	BucketDelta uint64
 	// BatchSize is the number of messages coalesced per cross-rank
 	// delivery (default 64). Batching models MPI message aggregation.
 	BatchSize int
@@ -120,17 +114,6 @@ type Config struct {
 	// rank subset. nil means loopback: every rank is in-process and
 	// delivery is a direct mailbox append — the perf baseline.
 	Transport Transport
-	// FrontierParallel enables the intra-rank parallel frontier: ranks
-	// whose queue discipline is QueueBucket drain whole Δ-buckets on a
-	// per-rank worker pool (see frontier.go) for traversals that provide a
-	// ParallelVisit. Results are byte-identical to serial draining; the
-	// caller (core.Engine) resolves its auto/serial/parallel policy to
-	// this switch.
-	FrontierParallel bool
-	// FrontierWorkers is the per-process frontier worker budget, split
-	// evenly across hosted ranks (each rank gets max(1, budget/hosted)).
-	// 0 means GOMAXPROCS.
-	FrontierWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -139,9 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
-	}
-	if c.BucketDelta == 0 {
-		c.BucketDelta = 64
 	}
 	return c
 }
@@ -202,13 +182,6 @@ type Comm struct {
 	// Delegate-outbox counters (Rank.BroadcastBatched / flushOutbox).
 	batchedBroadcasts atomic.Int64
 	coalesced         atomic.Int64
-	// Parallel-frontier counters (Rank.parallelDrain).
-	frontierDrains    atomic.Int64
-	frontierMsgs      atomic.Int64
-	frontierMaxChunk  atomic.Int64
-	frontierConflicts atomic.Int64
-	frontierBusyNs    atomic.Int64
-	frontierWallNs    atomic.Int64
 	// idleRanks counts hosted ranks currently parked in runAsync; a busy
 	// rank skips its fairness yield when every peer is parked.
 	idleRanks atomic.Int32
@@ -513,19 +486,12 @@ func (c *Comm) Start() {
 	}
 }
 
-// Close stops the persistent rank goroutines pinned by Start and releases
-// any frontier worker pools. Idempotent; a Comm that never called Start
-// closes its pools only. Run must not be in flight. After Close the Comm
-// still works in spawn-per-run mode (pools are recreated on demand).
+// Close stops the persistent rank goroutines pinned by Start. Idempotent.
+// Run must not be in flight. After Close the Comm still works in
+// spawn-per-run mode.
 func (c *Comm) Close() {
 	c.workMu.Lock()
 	defer c.workMu.Unlock()
-	for _, r := range c.ranks {
-		if r.pool != nil {
-			r.pool.close()
-			r.pool = nil
-		}
-	}
 	if c.work == nil {
 		return
 	}
@@ -620,17 +586,12 @@ type Stats struct {
 	// staged outbox entry — broadcasts that never happened because a
 	// better or identical offer was pending for the same hub.
 	CoalescedBroadcasts int64
-	// Frontier reports intra-rank parallel-frontier work (Δ-stepping
-	// bucket drains on the per-rank worker pools); all zero when the
-	// parallel frontier is disabled.
-	Frontier FrontierStats
 	// Net reports the transport's cumulative traffic; all zero for
 	// loopback communicators.
 	Net TransportStats
 }
 
-// Sub returns the traffic between the earlier snapshot o and s. Frontier's
-// Workers and MaxChunk are levels, not counters: s's values stand.
+// Sub returns the traffic between the earlier snapshot o and s.
 func (s Stats) Sub(o Stats) Stats {
 	s.Sent -= o.Sent
 	s.Processed -= o.Processed
@@ -638,17 +599,11 @@ func (s Stats) Sub(o Stats) Stats {
 	s.Suppressed -= o.Suppressed
 	s.BatchedBroadcasts -= o.BatchedBroadcasts
 	s.CoalescedBroadcasts -= o.CoalescedBroadcasts
-	s.Frontier.BucketsDrained -= o.Frontier.BucketsDrained
-	s.Frontier.Messages -= o.Frontier.Messages
-	s.Frontier.Conflicts -= o.Frontier.Conflicts
-	s.Frontier.BusyNs -= o.Frontier.BusyNs
-	s.Frontier.WallNs -= o.Frontier.WallNs
 	s.Net = s.Net.Sub(o.Net)
 	return s
 }
 
-// Add folds two shares into one: counters sum, Frontier's Workers and
-// MaxChunk take the maximum.
+// Add folds two shares into one: every counter sums.
 func (s Stats) Add(o Stats) Stats {
 	s.Sent += o.Sent
 	s.Processed += o.Processed
@@ -656,13 +611,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.Suppressed += o.Suppressed
 	s.BatchedBroadcasts += o.BatchedBroadcasts
 	s.CoalescedBroadcasts += o.CoalescedBroadcasts
-	s.Frontier.Workers = max(s.Frontier.Workers, o.Frontier.Workers)
-	s.Frontier.BucketsDrained += o.Frontier.BucketsDrained
-	s.Frontier.Messages += o.Frontier.Messages
-	s.Frontier.MaxChunk = max(s.Frontier.MaxChunk, o.Frontier.MaxChunk)
-	s.Frontier.Conflicts += o.Frontier.Conflicts
-	s.Frontier.BusyNs += o.Frontier.BusyNs
-	s.Frontier.WallNs += o.Frontier.WallNs
 	s.Net = s.Net.Add(o.Net)
 	return s
 }
@@ -676,17 +624,6 @@ func (c *Comm) Stats() Stats {
 		Suppressed:          c.suppressed.Load(),
 		BatchedBroadcasts:   c.batchedBroadcasts.Load(),
 		CoalescedBroadcasts: c.coalesced.Load(),
-		Frontier: FrontierStats{
-			BucketsDrained: c.frontierDrains.Load(),
-			Messages:       c.frontierMsgs.Load(),
-			MaxChunk:       c.frontierMaxChunk.Load(),
-			Conflicts:      c.frontierConflicts.Load(),
-			BusyNs:         c.frontierBusyNs.Load(),
-			WallNs:         c.frontierWallNs.Load(),
-		},
-	}
-	if c.cfg.FrontierParallel {
-		s.Frontier.Workers = c.frontierWorkers()
 	}
 	if c.trans != nil {
 		s.Net = c.trans.Stats()
@@ -703,10 +640,4 @@ func (c *Comm) ResetStats() {
 	c.suppressed.Store(0)
 	c.batchedBroadcasts.Store(0)
 	c.coalesced.Store(0)
-	c.frontierDrains.Store(0)
-	c.frontierMsgs.Store(0)
-	c.frontierMaxChunk.Store(0)
-	c.frontierConflicts.Store(0)
-	c.frontierBusyNs.Store(0)
-	c.frontierWallNs.Store(0)
 }

@@ -108,7 +108,7 @@ func TestPingCountTraversal(t *testing.T) {
 	// ranks; total processed must equal sum of chain lengths.
 	const n = 32
 	for _, ranks := range []int{1, 2, 4} {
-		for _, q := range []QueueKind{QueueFIFO, QueuePriority, QueueBucket} {
+		for _, q := range []QueueKind{QueueFIFO, QueuePriority} {
 			c := newComm(t, n, ranks, q)
 			var total atomic.Int64
 			c.Run(func(r *Rank) {
@@ -192,7 +192,7 @@ func TestDistributedSSSPMatchesSequential(t *testing.T) {
 	g := ssspGraph(11, 300)
 	want := sssp.Dijkstra(g, 0)
 	for _, ranks := range []int{1, 2, 4, 8} {
-		for _, q := range []QueueKind{QueueFIFO, QueuePriority, QueueBucket} {
+		for _, q := range []QueueKind{QueueFIFO, QueuePriority} {
 			for _, bsp := range []bool{false, true} {
 				part, _ := partition.NewBlock(g.NumVertices(), ranks)
 				c := MustNew(Config{Ranks: ranks, Queue: q}, part)
@@ -338,7 +338,7 @@ func TestBSPSuperstepCount(t *testing.T) {
 
 func TestQueueKindString(t *testing.T) {
 	if QueueFIFO.String() != "fifo" || QueuePriority.String() != "priority" ||
-		QueueBucket.String() != "bucket" || QueueKind(9).String() != "QueueKind(9)" {
+		QueueKind(9).String() != "QueueKind(9)" {
 		t.Fatal("QueueKind strings wrong")
 	}
 }

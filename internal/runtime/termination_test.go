@@ -332,14 +332,12 @@ func TestNilKeyIsServedFIFO(t *testing.T) {
 		})
 		return got
 	}
-	for _, q := range []QueueKind{QueueFIFO, QueuePriority, QueueBucket} {
+	for _, q := range []QueueKind{QueueFIFO, QueuePriority} {
 		if got := fmt.Sprint(order(q, nil)); got != "[300 100 200]" {
 			t.Fatalf("queue=%v, nil key: visited %s, want arrival order", q, got)
 		}
 	}
-	for _, q := range []QueueKind{QueuePriority, QueueBucket} {
-		if got := fmt.Sprint(order(q, DistKey)); got != "[100 200 300]" {
-			t.Fatalf("queue=%v, DistKey: visited %s, want distance order", q, got)
-		}
+	if got := fmt.Sprint(order(QueuePriority, DistKey)); got != "[100 200 300]" {
+		t.Fatalf("queue=priority, DistKey: visited %s, want distance order", got)
 	}
 }

@@ -3,16 +3,10 @@ package runtime
 import (
 	"runtime"
 	"sync"
-
-	"dsteiner/internal/pq"
 )
 
 // goyield cooperatively yields the processor to other goroutines.
 func goyield() { runtime.Gosched() }
-
-// maxProcs returns the process's usable CPU count (the default frontier
-// worker budget).
-func maxProcs() int { return runtime.GOMAXPROCS(0) }
 
 // idleSpins is the number of yield-and-recheck rounds an empty rank spins
 // before escalating to a channel park: a couple of yields catch messages
@@ -39,7 +33,7 @@ type Traversal struct {
 	// for a slot that is already queued replaces that entry's message and
 	// moves its key, and the replaced message counts as dropped, like one
 	// Admit finishes. The traversal must only do that when the new message
-	// leaves the old one nothing to do. FIFO and bucket queues ignore Slot.
+	// leaves the old one nothing to do. The FIFO queue ignores Slot.
 	Slot func(m Msg) int32
 	// Init runs once per rank before processing starts; it seeds the
 	// traversal by calling r.Send (HavoqGT's init_all visitors). May be
@@ -51,37 +45,23 @@ type Traversal struct {
 	// do. A message it returns false for is finished — an offer the local
 	// state already beats, or one whose whole effect was the fold — and costs
 	// one comparison instead of a queue insertion, a pop and a visit; it
-	// counts as sent but not as processed. Admit only ever runs on the rank
-	// goroutine, never on a frontier worker, so it may write the rank's state
-	// without synchronization. Self-sends do not pass through it, except
-	// under BSP, where they arrive through the rank's own mailbox.
+	// counts as sent but not as processed. Self-sends do not pass through
+	// it, except under BSP, where they arrive through the rank's own
+	// mailbox.
 	Admit func(r *Rank, m Msg) bool
 	// BSP switches from asynchronous processing to bulk-synchronous
 	// supersteps separated by barriers (the ablation of §IV's async
 	// design choice). Messages sent in superstep i are processed in
 	// superstep i+1.
 	BSP bool
-	// ParallelVisit, together with ParallelFlush, is the bucket-drain form
-	// of Visit: when the communicator enables the parallel frontier
-	// (Config.FrontierParallel) and the rank's queue is the Δ-stepping
-	// bucket discipline, whole buckets are drained and relaxed on the
-	// rank's worker pool (frontier.go), with outbound messages staged
-	// per worker and replayed deterministically through ParallelFlush.
-	// Both nil means the traversal always drains serially via Visit.
-	ParallelVisit ParallelVisitFunc
-	// ParallelFlush replays one staged outbound message through the rank's
-	// normal send path (filters, outbox, Send) on the rank goroutine.
-	ParallelFlush VisitFunc
 }
 
 // TraversalStats reports per-rank work done in one Traverse call.
 type TraversalStats struct {
-	Processed      int64 // visit() invocations on this rank
-	Sent           int64 // messages sent by this rank
-	Replaced       int64 // queue entries replaced by a push for their slot
-	Supersteps     int64 // BSP supersteps (0 for async mode)
-	BucketsDrained int64 // parallel whole-bucket drains on this rank
-	FrontierMsgs   int64 // messages relaxed inside parallel drains
+	Processed  int64 // visit() invocations on this rank
+	Sent       int64 // messages sent by this rank
+	Replaced   int64 // queue entries replaced by a push for their slot
+	Supersteps int64 // BSP supersteps (0 for async mode)
 }
 
 // Traverse runs t to global quiescence and returns this rank's work
@@ -94,18 +74,10 @@ func (r *Rank) Traverse(t *Traversal) TraversalStats {
 	r.slotOf = t.Slot
 	r.visit = t.Visit
 	r.admit = t.Admit
-	r.pvisit, r.pflush = nil, nil
-	if t.ParallelVisit != nil && t.ParallelFlush != nil && r.comm.cfg.FrontierParallel {
-		if _, ok := r.queue.(*pq.Bucket[Msg]); ok {
-			r.ensureFrontierPool()
-			r.pvisit, r.pflush = t.ParallelVisit, t.ParallelFlush
-		}
-	}
 	// Discard what an aborted traversal may have left behind: counters it
 	// never folded into Comm.Stats, and a stale outbox stage.
 	r.sentHere, r.processedHere, r.droppedHere, r.replacedHere, r.published = 0, 0, 0, 0, 0
 	r.suppressedHere, r.coalescedHere = 0, 0
-	r.drainsHere, r.frontierMsgsHere = 0, 0
 	r.dout = r.dout[:0]
 	clear(r.doutIdx)
 
@@ -150,7 +122,6 @@ func (r *Rank) finish(supersteps int64) TraversalStats {
 	r.comm.coalesced.Add(r.coalescedHere)
 	return TraversalStats{
 		Processed: r.processedHere, Sent: r.sentHere, Replaced: r.replacedHere, Supersteps: supersteps,
-		BucketsDrained: r.drainsHere, FrontierMsgs: r.frontierMsgsHere,
 	}
 }
 
@@ -162,11 +133,11 @@ func (c *Comm) closeDone() {
 // maybeYield is the busy-loop fairness yield: when simulated ranks share
 // cores, a rank grinding a long queue hands the scheduler a slice so peers
 // advance at a similar rate (real MPI ranks run on dedicated cores). When
-// every peer rank hosted here is already parked — the common case under the
-// frontier worker pool, where one rank drains while the others wait for its
-// offers — the yield could only hand the CPU back to this rank, so it is
-// skipped. Transport-backed communicators always yield: the reader
-// goroutines feeding the mailboxes need the CPU even when peer ranks idle.
+// every peer rank hosted here is already parked — one rank drains while the
+// others wait for its offers — the yield could only hand the CPU back to
+// this rank, so it is skipped. Transport-backed communicators always
+// yield: the reader goroutines feeding the mailboxes need the CPU even when
+// peer ranks idle.
 func (r *Rank) maybeYield() {
 	c := r.comm
 	if c.trans != nil || int(c.idleRanks.Load())+1 < len(c.ranks) {
@@ -191,12 +162,6 @@ func (r *Rank) runAsync() TraversalStats {
 		c.closeDone()
 	}
 	done := c.done
-	// bucketQ is non-nil when this traversal drains whole Δ-buckets on the
-	// rank's worker pool instead of popping one message at a time.
-	var bucketQ *pq.Bucket[Msg]
-	if r.pvisit != nil {
-		bucketQ, _ = r.queue.(*pq.Bucket[Msg])
-	}
 	// Flush outgoing buffers at least this often even while local work
 	// remains: hoarding frontier updates would let peers burn cycles on
 	// stale distances (HavoqGT likewise aggregates but sends eagerly).
@@ -210,38 +175,25 @@ func (r *Rank) runAsync() TraversalStats {
 			r.drainInbox()
 		default:
 		}
-		if n := r.drainFrontier(bucketQ); n > 0 {
-			sinceFlush += n
+		if m, ok := r.pop(); ok {
+			r.visit(r, m)
+			r.processedHere++ // after the visit: see publish
+			sinceFlush++
 			if sinceFlush >= flushEvery {
 				sinceFlush = 0
+				// Release staged delegate broadcasts alongside the regular
+				// flush: within-window improvements still coalesce, but a
+				// rank grinding a long local queue cannot let hub offers go
+				// stale on its peers.
 				r.flushOutbox()
 				r.flushAll()
+				// Yield so peer ranks advance at a similar rate even when
+				// simulated ranks outnumber physical cores: real MPI ranks
+				// run on dedicated cores, and without the yield one rank
+				// can burn a whole scheduler slice on stale distances.
 				r.maybeYield()
 			}
 			continue
-		}
-		if bucketQ == nil {
-			if m, ok := r.pop(); ok {
-				r.visit(r, m)
-				r.processedHere++ // after the visit: see publish
-				sinceFlush++
-				if sinceFlush >= flushEvery {
-					sinceFlush = 0
-					// Release staged delegate broadcasts alongside the
-					// regular flush: within-window improvements still
-					// coalesce, but a rank grinding a long local queue
-					// cannot let hub offers go stale on its peers.
-					r.flushOutbox()
-					r.flushAll()
-					// Yield so peer ranks advance at a similar rate even
-					// when simulated ranks outnumber physical cores:
-					// real MPI ranks run on dedicated cores, and without
-					// the yield one rank can burn a whole scheduler slice
-					// on stale distances.
-					r.maybeYield()
-				}
-				continue
-			}
 		}
 		// Local queue empty: everything staged and buffered must go out
 		// before we sleep, or the system deadlocks with work parked in
@@ -308,10 +260,6 @@ func (r *Rank) runBSP() TraversalStats {
 	r.flushAll()
 	r.Barrier()
 	r.drainInbox()
-	var bucketQ *pq.Bucket[Msg]
-	if r.pvisit != nil {
-		bucketQ, _ = r.queue.(*pq.Bucket[Msg])
-	}
 	steps := int64(0)
 	for {
 		pending := int64(r.queued())
@@ -319,18 +267,9 @@ func (r *Rank) runBSP() TraversalStats {
 			return r.finish(steps)
 		}
 		steps++
-		for {
-			if r.drainFrontier(bucketQ) > 0 {
-				continue
-			}
-			if bucketQ == nil {
-				if m, ok := r.pop(); ok {
-					r.visit(r, m)
-					r.processedHere++
-					continue
-				}
-			}
-			break
+		for m, ok := r.pop(); ok; m, ok = r.pop() {
+			r.visit(r, m)
+			r.processedHere++
 		}
 		// Superstep boundary: the staged best offer per delegate goes out
 		// exactly once per round.

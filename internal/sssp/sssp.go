@@ -1,6 +1,6 @@
 // Package sssp implements the sequential shortest-path kernels used by the
 // baselines and by verification: Dijkstra (binary heap), Bellman–Ford
-// (queue-based), Δ-stepping, and the multi-source (super-source) variants
+// (queue-based), and the multi-source (super-source) variants
 // that compute Voronoi cells the way Mehlhorn's sequential algorithm does.
 //
 // The distributed Voronoi computation in internal/voronoi is validated
@@ -123,7 +123,7 @@ func BellmanFord(g *graph.Graph, sources []graph.VID) *Result {
 		}
 		res.Dist[s] = 0
 		res.Src[s] = s
-		queue.Push(s, 0)
+		queue.Push(s)
 		inQueue[s] = true
 	}
 	for {
@@ -143,55 +143,9 @@ func BellmanFord(g *graph.Graph, sources []graph.VID) *Result {
 				res.Src[u] = res.Src[v]
 				res.Relaxations++
 				if !inQueue[u] {
-					queue.Push(u, 0)
+					queue.Push(u)
 					inQueue[u] = true
 				}
-			}
-		}
-	}
-	return res
-}
-
-// DeltaStepping computes shortest paths from sources using a bucket queue of
-// width delta. With delta = 1 it behaves like Dijkstra on integer weights;
-// large delta degenerates toward Bellman–Ford. Mentioned as the alternative
-// distance kernel in §III (Ceccarello et al. [25], Wang et al. [26]).
-func DeltaStepping(g *graph.Graph, sources []graph.VID, delta uint64) *Result {
-	n := g.NumVertices()
-	res := newResult(n)
-	type qitem struct {
-		v graph.VID
-		d graph.Dist
-	}
-	b := pq.NewBucket[qitem](delta)
-	for _, s := range sources {
-		if res.Dist[s] == 0 {
-			continue
-		}
-		res.Dist[s] = 0
-		res.Src[s] = s
-		b.Push(qitem{v: s, d: 0}, 0)
-	}
-	for {
-		item, ok := b.Pop()
-		if !ok {
-			break
-		}
-		if item.d > res.Dist[item.v] {
-			continue
-		}
-		res.Settled++
-		v := item.v
-		dv := res.Dist[v]
-		ts, ws := g.Adj(v)
-		for i, u := range ts {
-			nd := dv + graph.Dist(ws[i])
-			if better(nd, res.Src[v], res.Dist[u], res.Src[u]) {
-				res.Dist[u] = nd
-				res.Pred[u] = v
-				res.Src[u] = res.Src[v]
-				res.Relaxations++
-				b.Push(qitem{v: u, d: nd}, uint64(nd))
 			}
 		}
 	}

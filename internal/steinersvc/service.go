@@ -69,12 +69,6 @@ type Service struct {
 	// pool; captured from the first engine at construction).
 	shard core.ShardStats
 
-	// frontierMode is the pool's bucket-drain mode ("serial" or "parallel"
-	// on loopback engines; a TCP pool can report "auto", which each worker
-	// resolves against its own GOMAXPROCS). Identical across siblings,
-	// captured like shard.
-	frontierMode string
-
 	// first is the pool's first engine — on the TCP backend, the
 	// coordinator whose fault accounting /stats mirrors. Engines cycle
 	// through the pool channel, so this standing reference is how stats
@@ -111,8 +105,8 @@ type serviceStats struct {
 	phaseSeconds  map[string]float64
 	phaseCalls    map[string]int64
 	// rt is the runtime counters record folded over every served query
-	// (rt.Stats.Add): the broadcasts, frontier and transport blocks of
-	// /stats render from it.
+	// (rt.Stats.Add): the broadcasts and transport blocks of /stats render
+	// from it.
 	rt rt.Stats
 
 	// Fragment-merge MST accounting: merge rounds, exchanged records and
@@ -174,7 +168,6 @@ func New(g *graph.Graph, opts core.Options, cfg Config) (*Service, error) {
 			first = e
 			s.first = e
 			s.shard = e.ShardStats()
-			s.frontierMode = e.Frontier().String()
 		}
 		s.engines <- e
 	}
@@ -509,22 +502,6 @@ type MSTStats struct {
 	CrossTableBytes  int64 `json:"crossTableBytes"`
 }
 
-// FrontierStats is the /stats accounting of the parallel bucket frontier:
-// the drain mode, the largest resolved per-rank worker count, buckets
-// drained on the worker pools (0 = every rank drained serially), messages
-// relaxed there, the largest per-worker chunk, commutative lex-min merge
-// conflicts, and the pools' aggregate busy fraction
-// (busyNs / (wallNs × workers); 0 when nothing drained in parallel).
-type FrontierStats struct {
-	Mode           string  `json:"mode"`
-	Workers        int     `json:"workers"`
-	BucketsDrained int64   `json:"bucketsDrained"`
-	Messages       int64   `json:"messages"`
-	MaxChunk       int64   `json:"maxChunk"`
-	Conflicts      int64   `json:"conflicts"`
-	BusyFraction   float64 `json:"busyFraction"`
-}
-
 // FaultStats is the /stats fault-tolerance block. Injected counts faults
 // this process's chaos instrumentation fired (faultpoint crashes plus
 // chaos-transport connection faults — a process-local count: faults
@@ -575,10 +552,7 @@ type StatsResponse struct {
 	// served queries: suppressed, coalesced, batched, sent.
 	Broadcasts BroadcastStats `json:"broadcasts"`
 	// MST reports the phase 3–5 merge's traffic.
-	MST MSTStats `json:"mst"`
-	// Frontier reports the bucket drain mode and the parallel-frontier
-	// work counters.
-	Frontier  FrontierStats  `json:"frontier"`
+	MST       MSTStats       `json:"mst"`
 	Transport TransportStats `json:"transport"`
 	// Faults is the fault-tolerance block: injected chaos faults, detected
 	// session faults, worker rejoins, session heals and retried solves.
@@ -621,7 +595,7 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st := &s.stats
 	st.mu.Lock()
-	front, net := st.rt.Frontier, st.rt.Net
+	net := st.rt.Net
 	resp := StatsResponse{
 		Engines:       s.NumEngines(),
 		EnginesIdle:   len(s.engines),
@@ -643,14 +617,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 			FragmentMessages: st.mstFragmentMsgs,
 			CrossTableBytes:  st.mstCrossTableBytes,
 		},
-		Frontier: FrontierStats{
-			Mode:           s.frontierMode,
-			Workers:        front.Workers,
-			BucketsDrained: front.BucketsDrained,
-			Messages:       front.Messages,
-			MaxChunk:       front.MaxChunk,
-			Conflicts:      front.Conflicts,
-		},
 		Transport: TransportStats{
 			FramesOut:     net.FramesOut,
 			FramesIn:      net.FramesIn,
@@ -662,10 +628,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 			FlushesMid:    net.FlushesMid,
 			FlushesLarge:  net.FlushesLarge,
 		},
-	}
-	if front.WallNs > 0 && front.Workers > 0 {
-		resp.Frontier.BusyFraction = float64(front.BusyNs) /
-			(float64(front.WallNs) * float64(front.Workers))
 	}
 	retried := st.retriedSolves
 	if st.queries > 0 {

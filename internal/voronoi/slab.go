@@ -264,20 +264,12 @@ func (sl *StateSlab) holds(i int32, src graph.VID, dist graph.Dist) bool {
 	return sl.epoch[i] == sl.cur && sl.src[i] == src && sl.dist[i] == dist
 }
 
-// beaten reports whether owned row i already beats (or equals) an offer, so
-// that relax would reject it. It and ghostBeaten only read: no row is written
-// while a parallel drain's workers run, and rows only improve afterwards, so
-// an offer a worker sees beaten stays beaten.
-func (sl *StateSlab) beaten(i int32, src, pred graph.VID, dist graph.Dist) bool {
-	return sl.epoch[i] == sl.cur && !offerBetter(dist, src, pred, sl.dist[i], sl.src[i], sl.pred[i])
-}
-
 // relax folds one offer into owned row i, keeping the lexicographic minimum
 // under offerBetter, and reports whether the row's (dist, src) label strictly
 // improved — the only case in which the vertex must be expanded (again). A
 // predecessor-only win is installed and reports false.
 func (sl *StateSlab) relax(i int32, src, pred graph.VID, dist graph.Dist) bool {
-	if sl.beaten(i, src, pred, dist) {
+	if sl.epoch[i] == sl.cur && !offerBetter(dist, src, pred, sl.dist[i], sl.src[i], sl.pred[i]) {
 		return false
 	}
 	improved := sl.epoch[i] != sl.cur || dist != sl.dist[i] || src != sl.src[i]
@@ -295,18 +287,12 @@ func (sl *StateSlab) relax(i int32, src, pred graph.VID, dist graph.Dist) bool {
 // cannot change that row. Strictness matters as in relax: an offer tying on
 // (dist, src) with a smaller pred still goes out.
 func (sl *StateSlab) offerGhost(g int32, src, pred graph.VID, dist graph.Dist) bool {
-	if sl.ghostBeaten(g, src, pred, dist) {
+	row := &sl.ghost[g]
+	if row.epoch == sl.gcur && !offerBetter(dist, src, pred, row.dist, row.src, row.pred) {
 		return false
 	}
-	sl.ghost[g] = ghostRow{dist: dist, src: src, pred: pred, epoch: sl.gcur}
+	*row = ghostRow{dist: dist, src: src, pred: pred, epoch: sl.gcur}
 	return true
-}
-
-// ghostBeaten reports whether an offer already sent to ghost slot g beats (or
-// equals) this one, so that offerGhost would drop it.
-func (sl *StateSlab) ghostBeaten(g int32, src, pred graph.VID, dist graph.Dist) bool {
-	row := &sl.ghost[g]
-	return row.epoch == sl.gcur && !offerBetter(dist, src, pred, row.dist, row.src, row.pred)
 }
 
 // BeginHalo invalidates the ghost rows' flood-time bounds so that a valid

@@ -213,8 +213,8 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 		// from another batch of the same drain), and a delegate broadcast,
 		// which Admit always passes, so under shuffled delivery a worse one
 		// can arrive after a better one. Both stay ordinary entries, and the
-		// stale check in Visit, which the FIFO and bucket queues need anyway,
-		// still drops the former.
+		// stale check in Visit, which the FIFO queue needs anyway, still
+		// drops the former.
 		Slot: func(m rt.Msg) int32 {
 			if m.Kind == delegateRelax {
 				return -1
@@ -265,66 +265,14 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 				offer(r, ref, v, m.Seed, m.Dist+graph.Dist(ws[j]))
 			}
 		},
-		// Bucket-drain form of Visit for the intra-rank parallel frontier:
-		// the same stale check and scans, but workers only read rows and emit
-		// raw offers into their staging outbox — except an offer the target's
-		// owned row or ghost row already beats, which the replay would drop
-		// the same way (beaten, ghostBeaten). Their one write is
-		// ObserveDelegate, keyed by Target like the pool's partition of the
-		// bucket, so no two workers touch the same mirror row. A staged
-		// offer's Target field holds the arc's resolved target, not the
-		// vertex: the stage is private to these two callbacks, and the replay
-		// hands it to offerSender as it is.
-		ParallelVisit: func(r *rt.Rank, m rt.Msg, w int, emit func(rt.Msg)) {
-			v := m.Target
-			var ws []uint32
-			var refs []int32
-			if m.Kind == delegateRelax {
-				sl.ObserveDelegate(v, m.Seed, m.Dist)
-				ws, refs = sh.StripeArcs(v)
-			} else if i := sl.row(v); !sl.holds(i, m.Seed, m.Dist) {
-				r.FrontierConflict(w)
-				return
-			} else if r.IsDelegate(v) {
-				emit(rt.Msg{Target: v, From: v, Seed: m.Seed, Dist: m.Dist, Kind: delegateRelax})
-				return
-			} else {
-				ws, refs = sh.RowArcs(i)
-			}
-			for j, ref := range refs {
-				d := m.Dist + graph.Dist(ws[j])
-				if ref >= 0 {
-					if sl.beaten(ref, m.Seed, v, d) {
-						continue
-					}
-				} else if sl.ghostBeaten(^ref, m.Seed, v, d) {
-					r.FrontierSuppress(w)
-					continue
-				}
-				emit(rt.Msg{Target: graph.VID(ref), From: v, Seed: m.Seed, Dist: d})
-			}
-		},
-		// Replay of one staged message on the rank goroutine, after all
-		// workers joined: hub broadcasts go through the superstep outbox and
-		// plain offers through offerSender — the installs and the ghost-row
-		// filter happen here, in worker-index order, and the changed-since
-		// filter reads the fully merged mirror state — so rows, wire traffic,
-		// tie-send rules and batching are exactly those of the serial path.
-		ParallelFlush: func(r *rt.Rank, m rt.Msg) {
-			if m.Kind == delegateRelax {
-				r.BroadcastBatched(m)
-				return
-			}
-			offer(r, int32(m.Target), m.From, m.Seed, m.Dist)
-		},
 	})
 }
 
 // offerSender returns the one function every relaxation offer of the slab
-// path goes through — seeds, neighbour and stripe scans, and the replay of a
-// parallel drain. ref is the target resolved against the rank's shard; the
-// target's VID (graph.Shard.Target) is only built for an offer that becomes a
-// message. It runs on the rank goroutine only.
+// path goes through — seeds, neighbour and stripe scans. ref is the target
+// resolved against the rank's shard; the target's VID (graph.Shard.Target)
+// is only built for an offer that becomes a message. It runs on the rank
+// goroutine only.
 //
 //   - The target is owned here (ref is its row): the offer is folded into
 //     the row on the spot (relax) and never becomes a message. Only a strict

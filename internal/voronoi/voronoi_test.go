@@ -68,7 +68,7 @@ func TestDistributedMatchesSequential(t *testing.T) {
 	seeds := pickSeeds(rng, g.NumVertices(), 8)
 	want := Sequential(g, seeds)
 	for _, ranks := range []int{1, 2, 4, 8} {
-		for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority, rt.QueueBucket} {
+		for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
 			c := newComm(t, g.NumVertices(), ranks, q)
 			got := Compute(c, g, seeds)
 			for v := 0; v < g.NumVertices(); v++ {
@@ -231,7 +231,7 @@ func TestShardedMatchesGlobalReference(t *testing.T) {
 			for _, threshold := range []int{0, 6} {
 				for _, bsp := range []bool{false, true} {
 					for _, ranks := range []int{1, 4} {
-						for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority, rt.QueueBucket} {
+						for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
 							// Sharded runs: rank-local slabs, collected afterwards.
 							// The async rows run again under two permutations of
 							// batch and message order, so offers are folded on
@@ -286,7 +286,7 @@ func TestPropertyDeterministicAcrossRanksQueuesAndShuffles(t *testing.T) {
 		seeds := pickSeeds(rng, n, 2+rng.Intn(4))
 		want := Sequential(g, seeds)
 		ranks := []int{1, 3, 5}[rng.Intn(3)]
-		q := []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority, rt.QueueBucket}[rng.Intn(3)]
+		q := []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority}[rng.Intn(2)]
 		part, _ := partition.NewBlock(n, ranks)
 		c := rt.MustNew(rt.Config{
 			Ranks: ranks, Queue: q,
@@ -489,7 +489,7 @@ func TestPredOnlyImprovementIsNotRequeued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority, rt.QueueBucket} {
+	for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
 		c := newComm(t, 6, 1, q)
 		c.EnsureShards(g)
 		slabs := EnsureSlabs(c, g)

@@ -103,9 +103,8 @@ type Setup struct {
 	PeerAddrs []string
 
 	// Runtime configuration (runtime.Config).
-	Queue       uint8
-	BucketDelta uint64
-	BatchSize   int
+	Queue     uint8
+	BatchSize int
 
 	// Solver configuration the per-rank body needs (core.Options subset).
 	BSP bool
@@ -122,15 +121,6 @@ type Setup struct {
 	// worker that loses the session re-dials and presents it in a Rejoin
 	// frame.
 	SessionID uint64
-
-	// Frontier is the operator's REQUESTED bucket-drain mode
-	// (core.FrontierMode: 0 = auto, 1 = serial, 2 = parallel). It is
-	// shipped unresolved: auto depends on each worker's own GOMAXPROCS, so
-	// every worker resolves it locally. FrontierWorkers is
-	// the per-process frontier worker budget (0 = the worker's GOMAXPROCS),
-	// split across that worker's hosted ranks.
-	Frontier        uint8
-	FrontierWorkers uint64
 }
 
 // EncodeSetup appends a FrameSetup payload.
@@ -145,7 +135,6 @@ func EncodeSetup(dst []byte, s Setup) []byte {
 		dst = AppendString(dst, a)
 	}
 	dst = append(dst, s.Queue)
-	dst = AppendUvarint(dst, s.BucketDelta)
 	dst = AppendUvarint(dst, uint64(s.BatchSize))
 	dst = appendBool(dst, s.BSP)
 	dst = append(dst, s.PartitionKind)
@@ -156,8 +145,6 @@ func EncodeSetup(dst []byte, s Setup) []byte {
 		dst = appendShardSlice(dst, sh)
 	}
 	dst = AppendUvarint(dst, s.SessionID)
-	dst = append(dst, s.Frontier)
-	dst = AppendUvarint(dst, s.FrontierWorkers)
 	return dst
 }
 
@@ -177,7 +164,6 @@ func DecodeSetup(body []byte) (Setup, error) {
 		s.PeerAddrs = append(s.PeerAddrs, d.String())
 	}
 	s.Queue = d.Byte()
-	s.BucketDelta = d.Uvarint()
 	s.BatchSize = d.Int()
 	s.BSP = d.Bool()
 	s.PartitionKind = d.Byte()
@@ -191,8 +177,6 @@ func DecodeSetup(body []byte) (Setup, error) {
 		s.Shards = append(s.Shards, decodeShardSlice(d))
 	}
 	s.SessionID = d.Uvarint()
-	s.Frontier = d.Byte()
-	s.FrontierWorkers = d.Uvarint()
 	return s, d.finish()
 }
 

@@ -123,10 +123,9 @@ func decodeSolveResult(d *Dec) SolveResult {
 // appendStats encodes the per-query runtime counters record, field for
 // field in declaration order.
 func appendStats(dst []byte, s rt.Stats) []byte {
-	f, n := s.Frontier, s.Net
+	n := s.Net
 	for _, v := range [...]int64{
 		s.Sent, s.Processed, s.Batches, s.Suppressed, s.BatchedBroadcasts, s.CoalescedBroadcasts,
-		int64(f.Workers), f.BucketsDrained, f.Messages, f.MaxChunk, f.Conflicts, f.BusyNs, f.WallNs,
 		n.FramesOut, n.FramesIn, n.BytesOut, n.BytesIn, n.EncodeNs, n.DecodeNs,
 		n.FlushesSmall, n.FlushesMid, n.FlushesLarge,
 	} {
@@ -143,15 +142,6 @@ func decodeStats(d *Dec) rt.Stats {
 		Suppressed:          d.Varint(),
 		BatchedBroadcasts:   d.Varint(),
 		CoalescedBroadcasts: d.Varint(),
-		Frontier: rt.FrontierStats{
-			Workers:        int(d.Varint()),
-			BucketsDrained: d.Varint(),
-			Messages:       d.Varint(),
-			MaxChunk:       d.Varint(),
-			Conflicts:      d.Varint(),
-			BusyNs:         d.Varint(),
-			WallNs:         d.Varint(),
-		},
 		Net: rt.TransportStats{
 			FramesOut:    d.Varint(),
 			FramesIn:     d.Varint(),
@@ -176,8 +166,8 @@ type WorkerDone struct {
 	Err       string
 	TableLens []int64 // len(E_N table) per hosted rank, rank order
 	// Stats is the runtime counters record for this query on this process:
-	// message, broadcast and parallel-frontier counters plus the transport
-	// traffic. The coordinator folds the workers' records with rt.Stats.Add.
+	// message and broadcast counters plus the transport traffic. The
+	// coordinator folds the workers' records with rt.Stats.Add.
 	Stats     rt.Stats
 	HasResult bool
 	Result    SolveResult
