@@ -36,7 +36,7 @@ func main() {
 		strategy  = flag.String("strategy", "bfs-level", "seed selection: bfs-level | uniform | eccentric | proximate")
 		rngSeed   = flag.Int64("rng", 42, "seed-selection RNG seed")
 		ranks     = flag.Int("ranks", 4, "simulated rank count")
-		partKind  = flag.String("partition", defaults.Partition.String(), "vertex partition: block | hash | arcblock")
+		partKind  = flag.String("partition", defaults.Partition.String(), "vertex partition: block | arcblock")
 		queue     = flag.String("queue", defaults.Queue.String(), "message queue: priority | fifo")
 		bsp       = flag.Bool("bsp", false, "bulk-synchronous instead of asynchronous processing")
 		delegates = flag.Int("delegates", 0, "delegate high-degree vertices above this degree (0 = off)")

@@ -10,10 +10,10 @@
 //
 //	steinersvc -dataset LVJ -addr :8080
 //	steinersvc -graph web.bin -ranks 8 -engines 4 -cache 512 -jobs 128
-//	steinersvc -dataset WDC12 -partition hash -delegates 145
+//	steinersvc -dataset WDC12 -partition arcblock -delegates 145
 //	steinersvc -dataset LVJ -backend tcp -workers 4 -rank-listen 127.0.0.1:7600
 //
-// -partition picks the vertex-to-rank mapping (block | hash | arcblock) the
+// -partition picks the vertex-to-rank mapping (block | arcblock) the
 // engines cut their rank-local graph shards from; -delegates N stripes the
 // adjacency of vertices with degree >= N across all ranks (HavoqGT-style
 // vertex delegates). /info and /stats report the partition kind, delegate
@@ -95,7 +95,7 @@ func main() {
 		recoverOn  = flag.Bool("recover", false, "heal a poisoned tcp session: re-admit rejoining/respawned workers and requeue the in-flight query")
 		rejoinWait = flag.Duration("rejoin-wait", 30*time.Second, "how long one session heal waits for all workers to re-handshake (with -recover)")
 		respawnCmd = flag.String("respawn-cmd", "", "shell command run (async, via sh -c) each time the tcp session loses a worker — e.g. a script starting one replacement rankd")
-		partKind   = flag.String("partition", defaults.Partition.String(), "vertex partition: block | hash | arcblock")
+		partKind   = flag.String("partition", defaults.Partition.String(), "vertex partition: block | arcblock")
 		queueKind  = flag.String("queue", defaults.Queue.String(), "message queue discipline: fifo | priority")
 		delegates  = flag.Int("delegates", 0, "delegate high-degree vertices above this degree (0 = off)")
 		engines    = flag.Int("engines", 1, "resident solver engines (max concurrent queries; must be 1 with -backend tcp)")

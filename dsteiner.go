@@ -128,13 +128,11 @@ const (
 const (
 	// PartitionBlock gives each rank a contiguous, equal-vertex range.
 	PartitionBlock = core.PartitionBlock
-	// PartitionHash assigns vertex v to rank v mod P.
-	PartitionHash = core.PartitionHash
 	// PartitionArcBlock balances contiguous ranges by arc count.
 	PartitionArcBlock = core.PartitionArcBlock
 )
 
-// ParsePartition maps "block", "hash" or "arcblock" to its PartitionKind.
+// ParsePartition maps "block" or "arcblock" to its PartitionKind.
 func ParsePartition(s string) (PartitionKind, error) { return core.ParsePartition(s) }
 
 // Rank backends: where the communicator's ranks live.

@@ -37,7 +37,7 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if opts.WorkerWait <= 0 {
 		opts.WorkerWait = 60 * time.Second
 	}
-	kind, bounds, plan, err := buildSubstrate(g, opts)
+	plan, err := buildSubstrate(g, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -60,30 +60,27 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	_, err = hub.Handshake(opts.WorkerWait, func(w int) wire.Setup {
 		lo, hi := hub.RankRange(w)
 		setup := wire.Setup{
-			Ranks:         opts.Ranks,
-			NumVertices:   g.NumVertices(),
-			Queue:         uint8(opts.Queue),
-			BatchSize:     opts.BatchSize,
-			BSP:           opts.BSP,
-			PartitionKind: kind,
-			ArcBounds:     bounds,
-			Delegates:     plan.Delegates(),
+			Ranks:       opts.Ranks,
+			NumVertices: g.NumVertices(),
+			Queue:       uint8(opts.Queue),
+			BatchSize:   opts.BatchSize,
+			BSP:         opts.BSP,
+			Bounds:      plan.Partition().Bounds(),
+			Delegates:   plan.Delegates(),
 		}
 		for rank := lo; rank < hi; rank++ {
 			// A shard keeps no target VIDs, so the slices are cut from g.
-			owned := plan.Owned(rank)
+			vlo, vhi := plan.Range(rank)
 			offsets, targets, weights, stripeOff, stripeTargets, stripeWeights :=
-				graph.CutShard(g, rank, opts.Ranks, owned, plan.Delegates())
+				graph.CutShard(g, rank, opts.Ranks, vlo, vhi, plan.Delegates())
 			setup.Shards = append(setup.Shards, wire.ShardSlice{
 				Rank:          rank,
-				Owned:         owned,
 				Offsets:       offsets,
 				Targets:       targets,
 				Weights:       weights,
 				StripeOff:     stripeOff,
 				StripeTargets: stripeTargets,
 				StripeWeights: stripeWeights,
-				Mirrored:      plan.Mirrored(rank),
 			})
 		}
 		return setup

@@ -147,7 +147,7 @@ func TestDeterministicAcrossRanksQueuesAndPartitions(t *testing.T) {
 	var ref *Result
 	for _, ranks := range []int{1, 2, 5, 8} {
 		for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
-			for _, pk := range []PartitionKind{PartitionBlock, PartitionHash, PartitionArcBlock} {
+			for _, pk := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
 				opts := Options{Ranks: ranks, Queue: q, Partition: pk}
 				res, err := Solve(g, seeds, opts)
 				if err != nil {
@@ -182,6 +182,20 @@ func TestParseQueue(t *testing.T) {
 	}
 	if _, err := ParseQueue("bucket"); err == nil || !strings.Contains(err.Error(), "fifo or priority") {
 		t.Fatalf("ParseQueue(\"bucket\") error = %v, want one naming fifo or priority", err)
+	}
+}
+
+// TestParsePartition pins the other enum flag: block and arcblock parse and
+// round-trip through String, and any other name — hash included — is
+// refused with the valid ones.
+func TestParsePartition(t *testing.T) {
+	for _, want := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
+		if got, err := ParsePartition(want.String()); err != nil || got != want {
+			t.Fatalf("ParsePartition(%q) = %v, %v; want %v", want.String(), got, err, want)
+		}
+	}
+	if _, err := ParsePartition("hash"); err == nil || !strings.Contains(err.Error(), "block or arcblock") {
+		t.Fatalf("ParsePartition(\"hash\") error = %v, want one naming block or arcblock", err)
 	}
 }
 
@@ -427,8 +441,7 @@ func TestSteinerVerticesCounted(t *testing.T) {
 }
 
 func TestOptionStrings(t *testing.T) {
-	if PartitionBlock.String() != "block" || PartitionHash.String() != "hash" ||
-		PartitionArcBlock.String() != "arcblock" {
+	if PartitionBlock.String() != "block" || PartitionArcBlock.String() != "arcblock" {
 		t.Error("PartitionKind strings wrong")
 	}
 }

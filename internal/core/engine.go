@@ -11,7 +11,6 @@ import (
 	"dsteiner/internal/partition"
 	rt "dsteiner/internal/runtime"
 	"dsteiner/internal/voronoi"
-	"dsteiner/internal/wire"
 )
 
 // Engine is a long-lived solver session bound to one graph: the partition,
@@ -30,7 +29,7 @@ type Engine struct {
 	opts Options
 
 	// Sharded substrate, built once at session setup and pooled across
-	// queries: the plan (per-rank owned sets + delegates) and one
+	// queries: the plan (per-rank ranges + delegates) and one
 	// rank-local CSR slab per rank, with their memory accounting.
 	plan   *partition.ShardPlan
 	shards []*graph.Shard
@@ -57,7 +56,7 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if opts.Backend == BackendTCP {
 		return newClusterEngine(g, opts)
 	}
-	_, _, plan, err := buildSubstrate(g, opts)
+	plan, err := buildSubstrate(g, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -65,35 +64,20 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 }
 
 // buildSubstrate cuts g for opts, the step both backends start from: the
-// base partition in its compact wire form (kind, plus the bounds an
-// arc-block partition cannot be rebuilt without) and the shard plan over the
-// partition the ranks route by — the base, delegate-wrapped when a threshold
-// is set (plan.Partition()).
-func buildSubstrate(g *graph.Graph, opts Options) (kind uint8, bounds []graph.VID, plan *partition.ShardPlan, err error) {
-	var part partition.Partition
-	n := g.NumVertices()
-	switch opts.Partition {
-	case PartitionHash:
-		kind = wire.PartHash
-		part, err = partition.NewHash(n, opts.Ranks)
-	case PartitionArcBlock:
-		kind = wire.PartArcBlock
-		var ab *partition.ArcBlock
-		if ab, err = partition.NewArcBlock(g, opts.Ranks); err == nil {
-			bounds, part = ab.Bounds(), ab
-		}
-	default:
-		kind = wire.PartBlock
-		part, err = partition.NewBlock(n, opts.Ranks)
+// shard plan over the partition the ranks route by — block or arc-block
+// ranges, delegate-marked when a threshold is set (plan.Partition()).
+func buildSubstrate(g *graph.Graph, opts Options) (*partition.ShardPlan, error) {
+	var part *partition.Partition
+	var err error
+	if opts.Partition == PartitionArcBlock {
+		part, err = partition.NewArcBlock(g, opts.Ranks)
+	} else {
+		part, err = partition.NewBlock(g.NumVertices(), opts.Ranks)
 	}
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, err
 	}
-	if opts.DelegateThreshold > 0 {
-		part = partition.WithDelegates(part, g, opts.DelegateThreshold)
-	}
-	plan, err = partition.NewShardPlan(part, g)
-	return kind, bounds, plan, err
+	return partition.NewShardPlan(partition.WithDelegates(part, g, opts.DelegateThreshold), g)
 }
 
 // shardStats sums a built substrate's resident memory.
@@ -186,7 +170,7 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // ShardStats describes an engine's sharded graph substrate, for serving
 // layers (/info, /stats) and capacity planning.
 type ShardStats struct {
-	// Partition is the vertex-to-rank mapping kind ("block", "hash",
+	// Partition is the vertex-to-rank mapping kind ("block" or
 	// "arcblock").
 	Partition string
 	// Ranks is the number of shards (one per rank).

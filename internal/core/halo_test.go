@@ -48,7 +48,7 @@ func TestPhase2SendsOnePushPerBoundaryVertex(t *testing.T) {
 		ranks int
 		pool  int // terminals are drawn from vertices below this
 	}{
-		{"random+island/hash", island(), PartitionHash, 3, 300},
+		{"random+island/arcblock", island(), PartitionArcBlock, 3, 300},
 		{"grid/block", gen.Config{Name: "grid", Kind: gen.KindGrid2D, N: 16 * 24, Rows: 16, Cols: 24, MaxWeight: 9, Seed: 62}.MustBuild(), PartitionBlock, 4, 16 * 24},
 		{"rmat/arcblock", gen.Config{Name: "rmat", Kind: gen.KindRMAT, N: 1 << 9, AvgDegree: 8, MaxWeight: 100, Backbone: true, Seed: 63}.MustBuild(), PartitionArcBlock, 2, 1 << 9},
 	}

@@ -46,8 +46,6 @@ const (
 	// PartitionBlock gives each rank a contiguous vertex range with an
 	// equal share of vertices (the paper's stated partitioning).
 	PartitionBlock PartitionKind = iota
-	// PartitionHash assigns vertex v to rank v mod P.
-	PartitionHash
 	// PartitionArcBlock gives each rank a contiguous vertex range with
 	// an approximately equal share of ARCS. Phase-1 work follows popped
 	// vertices, so on skewed graphs this unbalances it (see Default).
@@ -56,28 +54,22 @@ const (
 
 // String returns the flag/API name of the partition kind.
 func (p PartitionKind) String() string {
-	switch p {
-	case PartitionHash:
-		return "hash"
-	case PartitionArcBlock:
+	if p == PartitionArcBlock {
 		return "arcblock"
-	default:
-		return "block"
 	}
+	return "block"
 }
 
 // ParsePartition maps a flag/API string to its PartitionKind ("block",
-// "hash", "arcblock").
+// "arcblock").
 func ParsePartition(s string) (PartitionKind, error) {
 	switch s {
 	case "block":
 		return PartitionBlock, nil
-	case "hash":
-		return PartitionHash, nil
 	case "arcblock":
 		return PartitionArcBlock, nil
 	default:
-		return PartitionBlock, fmt.Errorf("core: unknown partition kind %q (want block, hash or arcblock)", s)
+		return PartitionBlock, fmt.Errorf("core: unknown partition kind %q (want block or arcblock)", s)
 	}
 }
 

@@ -101,11 +101,10 @@ func TestEngineShardStats(t *testing.T) {
 }
 
 // TestEngineMemoryCountsResolvedColumnsAndGhostRows compares the engine's
-// shard and slab accounting against sizes computed by hand on K8, hash
-// partitioned over two ranks. Every vertex neighbours every other, so each
-// rank's ghosts are exactly the |V| − owned = 4 vertices it does not own —
-// the usual picture under hash partitioning, where ghost rows outnumber
-// owned rows as soon as P > 2.
+// shard and slab accounting against sizes computed by hand on K8, arc-block
+// partitioned over two ranks (every degree is 7, so the ranges are [0,4) and
+// [4,8)). Every vertex neighbours every other, so each rank's ghosts are
+// exactly the |V| − owned = 4 vertices it does not own.
 func TestEngineMemoryCountsResolvedColumnsAndGhostRows(t *testing.T) {
 	b := graph.NewBuilder(8)
 	for u := graph.VID(0); u < 8; u++ {
@@ -117,7 +116,7 @@ func TestEngineMemoryCountsResolvedColumnsAndGhostRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(g, Options{Ranks: 2, Queue: rt.QueuePriority, Partition: PartitionHash})
+	e, err := NewEngine(g, Options{Ranks: 2, Queue: rt.QueuePriority, Partition: PartitionArcBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +125,8 @@ func TestEngineMemoryCountsResolvedColumnsAndGhostRows(t *testing.T) {
 		owned, ghosts = 4, 4
 		arcs          = owned * 7
 		// offsets, then weights + resolved column (no target VIDs), the
-		// empty stripe's one offset, the ghost list; the affine row index is
-		// free.
+		// empty stripe's one offset, the ghost list; the row index is two
+		// numbers.
 		shardBytes = (owned+1)*8 + arcs*(4+4) + 8 + ghosts*4
 		// src + pred + dist + epoch + walked per owned row; dist + src + pred
 		// + epoch per ghost row.
@@ -152,7 +151,7 @@ func TestEngineMemoryCountsResolvedColumnsAndGhostRows(t *testing.T) {
 
 // TestShardBytesPerArc pins the shard's footprint on the benchmark's
 // traverse graph (R-MAT 2^15 × 16, seed 1) at its default engine options —
-// two ranks, arc-block partition: an arc costs 8 bytes (weight and resolved
+// two ranks, block partition: an arc costs 8 bytes (weight and resolved
 // target), and offsets plus ghosts add well under one more.
 func TestShardBytesPerArc(t *testing.T) {
 	g := gen.Config{Name: "rmat", Kind: gen.KindRMAT, N: 1 << 15, AvgDegree: 16, MaxWeight: 5000,

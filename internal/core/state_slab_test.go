@@ -24,7 +24,7 @@ func TestEngineRanksOwningZeroVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []PartitionKind{PartitionBlock, PartitionHash, PartitionArcBlock} {
+	for _, kind := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
 		for _, threshold := range []int{0, 3} {
 			opts := Options{
 				Ranks:             12,

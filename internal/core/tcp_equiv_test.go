@@ -101,8 +101,8 @@ func checkTCPMatchesLoopback(t *testing.T, g *graph.Graph, seedSets [][]graph.VI
 func TestTCPBackendMatchesLoopback(t *testing.T) {
 	g := engineTestGraph(17, 120)
 	seedSets := tcpEquivSeedSets(g)
-	kinds := []PartitionKind{PartitionBlock, PartitionHash, PartitionArcBlock}
-	thresholds := []int{0, 6}
+	kinds := []PartitionKind{PartitionBlock, PartitionArcBlock}
+	thresholds := []int{0, 3, 6}
 	bsps := []bool{false, true}
 	if testing.Short() { // the full matrix spins up 12 worker fleets; -short keeps two
 		kinds = []PartitionKind{Default(4).Partition}
@@ -133,7 +133,7 @@ func TestTCPBackendMatchesLoopback(t *testing.T) {
 func TestTCPBackendFIFOMatchesLoopback(t *testing.T) {
 	g := engineTestGraph(17, 120)
 	seedSets := tcpEquivSeedSets(g)
-	thresholds := []int{0, 6}
+	thresholds := []int{0, 3, 6}
 	if testing.Short() {
 		thresholds = []int{6}
 	}

@@ -228,10 +228,14 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 		if sl.Rank != lo+i {
 			return nil, fmt.Errorf("core: shard slice %d is for rank %d, want %d", i, sl.Rank, lo+i)
 		}
-		sh := graph.NewShardFromSlices(sl.Rank, setup.Ranks, sl.Owned, sl.Offsets,
+		vlo, vhi := part.Range(sl.Rank)
+		sh, err := graph.NewShardFromSlices(setup.NumVertices, sl.Rank, setup.Ranks, vlo, vhi, sl.Offsets,
 			sl.Targets, sl.Weights, setup.Delegates, sl.StripeOff, sl.StripeTargets, sl.StripeWeights)
+		if err != nil {
+			return nil, fmt.Errorf("core: inconsistent setup geometry (rank %d shard slice): %w", sl.Rank, err)
+		}
 		shards = append(shards, sh)
-		slab := voronoi.NewStateSlab(sl.Rank, sl.Owned, sl.Mirrored, sh)
+		slab := voronoi.NewStateSlab(sl.Rank, vlo, vhi, setup.Delegates, sh)
 		slabs = append(slabs, slab)
 		w.shardBytes += sh.MemoryBytes()
 		w.stateBytes += slab.MemoryBytes()
@@ -275,35 +279,20 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 }
 
 // workerPartition rebuilds the session's vertex partition from its wire
-// form.
-func workerPartition(setup wire.Setup) (partition.Partition, error) {
-	var base partition.Partition
-	var err error
-	switch setup.PartitionKind {
-	case wire.PartHash:
-		base, err = partition.NewHash(setup.NumVertices, setup.Ranks)
-	case wire.PartArcBlock:
-		var ab *partition.ArcBlock
-		ab, err = partition.NewArcBlockFromBounds(setup.ArcBounds)
-		if err == nil {
-			if ab.NumRanks() != setup.Ranks || ab.NumVertices() != setup.NumVertices {
-				return nil, fmt.Errorf("core: arc-block bounds describe %d ranks over %d vertices, want %d over %d",
-					ab.NumRanks(), ab.NumVertices(), setup.Ranks, setup.NumVertices)
-			}
-			base = ab
-		}
-	case wire.PartBlock:
-		base, err = partition.NewBlock(setup.NumVertices, setup.Ranks)
-	default:
-		return nil, fmt.Errorf("core: unknown partition kind %d in setup", setup.PartitionKind)
+// form: the P+1 range bounds and the delegate list.
+func workerPartition(setup wire.Setup) (*partition.Partition, error) {
+	part, err := partition.NewFromBounds(setup.Bounds)
+	if err == nil && (part.NumRanks() != setup.Ranks || part.NumVertices() != setup.NumVertices) {
+		err = fmt.Errorf("bounds describe %d ranks over %d vertices, want %d over %d",
+			part.NumRanks(), part.NumVertices(), setup.Ranks, setup.NumVertices)
+	}
+	if err == nil {
+		part, err = partition.WithDelegateList(part, setup.Delegates)
 	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: inconsistent setup geometry (partition): %w", err)
 	}
-	if len(setup.Delegates) > 0 {
-		return partition.WithDelegateList(base, setup.NumVertices, setup.Delegates), nil
-	}
-	return base, nil
+	return part, nil
 }
 
 // serve answers coordinator control frames until goodbye or failure.

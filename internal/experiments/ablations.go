@@ -50,7 +50,7 @@ func AblationBSP(cfg Config) ([]tables.Table, error) {
 }
 
 // AblationDelegates quantifies the load-balance levers for skewed graphs:
-// partitioning (equal vertices vs equal arcs vs hashed) crossed with
+// partitioning (equal vertices vs equal arcs) crossed with
 // HavoqGT-style high-degree vertex delegation. The metric is the Voronoi
 // phase's critical-path work (max per-rank messages processed). That work
 // follows the vertices a rank pops, not the arcs it owns: ghost rows drop
@@ -72,7 +72,7 @@ func AblationDelegates(cfg Config) ([]tables.Table, error) {
 	seedSet := cfg.Seeds(name, k)
 	maxDeg := g.MaxDegree()
 	var baseWork int64
-	for _, pk := range []core.PartitionKind{core.PartitionBlock, core.PartitionHash, core.PartitionArcBlock} {
+	for _, pk := range []core.PartitionKind{core.PartitionBlock, core.PartitionArcBlock} {
 		for _, threshold := range []int{0, maxDeg / 16} {
 			cfg.logf("ablation-delegates: partition=%v threshold=%d", pk, threshold)
 			opts := core.Default(cfg.Ranks)

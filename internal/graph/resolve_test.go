@@ -30,7 +30,7 @@ func TestPropertyResolvedColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{"block", "hash", "arcblock"} {
+	for _, kind := range []string{"block", "arcblock"} {
 		for _, threshold := range []int{0, 10} {
 			label := fmt.Sprintf("%s threshold %d", kind, threshold)
 			plan := shardTestPlan(t, g, kind, p, threshold)
@@ -48,7 +48,7 @@ func TestPropertyResolvedColumn(t *testing.T) {
 // FuzzShardResolve runs checkShards on arbitrary small graphs: the first
 // three bytes pick |V| (2–41), the rank count (1–4) and the delegate
 // threshold (0 = none), and every following triple is an edge. Each graph is
-// cut under all three partition kinds.
+// cut under both partition kinds.
 func FuzzShardResolve(f *testing.F) {
 	f.Add([]byte{10, 2, 0, 0, 1, 5, 1, 2, 3, 2, 3, 1, 0, 9, 4})
 	f.Add([]byte{12, 3, 3, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 5, 6, 2, 7, 11, 3})
@@ -66,33 +66,24 @@ func FuzzShardResolve(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, kind := range []string{"block", "hash", "arcblock"} {
+		for _, kind := range []string{"block", "arcblock"} {
 			checkShards(t, fmt.Sprintf("%s p=%d threshold %d", kind, p, threshold), g, shardTestPlan(t, g, kind, p, threshold))
 		}
 	})
 }
 
-// shardTestPlan cuts g over p ranks with the named partition kind, wrapped
-// with delegates when threshold > 0.
+// shardTestPlan cuts g over p ranks with the named partition kind, with
+// delegates marked when threshold > 0.
 func shardTestPlan(t *testing.T, g *graph.Graph, kind string, p, threshold int) *partition.ShardPlan {
 	t.Helper()
-	var part partition.Partition
-	var err error
-	switch kind {
-	case "block":
-		part, err = partition.NewBlock(g.NumVertices(), p)
-	case "hash":
-		part, err = partition.NewHash(g.NumVertices(), p)
-	default:
+	part, err := partition.NewBlock(g.NumVertices(), p)
+	if kind == "arcblock" {
 		part, err = partition.NewArcBlock(g, p)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if threshold > 0 {
-		part = partition.WithDelegates(part, g, threshold)
-	}
-	plan, err := partition.NewShardPlan(part, g)
+	plan, err := partition.NewShardPlan(partition.WithDelegates(part, g, threshold), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +103,13 @@ func checkShards(t *testing.T, label string, g *graph.Graph, plan *partition.Sha
 	t.Helper()
 	p, delegates := plan.NumRanks(), plan.Delegates()
 	for rank, sh := range plan.BuildShards(g) {
-		owned := plan.Owned(rank)
-		offsets, targets, weights, stripeOff, stripeTargets, stripeWeights := graph.CutShard(g, rank, p, owned, delegates)
-		rebuilt := graph.NewShardFromSlices(rank, p, owned, offsets, targets, weights,
+		lo, hi := plan.Range(rank)
+		offsets, targets, weights, stripeOff, stripeTargets, stripeWeights := graph.CutShard(g, rank, p, lo, hi, delegates)
+		rebuilt, err := graph.NewShardFromSlices(g.NumVertices(), rank, p, lo, hi, offsets, targets, weights,
 			delegates, stripeOff, stripeTargets, stripeWeights)
+		if err != nil {
+			t.Fatalf("%s rank %d: CutShard's own slices rejected: %v", label, rank, err)
+		}
 		label := fmt.Sprintf("%s rank %d", label, rank)
 		if rebuilt.NumGhosts() != sh.NumGhosts() || rebuilt.MemoryBytes() != sh.MemoryBytes() {
 			t.Fatalf("%s: rebuilt shard has %d ghosts / %d bytes, original %d / %d", label,
@@ -152,7 +146,8 @@ func checkShards(t *testing.T, label string, g *graph.Graph, plan *partition.Sha
 				}
 			}
 		}
-		for i, v := range owned {
+		for v := lo; v < hi; v++ {
+			i := v - lo
 			ws, refs := sh.RowArcs(int32(i))
 			rws, rrefs := rebuilt.RowArcs(int32(i))
 			gts, gws := g.Adj(v)

@@ -1,97 +1,29 @@
 package graph
 
-// RowIndex is the O(1) vertex→row mapping shared by every rank-local slab:
-// a Shard uses it to find a vertex's adjacency row, a control-state slab
-// (internal/voronoi.StateSlab) to find the same vertex's state row. Both
-// slabs are cut from the same owned-vertex list of a partition.ShardPlan,
-// so one index describes both layouts.
-//
-// Every built-in partition owns an affine set lo, lo+stride, lo+2*stride,
-// ... (block and arc-block have stride 1, hash has stride P), which the
-// index detects and serves with arithmetic and no per-vertex table.
-// Irregular owned sets fall back to an explicit map.
+// RowIndex is the vertex→row mapping shared by every rank-local slab: a
+// Shard uses it to find a vertex's adjacency row, a control-state slab
+// (internal/voronoi.StateSlab) to find the same vertex's state row. A rank
+// owns one contiguous vertex range [lo, lo+count) of its partition, so row i
+// holds vertex lo+i and the index is two numbers.
 type RowIndex struct {
-	lo     VID
-	stride int32
-	count  int
-	idx    map[VID]int32 // nil when the owned set is affine
-	verts  []VID         // reverse row→vertex list; nil when affine
+	lo    VID
+	count int32
 }
 
-// NewRowIndex builds the mapping for an owned-vertex list. owned must be in
-// strictly increasing order (as partition.ShardPlan.Owned yields it); the
-// slice is not retained unless the set is irregular.
-func NewRowIndex(owned []VID) *RowIndex {
-	ix := &RowIndex{count: len(owned), stride: 1}
-	if len(owned) == 0 {
-		return ix
-	}
-	ix.lo = owned[0]
-	if len(owned) >= 2 {
-		ix.stride = int32(owned[1] - owned[0])
-	}
-	affine := ix.stride > 0
-	if affine {
-		for i, v := range owned {
-			if v != ix.lo+VID(int64(i)*int64(ix.stride)) {
-				affine = false
-				break
-			}
-		}
-	}
-	if affine {
-		return ix
-	}
-	ix.stride = 0
-	ix.idx = make(map[VID]int32, len(owned))
-	ix.verts = append([]VID(nil), owned...)
-	for i, v := range owned {
-		ix.idx[v] = int32(i)
-	}
-	return ix
-}
+// NewRowIndex returns the index of the owned range [lo, hi).
+func NewRowIndex(lo, hi VID) RowIndex { return RowIndex{lo: lo, count: int32(hi - lo)} }
 
 // Len returns the number of vertices the index covers.
-func (ix *RowIndex) Len() int { return ix.count }
+func (ix RowIndex) Len() int { return int(ix.count) }
 
-// Row returns v's row, or -1 when v is not in the owned set.
-func (ix *RowIndex) Row(v VID) int32 {
-	if ix.stride == 0 {
-		if i, ok := ix.idx[v]; ok {
-			return i
-		}
-		return -1
+// Row returns v's row, or -1 when v is outside the owned range.
+func (ix RowIndex) Row(v VID) int32 {
+	if d := int64(v) - int64(ix.lo); d >= 0 && d < int64(ix.count) {
+		return int32(d)
 	}
-	d := int64(v) - int64(ix.lo)
-	if d < 0 {
-		return -1
-	}
-	if ix.stride != 1 {
-		if d%int64(ix.stride) != 0 {
-			return -1
-		}
-		d /= int64(ix.stride)
-	}
-	if d >= int64(ix.count) {
-		return -1
-	}
-	return int32(d)
+	return -1
 }
 
 // VertexAt returns the vertex in row i — the inverse of Row. i must be in
 // [0, Len).
-func (ix *RowIndex) VertexAt(i int) VID {
-	if ix.stride == 0 {
-		return ix.verts[i]
-	}
-	return ix.lo + VID(int64(i)*int64(ix.stride))
-}
-
-// MemoryBytes reports the index's resident size: zero beyond the struct for
-// affine owned sets, the map plus reverse list otherwise.
-func (ix *RowIndex) MemoryBytes() int64 {
-	if ix.idx == nil {
-		return 0
-	}
-	return int64(len(ix.idx))*12 + int64(len(ix.verts))*4
-}
+func (ix RowIndex) VertexAt(i int) VID { return ix.lo + VID(i) }

@@ -3,59 +3,25 @@ package graph
 import "testing"
 
 func TestRowIndexAffineBlock(t *testing.T) {
-	ix := NewRowIndex([]VID{10, 11, 12, 13})
-	if ix.Len() != 4 || ix.MemoryBytes() != 0 {
-		t.Fatalf("len=%d mem=%d; affine index should cost nothing", ix.Len(), ix.MemoryBytes())
+	ix := NewRowIndex(10, 14)
+	if ix.Len() != 4 {
+		t.Fatalf("len=%d, want 4", ix.Len())
 	}
 	for i, v := range []VID{10, 11, 12, 13} {
 		if ix.Row(v) != int32(i) || ix.VertexAt(i) != v {
 			t.Fatalf("row(%d)=%d vertexAt(%d)=%d", v, ix.Row(v), i, ix.VertexAt(i))
 		}
 	}
-	for _, v := range []VID{9, 14, 0} {
+	for _, v := range []VID{9, 14, 0, NilVID} {
 		if ix.Row(v) != -1 {
 			t.Fatalf("row(%d) = %d, want -1", v, ix.Row(v))
 		}
-	}
-}
-
-func TestRowIndexAffineStride(t *testing.T) {
-	// Hash-partition owned set: rank 1 of P=3 over 10 vertices.
-	ix := NewRowIndex([]VID{1, 4, 7})
-	if ix.MemoryBytes() != 0 {
-		t.Fatal("strided affine set fell back to a map")
-	}
-	for i, v := range []VID{1, 4, 7} {
-		if ix.Row(v) != int32(i) || ix.VertexAt(i) != v {
-			t.Fatalf("row(%d)=%d", v, ix.Row(v))
-		}
-	}
-	for _, v := range []VID{0, 2, 3, 10} {
-		if ix.Row(v) != -1 {
-			t.Fatalf("row(%d) = %d, want -1", v, ix.Row(v))
-		}
-	}
-}
-
-func TestRowIndexIrregularFallsBackToMap(t *testing.T) {
-	owned := []VID{0, 1, 5, 6}
-	ix := NewRowIndex(owned)
-	if ix.MemoryBytes() == 0 {
-		t.Fatal("irregular set reported affine (free) index")
-	}
-	for i, v := range owned {
-		if ix.Row(v) != int32(i) || ix.VertexAt(i) != v {
-			t.Fatalf("row(%d)=%d vertexAt(%d)=%d", v, ix.Row(v), i, ix.VertexAt(i))
-		}
-	}
-	if ix.Row(2) != -1 || ix.Row(7) != -1 {
-		t.Fatal("non-member resolved to a row")
 	}
 }
 
 func TestRowIndexEmpty(t *testing.T) {
-	ix := NewRowIndex(nil)
-	if ix.Len() != 0 || ix.Row(0) != -1 || ix.MemoryBytes() != 0 {
-		t.Fatalf("empty index misbehaves: len=%d row(0)=%d", ix.Len(), ix.Row(0))
+	ix := NewRowIndex(5, 5)
+	if ix.Len() != 0 || ix.Row(5) != -1 || ix.Row(4) != -1 {
+		t.Fatalf("empty index misbehaves: len=%d row(5)=%d", ix.Len(), ix.Row(5))
 	}
 }

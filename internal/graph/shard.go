@@ -2,6 +2,7 @@ package graph
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 )
 
@@ -28,13 +29,12 @@ type Shard struct {
 	rank     int
 	numRanks int
 
-	// Owned-vertex index: affine O(1) vertex→slab-row lookup with a map
-	// fallback for irregular owned sets. The same RowIndex layout is used
-	// by the rank's control-state slab (internal/voronoi.StateSlab), so a
+	// Owned range [lo, hi): row i is vertex lo+i. The rank's control-state
+	// slab (internal/voronoi.StateSlab) uses the same RowIndex, so a
 	// vertex's adjacency and state row coincide.
-	rows *RowIndex
+	rows RowIndex
 
-	// Local CSR slab over owned vertices, in increasing vertex order.
+	// Local CSR slab over the owned range, in increasing vertex order.
 	offsets []int64
 	weights []uint32
 
@@ -55,64 +55,43 @@ type Shard struct {
 	ghosts     []VID
 }
 
-// NewShard cuts rank's slab out of g. owned must list the rank's vertices in
-// strictly increasing order; delegates lists every delegate vertex of the
-// partition (identical on all ranks — each rank materializes its own stripe
-// of every delegate, including delegates it owns). The slab's targets are
-// resolved straight from g's arrays, never copied.
-func NewShard(g *Graph, rank, numRanks int, owned []VID, delegates []VID) *Shard {
-	offsets := slabOffsets(g, owned)
-	weights := make([]uint32, 0, offsets[len(owned)])
-	slabRuns(g, owned, func(_ []VID, ws []uint32) { weights = append(weights, ws...) })
+// NewShard cuts rank's slab out of g: the adjacency of the owned range
+// [lo, hi). delegates lists every delegate vertex of the partition
+// (identical on all ranks — each rank materializes its own stripe of every
+// delegate, including delegates it owns). The slab's targets are resolved
+// straight from g's arrays, never copied.
+func NewShard(g *Graph, rank, numRanks int, lo, hi VID, delegates []VID) *Shard {
+	a, b := g.offsets[lo], g.offsets[hi]
+	weights := append(make([]uint32, 0, b-a), g.weights[a:b]...)
 	stripeOff, stripeTargets, stripeWeights := cutStripes(g, rank, numRanks, delegates)
-	s := newShard(rank, numRanks, owned, offsets, weights, delegates, stripeOff, stripeWeights)
-	s.resolve(func(visit func(ts []VID)) {
-		slabRuns(g, owned, func(ts []VID, _ []uint32) { visit(ts) })
-		visit(stripeTargets)
-	})
+	s := newShard(rank, numRanks, lo, hi, slabOffsets(g, lo, hi), weights, delegates, stripeOff, stripeWeights)
+	s.resolve(g.targets[a:b], stripeTargets)
 	return s
 }
 
 // CutShard returns rank's shard of g in raw form, the arguments
-// NewShardFromSlices takes: the owned CSR (offsets, target VIDs, weights)
-// and the delegate stripes (stripeOff in delegates' order). It is what a
-// coordinator ships a worker (internal/wire.ShardSlice); the shard rebuilt
-// from it keeps no target VIDs.
-func CutShard(g *Graph, rank, numRanks int, owned, delegates []VID) (offsets []int64, targets []VID,
+// NewShardFromSlices takes: the CSR of the owned range [lo, hi) (offsets,
+// target VIDs, weights) and the delegate stripes (stripeOff in delegates'
+// order). It is what a coordinator ships a worker (internal/wire.ShardSlice);
+// the shard rebuilt from it keeps no target VIDs.
+func CutShard(g *Graph, rank, numRanks int, lo, hi VID, delegates []VID) (offsets []int64, targets []VID,
 	weights []uint32, stripeOff []int64, stripeTargets []VID, stripeWeights []uint32) {
-	offsets = slabOffsets(g, owned)
-	targets = make([]VID, 0, offsets[len(owned)])
-	weights = make([]uint32, 0, offsets[len(owned)])
-	slabRuns(g, owned, func(ts []VID, ws []uint32) {
-		targets = append(targets, ts...)
-		weights = append(weights, ws...)
-	})
+	a, b := g.offsets[lo], g.offsets[hi]
+	targets = append(make([]VID, 0, b-a), g.targets[a:b]...)
+	weights = append(make([]uint32, 0, b-a), g.weights[a:b]...)
 	stripeOff, stripeTargets, stripeWeights = cutStripes(g, rank, numRanks, delegates)
-	return offsets, targets, weights, stripeOff, stripeTargets, stripeWeights
+	return slabOffsets(g, lo, hi), targets, weights, stripeOff, stripeTargets, stripeWeights
 }
 
-// slabOffsets returns the CSR offsets of owned's adjacency rows in g.
-func slabOffsets(g *Graph, owned []VID) []int64 {
-	offsets := make([]int64, len(owned)+1)
-	for i, v := range owned {
-		offsets[i+1] = offsets[i] + int64(g.Degree(v))
+// slabOffsets returns the CSR offsets of [lo, hi)'s adjacency rows, rebased
+// to the range's first arc.
+func slabOffsets(g *Graph, lo, hi VID) []int64 {
+	base := g.offsets[lo]
+	offsets := make([]int64, hi-lo+1)
+	for i := range offsets {
+		offsets[i] = g.offsets[lo+VID(i)] - base
 	}
 	return offsets
-}
-
-// slabRuns calls visit with owned's adjacency in g, in order, as runs of
-// g's arrays: consecutive owned vertices share a run, so a block-partitioned
-// slab is a single run.
-func slabRuns(g *Graph, owned []VID, visit func(ts []VID, ws []uint32)) {
-	for i := 0; i < len(owned); {
-		j := i + 1
-		for j < len(owned) && owned[j] == owned[j-1]+1 {
-			j++
-		}
-		lo, hi := g.offsets[owned[i]], g.offsets[owned[j-1]+1]
-		visit(g.targets[lo:hi], g.weights[lo:hi])
-		i = j
-	}
 }
 
 // cutStripes copies rank's stripe of every delegate's adjacency in g — the
@@ -135,31 +114,71 @@ func cutStripes(g *Graph, rank, numRanks int, delegates []VID) (stripeOff []int6
 	return stripeOff, stripeTargets, stripeWeights
 }
 
-// NewShardFromSlices rebuilds a shard from its raw form (CutShard), as
-// multi-process workers do with the plan slice they receive over the wire
-// (internal/wire.ShardSlice) instead of cutting it from a resident global
-// CSR. offsets, weights, stripeOff and stripeWeights are retained; targets
-// and stripeTargets are only read to resolve the arcs, so the caller's copy
-// is the only one. delegates must be the partition's full delegate list in
-// the same order the stripes were cut in.
-func NewShardFromSlices(rank, numRanks int, owned []VID, offsets []int64,
+// NewShardFromSlices rebuilds a shard of an n-vertex graph from its raw
+// form (CutShard), as multi-process workers do with the plan slice they
+// receive over the wire (internal/wire.ShardSlice) instead of cutting it
+// from a resident global CSR. offsets, weights, stripeOff and stripeWeights
+// are retained; targets and stripeTargets are only read to resolve the
+// arcs, so the caller's copy is the only one. delegates must be the
+// partition's full delegate list in the same order the stripes were cut in.
+//
+// The columns come off the wire, so they are checked before any is
+// indexed: the range lies in [0, n), each CSR's offsets run non-decreasing
+// from 0 to its arc count with one row per owned vertex (per delegate for
+// the stripes), targets and weights have equal length and every target is a
+// vertex. A violation is an error, never a panic or an allocation sized by
+// a bad target.
+func NewShardFromSlices(n, rank, numRanks int, lo, hi VID, offsets []int64,
 	targets []VID, weights []uint32, delegates []VID,
-	stripeOff []int64, stripeTargets []VID, stripeWeights []uint32) *Shard {
-	s := newShard(rank, numRanks, owned, offsets, weights, delegates, stripeOff, stripeWeights)
-	s.resolve(func(visit func(ts []VID)) {
-		visit(targets)
-		visit(stripeTargets)
-	})
-	return s
+	stripeOff []int64, stripeTargets []VID, stripeWeights []uint32) (*Shard, error) {
+	if rank < 0 || rank >= numRanks {
+		return nil, fmt.Errorf("graph: shard rank %d of %d", rank, numRanks)
+	}
+	if lo < 0 || lo > hi || int64(hi) > int64(n) {
+		return nil, fmt.Errorf("graph: shard range [%d,%d) outside [0,%d)", lo, hi, n)
+	}
+	if err := checkCSR("slab", int(hi-lo), n, offsets, targets, weights); err != nil {
+		return nil, err
+	}
+	if err := checkCSR("stripe", len(delegates), n, stripeOff, stripeTargets, stripeWeights); err != nil {
+		return nil, err
+	}
+	s := newShard(rank, numRanks, lo, hi, offsets, weights, delegates, stripeOff, stripeWeights)
+	s.resolve(targets, stripeTargets)
+	return s, nil
+}
+
+// checkCSR validates one raw CSR of rows rows over an n-vertex graph.
+func checkCSR(what string, rows, n int, offsets []int64, targets []VID, weights []uint32) error {
+	if len(offsets) != rows+1 {
+		return fmt.Errorf("graph: %s has %d offsets for %d rows", what, len(offsets), rows)
+	}
+	if len(targets) != len(weights) {
+		return fmt.Errorf("graph: %s has %d targets for %d weights", what, len(targets), len(weights))
+	}
+	if offsets[0] != 0 || offsets[rows] != int64(len(weights)) {
+		return fmt.Errorf("graph: %s offsets span [%d,%d), want [0,%d)", what, offsets[0], offsets[rows], len(weights))
+	}
+	for i := 1; i <= rows; i++ {
+		if offsets[i] < offsets[i-1] {
+			return fmt.Errorf("graph: %s offsets decrease at row %d", what, i)
+		}
+	}
+	for j, u := range targets {
+		if u < 0 || int64(u) >= int64(n) {
+			return fmt.Errorf("graph: %s arc %d targets vertex %d outside [0,%d)", what, j, u, n)
+		}
+	}
+	return nil
 }
 
 // newShard is a shard over its weights, not yet resolved.
-func newShard(rank, numRanks int, owned []VID, offsets []int64, weights []uint32,
+func newShard(rank, numRanks int, lo, hi VID, offsets []int64, weights []uint32,
 	delegates []VID, stripeOff []int64, stripeWeights []uint32) *Shard {
 	s := &Shard{
 		rank:          rank,
 		numRanks:      numRanks,
-		rows:          NewRowIndex(owned),
+		rows:          NewRowIndex(lo, hi),
 		offsets:       offsets,
 		weights:       weights,
 		stripeOff:     stripeOff,
@@ -172,32 +191,32 @@ func newShard(rank, numRanks int, owned []VID, offsets []int64, weights []uint32
 	return s
 }
 
-// resolve fills refs, stripeRefs and ghosts from a walk that visits every
-// slab arc's target and then every stripe arc's, in arc order and in runs of
-// any length: each arc target is looked up once here instead of once per
-// relaxation. NewShard walks g's arrays and NewShardFromSlices the slices a
-// worker received, so both resolve identically and nothing extra is shipped.
+// resolve fills refs, stripeRefs and ghosts from the slab's and the
+// stripes' arc targets, in arc order: each arc target is looked up once
+// here instead of once per relaxation. NewShard passes g's arrays and
+// NewShardFromSlices the slices a worker received, so both resolve
+// identically and nothing extra is shipped.
 //
 // The scratch is transient and indexed by VID. The arcs mark their targets
 // in it, the marked vertices are resolved in VID order — one row lookup and
 // at most one ghost slot per vertex, not per arc — and the arcs read the
 // result back. Both arc passes are a load and a store with no branch to
 // mispredict, which is what keeps this near the cost of copying the arcs.
-func (s *Shard) resolve(walk func(visit func(ts []VID))) {
+func (s *Shard) resolve(targets, stripeTargets []VID) {
 	top := VID(-1)
-	walk(func(ts []VID) {
-		t := top
-		for _, u := range ts {
-			t = max(t, u)
-		}
-		top = t
-	})
+	for _, u := range targets {
+		top = max(top, u)
+	}
+	for _, u := range stripeTargets {
+		top = max(top, u)
+	}
 	ref := make([]int32, int(top)+1)
-	walk(func(ts []VID) {
-		for _, u := range ts {
-			ref[u] = 1
-		}
-	})
+	for _, u := range targets {
+		ref[u] = 1
+	}
+	for _, u := range stripeTargets {
+		ref[u] = 1
+	}
 	for u, marked := range ref {
 		if marked == 0 {
 			continue
@@ -207,16 +226,14 @@ func (s *Shard) resolve(walk func(visit func(ts []VID))) {
 			s.ghosts = append(s.ghosts, VID(u))
 		}
 	}
-	n := len(s.weights)
-	col := make([]int32, n+len(s.stripeWeights))
-	k := 0
-	walk(func(ts []VID) {
-		dst := col[k : k+len(ts)]
-		for j, u := range ts {
-			dst[j] = ref[u]
-		}
-		k += len(ts)
-	})
+	n := len(targets)
+	col := make([]int32, n+len(stripeTargets))
+	for j, u := range targets {
+		col[j] = ref[u]
+	}
+	for j, u := range stripeTargets {
+		col[n+j] = ref[u]
+	}
 	s.refs, s.stripeRefs = col[:n:n], col[n:]
 }
 
@@ -229,9 +246,9 @@ func (s *Shard) NumRanks() int { return s.numRanks }
 // NumOwned returns the number of vertices in the slab.
 func (s *Shard) NumOwned() int { return s.rows.Len() }
 
-// Rows returns the owned-vertex row index, shareable with other rank-local
-// slabs (the control-state slab) cut from the same owned list.
-func (s *Shard) Rows() *RowIndex { return s.rows }
+// Rows returns the owned range's row index, the one the rank's other
+// rank-local slab (the control-state slab) addresses its rows by.
+func (s *Shard) Rows() RowIndex { return s.rows }
 
 // NumArcs returns the number of arcs in the slab (owned adjacency only).
 func (s *Shard) NumArcs() int64 { return int64(len(s.weights)) }
@@ -316,14 +333,11 @@ func (s *Shard) EdgeWeight(u, v VID) (uint32, bool) {
 
 // MemoryBytes reports the shard's resident size: slab CSR and delegate
 // stripes at 8 bytes per arc (weight + resolved target), their offsets, the
-// ghost list (4 bytes per distinct remote target — on a hash partition
-// nearly every vertex the rank does not own) and the owned-vertex index (zero
-// extra for affine owned sets).
+// ghost list (4 bytes per distinct remote target) and the delegate index.
 func (s *Shard) MemoryBytes() int64 {
 	b := int64(len(s.offsets))*8 + int64(len(s.weights))*4 + int64(len(s.refs))*4
 	b += int64(len(s.stripeOff))*8 + int64(len(s.stripeWeights))*4 + int64(len(s.stripeRefs))*4
 	b += int64(len(s.ghosts)) * 4
 	b += int64(len(s.delegateIdx)) * 12
-	b += s.rows.MemoryBytes()
 	return b
 }

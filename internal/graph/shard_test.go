@@ -38,42 +38,25 @@ func shardTargets(s *Shard, refs []int32) []VID {
 	return ts
 }
 
-// affineOwned returns lo, lo+stride, ... capped at n.
-func affineOwned(lo, stride, count, n int) []VID {
-	var out []VID
-	for i := 0; i < count; i++ {
-		v := lo + i*stride
-		if v >= n {
-			break
-		}
-		out = append(out, VID(v))
-	}
-	return out
-}
-
 func TestShardSlabMatchesGlobalAdjacency(t *testing.T) {
 	g := shardTestGraph(1, 200)
-	for _, owned := range [][]VID{
-		affineOwned(0, 1, 50, 200),   // block-style prefix
-		affineOwned(50, 1, 150, 200), // block-style suffix
-		affineOwned(3, 4, 50, 200),   // hash-style stride
-		{2, 3, 5, 7, 11, 13, 17, 19}, // irregular: map fallback
-		{},                           // empty rank
+	for _, r := range [][2]VID{
+		{0, 50},    // prefix
+		{50, 200},  // suffix
+		{60, 61},   // one vertex
+		{100, 100}, // empty rank
 	} {
-		s := NewShard(g, 0, 4, owned, nil)
-		if s.NumOwned() != len(owned) {
-			t.Fatalf("NumOwned = %d, want %d", s.NumOwned(), len(owned))
+		lo, hi := r[0], r[1]
+		s := NewShard(g, 0, 4, lo, hi, nil)
+		if s.NumOwned() != int(hi-lo) {
+			t.Fatalf("NumOwned = %d, want %d", s.NumOwned(), hi-lo)
 		}
-		ownedSet := map[VID]bool{}
-		for _, v := range owned {
-			ownedSet[v] = true
-		}
-		for v := 0; v < g.NumVertices(); v++ {
-			if s.Owns(VID(v)) != ownedSet[VID(v)] {
-				t.Fatalf("Owns(%d) = %v, want %v (owned %v)", v, s.Owns(VID(v)), ownedSet[VID(v)], owned)
+		for v := VID(0); int(v) < g.NumVertices(); v++ {
+			if want := lo <= v && v < hi; s.Owns(v) != want {
+				t.Fatalf("Owns(%d) = %v, want %v (range [%d,%d))", v, s.Owns(v), want, lo, hi)
 			}
 		}
-		for _, v := range owned {
+		for v := lo; v < hi; v++ {
 			gt, gw := g.Adj(v)
 			st, sw := shardAdj(s, v)
 			if len(gt) != len(st) {
@@ -114,7 +97,7 @@ func TestShardStripesCoverDelegateAdjacencyExactlyOnce(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5} {
 		shards := make([]*Shard, p)
 		for rank := 0; rank < p; rank++ {
-			shards[rank] = NewShard(g, rank, p, nil, delegates)
+			shards[rank] = NewShard(g, rank, p, 0, 0, delegates)
 		}
 		for _, d := range delegates {
 			gt, gw := g.Adj(d)
@@ -142,7 +125,7 @@ func TestShardStripesCoverDelegateAdjacencyExactlyOnce(t *testing.T) {
 
 func TestShardPanicsOnForeignVertex(t *testing.T) {
 	g := shardTestGraph(3, 20)
-	s := NewShard(g, 0, 2, affineOwned(0, 1, 10, 20), nil)
+	s := NewShard(g, 0, 2, 0, 10, nil)
 	mustPanic := func(name string, fn func()) {
 		defer func() {
 			if recover() == nil {
@@ -157,8 +140,7 @@ func TestShardPanicsOnForeignVertex(t *testing.T) {
 
 func TestShardMemoryBytesAccountsArrays(t *testing.T) {
 	g := shardTestGraph(4, 100)
-	owned := affineOwned(0, 1, 100, 100)
-	s := NewShard(g, 0, 1, owned, []VID{0})
+	s := NewShard(g, 0, 1, 0, 100, []VID{0})
 	// One rank owns everything: slab arcs = all arcs, stripe = vertex 0's
 	// full adjacency.
 	if s.NumArcs() != g.NumArcs() {

@@ -7,6 +7,15 @@ import (
 	"dsteiner/internal/graph"
 )
 
+// ownedVertices calls fn for every vertex of rank's range, in increasing
+// order.
+func ownedVertices(p *Partition, rank int, fn func(v graph.VID)) {
+	lo, hi := p.Range(rank)
+	for v := lo; v < hi; v++ {
+		fn(v)
+	}
+}
+
 func TestBlockCoversAllVerticesExactlyOnce(t *testing.T) {
 	for _, tc := range []struct{ n, p int }{
 		{10, 3}, {10, 1}, {7, 7}, {100, 8}, {5, 8}, {1, 1},
@@ -17,7 +26,7 @@ func TestBlockCoversAllVerticesExactlyOnce(t *testing.T) {
 		}
 		seen := make([]int, tc.n)
 		for rank := 0; rank < tc.p; rank++ {
-			b.OwnedVertices(rank, func(v graph.VID) {
+			ownedVertices(b, rank, func(v graph.VID) {
 				seen[v]++
 				if b.Owner(v) != rank {
 					t.Fatalf("n=%d p=%d: Owner(%d)=%d but iterated on rank %d",
@@ -51,23 +60,26 @@ func TestBlockBalance(t *testing.T) {
 	}
 }
 
-func TestHashCoversAllVerticesExactlyOnce(t *testing.T) {
-	h, err := NewHash(57, 4)
+func TestFromBoundsRoundTripsAndValidates(t *testing.T) {
+	b, err := NewBlock(57, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make([]int, 57)
-	for rank := 0; rank < 4; rank++ {
-		h.OwnedVertices(rank, func(v graph.VID) {
-			seen[v]++
-			if h.Owner(v) != rank {
-				t.Fatalf("Owner(%d)=%d on rank %d", v, h.Owner(v), rank)
-			}
-		})
+	rt, err := NewFromBounds(b.Bounds())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for v, c := range seen {
-		if c != 1 {
-			t.Fatalf("vertex %d covered %d times", v, c)
+	if rt.NumRanks() != 4 || rt.NumVertices() != 57 {
+		t.Fatalf("round trip is %d ranks over %d vertices", rt.NumRanks(), rt.NumVertices())
+	}
+	for v := graph.VID(0); v < 57; v++ {
+		if rt.Owner(v) != b.Owner(v) {
+			t.Fatalf("Owner(%d) = %d after the round trip, %d before", v, rt.Owner(v), b.Owner(v))
+		}
+	}
+	for _, bounds := range [][]graph.VID{nil, {0}, {1, 5}, {0, 5, 3}, {0, 0, 0}} {
+		if _, err := NewFromBounds(bounds); err == nil {
+			t.Errorf("NewFromBounds(%v) accepted", bounds)
 		}
 	}
 }
@@ -79,8 +91,8 @@ func TestInvalidConfigs(t *testing.T) {
 	if _, err := NewBlock(4, 0); err == nil {
 		t.Error("NewBlock(4,0) accepted")
 	}
-	if _, err := NewHash(-1, 2); err == nil {
-		t.Error("NewHash(-1,2) accepted")
+	if _, err := NewBlock(-1, 2); err == nil {
+		t.Error("NewBlock(-1,2) accepted")
 	}
 }
 
@@ -131,7 +143,7 @@ func TestArcBlockCoversAllVerticesExactlyOnce(t *testing.T) {
 		}
 		seen := make([]int, g.NumVertices())
 		for rank := 0; rank < p; rank++ {
-			ab.OwnedVertices(rank, func(v graph.VID) {
+			ownedVertices(ab, rank, func(v graph.VID) {
 				seen[v]++
 				if ab.Owner(v) != rank {
 					t.Fatalf("p=%d: Owner(%d)=%d, iterated on %d", p, v, ab.Owner(v), rank)
@@ -165,7 +177,7 @@ func TestArcBlockBalancesArcsNotVertices(t *testing.T) {
 	var arcShares []int64
 	for rank := 0; rank < 4; rank++ {
 		var arcs int64
-		ab.OwnedVertices(rank, func(v graph.VID) { arcs += int64(g.Degree(v)) })
+		ownedVertices(ab, rank, func(v graph.VID) { arcs += int64(g.Degree(v)) })
 		arcShares = append(arcShares, arcs)
 		if arcs == 0 {
 			t.Fatalf("rank %d owns no arcs", rank)
@@ -203,7 +215,7 @@ func TestArcBlockMoreRanksThanVertices(t *testing.T) {
 	}
 	seen := 0
 	for rank := 0; rank < 8; rank++ {
-		ab.OwnedVertices(rank, func(v graph.VID) { seen++ })
+		ownedVertices(ab, rank, func(v graph.VID) { seen++ })
 	}
 	if seen != 3 {
 		t.Fatalf("covered %d vertices, want 3", seen)
@@ -211,31 +223,33 @@ func TestArcBlockMoreRanksThanVertices(t *testing.T) {
 }
 
 // TestPropertyAllKindsCoverEveryVertexExactlyOnce is the partition
-// invariant behind the shard substrate: for every partition kind (and its
-// delegate wrapper) over random n and P, each vertex is owned by exactly
-// one rank, and the set OwnedVertices yields for a rank is exactly the set
-// Owner maps to it, in increasing order. ShardPlan and the per-rank slabs
-// are only correct if this holds.
+// invariant behind the shard substrate: for both bounds constructors (with
+// and without delegates, and rebuilt from their wire bounds) over random n
+// and P, each vertex is owned by exactly one rank, and the range a rank is
+// given is exactly the set Owner maps to it. ShardPlan and the per-rank
+// slabs are only correct if this holds.
 func TestPropertyAllKindsCoverEveryVertexExactlyOnce(t *testing.T) {
 	f := func(seed int64, nRaw, pRaw uint16, thrRaw uint8) bool {
 		n := int(nRaw%500) + 1
 		p := int(pRaw%12) + 1
 		g := planTestGraph(seed, n)
-		parts := map[string]Partition{}
+		parts := map[string]*Partition{}
 		if blk, err := NewBlock(n, p); err == nil {
 			parts["block"] = blk
-		}
-		if hsh, err := NewHash(n, p); err == nil {
-			parts["hash"] = hsh
 		}
 		if arc, err := NewArcBlock(g, p); err == nil {
 			parts["arcblock"] = arc
 		}
-		if len(parts) != 3 {
+		if len(parts) != 2 {
 			return false
 		}
 		for name, base := range parts {
 			parts[name+"+delegates"] = WithDelegates(base, g, int(thrRaw%16)+1)
+			wire, err := NewFromBounds(base.Bounds())
+			if err != nil {
+				return false
+			}
+			parts[name+"+wire"] = wire
 		}
 		for name, part := range parts {
 			if part.NumRanks() != p || part.NumVertices() != n {
@@ -246,7 +260,7 @@ func TestPropertyAllKindsCoverEveryVertexExactlyOnce(t *testing.T) {
 			for rank := 0; rank < p; rank++ {
 				prev := graph.VID(-1)
 				ok := true
-				part.OwnedVertices(rank, func(v graph.VID) {
+				ownedVertices(part, rank, func(v graph.VID) {
 					if v <= prev || part.Owner(v) != rank {
 						ok = false
 					}
@@ -254,7 +268,7 @@ func TestPropertyAllKindsCoverEveryVertexExactlyOnce(t *testing.T) {
 					covered[v]++
 				})
 				if !ok {
-					t.Logf("%s n=%d p=%d rank=%d: OwnedVertices disagrees with Owner", name, n, p, rank)
+					t.Logf("%s n=%d p=%d rank=%d: Range disagrees with Owner", name, n, p, rank)
 					return false
 				}
 			}
@@ -297,12 +311,39 @@ func TestDelegates(t *testing.T) {
 	if d0.NumDelegates() != 0 || d0.IsDelegate(0) {
 		t.Error("threshold 0 should disable delegation")
 	}
-	// Base partition behaviour passes through.
+	// The ranges carry over.
 	if d.Owner(3) != base.Owner(3) || d.NumRanks() != 2 {
-		t.Error("delegated wrapper broke base partition")
+		t.Error("marking delegates changed the ranges")
 	}
-	// Plain partitions never report delegates.
-	if base.IsDelegate(0) {
+	// The base stays unmarked.
+	if base.IsDelegate(0) || base.NumDelegates() != 0 {
 		t.Error("block partition reported a delegate")
+	}
+}
+
+// TestDelegateList pins the wire-side delegate constructor: it marks
+// exactly the listed vertices and refuses a list that is out of range,
+// unsorted or repeats a vertex instead of indexing past the marks.
+func TestDelegateList(t *testing.T) {
+	base, _ := NewBlock(6, 2)
+	d, err := WithDelegateList(base, []graph.VID{0, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := graph.VID(0); v < 6; v++ {
+		if d.IsDelegate(v) != (v == 0 || v == 4) {
+			t.Errorf("IsDelegate(%d) = %v", v, d.IsDelegate(v))
+		}
+	}
+	if d.NumDelegates() != 2 {
+		t.Errorf("NumDelegates = %d, want 2", d.NumDelegates())
+	}
+	if d, err := WithDelegateList(base, nil); err != nil || d.NumDelegates() != 0 || d.IsDelegate(0) {
+		t.Errorf("empty list: %v, %d delegates", err, d.NumDelegates())
+	}
+	for _, list := range [][]graph.VID{{6}, {-1}, {3, 1}, {2, 2}} {
+		if _, err := WithDelegateList(base, list); err == nil {
+			t.Errorf("WithDelegateList(%v) accepted", list)
+		}
 	}
 }

@@ -6,40 +6,26 @@ import (
 	"dsteiner/internal/graph"
 )
 
-// ShardPlan is the blueprint for cutting a graph into per-rank shards: each
-// rank's owned-vertex set (in increasing order, exactly the vertices
-// OwnedVertices yields) plus the global delegate list whose adjacency is
-// striped across all ranks. The plan is the partition made concrete — it is
-// what a multi-process backend would exchange at session setup so every
-// process can build its graph.Shard locally without seeing the full CSR.
+// ShardPlan is the blueprint for cutting a graph into per-rank shards: the
+// partition's ranges plus the global delegate list whose adjacency is
+// striped across all ranks. It is what a multi-process backend exchanges at
+// session setup (P+1 bounds and the delegates) so every process can build
+// its graph.Shard locally without seeing the full CSR.
 type ShardPlan struct {
-	part      Partition
-	owned     [][]graph.VID
+	part      *Partition
 	delegates []graph.VID
 }
 
-// NewShardPlan materializes the partition's owned-vertex sets and delegate
-// list for an n-vertex graph. It fails if the partition does not cover
-// exactly the graph's vertex set (the per-kind invariants are property
-// tested; this check catches mismatched graph/partition pairings).
-func NewShardPlan(part Partition, g *graph.Graph) (*ShardPlan, error) {
+// NewShardPlan collects the partition's delegate list for g. It fails if
+// the partition does not cover exactly the graph's vertex set.
+func NewShardPlan(part *Partition, g *graph.Graph) (*ShardPlan, error) {
 	n := g.NumVertices()
 	if part.NumVertices() != n {
 		return nil, fmt.Errorf("partition: plan for %d-vertex partition on %d-vertex graph",
 			part.NumVertices(), n)
 	}
-	p := &ShardPlan{part: part, owned: make([][]graph.VID, part.NumRanks())}
-	total := 0
-	for rank := range p.owned {
-		list := []graph.VID{}
-		part.OwnedVertices(rank, func(v graph.VID) { list = append(list, v) })
-		p.owned[rank] = list
-		total += len(list)
-	}
-	if total != n {
-		return nil, fmt.Errorf("partition: owned sets cover %d of %d vertices", total, n)
-	}
-	for v := 0; v < n; v++ {
+	p := &ShardPlan{part: part}
+	for v := 0; v < n && len(p.delegates) < part.NumDelegates(); v++ {
 		if part.IsDelegate(graph.VID(v)) {
 			p.delegates = append(p.delegates, graph.VID(v))
 		}
@@ -48,14 +34,13 @@ func NewShardPlan(part Partition, g *graph.Graph) (*ShardPlan, error) {
 }
 
 // NumRanks returns the partition's rank count P.
-func (p *ShardPlan) NumRanks() int { return len(p.owned) }
+func (p *ShardPlan) NumRanks() int { return p.part.NumRanks() }
 
 // Partition returns the partition the plan was built from.
-func (p *ShardPlan) Partition() Partition { return p.part }
+func (p *ShardPlan) Partition() *Partition { return p.part }
 
-// Owned returns rank's vertices in increasing order. The slice is shared:
-// read-only.
-func (p *ShardPlan) Owned(rank int) []graph.VID { return p.owned[rank] }
+// Range returns rank's owned vertex range [lo, hi).
+func (p *ShardPlan) Range(rank int) (lo, hi graph.VID) { return p.part.Range(rank) }
 
 // Delegates returns the sorted delegate vertex list (shared: read-only).
 func (p *ShardPlan) Delegates() []graph.VID { return p.delegates }
@@ -63,33 +48,26 @@ func (p *ShardPlan) Delegates() []graph.VID { return p.delegates }
 // NumDelegates returns the number of delegate vertices.
 func (p *ShardPlan) NumDelegates() int { return len(p.delegates) }
 
-// Mirrored returns the delegates rank does not own, in increasing order —
-// the vertices whose control state the rank mirrors rather than holds
-// authoritatively. Together with Owned(rank) this sizes the rank's
-// control-state slab (voronoi.NewStateSlab): owned rows plus one mirror
-// row per non-owned delegate.
-func (p *ShardPlan) Mirrored(rank int) []graph.VID {
-	var out []graph.VID
+// StateRows reports the control-state slab dimensions for rank: the number
+// of owned-vertex rows and of mirror rows, one per delegate the rank does
+// not own. The sum is the row count of the rank's voronoi.StateSlab.
+func (p *ShardPlan) StateRows(rank int) (owned, mirrored int) {
+	lo, hi := p.Range(rank)
+	mirrored = len(p.delegates)
 	for _, d := range p.delegates {
-		if p.part.Owner(d) != rank {
-			out = append(out, d)
+		if lo <= d && d < hi {
+			mirrored--
 		}
 	}
-	return out
-}
-
-// StateRows reports the control-state slab dimensions for rank: the number
-// of owned-vertex rows and of mirrored-delegate rows. The sum is the row
-// count of the rank's voronoi.StateSlab.
-func (p *ShardPlan) StateRows(rank int) (owned, mirrored int) {
-	return len(p.owned[rank]), len(p.Mirrored(rank))
+	return int(hi - lo), mirrored
 }
 
 // BuildShards cuts one graph.Shard per rank out of g according to the plan.
 func (p *ShardPlan) BuildShards(g *graph.Graph) []*graph.Shard {
 	shards := make([]*graph.Shard, p.NumRanks())
 	for rank := range shards {
-		shards[rank] = graph.NewShard(g, rank, p.NumRanks(), p.owned[rank], p.delegates)
+		lo, hi := p.Range(rank)
+		shards[rank] = graph.NewShard(g, rank, p.NumRanks(), lo, hi, p.delegates)
 	}
 	return shards
 }

@@ -23,16 +23,11 @@ func planTestGraph(seed int64, n int) *graph.Graph {
 	return g
 }
 
-// allPartitions builds every partition kind (and a delegated wrapper of
+// allPartitions builds both partition kinds (and a delegate-marked copy of
 // each) for g over p ranks.
-func allPartitions(t *testing.T, g *graph.Graph, p, delegateThreshold int) map[string]Partition {
+func allPartitions(t *testing.T, g *graph.Graph, p, delegateThreshold int) map[string]*Partition {
 	t.Helper()
-	n := g.NumVertices()
-	blk, err := NewBlock(n, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hsh, err := NewHash(n, p)
+	blk, err := NewBlock(g.NumVertices(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +35,7 @@ func allPartitions(t *testing.T, g *graph.Graph, p, delegateThreshold int) map[s
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]Partition{"block": blk, "hash": hsh, "arcblock": arc}
+	out := map[string]*Partition{"block": blk, "arcblock": arc}
 	for name, base := range out {
 		out[name+"+delegates"] = WithDelegates(base, g, delegateThreshold)
 	}
@@ -51,7 +46,7 @@ func TestShardPlanOwnedMatchesPartition(t *testing.T) {
 	g := planTestGraph(5, 137)
 	for _, p := range []int{1, 2, 3, 8, 137, 200} {
 		if p > g.NumVertices() {
-			continue // hash/block require p ranks but may own empty sets; arcblock handles it
+			continue // more ranks than vertices leaves ranges empty; TestArcBlockMoreRanksThanVertices covers it
 		}
 		for name, part := range allPartitions(t, g, p, 10) {
 			plan, err := NewShardPlan(part, g)
@@ -63,12 +58,8 @@ func TestShardPlanOwnedMatchesPartition(t *testing.T) {
 			}
 			covered := make([]int, g.NumVertices())
 			for rank := 0; rank < p; rank++ {
-				prev := graph.VID(-1)
-				for _, v := range plan.Owned(rank) {
-					if v <= prev {
-						t.Fatalf("%s p=%d rank %d: owned list not increasing at %d", name, p, rank, v)
-					}
-					prev = v
+				lo, hi := plan.Range(rank)
+				for v := lo; v < hi; v++ {
 					covered[v]++
 					if part.Owner(v) != rank {
 						t.Fatalf("%s p=%d: plan puts %d on rank %d, Owner says %d", name, p, v, rank, part.Owner(v))
@@ -146,7 +137,7 @@ func TestShardPlanRejectsMismatchedGraph(t *testing.T) {
 }
 
 // TestStateRowsAndMirrored pins the control-state slab sizing invariants:
-// owned rows match the owned list, mirrored rows are exactly the delegates
+// owned rows match the owned range, mirrored rows are exactly the delegates
 // the rank does not own, and across all ranks every delegate is owned by
 // exactly one rank and mirrored by the other P-1.
 func TestStateRowsAndMirrored(t *testing.T) {
@@ -159,22 +150,18 @@ func TestStateRowsAndMirrored(t *testing.T) {
 		totalOwned, totalMirrored := 0, 0
 		for rank := 0; rank < plan.NumRanks(); rank++ {
 			owned, mirrored := plan.StateRows(rank)
-			if owned != len(plan.Owned(rank)) {
-				t.Fatalf("%s rank %d: StateRows owned %d != len(Owned) %d",
-					name, rank, owned, len(plan.Owned(rank)))
+			if lo, hi := plan.Range(rank); owned != int(hi-lo) {
+				t.Fatalf("%s rank %d: StateRows owned %d for range [%d,%d)", name, rank, owned, lo, hi)
 			}
-			mirrorList := plan.Mirrored(rank)
-			if mirrored != len(mirrorList) {
-				t.Fatalf("%s rank %d: StateRows mirrored %d != len(Mirrored) %d",
-					name, rank, mirrored, len(mirrorList))
+			want := 0
+			for _, d := range plan.Delegates() {
+				if part.Owner(d) != rank {
+					want++
+				}
 			}
-			for _, d := range mirrorList {
-				if !part.IsDelegate(d) {
-					t.Fatalf("%s rank %d: mirrors non-delegate %d", name, rank, d)
-				}
-				if part.Owner(d) == rank {
-					t.Fatalf("%s rank %d: mirrors its own delegate %d", name, rank, d)
-				}
+			if mirrored != want {
+				t.Fatalf("%s rank %d: StateRows mirrored %d, %d delegates are owned elsewhere",
+					name, rank, mirrored, want)
 			}
 			totalOwned += owned
 			totalMirrored += mirrored

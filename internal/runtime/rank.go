@@ -87,13 +87,7 @@ func (r *Rank) IsDelegate(v graph.VID) bool { return r.comm.part.IsDelegate(v) }
 // HasDelegates reports whether the partition marks any delegates at all —
 // a cheap gate that lets per-edge delegate checks (the changed-since
 // broadcast filter) vanish entirely on delegate-free partitions.
-func (r *Rank) HasDelegates() bool {
-	type counter interface{ NumDelegates() int }
-	if dc, ok := r.comm.part.(counter); ok {
-		return dc.NumDelegates() > 0
-	}
-	return false
-}
+func (r *Rank) HasDelegates() bool { return r.comm.part.NumDelegates() > 0 }
 
 // Shard returns this rank's local graph shard, or nil before AttachShards.
 func (r *Rank) Shard() *graph.Shard { return r.shard }

@@ -136,7 +136,7 @@ func (c Config) withDefaults() Config {
 // rank, avoiding per-run goroutine churn, and Close when done.
 type Comm struct {
 	cfg  Config
-	part partition.Partition
+	part *partition.Partition
 	// ranks holds the hosted ranks only: ranks[i] has global id lo+i.
 	// Loopback communicators host all P ranks (lo = 0).
 	ranks []*Rank
@@ -196,7 +196,7 @@ type job struct {
 
 // New builds a communicator with cfg.Ranks ranks over the given partition.
 // The partition's rank count must match cfg.Ranks.
-func New(cfg Config, part partition.Partition) (*Comm, error) {
+func New(cfg Config, part *partition.Partition) (*Comm, error) {
 	cfg = cfg.withDefaults()
 	if part.NumRanks() != cfg.Ranks {
 		return nil, fmt.Errorf("runtime: partition has %d ranks, config wants %d", part.NumRanks(), cfg.Ranks)
@@ -254,7 +254,7 @@ func (c *Comm) HostRange() (lo, hi int) { return c.lo, c.lo + len(c.ranks) }
 
 // MustNew is New that panics on error (for tests and examples with known
 // good configs).
-func MustNew(cfg Config, part partition.Partition) *Comm {
+func MustNew(cfg Config, part *partition.Partition) *Comm {
 	c, err := New(cfg, part)
 	if err != nil {
 		panic(err)
@@ -408,7 +408,7 @@ func (c *Comm) ShardMemoryBytes() int64 {
 func (c *Comm) NumRanks() int { return c.cfg.Ranks }
 
 // Partition returns the vertex partition.
-func (c *Comm) Partition() partition.Partition { return c.part }
+func (c *Comm) Partition() *partition.Partition { return c.part }
 
 // Config returns the configuration (with defaults applied).
 func (c *Comm) Config() Config { return c.cfg }

@@ -67,7 +67,8 @@ func TestRankAdjacencyMatchesGlobal(t *testing.T) {
 	c.EnsureShards(g) // idempotent
 	c.Run(func(r *Rank) {
 		sh := r.Shard()
-		c.Partition().OwnedVertices(r.ID(), func(v graph.VID) {
+		lo, hi := c.Partition().Range(r.ID())
+		for v := lo; v < hi; v++ {
 			gt, gw := g.Adj(v)
 			sw, refs := sh.RowArcs(sh.Rows().Row(v))
 			if len(gt) != len(refs) {
@@ -81,7 +82,7 @@ func TestRankAdjacencyMatchesGlobal(t *testing.T) {
 					panic("EdgeWeight differs from global")
 				}
 			}
-		})
+		}
 	})
 }
 

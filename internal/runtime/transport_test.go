@@ -118,7 +118,7 @@ func TestHasDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := func(p partition.Partition, want bool) {
+	probe := func(p *partition.Partition, want bool) {
 		t.Helper()
 		c := MustNew(Config{Ranks: 2}, p)
 		c.Run(func(r *Rank) {
@@ -128,8 +128,16 @@ func TestHasDelegates(t *testing.T) {
 		})
 	}
 	probe(base, false)
-	probe(partition.WithDelegateList(base, 6, nil), false)
-	probe(partition.WithDelegateList(base, 6, []graph.VID{3}), true)
+	for _, tc := range []struct {
+		delegates []graph.VID
+		want      bool
+	}{{nil, false}, {[]graph.VID{3}, true}} {
+		p, err := partition.WithDelegateList(base, tc.delegates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe(p, tc.want)
+	}
 }
 
 // nopTransport satisfies Transport for construction-only tests.

@@ -272,7 +272,7 @@ type InfoResponse struct {
 	// rankd processes of a tcp backend (0 for inproc).
 	Backend string `json:"backend"`
 	Workers int    `json:"workers,omitempty"`
-	// Partition is the vertex-to-rank mapping kind (block/hash/arcblock).
+	// Partition is the vertex-to-rank mapping kind (block/arcblock).
 	Partition string `json:"partition"`
 	// DelegateThreshold is the high-degree delegate cutoff (0 = off);
 	// Delegates counts the vertices striped across ranks.

@@ -375,7 +375,7 @@ func TestInfoReportsEngines(t *testing.T) {
 // engines' shard substrate: partition kind, delegate count and shard memory.
 func TestInfoAndStatsReportShardSubstrate(t *testing.T) {
 	opts := core.Default(2)
-	opts.Partition = core.PartitionHash
+	opts.Partition = core.PartitionArcBlock
 	opts.DelegateThreshold = 3
 	s, err := New(testGraph(t), opts, Config{Engines: 1})
 	if err != nil {
@@ -394,7 +394,7 @@ func TestInfoAndStatsReportShardSubstrate(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
-	if info.Partition != "hash" || info.Ranks != 2 || info.DelegateThreshold != 3 {
+	if info.Partition != "arcblock" || info.Ranks != 2 || info.DelegateThreshold != 3 {
 		t.Fatalf("info substrate = %+v", info)
 	}
 	if info.Delegates == 0 || info.ShardBytes <= 0 {
@@ -413,7 +413,7 @@ func TestInfoAndStatsReportShardSubstrate(t *testing.T) {
 	if err := json.NewDecoder(resp2.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Shard.Partition != "hash" || stats.Shard.Ranks != 2 || stats.Shard.DelegateThreshold != 3 {
+	if stats.Shard.Partition != "arcblock" || stats.Shard.Ranks != 2 || stats.Shard.DelegateThreshold != 3 {
 		t.Fatalf("stats shard = %+v", stats.Shard)
 	}
 	if stats.Shard.TotalBytes <= 0 || stats.Shard.MaxRankBytes <= 0 ||

@@ -11,8 +11,8 @@ import (
 var _ rt.StateSlab = (*StateSlab)(nil)
 
 // StateSlab is one rank's local share of the Voronoi control state: the
-// (src, pred, dist) entry of every vertex the rank owns, stored in compact
-// rows addressed by the same affine VID→row mapping (graph.RowIndex) the
+// (src, pred, dist) entry of every vertex in the rank's owned range, stored
+// in compact rows addressed by the same VID→row mapping (graph.RowIndex) the
 // rank's graph.Shard uses, so a vertex's adjacency and state live at the
 // same local row. It replaces the rank's slice of the shared State array —
 // the last shared-memory structure on the solver's hot path — mirroring how
@@ -47,7 +47,7 @@ var _ rt.StateSlab = (*StateSlab)(nil)
 // graph.Shard.EdgeWeight on a non-owned vertex).
 type StateSlab struct {
 	rank int
-	rows *graph.RowIndex
+	rows graph.RowIndex
 
 	// Owned-vertex rows.
 	src    []graph.VID
@@ -77,20 +77,20 @@ type ghostRow struct {
 	epoch     uint64
 }
 
-// NewStateSlab builds rank's slab. owned must list the rank's vertices in
-// strictly increasing order (exactly what partition.ShardPlan.Owned yields);
-// mirrored lists the delegates the rank does not own (ShardPlan.Mirrored).
-// sh, when non-nil, is the rank's shard cut from the same owned list: the
-// slab shares its row index, so both address rows through one mapping, and
-// gets one ghost row per ghost slot. A slab built without a shard has no
-// ghost rows: it can hold state, but run refuses it on a multi-rank shard.
-func NewStateSlab(rank int, owned, mirrored []graph.VID, sh *graph.Shard) *StateSlab {
-	var rows *graph.RowIndex
+// NewStateSlab builds rank's slab over its owned range [lo, hi). delegates
+// is the partition's full delegate list (ShardPlan.Delegates): the slab
+// keeps a mirror row for each one outside the range. sh, when non-nil, is
+// the rank's shard over the same range: the slab gets one ghost row per
+// ghost slot. A slab built without a shard has no ghost rows: it can hold
+// state, but run refuses it on a multi-rank shard.
+func NewStateSlab(rank int, lo, hi graph.VID, delegates []graph.VID, sh *graph.Shard) *StateSlab {
+	rows := graph.NewRowIndex(lo, hi)
 	var ghost []ghostRow
 	if sh != nil {
-		rows, ghost = sh.Rows(), make([]ghostRow, sh.NumGhosts())
-	} else {
-		rows = graph.NewRowIndex(owned)
+		if sh.Rows() != rows {
+			panic("voronoi: NewStateSlab over another range than its shard's")
+		}
+		ghost = make([]ghostRow, sh.NumGhosts())
 	}
 	n := rows.Len()
 	sl := &StateSlab{
@@ -104,6 +104,12 @@ func NewStateSlab(rank int, owned, mirrored []graph.VID, sh *graph.Shard) *State
 		cur:    1,
 		ghost:  ghost,
 		gcur:   1,
+	}
+	var mirrored []graph.VID
+	for _, d := range delegates {
+		if rows.Row(d) < 0 {
+			mirrored = append(mirrored, d)
+		}
 	}
 	if len(mirrored) > 0 {
 		sl.mirrorIdx = make(map[graph.VID]int32, len(mirrored))
@@ -127,7 +133,8 @@ func BuildSlabs(plan *partition.ShardPlan, shards []*graph.Shard) []*StateSlab {
 		if shards != nil {
 			sh = shards[rank]
 		}
-		slabs[rank] = NewStateSlab(rank, plan.Owned(rank), plan.Mirrored(rank), sh)
+		lo, hi := plan.Range(rank)
+		slabs[rank] = NewStateSlab(rank, lo, hi, plan.Delegates(), sh)
 	}
 	return slabs
 }
@@ -396,17 +403,15 @@ func (sl *StateSlab) EachReached(fn func(v graph.VID, src, pred graph.VID, dist 
 
 // MemoryBytes reports the slab's resident size: owned rows (src 4 + pred 4
 // + dist 8 + epoch 8 + walked 8 bytes), ghost rows (dist 8 + src 4 + pred 4
-// + epoch 8 — one per distinct remote neighbour, so on a hash partition
-// about |V| − owned of them, more than the owned rows; the neighbour's VID
-// is the shard's, graph.Shard.Target, so a row stays 24 bytes), mirror rows
-// (src 4 + dist 8 + epoch 8 + index ~12) and any non-affine row index.
+// + epoch 8 — one per distinct remote neighbour; the neighbour's VID is
+// the shard's, graph.Shard.Target, so a row stays 24 bytes) and mirror rows
+// (src 4 + dist 8 + epoch 8 + index ~12).
 func (sl *StateSlab) MemoryBytes() int64 {
 	n := int64(sl.rows.Len())
 	b := n * (4 + 4 + 8 + 8 + 8)
 	b += int64(len(sl.ghost)) * (8 + 4 + 4 + 8)
 	m := int64(len(sl.mirrorIdx))
 	b += m * (4 + 8 + 8 + 12)
-	b += sl.rows.MemoryBytes()
 	return b
 }
 

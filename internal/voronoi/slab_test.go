@@ -10,8 +10,7 @@ import (
 )
 
 func TestStateSlabOwnedRowsSetGetReset(t *testing.T) {
-	owned := []graph.VID{2, 5, 8, 11} // affine stride 3
-	sl := NewStateSlab(0, owned, nil, nil)
+	sl := NewStateSlab(0, 4, 8, nil, nil)
 	if sl.NumOwned() != 4 || sl.NumMirrored() != 0 {
 		t.Fatalf("dims = %d owned, %d mirrored", sl.NumOwned(), sl.NumMirrored())
 	}
@@ -41,7 +40,7 @@ func TestStateSlabOwnedRowsSetGetReset(t *testing.T) {
 }
 
 func TestStateSlabPanicsOnNonOwnedVertex(t *testing.T) {
-	sl := NewStateSlab(0, []graph.VID{0, 1, 2}, nil, nil)
+	sl := NewStateSlab(0, 0, 3, nil, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("access to non-owned vertex did not panic")
@@ -51,11 +50,11 @@ func TestStateSlabPanicsOnNonOwnedVertex(t *testing.T) {
 }
 
 // TestStateSlabZeroOwnedVertices covers the degenerate rank of an
-// over-partitioned graph (P > |V|) or an owner-less hash residue: a slab
-// with no owned rows must still build, reset and account memory — and may
-// still mirror delegates (a delegate-only slab).
+// over-partitioned graph (P > |V|) or an arc-block range squeezed empty by
+// a hub: a slab with no owned rows must still build, reset and account
+// memory — and may still mirror delegates (a delegate-only slab).
 func TestStateSlabZeroOwnedVertices(t *testing.T) {
-	sl := NewStateSlab(3, nil, []graph.VID{4, 9}, nil)
+	sl := NewStateSlab(3, 7, 7, []graph.VID{4, 9}, nil)
 	if sl.NumOwned() != 0 || sl.NumMirrored() != 2 {
 		t.Fatalf("dims = %d owned, %d mirrored", sl.NumOwned(), sl.NumMirrored())
 	}
@@ -81,11 +80,12 @@ func TestStateSlabZeroOwnedVertices(t *testing.T) {
 	}
 }
 
-// TestEngineStyleBuildSharesShardRowIndex checks BuildSlabs reuses the
-// shard's vertex→row index, so adjacency row and state row coincide.
+// TestBuildSlabsSharesShardRowIndex checks BuildSlabs addresses each
+// slab by its shard's vertex→row index, so adjacency row and state row
+// coincide.
 func TestBuildSlabsSharesShardRowIndex(t *testing.T) {
 	g := randomConnected(51, 120, 20)
-	base, _ := partition.NewHash(g.NumVertices(), 3)
+	base, _ := partition.NewArcBlock(g, 3)
 	part := partition.WithDelegates(base, g, 8)
 	plan, err := partition.NewShardPlan(part, g)
 	if err != nil {
@@ -95,7 +95,7 @@ func TestBuildSlabsSharesShardRowIndex(t *testing.T) {
 	slabs := BuildSlabs(plan, shards)
 	for rank, sl := range slabs {
 		if sl.rows != shards[rank].Rows() {
-			t.Fatalf("rank %d slab built its own row index", rank)
+			t.Fatalf("rank %d slab rows %v, shard rows %v", rank, sl.rows, shards[rank].Rows())
 		}
 		if sl.NumOwned() != shards[rank].NumOwned() {
 			t.Fatalf("rank %d: slab %d rows, shard %d owned", rank, sl.NumOwned(), shards[rank].NumOwned())
@@ -107,15 +107,15 @@ func TestBuildSlabsSharesShardRowIndex(t *testing.T) {
 		}
 	}
 
-	// EnsureSlabs on a sharded Comm must reuse the attached shards' indices
-	// too, not rebuild them.
+	// EnsureSlabs on a sharded Comm must match the attached shards' indices
+	// too.
 	c := rt.MustNew(rt.Config{Ranks: 3, Queue: rt.QueuePriority}, part)
 	c.EnsureShards(g)
 	ensured := EnsureSlabs(c, g)
 	attached := c.Shards()
 	for rank, sl := range ensured {
 		if sl.rows != attached[rank].Rows() {
-			t.Fatalf("rank %d: EnsureSlabs built its own row index", rank)
+			t.Fatalf("rank %d: EnsureSlabs rows %v, shard rows %v", rank, sl.rows, attached[rank].Rows())
 		}
 	}
 }
@@ -203,8 +203,9 @@ func TestSlabReuseMirrorsStayCorrect(t *testing.T) {
 }
 
 func TestStateSlabMemoryBytes(t *testing.T) {
-	sl := NewStateSlab(0, []graph.VID{0, 1, 2, 3}, []graph.VID{10, 11}, nil)
-	// 4 owned rows * (4+4+8+8+8) + 2 mirror rows * (4+8+8+12), affine index.
+	sl := NewStateSlab(0, 0, 4, []graph.VID{2, 10, 11}, nil)
+	// 4 owned rows * (4+4+8+8+8) + 2 mirror rows * (4+8+8+12); delegate 2 is
+	// owned, so it has no mirror row.
 	want := int64(4*(4+4+8+8+8) + 2*(4+8+8+12))
 	if got := sl.MemoryBytes(); got != want {
 		t.Fatalf("MemoryBytes = %d, want %d", got, want)
@@ -224,8 +225,8 @@ func TestGhostRowsFilterThenHoldHaloLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := graph.NewShard(g, 0, 2, []graph.VID{0, 1}, nil)
-	sl := NewStateSlab(0, []graph.VID{0, 1}, nil, sh)
+	sh := graph.NewShard(g, 0, 2, 0, 2, nil)
+	sl := NewStateSlab(0, 0, 2, nil, sh)
 	if sh.NumGhosts() != 2 || len(sl.ghost) != 2 {
 		t.Fatalf("%d ghost slots, %d ghost rows, want 2 and 2", sh.NumGhosts(), len(sl.ghost))
 	}
@@ -277,8 +278,8 @@ func TestGhostRowsFilterThenHoldHaloLabels(t *testing.T) {
 // TestCollectMergesSlabs checks Collect rebuilds the global view from
 // per-rank slabs, skipping stale epochs.
 func TestCollectMergesSlabs(t *testing.T) {
-	a := NewStateSlab(0, []graph.VID{0, 1}, nil, nil)
-	b := NewStateSlab(1, []graph.VID{2, 3}, nil, nil)
+	a := NewStateSlab(0, 0, 2, nil, nil)
+	b := NewStateSlab(1, 2, 4, nil, nil)
 	a.Set(0, 0, 0, 0)
 	b.Set(3, 0, 1, 9)
 	b.Reset()

@@ -207,27 +207,18 @@ func TestShardedMatchesGlobalReference(t *testing.T) {
 		seeds := pickSeeds(rng, n, 5)
 		sequential := Sequential(g, seeds)
 
-		makePart := func(kind string, ranks, threshold int) partition.Partition {
-			var base partition.Partition
-			var err error
-			switch kind {
-			case "hash":
-				base, err = partition.NewHash(n, ranks)
-			case "arcblock":
+		makePart := func(kind string, ranks, threshold int) *partition.Partition {
+			base, err := partition.NewBlock(n, ranks)
+			if kind == "arcblock" {
 				base, err = partition.NewArcBlock(g, ranks)
-			default:
-				base, err = partition.NewBlock(n, ranks)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if threshold > 0 {
-				return partition.WithDelegates(base, g, threshold)
-			}
-			return base
+			return partition.WithDelegates(base, g, threshold)
 		}
 
-		for _, kind := range []string{"block", "hash", "arcblock"} {
+		for _, kind := range []string{"block", "arcblock"} {
 			for _, threshold := range []int{0, 6} {
 				for _, bsp := range []bool{false, true} {
 					for _, ranks := range []int{1, 4} {

@@ -17,8 +17,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		AppendFrame(nil, EncodeHello(nil, Hello{Version: Version, PeerAddr: "127.0.0.1:9"})),
 		AppendFrame(nil, EncodeSetup(nil, Setup{
 			Ranks: 4, NumVertices: 10, RankLo: []int64{0, 2, 4},
-			PeerAddrs: []string{"a", "b"},
-			Shards:    []ShardSlice{{Rank: 0, Owned: []graph.VID{0, 1}, Offsets: []int64{0, 1, 2}, Targets: []graph.VID{1, 0}, Weights: []uint32{5, 5}}},
+			PeerAddrs: []string{"a", "b"}, Bounds: []graph.VID{0, 2, 5, 8, 10}, Delegates: []graph.VID{3},
+			Shards: []ShardSlice{{Rank: 0, Offsets: []int64{0, 1, 2}, Targets: []graph.VID{1, 0}, Weights: []uint32{5, 5},
+				StripeOff: []int64{0, 1}, StripeTargets: []graph.VID{2}, StripeWeights: []uint32{4}}},
 		})),
 		AppendFrame(nil, EncodeReady(nil, Ready{ShardBytes: 100, StateBytes: 50})),
 		AppendFrame(nil, EncodeSolveSpec(nil, SolveSpec{QueryID: 1, Seeds: []graph.VID{1, 2, 3}})),

@@ -6,14 +6,6 @@ import (
 	"dsteiner/internal/graph"
 )
 
-// Partition kinds on the wire (mirrors core.PartitionKind; frozen
-// independently so the wire format does not drift with the solver enum).
-const (
-	PartBlock uint8 = 1 + iota
-	PartHash
-	PartArcBlock
-)
-
 // Hello is the first frame a worker sends after dialing the coordinator.
 type Hello struct {
 	// Version is the worker's wire-protocol version; the coordinator
@@ -41,56 +33,52 @@ func DecodeHello(body []byte) (Hello, error) {
 }
 
 // ShardSlice is one rank's slice of the partition.ShardPlan, shipped at
-// session setup: everything the worker needs to rebuild the rank's
-// graph.Shard (owned CSR slab + delegate stripes) and voronoi.StateSlab
-// (owned rows + delegate mirror stripe) without ever holding the full CSR.
-// The slices are graph.CutShard's raw form: the worker resolves the targets
-// into its shard (graph.NewShardFromSlices) and keeps no copy of them.
+// session setup: the adjacency the worker needs to rebuild the rank's
+// graph.Shard (owned CSR slab + delegate stripes) without ever holding the
+// full CSR. The rank's range and its delegate mirrors follow from the
+// Setup's Bounds and Delegates. The slices are graph.CutShard's raw form:
+// the worker resolves the targets into its shard (graph.NewShardFromSlices)
+// and keeps no copy of them.
 type ShardSlice struct {
 	Rank          int
-	Owned         []graph.VID // owned vertices, strictly increasing
-	Offsets       []int64     // len(Owned)+1 CSR row offsets into Targets
+	Offsets       []int64 // one CSR row offset per owned vertex, plus the end
 	Targets       []graph.VID
 	Weights       []uint32
 	StripeOff     []int64 // len(delegates)+1 offsets into StripeTargets
 	StripeTargets []graph.VID
 	StripeWeights []uint32
-	Mirrored      []graph.VID // delegates this rank does not own (slab mirrors)
 }
 
 func appendShardSlice(dst []byte, s ShardSlice) []byte {
 	dst = AppendUvarint(dst, uint64(s.Rank))
-	dst = AppendVIDs(dst, s.Owned)
 	dst = AppendInt64s(dst, s.Offsets)
 	dst = AppendVIDs(dst, s.Targets)
 	dst = AppendUint32s(dst, s.Weights)
 	dst = AppendInt64s(dst, s.StripeOff)
 	dst = AppendVIDs(dst, s.StripeTargets)
 	dst = AppendUint32s(dst, s.StripeWeights)
-	dst = AppendVIDs(dst, s.Mirrored)
 	return dst
 }
 
 func decodeShardSlice(d *Dec) ShardSlice {
 	return ShardSlice{
 		Rank:          d.Int(),
-		Owned:         d.VIDs(),
 		Offsets:       d.Int64s(),
 		Targets:       d.VIDs(),
 		Weights:       d.Uint32s(),
 		StripeOff:     d.Int64s(),
 		StripeTargets: d.VIDs(),
 		StripeWeights: d.Uint32s(),
-		Mirrored:      d.VIDs(),
 	}
 }
 
 // Setup is the session handshake the coordinator sends each worker once all
 // workers have said Hello. It fixes the communicator geometry (P ranks over
 // W workers, contiguous rank ranges), replays the runtime and solver
-// configuration, encodes the vertex partition compactly (kind + bounds +
-// delegate list — workers reconstruct partition.Partition locally), names
-// every worker's mesh address, and carries this worker's shard slices.
+// configuration, encodes the vertex partition compactly (P+1 range bounds
+// and the delegate list — workers reconstruct partition.Partition
+// locally), names every worker's mesh address, and carries this worker's
+// shard slices.
 type Setup struct {
 	// Geometry.
 	Ranks       int
@@ -110,9 +98,8 @@ type Setup struct {
 	BSP bool
 
 	// Partition reconstruction.
-	PartitionKind uint8
-	ArcBounds     []graph.VID // PartArcBlock only: len P+1 range bounds
-	Delegates     []graph.VID // delegate vertices (empty = no delegation)
+	Bounds    []graph.VID // len P+1; rank r owns [Bounds[r], Bounds[r+1])
+	Delegates []graph.VID // delegate vertices (empty = no delegation)
 
 	// This worker's shard slices, one per hosted rank.
 	Shards []ShardSlice
@@ -137,8 +124,7 @@ func EncodeSetup(dst []byte, s Setup) []byte {
 	dst = append(dst, s.Queue)
 	dst = AppendUvarint(dst, uint64(s.BatchSize))
 	dst = appendBool(dst, s.BSP)
-	dst = append(dst, s.PartitionKind)
-	dst = AppendVIDs(dst, s.ArcBounds)
+	dst = AppendVIDs(dst, s.Bounds)
 	dst = AppendVIDs(dst, s.Delegates)
 	dst = AppendUvarint(dst, uint64(len(s.Shards)))
 	for _, sh := range s.Shards {
@@ -166,8 +152,7 @@ func DecodeSetup(body []byte) (Setup, error) {
 	s.Queue = d.Byte()
 	s.BatchSize = d.Int()
 	s.BSP = d.Bool()
-	s.PartitionKind = d.Byte()
-	s.ArcBounds = d.VIDs()
+	s.Bounds = d.VIDs()
 	s.Delegates = d.VIDs()
 	nShards := d.Int()
 	if d.err == nil && nShards > d.Len() {

@@ -39,7 +39,7 @@ import (
 // are always built from the same tree, so there is nothing to negotiate: a
 // worker's Hello or Rejoin must announce exactly this version or it is
 // refused with an Abort before any session state is built.
-const Version uint32 = 13
+const Version uint32 = 14
 
 // readChunk is the most ReadFrame allocates ahead of the bytes it has read.
 const readChunk = 1 << 20

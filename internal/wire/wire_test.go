@@ -364,7 +364,7 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		"hello": {EncodeHello(nil, Hello{Version: Version, PeerAddr: "x:1"})[1:],
 			func(b []byte) error { _, err := DecodeHello(b); return err }},
 		"setup": {EncodeSetup(nil, Setup{Ranks: 4, RankLo: []int64{0, 4}, PeerAddrs: []string{"a"},
-			Shards: []ShardSlice{{Rank: 1, Owned: []graph.VID{1}, Offsets: []int64{0, 0}}}})[1:],
+			Bounds: []graph.VID{0, 1, 2, 3, 4}, Shards: []ShardSlice{{Rank: 1, Offsets: []int64{0, 0}}}})[1:],
 			func(b []byte) error { _, err := DecodeSetup(b); return err }},
 		"solve": {EncodeSolveSpec(nil, SolveSpec{QueryID: 1, Mode: 2, Seeds: []graph.VID{1, 2}, Penalties: []int64{3, 4}})[1:],
 			func(b []byte) error { _, err := DecodeSolveSpec(b); return err }},
