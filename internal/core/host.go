@@ -29,14 +29,19 @@ type rankPool struct {
 	props   []fragProposal // phase 4's own proposals of one round
 	all     []fragProposal // phase 4's proposals of every rank in one round
 	tree    []graph.Edge   // phase 6's edges; rank 0 appends the others' runs
+	halo    haloPlan       // phase 2's static halo, planned at session start
 }
 
-// newRankHost pools the scratch for comm's hosted ranks.
+// newRankHost pools the scratch for comm's hosted ranks and plans their
+// halos from the attached shards.
 func newRankHost(comm *rt.Comm, bsp bool) *rankHost {
 	h := &rankHost{comm: comm, bsp: bsp, pools: make([]*rankPool, comm.NumRanks())}
 	lo, hi := comm.HostRange()
 	for rank := lo; rank < hi; rank++ {
 		h.pools[rank] = &rankPool{}
+	}
+	for i, sh := range comm.Shards() { // none on a shardless test communicator
+		h.pools[lo+i].halo = newHaloPlan(sh, comm.Partition().Owner)
 	}
 	return h
 }

@@ -5,9 +5,9 @@
 //
 //  1. Voronoi Cell          — asynchronous multi-seed Bellman–Ford (Alg. 4)
 //  2. Local Min Dist. Edge  — per-rank min cross-cell edge per cell pair,
-//     after one halo push of boundary vertices' labels to the ranks that
-//     hold them as ghosts (Alg. 5 without its request/reply per boundary
-//     arc)
+//     after one halo exchange of boundary vertices' labels to the ranks
+//     that hold them as ghosts (Alg. 5 without its request/reply per
+//     boundary arc)
 //  3. Global Min Dist. Edge — every cell pair's record is routed to the rank
 //     owning the pair's lower seed, so the distance graph G'₁ stays sharded
 //  4. MST                   — Borůvka/GHS fragment-merge rounds over the
@@ -143,8 +143,8 @@ type Options struct {
 	// high-degree delegates whose relaxation fans out across all ranks
 	// (HavoqGT vertex delegates). 0 disables.
 	DelegateThreshold int
-	// BSP runs the vertex-centric phases bulk-synchronously instead of
-	// asynchronously (the §IV ablation).
+	// BSP runs the traversals of phases 1 and 6 bulk-synchronously instead
+	// of asynchronously (the §IV ablation).
 	BSP bool
 	// ShuffleDelivery randomizes message delivery order (robustness
 	// testing); ShuffleSeed makes it reproducible.

@@ -317,7 +317,7 @@ func TestForestPrizeTCPMatchesLoopback(t *testing.T) {
 	}
 	defer loop.Close()
 	// The merge's payload, records and rounds, and all traffic after phase 1
-	// (the halo push and the tree walk are functions of the final labels).
+	// (the halo exchange and the tree walk are functions of the final labels).
 	timingFree := func(r *Result) [5]int64 {
 		p1 := r.Phase(PhaseVoronoi)
 		return [...]int64{r.CrossTableBytes, r.FragmentMsgs, int64(r.MSTRounds), r.Sent - p1.Sent, r.Processed - p1.Processed}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
+	"sort"
 
 	"dsteiner/internal/faultpoint"
 	"dsteiner/internal/graph"
@@ -63,36 +65,24 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// LOCAL_MIN_DIST_EDGE_ASYNC). The owner of each edge's lower endpoint u
 	// records the candidate, so it needs the label of v = the higher one.
 	sc := env.pools[r.ID()]
-	localEN := &sc.localEN
-	localEN.reset()
-	// record folds arc {u, v} — u in su's cell at distance du, v in sv's at
-	// dv, weight w — into the table if it bridges two cells.
-	record := func(u, v graph.VID, su, sv graph.VID, du, dv graph.Dist, w uint32) {
-		if su == graph.NilVID || sv == graph.NilVID || su == sv {
-			return
-		}
-		// Forest mode: a candidate joining cells of two different groups
-		// can never appear in any group's tree, so it is excluded here —
-		// the merged distance graph then holds intra-group edges only.
-		if env.groupOf != nil && env.groupOf[env.seedIndex(su)] != env.groupOf[env.seedIndex(sv)] {
-			return
-		}
-		localEN.fold(crossRec{key: seedKey(su, sv), crossEdge: crossEdge{D: du + graph.Dist(w) + dv, U: u, V: v}})
-	}
+	ok := true
 	faultpoint.Hit("solve.phase2")
-	rec.phase(r, PhaseLocalMinEdge, func() int64 {
-		return haloPhase2(r, sl, env.bsp, record)
+	rec.phase(r, PhaseLocalMinEdge, func() (received int64) {
+		received, ok = env.haloPhase2(r, sl)
+		return received
 	})
+	if !ok {
+		return // corrupt halo blob: all ranks bail together
+	}
 
 	// Phase 3: global min-distance edges. The fragment merge routes each
 	// record to the rank owning the pair's lower seed (a prize query's to
 	// rank 0, which plans it), leaving a disjoint table shard per rank.
 	var owned []crossRec
 	fs := &fragStats{}
-	ok := true
 	faultpoint.Hit("solve.phase3")
 	rec.phase(r, PhaseGlobalMinEdge, func() int64 {
-		owned, ok = env.fragmentRoute(r, localEN.recs, fs)
+		owned, ok = env.fragmentRoute(r, sc.localEN.recs, fs)
 		return 0
 	})
 	if !ok {
@@ -208,66 +198,133 @@ func mergeRuns(runs [][]graph.Edge, n int) []graph.Edge {
 	return out
 }
 
-// haloPhase2 is phase 2 on rank-local state: one halo push, then a local
-// scan. Each rank sends the final (src, dist) of every reached vertex v it
-// owns once to each peer that owns a neighbour u < v — the peers that hold v
-// as a ghost and initiate one of its arcs — and the receiver stores it in
-// v's ghost row. After quiescence every label a rank's u < v arcs need is in
-// an owned row or a ghost row, and the weight is on the arc itself, so the
-// candidates are found without another message or an edge lookup: O(boundary
-// vertices) messages instead of two per boundary arc.
-func haloPhase2(r *rt.Rank, sl *voronoi.StateSlab, bsp bool,
-	record func(u, v, su, sv graph.VID, du, dv graph.Dist, w uint32)) int64 {
-	sh := r.Shard()
-	rows := sh.Rows()
-	sl.BeginHalo()
-	ts := r.Traverse(&rt.Traversal{
-		BSP: bsp,
-		Init: func(r *rt.Rank) {
-			// pushed[q] == v+1 once v went to peer q. Rows are sorted by
-			// target, so the neighbours below v are a prefix.
-			pushed := make([]graph.VID, r.NumRanks())
-			for i := int32(0); int(i) < rows.Len(); i++ {
-				sv, dv := sl.Label(i)
-				if sv == graph.NilVID {
-					continue
-				}
-				v := rows.VertexAt(int(i))
-				_, refs := sh.RowArcs(i)
-				for _, ref := range refs {
-					u := sh.Target(ref)
-					if u >= v {
-						break
-					}
-					if ref >= 0 {
-						continue
-					}
-					if q := r.Owner(u); pushed[q] != v+1 {
-						pushed[q] = v + 1
-						r.SendTo(q, rt.Msg{Target: v, From: v, Seed: sv, Dist: dv})
-					}
-				}
+// haloPlan is one rank's phase-2 halo, planned once per session: Alg. 5
+// needs both labels of an edge {u, v}, u < v, at u's owner, a lower rank.
+// send[q] lists the owned rows peer q needs, recv[q] the ghost slots of q's
+// vertices that an owned row (not a delegate stripe) points at, ascending:
+// adjacency is symmetric, so both name the same vertices in the same order
+// and a label lands by position.
+type haloPlan struct {
+	send, recv [][]int32
+	high       int32    // the first ghost slot above the owned range
+	out        [][]byte // send's blobs, reused across queries
+}
+
+// newHaloPlan plans sh's halo under the partition's owner map.
+func newHaloPlan(sh *graph.Shard, owner func(graph.VID) int) haloPlan {
+	p := haloPlan{send: make([][]int32, sh.NumRanks()), recv: make([][]int32, sh.NumRanks()), out: make([][]byte, sh.NumRanks())}
+	lo := sh.Rows().VertexAt(0)
+	p.high = int32(sort.Search(sh.NumGhosts(), func(g int) bool { return sh.Target(^int32(g)) >= lo }))
+	needed := make([]bool, sh.NumGhosts())
+	for i := int32(0); int(i) < sh.NumOwned(); i++ {
+		_, refs := sh.RowArcs(i)
+		for _, ref := range refs {
+			if ref >= 0 {
+				continue
 			}
-		},
-		Visit: func(r *rt.Rank, m rt.Msg) {
-			sl.SetGhost(sh.Ref(m.Target), m.Seed, m.Dist)
-		},
-	})
-	for i := int32(0); int(i) < rows.Len(); i++ {
+			if ^ref >= p.high {
+				needed[^ref] = true
+			} else if q := owner(sh.Target(ref)); len(p.send[q]) == 0 || p.send[q][len(p.send[q])-1] != i {
+				p.send[q] = append(p.send[q], i)
+			}
+		}
+	}
+	for g, ok := range needed {
+		if ok {
+			q := owner(sh.Target(^int32(g)))
+			p.recv[q] = append(p.recv[q], int32(g))
+		}
+	}
+	return p
+}
+
+// haloRecord is a label's size in a halo blob: src then dist, little-endian.
+const haloRecord = 12
+
+// haloPhase2 is phase 2: one Exchange moves the halo under async and BSP
+// alike (an unreached row as src NilVID), then a local scan of the u < v
+// arcs records the candidates. It returns the labels received, and false
+// once all ranks agree a blob was corrupt (rank 0 records env.err).
+func (env *solveEnv) haloPhase2(r *rt.Rank, sl *voronoi.StateSlab) (received int64, ok bool) {
+	sc := env.pools[r.ID()]
+	p, localEN := &sc.halo, &sc.localEN
+	localEN.reset()
+	var out []rt.Blob
+	var pushed int64
+	for q, rows := range p.send {
+		if len(rows) == 0 {
+			continue
+		}
+		b := p.out[q][:0]
+		for _, i := range rows {
+			src, dist := sl.Label(i)
+			b = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(b, uint32(src)), uint64(dist))
+		}
+		p.out[q] = b
+		out = append(out, rt.Blob{Src: r.ID(), Dest: q, Blob: b})
+		pushed += int64(len(rows))
+	}
+	sl.BeginHalo()
+	var failed int64
+	for _, fb := range rt.Exchange(r, out) {
+		received += int64(len(fb.Blob) / haloRecord)
+		if err := env.readHalo(sl, p.recv, fb); err != nil && failed == 0 {
+			failed = int64(r.ID()) + 1
+		}
+	}
+	r.CountExchanged(pushed, received)
+	if bad := r.AllreduceMaxInt64(failed); bad > 0 {
+		if r.ID() == 0 {
+			env.err = fmt.Errorf("core: phase-2 halo exchange: corrupt blob at rank %d", bad-1)
+		}
+		return received, false
+	}
+	// A row's arcs ascend by target: [lower ghosts | owned | higher ghosts],
+	// so the arcs to a v > u are a suffix. Only a cross-cell one needs v.
+	sh := r.Shard()
+	for i := int32(0); int(i) < sh.NumOwned(); i++ {
 		su, du := sl.Label(i)
 		if su == graph.NilVID {
 			continue
 		}
-		u := rows.VertexAt(int(i))
 		ws, refs := sh.RowArcs(i)
 		for j := len(refs) - 1; j >= 0; j-- {
-			v := sh.Target(refs[j])
-			if v <= u {
+			ref := refs[j]
+			if ref >= 0 && ref <= i || ref < 0 && ^ref < p.high {
 				break
 			}
-			sv, dv := sl.Label(refs[j])
-			record(u, v, su, sv, du, dv, ws[j])
+			sv, dv := sl.Label(ref)
+			// Forest mode: a candidate joining cells of two different
+			// groups can never appear in any group's tree, so the merged
+			// distance graph holds intra-group edges only.
+			if sv == su || sv == graph.NilVID || env.groupOf != nil && env.groupOf[env.seedIndex(su)] != env.groupOf[env.seedIndex(sv)] {
+				continue
+			}
+			localEN.fold(crossRec{key: seedKey(su, sv),
+				crossEdge: crossEdge{D: du + graph.Dist(ws[j]) + dv, U: sh.Rows().VertexAt(int(i)), V: sh.Target(ref)}})
 		}
 	}
-	return ts.Processed
+	return received, true
+}
+
+// readHalo writes fb, one peer's halo blob, into this rank's ghost slots by
+// position. It refuses a sender with no slots here, a length other than its
+// slots', and a label whose seed is no terminal (the forest check indexes
+// by it) or whose distance is negative. An unreached label writes nothing.
+func (env *solveEnv) readHalo(sl *voronoi.StateSlab, recv [][]int32, fb rt.Blob) error {
+	if fb.Src < 0 || fb.Src >= len(recv) || len(recv[fb.Src]) == 0 || len(fb.Blob) != haloRecord*len(recv[fb.Src]) {
+		return fmt.Errorf("%w: %d-byte halo blob from rank %d", wire.ErrCorrupt, len(fb.Blob), fb.Src)
+	}
+	for k, g := range recv[fb.Src] {
+		b := fb.Blob[haloRecord*k:]
+		src, dist := graph.VID(int32(binary.LittleEndian.Uint32(b))), graph.Dist(binary.LittleEndian.Uint64(b[4:]))
+		if src == graph.NilVID {
+			continue
+		}
+		if env.seedIndex(src) < 0 || dist < 0 {
+			return fmt.Errorf("%w: halo label (%d, %d) from rank %d", wire.ErrCorrupt, src, dist, fb.Src)
+		}
+		sl.SetGhost(g, src, dist)
+	}
+	return nil
 }

@@ -226,9 +226,10 @@ func TestTCPBackendErrors(t *testing.T) {
 // nine-vertex graph over fresh two-worker fleets. A solve this small spends
 // its time in termination rounds, which is where a receive that was counted
 // before it was delivered once let a traversal end with a batch in flight
-// (runtime.Comm.Inbound): the late offers then surfaced in phase 2, where
-// the halo push now refuses them loudly. Timing-dependent by nature — the
-// race detector's scheduling finds it within a few dozen rounds.
+// (runtime.Comm.Inbound): the late offers then surfaced in the next
+// traversal, now phase 6's tree walk, where they can change the tree this
+// test compares. Timing-dependent by nature — the race detector's
+// scheduling finds it within a few dozen rounds.
 func TestTCPTinyQueriesTerminateCleanly(t *testing.T) {
 	b := graph.NewBuilder(9)
 	for _, e := range [][3]int32{

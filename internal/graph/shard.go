@@ -284,8 +284,7 @@ func (s *Shard) StripeArcs(v VID) (weights []uint32, refs []int32) {
 }
 
 // Target returns the vertex behind a resolved arc target: the vertex of
-// owned row ref when ref ≥ 0, the vertex of ghost slot ^ref otherwise. It is
-// the inverse of Ref.
+// owned row ref when ref ≥ 0, the vertex of ghost slot ^ref otherwise.
 func (s *Shard) Target(ref int32) VID {
 	if ref >= 0 {
 		return s.rows.VertexAt(int(ref))
@@ -296,21 +295,6 @@ func (s *Shard) Target(ref int32) VID {
 // NumGhosts returns the number of ghost slots: distinct vertices owned
 // elsewhere that some slab or stripe arc of this rank points at.
 func (s *Shard) NumGhosts() int { return len(s.ghosts) }
-
-// Ref resolves v the way the arc columns do, by binary search over the
-// ghost list: v's owned row, or the complement of its ghost slot. For the
-// path that holds a vertex but no arc leading to it (a halo message). Panics
-// if v is neither owned nor a ghost — no arc of this rank leads to it.
-func (s *Shard) Ref(v VID) int32 {
-	if i := s.rows.Row(v); i >= 0 {
-		return i
-	}
-	slot, ok := slices.BinarySearch(s.ghosts, v)
-	if !ok {
-		panic("graph: Shard.Ref on a vertex no local arc points at")
-	}
-	return ^int32(slot)
-}
 
 // EdgeWeight reports the weight of edge {u, v} by binary search over owned
 // vertex u's slab row, whose targets ascend like the global CSR's. The graph

@@ -123,11 +123,11 @@ func (r *Rank) Send(m Msg) {
 	r.buffer(dest, m)
 }
 
-// SendTo sends m to rank dest whatever m.Target's owner is: a halo push
-// tells a peer about a vertex the sender owns.
-func (r *Rank) SendTo(dest int, m Msg) {
-	r.sentHere++
-	r.buffer(dest, m)
+// CountExchanged adds the records this rank sent and received through an
+// Exchange to the communicator's message counters, as if sent as messages.
+func (r *Rank) CountExchanged(sent, received int64) {
+	r.comm.sent.Add(sent)
+	r.comm.processed.Add(received)
 }
 
 // SendLocal is Send for a message whose Target the caller knows this rank

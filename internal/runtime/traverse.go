@@ -21,10 +21,10 @@ type Traversal struct {
 	// Visit is the per-message callback (HavoqGT's visit()).
 	Visit VisitFunc
 	// Key extracts message priorities for the configured queue discipline
-	// (ignored by FIFO). nil means processing order does not matter — a
-	// halo push, a tree walk — and the traversal bypasses the
-	// discipline: inbound messages are visited straight out of their
-	// mailbox batch and self-sends drain from the rank's FIFO ring.
+	// (ignored by FIFO). nil means processing order does not matter — the
+	// tree walk — and the traversal bypasses the discipline: inbound
+	// messages are visited straight out of their mailbox batch and
+	// self-sends drain from the rank's FIFO ring.
 	// Sorting equal keys is the heap's worst case.
 	Key KeyFunc
 	// Slot, when set, names the queue slot of a keyed message — the row of

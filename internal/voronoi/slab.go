@@ -58,7 +58,7 @@ type StateSlab struct {
 	cur    uint64
 
 	// Ghost rows, indexed by the shard's ghost slot. gcur is their epoch: it
-	// advances at Reset and once more between the flood and the halo push.
+	// advances at Reset and once more between the flood and the halo exchange.
 	ghost []ghostRow
 	gcur  uint64
 
@@ -303,20 +303,14 @@ func (sl *StateSlab) offerGhost(g int32, src, pred graph.VID, dist graph.Dist) b
 }
 
 // BeginHalo invalidates the ghost rows' flood-time bounds so that a valid
-// ghost row from here on is a final label pushed by its owner (SetGhost).
-// Every rank calls it after the flood and before the first push can arrive —
-// that is, before the barrier that opens the phase-2 traversal.
+// ghost row from here on is a final label pushed by its owner (SetGhost),
+// so a rank calls it between the flood and the halo exchange.
 func (sl *StateSlab) BeginHalo() { sl.gcur++ }
 
-// SetGhost stores the final (src, dist) of the remote vertex behind ref, a
-// negative resolved target (graph.Shard.Ref). It panics on an owned row: no
-// peer pushes a rank its own vertex, so the message belongs to another
-// traversal, one that was declared terminated with messages in flight.
-func (sl *StateSlab) SetGhost(ref int32, src graph.VID, dist graph.Dist) {
-	if ref >= 0 {
-		panic(fmt.Sprintf("voronoi: StateSlab(rank %d) was pushed a label for its own row %d", sl.rank, ref))
-	}
-	sl.ghost[^ref] = ghostRow{dist: dist, src: src, epoch: sl.gcur}
+// SetGhost stores the final (src, dist) of the remote vertex in ghost slot
+// g, as its owner pushed it.
+func (sl *StateSlab) SetGhost(g int32, src graph.VID, dist graph.Dist) {
+	sl.ghost[g] = ghostRow{dist: dist, src: src, epoch: sl.gcur}
 }
 
 // Label returns the (src, dist) behind a resolved arc target: the owned row
