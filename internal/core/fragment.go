@@ -326,6 +326,9 @@ func (env *solveEnv) planPrize(owned []crossRec) ([]bool, int) {
 // to connect: the kept terminals of a prize query, all terminals of a tree
 // query (kept counts them either way), or one group of a forest query, whose
 // components' roots (frag[i] == i) each lie in their terminals' one group.
+// A forest group can fail although the graph connects it: phase 2 keeps only
+// the candidate edges between two cells of one group, so a group whose paths
+// all cross another group's cells has none (TestForestGroupThroughForeignCell).
 func fragmentDisconnectedErr(env *solveEnv, kept, chosen int, frag []int32) error {
 	switch env.mode {
 	case ModePrize:
@@ -339,11 +342,11 @@ func fragmentDisconnectedErr(env *solveEnv, kept, chosen int, frag []int32) erro
 		}
 		for gi, c := range comps {
 			if c > 1 {
-				return fmt.Errorf("core: forest group %d spans %d connected components; each group must be connected",
-					gi, c)
+				return fmt.Errorf("core: forest group %d is left in %d pieces: the solver needs a group-disjoint "+
+					"forest inside the terminals' Voronoi cells, and this query has none", gi, c)
 			}
 		}
-		return fmt.Errorf("core: forest groups are not all connected")
+		return fmt.Errorf("core: the solver needs a group-disjoint forest inside the terminals' Voronoi cells, and this query has none")
 	}
 	return fmt.Errorf("core: seeds span %d connected components; Steiner tree requires one", kept-chosen)
 }

@@ -176,6 +176,37 @@ func TestForestModeSingleGroupMatchesTree(t *testing.T) {
 	}
 }
 
+// TestForestGroupThroughForeignCell pins a forest query the solver rejects
+// although it has an answer. Edges a1–v (10), v–a2 (10), v–b1 (1) and b1–b2
+// (1), groups {a1, a2} and {b1, b2}: the forest a1–v–a2 plus b1–b2 shares no
+// vertex between groups, but v lies in b1's Voronoi cell, so phase 2 keeps no
+// candidate edge for group A and the merge leaves it in two pieces. The error
+// names that restriction, not a graph that fails to connect the group.
+func TestForestGroupThroughForeignCell(t *testing.T) {
+	const a1, v, a2, b1, b2 = 0, 1, 2, 3, 4
+	b := graph.NewBuilder(5)
+	b.AddEdge(a1, v, 10)
+	b.AddEdge(v, a2, 10)
+	b.AddEdge(v, b1, 1)
+	b.AddEdge(b1, b2, 1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ranks := range []int{1, 2} {
+		e, err := NewEngine(g, Default(ranks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.SolveSpec(QuerySpec{Mode: ModeForest, Groups: [][]graph.VID{{a1, a2}, {b1, b2}}})
+		e.Close()
+		if err == nil || !strings.Contains(err.Error(), "forest group 0 is left in 2 pieces") ||
+			!strings.Contains(err.Error(), "group-disjoint forest inside the terminals' Voronoi cells") {
+			t.Fatalf("ranks=%d: err = %v, want group 0 rejected for want of a group-disjoint forest inside the cells", ranks, err)
+		}
+	}
+}
+
 // prizeBruteForce computes the true prize-collecting optimum over all
 // non-empty terminal subsets: exact Steiner tree cost of the subset plus
 // the penalties of everything excluded. (The keep-nothing solution is never

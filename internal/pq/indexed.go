@@ -5,11 +5,14 @@ package pq
 // slot that already has a queued entry replaces that entry's item and moves
 // its key (decrease-key, or increase-key), so an item superseded while queued
 // is never popped. A push with a negative slot is an ordinary entry that
-// nothing replaces.
+// nothing replaces. An entry queued by PushSlot is its slot alone: when the
+// slot names everything the caller needs — the row of a vertex whose label
+// lives in the caller's own state — neither its push nor its pop touches an
+// item.
 //
 // The heap array holds 16-byte (key, handle) entries, so a sift moves 16
-// bytes per level whatever T is. Items, heap positions and slots live beside
-// it, indexed by handle, and a free list recycles the handles of popped
+// bytes per level whatever T is. Items, heap positions and slot tags live
+// beside it, indexed by handle, and a free list recycles the handles of popped
 // entries. Ties break on handle: deterministic for a deterministic sequence of
 // operations, but not insertion order. The slot→handle table grows to the
 // largest slot pushed; it and every other array keep their capacity across
@@ -22,9 +25,9 @@ package pq
 type Indexed[T any] struct {
 	_     [cacheLine]byte
 	a     []ixEntry
-	items []T     // by handle
+	items []T     // by handle, for entries that carry one
 	pos   []int32 // by handle: the entry's index in a
-	slot  []int32 // by handle: the slot the entry holds, negative for none
+	tag   []int32 // by handle: see push
 	free  []int32 // handles of popped entries, reused before new ones
 	live  []int32 // by slot: 1 + the handle of its queued entry, 0 for none
 	_     [cacheLine]byte
@@ -52,7 +55,7 @@ func NewIndexed[T any](capacity int) *Indexed[T] {
 		a:     make([]ixEntry, 0, capacity),
 		items: make([]T, 0, capacity),
 		pos:   make([]int32, 0, capacity),
-		slot:  make([]int32, 0, capacity),
+		tag:   make([]int32, 0, capacity),
 	}
 }
 
@@ -61,56 +64,75 @@ func NewIndexed[T any](capacity int) *Indexed[T] {
 // reports true: the item it held is gone, never to be popped. Otherwise a new
 // entry is queued and Push reports false.
 func (q *Indexed[T]) Push(item T, key uint64, slot int32) (replaced bool) {
+	h, replaced := q.push(key, slot, -2-slot)
+	q.items[h] = item
+	return replaced
+}
+
+// PushSlot is Push for an entry that is its slot ≥ 0 alone: it writes no item,
+// and Pop returns the zero T for it without reading one.
+func (q *Indexed[T]) PushSlot(key uint64, slot int32) (replaced bool) {
+	_, replaced = q.push(key, slot, slot)
+	return replaced
+}
+
+// push queues key for slot, or as an ordinary entry for a negative slot,
+// tags the entry and returns its handle. An entry already queued for the
+// slot takes the key and the tag in place of its own. The tag says what Pop
+// finds: slot ≥ 0 for a PushSlot entry, and -2 - slot for an entry with an
+// item, so an ordinary entry's tag is -1 (untag inverts either).
+func (q *Indexed[T]) push(key uint64, slot, tag int32) (h int32, replaced bool) {
 	if slot >= 0 {
 		if int(slot) >= len(q.live) {
 			q.live = append(q.live, make([]int32, int(slot)+1-len(q.live))...)
 		}
 		if l := q.live[slot]; l != 0 {
-			h := l - 1
-			q.items[h] = item
+			h = l - 1
+			q.tag[h] = tag
 			i := int(q.pos[h])
-			e := q.a[i]
-			switch {
+			switch e := q.a[i]; {
 			case key < e.key:
 				q.up(i, ixEntry{key, h})
 			case key > e.key:
 				q.settle(i, ixEntry{key, h})
 			}
-			return true
+			return h, true
 		}
 	}
-	var h int32
 	if n := len(q.free); n > 0 {
 		h = q.free[n-1]
 		q.free = q.free[:n-1]
-		q.items[h] = item
 	} else {
-		h = int32(len(q.items))
-		q.items = append(q.items, item)
+		h = int32(len(q.pos))
+		var zero T
+		q.items = append(q.items, zero)
 		q.pos = append(q.pos, 0)
-		q.slot = append(q.slot, 0)
+		q.tag = append(q.tag, 0)
 	}
-	q.slot[h] = slot
+	q.tag[h] = tag
 	if slot >= 0 {
 		q.live[slot] = h + 1
 	}
 	q.a = append(q.a, ixEntry{})
 	q.up(len(q.a)-1, ixEntry{key, h})
-	return false
+	return h, false
 }
 
-// Pop removes the minimum entry and returns its item.
-func (q *Indexed[T]) Pop() (T, bool) {
-	var zero T
+// Pop removes the minimum entry and returns its item — the zero T for a
+// PushSlot entry — and its slot, negative for an ordinary entry.
+func (q *Indexed[T]) Pop() (item T, slot int32, ok bool) {
 	n := len(q.a) - 1
 	if n < 0 {
-		return zero, false
+		return item, -1, false
 	}
 	h := q.a[0].h
-	item := q.items[h]
-	q.items[h] = zero // release references
-	if s := q.slot[h]; s >= 0 {
-		q.live[s] = 0
+	t := q.tag[h]
+	if t < 0 {
+		var zero T
+		item, q.items[h] = q.items[h], zero // release references
+	}
+	if slot = untag(t); slot >= 0 {
+		q.live[slot] = 0
 	}
 	q.free = append(q.free, h)
 	e := q.a[n]
@@ -118,7 +140,15 @@ func (q *Indexed[T]) Pop() (T, bool) {
 	if n > 0 {
 		q.settle(0, e)
 	}
-	return item, true
+	return item, slot, true
+}
+
+// untag returns the slot a push tagged t, negative for an ordinary entry.
+func untag(t int32) int32 {
+	if t < 0 {
+		return -2 - t
+	}
+	return t
 }
 
 // Len returns the number of live entries.
@@ -128,7 +158,7 @@ func (q *Indexed[T]) Len() int { return len(q.a) }
 // array's capacity. It costs O(live entries), not O(slots).
 func (q *Indexed[T]) Reset() {
 	for _, e := range q.a {
-		if s := q.slot[e.h]; s >= 0 {
+		if s := untag(q.tag[e.h]); s >= 0 {
 			q.live[s] = 0
 		}
 	}
@@ -136,7 +166,7 @@ func (q *Indexed[T]) Reset() {
 	q.a = q.a[:0]
 	q.items = q.items[:0]
 	q.pos = q.pos[:0]
-	q.slot = q.slot[:0]
+	q.tag = q.tag[:0]
 	q.free = q.free[:0]
 }
 

@@ -42,9 +42,9 @@ func (m *indexedModel) push(item int, key uint64, slot int32) bool {
 	return false
 }
 
-func (m *indexedModel) pop() (int, bool) {
+func (m *indexedModel) pop() (int, int32, bool) {
 	if len(m.live) == 0 {
-		return 0, false
+		return 0, -1, false
 	}
 	sort.Slice(m.live, func(i, j int) bool {
 		a, b := m.live[i], m.live[j]
@@ -53,7 +53,7 @@ func (m *indexedModel) pop() (int, bool) {
 	e := m.live[0]
 	m.live = m.live[1:]
 	m.free = append(m.free, e.h)
-	return e.item, true
+	return e.item, e.slot, true
 }
 
 func (m *indexedModel) reset() {
@@ -62,9 +62,9 @@ func (m *indexedModel) reset() {
 
 // checkIndexedOps drives q and the model with the same operations, two bytes
 // each, and fails on the first difference: pushes for one of 16 slots (a
-// replacement whenever that slot is queued, moving its key either way),
-// pushes with slot -1, pops, and now and then a Reset with entries still
-// queued. Keys span 0..15, so ties, broken on handle, are the norm. After the
+// replacement whenever that slot is queued, moving its key either way), with
+// an item or without one (PushSlot, whose entry pops the zero item), pushes
+// with slot -1, pops, and now and then a Reset with entries still queued. Keys span 0..15, so ties, broken on handle, are the norm. After the
 // last operation both are drained.
 func checkIndexedOps(t *testing.T, q *Indexed[int], ops []byte) {
 	t.Helper()
@@ -74,10 +74,15 @@ func checkIndexedOps(t *testing.T, q *Indexed[int], ops []byte) {
 		op, arg := ops[i], ops[i+1]
 		key := uint64(arg >> 4)
 		switch op % 8 {
-		case 0, 1, 2:
+		case 0, 1:
 			slot := int32(arg % 16)
 			if got, want := q.Push(i, key, slot), m.push(i, key, slot); got != want {
 				t.Fatalf("op %d: Push(slot %d) replaced = %v, model %v", i/2, slot, got, want)
+			}
+		case 2:
+			slot := int32(arg % 16)
+			if got, want := q.PushSlot(key, slot), m.push(0, key, slot); got != want {
+				t.Fatalf("op %d: PushSlot(%d) replaced = %v, model %v", i/2, slot, got, want)
 			}
 		case 3:
 			if q.Push(i, key, -1) || m.push(i, key, -1) {
@@ -91,10 +96,10 @@ func checkIndexedOps(t *testing.T, q *Indexed[int], ops []byte) {
 			}
 			fallthrough
 		default:
-			got, gok := q.Pop()
-			want, wok := m.pop()
-			if got != want || gok != wok {
-				t.Fatalf("op %d: Pop = (%d, %v), model (%d, %v)", i/2, got, gok, want, wok)
+			got, gslot, gok := q.Pop()
+			want, wslot, wok := m.pop()
+			if got != want || gslot != wslot || gok != wok {
+				t.Fatalf("op %d: Pop = (%d, %d, %v), model (%d, %d, %v)", i/2, got, gslot, gok, want, wslot, wok)
 			}
 		}
 		if q.Len() != len(m.live) {
@@ -102,12 +107,12 @@ func checkIndexedOps(t *testing.T, q *Indexed[int], ops []byte) {
 		}
 	}
 	for len(m.live) > 0 {
-		want, _ := m.pop()
-		if got, ok := q.Pop(); !ok || got != want {
-			t.Fatalf("drain: Pop = (%d, %v), model %d", got, ok, want)
+		want, wslot, _ := m.pop()
+		if got, slot, ok := q.Pop(); !ok || got != want || slot != wslot {
+			t.Fatalf("drain: Pop = (%d, %d, %v), model (%d, %d)", got, slot, ok, want, wslot)
 		}
 	}
-	if _, ok := q.Pop(); ok {
+	if _, _, ok := q.Pop(); ok {
 		t.Fatal("Pop on a drained heap returned ok")
 	}
 }
@@ -154,7 +159,7 @@ func TestIndexedResetForgetsQueuedSlots(t *testing.T) {
 		t.Fatalf("Len = %d, want 5", q.Len())
 	}
 	for i := 0; i < 5; i++ {
-		if got, ok := q.Pop(); !ok || got != "new" {
+		if got, _, ok := q.Pop(); !ok || got != "new" {
 			t.Fatalf("pop %d = (%q, %v): an item from before the Reset survived", i, got, ok)
 		}
 	}

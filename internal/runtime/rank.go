@@ -27,16 +27,18 @@ type Rank struct {
 	// their concrete slab (internal/voronoi.SlabOf).
 	state StateSlab
 
-	// Traversal-scoped state. byKey is set when the traversal has a Key
+	// Traversal-scoped state. byKey is set when the traversal is Ordered
 	// under QueuePriority and queues in prio; every other traversal queues
-	// in fifo. Both keep their capacity across traversals.
+	// in fifo. Both keep their capacity across traversals. rows is set when
+	// prio holds rows (Traversal.Expand): byKey and asynchronous.
+	ordered bool
 	byKey   bool
+	rows    bool
 	prio    *pq.Indexed[Msg]
 	fifo    *pq.FIFO[Msg]
-	keyOf   KeyFunc
-	slotOf  func(Msg) int32 // Traversal.Slot, nil when no slots
 	visit   VisitFunc
-	admit   func(r *Rank, m Msg) bool // optional inbound fold (Traversal.Admit)
+	expand  func(r *Rank, row int32)
+	admit   func(r *Rank, m Msg) int32 // optional inbound fold (Traversal.Admit)
 	shuffle *rand.Rand
 	// bsp defers local sends to the next superstep via the mailbox.
 	bsp bool
@@ -140,7 +142,23 @@ func (r *Rank) SendLocal(m Msg) {
 		r.buffer(r.id, m)
 		return
 	}
-	r.enqueueLocal(m)
+	r.enqueue(m, AdmitMsg)
+}
+
+// PushRow queues row under key as a row entry (Traversal.Expand), replacing
+// the row's queued entry if it has one, and counts it as one sent message.
+// It is the self-send of a traversal whose queue holds rows: no message, no
+// owner lookup. On any other traversal it queues nothing and reports false;
+// the caller then sends the row's message instead.
+func (r *Rank) PushRow(key uint64, row int32) bool {
+	if !r.rows {
+		return false
+	}
+	r.sentHere++
+	if r.prio.PushSlot(key, row) {
+		r.replacedHere++
+	}
+	return true
 }
 
 // publish adds the change in this rank's outstanding balance — messages
@@ -180,7 +198,7 @@ func (r *Rank) Broadcast(m Msg) {
 	for dest := 0; dest < r.NumRanks(); dest++ {
 		r.sentHere++
 		if dest == r.id && !r.bsp {
-			r.enqueueLocal(m)
+			r.enqueue(m, AdmitMsg)
 			continue
 		}
 		r.buffer(dest, m)
@@ -277,31 +295,52 @@ func (r *Rank) recycleBuf(buf []Msg) {
 	r.comm.shareBuf(buf[:0])
 }
 
-// enqueueLocal pushes m onto the local discipline queue. On the priority
-// queue, a push for a slot that is already queued replaces that entry.
-func (r *Rank) enqueueLocal(m Msg) {
+// enqueue pushes m onto the local discipline queue for row, or as an ordinary
+// entry for a negative row. On the priority queue, an entry for a row that is
+// already queued replaces that entry; where the queue holds rows, the row is
+// all it keeps.
+func (r *Rank) enqueue(m Msg, row int32) {
 	if !r.byKey {
 		r.fifo.Push(m)
 		return
 	}
-	slot := int32(-1)
-	if r.slotOf != nil {
-		slot = r.slotOf(m)
+	var replaced bool
+	if row >= 0 && r.rows {
+		replaced = r.prio.PushSlot(uint64(m.Dist), row)
+	} else {
+		replaced = r.prio.Push(m, uint64(m.Dist), row)
 	}
-	if r.prio.Push(m, r.keyOf(m), slot) {
+	if replaced {
 		r.replacedHere++
 	}
 }
 
-// pop removes the traversal's next queued message.
-func (r *Rank) pop() (Msg, bool) {
-	if r.byKey {
-		return r.prio.Pop()
+// step pops the traversal's next queued entry and processes it — a row entry
+// with Expand, a message with Visit — and reports false if the queue was
+// empty.
+func (r *Rank) step() bool {
+	if !r.byKey {
+		m, ok := r.fifo.Pop()
+		if !ok {
+			return false
+		}
+		r.visit(r, m)
+	} else {
+		m, row, ok := r.prio.Pop()
+		if !ok {
+			return false
+		}
+		if row >= 0 && r.rows {
+			r.expand(r, row)
+		} else {
+			r.visit(r, m)
+		}
 	}
-	return r.fifo.Pop()
+	r.processedHere++ // after the visit: see publish
+	return true
 }
 
-// queued returns the number of messages in the traversal's queue.
+// queued returns the number of entries in the traversal's queue.
 func (r *Rank) queued() int {
 	if r.byKey {
 		return r.prio.Len()
@@ -353,7 +392,7 @@ func (r *Rank) drainInbox() bool {
 			batches[i], batches[j] = batches[j], batches[i]
 		})
 	}
-	direct := r.keyOf == nil && !r.bsp
+	direct := !r.ordered && !r.bsp
 	moved := false
 	for _, batch := range batches {
 		if r.shuffle != nil {
@@ -362,8 +401,12 @@ func (r *Rank) drainInbox() bool {
 			})
 		}
 		for _, m := range batch {
+			row := AdmitMsg
+			if r.admit != nil {
+				row = r.admit(r, m)
+			}
 			switch {
-			case r.admit != nil && !r.admit(r, m):
+			case row == AdmitDone:
 				// Finished on arrival; the next publish releases its unit
 				// of the termination counter.
 				r.droppedHere++
@@ -372,7 +415,7 @@ func (r *Rank) drainInbox() bool {
 				r.processedHere++ // after the visit: see publish
 				moved = true
 			default:
-				r.enqueueLocal(m)
+				r.enqueue(m, row)
 				moved = true
 			}
 		}
@@ -384,11 +427,16 @@ func (r *Rank) drainInbox() bool {
 }
 
 // setQueue empties and selects this rank's queue for a traversal: the
-// indexed heap prio when messages carry a priority key under QueuePriority,
-// the FIFO ring otherwise — under QueueFIFO or when order does not matter.
-// Both queues keep their capacity across phases and queries.
-func (r *Rank) setQueue(keyed bool) {
-	r.byKey = keyed && r.comm.cfg.Queue == QueuePriority
+// indexed heap prio for an ordered traversal under QueuePriority, and the
+// FIFO ring otherwise — under QueueFIFO or when order does not matter. Both
+// queues keep their capacity across phases and queries. prio holds rows
+// unless the traversal is BSP: there a self-send waits in the mailbox for the
+// next superstep, so a row can improve while its entry is queued, and the
+// entry has to keep the message it was queued with.
+func (r *Rank) setQueue(ordered, bsp bool) {
+	r.ordered = ordered
+	r.byKey = ordered && r.comm.cfg.Queue == QueuePriority
+	r.rows = r.byKey && !bsp
 	if r.byKey {
 		if r.prio == nil {
 			r.prio = pq.NewIndexed[Msg](1024)

@@ -83,13 +83,6 @@ type Msg struct {
 // It may send further messages through r.Send/r.Broadcast.
 type VisitFunc func(r *Rank, m Msg)
 
-// KeyFunc extracts the priority key of a message (lower = sooner). Only
-// consulted by QueuePriority.
-type KeyFunc func(m Msg) uint64
-
-// DistKey is the standard KeyFunc: priority by tentative distance.
-func DistKey(m Msg) uint64 { return uint64(m.Dist) }
-
 // Config parameterizes a Comm.
 type Config struct {
 	// Ranks is the number of simulated MPI processes (P >= 1).
@@ -571,7 +564,7 @@ type Stats struct {
 	// Sent counts point-to-point visitor messages (broadcasts count once
 	// per destination rank, matching the paper's message-count metric).
 	Sent int64
-	// Processed counts visit() invocations.
+	// Processed counts Visit and Expand invocations.
 	Processed int64
 	// Batches counts cross-rank batch deliveries.
 	Batches int64

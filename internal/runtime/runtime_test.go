@@ -113,7 +113,7 @@ func TestPingCountTraversal(t *testing.T) {
 			var total atomic.Int64
 			c.Run(func(r *Rank) {
 				st := r.Traverse(&Traversal{
-					Key: DistKey,
+					Ordered: true,
 					Visit: func(r *Rank, m Msg) {
 						if m.Dist > 0 {
 							r.Send(Msg{Target: (m.Target + 7) % n, Dist: m.Dist - 1})
@@ -148,8 +148,8 @@ func distSSSP(c *Comm, g *graph.Graph, sources []graph.VID, bsp bool) []graph.Di
 	}
 	c.Run(func(r *Rank) {
 		r.Traverse(&Traversal{
-			Key: DistKey, // nil would mean "unordered": FIFO whatever the discipline
-			BSP: bsp,
+			Ordered: true, // unordered would mean FIFO whatever the discipline
+			BSP:     bsp,
 			Visit: func(r *Rank, m Msg) {
 				v := m.Target
 				if m.Dist >= dist[v] {

@@ -41,31 +41,51 @@ func TestTerminationStress(t *testing.T) {
 		vs := owned[(r.ID()+1)%len(owned)]
 		return vs[i%len(vs)]
 	}
-	// slotted keys every message by its target vertex: two messages for one
-	// vertex queued at once — a repeated local send, or a batch carrying both
-	// — leave one entry. Every visit sends its successor twice, so
-	// replacements happen whether the successor lives here or elsewhere.
-	// Its scenarios ("slotted…") run on the priority queue, the one that
-	// honours Traversal.Slot, and must replace something.
+	// slotted queues every message for its target vertex: two messages for
+	// one vertex queued at once — a repeated local send, or a batch carrying
+	// both — leave one entry. Every step sends its successor twice, so
+	// replacements happen whether the successor lives here or elsewhere. A
+	// local successor is queued as a row (Rank.PushRow) where the queue holds
+	// rows and sent to this rank otherwise; a remote one is queued for its row
+	// by Admit. label[v] is the Dist of v's newest entry, which only v's owner
+	// writes. Its scenarios ("slotted…") run on the priority queue, the one
+	// that keeps one entry per row, and must replace something.
 	slotted := func(bsp bool) func(owned [][]graph.VID) *Traversal {
 		return func(owned [][]graph.VID) *Traversal {
+			n := 0
+			for _, vs := range owned {
+				n += len(vs)
+			}
+			label := make([]graph.Dist, n)
+			send := func(r *Rank, v graph.VID, d graph.Dist) {
+				if r.Owns(v) && r.PushRow(uint64(d), int32(v)) {
+					label[v] = d
+					return
+				}
+				r.Send(Msg{Target: v, Dist: d})
+			}
+			step := func(r *Rank, d graph.Dist) {
+				if d > 0 {
+					u := next(owned, r, int(d))
+					send(r, u, d-1)
+					send(r, u, d-1)
+				}
+			}
 			return &Traversal{
-				Key:  DistKey,
-				Slot: func(m Msg) int32 { return int32(m.Target) },
-				BSP:  bsp,
+				Ordered: true,
+				BSP:     bsp,
 				Init: func(r *Rank) {
 					for i := 0; i < 3*perRank; i++ {
-						r.Send(Msg{Target: owned[r.ID()][i%perRank], Dist: graph.Dist(i % 4)})
-						r.Send(Msg{Target: next(owned, r, i), Dist: graph.Dist(i % 5)})
+						send(r, owned[r.ID()][i%perRank], graph.Dist(i%4))
+						send(r, next(owned, r, i), graph.Dist(i%5))
 					}
 				},
-				Visit: func(r *Rank, m Msg) {
-					if m.Dist > 0 {
-						u := next(owned, r, int(m.Dist))
-						r.Send(Msg{Target: u, Dist: m.Dist - 1})
-						r.Send(Msg{Target: u, Dist: m.Dist - 1})
-					}
+				Admit: func(r *Rank, m Msg) int32 {
+					label[m.Target] = m.Dist
+					return int32(m.Target)
 				},
+				Expand: func(r *Rank, row int32) { step(r, label[row]) },
+				Visit:  func(r *Rank, m Msg) { step(r, m.Dist) },
 			}
 		}
 	}
@@ -75,7 +95,7 @@ func TestTerminationStress(t *testing.T) {
 		}},
 		{"self-sends", func(owned [][]graph.VID) *Traversal {
 			return &Traversal{
-				Key: DistKey,
+				Ordered: true,
 				Init: func(r *Rank) {
 					for i, v := range owned[r.ID()] {
 						r.Send(Msg{Target: v, Dist: graph.Dist(i % 5)})
@@ -90,7 +110,7 @@ func TestTerminationStress(t *testing.T) {
 		}},
 		{"all-cross-rank", func(owned [][]graph.VID) *Traversal {
 			return &Traversal{
-				Key: DistKey,
+				Ordered: true,
 				Init: func(r *Rank) {
 					for i := 0; i < 2*perRank; i++ {
 						r.Send(Msg{Target: next(owned, r, i), Dist: graph.Dist(i % 7)})
@@ -136,12 +156,12 @@ func TestTerminationStress(t *testing.T) {
 				},
 				// Self-sends (the one-rank case) bypass the mailbox and Admit.
 				Visit: func(*Rank, Msg) {},
-				Admit: func(*Rank, Msg) bool { drops.Add(1); return false },
+				Admit: func(*Rank, Msg) int32 { drops.Add(1); return AdmitDone },
 			}
 		}},
 		{"batched-broadcasts", func(owned [][]graph.VID) *Traversal {
 			return &Traversal{
-				Key: DistKey,
+				Ordered: true,
 				Init: func(r *Rank) {
 					for hub := graph.VID(0); hub < 3; hub++ {
 						r.BroadcastBatched(Msg{Target: hub, Seed: graph.VID(r.ID()), Dist: 2, Kind: 1})
@@ -312,17 +332,17 @@ func TestStatsMatchTraversalStats(t *testing.T) {
 	}
 }
 
-// TestNilKeyIsServedFIFO pins the Traversal.Key contract: without a key the
-// traversal is unordered and drains in arrival order under every discipline;
-// with one, the configured discipline orders it.
-func TestNilKeyIsServedFIFO(t *testing.T) {
-	order := func(q QueueKind, key KeyFunc) []graph.Dist {
+// TestUnorderedIsServedFIFO pins the Traversal.Ordered contract: an unordered
+// traversal drains in arrival order under every discipline; an ordered one is
+// ordered by the configured discipline.
+func TestUnorderedIsServedFIFO(t *testing.T) {
+	order := func(q QueueKind, ordered bool) []graph.Dist {
 		c := newComm(t, 4, 1, q)
 		var got []graph.Dist
 		c.Run(func(r *Rank) {
 			r.Traverse(&Traversal{
-				Key:   key,
-				Visit: func(r *Rank, m Msg) { got = append(got, m.Dist) },
+				Ordered: ordered,
+				Visit:   func(r *Rank, m Msg) { got = append(got, m.Dist) },
 				Init: func(r *Rank) {
 					for _, d := range []graph.Dist{300, 100, 200} {
 						r.Send(Msg{Target: 0, Dist: d})
@@ -333,11 +353,11 @@ func TestNilKeyIsServedFIFO(t *testing.T) {
 		return got
 	}
 	for _, q := range []QueueKind{QueueFIFO, QueuePriority} {
-		if got := fmt.Sprint(order(q, nil)); got != "[300 100 200]" {
-			t.Fatalf("queue=%v, nil key: visited %s, want arrival order", q, got)
+		if got := fmt.Sprint(order(q, false)); got != "[300 100 200]" {
+			t.Fatalf("queue=%v, unordered: visited %s, want arrival order", q, got)
 		}
 	}
-	if got := fmt.Sprint(order(QueuePriority, DistKey)); got != "[100 200 300]" {
-		t.Fatalf("queue=priority, DistKey: visited %s, want distance order", got)
+	if got := fmt.Sprint(order(QueuePriority, true)); got != "[100 200 300]" {
+		t.Fatalf("queue=priority, ordered: visited %s, want distance order", got)
 	}
 }

@@ -20,35 +20,42 @@ const idleSpins = 2
 type Traversal struct {
 	// Visit is the per-message callback (HavoqGT's visit()).
 	Visit VisitFunc
-	// Key extracts message priorities for the configured queue discipline
-	// (ignored by FIFO). nil means processing order does not matter — the
-	// tree walk — and the traversal bypasses the discipline: inbound
-	// messages are visited straight out of their mailbox batch and
-	// self-sends drain from the rank's FIFO ring.
+	// Expand is the per-row callback of a traversal whose queue holds rows:
+	// it processes a row entry queued by Rank.PushRow or by an Admit that
+	// returned the row. Such an entry carries no message; the row's owner
+	// state says what to do. Only an Ordered asynchronous traversal under
+	// QueuePriority queues rows; every other one queues the messages.
+	Expand func(r *Rank, row int32)
+	// Ordered processes messages in ascending Dist order under
+	// QueuePriority (FIFO ignores it). Unordered means processing order does
+	// not matter — the tree walk — and the traversal bypasses the
+	// discipline: inbound messages are visited straight out of their
+	// mailbox batch and self-sends drain from the rank's FIFO ring.
 	// Sorting equal keys is the heap's worst case.
-	Key KeyFunc
-	// Slot, when set, names the queue slot of a keyed message — the row of
-	// the vertex it would expand, say — or returns -1 for none. Under
-	// QueuePriority the queue keeps at most one live entry per slot: a push
-	// for a slot that is already queued replaces that entry's message and
-	// moves its key, and the replaced message counts as dropped, like one
-	// Admit finishes. The traversal must only do that when the new message
-	// leaves the old one nothing to do. The FIFO queue ignores Slot.
-	Slot func(m Msg) int32
+	Ordered bool
 	// Init runs once per rank before processing starts; it seeds the
 	// traversal by calling r.Send (HavoqGT's init_all visitors). May be
 	// nil.
 	Init func(r *Rank)
 	// Admit, when set, receives every inbound mailbox message when its batch
 	// is drained, before it would enter the local queue: it folds m into the
-	// rank's local state and reports whether anything is left for Visit to
-	// do. A message it returns false for is finished — an offer the local
-	// state already beats, or one whose whole effect was the fold — and costs
-	// one comparison instead of a queue insertion, a pop and a visit; it
-	// counts as sent but not as processed. Self-sends do not pass through
-	// it, except under BSP, where they arrive through the rank's own
-	// mailbox.
-	Admit func(r *Rank, m Msg) bool
+	// rank's local state and says what is left to do.
+	//   - AdmitDone: nothing. The message is finished — an offer the local
+	//     state already beats, or one whose whole effect was the fold — and
+	//     costs one comparison instead of a queue insertion, a pop and a
+	//     visit; it counts as sent but not as processed.
+	//   - AdmitMsg: m is queued as an ordinary entry.
+	//   - A row ≥ 0: m is queued for that row. Under QueuePriority the queue
+	//     keeps at most one live entry per row: an entry for a row that is
+	//     already queued replaces that entry and moves its key, and the
+	//     replaced entry counts as dropped, like one Admit finishes. The
+	//     traversal must only do that when the new entry leaves the old one
+	//     nothing to do. Where the queue holds rows (see Expand) the entry is
+	//     the row alone and m is gone; elsewhere the entry keeps m. The FIFO
+	//     queue keeps every message.
+	// Self-sends do not pass through Admit, except under BSP, where they
+	// arrive through the rank's own mailbox.
+	Admit func(r *Rank, m Msg) int32
 	// BSP switches from asynchronous processing to bulk-synchronous
 	// supersteps separated by barriers (the ablation of §IV's async
 	// design choice). Messages sent in superstep i are processed in
@@ -56,9 +63,15 @@ type Traversal struct {
 	BSP bool
 }
 
+// Admit results other than a row (Traversal.Admit).
+const (
+	AdmitMsg  int32 = -1 // queue the message as an ordinary entry
+	AdmitDone int32 = -2 // the message is finished
+)
+
 // TraversalStats reports per-rank work done in one Traverse call.
 type TraversalStats struct {
-	Processed  int64 // visit() invocations on this rank
+	Processed  int64 // Visit and Expand invocations on this rank
 	Sent       int64 // messages sent by this rank
 	Replaced   int64 // queue entries replaced by a push for their slot
 	Supersteps int64 // BSP supersteps (0 for async mode)
@@ -69,10 +82,9 @@ type TraversalStats struct {
 // collective. Visit callbacks may send messages freely; termination is
 // detected when every sent message has been processed.
 func (r *Rank) Traverse(t *Traversal) TraversalStats {
-	r.setQueue(t.Key != nil)
-	r.keyOf = t.Key
-	r.slotOf = t.Slot
+	r.setQueue(t.Ordered, t.BSP)
 	r.visit = t.Visit
+	r.expand = t.Expand
 	r.admit = t.Admit
 	// Discard what an aborted traversal may have left behind: counters it
 	// never folded into Comm.Stats, and a stale outbox stage.
@@ -175,9 +187,7 @@ func (r *Rank) runAsync() TraversalStats {
 			r.drainInbox()
 		default:
 		}
-		if m, ok := r.pop(); ok {
-			r.visit(r, m)
-			r.processedHere++ // after the visit: see publish
+		if r.step() {
 			sinceFlush++
 			if sinceFlush >= flushEvery {
 				sinceFlush = 0
@@ -267,9 +277,7 @@ func (r *Rank) runBSP() TraversalStats {
 			return r.finish(steps)
 		}
 		steps++
-		for m, ok := r.pop(); ok; m, ok = r.pop() {
-			r.visit(r, m)
-			r.processedHere++
+		for r.step() {
 		}
 		// Superstep boundary: the staged best offer per delegate goes out
 		// exactly once per round.

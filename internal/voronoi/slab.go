@@ -49,17 +49,15 @@ type StateSlab struct {
 	rank int
 	rows graph.RowIndex
 
-	// Owned-vertex rows.
-	src    []graph.VID
-	pred   []graph.VID
-	dist   []graph.Dist
-	epoch  []uint64
+	// Owned-vertex rows, valid while their epoch is cur, and the phase-6
+	// walk marks beside them.
+	owned  []slabRow
 	walked []uint64
 	cur    uint64
 
 	// Ghost rows, indexed by the shard's ghost slot. gcur is their epoch: it
 	// advances at Reset and once more between the flood and the halo exchange.
-	ghost []ghostRow
+	ghost []slabRow
 	gcur  uint64
 
 	// Delegate mirror stripe (delegates this rank does not own).
@@ -69,9 +67,11 @@ type StateSlab struct {
 	mirrorEpoch []uint64
 }
 
-// ghostRow is what a rank knows about one remote neighbour; the fields sit
-// together because the flood reads all of them on every boundary arc.
-type ghostRow struct {
+// slabRow is one vertex's (dist, src, pred) entry: an owned vertex's label, or
+// what a rank knows about one remote neighbour. The fields sit together
+// because the flood reads them all on every relaxation: one arc, one cache
+// line.
+type slabRow struct {
 	dist      graph.Dist
 	src, pred graph.VID
 	epoch     uint64
@@ -85,21 +85,18 @@ type ghostRow struct {
 // state, but run refuses it on a multi-rank shard.
 func NewStateSlab(rank int, lo, hi graph.VID, delegates []graph.VID, sh *graph.Shard) *StateSlab {
 	rows := graph.NewRowIndex(lo, hi)
-	var ghost []ghostRow
+	var ghost []slabRow
 	if sh != nil {
 		if sh.Rows() != rows {
 			panic("voronoi: NewStateSlab over another range than its shard's")
 		}
-		ghost = make([]ghostRow, sh.NumGhosts())
+		ghost = make([]slabRow, sh.NumGhosts())
 	}
 	n := rows.Len()
 	sl := &StateSlab{
 		rank:   rank,
 		rows:   rows,
-		src:    make([]graph.VID, n),
-		pred:   make([]graph.VID, n),
-		dist:   make([]graph.Dist, n),
-		epoch:  make([]uint64, n),
+		owned:  make([]slabRow, n),
 		walked: make([]uint64, n),
 		cur:    1,
 		ghost:  ghost,
@@ -219,56 +216,51 @@ func (sl *StateSlab) row(v graph.VID) int32 {
 }
 
 // Reached reports whether owned vertex v has a current-epoch entry.
-func (sl *StateSlab) Reached(v graph.VID) bool { return sl.epoch[sl.row(v)] == sl.cur }
+func (sl *StateSlab) Reached(v graph.VID) bool { return sl.owned[sl.row(v)].epoch == sl.cur }
 
 // Src returns owned vertex v's cell seed, or NilVID when unreached.
 func (sl *StateSlab) Src(v graph.VID) graph.VID {
-	i := sl.row(v)
-	if sl.epoch[i] != sl.cur {
-		return graph.NilVID
-	}
-	return sl.src[i]
+	src, _, _ := sl.Get(v)
+	return src
 }
 
 // Pred returns owned vertex v's predecessor, or NilVID when unreached.
 func (sl *StateSlab) Pred(v graph.VID) graph.VID {
-	i := sl.row(v)
-	if sl.epoch[i] != sl.cur {
-		return graph.NilVID
-	}
-	return sl.pred[i]
+	_, pred, _ := sl.Get(v)
+	return pred
 }
 
 // Dist returns owned vertex v's distance, or InfDist when unreached.
 func (sl *StateSlab) Dist(v graph.VID) graph.Dist {
-	i := sl.row(v)
-	if sl.epoch[i] != sl.cur {
-		return graph.InfDist
-	}
-	return sl.dist[i]
+	_, _, dist := sl.Get(v)
+	return dist
 }
 
 // Get returns owned vertex v's full entry with a single epoch check.
 func (sl *StateSlab) Get(v graph.VID) (src, pred graph.VID, dist graph.Dist) {
-	i := sl.row(v)
-	if sl.epoch[i] != sl.cur {
+	o := &sl.owned[sl.row(v)]
+	if o.epoch != sl.cur {
 		return graph.NilVID, graph.NilVID, graph.InfDist
 	}
-	return sl.src[i], sl.pred[i], sl.dist[i]
+	return o.src, o.pred, o.dist
 }
 
 // Set installs owned vertex v's entry, stamped with the current epoch.
 func (sl *StateSlab) Set(v graph.VID, src, pred graph.VID, dist graph.Dist) {
-	i := sl.row(v)
-	sl.epoch[i] = sl.cur
-	sl.src[i] = src
-	sl.pred[i] = pred
-	sl.dist[i] = dist
+	sl.owned[sl.row(v)] = slabRow{dist: dist, src: src, pred: pred, epoch: sl.cur}
 }
 
 // holds reports whether owned row i still carries the label (src, dist).
 func (sl *StateSlab) holds(i int32, src graph.VID, dist graph.Dist) bool {
-	return sl.epoch[i] == sl.cur && sl.src[i] == src && sl.dist[i] == dist
+	o := &sl.owned[i]
+	return o.epoch == sl.cur && o.src == src && o.dist == dist
+}
+
+// beats reports whether owned row i's distance alone beats an offer of dist,
+// which relax would reject: the common case, cheap enough to inline.
+func (sl *StateSlab) beats(i int32, dist graph.Dist) bool {
+	o := &sl.owned[i]
+	return o.epoch == sl.cur && o.dist < dist
 }
 
 // relax folds one offer into owned row i, keeping the lexicographic minimum
@@ -276,14 +268,12 @@ func (sl *StateSlab) holds(i int32, src graph.VID, dist graph.Dist) bool {
 // improved — the only case in which the vertex must be expanded (again). A
 // predecessor-only win is installed and reports false.
 func (sl *StateSlab) relax(i int32, src, pred graph.VID, dist graph.Dist) bool {
-	if sl.epoch[i] == sl.cur && !offerBetter(dist, src, pred, sl.dist[i], sl.src[i], sl.pred[i]) {
+	o := &sl.owned[i]
+	if o.epoch == sl.cur && !offerBetter(dist, src, pred, o.dist, o.src, o.pred) {
 		return false
 	}
-	improved := sl.epoch[i] != sl.cur || dist != sl.dist[i] || src != sl.src[i]
-	sl.epoch[i] = sl.cur
-	sl.src[i] = src
-	sl.pred[i] = pred
-	sl.dist[i] = dist
+	improved := o.epoch != sl.cur || dist != o.dist || src != o.src
+	*o = slabRow{dist: dist, src: src, pred: pred, epoch: sl.cur}
 	return improved
 }
 
@@ -298,7 +288,7 @@ func (sl *StateSlab) offerGhost(g int32, src, pred graph.VID, dist graph.Dist) b
 	if row.epoch == sl.gcur && !offerBetter(dist, src, pred, row.dist, row.src, row.pred) {
 		return false
 	}
-	*row = ghostRow{dist: dist, src: src, pred: pred, epoch: sl.gcur}
+	*row = slabRow{dist: dist, src: src, pred: pred, epoch: sl.gcur}
 	return true
 }
 
@@ -310,7 +300,7 @@ func (sl *StateSlab) BeginHalo() { sl.gcur++ }
 // SetGhost stores the final (src, dist) of the remote vertex in ghost slot
 // g, as its owner pushed it.
 func (sl *StateSlab) SetGhost(g int32, src graph.VID, dist graph.Dist) {
-	sl.ghost[g] = ghostRow{dist: dist, src: src, epoch: sl.gcur}
+	sl.ghost[g] = slabRow{dist: dist, src: src, epoch: sl.gcur}
 }
 
 // Label returns the (src, dist) behind a resolved arc target: the owned row
@@ -318,8 +308,8 @@ func (sl *StateSlab) SetGhost(g int32, src graph.VID, dist graph.Dist) {
 // pushed. Unreached or never pushed reads (NilVID, InfDist).
 func (sl *StateSlab) Label(ref int32) (src graph.VID, dist graph.Dist) {
 	if ref >= 0 {
-		if sl.epoch[ref] == sl.cur {
-			return sl.src[ref], sl.dist[ref]
+		if o := &sl.owned[ref]; o.epoch == sl.cur {
+			return o.src, o.dist
 		}
 	} else if g := &sl.ghost[^ref]; g.epoch == sl.gcur {
 		return g.src, g.dist
@@ -368,10 +358,10 @@ func (sl *StateSlab) ObserveDelegate(d graph.VID, src graph.VID, dist graph.Dist
 // they lag like any asynchronous label.
 func (sl *StateSlab) DelegateState(d graph.VID) (src graph.VID, dist graph.Dist, ok bool) {
 	if i := sl.rows.Row(d); i >= 0 {
-		if sl.epoch[i] != sl.cur {
-			return graph.NilVID, graph.InfDist, true
+		if o := &sl.owned[i]; o.epoch == sl.cur {
+			return o.src, o.dist, true
 		}
-		return sl.src[i], sl.dist[i], true
+		return graph.NilVID, graph.InfDist, true
 	}
 	i, mirrored := sl.mirrorIdx[d]
 	if !mirrored {
@@ -387,11 +377,10 @@ func (sl *StateSlab) DelegateState(d graph.VID) (src graph.VID, dist graph.Dist,
 // in row order. Used to collect converged per-rank state into a global view
 // (Collect) and by tests.
 func (sl *StateSlab) EachReached(fn func(v graph.VID, src, pred graph.VID, dist graph.Dist)) {
-	for i := 0; i < sl.rows.Len(); i++ {
-		if sl.epoch[i] != sl.cur {
-			continue
+	for i, o := range sl.owned {
+		if o.epoch == sl.cur {
+			fn(sl.rows.VertexAt(i), o.src, o.pred, o.dist)
 		}
-		fn(sl.rows.VertexAt(i), sl.src[i], sl.pred[i], sl.dist[i])
 	}
 }
 

@@ -143,9 +143,11 @@ const (
 	delegateRelax uint8 = 1
 	// labelInstalled marks a queue entry whose (dist, seed) label the sender
 	// itself wrote into the target's row: only the expansion is left to do.
-	// It never crosses a rank or the wire. Under BSP such an entry reaches
-	// the next superstep through the rank's own mailbox, and folding it a
-	// second time on arrival would tie with the row it wrote and drop it.
+	// It never crosses a rank or the wire, and the priority queue of an
+	// asynchronous flood queues the row instead (Rank.PushRow). Under BSP
+	// such an entry reaches the next superstep through the rank's own
+	// mailbox, and folding it a second time on arrival would tie with the
+	// row it wrote and drop it.
 	labelInstalled uint8 = 2
 )
 
@@ -174,15 +176,28 @@ func RunRankBSP(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
 // StateSlab; neither the global CSR nor a shared state array is consulted.
 //
 // Rows hold tentative labels (HavoqGT's pre_visit/visit split): a row is
-// written when an offer for it is made — by offerSender for a target the
-// sender owns, by Admit for an offer from another rank — and a queue entry
-// exists only for a strict (dist, seed) improvement, so each label of a
-// vertex is queued at most once and the queue holds O(improvements), not
-// O(arcs); under the priority queue a better label takes over its row's
-// queued entry (Traversal.Slot), so the queue holds at most one entry per
-// row. Visit writes nothing: it expands the entry if its label is still
-// the row's, and returns if a better one has replaced it (that one has its
-// own entry). The scans read each arc's target already resolved
+// written when an offer for it is made — by the scan for a target the rank
+// owns, by Admit for an offer from another rank — and a queue entry exists
+// only for a strict (dist, seed) improvement, so each label of a vertex is
+// queued at most once and the queue holds O(improvements), not O(arcs).
+// Under the priority queue of an asynchronous flood the entry is the pair
+// (dist, row) and nothing else (Rank.PushRow, or Admit returning the row): a better label takes over
+// its row's queued entry, so the queue holds at most one entry per row, and
+// Expand reads the label to expand from the row when the entry pops.
+// Invariant: the label a row entry pops with is the one it was last queued
+// for. Every push of a row entry follows a strict (dist, seed) improvement of
+// that row and carries its new dist as the key; rows only improve, and every
+// improvement re-queues the row, so an entry can never pop with a label it
+// was not queued for.
+//
+// Only a delegate broadcast, which names no owned row, still queues a
+// message there, and Visit handles it. Under BSP every entry keeps its
+// message: a label a rank installs reaches the next superstep through the
+// rank's own mailbox (labelInstalled), a row may improve again while its
+// entry waits, so an entry keeps the label it was queued with and Visit
+// expands it only while the row still holds it. The FIFO queue, which holds
+// an entry per improvement, keeps the messages and that stale check too. The
+// scans read each arc's target already resolved
 // (graph.Shard.RowArcs): an owned row, or the ghost row holding the best
 // offer this rank has sent that remote vertex so far; an arc's target VID is
 // derived only for the offers that are sent. The fixed point is
@@ -195,116 +210,118 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 	if sh == nil || sh.NumGhosts() != len(sl.ghost) {
 		panic("voronoi: the rank's StateSlab was not built from its shard (NewStateSlab, BuildSlabs)")
 	}
-	offer := sl.offerSender(r)
+	send := sl.offerSender(r)
+	delegates := r.HasDelegates()
+	// installed queues the expansion of a label just written into owned row
+	// i: the row itself where the queue holds rows, a labelInstalled message
+	// without an owner lookup everywhere else.
+	installed := func(r *rt.Rank, i int32, from, seed graph.VID, dist graph.Dist) {
+		if !r.PushRow(uint64(dist), i) {
+			r.SendLocal(rt.Msg{Target: sl.rows.VertexAt(int(i)), From: from, Seed: seed, Dist: dist, Kind: labelInstalled})
+		}
+	}
+	// scan offers (seed, dist + w) to every arc of v. An owned target is
+	// relaxed on the spot; a predecessor-only win is installed and queues
+	// nothing, because the entry for that (dist, seed) is already queued or
+	// expanded and no neighbour's offer depends on pred.
+	scan := func(r *rt.Rank, v, seed graph.VID, dist graph.Dist, ws []uint32, refs []int32) {
+		for j, ref := range refs {
+			d := dist + graph.Dist(ws[j])
+			switch {
+			case ref < 0:
+				send(r, ref, v, seed, d)
+			case sl.beats(ref, d):
+				// Most offers lose on dist alone, decided without a call.
+			case sl.relax(ref, seed, v, d):
+				installed(r, ref, v, seed, d)
+			}
+		}
+	}
+	expand := func(r *rt.Rank, i int32) {
+		seed, dist := sl.owned[i].src, sl.owned[i].dist
+		v := sl.rows.VertexAt(int(i))
+		if delegates && r.IsDelegate(v) {
+			// Hub: fan the relaxation out to all ranks; each scans its
+			// materialized stripe of v's (large) adjacency. The broadcast is
+			// staged, not sent: the outbox keeps only the best (dist, src)
+			// offer per hub and releases it at the superstep boundary, so k
+			// rapid improvements of one hub cross the wire as one broadcast
+			// (Stats.BatchedBroadcasts / CoalescedBroadcasts).
+			r.BroadcastBatched(rt.Msg{Target: v, From: v, Seed: seed, Dist: dist, Kind: delegateRelax})
+			return
+		}
+		ws, refs := sh.RowArcs(i)
+		scan(r, v, seed, dist, ws, refs)
+	}
 	return r.Traverse(&rt.Traversal{
-		Key: rt.DistKey,
-		// Under the priority queue a row has at most one live entry, so
-		// nothing queues a superseded label and nothing pops one.
-		// Invariant: a push for a queued slot never carries a worse label.
-		// Every push of a row entry follows a strict (dist, seed)
-		// improvement of that row, made by relax (offerSender) or by Admit,
-		// and carries the label it installed; rows only improve, so the
-		// entry it replaces holds an earlier, worse label that Visit would
-		// have found stale. Two kinds of entry take no slot because they can
-		// break that: a labelInstalled entry that is no longer its row's label
-		// (under BSP it reaches the queue a superstep late, through the
-		// mailbox, where a better label of the same row may already have been
-		// queued — installed later in the superstep, or folded in by Admit
-		// from another batch of the same drain), and a delegate broadcast,
-		// which Admit always passes, so under shuffled delivery a worse one
-		// can arrive after a better one. Both stay ordinary entries, and the
-		// stale check in Visit, which the FIFO queue needs anyway, still
-		// drops the former.
-		Slot: func(m rt.Msg) int32 {
-			if m.Kind == delegateRelax {
-				return -1
-			}
-			if i := sl.row(m.Target); sl.holds(i, m.Seed, m.Dist) {
-				return i
-			}
-			return -1
-		},
-		BSP: bsp,
+		Ordered: true,
+		BSP:     bsp,
 		Init: func(r *rt.Rank) {
 			for _, s := range seeds {
-				if r.Owns(s) {
-					offer(r, sl.row(s), s, s, 0)
+				if i := sl.rows.Row(s); i >= 0 && sl.relax(i, s, s, 0) {
+					installed(r, i, s, s, 0)
 				}
 			}
 		},
-		Admit: func(r *rt.Rank, m rt.Msg) bool {
-			// Delegate broadcasts always pass (their stripe relax must run
-			// whatever the mirror says), and so do labels already installed.
-			return m.Kind != 0 || sl.relax(sl.row(m.Target), m.Seed, m.From, m.Dist)
+		Admit: func(r *rt.Rank, m rt.Msg) int32 {
+			switch m.Kind {
+			case delegateRelax:
+				// Its stripe relax must run whatever the mirror says, and
+				// under shuffled delivery a worse broadcast can arrive after
+				// a better one: an ordinary entry, never a row's.
+				return rt.AdmitMsg
+			case labelInstalled:
+				// Under BSP, a superstep late: the row's entry while the row
+				// still holds its label, an ordinary entry that Visit finds
+				// stale otherwise.
+				if i := sl.row(m.Target); sl.holds(i, m.Seed, m.Dist) {
+					return i
+				}
+				return rt.AdmitMsg
+			}
+			if i := sl.row(m.Target); sl.relax(i, m.Seed, m.From, m.Dist) {
+				return i
+			}
+			return rt.AdmitDone
 		},
+		Expand: expand,
 		Visit: func(r *rt.Rank, m rt.Msg) {
-			v := m.Target
-			var ws []uint32
-			var refs []int32
 			if m.Kind == delegateRelax {
 				// Fold the broadcast into the local delegate mirror (no-op on
 				// the owner), then relax this rank's stripe of v's adjacency.
-				sl.ObserveDelegate(v, m.Seed, m.Dist)
-				ws, refs = sh.StripeArcs(v)
-			} else if i := sl.row(v); !sl.holds(i, m.Seed, m.Dist) {
-				return // superseded while queued; the better label has its own entry
-			} else if r.IsDelegate(v) {
-				// Hub: fan the relaxation out to all ranks; each scans its
-				// materialized stripe of v's (large) adjacency. The broadcast
-				// is staged, not sent: the outbox keeps only the best (dist,
-				// src) offer per hub and releases it at the superstep
-				// boundary, so k rapid improvements of one hub cross the wire
-				// as one broadcast (Stats.BatchedBroadcasts /
-				// CoalescedBroadcasts).
-				r.BroadcastBatched(rt.Msg{Target: v, From: v, Seed: m.Seed, Dist: m.Dist, Kind: delegateRelax})
-				return
-			} else {
-				ws, refs = sh.RowArcs(i)
-			}
-			for j, ref := range refs {
-				offer(r, ref, v, m.Seed, m.Dist+graph.Dist(ws[j]))
-			}
+				sl.ObserveDelegate(m.Target, m.Seed, m.Dist)
+				ws, refs := sh.StripeArcs(m.Target)
+				scan(r, m.Target, m.Seed, m.Dist, ws, refs)
+			} else if i := sl.row(m.Target); sl.holds(i, m.Seed, m.Dist) {
+				expand(r, i)
+			} // else superseded while queued; the better label has its own entry
 		},
 	})
 }
 
-// offerSender returns the one function every relaxation offer of the slab
-// path goes through — seeds, neighbour and stripe scans. ref is the target
-// resolved against the rank's shard; the target's VID (graph.Shard.Target)
-// is only built for an offer that becomes a message. It runs on the rank
-// goroutine only.
+// offerSender returns the function every cross-rank relaxation offer goes
+// through: ref is the ghost slot of a target owned elsewhere (an owned
+// target never gets here; the scan relaxes it on the spot), and the target's
+// VID (graph.Shard.Target) is only built for an offer that becomes a
+// message. It runs on the rank goroutine only.
 //
-//   - The target is owned here (ref is its row): the offer is folded into
-//     the row on the spot (relax) and never becomes a message. Only a strict
-//     (dist, seed) improvement queues an expansion entry, marked
-//     labelInstalled and pushed without an owner lookup (Rank.SendLocal); a
-//     predecessor-only win is installed and queues nothing, because the entry
-//     for that (dist, seed) is already queued or expanded and no neighbour's
-//     offer depends on pred.
-//   - The target is owned elsewhere (ref is its ghost slot) and something
-//     local already beats the offer: it is dropped, counted in
-//     Stats.Suppressed. Two bounds are consulted. The ghost row holds the best
-//     offer this rank has itself sent to u (offerGhost); the owner's row is
-//     the minimum of what it received, so it is at least that good. For a
+//   - If something local already beats the offer, it is dropped, counted in
+//     Stats.Suppressed. Two bounds are consulted. The ghost row holds the
+//     best offer this rank has itself sent to u (offerGhost); the owner's row
+//     is the minimum of what it received, so it is at least that good. For a
 //     delegate there is also the mirror of its (src, dist), fed by the
 //     owner's broadcasts — the owner's current or a past state, and rows only
 //     improve. An offer either bound beats is beaten for good.
 //   - Anything else is sent to its owner, and folded there by Admit.
 //
 // Every comparison is strict — an offer tying on (dist, src) with a smaller
-// predecessor is installed, or still goes out — which keeps the converged
-// rows byte-identical to what unconditional sends would reach (pinned
-// against Sequential by the equivalence property tests).
+// predecessor still goes out, as it is installed when the target is owned —
+// which keeps the converged rows byte-identical to what unconditional sends
+// would reach (pinned against Sequential by the equivalence property tests).
 func (sl *StateSlab) offerSender(r *rt.Rank) func(r *rt.Rank, ref int32, from, seed graph.VID, dist graph.Dist) {
 	sh := r.Shard()
 	delegates := r.HasDelegates()
 	return func(r *rt.Rank, ref int32, from, seed graph.VID, dist graph.Dist) {
-		if ref >= 0 {
-			if sl.relax(ref, seed, from, dist) {
-				r.SendLocal(rt.Msg{Target: sl.rows.VertexAt(int(ref)), From: from, Seed: seed, Dist: dist, Kind: labelInstalled})
-			}
-			return
-		}
 		if delegates {
 			if u := sh.Target(ref); r.IsDelegate(u) {
 				if ms, md, ok := sl.DelegateState(u); ok && (md < dist || (md == dist && ms < seed)) {
