@@ -12,10 +12,6 @@ set -euo pipefail
 
 DATASET="${DATASET:-LVJ}"
 SCALE="${SCALE:-0.02}"
-# Delegate threshold low enough that the scaled-down graph has hubs: the
-# superstep broadcast outbox only engages on delegate partitions, and the
-# smoke asserts nonzero batched broadcasts below.
-DELEGATES="${DELEGATES:-8}"
 RANKS=4
 WORKERS=4
 COORD=127.0.0.1:7611
@@ -41,7 +37,6 @@ go build -o "$workdir/rankd" ./cmd/rankd
 echo "== starting tcp coordinator + $WORKERS rankd workers"
 "$workdir/steinersvc" -dataset "$DATASET" -scale "$SCALE" -ranks $RANKS \
   -backend tcp -workers $WORKERS -rank-listen "$COORD" \
-  -delegates "$DELEGATES" \
   -addr "$TCP_HTTP" -cache 0 -jobs 0 >"$workdir/tcp.log" 2>&1 &
 pids+=($!)
 for i in $(seq 1 $WORKERS); do
@@ -51,7 +46,6 @@ done
 
 echo "== starting inproc reference"
 "$workdir/steinersvc" -dataset "$DATASET" -scale "$SCALE" -ranks $RANKS \
-  -delegates "$DELEGATES" \
   -addr "$INPROC_HTTP" -cache 0 -jobs 0 >"$workdir/inproc.log" 2>&1 &
 pids+=($!)
 
@@ -122,9 +116,11 @@ if [ "$bytes_out" -le 0 ] || [ "$frames_out" -le 0 ]; then
   echo "FAIL: tcp backend reports no wire traffic: $stats" >&2
   exit 1
 fi
-batched=$(echo "$stats" | jq -r .broadcasts.batched)
-if [ "$batched" -le 0 ]; then
-  echo "FAIL: tcp backend reports no superstep-batched delegate broadcasts: $stats" >&2
+# The workers' suppressed-offer counts (the ghost-row filter) must cross the
+# fleet into the coordinator's /stats.
+suppressed=$(echo "$stats" | jq -r .broadcasts.suppressed)
+if [ "$suppressed" -le 0 ]; then
+  echo "FAIL: tcp backend reports no suppressed offers: $stats" >&2
   exit 1
 fi
 inproc_bytes=$(curl -fsS "http://$INPROC_HTTP/stats" | jq -r .transport.bytesOut)
@@ -133,7 +129,7 @@ if [ "$inproc_bytes" != "0" ]; then
   exit 1
 fi
 echo "   ${#QUERIES[@]} queries moved $frames_out frames / $bytes_out bytes over TCP"
-echo "   delegate outbox batched $batched broadcasts across the fleet"
+echo "   the ghost-row filter suppressed $suppressed offers across the fleet"
 
 echo "== checking fragment-merge MST counters"
 # Every query above ran the fragment merge, so rounds and
@@ -214,7 +210,6 @@ EOF
 chmod +x "$workdir/respawn.sh"
 "$workdir/steinersvc" -dataset "$DATASET" -scale "$SCALE" -ranks $RANKS \
   -backend tcp -workers $WORKERS -rank-listen "$CHAOS_COORD" \
-  -delegates "$DELEGATES" \
   -recover -rejoin-wait 30s -respawn-cmd "$workdir/respawn.sh" \
   -addr "$CHAOS_HTTP" -cache 0 -jobs 0 >"$workdir/chaos.log" 2>&1 &
 pids+=($!)

@@ -39,7 +39,6 @@ func main() {
 		partKind  = flag.String("partition", defaults.Partition.String(), "vertex partition: block | arcblock")
 		queue     = flag.String("queue", defaults.Queue.String(), "message queue: priority | fifo")
 		bsp       = flag.Bool("bsp", false, "bulk-synchronous instead of asynchronous processing")
-		delegates = flag.Int("delegates", 0, "delegate high-degree vertices above this degree (0 = off)")
 		dotFile   = flag.String("dot", "", "write the tree as Graphviz DOT")
 		edges     = flag.Bool("edges", false, "print every tree edge")
 		compare   = flag.Bool("compare", false, "also run KMB/Mehlhorn/WWW and (|S|<=12) the exact solver")
@@ -107,7 +106,6 @@ func main() {
 		fatal(err)
 	}
 	opts.BSP = *bsp
-	opts.DelegateThreshold = *delegates
 
 	start := time.Now()
 	res, err := dsteiner.SolveQuery(g, spec, opts)

@@ -10,14 +10,12 @@
 //
 //	steinersvc -dataset LVJ -addr :8080
 //	steinersvc -graph web.bin -ranks 8 -engines 4 -cache 512 -jobs 128
-//	steinersvc -dataset WDC12 -partition arcblock -delegates 145
+//	steinersvc -dataset WDC12 -partition arcblock
 //	steinersvc -dataset LVJ -backend tcp -workers 4 -rank-listen 127.0.0.1:7600
 //
 // -partition picks the vertex-to-rank mapping (block | arcblock) the
-// engines cut their rank-local graph shards from; -delegates N stripes the
-// adjacency of vertices with degree >= N across all ranks (HavoqGT-style
-// vertex delegates). /info and /stats report the partition kind, delegate
-// count and shard memory.
+// engines cut their rank-local graph shards from. /info and /stats report
+// the partition kind and shard memory.
 //
 // -backend selects where the ranks run. The default inproc backend runs
 // them as goroutines over in-memory mailboxes. -backend tcp turns this
@@ -97,7 +95,6 @@ func main() {
 		respawnCmd = flag.String("respawn-cmd", "", "shell command run (async, via sh -c) each time the tcp session loses a worker — e.g. a script starting one replacement rankd")
 		partKind   = flag.String("partition", defaults.Partition.String(), "vertex partition: block | arcblock")
 		queueKind  = flag.String("queue", defaults.Queue.String(), "message queue discipline: fifo | priority")
-		delegates  = flag.Int("delegates", 0, "delegate high-degree vertices above this degree (0 = off)")
 		engines    = flag.Int("engines", 1, "resident solver engines (max concurrent queries; must be 1 with -backend tcp)")
 		cache      = flag.Int("cache", 256, "LRU solution cache entries (0 disables)")
 		jobs       = flag.Int("jobs", 64, "async job queue bound (0 disables /solve/async)")
@@ -129,7 +126,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "steinersvc: %v\n", err)
 		os.Exit(1)
 	}
-	opts.DelegateThreshold = *delegates
 	opts.Queue, err = dsteiner.ParseQueue(*queueKind)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "steinersvc: %v\n", err)
@@ -185,8 +181,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "steinersvc: %v\n", err)
 		os.Exit(1)
 	}
-	log.Printf("steinersvc: serving |V|=%d 2|E|=%d on %s with %d engine(s) x %d ranks over %s backend (%s partition, delegates>=%d), cache=%d, jobs=%d",
-		g.NumVertices(), g.NumArcs(), *addr, svc.NumEngines(), *ranks, *backend, *partKind, *delegates, *cache, *jobs)
+	log.Printf("steinersvc: serving |V|=%d 2|E|=%d on %s with %d engine(s) x %d ranks over %s backend (%s partition), cache=%d, jobs=%d",
+		g.NumVertices(), g.NumArcs(), *addr, svc.NumEngines(), *ranks, *backend, *partKind, *cache, *jobs)
 
 	srv := &http.Server{Addr: *addr, Handler: svc}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -71,8 +71,8 @@ type (
 	// deep-copies it for cache storage.
 	Result = core.Result
 	// RuntimeStats is the runtime counters record a Result embeds whole:
-	// message and suppressed/batched/coalesced broadcast counters plus the
-	// transport traffic (Result.Net).
+	// message and suppressed-offer counters plus the transport traffic
+	// (Result.Net).
 	RuntimeStats = rt.Stats
 	// BatchItem is one query's outcome within Engine.SolveBatch.
 	BatchItem = core.BatchItem
@@ -84,7 +84,7 @@ type (
 	// graph into rank-local shards.
 	PartitionKind = core.PartitionKind
 	// ShardStats describes an Engine's sharded graph substrate (partition
-	// kind, delegate count, per-rank shard bytes).
+	// kind, per-rank shard bytes).
 	ShardStats = core.ShardStats
 	// SeedStrategy selects a seed-vertex selection algorithm.
 	SeedStrategy = seeds.Strategy

@@ -125,13 +125,12 @@ func BenchmarkTCPTransportSolve(b *testing.B) {
 }
 
 // BenchmarkShardBuild measures the session-setup cost the shard substrate
-// adds: cutting P rank-local CSR slabs (plus delegate stripes) out of the
-// 20K-vertex benchmark graph. Paid once per Engine, amortized across every
+// adds: cutting P rank-local CSR slabs out of the 20K-vertex benchmark
+// graph. Paid once per Engine, amortized across every
 // query the engine serves.
 func BenchmarkShardBuild(b *testing.B) {
 	g := benchSolveGraph(b)
 	opts := dsteiner.Defaults(4)
-	opts.DelegateThreshold = 64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

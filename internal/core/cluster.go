@@ -66,21 +66,13 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 			BatchSize:   opts.BatchSize,
 			BSP:         opts.BSP,
 			Bounds:      plan.Partition().Bounds(),
-			Delegates:   plan.Delegates(),
 		}
 		for rank := lo; rank < hi; rank++ {
 			// A shard keeps no target VIDs, so the slices are cut from g.
 			vlo, vhi := plan.Range(rank)
-			offsets, targets, weights, stripeOff, stripeTargets, stripeWeights :=
-				graph.CutShard(g, rank, opts.Ranks, vlo, vhi, plan.Delegates())
+			offsets, targets, weights := graph.CutShard(g, vlo, vhi)
 			setup.Shards = append(setup.Shards, wire.ShardSlice{
-				Rank:          rank,
-				Offsets:       offsets,
-				Targets:       targets,
-				Weights:       weights,
-				StripeOff:     stripeOff,
-				StripeTargets: stripeTargets,
-				StripeWeights: stripeWeights,
+				Rank: rank, Offsets: offsets, Targets: targets, Weights: weights,
 			})
 		}
 		return setup

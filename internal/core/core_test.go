@@ -218,31 +218,6 @@ func TestBSPMatchesAsync(t *testing.T) {
 	}
 }
 
-func TestDelegatesMatchPlain(t *testing.T) {
-	// Hub-heavy graph.
-	n := 150
-	b := graph.NewBuilder(n)
-	for v := 1; v < n; v++ {
-		b.AddEdge(0, graph.VID(v), uint32(v%23)+1)
-		b.AddEdge(graph.VID(v), graph.VID((v%(n-1))+1), uint32(v%7)+1)
-	}
-	g, _ := b.Build()
-	seeds := []graph.VID{1, 70, 140}
-	plain, err := Solve(g, seeds, Default(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Default(4)
-	opts.DelegateThreshold = 64
-	deleg, err := Solve(g, seeds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.TotalDistance != deleg.TotalDistance {
-		t.Fatalf("delegates changed result: %d vs %d", deleg.TotalDistance, plain.TotalDistance)
-	}
-}
-
 func TestMatchesMehlhornTotalDistance(t *testing.T) {
 	// The distributed algorithm and the sequential Mehlhorn baseline use
 	// the same distance-graph construction with the same tie-breaking,

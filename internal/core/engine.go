@@ -29,7 +29,7 @@ type Engine struct {
 	opts Options
 
 	// Sharded substrate, built once at session setup and pooled across
-	// queries: the plan (per-rank ranges + delegates) and one
+	// queries: the plan (per-rank ranges) and one
 	// rank-local CSR slab per rank, with their memory accounting.
 	plan   *partition.ShardPlan
 	shards []*graph.Shard
@@ -65,7 +65,7 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 
 // buildSubstrate cuts g for opts, the step both backends start from: the
 // shard plan over the partition the ranks route by — block or arc-block
-// ranges, delegate-marked when a threshold is set (plan.Partition()).
+// ranges (plan.Partition()).
 func buildSubstrate(g *graph.Graph, opts Options) (*partition.ShardPlan, error) {
 	var part *partition.Partition
 	var err error
@@ -77,16 +77,14 @@ func buildSubstrate(g *graph.Graph, opts Options) (*partition.ShardPlan, error) 
 	if err != nil {
 		return nil, err
 	}
-	return partition.NewShardPlan(partition.WithDelegates(part, g, opts.DelegateThreshold), g)
+	return partition.NewShardPlan(part, g)
 }
 
 // shardStats sums a built substrate's resident memory.
 func shardStats(opts Options, plan *partition.ShardPlan, shards []*graph.Shard, slabs []*voronoi.StateSlab) ShardStats {
 	s := ShardStats{
-		Partition:         opts.Partition.String(),
-		Ranks:             opts.Ranks,
-		DelegateThreshold: opts.DelegateThreshold,
-		Delegates:         plan.NumDelegates(),
+		Partition: opts.Partition.String(),
+		Ranks:     opts.Ranks,
 	}
 	for _, sh := range shards {
 		b := sh.MemoryBytes()
@@ -175,19 +173,15 @@ type ShardStats struct {
 	Partition string
 	// Ranks is the number of shards (one per rank).
 	Ranks int
-	// DelegateThreshold is the configured high-degree cutoff (0 = off).
-	DelegateThreshold int
-	// Delegates is the number of vertices striped across all ranks.
-	Delegates int
 	// ShardBytes is the total resident size of all rank-local shards.
 	ShardBytes int64
 	// MaxShardBytes is the largest single rank's shard — the per-process
 	// memory a multi-process backend would need.
 	MaxShardBytes int64
 	// StateSlabBytes is the total resident size of this engine's rank-local
-	// control-state slabs (owned-vertex rows, delegate mirrors, walk
-	// marks). Unlike shards, slabs are per-engine mutable state: a pool of
-	// N engines holds N slab sets but one shard set.
+	// control-state slabs (owned-vertex rows, ghost rows, walk marks).
+	// Unlike shards, slabs are per-engine mutable state: a pool of N
+	// engines holds N slab sets but one shard set.
 	StateSlabBytes int64
 	// MaxStateSlabBytes is the largest single rank's slab — together with
 	// MaxShardBytes, the per-process footprint of a multi-process rank.

@@ -47,14 +47,11 @@ func pickEngineSeeds(rng *rand.Rand, n, k int) []graph.VID {
 // varying seed sets and checks every result is identical — tree edge set,
 // total distance, seed set — to a cold Solve of the same query. This is the
 // acceptance bar for the pooled epoch-versioned state, now held in per-rank
-// StateSlabs (owned rows + delegate mirror stripes + walk marks, all reset
-// by one epoch bump per slab): stale entries from earlier queries must never
-// surface. DelegateThreshold is set so the mirror stripes are exercised on
-// every one of the 100 reuses.
+// StateSlabs (owned rows + ghost rows + walk marks, all reset by one epoch
+// bump per slab): stale entries from earlier queries must never surface.
 func TestEngineReuseMatchesColdSolve(t *testing.T) {
 	g := engineTestGraph(42, 400)
 	opts := Default(4)
-	opts.DelegateThreshold = 8
 	e, err := NewEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +122,7 @@ func TestEngineRepeatedIdenticalQuery(t *testing.T) {
 // on a reused engine too, where nothing may leak between queries.
 func TestPhaseStatsAddUpToCommStats(t *testing.T) {
 	g := engineTestGraph(9, 400)
-	for _, opts := range []Options{Default(1), Default(3), {Ranks: 4, DelegateThreshold: 6, Queue: rt.QueueFIFO, BSP: true}} {
+	for _, opts := range []Options{Default(1), Default(3), {Ranks: 4, Queue: rt.QueueFIFO, BSP: true}} {
 		e, err := NewEngine(g, opts)
 		if err != nil {
 			t.Fatal(err)

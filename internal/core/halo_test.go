@@ -111,9 +111,8 @@ func haloPushes(g *graph.Graph, owner func(graph.VID) int) int64 {
 	return pushes
 }
 
-// haloGraph is a random graph with a hub at its top vertex, a delegate
-// under a threshold of 12, and an island [40, 60) that spans rank ranges
-// and that no seed outside it reaches.
+// haloGraph is a random graph with a hub at its top vertex and an island
+// [40, 60) that spans rank ranges and that no seed outside it reaches.
 func haloGraph() *graph.Graph {
 	const n = 120
 	rng := rand.New(rand.NewSource(66))
@@ -148,8 +147,8 @@ func haloGraph() *graph.Graph {
 }
 
 // TestPropertyHaloPlan checks the static halo against the global graph over
-// both partition kinds, rank counts with empty ranges among them, and with
-// and without delegates: each sender's list for a peer names the same
+// both partition kinds and rank counts with empty ranges among them: each
+// sender's list for a peer names the same
 // vertices in the same order as that peer's receive list (blobs land by
 // position), every arc the scan walks is exactly an arc to a higher vertex,
 // and after a solve every ghost label the scan reads is voronoi.Sequential's.
@@ -185,55 +184,53 @@ func testHaloPlan(t *testing.T, g *graph.Graph, seeds []graph.VID, empty, unreac
 	st := voronoi.Sequential(g, seeds)
 	for _, kind := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
 		for _, ranks := range []int{1, 2, 3, 5, 8} {
-			for _, delegates := range []int{0, 12} {
-				label := fmt.Sprintf("%v/%d ranks/delegates %d", kind, ranks, delegates)
-				e, err := NewEngine(g, Options{Ranks: ranks, Queue: rt.QueuePriority, Partition: kind, DelegateThreshold: delegates})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := e.Solve(seeds); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				for r, sh := range e.shards {
-					plan, sl := e.host.pools[r].halo, e.slabs[r]
-					if sh.NumOwned() == 0 {
-						*empty++
-					}
-					for q := range ranks {
-						send, recv := plan.send[q], e.host.pools[q].halo.recv[r]
-						if len(send) != len(recv) {
-							t.Fatalf("%s: rank %d sends %d labels to rank %d, which has %d slots for them", label, r, len(send), q, len(recv))
-						}
-						for k, i := range send {
-							if v, w := sh.Rows().VertexAt(int(i)), e.shards[q].Target(^recv[k]); v != w {
-								t.Fatalf("%s: rank %d's label %d to rank %d is vertex %d, lands on ghost %d", label, r, k, q, v, w)
-							}
-						}
-					}
-					for i := int32(0); int(i) < sh.NumOwned(); i++ {
-						u := sh.Rows().VertexAt(int(i))
-						_, refs := sh.RowArcs(i)
-						for _, ref := range refs {
-							v := sh.Target(ref)
-							if scanned := ref >= 0 && ref > i || ref < 0 && ^ref >= plan.high; scanned != (v > u) {
-								t.Fatalf("%s: arc {%d, %d} scanned %v", label, u, v, scanned)
-							}
-							if ref >= 0 || v < u {
-								continue
-							}
-							*ghosts++
-							if !st.Reached(v) {
-								*unreached++
-							}
-							if src, dist := sl.Label(ref); src != st.Src(v) || dist != st.Dist(v) {
-								t.Fatalf("%s: rank %d reads ghost %d as (%d, %d), sequential (%d, %d)",
-									label, r, v, src, dist, st.Src(v), st.Dist(v))
-							}
-						}
-					}
-				}
-				e.Close()
+			label := fmt.Sprintf("%v/%d ranks", kind, ranks)
+			e, err := NewEngine(g, Options{Ranks: ranks, Queue: rt.QueuePriority, Partition: kind})
+			if err != nil {
+				t.Fatal(err)
 			}
+			if _, err := e.Solve(seeds); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for r, sh := range e.shards {
+				plan, sl := e.host.pools[r].halo, e.slabs[r]
+				if sh.NumOwned() == 0 {
+					*empty++
+				}
+				for q := range ranks {
+					send, recv := plan.send[q], e.host.pools[q].halo.recv[r]
+					if len(send) != len(recv) {
+						t.Fatalf("%s: rank %d sends %d labels to rank %d, which has %d slots for them", label, r, len(send), q, len(recv))
+					}
+					for k, i := range send {
+						if v, w := sh.Rows().VertexAt(int(i)), e.shards[q].Target(^recv[k]); v != w {
+							t.Fatalf("%s: rank %d's label %d to rank %d is vertex %d, lands on ghost %d", label, r, k, q, v, w)
+						}
+					}
+				}
+				for i := int32(0); int(i) < sh.NumOwned(); i++ {
+					u := sh.Rows().VertexAt(int(i))
+					_, refs := sh.RowArcs(i)
+					for _, ref := range refs {
+						v := sh.Target(ref)
+						if scanned := ref >= 0 && ref > i || ref < 0 && ^ref >= plan.high; scanned != (v > u) {
+							t.Fatalf("%s: arc {%d, %d} scanned %v", label, u, v, scanned)
+						}
+						if ref >= 0 || v < u {
+							continue
+						}
+						*ghosts++
+						if !st.Reached(v) {
+							*unreached++
+						}
+						if src, dist := sl.Label(ref); src != st.Src(v) || dist != st.Dist(v) {
+							t.Fatalf("%s: rank %d reads ghost %d as (%d, %d), sequential (%d, %d)",
+								label, r, v, src, dist, st.Src(v), st.Dist(v))
+						}
+					}
+				}
+			}
+			e.Close()
 		}
 	}
 }

@@ -124,8 +124,8 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // Options configures a Solve run. The zero value is a valid single-rank
-// configuration — FIFO queue, asynchronous processing, block partition, no
-// delegates — which is the HavoqGT baseline, not the paper's optimized one:
+// configuration — FIFO queue, asynchronous processing, block partition —
+// which is the HavoqGT baseline, not the paper's optimized one:
 // Default is the constructor that sets the priority queue.
 type Options struct {
 	// Ranks is the number of simulated MPI processes (default 1).
@@ -139,10 +139,6 @@ type Options struct {
 	BatchSize int
 	// Partition picks the vertex partition (default block).
 	Partition PartitionKind
-	// DelegateThreshold marks vertices with degree >= threshold as
-	// high-degree delegates whose relaxation fans out across all ranks
-	// (HavoqGT vertex delegates). 0 disables.
-	DelegateThreshold int
 	// BSP runs the traversals of phases 1 and 6 bulk-synchronously instead
 	// of asynchronously (the §IV ablation).
 	BSP bool

@@ -119,7 +119,7 @@ func checkForestProperties(t *testing.T, g *graph.Graph, res *Result) {
 }
 
 // TestForestModeProperties is the forest property test on the loopback
-// backend: across partition kinds and delegate thresholds, every group's
+// backend: across partition kinds, every group's
 // returned subtree is connected, spans its group, and no edge bridges two
 // groups.
 func TestForestModeProperties(t *testing.T) {
@@ -131,21 +131,19 @@ func TestForestModeProperties(t *testing.T) {
 		{Mode: ModeForest, Groups: pickClusterGroups(rng, 40, []int{1, 6, 1})}, // singleton groups
 	}
 	for _, kind := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
-		for _, threshold := range []int{0, 8} {
-			opts := Options{Ranks: 4, Queue: rt.QueuePriority, Partition: kind, DelegateThreshold: threshold}
-			e, err := NewEngine(g, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for qi, spec := range specs {
-				res, err := e.SolveSpec(spec)
-				if err != nil {
-					t.Fatalf("%v/thr=%d query %d: %v", kind, threshold, qi, err)
-				}
-				checkForestProperties(t, g, res)
-			}
-			e.Close()
+		opts := Options{Ranks: 4, Queue: rt.QueuePriority, Partition: kind}
+		e, err := NewEngine(g, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for qi, spec := range specs {
+			res, err := e.SolveSpec(spec)
+			if err != nil {
+				t.Fatalf("%v query %d: %v", kind, qi, err)
+			}
+			checkForestProperties(t, g, res)
+		}
+		e.Close()
 	}
 }
 
@@ -341,7 +339,7 @@ func TestForestPrizeTCPMatchesLoopback(t *testing.T) {
 		{Mode: ModePrize, Seeds: prizeSeeds, Penalties: penalties},
 		TreeSpec(groups[0]), // a tree query on the same warm session
 	}
-	opts := Options{Ranks: 4, Queue: rt.QueuePriority, Partition: PartitionArcBlock, DelegateThreshold: 8}
+	opts := Options{Ranks: 4, Queue: rt.QueuePriority, Partition: PartitionArcBlock}
 	loop, err := NewEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -548,9 +546,7 @@ func BenchmarkForestSolve(b *testing.B) {
 	g := clusteredTestGraph(3, 3, 500)
 	rng := rand.New(rand.NewSource(4))
 	spec := QuerySpec{Mode: ModeForest, Groups: pickClusterGroups(rng, 500, []int{8, 8, 8})}
-	opts := Default(4)
-	opts.DelegateThreshold = 16
-	e, err := NewEngine(g, opts)
+	e, err := NewEngine(g, Default(4))
 	if err != nil {
 		b.Fatal(err)
 	}

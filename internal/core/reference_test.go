@@ -312,9 +312,8 @@ func newRefInput(t *testing.T, name string, g *graph.Graph, rng *rand.Rand, grou
 }
 
 // TestEngineMatchesSequentialReference is the one place a distributed answer
-// is compared with a non-distributed one. Every cell of partition × delegate
-// threshold (none, most vertices, a few hubs) × async/BSP × queue
-// discipline × rank count × query mode solves
+// is compared with a non-distributed one. Every cell of partition ×
+// async/BSP × queue discipline × rank count × query mode solves
 // the same queries on a clustered graph (three forest groups) and on a
 // tie-heavy one (weights 1–3, where the (dist, seed, pred) flood order,
 // the (D, U, V) bridge order and the (D, seed pair) fragment order each
@@ -336,56 +335,46 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 
 	var suppressed int64
 	for _, kind := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
-		for _, threshold := range []int{0, 6, 12} {
-			for _, bsp := range []bool{false, true} {
-				for _, queue := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
-					for _, ranks := range []int{1, 2, 3, 4, 5, 8} {
-						opts := Options{Ranks: ranks, Queue: queue, Partition: kind, DelegateThreshold: threshold, BSP: bsp}
-						timing := map[bool]string{false: "async", true: "bsp"}[bsp]
-						t.Run(fmt.Sprintf("%v/thr=%d/%s/%v/ranks=%d", kind, threshold, timing, queue, ranks), func(t *testing.T) {
-							for _, in := range inputs {
-								e, err := NewEngine(in.g, opts)
-								if err != nil {
-									t.Fatal(err)
-								}
-								defer e.Close()
-								for m, spec := range in.specs {
-									t.Run(fmt.Sprintf("%v/%s", spec.Mode, in.name), func(t *testing.T) {
-										res, err := e.SolveSpec(spec)
-										if err != nil {
-											t.Fatal(err)
-										}
-										assertMatchesReference(t, res, in.want[m])
-										checkAnswerInvariants(t, in.g, spec, res)
-										// Not only the rows the tree walks through:
-										// every vertex's label is the reference's.
-										got, want := voronoi.Collect(e.slabs, in.g.NumVertices()), in.want[m].cells
-										for v := graph.VID(0); int(v) < in.g.NumVertices(); v++ {
-											gs, gp, gd := got.Get(v)
-											if ws, wp, wd := want.Get(v); gs != ws || gp != wp || gd != wd {
-												t.Fatalf("vertex %d: row (%d, %d, %d), reference (%d, %d, %d)", v, gd, gs, gp, wd, ws, wp)
-											}
-										}
-										// The ghost-row filter needs no delegates;
-										// the outbox exists only for them.
-										if threshold == 0 {
-											suppressed += res.Suppressed
-											if res.BatchedBroadcasts != 0 || res.CoalescedBroadcasts != 0 {
-												t.Fatalf("delegate-free solve reports outbox traffic: batched=%d coalesced=%d",
-													res.BatchedBroadcasts, res.CoalescedBroadcasts)
-											}
-										}
-									})
-								}
+		for _, bsp := range []bool{false, true} {
+			for _, queue := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
+				for _, ranks := range []int{1, 2, 3, 4, 5, 8} {
+					opts := Options{Ranks: ranks, Queue: queue, Partition: kind, BSP: bsp}
+					timing := map[bool]string{false: "async", true: "bsp"}[bsp]
+					t.Run(fmt.Sprintf("%v/%s/%v/ranks=%d", kind, timing, queue, ranks), func(t *testing.T) {
+						for _, in := range inputs {
+							e, err := NewEngine(in.g, opts)
+							if err != nil {
+								t.Fatal(err)
 							}
-						})
-					}
+							defer e.Close()
+							for m, spec := range in.specs {
+								t.Run(fmt.Sprintf("%v/%s", spec.Mode, in.name), func(t *testing.T) {
+									res, err := e.SolveSpec(spec)
+									if err != nil {
+										t.Fatal(err)
+									}
+									assertMatchesReference(t, res, in.want[m])
+									checkAnswerInvariants(t, in.g, spec, res)
+									// Not only the rows the tree walks through:
+									// every vertex's label is the reference's.
+									got, want := voronoi.Collect(e.slabs, in.g.NumVertices()), in.want[m].cells
+									for v := graph.VID(0); int(v) < in.g.NumVertices(); v++ {
+										gs, gp, gd := got.Get(v)
+										if ws, wp, wd := want.Get(v); gs != ws || gp != wp || gd != wd {
+											t.Fatalf("vertex %d: row (%d, %d, %d), reference (%d, %d, %d)", v, gd, gs, gp, wd, ws, wp)
+										}
+									}
+									suppressed += res.Suppressed
+								})
+							}
+						}
+					})
 				}
 			}
 		}
 	}
 	if suppressed == 0 {
-		t.Fatal("delegate-free solves suppressed nothing — the ghost-row filter is dead")
+		t.Fatal("the solves suppressed nothing — the ghost-row filter is dead")
 	}
 
 	t.Run("ties", func(t *testing.T) {
@@ -443,11 +432,10 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 				}
 			}
 			opts := Options{
-				Ranks:             1 + rng.Intn(6),
-				Queue:             []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority}[rng.Intn(2)],
-				Partition:         []PartitionKind{PartitionBlock, PartitionArcBlock}[rng.Intn(2)],
-				DelegateThreshold: []int{0, 4, 12}[rng.Intn(3)],
-				BSP:               rng.Intn(2) == 0,
+				Ranks:     1 + rng.Intn(6),
+				Queue:     []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority}[rng.Intn(2)],
+				Partition: []PartitionKind{PartitionBlock, PartitionArcBlock}[rng.Intn(2)],
+				BSP:       rng.Intn(2) == 0,
 			}
 			want, feasible := referenceSolve(t, g, spec)
 			res, err := SolveQuery(g, spec, opts)
@@ -467,17 +455,16 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 	})
 }
 
-// TestDelegateFloodUnderReorderingMatchesSequential is the cell the table
-// above does not have: delegates with delivery order scrambled, in process
-// and over TCP. Under the priority queue a row keeps one queue entry and a
-// better label replaces it; a delegate broadcast is the one entry Admit
-// always passes, so a worse one can arrive after a better one, and it must
-// not take a row's slot (voronoi.run). Loopback engines shuffle every inbound
-// batch, under every queue, async and BSP, and every row must be
-// voronoi.Sequential's. TCP workers cannot shuffle — the option has no wire
+// TestFloodUnderReorderingMatchesSequential is the cell the table above does
+// not have: delivery order scrambled, in process and over TCP. Under the
+// priority queue a row keeps one queue entry and a better label replaces
+// it, so an offer that arrives late must neither lose a better label nor
+// take a slot it has no label for (voronoi.run). Loopback engines shuffle
+// every inbound batch, under every queue, async and BSP, and every row must
+// be voronoi.Sequential's. TCP workers cannot shuffle — the option has no wire
 // field — so the fleet's arrival order is perturbed by the chaos shim's
 // seeded delays instead, and its answers must be the reference's.
-func TestDelegateFloodUnderReorderingMatchesSequential(t *testing.T) {
+func TestFloodUnderReorderingMatchesSequential(t *testing.T) {
 	g := tieTestGraph(41, 150)
 	rng := rand.New(rand.NewSource(42))
 	specs := []QuerySpec{TreeSpec(pickEngineSeeds(rng, 150, 5)), TreeSpec(pickEngineSeeds(rng, 150, 16))}
@@ -485,7 +472,7 @@ func TestDelegateFloodUnderReorderingMatchesSequential(t *testing.T) {
 	for i, spec := range specs {
 		wants[i], _ = referenceSolve(t, g, spec)
 	}
-	base := Options{Ranks: 4, Queue: rt.QueuePriority, Partition: PartitionBlock, DelegateThreshold: 6}
+	base := Options{Ranks: 4, Queue: rt.QueuePriority, Partition: PartitionBlock}
 	for _, bsp := range []bool{false, true} {
 		for _, queue := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
 			for shuffle := int64(1); shuffle <= 3; shuffle++ {
@@ -503,9 +490,6 @@ func TestDelegateFloodUnderReorderingMatchesSequential(t *testing.T) {
 							t.Fatal(err)
 						}
 						label := fmt.Sprintf("k=%d", len(spec.Seeds))
-						if res.BatchedBroadcasts == 0 {
-							t.Fatalf("%s: no delegate broadcast", label)
-						}
 						assertMatchesReference(t, res, wants[i])
 						got := voronoi.Collect(e.slabs, g.NumVertices())
 						for v := graph.VID(0); int(v) < g.NumVertices(); v++ {
@@ -529,8 +513,8 @@ func TestDelegateFloodUnderReorderingMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.BatchedBroadcasts == 0 || res.Net.FramesOut == 0 {
-				t.Fatalf("k=%d: batched %d broadcasts over %d frames", len(spec.Seeds), res.BatchedBroadcasts, res.Net.FramesOut)
+			if res.Net.FramesOut == 0 {
+				t.Fatalf("k=%d: the fleet sent no frames", len(spec.Seeds))
 			}
 			res.Net = rt.TransportStats{} // the one field a TCP answer may differ in
 			assertMatchesReference(t, res, wants[i])

@@ -40,7 +40,7 @@ type PhaseStat struct {
 // the replicated distance graph and message buffers).
 type MemoryStats struct {
 	GraphBytes     int64
-	ShardBytes     int64 // rank-local CSR slabs + delegate stripes, all ranks
+	ShardBytes     int64 // rank-local CSR slabs, all ranks
 	StateBytes     int64 // per-vertex Voronoi state
 	EdgeTableBytes int64 // local + merged cross-cell edge tables
 	DistGraphBytes int64 // replicated G'₁ + MST per rank
@@ -89,13 +89,8 @@ type Result struct {
 	// its fields read as the Result's own:
 	//   - Sent, Processed, Batches: visitor messages and batch deliveries.
 	//   - Suppressed: cross-rank relaxation offers the sender dropped because
-	//     a local bound already beat them — the delegate mirror, or the best
-	//     offer the rank had already sent that vertex (its ghost row), so it
-	//     is nonzero without delegates too.
-	//   - BatchedBroadcasts, CoalescedBroadcasts: delegate offers that left a
-	//     rank's superstep outbox as real broadcasts, and offers absorbed
-	//     into an already-staged entry for the same delegate (each a
-	//     broadcast that never happened).
+	//     the best offer the rank had already sent that vertex (its ghost
+	//     row) beat them.
 	//   - Net: transport traffic attributable to this query, summed over the
 	//     worker processes. All zero on the in-process loopback backend.
 	rt.Stats

@@ -38,9 +38,7 @@ func assertResultsEquivalent(t *testing.T, label string, got, want *Result) {
 // independently and identically.
 func TestNewSiblingSharesShards(t *testing.T) {
 	g := engineTestGraph(113, 250)
-	opts := Default(3)
-	opts.DelegateThreshold = 6
-	first, err := NewEngine(g, opts)
+	first, err := NewEngine(g, Default(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,18 +80,14 @@ func TestNewSiblingSharesShards(t *testing.T) {
 func TestEngineShardStats(t *testing.T) {
 	g := engineTestGraph(101, 200)
 	opts := Default(4)
-	opts.DelegateThreshold = 5
 	e, err := NewEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	s := e.ShardStats()
-	if s.Partition != opts.Partition.String() || s.Ranks != 4 || s.DelegateThreshold != 5 {
+	if s.Partition != opts.Partition.String() || s.Ranks != 4 {
 		t.Fatalf("metadata wrong: %+v", s)
-	}
-	if s.Delegates == 0 {
-		t.Fatalf("threshold 5 on a random graph marked no delegates: %+v", s)
 	}
 	if s.ShardBytes <= 0 || s.MaxShardBytes <= 0 || s.MaxShardBytes > s.ShardBytes {
 		t.Fatalf("shard byte accounting inconsistent: %+v", s)
@@ -125,9 +119,8 @@ func TestEngineMemoryCountsResolvedColumnsAndGhostRows(t *testing.T) {
 		owned, ghosts = 4, 4
 		arcs          = owned * 7
 		// offsets, then weights + resolved column (no target VIDs), the
-		// empty stripe's one offset, the ghost list; the row index is two
-		// numbers.
-		shardBytes = (owned+1)*8 + arcs*(4+4) + 8 + ghosts*4
+		// ghost list; the row index is two numbers.
+		shardBytes = (owned+1)*8 + arcs*(4+4) + ghosts*4
 		// src + pred + dist + epoch + walked per owned row; dist + src + pred
 		// + epoch per ghost row.
 		slabBytes = owned*(4+4+8+8+8) + ghosts*(8+4+4+8)

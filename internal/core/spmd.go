@@ -201,9 +201,9 @@ func mergeRuns(runs [][]graph.Edge, n int) []graph.Edge {
 // haloPlan is one rank's phase-2 halo, planned once per session: Alg. 5
 // needs both labels of an edge {u, v}, u < v, at u's owner, a lower rank.
 // send[q] lists the owned rows peer q needs, recv[q] the ghost slots of q's
-// vertices that an owned row (not a delegate stripe) points at, ascending:
-// adjacency is symmetric, so both name the same vertices in the same order
-// and a label lands by position.
+// vertices above the owned range, ascending: every ghost slot is the target
+// of an owned row's arc and adjacency is symmetric, so both name the same
+// vertices in the same order and a label lands by position.
 type haloPlan struct {
 	send, recv [][]int32
 	high       int32    // the first ghost slot above the owned range
@@ -215,25 +215,20 @@ func newHaloPlan(sh *graph.Shard, owner func(graph.VID) int) haloPlan {
 	p := haloPlan{send: make([][]int32, sh.NumRanks()), recv: make([][]int32, sh.NumRanks()), out: make([][]byte, sh.NumRanks())}
 	lo := sh.Rows().VertexAt(0)
 	p.high = int32(sort.Search(sh.NumGhosts(), func(g int) bool { return sh.Target(^int32(g)) >= lo }))
-	needed := make([]bool, sh.NumGhosts())
 	for i := int32(0); int(i) < sh.NumOwned(); i++ {
 		_, refs := sh.RowArcs(i)
 		for _, ref := range refs {
-			if ref >= 0 {
+			if ref >= 0 || ^ref >= p.high {
 				continue
 			}
-			if ^ref >= p.high {
-				needed[^ref] = true
-			} else if q := owner(sh.Target(ref)); len(p.send[q]) == 0 || p.send[q][len(p.send[q])-1] != i {
+			if q := owner(sh.Target(ref)); len(p.send[q]) == 0 || p.send[q][len(p.send[q])-1] != i {
 				p.send[q] = append(p.send[q], i)
 			}
 		}
 	}
-	for g, ok := range needed {
-		if ok {
-			q := owner(sh.Target(^int32(g)))
-			p.recv[q] = append(p.recv[q], int32(g))
-		}
+	for g := p.high; int(g) < sh.NumGhosts(); g++ {
+		q := owner(sh.Target(^g))
+		p.recv[q] = append(p.recv[q], g)
 	}
 	return p
 }

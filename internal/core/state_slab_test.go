@@ -8,9 +8,8 @@ import (
 )
 
 // TestEngineRanksOwningZeroVertices covers the degenerate partitions where
-// some ranks own no vertices at all — more ranks than vertices (block), and
-// a delegated hash cut of a tiny graph — so their slabs have zero owned
-// rows (delegate-only slabs when thresholds mark hubs). Solves must still
+// some ranks own no vertices at all — more ranks than vertices, under both
+// partition kinds — so their slabs have zero owned rows. Solves must still
 // match a one-rank engine's exactly (which the reference test holds against
 // the sequential oracle).
 func TestEngineRanksOwningZeroVertices(t *testing.T) {
@@ -25,42 +24,31 @@ func TestEngineRanksOwningZeroVertices(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
-		for _, threshold := range []int{0, 3} {
-			opts := Options{
-				Ranks:             12,
-				Queue:             rt.QueuePriority,
-				Partition:         kind,
-				DelegateThreshold: threshold,
-			}
-			e, err := NewEngine(g, opts)
-			if err != nil {
-				t.Fatalf("%v thr=%d: %v", kind, threshold, err)
-			}
-			empty := 0
-			for _, sl := range e.slabs {
-				if sl.NumOwned() == 0 {
-					empty++
-					if threshold > 0 && sl.NumMirrored() == 0 {
-						t.Fatalf("%v thr=%d: empty rank mirrors no delegates", kind, threshold)
-					}
-				}
-			}
-			if empty == 0 {
-				t.Fatalf("%v: 12 ranks over 7 vertices left no rank empty", kind)
-			}
-			for _, seeds := range [][]graph.VID{{0, 6}, {1, 3, 5}, {0, 2, 4, 6}} {
-				got, err := e.Solve(seeds)
-				if err != nil {
-					t.Fatalf("%v thr=%d seeds %v: %v", kind, threshold, seeds, err)
-				}
-				want, err := Solve(g, seeds, Options{Ranks: 1, Queue: rt.QueuePriority})
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertResultsEquivalent(t, kind.String(), got, want)
-			}
-			e.Close()
+		e, err := NewEngine(g, Options{Ranks: 12, Queue: rt.QueuePriority, Partition: kind})
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
 		}
+		empty := 0
+		for _, sl := range e.slabs {
+			if sl.NumOwned() == 0 {
+				empty++
+			}
+		}
+		if empty == 0 {
+			t.Fatalf("%v: 12 ranks over 7 vertices left no rank empty", kind)
+		}
+		for _, seeds := range [][]graph.VID{{0, 6}, {1, 3, 5}, {0, 2, 4, 6}} {
+			got, err := e.Solve(seeds)
+			if err != nil {
+				t.Fatalf("%v seeds %v: %v", kind, seeds, err)
+			}
+			want, err := Solve(g, seeds, Options{Ranks: 1, Queue: rt.QueuePriority})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertResultsEquivalent(t, kind.String(), got, want)
+		}
+		e.Close()
 	}
 }
 
@@ -69,9 +57,7 @@ func TestEngineRanksOwningZeroVertices(t *testing.T) {
 // per-query state and two engines solving concurrently must not share them.
 func TestSiblingsGetOwnSlabs(t *testing.T) {
 	g := engineTestGraph(171, 200)
-	opts := Default(3)
-	opts.DelegateThreshold = 6
-	first, err := NewEngine(g, opts)
+	first, err := NewEngine(g, Default(3))
 	if err != nil {
 		t.Fatal(err)
 	}

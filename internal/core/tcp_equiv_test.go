@@ -58,8 +58,7 @@ func tcpEquivSeedSets(g *graph.Graph) [][]graph.VID {
 
 // checkTCPMatchesLoopback runs seedSets on a loopback engine and on a
 // 4-worker rankd fleet built with the same opts, and requires
-// solver-output fields byte-identical, traffic on the wire only for TCP,
-// and batched delegate broadcasts on both sides when delegates are on.
+// solver-output fields byte-identical and traffic on the wire only for TCP.
 func checkTCPMatchesLoopback(t *testing.T, g *graph.Graph, seedSets [][]graph.VID, opts Options, label string) {
 	t.Helper()
 	loop, err := NewEngine(g, opts)
@@ -86,15 +85,11 @@ func checkTCPMatchesLoopback(t *testing.T, g *graph.Graph, seedSets [][]graph.VI
 		if want.Net.FramesOut != 0 {
 			t.Fatalf("%s: loopback solve reports transport traffic: %+v", label, want.Net)
 		}
-		if opts.DelegateThreshold > 0 && (got.BatchedBroadcasts == 0 || want.BatchedBroadcasts == 0) {
-			t.Fatalf("%s: delegate solve batched nothing (tcp=%d loopback=%d)",
-				label, got.BatchedBroadcasts, want.BatchedBroadcasts)
-		}
 	}
 }
 
 // TestTCPBackendMatchesLoopback is the transport-equivalence acceptance
-// test: for partition kinds × delegate thresholds × {async, BSP}, a
+// test: for partition kinds × {async, BSP}, a
 // 4-worker rankd cluster driven over TCP returns Results byte-identical
 // (solver-output fields) to the in-process loopback backend — and both
 // match across repeated queries on the same warm session.
@@ -102,26 +97,20 @@ func TestTCPBackendMatchesLoopback(t *testing.T) {
 	g := engineTestGraph(17, 120)
 	seedSets := tcpEquivSeedSets(g)
 	kinds := []PartitionKind{PartitionBlock, PartitionArcBlock}
-	thresholds := []int{0, 3, 6}
-	bsps := []bool{false, true}
-	if testing.Short() { // the full matrix spins up 12 worker fleets; -short keeps two
+	if testing.Short() { // the full matrix spins up 4 worker fleets; -short keeps two
 		kinds = []PartitionKind{Default(4).Partition}
-		thresholds = []int{6}
 	}
 	for _, kind := range kinds {
-		for _, threshold := range thresholds {
-			for _, bsp := range bsps {
-				label := fmt.Sprintf("%v/thr=%d/bsp=%v", kind, threshold, bsp)
-				t.Run(label, func(t *testing.T) {
-					checkTCPMatchesLoopback(t, g, seedSets, Options{
-						Ranks:             4,
-						Queue:             rt.QueuePriority,
-						Partition:         kind,
-						DelegateThreshold: threshold,
-						BSP:               bsp,
-					}, label)
-				})
-			}
+		for _, bsp := range []bool{false, true} {
+			label := fmt.Sprintf("%v/bsp=%v", kind, bsp)
+			t.Run(label, func(t *testing.T) {
+				checkTCPMatchesLoopback(t, g, seedSets, Options{
+					Ranks:     4,
+					Queue:     rt.QueuePriority,
+					Partition: kind,
+					BSP:       bsp,
+				}, label)
+			})
 		}
 	}
 }
@@ -129,27 +118,20 @@ func TestTCPBackendMatchesLoopback(t *testing.T) {
 // TestTCPBackendFIFOMatchesLoopback is the same property under the other
 // queue discipline: Setup ships Queue = FIFO, every worker floods
 // first-in-first-out, and the fleet still answers byte for byte as the
-// loopback engine does, async and BSP, with and without delegates.
+// loopback engine does, async and BSP.
 func TestTCPBackendFIFOMatchesLoopback(t *testing.T) {
 	g := engineTestGraph(17, 120)
 	seedSets := tcpEquivSeedSets(g)
-	thresholds := []int{0, 3, 6}
-	if testing.Short() {
-		thresholds = []int{6}
-	}
-	for _, threshold := range thresholds {
-		for _, bsp := range []bool{false, true} {
-			label := fmt.Sprintf("thr=%d/bsp=%v", threshold, bsp)
-			t.Run(label, func(t *testing.T) {
-				checkTCPMatchesLoopback(t, g, seedSets, Options{
-					Ranks:             4,
-					Queue:             rt.QueueFIFO,
-					Partition:         Default(4).Partition,
-					DelegateThreshold: threshold,
-					BSP:               bsp,
-				}, "fifo/"+label)
-			})
-		}
+	for _, bsp := range []bool{false, true} {
+		label := fmt.Sprintf("bsp=%v", bsp)
+		t.Run(label, func(t *testing.T) {
+			checkTCPMatchesLoopback(t, g, seedSets, Options{
+				Ranks:     4,
+				Queue:     rt.QueueFIFO,
+				Partition: Default(4).Partition,
+				BSP:       bsp,
+			}, "fifo/"+label)
+		})
 	}
 }
 

@@ -230,12 +230,12 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 		}
 		vlo, vhi := part.Range(sl.Rank)
 		sh, err := graph.NewShardFromSlices(setup.NumVertices, sl.Rank, setup.Ranks, vlo, vhi, sl.Offsets,
-			sl.Targets, sl.Weights, setup.Delegates, sl.StripeOff, sl.StripeTargets, sl.StripeWeights)
+			sl.Targets, sl.Weights)
 		if err != nil {
 			return nil, fmt.Errorf("core: inconsistent setup geometry (rank %d shard slice): %w", sl.Rank, err)
 		}
 		shards = append(shards, sh)
-		slab := voronoi.NewStateSlab(sl.Rank, vlo, vhi, setup.Delegates, sh)
+		slab := voronoi.NewStateSlab(sl.Rank, vlo, vhi, sh)
 		slabs = append(slabs, slab)
 		w.shardBytes += sh.MemoryBytes()
 		w.stateBytes += slab.MemoryBytes()
@@ -279,15 +279,12 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 }
 
 // workerPartition rebuilds the session's vertex partition from its wire
-// form: the P+1 range bounds and the delegate list.
+// form, the P+1 range bounds.
 func workerPartition(setup wire.Setup) (*partition.Partition, error) {
 	part, err := partition.NewFromBounds(setup.Bounds)
 	if err == nil && (part.NumRanks() != setup.Ranks || part.NumVertices() != setup.NumVertices) {
 		err = fmt.Errorf("bounds describe %d ranks over %d vertices, want %d over %d",
 			part.NumRanks(), part.NumVertices(), setup.Ranks, setup.NumVertices)
-	}
-	if err == nil {
-		part, err = partition.WithDelegateList(part, setup.Delegates)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: inconsistent setup geometry (partition): %w", err)

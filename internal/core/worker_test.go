@@ -13,10 +13,9 @@ import (
 
 // TestWorkerRejectsOutOfRangeSetup pins the Setup boundary: a worker handed
 // an enum byte it does not know, a rank range that is empty, descending or
-// outside the session, partition bounds or delegates that do not fit the
-// graph, or shard columns that do not describe its range (short or
-// decreasing offsets, a target outside the graph, stripes that do not
-// match the delegates) answers with an Abort naming the offending values and
+// outside the session, partition bounds that do not fit the graph, or shard
+// columns that do not describe its range (short or decreasing offsets, a
+// target outside the graph) answers with an Abort naming the offending values and
 // exits with the same error — it never substitutes a default, indexes a
 // table past its end or sizes an allocation by a bad target.
 func TestWorkerRejectsOutOfRangeSetup(t *testing.T) {
@@ -25,7 +24,7 @@ func TestWorkerRejectsOutOfRangeSetup(t *testing.T) {
 		Queue:  uint8(rt.QueuePriority),
 		Bounds: []graph.VID{0, 2},
 		Shards: []wire.ShardSlice{{Rank: 0, Offsets: []int64{0, 1, 2}, Targets: []graph.VID{1, 0},
-			Weights: []uint32{5, 5}, StripeOff: []int64{0}}},
+			Weights: []uint32{5, 5}}},
 	}
 	// slice mutates the valid setup's one shard slice, on a copy.
 	slice := func(mutate func(*wire.ShardSlice)) func(*wire.Setup) {
@@ -54,20 +53,12 @@ func TestWorkerRejectsOutOfRangeSetup(t *testing.T) {
 		{"ranks-descending", func(s *wire.Setup) { s.RankLo = []int64{1, 0} }, geometry},
 		{"bounds-vertex-count", func(s *wire.Setup) { s.Bounds = []graph.VID{0, 3} }, geometry},
 		{"bounds-missing", func(s *wire.Setup) { s.Bounds = nil }, geometry},
-		{"delegate-out-of-range", func(s *wire.Setup) { s.Delegates = []graph.VID{2} }, geometry},
 		{"target-negative", slice(func(sl *wire.ShardSlice) { sl.Targets[0] = -1 }), geometry},
 		{"target-huge", slice(func(sl *wire.ShardSlice) { sl.Targets[0] = 1<<31 - 2 }), geometry},
 		{"offsets-short", slice(func(sl *wire.ShardSlice) { sl.Offsets = sl.Offsets[:2] }), geometry},
 		{"offsets-decreasing", slice(func(sl *wire.ShardSlice) { sl.Offsets[1] = 3 }), geometry},
 		{"offsets-past-weights", slice(func(sl *wire.ShardSlice) { sl.Offsets[2] = 3 }), geometry},
 		{"targets-without-weights", slice(func(sl *wire.ShardSlice) { sl.Targets = append(sl.Targets, 1) }), geometry},
-		{"stripes-without-delegates", slice(func(sl *wire.ShardSlice) { sl.StripeOff = []int64{0, 0} }), geometry},
-		{"stripe-target", func(s *wire.Setup) {
-			s.Delegates = []graph.VID{1}
-			slice(func(sl *wire.ShardSlice) {
-				sl.StripeOff, sl.StripeTargets, sl.StripeWeights = []int64{0, 1}, []graph.VID{7}, []uint32{3}
-			})(s)
-		}, geometry},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -98,7 +98,7 @@ var Registry = map[string]Runner{
 	"table7":             Table67,
 	"fig9":               Fig9,
 	"ablation-bsp":       AblationBSP,
-	"ablation-delegates": AblationDelegates,
+	"ablation-partition": AblationPartition,
 	"ablation-mst":       AblationMST,
 }
 
@@ -107,7 +107,7 @@ func Names() []string {
 	order := []string{
 		"table1", "table3", "fig3", "fig4", "table4", "fig5", "fig6",
 		"fig7", "fig8", "table5", "table6", "table7", "fig9",
-		"ablation-bsp", "ablation-delegates", "ablation-mst",
+		"ablation-bsp", "ablation-partition", "ablation-mst",
 	}
 	out := make([]string, 0, len(order))
 	seen := map[string]bool{}

@@ -60,15 +60,13 @@ func FuzzReadBinary(f *testing.F) {
 // shardFuzzInput encodes NewShardFromSlices' arguments the way
 // FuzzShardFromSlices decodes them: varints for n, the rank count, the rank
 // and the range, then each column as a length and its entries.
-func shardFuzzInput(n, numRanks, rank int, lo, hi VID, offsets []int64, targets []VID, weights []uint32,
-	delegates []VID, stripeOff []int64, stripeTargets []VID, stripeWeights []uint32) []byte {
+func shardFuzzInput(n, numRanks, rank int, lo, hi VID, offsets []int64, targets []VID, weights []uint32) []byte {
 	var b []byte
 	put := func(v int64) { b = binary.AppendVarint(b, v) }
 	for _, v := range []int64{int64(n), int64(numRanks), int64(rank), int64(lo), int64(hi)} {
 		put(v)
 	}
-	for _, col := range [][]int64{offsets, convert[VID, int64](targets), convert[uint32, int64](weights),
-		convert[VID, int64](delegates), stripeOff, convert[VID, int64](stripeTargets), convert[uint32, int64](stripeWeights)} {
+	for _, col := range [][]int64{offsets, convert[VID, int64](targets), convert[uint32, int64](weights)} {
 		put(int64(len(col)))
 		for _, v := range col {
 			put(v)
@@ -88,23 +86,21 @@ func convert[From, To VID | uint32 | int64](vs []From) []To {
 
 // FuzzShardFromSlices feeds arbitrary wire columns to NewShardFromSlices,
 // the boundary a rankd worker rebuilds its shard at. The contract: it
-// returns an error, or a shard whose every row and delegate stripe reads
-// back in range — each resolved target an owned row or a ghost slot, and
+// returns an error, or a shard whose every row reads back in range — each resolved target an owned row or a ghost slot, and
 // Target recovering exactly the target the column carried.
 func FuzzShardFromSlices(f *testing.F) {
 	g := MustFromEdges(6, []Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}, {U: 2, V: 3, W: 1},
 		{U: 3, V: 4, W: 4}, {U: 4, V: 5, W: 2}, {U: 1, V: 4, W: 7}, {U: 0, V: 4, W: 1}})
-	delegates := []VID{4}
 	for rank := 0; rank < 2; rank++ {
 		lo, hi := VID(3*rank), VID(3*rank+3)
-		offsets, targets, weights, stripeOff, stripeTargets, stripeWeights := CutShard(g, rank, 2, lo, hi, delegates)
-		f.Add(shardFuzzInput(6, 2, rank, lo, hi, offsets, targets, weights, delegates, stripeOff, stripeTargets, stripeWeights))
+		offsets, targets, weights := CutShard(g, lo, hi)
+		f.Add(shardFuzzInput(6, 2, rank, lo, hi, offsets, targets, weights))
 		bad := append([]VID(nil), targets...)
 		bad[0] = -1
-		f.Add(shardFuzzInput(6, 2, rank, lo, hi, offsets, bad, weights, delegates, stripeOff, stripeTargets, stripeWeights))
-		f.Add(shardFuzzInput(6, 2, rank, lo, hi, offsets[:2], targets, weights, delegates, stripeOff, stripeTargets, stripeWeights))
+		f.Add(shardFuzzInput(6, 2, rank, lo, hi, offsets, bad, weights))
+		f.Add(shardFuzzInput(6, 2, rank, lo, hi, offsets[:2], targets, weights))
 	}
-	f.Add(shardFuzzInput(6, 1, 0, 0, 0, []int64{0}, nil, nil, nil, []int64{0}, nil, nil))
+	f.Add(shardFuzzInput(6, 1, 0, 0, 0, []int64{0}, nil, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		next := func() int64 {
@@ -125,40 +121,27 @@ func FuzzShardFromSlices(f *testing.F) {
 		n, numRanks := 1+int(uint64(next())%64), 1+int(uint64(next())%4)
 		rank, lo, hi := int(next()), VID(next()), VID(next())
 		offsets, targets, weights := column(), vids(column()), ws(column())
-		delegates := vids(column())
-		stripeOff, stripeTargets, stripeWeights := column(), vids(column()), ws(column())
-		s, err := NewShardFromSlices(n, rank, numRanks, lo, hi, offsets, targets, weights,
-			delegates, stripeOff, stripeTargets, stripeWeights)
+		s, err := NewShardFromSlices(n, rank, numRanks, lo, hi, offsets, targets, weights)
 		if err != nil {
 			return
-		}
-		check := func(what string, ws []uint32, refs []int32, want []VID) {
-			if len(ws) != len(want) || len(refs) != len(want) {
-				t.Fatalf("%s: %d weights, %d refs for %d arcs", what, len(ws), len(refs), len(want))
-			}
-			for j, ref := range refs {
-				if ref >= int32(s.NumOwned()) || (ref < 0 && int(^ref) >= s.NumGhosts()) {
-					t.Fatalf("%s arc %d: ref %d outside %d rows and %d ghosts", what, j, ref, s.NumOwned(), s.NumGhosts())
-				}
-				if u := s.Target(ref); u != want[j] || u < 0 || int(u) >= n {
-					t.Fatalf("%s arc %d: Target %d, column carried %d", what, j, u, want[j])
-				}
-			}
 		}
 		if s.NumOwned() != int(hi-lo) {
 			t.Fatalf("NumOwned %d for range [%d,%d)", s.NumOwned(), lo, hi)
 		}
 		for i := int32(0); int(i) < s.NumOwned(); i++ {
 			ws, refs := s.RowArcs(i)
-			check("row", ws, refs, targets[offsets[i]:offsets[i+1]])
-		}
-		last := map[VID]int{}
-		for i, d := range delegates {
-			last[d] = i
-		}
-		for d, i := range last {
-			ws, refs := s.StripeArcs(d)
-			check("stripe", ws, refs, stripeTargets[stripeOff[i]:stripeOff[i+1]])
+			want := targets[offsets[i]:offsets[i+1]]
+			if len(ws) != len(want) || len(refs) != len(want) {
+				t.Fatalf("row %d: %d weights, %d refs for %d arcs", i, len(ws), len(refs), len(want))
+			}
+			for j, ref := range refs {
+				if ref >= int32(s.NumOwned()) || (ref < 0 && int(^ref) >= s.NumGhosts()) {
+					t.Fatalf("row %d arc %d: ref %d outside %d rows and %d ghosts", i, j, ref, s.NumOwned(), s.NumGhosts())
+				}
+				if u := s.Target(ref); u != want[j] || u < 0 || int(u) >= n {
+					t.Fatalf("row %d arc %d: Target %d, column carried %d", i, j, u, want[j])
+				}
+			}
 		}
 	})
 }

@@ -3,8 +3,8 @@
 // positively integer-weighted graph, plus breadth-first search, connected
 // components, tree utilities and simple binary/text serialization. Shard is
 // the rank-local view of a partitioned graph — a compact CSR slab of one
-// rank's owned adjacency plus materialized delegate stripes — that the
-// distributed traversals run on instead of the shared global CSR.
+// rank's owned adjacency — that the distributed traversals run on instead
+// of the shared global CSR.
 //
 // The representation follows the paper's conventions (§II): the background
 // graph G(V, E, d) is undirected and stored symmetrically, so a graph with

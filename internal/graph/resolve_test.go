@@ -13,9 +13,8 @@ import (
 )
 
 // TestPropertyResolvedColumn pins the per-arc resolved targets over every
-// partition kind with and without delegates (checkShards), and that the
-// cases are not vacuous: some ranks have ghosts, and stripes exist exactly
-// when delegates do.
+// partition kind (checkShards), and that the cases are not vacuous: some
+// ranks have ghosts.
 func TestPropertyResolvedColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	const n, p = 180, 4
@@ -24,7 +23,7 @@ func TestPropertyResolvedColumn(t *testing.T) {
 		b.AddEdge(graph.VID(rng.Intn(v)), graph.VID(v), uint32(rng.Intn(20))+1)
 	}
 	for i := 0; i < 3*n; i++ {
-		// Squared draws skew degrees so the delegate threshold selects some.
+		// Squared draws skew degrees, as on the scale-free graphs.
 		u := graph.VID(rng.Intn(n) * rng.Intn(n) / n)
 		b.AddEdge(u, graph.VID(rng.Intn(n)), uint32(rng.Intn(20))+1)
 	}
@@ -33,35 +32,27 @@ func TestPropertyResolvedColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []string{"block", "arcblock"} {
-		for _, threshold := range []int{0, 10} {
-			label := fmt.Sprintf("%s threshold %d", kind, threshold)
-			plan := shardTestPlan(t, g, kind, p, threshold)
-			if (plan.NumDelegates() > 0) != (threshold > 0) {
-				t.Fatalf("%s: %d delegates", label, plan.NumDelegates())
-			}
-			ghosts, stripeArcs := checkShards(t, label, g, plan)
-			if ghosts == 0 || (stripeArcs > 0) != (threshold > 0) {
-				t.Fatalf("%s: vacuous, %d ghosts and %d stripe arcs", label, ghosts, stripeArcs)
-			}
+		if ghosts := checkShards(t, kind, g, shardTestPlan(t, g, kind, p)); ghosts == 0 {
+			t.Fatalf("%s: vacuous, no ghosts", kind)
 		}
 	}
 }
 
 // FuzzShardResolve runs checkShards on arbitrary small graphs: the first
-// three bytes pick |V| (2–41), the rank count (1–4) and the delegate
-// threshold (0 = none), and every following triple is an edge. Each graph is
-// cut under both partition kinds.
+// two bytes pick |V| (2–41) and the rank count (1–4), and every following
+// triple is an edge. Each graph is cut under
+// both partition kinds.
 func FuzzShardResolve(f *testing.F) {
-	f.Add([]byte{10, 2, 0, 0, 1, 5, 1, 2, 3, 2, 3, 1, 0, 9, 4})
-	f.Add([]byte{12, 3, 3, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 5, 6, 2, 7, 11, 3})
-	f.Add([]byte{40, 4, 2, 0, 39, 1, 39, 20, 2, 20, 1, 3})
+	f.Add([]byte{10, 2, 0, 1, 5, 1, 2, 3, 2, 3, 1, 0, 9, 4})
+	f.Add([]byte{12, 3, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 5, 6, 2, 7, 11, 3})
+	f.Add([]byte{40, 4, 0, 39, 1, 39, 20, 2, 20, 1, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		if len(data) < 2 {
 			return
 		}
-		n, p, threshold := 2+int(data[0])%40, 1+int(data[1])%4, int(data[2])%6
+		n, p := 2+int(data[0])%40, 1+int(data[1])%4
 		b := graph.NewBuilder(n)
-		for data = data[3:]; len(data) >= 3; data = data[3:] {
+		for data = data[2:]; len(data) >= 3; data = data[3:] {
 			b.AddEdge(graph.VID(int(data[0])%n), graph.VID(int(data[1])%n), uint32(data[2])%30+1)
 		}
 		g, err := b.Build()
@@ -69,14 +60,13 @@ func FuzzShardResolve(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, kind := range []string{"block", "arcblock"} {
-			checkShards(t, fmt.Sprintf("%s p=%d threshold %d", kind, p, threshold), g, shardTestPlan(t, g, kind, p, threshold))
+			checkShards(t, fmt.Sprintf("%s p=%d", kind, p), g, shardTestPlan(t, g, kind, p))
 		}
 	})
 }
 
-// shardTestPlan cuts g over p ranks with the named partition kind, with
-// delegates marked when threshold > 0.
-func shardTestPlan(t *testing.T, g *graph.Graph, kind string, p, threshold int) *partition.ShardPlan {
+// shardTestPlan cuts g over p ranks with the named partition kind.
+func shardTestPlan(t *testing.T, g *graph.Graph, kind string, p int) *partition.ShardPlan {
 	t.Helper()
 	part, err := partition.NewBlock(g.NumVertices(), p)
 	if kind == "arcblock" {
@@ -85,7 +75,7 @@ func shardTestPlan(t *testing.T, g *graph.Graph, kind string, p, threshold int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := partition.NewShardPlan(partition.WithDelegates(part, g, threshold), g)
+	plan, err := partition.NewShardPlan(part, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,20 +85,18 @@ func shardTestPlan(t *testing.T, g *graph.Graph, kind string, p, threshold int) 
 // checkShards builds every rank's shard of plan twice — from g (NewShard, via
 // plan.BuildShards) and from its raw slices (CutShard, NewShardFromSlices:
 // the rankd worker path) — and checks both against g: Target(refs[j])
-// reproduces g.Adj's arcs in order, stripes included; the weights, refs and
+// reproduces g.Adj's arcs in order; the weights, refs and
 // MemoryBytes of the two builds agree; a target resolves to a row iff the
 // rank owns it, and Ref inverts Target; ghost slots are dense and strictly
 // increasing, one per distinct remote target; and EdgeWeight agrees with
 // g.HasEdge for every owned vertex against every vertex, present or absent.
-// It returns the total ghost count and stripe arcs.
-func checkShards(t *testing.T, label string, g *graph.Graph, plan *partition.ShardPlan) (ghosts int, stripeArcs int64) {
+// It returns the total ghost count.
+func checkShards(t *testing.T, label string, g *graph.Graph, plan *partition.ShardPlan) (ghosts int) {
 	t.Helper()
-	p, delegates := plan.NumRanks(), plan.Delegates()
 	for rank, sh := range plan.BuildShards(g) {
 		lo, hi := plan.Range(rank)
-		offsets, targets, weights, stripeOff, stripeTargets, stripeWeights := graph.CutShard(g, rank, p, lo, hi, delegates)
-		rebuilt, err := graph.NewShardFromSlices(g.NumVertices(), rank, p, lo, hi, offsets, targets, weights,
-			delegates, stripeOff, stripeTargets, stripeWeights)
+		offsets, targets, weights := graph.CutShard(g, lo, hi)
+		rebuilt, err := graph.NewShardFromSlices(g.NumVertices(), rank, plan.NumRanks(), lo, hi, offsets, targets, weights)
 		if err != nil {
 			t.Fatalf("%s rank %d: CutShard's own slices rejected: %v", label, rank, err)
 		}
@@ -118,7 +106,6 @@ func checkShards(t *testing.T, label string, g *graph.Graph, plan *partition.Sha
 				rebuilt.NumGhosts(), rebuilt.MemoryBytes(), sh.NumGhosts(), sh.MemoryBytes())
 		}
 		ghosts += sh.NumGhosts()
-		stripeArcs += sh.NumStripeArcs()
 
 		remote := map[graph.VID]bool{}
 		check := func(what string, ws, rws []uint32, refs, rrefs []int32, gts []graph.VID, gws []uint32) {
@@ -162,17 +149,6 @@ func checkShards(t *testing.T, label string, g *graph.Graph, plan *partition.Sha
 				}
 			}
 		}
-		for _, d := range delegates {
-			ws, refs := sh.StripeArcs(d)
-			rws, rrefs := rebuilt.StripeArcs(d)
-			ats, aws := g.Adj(d)
-			var gts []graph.VID
-			var gws []uint32
-			for j := rank; j < len(ats); j += p {
-				gts, gws = append(gts, ats[j]), append(gws, aws[j])
-			}
-			check(fmt.Sprintf("stripe of %d", d), ws, rws, refs, rrefs, gts, gws)
-		}
 		// Dense and one slot each: as many slots as distinct remote targets,
 		// and strictly increasing, so no vertex holds two.
 		if sh.NumGhosts() != len(remote) {
@@ -184,7 +160,7 @@ func checkShards(t *testing.T, label string, g *graph.Graph, plan *partition.Sha
 			}
 		}
 	}
-	return ghosts, stripeArcs
+	return ghosts
 }
 
 // refOf resolves v the way the arc columns do, from the row index and a

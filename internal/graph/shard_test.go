@@ -47,7 +47,7 @@ func TestShardSlabMatchesGlobalAdjacency(t *testing.T) {
 		{100, 100}, // empty rank
 	} {
 		lo, hi := r[0], r[1]
-		s := NewShard(g, 0, 4, lo, hi, nil)
+		s := NewShard(g, 0, 4, lo, hi)
 		if s.NumOwned() != int(hi-lo) {
 			t.Fatalf("NumOwned = %d, want %d", s.NumOwned(), hi-lo)
 		}
@@ -82,84 +82,33 @@ func TestShardSlabMatchesGlobalAdjacency(t *testing.T) {
 	}
 }
 
-func TestShardStripesCoverDelegateAdjacencyExactlyOnce(t *testing.T) {
-	g := shardTestGraph(2, 150)
-	// Pick the three highest-degree vertices as delegates.
-	delegates := []VID{}
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.Degree(VID(v)) >= 8 {
-			delegates = append(delegates, VID(v))
-		}
-	}
-	if len(delegates) == 0 {
-		t.Fatal("test graph has no high-degree vertices")
-	}
-	for _, p := range []int{1, 2, 3, 5} {
-		shards := make([]*Shard, p)
-		for rank := 0; rank < p; rank++ {
-			shards[rank] = NewShard(g, rank, p, 0, 0, delegates)
-		}
-		for _, d := range delegates {
-			gt, gw := g.Adj(d)
-			// Each global arc index i must appear in exactly rank i%p's
-			// stripe, preserving order.
-			var total int
-			for rank := 0; rank < p; rank++ {
-				sw, refs := shards[rank].StripeArcs(d)
-				st := shardTargets(shards[rank], refs)
-				for j := range st {
-					i := rank + j*p // global arc position of stripe entry j
-					if i >= len(gt) || gt[i] != st[j] || gw[i] != sw[j] {
-						t.Fatalf("p=%d delegate %d rank %d stripe[%d] = (%d,%d), want global arc %d",
-							p, d, rank, j, st[j], sw[j], i)
-					}
-				}
-				total += len(st)
-			}
-			if total != len(gt) {
-				t.Fatalf("p=%d delegate %d: stripes cover %d arcs, adjacency has %d", p, d, total, len(gt))
-			}
-		}
-	}
-}
-
 func TestShardPanicsOnForeignVertex(t *testing.T) {
 	g := shardTestGraph(3, 20)
-	s := NewShard(g, 0, 2, 0, 10, nil)
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("EdgeWeight(non-owned, _)", func() { s.EdgeWeight(15, 0) })
-	mustPanic("StripeArcs(non-delegate)", func() { s.StripeArcs(0) })
+	s := NewShard(g, 0, 2, 0, 10)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("EdgeWeight(non-owned, _) did not panic")
+		}
+	}()
+	s.EdgeWeight(15, 0)
 }
 
 func TestShardMemoryBytesAccountsArrays(t *testing.T) {
 	g := shardTestGraph(4, 100)
-	s := NewShard(g, 0, 1, 0, 100, []VID{0})
-	// One rank owns everything: slab arcs = all arcs, stripe = vertex 0's
-	// full adjacency.
+	s := NewShard(g, 0, 1, 0, 100)
+	// One rank owns everything: slab arcs = all arcs.
 	if s.NumArcs() != g.NumArcs() {
 		t.Fatalf("slab arcs %d, graph arcs %d", s.NumArcs(), g.NumArcs())
 	}
-	if s.NumStripeArcs() != int64(g.Degree(0)) {
-		t.Fatalf("stripe arcs %d, degree %d", s.NumStripeArcs(), g.Degree(0))
-	}
 	// A single rank has no remote targets, so no ghost list.
-	want := int64(101)*8 + s.NumArcs()*(4+4) + // offsets + weights + resolved column
-		int64(2)*8 + s.NumStripeArcs()*(4+4) + // stripeOff + stripe weights + resolved column
-		12 // delegateIdx entry
+	want := int64(101)*8 + s.NumArcs()*(4+4) // offsets + weights + resolved column
 	if s.NumGhosts() != 0 {
 		t.Fatalf("single-rank shard has %d ghosts", s.NumGhosts())
 	}
 	if got := s.MemoryBytes(); got != want {
 		t.Fatalf("MemoryBytes = %d, want %d", got, want)
 	}
-	if s.NumDelegates() != 1 || s.Rank() != 0 || s.NumRanks() != 1 {
-		t.Fatalf("shard metadata wrong: %d delegates rank %d/%d", s.NumDelegates(), s.Rank(), s.NumRanks())
+	if s.Rank() != 0 || s.NumRanks() != 1 {
+		t.Fatalf("shard metadata wrong: rank %d/%d", s.Rank(), s.NumRanks())
 	}
 }

@@ -1,15 +1,17 @@
 // Package partition maps vertices to ranks. The paper's scale-out design
 // (§IV) partitions the data graph so that "partitions have approximately
-// equal share of vertices; each partition is assigned to an MPI process",
-// and relies on HavoqGT's vertex-cut handling of high-degree vertices
-// ("vertex delegates") for load balance on scale-free graphs.
+// equal share of vertices; each partition is assigned to an MPI process".
 //
 // There is one ownership model: rank r owns the contiguous vertex range
-// [bounds[r], bounds[r+1]). NewBlock and NewArcBlock are two ways of
-// choosing the P+1 bounds (equal vertices, equal arcs); WithDelegates marks
-// the hub vertices whose adjacency is striped across all ranks. ShardPlan
-// makes a partition concrete: the delegate list plus the cut of the
-// per-rank graph.Shard slabs from the global CSR.
+// [bounds[r], bounds[r+1]), and each vertex's adjacency and state live on
+// its owner alone. NewBlock and NewArcBlock are two ways of choosing the
+// P+1 bounds (equal vertices, equal arcs). ShardPlan makes a partition
+// concrete: the cut of the per-rank graph.Shard slabs from the global CSR.
+//
+// HavoqGT's vertex delegates, which stripe a hub's adjacency across all
+// ranks, are not reproduced: on R-MAT 2^20 × 16 at 2, 4 and 8 ranks they
+// cut neither phase-1 critical-path work nor messages by 10 % in any cell
+// (ROADMAP, Settled).
 package partition
 
 import (
@@ -19,14 +21,9 @@ import (
 )
 
 // Partition assigns the n vertices of a graph to P ranks as P contiguous
-// ranges, and optionally marks delegates: vertices whose owner still holds
-// their state (the "controller" in HavoqGT terms) but whose updates are
-// broadcast so every rank relaxes its stripe of the adjacency (arc index
-// mod P). A Partition is immutable once built.
+// ranges. A Partition is immutable once built.
 type Partition struct {
-	bounds     []graph.VID // len P+1; rank r owns [bounds[r], bounds[r+1])
-	isDelegate []bool      // nil when no vertex is a delegate
-	delegates  int
+	bounds []graph.VID // len P+1; rank r owns [bounds[r], bounds[r+1])
 }
 
 // NewBlock divides n vertices into p contiguous ranges of near-equal size:
@@ -98,47 +95,6 @@ func NewFromBounds(bounds []graph.VID) (*Partition, error) {
 	return &Partition{bounds: append([]graph.VID(nil), bounds...)}, nil
 }
 
-// WithDelegates returns base with every vertex of g whose degree is >=
-// threshold marked as a delegate. threshold <= 0 marks none.
-func WithDelegates(base *Partition, g *graph.Graph, threshold int) *Partition {
-	d := &Partition{bounds: base.bounds}
-	if threshold <= 0 {
-		return d
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.Degree(graph.VID(v)) >= threshold {
-			if d.isDelegate == nil {
-				d.isDelegate = make([]bool, g.NumVertices())
-			}
-			d.isDelegate[v] = true
-			d.delegates++
-		}
-	}
-	return d
-}
-
-// WithDelegateList returns base with exactly the listed vertices marked as
-// delegates — the wire-side counterpart of WithDelegates for workers that
-// receive the delegate list in their session handshake instead of
-// recomputing it from graph degrees. The list must be strictly increasing
-// and inside the vertex set, as ShardPlan.Delegates yields it.
-func WithDelegateList(base *Partition, delegates []graph.VID) (*Partition, error) {
-	d := &Partition{bounds: base.bounds}
-	if len(delegates) == 0 {
-		return d, nil
-	}
-	n := base.NumVertices()
-	d.isDelegate = make([]bool, n)
-	for i, v := range delegates {
-		if v < 0 || int(v) >= n || (i > 0 && v <= delegates[i-1]) {
-			return nil, fmt.Errorf("partition: delegate list entry %d (vertex %d) is not strictly increasing in [0,%d)", i, v, n)
-		}
-		d.isDelegate[v] = true
-	}
-	d.delegates = len(delegates)
-	return d, nil
-}
-
 // Owner returns the rank whose range contains v (binary search over the
 // bounds). Empty ranges own nothing.
 func (p *Partition) Owner(v graph.VID) int {
@@ -168,9 +124,3 @@ func (p *Partition) NumVertices() int { return int(p.bounds[len(p.bounds)-1]) }
 // Bounds returns the range bounds (len P+1; read-only), the partition's
 // wire form.
 func (p *Partition) Bounds() []graph.VID { return p.bounds }
-
-// IsDelegate reports whether v is marked as a high-degree delegate.
-func (p *Partition) IsDelegate(v graph.VID) bool { return p.isDelegate != nil && p.isDelegate[v] }
-
-// NumDelegates returns the number of marked vertices.
-func (p *Partition) NumDelegates() int { return p.delegates }

@@ -223,13 +223,13 @@ func TestArcBlockMoreRanksThanVertices(t *testing.T) {
 }
 
 // TestPropertyAllKindsCoverEveryVertexExactlyOnce is the partition
-// invariant behind the shard substrate: for both bounds constructors (with
-// and without delegates, and rebuilt from their wire bounds) over random n
+// invariant behind the shard substrate: for both bounds constructors (and
+// rebuilt from their wire bounds) over random n
 // and P, each vertex is owned by exactly one rank, and the range a rank is
 // given is exactly the set Owner maps to it. ShardPlan and the per-rank
 // slabs are only correct if this holds.
 func TestPropertyAllKindsCoverEveryVertexExactlyOnce(t *testing.T) {
-	f := func(seed int64, nRaw, pRaw uint16, thrRaw uint8) bool {
+	f := func(seed int64, nRaw, pRaw uint16) bool {
 		n := int(nRaw%500) + 1
 		p := int(pRaw%12) + 1
 		g := planTestGraph(seed, n)
@@ -244,7 +244,6 @@ func TestPropertyAllKindsCoverEveryVertexExactlyOnce(t *testing.T) {
 			return false
 		}
 		for name, base := range parts {
-			parts[name+"+delegates"] = WithDelegates(base, g, int(thrRaw%16)+1)
 			wire, err := NewFromBounds(base.Bounds())
 			if err != nil {
 				return false
@@ -283,67 +282,5 @@ func TestPropertyAllKindsCoverEveryVertexExactlyOnce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDelegates(t *testing.T) {
-	// Star: vertex 0 has degree 5, leaves degree 1.
-	b := graph.NewBuilder(6)
-	for v := graph.VID(1); v <= 5; v++ {
-		b.AddEdge(0, v, 1)
-	}
-	g, _ := b.Build()
-	base, _ := NewBlock(6, 2)
-	d := WithDelegates(base, g, 5)
-	if !d.IsDelegate(0) {
-		t.Error("hub not marked as delegate")
-	}
-	for v := graph.VID(1); v <= 5; v++ {
-		if d.IsDelegate(v) {
-			t.Errorf("leaf %d marked as delegate", v)
-		}
-	}
-	if d.NumDelegates() != 1 {
-		t.Errorf("NumDelegates = %d, want 1", d.NumDelegates())
-	}
-	// Delegation disabled.
-	d0 := WithDelegates(base, g, 0)
-	if d0.NumDelegates() != 0 || d0.IsDelegate(0) {
-		t.Error("threshold 0 should disable delegation")
-	}
-	// The ranges carry over.
-	if d.Owner(3) != base.Owner(3) || d.NumRanks() != 2 {
-		t.Error("marking delegates changed the ranges")
-	}
-	// The base stays unmarked.
-	if base.IsDelegate(0) || base.NumDelegates() != 0 {
-		t.Error("block partition reported a delegate")
-	}
-}
-
-// TestDelegateList pins the wire-side delegate constructor: it marks
-// exactly the listed vertices and refuses a list that is out of range,
-// unsorted or repeats a vertex instead of indexing past the marks.
-func TestDelegateList(t *testing.T) {
-	base, _ := NewBlock(6, 2)
-	d, err := WithDelegateList(base, []graph.VID{0, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := graph.VID(0); v < 6; v++ {
-		if d.IsDelegate(v) != (v == 0 || v == 4) {
-			t.Errorf("IsDelegate(%d) = %v", v, d.IsDelegate(v))
-		}
-	}
-	if d.NumDelegates() != 2 {
-		t.Errorf("NumDelegates = %d, want 2", d.NumDelegates())
-	}
-	if d, err := WithDelegateList(base, nil); err != nil || d.NumDelegates() != 0 || d.IsDelegate(0) {
-		t.Errorf("empty list: %v, %d delegates", err, d.NumDelegates())
-	}
-	for _, list := range [][]graph.VID{{6}, {-1}, {3, 1}, {2, 2}} {
-		if _, err := WithDelegateList(base, list); err == nil {
-			t.Errorf("WithDelegateList(%v) accepted", list)
-		}
 	}
 }

@@ -23,9 +23,8 @@ func planTestGraph(seed int64, n int) *graph.Graph {
 	return g
 }
 
-// allPartitions builds both partition kinds (and a delegate-marked copy of
-// each) for g over p ranks.
-func allPartitions(t *testing.T, g *graph.Graph, p, delegateThreshold int) map[string]*Partition {
+// allPartitions builds both partition kinds for g over p ranks.
+func allPartitions(t *testing.T, g *graph.Graph, p int) map[string]*Partition {
 	t.Helper()
 	blk, err := NewBlock(g.NumVertices(), p)
 	if err != nil {
@@ -35,11 +34,7 @@ func allPartitions(t *testing.T, g *graph.Graph, p, delegateThreshold int) map[s
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]*Partition{"block": blk, "arcblock": arc}
-	for name, base := range out {
-		out[name+"+delegates"] = WithDelegates(base, g, delegateThreshold)
-	}
-	return out
+	return map[string]*Partition{"block": blk, "arcblock": arc}
 }
 
 func TestShardPlanOwnedMatchesPartition(t *testing.T) {
@@ -48,7 +43,7 @@ func TestShardPlanOwnedMatchesPartition(t *testing.T) {
 		if p > g.NumVertices() {
 			continue // more ranks than vertices leaves ranges empty; TestArcBlockMoreRanksThanVertices covers it
 		}
-		for name, part := range allPartitions(t, g, p, 10) {
+		for name, part := range allPartitions(t, g, p) {
 			plan, err := NewShardPlan(part, g)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", name, p, err)
@@ -71,28 +66,13 @@ func TestShardPlanOwnedMatchesPartition(t *testing.T) {
 					t.Fatalf("%s p=%d: vertex %d covered %d times", name, p, v, c)
 				}
 			}
-			// Delegate list must match IsDelegate exactly.
-			want := 0
-			for v := 0; v < g.NumVertices(); v++ {
-				if part.IsDelegate(graph.VID(v)) {
-					want++
-				}
-			}
-			if plan.NumDelegates() != want {
-				t.Fatalf("%s p=%d: plan has %d delegates, partition marks %d", name, p, plan.NumDelegates(), want)
-			}
-			for _, d := range plan.Delegates() {
-				if !part.IsDelegate(d) {
-					t.Fatalf("%s p=%d: plan delegate %d not marked by partition", name, p, d)
-				}
-			}
 		}
 	}
 }
 
 func TestShardPlanBuildShards(t *testing.T) {
 	g := planTestGraph(6, 90)
-	for name, part := range allPartitions(t, g, 4, 8) {
+	for name, part := range allPartitions(t, g, 4) {
 		plan, err := NewShardPlan(part, g)
 		if err != nil {
 			t.Fatal(err)
@@ -109,9 +89,6 @@ func TestShardPlanBuildShards(t *testing.T) {
 			}
 			ownedTotal += s.NumOwned()
 			slabArcs += s.NumArcs()
-			if s.NumDelegates() != plan.NumDelegates() {
-				t.Fatalf("%s: shard %d has %d delegates, plan %d", name, rank, s.NumDelegates(), plan.NumDelegates())
-			}
 			if s.MemoryBytes() <= 0 {
 				t.Fatalf("%s: shard %d reports %d bytes", name, rank, s.MemoryBytes())
 			}
@@ -133,45 +110,5 @@ func TestShardPlanRejectsMismatchedGraph(t *testing.T) {
 	}
 	if _, err := NewShardPlan(part, g); err == nil {
 		t.Fatal("mismatched partition accepted")
-	}
-}
-
-// TestStateRowsAndMirrored pins the control-state slab sizing invariants:
-// owned rows match the owned range, mirrored rows are exactly the delegates
-// the rank does not own, and across all ranks every delegate is owned by
-// exactly one rank and mirrored by the other P-1.
-func TestStateRowsAndMirrored(t *testing.T) {
-	g := planTestGraph(61, 137)
-	for name, part := range allPartitions(t, g, 4, 6) {
-		plan, err := NewShardPlan(part, g)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		totalOwned, totalMirrored := 0, 0
-		for rank := 0; rank < plan.NumRanks(); rank++ {
-			owned, mirrored := plan.StateRows(rank)
-			if lo, hi := plan.Range(rank); owned != int(hi-lo) {
-				t.Fatalf("%s rank %d: StateRows owned %d for range [%d,%d)", name, rank, owned, lo, hi)
-			}
-			want := 0
-			for _, d := range plan.Delegates() {
-				if part.Owner(d) != rank {
-					want++
-				}
-			}
-			if mirrored != want {
-				t.Fatalf("%s rank %d: StateRows mirrored %d, %d delegates are owned elsewhere",
-					name, rank, mirrored, want)
-			}
-			totalOwned += owned
-			totalMirrored += mirrored
-		}
-		if totalOwned != g.NumVertices() {
-			t.Fatalf("%s: owned rows cover %d of %d vertices", name, totalOwned, g.NumVertices())
-		}
-		if want := plan.NumDelegates() * (plan.NumRanks() - 1); totalMirrored != want {
-			t.Fatalf("%s: %d mirror rows, want %d (each delegate mirrored P-1 times)",
-				name, totalMirrored, want)
-		}
 	}
 }

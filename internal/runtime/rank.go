@@ -9,16 +9,23 @@ import (
 
 // Rank is one simulated MPI process. All methods are valid only on the
 // rank's own goroutine (inside Comm.Run's body).
+//
+// Comm.New allocates the ranks back to back. Each rank writes its counters
+// and queue state on every message, while its peers read its mailbox
+// pointer on every batch they deliver, so the padding at both ends keeps
+// two ranks' fields out of one cache line: without it, a 2-rank
+// traverse-inproc solve on a 2-vCPU host ran ≈5 % slower, depending only
+// on the struct's size.
 type Rank struct {
+	_    [cacheLine]byte
 	comm *Comm
 	id   int
 	box  *mailbox
 	out  [][]Msg // per-destination outgoing buffers
 
-	// shard is this rank's local graph substrate (owned-adjacency slab +
-	// delegate stripes), installed by Comm.AttachShards. Traversal code
-	// reads adjacency through Shard and EdgeWeight so it never touches the
-	// global CSR.
+	// shard is this rank's local graph substrate (the owned-adjacency slab),
+	// installed by Comm.AttachShards. Traversal code reads adjacency through
+	// Shard and EdgeWeight so it never touches the global CSR.
 	shard *graph.Shard
 
 	// state is this rank's local control-state slab (owned vertices'
@@ -48,14 +55,6 @@ type Rank struct {
 	// otherwise — the dominant allocation source of a solve).
 	free [][]Msg
 
-	// Delegate outbox (superstep broadcast batching): BroadcastBatched
-	// stages at most one pending broadcast per delegate, keeping only the
-	// lexicographically best (Dist, Seed) offer; flushOutbox releases the
-	// stage at superstep boundaries. k rapid improvements of one hub thus
-	// cost one P-way broadcast instead of k.
-	doutIdx map[graph.VID]int32
-	dout    []Msg
-
 	// Per-traversal counters (reset by Traverse), rank-private: the shared
 	// counters see them once per batch (publish) or per traversal (finish).
 	sentHere       int64
@@ -63,13 +62,18 @@ type Rank struct {
 	droppedHere    int64 // inbound messages finished by Admit
 	replacedHere   int64 // queue entries replaced by a push for their slot
 	suppressedHere int64
-	coalescedHere  int64
 	// counted is set for loopback asynchronous traversals, whose quiescence
 	// is detected with Comm.pending; published is the part of this rank's
 	// outstanding balance already added to it.
 	counted   bool
 	published int64
+	_         [cacheLine]byte
 }
+
+// cacheLine is the padding on each side of Rank's fields. Two ranks' fields
+// end up at least twice this far apart, which also keeps them out of one
+// 128-byte adjacent-line prefetch pair.
+const cacheLine = 64
 
 // ID returns this rank's index in [0, NumRanks).
 func (r *Rank) ID() int { return r.id }
@@ -82,14 +86,6 @@ func (r *Rank) Owner(v graph.VID) int { return r.comm.part.Owner(v) }
 
 // Owns reports whether this rank owns v.
 func (r *Rank) Owns(v graph.VID) bool { return r.comm.part.Owner(v) == r.id }
-
-// IsDelegate reports whether v is a high-degree delegate vertex.
-func (r *Rank) IsDelegate(v graph.VID) bool { return r.comm.part.IsDelegate(v) }
-
-// HasDelegates reports whether the partition marks any delegates at all —
-// a cheap gate that lets per-edge delegate checks (the changed-since
-// broadcast filter) vanish entirely on delegate-free partitions.
-func (r *Rank) HasDelegates() bool { return r.comm.part.NumDelegates() > 0 }
 
 // Shard returns this rank's local graph shard, or nil before AttachShards.
 func (r *Rank) Shard() *graph.Shard { return r.shard }
@@ -162,7 +158,7 @@ func (r *Rank) PushRow(key uint64, row int32) bool {
 }
 
 // publish adds the change in this rank's outstanding balance — messages
-// sent or staged minus messages visited, dropped or replaced — to the shared
+// sent minus messages visited, dropped or replaced — to the shared
 // termination counter, and signals quiescence when that reaches zero. It
 // runs before a batch leaves the rank (flushTo), after Init, and before the
 // rank parks; never per message. That is enough because every unpublished
@@ -176,7 +172,7 @@ func (r *Rank) publish() {
 	if !r.counted {
 		return
 	}
-	balance := r.sentHere + int64(len(r.dout)) - r.processedHere - r.droppedHere - r.replacedHere
+	balance := r.sentHere - r.processedHere - r.droppedHere - r.replacedHere
 	if d := balance - r.published; d != 0 {
 		r.published = balance
 		if r.comm.pending.Add(d) == 0 {
@@ -186,68 +182,10 @@ func (r *Rank) publish() {
 }
 
 // Suppress records one cross-rank relaxation dropped by the sender
-// (internal/voronoi): the offer was provably rejectable against a local
-// bound — the delegate mirror, or the best offer this rank already sent that
-// vertex — so it was never sent. Surfaced as Stats.Suppressed once the
-// traversal completes (Rank.finish).
+// (internal/voronoi): the offer was provably rejectable against the best
+// offer this rank already sent that vertex, so it was never sent. Surfaced
+// as Stats.Suppressed once the traversal completes (Rank.finish).
 func (r *Rank) Suppress() { r.suppressedHere++ }
-
-// Broadcast routes m to every rank including this one (used for delegate
-// hub updates). Each copy counts as one sent message.
-func (r *Rank) Broadcast(m Msg) {
-	for dest := 0; dest < r.NumRanks(); dest++ {
-		r.sentHere++
-		if dest == r.id && !r.bsp {
-			r.enqueue(m, AdmitMsg)
-			continue
-		}
-		r.buffer(dest, m)
-	}
-}
-
-// BroadcastBatched stages m in the delegate outbox instead of broadcasting
-// eagerly. At most one offer per delegate (m.Target) is staged: a strictly
-// lex-better (Dist, Seed) offer replaces the stage, anything else — worse
-// offers and exact ties — is absorbed (counted as coalesced). Absorbing a
-// tie is safe because the staged message is byte-identical to the absorbed
-// one; the tie-send rule the changed-since filter depends on concerns
-// distinct senders, and the flush always releases the staged best.
-//
-// A staged entry counts toward the rank's outstanding balance (publish), so
-// an asynchronous traversal cannot be declared terminated while offers sit
-// in an outbox.
-func (r *Rank) BroadcastBatched(m Msg) {
-	if i, ok := r.doutIdx[m.Target]; ok {
-		s := &r.dout[i]
-		if m.Dist < s.Dist || (m.Dist == s.Dist && m.Seed < s.Seed) {
-			*s = m
-		}
-		r.coalescedHere++
-		return
-	}
-	if r.doutIdx == nil {
-		r.doutIdx = make(map[graph.VID]int32)
-	}
-	r.doutIdx[m.Target] = int32(len(r.dout))
-	r.dout = append(r.dout, m)
-}
-
-// flushOutbox broadcasts every staged delegate offer and clears the stage,
-// reporting whether anything was flushed. The stage is cleared only after
-// its broadcasts are counted as sent, so a publish mid-flush over-counts.
-func (r *Rank) flushOutbox() bool {
-	n := len(r.dout)
-	if n == 0 {
-		return false
-	}
-	for _, m := range r.dout {
-		r.Broadcast(m)
-	}
-	r.comm.batchedBroadcasts.Add(int64(n))
-	r.dout = r.dout[:0]
-	clear(r.doutIdx)
-	return true
-}
 
 // buffer appends m to dest's outgoing batch (recycled from the free list
 // when possible) and flushes a full batch.

@@ -70,7 +70,9 @@ func (k QueueKind) String() string {
 // the payload fields per phase: for Voronoi cells (Alg. 4) Target is the
 // vertex being visited, From the sending vertex (predecessor candidate),
 // Seed the source seed and Dist the tentative distance. Kind discriminates
-// message roles within one traversal.
+// message roles within one traversal, and is rank-local: a message that
+// crosses ranks has Kind 0, and the wire codec (internal/wire) does not
+// carry the field.
 type Msg struct {
 	Target graph.VID
 	From   graph.VID
@@ -80,7 +82,7 @@ type Msg struct {
 }
 
 // VisitFunc handles one message on one rank, HavoqGT's visit() callback.
-// It may send further messages through r.Send/r.Broadcast.
+// It may send further messages through r.Send.
 type VisitFunc func(r *Rank, m Msg)
 
 // Config parameterizes a Comm.
@@ -172,9 +174,6 @@ type Comm struct {
 	processed  atomic.Int64
 	batches    atomic.Int64
 	suppressed atomic.Int64
-	// Delegate-outbox counters (Rank.BroadcastBatched / flushOutbox).
-	batchedBroadcasts atomic.Int64
-	coalesced         atomic.Int64
 	// idleRanks counts hosted ranks currently parked in runAsync; a busy
 	// rank skips its fairness yield when every peer is parked.
 	idleRanks atomic.Int32
@@ -538,10 +537,6 @@ func (c *Comm) resetForRun() {
 				r.recycleBuf(buf)
 			}
 		}
-		// Drop any delegate-outbox stage an aborted run left behind; the
-		// pending counter it guarded was reset above.
-		r.dout = r.dout[:0]
-		clear(r.doutIdx)
 	}
 	select {
 	case <-c.abort:
@@ -561,24 +556,17 @@ func (c *Comm) resetForRun() {
 // and Add folds shares together (across worker processes, then across
 // queries), so no layer above spells the fields out again.
 type Stats struct {
-	// Sent counts point-to-point visitor messages (broadcasts count once
-	// per destination rank, matching the paper's message-count metric).
+	// Sent counts point-to-point visitor messages, the paper's
+	// message-count metric.
 	Sent int64
 	// Processed counts Visit and Expand invocations.
 	Processed int64
 	// Batches counts cross-rank batch deliveries.
 	Batches int64
 	// Suppressed counts cross-rank relaxations dropped by the sender: offers
-	// provably rejectable against a local bound — the delegate mirror or the
-	// rank's own best earlier offer — never sent (internal/voronoi).
+	// provably rejectable against the rank's own best earlier offer, never
+	// sent (internal/voronoi).
 	Suppressed int64
-	// BatchedBroadcasts counts delegate broadcasts released by superstep
-	// outbox flushes (each one became NumRanks sent messages).
-	BatchedBroadcasts int64
-	// CoalescedBroadcasts counts delegate offers absorbed into an already
-	// staged outbox entry — broadcasts that never happened because a
-	// better or identical offer was pending for the same hub.
-	CoalescedBroadcasts int64
 	// Net reports the transport's cumulative traffic; all zero for
 	// loopback communicators.
 	Net TransportStats
@@ -590,8 +578,6 @@ func (s Stats) Sub(o Stats) Stats {
 	s.Processed -= o.Processed
 	s.Batches -= o.Batches
 	s.Suppressed -= o.Suppressed
-	s.BatchedBroadcasts -= o.BatchedBroadcasts
-	s.CoalescedBroadcasts -= o.CoalescedBroadcasts
 	s.Net = s.Net.Sub(o.Net)
 	return s
 }
@@ -602,8 +588,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.Processed += o.Processed
 	s.Batches += o.Batches
 	s.Suppressed += o.Suppressed
-	s.BatchedBroadcasts += o.BatchedBroadcasts
-	s.CoalescedBroadcasts += o.CoalescedBroadcasts
 	s.Net = s.Net.Add(o.Net)
 	return s
 }
@@ -611,12 +595,10 @@ func (s Stats) Add(o Stats) Stats {
 // Stats returns current global counters.
 func (c *Comm) Stats() Stats {
 	s := Stats{
-		Sent:                c.sent.Load(),
-		Processed:           c.processed.Load(),
-		Batches:             c.batches.Load(),
-		Suppressed:          c.suppressed.Load(),
-		BatchedBroadcasts:   c.batchedBroadcasts.Load(),
-		CoalescedBroadcasts: c.coalesced.Load(),
+		Sent:       c.sent.Load(),
+		Processed:  c.processed.Load(),
+		Batches:    c.batches.Load(),
+		Suppressed: c.suppressed.Load(),
 	}
 	if c.trans != nil {
 		s.Net = c.trans.Stats()
@@ -631,6 +613,4 @@ func (c *Comm) ResetStats() {
 	c.processed.Store(0)
 	c.batches.Store(0)
 	c.suppressed.Store(0)
-	c.batchedBroadcasts.Store(0)
-	c.coalesced.Store(0)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"dsteiner/internal/graph"
 	"dsteiner/internal/partition"
@@ -246,26 +247,6 @@ func TestPriorityQueueReducesMessages(t *testing.T) {
 	}
 }
 
-func TestBroadcastTraversal(t *testing.T) {
-	c := newComm(t, 8, 4, QueueFIFO)
-	var visits atomic.Int64
-	c.Run(func(r *Rank) {
-		r.Traverse(&Traversal{
-			Visit: func(r *Rank, m Msg) {
-				visits.Add(1)
-			},
-			Init: func(r *Rank) {
-				if r.ID() == 1 {
-					r.Broadcast(Msg{Target: graph.VID(r.ID()), Kind: 9})
-				}
-			},
-		})
-	})
-	if visits.Load() != 4 {
-		t.Fatalf("broadcast visited %d ranks, want 4", visits.Load())
-	}
-}
-
 func TestStatsAndReset(t *testing.T) {
 	c := newComm(t, 16, 2, QueueFIFO)
 	c.Run(func(r *Rank) {
@@ -340,5 +321,26 @@ func TestQueueKindString(t *testing.T) {
 	if QueueFIFO.String() != "fifo" || QueuePriority.String() != "priority" ||
 		QueueKind(9).String() != "QueueKind(9)" {
 		t.Fatal("QueueKind strings wrong")
+	}
+}
+
+// TestRanksStayApart pins the padding around Rank's fields: the ranks of a
+// communicator, allocated back to back, keep their fields at least 128
+// bytes apart, so no two ranks share a cache line (or an adjacent-line
+// pair). Unpadded, the allocator puts them side by side.
+func TestRanksStayApart(t *testing.T) {
+	fields := func(r *Rank) (lo, hi uintptr) {
+		return uintptr(unsafe.Pointer(&r.comm)), uintptr(unsafe.Pointer(&r.published)) + unsafe.Sizeof(r.published)
+	}
+	c := newComm(t, 64, 8, QueuePriority)
+	for i, p := range c.ranks {
+		for _, q := range c.ranks[i+1:] {
+			plo, phi := fields(p)
+			qlo, qhi := fields(q)
+			if gap := max(int64(qlo)-int64(phi), int64(plo)-int64(qhi)); gap < 128 {
+				t.Fatalf("ranks %d and %d keep their fields %d bytes apart (at %#x and %#x), want at least 128",
+					p.id, q.id, gap, plo, qlo)
+			}
+		}
 	}
 }

@@ -25,8 +25,8 @@ func ownedBy(c *Comm, n int) [][]graph.VID {
 // TestTerminationStress hammers loopback quiescence detection, which counts
 // messages per batch rather than per message: a traversal must neither hang
 // nor return while a message is unprocessed, whatever mix of local sends,
-// cross-rank batches, Admit drops, queue entries replaced through their slot
-// and staged broadcasts it is made of. Processed summed over ranks equalling
+// cross-rank batches, Admit drops and queue entries replaced through their
+// slot it is made of. Processed summed over ranks equalling
 // Sent minus the Admit drops and the replacements is the no-early-return
 // check; the watchdog is the no-hang check.
 func TestTerminationStress(t *testing.T) {
@@ -159,21 +159,6 @@ func TestTerminationStress(t *testing.T) {
 				Admit: func(*Rank, Msg) int32 { drops.Add(1); return AdmitDone },
 			}
 		}},
-		{"batched-broadcasts", func(owned [][]graph.VID) *Traversal {
-			return &Traversal{
-				Ordered: true,
-				Init: func(r *Rank) {
-					for hub := graph.VID(0); hub < 3; hub++ {
-						r.BroadcastBatched(Msg{Target: hub, Seed: graph.VID(r.ID()), Dist: 2, Kind: 1})
-					}
-				},
-				Visit: func(r *Rank, m Msg) {
-					if m.Dist > 0 {
-						r.BroadcastBatched(Msg{Target: m.Target, Seed: graph.VID(r.ID()), Dist: m.Dist - 1, Kind: 1})
-					}
-				},
-			}
-		}},
 		{"slotted-async", slotted(false)},
 		{"slotted-bsp", slotted(true)},
 	}
@@ -269,14 +254,9 @@ func TestStatsMatchTraversalStats(t *testing.T) {
 			r.Traverse(&Traversal{
 				Init: func(r *Rank) { r.Send(Msg{Target: graph.VID(8 * r.ID()), Dist: 3}) },
 				Visit: func(r *Rank, m Msg) {
-					// Send locally and across ranks, suppress and coalesce,
-					// then blow up mid-visit.
-					if m.Kind != 0 {
-						return
-					}
+					// Send locally and across ranks, suppress, then blow up
+					// mid-visit.
 					r.Suppress()
-					r.BroadcastBatched(Msg{Target: 31, Kind: 1})
-					r.BroadcastBatched(Msg{Target: 31, Kind: 1})
 					if m.Dist > 0 {
 						r.Send(Msg{Target: m.Target, Dist: m.Dist - 1})
 						r.Send(Msg{Target: (m.Target + 8) % 32, Dist: m.Dist - 1})
@@ -289,7 +269,7 @@ func TestStatsMatchTraversalStats(t *testing.T) {
 		})
 	}()
 	if got := c.Stats(); got.Sent != clean.Sent || got.Processed != clean.Processed ||
-		got.Suppressed != 0 || got.CoalescedBroadcasts != 0 {
+		got.Suppressed != 0 {
 		t.Fatalf("aborted traversal leaked into stats: %+v, want %+v", got, clean)
 	}
 	for run := 0; run < 3; run++ {

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"dsteiner/internal/graph"
 	"dsteiner/internal/partition"
 )
 
@@ -108,35 +107,6 @@ func TestSuppressCounter(t *testing.T) {
 	c.ResetStats()
 	if got := c.Stats().Suppressed; got != 0 {
 		t.Fatalf("suppressed after reset = %d", got)
-	}
-}
-
-// TestHasDelegates pins the cheap gate the voronoi changed-since filter
-// keys on.
-func TestHasDelegates(t *testing.T) {
-	base, err := partition.NewBlock(6, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := func(p *partition.Partition, want bool) {
-		t.Helper()
-		c := MustNew(Config{Ranks: 2}, p)
-		c.Run(func(r *Rank) {
-			if got := r.HasDelegates(); got != want {
-				t.Errorf("HasDelegates = %v, want %v", got, want)
-			}
-		})
-	}
-	probe(base, false)
-	for _, tc := range []struct {
-		delegates []graph.VID
-		want      bool
-	}{{nil, false}, {[]graph.VID{3}, true}} {
-		p, err := partition.WithDelegateList(base, tc.delegates)
-		if err != nil {
-			t.Fatal(err)
-		}
-		probe(p, tc.want)
 	}
 }
 

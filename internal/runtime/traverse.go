@@ -86,12 +86,10 @@ func (r *Rank) Traverse(t *Traversal) TraversalStats {
 	r.visit = t.Visit
 	r.expand = t.Expand
 	r.admit = t.Admit
-	// Discard what an aborted traversal may have left behind: counters it
-	// never folded into Comm.Stats, and a stale outbox stage.
+	// Discard the counters an aborted traversal never folded into
+	// Comm.Stats.
 	r.sentHere, r.processedHere, r.droppedHere, r.replacedHere, r.published = 0, 0, 0, 0, 0
-	r.suppressedHere, r.coalescedHere = 0, 0
-	r.dout = r.dout[:0]
-	clear(r.doutIdx)
+	r.suppressedHere = 0
 
 	c := r.comm
 	r.counted = c.trans == nil && !t.BSP
@@ -131,7 +129,6 @@ func (r *Rank) finish(supersteps int64) TraversalStats {
 	r.comm.sent.Add(r.sentHere)
 	r.comm.processed.Add(r.processedHere)
 	r.comm.suppressed.Add(r.suppressedHere)
-	r.comm.coalesced.Add(r.coalescedHere)
 	return TraversalStats{
 		Processed: r.processedHere, Sent: r.sentHere, Replaced: r.replacedHere, Supersteps: supersteps,
 	}
@@ -166,7 +163,6 @@ func (r *Rank) runAsync() TraversalStats {
 	// Flush and publish the initial messages, then synchronize so the
 	// zero-message case is decided globally; with a transport the token
 	// ring decides it instead.
-	r.flushOutbox()
 	r.flushAll()
 	r.publish()
 	r.Barrier()
@@ -191,11 +187,6 @@ func (r *Rank) runAsync() TraversalStats {
 			sinceFlush++
 			if sinceFlush >= flushEvery {
 				sinceFlush = 0
-				// Release staged delegate broadcasts alongside the regular
-				// flush: within-window improvements still coalesce, but a
-				// rank grinding a long local queue cannot let hub offers go
-				// stale on its peers.
-				r.flushOutbox()
 				r.flushAll()
 				// Yield so peer ranks advance at a similar rate even when
 				// simulated ranks outnumber physical cores: real MPI ranks
@@ -205,14 +196,8 @@ func (r *Rank) runAsync() TraversalStats {
 			}
 			continue
 		}
-		// Local queue empty: everything staged and buffered must go out
-		// before we sleep, or the system deadlocks with work parked in
-		// buffers. A flushed outbox re-seeds the local queue (the
-		// broadcast's self-copy), so restart the loop.
-		if r.flushOutbox() {
-			r.flushAll()
-			continue
-		}
+		// Local queue empty: everything buffered must go out before we
+		// sleep, or the system deadlocks with work parked in buffers.
 		r.flushAll()
 		if r.drainInbox() {
 			continue
@@ -266,7 +251,6 @@ func (r *Rank) runBSP() TraversalStats {
 	r.bsp = true
 	defer func() { r.bsp = false }()
 	// Move init messages (buffered, including self-sends) into round 1.
-	r.flushOutbox()
 	r.flushAll()
 	r.Barrier()
 	r.drainInbox()
@@ -279,9 +263,6 @@ func (r *Rank) runBSP() TraversalStats {
 		steps++
 		for r.step() {
 		}
-		// Superstep boundary: the staged best offer per delegate goes out
-		// exactly once per round.
-		r.flushOutbox()
 		r.flushAll()
 		r.Barrier()
 		r.drainInbox()

@@ -105,8 +105,8 @@ type serviceStats struct {
 	phaseSeconds  map[string]float64
 	phaseCalls    map[string]int64
 	// rt is the runtime counters record folded over every served query
-	// (rt.Stats.Add): the broadcasts and transport blocks of /stats render
-	// from it.
+	// (rt.Stats.Add): the broadcasts (suppressed offers) and transport
+	// blocks of /stats render from it.
 	rt rt.Stats
 
 	// Fragment-merge MST accounting: merge rounds, exchanged records and
@@ -274,10 +274,6 @@ type InfoResponse struct {
 	Workers int    `json:"workers,omitempty"`
 	// Partition is the vertex-to-rank mapping kind (block/arcblock).
 	Partition string `json:"partition"`
-	// DelegateThreshold is the high-degree delegate cutoff (0 = off);
-	// Delegates counts the vertices striped across ranks.
-	DelegateThreshold int `json:"delegateThreshold"`
-	Delegates         int `json:"delegates"`
 	// ShardBytes is the total rank-local shard memory — one shard set
 	// shared by every engine in the pool.
 	ShardBytes int64 `json:"shardBytes"`
@@ -441,18 +437,15 @@ type CacheStats struct {
 }
 
 // ShardStats reports the pool's rank-local substrate for /stats: the
-// partition kind, the delegate stripe count, the per-rank graph-slab memory
-// (TotalBytes across all ranks, MaxRankBytes for the largest single rank)
-// and the per-rank control-state slab memory (StateBytes / MaxRankStateBytes,
-// per engine). MaxRankBytes + MaxRankStateBytes approximates the per-process
+// partition kind, the per-rank graph-slab memory (TotalBytes across all
+// ranks, MaxRankBytes for the largest single rank) and the per-rank
+// control-state slab memory (StateBytes / MaxRankStateBytes, per engine). MaxRankBytes + MaxRankStateBytes approximates the per-process
 // footprint a multi-process backend would need for its largest rank. One
 // shard set is cut by the pool's first engine and shared by its siblings;
 // state slabs are per-engine (pool total = engines × StateBytes).
 type ShardStats struct {
 	Partition         string `json:"partition"`
 	Ranks             int    `json:"ranks"`
-	DelegateThreshold int    `json:"delegateThreshold"`
-	Delegates         int    `json:"delegates"`
 	TotalBytes        int64  `json:"totalBytes"`
 	MaxRankBytes      int64  `json:"maxRankBytes"`
 	StateBytes        int64  `json:"stateBytes"`
@@ -477,20 +470,12 @@ type TransportStats struct {
 	FlushesLarge int64 `json:"flushesLarge"`
 }
 
-// BroadcastStats is the /stats accounting of relaxation offers that never
-// became messages. Suppressed counts cross-rank offers the sender dropped
-// against a local bound (the delegate mirror, or the best offer it had
-// already sent that vertex — so it is nonzero without delegates too). A
-// delegate's own label change is either Coalesced (absorbed into an
-// already-staged superstep-outbox entry for the same delegate) or Sent as a
-// real broadcast. Batched counts the offers that went through the outbox
-// before being sent; with batching on (always, currently) Sent == Batched —
-// the fields are kept separate so an eager send path remains representable.
-type BroadcastStats struct {
+// OfferStats is the /stats accounting of relaxation offers that never
+// became messages: Suppressed counts cross-rank offers the sender dropped
+// because the best offer it had already sent that vertex (its ghost row)
+// beat them. /stats renders it under the key "broadcasts".
+type OfferStats struct {
 	Suppressed int64 `json:"suppressed"`
-	Coalesced  int64 `json:"coalesced"`
-	Batched    int64 `json:"batched"`
-	Sent       int64 `json:"sent"`
 }
 
 // MSTStats is the /stats accounting of the phase 3–5 fragment merge, which
@@ -548,9 +533,9 @@ type StatsResponse struct {
 	AvgSolveSeconds float64 `json:"avgSolveSeconds"`
 	// Backend names the rank backend serving the pool (inproc | tcp).
 	Backend string `json:"backend"`
-	// Broadcasts partitions every delegate offer generated across all
-	// served queries: suppressed, coalesced, batched, sent.
-	Broadcasts BroadcastStats `json:"broadcasts"`
+	// Offers counts the relaxation offers suppressed across all served
+	// queries.
+	Offers OfferStats `json:"broadcasts"`
 	// MST reports the phase 3–5 merge's traffic.
 	MST       MSTStats       `json:"mst"`
 	Transport TransportStats `json:"transport"`
@@ -570,21 +555,19 @@ func (s *Service) handleInfo(w http.ResponseWriter, r *http.Request) {
 	}
 	minW, maxW := s.g.WeightRange()
 	writeJSON(w, InfoResponse{
-		Vertices:          s.g.NumVertices(),
-		Arcs:              s.g.NumArcs(),
-		MaxDegree:         s.g.MaxDegree(),
-		AvgDegree:         s.g.AvgDegree(),
-		MinWeight:         minW,
-		MaxWeight:         maxW,
-		Engines:           s.NumEngines(),
-		Ranks:             s.shard.Ranks,
-		Backend:           s.opts.Backend.String(),
-		Workers:           s.workers(),
-		Partition:         s.shard.Partition,
-		DelegateThreshold: s.shard.DelegateThreshold,
-		Delegates:         s.shard.Delegates,
-		ShardBytes:        s.shard.ShardBytes,
-		StateSlabBytes:    s.shard.StateSlabBytes,
+		Vertices:       s.g.NumVertices(),
+		Arcs:           s.g.NumArcs(),
+		MaxDegree:      s.g.MaxDegree(),
+		AvgDegree:      s.g.AvgDegree(),
+		MinWeight:      minW,
+		MaxWeight:      maxW,
+		Engines:        s.NumEngines(),
+		Ranks:          s.shard.Ranks,
+		Backend:        s.opts.Backend.String(),
+		Workers:        s.workers(),
+		Partition:      s.shard.Partition,
+		ShardBytes:     s.shard.ShardBytes,
+		StateSlabBytes: s.shard.StateSlabBytes,
 	})
 }
 
@@ -606,12 +589,7 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		BatchRequests: st.batchRequests,
 		BatchQueries:  st.batchQueries,
 		Backend:       s.opts.Backend.String(),
-		Broadcasts: BroadcastStats{
-			Suppressed: st.rt.Suppressed,
-			Coalesced:  st.rt.CoalescedBroadcasts,
-			Batched:    st.rt.BatchedBroadcasts,
-			Sent:       st.rt.BatchedBroadcasts,
-		},
+		Offers:        OfferStats{Suppressed: st.rt.Suppressed},
 		MST: MSTStats{
 			FragmentRounds:   st.mstFragmentRounds,
 			FragmentMessages: st.mstFragmentMsgs,
@@ -651,8 +629,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Shard = ShardStats{
 		Partition:         s.shard.Partition,
 		Ranks:             s.shard.Ranks,
-		DelegateThreshold: s.shard.DelegateThreshold,
-		Delegates:         s.shard.Delegates,
 		TotalBytes:        s.shard.ShardBytes,
 		MaxRankBytes:      s.shard.MaxShardBytes,
 		StateBytes:        s.shard.StateSlabBytes,

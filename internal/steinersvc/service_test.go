@@ -372,11 +372,10 @@ func TestInfoReportsEngines(t *testing.T) {
 }
 
 // TestInfoAndStatsReportShardSubstrate checks the serving layers surface the
-// engines' shard substrate: partition kind, delegate count and shard memory.
+// engines' shard substrate: partition kind and shard memory.
 func TestInfoAndStatsReportShardSubstrate(t *testing.T) {
 	opts := core.Default(2)
 	opts.Partition = core.PartitionArcBlock
-	opts.DelegateThreshold = 3
 	s, err := New(testGraph(t), opts, Config{Engines: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -394,10 +393,10 @@ func TestInfoAndStatsReportShardSubstrate(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
-	if info.Partition != "arcblock" || info.Ranks != 2 || info.DelegateThreshold != 3 {
+	if info.Partition != "arcblock" || info.Ranks != 2 {
 		t.Fatalf("info substrate = %+v", info)
 	}
-	if info.Delegates == 0 || info.ShardBytes <= 0 {
+	if info.ShardBytes <= 0 {
 		t.Fatalf("info missing shard substrate: %+v", info)
 	}
 	if info.StateSlabBytes <= 0 {
@@ -413,15 +412,15 @@ func TestInfoAndStatsReportShardSubstrate(t *testing.T) {
 	if err := json.NewDecoder(resp2.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Shard.Partition != "arcblock" || stats.Shard.Ranks != 2 || stats.Shard.DelegateThreshold != 3 {
+	if stats.Shard.Partition != "arcblock" || stats.Shard.Ranks != 2 {
 		t.Fatalf("stats shard = %+v", stats.Shard)
 	}
 	if stats.Shard.TotalBytes <= 0 || stats.Shard.MaxRankBytes <= 0 ||
 		stats.Shard.MaxRankBytes > stats.Shard.TotalBytes {
 		t.Fatalf("stats shard bytes inconsistent: %+v", stats.Shard)
 	}
-	if stats.Shard.Delegates != info.Delegates {
-		t.Fatalf("stats delegates %d != info delegates %d", stats.Shard.Delegates, info.Delegates)
+	if stats.Shard.TotalBytes != info.ShardBytes {
+		t.Fatalf("stats shard bytes %d != info shard bytes %d", stats.Shard.TotalBytes, info.ShardBytes)
 	}
 	if stats.Shard.StateBytes != info.StateSlabBytes || stats.Shard.MaxRankStateBytes <= 0 ||
 		stats.Shard.MaxRankStateBytes > stats.Shard.StateBytes {

@@ -21,7 +21,7 @@ var _ rt.StateSlab = (*StateSlab)(nil)
 // (adjacency), its slab (control state) and its mailbox: the state a
 // multi-process backend ships to each process.
 //
-// Alongside the owned rows the slab keeps three smaller regions:
+// Alongside the owned rows the slab keeps two smaller regions:
 //
 //   - ghost rows: one per ghost slot of the rank's graph.Shard, that is per
 //     distinct vertex owned elsewhere that a local arc points at. During the
@@ -29,13 +29,6 @@ var _ rt.StateSlab = (*StateSlab)(nil)
 //     this rank has already offered that vertex (offerGhost) — and for phase
 //     2 it is overwritten with the final (src, dist) its owner pushes
 //     (BeginHalo, SetGhost, Label). Never authoritative, never collected;
-//   - a delegate mirror stripe: the converging (src, dist) of every
-//     high-degree delegate the rank does not own, fed by the same broadcast
-//     relaxations that fan a delegate's adjacency across ranks
-//     (ObserveDelegate). The solver's output never reads mirrors — they are
-//     the local answer to "which cell is this hub in?" that a distributed
-//     controller protocol needs, and they converge to the owner's values
-//     (property-tested in slab_test.go);
 //   - phase-6 walk marks (MarkWalked), the epoch-versioned "have I walked
 //     this vertex's predecessor chain" bits of Alg. 6, previously a shared
 //     O(|V|) bitmap in core.Engine.
@@ -59,12 +52,6 @@ type StateSlab struct {
 	// advances at Reset and once more between the flood and the halo exchange.
 	ghost []slabRow
 	gcur  uint64
-
-	// Delegate mirror stripe (delegates this rank does not own).
-	mirrorIdx   map[graph.VID]int32
-	mirrorSrc   []graph.VID
-	mirrorDist  []graph.Dist
-	mirrorEpoch []uint64
 }
 
 // slabRow is one vertex's (dist, src, pred) entry: an owned vertex's label, or
@@ -77,13 +64,11 @@ type slabRow struct {
 	epoch     uint64
 }
 
-// NewStateSlab builds rank's slab over its owned range [lo, hi). delegates
-// is the partition's full delegate list (ShardPlan.Delegates): the slab
-// keeps a mirror row for each one outside the range. sh, when non-nil, is
-// the rank's shard over the same range: the slab gets one ghost row per
-// ghost slot. A slab built without a shard has no ghost rows: it can hold
-// state, but run refuses it on a multi-rank shard.
-func NewStateSlab(rank int, lo, hi graph.VID, delegates []graph.VID, sh *graph.Shard) *StateSlab {
+// NewStateSlab builds rank's slab over its owned range [lo, hi). sh, when
+// non-nil, is the rank's shard over the same range: the slab gets one ghost
+// row per ghost slot. A slab built without a shard has no ghost rows: it
+// can hold state, but run refuses it on a multi-rank shard.
+func NewStateSlab(rank int, lo, hi graph.VID, sh *graph.Shard) *StateSlab {
 	rows := graph.NewRowIndex(lo, hi)
 	var ghost []slabRow
 	if sh != nil {
@@ -93,7 +78,7 @@ func NewStateSlab(rank int, lo, hi graph.VID, delegates []graph.VID, sh *graph.S
 		ghost = make([]slabRow, sh.NumGhosts())
 	}
 	n := rows.Len()
-	sl := &StateSlab{
+	return &StateSlab{
 		rank:   rank,
 		rows:   rows,
 		owned:  make([]slabRow, n),
@@ -102,22 +87,6 @@ func NewStateSlab(rank int, lo, hi graph.VID, delegates []graph.VID, sh *graph.S
 		ghost:  ghost,
 		gcur:   1,
 	}
-	var mirrored []graph.VID
-	for _, d := range delegates {
-		if rows.Row(d) < 0 {
-			mirrored = append(mirrored, d)
-		}
-	}
-	if len(mirrored) > 0 {
-		sl.mirrorIdx = make(map[graph.VID]int32, len(mirrored))
-		sl.mirrorSrc = make([]graph.VID, len(mirrored))
-		sl.mirrorDist = make([]graph.Dist, len(mirrored))
-		sl.mirrorEpoch = make([]uint64, len(mirrored))
-		for i, d := range mirrored {
-			sl.mirrorIdx[d] = int32(i)
-		}
-	}
-	return sl
 }
 
 // BuildSlabs cuts one StateSlab per rank from the plan — the control-state
@@ -131,7 +100,7 @@ func BuildSlabs(plan *partition.ShardPlan, shards []*graph.Shard) []*StateSlab {
 			sh = shards[rank]
 		}
 		lo, hi := plan.Range(rank)
-		slabs[rank] = NewStateSlab(rank, lo, hi, plan.Delegates(), sh)
+		slabs[rank] = NewStateSlab(rank, lo, hi, sh)
 	}
 	return slabs
 }
@@ -194,13 +163,10 @@ func (sl *StateSlab) Rank() int { return sl.rank }
 // NumOwned returns the number of owned-vertex rows.
 func (sl *StateSlab) NumOwned() int { return sl.rows.Len() }
 
-// NumMirrored returns the number of delegate mirror rows.
-func (sl *StateSlab) NumMirrored() int { return len(sl.mirrorIdx) }
-
 // Owns reports whether v's authoritative state lives in this slab.
 func (sl *StateSlab) Owns(v graph.VID) bool { return sl.rows.Row(v) >= 0 }
 
-// Reset invalidates every owned row, ghost row, mirror row and walk mark in
+// Reset invalidates every owned row, ghost row and walk mark in
 // O(1) by advancing the epochs. Call between queries; must not be called
 // while a traversal is running.
 func (sl *StateSlab) Reset() { sl.cur++; sl.gcur++ }
@@ -330,49 +296,6 @@ func (sl *StateSlab) MarkWalked(v graph.VID) bool {
 	return true
 }
 
-// ObserveDelegate folds one broadcast delegate relaxation (delegate d now
-// reaches seed src at distance dist) into the local mirror stripe, keeping
-// the lexicographic minimum exactly as the owner's entry does. A no-op when
-// this rank owns d (the owned row is authoritative) or d has no mirror row
-// (not a delegate of this partition).
-func (sl *StateSlab) ObserveDelegate(d graph.VID, src graph.VID, dist graph.Dist) {
-	i, ok := sl.mirrorIdx[d]
-	if !ok {
-		return
-	}
-	if sl.mirrorEpoch[i] == sl.cur {
-		od, os := sl.mirrorDist[i], sl.mirrorSrc[i]
-		if !(dist < od || (dist == od && src < os)) {
-			return
-		}
-	}
-	sl.mirrorEpoch[i] = sl.cur
-	sl.mirrorSrc[i] = src
-	sl.mirrorDist[i] = dist
-}
-
-// DelegateState returns this rank's view of delegate d's (src, dist): the
-// authoritative owned row when the rank owns d, the mirror row otherwise.
-// ok is false when d is neither owned nor mirrored here. Mirror values
-// converge to the owner's once the traversal reaches quiescence; mid-flight
-// they lag like any asynchronous label.
-func (sl *StateSlab) DelegateState(d graph.VID) (src graph.VID, dist graph.Dist, ok bool) {
-	if i := sl.rows.Row(d); i >= 0 {
-		if o := &sl.owned[i]; o.epoch == sl.cur {
-			return o.src, o.dist, true
-		}
-		return graph.NilVID, graph.InfDist, true
-	}
-	i, mirrored := sl.mirrorIdx[d]
-	if !mirrored {
-		return graph.NilVID, graph.InfDist, false
-	}
-	if sl.mirrorEpoch[i] != sl.cur {
-		return graph.NilVID, graph.InfDist, true
-	}
-	return sl.mirrorSrc[i], sl.mirrorDist[i], true
-}
-
 // EachReached calls fn for every owned vertex with a current-epoch entry,
 // in row order. Used to collect converged per-rank state into a global view
 // (Collect) and by tests.
@@ -387,15 +310,9 @@ func (sl *StateSlab) EachReached(fn func(v graph.VID, src, pred graph.VID, dist 
 // MemoryBytes reports the slab's resident size: owned rows (src 4 + pred 4
 // + dist 8 + epoch 8 + walked 8 bytes), ghost rows (dist 8 + src 4 + pred 4
 // + epoch 8 — one per distinct remote neighbour; the neighbour's VID is
-// the shard's, graph.Shard.Target, so a row stays 24 bytes) and mirror rows
-// (src 4 + dist 8 + epoch 8 + index ~12).
+// the shard's, graph.Shard.Target, so a row stays 24 bytes).
 func (sl *StateSlab) MemoryBytes() int64 {
-	n := int64(sl.rows.Len())
-	b := n * (4 + 4 + 8 + 8 + 8)
-	b += int64(len(sl.ghost)) * (8 + 4 + 4 + 8)
-	m := int64(len(sl.mirrorIdx))
-	b += m * (4 + 8 + 8 + 12)
-	return b
+	return int64(sl.rows.Len())*(4+4+8+8+8) + int64(len(sl.ghost))*(8+4+4+8)
 }
 
 // Collect merges converged per-rank slabs into one shared-form State over n

@@ -1,7 +1,6 @@
 package voronoi
 
 import (
-	"math/rand"
 	"testing"
 
 	"dsteiner/internal/graph"
@@ -10,9 +9,9 @@ import (
 )
 
 func TestStateSlabOwnedRowsSetGetReset(t *testing.T) {
-	sl := NewStateSlab(0, 4, 8, nil, nil)
-	if sl.NumOwned() != 4 || sl.NumMirrored() != 0 {
-		t.Fatalf("dims = %d owned, %d mirrored", sl.NumOwned(), sl.NumMirrored())
+	sl := NewStateSlab(0, 4, 8, nil)
+	if sl.NumOwned() != 4 {
+		t.Fatalf("dims = %d owned", sl.NumOwned())
 	}
 	if sl.Reached(5) {
 		t.Fatal("fresh slab reports reached")
@@ -40,7 +39,7 @@ func TestStateSlabOwnedRowsSetGetReset(t *testing.T) {
 }
 
 func TestStateSlabPanicsOnNonOwnedVertex(t *testing.T) {
-	sl := NewStateSlab(0, 0, 3, nil, nil)
+	sl := NewStateSlab(0, 0, 3, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("access to non-owned vertex did not panic")
@@ -52,32 +51,19 @@ func TestStateSlabPanicsOnNonOwnedVertex(t *testing.T) {
 // TestStateSlabZeroOwnedVertices covers the degenerate rank of an
 // over-partitioned graph (P > |V|) or an arc-block range squeezed empty by
 // a hub: a slab with no owned rows must still build, reset and account
-// memory — and may still mirror delegates (a delegate-only slab).
+// memory.
 func TestStateSlabZeroOwnedVertices(t *testing.T) {
-	sl := NewStateSlab(3, 7, 7, []graph.VID{4, 9}, nil)
-	if sl.NumOwned() != 0 || sl.NumMirrored() != 2 {
-		t.Fatalf("dims = %d owned, %d mirrored", sl.NumOwned(), sl.NumMirrored())
+	sl := NewStateSlab(3, 7, 7, nil)
+	if sl.NumOwned() != 0 {
+		t.Fatalf("dims = %d owned", sl.NumOwned())
 	}
-	if sl.Owns(0) {
+	if sl.Owns(0) || sl.Owns(7) {
 		t.Fatal("empty slab claims ownership")
 	}
-	if sl.MemoryBytes() <= 0 {
-		t.Fatalf("delegate-only slab reports %d bytes", sl.MemoryBytes())
-	}
-	// The mirror stripe works without any owned rows.
-	sl.ObserveDelegate(4, 1, 10)
-	sl.ObserveDelegate(4, 0, 10) // same dist, smaller seed wins
-	sl.ObserveDelegate(4, 2, 99) // worse offer ignored
-	if src, dist, ok := sl.DelegateState(4); !ok || src != 0 || dist != 10 {
-		t.Fatalf("mirror = (%d,%d,%v), want (0,10,true)", src, dist, ok)
-	}
-	if _, _, ok := sl.DelegateState(7); ok {
-		t.Fatal("non-delegate reported a mirror")
+	if sl.MemoryBytes() != 0 {
+		t.Fatalf("empty slab reports %d bytes", sl.MemoryBytes())
 	}
 	sl.Reset()
-	if src, dist, ok := sl.DelegateState(4); !ok || src != graph.NilVID || dist != graph.InfDist {
-		t.Fatalf("mirror survived Reset: (%d,%d,%v)", src, dist, ok)
-	}
 }
 
 // TestBuildSlabsSharesShardRowIndex checks BuildSlabs addresses each
@@ -85,8 +71,7 @@ func TestStateSlabZeroOwnedVertices(t *testing.T) {
 // coincide.
 func TestBuildSlabsSharesShardRowIndex(t *testing.T) {
 	g := randomConnected(51, 120, 20)
-	base, _ := partition.NewArcBlock(g, 3)
-	part := partition.WithDelegates(base, g, 8)
+	part, _ := partition.NewArcBlock(g, 3)
 	plan, err := partition.NewShardPlan(part, g)
 	if err != nil {
 		t.Fatal(err)
@@ -100,10 +85,8 @@ func TestBuildSlabsSharesShardRowIndex(t *testing.T) {
 		if sl.NumOwned() != shards[rank].NumOwned() {
 			t.Fatalf("rank %d: slab %d rows, shard %d owned", rank, sl.NumOwned(), shards[rank].NumOwned())
 		}
-		wantOwned, wantMirrored := plan.StateRows(rank)
-		if sl.NumOwned() != wantOwned || sl.NumMirrored() != wantMirrored {
-			t.Fatalf("rank %d: slab dims (%d,%d), plan StateRows (%d,%d)",
-				rank, sl.NumOwned(), sl.NumMirrored(), wantOwned, wantMirrored)
+		if lo, hi := plan.Range(rank); sl.NumOwned() != int(hi-lo) {
+			t.Fatalf("rank %d: slab %d rows for range [%d,%d)", rank, sl.NumOwned(), lo, hi)
 		}
 	}
 
@@ -120,93 +103,10 @@ func TestBuildSlabsSharesShardRowIndex(t *testing.T) {
 	}
 }
 
-// TestDelegateMirrorsConvergeToOwnerState is the delegate-stripe
-// correctness property: after the traversal reaches quiescence, every
-// rank's local mirror of every delegate reports the same (src, dist) the
-// delegate's owner holds — each rank can answer "which cell is this hub
-// in?" without a remote read, the label locality CONGEST-style
-// constructions rely on.
-func TestDelegateMirrorsConvergeToOwnerState(t *testing.T) {
-	// Star-heavy graph: hub 0 connected to everything plus a ring.
-	n := 150
-	b := graph.NewBuilder(n)
-	for v := 1; v < n; v++ {
-		b.AddEdge(0, graph.VID(v), uint32(v%13)+1)
-		b.AddEdge(graph.VID(v), graph.VID((v%(n-1))+1), uint32(v%7)+1)
-	}
-	g, _ := b.Build()
-	seeds := []graph.VID{3, 70, 140}
-	want := Sequential(g, seeds)
-
-	for _, ranks := range []int{2, 5} {
-		base, _ := partition.NewBlock(n, ranks)
-		part := partition.WithDelegates(base, g, 40)
-		if !part.IsDelegate(0) {
-			t.Fatal("hub not delegated")
-		}
-		c := rt.MustNew(rt.Config{Ranks: ranks, Queue: rt.QueuePriority}, part)
-		c.EnsureShards(g)
-		slabs := EnsureSlabs(c, g)
-		c.Run(func(r *rt.Rank) {
-			RunRank(r, seeds)
-		})
-		for rank, sl := range slabs {
-			for v := 0; v < n; v++ {
-				if !part.IsDelegate(graph.VID(v)) {
-					continue
-				}
-				src, dist, ok := sl.DelegateState(graph.VID(v))
-				if !ok {
-					t.Fatalf("ranks=%d rank=%d: delegate %d invisible", ranks, rank, v)
-				}
-				if src != want.Src(graph.VID(v)) || dist != want.Dist(graph.VID(v)) {
-					t.Fatalf("ranks=%d rank=%d delegate %d: mirror (%d,%d), owner fixed point (%d,%d)",
-						ranks, rank, v, src, dist, want.Src(graph.VID(v)), want.Dist(graph.VID(v)))
-				}
-			}
-		}
-	}
-}
-
-// TestSlabReuseMirrorsStayCorrect drives one slab set through repeated
-// queries with delegates in play: epoch reuse must not leak stale mirror
-// entries any more than stale owned entries.
-func TestSlabReuseMirrorsStayCorrect(t *testing.T) {
-	n := 100
-	b := graph.NewBuilder(n)
-	for v := 1; v < n; v++ {
-		b.AddEdge(0, graph.VID(v), uint32(v%11)+1)
-		b.AddEdge(graph.VID(v), graph.VID((v%(n-1))+1), uint32(v%5)+1)
-	}
-	g, _ := b.Build()
-	base, _ := partition.NewBlock(n, 3)
-	part := partition.WithDelegates(base, g, 30)
-	c := rt.MustNew(rt.Config{Ranks: 3, Queue: rt.QueuePriority}, part)
-	c.EnsureShards(g)
-	slabs := EnsureSlabs(c, g)
-	rng := rand.New(rand.NewSource(99))
-	for q := 0; q < 8; q++ {
-		seeds := pickSeeds(rng, n, 2+q%4)
-		want := Sequential(g, seeds)
-		c.ResetStateSlabs()
-		c.Run(func(r *rt.Rank) {
-			RunRank(r, seeds)
-		})
-		for _, sl := range slabs {
-			src, dist, ok := sl.DelegateState(0)
-			if !ok || src != want.Src(0) || dist != want.Dist(0) {
-				t.Fatalf("query %d: hub mirror (%d,%d,%v), want (%d,%d)",
-					q, src, dist, ok, want.Src(0), want.Dist(0))
-			}
-		}
-	}
-}
-
 func TestStateSlabMemoryBytes(t *testing.T) {
-	sl := NewStateSlab(0, 0, 4, []graph.VID{2, 10, 11}, nil)
-	// 4 owned rows * (4+4+8+8+8) + 2 mirror rows * (4+8+8+12); delegate 2 is
-	// owned, so it has no mirror row.
-	want := int64(4*(4+4+8+8+8) + 2*(4+8+8+12))
+	sl := NewStateSlab(0, 0, 4, nil)
+	// 4 owned rows * (4+4+8+8+8), no ghost rows without a shard.
+	want := int64(4 * (4 + 4 + 8 + 8 + 8))
 	if got := sl.MemoryBytes(); got != want {
 		t.Fatalf("MemoryBytes = %d, want %d", got, want)
 	}
@@ -225,8 +125,8 @@ func TestGhostRowsFilterThenHoldHaloLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := graph.NewShard(g, 0, 2, 0, 2, nil)
-	sl := NewStateSlab(0, 0, 2, nil, sh)
+	sh := graph.NewShard(g, 0, 2, 0, 2)
+	sl := NewStateSlab(0, 0, 2, sh)
 	if sh.NumGhosts() != 2 || len(sl.ghost) != 2 {
 		t.Fatalf("%d ghost slots, %d ghost rows, want 2 and 2", sh.NumGhosts(), len(sl.ghost))
 	}
@@ -290,8 +190,8 @@ func TestGhostRowsFilterThenHoldHaloLabels(t *testing.T) {
 // TestCollectMergesSlabs checks Collect rebuilds the global view from
 // per-rank slabs, skipping stale epochs.
 func TestCollectMergesSlabs(t *testing.T) {
-	a := NewStateSlab(0, 0, 2, nil, nil)
-	b := NewStateSlab(1, 2, 4, nil, nil)
+	a := NewStateSlab(0, 0, 2, nil)
+	b := NewStateSlab(1, 2, 4, nil)
 	a.Set(0, 0, 0, 0)
 	b.Set(3, 0, 1, 9)
 	b.Reset()

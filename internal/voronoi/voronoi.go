@@ -134,22 +134,16 @@ func offerBetter(nd graph.Dist, ns, np graph.VID, od graph.Dist, os, op graph.VI
 	return np < op
 }
 
-// Message kinds of the Voronoi traversal. The zero kind is a relaxation offer
-// that no row has seen yet: it is folded into its target's row on arrival
-// (Traversal.Admit).
-const (
-	// delegateRelax marks broadcast messages that ask every rank to relax its
-	// stripe of a high-degree delegate's adjacency.
-	delegateRelax uint8 = 1
-	// labelInstalled marks a queue entry whose (dist, seed) label the sender
-	// itself wrote into the target's row: only the expansion is left to do.
-	// It never crosses a rank or the wire, and the priority queue of an
-	// asynchronous flood queues the row instead (Rank.PushRow). Under BSP
-	// such an entry reaches the next superstep through the rank's own
-	// mailbox, and folding it a second time on arrival would tie with the
-	// row it wrote and drop it.
-	labelInstalled uint8 = 2
-)
+// labelInstalled is the one message kind of the Voronoi traversal besides the
+// zero kind, a relaxation offer that no row has seen yet and that is folded
+// into its target's row on arrival (Traversal.Admit). It marks a queue entry
+// whose (dist, seed) label the sender itself wrote into the target's row:
+// only the expansion is left to do. It never crosses a rank or the wire,
+// and the priority queue of an asynchronous flood queues the row instead
+// (Rank.PushRow). Under BSP such an entry reaches the next superstep through
+// the rank's own mailbox, and folding it a second time on arrival would tie
+// with the row it wrote and drop it.
+const labelInstalled uint8 = 1
 
 // RunRank executes the Voronoi-cell traversal on one rank (call inside
 // Comm.Run alongside the other ranks). It returns the rank's traversal work
@@ -158,8 +152,8 @@ const (
 // vertices it owns, and remote entries are reached exclusively through
 // mailbox relaxation messages.
 //
-// Adjacency comes from the rank's local shard (graph.Shard.RowArcs /
-// StripeArcs), never the global CSR: the communicator must have shards
+// Adjacency comes from the rank's local shard (graph.Shard.RowArcs), never
+// the global CSR: the communicator must have shards
 // attached (Comm.AttachShards or Comm.EnsureShards) before Run.
 func RunRank(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
 	return run(r, seeds, false)
@@ -171,9 +165,9 @@ func RunRankBSP(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
 	return run(r, seeds, true)
 }
 
-// run is the rank-local hot path: each rank walks its own CSR slab and its
-// materialized delegate stripes, and keeps control state in its own
-// StateSlab; neither the global CSR nor a shared state array is consulted.
+// run is the rank-local hot path: each rank walks its own CSR slab and
+// keeps control state in its own StateSlab; neither the global CSR nor a
+// shared state array is consulted.
 //
 // Rows hold tentative labels (HavoqGT's pre_visit/visit split): a row is
 // written when an offer for it is made — by the scan for a target the rank
@@ -190,17 +184,15 @@ func RunRankBSP(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
 // improvement re-queues the row, so an entry can never pop with a label it
 // was not queued for.
 //
-// Only a delegate broadcast, which names no owned row, still queues a
-// message there, and Visit handles it. Under BSP every entry keeps its
-// message: a label a rank installs reaches the next superstep through the
-// rank's own mailbox (labelInstalled), a row may improve again while its
-// entry waits, so an entry keeps the label it was queued with and Visit
-// expands it only while the row still holds it. The FIFO queue, which holds
-// an entry per improvement, keeps the messages and that stale check too. The
-// scans read each arc's target already resolved
-// (graph.Shard.RowArcs): an owned row, or the ghost row holding the best
-// offer this rank has sent that remote vertex so far; an arc's target VID is
-// derived only for the offers that are sent. The fixed point is
+// Under BSP every entry keeps its message: a label a rank installs reaches
+// the next superstep through the rank's own mailbox (labelInstalled), a row
+// may improve again while its entry waits, so an entry keeps the label it
+// was queued with and Visit expands it only while the row still holds it.
+// The FIFO queue, which holds an entry per improvement, keeps the messages
+// and that stale check too. The scan reads each arc's target already
+// resolved (graph.Shard.RowArcs): an owned row, or the ghost row holding
+// the best offer this rank has sent that remote vertex so far; an arc's
+// target VID is derived only for the offers that are sent. The fixed point is
 // Sequential's: every comparison is the same strict offerBetter, and the
 // label a row converges to is expanded exactly once, so every neighbour
 // receives the same final offers.
@@ -211,7 +203,6 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 		panic("voronoi: the rank's StateSlab was not built from its shard (NewStateSlab, BuildSlabs)")
 	}
 	send := sl.offerSender(r)
-	delegates := r.HasDelegates()
 	// installed queues the expansion of a label just written into owned row
 	// i: the row itself where the queue holds rows, a labelInstalled message
 	// without an owner lookup everywhere else.
@@ -220,11 +211,14 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 			r.SendLocal(rt.Msg{Target: sl.rows.VertexAt(int(i)), From: from, Seed: seed, Dist: dist, Kind: labelInstalled})
 		}
 	}
-	// scan offers (seed, dist + w) to every arc of v. An owned target is
-	// relaxed on the spot; a predecessor-only win is installed and queues
-	// nothing, because the entry for that (dist, seed) is already queued or
-	// expanded and no neighbour's offer depends on pred.
-	scan := func(r *rt.Rank, v, seed graph.VID, dist graph.Dist, ws []uint32, refs []int32) {
+	// expand offers owned row i's label (seed, dist) plus w to every arc of
+	// its vertex v. An owned target is relaxed on the spot; a
+	// predecessor-only win is installed and queues nothing, because the
+	// entry for that (dist, seed) is already queued or expanded and no
+	// neighbour's offer depends on pred.
+	expand := func(r *rt.Rank, i int32) {
+		v, seed, dist := sl.rows.VertexAt(int(i)), sl.owned[i].src, sl.owned[i].dist
+		ws, refs := sh.RowArcs(i)
 		for j, ref := range refs {
 			d := dist + graph.Dist(ws[j])
 			switch {
@@ -237,22 +231,6 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 			}
 		}
 	}
-	expand := func(r *rt.Rank, i int32) {
-		seed, dist := sl.owned[i].src, sl.owned[i].dist
-		v := sl.rows.VertexAt(int(i))
-		if delegates && r.IsDelegate(v) {
-			// Hub: fan the relaxation out to all ranks; each scans its
-			// materialized stripe of v's (large) adjacency. The broadcast is
-			// staged, not sent: the outbox keeps only the best (dist, src)
-			// offer per hub and releases it at the superstep boundary, so k
-			// rapid improvements of one hub cross the wire as one broadcast
-			// (Stats.BatchedBroadcasts / CoalescedBroadcasts).
-			r.BroadcastBatched(rt.Msg{Target: v, From: v, Seed: seed, Dist: dist, Kind: delegateRelax})
-			return
-		}
-		ws, refs := sh.RowArcs(i)
-		scan(r, v, seed, dist, ws, refs)
-	}
 	return r.Traverse(&rt.Traversal{
 		Ordered: true,
 		BSP:     bsp,
@@ -264,35 +242,24 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 			}
 		},
 		Admit: func(r *rt.Rank, m rt.Msg) int32 {
-			switch m.Kind {
-			case delegateRelax:
-				// Its stripe relax must run whatever the mirror says, and
-				// under shuffled delivery a worse broadcast can arrive after
-				// a better one: an ordinary entry, never a row's.
-				return rt.AdmitMsg
-			case labelInstalled:
+			i := sl.row(m.Target)
+			if m.Kind == labelInstalled {
 				// Under BSP, a superstep late: the row's entry while the row
 				// still holds its label, an ordinary entry that Visit finds
 				// stale otherwise.
-				if i := sl.row(m.Target); sl.holds(i, m.Seed, m.Dist) {
+				if sl.holds(i, m.Seed, m.Dist) {
 					return i
 				}
 				return rt.AdmitMsg
 			}
-			if i := sl.row(m.Target); sl.relax(i, m.Seed, m.From, m.Dist) {
+			if sl.relax(i, m.Seed, m.From, m.Dist) {
 				return i
 			}
 			return rt.AdmitDone
 		},
 		Expand: expand,
 		Visit: func(r *rt.Rank, m rt.Msg) {
-			if m.Kind == delegateRelax {
-				// Fold the broadcast into the local delegate mirror (no-op on
-				// the owner), then relax this rank's stripe of v's adjacency.
-				sl.ObserveDelegate(m.Target, m.Seed, m.Dist)
-				ws, refs := sh.StripeArcs(m.Target)
-				scan(r, m.Target, m.Seed, m.Dist, ws, refs)
-			} else if i := sl.row(m.Target); sl.holds(i, m.Seed, m.Dist) {
+			if i := sl.row(m.Target); sl.holds(i, m.Seed, m.Dist) {
 				expand(r, i)
 			} // else superseded while queued; the better label has its own entry
 		},
@@ -305,13 +272,11 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 // VID (graph.Shard.Target) is only built for an offer that becomes a
 // message. It runs on the rank goroutine only.
 //
-//   - If something local already beats the offer, it is dropped, counted in
-//     Stats.Suppressed. Two bounds are consulted. The ghost row holds the
-//     best offer this rank has itself sent to u (offerGhost); the owner's row
-//     is the minimum of what it received, so it is at least that good. For a
-//     delegate there is also the mirror of its (src, dist), fed by the
-//     owner's broadcasts — the owner's current or a past state, and rows only
-//     improve. An offer either bound beats is beaten for good.
+//   - If the ghost row already beats the offer, it is dropped, counted in
+//     Stats.Suppressed. The ghost row holds the best offer this rank has
+//     itself sent to u (offerGhost); the owner's row is the minimum of what
+//     it received, so it is at least that good, and rows only improve: an
+//     offer the ghost row beats is beaten for good.
 //   - Anything else is sent to its owner, and folded there by Admit.
 //
 // Every comparison is strict — an offer tying on (dist, src) with a smaller
@@ -320,16 +285,7 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 // would reach (pinned against Sequential by the equivalence property tests).
 func (sl *StateSlab) offerSender(r *rt.Rank) func(r *rt.Rank, ref int32, from, seed graph.VID, dist graph.Dist) {
 	sh := r.Shard()
-	delegates := r.HasDelegates()
 	return func(r *rt.Rank, ref int32, from, seed graph.VID, dist graph.Dist) {
-		if delegates {
-			if u := sh.Target(ref); r.IsDelegate(u) {
-				if ms, md, ok := sl.DelegateState(u); ok && (md < dist || (md == dist && ms < seed)) {
-					r.Suppress()
-					return
-				}
-			}
-		}
 		if !sl.offerGhost(^ref, seed, from, dist) {
 			r.Suppress()
 			return

@@ -155,41 +155,12 @@ func TestDisconnectedVerticesStayUnreached(t *testing.T) {
 	}
 }
 
-func TestDelegatesProduceSameFixedPoint(t *testing.T) {
-	// Star-heavy graph: hub 0 connected to everything plus a ring.
-	n := 120
-	b := graph.NewBuilder(n)
-	for v := 1; v < n; v++ {
-		b.AddEdge(0, graph.VID(v), uint32(v%17)+1)
-		b.AddEdge(graph.VID(v), graph.VID((v%(n-1))+1), uint32(v%5)+1)
-	}
-	g, _ := b.Build()
-	seeds := []graph.VID{1, 60, 110}
-	want := Sequential(g, seeds)
-	for _, ranks := range []int{2, 4} {
-		base, _ := partition.NewBlock(n, ranks)
-		part := partition.WithDelegates(base, g, 50) // hub 0 becomes a delegate
-		if !part.IsDelegate(0) {
-			t.Fatal("hub not delegated")
-		}
-		c := rt.MustNew(rt.Config{Ranks: ranks, Queue: rt.QueuePriority}, part)
-		got := Compute(c, g, seeds)
-		for v := 0; v < n; v++ {
-			if got.Dist(graph.VID(v)) != want.Dist(graph.VID(v)) || got.Src(graph.VID(v)) != want.Src(graph.VID(v)) {
-				t.Fatalf("ranks=%d vertex %d: got (%d,%d), want (%d,%d)",
-					ranks, v, got.Dist(graph.VID(v)), got.Src(graph.VID(v)), want.Dist(graph.VID(v)), want.Src(graph.VID(v)))
-			}
-		}
-	}
-}
-
 // TestShardedMatchesGlobalReference pins the core claim of the shard
 // refactor and of the tentative labels layered on it: the sharded traversal
-// (rank-local slabs, materialized delegate stripes, rows written when an
-// offer is made — by the sender for a target it owns, by Admit on arrival
-// otherwise — and offers dropped against the delegate mirror and the ghost
-// rows) reaches the fixed point of the sequential sweep over the global CSR —
-// byte for byte, for every partition kind, with and without delegates, under
+// (rank-local slabs, rows written when an offer is made — by the sender for
+// a target it owns, by Admit on arrival otherwise — and offers dropped
+// against the ghost rows) reaches the fixed point of the sequential sweep
+// over the global CSR — byte for byte, for every partition kind, under
 // every queue discipline, async (in delivery order and shuffled) and BSP.
 // The grid's small weights make (dist, seed) ties with differing
 // predecessors the norm: the case a relaxation that compared non-strictly
@@ -207,54 +178,52 @@ func TestShardedMatchesGlobalReference(t *testing.T) {
 		seeds := pickSeeds(rng, n, 5)
 		sequential := Sequential(g, seeds)
 
-		makePart := func(kind string, ranks, threshold int) *partition.Partition {
-			base, err := partition.NewBlock(n, ranks)
+		makePart := func(kind string, ranks int) *partition.Partition {
+			part, err := partition.NewBlock(n, ranks)
 			if kind == "arcblock" {
-				base, err = partition.NewArcBlock(g, ranks)
+				part, err = partition.NewArcBlock(g, ranks)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			return partition.WithDelegates(base, g, threshold)
+			return part
 		}
 
 		for _, kind := range []string{"block", "arcblock"} {
-			for _, threshold := range []int{0, 6} {
-				for _, bsp := range []bool{false, true} {
-					for _, ranks := range []int{1, 4} {
-						for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
-							// Sharded runs: rank-local slabs, collected afterwards.
-							// The async rows run again under two permutations of
-							// batch and message order, so offers are folded on
-							// arrival in orders the sweep never sees.
-							shuffles := []int64{0}
-							if !bsp {
-								shuffles = []int64{0, 101, 202}
-							}
-							for _, shuffle := range shuffles {
-								cs := rt.MustNew(rt.Config{Ranks: ranks, Queue: q,
-									ShuffleDelivery: shuffle != 0, ShuffleSeed: shuffle}, makePart(kind, ranks, threshold))
-								cs.EnsureShards(g)
-								slabs := EnsureSlabs(cs, g)
-								cs.Run(func(r *rt.Rank) {
-									if bsp {
-										RunRankBSP(r, seeds)
-									} else {
-										RunRank(r, seeds)
-									}
-								})
-								got := Collect(slabs, n)
-								for v := 0; v < n; v++ {
-									gs, gp, gd := got.Get(graph.VID(v))
-									ss, sp, sd := sequential.Get(graph.VID(v))
-									if gs != ss || gp != sp || gd != sd {
-										t.Fatalf("%s %s thr=%d bsp=%v ranks=%d q=%v shuffle=%d vertex %d: sharded (%d,%d,%d), sequential (%d,%d,%d)",
-											name, kind, threshold, bsp, ranks, q, shuffle, v, gs, gp, gd, ss, sp, sd)
-									}
+			for _, bsp := range []bool{false, true} {
+				for _, ranks := range []int{1, 4} {
+					for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
+						// Sharded runs: rank-local slabs, collected afterwards.
+						// The async rows run again under two permutations of
+						// batch and message order, so offers are folded on
+						// arrival in orders the sweep never sees.
+						shuffles := []int64{0}
+						if !bsp {
+							shuffles = []int64{0, 101, 202}
+						}
+						for _, shuffle := range shuffles {
+							cs := rt.MustNew(rt.Config{Ranks: ranks, Queue: q,
+								ShuffleDelivery: shuffle != 0, ShuffleSeed: shuffle}, makePart(kind, ranks))
+							cs.EnsureShards(g)
+							slabs := EnsureSlabs(cs, g)
+							cs.Run(func(r *rt.Rank) {
+								if bsp {
+									RunRankBSP(r, seeds)
+								} else {
+									RunRank(r, seeds)
 								}
-								sent += cs.Stats().Sent
-								arcs += int64(g.NumArcs())
+							})
+							got := Collect(slabs, n)
+							for v := 0; v < n; v++ {
+								gs, gp, gd := got.Get(graph.VID(v))
+								ss, sp, sd := sequential.Get(graph.VID(v))
+								if gs != ss || gp != sp || gd != sd {
+									t.Fatalf("%s %s bsp=%v ranks=%d q=%v shuffle=%d vertex %d: sharded (%d,%d,%d), sequential (%d,%d,%d)",
+										name, kind, bsp, ranks, q, shuffle, v, gs, gp, gd, ss, sp, sd)
+								}
 							}
+							sent += cs.Stats().Sent
+							arcs += int64(g.NumArcs())
 						}
 					}
 				}

@@ -12,7 +12,8 @@ import (
 
 // randBatch builds a batch with deliberately clustered targets and seeds so
 // the delta columns exercise both tiny and sign-flipping deltas, plus
-// duplicate (Target, From, Kind) groups so dedupe paths run.
+// duplicate (Target, From) groups so dedupe paths run. Kind stays 0, as on
+// every message that crosses ranks.
 func randBatch(rng *rand.Rand, n int) []rt.Msg {
 	msgs := make([]rt.Msg, n)
 	for i := range msgs {
@@ -21,25 +22,21 @@ func randBatch(rng *rand.Rand, n int) []rt.Msg {
 			From:   graph.VID(rng.Intn(16)),
 			Seed:   graph.VID(rng.Intn(8)),
 			Dist:   graph.Dist(rng.Intn(1 << 20)),
-			Kind:   uint8(rng.Intn(2)),
 		}
 	}
 	return msgs
 }
 
 // survivors computes the reference compaction: within each
-// (Target, From, Kind) group keep every message tying the group's
+// (Target, From) group keep every message tying the group's
 // lexicographic minimum (Dist, Seed) — ties always survive, strictly worse
 // offers never do.
 func survivors(msgs []rt.Msg) []rt.Msg {
-	type key struct {
-		t, f graph.VID
-		k    uint8
-	}
+	type key struct{ t, f graph.VID }
 	best := map[key]rt.Msg{}
 	count := map[key]int{}
 	for _, m := range msgs {
-		k := key{m.Target, m.From, m.Kind}
+		k := key{m.Target, m.From}
 		b, ok := best[k]
 		switch {
 		case !ok || m.Dist < b.Dist || (m.Dist == b.Dist && m.Seed < b.Seed):
@@ -94,11 +91,10 @@ func TestMsgBatch2RoundTrip(t *testing.T) {
 }
 
 // TestMsgBatch2KeepsTies pins the tie-send rule at the wire layer: two
-// byte-identical offers (same routing triple, same dist, same seed) must
-// both survive compaction — the changed-since filter upstream depends on
-// ties being delivered.
+// byte-identical offers (same target and sender, same dist, same seed) must
+// both survive compaction: elision drops strictly dominated offers only.
 func TestMsgBatch2KeepsTies(t *testing.T) {
-	m := rt.Msg{Target: 7, From: 7, Seed: 3, Dist: 10, Kind: 1}
+	m := rt.Msg{Target: 7, From: 7, Seed: 3, Dist: 10}
 	body, elided := AppendMsgBatch2(nil, 0, []rt.Msg{m, m, m})
 	if elided != 0 {
 		t.Fatalf("ties must never be elided, got elided=%d", elided)
@@ -109,8 +105,8 @@ func TestMsgBatch2KeepsTies(t *testing.T) {
 	}
 
 	// Strictly dominated: worse dist, and equal dist but worse seed.
-	worseDist := rt.Msg{Target: 7, From: 7, Seed: 3, Dist: 11, Kind: 1}
-	worseSeed := rt.Msg{Target: 7, From: 7, Seed: 4, Dist: 10, Kind: 1}
+	worseDist := rt.Msg{Target: 7, From: 7, Seed: 3, Dist: 11}
+	worseSeed := rt.Msg{Target: 7, From: 7, Seed: 4, Dist: 10}
 	body, elided = AppendMsgBatch2(nil, 0, []rt.Msg{worseDist, m, worseSeed})
 	if elided != 2 {
 		t.Fatalf("want 2 dominated drops, got %d", elided)
@@ -120,10 +116,10 @@ func TestMsgBatch2KeepsTies(t *testing.T) {
 		t.Fatalf("want only best offer, got %v (%v)", got, err)
 	}
 
-	// Different From / Kind are distinct routing groups: never cross-elide.
-	otherFrom := rt.Msg{Target: 7, From: 8, Seed: 9, Dist: 99, Kind: 1}
-	otherKind := rt.Msg{Target: 7, From: 7, Seed: 9, Dist: 99, Kind: 0}
-	body, elided = AppendMsgBatch2(nil, 0, []rt.Msg{m, otherFrom, otherKind})
+	// Different Target / From are distinct groups: never cross-elide.
+	otherFrom := rt.Msg{Target: 7, From: 8, Seed: 9, Dist: 99}
+	otherTarget := rt.Msg{Target: 8, From: 7, Seed: 9, Dist: 99}
+	body, elided = AppendMsgBatch2(nil, 0, []rt.Msg{m, otherFrom, otherTarget})
 	if elided != 0 {
 		t.Fatalf("distinct groups must not elide, got %d", elided)
 	}

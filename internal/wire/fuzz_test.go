@@ -17,9 +17,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		AppendFrame(nil, EncodeHello(nil, Hello{Version: Version, PeerAddr: "127.0.0.1:9"})),
 		AppendFrame(nil, EncodeSetup(nil, Setup{
 			Ranks: 4, NumVertices: 10, RankLo: []int64{0, 2, 4},
-			PeerAddrs: []string{"a", "b"}, Bounds: []graph.VID{0, 2, 5, 8, 10}, Delegates: []graph.VID{3},
-			Shards: []ShardSlice{{Rank: 0, Offsets: []int64{0, 1, 2}, Targets: []graph.VID{1, 0}, Weights: []uint32{5, 5},
-				StripeOff: []int64{0, 1}, StripeTargets: []graph.VID{2}, StripeWeights: []uint32{4}}},
+			PeerAddrs: []string{"a", "b"}, Bounds: []graph.VID{0, 2, 5, 8, 10},
+			Shards: []ShardSlice{{Rank: 0, Offsets: []int64{0, 1, 2}, Targets: []graph.VID{1, 0}, Weights: []uint32{5, 5}}},
 		})),
 		AppendFrame(nil, EncodeReady(nil, Ready{ShardBytes: 100, StateBytes: 50})),
 		AppendFrame(nil, EncodeSolveSpec(nil, SolveSpec{QueryID: 1, Seeds: []graph.VID{1, 2, 3}})),
@@ -29,8 +28,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			Seeds: []graph.VID{1, 2, 3}, Penalties: []int64{4, 0, 9}})),
 		AppendFrame(nil, EncodeWorkerDone(nil, WorkerDone{QueryID: 1, TableLens: []int64{2}, HasResult: true,
 			Result: SolveResult{Tree: []graph.Edge{{U: 1, V: 2, W: 3}}, Phases: []PhaseRec{{Name: "MST", Seconds: 0.1}}}})),
-		AppendFrame(nil, EncodeWorkerDone(nil, WorkerDone{QueryID: 2, Stats: rt.Stats{BatchedBroadcasts: 7,
-			CoalescedBroadcasts: 9, Net: rt.TransportStats{BytesOut: 11, FlushesSmall: 1}}})),
+		AppendFrame(nil, EncodeWorkerDone(nil, WorkerDone{QueryID: 2, Stats: rt.Stats{Suppressed: 7,
+			Batches: 9, Net: rt.TransportStats{BytesOut: 11, FlushesSmall: 1}}})),
 		AppendFrame(nil, msgBatch2Seed()),
 		AppendFrame(nil, EncodeColl(nil, Coll{Seq: 1, Op: rt.OpSum, Payload: EncodeInt64(-3)})),
 		AppendFrame(nil, EncodeColl(nil, Coll{Seq: 2, Op: rt.OpExchange, Payload: AppendBlobs(nil,
@@ -70,12 +69,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// msgBatch2Seed builds one compacted batch covering the mixed-kind path.
+// msgBatch2Seed builds one compacted batch covering the elision path.
 func msgBatch2Seed() []byte {
 	b, _ := AppendMsgBatch2(nil, 3, []rt.Msg{
-		{Target: 9, From: 2, Seed: 3, Dist: 4, Kind: 1},
-		{Target: 9, From: 2, Seed: 5, Dist: 7, Kind: 1}, // dominated
-		{Target: 1, From: 1, Seed: 1, Dist: 1, Kind: 0},
+		{Target: 9, From: 2, Seed: 3, Dist: 4},
+		{Target: 9, From: 2, Seed: 5, Dist: 7}, // dominated
+		{Target: 1, From: 1, Seed: 1, Dist: 1},
 	})
 	return b
 }

@@ -34,50 +34,40 @@ func DecodeHello(body []byte) (Hello, error) {
 
 // ShardSlice is one rank's slice of the partition.ShardPlan, shipped at
 // session setup: the adjacency the worker needs to rebuild the rank's
-// graph.Shard (owned CSR slab + delegate stripes) without ever holding the
-// full CSR. The rank's range and its delegate mirrors follow from the
-// Setup's Bounds and Delegates. The slices are graph.CutShard's raw form:
+// graph.Shard (the owned CSR slab) without ever holding the full CSR. The
+// rank's range follows from the Setup's Bounds. The slices are
+// graph.CutShard's raw form:
 // the worker resolves the targets into its shard (graph.NewShardFromSlices)
 // and keeps no copy of them.
 type ShardSlice struct {
-	Rank          int
-	Offsets       []int64 // one CSR row offset per owned vertex, plus the end
-	Targets       []graph.VID
-	Weights       []uint32
-	StripeOff     []int64 // len(delegates)+1 offsets into StripeTargets
-	StripeTargets []graph.VID
-	StripeWeights []uint32
+	Rank    int
+	Offsets []int64 // one CSR row offset per owned vertex, plus the end
+	Targets []graph.VID
+	Weights []uint32
 }
 
 func appendShardSlice(dst []byte, s ShardSlice) []byte {
 	dst = AppendUvarint(dst, uint64(s.Rank))
 	dst = AppendInt64s(dst, s.Offsets)
 	dst = AppendVIDs(dst, s.Targets)
-	dst = AppendUint32s(dst, s.Weights)
-	dst = AppendInt64s(dst, s.StripeOff)
-	dst = AppendVIDs(dst, s.StripeTargets)
-	dst = AppendUint32s(dst, s.StripeWeights)
-	return dst
+	return AppendUint32s(dst, s.Weights)
 }
 
 func decodeShardSlice(d *Dec) ShardSlice {
 	return ShardSlice{
-		Rank:          d.Int(),
-		Offsets:       d.Int64s(),
-		Targets:       d.VIDs(),
-		Weights:       d.Uint32s(),
-		StripeOff:     d.Int64s(),
-		StripeTargets: d.VIDs(),
-		StripeWeights: d.Uint32s(),
+		Rank:    d.Int(),
+		Offsets: d.Int64s(),
+		Targets: d.VIDs(),
+		Weights: d.Uint32s(),
 	}
 }
 
 // Setup is the session handshake the coordinator sends each worker once all
 // workers have said Hello. It fixes the communicator geometry (P ranks over
 // W workers, contiguous rank ranges), replays the runtime and solver
-// configuration, encodes the vertex partition compactly (P+1 range bounds
-// and the delegate list — workers reconstruct partition.Partition
-// locally), names every worker's mesh address, and carries this worker's
+// configuration, encodes the vertex partition compactly (P+1 range bounds,
+// from which workers reconstruct partition.Partition locally), names every
+// worker's mesh address, and carries this worker's
 // shard slices.
 type Setup struct {
 	// Geometry.
@@ -98,8 +88,7 @@ type Setup struct {
 	BSP bool
 
 	// Partition reconstruction.
-	Bounds    []graph.VID // len P+1; rank r owns [Bounds[r], Bounds[r+1])
-	Delegates []graph.VID // delegate vertices (empty = no delegation)
+	Bounds []graph.VID // len P+1; rank r owns [Bounds[r], Bounds[r+1])
 
 	// This worker's shard slices, one per hosted rank.
 	Shards []ShardSlice
@@ -125,7 +114,6 @@ func EncodeSetup(dst []byte, s Setup) []byte {
 	dst = AppendUvarint(dst, uint64(s.BatchSize))
 	dst = appendBool(dst, s.BSP)
 	dst = AppendVIDs(dst, s.Bounds)
-	dst = AppendVIDs(dst, s.Delegates)
 	dst = AppendUvarint(dst, uint64(len(s.Shards)))
 	for _, sh := range s.Shards {
 		dst = appendShardSlice(dst, sh)
@@ -153,7 +141,6 @@ func DecodeSetup(body []byte) (Setup, error) {
 	s.BatchSize = d.Int()
 	s.BSP = d.Bool()
 	s.Bounds = d.VIDs()
-	s.Delegates = d.VIDs()
 	nShards := d.Int()
 	if d.err == nil && nShards > d.Len() {
 		return s, fmt.Errorf("%w: shard slice count", ErrCorrupt)

@@ -125,7 +125,7 @@ func decodeSolveResult(d *Dec) SolveResult {
 func appendStats(dst []byte, s rt.Stats) []byte {
 	n := s.Net
 	for _, v := range [...]int64{
-		s.Sent, s.Processed, s.Batches, s.Suppressed, s.BatchedBroadcasts, s.CoalescedBroadcasts,
+		s.Sent, s.Processed, s.Batches, s.Suppressed,
 		n.FramesOut, n.FramesIn, n.BytesOut, n.BytesIn, n.EncodeNs, n.DecodeNs,
 		n.FlushesSmall, n.FlushesMid, n.FlushesLarge,
 	} {
@@ -136,12 +136,10 @@ func appendStats(dst []byte, s rt.Stats) []byte {
 
 func decodeStats(d *Dec) rt.Stats {
 	return rt.Stats{
-		Sent:                d.Varint(),
-		Processed:           d.Varint(),
-		Batches:             d.Varint(),
-		Suppressed:          d.Varint(),
-		BatchedBroadcasts:   d.Varint(),
-		CoalescedBroadcasts: d.Varint(),
+		Sent:       d.Varint(),
+		Processed:  d.Varint(),
+		Batches:    d.Varint(),
+		Suppressed: d.Varint(),
 		Net: rt.TransportStats{
 			FramesOut:    d.Varint(),
 			FramesIn:     d.Varint(),
@@ -166,7 +164,7 @@ type WorkerDone struct {
 	Err       string
 	TableLens []int64 // len(E_N table) per hosted rank, rank order
 	// Stats is the runtime counters record for this query on this process:
-	// message and broadcast counters plus the transport traffic. The
+	// message counters plus the transport traffic. The
 	// coordinator folds the workers' records with rt.Stats.Add.
 	Stats     rt.Stats
 	HasResult bool

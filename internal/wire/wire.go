@@ -12,9 +12,9 @@
 //     replaces the shared-memory pending counter for asynchronous
 //     traversals),
 //   - the session-setup handshake: each worker receives its slice of the
-//     partition.ShardPlan — owned vertex lists, CSR slab rows and delegate
-//     stripes — plus the graph metadata needed to rebuild its graph.Shard
-//     and voronoi.StateSlab locally, never materializing the full CSR,
+//     partition.ShardPlan — the range bounds and its ranks' CSR slab rows —
+//     plus the graph metadata needed to rebuild its graph.Shard and
+//     voronoi.StateSlab locally, never materializing the full CSR,
 //   - solve requests and encoded Results flowing back to the coordinator.
 //
 // The codec is deliberately dependency-free and defensive: every decoder
@@ -39,7 +39,7 @@ import (
 // are always built from the same tree, so there is nothing to negotiate: a
 // worker's Hello or Rejoin must announce exactly this version or it is
 // refused with an Abort before any session state is built.
-const Version uint32 = 14
+const Version uint32 = 15
 
 // readChunk is the most ReadFrame allocates ahead of the bytes it has read.
 const readChunk = 1 << 20
@@ -458,16 +458,16 @@ func appendUv(dst []byte, x uint64) []byte {
 }
 
 // AppendMsgBatch2 appends a FrameMsgBatch2 payload: the batch of visitor
-// messages bound for remote rank dest. The batch is sorted by (Target, From, Kind,
+// messages bound for remote rank dest. The batch is sorted by (Target, From,
 // Dist, Seed) — delivery order within a batch carries no meaning (pinned by
 // the shuffle-delivery property tests) — then encoded columnar: an
-// ascending-delta target column, zigzag-delta seed and dist columns, a
+// ascending-delta target column, zigzag-delta seed and dist columns, and a
 // from column as the delta against the same row's target (offers mostly
-// come from a vertex near the one they relax), and a kind column that
-// collapses to a single byte when uniform.
+// come from a vertex near the one they relax). Msg.Kind is not carried: it
+// is rank-local, and every message that crosses ranks has Kind 0.
 //
 // Superseded offers are elided: a message is dropped iff an earlier message
-// in the sorted batch has the same (Target, From, Kind) and a strictly
+// in the sorted batch has the same (Target, From) and a strictly
 // lexicographically smaller (Dist, Seed). The visitor contract makes
 // elision unobservable — offer adoption is a monotone lexicographic
 // tie-break, so a strictly dominated offer can neither be installed at the
@@ -481,22 +481,17 @@ func appendUv(dst []byte, x uint64) []byte {
 // ownership of the batch (as Transport.Deliver already does).
 func AppendMsgBatch2(dst []byte, dest int, msgs []rt.Msg) (out []byte, elided int) {
 	sortMsgs(msgs)
-	// Compact in place: within a (Target, From, Kind) group — adjacent
-	// after the sort, ascending in (Dist, Seed) — every survivor ties the
-	// group minimum, so comparing against the last survivor eliminates
-	// exactly the strictly dominated messages.
+	// Compact in place: within a (Target, From) group — adjacent after the
+	// sort, ascending in (Dist, Seed) — every survivor ties the group
+	// minimum, so comparing against the last survivor eliminates exactly
+	// the strictly dominated messages.
 	kept := 0
-	uniformKind := true
 	for i := range msgs {
 		if kept > 0 {
 			p := &msgs[kept-1]
 			m := &msgs[i]
-			if m.Target == p.Target && m.From == p.From && m.Kind == p.Kind &&
-				(m.Dist != p.Dist || m.Seed != p.Seed) {
+			if m.Target == p.Target && m.From == p.From && (m.Dist != p.Dist || m.Seed != p.Seed) {
 				continue
-			}
-			if m.Kind != msgs[0].Kind {
-				uniformKind = false
 			}
 		}
 		msgs[kept] = msgs[i]
@@ -508,15 +503,6 @@ func AppendMsgBatch2(dst []byte, dest int, msgs []rt.Msg) (out []byte, elided in
 	dst = append(dst, FrameMsgBatch2)
 	dst = binary.AppendUvarint(dst, uint64(dest))
 	dst = binary.AppendUvarint(dst, uint64(kept))
-	if uniformKind {
-		kind0 := uint8(0)
-		if kept > 0 {
-			kind0 = msgs[0].Kind
-		}
-		dst = append(dst, 1, kind0)
-	} else {
-		dst = append(dst, 0)
-	}
 	// Target column: first absolute, then ascending deltas.
 	prev := uint64(0)
 	for i := range msgs {
@@ -546,18 +532,13 @@ func AppendMsgBatch2(dst []byte, dest int, msgs []rt.Msg) (out []byte, elided in
 		dst = appendUv(dst, zigzag(x-prevD))
 		prevD = x
 	}
-	if !uniformKind {
-		for _, m := range msgs {
-			dst = append(dst, m.Kind)
-		}
-	}
 	return dst, elided
 }
 
-// sortMsgs orders a batch by (Target, From, Kind, Dist, Seed) — the
-// column layout's order, chosen so dominated offers become adjacent. It is
-// a hand-rolled unstable quicksort: the key covers every Msg field, so all
-// orderings of equal elements are byte-identical and stability buys
+// sortMsgs orders a batch by (Target, From, Dist, Seed) — the column
+// layout's order, chosen so dominated offers become adjacent. It is a
+// hand-rolled unstable quicksort: the key covers every encoded field, so all
+// orderings of equal elements encode identically and stability buys
 // nothing, while the inlined comparison avoids the indirect call per
 // compare that slices.SortFunc pays on the Deliver hot path.
 func sortMsgs(msgs []rt.Msg) {
@@ -574,19 +555,16 @@ func msgKey(m *rt.Msg) uint64 {
 	return (uint64(uint32(m.Target))<<32 | uint64(uint32(m.From))) ^ flip
 }
 
-// msgTieLess breaks a msgKey tie with the (Kind, Dist, Seed) tail of the
+// msgTieLess breaks a msgKey tie with the (Dist, Seed) tail of the
 // lexicographic order.
 func msgTieLess(a, b *rt.Msg) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
 	}
 	return a.Seed < b.Seed
 }
 
-// msgLess is the (Target, From, Kind, Dist, Seed) lexicographic order.
+// msgLess is the (Target, From, Dist, Seed) lexicographic order.
 func msgLess(a, b *rt.Msg) bool {
 	ka, kb := msgKey(a), msgKey(b)
 	if ka != kb {
@@ -666,11 +644,6 @@ func DecodeMsgBatch2(body []byte, buf []rt.Msg) (dest int, msgs []rt.Msg, err er
 	d := NewDec(body)
 	dest = d.Int()
 	n := d.count(4, "msg batch2") // ≥ 4 column bytes per message
-	uniform := d.Bool()
-	var kind uint8
-	if uniform {
-		kind = d.Byte()
-	}
 	if d.err != nil {
 		return 0, nil, d.err
 	}
@@ -703,15 +676,7 @@ func DecodeMsgBatch2(body []byte, buf []rt.Msg) (dest int, msgs []rt.Msg, err er
 	for i := 0; i < n; i++ {
 		prevD += d.Varint()
 		msgs[i].Dist = graph.Dist(prevD)
-	}
-	if uniform {
-		for i := 0; i < n; i++ {
-			msgs[i].Kind = kind
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			msgs[i].Kind = d.Byte()
-		}
+		msgs[i].Kind = 0 // buf may hold a recycled batch
 	}
 	if err := d.finish(); err != nil {
 		return 0, nil, err
