@@ -312,8 +312,9 @@ func newRefInput(t *testing.T, name string, g *graph.Graph, rng *rand.Rand, grou
 }
 
 // TestEngineMatchesSequentialReference is the one place a distributed answer
-// is compared with a non-distributed one. Every cell of partition ×
-// async/BSP × queue discipline × rank count × query mode solves
+// is compared with a non-distributed one. Every cell of partition × batch
+// size (the runtime's 64, one message per batch, an odd five) × async/BSP ×
+// queue discipline × rank count × query mode solves
 // the same queries on a clustered graph (three forest groups) and on a
 // tie-heavy one (weights 1–3, where the (dist, seed, pred) flood order,
 // the (D, U, V) bridge order and the (D, seed pair) fragment order each
@@ -335,40 +336,42 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 
 	var suppressed int64
 	for _, kind := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
-		for _, bsp := range []bool{false, true} {
-			for _, queue := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
-				for _, ranks := range []int{1, 2, 3, 4, 5, 8} {
-					opts := Options{Ranks: ranks, Queue: queue, Partition: kind, BSP: bsp}
-					timing := map[bool]string{false: "async", true: "bsp"}[bsp]
-					t.Run(fmt.Sprintf("%v/%s/%v/ranks=%d", kind, timing, queue, ranks), func(t *testing.T) {
-						for _, in := range inputs {
-							e, err := NewEngine(in.g, opts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							defer e.Close()
-							for m, spec := range in.specs {
-								t.Run(fmt.Sprintf("%v/%s", spec.Mode, in.name), func(t *testing.T) {
-									res, err := e.SolveSpec(spec)
-									if err != nil {
-										t.Fatal(err)
-									}
-									assertMatchesReference(t, res, in.want[m])
-									checkAnswerInvariants(t, in.g, spec, res)
-									// Not only the rows the tree walks through:
-									// every vertex's label is the reference's.
-									got, want := voronoi.Collect(e.slabs, in.g.NumVertices()), in.want[m].cells
-									for v := graph.VID(0); int(v) < in.g.NumVertices(); v++ {
-										gs, gp, gd := got.Get(v)
-										if ws, wp, wd := want.Get(v); gs != ws || gp != wp || gd != wd {
-											t.Fatalf("vertex %d: row (%d, %d, %d), reference (%d, %d, %d)", v, gd, gs, gp, wd, ws, wp)
+		for _, batch := range []int{0, 1, 5} {
+			for _, bsp := range []bool{false, true} {
+				for _, queue := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
+					for _, ranks := range []int{1, 2, 3, 4, 5, 8} {
+						opts := Options{Ranks: ranks, Queue: queue, Partition: kind, BatchSize: batch, BSP: bsp}
+						timing := map[bool]string{false: "async", true: "bsp"}[bsp]
+						t.Run(fmt.Sprintf("%v/batch=%d/%s/%v/ranks=%d", kind, batch, timing, queue, ranks), func(t *testing.T) {
+							for _, in := range inputs {
+								e, err := NewEngine(in.g, opts)
+								if err != nil {
+									t.Fatal(err)
+								}
+								defer e.Close()
+								for m, spec := range in.specs {
+									t.Run(fmt.Sprintf("%v/%s", spec.Mode, in.name), func(t *testing.T) {
+										res, err := e.SolveSpec(spec)
+										if err != nil {
+											t.Fatal(err)
 										}
-									}
-									suppressed += res.Suppressed
-								})
+										assertMatchesReference(t, res, in.want[m])
+										checkAnswerInvariants(t, in.g, spec, res)
+										// Not only the rows the tree walks through:
+										// every vertex's label is the reference's.
+										got, want := voronoi.Collect(e.slabs, in.g.NumVertices()), in.want[m].cells
+										for v := graph.VID(0); int(v) < in.g.NumVertices(); v++ {
+											gs, gp, gd := got.Get(v)
+											if ws, wp, wd := want.Get(v); gs != ws || gp != wp || gd != wd {
+												t.Fatalf("vertex %d: row (%d, %d, %d), reference (%d, %d, %d)", v, gd, gs, gp, wd, ws, wp)
+											}
+										}
+										suppressed += res.Suppressed
+									})
+								}
 							}
-						}
-					})
+						})
+					}
 				}
 			}
 		}
@@ -378,7 +381,7 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 	}
 
 	t.Run("ties", func(t *testing.T) {
-		for _, ranks := range []int{1, 3, 4} {
+		for _, ranks := range []int{1, 2, 3, 4, 8} {
 			for trial := 0; trial < 4; trial++ {
 				g := tieTestGraph(int64(100*ranks+trial), 80+7*trial)
 				rng := rand.New(rand.NewSource(int64(trial)))

@@ -89,28 +89,34 @@ func checkTCPMatchesLoopback(t *testing.T, g *graph.Graph, seedSets [][]graph.VI
 }
 
 // TestTCPBackendMatchesLoopback is the transport-equivalence acceptance
-// test: for partition kinds × {async, BSP}, a
-// 4-worker rankd cluster driven over TCP returns Results byte-identical
+// test: for partition kinds × batch sizes (the runtime's 64, one message per
+// frame, an odd five — Setup ships the size to every worker) × {async, BSP},
+// a 4-worker rankd cluster driven over TCP returns Results byte-identical
 // (solver-output fields) to the in-process loopback backend — and both
 // match across repeated queries on the same warm session.
 func TestTCPBackendMatchesLoopback(t *testing.T) {
 	g := engineTestGraph(17, 120)
 	seedSets := tcpEquivSeedSets(g)
 	kinds := []PartitionKind{PartitionBlock, PartitionArcBlock}
-	if testing.Short() { // the full matrix spins up 4 worker fleets; -short keeps two
+	batches := []int{0, 1, 5}
+	if testing.Short() { // the full matrix spins up 12 worker fleets; -short keeps two
 		kinds = []PartitionKind{Default(4).Partition}
+		batches = []int{1}
 	}
 	for _, kind := range kinds {
-		for _, bsp := range []bool{false, true} {
-			label := fmt.Sprintf("%v/bsp=%v", kind, bsp)
-			t.Run(label, func(t *testing.T) {
-				checkTCPMatchesLoopback(t, g, seedSets, Options{
-					Ranks:     4,
-					Queue:     rt.QueuePriority,
-					Partition: kind,
-					BSP:       bsp,
-				}, label)
-			})
+		for _, batch := range batches {
+			for _, bsp := range []bool{false, true} {
+				label := fmt.Sprintf("%v/batch=%d/bsp=%v", kind, batch, bsp)
+				t.Run(label, func(t *testing.T) {
+					checkTCPMatchesLoopback(t, g, seedSets, Options{
+						Ranks:     4,
+						Queue:     rt.QueuePriority,
+						Partition: kind,
+						BatchSize: batch,
+						BSP:       bsp,
+					}, label)
+				})
+			}
 		}
 	}
 }
@@ -118,20 +124,27 @@ func TestTCPBackendMatchesLoopback(t *testing.T) {
 // TestTCPBackendFIFOMatchesLoopback is the same property under the other
 // queue discipline: Setup ships Queue = FIFO, every worker floods
 // first-in-first-out, and the fleet still answers byte for byte as the
-// loopback engine does, async and BSP.
+// loopback engine does, async and BSP, at every batch size of the test above.
 func TestTCPBackendFIFOMatchesLoopback(t *testing.T) {
 	g := engineTestGraph(17, 120)
 	seedSets := tcpEquivSeedSets(g)
-	for _, bsp := range []bool{false, true} {
-		label := fmt.Sprintf("bsp=%v", bsp)
-		t.Run(label, func(t *testing.T) {
-			checkTCPMatchesLoopback(t, g, seedSets, Options{
-				Ranks:     4,
-				Queue:     rt.QueueFIFO,
-				Partition: Default(4).Partition,
-				BSP:       bsp,
-			}, "fifo/"+label)
-		})
+	batches := []int{0, 1, 5}
+	if testing.Short() {
+		batches = []int{1}
+	}
+	for _, batch := range batches {
+		for _, bsp := range []bool{false, true} {
+			label := fmt.Sprintf("batch=%d/bsp=%v", batch, bsp)
+			t.Run(label, func(t *testing.T) {
+				checkTCPMatchesLoopback(t, g, seedSets, Options{
+					Ranks:     4,
+					Queue:     rt.QueueFIFO,
+					Partition: Default(4).Partition,
+					BatchSize: batch,
+					BSP:       bsp,
+				}, "fifo/"+label)
+			})
+		}
 	}
 }
 
