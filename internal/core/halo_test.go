@@ -18,8 +18,8 @@ import (
 
 // TestPhase2SendsOnePushPerBoundaryVertex pins phase 2's message count to the
 // halo it has to move, computed from the global graph: one label per pair
-// (vertex v, peer q ≠ owner(v)) such that q owns a neighbour u < v — the
-// peers that initiate one of v's arcs — reached or not, because the halo is
+// (vertex u, peer q ≠ owner(u)) such that q owns a neighbour v > u — the
+// peers that record one of u's edges — reached or not, because the halo is
 // planned per session, not per query. The request/reply exchange sent two
 // per cross-rank arc. Async and BSP, tree and forest mode, three graph
 // shapes; the random graph has a component no seed reaches, which must
@@ -98,17 +98,59 @@ func TestPhase2SendsOnePushPerBoundaryVertex(t *testing.T) {
 // haloPushes counts the (vertex, peer) pairs phase 2 has to push.
 func haloPushes(g *graph.Graph, owner func(graph.VID) int) int64 {
 	var pushes int64
-	for v := graph.VID(0); int(v) < g.NumVertices(); v++ {
+	for u := graph.VID(0); int(u) < g.NumVertices(); u++ {
 		peers := map[int]bool{}
-		adj, _ := g.Adj(v)
-		for _, u := range adj {
-			if q := owner(u); u < v && q != owner(v) {
+		adj, _ := g.Adj(u)
+		for _, v := range adj {
+			if q := owner(v); v > u && q != owner(u) {
 				peers[q] = true
 			}
 		}
 		pushes += int64(len(peers))
 	}
 	return pushes
+}
+
+// TestPhase2RecordsAtHigherOwner pins Alg. 5's split: every candidate edge
+// {U, V}, U < V, is recorded by the owner of its higher endpoint V, which
+// got U's label from the halo when a lower rank owns U. R-MAT's hubs are its
+// low IDs, so recording at the lower end would load the first rank.
+func TestPhase2RecordsAtHigherOwner(t *testing.T) {
+	var crossRank int
+	for _, cfg := range []gen.Config{
+		{Name: "rmat", Kind: gen.KindRMAT, N: 1 << 10, AvgDegree: 8, MaxWeight: 100, Backbone: true, Seed: 67},
+		{Name: "grid", Kind: gen.KindGrid2D, N: 24 * 32, Rows: 24, Cols: 32, MaxWeight: 9, Seed: 68},
+	} {
+		g := cfg.MustBuild()
+		seeds := pickSeeds(rand.New(rand.NewSource(69)), g.NumVertices(), 12)
+		for _, kind := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
+			for _, ranks := range []int{2, 3, 4} {
+				label := fmt.Sprintf("%s/%v/%d ranks", cfg.Name, kind, ranks)
+				e, err := NewEngine(g, Options{Ranks: ranks, Queue: rt.QueuePriority, Partition: kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.Solve(seeds); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				owner := e.host.comm.Partition().Owner
+				for r, pool := range e.host.pools {
+					for _, rec := range pool.localEN.recs {
+						if owner(rec.V) != r || rec.U >= rec.V {
+							t.Fatalf("%s: rank %d recorded {%d, %d}, owned by ranks %d and %d", label, r, rec.U, rec.V, owner(rec.U), owner(rec.V))
+						}
+						if owner(rec.U) != r {
+							crossRank++
+						}
+					}
+				}
+				e.Close()
+			}
+		}
+	}
+	if crossRank == 0 {
+		t.Fatal("vacuous: no candidate crossed ranks")
+	}
 }
 
 // haloGraph is a random graph with a hub at its top vertex and an island
@@ -150,7 +192,7 @@ func haloGraph() *graph.Graph {
 // both partition kinds and rank counts with empty ranges among them: each
 // sender's list for a peer names the same
 // vertices in the same order as that peer's receive list (blobs land by
-// position), every arc the scan walks is exactly an arc to a higher vertex,
+// position), every arc the scan walks is exactly an arc to a lower vertex,
 // and after a solve every ghost label the scan reads is voronoi.Sequential's.
 func TestPropertyHaloPlan(t *testing.T) {
 	// Six vertices leave both partition kinds some ranks with none at 8.
@@ -213,10 +255,10 @@ func testHaloPlan(t *testing.T, g *graph.Graph, seeds []graph.VID, empty, unreac
 					_, refs := sh.RowArcs(i)
 					for _, ref := range refs {
 						v := sh.Target(ref)
-						if scanned := ref >= 0 && ref > i || ref < 0 && ^ref >= plan.high; scanned != (v > u) {
+						if scanned := ref >= 0 && ref < i || ref < 0 && ^ref < plan.high; scanned != (v < u) {
 							t.Fatalf("%s: arc {%d, %d} scanned %v", label, u, v, scanned)
 						}
-						if ref >= 0 || v < u {
+						if ref >= 0 || v > u {
 							continue
 						}
 						*ghosts++
@@ -236,8 +278,8 @@ func testHaloPlan(t *testing.T, g *graph.Graph, seeds []graph.VID, empty, unreac
 }
 
 // haloFixture is a solved 3-rank engine on a 6×8 grid and an environment for
-// a query over three of its vertices, to drive rank 0's halo decoder by
-// hand. Rank 0 owns the grid's first two rows and gets labels from rank 1
+// a query over three of its vertices, to drive rank 2's halo decoder by
+// hand. Rank 2 owns the grid's last two rows and gets labels from rank 1
 // only.
 func haloFixture(t testing.TB) (*Engine, *solveEnv) {
 	g := gen.Config{Name: "grid", Kind: gen.KindGrid2D, N: 6 * 8, Rows: 6, Cols: 8, MaxWeight: 9, Seed: 65}.MustBuild()
@@ -251,8 +293,8 @@ func haloFixture(t testing.TB) (*Engine, *solveEnv) {
 	for i, s := range env.dedup {
 		e.host.seeds.put(int64(s), int32(i))
 	}
-	if len(e.host.pools[0].halo.recv[1]) == 0 || len(e.host.pools[0].halo.recv[2]) != 0 {
-		t.Fatal("rank 0 should get labels from rank 1 alone")
+	if len(e.host.pools[2].halo.recv[1]) == 0 || len(e.host.pools[2].halo.recv[0]) != 0 {
+		t.Fatal("rank 2 should get labels from rank 1 alone")
 	}
 	return e, env
 }
@@ -272,7 +314,7 @@ func haloBlob(labels ...[2]int64) []byte {
 // sound one writes its labels, and an unreached one leaves its slot none.
 func TestHaloDecoderRefusesCorruptBlobs(t *testing.T) {
 	e, env := haloFixture(t)
-	sl, recv := e.slabs[0], e.host.pools[0].halo.recv
+	sl, recv := e.slabs[2], e.host.pools[2].halo.recv
 	n := len(recv[1])
 	labels := make([][2]int64, n)
 	for k := range labels {
@@ -305,7 +347,7 @@ func TestHaloDecoderRefusesCorruptBlobs(t *testing.T) {
 		{"oversized", 1, append(slices.Clone(good), good[:haloRecord]...)},
 		{"seed not a terminal", 1, bad(n-1, 4, 9)},
 		{"negative distance", 1, bad(n-1, 41, -1)},
-		{"from a rank with no slots here", 2, good},
+		{"from a rank with no slots here", 0, good},
 		{"from no rank", 7, good},
 	} {
 		if err := env.readHalo(sl, recv, rt.Blob{Src: tc.src, Blob: tc.blob}); !errors.Is(err, wire.ErrCorrupt) {
@@ -315,7 +357,7 @@ func TestHaloDecoderRefusesCorruptBlobs(t *testing.T) {
 }
 
 // TestCorruptHaloFailsTheSolve breaks one rank's halo plan so its blob to
-// rank 0 is short or long: every rank must bail after phase 2 — a rank that
+// rank 2 is short or long: every rank must bail after phase 2 — a rank that
 // went on would wait forever in phase 3 — the solve must fail as corrupt,
 // and the engine must answer as before once the plan is whole again.
 func TestCorruptHaloFailsTheSolve(t *testing.T) {
@@ -326,16 +368,16 @@ func TestCorruptHaloFailsTheSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &e.host.pools[1].halo
-	whole := plan.send[0]
+	whole := plan.send[2]
 	for name, send := range map[string][]int32{
 		"short": whole[:len(whole)-1],
 		"long":  append(slices.Clip(whole), whole[0]),
 	} {
-		plan.send[0] = send
+		plan.send[2] = send
 		if _, err := e.Solve(seeds); err == nil || !strings.Contains(err.Error(), "corrupt") {
 			t.Fatalf("%s blob: solve error %v, want corrupt", name, err)
 		}
-		plan.send[0] = whole
+		plan.send[2] = whole
 		got, err := e.Solve(seeds)
 		if err != nil || !slices.Equal(got.Tree, want.Tree) {
 			t.Fatalf("after a %s blob: %v, %v, want %v", name, got, err, want.Tree)
@@ -343,13 +385,13 @@ func TestCorruptHaloFailsTheSolve(t *testing.T) {
 	}
 }
 
-// FuzzHaloLabels: whatever blob rank 0 is handed, from whichever sender,
+// FuzzHaloLabels: whatever blob rank 2 is handed, from whichever sender,
 // the decoder either refuses it or writes only labels naming a query
 // terminal at a distance that is not negative, and only into the slots the
 // sender's list maps to; a refused blob may have written a prefix of them.
 func FuzzHaloLabels(f *testing.F) {
 	e, env := haloFixture(f)
-	sl, sh, recv := e.slabs[0], e.shards[0], e.host.pools[0].halo.recv
+	sl, sh, recv := e.slabs[2], e.shards[2], e.host.pools[2].halo.recv
 	good := make([][2]int64, len(recv[1]))
 	for k := range good {
 		good[k] = [2]int64{41, int64(k)}
@@ -359,7 +401,7 @@ func FuzzHaloLabels(f *testing.F) {
 	f.Add(1, haloBlob(append(good, [2]int64{3, 1})...))
 	f.Add(1, haloBlob(append(good[1:], [2]int64{5, 1})...))
 	f.Add(1, haloBlob(append(good[1:], [2]int64{3, -7})...))
-	f.Add(2, haloBlob(good...))
+	f.Add(0, haloBlob(good...))
 	f.Fuzz(func(t *testing.T, src int, blob []byte) {
 		sl.BeginHalo()
 		_ = env.readHalo(sl, recv, rt.Blob{Src: src, Blob: blob})
@@ -376,4 +418,39 @@ func FuzzHaloLabels(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkPhase2 times warm Default(P) solves on the traverse-inproc
+// benchmark graph (R-MAT 2^15, average degree 16) from 16 terminals and
+// reports phases 1 and 2 per solve: on one rank phase 2 is the bare scan,
+// on two it adds the halo exchange, and with the scan split at the higher
+// endpoint's owner the two ranks share it.
+func BenchmarkPhase2(b *testing.B) {
+	g := gen.Config{Name: "rmat", Kind: gen.KindRMAT, N: 1 << 15, AvgDegree: 16, MaxWeight: 5000,
+		Backbone: true, Seed: 1}.MustBuild()
+	seeds := pickSeeds(rand.New(rand.NewSource(1)), g.NumVertices(), 16)
+	for _, ranks := range []int{1, 2} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			e, err := NewEngine(g, Default(ranks))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			if _, err := e.Solve(seeds); err != nil {
+				b.Fatal(err)
+			}
+			var p1, p2 float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := e.Solve(seeds)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p1 += res.Phase(PhaseVoronoi).Seconds
+				p2 += res.Phase(PhaseLocalMinEdge).Seconds
+			}
+			b.ReportMetric(1e3*p1/float64(b.N), "phase1-ms")
+			b.ReportMetric(1e3*p2/float64(b.N), "phase2-ms")
+		})
+	}
 }

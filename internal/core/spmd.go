@@ -62,8 +62,10 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	})
 
 	// Phase 2: local min-distance cross-cell edges (Alg. 5,
-	// LOCAL_MIN_DIST_EDGE_ASYNC). The owner of each edge's lower endpoint u
-	// records the candidate, so it needs the label of v = the higher one.
+	// LOCAL_MIN_DIST_EDGE_ASYNC). The owner of each edge's higher endpoint v
+	// records the candidate, so it needs the label of u = the lower one:
+	// labels flow from lower ranks to higher ones, which spreads the scan
+	// where low-ID hubs would load the lowest rank.
 	sc := env.pools[r.ID()]
 	ok := true
 	faultpoint.Hit("solve.phase2")
@@ -199,14 +201,14 @@ func mergeRuns(runs [][]graph.Edge, n int) []graph.Edge {
 }
 
 // haloPlan is one rank's phase-2 halo, planned once per session: Alg. 5
-// needs both labels of an edge {u, v}, u < v, at u's owner, a lower rank.
+// needs both labels of an edge {u, v}, u < v, at v's owner, a higher rank.
 // send[q] lists the owned rows peer q needs, recv[q] the ghost slots of q's
-// vertices above the owned range, ascending: every ghost slot is the target
+// vertices below the owned range, ascending: every ghost slot is the target
 // of an owned row's arc and adjacency is symmetric, so both name the same
 // vertices in the same order and a label lands by position.
 type haloPlan struct {
 	send, recv [][]int32
-	high       int32    // the first ghost slot above the owned range
+	high       int32    // the first ghost slot above the owned range; the slots below it receive
 	out        [][]byte // send's blobs, reused across queries
 }
 
@@ -218,7 +220,7 @@ func newHaloPlan(sh *graph.Shard, owner func(graph.VID) int) haloPlan {
 	for i := int32(0); int(i) < sh.NumOwned(); i++ {
 		_, refs := sh.RowArcs(i)
 		for _, ref := range refs {
-			if ref >= 0 || ^ref >= p.high {
+			if ref >= 0 || ^ref < p.high {
 				continue
 			}
 			if q := owner(sh.Target(ref)); len(p.send[q]) == 0 || p.send[q][len(p.send[q])-1] != i {
@@ -226,7 +228,7 @@ func newHaloPlan(sh *graph.Shard, owner func(graph.VID) int) haloPlan {
 			}
 		}
 	}
-	for g := p.high; int(g) < sh.NumGhosts(); g++ {
+	for g := int32(0); g < p.high; g++ {
 		q := owner(sh.Target(^g))
 		p.recv[q] = append(p.recv[q], g)
 	}
@@ -237,9 +239,10 @@ func newHaloPlan(sh *graph.Shard, owner func(graph.VID) int) haloPlan {
 const haloRecord = 12
 
 // haloPhase2 is phase 2: one Exchange moves the halo under async and BSP
-// alike (an unreached row as src NilVID), then a local scan of the u < v
-// arcs records the candidates. It returns the labels received, and false
-// once all ranks agree a blob was corrupt (rank 0 records env.err).
+// alike (an unreached row as src NilVID), then a local scan of each owned
+// row v's arcs to a u < v records the candidates. It returns the labels
+// received, and false once all ranks agree a blob was corrupt (rank 0
+// records env.err).
 func (env *solveEnv) haloPhase2(r *rt.Rank, sl *voronoi.StateSlab) (received int64, ok bool) {
 	sc := env.pools[r.ID()]
 	p, localEN := &sc.halo, &sc.localEN
@@ -275,28 +278,27 @@ func (env *solveEnv) haloPhase2(r *rt.Rank, sl *voronoi.StateSlab) (received int
 		return received, false
 	}
 	// A row's arcs ascend by target: [lower ghosts | owned | higher ghosts],
-	// so the arcs to a v > u are a suffix. Only a cross-cell one needs v.
+	// so the arcs to a u < v are a prefix. Only a cross-cell one needs u.
 	sh := r.Shard()
 	for i := int32(0); int(i) < sh.NumOwned(); i++ {
-		su, du := sl.Label(i)
-		if su == graph.NilVID {
+		sv, dv := sl.Label(i)
+		if sv == graph.NilVID {
 			continue
 		}
 		ws, refs := sh.RowArcs(i)
-		for j := len(refs) - 1; j >= 0; j-- {
-			ref := refs[j]
-			if ref >= 0 && ref <= i || ref < 0 && ^ref < p.high {
-				break
+		for j, ref := range refs {
+			if ref >= i || ^ref >= p.high {
+				break // an owned row from v's on, or a ghost above the range
 			}
-			sv, dv := sl.Label(ref)
+			su, du := sl.Label(ref)
 			// Forest mode: a candidate joining cells of two different
 			// groups can never appear in any group's tree, so the merged
 			// distance graph holds intra-group edges only.
-			if sv == su || sv == graph.NilVID || env.groupOf != nil && env.groupOf[env.seedIndex(su)] != env.groupOf[env.seedIndex(sv)] {
+			if su == sv || su == graph.NilVID || env.groupOf != nil && env.groupOf[env.seedIndex(su)] != env.groupOf[env.seedIndex(sv)] {
 				continue
 			}
 			localEN.fold(crossRec{key: seedKey(su, sv),
-				crossEdge: crossEdge{D: du + graph.Dist(ws[j]) + dv, U: sh.Rows().VertexAt(int(i)), V: sh.Target(ref)}})
+				crossEdge: crossEdge{D: du + graph.Dist(ws[j]) + dv, U: sh.Target(ref), V: sh.Rows().VertexAt(int(i))}})
 		}
 	}
 	return received, true

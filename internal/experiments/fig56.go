@@ -78,6 +78,6 @@ func Fig56(cfg Config) ([]tables.Table, error) {
 	msgT.AddNote("paper: message improvement 4.9x (FRS), 6.1x (UKW), 22.1x (LVJ)")
 	msgT.AddNote("collective phases (GlbMinE, MST, Prune) send no visitor messages, as in the paper")
 	msgT.AddNote("both queues share the tentative-label filter (a row is relaxed when the offer is made), which removes most of FIFO's stale re-expansions: expect a smaller FIFO/priority ratio than the paper's install-at-visit FIFO")
-	msgT.AddNote("both queues also share the sender-side filter (a cross-rank offer goes out only if it beats the best one already sent to that vertex) and LocMinE is one halo exchange, a label per boundary vertex and lower peer, not a request and a reply per boundary arc")
+	msgT.AddNote("both queues also share the sender-side filter (a cross-rank offer goes out only if it beats the best one already sent to that vertex) and LocMinE is one halo exchange, a label per boundary vertex and higher peer, not a request and a reply per boundary arc")
 	return []tables.Table{timeT, msgT}, nil
 }

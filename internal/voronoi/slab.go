@@ -243,6 +243,14 @@ func (sl *StateSlab) relax(i int32, src, pred graph.VID, dist graph.Dist) bool {
 	return improved
 }
 
+// ghostBeats is beats' counterpart for ghost slot g: whether the offer this
+// rank already sent that vertex beats one of dist on dist alone, which
+// offerGhost would reject.
+func (sl *StateSlab) ghostBeats(g int32, dist graph.Dist) bool {
+	row := &sl.ghost[g]
+	return row.epoch == sl.gcur && row.dist < dist
+}
+
 // offerGhost is relax's counterpart for a vertex owned elsewhere: it reports
 // whether an offer to ghost slot g has to be sent, and records it if so. The
 // owner's row is the lexicographic minimum of everything it received, so an

@@ -222,6 +222,10 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 		for j, ref := range refs {
 			d := dist + graph.Dist(ws[j])
 			switch {
+			case ref < 0 && sl.ghostBeats(^ref, d):
+				// Most cross-rank offers lose to one already sent, on dist
+				// alone: offerSender would suppress them after a call.
+				r.Suppress()
 			case ref < 0:
 				send(r, ref, v, seed, d)
 			case sl.beats(ref, d):
@@ -266,11 +270,12 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 	})
 }
 
-// offerSender returns the function every cross-rank relaxation offer goes
-// through: ref is the ghost slot of a target owned elsewhere (an owned
-// target never gets here; the scan relaxes it on the spot), and the target's
-// VID (graph.Shard.Target) is only built for an offer that becomes a
-// message. It runs on the rank goroutine only.
+// offerSender returns the function a cross-rank relaxation offer goes
+// through unless the scan's dist-only test (ghostBeats) already dropped it:
+// ref is the ghost slot of a target owned elsewhere (an owned target never
+// gets here; the scan relaxes it on the spot), and the target's VID
+// (graph.Shard.Target) is only built for an offer that becomes a message.
+// It runs on the rank goroutine only.
 //
 //   - If the ghost row already beats the offer, it is dropped, counted in
 //     Stats.Suppressed. The ghost row holds the best offer this rank has
