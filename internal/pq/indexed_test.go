@@ -64,15 +64,20 @@ func (m *indexedModel) reset() {
 // each, and fails on the first difference: pushes for one of 16 slots (a
 // replacement whenever that slot is queued, moving its key either way), with
 // an item or without one (PushSlot, whose entry pops the zero item), pushes
-// with slot -1, pops, and now and then a Reset with entries still queued. Keys span 0..15, so ties, broken on handle, are the norm. After the
+// with slot -1, late pushes keyed below the last key popped, pops, and now
+// and then a Reset with entries still queued. A key is a value in 0..15
+// shifted left by one of eight widths up to 60, both drawn from the stream,
+// so keys span bit lengths 0 to 64 — every radix bucket, and refills that
+// cross bit widths — while ties, broken on handle, stay the norm. After the
 // last operation both are drained.
 func checkIndexedOps(t *testing.T, q *Indexed[int], ops []byte) {
 	t.Helper()
 	var m indexedModel
+	var popped uint64 // the key of the last pop
 	q.Reset()
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, arg := ops[i], ops[i+1]
-		key := uint64(arg >> 4)
+		key := uint64(arg>>4) << keyWidths[op>>5]
 		switch op % 8 {
 		case 0, 1:
 			slot := int32(arg % 16)
@@ -88,6 +93,17 @@ func checkIndexedOps(t *testing.T, q *Indexed[int], ops []byte) {
 			if q.Push(i, key, -1) || m.push(i, key, -1) {
 				t.Fatalf("op %d: a slot -1 push replaced an entry", i/2)
 			}
+		case 6:
+			// A late arrival, like a peer's offer under async: below the
+			// last key popped, with or without a slot.
+			key = popped - min(popped, uint64(arg>>4)+1)
+			slot := int32(arg % 16)
+			if arg&16 != 0 {
+				slot = -1
+			}
+			if got, want := q.Push(i, key, slot), m.push(i, key, slot); got != want {
+				t.Fatalf("op %d: late Push(slot %d) replaced = %v, model %v", i/2, slot, got, want)
+			}
 		case 7:
 			if arg%4 == 0 {
 				q.Reset()
@@ -96,10 +112,19 @@ func checkIndexedOps(t *testing.T, q *Indexed[int], ops []byte) {
 			}
 			fallthrough
 		default:
+			var next uint64
+			for j, e := range m.live {
+				if j == 0 || e.key < next {
+					next = e.key
+				}
+			}
 			got, gslot, gok := q.Pop()
 			want, wslot, wok := m.pop()
 			if got != want || gslot != wslot || gok != wok {
 				t.Fatalf("op %d: Pop = (%d, %d, %v), model (%d, %d, %v)", i/2, got, gslot, gok, want, wslot, wok)
+			}
+			if wok {
+				popped = next
 			}
 		}
 		if q.Len() != len(m.live) {
@@ -117,9 +142,15 @@ func checkIndexedOps(t *testing.T, q *Indexed[int], ops []byte) {
 	}
 }
 
+// keyWidths are the shifts checkIndexedOps applies to a key, indexed by the
+// top three bits of an operation byte: mostly narrow, so that ties and
+// refills within a few bits are common, and a few wide enough to reach the
+// top buckets.
+var keyWidths = [8]uint{0, 0, 0, 2, 7, 21, 40, 60}
+
 // TestIndexedMatchesSortedModel is the differential test of the indexed
-// heap: random operation streams, push-heavy while the heap grows and
-// pop-heavy while it shrinks, on one heap reused across streams.
+// queue: random operation streams, push-heavy while the queue grows and
+// pop-heavy while it shrinks, on one queue reused across streams.
 func TestIndexedMatchesSortedModel(t *testing.T) {
 	q := NewIndexed[int](0)
 	for seed := int64(1); seed <= 8; seed++ {
@@ -172,7 +203,9 @@ func TestIndexedResetForgetsQueuedSlots(t *testing.T) {
 // side by side.
 func TestIndexedHeadersStayApart(t *testing.T) {
 	headers := func(q *Indexed[int]) (lo, hi uintptr) {
-		return uintptr(unsafe.Pointer(&q.a)), uintptr(unsafe.Pointer(&q.live)) + unsafe.Sizeof(q.live)
+		// a is the first field after the leading pad, bk the last before the
+		// trailing one.
+		return uintptr(unsafe.Pointer(&q.a)), uintptr(unsafe.Pointer(&q.bk)) + unsafe.Sizeof(q.bk)
 	}
 	for i := 0; i < 16; i++ {
 		p, q := NewIndexed[int](0), NewIndexed[int](0)
@@ -189,15 +222,23 @@ func TestIndexedHeadersStayApart(t *testing.T) {
 func FuzzIndexedHeap(f *testing.F) {
 	f.Add([]byte{0, 0x31, 0, 0x21, 1, 0x11, 4, 0, 0, 0x01, 5, 0, 5, 0})
 	f.Add([]byte{3, 0x50, 3, 0x50, 0, 0x52, 0, 0x42, 0, 0x62, 7, 0, 0, 0x52, 4, 0})
+	// A refill across bit widths: keys 1<<60, 3<<40, 5<<21 and ties at 2<<7
+	// wait in four buckets above the first pop's key, then drain lowest first.
+	f.Add([]byte{0, 0x00, 0xe0, 0x11, 0xc0, 0x32, 0xa3, 0x50, 0x83, 0x20, 0x82, 0x23, 4, 0, 4, 0, 4, 0, 4, 0, 4, 0})
+	// Late arrivals: after popping 9<<21 with 12<<21 still bucketed, two
+	// pushes below it (without a slot, then with one) pop before the bucketed
+	// entry, and a replacement pulls that entry down to key 0.
+	f.Add([]byte{0xa0, 0x91, 0xa0, 0xc2, 4, 0, 6, 0x13, 6, 0x00, 4, 0, 0, 0x02, 4, 0, 4, 0})
 	q := NewIndexed[int](0)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		checkIndexedOps(t, q, ops)
 	})
 }
 
-// BenchmarkIndexedPushPop is BenchmarkHeapPushPop on the indexed heap, with
+// BenchmarkIndexedPushPop is BenchmarkHeapPushPop on the indexed queue, with
 // every push an ordinary (slot -1) entry: the cost of the 16-byte entries
-// and the position updates against Heap's whole-item entries.
+// and the position updates against Heap's whole-item entries. Its flood case
+// is the traversal the queue is built for.
 func BenchmarkIndexedPushPop(b *testing.B) {
 	run := func(name string, live int, spread uint64) {
 		b.Run(name, func(b *testing.B) {
@@ -217,4 +258,46 @@ func BenchmarkIndexedPushPop(b *testing.B) {
 	run("live=1K", 1<<10, 5000)
 	run("live=64K", 1<<16, 5000)
 	run("live=512K", 1<<19, 5000)
+
+	// flood is the shape the Voronoi flood gives the queue: a multi-source
+	// Dijkstra over a random graph with one PushSlot entry per row, a
+	// decrease-key whenever a queued row improves, every push at or above
+	// the last key popped, and a frontier that peaks near 16 K rows. ns/op is
+	// per pop, with the pushes and the arc scans between pops included.
+	b.Run("flood", func(b *testing.B) {
+		const n, deg, sources = 1 << 15, 5, 16
+		rng := rand.New(rand.NewSource(1))
+		arcs := make([]int32, n*deg)
+		wts := make([]uint64, n*deg)
+		for i := range arcs {
+			arcs[i] = int32(rng.Intn(n))
+			wts[i] = 1 + uint64(rng.Intn(1000))
+		}
+		dist := make([]uint64, n)
+		h := NewIndexed[msgItem](1024)
+		b.ResetTimer()
+		for done := 0; done < b.N; {
+			for v := range dist {
+				dist[v] = ^uint64(0)
+			}
+			for s := int32(0); s < sources; s++ {
+				dist[s*n/sources] = 0
+				h.PushSlot(0, s*n/sources)
+			}
+			for {
+				_, v, ok := h.Pop()
+				if !ok {
+					break
+				}
+				done++
+				d := dist[v]
+				for i := int(v) * deg; i < int(v+1)*deg; i++ {
+					if u, nd := arcs[i], d+wts[i]; nd < dist[u] {
+						dist[u] = nd
+						h.PushSlot(nd, u)
+					}
+				}
+			}
+		}
+	})
 }

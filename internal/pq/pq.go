@@ -1,13 +1,15 @@
 // Package pq provides the queue substrate behind the runtime's message
-// scheduling: an indexed 4-ary heap that keeps one live entry per slot
-// (Indexed) and a ring-buffer FIFO. The paper's key optimization (§IV,
-// §V-C) is draining each partition's visitor queue in distance-priority
-// order instead of FIFO order; the runtime switches between the two
-// disciplines with one flag, which is the ablation of Fig. 5/6. Heap, the
-// push-only 4-ary heap, serves the sequential algorithms (SSSP, MST, the
-// baselines). None of the queues is safe for concurrent use; the engine
-// owns one set per rank, and Reset keeps allocated capacity so one queue
-// serves many traversals without reallocation.
+// scheduling: an indexed priority queue that keeps one live entry per slot
+// (Indexed, radix buckets in front of a 4-ary heap that pop in exact
+// (key, handle) order) and a ring-buffer FIFO. The paper's key optimization
+// (§IV, §V-C) is draining each partition's visitor queue in
+// distance-priority order instead of FIFO order; the runtime switches
+// between the two disciplines with one flag, which is the ablation of
+// Fig. 5/6. Heap, the push-only 4-ary heap, serves the sequential
+// algorithms (SSSP, MST, the baselines). None of the queues is safe for
+// concurrent use; the engine owns one set per rank, and Reset keeps
+// allocated capacity so one queue serves many traversals without
+// reallocation.
 package pq
 
 // Heap is a 4-ary min-heap priority queue over one array of (key, seq, item)

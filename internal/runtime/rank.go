@@ -365,7 +365,7 @@ func (r *Rank) drainInbox() bool {
 }
 
 // setQueue empties and selects this rank's queue for a traversal: the
-// indexed heap prio for an ordered traversal under QueuePriority, and the
+// indexed queue prio for an ordered traversal under QueuePriority, and the
 // FIFO ring otherwise — under QueueFIFO or when order does not matter. Both
 // queues keep their capacity across phases and queries. prio holds rows
 // unless the traversal is BSP: there a self-send waits in the mailbox for the
