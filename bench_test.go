@@ -100,10 +100,6 @@ func BenchmarkFig9_TreeRendering(b *testing.B) { runExperiment(b, "fig9") }
 // design choice (§IV) against bulk-synchronous supersteps.
 func BenchmarkAblation_AsyncVsBSP(b *testing.B) { runExperiment(b, "ablation-bsp") }
 
-// BenchmarkAblation_Partition quantifies equal-vertex against equal-arc
-// partitioning on the most skewed stand-in.
-func BenchmarkAblation_Partition(b *testing.B) { runExperiment(b, "ablation-partition") }
-
 // BenchmarkAblation_MST quantifies the sequential-MST design choice
 // (§III): Prim vs Kruskal vs Borůvka on distance graphs G'₁ of measured
 // sizes.

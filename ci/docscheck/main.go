@@ -27,6 +27,10 @@
 //     fourteen references to a DESIGN.md that was never written are the
 //     class this catches. Lower-case names (test fixtures) and this
 //     command's own sources are exempt.
+//   - Flag tables: each "## cmd/X flags" section of docs/API.md must list,
+//     in its table's first column, exactly the flags `cmd/X -h` prints —
+//     a flag added to or deleted from a command cannot leave its table
+//     stale in either direction.
 package main
 
 import (
@@ -38,6 +42,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -49,6 +54,18 @@ var linkRe = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 // docRefRe matches a mention of a markdown document named in capitals, with
 // an optional directory prefix: "DESIGN.md", "docs/ARCHITECTURE.md".
 var docRefRe = regexp.MustCompile(`(?:[A-Za-z0-9_.-]+/)*[A-Z][A-Z0-9_]*\.md\b`)
+
+// flagHeadingRe matches the heading of a command's flag table in
+// docs/API.md: "## cmd/steinersvc flags".
+var flagHeadingRe = regexp.MustCompile(`^## cmd/([A-Za-z0-9_-]+) flags$`)
+
+// flagRowRe matches a flag table row and captures the flag's name from its
+// first cell: "| `-graph FILE` | ..." or "| `-addr` | ...".
+var flagRowRe = regexp.MustCompile("^\\| `-([A-Za-z0-9_-]+)")
+
+// usageFlagRe matches a flag line of the flag package's -h output:
+// "  -graph string" or "  -recover".
+var usageFlagRe = regexp.MustCompile(`^  -([A-Za-z0-9_-]+)`)
 
 // goBlock is one ```go fenced snippet with its source location.
 type goBlock struct {
@@ -225,6 +242,99 @@ func compileGoBlocks(root string, blocks []goBlock) []string {
 	return problems
 }
 
+// flagTables returns the flags each "## cmd/X flags" section of content
+// documents, keyed by X, in table order.
+func flagTables(content string) map[string][]string {
+	tables := map[string][]string{}
+	cmd := ""
+	for _, line := range strings.Split(content, "\n") {
+		if m := flagHeadingRe.FindStringSubmatch(line); m != nil {
+			cmd = m[1]
+			tables[cmd] = nil
+			continue
+		}
+		if strings.HasPrefix(line, "## ") {
+			cmd = ""
+			continue
+		}
+		if m := flagRowRe.FindStringSubmatch(line); m != nil && cmd != "" {
+			tables[cmd] = append(tables[cmd], m[1])
+		}
+	}
+	return tables
+}
+
+// usageFlags returns the flags a command's -h output lists.
+func usageFlags(out string) []string {
+	var flags []string
+	for _, line := range strings.Split(out, "\n") {
+		if m := usageFlagRe.FindStringSubmatch(line); m != nil {
+			flags = append(flags, m[1])
+		}
+	}
+	return flags
+}
+
+// compareFlags reports each flag cmd/cmd prints that its table does not
+// document, and each documented flag it does not print.
+func compareFlags(cmd string, documented, printed []string) []string {
+	var problems []string
+	for _, f := range printed {
+		if !slices.Contains(documented, f) {
+			problems = append(problems, fmt.Sprintf("docs/API.md: cmd/%s prints flag -%s, which its flag table does not list", cmd, f))
+		}
+	}
+	for _, f := range documented {
+		if !slices.Contains(printed, f) {
+			problems = append(problems, fmt.Sprintf("docs/API.md: the cmd/%s flag table lists -%s, which cmd/%s -h does not print", cmd, f, cmd))
+		}
+	}
+	return problems
+}
+
+// checkFlagTables builds every command docs/API.md has a flag table for
+// into a throwaway directory, runs it with -h and compares the flags it
+// prints with the table.
+func checkFlagTables(root string) []string {
+	raw, err := os.ReadFile(filepath.Join(root, "docs", "API.md"))
+	if err != nil {
+		return []string{err.Error()}
+	}
+	tables := flagTables(string(raw))
+	if len(tables) == 0 {
+		return nil
+	}
+	bin, err := os.MkdirTemp("", "docscheck-flags")
+	if err != nil {
+		return []string{fmt.Sprintf("docscheck: %v", err)}
+	}
+	defer os.RemoveAll(bin)
+	cmds := make([]string, 0, len(tables))
+	for cmd := range tables {
+		cmds = append(cmds, cmd)
+	}
+	sort.Strings(cmds)
+	var problems []string
+	for _, cmd := range cmds {
+		exe := filepath.Join(bin, cmd)
+		build := exec.Command("go", "build", "-o", exe, "./cmd/"+cmd)
+		build.Dir = root
+		if out, err := build.CombinedOutput(); err != nil {
+			problems = append(problems, fmt.Sprintf("docs/API.md: flag table for cmd/%s, which does not build:\n%s", cmd, out))
+			continue
+		}
+		// The exit status is not checked: the usage text is what counts.
+		out, _ := exec.Command(exe, "-h").CombinedOutput()
+		printed := usageFlags(string(out))
+		if len(printed) == 0 {
+			problems = append(problems, fmt.Sprintf("docs/API.md: cmd/%s -h printed no flags:\n%s", cmd, out))
+			continue
+		}
+		problems = append(problems, compareFlags(cmd, tables[cmd], printed)...)
+	}
+	return problems
+}
+
 func mustRel(base, target string) string {
 	rel, err := filepath.Rel(base, target)
 	if err != nil {
@@ -261,6 +371,7 @@ func run(root string) []string {
 		}
 	}
 	problems = append(problems, compileGoBlocks(root, blocks)...)
+	problems = append(problems, checkFlagTables(root)...)
 	sources, err := goFiles(root)
 	if err != nil {
 		return append(problems, err.Error())
@@ -287,5 +398,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: docs links resolve, snippets compile, Go sources name only documents that exist")
+	fmt.Println("docscheck: docs links resolve, snippets compile, flag tables match the commands, Go sources name only documents that exist")
 }

@@ -79,6 +79,56 @@ func TestExtractAndCheckGoBlocks(t *testing.T) {
 	}
 }
 
+func TestFlagTablesMatchUsage(t *testing.T) {
+	md := strings.Join([]string{
+		"## cmd/svc flags",
+		"",
+		"| Flag | Default | Meaning |",
+		"| --- | --- | --- |",
+		"| `-graph FILE` | | graph file |",
+		"| `-addr` | `:8080` | listen address |",
+		"| `-gone N` | `1` | a flag the command no longer has |",
+		"",
+		"## Removed: old flags",
+		"",
+		"| `-elsewhere` | | rows outside a flags section are not a table |",
+		"",
+		"## cmd/worker flags",
+		"",
+		"Prose first. `-retry` in prose is not a row.",
+		"",
+		"| `-retry D` | `15s` | re-dial |",
+	}, "\n")
+	tables := flagTables(md)
+	if got := strings.Join(tables["svc"], ","); got != "graph,addr,gone" {
+		t.Fatalf("svc table = %q, want graph,addr,gone", got)
+	}
+	if got := strings.Join(tables["worker"], ","); got != "retry" || len(tables) != 2 {
+		t.Fatalf("tables = %v, want svc and worker [retry]", tables)
+	}
+	usage := strings.Join([]string{
+		"Usage of svc:",
+		"  -addr string",
+		"    \tlisten address (default \":8080\")",
+		"  -graph string",
+		"    \tgraph file",
+		"  -recover",
+		"    \theal a poisoned session",
+	}, "\n")
+	printed := usageFlags(usage)
+	if got := strings.Join(printed, ","); got != "addr,graph,recover" {
+		t.Fatalf("usage flags = %q, want addr,graph,recover", got)
+	}
+	problems := compareFlags("svc", tables["svc"], printed)
+	if len(problems) != 2 || !strings.Contains(problems[0], "prints flag -recover") ||
+		!strings.Contains(problems[1], "lists -gone") {
+		t.Fatalf("problems = %v, want the undocumented -recover and the stale -gone", problems)
+	}
+	if p := compareFlags("worker", tables["worker"], []string{"retry"}); len(p) != 0 {
+		t.Fatalf("matching table flagged: %v", p)
+	}
+}
+
 // TestRunAgainstRepo runs the full check (links + snippet compile) against
 // this repository's actual documentation — the same invocation CI uses.
 func TestRunAgainstRepo(t *testing.T) {

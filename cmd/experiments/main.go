@@ -9,7 +9,7 @@
 //	experiments -run table6 -exact=false  # skip the exact solver column
 //
 // Experiment IDs: table1 table3 fig3 fig4 table4 fig5 fig6 fig7 fig8
-// table5 table6 table7 fig9 ablation-bsp ablation-partition ablation-mst.
+// table5 table6 table7 fig9 ablation-bsp ablation-mst.
 package main
 
 import (

@@ -36,7 +36,6 @@ func main() {
 		strategy  = flag.String("strategy", "bfs-level", "seed selection: bfs-level | uniform | eccentric | proximate")
 		rngSeed   = flag.Int64("rng", 42, "seed-selection RNG seed")
 		ranks     = flag.Int("ranks", 4, "simulated rank count")
-		partKind  = flag.String("partition", defaults.Partition.String(), "vertex partition: block | arcblock")
 		queue     = flag.String("queue", defaults.Queue.String(), "message queue: priority | fifo")
 		bsp       = flag.Bool("bsp", false, "bulk-synchronous instead of asynchronous processing")
 		dotFile   = flag.String("dot", "", "write the tree as Graphviz DOT")
@@ -97,10 +96,6 @@ func main() {
 	}
 
 	opts := dsteiner.Defaults(*ranks)
-	opts.Partition, err = dsteiner.ParsePartition(*partKind)
-	if err != nil {
-		fatal(err)
-	}
 	opts.Queue, err = dsteiner.ParseQueue(*queue)
 	if err != nil {
 		fatal(err)

@@ -10,12 +10,10 @@
 //
 //	steinersvc -dataset LVJ -addr :8080
 //	steinersvc -graph web.bin -ranks 8 -engines 4 -cache 512 -jobs 128
-//	steinersvc -dataset WDC12 -partition arcblock
 //	steinersvc -dataset LVJ -backend tcp -workers 4 -rank-listen 127.0.0.1:7600
 //
-// -partition picks the vertex-to-rank mapping (block | arcblock) the
-// engines cut their rank-local graph shards from. /info and /stats report
-// the partition kind and shard memory.
+// The engines cut the graph into equal-vertex rank-local shards; /info and
+// /stats report their memory.
 //
 // -backend selects where the ranks run. The default inproc backend runs
 // them as goroutines over in-memory mailboxes. -backend tcp turns this
@@ -93,7 +91,6 @@ func main() {
 		recoverOn  = flag.Bool("recover", false, "heal a poisoned tcp session: re-admit rejoining/respawned workers and requeue the in-flight query")
 		rejoinWait = flag.Duration("rejoin-wait", 30*time.Second, "how long one session heal waits for all workers to re-handshake (with -recover)")
 		respawnCmd = flag.String("respawn-cmd", "", "shell command run (async, via sh -c) each time the tcp session loses a worker — e.g. a script starting one replacement rankd")
-		partKind   = flag.String("partition", defaults.Partition.String(), "vertex partition: block | arcblock")
 		queueKind  = flag.String("queue", defaults.Queue.String(), "message queue discipline: fifo | priority")
 		engines    = flag.Int("engines", 1, "resident solver engines (max concurrent queries; must be 1 with -backend tcp)")
 		cache      = flag.Int("cache", 256, "LRU solution cache entries (0 disables)")
@@ -121,11 +118,6 @@ func main() {
 		os.Exit(1)
 	}
 	opts := dsteiner.Defaults(*ranks)
-	opts.Partition, err = dsteiner.ParsePartition(*partKind)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "steinersvc: %v\n", err)
-		os.Exit(1)
-	}
 	opts.Queue, err = dsteiner.ParseQueue(*queueKind)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "steinersvc: %v\n", err)
@@ -181,8 +173,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "steinersvc: %v\n", err)
 		os.Exit(1)
 	}
-	log.Printf("steinersvc: serving |V|=%d 2|E|=%d on %s with %d engine(s) x %d ranks over %s backend (%s partition), cache=%d, jobs=%d",
-		g.NumVertices(), g.NumArcs(), *addr, svc.NumEngines(), *ranks, *backend, *partKind, *cache, *jobs)
+	log.Printf("steinersvc: serving |V|=%d 2|E|=%d on %s with %d engine(s) x %d ranks over %s backend, cache=%d, jobs=%d",
+		g.NumVertices(), g.NumArcs(), *addr, svc.NumEngines(), *ranks, *backend, *cache, *jobs)
 
 	srv := &http.Server{Addr: *addr, Handler: svc}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -80,11 +80,8 @@ type (
 	PhaseStat = core.PhaseStat
 	// QueueKind selects the per-rank message queue discipline.
 	QueueKind = rt.QueueKind
-	// PartitionKind selects the vertex-to-rank mapping used to cut the
-	// graph into rank-local shards.
-	PartitionKind = core.PartitionKind
-	// ShardStats describes an Engine's sharded graph substrate (partition
-	// kind, per-rank shard bytes).
+	// ShardStats describes an Engine's sharded graph substrate (rank
+	// count, per-rank shard and state-slab bytes).
 	ShardStats = core.ShardStats
 	// SeedStrategy selects a seed-vertex selection algorithm.
 	SeedStrategy = seeds.Strategy
@@ -123,17 +120,6 @@ const (
 	// the paper's key optimization.
 	QueuePriority = rt.QueuePriority
 )
-
-// Partition kinds (see internal/partition and the §IV scale-out design).
-const (
-	// PartitionBlock gives each rank a contiguous, equal-vertex range.
-	PartitionBlock = core.PartitionBlock
-	// PartitionArcBlock balances contiguous ranges by arc count.
-	PartitionArcBlock = core.PartitionArcBlock
-)
-
-// ParsePartition maps "block" or "arcblock" to its PartitionKind.
-func ParsePartition(s string) (PartitionKind, error) { return core.ParsePartition(s) }
 
 // Rank backends: where the communicator's ranks live.
 const (
@@ -178,10 +164,9 @@ var ErrDuplicateSeed = core.ErrDuplicateSeed
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
 // Defaults returns the paper's tuned configuration at the given simulated
-// rank count: asynchronous processing with priority message queues and
-// equal-vertex contiguous ranges, as the paper partitions (§IV). Phase-1
-// work follows popped vertices, so equal-vertex ranges balance it better
-// than arc-balanced ones (PartitionArcBlock) on skewed graphs.
+// rank count: asynchronous processing with priority message queues. Every
+// engine cuts the graph into equal-vertex contiguous ranges, as the paper
+// partitions (§IV).
 func Defaults(ranks int) Options { return core.Default(ranks) }
 
 // Solve computes a 2-approximate Steiner minimal tree of g spanning the

@@ -88,7 +88,7 @@ func solveWithDeadline(t *testing.T, name string, e *Engine, seeds []graph.VID) 
 // chaosOpts is the one engine shape every chaos cell uses, so a single
 // loopback reference covers the whole matrix.
 func chaosOpts() Options {
-	return Options{Ranks: 4, Queue: rt.QueuePriority, Partition: PartitionArcBlock}
+	return Options{Ranks: 4, Queue: rt.QueuePriority}
 }
 
 // probeChaosOps measures how many transport operations one worker's Chaos

@@ -37,7 +37,7 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if opts.WorkerWait <= 0 {
 		opts.WorkerWait = 60 * time.Second
 	}
-	plan, err := buildSubstrate(g, opts)
+	plan, err := buildSubstrate(g, opts.Ranks)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +45,7 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	// accounting; the workers rebuild them from the handshake's slices, and
 	// this copy is garbage afterwards.
 	shards := plan.BuildShards(g)
-	shard := shardStats(opts, plan, shards, voronoi.BuildSlabs(plan, shards))
+	shard := shardStats(shards, voronoi.BuildSlabs(plan, shards))
 
 	hub, err := transport.ListenHub(opts.ListenAddr, opts.Workers, opts.Ranks)
 	if err != nil {

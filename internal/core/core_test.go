@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dsteiner/internal/baseline"
 	"dsteiner/internal/exact"
@@ -140,31 +141,34 @@ func TestDuplicateSeedsRejected(t *testing.T) {
 	}
 }
 
-func TestDeterministicAcrossRanksQueuesAndPartitions(t *testing.T) {
+// TestDeterministicAcrossRanksQueuesAndDelivery requires one tree from
+// every rank count and queue discipline, with delivery in order and with
+// every inbound batch shuffled.
+func TestDeterministicAcrossRanksQueuesAndDelivery(t *testing.T) {
 	g := randomConnected(11, 300, 25)
 	rng := rand.New(rand.NewSource(12))
 	seeds := pickSeeds(rng, 300, 7)
 	var ref *Result
 	for _, ranks := range []int{1, 2, 5, 8} {
 		for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
-			for _, pk := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
-				opts := Options{Ranks: ranks, Queue: q, Partition: pk}
+			for _, shuffle := range []bool{false, true} {
+				opts := Options{Ranks: ranks, Queue: q, ShuffleDelivery: shuffle, ShuffleSeed: int64(ranks)}
 				res, err := Solve(g, seeds, opts)
 				if err != nil {
-					t.Fatalf("ranks=%d q=%v part=%v: %v", ranks, q, pk, err)
+					t.Fatalf("ranks=%d q=%v shuffle=%v: %v", ranks, q, shuffle, err)
 				}
 				if ref == nil {
 					ref = res
 					continue
 				}
 				if res.TotalDistance != ref.TotalDistance || len(res.Tree) != len(ref.Tree) {
-					t.Fatalf("ranks=%d q=%v part=%v: distance %d (%d edges), ref %d (%d edges)",
-						ranks, q, pk, res.TotalDistance, len(res.Tree), ref.TotalDistance, len(ref.Tree))
+					t.Fatalf("ranks=%d q=%v shuffle=%v: distance %d (%d edges), ref %d (%d edges)",
+						ranks, q, shuffle, res.TotalDistance, len(res.Tree), ref.TotalDistance, len(ref.Tree))
 				}
 				for i := range res.Tree {
 					if res.Tree[i] != ref.Tree[i] {
-						t.Fatalf("ranks=%d q=%v part=%v: tree differs at %d: %v vs %v",
-							ranks, q, pk, i, res.Tree[i], ref.Tree[i])
+						t.Fatalf("ranks=%d q=%v shuffle=%v: tree differs at %d: %v vs %v",
+							ranks, q, shuffle, i, res.Tree[i], ref.Tree[i])
 					}
 				}
 			}
@@ -185,17 +189,25 @@ func TestParseQueue(t *testing.T) {
 	}
 }
 
-// TestParsePartition pins the other enum flag: block and arcblock parse and
-// round-trip through String, and any other name — hash included — is
-// refused with the valid ones.
-func TestParsePartition(t *testing.T) {
-	for _, want := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
-		if got, err := ParsePartition(want.String()); err != nil || got != want {
-			t.Fatalf("ParsePartition(%q) = %v, %v; want %v", want.String(), got, err, want)
+// TestNewEngineRejectsUnknownQueue pins the other side of ParseQueue: a
+// library caller's Options.Queue outside the two disciplines is refused by
+// NewEngine on both backends, before any fleet is dialled, rather than run
+// as FIFO in process and refused at a TCP worker's handshake.
+func TestNewEngineRejectsUnknownQueue(t *testing.T) {
+	g := randomConnected(13, 40, 9)
+	for _, backend := range []Backend{BackendInproc, BackendTCP} {
+		for _, q := range []rt.QueueKind{-1, rt.QueuePriority + 1} {
+			opts := Options{Ranks: 2, Queue: q, Backend: backend, ListenAddr: "127.0.0.1:0", WorkerWait: time.Second}
+			opts.OnListen = func(string) { t.Errorf("%v/%v: the coordinator listened for workers", backend, q) }
+			e, err := NewEngine(g, opts)
+			if err == nil {
+				e.Close()
+				t.Fatalf("%v/%v: NewEngine accepted the queue", backend, q)
+			}
+			if !strings.Contains(err.Error(), "fifo or priority") {
+				t.Fatalf("%v/%v: error = %v, want one naming fifo or priority", backend, q, err)
+			}
 		}
-	}
-	if _, err := ParsePartition("hash"); err == nil || !strings.Contains(err.Error(), "block or arcblock") {
-		t.Fatalf("ParsePartition(\"hash\") error = %v, want one naming block or arcblock", err)
 	}
 }
 
@@ -285,7 +297,7 @@ func TestPropertyOutputAlwaysValidTree(t *testing.T) {
 		seeds := pickSeeds(rng, n, 2+rng.Intn(10))
 		opts := Options{
 			Ranks:           1 + rng.Intn(6),
-			Queue:           rt.QueueKind(rng.Intn(3)),
+			Queue:           []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority}[rng.Intn(2)],
 			ShuffleDelivery: true,
 			ShuffleSeed:     seed,
 			BatchSize:       1 + rng.Intn(50),
@@ -349,7 +361,7 @@ func TestPhaseStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestDefaultBalancesVoronoiVisits pins why Default splits ranks by
+// TestDefaultBalancesVoronoiVisits pins why engines split ranks by
 // vertices: phase 1 pays per popped vertex, so on a skewed R-MAT graph
 // (the LVJ stand-in shape) equal-vertex ranges keep the busiest rank near
 // half the visits. Arc-balanced ranges read ≈1.57 here, block ≈1.05.
@@ -412,11 +424,5 @@ func TestSteinerVerticesCounted(t *testing.T) {
 	}
 	if res.SteinerVertices != 1 {
 		t.Fatalf("SteinerVertices = %d, want 1", res.SteinerVertices)
-	}
-}
-
-func TestOptionStrings(t *testing.T) {
-	if PartitionBlock.String() != "block" || PartitionArcBlock.String() != "arcblock" {
-		t.Error("PartitionKind strings wrong")
 	}
 }

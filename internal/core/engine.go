@@ -53,27 +53,26 @@ type Engine struct {
 // which shares the immutable shard substrate instead of rebuilding it.
 func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
+	// Refused here, before either backend starts: in process any other
+	// value would run FIFO, and a TCP worker refuses it at handshake.
+	if opts.Queue != rt.QueueFIFO && opts.Queue != rt.QueuePriority {
+		return nil, fmt.Errorf("core: unknown queue discipline %v (want fifo or priority)", opts.Queue)
+	}
 	if opts.Backend == BackendTCP {
 		return newClusterEngine(g, opts)
 	}
-	plan, err := buildSubstrate(g, opts)
+	plan, err := buildSubstrate(g, opts.Ranks)
 	if err != nil {
 		return nil, err
 	}
 	return newEngine(g, opts, plan, plan.BuildShards(g))
 }
 
-// buildSubstrate cuts g for opts, the step both backends start from: the
-// shard plan over the partition the ranks route by — block or arc-block
-// ranges (plan.Partition()).
-func buildSubstrate(g *graph.Graph, opts Options) (*partition.ShardPlan, error) {
-	var part *partition.Partition
-	var err error
-	if opts.Partition == PartitionArcBlock {
-		part, err = partition.NewArcBlock(g, opts.Ranks)
-	} else {
-		part, err = partition.NewBlock(g.NumVertices(), opts.Ranks)
-	}
+// buildSubstrate cuts g into ranks, the step both backends start from: the
+// shard plan over the equal-vertex ranges the ranks route by
+// (plan.Partition()).
+func buildSubstrate(g *graph.Graph, ranks int) (*partition.ShardPlan, error) {
+	part, err := partition.NewBlock(g.NumVertices(), ranks)
 	if err != nil {
 		return nil, err
 	}
@@ -81,11 +80,8 @@ func buildSubstrate(g *graph.Graph, opts Options) (*partition.ShardPlan, error) 
 }
 
 // shardStats sums a built substrate's resident memory.
-func shardStats(opts Options, plan *partition.ShardPlan, shards []*graph.Shard, slabs []*voronoi.StateSlab) ShardStats {
-	s := ShardStats{
-		Partition: opts.Partition.String(),
-		Ranks:     opts.Ranks,
-	}
+func shardStats(shards []*graph.Shard, slabs []*voronoi.StateSlab) ShardStats {
+	s := ShardStats{Ranks: len(shards)}
 	for _, sh := range shards {
 		b := sh.MemoryBytes()
 		s.ShardBytes += b
@@ -144,7 +140,7 @@ func newEngine(g *graph.Graph, opts Options, plan *partition.ShardPlan, shards [
 		opts:   opts,
 		plan:   plan,
 		shards: shards,
-		shard:  shardStats(opts, plan, shards, slabs),
+		shard:  shardStats(shards, slabs),
 		host:   newRankHost(comm, opts.BSP),
 		slabs:  slabs,
 		seen:   make(map[graph.VID]bool),
@@ -168,9 +164,6 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // ShardStats describes an engine's sharded graph substrate, for serving
 // layers (/info, /stats) and capacity planning.
 type ShardStats struct {
-	// Partition is the vertex-to-rank mapping kind ("block" or
-	// "arcblock").
-	Partition string
 	// Ranks is the number of shards (one per rank).
 	Ranks int
 	// ShardBytes is the total resident size of all rank-local shards.

@@ -46,7 +46,7 @@ func TestFragmentTCPWireBytes(t *testing.T) {
 	for i := range penalties {
 		penalties[i] = 1 << 40
 	}
-	e, wait := startTCPEngine(t, g, Options{Ranks: 4, Queue: rt.QueuePriority, Partition: PartitionArcBlock}, 4)
+	e, wait := startTCPEngine(t, g, Options{Ranks: 4, Queue: rt.QueuePriority}, 4)
 	defer wait()
 	defer e.Close()
 

@@ -50,18 +50,17 @@ func TestPhase2SendsOnePushPerBoundaryVertex(t *testing.T) {
 	cases := []struct {
 		name  string
 		g     *graph.Graph
-		kind  PartitionKind
 		ranks int
 		pool  int // terminals are drawn from vertices below this
 	}{
-		{"random+island/arcblock", island(), PartitionArcBlock, 3, 300},
-		{"grid/block", gen.Config{Name: "grid", Kind: gen.KindGrid2D, N: 16 * 24, Rows: 16, Cols: 24, MaxWeight: 9, Seed: 62}.MustBuild(), PartitionBlock, 4, 16 * 24},
-		{"rmat/arcblock", gen.Config{Name: "rmat", Kind: gen.KindRMAT, N: 1 << 9, AvgDegree: 8, MaxWeight: 100, Backbone: true, Seed: 63}.MustBuild(), PartitionArcBlock, 2, 1 << 9},
+		{"random+island", island(), 3, 300},
+		{"grid", gen.Config{Name: "grid", Kind: gen.KindGrid2D, N: 16 * 24, Rows: 16, Cols: 24, MaxWeight: 9, Seed: 62}.MustBuild(), 4, 16 * 24},
+		{"rmat", gen.Config{Name: "rmat", Kind: gen.KindRMAT, N: 1 << 9, AvgDegree: 8, MaxWeight: 100, Backbone: true, Seed: 63}.MustBuild(), 2, 1 << 9},
 	}
 	for _, tc := range cases {
 		for _, bsp := range []bool{false, true} {
 			label := fmt.Sprintf("%s bsp=%v", tc.name, bsp)
-			e, err := NewEngine(tc.g, Options{Ranks: tc.ranks, Queue: rt.QueuePriority, Partition: tc.kind, BSP: bsp})
+			e, err := NewEngine(tc.g, Options{Ranks: tc.ranks, Queue: rt.QueuePriority, BSP: bsp})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,29 +122,27 @@ func TestPhase2RecordsAtHigherOwner(t *testing.T) {
 	} {
 		g := cfg.MustBuild()
 		seeds := pickSeeds(rand.New(rand.NewSource(69)), g.NumVertices(), 12)
-		for _, kind := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
-			for _, ranks := range []int{2, 3, 4} {
-				label := fmt.Sprintf("%s/%v/%d ranks", cfg.Name, kind, ranks)
-				e, err := NewEngine(g, Options{Ranks: ranks, Queue: rt.QueuePriority, Partition: kind})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := e.Solve(seeds); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				owner := e.host.comm.Partition().Owner
-				for r, pool := range e.host.pools {
-					for _, rec := range pool.localEN.recs {
-						if owner(rec.V) != r || rec.U >= rec.V {
-							t.Fatalf("%s: rank %d recorded {%d, %d}, owned by ranks %d and %d", label, r, rec.U, rec.V, owner(rec.U), owner(rec.V))
-						}
-						if owner(rec.U) != r {
-							crossRank++
-						}
+		for _, ranks := range []int{2, 3, 4} {
+			label := fmt.Sprintf("%s/%d ranks", cfg.Name, ranks)
+			e, err := NewEngine(g, Options{Ranks: ranks, Queue: rt.QueuePriority})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Solve(seeds); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			owner := e.host.comm.Partition().Owner
+			for r, pool := range e.host.pools {
+				for _, rec := range pool.localEN.recs {
+					if owner(rec.V) != r || rec.U >= rec.V {
+						t.Fatalf("%s: rank %d recorded {%d, %d}, owned by ranks %d and %d", label, r, rec.U, rec.V, owner(rec.U), owner(rec.V))
+					}
+					if owner(rec.U) != r {
+						crossRank++
 					}
 				}
-				e.Close()
 			}
+			e.Close()
 		}
 	}
 	if crossRank == 0 {
@@ -189,13 +186,13 @@ func haloGraph() *graph.Graph {
 }
 
 // TestPropertyHaloPlan checks the static halo against the global graph over
-// both partition kinds and rank counts with empty ranges among them: each
+// rank counts with empty ranges among them: each
 // sender's list for a peer names the same
 // vertices in the same order as that peer's receive list (blobs land by
 // position), every arc the scan walks is exactly an arc to a lower vertex,
 // and after a solve every ghost label the scan reads is voronoi.Sequential's.
 func TestPropertyHaloPlan(t *testing.T) {
-	// Six vertices leave both partition kinds some ranks with none at 8.
+	// Six vertices leave some ranks with none at 8.
 	tiny := graph.NewBuilder(6)
 	for v := 1; v < 6; v++ {
 		tiny.AddEdge(graph.VID(v-1), graph.VID(v), uint32(v))
@@ -224,56 +221,54 @@ func TestPropertyHaloPlan(t *testing.T) {
 // empty ranks, ghost reads and unreached ghost reads it saw to the counts.
 func testHaloPlan(t *testing.T, g *graph.Graph, seeds []graph.VID, empty, unreached, ghosts *int) {
 	st := voronoi.Sequential(g, seeds)
-	for _, kind := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
-		for _, ranks := range []int{1, 2, 3, 5, 8} {
-			label := fmt.Sprintf("%v/%d ranks", kind, ranks)
-			e, err := NewEngine(g, Options{Ranks: ranks, Queue: rt.QueuePriority, Partition: kind})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.Solve(seeds); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			for r, sh := range e.shards {
-				plan, sl := e.host.pools[r].halo, e.slabs[r]
-				if sh.NumOwned() == 0 {
-					*empty++
-				}
-				for q := range ranks {
-					send, recv := plan.send[q], e.host.pools[q].halo.recv[r]
-					if len(send) != len(recv) {
-						t.Fatalf("%s: rank %d sends %d labels to rank %d, which has %d slots for them", label, r, len(send), q, len(recv))
-					}
-					for k, i := range send {
-						if v, w := sh.Rows().VertexAt(int(i)), e.shards[q].Target(^recv[k]); v != w {
-							t.Fatalf("%s: rank %d's label %d to rank %d is vertex %d, lands on ghost %d", label, r, k, q, v, w)
-						}
-					}
-				}
-				for i := int32(0); int(i) < sh.NumOwned(); i++ {
-					u := sh.Rows().VertexAt(int(i))
-					_, refs := sh.RowArcs(i)
-					for _, ref := range refs {
-						v := sh.Target(ref)
-						if scanned := ref >= 0 && ref < i || ref < 0 && ^ref < plan.high; scanned != (v < u) {
-							t.Fatalf("%s: arc {%d, %d} scanned %v", label, u, v, scanned)
-						}
-						if ref >= 0 || v > u {
-							continue
-						}
-						*ghosts++
-						if !st.Reached(v) {
-							*unreached++
-						}
-						if src, dist := sl.Label(ref); src != st.Src(v) || dist != st.Dist(v) {
-							t.Fatalf("%s: rank %d reads ghost %d as (%d, %d), sequential (%d, %d)",
-								label, r, v, src, dist, st.Src(v), st.Dist(v))
-						}
-					}
-				}
-			}
-			e.Close()
+	for _, ranks := range []int{1, 2, 3, 5, 8} {
+		label := fmt.Sprintf("%d ranks", ranks)
+		e, err := NewEngine(g, Options{Ranks: ranks, Queue: rt.QueuePriority})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err := e.Solve(seeds); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for r, sh := range e.shards {
+			plan, sl := e.host.pools[r].halo, e.slabs[r]
+			if sh.NumOwned() == 0 {
+				*empty++
+			}
+			for q := range ranks {
+				send, recv := plan.send[q], e.host.pools[q].halo.recv[r]
+				if len(send) != len(recv) {
+					t.Fatalf("%s: rank %d sends %d labels to rank %d, which has %d slots for them", label, r, len(send), q, len(recv))
+				}
+				for k, i := range send {
+					if v, w := sh.Rows().VertexAt(int(i)), e.shards[q].Target(^recv[k]); v != w {
+						t.Fatalf("%s: rank %d's label %d to rank %d is vertex %d, lands on ghost %d", label, r, k, q, v, w)
+					}
+				}
+			}
+			for i := int32(0); int(i) < sh.NumOwned(); i++ {
+				u := sh.Rows().VertexAt(int(i))
+				_, refs := sh.RowArcs(i)
+				for _, ref := range refs {
+					v := sh.Target(ref)
+					if scanned := ref >= 0 && ref < i || ref < 0 && ^ref < plan.high; scanned != (v < u) {
+						t.Fatalf("%s: arc {%d, %d} scanned %v", label, u, v, scanned)
+					}
+					if ref >= 0 || v > u {
+						continue
+					}
+					*ghosts++
+					if !st.Reached(v) {
+						*unreached++
+					}
+					if src, dist := sl.Label(ref); src != st.Src(v) || dist != st.Dist(v) {
+						t.Fatalf("%s: rank %d reads ghost %d as (%d, %d), sequential (%d, %d)",
+							label, r, v, src, dist, st.Src(v), st.Dist(v))
+					}
+				}
+			}
+		}
+		e.Close()
 	}
 }
 

@@ -39,40 +39,6 @@ import (
 	rt "dsteiner/internal/runtime"
 )
 
-// PartitionKind selects the vertex-to-rank mapping.
-type PartitionKind int
-
-const (
-	// PartitionBlock gives each rank a contiguous vertex range with an
-	// equal share of vertices (the paper's stated partitioning).
-	PartitionBlock PartitionKind = iota
-	// PartitionArcBlock gives each rank a contiguous vertex range with
-	// an approximately equal share of ARCS. Phase-1 work follows popped
-	// vertices, so on skewed graphs this unbalances it (see Default).
-	PartitionArcBlock
-)
-
-// String returns the flag/API name of the partition kind.
-func (p PartitionKind) String() string {
-	if p == PartitionArcBlock {
-		return "arcblock"
-	}
-	return "block"
-}
-
-// ParsePartition maps a flag/API string to its PartitionKind ("block",
-// "arcblock").
-func ParsePartition(s string) (PartitionKind, error) {
-	switch s {
-	case "block":
-		return PartitionBlock, nil
-	case "arcblock":
-		return PartitionArcBlock, nil
-	default:
-		return PartitionBlock, fmt.Errorf("core: unknown partition kind %q (want block or arcblock)", s)
-	}
-}
-
 // ParseQueue maps a flag/API string to its runtime queue discipline
 // ("fifo", "priority").
 func ParseQueue(s string) (rt.QueueKind, error) {
@@ -124,9 +90,11 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // Options configures a Solve run. The zero value is a valid single-rank
-// configuration — FIFO queue, asynchronous processing, block partition —
-// which is the HavoqGT baseline, not the paper's optimized one:
-// Default is the constructor that sets the priority queue.
+// configuration — FIFO queue, asynchronous processing — which is the
+// HavoqGT baseline, not the paper's optimized one: Default is the
+// constructor that sets the priority queue. Every engine cuts the graph
+// into equal-vertex contiguous ranges, the paper's "approximately equal
+// share of vertices" (§IV); see package partition.
 type Options struct {
 	// Ranks is the number of simulated MPI processes (default 1).
 	Ranks int
@@ -137,8 +105,6 @@ type Options struct {
 	Queue rt.QueueKind
 	// BatchSize overrides the runtime's message batch size.
 	BatchSize int
-	// Partition picks the vertex partition (default block).
-	Partition PartitionKind
 	// BSP runs the traversals of phases 1 and 6 bulk-synchronously instead
 	// of asynchronously (the §IV ablation).
 	BSP bool
@@ -186,18 +152,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Default returns the paper's optimized configuration at the given rank
-// count: asynchronous processing with distance-priority message queues and
-// equal-vertex contiguous ranges, the paper's "approximately equal share of
-// vertices" (§IV). A rank's phase-1 work follows the vertices it pops, not
-// the arcs it owns: the ghost-row filter drops most cross-rank offers and
-// the indexed queue holds one entry per row. On R-MAT 2^15 × 16 at two
-// ranks the arc-balanced split gave one rank ≈80 % of the visits
-// (core.phase1_imbalance 1.56–1.61); equal-vertex ranges read 1.06–1.08.
-// PartitionArcBlock gives the more even shard bytes instead.
+// count: asynchronous processing with distance-priority message queues.
 func Default(ranks int) Options {
 	return Options{
-		Ranks:     ranks,
-		Queue:     rt.QueuePriority,
-		Partition: PartitionBlock,
+		Ranks: ranks,
+		Queue: rt.QueuePriority,
 	}
 }

@@ -119,9 +119,8 @@ func checkForestProperties(t *testing.T, g *graph.Graph, res *Result) {
 }
 
 // TestForestModeProperties is the forest property test on the loopback
-// backend: across partition kinds, every group's
-// returned subtree is connected, spans its group, and no edge bridges two
-// groups.
+// backend: every group's returned subtree is connected, spans its group,
+// and no edge bridges two groups.
 func TestForestModeProperties(t *testing.T) {
 	g := clusteredTestGraph(7, 3, 40)
 	rng := rand.New(rand.NewSource(8))
@@ -130,20 +129,17 @@ func TestForestModeProperties(t *testing.T) {
 		{Mode: ModeForest, Groups: pickClusterGroups(rng, 40, []int{5, 2, 3})},
 		{Mode: ModeForest, Groups: pickClusterGroups(rng, 40, []int{1, 6, 1})}, // singleton groups
 	}
-	for _, kind := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
-		opts := Options{Ranks: 4, Queue: rt.QueuePriority, Partition: kind}
-		e, err := NewEngine(g, opts)
+	e, err := NewEngine(g, Options{Ranks: 4, Queue: rt.QueuePriority})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for qi, spec := range specs {
+		res, err := e.SolveSpec(spec)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("query %d: %v", qi, err)
 		}
-		for qi, spec := range specs {
-			res, err := e.SolveSpec(spec)
-			if err != nil {
-				t.Fatalf("%v query %d: %v", kind, qi, err)
-			}
-			checkForestProperties(t, g, res)
-		}
-		e.Close()
+		checkForestProperties(t, g, res)
 	}
 }
 
@@ -339,7 +335,7 @@ func TestForestPrizeTCPMatchesLoopback(t *testing.T) {
 		{Mode: ModePrize, Seeds: prizeSeeds, Penalties: penalties},
 		TreeSpec(groups[0]), // a tree query on the same warm session
 	}
-	opts := Options{Ranks: 4, Queue: rt.QueuePriority, Partition: PartitionArcBlock}
+	opts := Options{Ranks: 4, Queue: rt.QueuePriority}
 	loop, err := NewEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)

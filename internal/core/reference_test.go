@@ -312,7 +312,8 @@ func newRefInput(t *testing.T, name string, g *graph.Graph, rng *rand.Rand, grou
 }
 
 // TestEngineMatchesSequentialReference is the one place a distributed answer
-// is compared with a non-distributed one. Every cell of partition × batch
+// is compared with a non-distributed one. Every cell of delivery order (in
+// order, or every inbound batch shuffled under a per-cell seed) × batch
 // size (the runtime's 64, one message per batch, an odd five) × async/BSP ×
 // queue discipline × rank count × query mode solves
 // the same queries on a clustered graph (three forest groups) and on a
@@ -335,14 +336,20 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 	}
 
 	var suppressed int64
-	for _, kind := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
+	var cell int64
+	for _, shuffle := range []bool{false, true} {
 		for _, batch := range []int{0, 1, 5} {
 			for _, bsp := range []bool{false, true} {
 				for _, queue := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
 					for _, ranks := range []int{1, 2, 3, 4, 5, 8} {
-						opts := Options{Ranks: ranks, Queue: queue, Partition: kind, BatchSize: batch, BSP: bsp}
+						cell++
+						opts := Options{Ranks: ranks, Queue: queue, BatchSize: batch, BSP: bsp, ShuffleDelivery: shuffle, ShuffleSeed: cell}
+						delivery := "inorder"
+						if shuffle {
+							delivery = fmt.Sprintf("shuffle=%d", cell)
+						}
 						timing := map[bool]string{false: "async", true: "bsp"}[bsp]
-						t.Run(fmt.Sprintf("%v/batch=%d/%s/%v/ranks=%d", kind, batch, timing, queue, ranks), func(t *testing.T) {
+						t.Run(fmt.Sprintf("%s/batch=%d/%s/%v/ranks=%d", delivery, batch, timing, queue, ranks), func(t *testing.T) {
 							for _, in := range inputs {
 								e, err := NewEngine(in.g, opts)
 								if err != nil {
@@ -435,10 +442,9 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 				}
 			}
 			opts := Options{
-				Ranks:     1 + rng.Intn(6),
-				Queue:     []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority}[rng.Intn(2)],
-				Partition: []PartitionKind{PartitionBlock, PartitionArcBlock}[rng.Intn(2)],
-				BSP:       rng.Intn(2) == 0,
+				Ranks: 1 + rng.Intn(6),
+				Queue: []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority}[rng.Intn(2)],
+				BSP:   rng.Intn(2) == 0,
 			}
 			want, feasible := referenceSolve(t, g, spec)
 			res, err := SolveQuery(g, spec, opts)
@@ -458,15 +464,16 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 	})
 }
 
-// TestFloodUnderReorderingMatchesSequential is the cell the table above does
-// not have: delivery order scrambled, in process and over TCP. Under the
-// priority queue a row keeps one queue entry and a better label replaces
-// it, so an offer that arrives late must neither lose a better label nor
-// take a slot it has no label for (voronoi.run). Loopback engines shuffle
-// every inbound batch, under every queue, async and BSP, and every row must
-// be voronoi.Sequential's. TCP workers cannot shuffle — the option has no wire
-// field — so the fleet's arrival order is perturbed by the chaos shim's
-// seeded delays instead, and its answers must be the reference's.
+// TestFloodUnderReorderingMatchesSequential scrambles delivery order in
+// process and over TCP. Under the priority queue a row keeps one queue entry
+// and a better label replaces it, so an offer that arrives late must
+// neither lose a better label nor take a slot it has no label for
+// (voronoi.run). The table above shuffles each cell under one seed; here
+// loopback engines shuffle every inbound batch under three seeds per queue
+// and timing, and every row must be voronoi.Sequential's. TCP workers
+// cannot shuffle — the option has no wire field — so the fleet's arrival
+// order is perturbed by the chaos shim's seeded delays instead, and its
+// answers must be the reference's.
 func TestFloodUnderReorderingMatchesSequential(t *testing.T) {
 	g := tieTestGraph(41, 150)
 	rng := rand.New(rand.NewSource(42))
@@ -475,7 +482,7 @@ func TestFloodUnderReorderingMatchesSequential(t *testing.T) {
 	for i, spec := range specs {
 		wants[i], _ = referenceSolve(t, g, spec)
 	}
-	base := Options{Ranks: 4, Queue: rt.QueuePriority, Partition: PartitionBlock}
+	base := Options{Ranks: 4, Queue: rt.QueuePriority}
 	for _, bsp := range []bool{false, true} {
 		for _, queue := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
 			for shuffle := int64(1); shuffle <= 3; shuffle++ {

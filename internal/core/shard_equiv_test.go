@@ -79,14 +79,13 @@ func TestNewSiblingSharesShards(t *testing.T) {
 // TestEngineShardStats checks the substrate report serving layers surface.
 func TestEngineShardStats(t *testing.T) {
 	g := engineTestGraph(101, 200)
-	opts := Default(4)
-	e, err := NewEngine(g, opts)
+	e, err := NewEngine(g, Default(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	s := e.ShardStats()
-	if s.Partition != opts.Partition.String() || s.Ranks != 4 {
+	if s.Ranks != 4 {
 		t.Fatalf("metadata wrong: %+v", s)
 	}
 	if s.ShardBytes <= 0 || s.MaxShardBytes <= 0 || s.MaxShardBytes > s.ShardBytes {
@@ -95,9 +94,8 @@ func TestEngineShardStats(t *testing.T) {
 }
 
 // TestEngineMemoryCountsResolvedColumnsAndGhostRows compares the engine's
-// shard and slab accounting against sizes computed by hand on K8, arc-block
-// partitioned over two ranks (every degree is 7, so the ranges are [0,4) and
-// [4,8)). Every vertex neighbours every other, so each rank's ghosts are
+// shard and slab accounting against sizes computed by hand on K8 over two
+// ranks (the ranges are [0,4) and [4,8)). Every vertex neighbours every other, so each rank's ghosts are
 // exactly the |V| − owned = 4 vertices it does not own.
 func TestEngineMemoryCountsResolvedColumnsAndGhostRows(t *testing.T) {
 	b := graph.NewBuilder(8)
@@ -110,7 +108,7 @@ func TestEngineMemoryCountsResolvedColumnsAndGhostRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(g, Options{Ranks: 2, Queue: rt.QueuePriority, Partition: PartitionArcBlock})
+	e, err := NewEngine(g, Options{Ranks: 2, Queue: rt.QueuePriority})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"dsteiner/internal/graph"
@@ -8,10 +9,9 @@ import (
 )
 
 // TestEngineRanksOwningZeroVertices covers the degenerate partitions where
-// some ranks own no vertices at all — more ranks than vertices, under both
-// partition kinds — so their slabs have zero owned rows. Solves must still
-// match a one-rank engine's exactly (which the reference test holds against
-// the sequential oracle).
+// some ranks own no vertices at all — more ranks than vertices — so their
+// slabs have zero owned rows. Solves must still match a one-rank engine's
+// exactly (which the reference test holds against the sequential oracle).
 func TestEngineRanksOwningZeroVertices(t *testing.T) {
 	// 7 vertices, 12 ranks: at least 5 ranks own nothing.
 	b := graph.NewBuilder(7)
@@ -23,32 +23,30 @@ func TestEngineRanksOwningZeroVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []PartitionKind{PartitionBlock, PartitionArcBlock} {
-		e, err := NewEngine(g, Options{Ranks: 12, Queue: rt.QueuePriority, Partition: kind})
+	e, err := NewEngine(g, Options{Ranks: 12, Queue: rt.QueuePriority})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	empty := 0
+	for _, sl := range e.slabs {
+		if sl.NumOwned() == 0 {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Fatal("12 ranks over 7 vertices left no rank empty")
+	}
+	for _, seeds := range [][]graph.VID{{0, 6}, {1, 3, 5}, {0, 2, 4, 6}} {
+		got, err := e.Solve(seeds)
 		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
+			t.Fatalf("seeds %v: %v", seeds, err)
 		}
-		empty := 0
-		for _, sl := range e.slabs {
-			if sl.NumOwned() == 0 {
-				empty++
-			}
+		want, err := Solve(g, seeds, Options{Ranks: 1, Queue: rt.QueuePriority})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if empty == 0 {
-			t.Fatalf("%v: 12 ranks over 7 vertices left no rank empty", kind)
-		}
-		for _, seeds := range [][]graph.VID{{0, 6}, {1, 3, 5}, {0, 2, 4, 6}} {
-			got, err := e.Solve(seeds)
-			if err != nil {
-				t.Fatalf("%v seeds %v: %v", kind, seeds, err)
-			}
-			want, err := Solve(g, seeds, Options{Ranks: 1, Queue: rt.QueuePriority})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertResultsEquivalent(t, kind.String(), got, want)
-		}
-		e.Close()
+		assertResultsEquivalent(t, fmt.Sprint(seeds), got, want)
 	}
 }
 

@@ -56,17 +56,17 @@ func tcpEquivSeedSets(g *graph.Graph) [][]graph.VID {
 	}
 }
 
-// checkTCPMatchesLoopback runs seedSets on a loopback engine and on a
-// 4-worker rankd fleet built with the same opts, and requires
+// checkTCPMatchesLoopback runs seedSets on a loopback engine and on a rankd
+// fleet of the given worker count built with the same opts, and requires
 // solver-output fields byte-identical and traffic on the wire only for TCP.
-func checkTCPMatchesLoopback(t *testing.T, g *graph.Graph, seedSets [][]graph.VID, opts Options, label string) {
+func checkTCPMatchesLoopback(t *testing.T, g *graph.Graph, seedSets [][]graph.VID, opts Options, workers int, label string) {
 	t.Helper()
 	loop, err := NewEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loop.Close()
-	tcp, wait := startTCPEngine(t, g, opts, 4)
+	tcp, wait := startTCPEngine(t, g, opts, workers)
 	defer wait()
 	defer tcp.Close()
 	for _, seeds := range seedSets {
@@ -89,32 +89,32 @@ func checkTCPMatchesLoopback(t *testing.T, g *graph.Graph, seedSets [][]graph.VI
 }
 
 // TestTCPBackendMatchesLoopback is the transport-equivalence acceptance
-// test: for partition kinds × batch sizes (the runtime's 64, one message per
-// frame, an odd five — Setup ships the size to every worker) × {async, BSP},
-// a 4-worker rankd cluster driven over TCP returns Results byte-identical
-// (solver-output fields) to the in-process loopback backend — and both
-// match across repeated queries on the same warm session.
+// test: for fleet shapes (one rank per worker, two ranks per worker) ×
+// batch sizes (the runtime's 64, one message per frame, an odd five —
+// Setup ships the size to every worker) × {async, BSP}, a 4-rank rankd
+// cluster driven over TCP returns Results byte-identical (solver-output
+// fields) to the in-process loopback backend — and both match across
+// repeated queries on the same warm session.
 func TestTCPBackendMatchesLoopback(t *testing.T) {
 	g := engineTestGraph(17, 120)
 	seedSets := tcpEquivSeedSets(g)
-	kinds := []PartitionKind{PartitionBlock, PartitionArcBlock}
+	fleets := []int{4, 2}
 	batches := []int{0, 1, 5}
 	if testing.Short() { // the full matrix spins up 12 worker fleets; -short keeps two
-		kinds = []PartitionKind{Default(4).Partition}
+		fleets = []int{4}
 		batches = []int{1}
 	}
-	for _, kind := range kinds {
+	for _, workers := range fleets {
 		for _, batch := range batches {
 			for _, bsp := range []bool{false, true} {
-				label := fmt.Sprintf("%v/batch=%d/bsp=%v", kind, batch, bsp)
+				label := fmt.Sprintf("workers=%d/batch=%d/bsp=%v", workers, batch, bsp)
 				t.Run(label, func(t *testing.T) {
 					checkTCPMatchesLoopback(t, g, seedSets, Options{
 						Ranks:     4,
 						Queue:     rt.QueuePriority,
-						Partition: kind,
 						BatchSize: batch,
 						BSP:       bsp,
-					}, label)
+					}, workers, label)
 				})
 			}
 		}
@@ -139,10 +139,9 @@ func TestTCPBackendFIFOMatchesLoopback(t *testing.T) {
 				checkTCPMatchesLoopback(t, g, seedSets, Options{
 					Ranks:     4,
 					Queue:     rt.QueueFIFO,
-					Partition: Default(4).Partition,
 					BatchSize: batch,
 					BSP:       bsp,
-				}, "fifo/"+label)
+				}, 4, "fifo/"+label)
 			})
 		}
 	}
@@ -154,7 +153,7 @@ func TestTCPBackendFIFOMatchesLoopback(t *testing.T) {
 func TestTCPBackendSingleWorker(t *testing.T) {
 	g := engineTestGraph(23, 90)
 	rng := rand.New(rand.NewSource(24))
-	opts := Options{Ranks: 3, Queue: rt.QueuePriority, Partition: PartitionArcBlock}
+	opts := Options{Ranks: 3, Queue: rt.QueuePriority}
 	loop, err := NewEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -49,51 +49,6 @@ func AblationBSP(cfg Config) ([]tables.Table, error) {
 	return []tables.Table{t}, nil
 }
 
-// AblationPartition quantifies the load-balance lever for skewed graphs:
-// partitioning by equal vertices vs equal arcs. The metric is the Voronoi
-// phase's critical-path work (max per-rank messages processed). That work
-// follows the vertices a rank pops, not the arcs it owns: ghost rows drop
-// most cross-rank offers, so equal-vertex ranges (the paper's partitioning
-// and core.Default) balance it, while equal-arc ranges hand the hub-light
-// range most of the vertices.
-func AblationPartition(cfg Config) ([]tables.Table, error) {
-	t := tables.Table{
-		Title:  fmt.Sprintf("Ablation: partitioning (P=%d)", cfg.Ranks),
-		Header: []string{"Graph", "Partition", "CP-work", "CP-eff", "Voronoi time", "Messages"},
-	}
-	name := "WDC12"
-	g := cfg.Graph(name)
-	k := 100
-	if !contains(cfg.SeedCounts(name), k) {
-		ks := cfg.SeedCounts(name)
-		k = ks[len(ks)-1]
-	}
-	seedSet := cfg.Seeds(name, k)
-	var baseWork int64
-	for _, pk := range []core.PartitionKind{core.PartitionBlock, core.PartitionArcBlock} {
-		cfg.logf("ablation-partition: partition=%v", pk)
-		opts := core.Default(cfg.Ranks)
-		opts.Partition = pk
-		res, err := core.Solve(g, seedSet, opts)
-		if err != nil {
-			return nil, err
-		}
-		vor := res.Phase(core.PhaseVoronoi)
-		if baseWork == 0 {
-			baseWork = vor.MaxRankWork * int64(cfg.Ranks)
-		}
-		eff := float64(baseWork) / float64(vor.MaxRankWork) / float64(cfg.Ranks)
-		t.AddRow(name, pk.String(),
-			tables.Count(vor.MaxRankWork),
-			fmt.Sprintf("%.0f%%", 100*eff),
-			tables.Seconds(vor.Seconds),
-			tables.Count(vor.Sent))
-	}
-	t.AddNote("CP-eff = balance relative to the first configuration's total work")
-	t.AddNote("phase-1 work follows popped vertices: equal-vertex ranges (the default) balance it, equal-arc ranges do not (docs/ARCHITECTURE.md)")
-	return []tables.Table{t}, nil
-}
-
 // AblationMST quantifies the paper's "sequential MST is sufficient" design
 // choice (§III, citing Bader & Cong [18]): time to compute the MST of a
 // distance graph G'₁ of growing size with sequential Prim, Kruskal and the

@@ -84,22 +84,21 @@ type Runner func(cfg Config) ([]tables.Table, error)
 // and Fig. 6 share one runner (same runs report runtime and messages);
 // Table VI and Table VII likewise.
 var Registry = map[string]Runner{
-	"table1":             Table1,
-	"table3":             Table3,
-	"fig3":               Fig3,
-	"fig4":               Fig4,
-	"table4":             Table4,
-	"fig5":               Fig56,
-	"fig6":               Fig56,
-	"fig7":               Fig7,
-	"fig8":               Fig8,
-	"table5":             Table5,
-	"table6":             Table67,
-	"table7":             Table67,
-	"fig9":               Fig9,
-	"ablation-bsp":       AblationBSP,
-	"ablation-partition": AblationPartition,
-	"ablation-mst":       AblationMST,
+	"table1":       Table1,
+	"table3":       Table3,
+	"fig3":         Fig3,
+	"fig4":         Fig4,
+	"table4":       Table4,
+	"fig5":         Fig56,
+	"fig6":         Fig56,
+	"fig7":         Fig7,
+	"fig8":         Fig8,
+	"table5":       Table5,
+	"table6":       Table67,
+	"table7":       Table67,
+	"fig9":         Fig9,
+	"ablation-bsp": AblationBSP,
+	"ablation-mst": AblationMST,
 }
 
 // Names returns registry keys in presentation order.
@@ -107,7 +106,7 @@ func Names() []string {
 	order := []string{
 		"table1", "table3", "fig3", "fig4", "table4", "fig5", "fig6",
 		"fig7", "fig8", "table5", "table6", "table7", "fig9",
-		"ablation-bsp", "ablation-partition", "ablation-mst",
+		"ablation-bsp", "ablation-mst",
 	}
 	out := make([]string, 0, len(order))
 	seen := map[string]bool{}

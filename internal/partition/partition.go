@@ -4,9 +4,11 @@
 //
 // There is one ownership model: rank r owns the contiguous vertex range
 // [bounds[r], bounds[r+1]), and each vertex's adjacency and state live on
-// its owner alone. NewBlock and NewArcBlock are two ways of choosing the
-// P+1 bounds (equal vertices, equal arcs). ShardPlan makes a partition
-// concrete: the cut of the per-rank graph.Shard slabs from the global CSR.
+// its owner alone. Every engine chooses the P+1 bounds with NewBlock, equal
+// vertex counts, the paper's partitioning; NewArcBlock's equal-arc ranges
+// balance shard bytes but not phase-1 work (see its doc). ShardPlan makes a
+// partition concrete: the cut of the per-rank graph.Shard slabs from the
+// global CSR.
 //
 // HavoqGT's vertex delegates, which stripe a hub's adjacency across all
 // ranks, are not reproduced: on R-MAT 2^20 × 16 at 2, 4 and 8 ranks they
@@ -47,9 +49,11 @@ func NewBlock(n, p int) (*Partition, error) {
 // approximately equal ARC counts rather than vertex counts. It equalizes
 // shard bytes, not traversal work: with ghost rows filtering cross-rank
 // offers, a rank pays per vertex it pops, and on scale-free graphs
-// arc-balanced ranges give the hub-light range most of the vertices.
-// core.Default therefore uses NewBlock; arc-block remains an option and an
-// ablation axis.
+// arc-balanced ranges give the hub-light range most of the vertices (on
+// R-MAT 2^15 × 16 at two ranks, core.phase1_imbalance 1.56–1.61 against
+// 1.06–1.08 for NewBlock), so engines cut NewBlock ranges. Its one non-test
+// caller is the benchmark's layer probe (bench/layers.go), which times the
+// shard plan over it.
 func NewArcBlock(g *graph.Graph, p int) (*Partition, error) {
 	n := g.NumVertices()
 	if n <= 0 || p <= 0 {
@@ -74,8 +78,8 @@ func NewArcBlock(g *graph.Graph, p int) (*Partition, error) {
 
 // NewFromBounds rebuilds a partition from its range bounds (len P+1,
 // bounds[0] == 0, bounds[P] == n > 0, non-decreasing) — the wire form a
-// multi-process worker receives, since recomputing arc-balanced bounds
-// would need the full graph's degree sequence.
+// multi-process worker receives, so a worker routes by the coordinator's
+// ranges without knowing the rule that chose them.
 func NewFromBounds(bounds []graph.VID) (*Partition, error) {
 	p := len(bounds) - 1
 	if p <= 0 {

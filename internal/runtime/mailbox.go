@@ -19,22 +19,32 @@ func newMailbox() *mailbox {
 	return &mailbox{note: make(chan struct{}, 1)}
 }
 
-// put appends a batch and nudges the owner. The batch is owned by the
-// mailbox afterwards.
-func (mb *mailbox) put(batch []Msg) {
+// put queues a batch and nudges the owner. When the last queued batch has
+// room for it, the messages are copied in and the caller keeps batch (put
+// reports true); otherwise the mailbox owns batch afterwards. An owner that
+// is not draining — descheduled, or busy — then holds its peers' messages
+// in full buffers rather than one buffer per flush, most of them nearly
+// empty, and warm queries do not allocate buffers to cover the backlog.
+func (mb *mailbox) put(batch []Msg) (copied bool) {
 	if len(batch) == 0 {
-		return
+		return false
 	}
 	mb.mu.Lock()
-	if mb.batches == nil && mb.spare != nil {
-		mb.batches, mb.spare = mb.spare, nil
+	if n := len(mb.batches); n > 0 && len(mb.batches[n-1])+len(batch) <= cap(mb.batches[n-1]) {
+		mb.batches[n-1] = append(mb.batches[n-1], batch...)
+		copied = true
+	} else {
+		if mb.batches == nil && mb.spare != nil {
+			mb.batches, mb.spare = mb.spare, nil
+		}
+		mb.batches = append(mb.batches, batch)
 	}
-	mb.batches = append(mb.batches, batch)
 	mb.mu.Unlock()
 	select {
 	case mb.note <- struct{}{}:
 	default:
 	}
+	return copied
 }
 
 // takeAll removes and returns all queued batches (nil when empty).

@@ -220,13 +220,15 @@ func (r *Rank) getBuf() []Msg {
 }
 
 // recycleBuf parks a drained batch buffer for reuse by this rank's sends;
-// past a small private reserve the buffer goes to the shared pool so
-// send-heavy peers can claim it.
+// past a private reserve of one buffer per rank — one outgoing batch to
+// each — the buffer goes to the shared pool so send-heavy peers can claim
+// it. A larger reserve strands buffers with whichever rank received the
+// last phase's traffic, and the next phase's senders allocate.
 func (r *Rank) recycleBuf(buf []Msg) {
 	if cap(buf) == 0 {
 		return
 	}
-	if len(r.free) < 128 {
+	if len(r.free) < len(r.out) {
 		r.free = append(r.free, buf[:0])
 		return
 	}
@@ -299,7 +301,9 @@ func (r *Rank) flushTo(dest int) {
 	r.publish()
 	r.comm.batches.Add(1)
 	if l := r.comm.localRank(dest); l != nil {
-		l.box.put(buf)
+		if l.box.put(buf) {
+			r.out[dest] = buf[:0]
+		}
 		return
 	}
 	r.comm.term.addSent(len(buf))

@@ -230,6 +230,43 @@ func TestShuffledDeliveryStillConverges(t *testing.T) {
 	}
 }
 
+// TestMailboxCopiesIntoRoomyTail pins the backlog rule of mailbox.put: a
+// batch that fits in the last queued batch's spare room is copied there and
+// stays with the sender, one that does not is queued as its own, and the
+// owner drains the messages in put order.
+func TestMailboxCopiesIntoRoomyTail(t *testing.T) {
+	batch := func(lo, hi int) []Msg {
+		b := make([]Msg, 0, 4)
+		for v := lo; v < hi; v++ {
+			b = append(b, Msg{Target: graph.VID(v)})
+		}
+		return b
+	}
+	mb := newMailbox()
+	for i, step := range []struct {
+		lo, hi int
+		copied bool
+	}{{0, 2, false}, {2, 4, true}, {4, 5, false}, {5, 7, true}, {7, 9, false}} {
+		if got := mb.put(batch(step.lo, step.hi)); got != step.copied {
+			t.Fatalf("put %d (messages %d..%d): copied = %v, want %v", i, step.lo, step.hi, got, step.copied)
+		}
+	}
+	var got []graph.VID
+	for _, b := range mb.takeAll() {
+		for _, m := range b {
+			got = append(got, m.Target)
+		}
+	}
+	if len(got) != 9 {
+		t.Fatalf("drained %v, want 0..8 in order", got)
+	}
+	for v, target := range got {
+		if target != graph.VID(v) {
+			t.Fatalf("drained %v, want 0..8 in order", got)
+		}
+	}
+}
+
 func TestPriorityQueueReducesMessages(t *testing.T) {
 	// The paper's Fig. 6: distance-priority draining yields fewer
 	// relaxation messages than FIFO on weighted graphs. Use one rank so

@@ -263,8 +263,11 @@ func (c *Comm) Inbound(dest int, batch []Msg) {
 	t.mu.Lock()
 	t.recv += int64(len(batch))
 	t.black = true
-	r.box.put(batch)
+	copied := r.box.put(batch)
 	t.mu.Unlock()
+	if copied {
+		c.shareBuf(batch[:0])
+	}
 }
 
 // ElideSent implements TransportHost: fold n encode-time-elided messages

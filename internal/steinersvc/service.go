@@ -272,8 +272,6 @@ type InfoResponse struct {
 	// rankd processes of a tcp backend (0 for inproc).
 	Backend string `json:"backend"`
 	Workers int    `json:"workers,omitempty"`
-	// Partition is the vertex-to-rank mapping kind (block/arcblock).
-	Partition string `json:"partition"`
 	// ShardBytes is the total rank-local shard memory — one shard set
 	// shared by every engine in the pool.
 	ShardBytes int64 `json:"shardBytes"`
@@ -437,19 +435,18 @@ type CacheStats struct {
 }
 
 // ShardStats reports the pool's rank-local substrate for /stats: the
-// partition kind, the per-rank graph-slab memory (TotalBytes across all
-// ranks, MaxRankBytes for the largest single rank) and the per-rank
-// control-state slab memory (StateBytes / MaxRankStateBytes, per engine). MaxRankBytes + MaxRankStateBytes approximates the per-process
-// footprint a multi-process backend would need for its largest rank. One
+// per-rank graph-slab memory (TotalBytes across all ranks, MaxRankBytes
+// for the largest single rank) and the per-rank control-state slab memory
+// (StateBytes / MaxRankStateBytes, per engine). MaxRankBytes +
+// MaxRankStateBytes approximates the per-process footprint a multi-process backend would need for its largest rank. One
 // shard set is cut by the pool's first engine and shared by its siblings;
 // state slabs are per-engine (pool total = engines × StateBytes).
 type ShardStats struct {
-	Partition         string `json:"partition"`
-	Ranks             int    `json:"ranks"`
-	TotalBytes        int64  `json:"totalBytes"`
-	MaxRankBytes      int64  `json:"maxRankBytes"`
-	StateBytes        int64  `json:"stateBytes"`
-	MaxRankStateBytes int64  `json:"maxRankStateBytes"`
+	Ranks             int   `json:"ranks"`
+	TotalBytes        int64 `json:"totalBytes"`
+	MaxRankBytes      int64 `json:"maxRankBytes"`
+	StateBytes        int64 `json:"stateBytes"`
+	MaxRankStateBytes int64 `json:"maxRankStateBytes"`
 }
 
 // TransportStats reports the rank transport's cumulative traffic for
@@ -565,7 +562,6 @@ func (s *Service) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Ranks:          s.shard.Ranks,
 		Backend:        s.opts.Backend.String(),
 		Workers:        s.workers(),
-		Partition:      s.shard.Partition,
 		ShardBytes:     s.shard.ShardBytes,
 		StateSlabBytes: s.shard.StateSlabBytes,
 	})
@@ -627,7 +623,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.mu.Unlock()
 	resp.Faults = s.faultStats(retried)
 	resp.Shard = ShardStats{
-		Partition:         s.shard.Partition,
 		Ranks:             s.shard.Ranks,
 		TotalBytes:        s.shard.ShardBytes,
 		MaxRankBytes:      s.shard.MaxShardBytes,

@@ -372,11 +372,9 @@ func TestInfoReportsEngines(t *testing.T) {
 }
 
 // TestInfoAndStatsReportShardSubstrate checks the serving layers surface the
-// engines' shard substrate: partition kind and shard memory.
+// engines' shard substrate: rank count and shard memory.
 func TestInfoAndStatsReportShardSubstrate(t *testing.T) {
-	opts := core.Default(2)
-	opts.Partition = core.PartitionArcBlock
-	s, err := New(testGraph(t), opts, Config{Engines: 1})
+	s, err := New(testGraph(t), core.Default(2), Config{Engines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +391,7 @@ func TestInfoAndStatsReportShardSubstrate(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
-	if info.Partition != "arcblock" || info.Ranks != 2 {
+	if info.Ranks != 2 {
 		t.Fatalf("info substrate = %+v", info)
 	}
 	if info.ShardBytes <= 0 {
@@ -412,7 +410,7 @@ func TestInfoAndStatsReportShardSubstrate(t *testing.T) {
 	if err := json.NewDecoder(resp2.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Shard.Partition != "arcblock" || stats.Shard.Ranks != 2 {
+	if stats.Shard.Ranks != 2 {
 		t.Fatalf("stats shard = %+v", stats.Shard)
 	}
 	if stats.Shard.TotalBytes <= 0 || stats.Shard.MaxRankBytes <= 0 ||
