@@ -45,7 +45,8 @@ type Rank struct {
 	fifo    *pq.FIFO[Msg]
 	visit   VisitFunc
 	expand  func(r *Rank, row int32)
-	admit   func(r *Rank, m Msg) int32 // optional inbound fold (Traversal.Admit)
+	admit   func(r *Rank, batch []Msg) // optional inbound fold (Traversal.Admit)
+	procs   int                        // GOMAXPROCS when the traversal started (maybeYield)
 	shuffle *rand.Rand
 	// bsp defers local sends to the next superstep via the mailbox.
 	bsp bool
@@ -59,7 +60,7 @@ type Rank struct {
 	// counters see them once per batch (publish) or per traversal (finish).
 	sentHere       int64
 	processedHere  int64
-	droppedHere    int64 // inbound messages finished by Admit
+	droppedHere    int64 // inbound messages finished by Admit (Finished)
 	replacedHere   int64 // queue entries replaced by a push for their slot
 	suppressedHere int64
 	// counted is set for loopback asynchronous traversals, whose quiescence
@@ -117,6 +118,13 @@ func (r *Rank) Send(m Msg) {
 		r.SendLocal(m)
 		return
 	}
+	r.SendTo(dest, m)
+}
+
+// SendTo is Send for a message whose owner the caller already knows: dest
+// owns m.Target and is another rank than this one (internal/voronoi reads it
+// off the target's ghost slot). It skips the owner lookup.
+func (r *Rank) SendTo(dest int, m Msg) {
 	r.sentHere++
 	r.buffer(dest, m)
 }
@@ -138,7 +146,7 @@ func (r *Rank) SendLocal(m Msg) {
 		r.buffer(r.id, m)
 		return
 	}
-	r.enqueue(m, AdmitMsg)
+	r.Queue(m, -1)
 }
 
 // PushRow queues row under key as a row entry (Traversal.Expand), replacing
@@ -235,11 +243,12 @@ func (r *Rank) recycleBuf(buf []Msg) {
 	r.comm.shareBuf(buf[:0])
 }
 
-// enqueue pushes m onto the local discipline queue for row, or as an ordinary
+// Queue pushes m onto the local discipline queue for row, or as an ordinary
 // entry for a negative row. On the priority queue, an entry for a row that is
 // already queued replaces that entry; where the queue holds rows, the row is
-// all it keeps.
-func (r *Rank) enqueue(m Msg, row int32) {
+// all it keeps. Traversal.Admit queues the inbound messages it keeps through
+// it; each was counted as sent by its sender.
+func (r *Rank) Queue(m Msg, row int32) {
 	if !r.byKey {
 		r.fifo.Push(m)
 		return
@@ -254,6 +263,11 @@ func (r *Rank) enqueue(m Msg, row int32) {
 		r.replacedHere++
 	}
 }
+
+// Finished releases n inbound messages that Traversal.Admit settled on
+// arrival: they count as sent but not as processed, and the next publish
+// releases their units of the termination counter.
+func (r *Rank) Finished(n int) { r.droppedHere += int64(n) }
 
 // step pops the traversal's next queued entry and processes it — a row entry
 // with Expand, a message with Visit — and reports false if the queue was
@@ -318,12 +332,13 @@ func (r *Rank) flushAll() {
 }
 
 // drainInbox empties the mailbox, optionally in randomized order (failure
-// injection), and recycles the drained buffers. Messages of a keyed
-// traversal move into the local queue; an unordered asynchronous traversal
-// visits them straight out of their batch — order does not matter, so
-// copying them into a queue first would only cost the memory — and queues
-// nothing but its self-sends. It reports whether any message was moved or
-// visited.
+// injection), and recycles the drained buffers. A traversal with an Admit
+// hook is handed each batch whole; without one, the messages of a keyed
+// traversal move into the local queue, and an unordered asynchronous
+// traversal visits them straight out of their batch — order does not
+// matter, so copying them into a queue first would only cost the memory —
+// and queues nothing but its self-sends. It reports whether any message was
+// queued or visited rather than finished on arrival.
 func (r *Rank) drainInbox() bool {
 	batches := r.box.takeAll()
 	if len(batches) == 0 {
@@ -335,37 +350,32 @@ func (r *Rank) drainInbox() bool {
 		})
 	}
 	direct := !r.ordered && !r.bsp
-	moved := false
+	dropped, n := r.droppedHere, int64(0)
 	for _, batch := range batches {
 		if r.shuffle != nil {
 			r.shuffle.Shuffle(len(batch), func(i, j int) {
 				batch[i], batch[j] = batch[j], batch[i]
 			})
 		}
-		for _, m := range batch {
-			row := AdmitMsg
-			if r.admit != nil {
-				row = r.admit(r, m)
-			}
-			switch {
-			case row == AdmitDone:
-				// Finished on arrival; the next publish releases its unit
-				// of the termination counter.
-				r.droppedHere++
-			case direct:
+		n += int64(len(batch))
+		switch {
+		case r.admit != nil:
+			r.admit(r, batch)
+		case direct:
+			for _, m := range batch {
 				r.visit(r, m)
 				r.processedHere++ // after the visit: see publish
-				moved = true
-			default:
-				r.enqueue(m, row)
-				moved = true
+			}
+		default:
+			for _, m := range batch {
+				r.Queue(m, -1)
 			}
 		}
-		// Messages are visited or copied into the queue; the buffer is free.
+		// Messages are visited, queued or finished; the buffer is free.
 		r.recycleBuf(batch)
 	}
 	r.box.recycle(batches)
-	return moved
+	return r.droppedHere-dropped < n
 }
 
 // setQueue empties and selects this rank's queue for a traversal: the

@@ -10,7 +10,12 @@
 //     drains a local queue whose discipline is FIFO (HavoqGT's default) or
 //     distance-priority (the paper's key optimization, §IV/§V-C), while
 //     batched messages flow between ranks. Global quiescence is detected
-//     with a distributed-termination counter.
+//     with a distributed-termination counter. A message (Msg) is 24 bytes,
+//     and a traversal's Admit hook takes each inbound batch whole, so a
+//     cross-rank offer costs about what a local one does. A busy rank
+//     yields the processor only while the ranks busy in this process
+//     outnumber GOMAXPROCS (Rank.maybeYield): ranks with a core each run
+//     as MPI ranks do, unpreempted.
 //   - Collectives (Barrier, the int64 allreduces, and Exchange — the one
 //     byte collective, routed blobs with a broadcast address) mirror
 //     MPI_Allreduce/MPI_Allgatherv, used by Alg. 5's edge phases; their
@@ -73,12 +78,16 @@ func (k QueueKind) String() string {
 // message roles within one traversal, and is rank-local: a message that
 // crosses ranks has Kind 0, and the wire codec (internal/wire) does not
 // carry the field.
+//
+// Kind sits in the padding after the three VIDs, ahead of the 8-byte Dist,
+// which keeps a message at 24 bytes rather than 32: every queue entry, batch
+// buffer and mailbox copy moves a third less memory.
 type Msg struct {
 	Target graph.VID
 	From   graph.VID
 	Seed   graph.VID
-	Dist   graph.Dist
 	Kind   uint8
+	Dist   graph.Dist
 }
 
 // VisitFunc handles one message on one rank, HavoqGT's visit() callback.

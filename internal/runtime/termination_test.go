@@ -47,7 +47,7 @@ func TestTerminationStress(t *testing.T) {
 	// replacements happen whether the successor lives here or elsewhere. A
 	// local successor is queued as a row (Rank.PushRow) where the queue holds
 	// rows and sent to this rank otherwise; a remote one is queued for its row
-	// by Admit. label[v] is the Dist of v's newest entry, which only v's owner
+	// by Admit (Rank.Queue). label[v] is the Dist of v's newest entry, which only v's owner
 	// writes. Its scenarios ("slotted…") run on the priority queue, the one
 	// that keeps one entry per row, and must replace something.
 	slotted := func(bsp bool) func(owned [][]graph.VID) *Traversal {
@@ -80,9 +80,11 @@ func TestTerminationStress(t *testing.T) {
 						send(r, next(owned, r, i), graph.Dist(i%5))
 					}
 				},
-				Admit: func(r *Rank, m Msg) int32 {
-					label[m.Target] = m.Dist
-					return int32(m.Target)
+				Admit: func(r *Rank, batch []Msg) {
+					for _, m := range batch {
+						label[m.Target] = m.Dist
+						r.Queue(m, int32(m.Target))
+					}
 				},
 				Expand: func(r *Rank, row int32) { step(r, label[row]) },
 				Visit:  func(r *Rank, m Msg) { step(r, m.Dist) },
@@ -156,7 +158,10 @@ func TestTerminationStress(t *testing.T) {
 				},
 				// Self-sends (the one-rank case) bypass the mailbox and Admit.
 				Visit: func(*Rank, Msg) {},
-				Admit: func(*Rank, Msg) int32 { drops.Add(1); return AdmitDone },
+				Admit: func(r *Rank, batch []Msg) {
+					drops.Add(int64(len(batch)))
+					r.Finished(len(batch))
+				},
 			}
 		}},
 		{"slotted-async", slotted(false)},

@@ -3,6 +3,7 @@ package runtime
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // goyield cooperatively yields the processor to other goroutines.
@@ -21,8 +22,8 @@ type Traversal struct {
 	// Visit is the per-message callback (HavoqGT's visit()).
 	Visit VisitFunc
 	// Expand is the per-row callback of a traversal whose queue holds rows:
-	// it processes a row entry queued by Rank.PushRow or by an Admit that
-	// returned the row. Such an entry carries no message; the row's owner
+	// it processes a row entry queued by Rank.PushRow or by Admit's
+	// Rank.Queue. Such an entry carries no message; the row's owner
 	// state says what to do. Only an Ordered asynchronous traversal under
 	// QueuePriority queues rows; every other one queues the messages.
 	Expand func(r *Rank, row int32)
@@ -37,37 +38,34 @@ type Traversal struct {
 	// traversal by calling r.Send (HavoqGT's init_all visitors). May be
 	// nil.
 	Init func(r *Rank)
-	// Admit, when set, receives every inbound mailbox message when its batch
-	// is drained, before it would enter the local queue: it folds m into the
-	// rank's local state and says what is left to do.
-	//   - AdmitDone: nothing. The message is finished — an offer the local
-	//     state already beats, or one whose whole effect was the fold — and
-	//     costs one comparison instead of a queue insertion, a pop and a
-	//     visit; it counts as sent but not as processed.
-	//   - AdmitMsg: m is queued as an ordinary entry.
-	//   - A row ≥ 0: m is queued for that row. Under QueuePriority the queue
-	//     keeps at most one live entry per row: an entry for a row that is
-	//     already queued replaces that entry and moves its key, and the
-	//     replaced entry counts as dropped, like one Admit finishes. The
-	//     traversal must only do that when the new entry leaves the old one
-	//     nothing to do. Where the queue holds rows (see Expand) the entry is
-	//     the row alone and m is gone; elsewhere the entry keeps m. The FIFO
-	//     queue keeps every message.
-	// Self-sends do not pass through Admit, except under BSP, where they
-	// arrive through the rank's own mailbox.
-	Admit func(r *Rank, m Msg) int32
+	// Admit, when set, receives each inbound mailbox batch whole when it is
+	// drained, before any of it enters the local queue. It folds every
+	// message into the rank's local state and settles what is left to do
+	// with each one, through two calls:
+	//   - r.Queue(m, row) queues m for row ≥ 0, or as an ordinary entry for
+	//     a negative row. Under QueuePriority the queue keeps at most one
+	//     live entry per row: an entry for a row that is already queued
+	//     replaces that entry and moves its key, and the replaced entry
+	//     counts as dropped. The traversal must only do that when the new
+	//     entry leaves the old one nothing to do. Where the queue holds rows
+	//     (see Expand) the entry is the row alone and m is gone; elsewhere
+	//     the entry keeps m. The FIFO queue keeps every message.
+	//   - r.Finished(n) releases the n messages of the batch that are done
+	//     on arrival: offers the local state already beats, or ones whose
+	//     whole effect was the fold. Each costs one comparison instead of a
+	//     queue insertion, a pop and a visit, and counts as sent but not as
+	//     processed. One call per batch is enough.
+	// Every message of the batch must be queued or finished exactly once.
+	// The batch is the runtime's buffer, recycled when Admit returns, so
+	// Admit must not keep it. Self-sends do not pass through Admit, except
+	// under BSP, where they arrive through the rank's own mailbox.
+	Admit func(r *Rank, batch []Msg)
 	// BSP switches from asynchronous processing to bulk-synchronous
 	// supersteps separated by barriers (the ablation of §IV's async
 	// design choice). Messages sent in superstep i are processed in
 	// superstep i+1.
 	BSP bool
 }
-
-// Admit results other than a row (Traversal.Admit).
-const (
-	AdmitMsg  int32 = -1 // queue the message as an ordinary entry
-	AdmitDone int32 = -2 // the message is finished
-)
 
 // TraversalStats reports per-rank work done in one Traverse call.
 type TraversalStats struct {
@@ -86,6 +84,7 @@ func (r *Rank) Traverse(t *Traversal) TraversalStats {
 	r.visit = t.Visit
 	r.expand = t.Expand
 	r.admit = t.Admit
+	r.procs = runtime.GOMAXPROCS(0)
 	// Discard the counters an aborted traversal never folded into
 	// Comm.Stats.
 	r.sentHere, r.processedHere, r.droppedHere, r.replacedHere, r.published = 0, 0, 0, 0, 0
@@ -139,19 +138,45 @@ func (c *Comm) closeDone() {
 	c.doneOnce.Do(func() { close(c.done) })
 }
 
-// maybeYield is the busy-loop fairness yield: when simulated ranks share
-// cores, a rank grinding a long queue hands the scheduler a slice so peers
-// advance at a similar rate (real MPI ranks run on dedicated cores). When
-// every peer rank hosted here is already parked — one rank drains while the
-// others wait for its offers — the yield could only hand the CPU back to
-// this rank, so it is skipped. Transport-backed communicators always
-// yield: the reader goroutines feeding the mailboxes need the CPU even when
-// peer ranks idle.
+// busyRanks counts the ranks of every communicator in this process that are
+// inside an asynchronous traversal and not parked: the ranks that compete
+// for the GOMAXPROCS cores. It is process-wide because engines share the
+// cores — a query service runs several at once — while Comm.idleRanks only
+// sees one communicator's ranks.
+var busyRanks atomic.Int32
+
+// maybeYield is the busy-loop fairness yield. When running ranks outnumber
+// the cores, a rank grinding a long queue hands the scheduler a slice so
+// its peers advance at a similar rate; when each busy rank has a core to
+// itself — real MPI ranks run on dedicated cores — the yield only costs a
+// trip through the scheduler, so it is skipped. It is skipped as well when
+// every peer rank of this communicator is parked (one rank drains while the
+// others wait for its offers): the yield could only hand the CPU to another
+// communicator's ranks. Transport-backed communicators always yield: the
+// reader goroutines feeding the mailboxes need the CPU even when peer ranks
+// idle. The rule is needYield.
 func (r *Rank) maybeYield() {
 	c := r.comm
-	if c.trans != nil || int(c.idleRanks.Load())+1 < len(c.ranks) {
+	if needYield(c.trans != nil, int(c.idleRanks.Load())+1 < len(c.ranks), int(busyRanks.Load()), r.procs) {
 		goyield()
 	}
+}
+
+// needYield is maybeYield's rule for a rank whose communicator runs over a
+// transport or not, with some hosted peer still running or none, while busy
+// ranks of this process run on procs cores.
+func needYield(transport, peersRunning bool, busy, procs int) bool {
+	return transport || (peersRunning && busy > procs)
+}
+
+// setParked moves this rank between the busy ranks and the parked ones.
+func (r *Rank) setParked(parked bool) {
+	d := int32(1)
+	if parked {
+		d = -1
+	}
+	busyRanks.Add(d)
+	r.comm.idleRanks.Add(-d)
 }
 
 // runAsync is the asynchronous engine loop: drain the local queue in
@@ -160,6 +185,10 @@ func (r *Rank) maybeYield() {
 func (r *Rank) runAsync() TraversalStats {
 	c := r.comm
 	dist := c.trans != nil
+	// Count this rank busy until it returns, panics included: the count is
+	// process-wide and outlives the communicator's reset.
+	busyRanks.Add(1)
+	defer busyRanks.Add(-1)
 	// Flush and publish the initial messages, then synchronize so the
 	// zero-message case is decided globally; with a transport the token
 	// ring decides it instead.
@@ -226,19 +255,19 @@ func (r *Rank) runAsync() TraversalStats {
 			c.term.rankIdle()
 		}
 		// Escalate to a channel park: a truly idle rank burns no CPU.
-		c.idleRanks.Add(1)
+		r.setParked(true)
 		select {
 		case <-r.box.note:
-			c.idleRanks.Add(-1)
+			r.setParked(false)
 			if dist {
 				c.term.rankBusy()
 			}
 			r.drainInbox()
 		case <-done:
-			c.idleRanks.Add(-1)
+			r.setParked(false)
 			return r.finish(0)
 		case <-c.abort:
-			c.idleRanks.Add(-1)
+			r.setParked(false)
 			panic(errAborted)
 		}
 	}

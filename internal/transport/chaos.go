@@ -54,14 +54,19 @@ var injectedFaults atomic.Int64
 func InjectedFaults() int64 { return injectedFaults.Load() }
 
 // chaosOps sums the transport operations stepped by every Chaos shim in
-// this process. The chaos matrix probes it with a fault-free shim to learn
-// how many operations one solve performs, then places After triggers
-// inside that span.
-var chaosOps atomic.Int64
+// this process, and chaosDelivers the deliveries among them. The chaos
+// matrix probes them with a fault-free shim to learn how many operations one
+// solve performs, then places After triggers inside that span. Deliveries
+// are the one kind whose count per solve moves with batch timing; the
+// collectives and traversal starts of a solve are the same every run.
+var chaosOps, chaosDelivers atomic.Int64
 
 // ChaosOpsTotal returns the process-wide count of transport operations
 // observed by Chaos shims.
 func ChaosOpsTotal() int64 { return chaosOps.Load() }
+
+// ChaosDeliversTotal returns how many of ChaosOpsTotal were deliveries.
+func ChaosDeliversTotal() int64 { return chaosDelivers.Load() }
 
 // Chaos wraps the worker-side TCP transport and injects one deterministic
 // connection-level fault (or, for ChaosDelay, continuous seeded timing
@@ -157,6 +162,7 @@ func (c *Chaos) Attach(host rt.TransportHost) { c.inner.Attach(host) }
 
 // Deliver implements runtime.Transport.
 func (c *Chaos) Deliver(dest int, batch []rt.Msg) {
+	chaosDelivers.Add(1)
 	c.step()
 	c.inner.Deliver(dest, batch)
 }

@@ -136,8 +136,8 @@ func offerBetter(nd graph.Dist, ns, np graph.VID, od graph.Dist, os, op graph.VI
 
 // labelInstalled is the one message kind of the Voronoi traversal besides the
 // zero kind, a relaxation offer that no row has seen yet and that is folded
-// into its target's row on arrival (Traversal.Admit). It marks a queue entry
-// whose (dist, seed) label the sender itself wrote into the target's row:
+// into its target's row when its batch arrives (Traversal.Admit). It marks a
+// queue entry whose (dist, seed) label the sender itself wrote into the target's row:
 // only the expansion is left to do. It never crosses a rank or the wire,
 // and the priority queue of an asynchronous flood queues the row instead
 // (Rank.PushRow). Under BSP such an entry reaches the next superstep through
@@ -175,9 +175,10 @@ func RunRankBSP(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
 // only for a strict (dist, seed) improvement, so each label of a vertex is
 // queued at most once and the queue holds O(improvements), not O(arcs).
 // Under the priority queue of an asynchronous flood the entry is the pair
-// (dist, row) and nothing else (Rank.PushRow, or Admit returning the row): a better label takes over
-// its row's queued entry, so the queue holds at most one entry per row, and
-// Expand reads the label to expand from the row when the entry pops.
+// (dist, row) and nothing else (Rank.PushRow, or Admit's Rank.Queue for the
+// row): a better label takes over its row's queued entry, so the queue holds
+// at most one entry per row, and Expand reads the label to expand from the
+// row when the entry pops.
 // Invariant: the label a row entry pops with is the one it was last queued
 // for. Every push of a row entry follows a strict (dist, seed) improvement of
 // that row and carries its new dist as the key; rows only improve, and every
@@ -245,21 +246,25 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 				}
 			}
 		},
-		Admit: func(r *rt.Rank, m rt.Msg) int32 {
-			i := sl.row(m.Target)
-			if m.Kind == labelInstalled {
-				// Under BSP, a superstep late: the row's entry while the row
-				// still holds its label, an ordinary entry that Visit finds
-				// stale otherwise.
-				if sl.holds(i, m.Seed, m.Dist) {
-					return i
+		Admit: func(r *rt.Rank, batch []rt.Msg) {
+			done := 0
+			for _, m := range batch {
+				i := sl.row(m.Target)
+				switch {
+				case m.Kind == labelInstalled && sl.holds(i, m.Seed, m.Dist):
+					// Under BSP, a superstep late: the row's entry while the
+					// row still holds its label...
+					r.Queue(m, i)
+				case m.Kind == labelInstalled:
+					// ...an ordinary entry that Visit finds stale otherwise.
+					r.Queue(m, -1)
+				case sl.relax(i, m.Seed, m.From, m.Dist):
+					r.Queue(m, i)
+				default:
+					done++ // the row already beats the offer
 				}
-				return rt.AdmitMsg
 			}
-			if sl.relax(i, m.Seed, m.From, m.Dist) {
-				return i
-			}
-			return rt.AdmitDone
+			r.Finished(done)
 		},
 		Expand: expand,
 		Visit: func(r *rt.Rank, m rt.Msg) {
@@ -282,7 +287,9 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 //     itself sent to u (offerGhost); the owner's row is the minimum of what
 //     it received, so it is at least that good, and rows only improve: an
 //     offer the ghost row beats is beaten for good.
-//   - Anything else is sent to its owner, and folded there by Admit.
+//   - Anything else is sent to its owner, which the ghost slot names
+//     (StateSlab.slotOwner, no Partition.Owner search), and folded there
+//     by Admit with the rest of its batch.
 //
 // Every comparison is strict — an offer tying on (dist, src) with a smaller
 // predecessor still goes out, as it is installed when the target is owned —
@@ -291,11 +298,12 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 func (sl *StateSlab) offerSender(r *rt.Rank) func(r *rt.Rank, ref int32, from, seed graph.VID, dist graph.Dist) {
 	sh := r.Shard()
 	return func(r *rt.Rank, ref int32, from, seed graph.VID, dist graph.Dist) {
-		if !sl.offerGhost(^ref, seed, from, dist) {
+		g := ^ref
+		if !sl.offerGhost(g, seed, from, dist) {
 			r.Suppress()
 			return
 		}
-		r.Send(rt.Msg{Target: sh.Target(ref), From: from, Seed: seed, Dist: dist})
+		r.SendTo(sl.slotOwner(g), rt.Msg{Target: sh.Target(ref), From: from, Seed: seed, Dist: dist})
 	}
 }
 
