@@ -133,7 +133,11 @@ func probeChaosOps(t *testing.T, g *graph.Graph, seeds []graph.VID) (ops, floor 
 // into a recovering 2-worker fleet and requiring the answer to stay
 // byte-identical to the loopback reference — first on the faulted solve
 // (healed and requeued under the covers), then again on the healed fleet —
-// with every worker exiting cleanly at goodbye.
+// with every worker exiting cleanly at goodbye. The fault lands in the
+// faulted solve as a rule, but a late position (after=78) can fire in the
+// healed solve instead when a loaded run batches its deliveries more
+// coarsely; the cell then logs which solve it fired in, and its assertions
+// hold either way.
 func TestChaosMatrix(t *testing.T) {
 	g := engineTestGraph(17, 320)
 	rng := rand.New(rand.NewSource(91))
@@ -187,6 +191,9 @@ func TestChaosMatrix(t *testing.T) {
 			t.Fatalf("faulted solve not recovered: %v", err)
 		}
 		assertResultsEquivalent(t, label+"/faulted", got, want)
+		if wantFault && e.FaultStats().Detected == 0 {
+			t.Logf("%s: no fault detected by the end of the faulted solve; the healed solve takes it", label)
+		}
 		// The second solve proves the healed fleet is a working fleet, and
 		// flushes a fault that fired after the first answer was delivered
 		// through a heal before the goodbye.

@@ -235,7 +235,7 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 			return nil, fmt.Errorf("core: inconsistent setup geometry (rank %d shard slice): %w", sl.Rank, err)
 		}
 		shards = append(shards, sh)
-		slab := voronoi.NewStateSlab(sl.Rank, part.Bounds(), sh)
+		slab := voronoi.NewStateSlab(sl.Rank, vlo, vhi, sh)
 		slabs = append(slabs, slab)
 		w.shardBytes += sh.MemoryBytes()
 		w.stateBytes += slab.MemoryBytes()

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -118,68 +119,65 @@ func TestAdmitBatchMixesEntries(t *testing.T) {
 }
 
 // TestNeedYield pins the fairness-yield rule: a transport-backed rank always
-// yields; an in-process one only while a hosted peer still runs and the busy
-// ranks of the process outnumber GOMAXPROCS. Ranks with a core each do not
-// yield; oversubscribed runs — 3, 4 and 8 ranks on a small box, or two
-// engines at once — still do.
+// yields; an in-process one only while the running ranks of its
+// communicator, itself included, outnumber GOMAXPROCS. Ranks with a core
+// each do not yield, nor does a rank whose peers are all parked;
+// oversubscribed runs — 3, 4 and 8 ranks on a small box — still do.
 func TestNeedYield(t *testing.T) {
 	for _, tc := range []struct {
-		transport, peersRunning bool
-		busy, procs             int
-		want                    bool
+		transport   bool
+		busy, procs int
+		want        bool
 	}{
-		{false, true, 2, 2, false},  // two ranks, two cores
-		{false, true, 1, 4, false},  // fewer ranks than cores
-		{false, true, 3, 2, true},   // three ranks on two cores
-		{false, true, 8, 1, true},   // eight ranks on one core
-		{false, true, 4, 2, true},   // two 2-rank engines on two cores
-		{false, false, 4, 2, false}, // every peer parked: nothing to hand over
-		{true, false, 1, 8, true},   // readers need the CPU
-		{true, true, 2, 2, true},
+		{false, 2, 2, false}, // two ranks, two cores
+		{false, 1, 4, false}, // fewer ranks than cores
+		{false, 1, 1, false}, // every peer parked: nothing to hand over
+		{false, 3, 2, true},  // three ranks on two cores
+		{false, 4, 2, true},  // four ranks on two cores
+		{false, 8, 1, true},  // eight ranks on one core
+		{true, 1, 8, true},   // readers need the CPU
+		{true, 2, 2, true},
 	} {
-		if got := needYield(tc.transport, tc.peersRunning, tc.busy, tc.procs); got != tc.want {
-			t.Errorf("needYield(transport=%v, peersRunning=%v, busy=%d, procs=%d) = %v, want %v",
-				tc.transport, tc.peersRunning, tc.busy, tc.procs, got, tc.want)
+		if got := needYield(tc.transport, tc.busy, tc.procs); got != tc.want {
+			t.Errorf("needYield(transport=%v, busy=%d, procs=%d) = %v, want %v",
+				tc.transport, tc.busy, tc.procs, got, tc.want)
 		}
 	}
 }
 
-// TestBusyRanksSettle checks that the process-wide busy count the yield rule
-// reads returns to zero after traversals, a panicking one included: it
-// outlives every communicator, so a leaked count would keep all later ranks
-// yielding.
-func TestBusyRanksSettle(t *testing.T) {
-	c := newComm(t, 32, 4, QueuePriority)
-	if got := chainRun(c); got != 15 {
-		t.Fatalf("processed %d, want 15", got)
-	}
-	if got := busyRanks.Load(); got != 0 {
-		t.Fatalf("busy ranks = %d after a clean traversal, want 0", got)
-	}
+// TestAdmitOverFinishPanics checks that an Admit hook releasing more messages
+// than its batch holds fails loudly: the surplus throws off the termination
+// counter, so the traversal would end early with work still queued — wrong
+// results and no error — or, as here, never end.
+func TestAdmitOverFinishPanics(t *testing.T) {
+	c := newComm(t, 16, 2, QueuePriority)
+	var got any
 	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected the visit panic to propagate")
-			}
-		}()
+		defer func() { got = recover() }()
 		c.Run(func(r *Rank) {
 			r.Traverse(&Traversal{
-				Init: func(r *Rank) { r.Send(Msg{Target: graph.VID(8 * r.ID())}) },
-				Visit: func(r *Rank, _ Msg) {
+				Ordered: true,
+				Init: func(r *Rank) {
 					if r.ID() == 1 {
-						panic("rank 1 exploded mid-traversal")
+						for v := graph.VID(0); v < 4; v++ {
+							r.Send(Msg{Target: v, Dist: graph.Dist(v)})
+						}
 					}
 				},
+				Admit:  func(r *Rank, batch []Msg) { r.Finished(len(batch) + 1) },
+				Expand: func(*Rank, int32) {},
+				Visit:  func(*Rank, Msg) {},
 			})
 		})
 	}()
-	if got := busyRanks.Load(); got != 0 {
-		t.Fatalf("busy ranks = %d after an aborted traversal, want 0", got)
+	// Rank 0 admits the batch, so its panic is the one Run re-raises.
+	if msg, _ := got.(string); !strings.Contains(msg, "Admit finished") {
+		t.Fatalf("recovered %v, want the over-finish panic", got)
 	}
 }
 
 // BenchmarkCrossRankBatch times the in-process cross-rank offer path: rank 0
-// sends rank 1 offers with SendTo, which batches them, flushes full batches
+// sends rank 1 offers, which Send batches, flushes full batches
 // into rank 1's mailbox, and rank 1 drains each batch through one Admit call
 // that finishes three offers in four and queues the fourth for its row. It
 // reports ns per message, Run's barriers amortised over 16K messages.
@@ -195,7 +193,7 @@ func BenchmarkCrossRankBatch(b *testing.B) {
 				return
 			}
 			for i := 0; i < perRun; i++ {
-				r.SendTo(1, Msg{Target: graph.VID(1024 + i%1024), From: graph.VID(i % 1024), Seed: 7, Dist: graph.Dist(i)})
+				r.Send(Msg{Target: graph.VID(1024 + i%1024), From: graph.VID(i % 1024), Seed: 7, Dist: graph.Dist(i)})
 			}
 		},
 		Admit: func(r *Rank, batch []Msg) {

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"math/rand"
 
 	"dsteiner/internal/graph"
@@ -118,13 +119,6 @@ func (r *Rank) Send(m Msg) {
 		r.SendLocal(m)
 		return
 	}
-	r.SendTo(dest, m)
-}
-
-// SendTo is Send for a message whose owner the caller already knows: dest
-// owns m.Target and is another rank than this one (internal/voronoi reads it
-// off the target's ghost slot). It skips the owner lookup.
-func (r *Rank) SendTo(dest int, m Msg) {
 	r.sentHere++
 	r.buffer(dest, m)
 }
@@ -360,7 +354,13 @@ func (r *Rank) drainInbox() bool {
 		n += int64(len(batch))
 		switch {
 		case r.admit != nil:
+			before := r.droppedHere
 			r.admit(r, batch)
+			if r.droppedHere-before > int64(len(batch)) {
+				// The termination counter would be off: the traversal
+				// would end with work still queued, or never end.
+				panic(fmt.Sprintf("runtime: Admit finished %d messages of a batch of %d", r.droppedHere-before, len(batch)))
+			}
 		case direct:
 			for _, m := range batch {
 				r.visit(r, m)

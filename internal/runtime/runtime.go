@@ -13,7 +13,7 @@
 //     with a distributed-termination counter. A message (Msg) is 24 bytes,
 //     and a traversal's Admit hook takes each inbound batch whole, so a
 //     cross-rank offer costs about what a local one does. A busy rank
-//     yields the processor only while the ranks busy in this process
+//     yields the processor only while its communicator's running ranks
 //     outnumber GOMAXPROCS (Rank.maybeYield): ranks with a core each run
 //     as MPI ranks do, unpreempted.
 //   - Collectives (Barrier, the int64 allreduces, and Exchange — the one
@@ -184,7 +184,8 @@ type Comm struct {
 	batches    atomic.Int64
 	suppressed atomic.Int64
 	// idleRanks counts hosted ranks currently parked in runAsync; a busy
-	// rank skips its fairness yield when every peer is parked.
+	// rank skips its fairness yield while the ranks not parked have a core
+	// each.
 	idleRanks atomic.Int32
 }
 

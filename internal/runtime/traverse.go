@@ -3,7 +3,6 @@ package runtime
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // goyield cooperatively yields the processor to other goroutines.
@@ -55,7 +54,9 @@ type Traversal struct {
 	//     whole effect was the fold. Each costs one comparison instead of a
 	//     queue insertion, a pop and a visit, and counts as sent but not as
 	//     processed. One call per batch is enough.
-	// Every message of the batch must be queued or finished exactly once.
+	// Every message of the batch must be queued or finished exactly once;
+	// finishing more messages than the batch holds panics, since the
+	// termination counter would be off.
 	// The batch is the runtime's buffer, recycled when Admit returns, so
 	// Admit must not keep it. Self-sends do not pass through Admit, except
 	// under BSP, where they arrive through the rank's own mailbox.
@@ -138,45 +139,28 @@ func (c *Comm) closeDone() {
 	c.doneOnce.Do(func() { close(c.done) })
 }
 
-// busyRanks counts the ranks of every communicator in this process that are
-// inside an asynchronous traversal and not parked: the ranks that compete
-// for the GOMAXPROCS cores. It is process-wide because engines share the
-// cores — a query service runs several at once — while Comm.idleRanks only
-// sees one communicator's ranks.
-var busyRanks atomic.Int32
-
-// maybeYield is the busy-loop fairness yield. When running ranks outnumber
-// the cores, a rank grinding a long queue hands the scheduler a slice so
-// its peers advance at a similar rate; when each busy rank has a core to
-// itself — real MPI ranks run on dedicated cores — the yield only costs a
-// trip through the scheduler, so it is skipped. It is skipped as well when
-// every peer rank of this communicator is parked (one rank drains while the
-// others wait for its offers): the yield could only hand the CPU to another
-// communicator's ranks. Transport-backed communicators always yield: the
-// reader goroutines feeding the mailboxes need the CPU even when peer ranks
-// idle. The rule is needYield.
+// maybeYield is the busy-loop fairness yield. When the running ranks of
+// this communicator outnumber the cores, a rank grinding a long queue hands
+// the scheduler a slice so its peers advance at a similar rate; when each
+// running rank has a core to itself — real MPI ranks run on dedicated
+// cores — the yield only costs a trip through the scheduler, so it is
+// skipped. That covers the case where every peer rank is parked (one rank
+// drains while the others wait for its offers): the yield could only hand
+// the CPU back to this rank. Transport-backed communicators always yield:
+// the reader goroutines feeding the mailboxes need the CPU even when peer
+// ranks idle. The rule is needYield.
 func (r *Rank) maybeYield() {
 	c := r.comm
-	if needYield(c.trans != nil, int(c.idleRanks.Load())+1 < len(c.ranks), int(busyRanks.Load()), r.procs) {
+	if needYield(c.trans != nil, len(c.ranks)-int(c.idleRanks.Load()), r.procs) {
 		goyield()
 	}
 }
 
 // needYield is maybeYield's rule for a rank whose communicator runs over a
-// transport or not, with some hosted peer still running or none, while busy
-// ranks of this process run on procs cores.
-func needYield(transport, peersRunning bool, busy, procs int) bool {
-	return transport || (peersRunning && busy > procs)
-}
-
-// setParked moves this rank between the busy ranks and the parked ones.
-func (r *Rank) setParked(parked bool) {
-	d := int32(1)
-	if parked {
-		d = -1
-	}
-	busyRanks.Add(d)
-	r.comm.idleRanks.Add(-d)
+// transport or not, while busy of its hosted ranks (itself included) are
+// not parked and the process runs on procs cores.
+func needYield(transport bool, busy, procs int) bool {
+	return transport || busy > procs
 }
 
 // runAsync is the asynchronous engine loop: drain the local queue in
@@ -185,10 +169,6 @@ func (r *Rank) setParked(parked bool) {
 func (r *Rank) runAsync() TraversalStats {
 	c := r.comm
 	dist := c.trans != nil
-	// Count this rank busy until it returns, panics included: the count is
-	// process-wide and outlives the communicator's reset.
-	busyRanks.Add(1)
-	defer busyRanks.Add(-1)
 	// Flush and publish the initial messages, then synchronize so the
 	// zero-message case is decided globally; with a transport the token
 	// ring decides it instead.
@@ -255,19 +235,19 @@ func (r *Rank) runAsync() TraversalStats {
 			c.term.rankIdle()
 		}
 		// Escalate to a channel park: a truly idle rank burns no CPU.
-		r.setParked(true)
+		c.idleRanks.Add(1)
 		select {
 		case <-r.box.note:
-			r.setParked(false)
+			c.idleRanks.Add(-1)
 			if dist {
 				c.term.rankBusy()
 			}
 			r.drainInbox()
 		case <-done:
-			r.setParked(false)
+			c.idleRanks.Add(-1)
 			return r.finish(0)
 		case <-c.abort:
-			r.setParked(false)
+			c.idleRanks.Add(-1)
 			panic(errAborted)
 		}
 	}

@@ -2,7 +2,6 @@ package voronoi
 
 import (
 	"fmt"
-	"sort"
 
 	"dsteiner/internal/graph"
 	"dsteiner/internal/partition"
@@ -53,12 +52,6 @@ type StateSlab struct {
 	// advances at Reset and once more between the flood and the halo exchange.
 	ghost []slabRow
 	gcur  uint64
-
-	// slotLo[p] is the first ghost slot of a vertex rank p owns (P+1 bounds;
-	// nil without a shard). Slots ascend by VID and ranges are contiguous,
-	// so each owner's slots form one run [slotLo[p], slotLo[p+1]), and a
-	// cross-rank offer finds its destination from its slot (slotOwner).
-	slotLo []int32
 }
 
 // slabRow is one vertex's (dist, src, pred) entry: an owned vertex's label, or
@@ -71,27 +64,18 @@ type slabRow struct {
 	epoch     uint64
 }
 
-// NewStateSlab builds rank's slab over its owned range [bounds[rank],
-// bounds[rank+1]) of the partition with range bounds bounds
-// (partition.Partition.Bounds). sh, when non-nil, is the rank's shard over
-// the same range: the slab gets one ghost row per ghost slot, and the slot
-// bounds that route an offer to its owner. A slab built without a shard has
-// no ghost rows: it can hold state, but run refuses it on a multi-rank
-// shard.
-func NewStateSlab(rank int, bounds []graph.VID, sh *graph.Shard) *StateSlab {
-	rows := graph.NewRowIndex(bounds[rank], bounds[rank+1])
+// NewStateSlab builds rank's slab over its owned range [lo, hi). sh, when
+// non-nil, is the rank's shard over the same range: the slab gets one ghost
+// row per ghost slot. A slab built without a shard has no ghost rows: it
+// can hold state, but run refuses it on a multi-rank shard.
+func NewStateSlab(rank int, lo, hi graph.VID, sh *graph.Shard) *StateSlab {
+	rows := graph.NewRowIndex(lo, hi)
 	var ghost []slabRow
-	var slotLo []int32
 	if sh != nil {
 		if sh.Rows() != rows {
 			panic("voronoi: NewStateSlab over another range than its shard's")
 		}
 		ghost = make([]slabRow, sh.NumGhosts())
-		slotLo = make([]int32, len(bounds))
-		for p, lo := range bounds {
-			first := sort.Search(len(ghost), func(g int) bool { return sh.Target(^int32(g)) >= lo })
-			slotLo[p] = int32(first)
-		}
 	}
 	n := rows.Len()
 	return &StateSlab{
@@ -102,7 +86,6 @@ func NewStateSlab(rank int, bounds []graph.VID, sh *graph.Shard) *StateSlab {
 		cur:    1,
 		ghost:  ghost,
 		gcur:   1,
-		slotLo: slotLo,
 	}
 }
 
@@ -116,7 +99,8 @@ func BuildSlabs(plan *partition.ShardPlan, shards []*graph.Shard) []*StateSlab {
 		if shards != nil {
 			sh = shards[rank]
 		}
-		slabs[rank] = NewStateSlab(rank, plan.Partition().Bounds(), sh)
+		lo, hi := plan.Range(rank)
+		slabs[rank] = NewStateSlab(rank, lo, hi, sh)
 	}
 	return slabs
 }
@@ -265,21 +249,6 @@ func (sl *StateSlab) relax(i int32, src, pred graph.VID, dist graph.Dist) bool {
 func (sl *StateSlab) ghostBeats(g int32, dist graph.Dist) bool {
 	row := &sl.ghost[g]
 	return row.epoch == sl.gcur && row.dist < dist
-}
-
-// slotOwner returns the rank that owns the vertex of ghost slot g: the last
-// rank whose run of slots starts at or before g.
-func (sl *StateSlab) slotOwner(g int32) int {
-	lo, hi := 0, len(sl.slotLo)-2
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if sl.slotLo[mid] <= g {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
 }
 
 // offerGhost is relax's counterpart for a vertex owned elsewhere: it reports

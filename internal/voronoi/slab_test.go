@@ -9,7 +9,7 @@ import (
 )
 
 func TestStateSlabOwnedRowsSetGetReset(t *testing.T) {
-	sl := NewStateSlab(1, []graph.VID{0, 4, 8}, nil)
+	sl := NewStateSlab(0, 4, 8, nil)
 	if sl.NumOwned() != 4 {
 		t.Fatalf("dims = %d owned", sl.NumOwned())
 	}
@@ -39,7 +39,7 @@ func TestStateSlabOwnedRowsSetGetReset(t *testing.T) {
 }
 
 func TestStateSlabPanicsOnNonOwnedVertex(t *testing.T) {
-	sl := NewStateSlab(0, []graph.VID{0, 3}, nil)
+	sl := NewStateSlab(0, 0, 3, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("access to non-owned vertex did not panic")
@@ -53,7 +53,7 @@ func TestStateSlabPanicsOnNonOwnedVertex(t *testing.T) {
 // a hub: a slab with no owned rows must still build, reset and account
 // memory.
 func TestStateSlabZeroOwnedVertices(t *testing.T) {
-	sl := NewStateSlab(3, []graph.VID{0, 2, 4, 7, 7, 9}, nil)
+	sl := NewStateSlab(3, 7, 7, nil)
 	if sl.NumOwned() != 0 {
 		t.Fatalf("dims = %d owned", sl.NumOwned())
 	}
@@ -104,7 +104,7 @@ func TestBuildSlabsSharesShardRowIndex(t *testing.T) {
 }
 
 func TestStateSlabMemoryBytes(t *testing.T) {
-	sl := NewStateSlab(0, []graph.VID{0, 4}, nil)
+	sl := NewStateSlab(0, 0, 4, nil)
 	// 4 owned rows * (4+4+8+8+8), no ghost rows without a shard.
 	want := int64(4 * (4 + 4 + 8 + 8 + 8))
 	if got := sl.MemoryBytes(); got != want {
@@ -126,7 +126,7 @@ func TestGhostRowsFilterThenHoldHaloLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := graph.NewShard(g, 0, 2, 0, 2)
-	sl := NewStateSlab(0, []graph.VID{0, 2, 4}, sh)
+	sl := NewStateSlab(0, 0, 2, sh)
 	if sh.NumGhosts() != 2 || len(sl.ghost) != 2 {
 		t.Fatalf("%d ghost slots, %d ghost rows, want 2 and 2", sh.NumGhosts(), len(sl.ghost))
 	}
@@ -187,42 +187,11 @@ func TestGhostRowsFilterThenHoldHaloLabels(t *testing.T) {
 	}
 }
 
-// TestSlotOwnerFollowsRanges checks that a ghost slot names the rank that
-// owns its vertex, across an empty range: rank 1 of [0,2) [2,4) [4,4) [4,7)
-// has ghosts owned by ranks 0 and 3, and none by the empty rank 2.
-func TestSlotOwnerFollowsRanges(t *testing.T) {
-	bld := graph.NewBuilder(7)
-	for _, u := range []graph.VID{0, 1, 4, 6} {
-		bld.AddEdge(2, u, 1)
-	}
-	bld.AddEdge(3, 5, 1)
-	g, err := bld.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounds := []graph.VID{0, 2, 4, 4, 7}
-	part, err := partition.NewFromBounds(bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := graph.NewShard(g, 1, 4, 2, 4)
-	sl := NewStateSlab(1, bounds, sh)
-	if sh.NumGhosts() != 5 {
-		t.Fatalf("%d ghost slots, want 5", sh.NumGhosts())
-	}
-	for slot := int32(0); slot < int32(sh.NumGhosts()); slot++ {
-		v := sh.Target(^slot)
-		if got, want := sl.slotOwner(slot), part.Owner(v); got != want {
-			t.Fatalf("ghost slot %d (vertex %d) routes to rank %d, its owner is %d", slot, v, got, want)
-		}
-	}
-}
-
 // TestCollectMergesSlabs checks Collect rebuilds the global view from
 // per-rank slabs, skipping stale epochs.
 func TestCollectMergesSlabs(t *testing.T) {
-	a := NewStateSlab(0, []graph.VID{0, 2, 4}, nil)
-	b := NewStateSlab(1, []graph.VID{0, 2, 4}, nil)
+	a := NewStateSlab(0, 0, 2, nil)
+	b := NewStateSlab(1, 2, 4, nil)
 	a.Set(0, 0, 0, 0)
 	b.Set(3, 0, 1, 9)
 	b.Reset()

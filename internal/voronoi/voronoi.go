@@ -287,9 +287,8 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 //     itself sent to u (offerGhost); the owner's row is the minimum of what
 //     it received, so it is at least that good, and rows only improve: an
 //     offer the ghost row beats is beaten for good.
-//   - Anything else is sent to its owner, which the ghost slot names
-//     (StateSlab.slotOwner, no Partition.Owner search), and folded there
-//     by Admit with the rest of its batch.
+//   - Anything else is sent to its owner, and folded there by Admit with
+//     the rest of its batch.
 //
 // Every comparison is strict — an offer tying on (dist, src) with a smaller
 // predecessor still goes out, as it is installed when the target is owned —
@@ -298,12 +297,11 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 func (sl *StateSlab) offerSender(r *rt.Rank) func(r *rt.Rank, ref int32, from, seed graph.VID, dist graph.Dist) {
 	sh := r.Shard()
 	return func(r *rt.Rank, ref int32, from, seed graph.VID, dist graph.Dist) {
-		g := ^ref
-		if !sl.offerGhost(g, seed, from, dist) {
+		if !sl.offerGhost(^ref, seed, from, dist) {
 			r.Suppress()
 			return
 		}
-		r.SendTo(sl.slotOwner(g), rt.Msg{Target: sh.Target(ref), From: from, Seed: seed, Dist: dist})
+		r.Send(rt.Msg{Target: sh.Target(ref), From: from, Seed: seed, Dist: dist})
 	}
 }
 
