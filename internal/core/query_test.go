@@ -318,7 +318,7 @@ func resPenalty(seeds []graph.VID, penalties []graph.Dist, s graph.VID) graph.Di
 }
 
 // TestForestPrizeTCPMatchesLoopback: forest, prize and tree queries answered
-// by 1-, 2- and 4-worker rankd fleets over real TCP must match the in-process
+// by 1-, 2-, 3- and 4-worker rankd fleets over real TCP must match the in-process
 // loopback backend byte for byte — tree, group subtrees, skipped set,
 // penalties, objective — and in every counter the flood's races cannot move.
 func TestForestPrizeTCPMatchesLoopback(t *testing.T) {
@@ -347,7 +347,9 @@ func TestForestPrizeTCPMatchesLoopback(t *testing.T) {
 		p1 := r.Phase(PhaseVoronoi)
 		return [...]int64{r.CrossTableBytes, r.FragmentMsgs, int64(r.MSTRounds), r.Sent - p1.Sent, r.Processed - p1.Processed}
 	}
-	for _, workers := range []int{1, 2, 4} {
+	// Three workers split the four ranks 2/1/1: the one uneven fleet, where a
+	// broadcast goes to two peers and a routed blob to one.
+	for _, workers := range []int{1, 2, 3, 4} {
 		tcp, wait := startTCPEngine(t, g, opts, workers)
 		for qi, spec := range specs {
 			want, err := loop.SolveSpec(spec)

@@ -15,7 +15,7 @@ import (
 // localhost TCP connections — the same code path cmd/rankd executes.
 // Returns the engine and a wait function that asserts every worker exited
 // cleanly after Close.
-func startTCPEngine(t *testing.T, g *graph.Graph, opts Options, workers int) (*Engine, func()) {
+func startTCPEngine(t testing.TB, g *graph.Graph, opts Options, workers int) (*Engine, func()) {
 	t.Helper()
 	opts.Backend = BackendTCP
 	opts.Workers = workers
@@ -89,18 +89,18 @@ func checkTCPMatchesLoopback(t *testing.T, g *graph.Graph, seedSets [][]graph.VI
 }
 
 // TestTCPBackendMatchesLoopback is the transport-equivalence acceptance
-// test: for fleet shapes (one rank per worker, two ranks per worker) ×
-// batch sizes (the runtime's 64, one message per frame, an odd five —
-// Setup ships the size to every worker) × {async, BSP}, a 4-rank rankd
-// cluster driven over TCP returns Results byte-identical (solver-output
-// fields) to the in-process loopback backend — and both match across
-// repeated queries on the same warm session.
+// test: for fleet shapes (one rank per worker, two ranks per worker, and
+// three workers splitting the ranks 2/1/1) × batch sizes (the runtime's 64,
+// one message per frame, an odd five — Setup ships the size to every
+// worker) × {async, BSP}, a 4-rank rankd cluster driven over TCP returns
+// Results byte-identical (solver-output fields) to the in-process loopback
+// backend — and both match across repeated queries on the same warm session.
 func TestTCPBackendMatchesLoopback(t *testing.T) {
 	g := engineTestGraph(17, 120)
 	seedSets := tcpEquivSeedSets(g)
-	fleets := []int{4, 2}
+	fleets := []int{4, 2, 3}
 	batches := []int{0, 1, 5}
-	if testing.Short() { // the full matrix spins up 12 worker fleets; -short keeps two
+	if testing.Short() { // the full matrix spins up 18 worker fleets; -short keeps two
 		fleets = []int{4}
 		batches = []int{1}
 	}
@@ -255,5 +255,25 @@ func TestTCPTinyQueriesTerminateCleanly(t *testing.T) {
 		}
 		e.Close()
 		wait()
+	}
+}
+
+// BenchmarkTCPTinySolve times a warm tree solve on a 2-worker rankd fleet
+// over loopback TCP: 64 vertices and 4 terminals, so the solve is almost
+// all collective and termination latency rather than compute.
+func BenchmarkTCPTinySolve(b *testing.B) {
+	g := engineTestGraph(64, 64)
+	seeds := pickEngineSeeds(rand.New(rand.NewSource(4)), g.NumVertices(), 4)
+	e, wait := startTCPEngine(b, g, Default(2), 2)
+	defer wait()
+	defer e.Close()
+	if _, err := e.Solve(seeds); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Solve(seeds); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

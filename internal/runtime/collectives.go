@@ -99,7 +99,7 @@ func pickLeader(a, b any) any {
 
 // wireInt64 runs one hierarchical int64 collective: combine the hosted
 // ranks' contributions in-process, let the leader exchange the process
-// partial with the coordinator over the transport, then distribute the
+// partial with the other processes over the transport, then distribute the
 // global result locally. Every hosted rank must call it (same program
 // order), like any collective.
 func (c *Comm) wireInt64(r *Rank, op CollOp, x int64) int64 {
@@ -162,9 +162,10 @@ func (r *Rank) AllreduceMaxInt64(x int64) int64 {
 // included, in no particular order (callers fold order-insensitively or sort
 // by content). A gather is every rank addressing rank 0; an allgather is
 // every rank broadcasting. Every rank must call it in the same program
-// order, like any collective. Across a transport the coordinator
-// personalizes each process's reply, so a routed blob crosses the wire twice
-// (up, down) instead of down P times.
+// order, like any collective. Across a transport each process sends every
+// peer only the blobs addressed to that peer's ranks plus the broadcasts, so
+// a routed blob crosses the wire once, straight to the process hosting its
+// destination.
 func Exchange(r *Rank, blobs []Blob) []Blob {
 	c := r.comm
 	all := c.coll.reduce(blobs, func(a, b any) any {

@@ -11,7 +11,7 @@ import "sync"
 // Two implementations exist: loopback (a nil Transport — all ranks
 // in-process, mailbox delivery, the perf baseline) and the TCP backend in
 // internal/transport (length-prefixed wire frames, per-peer write
-// coalescing, a coordinator-rooted collective tree and a Safra-style
+// coalescing, collectives over the worker mesh and a Safra-style
 // termination-token ring).
 //
 // Contract: Deliver and the collective calls originate on rank goroutines;
@@ -39,9 +39,9 @@ type Transport interface {
 	// blobs are this process's hosted ranks' routed contributions (Dest = a
 	// global rank, or -1 for broadcast-to-all); the result is every blob
 	// addressed to one of this process's hosted ranks plus every broadcast
-	// blob. The coordinator personalizes each process's reply, so a routed
-	// blob crosses the wire up (once) and down (once) instead of down P
-	// times.
+	// blob. Each process sends a peer only the blobs addressed to that
+	// peer's ranks plus the broadcasts, so a routed blob crosses the wire
+	// once.
 	Exchange(blobs []Blob) []Blob
 	// StartTraversal arms distributed termination detection for
 	// asynchronous traversal #seq and returns a channel the transport

@@ -16,9 +16,9 @@ import (
 
 // Hub is the coordinator end of the TCP backend: it accepts the rankd
 // workers, runs the session handshake (shipping each worker its shard
-// slices), roots every collective, drives the Safra-style termination-token
-// ring for asynchronous traversals, fans out solve requests and collects
-// their outcomes.
+// slices), drives the Safra-style termination-token ring for asynchronous
+// traversals, fans out solve requests and collects their outcomes.
+// Collectives never reach it: the workers run them over their mesh.
 //
 // The hub outlives its sessions. A hubSession is one generation of the
 // worker fleet — its connections, event loop and poison state. Without
@@ -129,8 +129,8 @@ type FaultStats struct {
 	LastError string
 }
 
-// tally records which workers have contributed to one collective, traversal
-// start or query, so a repeat is a session error instead of a second vote.
+// tally records which workers have contributed to one traversal start or
+// query, so a repeat is a session error instead of a second vote.
 type tally struct {
 	seen []bool
 	n    int
@@ -150,14 +150,6 @@ func (t *tally) add(w int) bool {
 
 // full reports whether every worker has contributed.
 func (t *tally) full() bool { return t.n == len(t.seen) }
-
-// collAcc accumulates one collective's per-worker contributions.
-type collAcc struct {
-	op    rt.CollOp
-	from  tally
-	acc   int64     // the allreduces' running value
-	blobs []rt.Blob // OpExchange's routed blobs
-}
 
 // tokenSession tracks the termination-token ring of one traversal.
 type tokenSession struct {
@@ -666,11 +658,10 @@ func (s *hubSession) shutdown() {
 	}
 }
 
-// run is the event loop: collectives, termination tokens, query outcomes
-// and failures, all serialized here.
+// run is the event loop: termination tokens, query outcomes and failures,
+// all serialized here.
 func (s *hubSession) run() {
 	defer close(s.loopEnd)
-	colls := make(map[uint64]*collAcc)
 	sessions := make(map[uint64]*tokenSession)
 	var pending *pendingQuery
 	closedReaders := 0
@@ -689,7 +680,7 @@ func (s *hubSession) run() {
 				return
 			}
 		default:
-			if err := s.handleFrame(ev, colls, sessions, &pending); err != nil {
+			if err := s.handleFrame(ev, sessions, &pending); err != nil {
 				s.fail(err)
 			}
 		}
@@ -697,18 +688,10 @@ func (s *hubSession) run() {
 }
 
 // handleFrame processes one worker frame inside the event loop.
-func (s *hubSession) handleFrame(ev hubEvent, colls map[uint64]*collAcc,
-	sessions map[uint64]*tokenSession, pending **pendingQuery) error {
+func (s *hubSession) handleFrame(ev hubEvent, sessions map[uint64]*tokenSession, pending **pendingQuery) error {
 	h := s.h
 	w := ev.worker
 	switch ev.typ {
-	case wire.FrameColl:
-		coll, err := wire.DecodeColl(ev.body)
-		if err != nil {
-			return fmt.Errorf("transport: collective from worker %d: %w", w, err)
-		}
-		return s.handleColl(w, coll, colls)
-
 	case wire.FrameTraverseBegin:
 		tb, err := wire.DecodeTraverseBegin(ev.body)
 		if err != nil {
@@ -802,89 +785,6 @@ func (s *hubSession) handleFrame(ev hubEvent, colls map[uint64]*collAcc,
 func (s *hubSession) sendToken(ts *tokenSession, tok wire.Token) error {
 	if err := s.peers[ts.at].send(wire.EncodeToken(nil, tok)); err != nil {
 		return fmt.Errorf("transport: token to worker %d: %w", ts.at, err)
-	}
-	return nil
-}
-
-// handleColl folds one collective contribution and, once every worker has
-// contributed, replies: the same payload to all, except for an exchange,
-// where each worker gets only the blobs addressed to its rank range plus the
-// broadcasts. Consecutive collectives of any op share the sequence, so
-// workers whose programs diverge meet here as an op mismatch at the step
-// where they part.
-func (s *hubSession) handleColl(w int, coll wire.Coll, colls map[uint64]*collAcc) error {
-	h := s.h
-	if coll.Op < rt.OpBarrier || coll.Op > rt.OpExchange {
-		return fmt.Errorf("transport: collective %d: unknown op %d from worker %d", coll.Seq, coll.Op, w)
-	}
-	acc := colls[coll.Seq]
-	if acc == nil {
-		acc = &collAcc{op: coll.Op, from: newTally(h.workers)}
-		colls[coll.Seq] = acc
-	}
-	if acc.op != coll.Op {
-		return fmt.Errorf("transport: collective %d op mismatch (%d vs %d) from worker %d",
-			coll.Seq, acc.op, coll.Op, w)
-	}
-	if !acc.from.add(w) {
-		return fmt.Errorf("transport: collective %d: worker %d contributed twice", coll.Seq, w)
-	}
-	switch coll.Op {
-	case rt.OpBarrier:
-	case rt.OpExchange:
-		blobs, err := wire.DecodeBlobs(coll.Payload)
-		if err != nil {
-			return fmt.Errorf("transport: exchange %d from worker %d: %w", coll.Seq, w, err)
-		}
-		lo, hi := h.RankRange(w)
-		for _, b := range blobs {
-			if b.Src < lo || b.Src >= hi || b.Dest < -1 || b.Dest >= h.ranks {
-				return fmt.Errorf("transport: exchange %d: blob %d -> %d from worker %d hosting ranks [%d,%d) of %d",
-					coll.Seq, b.Src, b.Dest, w, lo, hi, h.ranks)
-			}
-		}
-		acc.blobs = append(acc.blobs, blobs...)
-	default:
-		x, err := wire.DecodeInt64(coll.Payload)
-		if err != nil {
-			return fmt.Errorf("transport: allreduce %d from worker %d: %w", coll.Seq, w, err)
-		}
-		switch {
-		case acc.from.n == 1:
-			acc.acc = x
-		case coll.Op == rt.OpMin:
-			acc.acc = min(acc.acc, x)
-		case coll.Op == rt.OpMax:
-			acc.acc = max(acc.acc, x)
-		default:
-			acc.acc += x
-		}
-	}
-	if !acc.from.full() {
-		return nil
-	}
-	delete(colls, coll.Seq)
-	var payload, reply []byte
-	if coll.Op != rt.OpBarrier && coll.Op != rt.OpExchange {
-		payload = wire.EncodeInt64(acc.acc)
-	}
-	for dw, p := range s.peers {
-		if coll.Op == rt.OpExchange {
-			lo, hi := h.RankRange(dw)
-			var mine []rt.Blob
-			for _, b := range acc.blobs {
-				if b.Dest == -1 || (b.Dest >= lo && b.Dest < hi) {
-					mine = append(mine, b)
-				}
-			}
-			payload = wire.AppendBlobs(payload[:0], mine)
-		}
-		if dw == 0 || coll.Op == rt.OpExchange { // send copies, so the buffers are reused
-			reply = wire.EncodeCollReply(reply[:0], wire.CollReply{Seq: coll.Seq, Payload: payload})
-		}
-		if err := p.send(reply); err != nil {
-			return fmt.Errorf("transport: collective reply to worker %d: %w", dw, err)
-		}
 	}
 	return nil
 }

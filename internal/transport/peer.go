@@ -6,10 +6,12 @@
 //
 // Topology: one coordinator (Hub — inside the steinersvc/core process that
 // owns the graph) and W workers (cmd/rankd). Control traffic — handshake,
-// collectives, termination tokens, solve requests and results — flows
-// worker ↔ coordinator; visitor-message batches flow directly worker ↔
-// worker over a full mesh dialed during the handshake, with per-peer write
-// coalescing so many batches share one syscall.
+// termination tokens, solve requests and results — flows worker ↔
+// coordinator. Visitor-message batches and collectives flow directly worker
+// ↔ worker over a full mesh dialed during the handshake, with per-peer write
+// coalescing so many batches share one syscall: a collective is one frame
+// per peer, combined by each receiver, never a round trip through the
+// coordinator.
 package transport
 
 import (
@@ -29,7 +31,7 @@ import (
 // because readers drain unconditionally into unbounded mailboxes.
 const maxPend = 8 << 20
 
-// Small control frames (tokens, fences, collective contributions) bypass
+// Small control frames (tokens, collective contributions) bypass
 // the maxPend backpressure up to an extra smallSlack: a termination token
 // must not stall behind megabytes of queued visitor batches, or the system
 // idles waiting for a token that is itself waiting for the system to idle.

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -33,11 +32,12 @@ type Control struct {
 	Err  error
 }
 
-// TCP is the worker-side runtime.Transport: visitor-message batches flow
-// directly to peer workers over coalescing framed connections, while
-// collectives, termination tokens and control frames flow through the
-// coordinator. One TCP backs one runtime.Comm hosting the worker's rank
-// range.
+// TCP is the worker-side runtime.Transport: visitor-message batches and
+// collectives flow directly between peer workers over coalescing framed
+// connections, while termination tokens and control frames flow through the
+// coordinator. A collective is one FrameColl to every peer; each worker
+// checks and combines its peers' frames itself. One TCP backs one
+// runtime.Comm hosting the worker's rank range.
 type TCP struct {
 	self   int
 	rankLo []int64 // len W+1; worker w hosts ranks [rankLo[w], rankLo[w+1])
@@ -48,16 +48,16 @@ type TCP struct {
 	host rt.TransportHost
 
 	// Collective state. Only the process leader rank calls collectives,
-	// one at a time, so a single reply slot suffices; seq pairs requests
-	// with replies defensively.
-	collSeq   uint64
-	collReply chan wire.CollReply
-
-	// Fence state: highest fence sequence received from each peer.
-	fenceMu   sync.Mutex
-	fenceCond *sync.Cond
-	fenceGot  []uint64
-	fenceSeq  uint64
+	// one at a time, and numbers them with collSeq (collBuf is its payload
+	// scratch). A peer's read loop checks each FrameColl against peerSeq[w],
+	// the last sequence it took from that peer, and queues it on collIn[w].
+	// A peer sends collective #n only after this worker's frame #n-1
+	// reached it, so it runs at most one collective ahead: two queue slots
+	// suffice.
+	collSeq uint64
+	collBuf []byte
+	peerSeq []uint64
+	collIn  []chan collIn
 
 	// Asynchronous-traversal termination sessions.
 	travMu   sync.Mutex
@@ -94,15 +94,14 @@ var _ rt.Transport = (*TCP)(nil)
 // traffic can arrive (i.e. before sending Ready).
 func NewTCP(self int, rankLo []int64, coord net.Conn, peerConns []net.Conn) *TCP {
 	t := &TCP{
-		self:      self,
-		rankLo:    rankLo,
-		collReply: make(chan wire.CollReply, 1),
-		fenceGot:  make([]uint64, len(peerConns)),
-		travDone:  make(map[uint64]chan struct{}),
-		controls:  make(chan Control, 4),
-		failCh:    make(chan struct{}),
+		self:     self,
+		rankLo:   rankLo,
+		peerSeq:  make([]uint64, len(peerConns)),
+		collIn:   make([]chan collIn, len(peerConns)),
+		travDone: make(map[uint64]chan struct{}),
+		controls: make(chan Control, 4),
+		failCh:   make(chan struct{}),
 	}
-	t.fenceCond = sync.NewCond(&t.fenceMu)
 	onWrite := func(frames, bytes int64) {
 		t.framesOut.Add(frames)
 		t.bytesOut.Add(bytes)
@@ -122,6 +121,7 @@ func NewTCP(self int, rankLo []int64, coord net.Conn, peerConns []net.Conn) *TCP
 			continue
 		}
 		t.peers[w] = newPeer(c, onWrite)
+		t.collIn[w] = make(chan collIn, 2)
 	}
 	return t
 }
@@ -204,7 +204,6 @@ func (t *TCP) fail(err error) {
 		if t.host != nil {
 			t.host.Poison()
 		}
-		t.fenceCond.Broadcast()
 		// Traversal done channels stay open: ranks blocked on them are
 		// released through the poisoned abort channel instead, so a
 		// failed session can never look quiesced.
@@ -223,96 +222,143 @@ func (t *TCP) Err() error {
 	return nil
 }
 
-// fence flushes this process's pre-collective message traffic and waits
-// until every peer's fence for the same sequence arrives. Frames are FIFO
-// per connection, so receiving fence #n from a peer proves all batches it
-// sent before its collective #n have been delivered into mailboxes —
-// every wire collective is therefore also a delivery barrier (what BSP
-// supersteps rely on).
-func (t *TCP) fence() {
-	t.fenceSeq++
-	seq := t.fenceSeq
+// collIn is one peer's checked contribution to a collective.
+type collIn struct {
+	op    rt.CollOp
+	x     int64     // the allreduces' contribution
+	blobs []rt.Blob // OpExchange's blobs for this worker's ranks
+}
+
+// collective runs collective #n: send a FrameColl carrying payload(w) to
+// every peer w, then wait for every peer's frame #n and return them. Each
+// frame goes out behind every batch Delivered to that peer before it, and
+// frames are FIFO per connection, so once every peer's frame has arrived all
+// their pre-collective batches are in the mailboxes: every collective is
+// also a delivery barrier (what BSP supersteps rely on).
+func (t *TCP) collective(op rt.CollOp, payload func(w int) []byte) []collIn {
+	t.collSeq++
+	seq := t.collSeq
 	for w, p := range t.peers {
 		if p == nil {
 			continue
 		}
-		// Encode in place into the coalescing buffer: a fence is a handful
-		// of bytes and must never queue behind full batch backpressure.
+		pl := payload(w)
+		// Control-sized headroom: a collective must not queue behind full
+		// batch backpressure.
 		if err := p.appendFrame(true, func(dst []byte) []byte {
-			return wire.EncodeFence(dst, wire.Fence{Seq: seq})
+			return wire.EncodeColl(dst, wire.Coll{Seq: seq, Op: op, Payload: pl})
 		}); err != nil {
-			t.fail(fmt.Errorf("transport: fence to worker %d: %w", w, err))
+			t.fail(fmt.Errorf("transport: collective %d to worker %d: %w", seq, w, err))
 			panic(errPoisoned)
 		}
 	}
-	t.fenceMu.Lock()
-	for !t.fenceReachedLocked(seq) {
-		if t.Err() != nil {
-			t.fenceMu.Unlock()
-			panic(errPoisoned)
-		}
-		t.fenceCond.Wait()
-	}
-	t.fenceMu.Unlock()
-}
-
-func (t *TCP) fenceReachedLocked(seq uint64) bool {
-	for w := range t.fenceGot {
-		if w == t.self {
+	ins := make([]collIn, 0, len(t.peers))
+	for w, ch := range t.collIn {
+		if ch == nil {
 			continue
 		}
-		if t.fenceGot[w] < seq {
-			return false
-		}
-	}
-	return true
-}
-
-// collective runs one coordinator-rooted collective exchange.
-func (t *TCP) collective(op rt.CollOp, payload []byte) []byte {
-	t.fence()
-	t.collSeq++
-	if err := t.coord.appendFrame(true, func(dst []byte) []byte {
-		return wire.EncodeColl(dst, wire.Coll{Seq: t.collSeq, Op: op, Payload: payload})
-	}); err != nil {
-		t.fail(fmt.Errorf("transport: collective %d: %w", t.collSeq, err))
-		panic(errPoisoned)
-	}
-	select {
-	case reply := <-t.collReply:
-		if reply.Seq != t.collSeq {
-			t.fail(fmt.Errorf("transport: collective reply %d for request %d", reply.Seq, t.collSeq))
+		select {
+		case in := <-ch:
+			if in.op != op {
+				t.fail(fmt.Errorf("transport: collective %d op mismatch (%d vs %d) from worker %d", seq, op, in.op, w))
+				panic(errPoisoned)
+			}
+			ins = append(ins, in)
+		case <-t.failCh:
 			panic(errPoisoned)
 		}
-		return reply.Payload
-	case <-t.failCh:
-		panic(errPoisoned)
 	}
+	return ins
+}
+
+// acceptColl checks one FrameColl from worker w and decodes its payload: the
+// op must be known, the sequence w's next, and every exchanged blob must come
+// from a rank w hosts and be addressed to this worker's ranks or broadcast.
+// Whether the op is the one this worker runs at that sequence — programs
+// that diverged — is checked in collective, where the local op is known.
+func (t *TCP) acceptColl(w int, body []byte) (collIn, error) {
+	c, err := wire.DecodeColl(body)
+	if err != nil {
+		return collIn{}, fmt.Errorf("transport: collective from worker %d: %w", w, err)
+	}
+	if c.Op < rt.OpBarrier || c.Op > rt.OpExchange {
+		return collIn{}, fmt.Errorf("transport: collective %d: unknown op %d from worker %d", c.Seq, c.Op, w)
+	}
+	switch next := t.peerSeq[w] + 1; {
+	case c.Seq < next:
+		return collIn{}, fmt.Errorf("transport: collective %d: worker %d contributed twice", c.Seq, w)
+	case c.Seq > next:
+		return collIn{}, fmt.Errorf("transport: collective %d: worker %d skipped collective %d", c.Seq, w, next)
+	}
+	t.peerSeq[w] = c.Seq
+	in := collIn{op: c.Op}
+	switch c.Op {
+	case rt.OpBarrier:
+	case rt.OpExchange:
+		// The payload aliases the read buffer: the blobs get their own copy.
+		if in.blobs, err = wire.DecodeBlobs(append([]byte(nil), c.Payload...)); err != nil {
+			return collIn{}, fmt.Errorf("transport: exchange %d from worker %d: %w", c.Seq, w, err)
+		}
+		lo, hi := int(t.rankLo[w]), int(t.rankLo[w+1])
+		mlo, mhi := int(t.rankLo[t.self]), int(t.rankLo[t.self+1])
+		for _, b := range in.blobs {
+			if b.Src < lo || b.Src >= hi || (b.Dest != -1 && (b.Dest < mlo || b.Dest >= mhi)) {
+				return collIn{}, fmt.Errorf("transport: exchange %d: blob %d -> %d from worker %d hosting ranks [%d,%d) to ranks [%d,%d)",
+					c.Seq, b.Src, b.Dest, w, lo, hi, mlo, mhi)
+			}
+		}
+	default:
+		if in.x, err = wire.DecodeInt64(c.Payload); err != nil {
+			return collIn{}, fmt.Errorf("transport: allreduce %d from worker %d: %w", c.Seq, w, err)
+		}
+	}
+	return in, nil
 }
 
 // Barrier implements runtime.Transport.
-func (t *TCP) Barrier() { t.collective(rt.OpBarrier, nil) }
+func (t *TCP) Barrier() { t.collective(rt.OpBarrier, func(int) []byte { return nil }) }
 
-// AllreduceInt64 implements runtime.Transport.
+// AllreduceInt64 implements runtime.Transport: every peer gets this
+// process's partial and folds the same W partials, in any order.
 func (t *TCP) AllreduceInt64(op rt.CollOp, x int64) int64 {
-	res, err := wire.DecodeInt64(t.collective(op, wire.EncodeInt64(x)))
-	if err != nil {
-		t.fail(fmt.Errorf("transport: allreduce reply: %w", err))
-		panic(errPoisoned)
+	t.collBuf = wire.AppendVarint(t.collBuf[:0], x)
+	for _, in := range t.collective(op, func(int) []byte { return t.collBuf }) {
+		switch op {
+		case rt.OpMin:
+			x = min(x, in.x)
+		case rt.OpMax:
+			x = max(x, in.x)
+		default:
+			x += in.x
+		}
 	}
-	return res
+	return x
 }
 
-// Exchange implements runtime.Transport: ship the hosted ranks' routed
-// blobs, receive the coordinator's personalized reply — the blobs addressed
-// to this worker's rank range plus the broadcasts.
+// Exchange implements runtime.Transport: each peer gets the blobs addressed
+// to its rank range plus the broadcasts, and the result is this worker's
+// share of its own blobs plus what every peer sent it.
 func (t *TCP) Exchange(blobs []rt.Blob) []rt.Blob {
-	got, err := wire.DecodeBlobs(t.collective(rt.OpExchange, wire.AppendBlobs(nil, blobs)))
-	if err != nil {
-		t.fail(fmt.Errorf("transport: exchange reply: %w", err))
-		panic(errPoisoned)
+	var routed []rt.Blob
+	share := func(w int) []rt.Blob {
+		lo, hi := int(t.rankLo[w]), int(t.rankLo[w+1])
+		routed = routed[:0]
+		for _, b := range blobs {
+			if b.Dest == -1 || (b.Dest >= lo && b.Dest < hi) {
+				routed = append(routed, b)
+			}
+		}
+		return routed
 	}
-	return got
+	ins := t.collective(rt.OpExchange, func(w int) []byte {
+		t.collBuf = wire.AppendBlobs(t.collBuf[:0], share(w))
+		return t.collBuf
+	})
+	out := append([]rt.Blob(nil), share(t.self)...)
+	for _, in := range ins {
+		out = append(out, in.blobs...)
+	}
+	return out
 }
 
 // StartTraversal implements runtime.Transport: announce the asynchronous
@@ -426,8 +472,8 @@ func (t *TCP) Close() error {
 	return nil
 }
 
-// readCoord consumes coordinator frames: collective replies, termination
-// tokens, traversal completion, solve requests and session control.
+// readCoord consumes coordinator frames: termination tokens, traversal
+// completion, solve requests and session control.
 func (t *TCP) readCoord() {
 	var buf []byte
 	for {
@@ -441,21 +487,6 @@ func (t *TCP) readCoord() {
 		t.bytesIn.Add(int64(len(frame)) + 4)
 		typ, body := frame[0], frame[1:]
 		switch typ {
-		case wire.FrameCollReply:
-			reply, err := wire.DecodeCollReply(body)
-			if err != nil {
-				t.fail(fmt.Errorf("transport: collective reply: %w", err))
-				return
-			}
-			// The payload aliases the read buffer: copy before handing it
-			// to the waiting leader rank.
-			reply.Payload = append([]byte(nil), reply.Payload...)
-			select {
-			case t.collReply <- reply:
-			default:
-				t.fail(errors.New("transport: unexpected collective reply"))
-				return
-			}
 		case wire.FrameToken:
 			tok, err := wire.DecodeToken(body)
 			if err != nil {
@@ -522,7 +553,7 @@ func (t *TCP) holdToken(tok wire.Token) {
 }
 
 // readPeer consumes mesh frames from worker w: message batches into the
-// hosted mailboxes, fences into the fence tracker.
+// hosted mailboxes, collective contributions into w's collective queue.
 func (t *TCP) readPeer(w int, p *peer) {
 	var buf []byte
 	for {
@@ -550,18 +581,18 @@ func (t *TCP) readPeer(w int, p *peer) {
 				return
 			}
 			t.host.Inbound(dest, batch)
-		case wire.FrameFence:
-			f, err := wire.DecodeFence(body)
+		case wire.FrameColl:
+			in, err := t.acceptColl(w, body)
 			if err != nil {
-				t.fail(fmt.Errorf("transport: fence from worker %d: %w", w, err))
+				t.fail(err)
 				return
 			}
-			t.fenceMu.Lock()
-			if f.Seq > t.fenceGot[w] {
-				t.fenceGot[w] = f.Seq
+			select {
+			case t.collIn[w] <- in:
+			default:
+				t.fail(fmt.Errorf("transport: collective %d: worker %d ran more than one collective ahead", t.peerSeq[w], w))
+				return
 			}
-			t.fenceMu.Unlock()
-			t.fenceCond.Broadcast()
 		default:
 			t.fail(fmt.Errorf("transport: unexpected peer frame type %d", typ))
 			return

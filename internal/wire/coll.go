@@ -6,10 +6,11 @@ import (
 	rt "dsteiner/internal/runtime"
 )
 
-// Coll is one process's contribution to collective #Seq. Op is the
-// runtime's closed enum, carried as its byte; Payload is op-specific: empty
-// for OpBarrier, a varint int64 for the allreduces, a routed-blob list for
-// OpExchange.
+// Coll is one process's contribution to collective #Seq as one peer
+// receives it. Op is the runtime's closed enum, carried as its byte; Payload
+// is op-specific: empty for OpBarrier, a varint int64 for the allreduces,
+// and for OpExchange the routed-blob list of the blobs addressed to the
+// receiving peer's ranks plus the broadcasts.
 type Coll struct {
 	Seq     uint64
 	Op      rt.CollOp
@@ -32,29 +33,6 @@ func DecodeColl(body []byte) (Coll, error) {
 	return c, d.finish()
 }
 
-// CollReply is the coordinator's result for collective #Seq: the same
-// payload to every worker, except OpExchange's, which carries only the blobs
-// addressed to the receiving worker's ranks plus the broadcasts.
-type CollReply struct {
-	Seq     uint64
-	Payload []byte
-}
-
-// EncodeCollReply appends a FrameCollReply payload.
-func EncodeCollReply(dst []byte, c CollReply) []byte {
-	dst = append(dst, FrameCollReply)
-	dst = AppendUvarint(dst, c.Seq)
-	dst = AppendBytes(dst, c.Payload)
-	return dst
-}
-
-// DecodeCollReply decodes a FrameCollReply body. Payload aliases body.
-func DecodeCollReply(body []byte) (CollReply, error) {
-	d := NewDec(body)
-	c := CollReply{Seq: d.Uvarint(), Payload: d.Bytes()}
-	return c, d.finish()
-}
-
 // EncodeInt64 encodes an allreduce contribution/result payload.
 func EncodeInt64(x int64) []byte { return AppendVarint(nil, x) }
 
@@ -65,8 +43,8 @@ func DecodeInt64(payload []byte) (int64, error) {
 	return x, d.finish()
 }
 
-// AppendBlobs appends an OpExchange payload, contribution or personalized
-// reply: a length-prefixed routed-blob list. Dest is zigzag-encoded because
+// AppendBlobs appends an OpExchange payload: a length-prefixed routed-blob
+// list. Dest is zigzag-encoded because
 // -1 means broadcast.
 func AppendBlobs(dst []byte, blobs []rt.Blob) []byte {
 	dst = AppendUvarint(dst, uint64(len(blobs)))
@@ -97,27 +75,6 @@ func DecodeBlobs(payload []byte) ([]rt.Blob, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Fence is the per-peer delivery fence entering collective #Seq: ordered
-// after every message frame the sender issued before the collective, so
-// receiving fence #Seq from every peer proves all pre-collective traffic
-// has been delivered.
-type Fence struct {
-	Seq uint64
-}
-
-// EncodeFence appends a FrameFence payload.
-func EncodeFence(dst []byte, f Fence) []byte {
-	dst = append(dst, FrameFence)
-	return AppendUvarint(dst, f.Seq)
-}
-
-// DecodeFence decodes a FrameFence body.
-func DecodeFence(body []byte) (Fence, error) {
-	d := NewDec(body)
-	f := Fence{Seq: d.Uvarint()}
-	return f, d.finish()
 }
 
 // TraverseBegin announces that this process entered asynchronous traversal

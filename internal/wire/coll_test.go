@@ -23,8 +23,8 @@ func decodeExchange(body []byte) (uint64, []rt.Blob, error) {
 
 // TestFragmentRoundTrip covers the exchange the fragment merge rides on:
 // routed blob lists (including the -1 broadcast destination and empty
-// blobs) survive encode/decode as a contribution and as a personalized
-// reply.
+// blobs) survive encode/decode as a whole contribution and as the part of
+// it one peer receives.
 func TestFragmentRoundTrip(t *testing.T) {
 	blobs := []rt.Blob{
 		{Src: 0, Dest: 3, Blob: []byte{9, 8, 7}},
@@ -35,9 +35,9 @@ func TestFragmentRoundTrip(t *testing.T) {
 	if err != nil || seq != 41 || !blobsEqual(got, blobs) {
 		t.Fatalf("exchange contribution: %d %+v %v", seq, got, err)
 	}
-	reply, err := DecodeCollReply(EncodeCollReply(nil, CollReply{Seq: 42, Payload: AppendBlobs(nil, blobs[1:])})[1:])
-	if got, berr := DecodeBlobs(reply.Payload); err != nil || berr != nil || reply.Seq != 42 || !blobsEqual(got, blobs[1:]) {
-		t.Fatalf("exchange reply: %+v %+v %v %v", reply, got, err, berr)
+	seq, got, err = decodeExchange(exchangeBody(42, blobs[1:]))
+	if err != nil || seq != 42 || !blobsEqual(got, blobs[1:]) {
+		t.Fatalf("exchange for one peer: %d %+v %v", seq, got, err)
 	}
 	// Empty contributions are legal (a rank may own no cross edges).
 	seq, got, err = decodeExchange(exchangeBody(7, nil))

@@ -5,7 +5,7 @@
 // has a wire form here:
 //
 //   - visitor-message batches (runtime.Msg, the paper's §IV message plane),
-//   - collective contributions and results, one frame pair for every op of
+//   - collective contributions, one frame per peer for every op of
 //     runtime.CollOp (barrier / allreduce / exchange — the
 //     MPI_Allreduce/MPI_Allgatherv equivalents of Alg. 5),
 //   - termination-detection tokens (a Safra-style counter+color token that
@@ -39,7 +39,7 @@ import (
 // are always built from the same tree, so there is nothing to negotiate: a
 // worker's Hello or Rejoin must announce exactly this version or it is
 // refused with an Abort before any session state is built.
-const Version uint32 = 15
+const Version uint32 = 16
 
 // readChunk is the most ReadFrame allocates ahead of the bytes it has read.
 const readChunk = 1 << 20
@@ -68,14 +68,14 @@ const (
 	// worker hosting rank 0 — the encoded Result).
 	FrameWorkerDone
 	_ // 6: the retired uncompacted message batch
-	// FrameColl is worker → coordinator: one process's contribution to
-	// collective #Seq.
+	// FrameColl is worker → worker: the sender's contribution to
+	// collective #Seq, sent on every mesh link. Each receiver combines the
+	// peers' frames itself, and since a frame is ordered after every
+	// message batch the sender issued before the collective, it is also
+	// the collective's delivery fence.
 	FrameColl
-	// FrameCollReply is coordinator → worker: collective #Seq's result.
-	FrameCollReply
-	// FrameFence is worker → worker: a delivery fence — ordered after all
-	// message frames the sender issued before entering collective #Seq.
-	FrameFence
+	_ // 8: the retired coordinator reply to a collective
+	_ // 9: the retired per-peer delivery fence (now FrameColl itself)
 	// FrameTraverseBegin is worker → coordinator: an asynchronous
 	// traversal started; begin circulating termination tokens.
 	FrameTraverseBegin
@@ -102,7 +102,7 @@ const (
 	// canonical seeds/groups/penalties).
 	FrameSolveSpec
 	_ // 18: the retired fragment exchange (now FrameColl's OpExchange)
-	_ // 19: its personalized reply (now FrameCollReply)
+	_ // 19: its personalized reply
 	_ // 20: the retired per-query fragment summary
 	// FrameRejoin is worker → coordinator: a replacement (or reconnecting)
 	// worker's first frame when re-handshaking into an existing session

@@ -21,7 +21,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{
 		{FrameGoodbye},
-		EncodeFence(nil, Fence{Seq: 42}),
+		EncodeColl(nil, Coll{Seq: 42, Op: rt.OpBarrier}),
 		EncodeToken(nil, Token{Seq: 7, Q: -3, Black: true}),
 	}
 	for _, p := range payloads {
@@ -283,12 +283,6 @@ func TestCollectiveRoundTrip(t *testing.T) {
 	if err != nil || !blobsEqual(gotBlobs, blobs) {
 		t.Fatalf("blobs: %+v %v", gotBlobs, err)
 	}
-
-	reply := CollReply{Seq: 10, Payload: []byte{1, 2}}
-	gotReply, err := DecodeCollReply(EncodeCollReply(nil, reply)[1:])
-	if err != nil || gotReply.Seq != 10 || !bytes.Equal(gotReply.Payload, reply.Payload) {
-		t.Fatalf("coll reply: %+v %v", gotReply, err)
-	}
 }
 
 func TestTerminationRoundTrip(t *testing.T) {
@@ -307,11 +301,6 @@ func TestTerminationRoundTrip(t *testing.T) {
 	gotD, err := DecodeTraverseDone(EncodeTraverseDone(nil, d)[1:])
 	if err != nil || gotD != d {
 		t.Fatalf("done: %+v %v", gotD, err)
-	}
-	f := Fence{Seq: 31}
-	gotF, err := DecodeFence(EncodeFence(nil, f)[1:])
-	if err != nil || gotF != f {
-		t.Fatalf("fence: %+v %v", gotF, err)
 	}
 }
 
