@@ -48,8 +48,8 @@ type TCP struct {
 	host rt.TransportHost
 
 	// Collective state. Only the process leader rank calls collectives,
-	// one at a time, and numbers them with collSeq (collBuf is its payload
-	// scratch). A peer's read loop checks each FrameColl against peerSeq[w],
+	// one at a time, and numbers them with collSeq (collBuf is the
+	// exchange's payload scratch). A peer's read loop checks each FrameColl against peerSeq[w],
 	// the last sequence it took from that peer, and queues it on collIn[w].
 	// A peer sends collective #n only after this worker's frame #n-1
 	// reached it, so it runs at most one collective ahead: two queue slots
@@ -321,8 +321,8 @@ func (t *TCP) Barrier() { t.collective(rt.OpBarrier, func(int) []byte { return n
 // AllreduceInt64 implements runtime.Transport: every peer gets this
 // process's partial and folds the same W partials, in any order.
 func (t *TCP) AllreduceInt64(op rt.CollOp, x int64) int64 {
-	t.collBuf = wire.AppendVarint(t.collBuf[:0], x)
-	for _, in := range t.collective(op, func(int) []byte { return t.collBuf }) {
+	pl := wire.EncodeInt64(x)
+	for _, in := range t.collective(op, func(int) []byte { return pl }) {
 		switch op {
 		case rt.OpMin:
 			x = min(x, in.x)
