@@ -23,9 +23,12 @@ type Transport interface {
 	// Attach registers the communicator-side callbacks. Called once,
 	// before any traffic.
 	Attach(host TransportHost)
-	// Deliver ships one visitor-message batch to remote rank dest. The
-	// transport takes ownership of the batch buffer and recycles it
-	// through the host's free lists after encoding.
+	// Deliver ships one visitor-message batch to remote rank dest, whole
+	// and in send order: every message was counted as sent for
+	// termination detection, so every one must reach the receiver's
+	// Inbound, which counts it back. The transport takes ownership of the
+	// batch buffer and recycles it through the host's free lists after
+	// encoding.
 	Deliver(dest int, batch []Msg)
 	// Barrier runs the cross-process phase of a barrier. It must also act
 	// as a delivery fence: every batch Delivered by any process before it
@@ -72,13 +75,6 @@ type TransportHost interface {
 	// folds the process's in-flight counter into q and its color into
 	// black, resets the color to white, and returns the updated token.
 	HoldToken(q int64, black bool) (int64, bool)
-	// ElideSent uncounts n messages that were handed to Deliver (and thus
-	// already counted as sent for termination detection) but dropped at
-	// encode time as dominated duplicates within a compacted batch. The
-	// window between the count and the uncount can only inflate the
-	// in-flight total a token observes — conservative, never a false
-	// termination.
-	ElideSent(n int)
 	// Poison aborts every local rank (peer process failure).
 	Poison()
 }
@@ -268,17 +264,6 @@ func (c *Comm) Inbound(dest int, batch []Msg) {
 	if copied {
 		c.shareBuf(batch[:0])
 	}
-}
-
-// ElideSent implements TransportHost: fold n encode-time-elided messages
-// back out of the termination counter.
-func (c *Comm) ElideSent(n int) {
-	if n == 0 {
-		return
-	}
-	c.term.mu.Lock()
-	c.term.sent -= int64(n)
-	c.term.mu.Unlock()
 }
 
 // BatchBuf implements TransportHost: a recycled buffer for the transport's

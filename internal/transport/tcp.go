@@ -157,11 +157,9 @@ func (t *TCP) workerOf(rank int) int {
 	return lo
 }
 
-// Deliver implements runtime.Transport: compact the batch (sorted,
-// delta-encoded, dominated offers elided) into the owning peer's coalescing
-// buffer and recycle the batch buffer into the communicator's free lists.
-// Elided messages are folded back out of the termination counter via the
-// host.
+// Deliver implements runtime.Transport: encode the batch, in send order,
+// into the owning peer's coalescing buffer and recycle the batch buffer
+// into the communicator's free lists.
 func (t *TCP) Deliver(dest int, batch []rt.Msg) {
 	w := t.workerOf(dest)
 	p := t.peers[w]
@@ -171,19 +169,15 @@ func (t *TCP) Deliver(dest int, batch []rt.Msg) {
 	}
 	// Only the encode is timed: appendFrame also waits for the peer's lock
 	// and on maxPend backpressure, which is not codec time.
-	var elided int
 	var encode time.Duration
 	err := p.appendFrame(false, func(dst []byte) []byte {
 		start := time.Now()
-		dst, elided = wire.AppendMsgBatch2(dst, dest, batch)
+		dst, _ = wire.AppendMsgBatch2(dst, dest, batch)
 		encode = time.Since(start)
 		return dst
 	})
 	t.encodeNs.Add(encode.Nanoseconds())
 	t.host.RecycleBatch(batch)
-	if elided > 0 {
-		t.host.ElideSent(elided)
-	}
 	if err != nil {
 		t.fail(fmt.Errorf("transport: deliver to worker %d: %w", w, err))
 		panic(errPoisoned)

@@ -18,7 +18,6 @@ func (stubHost) Inbound(int, []rt.Msg)                       {}
 func (stubHost) BatchBuf() []rt.Msg                          { return nil }
 func (stubHost) RecycleBatch([]rt.Msg)                       {}
 func (stubHost) HoldToken(q int64, black bool) (int64, bool) { return q, black }
-func (stubHost) ElideSent(int)                               {}
 func (stubHost) Poison()                                     {}
 
 // meshWorker is worker 1 of a two-worker, two-rank fleet (worker w hosts

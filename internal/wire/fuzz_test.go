@@ -68,11 +68,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// msgBatch2Seed builds one compacted batch covering the elision path.
+// msgBatch2Seed builds one batch whose columns step both up and down.
 func msgBatch2Seed() []byte {
 	b, _ := AppendMsgBatch2(nil, 3, []rt.Msg{
 		{Target: 9, From: 2, Seed: 3, Dist: 4},
-		{Target: 9, From: 2, Seed: 5, Dist: 7}, // dominated
+		{Target: 9, From: 2, Seed: 5, Dist: 7},
 		{Target: 1, From: 1, Seed: 1, Dist: 1},
 	})
 	return b
