@@ -11,8 +11,8 @@ import "sync"
 // Two implementations exist: loopback (a nil Transport — all ranks
 // in-process, mailbox delivery, the perf baseline) and the TCP backend in
 // internal/transport (length-prefixed wire frames, per-peer write
-// coalescing, collectives over the worker mesh and a Safra-style
-// termination-token ring).
+// coalescing until a write mark, a collective or Flush, collectives over
+// the worker mesh and a Safra-style termination-token ring).
 //
 // Contract: Deliver and the collective calls originate on rank goroutines;
 // Inbound traffic flows back through the TransportHost the communicator
@@ -28,8 +28,15 @@ type Transport interface {
 	// termination detection, so every one must reach the receiver's
 	// Inbound, which counts it back. The transport takes ownership of the
 	// batch buffer and recycles it through the host's free lists after
-	// encoding.
+	// encoding. The transport may hold the batch back to share a write
+	// with later ones, but not past the next collective, control frame or
+	// Flush.
 	Deliver(dest int, batch []Msg)
+	// Flush sends every batch the transport holds. A rank calls it when its
+	// local queue runs dry, before it drains, spins or parks: the batches
+	// it holds may be the work its peers wait for, and a process must not
+	// look passive to termination detection with offers still unsent.
+	Flush()
 	// Barrier runs the cross-process phase of a barrier. It must also act
 	// as a delivery fence: every batch Delivered by any process before it
 	// entered the barrier is in the destination mailboxes when Barrier

@@ -206,8 +206,12 @@ func (r *Rank) runAsync() TraversalStats {
 			continue
 		}
 		// Local queue empty: everything buffered must go out before we
-		// sleep, or the system deadlocks with work parked in buffers.
+		// sleep, or the system deadlocks with work parked in buffers —
+		// ours and the transport's.
 		r.flushAll()
+		if dist {
+			c.trans.Flush()
+		}
 		if r.drainInbox() {
 			continue
 		}

@@ -167,6 +167,11 @@ func (c *Chaos) Deliver(dest int, batch []rt.Msg) {
 	c.inner.Deliver(dest, batch)
 }
 
+// Flush implements runtime.Transport. It is not a counted operation: how
+// often a rank runs out of work moves with timing, and the fault triggers
+// must land on the same operation every run.
+func (c *Chaos) Flush() { c.inner.Flush() }
+
 // Barrier implements runtime.Transport.
 func (c *Chaos) Barrier() {
 	c.step()

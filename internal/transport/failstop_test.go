@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -78,30 +79,47 @@ func TestHubAbortDelivery(t *testing.T) {
 }
 
 // TestHandshakeWorkerResetMidHandshake pins the coordinator's failure mode
-// when a worker's connection resets between Hello and Ready: the handshake
-// returns an error naming the worker instead of hanging.
+// when a worker's connection resets between Hello and Ready, before or after
+// it read its Setup: the handshake returns an error naming that worker — not
+// the healthy one, whose Ready is still outstanding — well inside the
+// handshake deadline instead of waiting it out. Reset after the Setup, the
+// Setup write succeeds and only the Ready reads can notice.
 func TestHandshakeWorkerResetMidHandshake(t *testing.T) {
-	hub, err := ListenHub("127.0.0.1:0", 2, 2)
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := hub.Handshake(3*time.Second, func(w int) wire.Setup {
-			return wire.Setup{Ranks: 2, NumVertices: 1}
+	for _, readSetup := range []bool{false, true} {
+		t.Run(fmt.Sprintf("after setup %v", readSetup), func(t *testing.T) {
+			hub, err := ListenHub("127.0.0.1:0", 2, 2)
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := hub.Handshake(3*time.Second, func(w int) wire.Setup {
+					return wire.Setup{Ranks: 2, NumVertices: 1}
+				})
+				done <- err
+			}()
+			good := dialFakeWorker(t, hub.Addr(), wire.Version) // worker 0
+			defer good.conn.Close()
+			bad := dialFakeWorker(t, hub.Addr(), wire.Version) // worker 1
+			if readSetup {
+				_ = bad.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if _, err := wire.ReadFrame(bad.conn, nil); err != nil {
+					t.Fatalf("worker 1 setup: %v", err)
+				}
+			}
+			start := time.Now()
+			_ = bad.conn.Close()
+			err = <-done
+			if err == nil {
+				t.Fatal("handshake succeeded with a worker that hung up")
+			}
+			if !strings.Contains(err.Error(), "worker 1") {
+				t.Fatalf("handshake error does not name the worker that reset: %v", err)
+			}
+			if took := time.Since(start); took > time.Second {
+				t.Fatalf("handshake failed %v after the reset, want within 1s: %v", took, err)
+			}
 		})
-		done <- err
-	}()
-	good := dialFakeWorker(t, hub.Addr(), wire.Version)
-	defer good.conn.Close()
-	bad := dialFakeWorker(t, hub.Addr(), wire.Version)
-	_ = bad.conn.Close() // reset before reading the setup
-	err = <-done
-	if err == nil {
-		t.Fatal("handshake succeeded with a worker that hung up")
-	}
-	if !strings.Contains(err.Error(), "worker") {
-		t.Fatalf("handshake error does not name a worker: %v", err)
 	}
 }
 

@@ -354,22 +354,29 @@ func (h *Hub) startSession(conns []acceptedConn, setupFor func(w int) wire.Setup
 			return fail(fmt.Errorf("transport: setup to worker %d: %w", w, err))
 		}
 	}
+	// Every worker's Ready is read at once: the first worker to fail names
+	// itself and closes the others' connections, rather than a healthy
+	// worker read first waiting out the deadline for it.
 	readys := make([]wire.Ready, h.workers)
+	errs := make(chan error, len(conns))
 	for w, a := range conns {
-		frame, err := wire.ReadFrame(a.conn, nil)
-		if err != nil {
-			return fail(fmt.Errorf("transport: ready from worker %d: %w", w, err))
+		go func() {
+			var err error
+			readys[w], err = readReady(w, a.conn)
+			errs <- err
+		}()
+	}
+	var first error
+	for range conns {
+		if err := <-errs; err != nil && first == nil {
+			first = err
+			for _, a := range conns {
+				_ = a.conn.Close()
+			}
 		}
-		if frame[0] == wire.FrameAbort {
-			return fail(fmt.Errorf("transport: worker %d aborted during setup: %s", w, abortReason(frame[1:])))
-		}
-		if frame[0] != wire.FrameReady {
-			return fail(fmt.Errorf("transport: worker %d sent frame %d before ready", w, frame[0]))
-		}
-		if readys[w], err = wire.DecodeReady(frame[1:]); err != nil {
-			return fail(fmt.Errorf("transport: ready from worker %d: %w", w, err))
-		}
-		_ = a.conn.SetReadDeadline(time.Time{})
+	}
+	if first != nil {
+		return fail(first)
 	}
 	h.readys = readys
 	s := &hubSession{
@@ -389,6 +396,28 @@ func (h *Hub) startSession(conns []acceptedConn, setupFor func(w int) wire.Setup
 	go s.run()
 	h.setCurrent(s)
 	return s, nil
+}
+
+// readReady reads worker w's Ready acknowledgement and clears the
+// handshake's read deadline on its connection.
+func readReady(w int, conn net.Conn) (wire.Ready, error) {
+	frame, err := wire.ReadFrame(conn, nil)
+	if err != nil {
+		return wire.Ready{}, fmt.Errorf("transport: ready from worker %d: %w", w, err)
+	}
+	switch frame[0] {
+	case wire.FrameAbort:
+		return wire.Ready{}, fmt.Errorf("transport: worker %d aborted during setup: %s", w, abortReason(frame[1:]))
+	case wire.FrameReady:
+	default:
+		return wire.Ready{}, fmt.Errorf("transport: worker %d sent frame %d before ready", w, frame[0])
+	}
+	r, err := wire.DecodeReady(frame[1:])
+	if err != nil {
+		return wire.Ready{}, fmt.Errorf("transport: ready from worker %d: %w", w, err)
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	return r, nil
 }
 
 // heal rebuilds a poisoned session from the retained Setups: tear the old

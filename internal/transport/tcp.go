@@ -159,7 +159,9 @@ func (t *TCP) workerOf(rank int) int {
 
 // Deliver implements runtime.Transport: encode the batch, in send order,
 // into the owning peer's coalescing buffer and recycle the batch buffer
-// into the communicator's free lists.
+// into the communicator's free lists. The batch stays pending until the
+// buffer passes writeMark, a collective or control frame follows it, or
+// Flush.
 func (t *TCP) Deliver(dest int, batch []rt.Msg) {
 	w := t.workerOf(dest)
 	p := t.peers[w]
@@ -167,10 +169,10 @@ func (t *TCP) Deliver(dest int, batch []rt.Msg) {
 		t.fail(fmt.Errorf("transport: rank %d maps to self (worker %d)", dest, w))
 		panic(errPoisoned)
 	}
-	// Only the encode is timed: appendFrame also waits for the peer's lock
+	// Only the encode is timed: appendBatch also waits for the peer's lock
 	// and on maxPend backpressure, which is not codec time.
 	var encode time.Duration
-	err := p.appendFrame(false, func(dst []byte) []byte {
+	err := p.appendBatch(func(dst []byte) []byte {
 		start := time.Now()
 		dst, _ = wire.AppendMsgBatch2(dst, dest, batch)
 		encode = time.Since(start)
@@ -181,6 +183,16 @@ func (t *TCP) Deliver(dest int, batch []rt.Msg) {
 	if err != nil {
 		t.fail(fmt.Errorf("transport: deliver to worker %d: %w", w, err))
 		panic(errPoisoned)
+	}
+}
+
+// Flush implements runtime.Transport: every peer with batches pending
+// gets them written now.
+func (t *TCP) Flush() {
+	for _, p := range t.peers {
+		if p != nil {
+			p.flush()
+		}
 	}
 }
 

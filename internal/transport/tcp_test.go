@@ -2,10 +2,12 @@ package transport
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"dsteiner/internal/graph"
 	rt "dsteiner/internal/runtime"
 	"dsteiner/internal/wire"
 )
@@ -252,5 +254,86 @@ func TestWorkerCollectiveDivergenceIsAnError(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("diverged collective never unwound")
+	}
+}
+
+// offerBatch returns a 64-message batch for rank 0 whose fields vary with
+// i, so no two batches encode alike.
+func offerBatch(i int) []rt.Msg {
+	batch := make([]rt.Msg, 64)
+	for j := range batch {
+		batch[j] = rt.Msg{Target: graph.VID(i*977 + j*31), From: graph.VID(j), Seed: graph.VID(i), Dist: graph.Dist(i*j + 1)}
+	}
+	return batch
+}
+
+// nextFrame returns the next frame worker 0 received within d, or nil.
+func (m *meshWorker) nextFrame(d time.Duration) []byte {
+	select {
+	case frame := <-m.sent:
+		return frame
+	case <-time.After(d):
+		return nil
+	}
+}
+
+// TestBatchBelowWriteMarkWaitsForFlush pins the flush rule's quiet side: a
+// batch that leaves the peer's buffer under writeMark stays off the wire
+// until Flush, and Flush sends it whole.
+func TestBatchBelowWriteMarkWaitsForFlush(t *testing.T) {
+	m := newMeshWorker(t)
+	m.tcp.Deliver(0, offerBatch(1))
+	if frame := m.nextFrame(100 * time.Millisecond); frame != nil {
+		t.Fatalf("a batch under the write mark went out before Flush: frame type %d", frame[0])
+	}
+	m.tcp.Flush()
+	frame := m.nextFrame(5 * time.Second)
+	if frame == nil || frame[0] != wire.FrameMsgBatch2 {
+		t.Fatalf("Flush did not send the pending batch: %v", frame)
+	}
+	if dest, got, err := wire.DecodeMsgBatch2(frame[1:], nil); err != nil || dest != 0 || !slices.Equal(got, offerBatch(1)) {
+		t.Fatalf("flushed batch decoded to dest %d, %d messages (%v)", dest, len(got), err)
+	}
+}
+
+// TestBatchesPastWriteMarkGoWithoutFlush pins the flush rule's busy side: a
+// rank that keeps delivering without ever running dry still gets its
+// batches written once the peer's buffer passes writeMark.
+func TestBatchesPastWriteMarkGoWithoutFlush(t *testing.T) {
+	m := newMeshWorker(t)
+	size := 0
+	for i := 0; size < writeMark; i++ {
+		batch := offerBatch(i)
+		enc, _ := wire.AppendMsgBatch2(nil, 0, batch)
+		size += len(enc) + 4
+		m.tcp.Deliver(0, batch)
+	}
+	frame := m.nextFrame(5 * time.Second)
+	if frame == nil || frame[0] != wire.FrameMsgBatch2 {
+		t.Fatalf("batches past the write mark were not written without Flush: %v", frame)
+	}
+}
+
+// TestBatchPrecedesBarrierFrame pins that a collective is still a delivery
+// fence: a batch Delivered before a Barrier, held under writeMark, reaches
+// the peer ahead of that barrier's FrameColl on the same link.
+func TestBatchPrecedesBarrierFrame(t *testing.T) {
+	m := newMeshWorker(t)
+	m.tcp.Deliver(0, offerBatch(1))
+	res := m.collect(func(tcp *TCP) any { tcp.Barrier(); return true })
+	if frame := m.nextFrame(5 * time.Second); frame == nil || frame[0] != wire.FrameMsgBatch2 {
+		t.Fatalf("first frame after Deliver+Barrier is %v, want the batch", frame)
+	}
+	if c := m.nextColl(t); c.Seq != 1 || c.Op != rt.OpBarrier {
+		t.Fatalf("got collective %d op %d, want barrier 1", c.Seq, c.Op)
+	}
+	m.send(t, wire.EncodeColl(nil, wire.Coll{Seq: 1, Op: rt.OpBarrier}))
+	select {
+	case got := <-res:
+		if got == nil {
+			t.Fatal("barrier unwound")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("barrier never completed")
 	}
 }

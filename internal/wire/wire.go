@@ -218,6 +218,7 @@ func AppendBytes(dst, b []byte) []byte {
 // 32-bit values (bulk arrays skip varint: shard slices dominate handshake
 // size and are effectively random, where varint only adds branches).
 func AppendVIDs(dst []byte, vs []graph.VID) []byte {
+	dst = slices.Grow(dst, binary.MaxVarintLen64+4*len(vs))
 	dst = binary.AppendUvarint(dst, uint64(len(vs)))
 	for _, v := range vs {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
@@ -227,6 +228,7 @@ func AppendVIDs(dst []byte, vs []graph.VID) []byte {
 
 // AppendUint32s appends a length-prefixed []uint32 raw little-endian.
 func AppendUint32s(dst []byte, vs []uint32) []byte {
+	dst = slices.Grow(dst, binary.MaxVarintLen64+4*len(vs))
 	dst = binary.AppendUvarint(dst, uint64(len(vs)))
 	for _, v := range vs {
 		dst = binary.LittleEndian.AppendUint32(dst, v)
@@ -236,6 +238,7 @@ func AppendUint32s(dst []byte, vs []uint32) []byte {
 
 // AppendInt64s appends a length-prefixed []int64 raw little-endian.
 func AppendInt64s(dst []byte, vs []int64) []byte {
+	dst = slices.Grow(dst, binary.MaxVarintLen64+8*len(vs))
 	dst = binary.AppendUvarint(dst, uint64(len(vs)))
 	for _, v := range vs {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))

@@ -2,12 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -383,6 +385,65 @@ func rejectTruncations(t *testing.T, bodies map[string]truncCase) {
 			if err := tc.dec(tc.body[:cut]); err == nil {
 				t.Fatalf("%s: truncation at %d/%d decoded silently", name, cut, len(tc.body))
 			}
+		}
+	}
+}
+
+// TestBulkAppendersSizeOnce pins the bulk array appenders: a million values
+// appended to a nil slice cost at most two allocations (one for the whole
+// array, none per growth step), the bytes equal the value-by-value
+// encoding behind an existing prefix, and they decode back.
+func TestBulkAppendersSizeOnce(t *testing.T) {
+	const n = 1 << 20
+	vids, u32s, i64s := make([]graph.VID, n), make([]uint32, n), make([]int64, n)
+	for i := range n {
+		vids[i] = graph.VID(i * 7)
+		u32s[i] = uint32(i) * 2654435761
+		i64s[i] = int64(i)*-3 + 1<<40
+	}
+	prefix := []byte("prefix")
+	check := func(name string, got, want []byte, decodes bool) {
+		t.Helper()
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes differ from the value-by-value encoding (%d bytes)", name, len(got), len(want))
+		}
+		if !decodes {
+			t.Errorf("%s: did not decode back to its input", name)
+		}
+	}
+	var want []byte
+
+	want = binary.AppendUvarint(bytes.Clone(prefix), n)
+	for _, v := range vids {
+		want = binary.LittleEndian.AppendUint32(want, uint32(v))
+	}
+	got := AppendVIDs(bytes.Clone(prefix), vids)
+	d := NewDec(got[len(prefix):])
+	check("AppendVIDs", got, want, slices.Equal(d.VIDs(), vids) && d.Err() == nil)
+
+	want = binary.AppendUvarint(bytes.Clone(prefix), n)
+	for _, v := range u32s {
+		want = binary.LittleEndian.AppendUint32(want, v)
+	}
+	got = AppendUint32s(bytes.Clone(prefix), u32s)
+	d = NewDec(got[len(prefix):])
+	check("AppendUint32s", got, want, slices.Equal(d.Uint32s(), u32s) && d.Err() == nil)
+
+	want = binary.AppendUvarint(bytes.Clone(prefix), n)
+	for _, v := range i64s {
+		want = binary.LittleEndian.AppendUint64(want, uint64(v))
+	}
+	got = AppendInt64s(bytes.Clone(prefix), i64s)
+	d = NewDec(got[len(prefix):])
+	check("AppendInt64s", got, want, slices.Equal(d.Int64s(), i64s) && d.Err() == nil)
+
+	for name, appendAll := range map[string]func(){
+		"AppendVIDs":    func() { AppendVIDs(nil, vids) },
+		"AppendUint32s": func() { AppendUint32s(nil, u32s) },
+		"AppendInt64s":  func() { AppendInt64s(nil, i64s) },
+	} {
+		if allocs := testing.AllocsPerRun(3, appendAll); allocs > 2 {
+			t.Errorf("%s of %d values to a nil slice: %.0f allocations, want at most 2", name, n, allocs)
 		}
 	}
 }
