@@ -108,6 +108,33 @@ for body in "${MODE_QUERIES[@]}"; do
   echo "   mode=$mode OK (objective $(echo "$tcp_out" | jq -r .objective))"
 done
 
+echo "== solving one mixed tree/forest/prize batch on both backends"
+# POST /solve/batch answers each item through the same solve path as
+# /v1/solve. Build one batch from the queries above and compare every
+# item's solver fields.
+BATCH_BODY=$({
+  for seeds in "${QUERIES[@]}"; do echo "{\"seeds\":[$seeds]}"; done
+  printf '%s\n' "${MODE_QUERIES[@]}"
+} | jq -sc '{queries: .}')
+BATCH_FIELDS='[.results[] | if has("error") then {error} else .result | {seeds, edges, total, steinerVertices, mode, groups, groupEdges, skipped, paidPenalty, objective} end]'
+tcp_out=$(curl -fsS -d "$BATCH_BODY" "http://$TCP_HTTP/solve/batch" | jq -S "$BATCH_FIELDS")
+inproc_out=$(curl -fsS -d "$BATCH_BODY" "http://$INPROC_HTTP/solve/batch" | jq -S "$BATCH_FIELDS")
+if [ "$tcp_out" != "$inproc_out" ]; then
+  echo "FAIL: batch items differ between backends" >&2
+  diff <(echo "$inproc_out") <(echo "$tcp_out") >&2 || true
+  exit 1
+fi
+items=$(echo "$tcp_out" | jq length)
+failed=$(echo "$tcp_out" | jq '[.[] | select(has("error"))] | length')
+if [ "$items" != "$(echo "$BATCH_BODY" | jq '.queries | length')" ] || [ "$failed" != "0" ]; then
+  echo "FAIL: batch answered $items items, $failed failed: $tcp_out" >&2
+  exit 1
+fi
+echo "   batch of $items OK"
+# Every tree and mode query has been answered and compared twice so far:
+# alone and in the batch.
+COMPARED=$((2 * (${#QUERIES[@]} + ${#MODE_QUERIES[@]})))
+
 echo "== checking transport counters"
 stats=$(curl -fsS "http://$TCP_HTTP/stats")
 bytes_out=$(echo "$stats" | jq -r .transport.bytesOut)
@@ -128,7 +155,7 @@ if [ "$inproc_bytes" != "0" ]; then
   echo "FAIL: inproc backend reports wire traffic ($inproc_bytes bytes)" >&2
   exit 1
 fi
-echo "   ${#QUERIES[@]} queries moved $frames_out frames / $bytes_out bytes over TCP"
+echo "   $COMPARED queries moved $frames_out frames / $bytes_out bytes over TCP"
 echo "   the ghost-row filter suppressed $suppressed offers across the fleet"
 
 echo "== checking fragment-merge MST counters"
@@ -271,5 +298,5 @@ if [ "$healed_out" != "$inproc_out" ]; then
 fi
 echo "   faults: detected=$detected rejoins=$rejoins heals=$heals retriedSolves=$retried"
 
-echo "PASS: tcp backend byte-identical to inproc across ${#QUERIES[@]} queries"
+echo "PASS: tcp backend byte-identical to inproc across $COMPARED queries"
 echo "PASS: one worker killed mid-solve, fleet healed, answer byte-identical"

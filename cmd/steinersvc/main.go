@@ -47,7 +47,7 @@
 //	POST /solve {"seeds":[1,2,3]}         solve for explicit seeds
 //	POST /solve {"k":100}                 solve for k BFS-level seeds
 //	GET  /solve?seeds=1,2,3               convenience form
-//	POST /solve/batch {"queries":[...]}   many queries, one engine checkout
+//	POST /solve/batch {"queries":[...]}   many queries, answered in order
 //	POST /solve/async {"seeds":[...]}     enqueue job, returns {"id":...}
 //	GET  /jobs/{id}                       poll an async job
 //

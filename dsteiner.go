@@ -74,8 +74,6 @@ type (
 	// message and suppressed-offer counters plus the transport traffic
 	// (Result.Net).
 	RuntimeStats = rt.Stats
-	// BatchItem is one query's outcome within Engine.SolveBatch.
-	BatchItem = core.BatchItem
 	// PhaseStat is one phase's timing and message statistics.
 	PhaseStat = core.PhaseStat
 	// QueueKind selects the per-rank message queue discipline.
@@ -156,8 +154,8 @@ const (
 )
 
 // ErrDuplicateSeed marks a seed set naming the same terminal more than
-// once; Solve and Engine.Solve/SolveBatch reject such sets instead of
-// silently deduplicating them.
+// once; Solve, SolveQuery and Engine.Solve/SolveSpec reject such sets
+// instead of silently deduplicating them.
 var ErrDuplicateSeed = core.ErrDuplicateSeed
 
 // NewBuilder returns a Builder for a graph with n vertices.
@@ -191,8 +189,8 @@ func SolveQuery(g *Graph, spec QuerySpec, opts Options) (*Result, error) {
 // proportional to the query rather than to |V|. Close the engine to
 // release its goroutines. Engine.Solve serializes internally; for
 // concurrent queries run one Engine per in-flight query over the shared
-// immutable Graph. Engine.SolveBatch answers a slice of queries with one
-// pass through that serialization — the amortized form for query lists.
+// immutable Graph. A list of queries is a loop over Engine.Solve (or
+// Engine.SolveSpec for forest and prize queries).
 //
 //	e, err := dsteiner.NewEngine(g, dsteiner.Defaults(4))
 //	defer e.Close()

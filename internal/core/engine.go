@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -158,9 +157,6 @@ func (e *Engine) Close() {
 	e.host.comm.Close()
 }
 
-// Graph returns the resident graph the engine is bound to.
-func (e *Engine) Graph() *graph.Graph { return e.g }
-
 // ShardStats describes an engine's sharded graph substrate, for serving
 // layers (/info, /stats) and capacity planning.
 type ShardStats struct {
@@ -204,7 +200,7 @@ var ErrDuplicateSeed = errors.New("duplicate seed")
 // may be published in a Result without aliasing pooled state.
 func canonSeedSet(n int, seeds []graph.VID, seen map[graph.VID]bool) ([]graph.VID, error) {
 	if len(seeds) == 0 {
-		return nil, fmt.Errorf("core: empty seed set")
+		return nil, shapeErrorf("empty seed set")
 	}
 	clear(seen)
 	canon := make([]graph.VID, 0, len(seeds))
@@ -233,7 +229,10 @@ func (e *Engine) Solve(seeds []graph.VID) (*Result, error) {
 
 // SolveSpec answers one QuerySpec — tree, forest or prize — on the
 // resident graph. The spec is validated and canonicalized first (see
-// CanonicalSpec); tree-mode specs behave exactly like Solve.
+// CanonicalSpec); tree-mode specs behave exactly like Solve. The six solver
+// phases run on this process's ranks or on the worker fleet, and the Result
+// is finished with what only the holder of the full graph can add: memory
+// accounting, Steiner-vertex counting and validation.
 func (e *Engine) SolveSpec(spec QuerySpec) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -241,69 +240,11 @@ func (e *Engine) SolveSpec(spec QuerySpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.solveCanonLocked(cq)
-}
-
-// BatchItem is one query's outcome within a SolveBatch call. Items succeed
-// or fail independently: a bad seed set yields an Err without disturbing the
-// other queries in the batch.
-type BatchItem struct {
-	Result *Result
-	Err    error
-}
-
-// SolveBatch solves each terminal set in order on this engine's warm pooled
-// state, entering the engine's internal serialization once for the whole
-// slice instead of once per query — the amortized form for callers holding a
-// list of queries (internal/steinersvc's POST /solve/batch). The returned
-// slice has one BatchItem per input seed set, in input order. ctx is checked
-// between items: once it is cancelled the remaining items fail with its
-// error instead of pinning the engine on work nobody will read.
-func (e *Engine) SolveBatch(ctx context.Context, seedSets [][]graph.VID) []BatchItem {
-	specs := make([]QuerySpec, len(seedSets))
-	for i, seeds := range seedSets {
-		specs[i] = TreeSpec(seeds)
-	}
-	return e.SolveSpecBatch(ctx, specs)
-}
-
-// SolveSpecBatch is SolveBatch over full QuerySpecs: each spec — any mix of
-// tree, forest and prize queries — is solved in order under one pass
-// through the engine's internal serialization.
-func (e *Engine) SolveSpecBatch(ctx context.Context, specs []QuerySpec) []BatchItem {
-	out := make([]BatchItem, len(specs))
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, spec := range specs {
-		if err := ctx.Err(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		cq, err := canonSpec(e.g.NumVertices(), spec, e.seen)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].Result, out[i].Err = e.solveCanonLocked(cq)
-	}
-	return out
-}
-
-// solveCanonLocked runs the six solver phases for a validated canonical
-// query — on this process's ranks or on the worker fleet — and finishes the
-// Result with what only the holder of the full graph can add: memory
-// accounting, Steiner-vertex counting and validation. The caller holds e.mu.
-func (e *Engine) solveCanonLocked(cq canonQuery) (*Result, error) {
 	if len(cq.dedup) == 1 {
-		res := &Result{Seeds: cq.dedup, Mode: cq.spec.Mode}
-		if err := finalizeResult(e.g, cq, res); err != nil {
-			return nil, err
-		}
-		return res, nil
+		return oneTerminal(e.g, cq)
 	}
 	var res *Result
 	var tableLens []int64
-	var err error
 	if e.cluster != nil {
 		res, tableLens, err = e.cluster.solve(cq)
 	} else {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -203,78 +202,6 @@ func TestEngineSingleSeed(t *testing.T) {
 	// A real query must still work afterwards.
 	if _, err := e.Solve([]graph.VID{0, 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestEngineSolveBatch checks SolveBatch against per-query Solve: same
-// results in input order, with per-item errors that leave the rest of the
-// batch untouched.
-func TestEngineSolveBatch(t *testing.T) {
-	g := engineTestGraph(23, 300)
-	opts := Default(3)
-	e, err := NewEngine(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	sets := [][]graph.VID{
-		{0, 100, 250},
-		{5, 5}, // duplicate: must fail alone
-		{12, 200},
-		nil, // empty: must fail alone
-		{7, 70, 170, 299},
-		{1, 999},      // out of range: must fail alone
-		{0, 100, 250}, // repeat of the first set
-	}
-	items := e.SolveBatch(context.Background(), sets)
-	if len(items) != len(sets) {
-		t.Fatalf("items = %d, want %d", len(items), len(sets))
-	}
-	for _, i := range []int{1, 3, 5} {
-		if items[i].Err == nil || items[i].Result != nil {
-			t.Fatalf("item %d: expected error, got %+v", i, items[i])
-		}
-	}
-	if !errors.Is(items[1].Err, ErrDuplicateSeed) {
-		t.Fatalf("item 1: err = %v, want ErrDuplicateSeed", items[1].Err)
-	}
-	for _, i := range []int{0, 2, 4, 6} {
-		if items[i].Err != nil {
-			t.Fatalf("item %d: %v", i, items[i].Err)
-		}
-		want, err := Solve(g, sets[i], opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(items[i].Result.Tree, want.Tree) ||
-			items[i].Result.TotalDistance != want.TotalDistance {
-			t.Fatalf("item %d: batch result differs from cold solve", i)
-		}
-	}
-}
-
-// TestSolveBatchCancelledContext checks the remaining items of a batch fail
-// with the context's error once it is cancelled, instead of solving work
-// nobody will read.
-func TestSolveBatchCancelledContext(t *testing.T) {
-	g := engineTestGraph(31, 100)
-	e, err := NewEngine(g, Default(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	items := e.SolveBatch(ctx, [][]graph.VID{{0, 50}, {1, 60}})
-	for i, it := range items {
-		if !errors.Is(it.Err, context.Canceled) || it.Result != nil {
-			t.Fatalf("item %d: %+v, want context.Canceled", i, it)
-		}
-	}
-	// The engine must still serve live contexts afterwards.
-	items = e.SolveBatch(context.Background(), [][]graph.VID{{0, 50}})
-	if items[0].Err != nil {
-		t.Fatal(items[0].Err)
 	}
 }
 

@@ -94,6 +94,19 @@ const MaxPenaltySum graph.Dist = 1 << 60
 // ErrPenaltySum marks a prize query whose penalties sum past MaxPenaltySum.
 var ErrPenaltySum = errors.New("prize penalties sum past MaxPenaltySum")
 
+// ErrQueryShape marks a query whose fields do not fit its mode: terminal
+// fields of another mode, no terminals, an empty forest group, a penalty
+// count that differs from the seed count, a negative penalty or an unknown
+// mode. Like ErrDuplicateSeed it is the caller's mistake, whatever the
+// graph (internal/steinersvc maps it to HTTP 400); a seed outside the graph
+// is not a shape error.
+var ErrQueryShape = errors.New("malformed query")
+
+// shapeErrorf formats a query-shape error wrapping ErrQueryShape.
+func shapeErrorf(format string, args ...any) error {
+	return fmt.Errorf("core: %w: "+format, append([]any{ErrQueryShape}, args...)...)
+}
+
 // TreeSpec wraps a plain terminal set in a tree-mode QuerySpec.
 func TreeSpec(seeds []graph.VID) QuerySpec {
 	return QuerySpec{Mode: ModeTree, Seeds: seeds}
@@ -123,10 +136,10 @@ func canonSpec(n int, spec QuerySpec, seen map[graph.VID]bool) (canonQuery, erro
 	switch spec.Mode {
 	case ModeTree:
 		if len(spec.Groups) > 0 {
-			return canonQuery{}, fmt.Errorf("core: tree query must not set groups")
+			return canonQuery{}, shapeErrorf("tree query must not set groups")
 		}
 		if len(spec.Penalties) > 0 {
-			return canonQuery{}, fmt.Errorf("core: tree query must not set penalties")
+			return canonQuery{}, shapeErrorf("tree query must not set penalties")
 		}
 		dedup, err := canonSeedSet(n, spec.Seeds, seen)
 		if err != nil {
@@ -136,17 +149,17 @@ func canonSpec(n int, spec QuerySpec, seen map[graph.VID]bool) (canonQuery, erro
 
 	case ModeForest:
 		if len(spec.Seeds) > 0 || len(spec.Penalties) > 0 {
-			return canonQuery{}, fmt.Errorf("core: forest query takes groups, not seeds or penalties")
+			return canonQuery{}, shapeErrorf("forest query takes groups, not seeds or penalties")
 		}
 		if len(spec.Groups) == 0 {
-			return canonQuery{}, fmt.Errorf("core: forest query needs at least one terminal group")
+			return canonQuery{}, shapeErrorf("forest query needs at least one terminal group")
 		}
 		clear(seen)
 		total := 0
 		groups := make([][]graph.VID, len(spec.Groups))
 		for gi, grp := range spec.Groups {
 			if len(grp) == 0 {
-				return canonQuery{}, fmt.Errorf("core: forest group %d is empty", gi)
+				return canonQuery{}, shapeErrorf("forest group %d is empty", gi)
 			}
 			cg := make([]graph.VID, 0, len(grp))
 			for _, s := range grp {
@@ -191,16 +204,16 @@ func canonSpec(n int, spec QuerySpec, seen map[graph.VID]bool) (canonQuery, erro
 
 	case ModePrize:
 		if len(spec.Groups) > 0 {
-			return canonQuery{}, fmt.Errorf("core: prize query takes seeds, not groups")
+			return canonQuery{}, shapeErrorf("prize query takes seeds, not groups")
 		}
 		if len(spec.Penalties) != len(spec.Seeds) {
-			return canonQuery{}, fmt.Errorf("core: prize query needs one penalty per seed (%d penalties for %d seeds)",
+			return canonQuery{}, shapeErrorf("prize query needs one penalty per seed (%d penalties for %d seeds)",
 				len(spec.Penalties), len(spec.Seeds))
 		}
 		sum := graph.Dist(0)
 		for i, p := range spec.Penalties {
 			if p < 0 {
-				return canonQuery{}, fmt.Errorf("core: negative penalty %d for seed %d", p, spec.Seeds[i])
+				return canonQuery{}, shapeErrorf("negative penalty %d for seed %d", p, spec.Seeds[i])
 			}
 			if p > MaxPenaltySum-sum {
 				return canonQuery{}, fmt.Errorf("core: %w (%d)", ErrPenaltySum, MaxPenaltySum)
@@ -227,7 +240,7 @@ func canonSpec(n int, spec QuerySpec, seen map[graph.VID]bool) (canonQuery, erro
 			penalty: penalty,
 		}, nil
 	}
-	return canonQuery{}, fmt.Errorf("core: unknown query mode %d", spec.Mode)
+	return canonQuery{}, shapeErrorf("unknown query mode %d", spec.Mode)
 }
 
 // CanonicalSpec validates spec against an n-vertex graph and returns its

@@ -392,24 +392,32 @@ func TestQuerySpecValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	// Every rejection but a repeated or out-of-range terminal is a shape
+	// error, whatever the graph.
 	for _, tc := range []struct {
-		name string
-		spec QuerySpec
-		want string
+		name  string
+		spec  QuerySpec
+		want  string
+		shape bool
 	}{
-		{"tree with groups", QuerySpec{Seeds: []graph.VID{1}, Groups: [][]graph.VID{{2}}}, "must not set groups"},
-		{"tree with penalties", QuerySpec{Seeds: []graph.VID{1}, Penalties: []graph.Dist{2}}, "must not set penalties"},
-		{"forest without groups", QuerySpec{Mode: ModeForest}, "at least one terminal group"},
-		{"forest empty group", QuerySpec{Mode: ModeForest, Groups: [][]graph.VID{{1}, {}}}, "group 1 is empty"},
-		{"forest dup across groups", QuerySpec{Mode: ModeForest, Groups: [][]graph.VID{{1, 2}, {2, 3}}}, "appears more than once"},
-		{"forest out of range", QuerySpec{Mode: ModeForest, Groups: [][]graph.VID{{1, 999}}}, "out of range"},
-		{"prize penalty count", QuerySpec{Mode: ModePrize, Seeds: []graph.VID{1, 2}, Penalties: []graph.Dist{3}}, "one penalty per seed"},
-		{"prize negative penalty", QuerySpec{Mode: ModePrize, Seeds: []graph.VID{1}, Penalties: []graph.Dist{-4}}, "negative penalty"},
-		{"prize with groups", QuerySpec{Mode: ModePrize, Seeds: []graph.VID{1}, Penalties: []graph.Dist{1}, Groups: [][]graph.VID{{2}}}, "not groups"},
-		{"unknown mode", QuerySpec{Mode: Mode(9), Seeds: []graph.VID{1}}, "unknown query mode"},
+		{"tree without seeds", QuerySpec{}, "empty seed set", true},
+		{"tree with groups", QuerySpec{Seeds: []graph.VID{1}, Groups: [][]graph.VID{{2}}}, "must not set groups", true},
+		{"tree with penalties", QuerySpec{Seeds: []graph.VID{1}, Penalties: []graph.Dist{2}}, "must not set penalties", true},
+		{"forest without groups", QuerySpec{Mode: ModeForest}, "at least one terminal group", true},
+		{"forest empty group", QuerySpec{Mode: ModeForest, Groups: [][]graph.VID{{1}, {}}}, "group 1 is empty", true},
+		{"forest dup across groups", QuerySpec{Mode: ModeForest, Groups: [][]graph.VID{{1, 2}, {2, 3}}}, "appears more than once", false},
+		{"forest out of range", QuerySpec{Mode: ModeForest, Groups: [][]graph.VID{{1, 999}}}, "out of range", false},
+		{"prize penalty count", QuerySpec{Mode: ModePrize, Seeds: []graph.VID{1, 2}, Penalties: []graph.Dist{3}}, "one penalty per seed", true},
+		{"prize negative penalty", QuerySpec{Mode: ModePrize, Seeds: []graph.VID{1}, Penalties: []graph.Dist{-4}}, "negative penalty", true},
+		{"prize with groups", QuerySpec{Mode: ModePrize, Seeds: []graph.VID{1}, Penalties: []graph.Dist{1}, Groups: [][]graph.VID{{2}}}, "not groups", true},
+		{"unknown mode", QuerySpec{Mode: Mode(9), Seeds: []graph.VID{1}}, "unknown query mode", true},
 	} {
-		if _, err := e.SolveSpec(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+		_, err := e.SolveSpec(tc.spec)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+		}
+		if errors.Is(err, ErrQueryShape) != tc.shape {
+			t.Errorf("%s: errors.Is(%v, ErrQueryShape) = %v, want %v", tc.name, err, !tc.shape, tc.shape)
 		}
 	}
 

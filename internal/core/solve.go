@@ -86,32 +86,38 @@ func unpackSeedKey(k int64) (s, t graph.VID) {
 // issue many queries against one resident graph should hold an Engine (or
 // internal/steinersvc's engine pool) instead.
 func Solve(g *graph.Graph, seeds []graph.VID, opts Options) (*Result, error) {
-	// Validate seeds and take the trivial single-seed exit before paying
-	// the engine's O(|V|) session setup.
-	dedup, err := canonSeedSet(g.NumVertices(), seeds, make(map[graph.VID]bool, len(seeds)))
-	if err != nil {
-		return nil, err
-	}
-	if len(dedup) == 1 {
-		return &Result{Seeds: dedup}, nil
-	}
-	e, err := NewEngine(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	return e.Solve(dedup)
+	return SolveQuery(g, TreeSpec(seeds), opts)
 }
 
 // SolveQuery is the one-shot form of Engine.SolveSpec: it answers one
-// tree, forest or prize QuerySpec on a throwaway Engine.
+// tree, forest or prize QuerySpec on a throwaway Engine. The spec is
+// validated first, and a one-terminal query is answered without building
+// the engine at all.
 func SolveQuery(g *graph.Graph, spec QuerySpec, opts Options) (*Result, error) {
+	cq, err := canonSpec(g.NumVertices(), spec, make(map[graph.VID]bool, len(spec.Seeds)))
+	if err != nil {
+		return nil, err
+	}
+	if len(cq.dedup) == 1 {
+		return oneTerminal(g, cq)
+	}
 	e, err := NewEngine(g, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer e.Close()
 	return e.SolveSpec(spec)
+}
+
+// oneTerminal answers a canonical query with a single terminal: an empty
+// tree, finished like any other Result. No phase runs, so no engine is
+// needed.
+func oneTerminal(g *graph.Graph, cq canonQuery) (*Result, error) {
+	res := &Result{Seeds: cq.dedup, Mode: cq.spec.Mode}
+	if err := finalizeResult(g, cq, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // memoryStats models the Fig. 8 accounting: measured sizes for the graph,

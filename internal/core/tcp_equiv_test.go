@@ -260,7 +260,11 @@ func TestTCPTinyQueriesTerminateCleanly(t *testing.T) {
 
 // BenchmarkTCPTinySolve times a warm tree solve on a 2-worker rankd fleet
 // over loopback TCP: 64 vertices and 4 terminals, so the solve is almost
-// all collective and termination latency rather than compute.
+// all collective and termination latency rather than compute. Time per
+// solve varies between runs by more than the changes it is asked to bound,
+// so it also reports each solve's wire frames (frames/op) and socket writes
+// (writes/op, the flush histogram's sum), which the scheduler moves far
+// less.
 func BenchmarkTCPTinySolve(b *testing.B) {
 	g := engineTestGraph(64, 64)
 	seeds := pickEngineSeeds(rand.New(rand.NewSource(4)), g.NumVertices(), 4)
@@ -270,10 +274,17 @@ func BenchmarkTCPTinySolve(b *testing.B) {
 	if _, err := e.Solve(seeds); err != nil {
 		b.Fatal(err)
 	}
+	var frames, writes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Solve(seeds); err != nil {
+		res, err := e.Solve(seeds)
+		if err != nil {
 			b.Fatal(err)
 		}
+		net := res.Stats.Net
+		frames += net.FramesOut
+		writes += net.FlushesSmall + net.FlushesMid + net.FlushesLarge
 	}
+	b.ReportMetric(float64(frames)/float64(b.N), "frames/op")
+	b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
 }

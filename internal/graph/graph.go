@@ -83,13 +83,6 @@ func (g *Graph) NumArcs() int64 { return int64(len(g.targets)) }
 // Degree returns the number of arcs leaving v.
 func (g *Graph) Degree(v VID) int { return int(g.offsets[v+1] - g.offsets[v]) }
 
-// ArcBounds returns the half-open arc index range [lo, hi) of vertex v.
-// Arc i has target Target(i).
-func (g *Graph) ArcBounds(v VID) (lo, hi int64) { return g.offsets[v], g.offsets[v+1] }
-
-// Target returns the head vertex of arc i.
-func (g *Graph) Target(i int64) VID { return g.targets[i] }
-
 // Adj returns the adjacency of v as parallel target/weight slices. The
 // returned slices alias the graph's internal storage and must not be
 // modified.

@@ -1,12 +1,15 @@
 package steinersvc
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dsteiner/internal/core"
 	"dsteiner/internal/graph"
@@ -86,40 +89,91 @@ func BenchmarkServiceUncachedRepeat(b *testing.B) {
 	benchRepeatQuery(b, benchService(b, Config{Engines: 1}))
 }
 
-// BenchmarkServiceBatch16 measures a 16-query batch per iteration (cache
-// disabled, so every query solves) against the one-engine-checkout batch
-// path.
-func BenchmarkServiceBatch16(b *testing.B) {
-	svc := benchService(b, Config{Engines: 1})
-	rng := rand.New(rand.NewSource(3))
-	var req BatchRequest
-	for q := 0; q < 16; q++ {
+// benchQueries returns n distinct-terminal 8-seed tree queries.
+func benchQueries(svc *Service, seed int64, n int) []SolveRequest {
+	rng := rand.New(rand.NewSource(seed))
+	qs := make([]SolveRequest, n)
+	for q := range qs {
 		seen := map[int32]bool{}
-		var seedSet []int32
-		for len(seedSet) < 8 {
+		for len(qs[q].Seeds) < 8 {
 			s := int32(rng.Intn(svc.g.NumVertices()))
 			if !seen[s] {
 				seen[s] = true
-				seedSet = append(seedSet, s)
+				qs[q].Seeds = append(qs[q].Seeds, s)
 			}
 		}
-		req.Queries = append(req.Queries, SolveRequest{Seeds: seedSet})
 	}
-	body, err := json.Marshal(req)
+	return qs
+}
+
+// benchPost serves one POST through the full handler and returns its status.
+func benchPost(svc *Service, path string, payload []byte) int {
+	w := httptest.NewRecorder()
+	svc.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(payload)))
+	return w.Code
+}
+
+// BenchmarkServiceBatch16 measures a 16-query batch per iteration (cache
+// disabled, so every query solves), each item an engine checkout of its
+// own through the one cached solve path.
+func BenchmarkServiceBatch16(b *testing.B) {
+	svc := benchService(b, Config{Engines: 1})
+	payload, err := json.Marshal(BatchRequest{Queries: benchQueries(svc, 3, 16)})
 	if err != nil {
 		b.Fatal(err)
 	}
-	payload := string(body)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hr := httptest.NewRequest(http.MethodPost, "/solve/batch", strings.NewReader(payload))
-		w := httptest.NewRecorder()
-		svc.ServeHTTP(w, hr)
-		if w.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", w.Code, w.Body.String())
+		if code := benchPost(svc, "/solve/batch", payload); code != http.StatusOK {
+			b.Fatalf("status %d", code)
 		}
 	}
+}
+
+// BenchmarkServiceBatchContended posts the same 16-query batch while another
+// client sends 16 single /v1/solve queries, one after another, to the same
+// one-engine service (cache disabled). ns/op covers both clients;
+// batch-ms/op is the batch's latency and solve-ms/op a single query's mean
+// latency, which is where the batch's engine checkouts show.
+func BenchmarkServiceBatchContended(b *testing.B) {
+	svc := benchService(b, Config{Engines: 1})
+	batch, err := json.Marshal(BatchRequest{Queries: benchQueries(svc, 3, 16)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var singles [][]byte
+	for _, q := range benchQueries(svc, 4, 16) {
+		body, err := json.Marshal(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		singles = append(singles, body)
+	}
+	var batchNs, solveNs time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, body := range singles {
+				t0 := time.Now()
+				if code := benchPost(svc, "/v1/solve", body); code != http.StatusOK {
+					b.Errorf("solve status %d", code)
+				}
+				solveNs += time.Since(t0)
+			}
+		}()
+		t0 := time.Now()
+		if code := benchPost(svc, "/solve/batch", batch); code != http.StatusOK {
+			b.Errorf("batch status %d", code)
+		}
+		batchNs += time.Since(t0)
+		wg.Wait()
+	}
+	b.ReportMetric(float64(batchNs.Milliseconds())/float64(b.N), "batch-ms/op")
+	b.ReportMetric(float64(solveNs.Milliseconds())/float64(b.N*len(singles)), "solve-ms/op")
 }
 
 // TestCachedRepeatSpeedup is the deterministic form of the >=10x acceptance

@@ -136,37 +136,6 @@ func (c *resultCache) Do(ctx context.Context, key string, solve func() (*core.Re
 	return res, false, err
 }
 
-// get returns the cached result for key without solving, counting a hit or
-// miss. The batch path uses get/put directly: its misses are solved together
-// in one Engine.SolveBatch call, which single-flight's one-key-one-solve
-// shape cannot express.
-func (c *resultCache) get(key string) (*core.Result, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	return el.Value.(*cacheEntry).res, true
-}
-
-// put stores a clone of res under key, evicting the least recently used
-// entry beyond capacity.
-func (c *resultCache) put(key string, res *core.Result) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(key, res)
-}
-
 // putLocked inserts (or refreshes) key with a private clone of res and
 // returns the stored clone. Caller holds c.mu.
 func (c *resultCache) putLocked(key string, res *core.Result) *core.Result {

@@ -83,30 +83,54 @@ func cacheTestResult(total graph.Dist) *core.Result {
 	}
 }
 
+// cacheFill runs c.Do for key with a solve returning res, reporting whether
+// the answer came from the cache.
+func cacheFill(t *testing.T, c *resultCache, key string, res *core.Result) (*core.Result, bool) {
+	t.Helper()
+	got, hit, err := c.Do(context.Background(), key, func() (*core.Result, error) { return res, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, hit
+}
+
+// cacheHolds reports whether key is stored, without touching its recency or
+// the counters.
+func cacheHolds(c *resultCache, key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
+}
+
 func TestResultCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
 	for i, key := range []string{"a", "b", "c"} {
-		c.put(key, cacheTestResult(graph.Dist(i)))
+		if _, hit := cacheFill(t, c, key, cacheTestResult(graph.Dist(i))); hit {
+			t.Fatalf("first lookup of %q was a hit", key)
+		}
 	}
-	if _, ok := c.get("a"); ok {
+	if cacheHolds(c, "a") {
 		t.Fatal("oldest entry survived past capacity")
 	}
 	for _, key := range []string{"b", "c"} {
-		if _, ok := c.get(key); !ok {
+		if !cacheHolds(c, key) {
 			t.Fatalf("entry %q evicted too early", key)
 		}
 	}
-	// The gets above left "c" most recently used, so "b" is the next
-	// victim.
-	c.put("d", cacheTestResult(3))
-	if _, ok := c.get("b"); ok {
+	// A hit on "b" leaves "c" least recently used: the next victim.
+	if _, hit := cacheFill(t, c, "b", cacheTestResult(9)); !hit {
+		t.Fatal("stored entry missed")
+	}
+	cacheFill(t, c, "d", cacheTestResult(3))
+	if cacheHolds(c, "c") {
 		t.Fatal("least recently used entry survived")
 	}
-	if _, ok := c.get("c"); !ok {
+	if !cacheHolds(c, "b") {
 		t.Fatal("recently used entry evicted before LRU")
 	}
 	cc := c.counters()
-	if cc.evicted != 2 || cc.size != 2 || cc.capacity != 2 {
+	if cc.evicted != 2 || cc.size != 2 || cc.capacity != 2 || cc.hits != 1 || cc.misses != 4 {
 		t.Fatalf("counters = %+v", cc)
 	}
 }
@@ -114,10 +138,10 @@ func TestResultCacheLRUEviction(t *testing.T) {
 func TestResultCacheStoresClone(t *testing.T) {
 	c := newResultCache(4)
 	orig := cacheTestResult(7)
-	c.put("k", orig)
+	cacheFill(t, c, "k", orig)
 	orig.Tree[0].W = 99 // caller mutates its copy
-	got, ok := c.get("k")
-	if !ok {
+	got, hit := cacheFill(t, c, "k", cacheTestResult(8))
+	if !hit {
 		t.Fatal("entry missing")
 	}
 	if got.Tree[0].W != 7 {
@@ -278,10 +302,6 @@ func TestResultCacheDisabled(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("calls = %d, want passthrough", calls)
 	}
-	if res, ok := c.get("k"); ok || res != nil {
-		t.Fatal("disabled get returned an entry")
-	}
-	c.put("k", cacheTestResult(1)) // must not panic
 	if cc := c.counters(); cc != (cacheCounters{}) {
 		t.Fatalf("disabled counters = %+v", cc)
 	}

@@ -36,7 +36,8 @@ const (
 // owning jobStore's mutex.
 type job struct {
 	id   string
-	spec core.QuerySpec
+	spec core.QuerySpec // canonical (Service.canonicalRequest)
+	key  string         // spec's solution-cache key
 
 	state     jobState
 	res       *core.Result
@@ -88,9 +89,10 @@ func newJobStore(capacity int) *jobStore {
 	}
 }
 
-// submit registers a job for the query spec and enqueues it, or reports
-// ErrJobQueueFull / errJobsClosed without registering anything.
-func (js *jobStore) submit(spec core.QuerySpec) (string, error) {
+// submit registers a job for the canonical query spec and its cache key and
+// enqueues it, or reports ErrJobQueueFull / errJobsClosed without
+// registering anything.
+func (js *jobStore) submit(spec core.QuerySpec, key string) (string, error) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	if js.closed {
@@ -100,6 +102,7 @@ func (js *jobStore) submit(spec core.QuerySpec) (string, error) {
 	j := &job{
 		id:        fmt.Sprintf("j%06d", js.nextID),
 		spec:      spec,
+		key:       key,
 		state:     jobQueued,
 		submitted: time.Now(),
 	}

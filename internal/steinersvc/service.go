@@ -12,8 +12,8 @@
 //   - an LRU solution cache keyed by the canonicalized terminal set, with
 //     single-flight coalescing so N concurrent identical queries cost one
 //     engine solve (resultCache);
-//   - POST /solve/batch, which answers a slice of queries with one engine
-//     checkout via Engine.SolveBatch;
+//   - POST /solve/batch, which answers a slice of queries in order, each
+//     through the same cached path as /solve, a repeated item once;
 //   - POST /solve/async + GET /jobs/{id}, a bounded job queue with explicit
 //     429 backpressure so long solves never pin HTTP connections (jobStore);
 //   - Shutdown, which drains the job queue and the engine pool so in-flight
@@ -380,7 +380,7 @@ func solveErrCode(status int) string {
 }
 
 // BatchRequest is the POST /solve/batch body: a slice of independent
-// queries answered with one engine checkout.
+// queries, answered in order.
 type BatchRequest struct {
 	Queries []SolveRequest `json:"queries"`
 }
@@ -725,28 +725,49 @@ func (s *Service) returnEngine(e *core.Engine) {
 	s.engines <- e
 }
 
-// solveCached is the shared query path for /solve, /v1/solve and async
-// jobs: canonical cache key, single-flight coalescing, engine-pool solve on
-// a miss. The spec is canonicalized first, so the cache key covers the full
-// query — mode, sorted terminal groups, co-sorted penalties — and a forest
-// query can never collide with a tree query over the same vertex set. The
-// returned Result may be cache-shared: read-only.
-func (s *Service) solveCached(ctx context.Context, spec core.QuerySpec) (*core.Result, bool, error) {
+// canonicalRequest is where every query enters the solve path: it checks
+// req's field rules (validate), builds its QuerySpec (buildSpec) and
+// canonicalizes it (core.CanonicalSpec), returning the canonical spec and
+// its solution-cache key. The key covers the full query — mode, sorted
+// terminal groups, co-sorted penalties — so a forest query can never
+// collide with a tree query over the same vertex set. A request that fails
+// the first two steps is wrapped in invalidRequest; one that fails
+// canonicalization (out-of-range or duplicate terminals, a malformed shape)
+// is counted in /stats as a failed query.
+func (s *Service) canonicalRequest(req SolveRequest) (core.QuerySpec, string, error) {
+	if err := req.validate(); err != nil {
+		return core.QuerySpec{}, "", invalidRequest{err}
+	}
+	spec, err := s.buildSpec(req)
+	if err != nil {
+		return core.QuerySpec{}, "", invalidRequest{err}
+	}
 	canonical, err := core.CanonicalSpec(s.g.NumVertices(), spec)
 	if err != nil {
-		// Range and duplicate errors used to surface from the engine solve;
-		// keep counting them as failed queries now that they fail up front.
 		s.recordQuery(nil, 0, err)
-		return nil, false, err
+		return core.QuerySpec{}, "", err
 	}
-	key := specKey(canonical)
+	return canonical, specKey(canonical), nil
+}
+
+// invalidRequest marks an error in the request's own fields or seed
+// selection, found before the query reaches the graph: always HTTP 400.
+type invalidRequest struct{ error }
+
+// solveCached is the one query path, shared by /solve, /v1/solve, every
+// /solve/batch item and every async job: cache lookup under key,
+// single-flight coalescing, and an engine-pool solve on a miss, retried
+// once after a session fault when Options.Recover is set. spec and key come
+// from canonicalRequest. The returned Result may be cache-shared:
+// read-only.
+func (s *Service) solveCached(ctx context.Context, spec core.QuerySpec, key string) (*core.Result, bool, error) {
 	solve := func() (*core.Result, error) {
 		eng, err := s.acquire(ctx)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		res, err := eng.SolveSpec(canonical)
+		res, err := eng.SolveSpec(spec)
 		if err != nil && s.opts.Recover && core.IsSessionFault(err) && ctx.Err() == nil {
 			// The query was fine; the fleet was not. The coordinator has
 			// already requeued once internally, so a fault surfacing here
@@ -756,7 +777,7 @@ func (s *Service) solveCached(ctx context.Context, spec core.QuerySpec) (*core.R
 			s.stats.mu.Lock()
 			s.stats.retriedSolves++
 			s.stats.mu.Unlock()
-			res, err = eng.SolveSpec(canonical)
+			res, err = eng.SolveSpec(spec)
 		}
 		s.recordQuery(res, time.Since(start), err)
 		s.returnEngine(eng)
@@ -778,12 +799,14 @@ func (s *Service) solveCached(ctx context.Context, spec core.QuerySpec) (*core.R
 }
 
 // solveErrStatus maps a solve-path error to its HTTP status: client mistakes
-// (duplicate terminals, penalties past core.MaxPenaltySum) are 400,
-// cancellations and shutdown are 503, and everything else — unsolvable but
-// well-formed queries like disconnected or out-of-range seeds — is 422.
+// (an invalid request, a malformed query shape, duplicate terminals,
+// penalties past core.MaxPenaltySum) are 400, cancellations and shutdown are
+// 503, and everything else — unsolvable but well-formed queries like
+// disconnected or out-of-range seeds — is 422.
 func solveErrStatus(err error) int {
 	switch {
-	case errors.Is(err, core.ErrDuplicateSeed), errors.Is(err, core.ErrPenaltySum):
+	case errors.As(err, new(invalidRequest)), errors.Is(err, core.ErrQueryShape),
+		errors.Is(err, core.ErrDuplicateSeed), errors.Is(err, core.ErrPenaltySum):
 		return http.StatusBadRequest
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, errJobsClosed):
@@ -818,22 +841,18 @@ func (s *Service) handleSolveV1(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
 		return
 	}
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
-		return
-	}
 	s.serveSpec(w, r, req)
 }
 
-// serveSpec is the shared tail of /solve and /v1/solve: build the spec,
-// run the cached solve, reply.
+// serveSpec is the shared tail of /solve and /v1/solve: canonicalize the
+// request, run the cached solve, reply.
 func (s *Service) serveSpec(w http.ResponseWriter, r *http.Request, req SolveRequest) {
-	spec, err := s.buildSpec(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
-		return
+	spec, key, err := s.canonicalRequest(req)
+	var res *core.Result
+	var cached bool
+	if err == nil {
+		res, cached, err = s.solveCached(r.Context(), spec, key)
 	}
-	res, cached, err := s.solveCached(r.Context(), spec)
 	if err != nil {
 		status := solveErrStatus(err)
 		writeError(w, status, solveErrCode(status), err.Error())
@@ -864,94 +883,44 @@ func (s *Service) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	type batchItem struct {
-		spec   core.QuerySpec
-		key    string
-		res    *core.Result
-		cached bool
-		err    error
-	}
-	items := make([]batchItem, len(req.Queries))
+	// Items are answered in input order, each through the one cached path;
+	// a repeat of an earlier item reuses that item's answer, so a set
+	// repeated within the batch solves once even with the cache off. Once
+	// the request's context is done, the remaining items fail with its
+	// error instead of queueing for engines nobody will read.
+	ctx := r.Context()
+	resp := BatchResponse{Results: make([]BatchItemResponse, len(req.Queries))}
+	firstOf := make(map[string]int, len(req.Queries)) // key -> first item
 	for i, q := range req.Queries {
-		if err := q.validate(); err != nil {
-			items[i].err = err
+		item := &resp.Results[i]
+		if err := ctx.Err(); err != nil {
+			item.Error = err.Error()
 			continue
 		}
-		spec, err := s.buildSpec(q)
+		spec, key, err := s.canonicalRequest(q)
 		if err != nil {
-			items[i].err = err
+			item.Error = err.Error()
 			continue
 		}
-		canonical, err := core.CanonicalSpec(s.g.NumVertices(), spec)
+		if j, ok := firstOf[key]; ok {
+			*item = resp.Results[j]
+			continue
+		}
+		firstOf[key] = i
+		res, cached, err := s.solveCached(ctx, spec, key)
 		if err != nil {
-			// Previously an engine-solve failure; keep the stats accounting.
-			s.recordQuery(nil, 0, err)
-			items[i].err = err
+			item.Error = err.Error()
 			continue
 		}
-		items[i].spec = canonical
-		items[i].key = specKey(canonical)
-	}
-
-	// Serve cache hits, then group the misses by canonical key so repeated
-	// queries within one batch solve once, and solve them all with a single
-	// engine checkout.
-	missIdx := make(map[string][]int)
-	var missKeys []string
-	var missSpecs []core.QuerySpec
-	for i := range items {
-		it := &items[i]
-		if it.err != nil {
-			continue
-		}
-		if res, ok := s.cache.get(it.key); ok {
-			it.res, it.cached = res, true
-			continue
-		}
-		if _, seen := missIdx[it.key]; !seen {
-			missKeys = append(missKeys, it.key)
-			missSpecs = append(missSpecs, it.spec)
-		}
-		missIdx[it.key] = append(missIdx[it.key], i)
-	}
-	if len(missSpecs) > 0 {
-		eng, err := s.acquire(r.Context())
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, CodeUnavailable, err.Error())
-			return
-		}
-		start := time.Now()
-		solved := eng.SolveSpecBatch(r.Context(), missSpecs)
-		// The batch shares one wall-clock measurement; attribute an equal
-		// share to each query so avgSolveSeconds stays meaningful.
-		per := time.Since(start) / time.Duration(len(solved))
-		for bi, item := range solved {
-			s.recordQuery(item.Result, per, item.Err)
-			if item.Err == nil {
-				s.cache.put(missKeys[bi], item.Result)
-			}
-			for _, i := range missIdx[missKeys[bi]] {
-				items[i].res, items[i].err = item.Result, item.Err
-			}
-		}
-		s.returnEngine(eng)
+		sr := solveResponse(res)
+		sr.Cached = cached
+		item.Result = &sr
 	}
 
 	s.stats.mu.Lock()
 	s.stats.batchRequests++
-	s.stats.batchQueries += int64(len(items))
+	s.stats.batchQueries += int64(len(req.Queries))
 	s.stats.mu.Unlock()
-
-	resp := BatchResponse{Results: make([]BatchItemResponse, len(items))}
-	for i, it := range items {
-		if it.err != nil {
-			resp.Results[i].Error = it.err.Error()
-			continue
-		}
-		sr := solveResponse(it.res)
-		sr.Cached = it.cached
-		resp.Results[i].Result = &sr
-	}
 	writeJSON(w, resp)
 }
 
@@ -965,21 +934,15 @@ func (s *Service) handleSolveAsync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
 		return
 	}
-	spec, err := s.buildSpec(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
-		return
-	}
 	// Canonicalize now so a bad query fails at submission, not as a failed
-	// job discovered on the first poll. solveErrStatus keeps the codes
-	// consistent with /solve: duplicates 400, out-of-range 422.
-	canonical, err := core.CanonicalSpec(s.g.NumVertices(), spec)
+	// job discovered on the first poll, with the same codes as /solve.
+	spec, key, err := s.canonicalRequest(req)
 	if err != nil {
 		status := solveErrStatus(err)
 		writeError(w, status, solveErrCode(status), err.Error())
 		return
 	}
-	id, err := s.jobs.submit(canonical)
+	id, err := s.jobs.submit(spec, key)
 	switch {
 	case errors.Is(err, ErrJobQueueFull):
 		w.Header().Set("Retry-After", "1")
@@ -1024,7 +987,7 @@ func (s *Service) jobWorker() {
 	defer s.workerWG.Done()
 	for j := range s.jobs.queue {
 		s.jobs.markRunning(j)
-		res, cached, err := s.solveCached(context.Background(), j.spec)
+		res, cached, err := s.solveCached(context.Background(), j.spec, j.key)
 		s.jobs.markFinished(j, res, cached, err)
 	}
 }
@@ -1193,7 +1156,7 @@ func parseSolveRequest(r *http.Request) (SolveRequest, error) {
 	default:
 		return req, fmt.Errorf("GET or POST only")
 	}
-	return req, req.validate()
+	return req, nil
 }
 
 // decodeJSON decodes r's body into v, which must be the body's only JSON

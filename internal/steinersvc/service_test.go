@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -622,6 +623,143 @@ func TestSolveBatchEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch status = %d", resp.StatusCode)
+	}
+}
+
+// TestBatchItemCoalescesWithInFlightSolve checks a batch item joins an
+// identical query already in flight instead of solving it again: with the
+// only engine held, a /v1/solve registers its flight, a batch asking the
+// same query waits on it, and releasing the engine answers both with one
+// engine solve.
+func TestBatchItemCoalescesWithInFlightSolve(t *testing.T) {
+	svc := testServiceCfg(t, Config{Engines: 1, CacheEntries: 8})
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	before := getStats(t, srv.URL)
+
+	eng := <-svc.engines
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			svc.engines <- eng
+		}
+	}
+	defer release()
+
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	post := func(path string, body any) <-chan reply {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch := make(chan reply, 1)
+		go func() {
+			resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(buf))
+			if err != nil {
+				ch <- reply{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			ch <- reply{resp.StatusCode, b, err}
+		}()
+		return ch
+	}
+	waitFor := func(what string, done func(cacheCounters) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !done(svc.cache.counters()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("timed out waiting for %s: cache %+v", what, svc.cache.counters())
+				return
+			}
+		}
+	}
+
+	query := SolveRequest{Seeds: []int32{0, 3, 8}}
+	single := post("/v1/solve", query)
+	waitFor("the /v1/solve flight", func(cc cacheCounters) bool { return cc.misses == 1 })
+	batch := post("/solve/batch", BatchRequest{Queries: []SolveRequest{query}})
+	waitFor("the batch item to coalesce", func(cc cacheCounters) bool { return cc.coalesced == 1 })
+	release()
+
+	var one SolveResponse
+	var many BatchResponse
+	for _, got := range []struct {
+		ch  <-chan reply
+		out any
+	}{{single, &one}, {batch, &many}} {
+		r := <-got.ch
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.status != http.StatusOK {
+			t.Fatalf("status = %d: %s", r.status, r.body)
+		}
+		if err := json.Unmarshal(r.body, got.out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(many.Results) != 1 || many.Results[0].Result == nil {
+		t.Fatalf("batch results = %+v", many.Results)
+	}
+	if item := many.Results[0].Result; !item.Cached || item.Total != one.Total || one.Cached {
+		t.Fatalf("batch item cached=%v total=%d, single cached=%v total=%d: want the batch coalesced onto the single solve",
+			item.Cached, item.Total, one.Cached, one.Total)
+	}
+	after := getStats(t, srv.URL)
+	if d := after.Queries - before.Queries; d != 1 {
+		t.Errorf("engine queries rose by %d, want 1", d)
+	}
+	if d := after.Cache.Coalesced - before.Cache.Coalesced; d != 1 {
+		t.Errorf("cache.coalesced rose by %d, want 1", d)
+	}
+}
+
+// TestSolveBatchCancelledContext checks that once a batch request's context
+// is done, its items fail with the context's error instead of queueing for
+// an engine, and that the service still answers live batches afterwards.
+func TestSolveBatchCancelledContext(t *testing.T) {
+	svc := testServiceCfg(t, Config{Engines: 1})
+	body, err := json.Marshal(BatchRequest{Queries: []SolveRequest{{Seeds: []int32{0, 5}}, {Seeds: []int32{1, 6}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(ctx context.Context) BatchResponse {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/solve/batch", bytes.NewReader(body)).WithContext(ctx)
+		svc.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", rec.Code, rec.Body)
+		}
+		var out BatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i, it := range serve(ctx).Results {
+		if it.Result != nil || !strings.Contains(it.Error, context.Canceled.Error()) {
+			t.Fatalf("item %d: %+v, want %q", i, it, context.Canceled)
+		}
+	}
+	svc.stats.mu.Lock()
+	queries := svc.stats.queries
+	svc.stats.mu.Unlock()
+	if queries != 0 {
+		t.Fatalf("engine queries = %d after a cancelled batch, want 0", queries)
+	}
+	for i, it := range serve(context.Background()).Results {
+		if it.Error != "" || it.Result == nil {
+			t.Fatalf("live batch item %d: %+v", i, it)
+		}
 	}
 }
 

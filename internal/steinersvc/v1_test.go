@@ -177,6 +177,10 @@ func TestV1SolveValidation(t *testing.T) {
 			http.StatusBadRequest, CodeInvalidArgument, "unknown quality"},
 		{"forest dup across groups", SolveRequest{Mode: "forest", Groups: [][]int32{{0, 4}, {4, 8}}},
 			http.StatusBadRequest, CodeInvalidArgument, "more than once"},
+		{"forest empty group", SolveRequest{Mode: "forest", Groups: [][]int32{{1, 2}, {}}},
+			http.StatusBadRequest, CodeInvalidArgument, "group 1 is empty"},
+		{"forest seed out of range", SolveRequest{Mode: "forest", Groups: [][]int32{{1, 2}, {99999}}},
+			http.StatusUnprocessableEntity, CodeUnsolvable, "out of range"},
 	} {
 		resp := postJSON(t, srv.URL+"/v1/solve", tc.req)
 		if resp.StatusCode != tc.status {

@@ -368,9 +368,13 @@ func TestWorkCountersReported(t *testing.T) {
 // is Dijkstra: every reached vertex is popped exactly once, after its label
 // is final. (Install-at-visit queued every offer that beat the installed row,
 // about arcs/2 visits on this graph; one entry per label, without
-// replacement, 2.06|V|.) Two ranks cannot promise that — a rank that runs
-// ahead expands labels its peer later beats (1.04|V| on this graph) — but
-// must stay well under two visits per vertex.
+// replacement, 2.06|V|.)
+//
+// Two ranks cannot promise that — a rank that runs ahead expands labels its
+// peer later beats — but must stay under two visits per vertex. How many it
+// expands depends on which rank wins each race: 1.00–1.71|V| over 200 runs
+// beside a second copy of this test binary on two CPUs, and bulk-synchronous
+// supersteps do not pin it either (near 3|V|, varying between runs).
 func TestVisitsBoundedByLabelImprovements(t *testing.T) {
 	g := gen.Config{Name: "rmat12", Kind: gen.KindRMAT, N: 1 << 12, AvgDegree: 16, MaxWeight: 1000, Backbone: true, Seed: 5}.MustBuild()
 	n := g.NumVertices()
@@ -392,6 +396,7 @@ func TestVisitsBoundedByLabelImprovements(t *testing.T) {
 		if ranks == 1 && visits != reached {
 			t.Fatalf("one rank visited %d queue entries for %d reached vertices: want exactly one each", visits, reached)
 		}
+		t.Logf("ranks=%d: %d queue entries for %d reached vertices (%.3f each)", ranks, visits, reached, float64(visits)/float64(reached))
 		if visits > 2*reached {
 			t.Fatalf("ranks=%d: visited %d queue entries for %d reached vertices: want at most two each", ranks, visits, reached)
 		}
