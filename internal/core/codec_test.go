@@ -17,7 +17,7 @@ func codecEnv(t testing.TB) *solveEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newRankHost(rt.MustNew(rt.Config{Ranks: 3}, part), false)
+	h := &rankHost{comm: rt.MustNew(rt.Config{Ranks: 3}, part), pools: []*rankPool{{}, {}, {}}}
 	env := &solveEnv{rankHost: h, dedup: []graph.VID{2, 5, 9}, res: &Result{}}
 	for i, s := range env.dedup {
 		h.seeds.put(int64(s), int32(i))

@@ -415,7 +415,7 @@ func TestDefaultBalancesVoronoiVisits(t *testing.T) {
 		// Phase 1 leaves each rank's owned rows labelled until the next
 		// query resets the slabs.
 		var busiest int64
-		for _, sl := range e.slabs {
+		for _, sl := range e.slabs() {
 			var n int64
 			sl.EachReached(func(graph.VID, graph.VID, graph.VID, graph.Dist) { n++ })
 			busiest = max(busiest, n)

@@ -35,11 +35,10 @@ type Engine struct {
 	shard  ShardStats
 
 	// host runs the ranks in this process: the communicator (with its
-	// pinned rank goroutines) and the pooled per-query scratch. slabs is
-	// the rank-local control state attached to it. Both nil on a BackendTCP
-	// engine, whose ranks live in external rankd workers behind cluster.
+	// pinned rank goroutines) and the pooled per-query state, the ranks'
+	// control-state slabs included. nil on a BackendTCP engine, whose ranks
+	// live in external rankd workers behind cluster.
 	host    *rankHost
-	slabs   []*voronoi.StateSlab
 	cluster *cluster
 
 	mu   sync.Mutex         // serializes Solve on this engine
@@ -129,10 +128,7 @@ func newEngine(g *graph.Graph, opts Options, plan *partition.ShardPlan, shards [
 	// sharing the shard's vertex→row index. Slabs are mutable per-query
 	// state, so every engine (including siblings sharing one shard set)
 	// builds its own.
-	slabs, err := voronoi.AttachSlabs(comm, plan, shards)
-	if err != nil {
-		return nil, err
-	}
+	slabs := voronoi.BuildSlabs(plan, shards)
 	comm.Start()
 	return &Engine{
 		g:      g,
@@ -140,8 +136,7 @@ func newEngine(g *graph.Graph, opts Options, plan *partition.ShardPlan, shards [
 		plan:   plan,
 		shards: shards,
 		shard:  shardStats(shards, slabs),
-		host:   newRankHost(comm, opts.BSP),
-		slabs:  slabs,
+		host:   newRankHost(comm, opts.BSP, slabs),
 		seen:   make(map[graph.VID]bool),
 	}, nil
 }

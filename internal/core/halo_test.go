@@ -231,7 +231,7 @@ func testHaloPlan(t *testing.T, g *graph.Graph, seeds []graph.VID, empty, unreac
 			t.Fatalf("%s: %v", label, err)
 		}
 		for r, sh := range e.shards {
-			plan, sl := e.host.pools[r].halo, e.slabs[r]
+			plan, sl := e.host.pools[r].halo, e.slabs()[r]
 			if sh.NumOwned() == 0 {
 				*empty++
 			}
@@ -309,7 +309,7 @@ func haloBlob(labels ...[2]int64) []byte {
 // sound one writes its labels, and an unreached one leaves its slot none.
 func TestHaloDecoderRefusesCorruptBlobs(t *testing.T) {
 	e, env := haloFixture(t)
-	sl, recv := e.slabs[2], e.host.pools[2].halo.recv
+	sl, recv := e.slabs()[2], e.host.pools[2].halo.recv
 	n := len(recv[1])
 	labels := make([][2]int64, n)
 	for k := range labels {
@@ -386,7 +386,7 @@ func TestCorruptHaloFailsTheSolve(t *testing.T) {
 // sender's list maps to; a refused blob may have written a prefix of them.
 func FuzzHaloLabels(f *testing.F) {
 	e, env := haloFixture(f)
-	sl, sh, recv := e.slabs[2], e.shards[2], e.host.pools[2].halo.recv
+	sl, sh, recv := e.slabs()[2], e.shards[2], e.host.pools[2].halo.recv
 	good := make([][2]int64, len(recv[1]))
 	for k := range good {
 		good[k] = [2]int64{41, int64(k)}

@@ -3,15 +3,18 @@ package core
 import (
 	"dsteiner/internal/graph"
 	rt "dsteiner/internal/runtime"
+	"dsteiner/internal/voronoi"
 )
 
 // rankHost is the part of a solve that does not depend on where the ranks
 // live: the communicator over the hosted rank range, the pooled per-rank
-// scratch the SPMD body indexes by GLOBAL rank id (only the hosted entries
+// state the SPMD body indexes by GLOBAL rank id (only the hosted entries
 // are populated), its per-query reset and the run itself. An in-process
 // Engine holds one for ranks [0, P); a rankd worker holds one for its
 // [lo, hi) beside its transport. Everything global flows through
-// collectives, so the body cannot tell the two apart.
+// collectives, so the body cannot tell the two apart. The communicator
+// carries each rank's shard and mailbox; the per-vertex control state
+// (voronoi.StateSlab) lives here, one slab per hosted rank's pool.
 type rankHost struct {
 	comm  *rt.Comm
 	bsp   bool        // traversals run bulk-synchronous (Options.BSP)
@@ -22,26 +25,26 @@ type rankHost struct {
 // rankPool is one rank's pooled per-query state. Each phase resets what it
 // uses in O(1) or O(k) and every field keeps its capacity between queries.
 type rankPool struct {
-	localEN pairTable      // phase 2's E_N table
-	owned   pairTable      // phase 3's routed table shard, sorted by phase 4
-	pruned  []crossRec     // phase 4's chosen edges, the same set on every rank
-	labels  []int32        // phase 4's label-indexed frag/best/winner arrays
-	props   []fragProposal // phase 4's own proposals of one round
-	all     []fragProposal // phase 4's proposals of every rank in one round
-	tree    []graph.Edge   // phase 6's edges; rank 0 appends the others' runs
-	halo    haloPlan       // phase 2's static halo, planned at session start
+	slab    *voronoi.StateSlab // the rank's Voronoi control state, reset per query
+	localEN pairTable          // phase 2's E_N table
+	owned   pairTable          // phase 3's routed table shard, sorted by phase 4
+	pruned  []crossRec         // phase 4's chosen edges, the same set on every rank
+	labels  []int32            // phase 4's label-indexed frag/best/winner arrays
+	props   []fragProposal     // phase 4's own proposals of one round
+	all     []fragProposal     // phase 4's proposals of every rank in one round
+	tree    []graph.Edge       // phase 6's edges; rank 0 appends the others' runs
+	halo    haloPlan           // phase 2's static halo, planned at session start
 }
 
-// newRankHost pools the scratch for comm's hosted ranks and plans their
-// halos from the attached shards.
-func newRankHost(comm *rt.Comm, bsp bool) *rankHost {
+// newRankHost pools the state for comm's hosted ranks: slabs[i] is hosted
+// rank lo+i's control state, built over the shard attached for it, from
+// which its halo is planned.
+func newRankHost(comm *rt.Comm, bsp bool, slabs []*voronoi.StateSlab) *rankHost {
 	h := &rankHost{comm: comm, bsp: bsp, pools: make([]*rankPool, comm.NumRanks())}
-	lo, hi := comm.HostRange()
-	for rank := lo; rank < hi; rank++ {
-		h.pools[rank] = &rankPool{}
-	}
-	for i, sh := range comm.Shards() { // none on a shardless test communicator
-		h.pools[lo+i].halo = newHaloPlan(sh, comm.Partition().Owner)
+	lo, _ := comm.HostRange()
+	shards := comm.Shards()
+	for i, sl := range slabs {
+		h.pools[lo+i] = &rankPool{slab: sl, halo: newHaloPlan(shards[i], comm.Partition().Owner)}
 	}
 	return h
 }
@@ -53,7 +56,10 @@ func newRankHost(comm *rt.Comm, bsp bool) *rankHost {
 // solve error (disconnected terminals, a corrupt exchange); a rank panic
 // unwinds through here.
 func (h *rankHost) run(cq canonQuery) (*Result, error) {
-	h.comm.ResetStateSlabs() // O(P) epoch bumps, one per rank slab
+	lo, hi := h.comm.HostRange()
+	for rank := lo; rank < hi; rank++ {
+		h.pools[rank].slab.Reset() // an O(1) epoch bump
+	}
 	h.seeds.reset()
 	for i, s := range cq.dedup {
 		h.seeds.put(int64(s), int32(i))

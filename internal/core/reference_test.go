@@ -366,7 +366,7 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 										checkAnswerInvariants(t, in.g, spec, res)
 										// Not only the rows the tree walks through:
 										// every vertex's label is the reference's.
-										got, want := voronoi.Collect(e.slabs, in.g.NumVertices()), in.want[m].cells
+										got, want := voronoi.Collect(e.slabs(), in.g.NumVertices()), in.want[m].cells
 										for v := graph.VID(0); int(v) < in.g.NumVertices(); v++ {
 											gs, gp, gd := got.Get(v)
 											if ws, wp, wd := want.Get(v); gs != ws || gp != wp || gd != wd {
@@ -468,7 +468,7 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 // process and over TCP. Under the priority queue a row keeps one queue entry
 // and a better label replaces it, so an offer that arrives late must
 // neither lose a better label nor take a slot it has no label for
-// (voronoi.run). The table above shuffles each cell under one seed; here
+// (voronoi.RunRank). The table above shuffles each cell under one seed; here
 // loopback engines shuffle every inbound batch under three seeds per queue
 // and timing, and every row must be voronoi.Sequential's. TCP workers
 // cannot shuffle — the option has no wire field — so the fleet's arrival
@@ -501,7 +501,7 @@ func TestFloodUnderReorderingMatchesSequential(t *testing.T) {
 						}
 						label := fmt.Sprintf("k=%d", len(spec.Seeds))
 						assertMatchesReference(t, res, wants[i])
-						got := voronoi.Collect(e.slabs, g.NumVertices())
+						got := voronoi.Collect(e.slabs(), g.NumVertices())
 						for v := graph.VID(0); int(v) < g.NumVertices(); v++ {
 							gs, gp, gd := got.Get(v)
 							if ws, wp, wd := wants[i].cells.Get(v); gs != ws || gp != wp || gd != wd {

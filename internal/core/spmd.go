@@ -48,17 +48,15 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 
 	// This rank's CSR slab holds its adjacency (Rank.EdgeWeight: weights are
 	// symmetric, so {u, v} looked up from owned u's row is the edge's
-	// weight) and its StateSlab the control state of the vertices it owns —
-	// remote state is reached via the mailbox, never direct reads.
-	sl := voronoi.SlabOf(r)
+	// weight) and its pooled StateSlab the control state of the vertices it
+	// owns — remote state is reached via the mailbox, never direct reads.
+	sc := env.pools[r.ID()]
+	sl := sc.slab
 
 	// Phase 1: Voronoi cells (Alg. 4).
 	faultpoint.Hit("solve.phase1")
 	rec.phase(r, PhaseVoronoi, func() int64 {
-		if env.bsp {
-			return voronoi.RunRankBSP(r, dedup).Processed
-		}
-		return voronoi.RunRank(r, dedup).Processed
+		return voronoi.RunRank(r, sl, dedup, env.bsp).Processed
 	})
 
 	// Phase 2: local min-distance cross-cell edges (Alg. 5,
@@ -66,7 +64,6 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// records the candidate, so it needs the label of u = the lower one:
 	// labels flow from lower ranks to higher ones, which spreads the scan
 	// where low-ID hubs would load the lowest rank.
-	sc := env.pools[r.ID()]
 	ok := true
 	faultpoint.Hit("solve.phase2")
 	rec.phase(r, PhaseLocalMinEdge, func() (received int64) {

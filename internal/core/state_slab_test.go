@@ -6,7 +6,17 @@ import (
 
 	"dsteiner/internal/graph"
 	rt "dsteiner/internal/runtime"
+	"dsteiner/internal/voronoi"
 )
+
+// slabs returns the control-state slab each rank's pool holds, by rank.
+func (e *Engine) slabs() []*voronoi.StateSlab {
+	slabs := make([]*voronoi.StateSlab, len(e.host.pools))
+	for i, p := range e.host.pools {
+		slabs[i] = p.slab
+	}
+	return slabs
+}
 
 // TestEngineRanksOwningZeroVertices covers the degenerate partitions where
 // some ranks own no vertices at all — more ranks than vertices — so their
@@ -29,7 +39,7 @@ func TestEngineRanksOwningZeroVertices(t *testing.T) {
 	}
 	defer e.Close()
 	empty := 0
-	for _, sl := range e.slabs {
+	for _, sl := range e.slabs() {
 		if sl.NumOwned() == 0 {
 			empty++
 		}
@@ -65,11 +75,8 @@ func TestSiblingsGetOwnSlabs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sib.Close()
-	if len(sib.slabs) != len(first.slabs) {
-		t.Fatalf("sibling has %d slabs, first %d", len(sib.slabs), len(first.slabs))
-	}
-	for i := range sib.slabs {
-		if sib.slabs[i] == first.slabs[i] {
+	for i, sl := range sib.slabs() {
+		if sl == first.slabs()[i] {
 			t.Fatalf("sibling shares mutable state slab %d", i)
 		}
 	}

@@ -223,7 +223,7 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 
 	w := &worker{n: setup.NumVertices, seen: make(map[graph.VID]bool)}
 	shards := make([]*graph.Shard, 0, hi-lo)
-	slabs := make([]rt.StateSlab, 0, hi-lo)
+	slabs := make([]*voronoi.StateSlab, 0, hi-lo)
 	for i, sl := range setup.Shards {
 		if sl.Rank != lo+i {
 			return nil, fmt.Errorf("core: shard slice %d is for rank %d, want %d", i, sl.Rank, lo+i)
@@ -271,10 +271,7 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 	if err := comm.AttachShards(shards); err != nil {
 		return nil, err
 	}
-	if err := comm.AttachStateSlabs(slabs); err != nil {
-		return nil, err
-	}
-	w.host = newRankHost(comm, setup.BSP)
+	w.host = newRankHost(comm, setup.BSP, slabs)
 	return w, nil
 }
 

@@ -14,7 +14,7 @@ import (
 // Voronoi message traffic; collective-based phases show no visitor
 // messages.
 //
-// Both disciplines run the one tentative-label visitor (voronoi.run) and its
+// Both disciplines run the one tentative-label visitor (voronoi.RunRank) and its
 // sender-side ghost-row filter, which take more of FIFO's message waste than
 // of the priority queue's: the FIFO/priority message ratio is smaller than
 // the paper's (see the notes).

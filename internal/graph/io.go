@@ -30,27 +30,22 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	if err := binary.Write(bw, binary.LittleEndian, hdr[:]); err != nil {
 		return err
 	}
-	offs := make([]uint64, len(g.offsets))
-	for i, o := range g.offsets {
-		offs[i] = uint64(o)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, offs); err != nil {
+	if err := writeColumn(bw, g.offsets); err != nil {
 		return err
 	}
-	tgts := make([]uint32, len(g.targets))
-	for i, t := range g.targets {
-		tgts[i] = uint32(t)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, tgts); err != nil {
+	if err := writeColumn(bw, g.targets); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.weights); err != nil {
+	if err := writeColumn(bw, g.weights); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
 // ReadBinary deserializes a graph written by WriteBinary and validates it.
+// Each column is decoded straight into the graph's own array: Validate
+// refuses what does not fit it (a negative offset, a target at or past n —
+// a uint32 target with its high bit set reads as a negative VID).
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [8]byte
@@ -72,31 +67,22 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if n < 0 || arcs < 0 || hdr[0] > maxCount || hdr[1] > maxCount {
 		return nil, fmt.Errorf("graph: bad header n=%d arcs=%d", hdr[0], hdr[1])
 	}
-	offs := make([]uint64, n+1)
-	if err := binary.Read(br, binary.LittleEndian, offs); err != nil {
-		return nil, err
-	}
-	tgts := make([]uint32, arcs)
-	if err := binary.Read(br, binary.LittleEndian, tgts); err != nil {
-		return nil, err
-	}
-	ws := make([]uint32, arcs)
-	if err := binary.Read(br, binary.LittleEndian, ws); err != nil {
-		return nil, err
-	}
 	g := &Graph{
 		offsets: make([]int64, n+1),
 		targets: make([]VID, arcs),
-		weights: ws,
+		weights: make([]uint32, arcs),
 		numEdge: int64(arcs) / 2,
 	}
-	for i, o := range offs {
-		g.offsets[i] = int64(o)
+	if err := readColumn(br, g.offsets); err != nil {
+		return nil, err
 	}
-	for i, t := range tgts {
-		g.targets[i] = VID(t)
+	if err := readColumn(br, g.targets); err != nil {
+		return nil, err
 	}
-	for i, w := range ws {
+	if err := readColumn(br, g.weights); err != nil {
+		return nil, err
+	}
+	for i, w := range g.weights {
 		if i == 0 {
 			g.minW, g.maxW = w, w
 			continue
@@ -113,6 +99,58 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	}
 	g.computeMaxDegree()
 	return g, nil
+}
+
+// column is the element type of one array of the binary format: offsets
+// are 8-byte words, targets and weights 4-byte ones.
+type column interface{ ~int64 | ~int32 | ~uint32 }
+
+// columnChunk is the scratch a column is encoded or decoded through, so no
+// column is ever staged whole.
+const columnChunk = 1 << 16
+
+// writeColumn encodes col little endian.
+func writeColumn[T column](w io.Writer, col []T) error {
+	size := binary.Size(T(0))
+	buf := make([]byte, 0, columnChunk)
+	for len(col) > 0 {
+		k := min(len(col), columnChunk/size)
+		buf = buf[:0]
+		for _, x := range col[:k] {
+			if size == 8 {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
+			} else {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
+			}
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		col = col[k:]
+	}
+	return nil
+}
+
+// readColumn fills col from little-endian words.
+func readColumn[T column](r io.Reader, col []T) error {
+	size := binary.Size(T(0))
+	buf := make([]byte, columnChunk)
+	for len(col) > 0 {
+		k := min(len(col), columnChunk/size)
+		b := buf[:k*size]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return err
+		}
+		for i := range col[:k] {
+			if size == 8 {
+				col[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+			} else {
+				col[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+			}
+		}
+		col = col[k:]
+	}
+	return nil
 }
 
 // WriteEdgeList writes g as a plain "u v w" text edge list (undirected

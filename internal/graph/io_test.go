@@ -125,6 +125,30 @@ func TestReadBinaryVertexCountMismatch(t *testing.T) {
 	}
 }
 
+// TestReadBinaryRejectsHighBitWords covers words that only fit their
+// columns as negative numbers: the reader decodes them straight into the
+// graph's signed arrays, and validation must refuse them.
+func TestReadBinaryRejectsHighBitWords(t *testing.T) {
+	raw := validBinary(t)
+	n := int(binary.LittleEndian.Uint64(raw[8:]))
+	offsets, targets := 24, 24+8*(n+1)
+	for _, tc := range []struct {
+		name string
+		at   int
+		word []byte
+	}{
+		{"target 1<<31", targets, binary.LittleEndian.AppendUint32(nil, 1<<31)},
+		{"target 2^32-1", targets + 4, binary.LittleEndian.AppendUint32(nil, ^uint32(0))},
+		{"offset 1<<63", offsets + 8, binary.LittleEndian.AppendUint64(nil, 1<<63)},
+	} {
+		corrupt := append([]byte(nil), raw...)
+		copy(corrupt[tc.at:], tc.word)
+		if err := readBytes(corrupt); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
 func TestReadBinaryRoundTripAfterCorruptAttempts(t *testing.T) {
 	// The reader must stay usable: a good payload after bad ones parses.
 	raw := validBinary(t)

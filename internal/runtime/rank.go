@@ -29,12 +29,6 @@ type Rank struct {
 	// Shard and EdgeWeight so it never touches the global CSR.
 	shard *graph.Shard
 
-	// state is this rank's local control-state slab (owned vertices'
-	// per-vertex algorithm state), installed by Comm.AttachStateSlabs.
-	// The runtime only resets and accounts it; algorithms type-assert to
-	// their concrete slab (internal/voronoi.SlabOf).
-	state StateSlab
-
 	// Traversal-scoped state. byKey is set when the traversal is Ordered
 	// under QueuePriority and queues in prio; every other traversal queues
 	// in fifo. Both keep their capacity across traversals. rows is set when
@@ -91,11 +85,6 @@ func (r *Rank) Owns(v graph.VID) bool { return r.comm.part.Owner(v) == r.id }
 
 // Shard returns this rank's local graph shard, or nil before AttachShards.
 func (r *Rank) Shard() *graph.Shard { return r.shard }
-
-// StateSlab returns this rank's local control-state slab, or nil before
-// Comm.AttachStateSlabs. Algorithms assert it to their concrete slab type
-// (the solver uses internal/voronoi.StateSlab via voronoi.SlabOf).
-func (r *Rank) StateSlab() StateSlab { return r.state }
 
 // mustShard returns the shard or fails loudly: a traversal asked for local
 // adjacency on a communicator that never attached shards.

@@ -26,11 +26,11 @@
 //     Traversal code reads adjacency only through the shard — like an MPI
 //     process that holds just its partition — so each rank walks a compact
 //     slab instead of striding the shared global CSR.
-//   - Each rank likewise carries a rank-local control-state slab
-//     (Comm.AttachStateSlabs, reset between queries by ResetStateSlabs and
-//     accounted by StateMemoryBytes), so per-vertex algorithm state is
-//     owned by the rank too: during a traversal a rank references nothing
-//     outside its shard, its slab and its mailbox.
+//
+// The runtime carries no algorithm state. Per-vertex labels belong to the
+// algorithm, which keeps them local to the owning rank: the solver's
+// control-state slabs (internal/voronoi.StateSlab) are held by the rank host
+// in internal/core and handed to each traversal explicitly.
 //
 // The engine also supports a bulk-synchronous (BSP) traversal mode and
 // seeded randomized message delivery, used by the ablation benchmarks and
@@ -102,6 +102,9 @@ type Config struct {
 	Queue QueueKind
 	// BatchSize is the number of messages coalesced per cross-rank
 	// delivery (default 64). Batching models MPI message aggregation.
+	// New refuses a value above maxBatchSize (1<<16): every rank holds a
+	// 24-byte slot per message for each destination it sends to, so a
+	// value decoded off the wire must not size those buffers unchecked.
 	BatchSize int
 	// ShuffleDelivery randomizes the order in which queued inbound
 	// batches are handed to a rank (failure-injection / robustness
@@ -119,6 +122,9 @@ type Config struct {
 	// delivery is a direct mailbox append — the perf baseline.
 	Transport Transport
 }
+
+// maxBatchSize bounds Config.BatchSize.
+const maxBatchSize = 1 << 16
 
 func (c Config) withDefaults() Config {
 	if c.Ranks <= 0 {
@@ -200,6 +206,9 @@ type job struct {
 // The partition's rank count must match cfg.Ranks.
 func New(cfg Config, part *partition.Partition) (*Comm, error) {
 	cfg = cfg.withDefaults()
+	if cfg.BatchSize > maxBatchSize {
+		return nil, fmt.Errorf("runtime: batch size %d above the bound %d", cfg.BatchSize, maxBatchSize)
+	}
 	if part.NumRanks() != cfg.Ranks {
 		return nil, fmt.Errorf("runtime: partition has %d ranks, config wants %d", part.NumRanks(), cfg.Ranks)
 	}
@@ -303,13 +312,10 @@ func (c *Comm) EnsureShards(g *graph.Graph) {
 	}
 }
 
-// Sharded reports whether shards are attached.
-func (c *Comm) Sharded() bool { return c.ranks[0].shard != nil }
-
 // Shards returns the attached shards in rank order, or nil when none are
 // attached. Shards are immutable: read-only.
 func (c *Comm) Shards() []*graph.Shard {
-	if !c.Sharded() {
+	if c.ranks[0].shard == nil {
 		return nil
 	}
 	shards := make([]*graph.Shard, len(c.ranks))
@@ -317,93 +323,6 @@ func (c *Comm) Shards() []*graph.Shard {
 		shards[i] = r.shard
 	}
 	return shards
-}
-
-// StateSlab is the runtime's view of a rank-local control-state slab: the
-// per-vertex algorithm state (for the Steiner solver, the Voronoi
-// distance/parent/source/epoch fields plus phase-6 walk marks) a rank holds
-// for the vertices it owns. Like a graph.Shard, a slab references nothing
-// outside itself, so together shard + slab + mailbox are exactly the state
-// a multi-process backend would place in each process. The runtime never
-// reads slab entries — it only resets slabs between queries and accounts
-// their memory; algorithms type-assert Rank.StateSlab to their concrete
-// slab type (internal/voronoi.StateSlab for the solver).
-type StateSlab interface {
-	// Rank returns the rank the slab belongs to.
-	Rank() int
-	// Reset invalidates every entry (epoch bump, O(1)) between queries.
-	Reset()
-	// MemoryBytes reports the slab's resident size.
-	MemoryBytes() int64
-}
-
-// AttachStateSlabs installs one rank-local control-state slab per rank.
-// Call before Run; slabs stay attached across runs (their entries are
-// per-query, recycled with ResetStateSlabs). slabs[i] must be rank i's
-// slab. Unlike shards, slabs are mutable per-engine state: communicators
-// must not share a slab set.
-func (c *Comm) AttachStateSlabs(slabs []StateSlab) error {
-	if len(slabs) != len(c.ranks) {
-		return fmt.Errorf("runtime: %d state slabs for %d hosted ranks", len(slabs), len(c.ranks))
-	}
-	for i, sl := range slabs {
-		if sl == nil || sl.Rank() != c.lo+i {
-			return fmt.Errorf("runtime: state slab for hosted rank %d missing or mis-ranked", c.lo+i)
-		}
-	}
-	for i, r := range c.ranks {
-		r.state = slabs[i]
-	}
-	return nil
-}
-
-// StateAttached reports whether control-state slabs are attached.
-func (c *Comm) StateAttached() bool { return c.ranks[0].state != nil }
-
-// StateSlabs returns the attached slabs in rank order, or nil when none are
-// attached.
-func (c *Comm) StateSlabs() []StateSlab {
-	if !c.StateAttached() {
-		return nil
-	}
-	slabs := make([]StateSlab, len(c.ranks))
-	for i, r := range c.ranks {
-		slabs[i] = r.state
-	}
-	return slabs
-}
-
-// ResetStateSlabs invalidates every attached slab's entries in O(P) epoch
-// bumps. Call between queries, never while a Run is in flight.
-func (c *Comm) ResetStateSlabs() {
-	for _, r := range c.ranks {
-		if r.state != nil {
-			r.state.Reset()
-		}
-	}
-}
-
-// StateMemoryBytes sums the attached control-state slabs' resident bytes
-// (0 if none) — the per-query state counterpart of ShardMemoryBytes.
-func (c *Comm) StateMemoryBytes() int64 {
-	var b int64
-	for _, r := range c.ranks {
-		if r.state != nil {
-			b += r.state.MemoryBytes()
-		}
-	}
-	return b
-}
-
-// ShardMemoryBytes sums the attached shards' resident bytes (0 if none).
-func (c *Comm) ShardMemoryBytes() int64 {
-	var b int64
-	for _, r := range c.ranks {
-		if r.shard != nil {
-			b += r.shard.MemoryBytes()
-		}
-	}
-	return b
 }
 
 // NumRanks returns the communicator size P.

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -35,6 +36,13 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if c.Config().BatchSize != 64 {
 		t.Fatalf("default batch size = %d, want 64", c.Config().BatchSize)
+	}
+	// A batch size decoded off the wire must not size the send buffers.
+	if _, err := New(Config{Ranks: 2, BatchSize: math.MaxInt32}, part); err == nil {
+		t.Fatal("batch size 2^31-1 accepted")
+	}
+	if _, err := New(Config{Ranks: 2, BatchSize: maxBatchSize}, part); err != nil {
+		t.Fatalf("batch size at the bound refused: %v", err)
 	}
 }
 

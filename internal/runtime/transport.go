@@ -6,7 +6,8 @@ import "sync"
 // only a subset of the P ranks (Config.HostLo/HostHi). It is the seam the
 // ROADMAP's multi-process backend plugs into: message batches, collectives
 // and termination detection cross it, while the visitor code above —
-// which already cannot reach outside shard + slab + mailbox — is unchanged.
+// which already cannot reach outside its rank's shard, the state slab its
+// algorithm holds for that rank, and its mailbox — is unchanged.
 //
 // Two implementations exist: loopback (a nil Transport — all ranks
 // in-process, mailbox delivery, the perf baseline) and the TCP backend in

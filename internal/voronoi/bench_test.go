@@ -23,12 +23,14 @@ func BenchmarkFlood(b *testing.B) {
 		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
 			c := newComm(b, g.NumVertices(), ranks, rt.QueuePriority)
 			c.EnsureShards(g)
-			EnsureSlabs(c, g)
+			slabs := shardSlabs(c.Partition(), c.Shards())
 			c.Start()
 			defer c.Close()
 			flood := func() {
-				c.ResetStateSlabs()
-				c.Run(func(r *rt.Rank) { RunRank(r, seeds) })
+				for _, sl := range slabs {
+					sl.Reset()
+				}
+				c.Run(func(r *rt.Rank) { RunRank(r, slabs[r.ID()], seeds, false) })
 			}
 			flood()
 			b.ResetTimer()

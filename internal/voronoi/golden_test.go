@@ -27,16 +27,7 @@ func goldenFlood(t *testing.T, g *graph.Graph, seeds []graph.VID, ranks int, q r
 		t.Fatal(err)
 	}
 	c := rt.MustNew(rt.Config{Ranks: ranks, Queue: q}, part)
-	c.EnsureShards(g)
-	slabs := EnsureSlabs(c, g)
-	stats := make([]rt.TraversalStats, ranks)
-	c.Run(func(r *rt.Rank) {
-		if bsp {
-			stats[r.ID()] = RunRankBSP(r, seeds)
-		} else {
-			stats[r.ID()] = RunRank(r, seeds)
-		}
-	})
+	slabs, stats := runFlood(c, g, seeds, bsp)
 	var got floodCounts
 	for _, st := range stats {
 		got.sent += st.Sent

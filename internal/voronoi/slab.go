@@ -5,10 +5,7 @@ import (
 
 	"dsteiner/internal/graph"
 	"dsteiner/internal/partition"
-	rt "dsteiner/internal/runtime"
 )
-
-var _ rt.StateSlab = (*StateSlab)(nil)
 
 // StateSlab is one rank's local share of the Voronoi control state: the
 // (src, pred, dist) entry of every vertex in the rank's owned range, stored
@@ -19,7 +16,9 @@ var _ rt.StateSlab = (*StateSlab)(nil)
 // CONGEST-model Steiner constructions keep all per-vertex labels local to
 // the owning node. After slabs, a rank's working set is exactly its shard
 // (adjacency), its slab (control state) and its mailbox: the state a
-// multi-process backend ships to each process.
+// multi-process backend ships to each process. The runtime carries the
+// shard and the mailbox; the slab is held by the caller (core's rank host
+// pools one per hosted rank) and handed to RunRank.
 //
 // Alongside the owned rows the slab keeps two smaller regions:
 //
@@ -33,7 +32,7 @@ var _ rt.StateSlab = (*StateSlab)(nil)
 //     this vertex's predecessor chain" bits of Alg. 6, previously a shared
 //     O(|V|) bitmap in core.Engine.
 //
-// All regions are epoch-versioned like State: Reset invalidates everything
+// All regions are epoch-versioned: Reset invalidates everything
 // in O(1), making slabs pool-able across the queries of a long-lived
 // engine. Entries of non-owned vertices do not exist here — an access
 // panics, because it means traversal routing is broken (like
@@ -67,7 +66,7 @@ type slabRow struct {
 // NewStateSlab builds rank's slab over its owned range [lo, hi). sh, when
 // non-nil, is the rank's shard over the same range: the slab gets one ghost
 // row per ghost slot. A slab built without a shard has no ghost rows: it
-// can hold state, but run refuses it on a multi-rank shard.
+// can hold state, but RunRank refuses it on a multi-rank shard.
 func NewStateSlab(rank int, lo, hi graph.VID, sh *graph.Shard) *StateSlab {
 	rows := graph.NewRowIndex(lo, hi)
 	var ghost []slabRow
@@ -89,82 +88,24 @@ func NewStateSlab(rank int, lo, hi graph.VID, sh *graph.Shard) *StateSlab {
 	}
 }
 
-// BuildSlabs cuts one StateSlab per rank from the plan — the control-state
-// counterpart of ShardPlan.BuildShards. shards, when non-nil, supplies each
-// rank's shard (see NewStateSlab); pass nil to build standalone slabs.
+// BuildSlabs builds one StateSlab over each shard the plan cut — the
+// control-state counterpart of ShardPlan.BuildShards.
 func BuildSlabs(plan *partition.ShardPlan, shards []*graph.Shard) []*StateSlab {
-	slabs := make([]*StateSlab, plan.NumRanks())
-	for rank := range slabs {
-		var sh *graph.Shard
-		if shards != nil {
-			sh = shards[rank]
-		}
-		lo, hi := plan.Range(rank)
-		slabs[rank] = NewStateSlab(rank, lo, hi, sh)
+	return shardSlabs(plan.Partition(), shards)
+}
+
+// shardSlabs builds a StateSlab over each shard, in order.
+func shardSlabs(part *partition.Partition, shards []*graph.Shard) []*StateSlab {
+	slabs := make([]*StateSlab, len(shards))
+	for i, sh := range shards {
+		lo, hi := part.Range(sh.Rank())
+		slabs[i] = NewStateSlab(sh.Rank(), lo, hi, sh)
 	}
 	return slabs
 }
-
-// AttachSlabs builds slabs from the plan and attaches them to c. Returns
-// the slabs for callers that read converged state afterwards (Collect).
-func AttachSlabs(c *rt.Comm, plan *partition.ShardPlan, shards []*graph.Shard) ([]*StateSlab, error) {
-	slabs := BuildSlabs(plan, shards)
-	generic := make([]rt.StateSlab, len(slabs))
-	for i, sl := range slabs {
-		generic[i] = sl
-	}
-	if err := c.AttachStateSlabs(generic); err != nil {
-		return nil, err
-	}
-	return slabs, nil
-}
-
-// EnsureSlabs attaches freshly built slabs cut by c's partition if none are
-// attached yet, and returns the attached slabs either way. Convenience for
-// callers (tests, Compute) that build a Comm directly; core.Engine builds
-// its own slabs next to its shards. Panics on inconsistency, like
-// Comm.EnsureShards.
-func EnsureSlabs(c *rt.Comm, g *graph.Graph) []*StateSlab {
-	if c.StateAttached() {
-		attached := c.StateSlabs()
-		slabs := make([]*StateSlab, len(attached))
-		for i, sl := range attached {
-			slabs[i] = sl.(*StateSlab)
-		}
-		return slabs
-	}
-	plan, err := partition.NewShardPlan(c.Partition(), g)
-	if err != nil {
-		panic(err)
-	}
-	// Reuse the attached shards' row indices when present, so each rank's
-	// adjacency and state share one vertex→row mapping.
-	slabs, err := AttachSlabs(c, plan, c.Shards())
-	if err != nil {
-		panic(err)
-	}
-	return slabs
-}
-
-// SlabOf returns r's attached StateSlab. It panics when no slab (or a
-// foreign slab type) is attached — the caller is running the slab-state
-// path on a communicator that was never given control state, a wiring bug.
-func SlabOf(r *rt.Rank) *StateSlab {
-	sl, ok := r.StateSlab().(*StateSlab)
-	if !ok {
-		panic("voronoi: rank has no StateSlab; call Comm.AttachStateSlabs (voronoi.AttachSlabs/EnsureSlabs) before Run")
-	}
-	return sl
-}
-
-// Rank returns the rank this slab belongs to.
-func (sl *StateSlab) Rank() int { return sl.rank }
 
 // NumOwned returns the number of owned-vertex rows.
 func (sl *StateSlab) NumOwned() int { return sl.rows.Len() }
-
-// Owns reports whether v's authoritative state lives in this slab.
-func (sl *StateSlab) Owns(v graph.VID) bool { return sl.rows.Row(v) >= 0 }
 
 // Reset invalidates every owned row, ghost row and walk mark in
 // O(1) by advancing the epochs. Call between queries; must not be called

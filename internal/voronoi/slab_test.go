@@ -57,7 +57,7 @@ func TestStateSlabZeroOwnedVertices(t *testing.T) {
 	if sl.NumOwned() != 0 {
 		t.Fatalf("dims = %d owned", sl.NumOwned())
 	}
-	if sl.Owns(0) || sl.Owns(7) {
+	if sl.rows.Row(0) >= 0 || sl.rows.Row(7) >= 0 {
 		t.Fatal("empty slab claims ownership")
 	}
 	if sl.MemoryBytes() != 0 {
@@ -87,18 +87,6 @@ func TestBuildSlabsSharesShardRowIndex(t *testing.T) {
 		}
 		if lo, hi := plan.Range(rank); sl.NumOwned() != int(hi-lo) {
 			t.Fatalf("rank %d: slab %d rows for range [%d,%d)", rank, sl.NumOwned(), lo, hi)
-		}
-	}
-
-	// EnsureSlabs on a sharded Comm must match the attached shards' indices
-	// too.
-	c := rt.MustNew(rt.Config{Ranks: 3, Queue: rt.QueuePriority}, part)
-	c.EnsureShards(g)
-	ensured := EnsureSlabs(c, g)
-	attached := c.Shards()
-	for rank, sl := range ensured {
-		if sl.rows != attached[rank].Rows() {
-			t.Fatalf("rank %d: EnsureSlabs rows %v, shard rows %v", rank, sl.rows, attached[rank].Rows())
 		}
 	}
 }
@@ -205,17 +193,17 @@ func TestCollectMergesSlabs(t *testing.T) {
 	}
 }
 
-// TestSlabOfPanicsWithoutAttach pins the loud failure mode for running the
-// slab-state path on a communicator that never attached control state.
-func TestSlabOfPanicsWithoutAttach(t *testing.T) {
-	part, _ := partition.NewBlock(10, 1)
-	c := rt.MustNew(rt.Config{Ranks: 1}, part)
+// TestRunRankRefusesForeignSlab pins the loud failure mode for handing a
+// rank a slab that was not built over its own shard.
+func TestRunRankRefusesForeignSlab(t *testing.T) {
+	g := randomConnected(5, 40, 9)
+	c := newComm(t, 40, 2, rt.QueueFIFO)
+	c.EnsureShards(g)
+	slabs := shardSlabs(c.Partition(), c.Shards())
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SlabOf without attached slabs did not panic")
+			t.Fatal("RunRank accepted another rank's slab")
 		}
 	}()
-	c.Run(func(r *rt.Rank) {
-		SlabOf(r)
-	})
+	c.Run(func(r *rt.Rank) { RunRank(r, slabs[1-r.ID()], []graph.VID{0}, false) })
 }

@@ -30,96 +30,58 @@ import (
 )
 
 // State is the shared-array form of the per-vertex Voronoi state: one
-// array indexed by global VID, entries partitioned by ownership (only the
-// owner rank of v may touch v's entry while a traversal is running). A
-// seed s has Src(s) = s, Pred(s) = s, Dist(s) = 0. Vertices unreached
-// (disconnected from all seeds) report Src = NilVID, Dist = InfDist.
+// array indexed by global VID. A seed s has Src(s) = s, Pred(s) = s,
+// Dist(s) = 0. Vertices unreached (disconnected from all seeds) report
+// Src = NilVID, Pred = NilVID, Dist = InfDist.
 //
 // The solver keeps this state in rank-local StateSlabs instead (owned
-// vertices only); State is what the Sequential oracle fills, and the
-// collected global view Compute and Collect return.
-//
-// Entries are epoch-versioned: an entry is valid only while
-// epoch[v] == cur, so Reset invalidates the whole state in O(1) instead of
-// re-filling three O(n) arrays. That is what makes State pool-able across
-// queries of a long-lived solver session (core.Engine): per-query work is
-// proportional to the vertices the query actually touches, not to |V|.
+// vertices only); a State is filled once, by the Sequential oracle or by
+// Collect, the global view Compute returns.
 type State struct {
-	src   []graph.VID
-	pred  []graph.VID
-	dist  []graph.Dist
-	epoch []uint64
-	cur   uint64
+	src  []graph.VID
+	pred []graph.VID
+	dist []graph.Dist
 }
 
-// NewState allocates initialized (unreached) state for n vertices.
+// NewState allocates unreached state for n vertices.
 func NewState(n int) *State {
-	return &State{
-		src:   make([]graph.VID, n),
-		pred:  make([]graph.VID, n),
-		dist:  make([]graph.Dist, n),
-		epoch: make([]uint64, n),
-		cur:   1,
+	st := &State{
+		src:  make([]graph.VID, n),
+		pred: make([]graph.VID, n),
+		dist: make([]graph.Dist, n),
 	}
+	for v := range st.src {
+		st.src[v], st.pred[v], st.dist[v] = graph.NilVID, graph.NilVID, graph.InfDist
+	}
+	return st
 }
 
 // Len returns the number of vertices the state covers.
 func (st *State) Len() int { return len(st.src) }
 
-// Reset invalidates every entry in O(1) by advancing the epoch. Call
-// between queries; must not be called while a traversal is running.
-func (st *State) Reset() { st.cur++ }
+// Reached reports whether v has an entry.
+func (st *State) Reached(v graph.VID) bool { return st.src[v] != graph.NilVID }
 
-// Reached reports whether v has a valid (current-epoch) entry.
-func (st *State) Reached(v graph.VID) bool { return st.epoch[v] == st.cur }
-
-// Src returns v's cell seed, or NilVID if v is unreached this epoch.
-func (st *State) Src(v graph.VID) graph.VID {
-	if st.epoch[v] != st.cur {
-		return graph.NilVID
-	}
-	return st.src[v]
-}
+// Src returns v's cell seed, or NilVID if v is unreached.
+func (st *State) Src(v graph.VID) graph.VID { return st.src[v] }
 
 // Pred returns v's shortest-path predecessor, or NilVID if unreached.
-func (st *State) Pred(v graph.VID) graph.VID {
-	if st.epoch[v] != st.cur {
-		return graph.NilVID
-	}
-	return st.pred[v]
-}
+func (st *State) Pred(v graph.VID) graph.VID { return st.pred[v] }
 
 // Dist returns v's distance to its cell seed, or InfDist if unreached.
-func (st *State) Dist(v graph.VID) graph.Dist {
-	if st.epoch[v] != st.cur {
-		return graph.InfDist
-	}
-	return st.dist[v]
-}
+func (st *State) Dist(v graph.VID) graph.Dist { return st.dist[v] }
 
-// Get returns v's full (src, pred, dist) entry with a single epoch check,
-// yielding the unreached sentinel triple when stale.
+// Get returns v's full (src, pred, dist) entry: the unreached sentinel
+// triple when v has none.
 func (st *State) Get(v graph.VID) (src, pred graph.VID, dist graph.Dist) {
-	if st.epoch[v] != st.cur {
-		return graph.NilVID, graph.NilVID, graph.InfDist
-	}
 	return st.src[v], st.pred[v], st.dist[v]
 }
 
-// Set installs v's entry and stamps it with the current epoch. Only v's
-// owner rank may call this while a traversal is running.
+// Set installs v's entry.
 func (st *State) Set(v graph.VID, src, pred graph.VID, dist graph.Dist) {
-	st.epoch[v] = st.cur
 	st.src[v] = src
 	st.pred[v] = pred
 	st.dist[v] = dist
-}
-
-// MemoryBytes reports the state's footprint (Fig. 8 accounting), including
-// the epoch array that buys O(1) reuse.
-func (st *State) MemoryBytes() int64 {
-	return int64(len(st.src))*4 + int64(len(st.pred))*4 + int64(len(st.dist))*8 +
-		int64(len(st.epoch))*8
 }
 
 // offerBetter implements the deterministic total order on (dist, seed,
@@ -146,28 +108,17 @@ func offerBetter(nd graph.Dist, ns, np graph.VID, od graph.Dist, os, op graph.VI
 const labelInstalled uint8 = 1
 
 // RunRank executes the Voronoi-cell traversal on one rank (call inside
-// Comm.Run alongside the other ranks). It returns the rank's traversal work
-// counters. State is the rank's attached StateSlab (Comm.AttachStateSlabs /
-// voronoi.AttachSlabs): each rank reads and writes only the entries of
-// vertices it owns, and remote entries are reached exclusively through
-// mailbox relaxation messages.
+// Comm.Run alongside the other ranks) and returns the rank's traversal work
+// counters. sl is the rank's own StateSlab, built over its shard and reset
+// by the caller between queries: each rank reads and writes only the
+// entries of vertices it owns, and remote entries are reached exclusively
+// through mailbox relaxation messages. bsp runs the flood in
+// bulk-synchronous supersteps instead of asynchronously — the §IV
+// async-vs-BSP ablation.
 //
 // Adjacency comes from the rank's local shard (graph.Shard.RowArcs), never
-// the global CSR: the communicator must have shards
-// attached (Comm.AttachShards or Comm.EnsureShards) before Run.
-func RunRank(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
-	return run(r, seeds, false)
-}
-
-// RunRankBSP is RunRank under bulk-synchronous supersteps instead of
-// asynchronous processing — the §IV async-vs-BSP ablation.
-func RunRankBSP(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
-	return run(r, seeds, true)
-}
-
-// run is the rank-local hot path: each rank walks its own CSR slab and
-// keeps control state in its own StateSlab; neither the global CSR nor a
-// shared state array is consulted.
+// the global CSR: the communicator must have shards attached
+// (Comm.AttachShards or Comm.EnsureShards) before Run.
 //
 // Rows hold tentative labels (HavoqGT's pre_visit/visit split): a row is
 // written when an offer for it is made — by the scan for a target the rank
@@ -197,11 +148,10 @@ func RunRankBSP(r *rt.Rank, seeds []graph.VID) rt.TraversalStats {
 // Sequential's: every comparison is the same strict offerBetter, and the
 // label a row converges to is expanded exactly once, so every neighbour
 // receives the same final offers.
-func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
-	sl := SlabOf(r)
+func RunRank(r *rt.Rank, sl *StateSlab, seeds []graph.VID, bsp bool) rt.TraversalStats {
 	sh := r.Shard()
-	if sh == nil || sh.NumGhosts() != len(sl.ghost) {
-		panic("voronoi: the rank's StateSlab was not built from its shard (NewStateSlab, BuildSlabs)")
+	if sh == nil || sl.rank != r.ID() || sh.NumGhosts() != len(sl.ghost) {
+		panic("voronoi: the StateSlab was not built from the rank's shard (NewStateSlab, BuildSlabs)")
 	}
 	send := sl.offerSender(r)
 	// installed queues the expansion of a label just written into owned row
@@ -305,19 +255,19 @@ func (sl *StateSlab) offerSender(r *rt.Rank) func(r *rt.Rank, ref int32, from, s
 	}
 }
 
-// Compute runs the Voronoi-cell phase standalone on a fresh traversal over
-// the given communicator and returns the converged state collected into the
+// Compute runs the Voronoi-cell phase standalone over the given
+// communicator and returns the converged state collected into the
 // shared-form view (convenience for tests, Table I and examples; the
-// Steiner solver calls RunRank inside its own SPMD body). Shards and state
-// slabs are built from g on first use if the communicator has none
-// attached; attached slabs are reset, so repeated Computes on one Comm
-// reuse them.
+// Steiner solver calls RunRank inside its own SPMD body). Shards are built
+// from g on first use if the communicator has none attached; every call
+// builds fresh state slabs over them, so repeated Computes on one Comm
+// answer independently.
 func Compute(c *rt.Comm, g *graph.Graph, seeds []graph.VID) *State {
 	c.EnsureShards(g)
-	slabs := EnsureSlabs(c, g)
-	c.ResetStateSlabs()
+	slabs := shardSlabs(c.Partition(), c.Shards())
+	lo, _ := c.HostRange()
 	c.Run(func(r *rt.Rank) {
-		RunRank(r, seeds)
+		RunRank(r, slabs[r.ID()-lo], seeds, false)
 	})
 	return Collect(slabs, g.NumVertices())
 }

@@ -47,6 +47,16 @@ func newComm(t testing.TB, n, ranks int, q rt.QueueKind) *rt.Comm {
 	return rt.MustNew(rt.Config{Ranks: ranks, Queue: q}, part)
 }
 
+// runFlood floods g from seeds over fresh slabs on c's shards (cut from g
+// unless attached) and returns the slabs and each rank's work counters.
+func runFlood(c *rt.Comm, g *graph.Graph, seeds []graph.VID, bsp bool) ([]*StateSlab, []rt.TraversalStats) {
+	c.EnsureShards(g)
+	slabs := shardSlabs(c.Partition(), c.Shards())
+	stats := make([]rt.TraversalStats, len(slabs))
+	c.Run(func(r *rt.Rank) { stats[r.ID()] = RunRank(r, slabs[r.ID()], seeds, bsp) })
+	return slabs, stats
+}
+
 func TestSequentialMatchesSSSPOracle(t *testing.T) {
 	g := randomConnected(3, 300, 40)
 	seeds := []graph.VID{7, 100, 250}
@@ -204,15 +214,7 @@ func TestShardedMatchesGlobalReference(t *testing.T) {
 						for _, shuffle := range shuffles {
 							cs := rt.MustNew(rt.Config{Ranks: ranks, Queue: q,
 								ShuffleDelivery: shuffle != 0, ShuffleSeed: shuffle}, makePart(kind, ranks))
-							cs.EnsureShards(g)
-							slabs := EnsureSlabs(cs, g)
-							cs.Run(func(r *rt.Rank) {
-								if bsp {
-									RunRankBSP(r, seeds)
-								} else {
-									RunRank(r, seeds)
-								}
-							})
+							slabs, _ := runFlood(cs, g, seeds, bsp)
 							got := Collect(slabs, n)
 							for v := 0; v < n; v++ {
 								gs, gp, gd := got.Get(graph.VID(v))
@@ -272,14 +274,7 @@ func TestBSPMatchesAsync(t *testing.T) {
 	want := Sequential(g, seeds)
 	part, _ := partition.NewBlock(250, 4)
 	c := rt.MustNew(rt.Config{Ranks: 4, Queue: rt.QueueFIFO}, part)
-	c.EnsureShards(g)
-	slabs := EnsureSlabs(c, g)
-	c.Run(func(r *rt.Rank) {
-		// Run the same visitor logic under BSP via RunRank's building
-		// blocks: reuse Compute-style traversal but in BSP mode through
-		// a manual traversal.
-		RunRankBSP(r, seeds)
-	})
+	slabs, _ := runFlood(c, g, seeds, true)
 	st := Collect(slabs, g.NumVertices())
 	for v := 0; v < g.NumVertices(); v++ {
 		if st.Dist(graph.VID(v)) != want.Dist(graph.VID(v)) || st.Src(graph.VID(v)) != want.Src(graph.VID(v)) {
@@ -289,52 +284,33 @@ func TestBSPMatchesAsync(t *testing.T) {
 	}
 }
 
-func TestStateMemoryBytes(t *testing.T) {
-	st := NewState(100)
-	if got := st.MemoryBytes(); got != 100*(4+4+8+8) {
-		t.Fatalf("MemoryBytes = %d", got)
-	}
-}
-
-func TestStateResetInvalidatesInO1(t *testing.T) {
-	st := NewState(10)
-	st.Set(3, 1, 2, 7)
-	if !st.Reached(3) || st.Src(3) != 1 || st.Pred(3) != 2 || st.Dist(3) != 7 {
-		t.Fatalf("entry not readable: %v %v %v", st.Src(3), st.Pred(3), st.Dist(3))
-	}
-	st.Reset()
-	if st.Reached(3) {
-		t.Fatal("entry survived Reset")
-	}
-	if s, p, d := st.Get(3); s != graph.NilVID || p != graph.NilVID || d != graph.InfDist {
-		t.Fatalf("stale entry visible after Reset: (%d,%d,%d)", s, p, d)
-	}
-}
-
 func TestStateReuseAcrossQueriesMatchesFresh(t *testing.T) {
 	// One pooled slab set driven through several different seed sets must
-	// produce exactly the fixed point fresh slabs produce: stale entries
-	// from earlier epochs must be invisible.
+	// produce exactly Sequential's fixed point: stale entries from earlier
+	// epochs must be invisible. Compute, called once per seed set on one
+	// started communicator as the benchmark ladder calls it, floods over
+	// slabs of its own each time and must match too.
 	g := randomConnected(17, 300, 25)
 	rng := rand.New(rand.NewSource(18))
-	part, _ := partition.NewBlock(300, 4)
-	c := rt.MustNew(rt.Config{Ranks: 4, Queue: rt.QueuePriority}, part)
+	c := newComm(t, 300, 4, rt.QueuePriority)
 	c.EnsureShards(g)
-	slabs := EnsureSlabs(c, g)
+	slabs := shardSlabs(c.Partition(), c.Shards())
+	computed := newComm(t, 300, 2, rt.QueuePriority)
+	computed.Start()
+	defer computed.Close()
 	for q := 0; q < 5; q++ {
 		seeds := pickSeeds(rng, g.NumVertices(), 2+q)
-		c.ResetStateSlabs()
-		c.Run(func(r *rt.Rank) {
-			RunRank(r, seeds)
-		})
-		pooled := Collect(slabs, g.NumVertices())
-		fresh := Compute(newComm(t, 300, 4, rt.QueuePriority), g, seeds)
-		for v := 0; v < g.NumVertices(); v++ {
-			gs, gp, gd := pooled.Get(graph.VID(v))
-			ws, wp, wd := fresh.Get(graph.VID(v))
-			if gs != ws || gp != wp || gd != wd {
-				t.Fatalf("query %d vertex %d: pooled (%d,%d,%d), fresh (%d,%d,%d)",
-					q, v, gs, gp, gd, ws, wp, wd)
+		for _, sl := range slabs {
+			sl.Reset()
+		}
+		c.Run(func(r *rt.Rank) { RunRank(r, slabs[r.ID()], seeds, false) })
+		want := Sequential(g, seeds)
+		for name, got := range map[string]*State{"pooled": Collect(slabs, g.NumVertices()), "Compute": Compute(computed, g, seeds)} {
+			for v := graph.VID(0); int(v) < g.NumVertices(); v++ {
+				gs, gp, gd := got.Get(v)
+				if ws, wp, wd := want.Get(v); gs != ws || gp != wp || gd != wd {
+					t.Fatalf("query %d vertex %d: %s (%d,%d,%d), Sequential (%d,%d,%d)", q, v, name, gs, gp, gd, ws, wp, wd)
+				}
 			}
 		}
 	}
@@ -344,17 +320,10 @@ func TestWorkCountersReported(t *testing.T) {
 	g := randomConnected(31, 150, 10)
 	part, _ := partition.NewBlock(150, 2)
 	c := rt.MustNew(rt.Config{Ranks: 2, Queue: rt.QueuePriority}, part)
-	c.EnsureShards(g)
-	EnsureSlabs(c, g)
+	_, stats := runFlood(c, g, []graph.VID{0, 100}, false)
 	var totalProcessed int64
-	done := make(chan int64, 2)
-	c.Run(func(r *rt.Rank) {
-		s := RunRank(r, []graph.VID{0, 100})
-		done <- s.Processed
-	})
-	close(done)
-	for p := range done {
-		totalProcessed += p
+	for _, s := range stats {
+		totalProcessed += s.Processed
 	}
 	if got := c.Stats().Processed; got != totalProcessed || got == 0 {
 		t.Fatalf("per-rank sum %d != comm counter %d", totalProcessed, got)
@@ -381,13 +350,10 @@ func TestVisitsBoundedByLabelImprovements(t *testing.T) {
 	seeds := pickSeeds(rand.New(rand.NewSource(6)), n, 16)
 	for _, ranks := range []int{1, 2} {
 		c := newComm(t, n, ranks, rt.QueuePriority)
-		c.EnsureShards(g)
-		slabs := EnsureSlabs(c, g)
-		processed := make([]int64, ranks)
-		c.Run(func(r *rt.Rank) { processed[r.ID()] = RunRank(r, seeds).Processed })
+		slabs, stats := runFlood(c, g, seeds, false)
 		visits, reached := int64(0), int64(0)
 		for i, sl := range slabs {
-			visits += processed[i]
+			visits += stats[i].Processed
 			sl.EachReached(func(graph.VID, graph.VID, graph.VID, graph.Dist) { reached++ })
 		}
 		if reached != int64(n) {
@@ -414,11 +380,8 @@ func TestCrossRankSendsBoundedByGhostRows(t *testing.T) {
 	n := g.NumVertices()
 	seeds := pickSeeds(rand.New(rand.NewSource(6)), n, 16)
 	c := newComm(t, n, 2, rt.QueuePriority)
-	c.EnsureShards(g)
-	slabs := EnsureSlabs(c, g)
-	sent := make([]int64, 2)
-	c.Run(func(r *rt.Rank) { sent[r.ID()] = RunRank(r, seeds).Sent })
-	total, arcs := sent[0]+sent[1], g.NumArcs()
+	slabs, stats := runFlood(c, g, seeds, false)
+	total, arcs := stats[0].Sent+stats[1].Sent, g.NumArcs()
 	if total == 0 || total >= arcs/3 {
 		t.Fatalf("two ranks sent %d messages on %d arcs: want under arcs/3 (and some)", total, arcs)
 	}
@@ -456,10 +419,7 @@ func TestPredOnlyImprovementIsNotRequeued(t *testing.T) {
 	}
 	for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
 		c := newComm(t, 6, 1, q)
-		c.EnsureShards(g)
-		slabs := EnsureSlabs(c, g)
-		var stats rt.TraversalStats
-		c.Run(func(r *rt.Rank) { stats = RunRank(r, []graph.VID{s}) })
+		slabs, stats := runFlood(c, g, []graph.VID{s}, false)
 		st := Collect(slabs, 6)
 		if src, pred, dist := st.Get(tt); src != s || pred != a || dist != 4 {
 			t.Fatalf("q=%v: t converged to (src %d, pred %d, dist %d), want (%d, %d, 4)", q, src, pred, dist, s, a)
@@ -467,8 +427,8 @@ func TestPredOnlyImprovementIsNotRequeued(t *testing.T) {
 		if st.Pred(x) != tt || st.Dist(x) != 5 {
 			t.Fatalf("q=%v: x converged to (pred %d, dist %d), want (%d, 5)", q, st.Pred(x), st.Dist(x), tt)
 		}
-		if stats.Processed != 6 {
-			t.Fatalf("q=%v: %d visits for 6 vertices: a predecessor-only improvement was queued", q, stats.Processed)
+		if stats[0].Processed != 6 {
+			t.Fatalf("q=%v: %d visits for 6 vertices: a predecessor-only improvement was queued", q, stats[0].Processed)
 		}
 	}
 }

@@ -13,8 +13,9 @@
 //     traversals),
 //   - the session-setup handshake: each worker receives its slice of the
 //     partition.ShardPlan — the range bounds and its ranks' CSR slab rows —
-//     plus the graph metadata needed to rebuild its graph.Shard and
-//     voronoi.StateSlab locally, never materializing the full CSR,
+//     plus the graph metadata needed to rebuild its graph.Shard locally
+//     (attached to its communicator) and the voronoi.StateSlab its rank
+//     host keeps beside it, never materializing the full CSR,
 //   - solve requests and encoded Results flowing back to the coordinator.
 //
 // The codec is deliberately dependency-free and defensive: every decoder
