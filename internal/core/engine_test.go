@@ -48,6 +48,17 @@ func pickEngineSeeds(rng *rand.Rand, n, k int) []graph.VID {
 // acceptance bar for the pooled epoch-versioned state, now held in per-rank
 // StateSlabs (owned rows + ghost rows + walk marks, all reset by one epoch
 // bump per slab): stale entries from earlier queries must never surface.
+// TestNewEngineRefusesOversizeBatch checks the runtime's bound on the
+// message batch size reaches the engine: NewEngine fails instead of sizing
+// send buffers from it.
+func TestNewEngineRefusesOversizeBatch(t *testing.T) {
+	g := engineTestGraph(53, 40)
+	if e, err := NewEngine(g, Options{Ranks: 2, BatchSize: 1 << 30}); err == nil {
+		e.Close()
+		t.Fatal("batch size 2^30 accepted")
+	}
+}
+
 func TestEngineReuseMatchesColdSolve(t *testing.T) {
 	g := engineTestGraph(42, 400)
 	opts := Default(4)

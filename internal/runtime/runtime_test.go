@@ -37,7 +37,12 @@ func TestConfigValidation(t *testing.T) {
 	if c.Config().BatchSize != 64 {
 		t.Fatalf("default batch size = %d, want 64", c.Config().BatchSize)
 	}
-	// A batch size decoded off the wire must not size the send buffers.
+}
+
+// TestNewRefusesOversizeBatch pins the bound on Config.BatchSize: a batch
+// size decoded off the wire must not size the send buffers.
+func TestNewRefusesOversizeBatch(t *testing.T) {
+	part, _ := partition.NewBlock(10, 2)
 	if _, err := New(Config{Ranks: 2, BatchSize: math.MaxInt32}, part); err == nil {
 		t.Fatal("batch size 2^31-1 accepted")
 	}

@@ -1,6 +1,7 @@
 package voronoi
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -287,31 +288,45 @@ func TestBSPMatchesAsync(t *testing.T) {
 func TestStateReuseAcrossQueriesMatchesFresh(t *testing.T) {
 	// One pooled slab set driven through several different seed sets must
 	// produce exactly Sequential's fixed point: stale entries from earlier
-	// epochs must be invisible. Compute, called once per seed set on one
-	// started communicator as the benchmark ladder calls it, floods over
-	// slabs of its own each time and must match too.
+	// epochs must be invisible.
 	g := randomConnected(17, 300, 25)
 	rng := rand.New(rand.NewSource(18))
 	c := newComm(t, 300, 4, rt.QueuePriority)
 	c.EnsureShards(g)
 	slabs := shardSlabs(c.Partition(), c.Shards())
-	computed := newComm(t, 300, 2, rt.QueuePriority)
-	computed.Start()
-	defer computed.Close()
 	for q := 0; q < 5; q++ {
 		seeds := pickSeeds(rng, g.NumVertices(), 2+q)
 		for _, sl := range slabs {
 			sl.Reset()
 		}
 		c.Run(func(r *rt.Rank) { RunRank(r, slabs[r.ID()], seeds, false) })
-		want := Sequential(g, seeds)
-		for name, got := range map[string]*State{"pooled": Collect(slabs, g.NumVertices()), "Compute": Compute(computed, g, seeds)} {
-			for v := graph.VID(0); int(v) < g.NumVertices(); v++ {
-				gs, gp, gd := got.Get(v)
-				if ws, wp, wd := want.Get(v); gs != ws || gp != wp || gd != wd {
-					t.Fatalf("query %d vertex %d: %s (%d,%d,%d), Sequential (%d,%d,%d)", q, v, name, gs, gp, gd, ws, wp, wd)
-				}
-			}
+		assertMatchesSequential(t, fmt.Sprintf("query %d", q), Collect(slabs, g.NumVertices()), g, seeds)
+	}
+}
+
+// TestComputeRepeatedOnOneCommMatchesSequential calls Compute once per seed
+// set on one started communicator, as the benchmark ladder calls it: each
+// call floods over slabs of its own and must match Sequential row for row.
+func TestComputeRepeatedOnOneCommMatchesSequential(t *testing.T) {
+	g := randomConnected(23, 300, 25)
+	rng := rand.New(rand.NewSource(24))
+	c := newComm(t, 300, 2, rt.QueuePriority)
+	c.Start()
+	defer c.Close()
+	for q := 0; q < 3; q++ {
+		seeds := pickSeeds(rng, g.NumVertices(), 2+3*q)
+		assertMatchesSequential(t, fmt.Sprintf("call %d", q), Compute(c, g, seeds), g, seeds)
+	}
+}
+
+// assertMatchesSequential fails t unless every row of got is Sequential's.
+func assertMatchesSequential(t *testing.T, what string, got *State, g *graph.Graph, seeds []graph.VID) {
+	t.Helper()
+	want := Sequential(g, seeds)
+	for v := graph.VID(0); int(v) < g.NumVertices(); v++ {
+		gs, gp, gd := got.Get(v)
+		if ws, wp, wd := want.Get(v); gs != ws || gp != wp || gd != wd {
+			t.Fatalf("%s vertex %d: (%d,%d,%d), Sequential (%d,%d,%d)", what, v, gs, gp, gd, ws, wp, wd)
 		}
 	}
 }
