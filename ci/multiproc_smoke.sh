@@ -26,6 +26,18 @@ cleanup() {
     kill "$pid" 2>/dev/null || true
   done
   wait 2>/dev/null || true
+  # The respawned rankd is not this shell's child, so wait cannot reap it:
+  # poll until every pid is gone, for about 5 s at most.
+  for _ in $(seq 1 50); do
+    local alive=0
+    for pid in "${pids[@]:-}"; do
+      if [ -n "$pid" ] && kill -0 "$pid" 2>/dev/null; then
+        alive=1
+      fi
+    done
+    [ "$alive" = 0 ] && break
+    sleep 0.1
+  done
   rm -rf "$workdir"
 }
 trap cleanup EXIT

@@ -87,7 +87,6 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 		cluster: &cluster{hub: hub},
 		plan:    plan,
 		shard:   shard,
-		seen:    make(map[graph.VID]bool),
 	}, nil
 }
 

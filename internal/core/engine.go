@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"dsteiner/internal/graph"
@@ -41,8 +40,7 @@ type Engine struct {
 	host    *rankHost
 	cluster *cluster
 
-	mu   sync.Mutex         // serializes Solve on this engine
-	seen map[graph.VID]bool // seed-validation scratch
+	mu sync.Mutex // serializes Solve on this engine
 }
 
 // NewEngine builds a reusable solver session for g. The returned Engine
@@ -137,7 +135,6 @@ func newEngine(g *graph.Graph, opts Options, plan *partition.ShardPlan, shards [
 		shards: shards,
 		shard:  shardStats(shards, slabs),
 		host:   newRankHost(comm, opts.BSP, slabs),
-		seen:   make(map[graph.VID]bool),
 	}, nil
 }
 
@@ -189,28 +186,15 @@ func (e *Engine) Options() Options { return e.opts }
 var ErrDuplicateSeed = errors.New("duplicate seed")
 
 // canonSeedSet validates seeds against an n-vertex graph and returns the
-// canonical query form: the same terminals sorted ascending. Duplicate
-// terminals are rejected with ErrDuplicateSeed. seen is the duplicate-check
-// scratch (cleared first); the returned slice is freshly allocated, so it
-// may be published in a Result without aliasing pooled state.
-func canonSeedSet(n int, seeds []graph.VID, seen map[graph.VID]bool) ([]graph.VID, error) {
+// canonical query form: the same terminals sorted ascending, with pos[i] the
+// input position of the i-th. Duplicate terminals are rejected with
+// ErrDuplicateSeed. The returned slices are freshly allocated, so they may be
+// published in a Result without aliasing pooled state.
+func canonSeedSet(n int, seeds []graph.VID) (canon []graph.VID, pos []int32, err error) {
 	if len(seeds) == 0 {
-		return nil, shapeErrorf("empty seed set")
+		return nil, nil, shapeErrorf("empty seed set")
 	}
-	clear(seen)
-	canon := make([]graph.VID, 0, len(seeds))
-	for _, s := range seeds {
-		if s < 0 || int(s) >= n {
-			return nil, fmt.Errorf("core: seed %d out of range [0,%d)", s, n)
-		}
-		if seen[s] {
-			return nil, fmt.Errorf("core: %w: %d appears more than once", ErrDuplicateSeed, s)
-		}
-		seen[s] = true
-		canon = append(canon, s)
-	}
-	slices.Sort(canon)
-	return canon, nil
+	return sortedTerminals(n, [][]graph.VID{seeds}, false)
 }
 
 // Solve computes a 2-approximate Steiner minimal tree of the resident graph
@@ -231,7 +215,7 @@ func (e *Engine) Solve(seeds []graph.VID) (*Result, error) {
 func (e *Engine) SolveSpec(spec QuerySpec) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cq, err := canonSpec(e.g.NumVertices(), spec, e.seen)
+	cq, err := canonSpec(e.g.NumVertices(), spec)
 	if err != nil {
 		return nil, err
 	}

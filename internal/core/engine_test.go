@@ -221,7 +221,7 @@ func TestEngineSingleSeed(t *testing.T) {
 // TestValidateSeedSet checks canonSeedSet, Solve's seed-set rules.
 func TestValidateSeedSet(t *testing.T) {
 	validate := func(seeds []graph.VID) error {
-		_, err := canonSeedSet(10, seeds, map[graph.VID]bool{})
+		_, _, err := canonSeedSet(10, seeds)
 		return err
 	}
 	if err := validate([]graph.VID{3, 1, 2}); err != nil {

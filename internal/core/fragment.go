@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"dsteiner/internal/graph"
 	"dsteiner/internal/mst"
@@ -171,7 +170,7 @@ func (env *solveEnv) fragmentRoute(r *rt.Rank, localEN []crossRec, fs *fragStats
 }
 
 // fragmentMST is the fragment merge's phase 4: Borůvka/GHS rounds over the
-// rank-sharded table. Each rank sorts its shard once under the (D, key)
+// rank-sharded table. Each rank radix-sorts its shard once into the (D, key)
 // total order, so a fragment's best outgoing edge in a round is its first
 // live entry; an entry found dead — both ends in one fragment, or on a prize
 // query a skipped end — is compacted out and never tested again. The
@@ -184,7 +183,12 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned []crossRec, fs *fragStats) bo
 	if total := r.AllreduceSumInt64(int64(len(owned))); r.ID() == 0 {
 		res.DistGraphEdges = int(total)
 	}
-	slices.SortFunc(owned, compareCross)
+	// compareCross's (D, key) order, radix-sorted least significant field
+	// first. Dense indices order as the key's seeds do, and a·k + b spans
+	// fewer bytes than the key's two VIDs; D is never negative.
+	kk := uint64(k)
+	graph.SortByKey(owned, &sc.crossScratch, func(e crossRec) uint64 { return uint64(e.a)*kk + uint64(e.b) })
+	graph.SortByKey(owned, &sc.crossScratch, func(e crossRec) uint64 { return uint64(e.D) })
 	// kept counts the terminals the chosen edges must join: all of them, or
 	// the prize plan's keep set, which only rank 0 (holding the whole table)
 	// knows — elsewhere keep stays nil, over an empty shard.

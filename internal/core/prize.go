@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"dsteiner/internal/graph"
@@ -22,10 +23,19 @@ import (
 // budget is exhausted. Growth stops when at most one active moat remains
 // (growMoats says exactly when an edge fires). The laminar family of every
 // component the growth ever forms — singletons included, plus the full
-// terminal set — is then evaluated exactly (restricted-MST cost + penalties
-// of the excluded terminals) and the cheapest feasible subset wins.
-// Singleton subsets are always feasible, so the plan always keeps at least
-// one terminal.
+// terminal set — is then scored exactly (restricted-MST cost + penalties
+// of the excluded terminals) and the cheapest feasible subset wins, the
+// earliest candidate on a tie. Singleton subsets are always feasible, so the
+// plan always keeps at least one terminal.
+//
+// The selection scores the candidates from last to first, so the large
+// late moats set a low bar early, and bounds each score by the best
+// objective found so far: a candidate whose outside penalties alone exceed
+// it is skipped, and its Kruskal pass stops once the cost so far, plus the
+// current weight for every edge still missing, exceeds what is left. A
+// candidate that only ties the best still replaces it, since it comes
+// earlier. The keep set is the unbounded forward scan's
+// (TestPrizePlanMatchesScan).
 //
 // edges carries dense terminal indices (0..nT-1); penalty is parallel to
 // the dense ordering and sums to at most MaxPenaltySum. The returned slice
@@ -42,25 +52,20 @@ func prizePlan(nT int, edges []mst.WEdge, penalty []graph.Dist) []bool {
 	}
 	candidates := growMoats(nT, sorted, penalty, totalPen)
 
-	// Selection: exact objective per candidate subset — restricted-MST
-	// cost plus the penalties of everything outside it. Subsets the
-	// distance graph cannot span are infeasible and skipped.
 	inK := make([]bool, nT)
 	uf := make([]int32, nT)
-	var bestSet []int32
-	bestObj := int64(0)
-	for _, cand := range candidates {
-		cost, ok := restrictedMSTCost(sorted, cand, inK, uf)
-		if !ok {
-			continue
-		}
+	bestSet, bestObj := []int32(nil), int64(math.MaxInt64)
+	for c := len(candidates) - 1; c >= 0; c-- {
+		cand := candidates[c]
 		pen := totalPen
 		for _, i := range cand {
 			pen -= int64(penalty[i])
 		}
-		obj := cost + pen
-		if bestSet == nil || obj < bestObj {
-			bestObj, bestSet = obj, cand
+		if pen > bestObj {
+			continue
+		}
+		if cost, ok := boundedMSTCost(sorted, cand, bestObj-pen, inK, uf); ok {
+			bestObj, bestSet = cost+pen, cand
 		}
 	}
 	for _, i := range bestSet {
@@ -332,21 +337,27 @@ func (q *eventQueue) top(live func(planEvent) bool) (planEvent, bool) {
 	return planEvent{}, false
 }
 
-// restrictedMSTCost runs Kruskal over the weight-sorted distance-graph
-// edges restricted to the candidate subset. Reports the spanning cost, or
-// ok=false when the subset is not connected in the distance graph. inK and
-// uf are caller-provided scratch sized to the full terminal count.
-func restrictedMSTCost(sorted []mst.WEdge, cand []int32, inK []bool, uf []int32) (int64, bool) {
+// boundedMSTCost runs Kruskal over the (W, U, V)-sorted distance-graph
+// edges restricted to the candidate subset and reports its spanning cost.
+// ok is false when the subset is not connected in the distance graph, or
+// when its cost must exceed budget (≥ 0): edges come in weight order, so
+// each edge still missing costs at least the current one, and the pass
+// stops before the cost could pass budget. inK and uf are caller-provided
+// scratch sized to the full terminal count; inK must be all false and is
+// left so.
+func boundedMSTCost(sorted []mst.WEdge, cand []int32, budget int64, inK []bool, uf []int32) (int64, bool) {
 	if len(cand) == 1 {
 		return 0, true
-	}
-	for i := range inK {
-		inK[i] = false
 	}
 	for _, i := range cand {
 		inK[i] = true
 		uf[i] = i
 	}
+	defer func() {
+		for _, i := range cand {
+			inK[i] = false
+		}
+	}()
 	find := func(x int32) int32 {
 		for uf[x] != x {
 			uf[x] = uf[uf[x]]
@@ -354,10 +365,13 @@ func restrictedMSTCost(sorted []mst.WEdge, cand []int32, inK []bool, uf []int32)
 		}
 		return x
 	}
-	cost, joined := int64(0), 0
+	cost, missing := int64(0), int64(len(cand)-1)
 	for _, e := range sorted {
 		if !inK[e.U] || !inK[e.V] {
 			continue
+		}
+		if e.W > 0 && missing > (budget-cost)/int64(e.W) {
+			return 0, false // cost + missing·W > budget, without overflow
 		}
 		ru, rv := find(e.U), find(e.V)
 		if ru == rv {
@@ -365,8 +379,7 @@ func restrictedMSTCost(sorted []mst.WEdge, cand []int32, inK []bool, uf []int32)
 		}
 		uf[ru] = rv
 		cost += int64(e.W)
-		joined++
-		if joined == len(cand)-1 {
+		if missing--; missing == 0 {
 			return cost, true
 		}
 	}

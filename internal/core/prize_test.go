@@ -15,11 +15,13 @@ import (
 	"dsteiner/internal/voronoi"
 )
 
-// prizePlanScan is prizePlan as it was before the event queue, kept as the
-// oracle prizePlan must reproduce keep set for keep set; its code is moved
-// here verbatim, split at the seam between the growth (scanMoats) and the
-// selection. referenceSolve runs it, so every prize answer of
-// TestEngineMatchesSequentialReference compares the two.
+// prizePlanScan is prizePlan as it was before the event queue and the
+// bounded selection, kept as the oracle prizePlan must reproduce keep set
+// for keep set; its code is moved here verbatim, split at the seam between
+// the growth (scanMoats) and the selection, which scores every candidate in
+// order with the unbounded restrictedMSTCost. referenceSolve runs it, so
+// every prize answer of TestEngineMatchesSequentialReference compares the
+// two.
 func prizePlanScan(nT int, edges []mst.WEdge, penalty []graph.Dist) []bool {
 	keep := make([]bool, nT)
 	if nT == 0 {
@@ -70,6 +72,48 @@ func prizePlanScan(nT int, edges []mst.WEdge, penalty []graph.Dist) []bool {
 		keep[i] = true
 	}
 	return keep
+}
+
+// restrictedMSTCost is prizePlanScan's selection score: Kruskal over the
+// weight-sorted distance-graph edges restricted to the candidate subset,
+// with no bound. Reports the spanning cost, or ok=false when the subset is
+// not connected in the distance graph. inK and uf are caller-provided
+// scratch sized to the full terminal count.
+func restrictedMSTCost(sorted []mst.WEdge, cand []int32, inK []bool, uf []int32) (int64, bool) {
+	if len(cand) == 1 {
+		return 0, true
+	}
+	for i := range inK {
+		inK[i] = false
+	}
+	for _, i := range cand {
+		inK[i] = true
+		uf[i] = i
+	}
+	find := func(x int32) int32 {
+		for uf[x] != x {
+			uf[x] = uf[uf[x]]
+			x = uf[x]
+		}
+		return x
+	}
+	cost, joined := int64(0), 0
+	for _, e := range sorted {
+		if !inK[e.U] || !inK[e.V] {
+			continue
+		}
+		ru, rv := find(e.U), find(e.V)
+		if ru == rv {
+			continue
+		}
+		uf[ru] = rv
+		cost += int64(e.W)
+		joined++
+		if joined == len(cand)-1 {
+			return cost, true
+		}
+	}
+	return 0, false
 }
 
 // scanMoats is the growth of prizePlanScan, the reference for growMoats'
@@ -310,6 +354,31 @@ func TestPrizePlanMatchesScan(t *testing.T) {
 	}
 }
 
+// TestPrizePlanTieKeepsEarliest pins the selection's tie rule under its
+// last-to-first scan: of the candidates that tie on objective, the earliest
+// in growMoats' order wins, as it does in prizePlanScan's forward scan.
+func TestPrizePlanTieKeepsEarliest(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		nT      int
+		edges   []mst.WEdge
+		penalty []graph.Dist
+		keep    []bool
+	}{
+		// {0}, {1}, {0, 1} and the full set all cost 10: {0} comes first.
+		{"every candidate ties", 2, []mst.WEdge{{U: 0, V: 1, W: 10}}, []graph.Dist{10, 10}, []bool{true, false}},
+		// {2} costs the penalties of 0 and 1, 10; the merged moat {0, 1}
+		// costs its edge plus 2's penalty, also 10, but comes later.
+		{"a singleton ties a later moat", 3, []mst.WEdge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 100}},
+			[]graph.Dist{5, 5, 8}, []bool{false, false, true}},
+	} {
+		checkPlanMatchesScan(t, tc.name, tc.nT, tc.edges, tc.penalty)
+		if got := prizePlan(tc.nT, tc.edges, tc.penalty); !reflect.DeepEqual(got, tc.keep) {
+			t.Errorf("%s: keeps %v, want %v", tc.name, got, tc.keep)
+		}
+	}
+}
+
 // gridDistanceGraph floods k random terminals of a rows×cols grid (weights
 // 1–100, the grid-manyterm-modes shape) and returns the distance graph
 // prizePlan sees.
@@ -318,7 +387,7 @@ func gridDistanceGraph(tb testing.TB, rows, cols, k int, seed int64) (int, []mst
 	g := gen.Config{Name: "grid", Kind: gen.KindGrid2D, N: rows * cols, Rows: rows, Cols: cols,
 		MaxWeight: 100, Seed: seed}.MustBuild()
 	seeds := pickEngineSeeds(rand.New(rand.NewSource(seed)), g.NumVertices(), k)
-	cq, err := canonSpec(g.NumVertices(), TreeSpec(seeds), map[graph.VID]bool{})
+	cq, err := canonSpec(g.NumVertices(), TreeSpec(seeds))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -371,7 +440,11 @@ func FuzzPrizePlan(f *testing.F) {
 // BenchmarkPrizePlan times the plan alone on the distance graph of a
 // grid-manyterm-modes prize query: 1,024 terminals on the 128×256 grid,
 // penalties below 400. The graph, flood and table are built outside the
-// timer; the scan is the pre-event-queue growth, for comparison.
+// timer. prizePlan is the event-queue growth and the bounded last-to-first
+// selection; prizePlanScan, for comparison, is the oracle: the
+// pre-event-queue growth and one unbounded Kruskal pass per candidate.
+// The table comes unsorted, so both runs include its (W, U, V) sort, which
+// a solve's already sorted shard skips.
 func BenchmarkPrizePlan(b *testing.B) {
 	nT, edges := gridDistanceGraph(b, 128, 256, 1024, 1)
 	rng := rand.New(rand.NewSource(2))

@@ -16,10 +16,8 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 
 	"dsteiner/internal/graph"
 )
@@ -129,10 +127,10 @@ type canonQuery struct {
 // canonical solver form. Canonicalization rules: seeds sorted ascending
 // (penalties co-sorted); each forest group sorted ascending, groups ordered
 // by their smallest terminal. The same terminal may not appear twice, in or
-// across groups (ErrDuplicateSeed). seen is the duplicate-check scratch
-// (cleared first); all returned slices are freshly allocated, so they may be
-// published in a Result without aliasing pooled state.
-func canonSpec(n int, spec QuerySpec, seen map[graph.VID]bool) (canonQuery, error) {
+// across groups (ErrDuplicateSeed). All returned slices are freshly
+// allocated, so they may be published in a Result without aliasing pooled
+// state.
+func canonSpec(n int, spec QuerySpec) (canonQuery, error) {
 	switch spec.Mode {
 	case ModeTree:
 		if len(spec.Groups) > 0 {
@@ -141,7 +139,7 @@ func canonSpec(n int, spec QuerySpec, seen map[graph.VID]bool) (canonQuery, erro
 		if len(spec.Penalties) > 0 {
 			return canonQuery{}, shapeErrorf("tree query must not set penalties")
 		}
-		dedup, err := canonSeedSet(n, spec.Seeds, seen)
+		dedup, _, err := canonSeedSet(n, spec.Seeds)
 		if err != nil {
 			return canonQuery{}, err
 		}
@@ -154,52 +152,29 @@ func canonSpec(n int, spec QuerySpec, seen map[graph.VID]bool) (canonQuery, erro
 		if len(spec.Groups) == 0 {
 			return canonQuery{}, shapeErrorf("forest query needs at least one terminal group")
 		}
-		clear(seen)
-		total := 0
-		groups := make([][]graph.VID, len(spec.Groups))
-		for gi, grp := range spec.Groups {
-			if len(grp) == 0 {
-				return canonQuery{}, shapeErrorf("forest group %d is empty", gi)
-			}
-			cg := make([]graph.VID, 0, len(grp))
-			for _, s := range grp {
-				if s < 0 || int(s) >= n {
-					return canonQuery{}, fmt.Errorf("core: seed %d out of range [0,%d)", s, n)
-				}
-				if seen[s] {
-					return canonQuery{}, fmt.Errorf("core: %w: %d appears more than once", ErrDuplicateSeed, s)
-				}
-				seen[s] = true
-				cg = append(cg, s)
-			}
-			slices.Sort(cg)
-			groups[gi] = cg
-			total += len(cg)
+		dedup, tags, err := sortedTerminals(n, spec.Groups, true)
+		if err != nil {
+			return canonQuery{}, err
 		}
-		slices.SortFunc(groups, func(a, b []graph.VID) int { return cmp.Compare(a[0], b[0]) })
-		// Merge the sorted groups into the sorted terminal union; groups
-		// are disjoint, so a flat sort of (vid, group) pairs suffices.
-		type tagged struct {
-			v graph.VID
-			g int32
-		}
-		all := make([]tagged, 0, total)
-		for gi, grp := range groups {
-			for _, s := range grp {
-				all = append(all, tagged{s, int32(gi)})
+		// In terminal order every group fills sorted, and the groups come up
+		// in order of their smallest terminal: the canonical group order.
+		// canon[gi] is 1 + input group gi's canonical index, which then
+		// replaces gi in tags.
+		canon := make([]int32, len(spec.Groups))
+		groups := make([][]graph.VID, 0, len(spec.Groups))
+		for i, gi := range tags {
+			if canon[gi] == 0 {
+				groups = append(groups, make([]graph.VID, 0, len(spec.Groups[gi])))
+				canon[gi] = int32(len(groups))
 			}
-		}
-		slices.SortFunc(all, func(a, b tagged) int { return cmp.Compare(a.v, b.v) })
-		dedup := make([]graph.VID, len(all))
-		groupOf := make([]int32, len(all))
-		for i, t := range all {
-			dedup[i] = t.v
-			groupOf[i] = t.g
+			c := canon[gi] - 1
+			groups[c] = append(groups[c], dedup[i])
+			tags[i] = c
 		}
 		return canonQuery{
 			spec:    QuerySpec{Mode: ModeForest, Groups: groups},
 			dedup:   dedup,
-			groupOf: groupOf,
+			groupOf: tags,
 		}, nil
 
 	case ModePrize:
@@ -220,19 +195,13 @@ func canonSpec(n int, spec QuerySpec, seen map[graph.VID]bool) (canonQuery, erro
 			}
 			sum += p
 		}
-		dedup, err := canonSeedSet(n, spec.Seeds, seen)
+		dedup, pos, err := canonSeedSet(n, spec.Seeds)
 		if err != nil {
 			return canonQuery{}, err
 		}
-		// Co-sort penalties with the canonical seed order. Seeds are
-		// duplicate-free, so a vid→penalty map is unambiguous.
-		byVID := make(map[graph.VID]graph.Dist, len(spec.Seeds))
-		for i, s := range spec.Seeds {
-			byVID[s] = spec.Penalties[i]
-		}
-		penalty := make([]graph.Dist, len(dedup))
-		for i, s := range dedup {
-			penalty[i] = byVID[s]
+		penalty := make([]graph.Dist, len(dedup)) // co-sorted with the seeds
+		for i, p := range pos {
+			penalty[i] = spec.Penalties[p]
 		}
 		return canonQuery{
 			spec:    QuerySpec{Mode: ModePrize, Seeds: dedup, Penalties: penalty},
@@ -243,13 +212,74 @@ func canonSpec(n int, spec QuerySpec, seen map[graph.VID]bool) (canonQuery, erro
 	return canonQuery{}, shapeErrorf("unknown query mode %d", spec.Mode)
 }
 
+// sortedTerminals validates the terminals of groups against an n-vertex
+// graph and returns them sorted ascending, each with its tag: its group's
+// index when byGroup is set, else its position in its group. One radix sort
+// of (terminal, tag) words orders them, and duplicates are found next to
+// each other. Only a query that fails rescans its input, in input order
+// (terminalError), so the error names the same terminal or group an
+// input-order scan would.
+func sortedTerminals(n int, groups [][]graph.VID, byGroup bool) ([]graph.VID, []int32, error) {
+	total := 0
+	for _, grp := range groups {
+		total += len(grp)
+	}
+	words := make([]uint64, 0, total)
+	for gi, grp := range groups {
+		if len(grp) == 0 {
+			return nil, nil, terminalError(n, groups)
+		}
+		for i, s := range grp {
+			if s < 0 || int(s) >= n {
+				return nil, nil, terminalError(n, groups)
+			}
+			tag := i
+			if byGroup {
+				tag = gi
+			}
+			words = append(words, uint64(s)<<32|uint64(tag))
+		}
+	}
+	var scratch []uint64
+	graph.SortByKey(words, &scratch, func(w uint64) uint64 { return w })
+	terms, tags := make([]graph.VID, total), make([]int32, total)
+	for i, w := range words {
+		if i > 0 && w>>32 == words[i-1]>>32 {
+			return nil, nil, terminalError(n, groups)
+		}
+		terms[i], tags[i] = graph.VID(w>>32), int32(uint32(w))
+	}
+	return terms, tags, nil
+}
+
+// terminalError scans groups in input order and returns the first fault: an
+// empty group, a terminal outside [0, n) or one seen before (ErrDuplicateSeed).
+func terminalError(n int, groups [][]graph.VID) error {
+	seen := make(map[graph.VID]bool)
+	for gi, grp := range groups {
+		if len(grp) == 0 {
+			return shapeErrorf("forest group %d is empty", gi)
+		}
+		for _, s := range grp {
+			if s < 0 || int(s) >= n {
+				return fmt.Errorf("core: seed %d out of range [0,%d)", s, n)
+			}
+			if seen[s] {
+				return fmt.Errorf("core: %w: %d appears more than once", ErrDuplicateSeed, s)
+			}
+			seen[s] = true
+		}
+	}
+	return nil
+}
+
 // CanonicalSpec validates spec against an n-vertex graph and returns its
 // canonical form: seeds (and penalties) sorted, groups sorted internally and
 // ordered by smallest terminal. Two specs describing the same query always
 // canonicalize to identical values, and specs of different modes never do —
 // serving layers key solution caches on this form.
 func CanonicalSpec(n int, spec QuerySpec) (QuerySpec, error) {
-	cq, err := canonSpec(n, spec, make(map[graph.VID]bool, len(spec.Seeds)))
+	cq, err := canonSpec(n, spec)
 	if err != nil {
 		return QuerySpec{}, err
 	}
@@ -275,15 +305,15 @@ func finalizeResult(g *graph.Graph, cq canonQuery, res *Result) error {
 	switch cq.spec.Mode {
 	case ModeForest:
 		res.Groups = cq.spec.Groups
-		trees, err := splitGroupTrees(cq.spec.Groups, res.Tree)
+		trees, err := graph.ValidateSteinerForest(g, cq.spec.Groups, res.Tree)
 		if err != nil {
-			return fmt.Errorf("core: internal error, invalid output: %v", err)
+			return fmt.Errorf("core: internal error, invalid output: %w", err)
 		}
 		res.GroupTrees = trees
 		res.Objective = res.TotalDistance
-		for gi, grp := range cq.spec.Groups {
-			if err := check(grp, trees[gi]); err != nil {
-				return fmt.Errorf("core: internal error, invalid group %d subtree: %w", gi, err)
+		for gi, tree := range trees {
+			if len(tree) > 0 {
+				res.SteinerVertices += len(tree) + 1 - len(cq.spec.Groups[gi])
 			}
 		}
 	case ModePrize:
@@ -313,35 +343,4 @@ func finalizeResult(g *graph.Graph, cq canonQuery, res *Result) error {
 		}
 	}
 	return nil
-}
-
-// splitGroupTrees partitions a forest-mode result tree into per-group edge
-// lists, parallel to the canonical groups. The tree's connected components
-// are each claimed by the group whose terminals they contain; a component
-// touching two groups, or none, is a solver bug and returns an error.
-func splitGroupTrees(groups [][]graph.VID, tree []graph.Edge) ([][]graph.Edge, error) {
-	verts, comp := graph.EdgeComponents(tree)
-	claim := make([]int, len(verts)) // by component: 1 + the group claiming it
-	for gi, grp := range groups {
-		for _, t := range grp {
-			j, ok := slices.BinarySearch(verts, t)
-			if !ok {
-				continue // singleton group: no tree vertices needed
-			}
-			if c := claim[comp[j]]; c != 0 && c != gi+1 {
-				return nil, fmt.Errorf("tree component joins groups %d and %d", c-1, gi)
-			}
-			claim[comp[j]] = gi + 1
-		}
-	}
-	out := make([][]graph.Edge, len(groups))
-	for _, e := range tree {
-		j, _ := slices.BinarySearch(verts, e.U)
-		gi := claim[comp[j]] - 1
-		if gi < 0 {
-			return nil, fmt.Errorf("tree component through %d-%d contains no terminal", e.U, e.V)
-		}
-		out[gi] = append(out[gi], e)
-	}
-	return out, nil
 }

@@ -526,7 +526,7 @@ func TestFinalizeResultRejectsCorruptTree(t *testing.T) {
 			if len(res.Tree) < 2 || (spec.Mode == ModePrize && len(res.Skipped) == 0) {
 				t.Fatalf("%d edges, %d skipped: not worth corrupting", len(res.Tree), len(res.Skipped))
 			}
-			cq, err := canonSpec(g.NumVertices(), spec, map[graph.VID]bool{})
+			cq, err := canonSpec(g.NumVertices(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}

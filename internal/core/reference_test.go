@@ -45,7 +45,7 @@ type refAnswer struct {
 // connected in the distance graph.
 func referenceSolve(t *testing.T, g *graph.Graph, spec QuerySpec) (ans refAnswer, ok bool) {
 	t.Helper()
-	cq, err := canonSpec(g.NumVertices(), spec, map[graph.VID]bool{})
+	cq, err := canonSpec(g.NumVertices(), spec)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}

@@ -94,7 +94,7 @@ func Solve(g *graph.Graph, seeds []graph.VID, opts Options) (*Result, error) {
 // validated first, and a one-terminal query is answered without building
 // the engine at all.
 func SolveQuery(g *graph.Graph, spec QuerySpec, opts Options) (*Result, error) {
-	cq, err := canonSpec(g.NumVertices(), spec, make(map[graph.VID]bool, len(spec.Seeds)))
+	cq, err := canonSpec(g.NumVertices(), spec)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sort"
 
 	"dsteiner/internal/faultpoint"
@@ -149,10 +148,11 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	})
 	sc.tree = localTree // keep the grown capacity pooled
 
-	// Gather the final tree: every rank sorts its own piece, the others send
-	// theirs as one encoded blob addressed to rank 0, the only reader, which
-	// merges the sorted runs and publishes.
-	slices.SortFunc(localTree, graph.CompareEdges)
+	// Gather the final tree: every rank radix-sorts its own piece into
+	// CompareEdges' (U, V) order, the others send theirs as one encoded blob
+	// addressed to rank 0, the only reader, which merges the sorted runs and
+	// publishes.
+	graph.SortByKey(localTree, &sc.treeScratch, func(e graph.Edge) uint64 { return uint64(e.U)<<32 | uint64(e.V) })
 	var out []rt.Blob
 	if r.ID() != 0 && len(localTree) > 0 {
 		out = append(out, rt.Blob{Src: r.ID(), Dest: 0, Blob: wire.EncodeEdges(make([]byte, 0, 8*len(localTree)), localTree)})

@@ -187,7 +187,6 @@ type worker struct {
 	n     int // |V| of the session's graph, for validating inbound specs
 	host  *rankHost
 	trans *transport.TCP
-	seen  map[graph.VID]bool // spec-validation scratch
 
 	shardBytes int64
 	stateBytes int64
@@ -221,7 +220,7 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 		return nil, fmt.Errorf("core: setup enum out of range (queue %d)", setup.Queue)
 	}
 
-	w := &worker{n: setup.NumVertices, seen: make(map[graph.VID]bool)}
+	w := &worker{n: setup.NumVertices}
 	shards := make([]*graph.Shard, 0, hi-lo)
 	slabs := make([]*voronoi.StateSlab, 0, hi-lo)
 	for i, sl := range setup.Shards {
@@ -320,7 +319,7 @@ func (w *worker) serve(cfg WorkerConfig) error {
 // other query; canonicalization is idempotent, so on the canonical spec the
 // coordinator ships it reproduces the coordinator's dense terminal indices.
 func (w *worker) solveQuery(q wire.SolveSpec, cfg WorkerConfig) (err error) {
-	cq, err := canonSpec(w.n, specFromWire(q), w.seen)
+	cq, err := canonSpec(w.n, specFromWire(q))
 	if err != nil {
 		return fmt.Errorf("core: query %d: invalid spec from coordinator: %w", q.QueryID, err)
 	}

@@ -246,7 +246,7 @@ func TestCheckTree(t *testing.T) {
 	if _, comps, acyclic := check(nil); comps > 1 || !acyclic {
 		t.Errorf("empty set should be a trivial tree: %d components, acyclic %v", comps, acyclic)
 	}
-	verts, comp := EdgeComponents([]Edge{{5, 1, 1}, {7, 9, 1}, {1, 3, 1}})
+	verts, _, comp, _, _ := scanTree(sortedCanon([]Edge{{5, 1, 1}, {7, 9, 1}, {1, 3, 1}}))
 	if !slices.Equal(verts, []VID{1, 3, 5, 7, 9}) || comp[0] != comp[1] || comp[1] != comp[2] ||
 		comp[3] != comp[4] || comp[0] == comp[3] {
 		t.Errorf("components of {1,3,5} and {7,9}: verts %v, comp %v", verts, comp)

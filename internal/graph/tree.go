@@ -56,15 +56,16 @@ func sortedCanon(edges []Edge) []Edge {
 // increasing order, deg their degrees, root[j] the index of verts[j]'s
 // component representative and comps the component count; acyclic is false
 // once an edge closes a cycle (a repeated edge does). The U ends already come
-// in vertex order; the V ends are sorted as (vertex, edge) words and merged
-// with them to number the vertices.
+// in vertex order; the V ends are radix-sorted as (vertex, edge) words and
+// merged with them to number the vertices.
 func scanTree(edges []Edge) (verts []VID, deg, root []int32, comps int, acyclic bool) {
 	m := len(edges)
 	vs := make([]int64, m)
 	for i, e := range edges {
 		vs[i] = int64(e.V)<<32 | int64(i)
 	}
-	slices.Sort(vs)
+	var scratch []int64
+	SortByKey(vs, &scratch, func(x int64) uint64 { return uint64(x) })
 	end := make([]int32, 2*m) // dense index of edge i's U at 2i, of its V at 2i+1
 	verts, deg = make([]VID, 0, m+1), make([]int32, 0, m+1)
 	for i, j := 0, 0; i < m || j < m; {
@@ -109,12 +110,30 @@ func scanTree(edges []Edge) (verts []VID, deg, root []int32, comps int, acyclic 
 	return verts, deg, root, comps, acyclic
 }
 
-// EdgeComponents labels the connected components of an edge set: verts
-// are its distinct endpoints in increasing order, and comp[j] is the index
-// in verts of the representative of verts[j]'s component.
-func EdgeComponents(edges []Edge) (verts []VID, comp []int32) {
-	verts, _, comp, _, _ = scanTree(sortedCanon(edges))
-	return verts, comp
+// checkEdges verifies that every edge has both endpoints in g, exists there
+// with matching weight and appears once, and returns the edges canonical and
+// in (U, V) order (see sortedCanon).
+func checkEdges(g *Graph, edges []Edge) ([]Edge, error) {
+	n := VID(g.NumVertices())
+	for _, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return nil, fmt.Errorf("steiner: edge (%d,%d) has an endpoint outside [0,%d)", e.U, e.V, n)
+		}
+		w, ok := g.HasEdge(e.U, e.V)
+		if !ok {
+			return nil, fmt.Errorf("steiner: edge (%d,%d) not in background graph", e.U, e.V)
+		}
+		if w != e.W {
+			return nil, fmt.Errorf("steiner: edge (%d,%d) weight %d != graph weight %d", e.U, e.V, e.W, w)
+		}
+	}
+	edges = sortedCanon(edges)
+	for i := 1; i < len(edges); i++ {
+		if CompareEdges(edges[i-1], edges[i]) == 0 {
+			return nil, fmt.Errorf("steiner: duplicate edge (%d,%d)", edges[i].U, edges[i].V)
+		}
+	}
+	return edges, nil
 }
 
 // ValidateSteinerTree verifies that edges form a valid Steiner tree of g for
@@ -131,24 +150,9 @@ func ValidateSteinerTree(g *Graph, seeds []VID, edges []Edge) error {
 	if len(seeds) == 1 && len(edges) == 0 {
 		return nil
 	}
-	n := VID(g.NumVertices())
-	for _, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return fmt.Errorf("steiner: edge (%d,%d) has an endpoint outside [0,%d)", e.U, e.V, n)
-		}
-		w, ok := g.HasEdge(e.U, e.V)
-		if !ok {
-			return fmt.Errorf("steiner: edge (%d,%d) not in background graph", e.U, e.V)
-		}
-		if w != e.W {
-			return fmt.Errorf("steiner: edge (%d,%d) weight %d != graph weight %d", e.U, e.V, e.W, w)
-		}
-	}
-	edges = sortedCanon(edges)
-	for i := 1; i < len(edges); i++ {
-		if CompareEdges(edges[i-1], edges[i]) == 0 {
-			return fmt.Errorf("steiner: duplicate edge (%d,%d)", edges[i].U, edges[i].V)
-		}
+	edges, err := checkEdges(g, edges)
+	if err != nil {
+		return err
 	}
 	verts, deg, _, comps, acyclic := scanTree(edges)
 	if comps > 1 {
@@ -176,6 +180,102 @@ func ValidateSteinerTree(g *Graph, seeds []VID, edges []Edge) error {
 		}
 	}
 	return nil
+}
+
+// ValidateSteinerForest verifies in one scan that edges form a valid Steiner
+// forest of g for the terminal groups, and returns each group's tree,
+// parallel to groups: its edges canonical and in (U, V) order, nil for a
+// group with none. Every edge must lie in g with its weight and appear once,
+// and the edge set must be acyclic; each of its components must hold the
+// terminals of exactly one group, each group must lie in one component (a
+// singleton group may lie in none), every leaf must be a terminal, and no
+// terminal may appear twice. It returns a descriptive error on the first
+// violation. Like ValidateSteinerTree it works on sorted slices, never a map.
+func ValidateSteinerForest(g *Graph, groups [][]VID, edges []Edge) ([][]Edge, error) {
+	// Terminals as (vertex, group) words, in vertex order.
+	n := VID(g.NumVertices())
+	var terms []uint64
+	for gi, grp := range groups {
+		if len(grp) == 0 {
+			return nil, fmt.Errorf("steiner: group %d is empty", gi)
+		}
+		for _, t := range grp {
+			if t < 0 || t >= n {
+				return nil, fmt.Errorf("steiner: terminal %d outside [0,%d)", t, n)
+			}
+			terms = append(terms, uint64(t)<<32|uint64(gi))
+		}
+	}
+	var scratch []uint64
+	SortByKey(terms, &scratch, func(x uint64) uint64 { return x })
+
+	edges, err := checkEdges(g, edges)
+	if err != nil {
+		return nil, err
+	}
+	verts, deg, root, _, acyclic := scanTree(edges)
+	if !acyclic {
+		return nil, fmt.Errorf("steiner: edge set contains a cycle")
+	}
+	// A merge of the terminals into verts: claim[r] is 1 + the group holding
+	// the component rooted at r, home[gi] 1 + the root of group gi's.
+	claim, home := make([]int32, len(verts)), make([]int32, len(groups))
+	j := 0
+	for i, x := range terms {
+		t, gi := VID(x>>32), int32(uint32(x))
+		if i > 0 && VID(terms[i-1]>>32) == t {
+			return nil, fmt.Errorf("steiner: terminal %d appears in groups %d and %d", t, uint32(terms[i-1]), gi)
+		}
+		for j < len(verts) && verts[j] < t {
+			j++
+		}
+		if j == len(verts) || verts[j] != t {
+			if len(groups[gi]) > 1 {
+				return nil, fmt.Errorf("steiner: terminal %d of group %d not spanned", t, gi)
+			}
+			continue
+		}
+		deg[j] = 0 // a terminal may be a leaf
+		r := root[j]
+		if c := claim[r]; c != 0 && c != gi+1 {
+			return nil, fmt.Errorf("steiner: a tree joins groups %d and %d", c-1, gi)
+		}
+		if h := home[gi]; h != 0 && h != r+1 {
+			return nil, fmt.Errorf("steiner: group %d is split over several trees", gi)
+		}
+		claim[r], home[gi] = gi+1, r+1
+	}
+	for j, r := range root {
+		if r == int32(j) && claim[j] == 0 {
+			return nil, fmt.Errorf("steiner: the tree through %d holds no terminal", verts[j])
+		}
+	}
+	for j, d := range deg {
+		if d == 1 {
+			return nil, fmt.Errorf("steiner: non-terminal leaf %d", verts[j])
+		}
+	}
+
+	// The group trees share one array: size each, then fill in edge order.
+	of, size := make([]int32, len(edges)), make([]int, len(groups))
+	j = 0
+	for i, e := range edges {
+		for verts[j] != e.U {
+			j++
+		}
+		of[i] = claim[root[j]] - 1
+		size[of[i]]++
+	}
+	trees, all := make([][]Edge, len(groups)), make([]Edge, len(edges))
+	for gi, c := range size {
+		if c > 0 {
+			trees[gi], all = all[:0:c], all[c:]
+		}
+	}
+	for i, e := range edges {
+		trees[of[i]] = append(trees[of[i]], e)
+	}
+	return trees, nil
 }
 
 // PruneNonSeedLeaves repeatedly removes tree leaves that are not seeds (KMB
