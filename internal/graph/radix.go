@@ -2,12 +2,12 @@ package graph
 
 // SortByKey sorts s stably into ascending key order with an LSD radix sort
 // over the key's eight bytes. One counting pass histograms every byte at
-// once; a byte in which all keys agree is skipped, so keys that differ only
-// in their low b bytes cost b scatter passes, and an already-constant key
-// set costs none. scratch is the ping-pong buffer, grown to len(s) when
-// short and kept for the caller's next sort. A composite order sorts by its
-// least significant field first: stability carries each pass's order into
-// the next.
+// once; a byte in which all keys agree is skipped, so the sort costs one
+// scatter pass per byte position in which keys differ, and none for equal
+// keys. scratch is the ping-pong buffer, grown to len(s) when short and kept
+// for the caller's next sort; it must not overlap s. A composite order sorts
+// by its least significant field first: stability carries each pass's order
+// into the next.
 func SortByKey[T any](s []T, scratch *[]T, key func(T) uint64) {
 	n := len(s)
 	if n < 2 {
