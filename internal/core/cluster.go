@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"dsteiner/internal/graph"
+	"dsteiner/internal/partition"
 	"dsteiner/internal/transport"
 	"dsteiner/internal/voronoi"
 	"dsteiner/internal/wire"
@@ -13,9 +15,9 @@ import (
 
 // cluster is the BackendTCP session state of an Engine acting as
 // coordinator: the hub that owns the worker connections. The coordinator
-// holds the full graph (it loaded it) but after the handshake no rank
-// state lives here — the shards and slabs built to cut the handshake's
-// slices are released, and every solve runs entirely in the workers.
+// holds the full graph (it loaded it) but no rank state: it builds no shard
+// or slab, the handshake streams each worker's rows straight from the
+// graph's arrays, and every solve runs entirely in the workers.
 type cluster struct {
 	hub *transport.Hub
 	qid uint64
@@ -41,12 +43,6 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Shards and slabs are built only to capture the session's memory
-	// accounting; the workers rebuild them from the handshake's slices, and
-	// this copy is garbage afterwards.
-	shards := plan.BuildShards(g)
-	shard := shardStats(shards, voronoi.BuildSlabs(plan, shards))
-
 	hub, err := transport.ListenHub(opts.ListenAddr, opts.Workers, opts.Ranks)
 	if err != nil {
 		return nil, err
@@ -57,7 +53,11 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if opts.OnListen != nil {
 		opts.OnListen(hub.Addr())
 	}
-	_, err = hub.Handshake(opts.WorkerWait, func(w int) wire.Setup {
+	// The workers build the shards and slabs; the coordinator only sizes
+	// them, from each rank's range of g, while the workers dial in.
+	sized := make(chan []rankBytes, 1)
+	go func() { sized <- rangeBytes(g, plan) }()
+	readys, err := hub.Handshake(opts.WorkerWait, func(w int) wire.Setup {
 		lo, hi := hub.RankRange(w)
 		setup := wire.Setup{
 			Ranks:       opts.Ranks,
@@ -68,7 +68,8 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 			Bounds:      plan.Partition().Bounds(),
 		}
 		for rank := lo; rank < hi; rank++ {
-			// A shard keeps no target VIDs, so the slices are cut from g.
+			// A shard keeps no target VIDs, so the slices are cut from g;
+			// they alias its arrays and are streamed from there.
 			vlo, vhi := plan.Range(rank)
 			offsets, targets, weights := graph.CutShard(g, vlo, vhi)
 			setup.Shards = append(setup.Shards, wire.ShardSlice{
@@ -80,14 +81,56 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	ranks := <-sized
+	if err := checkReadys(readys, hub.RankRange, ranks); err != nil {
+		hub.Close()
+		return nil, err
+	}
 
 	return &Engine{
 		g:       g,
 		opts:    opts,
 		cluster: &cluster{hub: hub},
 		plan:    plan,
-		shard:   shard,
+		shard:   shardStats(ranks),
 	}, nil
+}
+
+// rangeBytes sizes each rank's shard and slab from its range of g without
+// building either (graph.ShardShape), each rank on its own goroutine.
+func rangeBytes(g *graph.Graph, plan *partition.ShardPlan) []rankBytes {
+	out := make([]rankBytes, plan.NumRanks())
+	var wg sync.WaitGroup
+	for rank := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lo, hi := plan.Range(rank)
+			arcs, ghosts := graph.ShardShape(g, lo, hi)
+			out[rank] = rankBytes{graph.ShardBytes(int(hi-lo), arcs, ghosts), voronoi.SlabBytes(int(hi-lo), ghosts)}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// checkReadys holds each worker's Ready to the bytes accounted for the
+// ranks it hosts (ranges(w)): a worker that built something else holds
+// another substrate than the one the coordinator reports.
+func checkReadys(readys []wire.Ready, ranges func(w int) (lo, hi int), ranks []rankBytes) error {
+	for w, r := range readys {
+		lo, hi := ranges(w)
+		var want rankBytes
+		for _, b := range ranks[lo:hi] {
+			want.shard += b.shard
+			want.state += b.state
+		}
+		if r.ShardBytes != want.shard || r.StateBytes != want.state {
+			return fmt.Errorf("core: worker %d built %d shard and %d slab bytes for ranks [%d,%d), want %d and %d",
+				w, r.ShardBytes, r.StateBytes, lo, hi, want.shard, want.state)
+		}
+	}
+	return nil
 }
 
 // solve dispatches one canonical query to the worker fleet and returns the

@@ -75,18 +75,27 @@ func buildSubstrate(g *graph.Graph, ranks int) (*partition.ShardPlan, error) {
 	return partition.NewShardPlan(part, g)
 }
 
-// shardStats sums a built substrate's resident memory.
-func shardStats(shards []*graph.Shard, slabs []*voronoi.StateSlab) ShardStats {
-	s := ShardStats{Ranks: len(shards)}
-	for _, sh := range shards {
-		b := sh.MemoryBytes()
-		s.ShardBytes += b
-		s.MaxShardBytes = max(s.MaxShardBytes, b)
+// rankBytes is one rank's resident substrate: its shard's bytes and its
+// control-state slab's.
+type rankBytes struct{ shard, state int64 }
+
+// builtBytes reads each rank's resident bytes off its built shard and slab.
+func builtBytes(shards []*graph.Shard, slabs []*voronoi.StateSlab) []rankBytes {
+	out := make([]rankBytes, len(shards))
+	for i, sh := range shards {
+		out[i] = rankBytes{sh.MemoryBytes(), slabs[i].MemoryBytes()}
 	}
-	for _, sl := range slabs {
-		b := sl.MemoryBytes()
-		s.StateSlabBytes += b
-		s.MaxStateSlabBytes = max(s.MaxStateSlabBytes, b)
+	return out
+}
+
+// shardStats sums the ranks' resident memory.
+func shardStats(ranks []rankBytes) ShardStats {
+	s := ShardStats{Ranks: len(ranks)}
+	for _, b := range ranks {
+		s.ShardBytes += b.shard
+		s.MaxShardBytes = max(s.MaxShardBytes, b.shard)
+		s.StateSlabBytes += b.state
+		s.MaxStateSlabBytes = max(s.MaxStateSlabBytes, b.state)
 	}
 	return s
 }
@@ -133,7 +142,7 @@ func newEngine(g *graph.Graph, opts Options, plan *partition.ShardPlan, shards [
 		opts:   opts,
 		plan:   plan,
 		shards: shards,
-		shard:  shardStats(shards, slabs),
+		shard:  shardStats(builtBytes(shards, slabs)),
 		host:   newRankHost(comm, opts.BSP, slabs),
 	}, nil
 }
@@ -170,8 +179,10 @@ type ShardStats struct {
 }
 
 // ShardStats reports the engine's shard substrate. On the TCP backend it
-// was captured at session setup from the shards and slabs the handshake
-// slices were cut from — the same bytes now resident in the workers.
+// is sized at session setup from each rank's range of the graph — its rows,
+// arcs and distinct remote targets — through the formulas the workers'
+// shards and slabs report their bytes by, and the workers' Ready totals
+// must match it.
 func (e *Engine) ShardStats() ShardStats { return e.shard }
 
 // Options returns the engine's configuration with defaults applied.

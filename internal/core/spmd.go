@@ -209,18 +209,23 @@ type haloPlan struct {
 	out        [][]byte // send's blobs, reused across queries
 }
 
-// newHaloPlan plans sh's halo under the partition's owner map.
+// newHaloPlan plans sh's halo under the partition's owner map, looking up
+// each ghost slot's owner once rather than once per arc to it.
 func newHaloPlan(sh *graph.Shard, owner func(graph.VID) int) haloPlan {
 	p := haloPlan{send: make([][]int32, sh.NumRanks()), recv: make([][]int32, sh.NumRanks()), out: make([][]byte, sh.NumRanks())}
 	lo := sh.Rows().VertexAt(0)
 	p.high = int32(sort.Search(sh.NumGhosts(), func(g int) bool { return sh.Target(^int32(g)) >= lo }))
+	above := make([]int32, sh.NumGhosts()-int(p.high)) // the owner of ghost slot high+j
+	for j := range above {
+		above[j] = int32(owner(sh.Target(^(p.high + int32(j)))))
+	}
 	for i := int32(0); int(i) < sh.NumOwned(); i++ {
 		_, refs := sh.RowArcs(i)
 		for _, ref := range refs {
 			if ref >= 0 || ^ref < p.high {
 				continue
 			}
-			if q := owner(sh.Target(ref)); len(p.send[q]) == 0 || p.send[q][len(p.send[q])-1] != i {
+			if q := above[^ref-p.high]; len(p.send[q]) == 0 || p.send[q][len(p.send[q])-1] != i {
 				p.send[q] = append(p.send[q], i)
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"dsteiner/internal/faultpoint"
@@ -141,27 +142,21 @@ func runWorkerSession(coordAddr string, cfg WorkerConfig, rejoin *rejoinTicket) 
 		return nil, fmt.Errorf("core: hello: %w", err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(window))
-	frame, err := wire.ReadFrame(conn, nil)
+	setup, frame, err := wire.ReadSetup(conn)
 	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("core: waiting for setup: %w", err)
 	}
-	if frame[0] == wire.FrameAbort {
+	if frame != nil {
+		_ = conn.Close()
+		if frame[0] != wire.FrameAbort {
+			return nil, fmt.Errorf("core: coordinator sent frame %d before setup", frame[0])
+		}
 		reason := "unreadable abort frame"
 		if ab, err := wire.DecodeAbort(frame[1:]); err == nil {
 			reason = ab.Reason
 		}
-		_ = conn.Close()
 		return nil, fmt.Errorf("core: coordinator rejected session: %s", reason)
-	}
-	if frame[0] != wire.FrameSetup {
-		_ = conn.Close()
-		return nil, fmt.Errorf("core: coordinator sent frame %d before setup", frame[0])
-	}
-	setup, err := wire.DecodeSetup(frame[1:])
-	if err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("core: setup: %w", err)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 
@@ -220,24 +215,36 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 		return nil, fmt.Errorf("core: setup enum out of range (queue %d)", setup.Queue)
 	}
 
-	w := &worker{n: setup.NumVertices}
-	shards := make([]*graph.Shard, 0, hi-lo)
-	slabs := make([]*voronoi.StateSlab, 0, hi-lo)
 	for i, sl := range setup.Shards {
 		if sl.Rank != lo+i {
 			return nil, fmt.Errorf("core: shard slice %d is for rank %d, want %d", i, sl.Rank, lo+i)
 		}
-		vlo, vhi := part.Range(sl.Rank)
-		sh, err := graph.NewShardFromSlices(setup.NumVertices, sl.Rank, setup.Ranks, vlo, vhi, sl.Offsets,
-			sl.Targets, sl.Weights)
+	}
+	// Each hosted rank's shard and slab is built on its own goroutine.
+	w := &worker{n: setup.NumVertices}
+	shards := make([]*graph.Shard, hi-lo)
+	slabs := make([]*voronoi.StateSlab, hi-lo)
+	errs := make([]error, hi-lo)
+	var wg sync.WaitGroup
+	for i, sl := range setup.Shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vlo, vhi := part.Range(sl.Rank)
+			shards[i], errs[i] = graph.NewShardFromSlices(setup.NumVertices, sl.Rank, setup.Ranks, vlo, vhi,
+				sl.Offsets, sl.Targets, sl.Weights)
+			if errs[i] == nil {
+				slabs[i] = voronoi.NewStateSlab(sl.Rank, vlo, vhi, shards[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("core: inconsistent setup geometry (rank %d shard slice): %w", sl.Rank, err)
+			return nil, fmt.Errorf("core: inconsistent setup geometry (rank %d shard slice): %w", lo+i, err)
 		}
-		shards = append(shards, sh)
-		slab := voronoi.NewStateSlab(sl.Rank, vlo, vhi, sh)
-		slabs = append(slabs, slab)
-		w.shardBytes += sh.MemoryBytes()
-		w.stateBytes += slab.MemoryBytes()
+		w.shardBytes += shards[i].MemoryBytes()
+		w.stateBytes += slabs[i].MemoryBytes()
 	}
 
 	cfg.Logf("rankd: worker %d/%d hosting ranks [%d,%d), |V|=%d, shard %d B, slab %d B",

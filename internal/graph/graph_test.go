@@ -228,7 +228,7 @@ func TestConnectedComponents(t *testing.T) {
 
 func TestCheckTree(t *testing.T) {
 	check := func(edges []Edge) (n, comps int, acyclic bool) {
-		verts, _, _, comps, acyclic := scanTree(sortedCanon(edges))
+		verts, _, _, comps, acyclic := scanTree(sortedCanon(edges), false)
 		return len(verts), comps, acyclic
 	}
 	if n, comps, acyclic := check([]Edge{{0, 1, 1}, {1, 2, 1}, {1, 3, 1}}); comps != 1 || !acyclic || n != 4 {
@@ -246,7 +246,7 @@ func TestCheckTree(t *testing.T) {
 	if _, comps, acyclic := check(nil); comps > 1 || !acyclic {
 		t.Errorf("empty set should be a trivial tree: %d components, acyclic %v", comps, acyclic)
 	}
-	verts, _, comp, _, _ := scanTree(sortedCanon([]Edge{{5, 1, 1}, {7, 9, 1}, {1, 3, 1}}))
+	verts, _, comp, _, _ := scanTree(sortedCanon([]Edge{{5, 1, 1}, {7, 9, 1}, {1, 3, 1}}), true)
 	if !slices.Equal(verts, []VID{1, 3, 5, 7, 9}) || comp[0] != comp[1] || comp[1] != comp[2] ||
 		comp[3] != comp[4] || comp[0] == comp[3] {
 		t.Errorf("components of {1,3,5} and {7,9}: verts %v, comp %v", verts, comp)
@@ -381,9 +381,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 // every chunk boundary must carry over: the rewrite is byte for byte the
 // first file.
 func TestBinaryRoundTripAcrossColumnChunks(t *testing.T) {
-	n := 3*columnChunk/8 + 101
+	n := 3*ColumnChunk/8 + 101
 	g := randomGraph(rand.New(rand.NewSource(7)), n, 2*n, 1<<20)
-	if g.NumArcs() <= 2*columnChunk/4 {
+	if g.NumArcs() <= 2*ColumnChunk/4 {
 		t.Fatalf("%d arcs fill fewer than three chunks", g.NumArcs())
 	}
 	var first, second bytes.Buffer

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -30,13 +31,14 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	if err := binary.Write(bw, binary.LittleEndian, hdr[:]); err != nil {
 		return err
 	}
-	if err := writeColumn(bw, g.offsets); err != nil {
+	buf := make([]byte, ColumnChunk)
+	if err := WriteColumn(bw, g.offsets, buf); err != nil {
 		return err
 	}
-	if err := writeColumn(bw, g.targets); err != nil {
+	if err := WriteColumn(bw, g.targets, buf); err != nil {
 		return err
 	}
-	if err := writeColumn(bw, g.weights); err != nil {
+	if err := WriteColumn(bw, g.weights, buf); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -73,13 +75,14 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		weights: make([]uint32, arcs),
 		numEdge: int64(arcs) / 2,
 	}
-	if err := readColumn(br, g.offsets); err != nil {
+	buf := make([]byte, ColumnChunk)
+	if err := ReadColumn(br, g.offsets, buf); err != nil {
 		return nil, err
 	}
-	if err := readColumn(br, g.targets); err != nil {
+	if err := ReadColumn(br, g.targets, buf); err != nil {
 		return nil, err
 	}
-	if err := readColumn(br, g.weights); err != nil {
+	if err := ReadColumn(br, g.weights, buf); err != nil {
 		return nil, err
 	}
 	for i, w := range g.weights {
@@ -101,25 +104,29 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// column is the element type of one array of the binary format: offsets
-// are 8-byte words, targets and weights 4-byte ones.
-type column interface{ ~int64 | ~int32 | ~uint32 }
+// Column is the element type of one array of the binary format (and of the
+// shard columns internal/wire ships): offsets are 8-byte words, targets and
+// weights 4-byte ones.
+type Column interface{ ~int64 | ~int32 | ~uint32 }
 
-// columnChunk is the scratch a column is encoded or decoded through, so no
-// column is ever staged whole.
-const columnChunk = 1 << 16
+// ColumnChunk is the size of the scratch a column is encoded or decoded
+// through, so no column is ever staged whole.
+const ColumnChunk = 1 << 16
 
-// writeColumn encodes col little endian.
-func writeColumn[T column](w io.Writer, col []T) error {
+// WriteColumn encodes col little endian, ColumnChunk bytes per write,
+// through buf (grown to ColumnChunk if smaller).
+func WriteColumn[T Column](w io.Writer, col []T, buf []byte) error {
 	size := binary.Size(T(0))
-	buf := make([]byte, 0, columnChunk)
+	buf = slices.Grow(buf[:0], ColumnChunk)
 	for len(col) > 0 {
-		k := min(len(col), columnChunk/size)
+		k := min(len(col), ColumnChunk/size)
 		buf = buf[:0]
-		for _, x := range col[:k] {
-			if size == 8 {
+		if size == 8 {
+			for _, x := range col[:k] {
 				buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
-			} else {
+			}
+		} else {
+			for _, x := range col[:k] {
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
 			}
 		}
@@ -131,20 +138,24 @@ func writeColumn[T column](w io.Writer, col []T) error {
 	return nil
 }
 
-// readColumn fills col from little-endian words.
-func readColumn[T column](r io.Reader, col []T) error {
+// ReadColumn fills col from little-endian words, reading them through buf
+// (grown to ColumnChunk if smaller). A stream that ends first fails with
+// io.EOF or io.ErrUnexpectedEOF.
+func ReadColumn[T Column](r io.Reader, col []T, buf []byte) error {
 	size := binary.Size(T(0))
-	buf := make([]byte, columnChunk)
+	buf = slices.Grow(buf[:0], ColumnChunk)[:ColumnChunk]
 	for len(col) > 0 {
-		k := min(len(col), columnChunk/size)
+		k := min(len(col), ColumnChunk/size)
 		b := buf[:k*size]
 		if _, err := io.ReadFull(r, b); err != nil {
 			return err
 		}
-		for i := range col[:k] {
-			if size == 8 {
+		if size == 8 {
+			for i := range col[:k] {
 				col[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
-			} else {
+			}
+		} else {
+			for i := range col[:k] {
 				col[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
 			}
 		}

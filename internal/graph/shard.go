@@ -3,6 +3,7 @@ package graph
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -62,11 +63,32 @@ func NewShard(g *Graph, rank, numRanks int, lo, hi VID) *Shard {
 // NewShardFromSlices takes: the CSR of the owned range [lo, hi) (offsets,
 // target VIDs, weights). It is what a coordinator ships a worker
 // (internal/wire.ShardSlice); the shard rebuilt from it keeps no target VIDs.
+// The offsets are rebased to the range's first arc, a fresh copy of one word
+// per owned vertex; targets and weights alias g's arrays and must not be
+// written, so shipping (or retaining) a cut holds no second copy of the arcs.
 func CutShard(g *Graph, lo, hi VID) (offsets []int64, targets []VID, weights []uint32) {
 	a, b := g.offsets[lo], g.offsets[hi]
-	targets = append(make([]VID, 0, b-a), g.targets[a:b]...)
-	weights = append(make([]uint32, 0, b-a), g.weights[a:b]...)
-	return slabOffsets(g, lo, hi), targets, weights
+	return slabOffsets(g, lo, hi), g.targets[a:b:b], g.weights[a:b:b]
+}
+
+// ShardShape returns the size of [lo, hi)'s shard without building it: its
+// arc count and its ghost count, the distinct vertices outside the range
+// that its arcs point at. ShardBytes and voronoi.SlabBytes turn these into
+// the resident bytes of the shard and its slab.
+func ShardShape(g *Graph, lo, hi VID) (arcs int64, ghosts int) {
+	a, b := g.offsets[lo], g.offsets[hi]
+	// Mark every target without a branch, unmark the range, count the rest.
+	seen := make([]uint64, (g.NumVertices()+63)/64)
+	for _, u := range g.targets[a:b] {
+		seen[u>>6] |= 1 << (u & 63)
+	}
+	for v := lo; v < hi; v++ {
+		seen[v>>6] &^= 1 << (v & 63)
+	}
+	for _, w := range seen {
+		ghosts += bits.OnesCount64(w)
+	}
+	return b - a, ghosts
 }
 
 // slabOffsets returns the CSR offsets of [lo, hi)'s adjacency rows, rebased
@@ -237,10 +259,15 @@ func (s *Shard) EdgeWeight(u, v VID) (uint32, bool) {
 	return ws[j], true
 }
 
-// MemoryBytes reports the shard's resident size: the slab CSR at 8 bytes
-// per arc (weight + resolved target), its offsets and the ghost list (4
-// bytes per distinct remote target).
+// MemoryBytes reports the shard's resident size (ShardBytes).
 func (s *Shard) MemoryBytes() int64 {
-	return int64(len(s.offsets))*8 + int64(len(s.weights))*4 + int64(len(s.refs))*4 +
-		int64(len(s.ghosts))*4
+	return ShardBytes(s.NumOwned(), s.NumArcs(), s.NumGhosts())
+}
+
+// ShardBytes is the resident size of a shard of rows owned vertices, arcs
+// arcs and ghosts ghost slots: the slab CSR at 8 bytes per arc (weight +
+// resolved target), its rows+1 offsets and the ghost list (4 bytes per
+// distinct remote target).
+func ShardBytes(rows int, arcs int64, ghosts int) int64 {
+	return int64(rows+1)*8 + arcs*(4+4) + int64(ghosts)*4
 }

@@ -53,12 +53,13 @@ func sortedCanon(edges []Edge) []Edge {
 
 // scanTree joins the endpoints of canonical edges in (U, V) order by
 // union-find on dense int32 indices: verts are the distinct endpoints in
-// increasing order, deg their degrees, root[j] the index of verts[j]'s
-// component representative and comps the component count; acyclic is false
-// once an edge closes a cycle (a repeated edge does). The U ends already come
-// in vertex order; the V ends are radix-sorted as (vertex, edge) words and
-// merged with them to number the vertices.
-func scanTree(edges []Edge) (verts []VID, deg, root []int32, comps int, acyclic bool) {
+// increasing order, deg their degrees and comps the component count; acyclic
+// is false once an edge closes a cycle (a repeated edge does). With roots,
+// root[j] is the index of verts[j]'s component representative; without, root
+// is nil, which spares the tree check a relabel pass it never reads. The U
+// ends already come in vertex order; the V ends are radix-sorted as (vertex,
+// edge) words and merged with them to number the vertices.
+func scanTree(edges []Edge, roots bool) (verts []VID, deg, root []int32, comps int, acyclic bool) {
 	m := len(edges)
 	vs := make([]int64, m)
 	for i, e := range edges {
@@ -103,6 +104,9 @@ func scanTree(edges []Edge) (verts []VID, deg, root []int32, comps int, acyclic 
 		} else {
 			acyclic = false
 		}
+	}
+	if !roots {
+		return verts, deg, nil, comps, acyclic
 	}
 	for i := range root {
 		root[i] = find(int32(i))
@@ -154,7 +158,7 @@ func ValidateSteinerTree(g *Graph, seeds []VID, edges []Edge) error {
 	if err != nil {
 		return err
 	}
-	verts, deg, _, comps, acyclic := scanTree(edges)
+	verts, deg, _, comps, acyclic := scanTree(edges, false)
 	if comps > 1 {
 		return fmt.Errorf("steiner: edge set is disconnected")
 	}
@@ -213,7 +217,7 @@ func ValidateSteinerForest(g *Graph, groups [][]VID, edges []Edge) ([][]Edge, er
 	if err != nil {
 		return nil, err
 	}
-	verts, deg, root, _, acyclic := scanTree(edges)
+	verts, deg, root, _, acyclic := scanTree(edges, true)
 	if !acyclic {
 		return nil, fmt.Errorf("steiner: edge set contains a cycle")
 	}

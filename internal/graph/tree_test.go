@@ -264,7 +264,7 @@ func TestValidateSteinerForestRejects(t *testing.T) {
 // Steiner tree of its own. It is kept as the oracle of
 // TestValidateSteinerForestMatchesSplit.
 func splitThenValidate(g *Graph, groups [][]VID, edges []Edge) ([][]Edge, error) {
-	verts, _, comp, _, _ := scanTree(sortedCanon(edges))
+	verts, _, comp, _, _ := scanTree(sortedCanon(edges), true)
 	claim := make([]int, len(verts)) // by component: 1 + the group claiming it
 	for gi, grp := range groups {
 		for _, t := range grp {

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"sync"
 
 	"dsteiner/internal/graph"
 )
@@ -33,12 +34,19 @@ func (p *ShardPlan) Partition() *Partition { return p.part }
 // Range returns rank's owned vertex range [lo, hi).
 func (p *ShardPlan) Range(rank int) (lo, hi graph.VID) { return p.part.Range(rank) }
 
-// BuildShards cuts one graph.Shard per rank out of g according to the plan.
+// BuildShards cuts one graph.Shard per rank out of g according to the plan,
+// each on its own goroutine: the cuts only read g.
 func (p *ShardPlan) BuildShards(g *graph.Graph) []*graph.Shard {
 	shards := make([]*graph.Shard, p.NumRanks())
+	var wg sync.WaitGroup
 	for rank := range shards {
-		lo, hi := p.Range(rank)
-		shards[rank] = graph.NewShard(g, rank, p.NumRanks(), lo, hi)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lo, hi := p.Range(rank)
+			shards[rank] = graph.NewShard(g, rank, p.NumRanks(), lo, hi)
+		}()
 	}
+	wg.Wait()
 	return shards
 }

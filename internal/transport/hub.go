@@ -24,7 +24,8 @@ import (
 // worker fleet — its connections, event loop and poison state. Without
 // recovery the hub runs exactly one session and a fault is fatal
 // (fail-stop). With EnableRecovery the hub retains the handshake payload
-// (every worker's Setup, shard slices included) and a session identity;
+// (every worker's Setup, its shard slices aliasing the coordinator's graph)
+// and a session identity;
 // when a session is poisoned, the next dispatch heals it:
 // workers re-handshake — survivors with a Rejoin frame proving membership,
 // respawned replacements with a fresh Hello — the retained Setups ship
@@ -45,9 +46,11 @@ type Hub struct {
 
 	// Recovery state (EnableRecovery): the heal window, the worker-lost
 	// hook (respawn driver), the session identity workers prove on Rejoin,
-	// and the retained per-worker Setups — the PR 5 handshake payload kept
-	// alive so a replacement worker can be rebuilt without the coordinator
-	// re-cutting shards.
+	// and the retained per-worker Setups, so a replacement worker can be
+	// rebuilt without the coordinator re-cutting shards. A retained Setup's
+	// shard columns alias the coordinator's graph (graph.CutShard) rather
+	// than copying it — only the rebased row offsets are its own — and a
+	// heal streams them again (wire.WriteSetup).
 	recov      bool
 	rejoinWait time.Duration
 	onLost     func(error)
@@ -184,11 +187,12 @@ func ListenHub(addr string, workers, ranks int) (*Hub, error) {
 }
 
 // EnableRecovery arms session healing: the hub retains every worker's
-// Setup (shard slices included) so a poisoned session is rebuilt on the
-// next dispatch instead of staying dead. rejoinWait bounds how long one
-// heal waits for all workers to re-handshake (0 = 30s); onLost, if set, is
-// called (on its own goroutine) each time a session is poisoned — the hook
-// coordinator-driven respawn plugs into. Call before Handshake.
+// Setup (its shard slices aliasing the coordinator's graph) so a poisoned
+// session is rebuilt on the next dispatch instead of staying dead.
+// rejoinWait bounds how long one heal waits for all workers to re-handshake
+// (0 = 30s); onLost, if set, is called (on its own goroutine) each time a
+// session is poisoned — the hook coordinator-driven respawn plugs into.
+// Call before Handshake.
 func (h *Hub) EnableRecovery(rejoinWait time.Duration, onLost func(error)) {
 	if rejoinWait <= 0 {
 		rejoinWait = 30 * time.Second
@@ -277,9 +281,6 @@ func (h *Hub) Handshake(timeout time.Duration, setupFor func(w int) wire.Setup) 
 		_ = h.ln.Close()
 		return nil, fmt.Errorf("transport: handshake: %w", err)
 	}
-	if h.recov {
-		h.setups = make([]wire.Setup, h.workers)
-	}
 	if _, err := h.startSession(conns, setupFor); err != nil {
 		_ = h.ln.Close()
 		return nil, err
@@ -324,9 +325,9 @@ func (h *Hub) admitFleet(deadline time.Time, strict bool) ([]acceptedConn, int, 
 	return conns, rejoined, nil
 }
 
-// startSession is the shared tail of Handshake and heal: ship every
-// worker's Setup with the generation's geometry filled in, collect the
-// Ready acknowledgements (workers mesh among themselves in between), then
+// startSession is the shared tail of Handshake and heal: stream every
+// worker's Setup, with the generation's geometry filled in, and collect its
+// Ready acknowledgement (workers mesh among themselves in between), then
 // build the session around the connections and start its event loop.
 func (h *Hub) startSession(conns []acceptedConn, setupFor func(w int) wire.Setup) (*hubSession, error) {
 	fail := func(err error) (*hubSession, error) {
@@ -339,30 +340,34 @@ func (h *Hub) startSession(conns []acceptedConn, setupFor func(w int) wire.Setup
 	for w, a := range conns {
 		peerAddrs[w] = a.addr
 	}
-	for w, a := range conns {
-		setup := setupFor(w)
-		setup.WorkerIndex = w
-		setup.RankLo = h.rankLo
-		setup.PeerAddrs = peerAddrs
-		setup.SessionID = h.sessionID
-		if h.recov {
-			// Retain the filled Setup; a heal re-ships it with only the
-			// generation fields (WorkerIndex, PeerAddrs) rewritten.
-			h.setups[w] = setup
-		}
-		if err := wire.WriteFrame(a.conn, wire.EncodeSetup(nil, setup)); err != nil {
-			return fail(fmt.Errorf("transport: setup to worker %d: %w", w, err))
-		}
+	setups := make([]wire.Setup, len(conns))
+	for w := range conns {
+		setups[w] = setupFor(w)
+		setups[w].WorkerIndex = w
+		setups[w].RankLo = h.rankLo
+		setups[w].PeerAddrs = peerAddrs
+		setups[w].SessionID = h.sessionID
 	}
-	// Every worker's Ready is read at once: the first worker to fail names
-	// itself and closes the others' connections, rather than a healthy
-	// worker read first waiting out the deadline for it.
+	if h.recov {
+		// Retain the filled Setups; a heal re-ships them with only the
+		// generation fields (WorkerIndex, PeerAddrs) rewritten.
+		h.setups = setups
+	}
+	// Every worker's Setup streams and its Ready is read at once, so the
+	// workers decode and build their ranks side by side, and the first
+	// worker to fail names itself and closes the others' connections,
+	// rather than a healthy worker served first waiting out the deadline
+	// for it.
 	readys := make([]wire.Ready, h.workers)
 	errs := make(chan error, len(conns))
 	for w, a := range conns {
 		go func() {
-			var err error
-			readys[w], err = readReady(w, a.conn)
+			err := wire.WriteSetup(a.conn, setups[w])
+			if err != nil {
+				err = fmt.Errorf("transport: setup to worker %d: %w", w, err)
+			} else {
+				readys[w], err = readReady(w, a.conn)
+			}
 			errs <- err
 		}()
 	}

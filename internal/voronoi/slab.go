@@ -2,6 +2,7 @@ package voronoi
 
 import (
 	"fmt"
+	"sync"
 
 	"dsteiner/internal/graph"
 	"dsteiner/internal/partition"
@@ -94,13 +95,20 @@ func BuildSlabs(plan *partition.ShardPlan, shards []*graph.Shard) []*StateSlab {
 	return shardSlabs(plan.Partition(), shards)
 }
 
-// shardSlabs builds a StateSlab over each shard, in order.
+// shardSlabs builds a StateSlab over each shard, in order, each on its own
+// goroutine.
 func shardSlabs(part *partition.Partition, shards []*graph.Shard) []*StateSlab {
 	slabs := make([]*StateSlab, len(shards))
+	var wg sync.WaitGroup
 	for i, sh := range shards {
-		lo, hi := part.Range(sh.Rank())
-		slabs[i] = NewStateSlab(sh.Rank(), lo, hi, sh)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lo, hi := part.Range(sh.Rank())
+			slabs[i] = NewStateSlab(sh.Rank(), lo, hi, sh)
+		}()
 	}
+	wg.Wait()
 	return slabs
 }
 
@@ -256,12 +264,16 @@ func (sl *StateSlab) EachReached(fn func(v graph.VID, src, pred graph.VID, dist 
 	}
 }
 
-// MemoryBytes reports the slab's resident size: owned rows (src 4 + pred 4
-// + dist 8 + epoch 8 + walked 8 bytes), ghost rows (dist 8 + src 4 + pred 4
-// + epoch 8 — one per distinct remote neighbour; the neighbour's VID is
-// the shard's, graph.Shard.Target, so a row stays 24 bytes).
-func (sl *StateSlab) MemoryBytes() int64 {
-	return int64(sl.rows.Len())*(4+4+8+8+8) + int64(len(sl.ghost))*(8+4+4+8)
+// MemoryBytes reports the slab's resident size (SlabBytes).
+func (sl *StateSlab) MemoryBytes() int64 { return SlabBytes(sl.rows.Len(), len(sl.ghost)) }
+
+// SlabBytes is the resident size of a slab of rows owned rows and ghosts
+// ghost rows: an owned row is src 4 + pred 4 + dist 8 + epoch 8 + walked 8
+// bytes, a ghost row dist 8 + src 4 + pred 4 + epoch 8 — one per distinct
+// remote neighbour; the neighbour's VID is the shard's, graph.Shard.Target,
+// so a row stays 24 bytes.
+func SlabBytes(rows, ghosts int) int64 {
+	return int64(rows)*(4+4+8+8+8) + int64(ghosts)*(8+4+4+8)
 }
 
 // Collect merges converged per-rank slabs into one shared-form State over n

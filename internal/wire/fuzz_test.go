@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 
 	"dsteiner/internal/graph"
@@ -8,7 +9,7 @@ import (
 )
 
 // FuzzDecodeFrame feeds arbitrary bytes through the frame splitter and
-// every body decoder. The contract under fuzz: truncated or corrupt input
+// every body decoder, and through ReadSetup as a stream. The contract under fuzz: truncated or corrupt input
 // must return an error — decoders may never panic and never over-read.
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed corpus: one well-formed frame of every type, plus classic
@@ -53,6 +54,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The streamed Setup reader takes the same bytes as a socket would.
+		_, _, _ = ReadSetup(bytes.NewReader(data))
 		rest := data
 		for i := 0; i < 64; i++ { // bound work per input
 			typ, body, next, err := DecodeFrame(rest)

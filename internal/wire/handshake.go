@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"fmt"
-
-	"dsteiner/internal/graph"
-)
+import "dsteiner/internal/graph"
 
 // Hello is the first frame a worker sends after dialing the coordinator.
 type Hello struct {
@@ -36,30 +32,16 @@ func DecodeHello(body []byte) (Hello, error) {
 // session setup: the adjacency the worker needs to rebuild the rank's
 // graph.Shard (the owned CSR slab) without ever holding the full CSR. The
 // rank's range follows from the Setup's Bounds. The slices are
-// graph.CutShard's raw form:
-// the worker resolves the targets into its shard (graph.NewShardFromSlices)
-// and keeps no copy of them.
+// graph.CutShard's raw form, which on the coordinator alias the graph's own
+// arrays: WriteSetup streams them to the socket from there, and the worker
+// decodes them straight into its own arrays (ReadSetup), resolves the
+// targets into its shard (graph.NewShardFromSlices) and keeps no copy of
+// them.
 type ShardSlice struct {
 	Rank    int
 	Offsets []int64 // one CSR row offset per owned vertex, plus the end
 	Targets []graph.VID
 	Weights []uint32
-}
-
-func appendShardSlice(dst []byte, s ShardSlice) []byte {
-	dst = AppendUvarint(dst, uint64(s.Rank))
-	dst = AppendInt64s(dst, s.Offsets)
-	dst = AppendVIDs(dst, s.Targets)
-	return AppendUint32s(dst, s.Weights)
-}
-
-func decodeShardSlice(d *Dec) ShardSlice {
-	return ShardSlice{
-		Rank:    d.Int(),
-		Offsets: d.Int64s(),
-		Targets: d.VIDs(),
-		Weights: d.Uint32s(),
-	}
 }
 
 // Setup is the session handshake the coordinator sends each worker once all
@@ -97,59 +79,6 @@ type Setup struct {
 	// worker that loses the session re-dials and presents it in a Rejoin
 	// frame.
 	SessionID uint64
-}
-
-// EncodeSetup appends a FrameSetup payload.
-func EncodeSetup(dst []byte, s Setup) []byte {
-	dst = append(dst, FrameSetup)
-	dst = AppendUvarint(dst, uint64(s.Ranks))
-	dst = AppendUvarint(dst, uint64(s.NumVertices))
-	dst = AppendUvarint(dst, uint64(s.WorkerIndex))
-	dst = AppendInt64s(dst, s.RankLo)
-	dst = AppendUvarint(dst, uint64(len(s.PeerAddrs)))
-	for _, a := range s.PeerAddrs {
-		dst = AppendString(dst, a)
-	}
-	dst = append(dst, s.Queue)
-	dst = AppendUvarint(dst, uint64(s.BatchSize))
-	dst = appendBool(dst, s.BSP)
-	dst = AppendVIDs(dst, s.Bounds)
-	dst = AppendUvarint(dst, uint64(len(s.Shards)))
-	for _, sh := range s.Shards {
-		dst = appendShardSlice(dst, sh)
-	}
-	dst = AppendUvarint(dst, s.SessionID)
-	return dst
-}
-
-// DecodeSetup decodes a FrameSetup body.
-func DecodeSetup(body []byte) (Setup, error) {
-	d := NewDec(body)
-	var s Setup
-	s.Ranks = d.Int()
-	s.NumVertices = d.Int()
-	s.WorkerIndex = d.Int()
-	s.RankLo = d.Int64s()
-	nAddrs := d.Int()
-	if d.err == nil && nAddrs > d.Len() {
-		return s, fmt.Errorf("%w: peer address count", ErrCorrupt)
-	}
-	for i := 0; i < nAddrs && d.err == nil; i++ {
-		s.PeerAddrs = append(s.PeerAddrs, d.String())
-	}
-	s.Queue = d.Byte()
-	s.BatchSize = d.Int()
-	s.BSP = d.Bool()
-	s.Bounds = d.VIDs()
-	nShards := d.Int()
-	if d.err == nil && nShards > d.Len() {
-		return s, fmt.Errorf("%w: shard slice count", ErrCorrupt)
-	}
-	for i := 0; i < nShards && d.err == nil; i++ {
-		s.Shards = append(s.Shards, decodeShardSlice(d))
-	}
-	s.SessionID = d.Uvarint()
-	return s, d.finish()
 }
 
 // Ready is the worker's handshake acknowledgement: shard and state slab

@@ -46,8 +46,9 @@ const Version uint32 = 17
 const readChunk = 1 << 20
 
 // MaxFrame bounds a frame's payload so a corrupt length prefix cannot make
-// a reader allocate unbounded memory. Handshake frames carry whole shard
-// slices, so the bound is generous.
+// a reader allocate unbounded memory. A Setup frame carries whole shard
+// slices, so the bound is generous; it is streamed (WriteSetup, ReadSetup),
+// never read whole.
 const MaxFrame = 1 << 30
 
 // Frame types. The first payload byte of every frame identifies it. The
@@ -152,21 +153,34 @@ func AppendFrame(dst, payload []byte) []byte {
 // has capacity. io.EOF is returned untouched on a clean end-of-stream;
 // a stream cut mid-frame yields ErrTruncated.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
+	n, err := readFrameLen(r)
+	if err != nil {
+		return nil, err
+	}
+	return readFrameBody(r, buf[:0], int(n))
+}
+
+// readFrameLen reads a frame's length prefix and checks it.
+func readFrameLen(r io.Reader) (uint32, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			return 0, io.EOF
 		}
-		return nil, fmt.Errorf("%w: frame header: %v", ErrTruncated, err)
+		return 0, fmt.Errorf("%w: frame header: %v", ErrTruncated, err)
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n == 0 || n > MaxFrame {
-		return nil, fmt.Errorf("%w: frame length %d", ErrCorrupt, n)
+		return 0, fmt.Errorf("%w: frame length %d", ErrCorrupt, n)
 	}
-	// Grow toward a large declared length only as the bytes arrive, so a
-	// hostile prefix on a short stream cannot force a MaxFrame allocation.
-	buf = buf[:0]
-	for remaining := int(n); remaining > 0; {
+	return n, nil
+}
+
+// readFrameBody appends the next n bytes of r to buf. It grows toward a
+// large declared length only as the bytes arrive, so a hostile prefix on a
+// short stream cannot force a MaxFrame allocation.
+func readFrameBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for remaining := n; remaining > 0; {
 		step := min(remaining, readChunk)
 		buf = slices.Grow(buf, step)[:len(buf)+step]
 		if _, err := io.ReadFull(r, buf[len(buf)-step:]); err != nil {
@@ -223,16 +237,6 @@ func AppendVIDs(dst []byte, vs []graph.VID) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(vs)))
 	for _, v := range vs {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-	}
-	return dst
-}
-
-// AppendUint32s appends a length-prefixed []uint32 raw little-endian.
-func AppendUint32s(dst []byte, vs []uint32) []byte {
-	dst = slices.Grow(dst, binary.MaxVarintLen64+4*len(vs))
-	dst = binary.AppendUvarint(dst, uint64(len(vs)))
-	for _, v := range vs {
-		dst = binary.LittleEndian.AppendUint32(dst, v)
 	}
 	return dst
 }
@@ -392,20 +396,6 @@ func (d *Dec) VIDs() []graph.VID {
 	out := make([]graph.VID, n)
 	for i := range out {
 		out[i] = graph.VID(int32(binary.LittleEndian.Uint32(d.b[4*i:])))
-	}
-	d.b = d.b[4*n:]
-	return out
-}
-
-// Uint32s decodes a length-prefixed []uint32.
-func (d *Dec) Uint32s() []uint32 {
-	n := d.count(4, "uint32 array")
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(d.b[4*i:])
 	}
 	d.b = d.b[4*n:]
 	return out

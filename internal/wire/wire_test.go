@@ -138,11 +138,6 @@ func TestHugeCountsRejected(t *testing.T) {
 				t.Fatalf("count %d: VIDs decoded without error", n)
 			}
 		}
-		d := NewDec(prefix)
-		d.Uint32s()
-		if d.Err() == nil {
-			t.Fatalf("count %d: Uint32s decoded without error", n)
-		}
 		// And through the message-batch path (dest + hostile count).
 		body := AppendUvarint([]byte{}, 0)
 		body = append(body, prefix...)
@@ -395,10 +390,9 @@ func rejectTruncations(t *testing.T, bodies map[string]truncCase) {
 // encoding behind an existing prefix, and they decode back.
 func TestBulkAppendersSizeOnce(t *testing.T) {
 	const n = 1 << 20
-	vids, u32s, i64s := make([]graph.VID, n), make([]uint32, n), make([]int64, n)
+	vids, i64s := make([]graph.VID, n), make([]int64, n)
 	for i := range n {
 		vids[i] = graph.VID(i * 7)
-		u32s[i] = uint32(i) * 2654435761
 		i64s[i] = int64(i)*-3 + 1<<40
 	}
 	prefix := []byte("prefix")
@@ -422,14 +416,6 @@ func TestBulkAppendersSizeOnce(t *testing.T) {
 	check("AppendVIDs", got, want, slices.Equal(d.VIDs(), vids) && d.Err() == nil)
 
 	want = binary.AppendUvarint(bytes.Clone(prefix), n)
-	for _, v := range u32s {
-		want = binary.LittleEndian.AppendUint32(want, v)
-	}
-	got = AppendUint32s(bytes.Clone(prefix), u32s)
-	d = NewDec(got[len(prefix):])
-	check("AppendUint32s", got, want, slices.Equal(d.Uint32s(), u32s) && d.Err() == nil)
-
-	want = binary.AppendUvarint(bytes.Clone(prefix), n)
 	for _, v := range i64s {
 		want = binary.LittleEndian.AppendUint64(want, uint64(v))
 	}
@@ -438,9 +424,8 @@ func TestBulkAppendersSizeOnce(t *testing.T) {
 	check("AppendInt64s", got, want, slices.Equal(d.Int64s(), i64s) && d.Err() == nil)
 
 	for name, appendAll := range map[string]func(){
-		"AppendVIDs":    func() { AppendVIDs(nil, vids) },
-		"AppendUint32s": func() { AppendUint32s(nil, u32s) },
-		"AppendInt64s":  func() { AppendInt64s(nil, i64s) },
+		"AppendVIDs":   func() { AppendVIDs(nil, vids) },
+		"AppendInt64s": func() { AppendInt64s(nil, i64s) },
 	} {
 		if allocs := testing.AllocsPerRun(3, appendAll); allocs > 2 {
 			t.Errorf("%s of %d values to a nil slice: %.0f allocations, want at most 2", name, n, allocs)
