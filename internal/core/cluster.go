@@ -3,10 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"dsteiner/internal/graph"
+	"dsteiner/internal/par"
 	"dsteiner/internal/partition"
 	"dsteiner/internal/transport"
 	"dsteiner/internal/voronoi"
@@ -97,20 +97,14 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 }
 
 // rangeBytes sizes each rank's shard and slab from its range of g without
-// building either (graph.ShardShape), each rank on its own goroutine.
+// building either (graph.ShardShape), several ranks at once (par.Each).
 func rangeBytes(g *graph.Graph, plan *partition.ShardPlan) []rankBytes {
 	out := make([]rankBytes, plan.NumRanks())
-	var wg sync.WaitGroup
-	for rank := range out {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lo, hi := plan.Range(rank)
-			arcs, ghosts := graph.ShardShape(g, lo, hi)
-			out[rank] = rankBytes{graph.ShardBytes(int(hi-lo), arcs, ghosts), voronoi.SlabBytes(int(hi-lo), ghosts)}
-		}()
-	}
-	wg.Wait()
+	par.Each(len(out), func(rank int) {
+		lo, hi := plan.Range(rank)
+		arcs, ghosts := graph.ShardShape(g, lo, hi)
+		out[rank] = rankBytes{graph.ShardBytes(int(hi-lo), arcs, ghosts), voronoi.SlabBytes(int(hi-lo), ghosts)}
+	})
 	return out
 }
 

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"sync"
-
 	"dsteiner/internal/graph"
+	"dsteiner/internal/par"
 	rt "dsteiner/internal/runtime"
 	"dsteiner/internal/voronoi"
 )
@@ -42,20 +41,14 @@ type rankPool struct {
 
 // newRankHost pools the state for comm's hosted ranks: slabs[i] is hosted
 // rank lo+i's control state, built over the shard attached for it, from
-// which its halo is planned, each rank's on its own goroutine.
+// which its halo is planned, several ranks' at once (par.Each).
 func newRankHost(comm *rt.Comm, bsp bool, slabs []*voronoi.StateSlab) *rankHost {
 	h := &rankHost{comm: comm, bsp: bsp, pools: make([]*rankPool, comm.NumRanks())}
 	lo, _ := comm.HostRange()
 	shards := comm.Shards()
-	var wg sync.WaitGroup
-	for i, sl := range slabs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h.pools[lo+i] = &rankPool{slab: sl, halo: newHaloPlan(shards[i], comm.Partition().Owner)}
-		}()
-	}
-	wg.Wait()
+	par.Each(len(slabs), func(i int) {
+		h.pools[lo+i] = &rankPool{slab: slabs[i], halo: newHaloPlan(shards[i], comm.Partition().Owner)}
+	})
 	return h
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"dsteiner/internal/faultpoint"
@@ -215,36 +214,24 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 		return nil, fmt.Errorf("core: setup enum out of range (queue %d)", setup.Queue)
 	}
 
+	w := &worker{n: setup.NumVertices}
+	shards := make([]*graph.Shard, 0, hi-lo)
+	slabs := make([]*voronoi.StateSlab, 0, hi-lo)
 	for i, sl := range setup.Shards {
 		if sl.Rank != lo+i {
 			return nil, fmt.Errorf("core: shard slice %d is for rank %d, want %d", i, sl.Rank, lo+i)
 		}
-	}
-	// Each hosted rank's shard and slab is built on its own goroutine.
-	w := &worker{n: setup.NumVertices}
-	shards := make([]*graph.Shard, hi-lo)
-	slabs := make([]*voronoi.StateSlab, hi-lo)
-	errs := make([]error, hi-lo)
-	var wg sync.WaitGroup
-	for i, sl := range setup.Shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			vlo, vhi := part.Range(sl.Rank)
-			shards[i], errs[i] = graph.NewShardFromSlices(setup.NumVertices, sl.Rank, setup.Ranks, vlo, vhi,
-				sl.Offsets, sl.Targets, sl.Weights)
-			if errs[i] == nil {
-				slabs[i] = voronoi.NewStateSlab(sl.Rank, vlo, vhi, shards[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
+		vlo, vhi := part.Range(sl.Rank)
+		sh, err := graph.NewShardFromSlices(setup.NumVertices, sl.Rank, setup.Ranks, vlo, vhi, sl.Offsets,
+			sl.Targets, sl.Weights)
 		if err != nil {
-			return nil, fmt.Errorf("core: inconsistent setup geometry (rank %d shard slice): %w", lo+i, err)
+			return nil, fmt.Errorf("core: inconsistent setup geometry (rank %d shard slice): %w", sl.Rank, err)
 		}
-		w.shardBytes += shards[i].MemoryBytes()
-		w.stateBytes += slabs[i].MemoryBytes()
+		shards = append(shards, sh)
+		slab := voronoi.NewStateSlab(sl.Rank, vlo, vhi, sh)
+		slabs = append(slabs, slab)
+		w.shardBytes += sh.MemoryBytes()
+		w.stateBytes += slab.MemoryBytes()
 	}
 
 	cfg.Logf("rankd: worker %d/%d hosting ranks [%d,%d), |V|=%d, shard %d B, slab %d B",

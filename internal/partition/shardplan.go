@@ -2,9 +2,9 @@ package partition
 
 import (
 	"fmt"
-	"sync"
 
 	"dsteiner/internal/graph"
+	"dsteiner/internal/par"
 )
 
 // ShardPlan is the blueprint for cutting a graph into per-rank shards: a
@@ -35,18 +35,12 @@ func (p *ShardPlan) Partition() *Partition { return p.part }
 func (p *ShardPlan) Range(rank int) (lo, hi graph.VID) { return p.part.Range(rank) }
 
 // BuildShards cuts one graph.Shard per rank out of g according to the plan,
-// each on its own goroutine: the cuts only read g.
+// several at once (par.Each): the cuts only read g.
 func (p *ShardPlan) BuildShards(g *graph.Graph) []*graph.Shard {
 	shards := make([]*graph.Shard, p.NumRanks())
-	var wg sync.WaitGroup
-	for rank := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lo, hi := p.Range(rank)
-			shards[rank] = graph.NewShard(g, rank, p.NumRanks(), lo, hi)
-		}()
-	}
-	wg.Wait()
+	par.Each(len(shards), func(rank int) {
+		lo, hi := p.Range(rank)
+		shards[rank] = graph.NewShard(g, rank, p.NumRanks(), lo, hi)
+	})
 	return shards
 }

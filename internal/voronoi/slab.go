@@ -2,9 +2,9 @@ package voronoi
 
 import (
 	"fmt"
-	"sync"
 
 	"dsteiner/internal/graph"
+	"dsteiner/internal/par"
 	"dsteiner/internal/partition"
 )
 
@@ -95,20 +95,14 @@ func BuildSlabs(plan *partition.ShardPlan, shards []*graph.Shard) []*StateSlab {
 	return shardSlabs(plan.Partition(), shards)
 }
 
-// shardSlabs builds a StateSlab over each shard, in order, each on its own
-// goroutine.
+// shardSlabs builds a StateSlab over each shard, in order, several at once
+// (par.Each).
 func shardSlabs(part *partition.Partition, shards []*graph.Shard) []*StateSlab {
 	slabs := make([]*StateSlab, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lo, hi := part.Range(sh.Rank())
-			slabs[i] = NewStateSlab(sh.Rank(), lo, hi, sh)
-		}()
-	}
-	wg.Wait()
+	par.Each(len(shards), func(i int) {
+		lo, hi := part.Range(shards[i].Rank())
+		slabs[i] = NewStateSlab(shards[i].Rank(), lo, hi, shards[i])
+	})
 	return slabs
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strings"
 
 	"dsteiner/internal/graph"
 )
@@ -217,17 +218,27 @@ func (d *setupDec) byte() uint8 {
 	return b
 }
 
+// string decodes a length-prefixed string, its bytes read into growing parts
+// (readParts) as decodeColumn reads a column's entries.
 func (d *setupDec) string() string {
 	n := d.count(1, "string body")
 	if n == 0 {
 		return ""
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
+	parts, err := readParts(n, 1, func(part []byte) error {
+		_, err := io.ReadFull(d.r, part)
+		return err
+	})
+	if err != nil {
 		d.fail("string body", err)
 		return ""
 	}
-	return string(b)
+	var b strings.Builder
+	b.Grow(n)
+	for _, part := range parts {
+		b.Write(part)
+	}
+	return b.String()
 }
 
 // count decodes a count of things at least minBytes long each, refusing
@@ -243,15 +254,30 @@ func (d *setupDec) count(minBytes int, what string) int {
 	return int(n)
 }
 
-// firstPart is the byte size of the first part decodeColumn reads a column
-// into; each later part doubles the last.
+// firstPart is the byte size of the first part readParts reads into; each
+// later part doubles the last.
 const firstPart = graph.ColumnChunk / 16
 
-// decodeColumn decodes a length-prefixed column. It reads the entries into
-// parts that double from firstPart bytes and joins them once the column is
-// whole, so what it has allocated is never more than twice the bytes it has
-// received plus firstPart: a frame that declares a long column and then
-// stops costs what was sent, not what was declared.
+// readParts reads n entries of size bytes each through fill into parts that
+// double from firstPart bytes, so what it has allocated is never more than
+// twice the bytes it has received plus firstPart: a frame that declares a
+// long column or string and then stops costs what was sent, not what was
+// declared. Joining the parts, once all have arrived, is the caller's.
+func readParts[T any](n, size int, fill func(part []T) error) ([][]T, error) {
+	var parts [][]T
+	for got, step := 0, firstPart/size; got < n; step *= 2 {
+		part := make([]T, min(step, n-got))
+		if err := fill(part); err != nil {
+			return nil, err
+		}
+		parts = append(parts, part)
+		got += len(part)
+	}
+	return parts, nil
+}
+
+// decodeColumn decodes a length-prefixed column through readParts, joining
+// its parts once the column is whole.
 func decodeColumn[T graph.Column](d *setupDec, what string) []T {
 	n := d.count(binary.Size(T(0)), what)
 	if n == 0 {
@@ -260,15 +286,12 @@ func decodeColumn[T graph.Column](d *setupDec, what string) []T {
 	if d.scratch == nil {
 		d.scratch = make([]byte, graph.ColumnChunk)
 	}
-	var parts [][]T
-	for got, step := 0, firstPart/binary.Size(T(0)); got < n; step *= 2 {
-		part := make([]T, min(step, n-got))
-		if err := graph.ReadColumn(d.r, part, d.scratch); err != nil {
-			d.fail(what, err)
-			return nil
-		}
-		parts = append(parts, part)
-		got += len(part)
+	parts, err := readParts(n, binary.Size(T(0)), func(part []T) error {
+		return graph.ReadColumn(d.r, part, d.scratch)
+	})
+	if err != nil {
+		d.fail(what, err)
+		return nil
 	}
 	if len(parts) == 1 {
 		return parts[0]

@@ -131,35 +131,40 @@ func TestReadSetupPassesOtherFrames(t *testing.T) {
 
 // TestReadSetupBoundsHostileLengths feeds ReadSetup frames that declare far
 // more than the stream carries: a 1 GiB frame whose 2^27-entry target
-// column stops after 1 MiB, a frame cut inside its header fields, and a
+// column stops after 1 MiB, a frame cut inside its header fields, a peer
+// address of almost 1 GiB that stops at once or after 1 MiB, and a
 // 2^28-entry column longer than its 1 GiB frame. Each must fail with
 // ErrTruncated or ErrCorrupt, and a read may allocate no more than about
-// twice the bytes sent plus the 64 KiB column scratch: the decode parts stay
-// within twice the bytes received plus their first part's 4 KiB, and the
-// rest is the decoder's own few hundred bytes.
+// twice the bytes sent plus the 64 KiB column scratch: the decode parts of a
+// column or a string stay within twice the bytes received plus their first
+// part's 4 KiB, and the rest is the decoder's own few hundred bytes.
 func TestReadSetupBoundsHostileLengths(t *testing.T) {
-	prefix := func(n uint32, column uint64) []byte {
+	peers := func(n uint32) []byte {
 		b := binary.LittleEndian.AppendUint32(nil, n)
 		b = append(b, FrameSetup)
-		b = AppendUvarint(b, 2)              // Ranks
-		b = AppendUvarint(b, 1<<20)          // NumVertices
-		b = AppendUvarint(b, 0)              // WorkerIndex
-		b = AppendInt64s(b, []int64{0, 2})   // RankLo
-		b = AppendUvarint(b, 1)              // one peer
-		b = AppendString(b, "127.0.0.1:1")   // its address
-		b = append(b, 0)                     // Queue
-		b = AppendUvarint(b, 64)             // BatchSize
-		b = append(b, 0)                     // BSP
-		b = AppendVIDs(b, []graph.VID{0, 9}) // Bounds
-		b = AppendUvarint(b, 1)              // one shard
-		b = AppendUvarint(b, 0)              // its rank
-		b = AppendInt64s(b, []int64{0, 0})   // offsets
-		return AppendUvarint(b, column)      // the target count
+		b = AppendUvarint(b, 2)            // Ranks
+		b = AppendUvarint(b, 1<<20)        // NumVertices
+		b = AppendUvarint(b, 0)            // WorkerIndex
+		b = AppendInt64s(b, []int64{0, 2}) // RankLo
+		return AppendUvarint(b, 1)         // one peer
+	}
+	prefix := func(n uint32, column uint64) []byte {
+		b := AppendString(peers(n), "127.0.0.1:1") // the peer's address
+		b = append(b, 0)                           // Queue
+		b = AppendUvarint(b, 64)                   // BatchSize
+		b = append(b, 0)                           // BSP
+		b = AppendVIDs(b, []graph.VID{0, 9})       // Bounds
+		b = AppendUvarint(b, 1)                    // one shard
+		b = AppendUvarint(b, 0)                    // its rank
+		b = AppendInt64s(b, []int64{0, 0})         // offsets
+		return AppendUvarint(b, column)            // the target count
 	}
 	cutColumn := append(prefix(MaxFrame, 1<<27), make([]byte, 1<<20)...)
 	cases := map[string][]byte{
 		"1 GiB frame, column cut at 1 MiB": cutColumn,
 		"1 GiB frame, cut in the header":   prefix(MaxFrame, 1<<27)[:20],
+		"1 GiB frame, huge peer address":   AppendUvarint(peers(MaxFrame), MaxFrame-64),
+		"huge peer address cut at 1 MiB":   append(AppendUvarint(peers(MaxFrame), MaxFrame-64), make([]byte, 1<<20)...),
 		"2^28-entry column":                prefix(MaxFrame, 1<<28),
 		"column past a short frame":        prefix(64, 1<<10),
 	}
