@@ -20,24 +20,22 @@ INPROC_HTTP=127.0.0.1:8712
 QUERIES=("1,2,3" "5,9,13,21" "0,7" "2,4,8,16,32")
 
 workdir=$(mktemp -d)
-pids=()
+# cleanup stops every process the script started by the path of its binary
+# or script, all under $workdir: that also finds the rankd the coordinator's
+# -respawn-cmd started, which is no child of this shell. A process still
+# alive after about 5 s is killed with SIGKILL and named on stderr.
 cleanup() {
-  for pid in "${pids[@]:-}"; do
-    kill "$pid" 2>/dev/null || true
-  done
+  pkill -f "$workdir/" 2>/dev/null || true
   wait 2>/dev/null || true
-  # The respawned rankd is not this shell's child, so wait cannot reap it:
-  # poll until every pid is gone, for about 5 s at most.
   for _ in $(seq 1 50); do
-    local alive=0
-    for pid in "${pids[@]:-}"; do
-      if [ -n "$pid" ] && kill -0 "$pid" 2>/dev/null; then
-        alive=1
-      fi
-    done
-    [ "$alive" = 0 ] && break
+    pgrep -f "$workdir/" >/dev/null || break
     sleep 0.1
   done
+  if pgrep -f "$workdir/" >/dev/null; then
+    echo "cleanup: still running after 5 s, sending SIGKILL:" >&2
+    pgrep -af "$workdir/" >&2 || true
+    pkill -KILL -f "$workdir/" 2>/dev/null || true
+  fi
   rm -rf "$workdir"
 }
 trap cleanup EXIT
@@ -50,16 +48,13 @@ echo "== starting tcp coordinator + $WORKERS rankd workers"
 "$workdir/steinersvc" -dataset "$DATASET" -scale "$SCALE" -ranks $RANKS \
   -backend tcp -workers $WORKERS -rank-listen "$COORD" \
   -addr "$TCP_HTTP" -cache 0 -jobs 0 >"$workdir/tcp.log" 2>&1 &
-pids+=($!)
 for i in $(seq 1 $WORKERS); do
   "$workdir/rankd" -coordinator "$COORD" -retry 30s >"$workdir/rankd$i.log" 2>&1 &
-  pids+=($!)
 done
 
 echo "== starting inproc reference"
 "$workdir/steinersvc" -dataset "$DATASET" -scale "$SCALE" -ranks $RANKS \
   -addr "$INPROC_HTTP" -cache 0 -jobs 0 >"$workdir/inproc.log" 2>&1 &
-pids+=($!)
 
 wait_http() {
   local base=$1 name=$2
@@ -68,7 +63,7 @@ wait_http() {
       return 0
     fi
     sleep 0.5
-  done
+done
   echo "FAIL: $name never answered /info" >&2
   tail -n 40 "$workdir"/*.log >&2 || true
   exit 1
@@ -244,23 +239,19 @@ if [ -e "$workdir/respawned" ]; then exit 0; fi
 touch "$workdir/respawned"
 "$workdir/rankd" -coordinator "$CHAOS_COORD" -rejoin 30s \
   >"$workdir/respawn_rankd.log" 2>&1 &
-echo \$! >"$workdir/respawn_rankd.pid"
 EOF
 chmod +x "$workdir/respawn.sh"
 "$workdir/steinersvc" -dataset "$DATASET" -scale "$SCALE" -ranks $RANKS \
   -backend tcp -workers $WORKERS -rank-listen "$CHAOS_COORD" \
   -recover -rejoin-wait 30s -respawn-cmd "$workdir/respawn.sh" \
   -addr "$CHAOS_HTTP" -cache 0 -jobs 0 >"$workdir/chaos.log" 2>&1 &
-pids+=($!)
 for i in $(seq 1 $((WORKERS - 1))); do
   "$workdir/rankd" -coordinator "$CHAOS_COORD" -retry 30s -rejoin 30s \
     >"$workdir/chaos_rankd$i.log" 2>&1 &
-  pids+=($!)
 done
 FAULTPOINTS=solve.phase3:exit "$workdir/rankd" -coordinator "$CHAOS_COORD" \
   -retry 30s >"$workdir/doomed_rankd.log" 2>&1 &
 doomed_pid=$!
-pids+=($doomed_pid)
 wait_http "$CHAOS_HTTP" "recovering tcp steinersvc"
 
 echo "== killing one rankd mid-solve (FAULTPOINTS=solve.phase3:exit)"
@@ -284,9 +275,6 @@ fi
 if [ ! -e "$workdir/respawned" ]; then
   echo "FAIL: coordinator never ran -respawn-cmd" >&2
   exit 1
-fi
-if [ -s "$workdir/respawn_rankd.pid" ]; then
-  pids+=("$(cat "$workdir/respawn_rankd.pid")")
 fi
 echo "   worker died at phase 3 (exit 3), replacement respawned, answer byte-identical"
 

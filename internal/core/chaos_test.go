@@ -20,13 +20,16 @@ import (
 // failure of the fault-tolerance contract.
 const chaosSolveDeadline = 45 * time.Second
 
-// startChaosFleet is startTCPEngine's fault-tolerant sibling: workers run
-// ServeWorker (the rejoining loop rankd -rejoin executes) with per-worker
-// configs, so a cell can arm a Chaos shim on one worker and rejoin behavior
-// on all of them. The returned shutdown closes the engine and then joins
-// the worker goroutines under a deadline — a worker that never exits is a
-// hang, not a slow test.
-func startChaosFleet(t *testing.T, g *graph.Graph, opts Options, workers int,
+// startChaosFleet builds a BackendTCP engine over a fleet of workers that
+// run as goroutines in this process but speak the real wire protocol over
+// localhost TCP: each runs ServeWorker, the loop cmd/rankd executes, with
+// its own config from cfgFor, so a cell can arm a Chaos shim on one worker
+// and rejoin behavior on all of them (cfgFor nil: WorkerConfig{}, one
+// session each, as RunWorker). The returned shutdown closes the engine and
+// then joins the worker goroutines under a deadline — a worker that never
+// exits is a hang, not a slow test — and with wantClean requires every
+// worker to have exited without error.
+func startChaosFleet(t testing.TB, g *graph.Graph, opts Options, workers int,
 	cfgFor func(w int) WorkerConfig) (*Engine, func(wantClean bool)) {
 	t.Helper()
 	opts.Backend = BackendTCP
@@ -39,7 +42,11 @@ func startChaosFleet(t *testing.T, g *graph.Graph, opts Options, workers int,
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				errs[i] = ServeWorker(addr, cfgFor(i))
+				var cfg WorkerConfig
+				if cfgFor != nil {
+					cfg = cfgFor(i)
+				}
+				errs[i] = ServeWorker(addr, cfg)
 			}(i)
 		}
 	}
@@ -64,6 +71,19 @@ func startChaosFleet(t *testing.T, g *graph.Graph, opts Options, workers int,
 	}
 }
 
+// chaosOnWorker0 is a cfgFor for startChaosFleet: every worker rejoins a
+// faulted session within rejoin (0: it exits instead), and worker 0 alone
+// runs the chaos shim.
+func chaosOnWorker0(rejoin time.Duration, chaos *transport.ChaosConfig) func(w int) WorkerConfig {
+	return func(w int) WorkerConfig {
+		cfg := WorkerConfig{RejoinWait: rejoin}
+		if w == 0 {
+			cfg.Chaos = chaos
+		}
+		return cfg
+	}
+}
+
 // solveWithDeadline runs one Solve under the chaos watchdog.
 func solveWithDeadline(t *testing.T, name string, e *Engine, seeds []graph.VID) (*Result, error) {
 	t.Helper()
@@ -85,8 +105,7 @@ func solveWithDeadline(t *testing.T, name string, e *Engine, seeds []graph.VID) 
 	}
 }
 
-// chaosOpts is the one engine shape every chaos cell uses, so a single
-// loopback reference covers the whole matrix.
+// chaosOpts is the one engine shape every chaos cell uses.
 func chaosOpts() Options {
 	return Options{Ranks: 4, Queue: rt.QueuePriority}
 }
@@ -106,13 +125,7 @@ func probeChaosOps(t *testing.T, g *graph.Graph, seeds []graph.VID) (ops, floor 
 	opts := chaosOpts()
 	opts.Recover = true
 	opts.RejoinWait = 10 * time.Second
-	e, shutdown := startChaosFleet(t, g, opts, 2, func(w int) WorkerConfig {
-		cfg := WorkerConfig{RejoinWait: 10 * time.Second}
-		if w == 0 {
-			cfg.Chaos = &transport.ChaosConfig{Seed: 1}
-		}
-		return cfg
-	})
+	e, shutdown := startChaosFleet(t, g, opts, 2, chaosOnWorker0(10*time.Second, &transport.ChaosConfig{Seed: 1}))
 	if _, err := solveWithDeadline(t, "probe", e, seeds); err != nil {
 		t.Fatalf("probe solve: %v", err)
 	}
@@ -131,7 +144,7 @@ func probeChaosOps(t *testing.T, g *graph.Graph, seeds []graph.VID) (ops, floor 
 // TestChaosMatrix is the chaos-equivalence acceptance suite: fault kinds ×
 // injection positions × seeds, each cell injecting one deterministic fault
 // into a recovering 2-worker fleet and requiring the answer to stay
-// byte-identical to the loopback reference — first on the faulted solve
+// byte-identical to referenceSolve's — first on the faulted solve
 // (healed and requeued under the covers), then again on the healed fleet —
 // with every worker exiting cleanly at goodbye. The fault lands in the
 // faulted solve as a rule, but a late position (after=78) can fire in the
@@ -143,15 +156,7 @@ func TestChaosMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	seeds := pickEngineSeeds(rng, g.NumVertices(), 8)
 
-	loop, err := NewEngine(g, chaosOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := loop.Solve(seeds)
-	loop.Close()
-	if err != nil {
-		t.Fatalf("loopback reference: %v", err)
-	}
+	want, _ := referenceSolve(t, g, TreeSpec(seeds))
 
 	// Injection positions in transport ops: early, middle and late in a
 	// solve. They are constants, not fractions of the probed count, because
@@ -179,18 +184,12 @@ func TestChaosMatrix(t *testing.T) {
 		opts := chaosOpts()
 		opts.Recover = true
 		opts.RejoinWait = 15 * time.Second
-		e, shutdown := startChaosFleet(t, g, opts, 2, func(w int) WorkerConfig {
-			cfg := WorkerConfig{RejoinWait: 15 * time.Second}
-			if w == 0 {
-				cfg.Chaos = chaos
-			}
-			return cfg
-		})
+		e, shutdown := startChaosFleet(t, g, opts, 2, chaosOnWorker0(15*time.Second, chaos))
 		got, err := solveWithDeadline(t, label+"/faulted", e, seeds)
 		if err != nil {
 			t.Fatalf("faulted solve not recovered: %v", err)
 		}
-		assertResultsEquivalent(t, label+"/faulted", got, want)
+		assertMatchesReference(t, e, got, want)
 		if wantFault && e.FaultStats().Detected == 0 {
 			t.Logf("%s: no fault detected by the end of the faulted solve; the healed solve takes it", label)
 		}
@@ -201,7 +200,7 @@ func TestChaosMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("solve on healed fleet: %v", err)
 		}
-		assertResultsEquivalent(t, label+"/healed", again, want)
+		assertMatchesReference(t, e, again, want)
 		fs := e.FaultStats()
 		shutdown(true)
 		if wantFault {
@@ -243,23 +242,15 @@ func TestChaosMatrix(t *testing.T) {
 // TestChaosCrashAtPhase is the fifth fault kind of the matrix: a rank
 // crashes (faultpoint panic — the in-process stand-in for rankd's
 // FAULTPOINTS=...:exit) at the start of solver phases 2, 4 and 6, and the
-// recovering fleet still answers byte-identically. The faultpoint registry
-// is process-global and the workers are goroutines here, so the loopback
-// reference is computed before arming and the points are reset on cleanup.
+// recovering fleet still answers as referenceSolve does. The faultpoint
+// registry is process-global and the workers are goroutines here, so the
+// points are reset on cleanup.
 func TestChaosCrashAtPhase(t *testing.T) {
 	g := engineTestGraph(17, 120)
 	rng := rand.New(rand.NewSource(92))
 	seeds := pickEngineSeeds(rng, g.NumVertices(), 5)
 
-	loop, err := NewEngine(g, chaosOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := loop.Solve(seeds)
-	loop.Close()
-	if err != nil {
-		t.Fatalf("loopback reference: %v", err)
-	}
+	want, _ := referenceSolve(t, g, TreeSpec(seeds))
 
 	for _, phase := range []string{"solve.phase2", "solve.phase4", "solve.phase6"} {
 		t.Run(phase, func(t *testing.T) {
@@ -267,9 +258,7 @@ func TestChaosCrashAtPhase(t *testing.T) {
 			opts := chaosOpts()
 			opts.Recover = true
 			opts.RejoinWait = 15 * time.Second
-			e, shutdown := startChaosFleet(t, g, opts, 2, func(w int) WorkerConfig {
-				return WorkerConfig{RejoinWait: 15 * time.Second}
-			})
+			e, shutdown := startChaosFleet(t, g, opts, 2, chaosOnWorker0(15*time.Second, nil))
 			// Arm after the handshake so the crash lands mid-solve, not in
 			// session build. Once-semantics: exactly one rank crashes once;
 			// the requeued run is clean.
@@ -278,7 +267,7 @@ func TestChaosCrashAtPhase(t *testing.T) {
 			if err != nil {
 				t.Fatalf("crash at %s not recovered: %v", phase, err)
 			}
-			assertResultsEquivalent(t, phase, got, want)
+			assertMatchesReference(t, e, got, want)
 			fs := e.FaultStats()
 			shutdown(true)
 			if fs.Detected < 1 || fs.Heals < 1 || fs.Requeued < 1 {
@@ -316,13 +305,7 @@ func TestChaosFailStopWithoutRecovery(t *testing.T) {
 	}
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
-			e, shutdown := startChaosFleet(t, g, chaosOpts(), 2, func(w int) WorkerConfig {
-				cfg := WorkerConfig{}
-				if w == 0 {
-					cfg.Chaos = cell.chaos
-				}
-				return cfg
-			})
+			e, shutdown := startChaosFleet(t, g, chaosOpts(), 2, chaosOnWorker0(0, cell.chaos))
 			if cell.arm != "" {
 				t.Cleanup(faultpoint.Reset)
 				faultpoint.Arm(cell.arm, faultpoint.ActPanic)

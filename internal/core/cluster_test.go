@@ -28,9 +28,8 @@ func TestClusterShardStatsMatchLoopback(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer loop.Close()
-			tcp, wait := startTCPEngine(t, g, Default(c.ranks), c.workers)
-			defer wait()
-			defer tcp.Close()
+			tcp, shutdown := startChaosFleet(t, g, Default(c.ranks), c.workers, nil)
+			defer shutdown(true)
 			want := loop.ShardStats()
 			if got := tcp.ShardStats(); got != want {
 				t.Fatalf("tcp ShardStats %+v, loopback %+v", got, want)
@@ -82,9 +81,8 @@ func BenchmarkClusterHandshake(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, wait := startTCPEngine(b, g, Default(2), 2)
-		e.Close()
-		wait()
+		_, shutdown := startChaosFleet(b, g, Default(2), 2, nil)
+		shutdown(true)
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 }

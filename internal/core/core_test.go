@@ -167,41 +167,6 @@ func TestDuplicateSeedsRejected(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossRanksQueuesAndDelivery requires one tree from
-// every rank count and queue discipline, with delivery in order and with
-// every inbound batch shuffled.
-func TestDeterministicAcrossRanksQueuesAndDelivery(t *testing.T) {
-	g := randomConnected(11, 300, 25)
-	rng := rand.New(rand.NewSource(12))
-	seeds := pickSeeds(rng, 300, 7)
-	var ref *Result
-	for _, ranks := range []int{1, 2, 5, 8} {
-		for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
-			for _, shuffle := range []bool{false, true} {
-				opts := Options{Ranks: ranks, Queue: q, ShuffleDelivery: shuffle, ShuffleSeed: int64(ranks)}
-				res, err := Solve(g, seeds, opts)
-				if err != nil {
-					t.Fatalf("ranks=%d q=%v shuffle=%v: %v", ranks, q, shuffle, err)
-				}
-				if ref == nil {
-					ref = res
-					continue
-				}
-				if res.TotalDistance != ref.TotalDistance || len(res.Tree) != len(ref.Tree) {
-					t.Fatalf("ranks=%d q=%v shuffle=%v: distance %d (%d edges), ref %d (%d edges)",
-						ranks, q, shuffle, res.TotalDistance, len(res.Tree), ref.TotalDistance, len(ref.Tree))
-				}
-				for i := range res.Tree {
-					if res.Tree[i] != ref.Tree[i] {
-						t.Fatalf("ranks=%d q=%v shuffle=%v: tree differs at %d: %v vs %v",
-							ranks, q, shuffle, i, res.Tree[i], ref.Tree[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestParseQueue pins the flag surface: the two disciplines parse, and any
 // other name is refused with the valid ones.
 func TestParseQueue(t *testing.T) {
@@ -215,44 +180,39 @@ func TestParseQueue(t *testing.T) {
 	}
 }
 
-// TestNewEngineRejectsUnknownQueue pins the other side of ParseQueue: a
-// library caller's Options.Queue outside the two disciplines is refused by
-// NewEngine on both backends, before any fleet is dialled, rather than run
-// as FIFO in process and refused at a TCP worker's handshake.
-func TestNewEngineRejectsUnknownQueue(t *testing.T) {
+// TestNewEngineRefusesBadOptions pins NewEngine's one check of Options,
+// made before either backend starts: a queue outside the two disciplines
+// (the other side of ParseQueue), a batch size above the runtime's bound and
+// shuffled delivery on the TCP backend are refused, before any fleet is
+// dialled, rather than run as FIFO in process, refused at every TCP worker's
+// setup, or run unshuffled.
+func TestNewEngineRefusesBadOptions(t *testing.T) {
 	g := randomConnected(13, 40, 9)
-	for _, backend := range []Backend{BackendInproc, BackendTCP} {
-		for _, q := range []rt.QueueKind{-1, rt.QueuePriority + 1} {
-			opts := Options{Ranks: 2, Queue: q, Backend: backend, ListenAddr: "127.0.0.1:0", WorkerWait: time.Second}
-			opts.OnListen = func(string) { t.Errorf("%v/%v: the coordinator listened for workers", backend, q) }
+	both := []Backend{BackendInproc, BackendTCP}
+	for _, c := range []struct {
+		name     string
+		opts     Options
+		backends []Backend
+		want     string
+	}{
+		{"queue=-1", Options{Queue: -1}, both, "fifo or priority"},
+		{"queue=priority+1", Options{Queue: rt.QueuePriority + 1}, both, "fifo or priority"},
+		{"batch=2^30", Options{BatchSize: 1 << 30}, both, "above the runtime's bound 65536"},
+		{"shuffle", Options{ShuffleDelivery: true}, []Backend{BackendTCP}, "in process only"},
+	} {
+		for _, backend := range c.backends {
+			opts := c.opts
+			opts.Ranks, opts.Backend, opts.ListenAddr, opts.WorkerWait = 2, backend, "127.0.0.1:0", time.Second
+			opts.OnListen = func(string) { t.Errorf("%s/%v: the coordinator listened for workers", c.name, backend) }
 			e, err := NewEngine(g, opts)
 			if err == nil {
 				e.Close()
-				t.Fatalf("%v/%v: NewEngine accepted the queue", backend, q)
+				t.Fatalf("%s/%v: NewEngine accepted the options", c.name, backend)
 			}
-			if !strings.Contains(err.Error(), "fifo or priority") {
-				t.Fatalf("%v/%v: error = %v, want one naming fifo or priority", backend, q, err)
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s/%v: error = %v, want one naming %q", c.name, backend, err, c.want)
 			}
 		}
-	}
-}
-
-func TestBSPMatchesAsync(t *testing.T) {
-	g := randomConnected(17, 250, 20)
-	rng := rand.New(rand.NewSource(18))
-	seeds := pickSeeds(rng, 250, 5)
-	async, err := Solve(g, seeds, Default(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Default(4)
-	opts.BSP = true
-	bsp, err := Solve(g, seeds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if async.TotalDistance != bsp.TotalDistance {
-		t.Fatalf("async %d != bsp %d", async.TotalDistance, bsp.TotalDistance)
 	}
 }
 

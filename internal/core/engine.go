@@ -49,10 +49,8 @@ type Engine struct {
 // which shares the immutable shard substrate instead of rebuilding it.
 func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
-	// Refused here, before either backend starts: in process any other
-	// value would run FIFO, and a TCP worker refuses it at handshake.
-	if opts.Queue != rt.QueueFIFO && opts.Queue != rt.QueuePriority {
-		return nil, fmt.Errorf("core: unknown queue discipline %v (want fifo or priority)", opts.Queue)
+	if err := opts.check(); err != nil {
+		return nil, err
 	}
 	if opts.Backend == BackendTCP {
 		return newClusterEngine(g, opts)

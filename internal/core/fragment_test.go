@@ -46,9 +46,8 @@ func TestFragmentTCPWireBytes(t *testing.T) {
 	for i := range penalties {
 		penalties[i] = 1 << 40
 	}
-	e, wait := startTCPEngine(t, g, Options{Ranks: 4, Queue: rt.QueuePriority}, 4)
-	defer wait()
-	defer e.Close()
+	e, shutdown := startChaosFleet(t, g, Options{Ranks: 4, Queue: rt.QueuePriority}, 4, nil)
+	defer shutdown(true)
 
 	want, err := e.SolveSpec(QuerySpec{Mode: ModePrize, Seeds: seeds, Penalties: penalties})
 	if err != nil {

@@ -103,13 +103,16 @@ type Options struct {
 	// QueueFIFO, runtime's zero value, which reproduces the HavoqGT baseline
 	// of Fig. 5/6.
 	Queue rt.QueueKind
-	// BatchSize overrides the runtime's message batch size.
+	// BatchSize overrides the runtime's message batch size (at most
+	// rt.MaxBatchSize).
 	BatchSize int
 	// BSP runs the traversals of phases 1 and 6 bulk-synchronously instead
 	// of asynchronously (the §IV ablation).
 	BSP bool
 	// ShuffleDelivery randomizes message delivery order (robustness
-	// testing); ShuffleSeed makes it reproducible.
+	// testing); ShuffleSeed makes it reproducible. In process only: a TCP
+	// worker's Setup has no field for it, so NewEngine refuses it with
+	// BackendTCP.
 	ShuffleDelivery bool
 	ShuffleSeed     int64
 	// Backend selects where ranks run: in-process goroutines (default) or
@@ -149,6 +152,26 @@ func (o Options) withDefaults() Options {
 		o.Ranks = 1
 	}
 	return o
+}
+
+// check refuses what either backend would refuse late or run otherwise than
+// asked, so NewEngine fails before a runtime is built or a coordinator
+// listens: a queue outside the two disciplines (in process it would run
+// FIFO, a TCP worker refuses it at handshake), a batch size above the
+// runtime's bound (a TCP fleet would dial in and every worker abort its
+// setup), and shuffled delivery on the TCP backend (Setup carries no
+// shuffle, so the workers would deliver in arrival order).
+func (o Options) check() error {
+	if o.Queue != rt.QueueFIFO && o.Queue != rt.QueuePriority {
+		return fmt.Errorf("core: unknown queue discipline %v (want fifo or priority)", o.Queue)
+	}
+	if o.BatchSize > rt.MaxBatchSize {
+		return fmt.Errorf("core: batch size %d above the runtime's bound %d", o.BatchSize, rt.MaxBatchSize)
+	}
+	if o.ShuffleDelivery && o.Backend == BackendTCP {
+		return fmt.Errorf("core: shuffled delivery runs in process only, not on the tcp backend")
+	}
+	return nil
 }
 
 // Default returns the paper's optimized configuration at the given rank

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dsteiner/internal/exact"
 	"dsteiner/internal/graph"
@@ -24,6 +25,8 @@ type refAnswer struct {
 	tree            []graph.Edge
 	total           graph.Dist
 	skipped         []graph.VID
+	objective       graph.Dist    // total plus the skipped terminals' penalties
+	groups          [][]graph.VID // a forest query's canonical groups
 	distGraphEdges  int
 	steinerVertices int
 	// cells is the flood's fixed point, every vertex's (src, pred, dist).
@@ -68,6 +71,7 @@ func referenceSolve(t *testing.T, g *graph.Graph, spec QuerySpec) (ans refAnswer
 	switch spec.Mode {
 	case ModeForest:
 		want = len(dedup) - len(cq.spec.Groups)
+		ans.groups = cq.spec.Groups
 	case ModePrize:
 		keep := prizePlanScan(len(dedup), wedges, cq.penalty)
 		kept := wedges[:0:0]
@@ -80,6 +84,7 @@ func referenceSolve(t *testing.T, g *graph.Graph, spec QuerySpec) (ans refAnswer
 		for i, k := range keep {
 			if !k {
 				ans.skipped = append(ans.skipped, dedup[i])
+				ans.objective += cq.penalty[i]
 				want--
 			}
 		}
@@ -109,6 +114,7 @@ func referenceSolve(t *testing.T, g *graph.Graph, spec QuerySpec) (ans refAnswer
 		return a.U < b.U || (a.U == b.U && a.V < b.V)
 	})
 	ans.total = graph.TotalWeight(ans.tree)
+	ans.objective += ans.total
 	for v := range treeVertexSet(ans.tree) {
 		if _, terminal := idx[v]; !terminal {
 			ans.steinerVertices++
@@ -202,22 +208,24 @@ func checkFloodFixedPoint(t *testing.T, g *graph.Graph, st *voronoi.State) {
 	}
 }
 
-// assertMatchesReference compares the output of one engine solve with the
-// reference byte for byte, and checks what a solve always reports about how
-// it ran.
-func assertMatchesReference(t *testing.T, res *Result, want refAnswer) {
+// assertMatchesReference compares the output of one solve of engine e with
+// the reference byte for byte, and checks what a solve always reports about
+// how it ran, traffic on the wire included: none in process, and some on a
+// fleet unless it is one worker running BSP, which has no peer to send to
+// and no termination ring to drive.
+func assertMatchesReference(t *testing.T, e *Engine, res *Result, want refAnswer) {
 	t.Helper()
 	if !reflect.DeepEqual(res.Tree, want.tree) {
 		t.Fatalf("trees differ\nengine    %v\nreference %v", res.Tree, want.tree)
 	}
-	if res.TotalDistance != want.total {
-		t.Fatalf("total %d, reference %d", res.TotalDistance, want.total)
+	if res.TotalDistance != want.total || res.Objective != want.objective {
+		t.Fatalf("total %d, objective %d; reference %d, %d", res.TotalDistance, res.Objective, want.total, want.objective)
 	}
 	if !reflect.DeepEqual(res.Seeds, want.seeds) {
 		t.Fatalf("seeds %v, reference %v", res.Seeds, want.seeds)
 	}
-	if !reflect.DeepEqual(res.Skipped, want.skipped) {
-		t.Fatalf("skipped %v, reference %v", res.Skipped, want.skipped)
+	if !reflect.DeepEqual(res.Skipped, want.skipped) || !reflect.DeepEqual(res.Groups, want.groups) {
+		t.Fatalf("skipped %v, groups %v; reference %v, %v", res.Skipped, res.Groups, want.skipped, want.groups)
 	}
 	if res.DistGraphEdges != want.distGraphEdges {
 		t.Fatalf("|E'1| %d, reference %d", res.DistGraphEdges, want.distGraphEdges)
@@ -228,10 +236,24 @@ func assertMatchesReference(t *testing.T, res *Result, want refAnswer) {
 	if res.Memory.ShardBytes <= 0 {
 		t.Fatal("solve reports no shard memory")
 	}
-	if (len(res.Seeds) > 1 && res.CrossTableBytes <= 0) || res.Net != (rt.TransportStats{}) {
-		t.Fatalf("loopback %v query over %d terminals: %d cross-table bytes, transport traffic %+v",
-			res.Mode, len(res.Seeds), res.CrossTableBytes, res.Net)
+	if len(res.Seeds) > 1 && res.CrossTableBytes <= 0 {
+		t.Fatalf("%v query over %d terminals moved no cross-table bytes", res.Mode, len(res.Seeds))
 	}
+	switch net := res.Net; {
+	case e.cluster == nil && net != (rt.TransportStats{}),
+		e.cluster != nil && !(e.opts.Workers == 1 && e.opts.BSP) && (net.FramesOut == 0 || net.BytesOut == 0):
+		t.Fatalf("%v %v query on %d worker(s): transport traffic %+v", e.opts.Backend, res.Mode, e.opts.Workers, net)
+	}
+}
+
+// timingFree is what a solve reports about how it ran that no message race
+// can move: the merge's payload, records and rounds, and all traffic after
+// phase 1 (the halo exchange and the tree walk are functions of the final
+// labels). A fleet must report what a loopback engine of the same options
+// does.
+func timingFree(r *Result) [5]int64 {
+	p1 := r.Phase(PhaseVoronoi)
+	return [...]int64{r.CrossTableBytes, r.FragmentMsgs, int64(r.MSTRounds), r.Sent - p1.Sent, r.Processed - p1.Processed}
 }
 
 // checkAnswerInvariants asserts what each mode promises about an answer,
@@ -311,6 +333,44 @@ func newRefInput(t *testing.T, name string, g *graph.Graph, rng *rand.Rand, grou
 	return in
 }
 
+// solveMatchesReference asks engine e query m of in and holds the answer to
+// the reference; a loopback engine's every vertex label too, not only the
+// rows the tree walks through.
+func solveMatchesReference(t *testing.T, e *Engine, in *refInput, m int) *Result {
+	t.Helper()
+	res, err := e.SolveSpec(in.specs[m])
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesReference(t, e, res, in.want[m])
+	checkAnswerInvariants(t, in.g, in.specs[m], res)
+	if e.cluster == nil {
+		got, want := voronoi.Collect(e.slabs(), in.g.NumVertices()), in.want[m].cells
+		for v := graph.VID(0); int(v) < in.g.NumVertices(); v++ {
+			gs, gp, gd := got.Get(v)
+			if ws, wp, wd := want.Get(v); gs != ws || gp != wp || gd != wd {
+				t.Fatalf("vertex %d: row (%d, %d, %d), reference (%d, %d, %d)", v, gd, gs, gp, wd, ws, wp)
+			}
+		}
+	}
+	return res
+}
+
+// fleetWorkers is the worker count of a TCP cell: by cycle mod 3, one worker
+// hosting every rank, one rank per worker, or an uneven split of the
+// contiguous near-equal ranges (3 ranks 2/1, 4 ranks 2/1/1, 5 ranks 2/2/1,
+// 8 ranks 2/2/2/1/1). One and two ranks allow only the first two shapes.
+func fleetWorkers(ranks, cycle int) int {
+	switch {
+	case ranks == 1 || cycle%3 == 0:
+		return 1
+	case ranks == 2 || cycle%3 == 1:
+		return ranks
+	default:
+		return ranks/2 + 1
+	}
+}
+
 // TestEngineMatchesSequentialReference is the one place a distributed answer
 // is compared with a non-distributed one. Every cell of delivery order (in
 // order, or every inbound batch shuffled under a per-cell seed) × batch
@@ -320,6 +380,20 @@ func newRefInput(t *testing.T, name string, g *graph.Graph, rng *rand.Rand, grou
 // tie-heavy one (weights 1–3, where the (dist, seed, pred) flood order,
 // the (D, U, V) bridge order and the (D, seed pair) fragment order each
 // decide the answer), and must agree with referenceSolve byte for byte.
+//
+// The backend is an axis too. Every in-order cell also solves its queries
+// on a TCP fleet of in-process workers (startChaosFleet) whose worker count
+// cycles with batch size and rank count (fleetWorkers), so every (batch,
+// queue, timing) meets a one-worker fleet, a one-rank-per-worker fleet and
+// an uneven split; shuffled cells have none (NewEngine refuses shuffled
+// delivery on TCP). At 4 ranks and the default batch, each (queue, timing)
+// also runs a healed fleet: Recover on, and worker 0 drops its coordinator
+// link 13 transport operations in, so the fleet heals before its first
+// answer and every answer comes from the rebuilt session. A fleet's answers must be the reference's, and its timing-free
+// counters (timingFree) the loopback cell's. -short keeps the fleets of the
+// default batch at 3–5 ranks, which still meet all three shapes, and the
+// healed ones.
+//
 // After the table: tie-heavy graphs at other sizes and terminal counts, and
 // a random sweep over graphs, options and modes.
 func TestEngineMatchesSequentialReference(t *testing.T) {
@@ -338,16 +412,18 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 	var suppressed int64
 	var cell int64
 	for _, shuffle := range []bool{false, true} {
-		for _, batch := range []int{0, 1, 5} {
+		for bi, batch := range []int{0, 1, 5} {
 			for _, bsp := range []bool{false, true} {
 				for _, queue := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
-					for _, ranks := range []int{1, 2, 3, 4, 5, 8} {
+					for ri, ranks := range []int{1, 2, 3, 4, 5, 8} {
 						cell++
 						opts := Options{Ranks: ranks, Queue: queue, BatchSize: batch, BSP: bsp, ShuffleDelivery: shuffle, ShuffleSeed: cell}
 						delivery := "inorder"
 						if shuffle {
 							delivery = fmt.Sprintf("shuffle=%d", cell)
 						}
+						fleets := !shuffle && (!testing.Short() || batch == 0 && ranks >= 3 && ranks <= 5)
+						workers := fleetWorkers(ranks, bi+ri)
 						timing := map[bool]string{false: "async", true: "bsp"}[bsp]
 						t.Run(fmt.Sprintf("%s/batch=%d/%s/%v/ranks=%d", delivery, batch, timing, queue, ranks), func(t *testing.T) {
 							for _, in := range inputs {
@@ -356,25 +432,37 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 									t.Fatal(err)
 								}
 								defer e.Close()
+								var loop [3][5]int64
 								for m, spec := range in.specs {
 									t.Run(fmt.Sprintf("%v/%s", spec.Mode, in.name), func(t *testing.T) {
-										res, err := e.SolveSpec(spec)
-										if err != nil {
-											t.Fatal(err)
-										}
-										assertMatchesReference(t, res, in.want[m])
-										checkAnswerInvariants(t, in.g, spec, res)
-										// Not only the rows the tree walks through:
-										// every vertex's label is the reference's.
-										got, want := voronoi.Collect(e.slabs(), in.g.NumVertices()), in.want[m].cells
-										for v := graph.VID(0); int(v) < in.g.NumVertices(); v++ {
-											gs, gp, gd := got.Get(v)
-											if ws, wp, wd := want.Get(v); gs != ws || gp != wp || gd != wd {
-												t.Fatalf("vertex %d: row (%d, %d, %d), reference (%d, %d, %d)", v, gd, gs, gp, wd, ws, wp)
-											}
-										}
+										res := solveMatchesReference(t, e, in, m)
+										loop[m] = timingFree(res)
 										suppressed += res.Suppressed
 									})
+								}
+								if !fleets {
+									continue
+								}
+								fleet := func(name string, opts Options, workers int, cfgFor func(w int) WorkerConfig) {
+									tcp, shutdown := startChaosFleet(t, in.g, opts, workers, cfgFor)
+									for m, spec := range in.specs {
+										t.Run(fmt.Sprintf("%s/%v/%s", name, spec.Mode, in.name), func(t *testing.T) {
+											if got := timingFree(solveMatchesReference(t, tcp, in, m)); got != loop[m] {
+												t.Fatalf("timing-free counters %v, loopback %v", got, loop[m])
+											}
+										})
+									}
+									if fs := tcp.FaultStats(); opts.Recover && (fs.Detected == 0 || fs.Heals == 0) {
+										t.Errorf("%s/%s: the fleet never healed: %+v", name, in.name, fs)
+									}
+									shutdown(true)
+								}
+								fleet(fmt.Sprintf("tcp/workers=%d", workers), opts, workers, nil)
+								if ranks == 4 && batch == 0 {
+									healing := opts
+									healing.Recover, healing.RejoinWait = true, 15*time.Second
+									fleet("healed", healing, 2, chaosOnWorker0(15*time.Second,
+										&transport.ChaosConfig{Kind: transport.ChaosCoordDrop, Seed: 1, After: 13}))
 								}
 							}
 						})
@@ -405,7 +493,7 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						assertMatchesReference(t, res, want)
+						assertMatchesReference(t, e, res, want)
 						checkAnswerInvariants(t, g, spec, res)
 						if k <= 5 {
 							checkWithinTwiceOptimum(t, g, spec.Seeds, want.total)
@@ -464,71 +552,27 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 	})
 }
 
-// TestFloodUnderReorderingMatchesSequential scrambles delivery order in
-// process and over TCP. Under the priority queue a row keeps one queue entry
-// and a better label replaces it, so an offer that arrives late must
-// neither lose a better label nor take a slot it has no label for
-// (voronoi.RunRank). The table above shuffles each cell under one seed; here
-// loopback engines shuffle every inbound batch under three seeds per queue
-// and timing, and every row must be voronoi.Sequential's. TCP workers
-// cannot shuffle — the option has no wire field — so the fleet's arrival
-// order is perturbed by the chaos shim's seeded delays instead, and its
-// answers must be the reference's.
+// TestFloodUnderReorderingMatchesSequential perturbs a TCP fleet's arrival
+// order with the chaos shim's seeded delays on every transport operation.
+// Under the priority queue a row keeps one queue entry and a better label
+// replaces it, so an offer that arrives late must neither lose a better
+// label nor take a slot it has no label for (voronoi.RunRank); the fleet's
+// answers must be the reference's. In process, the shuffled cells of the
+// table above scramble delivery order.
 func TestFloodUnderReorderingMatchesSequential(t *testing.T) {
 	g := tieTestGraph(41, 150)
 	rng := rand.New(rand.NewSource(42))
 	specs := []QuerySpec{TreeSpec(pickEngineSeeds(rng, 150, 5)), TreeSpec(pickEngineSeeds(rng, 150, 16))}
-	wants := make([]refAnswer, len(specs))
-	for i, spec := range specs {
-		wants[i], _ = referenceSolve(t, g, spec)
-	}
-	base := Options{Ranks: 4, Queue: rt.QueuePriority}
-	for _, bsp := range []bool{false, true} {
-		for _, queue := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority} {
-			for shuffle := int64(1); shuffle <= 3; shuffle++ {
-				opts := base
-				opts.Queue, opts.BSP, opts.ShuffleDelivery, opts.ShuffleSeed = queue, bsp, true, shuffle
-				t.Run(fmt.Sprintf("bsp=%v/%v/shuffle=%d", bsp, queue, shuffle), func(t *testing.T) {
-					e, err := NewEngine(g, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer e.Close()
-					for i, spec := range specs {
-						res, err := e.SolveSpec(spec)
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := fmt.Sprintf("k=%d", len(spec.Seeds))
-						assertMatchesReference(t, res, wants[i])
-						got := voronoi.Collect(e.slabs(), g.NumVertices())
-						for v := graph.VID(0); int(v) < g.NumVertices(); v++ {
-							gs, gp, gd := got.Get(v)
-							if ws, wp, wd := wants[i].cells.Get(v); gs != ws || gp != wp || gd != wd {
-								t.Fatalf("%s: vertex %d: row (%d, %d, %d), reference (%d, %d, %d)", label, v, gd, gs, gp, wd, ws, wp)
-							}
-						}
-					}
-				})
-			}
-		}
-	}
-
-	t.Run("tcp", func(t *testing.T) {
-		e, shutdown := startChaosFleet(t, g, base, 2, func(w int) WorkerConfig {
-			return WorkerConfig{Chaos: &transport.ChaosConfig{Kind: transport.ChaosDelay, Seed: int64(w + 1)}}
-		})
-		for i, spec := range specs {
-			res, err := e.SolveSpec(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Net.FramesOut == 0 {
-				t.Fatalf("k=%d: the fleet sent no frames", len(spec.Seeds))
-			}
-			res.Net = rt.TransportStats{} // the one field a TCP answer may differ in
-			assertMatchesReference(t, res, wants[i])
-		}
-		shutdown(true)
+	e, shutdown := startChaosFleet(t, g, Options{Ranks: 4, Queue: rt.QueuePriority}, 2, func(w int) WorkerConfig {
+		return WorkerConfig{Chaos: &transport.ChaosConfig{Kind: transport.ChaosDelay, Seed: int64(w + 1)}}
 	})
+	defer shutdown(true)
+	for _, spec := range specs {
+		want, _ := referenceSolve(t, g, spec)
+		res, err := e.SolveSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesReference(t, e, res, want)
+	}
 }

@@ -102,7 +102,7 @@ type Config struct {
 	Queue QueueKind
 	// BatchSize is the number of messages coalesced per cross-rank
 	// delivery (default 64). Batching models MPI message aggregation.
-	// New refuses a value above maxBatchSize (1<<16): every rank holds a
+	// New refuses a value above MaxBatchSize (1<<16): every rank holds a
 	// 24-byte slot per message for each destination it sends to, so a
 	// value decoded off the wire must not size those buffers unchecked.
 	BatchSize int
@@ -123,8 +123,8 @@ type Config struct {
 	Transport Transport
 }
 
-// maxBatchSize bounds Config.BatchSize.
-const maxBatchSize = 1 << 16
+// MaxBatchSize bounds Config.BatchSize.
+const MaxBatchSize = 1 << 16
 
 func (c Config) withDefaults() Config {
 	if c.Ranks <= 0 {
@@ -206,8 +206,8 @@ type job struct {
 // The partition's rank count must match cfg.Ranks.
 func New(cfg Config, part *partition.Partition) (*Comm, error) {
 	cfg = cfg.withDefaults()
-	if cfg.BatchSize > maxBatchSize {
-		return nil, fmt.Errorf("runtime: batch size %d above the bound %d", cfg.BatchSize, maxBatchSize)
+	if cfg.BatchSize > MaxBatchSize {
+		return nil, fmt.Errorf("runtime: batch size %d above the bound %d", cfg.BatchSize, MaxBatchSize)
 	}
 	if part.NumRanks() != cfg.Ranks {
 		return nil, fmt.Errorf("runtime: partition has %d ranks, config wants %d", part.NumRanks(), cfg.Ranks)

@@ -46,7 +46,7 @@ func TestNewRefusesOversizeBatch(t *testing.T) {
 	if _, err := New(Config{Ranks: 2, BatchSize: math.MaxInt32}, part); err == nil {
 		t.Fatal("batch size 2^31-1 accepted")
 	}
-	if _, err := New(Config{Ranks: 2, BatchSize: maxBatchSize}, part); err != nil {
+	if _, err := New(Config{Ranks: 2, BatchSize: MaxBatchSize}, part); err != nil {
 		t.Fatalf("batch size at the bound refused: %v", err)
 	}
 }

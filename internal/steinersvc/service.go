@@ -821,6 +821,10 @@ func solveErrStatus(err error) int {
 // cached solve path as /v1/solve. Successful tree responses are
 // byte-identical to the pre-mode API.
 func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet && r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET or POST only")
+		return
+	}
 	req, err := parseSolveRequest(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
@@ -1128,6 +1132,9 @@ func (s *Service) buildSpec(req SolveRequest) (core.QuerySpec, error) {
 	}
 }
 
+// parseSolveRequest reads a query from a POST body or, for any other
+// method (the handlers admit only GET besides POST), the URL's seeds, k and
+// strategy parameters.
 func parseSolveRequest(r *http.Request) (SolveRequest, error) {
 	var req SolveRequest
 	switch r.Method {
@@ -1135,7 +1142,7 @@ func parseSolveRequest(r *http.Request) (SolveRequest, error) {
 		if err := decodeJSON(r, &req); err != nil {
 			return req, err
 		}
-	case http.MethodGet:
+	default:
 		if q := r.URL.Query().Get("seeds"); q != "" {
 			for _, part := range strings.Split(q, ",") {
 				id, err := strconv.ParseInt(strings.TrimSpace(part), 10, 32)
@@ -1153,8 +1160,6 @@ func parseSolveRequest(r *http.Request) (SolveRequest, error) {
 			req.K = k
 		}
 		req.Strategy = r.URL.Query().Get("strategy")
-	default:
-		return req, fmt.Errorf("GET or POST only")
 	}
 	return req, nil
 }

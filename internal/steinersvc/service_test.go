@@ -176,7 +176,7 @@ func TestSolveErrors(t *testing.T) {
 		{"delete on solve", func() (*http.Response, error) {
 			req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/solve", nil)
 			return http.DefaultClient.Do(req)
-		}, http.StatusBadRequest},
+		}, http.StatusMethodNotAllowed},
 	}
 	for _, tc := range cases {
 		resp, err := tc.do()
