@@ -141,13 +141,43 @@ func probeChaosOps(t *testing.T, g *graph.Graph, seeds []graph.VID) (ops, floor 
 	return ops, floor
 }
 
+// TestTreeSolveSynchronizations pins how often a tree solve synchronizes
+// its ranks: the transport operations other than deliveries that one worker
+// of a 2-worker fleet runs for one warm tree solve with one Borůvka round.
+// They are the 13 collectives that move data or detect quiescence — the
+// halo, routing, two proposal rounds (the second finds none) and tree
+// gather Exchanges; the two corrupt-blob agreements; three barriers in each
+// of the two traversals — plus the two traversal starts. A barrier or
+// allreduce that only carried accounting adds to the count and fails here.
+func TestTreeSolveSynchronizations(t *testing.T) {
+	const want = 13 + 2
+	g := engineTestGraph(17, 320)
+	seeds := []graph.VID{5, 300} // two terminals: one Borůvka round
+	e, shutdown := startChaosFleet(t, g, chaosOpts(), 2, chaosOnWorker0(0, &transport.ChaosConfig{Seed: 1}))
+	defer shutdown(true)
+	if _, err := solveWithDeadline(t, "warm-up", e, seeds); err != nil {
+		t.Fatal(err)
+	}
+	ops, delivers := transport.ChaosOpsTotal(), transport.ChaosDeliversTotal()
+	res, err := solveWithDeadline(t, "counted", e, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MSTRounds != 1 {
+		t.Fatalf("the query took %d Borůvka rounds, want 1", res.MSTRounds)
+	}
+	if got := transport.ChaosOpsTotal() - ops - (transport.ChaosDeliversTotal() - delivers); got != want {
+		t.Fatalf("one tree solve ran %d transport operations besides deliveries, want %d", got, want)
+	}
+}
+
 // TestChaosMatrix is the chaos-equivalence acceptance suite: fault kinds ×
 // injection positions × seeds, each cell injecting one deterministic fault
 // into a recovering 2-worker fleet and requiring the answer to stay
 // byte-identical to referenceSolve's — first on the faulted solve
 // (healed and requeued under the covers), then again on the healed fleet —
 // with every worker exiting cleanly at goodbye. The fault lands in the
-// faulted solve as a rule, but a late position (after=78) can fire in the
+// faulted solve as a rule, but a late position (after=30) can fire in the
 // healed solve instead when a loaded run batches its deliveries more
 // coarsely; the cell then logs which solve it fired in, and its assertions
 // hold either way.
@@ -160,24 +190,24 @@ func TestChaosMatrix(t *testing.T) {
 
 	// Injection positions in transport ops: early, middle and late in a
 	// solve. They are constants, not fractions of the probed count, because
-	// that count moves with batch timing (92–110 over eight probes of this
+	// that count moves with batch timing (39–65 over six probes of this
 	// workload, fewer under load) and a cell whose name moves with it cannot
 	// be re-run by name. The probe checks that the latest position lands
 	// inside the span a cell's shim observes whatever the batch timing:
-	// floor counts the operations that do not depend on it (55 for session
-	// start plus one solve, where deliveries add another 44–51 unloaded). A
+	// floor counts the operations that do not depend on it (16 for session
+	// start plus one solve, where deliveries add another 23–49 unloaded). A
 	// fault that has not fired when the faulted solve ends fires in the
 	// healed one. A runtime change that runs fewer collectives must shrink
 	// the positions.
-	afters := []int64{13, 46, 78}
+	afters := []int64{6, 19, 30}
 	chaosSeeds := []int64{1, 2, 3}
 	kinds := []string{transport.ChaosPeerDrop, transport.ChaosCoordDrop, transport.ChaosTruncate}
 	if testing.Short() {
-		afters = []int64{46}
+		afters = []int64{19}
 		chaosSeeds = []int64{1}
 	}
-	if _, floor := probeChaosOps(t, g, seeds); floor <= 78 {
-		t.Fatalf("a cell's two solves take only %d transport ops besides deliveries: a fault armed after 78 might never fire", floor)
+	if _, floor := probeChaosOps(t, g, seeds); floor <= 30 {
+		t.Fatalf("a cell's two solves take only %d transport ops besides deliveries: a fault armed after 30 might never fire", floor)
 	}
 
 	runCell := func(t *testing.T, label string, chaos *transport.ChaosConfig, wantFault bool) {

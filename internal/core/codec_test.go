@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"dsteiner/internal/graph"
 	"dsteiner/internal/partition"
 	rt "dsteiner/internal/runtime"
+	"dsteiner/internal/wire"
 )
 
 // codecEnv is a query environment over a 3-rank loopback host: 12 vertices
@@ -124,4 +126,38 @@ func FuzzCrossCodecs(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRecorderAccountFolds round-trips the per-rank account the tree gather
+// carries: counts add up, work takes the maximum, and rank 0 keeps its own
+// times. A cut account, and a count no int64 holds, are corrupt.
+func TestRecorderAccountFolds(t *testing.T) {
+	account := func(sent, work int64, secs float64) *recorder {
+		rec := &recorder{frag: fragStats{bytes: 10 * sent, msgs: sent, edges: 2 * sent}}
+		for _, name := range PhaseNames {
+			rec.phases = append(rec.phases, PhaseStat{Name: name, Seconds: secs, Sent: sent, Processed: sent - 1, MaxRankWork: work})
+		}
+		return rec
+	}
+	rank0, peer := account(5, 9, 1.5), account(7, 4, 0.25)
+	if err := rank0.fold(wire.NewDec(peer.appendTo(nil))); err != nil {
+		t.Fatal(err)
+	}
+	for _, ps := range rank0.phases {
+		if ps.Sent != 12 || ps.Processed != 10 || ps.MaxRankWork != 9 || ps.Seconds != 1.5 {
+			t.Fatalf("folded %+v, want sent 12, processed 10, work 9 and rank 0's 1.5 s", ps)
+		}
+	}
+	if want := (fragStats{bytes: 120, msgs: 12, edges: 24}); rank0.frag != want {
+		t.Fatalf("folded merge share %+v, want %+v", rank0.frag, want)
+	}
+
+	blob := peer.appendTo(nil)
+	if err := account(0, 0, 0).fold(wire.NewDec(blob[:len(blob)-1])); !errors.Is(err, wire.ErrTruncated) {
+		t.Fatalf("cut account: err %v, want ErrTruncated", err)
+	}
+	huge := wire.AppendUvarint(nil, 1<<63) // in place of the first count, 7: one byte
+	if err := account(0, 0, 0).fold(wire.NewDec(append(huge, blob[1:]...))); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("count past int64: err %v, want ErrCorrupt", err)
+	}
 }

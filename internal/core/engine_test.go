@@ -160,6 +160,61 @@ func TestPhaseStatsAddUpToCommStats(t *testing.T) {
 	}
 }
 
+// TestTreeWalkSendsOnlyRankCrossings pins phase 6's on-rank walk: a rank
+// follows a predecessor chain in a loop while the chain stays on it, so the
+// phase sends one message per chain step that leaves a rank, plus one per
+// chosen bridge whose V end another rank owns (Init hands that end off), and
+// none at all on one rank. Each message is visited once. The expected count
+// is recomputed from the solve's own chosen bridges and predecessors, and
+// the tree must still be the reference's byte for byte.
+func TestTreeWalkSendsOnlyRankCrossings(t *testing.T) {
+	g := engineTestGraph(23, 500)
+	for _, ranks := range []int{1, 2, 3, 4} {
+		e, err := NewEngine(g, Default(ranks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner, slabs := e.host.comm.Partition().Owner, e.slabs()
+		rng := rand.New(rand.NewSource(24))
+		for q := 0; q < 4; q++ {
+			spec := TreeSpec(pickEngineSeeds(rng, g.NumVertices(), 3+4*q))
+			res, err := e.SolveSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := referenceSolve(t, g, spec)
+			assertMatchesReference(t, e, res, want)
+
+			var crossings int64
+			walked := map[graph.VID]bool{}
+			for _, ce := range e.host.pools[0].pruned {
+				if owner(ce.U) != owner(ce.V) {
+					crossings++
+				}
+				for _, v := range []graph.VID{ce.U, ce.V} {
+					for !walked[v] && slabs[owner(v)].Src(v) != v {
+						walked[v] = true
+						p := slabs[owner(v)].Pred(v)
+						if owner(p) != owner(v) {
+							crossings++
+						}
+						v = p
+					}
+				}
+			}
+			tree := res.Phase(PhaseTreeEdge)
+			if tree.Sent != crossings || tree.Processed != crossings || ranks == 1 && tree.Sent != 0 {
+				t.Fatalf("ranks=%d query %d: phase 6 sent %d and processed %d messages, want the %d rank crossings",
+					ranks, q, tree.Sent, tree.Processed, crossings)
+			}
+			if ranks > 1 && q == 3 && crossings == 0 {
+				t.Fatalf("ranks=%d: a %d-terminal tree never crosses a rank; the count is vacuous", ranks, len(spec.Seeds))
+			}
+		}
+		e.Close()
+	}
+}
+
 // TestEngineRecoversAfterQueryError verifies an engine keeps serving valid
 // queries after a failed one (bad seeds, disconnected seeds).
 func TestEngineRecoversAfterQueryError(t *testing.T) {

@@ -23,12 +23,15 @@ import (
 // records are all routed to rank 0, which plans the kept set before the
 // rounds; an entry with a skipped end then dies like an intra-fragment one.
 
-// fragStats accumulates one rank's fragment-merge traffic for the query's
-// CrossTableBytes / FragmentMsgs counters. bytes is encoded payload moved
-// through collectives (contributed + received), equal on every backend.
+// fragStats accumulates one rank's share of the query's CrossTableBytes,
+// FragmentMsgs and DistGraphEdges counters; the tree gather sums them at
+// rank 0. bytes is encoded payload moved through collectives (contributed +
+// received), equal on every backend; edges is the size of the rank's routed
+// table shard.
 type fragStats struct {
 	bytes int64
 	msgs  int64
+	edges int64
 }
 
 // fragProposal is one fragment's candidate minimum outgoing edge for a
@@ -179,10 +182,8 @@ func (env *solveEnv) fragmentRoute(r *rt.Rank, localEN []crossRec, fs *fragStats
 // travel. Accepted winners accumulate into the rank's pruned slice, the same
 // edge set on every rank.
 func (env *solveEnv) fragmentMST(r *rt.Rank, owned []crossRec, fs *fragStats) bool {
-	res, k, sc := env.res, len(env.dedup), env.pools[r.ID()]
-	if total := r.AllreduceSumInt64(int64(len(owned))); r.ID() == 0 {
-		res.DistGraphEdges = int(total)
-	}
+	k, sc := len(env.dedup), env.pools[r.ID()]
+	fs.edges = int64(len(owned))
 	// compareCross's (D, key) order, radix-sorted least significant field
 	// first. Dense indices order as the key's seeds do, and a·k + b spans
 	// fewer bytes than the key's two VIDs; D is never negative.
@@ -284,12 +285,8 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned []crossRec, fs *fragStats) bo
 	}
 	sc.pruned = pruned
 
-	bytes := r.AllreduceSumInt64(fs.bytes)
-	msgs := r.AllreduceSumInt64(fs.msgs)
 	if r.ID() == 0 {
-		res.CrossTableBytes = bytes
-		res.FragmentMsgs = msgs
-		res.MSTRounds = rounds
+		env.res.MSTRounds = rounds
 	}
 
 	want := kept - 1

@@ -21,12 +21,18 @@ var PhaseNames = []string{
 	PhaseMST, PhasePruning, PhaseTreeEdge,
 }
 
-// PhaseStat records one phase's wall time and message traffic.
+// PhaseStat records one phase's wall time and message traffic. Every rank
+// counts its own phases without synchronizing, and rank 0 sums the counts
+// when the tree gather brings them in.
 type PhaseStat struct {
-	Name    string
+	Name string
+	// Seconds is rank 0's own time in the phase. No barrier ends a phase,
+	// so the time rank 0 waits on slower ranks falls in the phase whose
+	// collective or traversal it waits in.
 	Seconds float64
 	// Sent and Processed are visitor-message counts attributable to this
-	// phase (collective-based phases show zero, as in Fig. 6's note).
+	// phase, summed over ranks (collective-based phases show zero, as in
+	// Fig. 6's note; phase 2 counts the halo labels pushed and received).
 	Sent      int64
 	Processed int64
 	// MaxRankWork is the largest per-rank processed count — the
@@ -92,7 +98,12 @@ type Result struct {
 	//     the best offer the rank had already sent that vertex (its ghost
 	//     row) beat them.
 	//   - Net: transport traffic attributable to this query, summed over the
-	//     worker processes. All zero on the in-process loopback backend.
+	//     worker processes: what their transports read and write while the
+	//     query runs. The coordinator's Solve frame arrives before that and
+	//     each worker's WorkerDone leaves after it, so neither is counted,
+	//     and a one-worker BSP fleet, with no peer to send to and no
+	//     termination ring to drive, reads all zero. All zero on the
+	//     in-process loopback backend.
 	rt.Stats
 
 	// Mode is the query mode this result answers (ModeTree for plain

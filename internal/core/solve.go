@@ -3,12 +3,15 @@ package core
 import (
 	"cmp"
 	"context"
+	"fmt"
+	"math"
 	"runtime/pprof"
 	"strconv"
 	"time"
 
 	"dsteiner/internal/graph"
 	rt "dsteiner/internal/runtime"
+	"dsteiner/internal/wire"
 )
 
 // crossEdge is the value of the E_N table: the best background-graph edge
@@ -147,49 +150,71 @@ func memoryStats(g *graph.Graph, shard ShardStats, tableLens []int64, res *Resul
 	}
 }
 
-// recorder tracks per-phase wall time and message deltas. Rank 0 writes the
-// shared Result between barriers. The message counters live per process, so
-// each process leader (its lowest hosted rank, rec.lo) snapshots local
-// deltas and the totals are summed with an allreduce.
+// recorder is one rank's account of its solve: each phase's wall time on
+// this rank, the visitor messages the rank sent and processed in it and its
+// work there (the phase body's own measure), plus its share of the fragment
+// merge's traffic. Ranks record without synchronizing. The tree gather
+// carries every other rank's account to rank 0 (appendTo), which sums the
+// counts, keeps the largest work and its own times (fold).
 type recorder struct {
-	comm *rt.Comm
-	res  *Result
-	lo   int
-
-	t0 time.Time
-	s0 rt.Stats
+	phases []PhaseStat
+	frag   fragStats
 }
 
-// phase runs fn on every rank between barriers and records its duration,
-// message counts and max-per-rank work (fn's return value, reduced MAX).
-func (rec *recorder) phase(r *rt.Rank, name string, fn func() int64) {
-	r.Barrier()
-	if r.ID() == rec.lo {
-		rec.t0 = time.Now()
-		rec.s0 = rec.comm.Stats()
-	}
-	r.Barrier()
+// phase runs fn, this rank's part of the named phase, and records fn's
+// counts with the rank's own time in it.
+func (rec *recorder) phase(r *rt.Rank, name string, fn func() PhaseStat) {
+	t0 := time.Now()
 	// Tag the phase body with pprof labels so CPU profiles split by solver
 	// phase and rank.
-	var work int64
+	var ps PhaseStat
 	pprof.Do(context.Background(),
 		pprof.Labels("dsteiner_phase", name, "dsteiner_rank", strconv.Itoa(r.ID())),
-		func(context.Context) { work = fn() })
-	r.Barrier()
-	maxWork := r.AllreduceMaxInt64(work)
-	var d rt.Stats
-	if r.ID() == rec.lo {
-		d = rec.comm.Stats().Sub(rec.s0)
+		func(context.Context) { ps = fn() })
+	ps.Name, ps.Seconds = name, time.Since(t0).Seconds()
+	rec.phases = append(rec.phases, ps)
+}
+
+// traversed is a traversal phase's counts on one rank: its work is the
+// messages and rows it processed.
+func traversed(ts rt.TraversalStats) PhaseStat {
+	return PhaseStat{Sent: ts.Sent, Processed: ts.Processed, MaxRankWork: ts.Processed}
+}
+
+// appendTo appends the account's counts, all its phases' then the
+// fragment merge's, as uvarints.
+func (rec *recorder) appendTo(dst []byte) []byte {
+	for _, ps := range rec.phases {
+		dst = wire.AppendUvarint(dst, uint64(ps.Sent))
+		dst = wire.AppendUvarint(dst, uint64(ps.Processed))
+		dst = wire.AppendUvarint(dst, uint64(ps.MaxRankWork))
 	}
-	sent := r.AllreduceSumInt64(d.Sent)
-	processed := r.AllreduceSumInt64(d.Processed)
-	if r.ID() == 0 {
-		rec.res.Phases = append(rec.res.Phases, PhaseStat{
-			Name:        name,
-			Seconds:     time.Since(rec.t0).Seconds(),
-			Sent:        sent,
-			Processed:   processed,
-			MaxRankWork: maxWork,
-		})
+	for _, n := range [...]int64{rec.frag.bytes, rec.frag.msgs, rec.frag.edges} {
+		dst = wire.AppendUvarint(dst, uint64(n))
 	}
+	return dst
+}
+
+// fold reads another rank's account, as appendTo wrote it, into this one:
+// counts add up and work takes the maximum. A count past int64 is corrupt.
+func (rec *recorder) fold(d *wire.Dec) error {
+	var huge bool
+	count := func() int64 {
+		n := d.Uvarint()
+		huge = huge || n > math.MaxInt64
+		return int64(n)
+	}
+	for i := range rec.phases {
+		ps := &rec.phases[i]
+		ps.Sent += count()
+		ps.Processed += count()
+		ps.MaxRankWork = max(ps.MaxRankWork, count())
+	}
+	rec.frag.bytes += count()
+	rec.frag.msgs += count()
+	rec.frag.edges += count()
+	if err := d.Err(); err != nil || !huge {
+		return err
+	}
+	return fmt.Errorf("%w: a rank's phase count exceeds int64", wire.ErrCorrupt)
 }

@@ -31,19 +31,20 @@ type solveEnv struct {
 	numGroups int
 	penalty   []graph.Dist
 
-	// res is written by global rank 0 between barriers; only the process
-	// hosting rank 0 publishes it. err is rank 0's solve error.
+	// res is written by global rank 0 alone; only the process hosting
+	// rank 0 publishes it. err is rank 0's solve error.
 	res *Result
 	err error
 }
 
 // rankBody runs the six solver phases on one rank. It must be invoked
 // SPMD on every rank of the communicator — local or remote — with an
-// identically-initialized env.
+// identically-initialized env. Only data moves synchronize the ranks: each
+// rank records its own phases (recorder), and the tree gather that ends
+// the solve carries those records to rank 0.
 func (env *solveEnv) rankBody(r *rt.Rank) {
-	dedup, res := env.dedup, env.res
-	rec := &recorder{comm: env.comm, res: res}
-	rec.lo, _ = env.comm.HostRange()
+	dedup := env.dedup
+	rec := &recorder{phases: make([]PhaseStat, 0, len(PhaseNames))}
 
 	// This rank's CSR slab holds its adjacency (Rank.EdgeWeight: weights are
 	// symmetric, so {u, v} looked up from owned u's row is the edge's
@@ -54,8 +55,8 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 
 	// Phase 1: Voronoi cells (Alg. 4).
 	faultpoint.Hit("solve.phase1")
-	rec.phase(r, PhaseVoronoi, func() int64 {
-		return voronoi.RunRank(r, sl, dedup, env.bsp).Processed
+	rec.phase(r, PhaseVoronoi, func() PhaseStat {
+		return traversed(voronoi.RunRank(r, sl, dedup, env.bsp))
 	})
 
 	// Phase 2: local min-distance cross-cell edges (Alg. 5,
@@ -65,9 +66,10 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// where low-ID hubs would load the lowest rank.
 	ok := true
 	faultpoint.Hit("solve.phase2")
-	rec.phase(r, PhaseLocalMinEdge, func() (received int64) {
-		received, ok = env.haloPhase2(r, sl)
-		return received
+	rec.phase(r, PhaseLocalMinEdge, func() PhaseStat {
+		var pushed, received int64
+		pushed, received, ok = env.haloPhase2(r, sl)
+		return PhaseStat{Sent: pushed, Processed: received, MaxRankWork: received}
 	})
 	if !ok {
 		return // corrupt halo blob: all ranks bail together
@@ -77,11 +79,10 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// record to the rank owning the pair's lower seed (a prize query's to
 	// rank 0, which plans it), leaving a disjoint table shard per rank.
 	var owned []crossRec
-	fs := &fragStats{}
 	faultpoint.Hit("solve.phase3")
-	rec.phase(r, PhaseGlobalMinEdge, func() int64 {
-		owned, ok = env.fragmentRoute(r, sc.localEN.recs, fs)
-		return 0
+	rec.phase(r, PhaseGlobalMinEdge, func() PhaseStat {
+		owned, ok = env.fragmentRoute(r, sc.localEN.recs, &rec.frag)
+		return PhaseStat{}
 	})
 	if !ok {
 		return // cross-table decode failure: all ranks bail together
@@ -90,9 +91,9 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// Phase 4: MST of the distance graph G'₁ (Alg. 3 line 17): distributed
 	// Borůvka rounds over the sharded table.
 	faultpoint.Hit("solve.phase4")
-	rec.phase(r, PhaseMST, func() int64 {
-		ok = env.fragmentMST(r, owned, fs)
-		return 0
+	rec.phase(r, PhaseMST, func() PhaseStat {
+		ok = env.fragmentMST(r, owned, &rec.frag)
+		return PhaseStat{}
 	})
 	if !ok {
 		return // disconnected terminals or corrupt round: all ranks bail together
@@ -103,7 +104,7 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// rounds, so nothing is left to drop; the phase stays recorded so every
 	// Result carries all six.
 	faultpoint.Hit("solve.phase5")
-	rec.phase(r, PhasePruning, func() int64 { return 0 })
+	rec.phase(r, PhasePruning, func() PhaseStat { return PhaseStat{} })
 
 	// Phase 6: Steiner tree edges (Alg. 6) — walk predecessor
 	// chains from surviving cross-cell endpoints to cell seeds.
@@ -112,9 +113,27 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// per-rank accumulator keeps its capacity (the published tree
 	// is a merged copy, so reuse cannot leak across queries).
 	localTree := sc.tree[:0]
+	// walk records v's chain while it stays on this rank, one edge a step,
+	// and hands the rest to the owner of the first remote predecessor in one
+	// message. A vertex walked before ends the chain: the rest of it is
+	// recorded or on its way.
+	walk := func(r *rt.Rank, v graph.VID) {
+		for sl.MarkWalked(v) && v != sl.Src(v) {
+			p := sl.Pred(v)
+			// v is owned here; its predecessor may not be, so the lookup
+			// goes through v's slab row (weights are symmetric).
+			w, _ := r.EdgeWeight(v, p)
+			localTree = append(localTree, graph.Edge{U: p, V: v, W: w}.Canon())
+			if !r.Owns(p) {
+				r.Send(rt.Msg{Target: p})
+				return
+			}
+			v = p
+		}
+	}
 	faultpoint.Hit("solve.phase6")
-	rec.phase(r, PhaseTreeEdge, func() int64 {
-		ts := r.Traverse(&rt.Traversal{
+	rec.phase(r, PhaseTreeEdge, func() PhaseStat {
+		return traversed(r.Traverse(&rt.Traversal{
 			BSP: env.bsp,
 			Init: func(r *rt.Rank) {
 				for _, ce := range sc.pruned {
@@ -123,39 +142,33 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 					}
 					w, _ := r.EdgeWeight(ce.U, ce.V)
 					localTree = append(localTree, graph.Edge{U: ce.U, V: ce.V, W: w}.Canon())
-					r.Send(rt.Msg{Target: ce.U})
-					r.Send(rt.Msg{Target: ce.V})
+					walk(r, ce.U)
+					if r.Owns(ce.V) {
+						walk(r, ce.V)
+					} else {
+						r.Send(rt.Msg{Target: ce.V})
+					}
 				}
 			},
-			Visit: func(r *rt.Rank, m rt.Msg) {
-				vj := m.Target
-				if !sl.MarkWalked(vj) {
-					return
-				}
-				if vj == sl.Src(vj) {
-					return
-				}
-				p := sl.Pred(vj)
-				// vj is owned here; its predecessor may not be, so the
-				// lookup goes through vj's slab row (weights are
-				// symmetric).
-				w, _ := r.EdgeWeight(vj, p)
-				localTree = append(localTree, graph.Edge{U: p, V: vj, W: w}.Canon())
-				r.Send(rt.Msg{Target: p})
-			},
-		})
-		return ts.Processed
+			Visit: func(r *rt.Rank, m rt.Msg) { walk(r, m.Target) },
+		}))
 	})
 	sc.tree = localTree // keep the grown capacity pooled
+	env.gatherTree(r, rec, localTree)
+}
 
-	// Gather the final tree: every rank radix-sorts its own piece into
-	// CompareEdges' (U, V) order, the others send theirs as one encoded blob
-	// addressed to rank 0, the only reader, which merges the sorted runs and
-	// publishes.
+// gatherTree ends the solve: every rank radix-sorts its own piece of the
+// tree into CompareEdges' (U, V) order, and the others send rank 0, the only
+// reader, one blob each: their recorder's account, then their piece.
+// Rank 0 folds the accounts into its own, merges the sorted runs and
+// publishes both.
+func (env *solveEnv) gatherTree(r *rt.Rank, rec *recorder, localTree []graph.Edge) {
+	sc, res := env.pools[r.ID()], env.res
 	graph.SortByKey(localTree, &sc.treeScratch, func(e graph.Edge) uint64 { return uint64(e.U)<<32 | uint64(e.V) })
 	var out []rt.Blob
-	if r.ID() != 0 && len(localTree) > 0 {
-		out = append(out, rt.Blob{Src: r.ID(), Dest: 0, Blob: wire.EncodeEdges(make([]byte, 0, 8*len(localTree)), localTree)})
+	if r.ID() != 0 {
+		blob := rec.appendTo(make([]byte, 0, 8*len(localTree)+64))
+		out = append(out, rt.Blob{Src: r.ID(), Dest: 0, Blob: wire.EncodeEdges(blob, localTree)})
 	}
 	parts := rt.Exchange(r, out)
 	if r.ID() != 0 {
@@ -163,9 +176,13 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	}
 	runs, buf := [][]graph.Edge{localTree}, localTree
 	for _, fb := range parts {
-		var err error
+		d := wire.NewDec(fb.Blob)
+		err := rec.fold(d)
 		start := len(buf)
-		if buf, err = wire.DecodeEdges(fb.Blob, buf); err != nil {
+		if err == nil {
+			buf, err = wire.DecodeEdges(fb.Blob[len(fb.Blob)-d.Len():], buf)
+		}
+		if err != nil {
 			env.err = fmt.Errorf("core: tree gather from rank %d: %w", fb.Src, err)
 			return
 		}
@@ -174,6 +191,10 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	sc.tree = buf
 	res.Tree = mergeRuns(runs, len(buf))
 	res.TotalDistance = graph.TotalWeight(res.Tree)
+	res.Phases = rec.phases
+	res.DistGraphEdges = int(rec.frag.edges)
+	res.CrossTableBytes = rec.frag.bytes
+	res.FragmentMsgs = rec.frag.msgs
 }
 
 // mergeRuns merges (U, V)-sorted edge runs, n edges in all, into one fresh
@@ -243,14 +264,13 @@ const haloRecord = 12
 // haloPhase2 is phase 2: one Exchange moves the halo under async and BSP
 // alike (an unreached row as src NilVID), then a local scan of each owned
 // row v's arcs to a u < v records the candidates. It returns the labels
-// received, and false once all ranks agree a blob was corrupt (rank 0
-// records env.err).
-func (env *solveEnv) haloPhase2(r *rt.Rank, sl *voronoi.StateSlab) (received int64, ok bool) {
+// labels pushed and received, and false once all ranks agree a blob was
+// corrupt (rank 0 records env.err).
+func (env *solveEnv) haloPhase2(r *rt.Rank, sl *voronoi.StateSlab) (pushed, received int64, ok bool) {
 	sc := env.pools[r.ID()]
 	p, localEN := &sc.halo, &sc.localEN
 	localEN.reset()
 	var out []rt.Blob
-	var pushed int64
 	for q, rows := range p.send {
 		if len(rows) == 0 {
 			continue
@@ -277,7 +297,7 @@ func (env *solveEnv) haloPhase2(r *rt.Rank, sl *voronoi.StateSlab) (received int
 		if r.ID() == 0 {
 			env.err = fmt.Errorf("core: phase-2 halo exchange: corrupt blob at rank %d", bad-1)
 		}
-		return received, false
+		return pushed, received, false
 	}
 	// A row's arcs ascend by target: [lower ghosts | owned | higher ghosts],
 	// so the arcs to a u < v are a prefix. Only a cross-cell one needs u.
@@ -303,7 +323,7 @@ func (env *solveEnv) haloPhase2(r *rt.Rank, sl *voronoi.StateSlab) (received int
 				crossEdge: crossEdge{D: du + graph.Dist(ws[j]) + dv, U: sh.Target(ref), V: sh.Rows().VertexAt(int(i))}})
 		}
 	}
-	return received, true
+	return pushed, received, true
 }
 
 // readHalo writes fb, one peer's halo blob, into this rank's ghost slots by

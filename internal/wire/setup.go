@@ -183,9 +183,22 @@ func (d *setupDec) left() int64 { return d.body.N + int64(d.r.Buffered()) }
 
 func (d *setupDec) fail(what string, err error) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s: %v", ErrTruncated, what, err)
+		d.err = &truncatedErr{what: what, err: err}
 	}
 }
+
+// truncatedErr is a Setup field cut short. Its message is formatted only
+// when read: fmt.Errorf would take a printer from fmt's sync.Pool, which a
+// race-enabled build drops at random, so what a failed read allocates would
+// depend on the build.
+type truncatedErr struct {
+	what string
+	err  error
+}
+
+func (e *truncatedErr) Error() string { return fmt.Sprintf("%v: %s: %v", ErrTruncated, e.what, e.err) }
+
+func (e *truncatedErr) Unwrap() error { return ErrTruncated }
 
 func (d *setupDec) uvarint() uint64 {
 	if d.err != nil {
