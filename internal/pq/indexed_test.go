@@ -196,6 +196,156 @@ func TestIndexedResetForgetsQueuedSlots(t *testing.T) {
 	}
 }
 
+// ixPair drives an Indexed and the sorted model with the same scripted calls
+// and fails on the first difference, in a replacement report, a pop or Len.
+type ixPair struct {
+	t    *testing.T
+	q    *Indexed[int]
+	m    indexedModel
+	item int
+}
+
+func newIxPair(t *testing.T) *ixPair {
+	return &ixPair{t: t, q: NewIndexed[int](0)}
+}
+
+// push queues a fresh item under key for slot (-1 for an ordinary entry).
+func (p *ixPair) push(key uint64, slot int32) {
+	p.t.Helper()
+	p.item++
+	if got, want := p.q.Push(p.item, key, slot), p.m.push(p.item, key, slot); got != want {
+		p.t.Fatalf("Push(%d, key %d, slot %d) replaced = %v, model %v", p.item, key, slot, got, want)
+	}
+	p.checkLen()
+}
+
+// pushSlot is push through PushSlot, whose entry pops the zero item.
+func (p *ixPair) pushSlot(key uint64, slot int32) {
+	p.t.Helper()
+	if got, want := p.q.PushSlot(key, slot), p.m.push(0, key, slot); got != want {
+		p.t.Fatalf("PushSlot(key %d, slot %d) replaced = %v, model %v", key, slot, got, want)
+	}
+	p.checkLen()
+}
+
+func (p *ixPair) pop() {
+	p.t.Helper()
+	got, gslot, gok := p.q.Pop()
+	want, wslot, wok := p.m.pop()
+	if got != want || gslot != wslot || gok != wok {
+		p.t.Fatalf("Pop = (%d, %d, %v), model (%d, %d, %v)", got, gslot, gok, want, wslot, wok)
+	}
+	p.checkLen()
+}
+
+func (p *ixPair) reset() {
+	p.q.Reset()
+	p.m.reset()
+	p.checkLen()
+}
+
+// drain pops until the model is empty, then checks that the queue is too.
+func (p *ixPair) drain() {
+	p.t.Helper()
+	for len(p.m.live) > 0 {
+		p.pop()
+	}
+	p.pop()
+}
+
+func (p *ixPair) checkLen() {
+	p.t.Helper()
+	if p.q.Len() != len(p.m.live) {
+		p.t.Fatalf("Len = %d, model holds %d", p.q.Len(), len(p.m.live))
+	}
+}
+
+// TestIndexedTiesSpanSummaryWords queues more than 4,096 ties at one key, so
+// the tie set's summary has a second word, then opens a gap of 64 empty
+// words between the ties of word 0 and the rest by moving their keys above
+// last. Popping through the gap must find the first tie past it from the
+// summary (a summary bit left set for an emptied word sends Pop into the
+// gap). Pushes in between reuse recycled handles, some below the cursor's
+// word, and moving gap entries back to last brings the cursor down across
+// summary words.
+func TestIndexedTiesSpanSummaryWords(t *testing.T) {
+	p := newIxPair(t)
+	const n = 5000
+	for s := int32(0); s < n; s++ {
+		p.push(7, s) // the first push sets last to 7: every entry is a tie
+	}
+	for s := int32(64); s < 64+64*64; s++ {
+		p.push(9, s) // handles 64..4159 leave the tie set for a bucket
+	}
+	for i := 0; i < 40; i++ {
+		p.pop()
+		p.pop()
+		p.push(7, -1) // reuses the handle just popped
+	}
+	for i := 0; i < 30; i++ {
+		p.pop() // word 0 runs dry: the next tie is handle 4160, in summary word 1
+	}
+	for i := 0; i < 150; i++ {
+		p.pop()
+		p.pop()
+		p.pop()
+		p.push(7, n+int32(i)) // reuses the handle popped last,
+		p.push(7, -1)         // and the one before it: below the cursor after a word boundary
+	}
+	for s := int32(4000); s > 100; s -= 97 {
+		p.push(7, s) // back to last from the bucket: ties in summary word 0
+	}
+	for i := 0; i < 200; i++ {
+		p.pop()
+	}
+	p.drain()
+}
+
+// TestIndexedTieMoves moves entries between the three places a key can put
+// them: a tie moved below last (into the heap), then above it (into a
+// bucket), then back to last; and a late arrival in the heap moved up to
+// last, into the tie set.
+func TestIndexedTieMoves(t *testing.T) {
+	p := newIxPair(t)
+	for s := int32(0); s < 6; s++ {
+		p.pushSlot(10, s)
+	}
+	p.pop()          // last stays 10, slot 0 leaves
+	p.pushSlot(4, 3) // tie → heap
+	p.pushSlot(25, 3)
+	p.pushSlot(10, 3) // bucket → tie
+	p.pushSlot(4, 2)  // tie → heap
+	p.pushSlot(30, 2) // heap → bucket
+	p.pushSlot(10, 2) // and back
+	p.push(6, 7)      // a late arrival
+	p.push(3, -1)     // another, without a slot
+	p.push(10, 7)     // heap → tie
+	p.pop()           // the slotless late arrival
+	p.pushSlot(12, 5) // tie → bucket
+	p.pushSlot(10, 5) // bucket → tie
+	p.pushSlot(10, 1) // tie → tie, in place
+	p.drain()
+}
+
+// TestIndexedResetForgetsQueuedTies resets a queue with ties still queued:
+// their slots must be free again, so a later PushSlot for one queues a new
+// entry, and the tie set must be empty, so no bit left over from before
+// pops a handle the next traversal has not queued.
+func TestIndexedResetForgetsQueuedTies(t *testing.T) {
+	p := newIxPair(t)
+	for s := int32(0); s < 100; s++ {
+		p.pushSlot(5, s)
+	}
+	p.push(9, 200) // bucketed
+	p.pop()
+	p.reset()
+	for s := int32(99); s >= 60; s-- {
+		p.pushSlot(uint64(s%3), s) // ties at 0 first, then a bucket at 1 and 2
+	}
+	p.push(0, -1)
+	p.drain()
+}
+
 // TestIndexedHeadersStayApart pins the padding around Indexed's slice
 // headers: two queues allocated back to back, as two ranks' queues are, keep
 // their headers at least 128 bytes apart, so neither shares a cache line (or
@@ -229,6 +379,25 @@ func FuzzIndexedHeap(f *testing.F) {
 	// pushes below it (without a slot, then with one) pop before the bucketed
 	// entry, and a replacement pulls that entry down to key 0.
 	f.Add([]byte{0xa0, 0x91, 0xa0, 0xc2, 4, 0, 6, 0x13, 6, 0x00, 4, 0, 0, 0x02, 4, 0, 4, 0})
+	// A long tie run: 80 ordinary entries and 16 slots at key 7, past the
+	// tie set's first word, popped in handle order while PushSlot moves
+	// slots out of the run and back and pushes reuse the handles just
+	// popped; then a Reset with ties still queued, and the same slots again.
+	ties := []byte{}
+	for i := 0; i < 80; i++ {
+		ties = append(ties, 3, 0x70)
+	}
+	for s := 0; s < 16; s++ {
+		ties = append(ties, 2, byte(0x70|s))
+	}
+	for i := 0; i < 24; i++ {
+		ties = append(ties, 4, 0, 2, byte(0x90|i%8), 3, 0x70, 4, 0, 2, byte(0x70|i%4))
+	}
+	ties = append(ties, 7, 0)
+	for i := 0; i < 20; i++ {
+		ties = append(ties, 2, byte(0x30|i%16), 4, 0)
+	}
+	f.Add(ties)
 	q := NewIndexed[int](0)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		checkIndexedOps(t, q, ops)
@@ -265,39 +434,76 @@ func BenchmarkIndexedPushPop(b *testing.B) {
 	// the last key popped, and a frontier that peaks near 16 K rows. ns/op is
 	// per pop, with the pushes and the arc scans between pops included.
 	b.Run("flood", func(b *testing.B) {
-		const n, deg, sources = 1 << 15, 5, 16
+		const n, deg = 1 << 15, 5
 		rng := rand.New(rand.NewSource(1))
+		off := make([]int32, n+1)
 		arcs := make([]int32, n*deg)
 		wts := make([]uint64, n*deg)
+		for v := range off {
+			off[v] = int32(v * deg)
+		}
 		for i := range arcs {
 			arcs[i] = int32(rng.Intn(n))
 			wts[i] = 1 + uint64(rng.Intn(1000))
 		}
-		dist := make([]uint64, n)
-		h := NewIndexed[msgItem](1024)
-		b.ResetTimer()
-		for done := 0; done < b.N; {
-			for v := range dist {
-				dist[v] = ^uint64(0)
-			}
-			for s := int32(0); s < sources; s++ {
-				dist[s*n/sources] = 0
-				h.PushSlot(0, s*n/sources)
-			}
-			for {
-				_, v, ok := h.Pop()
-				if !ok {
-					break
-				}
-				done++
-				d := dist[v]
-				for i := int(v) * deg; i < int(v+1)*deg; i++ {
-					if u, nd := arcs[i], d+wts[i]; nd < dist[u] {
-						dist[u] = nd
-						h.PushSlot(nd, u)
+		benchDijkstra(b, off, arcs, wts, 16)
+	})
+
+	// ties is the same flood on the grid-manyterm-modes graph: a 128×256
+	// 4-neighbour grid with weights 1–100 from 2,048 sources, where most of
+	// what the queue holds at a pop is ties at the current key.
+	b.Run("ties", func(b *testing.B) {
+		const rows, cols = 128, 256
+		rng := rand.New(rand.NewSource(1))
+		off := make([]int32, 0, rows*cols+1)
+		var arcs []int32
+		var wts []uint64
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				off = append(off, int32(len(arcs)))
+				for _, d := range [4][2]int{{-1, 0}, {0, -1}, {0, 1}, {1, 0}} {
+					if r2, c2 := r+d[0], c+d[1]; r2 >= 0 && r2 < rows && c2 >= 0 && c2 < cols {
+						arcs = append(arcs, int32(r2*cols+c2))
+						wts = append(wts, 1+uint64(rng.Intn(100)))
 					}
 				}
 			}
 		}
+		off = append(off, int32(len(arcs)))
+		benchDijkstra(b, off, arcs, wts, 2048)
 	})
+}
+
+// benchDijkstra times multi-source Dijkstra floods over the graph whose row
+// v has arcs[off[v]:off[v+1]] with weights wts, from sources rows spread
+// evenly, with one PushSlot entry per row and a decrease-key whenever a
+// queued row improves. ns/op is per pop.
+func benchDijkstra(b *testing.B, off, arcs []int32, wts []uint64, sources int32) {
+	n := int32(len(off) - 1)
+	dist := make([]uint64, n)
+	h := NewIndexed[msgItem](1024)
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		for v := range dist {
+			dist[v] = ^uint64(0)
+		}
+		for s := int32(0); s < sources; s++ {
+			dist[s*(n/sources)] = 0
+			h.PushSlot(0, s*(n/sources))
+		}
+		for {
+			_, v, ok := h.Pop()
+			if !ok {
+				break
+			}
+			done++
+			d := dist[v]
+			for i := off[v]; i < off[v+1]; i++ {
+				if u, nd := arcs[i], d+wts[i]; nd < dist[u] {
+					dist[u] = nd
+					h.PushSlot(nd, u)
+				}
+			}
+		}
+	}
 }

@@ -1,7 +1,8 @@
 // Package pq provides the queue substrate behind the runtime's message
 // scheduling: an indexed priority queue that keeps one live entry per slot
-// (Indexed, radix buckets in front of a 4-ary heap that pop in exact
-// (key, handle) order) and a ring-buffer FIFO. The paper's key optimization
+// (Indexed: radix buckets, a bitmap of the current key's ties and a 4-ary
+// heap of late arrivals, popping in exact (key, handle) order) and a
+// ring-buffer FIFO. The paper's key optimization
 // (§IV, §V-C) is draining each partition's visitor queue in
 // distance-priority order instead of FIFO order; the runtime switches
 // between the two disciplines with one flag, which is the ablation of
