@@ -165,15 +165,16 @@ fi
 echo "   $COMPARED queries moved $frames_out frames / $bytes_out bytes over TCP"
 echo "   the ghost-row filter suppressed $suppressed offers across the fleet"
 
-echo "== checking fragment-merge MST counters"
-# Every query above ran the fragment merge, so rounds and
-# payload must be nonzero. Both services have answered the same query list
-# on the same rank layout, and phases 3-5 run the same collectives wherever
-# the ranks live: the merge payload and record counts must be equal.
-frag_rounds=$(echo "$stats" | jq -r .mst.fragmentRounds)
+echo "== checking phase 3-5 MST counters"
+# Every query above gathered its cross-cell table to rank 0 and broadcast
+# the chosen edges back, so payload and records must be nonzero. Both
+# services have answered the same query list on the same rank layout, and
+# phases 3-5 run the same collectives wherever the ranks live: the payload
+# and record counts must be equal.
 frag_bytes=$(echo "$stats" | jq -r .mst.crossTableBytes)
-if [ "$frag_rounds" -le 0 ] || [ "$frag_bytes" -le 0 ]; then
-  echo "FAIL: fragment merge reports rounds=$frag_rounds crossTableBytes=$frag_bytes" >&2
+frag_msgs=$(echo "$stats" | jq -r .mst.fragmentMessages)
+if [ "$frag_bytes" -le 0 ] || [ "$frag_msgs" -le 0 ]; then
+  echo "FAIL: phases 3-5 report crossTableBytes=$frag_bytes fragmentMessages=$frag_msgs" >&2
   exit 1
 fi
 tcp_mst=$(echo "$stats" | jq -c '.mst | {crossTableBytes, fragmentMessages}')
@@ -182,31 +183,30 @@ if [ "$tcp_mst" != "$inproc_mst" ]; then
   echo "FAIL: merge traffic differs between backends: tcp=$tcp_mst inproc=$inproc_mst" >&2
   exit 1
 fi
-echo "   fragment merge: $frag_rounds rounds, $tcp_mst on both backends"
+echo "   phases 3-5: $tcp_mst on both backends"
 
 echo "== comparing a tree query with a prize query on the same fleet"
 # One high-terminal-count tree query (3/4 of the graph, deterministic seed
 # selection), then a prize query over the same terminals whose penalties are
-# too large to skip any. Both run the fragment merge over the same global
-# cross-edge table - the prize query's records all routed to rank 0 - so the
-# tree and the Borůvka round sequence must be the same; only the phase 3-4
-# wire bytes differ.
+# too large to skip any. Both gather the same global cross-edge table to
+# rank 0 and broadcast the same chosen edges, so the tree and the phase 3-5
+# payload and record counts must be the same.
 mst_stat() { curl -fsS "http://$TCP_HTTP/stats" | jq -r ".mst.$1"; }
 verts=$(curl -fsS "http://$TCP_HTTP/info" | jq -r .vertices)
 K=$((verts * 3 / 4))
 bytes0=$(mst_stat crossTableBytes)
-rounds0=$(mst_stat fragmentRounds)
+msgs0=$(mst_stat fragmentMessages)
 tree_resp=$(curl -fsS -d "{\"k\":$K,\"rngSeed\":7}" "http://$TCP_HTTP/solve")
 tree_out=$(echo "$tree_resp" | jq -S '{seeds, edges, total, steinerVertices}')
 bytes1=$(mst_stat crossTableBytes)
-rounds1=$(mst_stat fragmentRounds)
+msgs1=$(mst_stat fragmentMessages)
 PRIZE_BODY=$(echo "$tree_resp" | jq -c '{mode: "prize", seeds: .seeds, penalties: [.seeds[] | 1000000000]}')
 prize_resp=$(curl -fsS -d "$PRIZE_BODY" "http://$TCP_HTTP/v1/solve")
 prize_out=$(echo "$prize_resp" | jq -S '{seeds, edges, total, steinerVertices}')
 tree_bytes=$((bytes1 - bytes0))
 prize_bytes=$(($(mst_stat crossTableBytes) - bytes1))
-tree_rounds=$((rounds1 - rounds0))
-prize_rounds=$(($(mst_stat fragmentRounds) - rounds1))
+tree_msgs=$((msgs1 - msgs0))
+prize_msgs=$(($(mst_stat fragmentMessages) - msgs1))
 if [ "$(echo "$prize_resp" | jq -r '.skipped | length')" != "0" ]; then
   echo "FAIL: k=$K prize query skipped terminals despite the penalties" >&2
   exit 1
@@ -216,11 +216,11 @@ if [ "$tree_out" != "$prize_out" ]; then
   diff <(echo "$prize_out") <(echo "$tree_out") >&2 || true
   exit 1
 fi
-if [ "$tree_rounds" -le 0 ] || [ "$tree_rounds" != "$prize_rounds" ]; then
-  echo "FAIL: k=$K fragment rounds: tree=$tree_rounds prize=$prize_rounds" >&2
+if [ "$tree_bytes" -le 0 ] || [ "$tree_msgs" -le 0 ] || [ "$tree_bytes" != "$prize_bytes" ] || [ "$tree_msgs" != "$prize_msgs" ]; then
+  echo "FAIL: k=$K phase 3-5 traffic: tree=$tree_bytes B/$tree_msgs records prize=$prize_bytes B/$prize_msgs records" >&2
   exit 1
 fi
-echo "   k=$K: $tree_rounds rounds each; cross-table bytes: tree=$tree_bytes prize=$prize_bytes"
+echo "   k=$K: $tree_bytes bytes and $tree_msgs records each"
 
 echo "== starting recovering fleet for the kill/respawn check"
 # Fault-tolerance end to end: a 4-worker fleet where one rankd is doomed

@@ -85,7 +85,7 @@ func chaosOnWorker0(rejoin time.Duration, chaos *transport.ChaosConfig) func(w i
 }
 
 // solveWithDeadline runs one Solve under the chaos watchdog.
-func solveWithDeadline(t *testing.T, name string, e *Engine, seeds []graph.VID) (*Result, error) {
+func solveWithDeadline(t *testing.T, name string, e *Engine, spec QuerySpec) (*Result, error) {
 	t.Helper()
 	type outcome struct {
 		res *Result
@@ -93,7 +93,7 @@ func solveWithDeadline(t *testing.T, name string, e *Engine, seeds []graph.VID) 
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		res, err := e.Solve(seeds)
+		res, err := e.SolveSpec(spec)
 		ch <- outcome{res, err}
 	}()
 	select {
@@ -126,11 +126,11 @@ func probeChaosOps(t *testing.T, g *graph.Graph, seeds []graph.VID) (ops, floor 
 	opts.Recover = true
 	opts.RejoinWait = 10 * time.Second
 	e, shutdown := startChaosFleet(t, g, opts, 2, chaosOnWorker0(10*time.Second, &transport.ChaosConfig{Seed: 1}))
-	if _, err := solveWithDeadline(t, "probe", e, seeds); err != nil {
+	if _, err := solveWithDeadline(t, "probe", e, TreeSpec(seeds)); err != nil {
 		t.Fatalf("probe solve: %v", err)
 	}
 	ops = transport.ChaosOpsTotal() - before
-	if _, err := solveWithDeadline(t, "probe/again", e, seeds); err != nil {
+	if _, err := solveWithDeadline(t, "probe/again", e, TreeSpec(seeds)); err != nil {
 		t.Fatalf("second probe solve: %v", err)
 	}
 	shutdown(true)
@@ -141,33 +141,40 @@ func probeChaosOps(t *testing.T, g *graph.Graph, seeds []graph.VID) (ops, floor 
 	return ops, floor
 }
 
-// TestTreeSolveSynchronizations pins how often a tree solve synchronizes
-// its ranks: the transport operations other than deliveries that one worker
-// of a 2-worker fleet runs for one warm tree solve with one Borůvka round.
-// They are the 13 collectives that move data or detect quiescence — the
-// halo, routing, two proposal rounds (the second finds none) and tree
-// gather Exchanges; the two corrupt-blob agreements; three barriers in each
-// of the two traversals — plus the two traversal starts. A barrier or
-// allreduce that only carried accounting adds to the count and fails here.
+// TestTreeSolveSynchronizations pins how often a solve synchronizes its
+// ranks: the transport operations other than deliveries that one worker of
+// a 2-worker fleet runs for one warm query. They are the 11 collectives that
+// move data or detect quiescence — the halo, cross-table gather, chosen-set
+// broadcast and tree gather Exchanges; the halo's corrupt-blob agreement;
+// three barriers in each of the two traversals — plus the two traversal
+// starts. Neither the terminal count nor the mode may add one: a two- and a
+// six-terminal tree query and a prize query over the six run the same count.
+// A barrier or allreduce that only carried accounting adds to it and fails
+// here.
 func TestTreeSolveSynchronizations(t *testing.T) {
-	const want = 13 + 2
+	const want = 11 + 2
 	g := engineTestGraph(17, 320)
-	seeds := []graph.VID{5, 300} // two terminals: one Borůvka round
+	six := []graph.VID{5, 60, 120, 180, 240, 300}
 	e, shutdown := startChaosFleet(t, g, chaosOpts(), 2, chaosOnWorker0(0, &transport.ChaosConfig{Seed: 1}))
 	defer shutdown(true)
-	if _, err := solveWithDeadline(t, "warm-up", e, seeds); err != nil {
-		t.Fatal(err)
-	}
-	ops, delivers := transport.ChaosOpsTotal(), transport.ChaosDeliversTotal()
-	res, err := solveWithDeadline(t, "counted", e, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MSTRounds != 1 {
-		t.Fatalf("the query took %d Borůvka rounds, want 1", res.MSTRounds)
-	}
-	if got := transport.ChaosOpsTotal() - ops - (transport.ChaosDeliversTotal() - delivers); got != want {
-		t.Fatalf("one tree solve ran %d transport operations besides deliveries, want %d", got, want)
+	for _, tc := range []struct {
+		name string
+		spec QuerySpec
+	}{
+		{"two terminals", TreeSpec([]graph.VID{5, 300})},
+		{"six terminals", TreeSpec(six)},
+		{"prize", QuerySpec{Mode: ModePrize, Seeds: six, Penalties: []graph.Dist{1 << 40, 3, 1 << 40, 1 << 40, 1 << 40, 1 << 40}}},
+	} {
+		if _, err := solveWithDeadline(t, tc.name+"/warm-up", e, tc.spec); err != nil {
+			t.Fatal(err)
+		}
+		ops, delivers := transport.ChaosOpsTotal(), transport.ChaosDeliversTotal()
+		if _, err := solveWithDeadline(t, tc.name, e, tc.spec); err != nil {
+			t.Fatal(err)
+		}
+		if got := transport.ChaosOpsTotal() - ops - (transport.ChaosDeliversTotal() - delivers); got != want {
+			t.Errorf("%s: one solve ran %d transport operations besides deliveries, want %d", tc.name, got, want)
+		}
 	}
 }
 
@@ -177,7 +184,7 @@ func TestTreeSolveSynchronizations(t *testing.T) {
 // byte-identical to referenceSolve's — first on the faulted solve
 // (healed and requeued under the covers), then again on the healed fleet —
 // with every worker exiting cleanly at goodbye. The fault lands in the
-// faulted solve as a rule, but a late position (after=30) can fire in the
+// faulted solve as a rule, but a late position (after=24) can fire in the
 // healed solve instead when a loaded run batches its deliveries more
 // coarsely; the cell then logs which solve it fired in, and its assertions
 // hold either way.
@@ -190,24 +197,22 @@ func TestChaosMatrix(t *testing.T) {
 
 	// Injection positions in transport ops: early, middle and late in a
 	// solve. They are constants, not fractions of the probed count, because
-	// that count moves with batch timing (39–65 over six probes of this
-	// workload, fewer under load) and a cell whose name moves with it cannot
-	// be re-run by name. The probe checks that the latest position lands
-	// inside the span a cell's shim observes whatever the batch timing:
-	// floor counts the operations that do not depend on it (16 for session
-	// start plus one solve, where deliveries add another 23–49 unloaded). A
-	// fault that has not fired when the faulted solve ends fires in the
-	// healed one. A runtime change that runs fewer collectives must shrink
-	// the positions.
-	afters := []int64{6, 19, 30}
+	// that count moves with batch timing and a cell whose name moves with it
+	// cannot be re-run by name. The probe checks that the latest position
+	// lands inside the span a cell's shim observes whatever the batch
+	// timing: floor counts the operations that do not depend on it (26 for
+	// the probe's two solves; deliveries add more). A fault that has not
+	// fired when the faulted solve ends fires in the healed one. A runtime
+	// change that runs fewer collectives must shrink the positions.
+	afters := []int64{6, 15, 24}
 	chaosSeeds := []int64{1, 2, 3}
 	kinds := []string{transport.ChaosPeerDrop, transport.ChaosCoordDrop, transport.ChaosTruncate}
 	if testing.Short() {
-		afters = []int64{19}
+		afters = []int64{15}
 		chaosSeeds = []int64{1}
 	}
-	if _, floor := probeChaosOps(t, g, seeds); floor <= 30 {
-		t.Fatalf("a cell's two solves take only %d transport ops besides deliveries: a fault armed after 30 might never fire", floor)
+	if _, floor := probeChaosOps(t, g, seeds); floor <= 24 {
+		t.Fatalf("a cell's two solves take only %d transport ops besides deliveries: a fault armed after 24 might never fire", floor)
 	}
 
 	runCell := func(t *testing.T, label string, chaos *transport.ChaosConfig, wantFault bool) {
@@ -215,7 +220,7 @@ func TestChaosMatrix(t *testing.T) {
 		opts.Recover = true
 		opts.RejoinWait = 15 * time.Second
 		e, shutdown := startChaosFleet(t, g, opts, 2, chaosOnWorker0(15*time.Second, chaos))
-		got, err := solveWithDeadline(t, label+"/faulted", e, seeds)
+		got, err := solveWithDeadline(t, label+"/faulted", e, TreeSpec(seeds))
 		if err != nil {
 			t.Fatalf("faulted solve not recovered: %v", err)
 		}
@@ -226,7 +231,7 @@ func TestChaosMatrix(t *testing.T) {
 		// The second solve proves the healed fleet is a working fleet, and
 		// flushes a fault that fired after the first answer was delivered
 		// through a heal before the goodbye.
-		again, err := solveWithDeadline(t, label+"/healed", e, seeds)
+		again, err := solveWithDeadline(t, label+"/healed", e, TreeSpec(seeds))
 		if err != nil {
 			t.Fatalf("solve on healed fleet: %v", err)
 		}
@@ -293,7 +298,7 @@ func TestChaosCrashAtPhase(t *testing.T) {
 			// session build. Once-semantics: exactly one rank crashes once;
 			// the requeued run is clean.
 			faultpoint.Arm(phase, faultpoint.ActPanic)
-			got, err := solveWithDeadline(t, phase, e, seeds)
+			got, err := solveWithDeadline(t, phase, e, TreeSpec(seeds))
 			if err != nil {
 				t.Fatalf("crash at %s not recovered: %v", phase, err)
 			}
@@ -340,7 +345,7 @@ func TestChaosFailStopWithoutRecovery(t *testing.T) {
 				t.Cleanup(faultpoint.Reset)
 				faultpoint.Arm(cell.arm, faultpoint.ActPanic)
 			}
-			_, err := solveWithDeadline(t, cell.name, e, seeds)
+			_, err := solveWithDeadline(t, cell.name, e, TreeSpec(seeds))
 			if err == nil {
 				t.Fatal("faulted fail-stop solve succeeded")
 			}
@@ -348,7 +353,7 @@ func TestChaosFailStopWithoutRecovery(t *testing.T) {
 				t.Fatalf("fault surfaced as a query error, not a session fault: %v", err)
 			}
 			// The poisoned session must refuse further work immediately.
-			if _, err := solveWithDeadline(t, cell.name+"/again", e, seeds); err == nil {
+			if _, err := solveWithDeadline(t, cell.name+"/again", e, TreeSpec(seeds)); err == nil {
 				t.Fatal("poisoned session answered a second query")
 			}
 			shutdown(false)

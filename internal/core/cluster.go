@@ -194,7 +194,6 @@ func toWireResult(res *Result) wire.SolveResult {
 		Tree:            res.Tree,
 		TotalDistance:   int64(res.TotalDistance),
 		DistGraphEdges:  res.DistGraphEdges,
-		MSTRounds:       res.MSTRounds,
 		Skipped:         res.Skipped,
 		CrossTableBytes: res.CrossTableBytes,
 		FragmentMsgs:    res.FragmentMsgs,
@@ -218,7 +217,6 @@ func fromWireResult(wr *wire.SolveResult, dedup []graph.VID) *Result {
 		Tree:            wr.Tree,
 		TotalDistance:   graph.Dist(wr.TotalDistance),
 		DistGraphEdges:  wr.DistGraphEdges,
-		MSTRounds:       wr.MSTRounds,
 		Skipped:         wr.Skipped,
 		CrossTableBytes: wr.CrossTableBytes,
 		FragmentMsgs:    wr.FragmentMsgs,

@@ -3,8 +3,8 @@ package core
 import (
 	"errors"
 	"slices"
-	"strings"
 	"testing"
+	"time"
 
 	"dsteiner/internal/graph"
 	"dsteiner/internal/partition"
@@ -27,102 +27,142 @@ func codecEnv(t testing.TB) *solveEnv {
 	return env
 }
 
-// prop is a round proposal of the cross edge {u, v} at distance d for the
-// cell pair key, with the pair's dense indices left for the decoder.
-func prop(frag int32, key int64, d graph.Dist, u, v graph.VID) fragProposal {
-	return fragProposal{frag: frag, crossRec: crossRec{key: key, crossEdge: crossEdge{d, u, v}}}
+// cross is the cross edge {u, v} at distance d for the cell pair key, with
+// the pair's dense indices left for the decoder.
+func cross(key int64, d graph.Dist, u, v graph.VID) crossRec {
+	return crossRec{key: key, crossEdge: crossEdge{d, u, v}}
 }
 
 // codecCases are records that decode cleanly but cannot belong to codecEnv's
-// query. The last is a sound cross edge proposed by an impossible fragment,
-// so only the proposal codec may refuse it.
+// query.
 var codecCases = []struct {
 	name string
-	p    fragProposal
+	rec  crossRec
 }{
-	{"lower half not a terminal", prop(0, seedKey(3, 5), 7, 3, 4)},
-	{"upper half not a terminal", prop(0, seedKey(2, 7), 7, 3, 4)},
-	{"halves equal", prop(0, int64(5)<<32|5, 7, 3, 4)},
-	{"halves reversed", prop(0, int64(9)<<32|2, 7, 3, 4)},
-	{"U past |V|", prop(0, seedKey(2, 5), 7, 12, 4)},
-	{"V negative", prop(0, seedKey(5, 9), 7, 3, -1)},
-	{"D negative", prop(0, seedKey(2, 5), -1, 3, 4)},
-	{"fragment past k", prop(3, seedKey(2, 9), 7, 3, 4)},
+	{"lower half not a terminal", cross(seedKey(3, 5), 7, 3, 4)},
+	{"upper half not a terminal", cross(seedKey(2, 7), 7, 3, 4)},
+	{"halves equal", cross(int64(5)<<32|5, 7, 3, 4)},
+	{"halves reversed", cross(int64(9)<<32|2, 7, 3, 4)},
+	{"U past |V|", cross(seedKey(2, 5), 7, 12, 4)},
+	{"V negative", cross(seedKey(5, 9), 7, 3, -1)},
+	{"D negative", cross(seedKey(2, 5), -1, 3, 4)},
 }
 
-// TestCrossCodecsRejectForeignRecords round-trips both phase 3–4 codecs, then
-// sends each crafted record through the exchanges that decode them — the
-// route of a tree query, the route of a prize query (everything to rank 0)
-// and the proposals — injected on one rank of a live communicator: every
-// rank must refuse together, with the corrupt-input solve error and no panic.
+// TestCrossCodecsRejectForeignRecords round-trips the phase 3 and phase 5
+// codecs, then injects each crafted record into rank 1's table on a live
+// communicator: phases 3–5 must stop every rank together, with rank 0
+// holding the corrupt-input solve error. Then rank 0 broadcasts chosen sets
+// no rank may accept. The receivers' decoder must refuse each, and a
+// refusal must end the solve on every rank, rank 0 included when it walks on
+// into phase 6.
 func TestCrossCodecsRejectForeignRecords(t *testing.T) {
 	env := codecEnv(t)
-	prize := &solveEnv{rankHost: env.rankHost, dedup: env.dedup, mode: ModePrize, res: &Result{}}
-	good := prop(2, seedKey(2, 9), 41, 3, 8)
+	good := cross(seedKey(2, 9), 41, 3, 8)
 	good.a, good.b = 0, 2 // what the decoder resolves
 	var got pairTable
-	if err := env.decodeCrossEntries(appendCrossEntry(nil, good.crossRec), &got); err != nil ||
-		len(got.recs) != 1 || got.recs[0] != good.crossRec {
+	if err := env.decodeCrossEntries(appendCrossEntry(nil, good), &got); err != nil ||
+		len(got.recs) != 1 || got.recs[0] != good {
 		t.Fatalf("cross entry round trip: %v, %v", got.recs, err)
 	}
-	if props, err := env.decodeProposals(appendProposal(nil, good), nil); err != nil || len(props) != 1 || props[0] != good {
-		t.Fatalf("proposal round trip: %v, %v", props, err)
+	chosen := appendChosen([]crossRec{good}, &fragStats{})
+	if recs, ok, err := env.readChosen(chosen, nil); err != nil || !ok || len(recs) != 1 || recs[0] != good {
+		t.Fatalf("chosen set round trip: %v, %v, %v", recs, ok, err)
 	}
+	if recs, ok, err := env.readChosen([]byte{chosenFailed}, nil); err != nil || ok || len(recs) != 0 {
+		t.Fatalf("failure status: %v, %v, %v", recs, ok, err)
+	}
+
 	for _, tc := range codecCases {
-		s, _ := unpackSeedKey(tc.p.key)
+		env.pools[1].localEN.reset()
+		env.pools[1].localEN.fold(tc.rec)
 		env.comm.Run(func(r *rt.Rank) {
-			var ps []fragProposal
-			var table, toZero []crossRec
-			if r.ID() == (r.Owner(s)+1)%3 { // beside the owner, so routing has to move it
-				ps, table = append(ps, tc.p), append(table, tc.p.crossRec)
+			if env.mergeMST(r, &recorder{}) {
+				t.Errorf("%s: rank %d went on to phase 6", tc.name, r.ID())
 			}
-			if r.ID() == 1 { // off rank 0, so the prize route has to move it
-				toZero = append(toZero, tc.p.crossRec)
-			}
-			// Every rank must agree; rank 0 alone holds (and clears) the solve error.
-			check := func(exchange string, ok, want bool, err *error) {
-				if ok != want {
-					t.Errorf("%s over %s: rank %d got through: %v, want %v", tc.name, exchange, r.ID(), ok, want)
-				}
-				if r.ID() == 0 {
-					if !want && (*err == nil || !strings.Contains((*err).Error(), "corrupt")) {
-						t.Errorf("%s over %s: solve error %v", tc.name, exchange, *err)
-					}
-					*err = nil
-				}
-			}
-			_, ok := env.fragmentRoute(r, table, &fragStats{})
-			check("route", ok, tc.p.frag == 3, &env.err)
-			_, ok = prize.fragmentRoute(r, toZero, &fragStats{})
-			check("prize route", ok, tc.p.frag == 3, &prize.err)
-			_, err := env.exchangeProposals(r, ps, nil, &fragStats{})
-			check("proposals", err == nil, false, &err)
 		})
+		if env.err == nil || !errors.Is(env.err, wire.ErrCorrupt) {
+			t.Errorf("%s: solve error %v", tc.name, env.err)
+		}
+		env.err = nil
+	}
+	env.pools[1].localEN.reset()
+
+	foreign := appendChosen([]crossRec{good, codecCases[0].rec}, &fragStats{})
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"unknown status", append([]byte{chosenFailed + 1}, chosen[1:]...)},
+		{"failure carrying records", append([]byte{chosenFailed}, chosen[1:]...)},
+		{"truncated record", chosen[:len(chosen)-1]},
+		{"foreign record", foreign},
+	} {
+		if _, _, err := env.readChosen(tc.blob, nil); err == nil {
+			t.Errorf("%s: a receiver accepted the blob", tc.name)
+		}
+		ended := make([]any, 3) // what each rank's body ended in
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			env.comm.Run(func(r *rt.Rank) {
+				defer func() {
+					if ended[r.ID()] = recover(); ended[r.ID()] != nil {
+						panic(ended[r.ID()]) // on to the poison path
+					}
+				}()
+				var blob []byte
+				if r.ID() == 0 {
+					blob = tc.blob
+				}
+				rec := &recorder{}
+				if env.shareChosen(r, blob, &rec.frag) {
+					env.treeEdges(r, rec)
+				}
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the solve is still running", tc.name)
+		}
+		// A rank waiting in a collective when a peer's refusal poisons the
+		// communicator may take the abort for its own refusal, and rank 0
+		// may end cleanly once its status said stop. Every receiver must
+		// end in a panic, one of them in its refusal, and rank 0 too when
+		// its status let it walk on into phase 6.
+		refused := false
+		for rank, p := range ended {
+			err, _ := p.(error)
+			refused = refused || rank > 0 && (errors.Is(err, wire.ErrCorrupt) || errors.Is(err, wire.ErrTruncated))
+			if p == nil && (rank > 0 || tc.blob[0] == chosenOK) {
+				t.Errorf("%s: rank %d finished the solve", tc.name, rank)
+			}
+		}
+		if !refused {
+			t.Errorf("%s: no receiver refused the blob: %v", tc.name, ended)
+		}
 	}
 }
 
 // FuzzCrossCodecs: no input may panic a decoder, and whatever a decoder
 // accepts names two ordered terminals with their dense indices, a distance
-// that is not negative, two vertices and a real fragment.
+// that is not negative and two vertices.
 func FuzzCrossCodecs(f *testing.F) {
 	env := codecEnv(f)
 	for _, tc := range codecCases {
-		f.Add(appendCrossEntry(nil, tc.p.crossRec))
-		f.Add(appendProposal(nil, tc.p))
+		f.Add(appendCrossEntry(nil, tc.rec))
+		f.Add(appendChosen([]crossRec{tc.rec}, &fragStats{}))
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		var table pairTable
 		_ = env.decodeCrossEntries(blob, &table)
-		props, _ := env.decodeProposals(blob, nil)
-		for _, rec := range table.recs {
-			props = append(props, fragProposal{crossRec: rec})
-		}
-		for _, p := range props {
-			s, tt := unpackSeedKey(p.key)
+		recs, _, _ := env.readChosen(blob, nil)
+		for _, rec := range append(recs, table.recs...) {
+			s, tt := unpackSeedKey(rec.key)
 			if !slices.Contains(env.dedup, s) || !slices.Contains(env.dedup, tt) || s >= tt ||
-				env.dedup[p.a] != s || env.dedup[p.b] != tt || p.D < 0 ||
-				p.U < 0 || p.U >= 12 || p.V < 0 || p.V >= 12 || p.frag < 0 || p.frag > 2 {
-				t.Fatalf("accepted %+v", p)
+				env.dedup[rec.a] != s || env.dedup[rec.b] != tt || rec.D < 0 ||
+				rec.U < 0 || rec.U >= 12 || rec.V < 0 || rec.V >= 12 {
+				t.Fatalf("accepted %+v", rec)
 			}
 		}
 	})

@@ -242,7 +242,7 @@ func (e *Engine) SolveSpec(spec QuerySpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Memory = memoryStats(e.g, e.shard, tableLens, res, e.opts)
+	res.Memory = memoryStats(e.g, e.shard, tableLens, cq, res, e.opts)
 	if err := finalizeResult(e.g, cq, res); err != nil {
 		return nil, err
 	}

@@ -3,44 +3,29 @@ package core
 import (
 	"fmt"
 
+	"dsteiner/internal/faultpoint"
 	"dsteiner/internal/graph"
 	"dsteiner/internal/mst"
 	rt "dsteiner/internal/runtime"
 	"dsteiner/internal/wire"
 )
 
-// This file is the rank-parallel fragment-merge MST: phases 3–5 without the
-// replicated cross table, for every query mode. Phase 3 routes every E_N
-// record to the rank that owns the pair's lower seed vertex, so the distance
-// graph lives sharded — no rank ever holds the O(k²) table. Phase 4 runs
-// distributed Borůvka/GHS rounds: each rank proposes the minimum outgoing
-// edge of every fragment it can see in its shard, the proposals are
-// broadcast, and every rank replays the identical winner sequence against
-// its fragment-label array. Winners double as phase-5 pruned entries, so
-// phase 5 needs no extra collective.
-//
-// A prize query's moat-growing plan reads the whole distance graph, so its
-// records are all routed to rank 0, which plans the kept set before the
-// rounds; an entry with a skipped end then dies like an intra-fragment one.
+// This file is phases 3–5 in the paper's shape, for every query mode: the
+// ranks gather their phase-2 tables to rank 0 in one exchange, rank 0 alone
+// builds the minimum spanning forest of the distance graph G'₁ with one
+// sequential pass, and one broadcast hands the chosen edges back. Two
+// collectives in all, whatever the terminal count or the mode.
 
 // fragStats accumulates one rank's share of the query's CrossTableBytes,
 // FragmentMsgs and DistGraphEdges counters; the tree gather sums them at
-// rank 0. bytes is encoded payload moved through collectives (contributed +
-// received), equal on every backend; edges is the size of the rank's routed
-// table shard.
+// rank 0. bytes is the encoded payload of the phase 3 and 5 exchanges
+// (contributed + received, rank 0's own broadcast counted once), equal on
+// every backend; msgs counts the records sent in them; edges is |E'₁|, the
+// size of rank 0's gathered table.
 type fragStats struct {
 	bytes int64
 	msgs  int64
 	edges int64
-}
-
-// fragProposal is one fragment's candidate minimum outgoing edge for a
-// Borůvka round: the proposing fragment label plus the full cross-table
-// record, so winners can be kept as pruned entries without re-fetching them
-// from the owning rank.
-type fragProposal struct {
-	frag int32
-	crossRec
 }
 
 // slotTable maps int64 keys to int32 values by open addressing over a
@@ -103,7 +88,7 @@ func (t *slotTable) put(key int64, v int32) int32 {
 }
 
 // pairTable folds E_N records by cell pair into recs, one pickCross survivor
-// per pair. Phase 4 sorts the routed shard's recs in place; only a reset
+// per pair. Phase 4 sorts rank 0's gathered recs in place; only a reset
 // makes folding safe again.
 type pairTable struct {
 	index slotTable // seedKey -> position in recs
@@ -123,94 +108,128 @@ func (t *pairTable) fold(rec crossRec) {
 // seedIndex is s's dense terminal index, or -1 if s is not a terminal.
 func (env *solveEnv) seedIndex(s graph.VID) int32 { return env.seeds.get(int64(s)) }
 
-// fragmentRoute is the fragment merge's phase 3: every cross-cell record is
-// routed to the rank owning the pair's lower seed vertex — on a prize query,
-// to rank 0 — leaving each rank with a disjoint shard of the global E_N
-// table (same pickCross survivor per pair as a gather of the whole table —
-// the fold is order-insensitive). Returns ok=false after recording env.err
-// on rank 0 when a routed blob fails to decode; received blobs are
-// personalized, so the failure is agreed with an allreduce and all ranks
-// bail uniformly.
-func (env *solveEnv) fragmentRoute(r *rt.Rank, localEN []crossRec, fs *fragStats) ([]crossRec, bool) {
-	owned := &env.pools[r.ID()].owned
-	owned.reset()
-	blobs := make([][]byte, r.NumRanks())
-	for _, rec := range localEN {
-		s, t := unpackSeedKey(rec.key)
-		d := 0
-		if env.mode != ModePrize {
-			d = r.Owner(s)
+// The status byte that opens the phase-5 broadcast: the chosen records
+// follow chosenOK; chosenFailed ends the solve on every rank, after rank 0
+// recorded why in env.err.
+const (
+	chosenOK byte = iota
+	chosenFailed
+)
+
+// mergeMST runs phases 3–5 on one rank and reports whether the solve goes
+// on to phase 6, the same on every rank. It then leaves the chosen edges in
+// every rank's pruned slice: rank 0's own, a decoded copy elsewhere.
+func (env *solveEnv) mergeMST(r *rt.Rank, rec *recorder) bool {
+	sc := env.pools[r.ID()]
+
+	// Phase 3: global min-distance edges (Alg. 5's collective): one gather
+	// of every rank's E_N table to rank 0.
+	var table []crossRec
+	var err error
+	faultpoint.Hit("solve.phase3")
+	rec.phase(r, PhaseGlobalMinEdge, func() PhaseStat {
+		table, err = env.gatherTable(r, sc.localEN.recs, &rec.frag)
+		return PhaseStat{}
+	})
+
+	// Phase 4: MST of the distance graph G'₁ (Alg. 3 line 17), sequential on
+	// rank 0: "a sequential MST is sufficient".
+	faultpoint.Hit("solve.phase4")
+	rec.phase(r, PhaseMST, func() PhaseStat {
+		if r.ID() == 0 && err == nil {
+			rec.frag.edges = int64(len(table))
+			err = env.buildMSF(table)
 		}
-		if d != r.ID() {
-			fs.msgs++
-			blobs[d] = appendCrossEntry(blobs[d], rec) // the owner resolves the pair
-		} else {
-			rec.a, rec.b = env.seedIndex(s), env.seedIndex(t)
-			owned.fold(rec)
-		}
-	}
-	var out []rt.Blob
-	for d, b := range blobs {
-		if len(b) > 0 {
-			fs.bytes += int64(len(b))
-			out = append(out, rt.Blob{Src: r.ID(), Dest: d, Blob: b})
-		}
-	}
-	var failed int64
-	for _, fb := range rt.Exchange(r, out) {
-		fs.bytes += int64(len(fb.Blob))
-		if err := env.decodeCrossEntries(fb.Blob, owned); err != nil && failed == 0 {
-			failed = int64(r.ID()) + 1
-		}
-	}
-	if bad := r.AllreduceMaxInt64(failed); bad > 0 {
+		return PhaseStat{}
+	})
+
+	// Phase 5: global edge pruning (Alg. 5, EDGE_PRUNING_COLL): the MSF's
+	// edges are the surviving cross-cell edges, broadcast behind rank 0's
+	// status.
+	ok := false
+	faultpoint.Hit("solve.phase5")
+	rec.phase(r, PhasePruning, func() PhaseStat {
+		var blob []byte
 		if r.ID() == 0 {
-			env.err = fmt.Errorf("core: fragment cross-table exchange: corrupt blob at rank %d", bad-1)
+			env.err, blob = err, []byte{chosenFailed}
+			if err == nil {
+				blob = appendChosen(sc.pruned, &rec.frag)
+			}
 		}
-		return nil, false
-	}
-	return owned.recs, true
+		ok = env.shareChosen(r, blob, &rec.frag)
+		return PhaseStat{}
+	})
+	return ok
 }
 
-// fragmentMST is the fragment merge's phase 4: Borůvka/GHS rounds over the
-// rank-sharded table. Each rank radix-sorts its shard once into the (D, key)
-// total order, so a fragment's best outgoing edge in a round is its first
-// live entry; an entry found dead — both ends in one fragment, or on a prize
-// query a skipped end — is compacted out and never tested again. The
-// proposals are broadcast, and all ranks apply the per-fragment winners
-// against identical union-find state, so the label array never needs to
-// travel. Accepted winners accumulate into the rank's pruned slice, the same
-// edge set on every rank.
-func (env *solveEnv) fragmentMST(r *rt.Rank, owned []crossRec, fs *fragStats) bool {
-	k, sc := len(env.dedup), env.pools[r.ID()]
-	fs.edges = int64(len(owned))
-	// compareCross's (D, key) order, radix-sorted least significant field
-	// first. Dense indices order as the key's seeds do, and a·k + b spans
-	// fewer bytes than the key's two VIDs; D is never negative.
+// gatherTable is phase 3: every other rank sends rank 0 its E_N table in one
+// exchange, and rank 0 folds them into its own — the same pickCross survivor
+// per pair whatever order the blobs arrive in. Only rank 0 gets a table, and
+// only rank 0 an error: a gathered blob that does not decode.
+func (env *solveEnv) gatherTable(r *rt.Rank, localEN []crossRec, fs *fragStats) ([]crossRec, error) {
+	var out []rt.Blob
+	if r.ID() != 0 && len(localEN) > 0 {
+		blob := make([]byte, 0, 16*len(localEN)) // ≈16 bytes a record: one allocation
+		for _, rec := range localEN {
+			blob = appendCrossEntry(blob, rec)
+		}
+		fs.bytes += int64(len(blob))
+		fs.msgs += int64(len(localEN))
+		out = append(out, rt.Blob{Src: r.ID(), Dest: 0, Blob: blob})
+	}
+	in := rt.Exchange(r, out)
+	if r.ID() != 0 {
+		return nil, nil
+	}
+	table := &env.pools[0].owned
+	table.reset()
+	for _, rec := range localEN {
+		s, t := unpackSeedKey(rec.key)
+		rec.a, rec.b = env.seedIndex(s), env.seedIndex(t)
+		table.fold(rec)
+	}
+	for _, fb := range in {
+		fs.bytes += int64(len(fb.Blob))
+		if err := env.decodeCrossEntries(fb.Blob, table); err != nil {
+			return nil, fmt.Errorf("core: cross-table gather from rank %d: %w", fb.Src, err)
+		}
+	}
+	return table.recs, nil
+}
+
+// buildMSF is phase 4 on rank 0: Kruskal over the gathered table. It
+// radix-sorts the table into (D, key) order, runs a prize query's moat plan,
+// and makes one union-find pass over the sorted entries, skipping an entry
+// with a skipped end. Dense seed indices are monotone in seed VID (dedup is
+// sorted), so (D, key) is pickCross's and mst.Kruskal's (W, U, V) total
+// order, under which the forest is unique: the sequential reference's. The
+// chosen edges land in rank 0's pruned slice; an error names the terminals
+// they leave apart.
+func (env *solveEnv) buildMSF(table []crossRec) error {
+	k, sc := len(env.dedup), env.pools[0]
+	// Least significant field first. Dense indices order as the key's seeds
+	// do, and a·k + b spans fewer bytes than the key's two VIDs; D is never
+	// negative.
 	kk := uint64(k)
-	graph.SortByKey(owned, &sc.crossScratch, func(e crossRec) uint64 { return uint64(e.a)*kk + uint64(e.b) })
-	graph.SortByKey(owned, &sc.crossScratch, func(e crossRec) uint64 { return uint64(e.D) })
+	graph.SortByKey(table, &sc.crossScratch, func(e crossRec) uint64 { return uint64(e.a)*kk + uint64(e.b) })
+	graph.SortByKey(table, &sc.crossScratch, func(e crossRec) uint64 { return uint64(e.D) })
 	// kept counts the terminals the chosen edges must join: all of them, or
-	// the prize plan's keep set, which only rank 0 (holding the whole table)
-	// knows — elsewhere keep stays nil, over an empty shard.
+	// the prize plan's keep set.
 	kept, keep := k, []bool(nil)
 	if env.mode == ModePrize {
-		var n int
-		if r.ID() == 0 {
-			keep, n = env.planPrize(owned)
-		}
-		kept = int(r.AllreduceMaxInt64(int64(n)))
+		keep, kept = env.planPrize(table)
+	}
+	want := kept - 1
+	if env.mode == ModeForest {
+		want = k - env.numGroups // candidates never join two groups
 	}
 
-	// Label-indexed arrays: frag is each terminal's fragment label, best[f]
-	// equals the round's stamp once fragment f has its local best, and
-	// winner[f] indexes f's least proposal of the round, or is -1.
-	if cap(sc.labels) < 3*k {
-		sc.labels = make([]int32, 3*k)
+	if cap(sc.labels) < k {
+		sc.labels = make([]int32, k)
 	}
-	frag, best, winner := sc.labels[:k], sc.labels[k:2*k], sc.labels[2*k:3*k]
+	frag := sc.labels[:k]
 	for i := range frag {
-		frag[i], best[i], winner[i] = int32(i), 0, -1
+		frag[i] = int32(i)
 	}
 	find := func(x int32) int32 {
 		for frag[x] != x {
@@ -219,95 +238,32 @@ func (env *solveEnv) fragmentMST(r *rt.Rank, owned []crossRec, fs *fragStats) bo
 		}
 		return x
 	}
-
-	pruned := sc.pruned[:0]
-	rounds, chosen := 0, 0
-	for {
-		stamp := int32(rounds + 1)
-		props, live := sc.props[:0], owned[:0]
-		for _, e := range owned {
-			fu, fv := frag[e.a], frag[e.b]
-			if fu == fv || (keep != nil && !(keep[e.a] && keep[e.b])) {
-				continue // dead for all later rounds
-			}
-			live = append(live, e)
-			for _, f := range [2]int32{fu, fv} {
-				if best[f] != stamp {
-					best[f] = stamp
-					props = append(props, fragProposal{frag: f, crossRec: e})
-				}
-			}
+	chosen := sc.pruned[:0]
+	for _, e := range table {
+		if len(chosen) == want {
+			break // every part is joined: no later entry can join two
 		}
-		owned, sc.props = live, props
-		fs.msgs += int64(len(props))
-		all, err := env.exchangeProposals(r, props, sc.all[:0], fs)
-		if err != nil {
-			// Proposal blobs are broadcast, so every rank sees the same
-			// corrupt payload and fails here together.
-			if r.ID() == 0 {
-				env.err = fmt.Errorf("core: fragment merge round %d: %w", rounds+1, err)
-			}
-			return false
+		if keep != nil && !(keep[e.a] && keep[e.b]) {
+			continue
 		}
-		sc.all = all
-		if len(all) == 0 {
-			break
-		}
-		rounds++
-		for i, p := range all {
-			if w := winner[p.frag]; w < 0 || compareCross(p.crossRec, all[w].crossRec) < 0 {
-				winner[p.frag] = int32(i)
-			}
-		}
-		// Under the strict total order the winners form a forest, apart from
-		// an edge both its fragments picked, so every rank accepts the same
-		// edges in whatever order the proposals arrived, and the min-root
-		// relabel leaves every rank the same labels.
-		for i, p := range all {
-			if winner[p.frag] != int32(i) {
-				continue
-			}
-			winner[p.frag] = -1
-			ru, rv := find(p.a), find(p.b)
-			if ru == rv {
-				continue // both endpoint fragments picked this same edge
-			}
-			if rv < ru {
-				ru, rv = rv, ru
-			}
-			frag[rv] = ru // min-root representative keeps labels canonical
-			pruned = append(pruned, p.crossRec)
-			chosen++
-		}
-		for i := range frag {
-			frag[i] = find(int32(i)) // pointer-jump full relabel
+		if ru, rv := find(e.a), find(e.b); ru != rv {
+			frag[rv] = ru
+			chosen = append(chosen, e)
 		}
 	}
-	sc.pruned = pruned
-
-	if r.ID() == 0 {
-		env.res.MSTRounds = rounds
+	sc.pruned = chosen
+	if len(chosen) < want {
+		return fragmentDisconnectedErr(env, kept, len(chosen), frag)
 	}
-
-	want := kept - 1
-	if env.mode == ModeForest {
-		want = k - env.numGroups
-	}
-	if chosen < want {
-		if r.ID() == 0 {
-			env.err = fragmentDisconnectedErr(env, kept, chosen, frag)
-		}
-		return false
-	}
-	return true
+	return nil
 }
 
 // planPrize runs the moat-growing plan on rank 0, which holds a prize
-// query's whole routed table, records the skipped terminals, and returns the
-// keep marks and how many terminals they keep.
-func (env *solveEnv) planPrize(owned []crossRec) ([]bool, int) {
-	wedges := make([]mst.WEdge, 0, len(owned))
-	for _, e := range owned {
+// query's whole table, records the skipped terminals, and returns the keep
+// marks and how many terminals they keep.
+func (env *solveEnv) planPrize(table []crossRec) ([]bool, int) {
+	wedges := make([]mst.WEdge, 0, len(table))
+	for _, e := range table {
 		wedges = append(wedges, mst.WEdge{U: e.a, V: e.b, W: e.D})
 	}
 	keep := prizePlan(len(env.dedup), wedges, env.penalty)
@@ -322,11 +278,11 @@ func (env *solveEnv) planPrize(owned []crossRec) ([]bool, int) {
 	return keep, kept
 }
 
-// fragmentDisconnectedErr names what the fragment merge's chosen edge set
-// (the unique MSF, so the component counts are a sequential solver's) fails
-// to connect: the kept terminals of a prize query, all terminals of a tree
-// query (kept counts them either way), or one group of a forest query, whose
-// components' roots (frag[i] == i) each lie in their terminals' one group.
+// fragmentDisconnectedErr names what phase 4's chosen edge set (the unique
+// MSF) fails to connect: the kept terminals of a prize query, all terminals
+// of a tree query (kept counts them either way), or one group of a forest
+// query, whose components' roots (frag[i] == i) each lie in their terminals'
+// one group.
 // A forest group can fail although the graph connects it: phase 2 keeps only
 // the candidate edges between two cells of one group, so a group whose paths
 // all cross another group's cells has none (TestForestGroupThroughForeignCell).
@@ -352,30 +308,8 @@ func fragmentDisconnectedErr(env *solveEnv, kept, chosen int, frag []int32) erro
 	return fmt.Errorf("core: seeds span %d connected components; Steiner tree requires one", kept-chosen)
 }
 
-// exchangeProposals broadcasts every rank's round proposals to all ranks,
-// one encoded blob per rank (Dest -1), and appends everyone's to into.
-func (env *solveEnv) exchangeProposals(r *rt.Rank, props, into []fragProposal, fs *fragStats) ([]fragProposal, error) {
-	blob := make([]byte, 0, 16*len(props)) // ≈16 bytes a proposal: one allocation
-	for _, p := range props {
-		blob = appendProposal(blob, p)
-	}
-	var out []rt.Blob
-	if len(blob) > 0 {
-		fs.bytes += int64(len(blob))
-		out = append(out, rt.Blob{Src: r.ID(), Dest: -1, Blob: blob})
-	}
-	for _, fb := range rt.Exchange(r, out) {
-		fs.bytes += int64(len(fb.Blob))
-		var err error
-		if into, err = env.decodeProposals(fb.Blob, into); err != nil {
-			return nil, err
-		}
-	}
-	return into, nil
-}
-
 // appendCrossEntry appends one cross-table record, the unit of both the
-// fragment routing and the round proposals. Records carry no count prefix —
+// phase-3 gather and the phase-5 broadcast. Records carry no count prefix —
 // the enclosing blob delimits them — and no dense indices: the receiver
 // resolves those from the key.
 func appendCrossEntry(dst []byte, rec crossRec) []byte {
@@ -388,10 +322,10 @@ func appendCrossEntry(dst []byte, rec crossRec) []byte {
 
 // readCrossEntry decodes one cross-table record and rejects one that is
 // well-formed but cannot belong to this query: the key's halves must be two
-// distinct terminals in (s < t) order — anything else would union the
-// wrong fragments — the distance must not be negative, which would win every
-// round, and the bridge endpoints must be vertices, because phase 6 hands
-// them to Owns and Send.
+// distinct terminals in (s < t) order — anything else would join the wrong
+// cells — the distance must not be negative, which would sort first, and the
+// bridge endpoints must be vertices, because phase 6 hands them to Owns and
+// Send.
 func (env *solveEnv) readCrossEntry(d *wire.Dec) (crossRec, error) {
 	rec := crossRec{key: d.Varint()}
 	rec.D = graph.Dist(d.Uvarint())
@@ -424,27 +358,66 @@ func (env *solveEnv) decodeCrossEntries(blob []byte, table *pairTable) error {
 	return nil
 }
 
-// appendProposal appends one round proposal: the proposing fragment, then
-// the cross-table record it proposes.
-func appendProposal(dst []byte, p fragProposal) []byte {
-	return appendCrossEntry(wire.AppendUvarint(dst, uint64(uint32(p.frag))), p.crossRec)
+// appendChosen encodes phase 5's broadcast on success: chosenOK, then the
+// chosen records.
+func appendChosen(chosen []crossRec, fs *fragStats) []byte {
+	blob := make([]byte, 1, 1+16*len(chosen))
+	blob[0] = chosenOK
+	for _, rec := range chosen {
+		blob = appendCrossEntry(blob, rec)
+	}
+	fs.msgs += int64(len(chosen))
+	return blob
 }
 
-// decodeProposals appends a round blob's proposals to into. Besides the
-// record's own checks, the proposing fragment must be a terminal index: the
-// winner array is indexed by it.
-func (env *solveEnv) decodeProposals(blob []byte, into []fragProposal) ([]fragProposal, error) {
-	d := wire.NewDec(blob)
+// shareChosen is phase 5: rank 0 broadcasts blob, and every other rank
+// decodes it into its pruned slice; rank 0 keeps its own chosen slice. It
+// reports whether the solve goes on. A rank that cannot read the blob
+// cannot tell rank 0, which may be walking phase 6 already, so it panics:
+// the path a rank panic takes poisons the communicator, which ends the
+// solve on every rank (a worker reports it to the coordinator as a rank
+// panic).
+func (env *solveEnv) shareChosen(r *rt.Rank, blob []byte, fs *fragStats) bool {
+	var out []rt.Blob
+	if r.ID() == 0 {
+		fs.bytes += int64(len(blob))
+		out = append(out, rt.Blob{Src: 0, Dest: -1, Blob: blob})
+	}
+	in := rt.Exchange(r, out)
+	if r.ID() == 0 {
+		return blob[0] == chosenOK
+	}
+	blob = nil
+	if len(in) == 1 {
+		blob = in[0].Blob
+	}
+	fs.bytes += int64(len(blob))
+	sc := env.pools[r.ID()]
+	var ok bool
+	var err error
+	if sc.pruned, ok, err = env.readChosen(blob, sc.pruned[:0]); err != nil {
+		panic(fmt.Errorf("core: rank %d refused the chosen-set broadcast: %w", r.ID(), err))
+	}
+	return ok
+}
+
+// readChosen decodes a phase-5 broadcast, appending its records to into,
+// and reports whether the solve goes on. Besides each record's own checks,
+// it refuses an unknown status and a failure that carries records.
+func (env *solveEnv) readChosen(blob []byte, into []crossRec) ([]crossRec, bool, error) {
+	if len(blob) == 0 || blob[0] > chosenFailed || blob[0] == chosenFailed && len(blob) > 1 {
+		return into, false, fmt.Errorf("%w: %d-byte chosen-set blob", wire.ErrCorrupt, len(blob))
+	}
+	if blob[0] == chosenFailed {
+		return into, false, nil
+	}
+	d := wire.NewDec(blob[1:])
 	for d.Len() > 0 {
-		frag := int32(d.Uvarint())
 		rec, err := env.readCrossEntry(d)
 		if err != nil {
-			return into, err
+			return into, false, err
 		}
-		if frag < 0 || int(frag) >= len(env.dedup) {
-			return into, fmt.Errorf("%w: proposal from fragment %d of %d", wire.ErrCorrupt, frag, len(env.dedup))
-		}
-		into = append(into, fragProposal{frag: frag, crossRec: rec})
+		into = append(into, rec)
 	}
-	return into, nil
+	return into, true, nil
 }

@@ -29,12 +29,11 @@ func tieTestGraph(seed int64, n int) *graph.Graph {
 	return g
 }
 
-// TestFragmentTCPWireBytes runs the fragment merge of both routes on a real
-// TCP fleet at high terminal count: a tree query, and a prize query over the
-// same terminals whose penalties are too large to skip any of them, so its
-// records all go to rank 0. Same global table, so the same tree, the same
-// |E'₁| and the same Borůvka round sequence; only the phase 3–4 wire bytes
-// differ, and both are logged.
+// TestFragmentTCPWireBytes runs phases 3–5 on a real TCP fleet at high
+// terminal count: a tree query, and a prize query over the same terminals
+// whose penalties are too large to skip any of them. Both gather the same
+// global table to rank 0 and broadcast the same chosen set, so they report
+// the same tree, the same |E'₁|, and the same phase 3–5 bytes and records.
 func TestFragmentTCPWireBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins a 4-worker TCP fleet at k=512")
@@ -61,17 +60,16 @@ func TestFragmentTCPWireBytes(t *testing.T) {
 	if len(want.Skipped) != 0 {
 		t.Fatalf("prize solve skipped %v, want every terminal kept", want.Skipped)
 	}
-	if got.MSTRounds < 1 || got.FragmentMsgs == 0 {
-		t.Fatalf("tree solve: rounds=%d msgs=%d", got.MSTRounds, got.FragmentMsgs)
+	if got.FragmentMsgs == 0 || got.CrossTableBytes == 0 {
+		t.Fatalf("tree solve: msgs=%d bytes=%d", got.FragmentMsgs, got.CrossTableBytes)
 	}
-	if want.MSTRounds != got.MSTRounds || want.DistGraphEdges != got.DistGraphEdges {
-		t.Fatalf("prize solve: rounds=%d |E'1|=%d, tree solve: rounds=%d |E'1|=%d",
-			want.MSTRounds, want.DistGraphEdges, got.MSTRounds, got.DistGraphEdges)
+	if want.DistGraphEdges != got.DistGraphEdges || want.CrossTableBytes != got.CrossTableBytes ||
+		want.FragmentMsgs != got.FragmentMsgs {
+		t.Fatalf("prize solve: |E'1|=%d bytes=%d msgs=%d, tree solve: |E'1|=%d bytes=%d msgs=%d",
+			want.DistGraphEdges, want.CrossTableBytes, want.FragmentMsgs,
+			got.DistGraphEdges, got.CrossTableBytes, got.FragmentMsgs)
 	}
-	if got.CrossTableBytes == 0 || want.CrossTableBytes == 0 {
-		t.Fatalf("cross-table bytes unreported: tree=%d prize=%d", got.CrossTableBytes, want.CrossTableBytes)
-	}
-	t.Logf("k=512 cross-table wire bytes: tree=%d prize=%d", got.CrossTableBytes, want.CrossTableBytes)
+	t.Logf("k=512 phase 3-5 wire bytes: %d", got.CrossTableBytes)
 }
 
 // TestWarmManyTerminalAllocs bounds what one warm many-terminal query

@@ -28,12 +28,10 @@ type rankHost struct {
 type rankPool struct {
 	slab         *voronoi.StateSlab // the rank's Voronoi control state, reset per query
 	localEN      pairTable          // phase 2's E_N table
-	owned        pairTable          // phase 3's routed table shard, sorted by phase 4
+	owned        pairTable          // rank 0's gathered table, sorted by phase 4
 	crossScratch []crossRec         // phase 4's radix-sort buffer
-	pruned       []crossRec         // phase 4's chosen edges, the same set on every rank
-	labels       []int32            // phase 4's label-indexed frag/best/winner arrays
-	props        []fragProposal     // phase 4's own proposals of one round
-	all          []fragProposal     // phase 4's proposals of every rank in one round
+	pruned       []crossRec         // the chosen edges: phase 4's on rank 0, phase 5's copy elsewhere
+	labels       []int32            // phase 4's union-find array
 	tree         []graph.Edge       // phase 6's edges; rank 0 appends the others' runs
 	treeScratch  []graph.Edge       // phase 6's radix-sort buffer
 	halo         haloPlan           // phase 2's static halo, planned at session start

@@ -8,21 +8,19 @@
 //     after one halo exchange of boundary vertices' labels to the ranks
 //     that hold them as ghosts (Alg. 5 without its request/reply per
 //     boundary arc)
-//  3. Global Min Dist. Edge — every cell pair's record is routed to the rank
-//     owning the pair's lower seed, so the distance graph G'₁ stays sharded
-//  4. MST                   — Borůvka/GHS fragment-merge rounds over the
-//     rank-owned cross edges, one candidate per fragment per round; under
+//  3. Global Min Dist. Edge — one gather of every rank's cell-pair table to
+//     rank 0, which folds them into the distance graph G'₁
+//  4. MST                   — one sequential Kruskal pass on rank 0; under
 //     the (D, seed pair) total order the result is the unique minimum
-//     spanning forest, the one sequential Kruskal finds on G'₁
-//  5. Global Edge Pruning   — the rounds' winners are the surviving
-//     cross-cell edges, so nothing is left to drop
+//     spanning forest
+//  5. Global Edge Pruning   — one broadcast of the forest's edges, the
+//     surviving cross-cell edges, behind rank 0's status
 //  6. Steiner Tree Edge     — predecessor walks from surviving cross-cell
 //     edge endpoints back to each cell's seed (Alg. 6)
 //
-// Prize queries run the same phases 3–5. The moat-growing plan needs the
-// whole distance graph, so phase 3 routes a prize query's every record to
-// rank 0, which plans the keep set; the fragment merge then treats an edge
-// with a skipped end as dead.
+// Prize queries run the same phases 3–5: rank 0, holding the whole distance
+// graph, plans the keep set before the pass, which then skips an edge with
+// a skipped end.
 //
 // The oracle is sequential test code (reference_test.go): Alg. 2 over
 // voronoi.Sequential and mst.Kruskal, sharing no runtime, shard, slab or

@@ -11,9 +11,8 @@ import (
 
 // prizePlan decides which terminals a prize-mode query connects and which
 // it pays to skip. It runs on rank 0 over the whole distance graph G'_1,
-// which phase 3 routes there on a prize query (the same table phase 4's
-// fragment merge then spans), so it answers identically on loopback and
-// rankd: all arithmetic is integral and every tie-break is by a fixed
+// which phase 3 gathers there (the same table phase 4's MSF then spans), so
+// it answers identically on loopback and rankd: all arithmetic is integral and every tie-break is by a fixed
 // enumeration order.
 //
 // The pass is an unrooted Goemans–Williamson-style primal-dual scheme (cf.

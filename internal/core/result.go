@@ -43,13 +43,13 @@ type PhaseStat struct {
 
 // MemoryStats is the Fig. 8 accounting: bytes for the in-memory graph
 // versus bytes for algorithm state (Voronoi arrays, cross-cell edge tables,
-// the replicated distance graph and message buffers).
+// the distance graph's chosen edges and message buffers).
 type MemoryStats struct {
 	GraphBytes     int64
 	ShardBytes     int64 // rank-local CSR slabs, all ranks
 	StateBytes     int64 // per-vertex Voronoi state
 	EdgeTableBytes int64 // local + merged cross-cell edge tables
-	DistGraphBytes int64 // replicated G'₁ + MST per rank
+	DistGraphBytes int64 // the chosen MSF edges, held on every rank
 	BufferBytes    int64 // modeled message buffer residency
 }
 
@@ -81,14 +81,15 @@ type Result struct {
 	// DistGraphEdges is |E'₁|, the number of cross-cell candidate edges
 	// after the global merge.
 	DistGraphEdges int
-	// MSTRounds is the number of fragment-merge rounds.
+	// MSTRounds is always 0: phase 4 is one sequential pass on rank 0 and
+	// runs no rounds. It stays because the benchmark harness reads it.
 	MSTRounds int
-	// CrossTableBytes is the phase 3–4 merge's encoded payload moved through
-	// collectives, summed over ranks (contributed + received); equal on every
-	// backend.
+	// CrossTableBytes is the encoded payload of phases 3–5, summed over
+	// ranks: each gathered table contributed and received, and the chosen
+	// set broadcast and received. Equal on every backend.
 	CrossTableBytes int64
-	// FragmentMsgs counts fragment-merge records exchanged (routed
-	// cross-table entries plus per-round proposals), summed over ranks.
+	// FragmentMsgs counts the phase 3–5 records: the cross-table entries
+	// gathered to rank 0 plus the chosen entries it broadcasts.
 	FragmentMsgs int64
 	// Stats is the query's runtime counters record, cluster-wide on the TCP
 	// backend (the workers' shares folded with rt.Stats.Add), embedded so
@@ -99,11 +100,9 @@ type Result struct {
 	//     row) beat them.
 	//   - Net: transport traffic attributable to this query, summed over the
 	//     worker processes: what their transports read and write while the
-	//     query runs. The coordinator's Solve frame arrives before that and
-	//     each worker's WorkerDone leaves after it, so neither is counted,
-	//     and a one-worker BSP fleet, with no peer to send to and no
-	//     termination ring to drive, reads all zero. All zero on the
-	//     in-process loopback backend.
+	//     query runs, plus each worker's Solve frame in and WorkerDone frame
+	//     out, which the coordinator counts. All zero on the in-process
+	//     loopback backend.
 	rt.Stats
 
 	// Mode is the query mode this result answers (ModeTree for plain

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"dsteiner/internal/gen"
@@ -96,7 +97,9 @@ func TestEngineShardStats(t *testing.T) {
 // TestEngineMemoryCountsResolvedColumnsAndGhostRows compares the engine's
 // shard and slab accounting against sizes computed by hand on K8 over two
 // ranks (the ranges are [0,4) and [4,8)). Every vertex neighbours every other, so each rank's ghosts are
-// exactly the |V| − owned = 4 vertices it does not own.
+// exactly the |V| − owned = 4 vertices it does not own. The distance
+// graph's charge is the chosen set on both ranks: a spanning forest of the
+// terminals, one tree per forest group.
 func TestEngineMemoryCountsResolvedColumnsAndGhostRows(t *testing.T) {
 	b := graph.NewBuilder(8)
 	for u := graph.VID(0); u < 8; u++ {
@@ -137,6 +140,27 @@ func TestEngineMemoryCountsResolvedColumnsAndGhostRows(t *testing.T) {
 	if res.Memory.ShardBytes != 2*shardBytes || res.Memory.StateBytes != 2*slabBytes {
 		t.Fatalf("result memory reports shard %d / state %d bytes, by hand %d / %d",
 			res.Memory.ShardBytes, res.Memory.StateBytes, 2*shardBytes, 2*slabBytes)
+	}
+	const recBytes = 8 + 8 + 16 // key, dense pair, bridge
+	for _, tc := range []struct {
+		spec   QuerySpec
+		chosen int
+	}{
+		{TreeSpec([]graph.VID{0, 5, 6}), 2},
+		{QuerySpec{Mode: ModeForest, Groups: [][]graph.VID{{0, 5}, {6}, {1, 2, 7}}}, 1 + 0 + 2},
+		{QuerySpec{Mode: ModePrize, Seeds: []graph.VID{0, 5, 6}, Penalties: []graph.Dist{1000, 1000, 0}}, 1}, // 6 skipped
+	} {
+		res, err := e.SolveSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.spec.Mode == ModePrize && !slices.Equal(res.Skipped, []graph.VID{6}) {
+			t.Fatalf("prize query skipped %v, want [6]", res.Skipped)
+		}
+		if want := int64(tc.chosen * recBytes * 2); res.Memory.DistGraphBytes != want {
+			t.Fatalf("%v query: distance graph charged %d bytes, want %d chosen edges on 2 ranks, %d",
+				tc.spec.Mode, res.Memory.DistGraphBytes, tc.chosen, want)
+		}
 	}
 }
 

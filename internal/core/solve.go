@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -22,7 +21,7 @@ type crossEdge struct {
 }
 
 // pickCross is the deterministic MIN used by the local scan and by the
-// fragment routing's fold: order by (D, U, V). The paper needs a
+// phase-3 gather's fold: order by (D, U, V). The paper needs a
 // tie-breaking scheme to guarantee a unique cross-cell edge per cell pair
 // (§III Step 2, Alg. 5's second collective); a total order gives uniqueness
 // in a single reduction.
@@ -51,19 +50,6 @@ type crossRec struct {
 	key  int64
 	a, b int32
 	crossEdge
-}
-
-// compareCross orders records by (D, key) — the same total order as
-// pickCross and mst.Kruskal's (W, U, V) sort: dense seed indices are
-// monotone in seed VID (dedup is sorted), so key order equals (U, V) order.
-// Under a strict total order the minimum spanning forest is unique, which is
-// what makes the fragment merge's chosen edge set byte-identical to
-// sequential Kruskal's.
-func compareCross(x, y crossRec) int {
-	if c := cmp.Compare(x.D, y.D); c != 0 {
-		return c
-	}
-	return cmp.Compare(x.key, y.key)
 }
 
 // seedKey packs an ordered seed pair (s < t) into a table key.
@@ -128,7 +114,9 @@ func oneTerminal(g *graph.Graph, cq canonQuery) (*Result, error) {
 // buffer-residency model (P outgoing buffers per rank at the configured
 // batch size). tableLens holds the per-rank E_N table sizes — on the TCP
 // backend the tables live in the workers and only their sizes travel back.
-func memoryStats(g *graph.Graph, shard ShardStats, tableLens []int64, res *Result, opts Options) MemoryStats {
+// Rank 0's gathered table is the merged copy; the chosen set, a spanning
+// forest of the kept terminals with one tree per group, is on every rank.
+func memoryStats(g *graph.Graph, shard ShardStats, tableLens []int64, cq canonQuery, res *Result, opts Options) MemoryStats {
 	const crossEntryBytes = 8 + 8 + 16 // one flat crossRec: key + dense pair + crossEdge
 	const msgBytes = 24
 	var tableBytes int64
@@ -136,6 +124,7 @@ func memoryStats(g *graph.Graph, shard ShardStats, tableLens []int64, res *Resul
 		tableBytes += n * crossEntryBytes
 	}
 	tableBytes += int64(res.DistGraphEdges) * crossEntryBytes // merged copy
+	chosen := len(cq.dedup) - len(res.Skipped) - max(1, len(cq.spec.Groups))
 	batch := opts.BatchSize
 	if batch <= 0 {
 		batch = 64
@@ -145,15 +134,15 @@ func memoryStats(g *graph.Graph, shard ShardStats, tableLens []int64, res *Resul
 		ShardBytes:     shard.ShardBytes,
 		StateBytes:     shard.StateSlabBytes,
 		EdgeTableBytes: tableBytes,
-		DistGraphBytes: int64(res.DistGraphEdges) * 20 * int64(opts.Ranks),
+		DistGraphBytes: int64(chosen) * crossEntryBytes * int64(opts.Ranks),
 		BufferBytes:    int64(opts.Ranks) * int64(opts.Ranks) * int64(batch) * msgBytes,
 	}
 }
 
 // recorder is one rank's account of its solve: each phase's wall time on
 // this rank, the visitor messages the rank sent and processed in it and its
-// work there (the phase body's own measure), plus its share of the fragment
-// merge's traffic. Ranks record without synchronizing. The tree gather
+// work there (the phase body's own measure), plus its share of the phase
+// 3–5 traffic. Ranks record without synchronizing. The tree gather
 // carries every other rank's account to rank 0 (appendTo), which sums the
 // counts, keeps the largest work and its own times (fold).
 type recorder struct {
@@ -181,8 +170,8 @@ func traversed(ts rt.TraversalStats) PhaseStat {
 	return PhaseStat{Sent: ts.Sent, Processed: ts.Processed, MaxRankWork: ts.Processed}
 }
 
-// appendTo appends the account's counts, all its phases' then the
-// fragment merge's, as uvarints.
+// appendTo appends the account's counts, all its phases' then phases
+// 3–5's traffic, as uvarints.
 func (rec *recorder) appendTo(dst []byte) []byte {
 	for _, ps := range rec.phases {
 		dst = wire.AppendUvarint(dst, uint64(ps.Sent))

@@ -50,8 +50,7 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// symmetric, so {u, v} looked up from owned u's row is the edge's
 	// weight) and its pooled StateSlab the control state of the vertices it
 	// owns — remote state is reached via the mailbox, never direct reads.
-	sc := env.pools[r.ID()]
-	sl := sc.slab
+	sl := env.pools[r.ID()].slab
 
 	// Phase 1: Voronoi cells (Alg. 4).
 	faultpoint.Hit("solve.phase1")
@@ -75,39 +74,19 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 		return // corrupt halo blob: all ranks bail together
 	}
 
-	// Phase 3: global min-distance edges. The fragment merge routes each
-	// record to the rank owning the pair's lower seed (a prize query's to
-	// rank 0, which plans it), leaving a disjoint table shard per rank.
-	var owned []crossRec
-	faultpoint.Hit("solve.phase3")
-	rec.phase(r, PhaseGlobalMinEdge, func() PhaseStat {
-		owned, ok = env.fragmentRoute(r, sc.localEN.recs, &rec.frag)
-		return PhaseStat{}
-	})
-	if !ok {
-		return // cross-table decode failure: all ranks bail together
+	// Phases 3–5: one gather, one sequential MSF on rank 0, one broadcast.
+	if !env.mergeMST(r, rec) {
+		return // rank 0's failure, broadcast in phase 5: all ranks bail together
 	}
+	env.treeEdges(r, rec)
+}
 
-	// Phase 4: MST of the distance graph G'₁ (Alg. 3 line 17): distributed
-	// Borůvka rounds over the sharded table.
-	faultpoint.Hit("solve.phase4")
-	rec.phase(r, PhaseMST, func() PhaseStat {
-		ok = env.fragmentMST(r, owned, &rec.frag)
-		return PhaseStat{}
-	})
-	if !ok {
-		return // disconnected terminals or corrupt round: all ranks bail together
-	}
-
-	// Phase 5: global edge pruning (Alg. 5, EDGE_PRUNING_COLL). The
-	// fragment merge accumulated its winners into pruned during the Borůvka
-	// rounds, so nothing is left to drop; the phase stays recorded so every
-	// Result carries all six.
-	faultpoint.Hit("solve.phase5")
-	rec.phase(r, PhasePruning, func() PhaseStat { return PhaseStat{} })
-
-	// Phase 6: Steiner tree edges (Alg. 6) — walk predecessor
-	// chains from surviving cross-cell endpoints to cell seeds.
+// treeEdges is phase 6, Steiner tree edges (Alg. 6): walk predecessor
+// chains from the chosen cross-cell edges' endpoints to cell seeds, then
+// gather the tree at rank 0.
+func (env *solveEnv) treeEdges(r *rt.Rank, rec *recorder) {
+	sc := env.pools[r.ID()]
+	sl := sc.slab
 	// The walked marks are epoch-versioned like the Voronoi state,
 	// so no O(|V|) bitmap is re-zeroed between queries, and the
 	// per-rank accumulator keeps its capacity (the published tree

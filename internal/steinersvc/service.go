@@ -109,9 +109,7 @@ type serviceStats struct {
 	// blocks of /stats render from it.
 	rt rt.Stats
 
-	// Fragment-merge MST accounting: merge rounds, exchanged records and
-	// the phase 3–4 merge payload.
-	mstFragmentRounds  int64
+	// Phase 3–5 MST accounting: exchanged records and payload.
 	mstCrossTableBytes int64
 	mstFragmentMsgs    int64
 
@@ -475,11 +473,10 @@ type OfferStats struct {
 	Suppressed int64 `json:"suppressed"`
 }
 
-// MSTStats is the /stats accounting of the phase 3–5 fragment merge, which
-// every query runs: total Borůvka rounds and exchanged records, and the
-// encoded payload bytes moved through collectives, equal on every backend.
+// MSTStats is the /stats accounting of phases 3–5, which every query runs:
+// the cross-table records gathered to rank 0 and chosen records broadcast
+// back, and the encoded payload bytes of both, equal on every backend.
 type MSTStats struct {
-	FragmentRounds   int64 `json:"fragmentRounds"`
 	FragmentMessages int64 `json:"fragmentMessages"`
 	CrossTableBytes  int64 `json:"crossTableBytes"`
 }
@@ -587,7 +584,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		Backend:       s.opts.Backend.String(),
 		Offers:        OfferStats{Suppressed: st.rt.Suppressed},
 		MST: MSTStats{
-			FragmentRounds:   st.mstFragmentRounds,
 			FragmentMessages: st.mstFragmentMsgs,
 			CrossTableBytes:  st.mstCrossTableBytes,
 		},
@@ -710,7 +706,6 @@ func (s *Service) recordQuery(res *core.Result, elapsed time.Duration, err error
 			st.phaseCalls[ph.Name]++
 		}
 		st.rt = st.rt.Add(res.Stats)
-		st.mstFragmentRounds += int64(res.MSTRounds)
 		st.mstFragmentMsgs += res.FragmentMsgs
 		st.mstCrossTableBytes += res.CrossTableBytes
 	}

@@ -117,7 +117,9 @@ type QueryOutcome struct {
 	Result    *wire.SolveResult
 	TableLens []int64 // indexed by global rank
 	// Stats is the query's runtime counters record, folded over the
-	// workers' WorkerDone frames with rt.Stats.Add.
+	// workers' WorkerDone frames with rt.Stats.Add. Its Net also counts
+	// each worker's Solve frame in and WorkerDone frame out, which fall
+	// outside the workers' own counts.
 	Stats rt.Stats
 }
 
@@ -658,6 +660,9 @@ func (s *hubSession) runQuery(qid uint64, payload []byte) (QueryOutcome, error) 
 	}
 	select {
 	case out := <-pq.ch:
+		// Every worker read the Solve frame before it took its counters.
+		out.Stats.Net.FramesIn += int64(len(s.peers))
+		out.Stats.Net.BytesIn += int64(len(s.peers)) * (int64(len(payload)) + 4)
 		return out, nil
 	case <-s.failCh:
 		return QueryOutcome{}, s.Err()
@@ -794,6 +799,9 @@ func (s *hubSession) handleFrame(ev hubEvent, sessions map[uint64]*tokenSession,
 		}
 		copy(pq.out.TableLens[lo:hi], done.TableLens)
 		pq.out.Stats = pq.out.Stats.Add(done.Stats)
+		// The worker wrote this frame after it took its counters.
+		pq.out.Stats.Net.FramesOut++
+		pq.out.Stats.Net.BytesOut += int64(len(ev.body)) + 5 // length prefix and type byte
 		if done.Err != "" {
 			pq.out.Err = done.Err
 		}

@@ -69,12 +69,11 @@ type SolveResult struct {
 	TotalDistance  int64
 	Phases         []PhaseRec
 	DistGraphEdges int
-	MSTRounds      int
 	// Skipped lists the terminals a prize-mode query paid to leave out
 	// (empty for tree and forest).
 	Skipped []graph.VID
-	// CrossTableBytes and FragmentMsgs are the query's phase-3/4 cross-table
-	// payload bytes and fragment-exchange record count.
+	// CrossTableBytes and FragmentMsgs are the query's phase 3–5 payload
+	// bytes and record count.
 	CrossTableBytes int64
 	FragmentMsgs    int64
 }
@@ -91,7 +90,6 @@ func appendSolveResult(dst []byte, r SolveResult) []byte {
 		dst = AppendVarint(dst, p.MaxRankWork)
 	}
 	dst = AppendUvarint(dst, uint64(r.DistGraphEdges))
-	dst = AppendUvarint(dst, uint64(r.MSTRounds))
 	dst = AppendVIDs(dst, r.Skipped)
 	dst = AppendVarint(dst, r.CrossTableBytes)
 	return AppendVarint(dst, r.FragmentMsgs)
@@ -113,7 +111,6 @@ func decodeSolveResult(d *Dec) SolveResult {
 		})
 	}
 	r.DistGraphEdges = d.Int()
-	r.MSTRounds = d.Int()
 	r.Skipped = d.VIDs()
 	r.CrossTableBytes = d.Varint()
 	r.FragmentMsgs = d.Varint()
