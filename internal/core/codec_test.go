@@ -45,6 +45,7 @@ var codecCases = []struct {
 	{"halves reversed", cross(int64(9)<<32|2, 7, 3, 4)},
 	{"U past |V|", cross(seedKey(2, 5), 7, 12, 4)},
 	{"V negative", cross(seedKey(5, 9), 7, 3, -1)},
+	{"V past |V|", cross(seedKey(5, 9), 7, 3, 12)},
 	{"D negative", cross(seedKey(2, 5), -1, 3, 4)},
 }
 
